@@ -127,11 +127,13 @@ fn deadline_and_injected_faults_quarantine_without_hurting_neighbors() {
     let sock = d.socket.to_str().unwrap();
 
     // An impossible deadline with one job-level retry: Running → Backoff →
-    // Running → Quarantined.
+    // Running → Quarantined. The job is ~75k tasks (tens of milliseconds)
+    // so the supervisor's tick lands while it runs: a 96×96 job finishes
+    // in a few milliseconds and can beat the halt.
     let (code, _, err) = run(&submit_args(
         sock,
         "doomed",
-        &["--rows", "96", "--cols", "96", "--deadline-ms", "1", "--job-retries", "1"],
+        &["--rows", "384", "--cols", "384", "--deadline-ms", "1", "--job-retries", "1"],
     ));
     assert_eq!(code, 0, "submit doomed: {err}");
 

@@ -3,39 +3,44 @@
 //!
 //! Production tile kernels split each b×b tile into column panels of width
 //! `ib` (PLASMA's inner block size, typically 32–64 for b ≈ 200–300): each
-//! panel is factored with level-2 BLAS, its compact T factor built, and
-//! the panel's block reflector applied to the remaining columns with
-//! level-3 BLAS. This bounds the T factors to `ib × b` and improves cache
-//! behaviour; mathematically the factorization is identical (same V, same
-//! R up to rounding), only the grouping of reflector applications changes.
+//! panel is factored, its compact T factor built, and the panel's block
+//! reflector applied to the remaining columns with level-3 BLAS. This
+//! bounds the T factors to `ib × b` and improves cache behaviour;
+//! mathematically the factorization is identical (same V, same R up to
+//! rounding), only the grouping of reflector applications changes.
 //!
-//! The level-3 parts — every trailing-column block-apply and the whole of
-//! the IB update kernels — are packed calls into the shared gemm core
-//! ([`crate::micro`]), so they ride the same scalar/AVX2 dispatch as the
-//! flat kernels. Panel factor loops stay level-2 scalar code, as in
-//! PLASMA. Control flow is input-independent (no data-dependent
-//! early-outs), keeping per-call flop counts a function of `(b, ib)` and
-//! results bitwise deterministic run-to-run on a fixed dispatch arm.
+//! Everything here is level 3. The update kernels and every trailing
+//! block-apply are packed calls into the shared gemm core
+//! ([`crate::micro`]). The panels themselves are no longer PLASMA's
+//! level-2 loops: the three factor kernels are one recursive compact-WY
+//! routine ([`crate::panel`]) that halves a panel down to blocks of eight
+//! columns, so reflector application inside the panel and the T build
+//! ride the microkernel too, and only those eight-column blocks run fused
+//! dot / rank-1 steps. Split points are a function of `(b, ib)`, both
+//! arms accumulate in a fixed order, and the only data-dependent branch
+//! is the reflector generator's rescaling guard, so per-call flop counts
+//! are a function of `(b, ib)` and results are bitwise deterministic
+//! run-to-run on a fixed dispatch arm.
 //!
 //! Layout convention: the `t` buffer is still `b × b`; the T factor of the
 //! panel starting at column `s` (width `w = min(ib, b−s)`) is the `w × w`
 //! upper triangle at rows `0..w`, columns `s..s+w`.
 //!
-//! With `ib = b` these kernels compute exactly the same factorization as
-//! the unblocked ones in [`crate::geqrt`] etc. (identical V and R; the T
-//! layout coincides as well since the single panel starts at column 0).
+//! With `ib = b` the factor kernels here *are* the plain ones in
+//! [`crate::geqrt`] etc. — the same call, bit for bit — and the update
+//! kernels compute the same product as their plain twins.
 
 use crate::check_tile;
-use crate::larfg::larfg;
 use crate::micro::{gemm_core, simd_arm, MaskA, SimdArm};
+use crate::panel::tile_qrt;
 use crate::Trans;
 
-fn check_ib(b: usize, ib: usize) {
+pub(crate) fn check_ib(b: usize, ib: usize) {
     assert!(ib > 0 && ib <= b, "inner block size must be in 1..=b (got {ib} for b={b})");
 }
 
 /// Panel start offsets for tile size `b` and inner block `ib`.
-fn panels(b: usize, ib: usize) -> impl Iterator<Item = (usize, usize)> {
+pub(crate) fn panels(b: usize, ib: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..b).step_by(ib).map(move |s| (s, (s + ib).min(b)))
 }
 
@@ -76,6 +81,23 @@ fn apply_t_panel(
     gemm_core(arm, w, n, w, 1.0, &tc, w, mask, &src, w, 0.0, wbuf, w);
 }
 
+/// Store `col` as rows `r..` of column `c` of a packed reflector panel `vp`
+/// (`rows × w`) and of its transpose `vpt` (`w × rows`).
+pub(crate) fn pack_column(
+    vp: &mut [f64],
+    rows: usize,
+    vpt: &mut [f64],
+    w: usize,
+    r: usize,
+    c: usize,
+    col: &[f64],
+) {
+    vp[r + c * rows..][..col.len()].copy_from_slice(col);
+    for (i, x) in col.iter().enumerate() {
+        vpt[c + (r + i) * w] = *x;
+    }
+}
+
 /// Pack the unit-lower reflector panel of columns `s..s+w` of `v` (rows
 /// `s..b`, unit diagonal at row `s+r`, entries above it zero) and its
 /// transpose, both with local row indexing.
@@ -86,11 +108,8 @@ fn pack_unit_lower_panel(b: usize, s: usize, w: usize, v: &[f64]) -> (Vec<f64>, 
     for r in 0..w {
         vp[r + r * mrows] = 1.0;
         vpt[r + r * w] = 1.0;
-        for i in (s + r + 1)..b {
-            let x = v[i + (s + r) * b];
-            vp[(i - s) + r * mrows] = x;
-            vpt[r + (i - s) * w] = x;
-        }
+        let below = &v[(s + r + 1) + (s + r) * b..b + (s + r) * b];
+        pack_column(&mut vp, mrows, &mut vpt, w, r + 1, r, below);
     }
     (vp, vpt)
 }
@@ -111,11 +130,7 @@ fn pack_stacked_panel(
     let mut vpt = vec![0.0; w * keff];
     for r in 0..w {
         let sup = if tri { (s + r + 1).min(keff) } else { keff };
-        for i in 0..sup {
-            let x = v2[i + (s + r) * b];
-            vp[i + r * keff] = x;
-            vpt[r + i * w] = x;
-        }
+        pack_column(&mut vp, keff, &mut vpt, w, 0, r, &v2[(s + r) * b..][..sup]);
     }
     (vp, vpt)
 }
@@ -127,95 +142,7 @@ pub fn geqrt_ib(b: usize, ib: usize, a: &mut [f64], t: &mut [f64]) {
 
 /// [`geqrt_ib`] on an explicit dispatch arm (parity tests and benches).
 pub fn geqrt_ib_arm(arm: SimdArm, b: usize, ib: usize, a: &mut [f64], t: &mut [f64]) {
-    check_tile(b, a);
-    check_tile(b, t);
-    check_ib(b, ib);
-    t.fill(0.0);
-    for (s, e) in panels(b, ib) {
-        let w = e - s;
-        // Factor the panel columns with immediate (BLAS-2) updates inside
-        // the panel, building the panel T on the fly.
-        for j in s..e {
-            let cj = j * b;
-            let (beta, tau) = {
-                let alpha = a[cj + j];
-                let (_, tail) = a.split_at_mut(cj + j + 1);
-                larfg(alpha, &mut tail[..b - j - 1])
-            };
-            a[cj + j] = beta;
-            for l in (j + 1)..e {
-                let cl = l * b;
-                let mut wv = a[cl + j];
-                for i in (j + 1)..b {
-                    wv += a[cj + i] * a[cl + i];
-                }
-                wv *= tau;
-                a[cl + j] -= wv;
-                for i in (j + 1)..b {
-                    a[cl + i] -= wv * a[cj + i];
-                }
-            }
-            // T_panel(0..jj, jj) = −τ·T·(Vᵀ v_j) with jj = j − s.
-            let jj = j - s;
-            for i in 0..jj {
-                let ci = (s + i) * b;
-                let mut z = a[ci + j];
-                for r in (j + 1)..b {
-                    z += a[ci + r] * a[cj + r];
-                }
-                t[i + cj] = z;
-            }
-            for i in 0..jj {
-                let mut y = 0.0;
-                for r in i..jj {
-                    y += t[i + (s + r) * b] * t[r + cj];
-                }
-                t[i + cj] = -tau * y;
-            }
-            t[jj + cj] = tau;
-        }
-        // Apply the panel's block reflector to the trailing columns e..b:
-        // C := (I − V T Vᵀ)ᵀ C on rows s..b (V unit-lower in cols s..e).
-        let ntrail = b - e;
-        if ntrail == 0 {
-            continue;
-        }
-        let mrows = b - s;
-        let (vp, vpt) = pack_unit_lower_panel(b, s, w, a);
-        let (_, trail) = a.split_at_mut(e * b);
-        let mut wbuf = vec![0.0; w * ntrail];
-        gemm_core(
-            arm,
-            w,
-            ntrail,
-            mrows,
-            1.0,
-            &vpt,
-            w,
-            MaskA::Upper,
-            &trail[s..],
-            b,
-            0.0,
-            &mut wbuf,
-            w,
-        );
-        apply_t_panel(arm, b, t, s, w, ntrail, &mut wbuf, Trans::Trans);
-        gemm_core(
-            arm,
-            mrows,
-            ntrail,
-            w,
-            -1.0,
-            &vp,
-            mrows,
-            MaskA::Lower,
-            &wbuf,
-            w,
-            1.0,
-            &mut trail[s..],
-            b,
-        );
-    }
+    tile_qrt(arm, b, ib, a, None, false, t);
 }
 
 /// Apply op(Q) of a [`geqrt_ib`] factorization to tile `c`
@@ -255,93 +182,9 @@ pub fn unmqr_ib_arm(
     }
 }
 
-/// Shared inner-blocked TSQRT/TTQRT.
-fn stacked_qrt_ib(
-    arm: SimdArm,
-    b: usize,
-    ib: usize,
-    a1: &mut [f64],
-    a2: &mut [f64],
-    t: &mut [f64],
-    tri: bool,
-) {
-    check_tile(b, a1);
-    check_tile(b, a2);
-    check_tile(b, t);
-    check_ib(b, ib);
-    let support = |col: usize| if tri { col + 1 } else { b };
-    t.fill(0.0);
-    for (s, e) in panels(b, ib) {
-        for j in s..e {
-            let cj = j * b;
-            let blen = support(j);
-            let (beta, tau) = larfg(a1[j + cj], &mut a2[cj..cj + blen]);
-            a1[j + cj] = beta;
-            for l in (j + 1)..e {
-                let cl = l * b;
-                let mut wv = a1[j + cl];
-                for i in 0..blen {
-                    wv += a2[cj + i] * a2[cl + i];
-                }
-                wv *= tau;
-                a1[j + cl] -= wv;
-                for i in 0..blen {
-                    a2[cl + i] -= wv * a2[cj + i];
-                }
-            }
-            let jj = j - s;
-            for i in 0..jj {
-                let sup = support(s + i).min(blen);
-                let ci = (s + i) * b;
-                let mut z = 0.0;
-                for r in 0..sup {
-                    z += a2[ci + r] * a2[cj + r];
-                }
-                t[i + cj] = z;
-            }
-            for i in 0..jj {
-                let mut y = 0.0;
-                for r in i..jj {
-                    y += t[i + (s + r) * b] * t[r + cj];
-                }
-                t[i + cj] = -tau * y;
-            }
-            t[jj + cj] = tau;
-        }
-        // Block-apply the panel to trailing columns e..b of [A1; A2].
-        let w = e - s;
-        let ntrail = b - e;
-        if ntrail == 0 {
-            continue;
-        }
-        // Rows of the bottom block a panel reflector can touch: with
-        // triangular support the panel's widest column reaches row e−1.
-        let keff = if tri { e } else { b };
-        let (vp, vpt) = pack_stacked_panel(b, s, w, keff, a2, tri);
-        let (_, a1t) = a1.split_at_mut(e * b);
-        let (_, a2t) = a2.split_at_mut(e * b);
-        // W = A1[s..e, e..] + Vᵀ·A2[0..keff, e..].
-        let mut wbuf = vec![0.0; w * ntrail];
-        for col in 0..ntrail {
-            for r in 0..w {
-                wbuf[r + col * w] = a1t[(s + r) + col * b];
-            }
-        }
-        gemm_core(arm, w, ntrail, keff, 1.0, &vpt, w, MaskA::Full, a2t, b, 1.0, &mut wbuf, w);
-        apply_t_panel(arm, b, t, s, w, ntrail, &mut wbuf, Trans::Trans);
-        // A1[s..e, e..] -= W; A2[0..keff, e..] -= V·W.
-        for col in 0..ntrail {
-            for r in 0..w {
-                a1t[(s + r) + col * b] -= wbuf[r + col * w];
-            }
-        }
-        gemm_core(arm, keff, ntrail, w, -1.0, &vp, keff, MaskA::Full, &wbuf, w, 1.0, a2t, b);
-    }
-}
-
 /// Inner-blocked TSQRT.
 pub fn tsqrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    stacked_qrt_ib(simd_arm(), b, ib, a1, a2, t, false);
+    tile_qrt(simd_arm(), b, ib, a1, Some(a2), false, t);
 }
 
 /// [`tsqrt_ib`] on an explicit dispatch arm (parity tests and benches).
@@ -353,12 +196,12 @@ pub fn tsqrt_ib_arm(
     a2: &mut [f64],
     t: &mut [f64],
 ) {
-    stacked_qrt_ib(arm, b, ib, a1, a2, t, false);
+    tile_qrt(arm, b, ib, a1, Some(a2), false, t);
 }
 
 /// Inner-blocked TTQRT.
 pub fn ttqrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    stacked_qrt_ib(simd_arm(), b, ib, a1, a2, t, true);
+    tile_qrt(simd_arm(), b, ib, a1, Some(a2), true, t);
 }
 
 /// [`ttqrt_ib`] on an explicit dispatch arm (parity tests and benches).
@@ -370,7 +213,7 @@ pub fn ttqrt_ib_arm(
     a2: &mut [f64],
     t: &mut [f64],
 ) {
-    stacked_qrt_ib(arm, b, ib, a1, a2, t, true);
+    tile_qrt(arm, b, ib, a1, Some(a2), true, t);
 }
 
 /// Shared inner-blocked TSMQR/TTMQR.

@@ -1,7 +1,9 @@
-//! Factorization kernels: GEQRT, TSQRT, TTQRT.
+//! Factorization kernels: GEQRT, TSQRT, TTQRT — the recursive panel
+//! routine of [`crate::panel`] run once over the whole tile (`ib = b`), so
+//! the T factor is the full `b × b` triangle.
 
-use crate::check_tile;
-use crate::larfg::larfg;
+use crate::micro::simd_arm;
+use crate::panel::tile_qrt;
 
 /// QR factorization of a square `b × b` tile (PLASMA `CORE_dgeqrt`).
 ///
@@ -10,107 +12,7 @@ use crate::larfg::larfg;
 /// implicit); `t` holds the upper-triangular block-reflector factor T, with
 /// the τ values on its diagonal, such that Q = I − V·T·Vᵀ and A = Q·R.
 pub fn geqrt(b: usize, a: &mut [f64], t: &mut [f64]) {
-    check_tile(b, a);
-    check_tile(b, t);
-    t.fill(0.0);
-    for j in 0..b {
-        let cj = j * b;
-        // Generate the reflector annihilating a[j+1.., j].
-        let (beta, tau) = {
-            let alpha = a[cj + j];
-            let (head, tail) = a.split_at_mut(cj + j + 1);
-            debug_assert_eq!(head.len(), cj + j + 1);
-            let x = &mut tail[..b - j - 1];
-            larfg(alpha, x)
-        };
-        a[cj + j] = beta;
-        // Apply H_j = I − τ v vᵀ to the trailing columns (v = [1; a[j+1.., j]]).
-        for l in (j + 1)..b {
-            let cl = l * b;
-            let mut w = a[cl + j];
-            for i in (j + 1)..b {
-                w += a[cj + i] * a[cl + i];
-            }
-            w *= tau;
-            a[cl + j] -= w;
-            for i in (j + 1)..b {
-                a[cl + i] -= w * a[cj + i];
-            }
-        }
-        // T(0..j, j) = −τ · T(0..j, 0..j) · (Vᵀ v_j); T(j, j) = τ.
-        // z_i = (V[:,i])ᵀ v_j = a[j, i] + Σ_{r>j} a[r, i]·a[r, j]   (i < j)
-        for i in 0..j {
-            let ci = i * b;
-            let mut z = a[ci + j];
-            for r in (j + 1)..b {
-                z += a[ci + r] * a[cj + r];
-            }
-            t[j * b + i] = z;
-        }
-        // In-place upper-triangular matvec: y_i = Σ_{r=i..j-1} T[i,r]·z_r.
-        // Ascending i only overwrites entries later iterations never read.
-        for i in 0..j {
-            let mut y = 0.0;
-            for r in i..j {
-                y += t[r * b + i] * t[j * b + r];
-            }
-            t[j * b + i] = -tau * y;
-        }
-        t[j * b + j] = tau;
-    }
-}
-
-/// Shared implementation of TSQRT/TTQRT: QR of a triangle stacked on a
-/// second tile. `tri_bottom` selects the bottom tile's structure: `false`
-/// for a full square (TS), `true` for an upper triangle (TT), in which case
-/// column `j` of the bottom tile only has rows `0..=j` active — the source
-/// of the 3× flop saving of TT kernels.
-fn stacked_qrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64], tri_bottom: bool) {
-    check_tile(b, a1);
-    check_tile(b, a2);
-    check_tile(b, t);
-    let support = |col: usize| if tri_bottom { col + 1 } else { b };
-    t.fill(0.0);
-    for j in 0..b {
-        let cj = j * b;
-        let blen = support(j);
-        // Reflector on [a1[j,j]; a2[0..blen, j]]: the top part of v is e_j
-        // because rows j+1..b of column j in the stacked triangle are zero.
-        let (beta, tau) = larfg(a1[j + cj], &mut a2[cj..cj + blen]);
-        a1[j + cj] = beta;
-        // Update trailing columns l > j of the stacked pair.
-        for l in (j + 1)..b {
-            let cl = l * b;
-            let mut w = a1[j + cl];
-            for i in 0..blen {
-                w += a2[cj + i] * a2[cl + i];
-            }
-            w *= tau;
-            a1[j + cl] -= w;
-            for i in 0..blen {
-                a2[cl + i] -= w * a2[cj + i];
-            }
-        }
-        // T(0..j, j) = −τ·T·(V̂ᵀ v̂_j). Top blocks are disjoint unit vectors,
-        // so only the bottom parts contribute: z_i = v2_iᵀ · v2_j.
-        for i in 0..j {
-            let sup = support(i).min(blen);
-            let ci = i * b;
-            let mut z = 0.0;
-            for r in 0..sup {
-                z += a2[ci + r] * a2[cj + r];
-            }
-            t[cj + i] = z;
-        }
-        for i in 0..j {
-            let mut y = 0.0;
-            for r in i..j {
-                y += t[r * b + i] * t[cj + r];
-            }
-            t[cj + i] = -tau * y;
-        }
-        t[cj + j] = tau;
-    }
+    tile_qrt(simd_arm(), b, b, a, None, false, t);
 }
 
 /// TSQRT (PLASMA `CORE_dtsqrt`): QR of `[A1; A2]` where `A1` is the upper
@@ -122,15 +24,16 @@ fn stacked_qrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64], tri_bott
 /// Q = I − V̂·T·V̂ᵀ with V̂ = [I; V2]. The strict lower triangle of `A1`
 /// (which stores unrelated V data from GEQRT) is left untouched.
 pub fn tsqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    stacked_qrt(b, a1, a2, t, false);
+    tile_qrt(simd_arm(), b, b, a1, Some(a2), false, t);
 }
 
 /// TTQRT (PLASMA `CORE_dttqrt`): QR of `[A1; A2]` where **both** tiles are
-/// upper triangular (two killers meeting). `A2`'s strict lower triangle is
-/// preserved; V2 is upper triangular, which is what makes this kernel cost
-/// weight 2 instead of TSQRT's 6.
+/// upper triangular (two killers meeting): column `j` of `A2` has only rows
+/// `0..=j` active — the source of the 3× flop saving of the TT kernels.
+/// `A2`'s strict lower triangle is preserved; V2 is upper triangular, which
+/// is what makes this kernel cost weight 2 instead of TSQRT's 6.
 pub fn ttqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    stacked_qrt(b, a1, a2, t, true);
+    tile_qrt(simd_arm(), b, b, a1, Some(a2), true, t);
 }
 
 #[cfg(test)]

@@ -50,6 +50,7 @@ mod error;
 mod factor;
 mod larfg;
 pub mod micro;
+mod panel;
 pub mod reference;
 pub mod weights;
 

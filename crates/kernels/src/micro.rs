@@ -1,8 +1,9 @@
 //! Register-blocked gemm microkernel with one-time SIMD dispatch.
 //!
 //! Every level-3 operation in this crate — the update kernels
-//! (UNMQR/TSMQR/TTMQR), the trailing block-applies of the inner-blocked
-//! factor kernels, and [`crate::blas::gemm`] — funnels into
+//! (UNMQR/TSMQR/TTMQR), the recursive panel routine of the factor kernels
+//! ([`crate::panel`]: block-applies, T merges, trailing updates), and
+//! [`crate::blas::gemm`] — funnels into
 //! [`gemm_core`]: `C := α·A·B + β·C` on column-major buffers with
 //! explicit leading dimensions, where `A` may carry a triangular
 //! structure mask so triangle-shaped operands (TT kernels, T factors,
@@ -28,6 +29,9 @@
 //! and multi-job solo-parity suites rely on. The two arms agree only up
 //! to rounding (FMA contracts the multiply-add), which is why
 //! cross-arm tests are tolerance-based while same-arm tests are exact.
+//!
+//! The same two arms implement the fused level-2 steps that end the panel
+//! recursion ([`dot_cols`], [`axpy_cols`]).
 
 use std::sync::OnceLock;
 
@@ -208,11 +212,174 @@ fn gemm_scalar(
     }
 }
 
+fn check_cols(len: usize, ncols: usize, cols: &[f64], ld: usize) {
+    assert!(ncols == 0 || (ncols - 1) * ld + len <= cols.len(), "fused columns out of bounds");
+}
+
+/// Fused multi-column dot: `out[k] = vᵀ·cols[k·ld .. k·ld + v.len()]` for
+/// every `k < out.len()`. Both arms accumulate in a fixed order — rows
+/// `r ≡ i (mod 8)` into partial sum `i`, the eight partials reduced as a
+/// fixed tree, then the `len mod 8` tail in row order — so a result
+/// depends on the operands and the arm only.
+pub(crate) fn dot_cols(arm: SimdArm, v: &[f64], cols: &[f64], ld: usize, out: &mut [f64]) {
+    check_cols(v.len(), out.len(), cols, ld);
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `check_cols` proved every column read in bounds; the Avx2
+        // arm is only selected after runtime detection of avx2+fma.
+        SimdArm::Avx2 => unsafe { avx2::dot_cols(v, cols, ld, out) },
+        _ => {
+            for (k, o) in out.iter_mut().enumerate() {
+                let c = &cols[k * ld..k * ld + v.len()];
+                let mut acc = [0.0f64; 8];
+                let (v8, c8) = (v.chunks_exact(8), c.chunks_exact(8));
+                let (vt, ct) = (v8.remainder(), c8.remainder());
+                for (vv, cc) in v8.zip(c8) {
+                    for i in 0..8 {
+                        acc[i] += vv[i] * cc[i];
+                    }
+                }
+                let mut s = ((acc[0] + acc[4]) + (acc[1] + acc[5]))
+                    + ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+                for (x, y) in vt.iter().zip(ct) {
+                    s += x * y;
+                }
+                *o = s;
+            }
+        }
+    }
+}
+
+/// Fused rank-1 step: `cols[k·ld + r] −= w[k]·v[r]` for every `k < w.len()`.
+pub(crate) fn axpy_cols(arm: SimdArm, v: &[f64], w: &[f64], cols: &mut [f64], ld: usize) {
+    check_cols(v.len(), w.len(), cols, ld);
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot_cols`.
+        SimdArm::Avx2 => unsafe { avx2::axpy_cols(v, w, cols, ld) },
+        _ => {
+            for (k, &wk) in w.iter().enumerate() {
+                for (c, x) in cols[k * ld..k * ld + v.len()].iter_mut().zip(v) {
+                    *c -= wk * x;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::MaskA;
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
+
+    /// `NC` columns of [`super::dot_cols`]: two accumulator vectors per
+    /// column (rows mod 8), reduced in the order the scalar arm uses.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn dot_nc<const NC: usize>(
+        len: usize,
+        v: *const f64,
+        c: *const f64,
+        ld: usize,
+    ) -> [f64; NC] {
+        let mut acc = [[_mm256_setzero_pd(); 2]; NC];
+        let mut r = 0;
+        while r + 8 <= len {
+            let (v0, v1) = (_mm256_loadu_pd(v.add(r)), _mm256_loadu_pd(v.add(r + 4)));
+            for (k, a) in acc.iter_mut().enumerate() {
+                let p = c.add(k * ld + r);
+                a[0] = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p), a[0]);
+                a[1] = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p.add(4)), a[1]);
+            }
+            r += 8;
+        }
+        let mut out = [0.0; NC];
+        for (k, a) in acc.iter().enumerate() {
+            let mut lanes = [0.0f64; 4];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), _mm256_add_pd(a[0], a[1]));
+            let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            for i in r..len {
+                s = (*v.add(i)).mul_add(*c.add(k * ld + i), s);
+            }
+            out[k] = s;
+        }
+        out
+    }
+
+    /// # Safety
+    /// avx2+fma present; `(out.len() − 1)·ld + v.len() ≤ cols.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_cols(v: &[f64], cols: &[f64], ld: usize, out: &mut [f64]) {
+        let (len, vp, mut k) = (v.len(), v.as_ptr(), 0);
+        while k < out.len() {
+            let c = cols.as_ptr().add(k * ld);
+            let step = match out.len() - k {
+                1 => {
+                    out[k..k + 1].copy_from_slice(&dot_nc::<1>(len, vp, c, ld));
+                    1
+                }
+                2 | 3 => {
+                    out[k..k + 2].copy_from_slice(&dot_nc::<2>(len, vp, c, ld));
+                    2
+                }
+                _ => {
+                    out[k..k + 4].copy_from_slice(&dot_nc::<4>(len, vp, c, ld));
+                    4
+                }
+            };
+            k += step;
+        }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn axpy_nc<const NC: usize>(
+        len: usize,
+        v: *const f64,
+        w: *const f64,
+        c: *mut f64,
+        ld: usize,
+    ) {
+        let wv: [__m256d; NC] = core::array::from_fn(|k| _mm256_set1_pd(*w.add(k)));
+        let mut r = 0;
+        while r + 4 <= len {
+            let vv = _mm256_loadu_pd(v.add(r));
+            for (k, wk) in wv.iter().enumerate() {
+                let p = c.add(k * ld + r);
+                _mm256_storeu_pd(p, _mm256_fnmadd_pd(*wk, vv, _mm256_loadu_pd(p)));
+            }
+            r += 4;
+        }
+        for i in r..len {
+            for k in 0..NC {
+                let p = c.add(k * ld + i);
+                *p = (-*w.add(k)).mul_add(*v.add(i), *p);
+            }
+        }
+    }
+
+    /// # Safety
+    /// avx2+fma present; `(w.len() − 1)·ld + v.len() ≤ cols.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn axpy_cols(v: &[f64], w: &[f64], cols: &mut [f64], ld: usize) {
+        let (len, vp, mut k) = (v.len(), v.as_ptr(), 0);
+        while k < w.len() {
+            let (wp, c) = (w.as_ptr().add(k), cols.as_mut_ptr().add(k * ld));
+            k += match w.len() - k {
+                1 => {
+                    axpy_nc::<1>(len, vp, wp, c, ld);
+                    1
+                }
+                2 | 3 => {
+                    axpy_nc::<2>(len, vp, wp, c, ld);
+                    2
+                }
+                _ => {
+                    axpy_nc::<4>(len, vp, wp, c, ld);
+                    4
+                }
+            };
+        }
+    }
 
     /// Microkernel: `C[0..4·MV, 0..NR] = α·(A·B) + β·C` over `kk` terms,
     /// accumulating the full block in `MV × NR` vector registers.

@@ -1,10 +1,88 @@
-//! Reference dense Householder QR, used only for verification.
+//! Reference implementations, used only for verification.
 //!
-//! This is the textbook unblocked algorithm (LAPACK `dgeqr2` followed by an
-//! explicit Q build). It is deliberately independent of the tile kernels so
-//! that tests comparing the two catch mistakes in either.
+//! [`dense_householder_qr`] is the textbook unblocked algorithm (LAPACK
+//! `dgeqr2` followed by an explicit Q build); [`geqrt_level2`] and
+//! [`stacked_qrt_level2`] are the column-at-a-time tile kernels the
+//! production recursive panel routine replaced. All are deliberately
+//! independent of the production kernels so that tests comparing the two
+//! catch mistakes in either. They agree with them up to rounding and the
+//! signs of R's rows, not bitwise.
 
 use hqr_tile::DenseMatrix;
+
+/// Textbook reflector: scales `x` to the tail of `v` and returns `(β, τ)`.
+fn reflector(alpha: f64, x: &mut [f64]) -> (f64, f64) {
+    let sigma: f64 = x.iter().map(|v| v * v).sum();
+    if sigma == 0.0 {
+        return (alpha, 0.0);
+    }
+    let mu = (alpha * alpha + sigma).sqrt();
+    let beta = if alpha <= 0.0 { mu } else { -mu };
+    let scale = 1.0 / (alpha - beta);
+    x.iter_mut().for_each(|v| *v *= scale);
+    (beta, (beta - alpha) / beta)
+}
+
+/// `T[0..j, j] = −τ·T[0..j, 0..j]·z` in place, `z` stored in `T[0..j, j]`.
+fn t_column(b: usize, t: &mut [f64], j: usize, tau: f64) {
+    for i in 0..j {
+        let y: f64 = (i..j).map(|r| t[r * b + i] * t[j * b + r]).sum();
+        t[j * b + i] = -tau * y;
+    }
+    t[j * b + j] = tau;
+}
+
+/// Level-2 GEQRT: one reflector at a time, applied at once to every later
+/// column. Same storage as [`crate::geqrt`].
+pub fn geqrt_level2(b: usize, a: &mut [f64], t: &mut [f64]) {
+    t.fill(0.0);
+    for j in 0..b {
+        let cj = j * b;
+        let (head, tail) = a.split_at_mut(cj + j + 1);
+        let (beta, tau) = reflector(head[cj + j], &mut tail[..b - j - 1]);
+        a[cj + j] = beta;
+        for l in (j + 1)..b {
+            let cl = l * b;
+            let dot: f64 = ((j + 1)..b).map(|i| a[cj + i] * a[cl + i]).sum();
+            let w = tau * (a[cl + j] + dot);
+            a[cl + j] -= w;
+            for i in (j + 1)..b {
+                a[cl + i] -= w * a[cj + i];
+            }
+        }
+        for i in 0..j {
+            let dot: f64 = ((j + 1)..b).map(|r| a[i * b + r] * a[cj + r]).sum();
+            t[cj + i] = a[i * b + j] + dot;
+        }
+        t_column(b, t, j, tau);
+    }
+}
+
+/// Level-2 TSQRT (`tri` unset) / TTQRT (`tri` set). Same storage as
+/// [`crate::tsqrt`] / [`crate::ttqrt`].
+pub fn stacked_qrt_level2(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64], tri: bool) {
+    let support = |col: usize| if tri { col + 1 } else { b };
+    t.fill(0.0);
+    for j in 0..b {
+        let cj = j * b;
+        let blen = support(j);
+        let (beta, tau) = reflector(a1[j + cj], &mut a2[cj..cj + blen]);
+        a1[j + cj] = beta;
+        for l in (j + 1)..b {
+            let cl = l * b;
+            let dot: f64 = (0..blen).map(|i| a2[cj + i] * a2[cl + i]).sum();
+            let w = tau * (a1[j + cl] + dot);
+            a1[j + cl] -= w;
+            for i in 0..blen {
+                a2[cl + i] -= w * a2[cj + i];
+            }
+        }
+        for i in 0..j {
+            t[cj + i] = (0..support(i).min(blen)).map(|r| a2[i * b + r] * a2[cj + r]).sum();
+        }
+        t_column(b, t, j, tau);
+    }
+}
 
 /// Dense Householder QR of an `m × n` matrix with `m ≥ n`.
 ///
@@ -18,21 +96,8 @@ pub fn dense_householder_qr(a: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
     let mut vs: Vec<(usize, Vec<f64>, f64)> = Vec::with_capacity(n);
     for k in 0..n {
         // Build the reflector annihilating r[k+1.., k].
-        let alpha = r.get(k, k);
-        let mut sigma = 0.0;
-        for i in (k + 1)..m {
-            sigma += r.get(i, k) * r.get(i, k);
-        }
-        let (beta, tau, v) = if sigma == 0.0 {
-            (alpha, 0.0, vec![0.0; m - k - 1])
-        } else {
-            let mu = (alpha * alpha + sigma).sqrt();
-            let beta = if alpha <= 0.0 { mu } else { -mu };
-            let tau = (beta - alpha) / beta;
-            let scale = 1.0 / (alpha - beta);
-            let v: Vec<f64> = ((k + 1)..m).map(|i| r.get(i, k) * scale).collect();
-            (beta, tau, v)
-        };
+        let mut v: Vec<f64> = ((k + 1)..m).map(|i| r.get(i, k)).collect();
+        let (beta, tau) = reflector(r.get(k, k), &mut v);
         // Apply H to the trailing matrix r[k.., k..].
         for j in k..n {
             let mut w = r.get(k, j);

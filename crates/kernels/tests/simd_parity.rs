@@ -1,8 +1,9 @@
 //! Scalar-vs-SIMD dispatch-arm parity and run-to-run determinism.
 //!
-//! The two gemm-core arms (portable scalar, AVX2/FMA) share blocking and
-//! accumulation *order*, but the vector arm contracts multiply-adds with
-//! FMA, so cross-arm results agree only to rounding — these tests bound
+//! The two arms (portable scalar, AVX2/FMA) of the gemm core and of the
+//! panel routine's fused level-2 steps share blocking and accumulation
+//! *order*, but the vector arm contracts multiply-adds with FMA, so
+//! cross-arm results agree only to rounding — these tests bound
 //! that gap with norm-scaled tolerances over every kernel entry point.
 //! Within a fixed arm the kernels must be *bitwise* deterministic
 //! run-to-run: checkpoint resume and the multi-job service's solo-parity
@@ -19,7 +20,7 @@ use hqr_kernels::micro::simd_detected;
 use hqr_kernels::{geqrt, tsmqr_arm, tsqrt, ttmqr_arm, ttqrt, unmqr_arm, SimdArm, Trans};
 use hqr_tile::DenseMatrix;
 
-const SIZES: &[usize] = &[1, 3, 5, 8, 13, 24, 32];
+const SIZES: &[usize] = &[1, 3, 5, 8, 13, 24, 32, 64, 128];
 
 fn tile(b: usize, seed: u64) -> Vec<f64> {
     DenseMatrix::random(b, b, seed).data().to_vec()
@@ -55,8 +56,14 @@ fn assert_bits(x: &[f64], y: &[f64], what: &str) {
     }
 }
 
+/// Half the tile, except at the two production sizes, which take the
+/// inner blocks that put the panel recursion one and two levels deep.
 fn ib_for(b: usize) -> usize {
-    (b / 2).max(1)
+    match b {
+        64 => 8,
+        128 => 32,
+        _ => (b / 2).max(1),
+    }
 }
 
 /// Run every kernel entry point once on `arm` from identical inputs and
@@ -65,7 +72,8 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     let ib = ib_for(b);
     let mut out: Vec<(&'static str, Vec<f64>)> = Vec::new();
 
-    // GEQRT (factor kernels are arm-independent scalar code) feeds UNMQR.
+    // GEQRT feeds UNMQR. The plain factor kernels run on the process arm,
+    // so both passes hand the update kernels identical V and T.
     let (mut v, mut t) = (tile(b, seed), vec![0.0; b * b]);
     geqrt(b, &mut v, &mut t);
     let mut c = tile(b, seed ^ 1);
@@ -90,8 +98,8 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     ttmqr_arm(arm, b, &q2, &tt, &mut w1, &mut w2, Trans::Trans);
     out.push(("ttmqr", [w1, w2].concat()));
 
-    // Inner-blocked variants of all six kernels (the IB factor kernels
-    // run their trailing block-applies through the dispatched core).
+    // Inner-blocked variants of all six kernels, factor kernels included,
+    // on the explicit arm.
     let (mut gv, mut gt) = (tile(b, seed ^ 11), vec![0.0; b * b]);
     geqrt_ib_arm(arm, b, ib, &mut gv, &mut gt);
     let mut gc = tile(b, seed ^ 12);

@@ -1124,21 +1124,11 @@ impl JobPool {
         }
         let id = s.next_id.fetch_add(1, Ordering::Relaxed);
         let seq = s.next_seq.fetch_add(1, Ordering::Relaxed);
-        pending.push(PendingJob {
-            id,
-            seq,
-            policy: jp,
-            elims,
-            seed,
-            graph,
-            footprint: need,
-            attempts: 0,
-            not_before: None,
-            count_attempt: true,
-        });
-        drop(pending);
-        let mut recs = relock(&s.records);
-        recs.insert(
+        // The record exists before the supervisor can see the job: it may
+        // admit, run and finalize a tiny job before this thread runs
+        // again, and a record inserted after that would read `Queued` for
+        // ever.
+        relock(&s.records).insert(
             id,
             JobRecord {
                 state: JobState::Queued,
@@ -1154,7 +1144,19 @@ impl JobPool {
                 outcome: None,
             },
         );
-        drop(recs);
+        pending.push(PendingJob {
+            id,
+            seq,
+            policy: jp,
+            elims,
+            seed,
+            graph,
+            footprint: need,
+            attempts: 0,
+            not_before: None,
+            count_attempt: true,
+        });
+        drop(pending);
         if let Some(mut dd) = dedup_guard {
             dd.insert(dedup_key.clone().expect("guard implies key"), id);
         }
@@ -1208,18 +1210,7 @@ impl JobPool {
             dedup_key,
         };
         let tasks_total = graph.tasks().len();
-        relock(&s.pending).push(PendingJob {
-            id,
-            seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
-            policy: jp,
-            elims,
-            seed,
-            graph,
-            footprint: need,
-            attempts,
-            not_before: None,
-            count_attempt: true,
-        });
+        // Record first, as in `submit_dedup`.
         relock(&s.records).insert(
             id,
             JobRecord {
@@ -1236,6 +1227,18 @@ impl JobPool {
                 outcome: None,
             },
         );
+        relock(&s.pending).push(PendingJob {
+            id,
+            seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
+            policy: jp,
+            elims,
+            seed,
+            graph,
+            footprint: need,
+            attempts,
+            not_before: None,
+            count_attempt: true,
+        });
         Ok(())
     }
 
@@ -1439,7 +1442,12 @@ impl JobPool {
                 state: r.state,
                 qos: r.qos,
                 attempts: r.attempts,
-                tasks_done: live.get(&id).copied().unwrap_or(r.tasks_done),
+                // `live` was read before `records`: a job finalized in
+                // between is terminal here and its record has the count.
+                tasks_done: match live.get(&id) {
+                    Some(&done) if !r.state.is_terminal() => done,
+                    _ => r.tasks_done,
+                },
                 tasks_total: r.tasks_total,
                 error: r.error.clone(),
                 wall: r.wall,
@@ -1499,7 +1507,7 @@ impl JobPool {
     pub fn resume_job(&self, id: JobId) -> bool {
         let s = &*self.shared;
         let Some(p) = relock(&s.parked).remove(&id.0) else { return false };
-        relock(&s.pending).push(p);
+        // State first: once pending, the supervisor owns the record.
         s.notify_records(|recs| {
             if let Some(r) = recs.get_mut(&id.0) {
                 r.state = JobState::Queued;
@@ -1507,6 +1515,7 @@ impl JobPool {
                 r.wall = None;
             }
         });
+        relock(&s.pending).push(p);
         true
     }
 
@@ -2636,6 +2645,12 @@ fn activate_job(shared: &Shared, p: PendingJob) {
         }
     }
     let remaining = completed.iter().filter(|&&d| !d).count();
+    // The initial frontier is fixed here, from state no worker can see
+    // yet: once the first task is queued, workers release successors and
+    // queue them themselves, so a scan of the live counters could queue a
+    // task a second time.
+    let frontier: Vec<u32> =
+        (0..n).filter(|&t| indeg0[t] == 0 && !completed[t]).map(|t| t as u32).collect();
     let recovery = jp.max_retries > 0 || jp.plan.is_some();
     let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(ActiveJob {
@@ -2685,11 +2700,8 @@ fn activate_job(shared: &Shared, p: PendingJob) {
         None => attempts,
     });
     shared.log_event(JournalEvent::Started { id, attempt });
-    // Publish the initial frontier.
-    for tid in 0..n {
-        if job.indeg[tid].load(Ordering::Relaxed) == 0 && !job.done[tid].load(Ordering::Relaxed) {
-            shared.push_ready(&job, tid as u32);
-        }
+    for tid in frontier {
+        shared.push_ready(&job, tid);
     }
 }
 

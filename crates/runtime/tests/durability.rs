@@ -304,9 +304,10 @@ fn dedup_key_is_idempotent_and_survives_recovery() {
 #[test]
 fn periodic_checkpoints_fire_without_perturbing_results() {
     let dir = state_dir("periodic");
-    // Big enough that several supervisor ticks elapse mid-run.
-    let elims = flat_elims(10, 6);
-    let a0 = TiledMatrix::random(10, 6, 16, 61);
+    // Big enough that several supervisor ticks elapse mid-run (tens of
+    // milliseconds of optimized kernels on two threads).
+    let elims = flat_elims(96, 8);
+    let a0 = TiledMatrix::random(96, 8, 16, 61);
     let (ref_a, ref_f) = solo(&elims, &a0);
 
     let pool = durable_pool(&dir, Duration::from_millis(1));

@@ -563,3 +563,56 @@ fn resident_budget_admits_previously_over_budget_job_bitwise() {
     assert_bitwise("paged pool job", &r.a, &r.factors, &elims, &a0, a0.b());
     paged.shutdown();
 }
+
+#[test]
+fn every_tiny_job_completes_under_closed_loop_load() {
+    // Regression for two lost-update races between a submitter, the
+    // supervisor and the workers, each about one tiny job in a thousand:
+    // * `submit` queued the job before inserting its record, so a job the
+    //   supervisor admitted, ran and finalized in between was recorded
+    //   `Queued` for ever afterwards;
+    // * `activate_job` read the initial frontier back from the live
+    //   in-degree counters, so a successor released during that scan was
+    //   queued twice, ran twice, and left the job `Running` for ever with
+    //   `tasks_done > tasks_total`.
+    // (`jobs()` could also pair a stale live task count with a record that
+    // had meanwhile turned `Completed`.) Two closed-loop submitters against two workers and a fast supervisor
+    // tick, as the `serve` benchmark drives the pool.
+    const JOBS_PER_CLIENT: u64 = 1500;
+    let pool = JobPool::new(PoolConfig {
+        nthreads: 2,
+        tick: Duration::from_micros(50),
+        ..Default::default()
+    });
+    let elims = binary_elims(8, 4);
+    std::thread::scope(|sc| {
+        for client in 0..2u64 {
+            let (pool, elims) = (&pool, &elims);
+            sc.spawn(move || {
+                for i in 0..JOBS_PER_CLIENT {
+                    let a = TiledMatrix::random(8, 4, 8, client * JOBS_PER_CLIENT + i);
+                    let id = pool.submit(JobSpec::fresh(elims.clone(), a)).expect("submit");
+                    let give_up = std::time::Instant::now() + Duration::from_secs(10);
+                    let view = loop {
+                        let v = pool.status(id).expect("known job");
+                        if v.state.is_terminal() {
+                            break v;
+                        }
+                        assert!(
+                            std::time::Instant::now() < give_up,
+                            "job {i} of client {client} stuck in {} with {}/{} tasks done",
+                            v.state,
+                            v.tasks_done,
+                            v.tasks_total
+                        );
+                        std::thread::sleep(Duration::from_micros(50));
+                    };
+                    assert_eq!(view.state, JobState::Completed);
+                    assert_eq!(view.tasks_done, view.tasks_total);
+                    assert_eq!(view.attempts, 1, "no deadline heal or retry may be needed");
+                }
+            });
+        }
+    });
+    pool.shutdown();
+}

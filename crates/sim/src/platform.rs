@@ -28,9 +28,13 @@ impl KernelRates {
 
     /// Rates measured on this repo's own kernels (committed `BENCH_7.json`,
     /// b = 200, single core, AVX2/FMA gemm core): dTSMQR 17.31 GFlop/s,
-    /// dTTMQR 12.50 GFlop/s. The factor kernels stay scalar level-2 code,
-    /// so their relative efficiency is far below edel's 0.85 —
-    /// TSQRT/TSMQR = 0.109 and TTQRT/TTMQR = 0.115, averaged to 0.11.
+    /// dTTMQR 12.50 GFlop/s. The factor kernels of that commit were scalar
+    /// level-2 loops, so their relative efficiency was far below edel's
+    /// 0.85 — TSQRT/TSMQR = 0.109 and TTQRT/TTMQR = 0.115, averaged to
+    /// 0.11. The constants mirror that file and stay as history: the
+    /// factor kernels are level-3 code now (0.6–0.85 of their update
+    /// kernel, EXPERIMENTS.md "Level-3 factor kernels"), and the repo
+    /// benchmark feeds the simulator rates it measures in the same run.
     /// Select with `--rates measured` in the CLI simulators.
     pub fn measured() -> Self {
         KernelRates { ts_gflops: 17.31, tt_gflops: 12.50, factor_efficiency: 0.11 }
@@ -265,7 +269,7 @@ mod tests {
         assert!((r.tt_gflops - 12.50).abs() < 1e-9);
         // TS per-flop rate still beats TT, as in the paper's table.
         assert!(r.rate(KernelKind::Tsmqr) > r.rate(KernelKind::Ttmqr));
-        // Factor kernels are scalar code: far below the update rates.
+        // BENCH_7's factor kernels were scalar code: far below the update rates.
         assert!(r.rate(KernelKind::Tsqrt) < 0.2 * r.rate(KernelKind::Tsmqr));
     }
 

@@ -127,3 +127,81 @@ fn residual_scales_with_matrix_norm() {
     let (r1, r2) = (rel(1.0), rel(1e6));
     assert!(r1 < 1e-13 && r2 < 1e-13, "relative residuals: {r1:e} vs {r2:e}");
 }
+
+/// Factor a tile (pair) whose entries are `scale` times O(1) through one
+/// factor kernel and return `(‖QᵀQ − I‖, ‖A − QR‖ / ‖A‖)`, the residual
+/// computed on the unscaled data so the check itself cannot overflow.
+fn extreme_scale_errors(kernel: &str, b: usize, ib: usize, scale: f64) -> (f64, f64) {
+    use hqr_kernels::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib};
+    use hqr_kernels::Trans;
+    let upper = |m: &DenseMatrix| m.upper_triangle();
+    let top0 = DenseMatrix::random(b, b, 71);
+    let bot0 = DenseMatrix::random(b, b, 72);
+    let (top0, bot0) = match kernel {
+        "geqrt" => (top0, DenseMatrix::zeros(b, b)),
+        "tsqrt" => (upper(&top0), bot0),
+        _ => (upper(&top0), upper(&bot0)),
+    };
+    let scaled = |m: &DenseMatrix| m.data().iter().map(|x| x * scale).collect::<Vec<f64>>();
+    let (mut a1, mut a2, mut t) = (scaled(&top0), scaled(&bot0), vec![0.0; b * b]);
+    match kernel {
+        "geqrt" => geqrt_ib(b, ib, &mut a1, &mut t),
+        "tsqrt" => tsqrt_ib(b, ib, &mut a1, &mut a2, &mut t),
+        _ => ttqrt_ib(b, ib, &mut a1, &mut a2, &mut t),
+    }
+    // Q (scale-free) applied to [R; 0] / scale must give back the input.
+    let unscaled_r: Vec<f64> =
+        upper(&DenseMatrix::from_col_major(b, b, &a1)).data().iter().map(|x| x / scale).collect();
+    let rows = if kernel == "geqrt" { b } else { 2 * b };
+    let mut q = DenseMatrix::zeros(rows, rows);
+    let mut back = DenseMatrix::zeros(rows, b);
+    let mut a0 = DenseMatrix::zeros(rows, b);
+    let put = |m: &mut DenseMatrix, c1: &[f64], c2: &[f64], col0: usize| {
+        for j in 0..b {
+            for i in 0..b {
+                m.set(i, col0 + j, c1[i + j * b]);
+                if rows > b {
+                    m.set(b + i, col0 + j, c2[i + j * b]);
+                }
+            }
+        }
+    };
+    let apply = |c1: &mut [f64], c2: &mut [f64]| match kernel {
+        "geqrt" => unmqr_ib(b, ib, &a1, &t, c1, Trans::NoTrans),
+        "tsqrt" => tsmqr_ib(b, ib, &a2, &t, c1, c2, Trans::NoTrans),
+        _ => ttmqr_ib(b, ib, &a2, &t, c1, c2, Trans::NoTrans),
+    };
+    let eye = DenseMatrix::identity(b, b).data().to_vec();
+    let zero = vec![0.0; b * b];
+    for half in 0..rows / b {
+        let (mut c1, mut c2) =
+            if half == 0 { (eye.clone(), zero.clone()) } else { (zero.clone(), eye.clone()) };
+        apply(&mut c1, &mut c2);
+        put(&mut q, &c1, &c2, half * b);
+    }
+    let (mut c1, mut c2) = (unscaled_r, zero);
+    apply(&mut c1, &mut c2);
+    put(&mut back, &c1, &c2, 0);
+    put(&mut a0, top0.data(), bot0.data(), 0);
+    (q.orthogonality_error(), a0.sub(&back).frob_norm() / a0.frob_norm())
+}
+
+#[test]
+fn factor_kernels_survive_entries_near_overflow_and_underflow() {
+    // Σx² of a column overflows from |x| ≈ 1e155 and flushes to zero below
+    // ≈ 1e-162: the reflector generator must rescale, or GEQRT / TSQRT /
+    // TTQRT return NaN, respectively leave the column in place with τ = 0.
+    let (b, eps) = (24usize, f64::EPSILON);
+    for scale in [1e200, 1e-200, 1.0] {
+        for kernel in ["geqrt", "tsqrt", "ttqrt"] {
+            for ib in [5, 8, b] {
+                let (ortho, resid) = extreme_scale_errors(kernel, b, ib, scale);
+                let bound = 50.0 * b as f64 * eps;
+                assert!(
+                    ortho <= bound && resid <= bound,
+                    "{kernel} ib={ib} scale={scale:e}: ortho {ortho:e}, residual {resid:e}"
+                );
+            }
+        }
+    }
+}
