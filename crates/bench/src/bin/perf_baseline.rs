@@ -24,7 +24,9 @@
 use hqr::baselines;
 use hqr::prelude::*;
 use hqr_kernels::{tsmqr, tsqrt, ttmqr, ttqrt, KernelKind, Trans};
-use hqr_runtime::{execute_parallel_ib, JobPool, JobSpec, JobState, PoolConfig, TaskGraph};
+use hqr_runtime::{
+    try_execute_with, ExecOptions, JobPool, JobSpec, JobState, PoolConfig, TaskGraph,
+};
 use hqr_tile::{DenseMatrix, ProcessGrid, TiledMatrix};
 use std::time::Instant;
 
@@ -138,7 +140,7 @@ fn end_to_end_entry(entries: &mut Vec<Entry>, threads: usize, reps: usize) {
     let flops: f64 = graph.tasks().iter().map(|t| t.kind.flops(b)).sum();
     let dt = median_secs(reps, || {
         let mut a = TiledMatrix::random(mt, nt, b, 42);
-        execute_parallel_ib(&graph, &mut a, threads, b);
+        try_execute_with(&graph, &mut a, &ExecOptions::with_threads(threads)).expect("bench run");
     });
     entries.push(Entry {
         name: format!("factor_{}x{}_b{b}_t{threads}", mt * b, nt * b),

@@ -5,9 +5,8 @@
 //! columns and (b) that A is equal to Q∗R").
 
 use crate::elim::ElimList;
-use hqr_kernels::blocked::{tsmqr_ib, ttmqr_ib, unmqr_ib};
-use hqr_kernels::{tsmqr, ttmqr, unmqr, Trans};
-use hqr_runtime::{execute_parallel_ib, execute_serial_ib, TFactors, TaskGraph};
+use hqr_kernels::{run_kernel, KernelKind, Trans};
+use hqr_runtime::{execute_serial_ib, try_execute_with, ExecOptions, TFactors, TaskGraph};
 use hqr_tile::{DenseMatrix, TiledMatrix};
 
 /// How to execute the task DAG.
@@ -72,7 +71,10 @@ pub fn qr_factorize_ib(
     let graph = TaskGraph::build(a.mt(), a.nt(), a.b(), &elims.to_ops());
     let factors = match exec {
         Execution::Serial => execute_serial_ib(&graph, a, ib),
-        Execution::Parallel(n) => execute_parallel_ib(&graph, a, n, ib),
+        Execution::Parallel(nthreads) => {
+            let opts = ExecOptions { nthreads, ib: Some(ib), ..Default::default() };
+            try_execute_with(&graph, a, &opts).unwrap_or_else(|e| panic!("{e}")).0
+        }
     };
     QrFactorization { a: a.clone(), factors, elims: elims.clone(), ib }
 }
@@ -128,40 +130,30 @@ impl QrFactorization {
     }
 
     fn apply_panel_geqrts(&self, c: &mut TiledMatrix, k: usize, trans: Trans) {
-        let b = self.a.b();
-        let blocked = self.ib < b;
+        let (b, ib) = (self.a.b(), self.ib);
         for i in self.triangle_rows(k) {
             let vg = self.factors.vg(i, k).expect("GEQRT factor present");
             let tg = self.factors.tg(i, k).expect("GEQRT T present");
             for jc in 0..c.nt() {
-                if blocked {
-                    unmqr_ib(b, self.ib, vg, tg, c.tile_mut(i, jc), trans);
-                } else {
-                    unmqr(b, vg, tg, c.tile_mut(i, jc), trans);
-                }
+                run_kernel(KernelKind::Unmqr, b, ib, trans, &[vg, tg], &mut [c.tile_mut(i, jc)]);
             }
         }
     }
 
     fn apply_panel_kills(&self, c: &mut TiledMatrix, k: usize, trans: Trans, reversed: bool) {
-        let b = self.a.b();
-        let blocked = self.ib < b;
+        let (b, ib) = (self.a.b(), self.ib);
         let mut panel: Vec<_> = self.elims.panel(k).copied().collect();
         if reversed {
             panel.reverse();
         }
         for e in panel {
             let (piv, i) = (e.killer as usize, e.victim as usize);
+            let kind = if e.ts { KernelKind::Tsmqr } else { KernelKind::Ttmqr };
             let v2 = self.a.tile(i, k);
             let tk = self.factors.tk(i, k).expect("kill T present");
             for jc in 0..c.nt() {
                 let (c1, c2) = c.tile_pair_mut((piv, jc), (i, jc));
-                match (e.ts, blocked) {
-                    (true, false) => tsmqr(b, v2, tk, c1, c2, trans),
-                    (true, true) => tsmqr_ib(b, self.ib, v2, tk, c1, c2, trans),
-                    (false, false) => ttmqr(b, v2, tk, c1, c2, trans),
-                    (false, true) => ttmqr_ib(b, self.ib, v2, tk, c1, c2, trans),
-                }
+                run_kernel(kind, b, ib, trans, &[v2, tk], &mut [c1, c2]);
             }
         }
     }

@@ -1,45 +1,15 @@
-//! Update kernels: UNMQR, TSMQR, TTMQR (apply op(Q) of a factor kernel).
-//!
-//! All three are built as packed calls into the shared gemm core
-//! ([`crate::micro`]): triangular operands are pack-cleaned (the ignored
-//! triangle zeroed, unit diagonals materialized) so the vector arm can
-//! run dense register blocks while the structure mask preserves the
-//! kernels' nominal flop counts. Control flow is input-independent —
-//! there are no data-dependent early-outs — so per-call flop counts are
-//! a function of `b` alone and results are bitwise deterministic
-//! run-to-run for a fixed dispatch arm.
+//! Update kernels: UNMQR, TSMQR, TTMQR (apply op(Q) of a factor kernel) —
+//! the inner-blocked routines of [`crate::blocked`] run with one panel
+//! spanning the whole tile (`ib = b`), exactly as [`crate::factor`] does
+//! for the factor kernels. There is no second code path: the packing,
+//! the three gemm-core calls per panel and the structure masks live in
+//! `blocked.rs`, and with a single full-width panel they reduce to the
+//! classic unblocked apply `C −= V·op(T)·Vᵀ·C`, bit for bit and flop for
+//! flop.
 
-use crate::micro::{gemm_core, simd_arm, MaskA, SimdArm};
-use crate::{check_tile, Trans};
-
-/// Multiply the `b × b` workspace `w` in place by op(T), where `t` is the
-/// upper-triangular block-reflector factor (its strict lower triangle is
-/// ignored).
-fn apply_t(arm: SimdArm, b: usize, t: &[f64], w: &mut [f64], trans: Trans) {
-    let mut tc = vec![0.0; b * b];
-    let mask = match trans {
-        // W := Tᵀ·W with Tᵀ lower triangular.
-        Trans::Trans => {
-            for j in 0..b {
-                for i in 0..=j {
-                    tc[j + i * b] = t[i + j * b];
-                }
-            }
-            MaskA::Lower
-        }
-        // W := T·W with T upper triangular.
-        Trans::NoTrans => {
-            for j in 0..b {
-                for i in 0..=j {
-                    tc[i + j * b] = t[i + j * b];
-                }
-            }
-            MaskA::Upper
-        }
-    };
-    let wsrc = w.to_vec();
-    gemm_core(arm, b, b, b, 1.0, &tc, b, mask, &wsrc, b, 0.0, w, b);
-}
+use crate::blocked::{tsmqr_ib_arm, ttmqr_ib_arm, unmqr_ib_arm};
+use crate::micro::{simd_arm, SimdArm};
+use crate::Trans;
 
 /// Apply op(Q) of a [`crate::geqrt`] factorization to a tile `c`
 /// (PLASMA `CORE_dormqr`, left side): C := op(Q)·C with Q = I − V·T·Vᵀ.
@@ -47,91 +17,19 @@ fn apply_t(arm: SimdArm, b: usize, t: &[f64], w: &mut [f64], trans: Trans) {
 /// `v` is the factored tile (V in its strict lower triangle, unit diagonal
 /// implicit; its upper triangle — R — is ignored), `t` the T factor.
 pub fn unmqr(b: usize, v: &[f64], t: &[f64], c: &mut [f64], trans: Trans) {
-    unmqr_arm(simd_arm(), b, v, t, c, trans);
+    unmqr_ib_arm(simd_arm(), b, b, v, t, c, trans);
 }
 
 /// [`unmqr`] on an explicit dispatch arm (parity tests and benches).
 pub fn unmqr_arm(arm: SimdArm, b: usize, v: &[f64], t: &[f64], c: &mut [f64], trans: Trans) {
-    check_tile(b, v);
-    check_tile(b, t);
-    check_tile(b, c);
-    // Pack the unit-lower V (upper triangle of `v` holds R — ignored) and
-    // its transpose.
-    let mut vl = vec![0.0; b * b];
-    let mut vlt = vec![0.0; b * b];
-    for col in 0..b {
-        vl[col + col * b] = 1.0;
-        vlt[col + col * b] = 1.0;
-        for i in (col + 1)..b {
-            let x = v[i + col * b];
-            vl[i + col * b] = x;
-            vlt[col + i * b] = x;
-        }
-    }
-    // W = Vᵀ·C (Vᵀ unit upper triangular).
-    let mut w = vec![0.0; b * b];
-    gemm_core(arm, b, b, b, 1.0, &vlt, b, MaskA::Upper, c, b, 0.0, &mut w, b);
-    apply_t(arm, b, t, &mut w, trans);
-    // C -= V·W.
-    gemm_core(arm, b, b, b, -1.0, &vl, b, MaskA::Lower, &w, b, 1.0, c, b);
-}
-
-/// Shared implementation of TSMQR/TTMQR: apply op(Q) of a stacked
-/// factorization (Q = I − V̂·T·V̂ᵀ, V̂ = [I; V2]) to the stacked tile pair
-/// `[A1; A2]`. `tri` mirrors the structure flag of the factor kernel:
-/// column `r` of V2 has `r+1` active rows when `tri` is set.
-#[allow(clippy::too_many_arguments)]
-fn stacked_mqr(
-    arm: SimdArm,
-    b: usize,
-    v2: &[f64],
-    t: &[f64],
-    a1: &mut [f64],
-    a2: &mut [f64],
-    trans: Trans,
-    tri: bool,
-) {
-    check_tile(b, v2);
-    check_tile(b, t);
-    check_tile(b, a1);
-    check_tile(b, a2);
-    // Pack-clean V2 and V2ᵀ: for TT the strict lower triangle of `v2` is
-    // dead storage and must never be read (it may hold unrelated data).
-    let mut v2c = vec![0.0; b * b];
-    let mut v2t = vec![0.0; b * b];
-    if tri {
-        for col in 0..b {
-            for i in 0..=col {
-                let x = v2[i + col * b];
-                v2c[i + col * b] = x;
-                v2t[col + i * b] = x;
-            }
-        }
-    } else {
-        v2c.copy_from_slice(v2);
-        for col in 0..b {
-            for i in 0..b {
-                v2t[col + i * b] = v2[i + col * b];
-            }
-        }
-    }
-    let (mask_vt, mask_v) =
-        if tri { (MaskA::Lower, MaskA::Upper) } else { (MaskA::Full, MaskA::Full) };
-    // W = A1 + V2ᵀ·A2.
-    let mut w = a1.to_vec();
-    gemm_core(arm, b, b, b, 1.0, &v2t, b, mask_vt, a2, b, 1.0, &mut w, b);
-    apply_t(arm, b, t, &mut w, trans);
-    // A1 -= W; A2 -= V2·W.
-    for (x, wv) in a1.iter_mut().zip(&w) {
-        *x -= wv;
-    }
-    gemm_core(arm, b, b, b, -1.0, &v2c, b, mask_v, &w, b, 1.0, a2, b);
+    unmqr_ib_arm(arm, b, b, v, t, c, trans);
 }
 
 /// Apply op(Q) of a [`crate::tsqrt`] to the stacked tile pair `[A1; A2]`
-/// (PLASMA `CORE_dtsmqr`). `v2` is the square V block stored by TSQRT.
+/// (PLASMA `CORE_dtsmqr`): Q = I − V̂·T·V̂ᵀ with V̂ = [I; V2], where `v2`
+/// is the square V block stored by TSQRT.
 pub fn tsmqr(b: usize, v2: &[f64], t: &[f64], a1: &mut [f64], a2: &mut [f64], trans: Trans) {
-    stacked_mqr(simd_arm(), b, v2, t, a1, a2, trans, false);
+    tsmqr_ib_arm(simd_arm(), b, b, v2, t, a1, a2, trans);
 }
 
 /// [`tsmqr`] on an explicit dispatch arm (parity tests and benches).
@@ -144,14 +42,14 @@ pub fn tsmqr_arm(
     a2: &mut [f64],
     trans: Trans,
 ) {
-    stacked_mqr(arm, b, v2, t, a1, a2, trans, false);
+    tsmqr_ib_arm(arm, b, b, v2, t, a1, a2, trans);
 }
 
 /// Apply op(Q) of a [`crate::ttqrt`] to the stacked tile pair `[A1; A2]`
 /// (PLASMA `CORE_dttmqr`). `v2` is upper triangular; only its upper part is
 /// read, which is what makes TTMQR weight 6 versus TSMQR's 12.
 pub fn ttmqr(b: usize, v2: &[f64], t: &[f64], a1: &mut [f64], a2: &mut [f64], trans: Trans) {
-    stacked_mqr(simd_arm(), b, v2, t, a1, a2, trans, true);
+    ttmqr_ib_arm(simd_arm(), b, b, v2, t, a1, a2, trans);
 }
 
 /// [`ttmqr`] on an explicit dispatch arm (parity tests and benches).
@@ -164,7 +62,7 @@ pub fn ttmqr_arm(
     a2: &mut [f64],
     trans: Trans,
 ) {
-    stacked_mqr(arm, b, v2, t, a1, a2, trans, true);
+    ttmqr_ib_arm(arm, b, b, v2, t, a1, a2, trans);
 }
 
 #[cfg(test)]

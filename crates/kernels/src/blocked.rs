@@ -1,5 +1,4 @@
-//! Inner-blocked (IB) kernel variants — the structure of PLASMA's real
-//! tile kernels.
+//! The tile kernels, with PLASMA's inner block size `ib` as a parameter.
 //!
 //! Production tile kernels split each b×b tile into column panels of width
 //! `ib` (PLASMA's inner block size, typically 32–64 for b ≈ 200–300): each
@@ -9,26 +8,29 @@
 //! mathematically the factorization is identical (same V, same R up to
 //! rounding), only the grouping of reflector applications changes.
 //!
+//! This file is the only implementation of the six kernels: the "plain"
+//! entry points ([`crate::geqrt`], [`crate::unmqr`], …) are the
+//! `ib = b` call of the functions here (one panel spanning the tile), so
+//! no caller ever chooses between a blocked and an unblocked routine.
+//!
 //! Everything here is level 3. The update kernels and every trailing
 //! block-apply are packed calls into the shared gemm core
-//! ([`crate::micro`]). The panels themselves are no longer PLASMA's
-//! level-2 loops: the three factor kernels are one recursive compact-WY
-//! routine ([`crate::panel`]) that halves a panel down to blocks of eight
-//! columns, so reflector application inside the panel and the T build
-//! ride the microkernel too, and only those eight-column blocks run fused
-//! dot / rank-1 steps. Split points are a function of `(b, ib)`, both
-//! arms accumulate in a fixed order, and the only data-dependent branch
-//! is the reflector generator's rescaling guard, so per-call flop counts
-//! are a function of `(b, ib)` and results are bitwise deterministic
-//! run-to-run on a fixed dispatch arm.
+//! ([`crate::micro`]): triangular operands are pack-cleaned (the ignored
+//! triangle zeroed, unit diagonals materialized) so the vector arm can
+//! run dense register blocks while the structure mask preserves the
+//! kernels' nominal flop counts. The three factor kernels are one
+//! recursive compact-WY routine ([`crate::panel`]) that halves a panel
+//! down to blocks of eight columns, so reflector application inside the
+//! panel and the T build ride the microkernel too, and only those
+//! eight-column blocks run fused dot / rank-1 steps. Split points are a
+//! function of `(b, ib)`, both arms accumulate in a fixed order, and the
+//! only data-dependent branch is the reflector generator's rescaling
+//! guard, so per-call flop counts are a function of `(b, ib)` and results
+//! are bitwise deterministic run-to-run on a fixed dispatch arm.
 //!
-//! Layout convention: the `t` buffer is still `b × b`; the T factor of the
+//! Layout convention: the `t` buffer is `b × b`; the T factor of the
 //! panel starting at column `s` (width `w = min(ib, b−s)`) is the `w × w`
 //! upper triangle at rows `0..w`, columns `s..s+w`.
-//!
-//! With `ib = b` the factor kernels here *are* the plain ones in
-//! [`crate::geqrt`] etc. — the same call, bit for bit — and the update
-//! kernels compute the same product as their plain twins.
 
 use crate::check_tile;
 use crate::micro::{gemm_core, simd_arm, MaskA, SimdArm};
@@ -243,6 +245,12 @@ fn stacked_mqr_ib(
         let w = e - s;
         let keff = if tri { e } else { b };
         let (vp, vpt) = pack_stacked_panel(b, s, w, keff, v2, tri);
+        // A triangular V2 under one full-width panel is a square
+        // triangular operand, which the gemm core can mask (skipping the
+        // zero half's flops); a narrower panel of it is a trapezoid, which
+        // it cannot.
+        let (mask_vt, mask_v) =
+            if tri && w == b { (MaskA::Lower, MaskA::Upper) } else { (MaskA::Full, MaskA::Full) };
         // W = A1[s..e, :] + Vᵀ·A2[0..keff, :].
         let mut wbuf = vec![0.0; w * b];
         for col in 0..b {
@@ -250,7 +258,7 @@ fn stacked_mqr_ib(
                 wbuf[r + col * w] = a1[(s + r) + col * b];
             }
         }
-        gemm_core(arm, w, b, keff, 1.0, &vpt, w, MaskA::Full, a2, b, 1.0, &mut wbuf, w);
+        gemm_core(arm, w, b, keff, 1.0, &vpt, w, mask_vt, a2, b, 1.0, &mut wbuf, w);
         apply_t_panel(arm, b, t, s, w, b, &mut wbuf, trans);
         // A1[s..e, :] -= W; A2[0..keff, :] -= V·W.
         for col in 0..b {
@@ -258,7 +266,7 @@ fn stacked_mqr_ib(
                 a1[(s + r) + col * b] -= wbuf[r + col * w];
             }
         }
-        gemm_core(arm, keff, b, w, -1.0, &vp, keff, MaskA::Full, &wbuf, w, 1.0, a2, b);
+        gemm_core(arm, keff, b, w, -1.0, &vp, keff, mask_v, &wbuf, w, 1.0, a2, b);
     }
 }
 

@@ -13,6 +13,11 @@
 //! | [`ttqrt`]  | QR of [R; R] (triangle on top of triangle) | 2 |
 //! | [`ttmqr`]  | apply op(Q) of a TTQRT to a tile pair | 6 |
 //!
+//! Each kernel is implemented once, in [`blocked`], with PLASMA's inner
+//! block size `ib` as a parameter; the plain entry points above are the
+//! `ib = b` call. Executors do not call kernels by name: they hand a
+//! task's operands to [`run_kernel`], the one task→kernel dispatcher.
+//!
 //! All tiles are square `b × b`, column-major slices of length `b²`.
 //! TT kernels exploit the triangular structure of the second tile and so
 //! perform roughly a third of the floating-point work of their TS
@@ -46,6 +51,7 @@
 mod apply;
 pub mod blas;
 pub mod blocked;
+mod dispatch;
 mod error;
 mod factor;
 mod larfg;
@@ -55,6 +61,7 @@ pub mod reference;
 pub mod weights;
 
 pub use apply::{tsmqr, tsmqr_arm, ttmqr, ttmqr_arm, unmqr, unmqr_arm};
+pub use dispatch::run_kernel;
 pub use error::KernelError;
 pub use factor::{geqrt, tsqrt, ttqrt};
 pub use micro::{simd_arm, simd_description, simd_detected, SimdArm};

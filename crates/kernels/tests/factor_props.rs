@@ -14,7 +14,9 @@ use hqr_kernels::blocked::{
     geqrt_ib_arm, tsmqr_ib_arm, tsqrt_ib_arm, ttmqr_ib_arm, ttqrt_ib_arm, unmqr_ib_arm,
 };
 use hqr_kernels::reference::{geqrt_level2, stacked_qrt_level2};
-use hqr_kernels::{geqrt, simd_arm, simd_detected, tsqrt, ttqrt, SimdArm, Trans};
+use hqr_kernels::{
+    geqrt, simd_arm, simd_detected, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, SimdArm, Trans,
+};
 use hqr_tile::DenseMatrix;
 
 const SIZES: [usize; 4] = [8, 13, 64, 128];
@@ -319,6 +321,31 @@ fn a_fixed_arm_repeats_bitwise_and_plain_is_ib_equal_b() {
                 Kernel::Geqrt => geqrt(b, &mut p1, &mut pt),
                 Kernel::Tsqrt => tsqrt(b, &mut p1, &mut p2, &mut pt),
                 Kernel::Ttqrt => ttqrt(b, &mut p1, &mut p2, &mut pt),
+            }
+            // ... and so are the update kernels, applied from those factors.
+            for trans in [Trans::Trans, Trans::NoTrans] {
+                let (mut c1, mut c2) = (tile(b, 91), tile(b, 92));
+                let (mut q1, mut q2) = (c1.clone(), c2.clone());
+                let arm = simd_arm();
+                match kernel {
+                    Kernel::Geqrt => {
+                        unmqr_ib_arm(arm, b, b, &a1, &t, &mut c1, trans);
+                        unmqr(b, &p1, &pt, &mut q1, trans);
+                    }
+                    Kernel::Tsqrt => {
+                        tsmqr_ib_arm(arm, b, b, &a2, &t, &mut c1, &mut c2, trans);
+                        tsmqr(b, &p2, &pt, &mut q1, &mut q2, trans);
+                    }
+                    Kernel::Ttqrt => {
+                        ttmqr_ib_arm(arm, b, b, &a2, &t, &mut c1, &mut c2, trans);
+                        ttmqr(b, &p2, &pt, &mut q1, &mut q2, trans);
+                    }
+                }
+                assert_eq!(
+                    bits(&[c1, c2].concat()),
+                    bits(&[q1, q2].concat()),
+                    "update of {kernel:?} b={b} {trans:?}"
+                );
             }
             assert_eq!(
                 bits(&[a1, a2, t].concat()),

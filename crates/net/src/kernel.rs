@@ -1,16 +1,18 @@
 //! Worker-side kernel dispatch over an owned slot map.
 //!
 //! A worker holds its shard as `HashMap<Slot, Box<[f64]>>`. To run a
-//! task it takes every distinct slot the task touches *out* of the map,
-//! calls exactly the kernel sequence `hqr_runtime::store::TileStore`
-//! would (same functions, same argument order, same `ib` gate — the
-//! bitwise-parity guarantee rests on this), and reinserts the buffers.
-//! Distinct slots are distinct boxes, so the dispatch is safe code: no
-//! raw pointers, no aliasing argument to make.
+//! task it takes the task's write and read slots *out* of the map, in
+//! `Task::writes()` / `Task::reads()` order, hands them to
+//! `hqr_kernels::run_kernel` — the one task→kernel dispatcher, the same
+//! call `hqr_runtime::store::TileStore::run_task` makes with the same
+//! operand order — and reinserts the buffers. Bitwise parity with the
+//! in-process backends is therefore by construction: there is no kernel
+//! sequence here to keep in step with another copy. Distinct slots are
+//! distinct boxes, so the dispatch is safe code: no raw pointers, no
+//! aliasing argument to make.
 
 use crate::error::NetError;
-use hqr_kernels::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib};
-use hqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, KernelKind, Trans};
+use hqr_kernels::{run_kernel, Trans};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Task;
 use std::collections::HashMap;
@@ -21,134 +23,62 @@ pub type Slot = (SlotFamily, usize, usize);
 /// Execute `t` against `slots`. Factor-family *write* slots are created
 /// zero-filled on demand (matching `TFactors::allocate_for`); a missing
 /// `A`-family operand is a typed error — the coordinator failed to stage
-/// an input.
+/// an input. On error the map holds every buffer it held before.
 pub fn run_task_on_map(
     slots: &mut HashMap<Slot, Box<[f64]>>,
     t: &Task,
     b: usize,
     ib: usize,
 ) -> Result<(), NetError> {
-    let (k, i, piv, j) = (t.k as usize, t.i as usize, t.piv as usize, t.j as usize);
-    // Take every distinct slot out of the map as an owned buffer.
-    let mut need: Vec<Slot> = t.writes();
-    for s in t.reads() {
-        if !need.contains(&s) {
-            need.push(s);
-        }
-    }
-    let writes = t.writes();
-    let mut held: HashMap<Slot, Box<[f64]>> = HashMap::with_capacity(need.len());
-    for s in &need {
+    // Take the operands out of the map as owned buffers: writes first,
+    // then reads (a task's read and write slots are pairwise distinct).
+    let (writes, reads) = (t.writes(), t.reads());
+    let mut held: Vec<(Slot, Box<[f64]>)> = Vec::with_capacity(writes.len() + reads.len());
+    let mut failure = None;
+    for (n, s) in writes.iter().chain(&reads).enumerate() {
         let buf = match slots.remove(s) {
             Some(buf) => buf,
             // Factor outputs start life zeroed, exactly as
             // TFactors::allocate_for zero-fills them.
-            None if s.0 != SlotFamily::A && writes.contains(s) => {
-                vec![0.0; b * b].into_boxed_slice()
-            }
+            None if n < writes.len() && s.0 != SlotFamily::A => vec![0.0; b * b].into_boxed_slice(),
             None => {
-                // Put everything back before failing.
-                slots.extend(held);
-                return Err(NetError::Remote(format!(
+                failure = Some(format!(
                     "task {} needs slot {:?}({},{}) which this worker does not hold",
                     t.label(),
                     s.0,
                     s.1,
                     s.2
-                )));
+                ));
+                break;
             }
         };
-        if buf.len() != b * b {
-            slots.extend(held);
-            slots.insert(*s, buf);
-            return Err(NetError::Remote(format!(
-                "slot {:?}({},{}) has wrong size for tile size {b}",
-                s.0, s.1, s.2
-            )));
+        let sized = buf.len() == b * b;
+        held.push((*s, buf));
+        if !sized {
+            failure =
+                Some(format!("slot {:?}({},{}) has wrong size for tile size {b}", s.0, s.1, s.2));
+            break;
         }
-        held.insert(*s, buf);
     }
-    // Pull the operands out of `held` (distinct keys -> distinct boxes).
-    macro_rules! take {
-        ($s:expr) => {
-            held.remove(&$s).expect("operand collected above")
-        };
-    }
-    let blocked = ib < b;
-    match t.kind {
-        KernelKind::Geqrt => {
-            let mut tile = take!((SlotFamily::A, i, k));
-            let mut vg = take!((SlotFamily::Vg, i, k));
-            let mut tg = take!((SlotFamily::Tg, i, k));
-            if blocked {
-                geqrt_ib(b, ib, &mut tile, &mut tg);
-            } else {
-                geqrt(b, &mut tile, &mut tg);
-            }
-            vg.copy_from_slice(&tile);
-            held.insert((SlotFamily::A, i, k), tile);
-            held.insert((SlotFamily::Vg, i, k), vg);
-            held.insert((SlotFamily::Tg, i, k), tg);
-        }
-        KernelKind::Unmqr => {
-            let vg = take!((SlotFamily::Vg, i, k));
-            let tg = take!((SlotFamily::Tg, i, k));
-            let mut a = take!((SlotFamily::A, i, j));
-            if blocked {
-                unmqr_ib(b, ib, &vg, &tg, &mut a, Trans::Trans);
-            } else {
-                unmqr(b, &vg, &tg, &mut a, Trans::Trans);
-            }
-            held.insert((SlotFamily::Vg, i, k), vg);
-            held.insert((SlotFamily::Tg, i, k), tg);
-            held.insert((SlotFamily::A, i, j), a);
-        }
-        KernelKind::Tsqrt | KernelKind::Ttqrt => {
-            let mut top = take!((SlotFamily::A, piv, k));
-            let mut bot = take!((SlotFamily::A, i, k));
-            let mut tk = take!((SlotFamily::Tk, i, k));
-            match (t.kind, blocked) {
-                (KernelKind::Tsqrt, true) => tsqrt_ib(b, ib, &mut top, &mut bot, &mut tk),
-                (KernelKind::Tsqrt, false) => tsqrt(b, &mut top, &mut bot, &mut tk),
-                (_, true) => ttqrt_ib(b, ib, &mut top, &mut bot, &mut tk),
-                (_, false) => ttqrt(b, &mut top, &mut bot, &mut tk),
-            }
-            held.insert((SlotFamily::A, piv, k), top);
-            held.insert((SlotFamily::A, i, k), bot);
-            held.insert((SlotFamily::Tk, i, k), tk);
-        }
-        KernelKind::Tsmqr | KernelKind::Ttmqr => {
-            let v2 = take!((SlotFamily::A, i, k));
-            let tk = take!((SlotFamily::Tk, i, k));
-            let mut top = take!((SlotFamily::A, piv, j));
-            let mut bot = take!((SlotFamily::A, i, j));
-            match (t.kind, blocked) {
-                (KernelKind::Tsmqr, true) => {
-                    tsmqr_ib(b, ib, &v2, &tk, &mut top, &mut bot, Trans::Trans)
-                }
-                (KernelKind::Tsmqr, false) => tsmqr(b, &v2, &tk, &mut top, &mut bot, Trans::Trans),
-                (_, true) => ttmqr_ib(b, ib, &v2, &tk, &mut top, &mut bot, Trans::Trans),
-                (_, false) => ttmqr(b, &v2, &tk, &mut top, &mut bot, Trans::Trans),
-            }
-            held.insert((SlotFamily::A, i, k), v2);
-            held.insert((SlotFamily::Tk, i, k), tk);
-            held.insert((SlotFamily::A, piv, j), top);
-            held.insert((SlotFamily::A, i, j), bot);
-        }
+    if failure.is_none() {
+        let (w, r) = held.split_at_mut(writes.len());
+        let reads: Vec<&[f64]> = r.iter().map(|(_, buf)| &**buf).collect();
+        let mut writes: Vec<&mut [f64]> = w.iter_mut().map(|(_, buf)| &mut **buf).collect();
+        run_kernel(t.kind, b, ib, Trans::Trans, &reads, &mut writes);
     }
     slots.extend(held);
-    Ok(())
+    failure.map_or(Ok(()), |message| Err(NetError::Remote(message)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqr_runtime::{execute_serial, ElimOp, TaskGraph};
+    use hqr_runtime::{execute_serial_ib, ElimOp, TaskGraph};
     use hqr_tile::TiledMatrix;
 
     /// Running a whole DAG through the map dispatcher must match the
-    /// raw-pointer TileStore path bit for bit — this is the foundation of
-    /// the distributed backend's parity guarantee.
+    /// serial reference bit for bit, on the `ib = b` side and with the tile
+    /// split into even and ragged panels.
     #[test]
     fn map_dispatch_matches_tilestore_bitwise() {
         let (mt, nt, b) = (4, 3, 8);
@@ -160,39 +90,45 @@ mod tests {
         }
         let g = TaskGraph::build(mt, nt, b, &elims);
         let input = TiledMatrix::random(mt, nt, b, 3);
-
-        let mut reference = input.clone();
-        let f = execute_serial(&g, &mut reference);
-
-        let mut slots: HashMap<Slot, Box<[f64]>> = HashMap::new();
-        for j in 0..nt {
-            for i in 0..mt {
-                slots.insert((SlotFamily::A, i, j), input.tile(i, j).to_vec().into_boxed_slice());
-            }
-        }
-        for t in g.tasks() {
-            run_task_on_map(&mut slots, t, b, b).unwrap();
-        }
         let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for j in 0..nt {
-            for i in 0..mt {
-                assert_eq!(
-                    bits(&slots[&(SlotFamily::A, i, j)]),
-                    bits(reference.tile(i, j)),
-                    "tile ({i},{j}) diverged"
-                );
+        for ib in [b, b / 2, 3] {
+            let mut reference = input.clone();
+            let f = execute_serial_ib(&g, &mut reference, ib);
+
+            let mut slots: HashMap<Slot, Box<[f64]>> = HashMap::new();
+            for j in 0..nt {
+                for i in 0..mt {
+                    let tile = input.tile(i, j).to_vec().into_boxed_slice();
+                    slots.insert((SlotFamily::A, i, j), tile);
+                }
             }
-        }
-        // Spot-check factor families too.
-        for t in g.tasks() {
-            for (fam, i, k) in t.writes() {
-                let truth = match fam {
-                    SlotFamily::A => continue,
-                    SlotFamily::Vg => f.vg(i, k).unwrap(),
-                    SlotFamily::Tg => f.tg(i, k).unwrap(),
-                    SlotFamily::Tk => f.tk(i, k).unwrap(),
-                };
-                assert_eq!(bits(&slots[&(fam, i, k)]), bits(truth), "{fam:?}({i},{k}) diverged");
+            for t in g.tasks() {
+                run_task_on_map(&mut slots, t, b, ib).unwrap();
+            }
+            for j in 0..nt {
+                for i in 0..mt {
+                    assert_eq!(
+                        bits(&slots[&(SlotFamily::A, i, j)]),
+                        bits(reference.tile(i, j)),
+                        "ib={ib}: tile ({i},{j}) diverged"
+                    );
+                }
+            }
+            // The factor families too.
+            for t in g.tasks() {
+                for (fam, i, k) in t.writes() {
+                    let truth = match fam {
+                        SlotFamily::A => continue,
+                        SlotFamily::Vg => f.vg(i, k).unwrap(),
+                        SlotFamily::Tg => f.tg(i, k).unwrap(),
+                        SlotFamily::Tk => f.tk(i, k).unwrap(),
+                    };
+                    assert_eq!(
+                        bits(&slots[&(fam, i, k)]),
+                        bits(truth),
+                        "ib={ib}: {fam:?}({i},{k}) diverged"
+                    );
+                }
             }
         }
     }

@@ -40,11 +40,26 @@ pub struct WorkerOptions {
     pub slow_task_ms: u64,
 }
 
+/// A run's kernel shape, checked where it enters: `1 <= ib <= b` and
+/// `b * b` representable, so no kernel precondition can fail (and poison
+/// the shard's mutex) on the first `Run`.
 #[derive(Clone, Copy)]
 struct RunCfg {
     run_id: u64,
     b: usize,
     ib: usize,
+}
+
+impl RunCfg {
+    fn checked(run_id: u64, b: u64, ib: u64) -> Result<RunCfg, String> {
+        let tile = usize::try_from(b).ok().filter(|&b| b >= 1 && b.checked_mul(b).is_some());
+        match (tile, usize::try_from(ib)) {
+            (Some(b), Ok(ib)) if (1..=b).contains(&ib) => Ok(RunCfg { run_id, b, ib }),
+            _ => Err(format!(
+                "hello rejected: need tile size b >= 1 and 1 <= ib <= b, got b={b} ib={ib}"
+            )),
+        }
+    }
 }
 
 struct WorkerState {
@@ -128,18 +143,21 @@ fn handle_conn(mut stream: TcpStream, state: &Arc<WorkerState>) {
             Err(_) => return,
         };
         let reply = match msg {
-            Msg::Hello { run_id, mt: _, nt: _, b, ib } => {
-                let mut cfg = state.cfg.lock().unwrap();
-                let fresh = cfg.is_none_or(|c| c.run_id != run_id);
-                if fresh {
-                    // New run: forget the previous run's shard and dedup set.
-                    state.slots.lock().unwrap().clear();
-                    state.done.lock().unwrap().clear();
-                    state.tasks_run.store(0, Ordering::SeqCst);
+            Msg::Hello { run_id, mt: _, nt: _, b, ib } => match RunCfg::checked(run_id, b, ib) {
+                Ok(run) => {
+                    let mut cfg = state.cfg.lock().unwrap();
+                    let fresh = cfg.is_none_or(|c| c.run_id != run_id);
+                    if fresh {
+                        // New run: forget the previous run's shard and dedup set.
+                        state.slots.lock().unwrap().clear();
+                        state.done.lock().unwrap().clear();
+                        state.tasks_run.store(0, Ordering::SeqCst);
+                    }
+                    *cfg = Some(run);
+                    Msg::HelloOk
                 }
-                *cfg = Some(RunCfg { run_id, b: b as usize, ib: ib as usize });
-                Msg::HelloOk
-            }
+                Err(detail) => Msg::Err { detail },
+            },
             Msg::Put { fam, i, j, data } => match state.cfg.lock().unwrap().as_ref() {
                 Some(cfg) if data.len() == cfg.b * cfg.b => {
                     state

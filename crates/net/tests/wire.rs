@@ -3,7 +3,10 @@
 //! and into `hqr_tile::io` — everything must come back as a typed error
 //! (or a valid message), never a panic, never an unbounded allocation.
 
-use hqr_net::{read_frame, write_frame, Msg, NetError, MAX_FRAME};
+use hqr_net::{
+    read_frame, recv_msg, send_msg, shutdown, spawn_local, write_frame, Msg, NetError,
+    WorkerOptions, MAX_FRAME,
+};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Task;
 use hqr_tile::io::{
@@ -175,4 +178,35 @@ fn lying_section_length_rejected_without_allocation() {
     let len_off = 8 + 4 + 4;
     dirty[len_off..len_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(SectionReader::from_bytes(dirty, MAGIC, 1).is_err());
+}
+
+/// A `Hello` whose kernel shape no kernel accepts (`b = 0`, `ib = 0`,
+/// `ib > b`, `b * b` overflowing) must be refused with `Msg::Err` when it
+/// arrives. Accepted, it made the first `Run` trip a kernel assertion
+/// while the shard's mutex was held, poisoning it for every connection.
+#[test]
+fn hostile_hello_is_rejected_and_the_worker_stays_usable() {
+    let worker = spawn_local(WorkerOptions::default()).expect("spawn worker");
+    let mut conn = std::net::TcpStream::connect(worker.addr).expect("connect");
+    let mut rpc = |msg: Msg| {
+        send_msg(&mut conn, &msg).expect("send");
+        recv_msg(&mut conn, "reply", Duration::from_secs(5)).expect("reply")
+    };
+    for (b, ib) in [(0, 0), (0, 1), (8, 0), (8, 9), (u64::MAX, 1), (1 << 40, 1 << 40)] {
+        let reply = rpc(Msg::Hello { run_id: 1, mt: 1, nt: 1, b, ib });
+        assert!(matches!(reply, Msg::Err { .. }), "b={b} ib={ib}: {reply:?}");
+        // No run was configured, so nothing downstream can reach a kernel.
+        let run = rpc(Msg::Run { task_id: 0, task: Task::geqrt(0, 0) });
+        assert!(matches!(run, Msg::Err { .. }), "b={b} ib={ib}: {run:?}");
+    }
+    // The same worker still serves a well-formed run on both `ib` sides.
+    for (run_id, ib) in [(2, 4), (3, 2)] {
+        assert_eq!(rpc(Msg::Hello { run_id, mt: 1, nt: 1, b: 4, ib }), Msg::HelloOk);
+        let data: Vec<f64> = (0..16).map(|x| ((x * 7) % 5) as f64 - 1.5).collect();
+        assert_eq!(rpc(Msg::Put { fam: SlotFamily::A, i: 0, j: 0, data }), Msg::PutOk);
+        let done = rpc(Msg::Run { task_id: 0, task: Task::geqrt(0, 0) });
+        assert_eq!(done, Msg::Done { task_id: 0 });
+    }
+    shutdown(worker.addr).expect("orderly shutdown");
+    worker.join().expect("worker thread");
 }

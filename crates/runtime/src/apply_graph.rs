@@ -8,16 +8,15 @@
 //! independent — exactly the parallelism a runtime exploits when building
 //! Q "by applying the reverse trees to the identity" (§V-A).
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crossbeam_deque::{Injector, Stealer, Worker};
-use crossbeam_utils::Backoff;
 
 use crate::elim::ElimOp;
-use crate::exec::TFactors;
-use hqr_kernels::blocked::{tsmqr_ib, ttmqr_ib, unmqr_ib};
-use hqr_kernels::{tsmqr, ttmqr, unmqr, Trans};
+use crate::exec::{relock, worker_loop, TFactors};
+use hqr_kernels::{run_kernel, KernelKind, Trans};
 use hqr_tile::TiledMatrix;
 
 /// One kernel application in the apply-Q DAG.
@@ -203,30 +202,20 @@ impl CStore {
 }
 
 fn run_apply_task(t: &ApplyTask, src: &ApplySources<'_>, c: &CStore) {
-    let b = src.factored.b();
-    let blocked = src.ib < b;
+    let (b, ib, trans) = (src.factored.b(), src.ib, src.trans);
     match *t {
         ApplyTask::Geqrt { k, i, jc } => {
             let (k, i, jc) = (k as usize, i as usize, jc as usize);
             let vg = src.factors.vg(i, k).expect("GEQRT V present");
             let tg = src.factors.tg(i, k).expect("GEQRT T present");
-            if blocked {
-                unmqr_ib(b, src.ib, vg, tg, c.tile(i, jc), src.trans);
-            } else {
-                unmqr(b, vg, tg, c.tile(i, jc), src.trans);
-            }
+            run_kernel(KernelKind::Unmqr, b, ib, trans, &[vg, tg], &mut [c.tile(i, jc)]);
         }
         ApplyTask::Kill { k, i, piv, jc, ts } => {
             let (k, i, piv, jc) = (k as usize, i as usize, piv as usize, jc as usize);
+            let kind = if ts { KernelKind::Tsmqr } else { KernelKind::Ttmqr };
             let v2 = src.factored.tile(i, k);
             let tk = src.factors.tk(i, k).expect("kill T present");
-            let (c1, c2) = (c.tile(piv, jc), c.tile(i, jc));
-            match (ts, blocked) {
-                (true, false) => tsmqr(b, v2, tk, c1, c2, src.trans),
-                (true, true) => tsmqr_ib(b, src.ib, v2, tk, c1, c2, src.trans),
-                (false, false) => ttmqr(b, v2, tk, c1, c2, src.trans),
-                (false, true) => ttmqr_ib(b, src.ib, v2, tk, c1, c2, src.trans),
-            }
+            run_kernel(kind, b, ib, trans, &[v2, tk], &mut [c.tile(piv, jc), c.tile(i, jc)]);
         }
     }
 }
@@ -276,68 +265,39 @@ pub fn apply_q_parallel(
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for (me, worker) in workers.into_iter().enumerate() {
-            let graph = &graph;
-            let src = &src;
-            let store = &store;
-            let indeg = &indeg;
-            let remaining = &remaining;
-            let injector = &injector;
-            let stealers = &stealers;
-            let (halt, panicked) = (&halt, &panicked);
+            let (graph, src, store, indeg, remaining) = (&graph, &src, &store, &indeg, &remaining);
+            let (injector, stealers, halt, panicked) = (&injector, &stealers, &halt, &panicked);
             scope.spawn(move || {
-                let backoff = Backoff::new();
-                loop {
-                    if halt.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let next = worker.pop().or_else(|| {
-                        std::iter::repeat_with(|| {
-                            injector.steal_batch_and_pop(&worker).or_else(|| {
-                                stealers
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(idx, _)| *idx != me)
-                                    .map(|(_, s)| s.steal())
-                                    .collect()
-                            })
-                        })
-                        .find(|s| !s.is_retry())
-                        .and_then(|s| s.success())
-                    });
-                    match next {
-                        Some(tid) => {
-                            backoff.reset();
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_apply_task(&graph.tasks[tid as usize], src, store)
-                                }));
-                            if let Err(payload) = run {
-                                let mut slot = panicked.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                halt.store(true, Ordering::Release);
-                                break;
-                            }
-                            for &s in graph.successors(tid as usize) {
-                                if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    worker.push(s);
-                                }
-                            }
-                            remaining.fetch_sub(1, Ordering::AcqRel);
+                worker_loop(
+                    me,
+                    &worker,
+                    stealers,
+                    |dest| injector.steal_batch_and_pop(dest),
+                    || halt.load(Ordering::Acquire),
+                    || remaining.load(Ordering::Acquire) == 0,
+                    |tid: u32, _| {
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run_apply_task(&graph.tasks[tid as usize], src, store)
+                        }));
+                        if let Err(payload) = run {
+                            relock(panicked).get_or_insert(payload);
+                            halt.store(true, Ordering::Release);
+                            return ControlFlow::Break(());
                         }
-                        None => {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
+                        for &s in graph.successors(tid as usize) {
+                            if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                                worker.push(s);
                             }
-                            backoff.snooze();
                         }
-                    }
-                }
+                        remaining.fetch_sub(1, Ordering::AcqRel);
+                        ControlFlow::Continue(())
+                    },
+                );
             });
         }
     });
-    if let Some(payload) = panicked.into_inner().unwrap() {
+    if let Some(payload) = panicked.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
+    {
         std::panic::resume_unwind(payload);
     }
     assert_eq!(remaining.load(Ordering::Acquire), 0, "apply-Q deadlocked");
@@ -406,6 +366,23 @@ mod tests {
         apply_q_parallel(&a, &factors, &ops, b, &mut c, Trans::NoTrans, 3);
         let diff = c.to_dense().sub(&c0.to_dense()).frob_norm();
         assert!(diff < 1e-11, "Q Qᵀ C != C: {diff}");
+    }
+
+    #[test]
+    #[should_panic(expected = "GEQRT V present")]
+    fn kernel_panic_halts_the_workers_and_reaches_the_caller() {
+        // Factors of a flat TS tree hold no GEQRT reflectors below the
+        // diagonal row; asking to apply a TT tree's Q from them makes the
+        // first such task panic. The siblings must stop (not spin on a
+        // frontier that will never drain) and the caller must see it.
+        let (mt, nt, b) = (6usize, 2usize, 4usize);
+        let graph = TaskGraph::build(mt, nt, b, &flat_elims(mt, nt));
+        let mut a = TiledMatrix::random(mt, nt, b, 77);
+        let factors = execute_serial(&graph, &mut a);
+        let tt: Vec<ElimOp> =
+            flat_elims(mt, nt).iter().map(|o| ElimOp { ts: false, ..*o }).collect();
+        let mut c = TiledMatrix::random(mt, 2, b, 78);
+        apply_q_parallel(&a, &factors, &tt, b, &mut c, Trans::Trans, 3);
     }
 
     #[test]

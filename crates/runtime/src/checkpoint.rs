@@ -620,16 +620,8 @@ pub fn try_execute_checkpointed(
                     i.time += offset;
                     acc.instants.push(i);
                 }
-                for (total, c) in acc.counters.iter_mut().zip(seg.counters) {
-                    total.local_pops += c.local_pops;
-                    total.injector_pops += c.injector_pops;
-                    total.steals += c.steals;
-                    total.panics_caught += c.panics_caught;
-                    total.retries += c.retries;
-                    total.requeues += c.requeues;
-                    total.tile_faults += c.tile_faults;
-                    total.prefetch_hits += c.prefetch_hits;
-                    total.tile_spills += c.tile_spills;
+                for (total, c) in acc.counters.iter_mut().zip(&seg.counters) {
+                    total.merge(c);
                 }
                 // Each segment pages and unpages independently; the
                 // stitched trace accumulates their spill traffic.

@@ -1,17 +1,34 @@
-//! Serial and multithreaded DAG executors.
+//! Serial and multithreaded DAG executors, and the execution core they
+//! share with the multi-job pool and apply-Q.
 //!
-//! Two families of entry points share one engine:
+//! Entry points (seven in the crate, five of them here):
 //!
-//! * the legacy `execute_*` functions, which panic on failure (kept for
-//!   compatibility with existing callers), and
-//! * the `try_execute_*` functions, which report every failure — kernel
-//!   panics, exhausted retry budgets, scheduler stalls — as a typed
-//!   [`ExecError`], and accept an [`ExecOptions`] enabling bounded per-task
-//!   retry with write-set rollback, deterministic fault injection
-//!   ([`FaultPlan`]) and a stall watchdog.
+//! * [`execute_serial`] / [`execute_serial_ib`] — program order on the
+//!   calling thread, no scheduler, panics propagate. The reference oracle
+//!   every bitwise-parity suite compares against.
+//! * [`try_execute_with`] — the engine: worker threads, inner block size,
+//!   scheduling policy, bounded per-task retry with write-set rollback,
+//!   deterministic fault injection ([`crate::FaultPlan`]), integrity
+//!   guards, a stall watchdog and an optional paged tile store, all
+//!   selected by [`ExecOptions`]; every failure is a typed [`ExecError`].
+//! * [`try_execute_traced`] — the same run plus an [`ExecTrace`].
+//! * [`try_execute_parallel`] — a shim over [`try_execute_with`] kept for
+//!   the benchmark harness.
+//!
+//! (The other two are [`crate::try_execute_checkpointed`] and
+//! [`crate::resume_from_checkpoint`], which run this engine in segments;
+//! [`crate::JobPool`] runs many DAGs on one set of workers.)
+//!
+//! The execution core is three pieces, each written once: the kernel
+//! dispatcher (`hqr_kernels::run_kernel`, reached through
+//! [`TileStore::run_task`]), the worker loop (`worker_loop`: pop local →
+//! take global → rotated victim scan → backoff → bounded park), and the
+//! per-DAG run state (`DagRun`: store, guards, fault plan, priority
+//! keys, frontier, and the attempt/complete steps).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -21,7 +38,9 @@ use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use crossbeam_utils::Backoff;
 
 use crate::error::{ExecError, StallCause, StallReport};
-use crate::fault::{ExecOptions, FaultStats, QuietPanics, INJECTED_FAULT_PREFIX, POISON_STRIKES};
+use crate::fault::{
+    ExecOptions, FaultPlan, FaultStats, QuietPanics, INJECTED_FAULT_PREFIX, POISON_STRIKES,
+};
 use crate::graph::TaskGraph;
 use crate::integrity::{GuardStore, IntegrityMode};
 use crate::sched::{self, SchedPolicy};
@@ -214,6 +233,34 @@ pub struct WorkerCounters {
     pub tile_spills: u64,
 }
 
+impl WorkerCounters {
+    /// Add `other`'s counts to `self` (stitching per-segment traces). The
+    /// exhaustive destructuring makes a counter added later a compile
+    /// error here instead of a silently dropped column.
+    pub(crate) fn merge(&mut self, other: &WorkerCounters) {
+        let WorkerCounters {
+            local_pops,
+            injector_pops,
+            steals,
+            panics_caught,
+            retries,
+            requeues,
+            tile_faults,
+            prefetch_hits,
+            tile_spills,
+        } = other;
+        self.local_pops += local_pops;
+        self.injector_pops += injector_pops;
+        self.steals += steals;
+        self.panics_caught += panics_caught;
+        self.retries += retries;
+        self.requeues += requeues;
+        self.tile_faults += tile_faults;
+        self.prefetch_hits += prefetch_hits;
+        self.tile_spills += tile_spills;
+    }
+}
+
 /// What a scheduler instant event marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InstantKind {
@@ -313,50 +360,11 @@ impl ExecTrace {
     }
 }
 
-/// Execute the DAG on `nthreads` worker threads with work stealing.
+/// Execute on `nthreads` workers with typed errors.
 ///
-/// Newly-enabled tasks go to the completing worker's LIFO deque, so a core
-/// preferentially runs close successors of the task it just finished — the
-/// data-reuse heuristic of DAGuE (§IV-C). Idle workers steal FIFO from
-/// peers or from the global injector.
-pub fn execute_parallel(graph: &TaskGraph, a: &mut TiledMatrix, nthreads: usize) -> TFactors {
-    let b = graph.b();
-    let (f, _) = run_parallel(graph, a, nthreads, false, b);
-    f
-}
-
-/// [`execute_parallel`] with an explicit inner block size (PLASMA's IB).
-pub fn execute_parallel_ib(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    nthreads: usize,
-    ib: usize,
-) -> TFactors {
-    let (f, _) = run_parallel(graph, a, nthreads, false, ib);
-    f
-}
-
-/// [`execute_parallel`] with a full execution trace (per-task worker and
-/// timestamps) for scheduling analysis.
-pub fn execute_parallel_traced(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    nthreads: usize,
-) -> (TFactors, ExecTrace) {
-    let b = graph.b();
-    let (f, t) = run_parallel(graph, a, nthreads, true, b);
-    (f, t.expect("tracing requested"))
-}
-
-/// Execute with typed errors: a kernel panic is reported as
-/// [`ExecError::WorkerPanicked`] instead of unwinding through the caller.
-pub fn try_execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> Result<TFactors, ExecError> {
-    try_execute_with(graph, a, &ExecOptions::with_threads(1)).map(|(f, _)| f)
-}
-
-/// Execute on `nthreads` workers with typed errors: a kernel panic halts
-/// the sibling workers and is reported as [`ExecError::WorkerPanicked`]
-/// instead of deadlocking the pool.
+/// A one-line shim over [`try_execute_with`] (`ExecOptions::with_threads`,
+/// recovery accounting dropped), kept only because the out-of-tree
+/// benchmark harness imports it; new code should call [`try_execute_with`].
 pub fn try_execute_parallel(
     graph: &TaskGraph,
     a: &mut TiledMatrix,
@@ -369,6 +377,13 @@ pub fn try_execute_parallel(
 /// size, per-task retry with write-set rollback, deterministic fault
 /// injection and a stall watchdog. Returns the factors plus recovery
 /// accounting.
+///
+/// Newly-enabled tasks go to the completing worker's LIFO deque, so a core
+/// preferentially runs close successors of the task it just finished — the
+/// data-reuse heuristic of DAGuE (§IV-C). Idle workers steal FIFO from
+/// peers or from the shared ready queue. A kernel panic halts the sibling
+/// workers and is reported as a typed [`ExecError`] instead of unwinding
+/// through the caller or deadlocking the pool.
 ///
 /// Because a failed attempt is rolled back to the task's pre-execution
 /// state before re-running, and the kernels are deterministic, a recovered
@@ -420,51 +435,107 @@ fn set_error(slot: &Mutex<Option<ExecError>>, e: ExecError) {
     }
 }
 
-/// Diagnostic snapshot of the scheduler state for [`ExecError::Stalled`].
-fn stall_report(
-    cause: StallCause,
-    timeout: Duration,
-    indeg: &[AtomicU32],
-    done: &[AtomicBool],
-    remaining: usize,
-) -> StallReport {
-    const CAP: usize = 16;
-    let mut completed = 0;
-    let mut stuck_frontier = Vec::new();
-    let mut blocked = Vec::new();
-    let mut truncated = false;
-    for tid in 0..indeg.len() {
-        if done[tid].load(Ordering::Acquire) {
-            completed += 1;
-            continue;
-        }
-        let d = indeg[tid].load(Ordering::Acquire);
-        if d == 0 {
-            if stuck_frontier.len() < CAP {
-                stuck_frontier.push(tid as u32);
-            } else {
-                truncated = true;
-            }
-        } else if blocked.len() < CAP {
-            blocked.push((tid as u32, d));
-        } else {
-            truncated = true;
-        }
-    }
-    StallReport { cause, timeout, completed, remaining, stuck_frontier, blocked, truncated }
-}
-
 /// Nap length for an idle worker whose exponential backoff ladder is
 /// exhausted: long enough to stop burning the core through a serial tail,
-/// short enough that newly released work (and `halt`) is observed almost
+/// short enough that newly released work (and a halt) is observed almost
 /// immediately.
-pub(crate) const IDLE_PARK: Duration = Duration::from_micros(100);
+const IDLE_PARK: Duration = Duration::from_micros(100);
 
-/// The shared ready queue feeding idle workers: the legacy FIFO injector
-/// (with batch steals into the thief's deque), or — under a prioritizing
-/// [`SchedPolicy`] — a heap ordered by the policy's static priority keys,
-/// so releases are handed out best-priority-first instead of in arrival
-/// order.
+/// Where [`acquire`] found a task.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// The worker's own LIFO deque (data-reuse hit).
+    Local,
+    /// The executor's shared ready queue.
+    Global,
+    /// A peer worker's deque (load-balancing steal).
+    Peer,
+}
+
+/// Acquire one task for worker `me`: its own deque first, then the shared
+/// queue (`take_global`, which may move a batch into `local`), then the
+/// peers' deques. Retries transient races ([`Steal::Retry`]) until every
+/// source reports a definite answer; returns `None` only when the shared
+/// queue and all peers were empty.
+pub(crate) fn acquire<T>(
+    me: usize,
+    local: &Worker<T>,
+    stealers: &[Stealer<T>],
+    take_global: &impl Fn(&Worker<T>) -> Steal<T>,
+) -> Option<(T, Source)> {
+    if let Some(task) = local.pop() {
+        return Some((task, Source::Local));
+    }
+    loop {
+        let mut contended = false;
+        match take_global(local) {
+            Steal::Success(task) => return Some((task, Source::Global)),
+            Steal::Retry => contended = true,
+            Steal::Empty => {}
+        }
+        // Start the victim scan just past `me` and wrap, so a herd of idle
+        // workers fans out across victims instead of all draining the
+        // lowest-index deques first.
+        let n = stealers.len();
+        for off in 1..n {
+            match stealers[(me + off) % n].steal() {
+                Steal::Success(task) => return Some((task, Source::Peer)),
+                Steal::Retry => contended = true,
+                Steal::Empty => {}
+            }
+        }
+        if !contended {
+            return None;
+        }
+    }
+}
+
+/// The worker loop every executor runs — the single-DAG engine, the
+/// multi-job [`crate::pool::JobPool`] and [`crate::apply_q_parallel`]:
+/// [`acquire`] a task and hand it to `run` until `run` breaks, `halted()`
+/// turns true, or no task can be found and `drained()` says none will
+/// come. An idle worker climbs the spin/yield backoff ladder, then parks in
+/// bounded naps of [`IDLE_PARK`] instead of burning its core through a
+/// long serial tail; new work is still picked up within one nap.
+pub(crate) fn worker_loop<T>(
+    me: usize,
+    local: &Worker<T>,
+    stealers: &[Stealer<T>],
+    take_global: impl Fn(&Worker<T>) -> Steal<T>,
+    halted: impl Fn() -> bool,
+    drained: impl Fn() -> bool,
+    mut run: impl FnMut(T, Source) -> ControlFlow<()>,
+) {
+    let backoff = Backoff::new();
+    while !halted() {
+        let Some((task, source)) = acquire(me, local, stealers, &take_global) else {
+            if drained() {
+                break;
+            }
+            if backoff.is_completed() {
+                // Re-check the halt first: one raised while this worker was
+                // scanning must not pay another park of shutdown latency.
+                if halted() {
+                    break;
+                }
+                std::thread::sleep(IDLE_PARK);
+            } else {
+                backoff.snooze();
+            }
+            continue;
+        };
+        backoff.reset();
+        if run(task, source).is_break() {
+            break;
+        }
+    }
+}
+
+/// The shared ready queue feeding idle engine workers: the legacy FIFO
+/// injector (with batch steals into the thief's deque), or — under a
+/// prioritizing [`SchedPolicy`] — a heap ordered by the policy's static
+/// priority keys, so releases are handed out best-priority-first instead
+/// of in arrival order.
 enum GlobalQueue {
     Fifo(Injector<u32>),
     Prio(Mutex<BinaryHeap<Reverse<(u64, u32)>>>),
@@ -499,47 +570,6 @@ impl GlobalQueue {
     }
 }
 
-/// Acquire one task for worker `me` from the global queue or a peer's
-/// deque, attributing the source in `counters`. Retries transient races
-/// ([`Steal::Retry`]) until every source reports a definite answer;
-/// returns `None` only when the global queue and all peers were empty.
-fn steal_one(
-    global: &GlobalQueue,
-    stealers: &[Stealer<u32>],
-    me: usize,
-    worker: &Worker<u32>,
-    counters: &mut WorkerCounters,
-) -> Option<u32> {
-    loop {
-        let mut contended = false;
-        match global.take(worker) {
-            Steal::Success(tid) => {
-                counters.injector_pops += 1;
-                return Some(tid);
-            }
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-        // Start the victim scan just past `me` and wrap, so a herd of idle
-        // workers fans out across victims instead of all draining the
-        // lowest-index deques first.
-        let n = stealers.len();
-        for off in 1..n {
-            match stealers[(me + off) % n].steal() {
-                Steal::Success(tid) => {
-                    counters.steals += 1;
-                    return Some(tid);
-                }
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-    }
-}
-
 /// Everything one worker thread accumulates privately and hands back when
 /// the scope joins.
 #[derive(Default)]
@@ -550,202 +580,365 @@ struct WorkerLog {
     stats: FaultStats,
 }
 
-/// Everything the shared attempt ladder needs, independent of which
-/// executor is driving it — the single-job engine below or the multi-job
-/// [`crate::pool::JobPool`]. Both push a ready task through the exact same
-/// sequence: optional input-guard pre-check, write-set snapshot,
-/// `catch_unwind` around the kernel (with planned fault/SDC injection),
-/// output-guard verification, and rollback + bounded retry.
-pub(crate) struct AttemptCtx<'a> {
-    pub store: &'a TileStore,
-    pub guards: Option<&'a GuardStore>,
-    pub plan: Option<&'a crate::fault::FaultPlan>,
-    /// Per-task retry budget after a caught panic or detected corruption.
-    pub max_retries: u32,
-    /// Snapshot/rollback enabled (retries or a fault plan are configured).
-    pub recovery: bool,
-    /// [`IntegrityMode::Full`]: verify input guards before launching.
-    pub full_integrity: bool,
-    /// This worker is poisoned by the fault plan (engine only).
-    pub poisoned: bool,
-    /// Worker index, for injected panic messages.
-    pub me: usize,
-    /// Run-level halt flag, re-checked between retry attempts so a long
-    /// retry ladder yields promptly to cancel/deadline/drain instead of
-    /// burning through its whole budget first.
-    pub halt: Option<&'a AtomicBool>,
-}
-
-/// How one task's execution attempt sequence ended.
-pub(crate) enum AttemptEnd {
-    /// Completed (after `retried` ≥ 1 rolled-back attempts, possibly 0).
-    Done { retried: bool, recomputed_sdc: bool },
+/// How one task's attempt ladder ended without an error.
+pub(crate) enum Attempt {
+    /// The task ran to completion; the caller must [`DagRun::complete`] it.
+    Done,
     /// A poisoned worker gave the task back to its peers.
     Requeue,
-    /// Out of retry budget (or no recovery enabled): abort the run.
-    /// `attempts` counts every attempt made (initial try plus retries).
-    Fail { attempts: u32, message: String },
-    /// A commit-time guard mismatch persisted past the recompute budget
-    /// (or no snapshot was available to recompute from): abort the run.
-    /// `attempts` counts the recompute attempts made.
-    Sdc { attempts: u32, slot: String, message: String },
-    /// A pre-launch check found the task's *inputs* corrupted — damage
-    /// re-running this task cannot heal.
-    InputSdc { slot: String, message: String },
-    /// Paged runs only: pinning the task's slots failed — a spill-file
-    /// I/O error or an at-rest checksum mismatch. Nothing ran; abort.
-    SpillFault { message: String },
     /// The run was halted (cancel, deadline, drain, or a sibling's error)
     /// between attempts; the task's write set is back in its pre-attempt
-    /// state and the task is NOT done.
+    /// state and the task is NOT done. Whoever halted the run said why.
     Aborted,
 }
 
-/// Run one ready task through the full attempt ladder.
+/// The per-run policy knobs of a [`DagRun`], as the engine's
+/// [`ExecOptions`] and the pool's per-job policy both spell them.
+pub(crate) struct RunPolicy<'a> {
+    pub policy: SchedPolicy,
+    pub integrity: IntegrityMode,
+    /// Per-task retry budget after a caught panic or detected corruption.
+    pub max_retries: u32,
+    pub plan: Option<&'a FaultPlan>,
+    /// Release path. `true`: a completing worker keeps only its
+    /// best-ranked released successor and publishes the rest on the shared
+    /// queue, so the most urgent work is never buried in one deque (the
+    /// engine under a prioritizing policy; the pool always). `false`: every
+    /// released successor goes to the worker's own LIFO deque (the engine
+    /// under FIFO — the data-reuse heuristic of DAGuE §IV-C).
+    pub publish_rest: bool,
+}
+
+/// The state of one DAG being executed, independent of which executor
+/// drives it — the single-job engine below (one per segment) or the
+/// multi-job [`crate::pool::JobPool`] (one per activation): the tile store,
+/// the integrity guards, the fault plan and retry knobs, the priority
+/// keys, and the scheduling frontier (`indeg` / `done` / `remaining`) with
+/// its halt flag. Both push a ready task through the same two steps:
+/// [`DagRun::attempt`] (input-guard pre-check, write-set snapshot,
+/// `catch_unwind` around the kernel with planned fault/SDC injection,
+/// output-guard verification, rollback + bounded retry, every failure
+/// mapped to its [`ExecError`]) and [`DagRun::complete`] (mark done,
+/// release successors).
 ///
-/// # Safety (discharged by the caller's scheduler)
-/// `t` must be ready — every predecessor completed, `t` itself not — so
-/// DAG order guarantees this worker holds exclusive access to `t`'s
-/// read/write sets for the kernel, the snapshot, and the guard updates.
-pub(crate) fn attempt_task(
-    ctx: &AttemptCtx<'_>,
-    t: &Task,
-    tid: u32,
-    wstats: &mut FaultStats,
-    counters: &mut WorkerCounters,
-    instant: &mut dyn FnMut(InstantKind),
-) -> AttemptEnd {
-    // Paged runs: pin every slot the task touches (faulting misses in from
-    // the spill file) before anything — guard checks, snapshot, kernel —
-    // reads or writes them. The pins outlive the whole ladder, so evicted
-    // buffers can't move under a snapshot's raw pointers. Fallible, not
-    // panicking: this runs outside the `catch_unwind` perimeter below.
-    let pins = match ctx.store.pin_task(t) {
-        Ok(p) => p,
-        Err(message) => return AttemptEnd::SpillFault { message },
-    };
-    if let Some(p) = &pins {
-        counters.tile_faults += p.demand_faults;
-        counters.prefetch_hits += p.prefetch_hits;
-        counters.tile_spills += p.evictions;
-        if p.demand_faults > 0 {
-            instant(InstantKind::TileFaulted);
-        }
-        if p.evictions > 0 {
-            instant(InstantKind::TileSpilled);
-        }
-    }
-    if ctx.full_integrity {
-        // SAFETY: `tid` is ready, so DAG order guarantees no concurrent
-        // writer of its read or write set.
-        if let Some(m) = ctx.guards.and_then(|g| unsafe { g.verify_inputs(ctx.store, t) }) {
-            // Corrupted *inputs* cannot be healed by re-running this task.
-            wstats.sdc_detected += 1;
-            instant(InstantKind::SdcDetected);
-            return AttemptEnd::InputSdc { slot: m.label(), message: m.mismatch.to_string() };
-        }
-    }
-    // SAFETY: exclusive access per the function contract — for the kernel
-    // and the snapshot alike.
-    let snap = ctx.recovery.then(|| unsafe { ctx.store.snapshot(t) });
-    let mut attempt = 0u32;
-    let mut recomputed_sdc = false;
-    loop {
-        // Between attempts the write set is consistent (pristine or rolled
-        // back), so this is a safe point to yield to a run-level halt.
-        if ctx.halt.is_some_and(|h| h.load(Ordering::Acquire)) {
-            return AttemptEnd::Aborted;
-        }
-        let inject = ctx.poisoned || ctx.plan.is_some_and(|p| p.should_fail_attempt(tid, attempt));
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!(
-                    "{INJECTED_FAULT_PREFIX}: task {tid} attempt {attempt} on worker {}",
-                    ctx.me
-                );
+/// The graph is passed to each call rather than stored: the engine borrows
+/// it from its caller, the pool owns it next to this struct.
+pub(crate) struct DagRun {
+    /// The tile store (resident or paged); the owner must
+    /// [`TileStore::unpage`] it before touching the matrix again.
+    pub store: TileStore,
+    /// One guard per slot, shared by all workers under the same DAG
+    /// exclusive-writer discipline as the tile buffers themselves.
+    guards: Option<GuardStore>,
+    plan: Option<FaultPlan>,
+    max_retries: u32,
+    /// Snapshot/rollback enabled (retries or a fault plan are configured).
+    recovery: bool,
+    /// [`IntegrityMode::Full`]: verify input guards before launching.
+    full_integrity: bool,
+    /// Static priority keys under the run's policy (lower sorts first).
+    pub ranks: Vec<u64>,
+    publish_rest: bool,
+    indeg: Vec<AtomicU32>,
+    done: Vec<AtomicBool>,
+    /// Tasks below `limit` not yet completed.
+    pub remaining: AtomicUsize,
+    /// Raised to stop the run; re-checked between retry attempts so a long
+    /// retry ladder yields promptly instead of burning its whole budget.
+    pub halt: AtomicBool,
+    /// Tasks with index `>= limit` stay pending for a later segment.
+    limit: usize,
+}
+
+impl DagRun {
+    /// Set up the run of the sub-DAG of tasks with index `< limit` that
+    /// are not marked in `completed` (which must be closed under
+    /// predecessors), and return it with its initial ready frontier, in
+    /// task order. The frontier is reconstructed by discounting completed
+    /// predecessors from each remaining task's in-degree, from state no
+    /// worker can see yet: once the first task is queued, workers release
+    /// successors themselves, so a later scan of the live counters could
+    /// queue a task twice.
+    pub(crate) fn new(
+        graph: &TaskGraph,
+        store: TileStore,
+        p: &RunPolicy<'_>,
+        completed: Option<&[bool]>,
+        limit: usize,
+    ) -> (DagRun, Vec<u32>) {
+        let n = graph.tasks().len();
+        let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
+        let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
+        if completed.is_some() {
+            for t in (0..n).filter(|&t| is_done(t)) {
+                for &s in graph.successors(t) {
+                    indeg0[s as usize] -= 1;
+                }
             }
-            // SAFETY: DAG order, as above.
-            unsafe { ctx.store.run_task(t) };
-        }));
-        match run {
-            Ok(()) => {
-                // Kernel-postcondition hook: refresh the write-set guards
-                // from the fresh output while it is "hot". The window
-                // between this hook and the commit-time check below is
-                // where an SDC strike lands.
-                if let Some(g) = ctx.guards {
-                    // SAFETY: DAG order, as above.
-                    unsafe { g.refresh_task(ctx.store, t) };
+        }
+        let frontier: Vec<u32> =
+            (0..limit).filter(|&t| indeg0[t] == 0 && !is_done(t)).map(|t| t as u32).collect();
+        let run = DagRun {
+            store,
+            guards: p.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt())),
+            plan: p.plan.filter(|plan| !plan.is_empty()).cloned(),
+            max_retries: p.max_retries,
+            recovery: p.max_retries > 0 || p.plan.is_some(),
+            full_integrity: p.integrity == IntegrityMode::Full,
+            ranks: sched::priorities(graph, p.policy),
+            publish_rest: p.publish_rest,
+            indeg: indeg0.iter().map(|&d| AtomicU32::new(d)).collect(),
+            done: (0..n).map(|t| AtomicBool::new(is_done(t))).collect(),
+            remaining: AtomicUsize::new((0..limit).filter(|&t| !is_done(t)).count()),
+            halt: AtomicBool::new(false),
+            limit,
+        };
+        (run, frontier)
+    }
+
+    /// True once `tid` has completed (in this run or before it).
+    pub(crate) fn is_done(&self, tid: u32) -> bool {
+        self.done[tid as usize].load(Ordering::Acquire)
+    }
+
+    /// The completed bitmap. At quiescence it is closed under predecessors
+    /// (a task only completes after all of them did) — what a resumable
+    /// checkpoint requires.
+    pub(crate) fn completed(&self) -> Vec<bool> {
+        self.done.iter().map(|d| d.load(Ordering::Acquire)).collect()
+    }
+
+    /// Diagnostic snapshot of the scheduler state for [`ExecError::Stalled`].
+    fn stall_report(&self, cause: StallCause, timeout: Duration, remaining: usize) -> StallReport {
+        const CAP: usize = 16;
+        let mut completed = 0;
+        let mut stuck_frontier = Vec::new();
+        let mut blocked = Vec::new();
+        let mut truncated = false;
+        for tid in 0..self.indeg.len() {
+            if self.is_done(tid as u32) {
+                completed += 1;
+                continue;
+            }
+            let d = self.indeg[tid].load(Ordering::Acquire);
+            if d == 0 {
+                if stuck_frontier.len() < CAP {
+                    stuck_frontier.push(tid as u32);
+                } else {
+                    truncated = true;
                 }
-                if attempt == 0 {
-                    if let Some(fault) = ctx.plan.and_then(|p| p.sdc_for(tid)) {
-                        // The strike happens regardless of the integrity
-                        // mode — only the *verification* is optional.
-                        // SAFETY: DAG order, as above.
-                        unsafe { ctx.store.apply_sdc(t, &fault) };
-                        wstats.sdc_injected += 1;
-                    }
-                }
-                let found = ctx.guards.and_then(|g| unsafe { g.verify_outputs(ctx.store, t) });
-                let Some(m) = found else {
-                    return AttemptEnd::Done { retried: attempt > 0, recomputed_sdc };
-                };
+            } else if blocked.len() < CAP {
+                blocked.push((tid as u32, d));
+            } else {
+                truncated = true;
+            }
+        }
+        StallReport { cause, timeout, completed, remaining, stuck_frontier, blocked, truncated }
+    }
+
+    /// Run ready task `tid` on worker `me` through the full attempt ladder.
+    /// `poisoned` marks a worker the fault plan poisons (engine only).
+    ///
+    /// # Safety (discharged by the caller's scheduler)
+    /// `tid` must be ready — every predecessor completed, `tid` itself not
+    /// — so DAG order guarantees this worker holds exclusive access to its
+    /// read/write sets for the kernel, the snapshot, and the guard updates.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn attempt(
+        &self,
+        graph: &TaskGraph,
+        tid: u32,
+        me: usize,
+        poisoned: bool,
+        wstats: &mut FaultStats,
+        counters: &mut WorkerCounters,
+        instant: &mut dyn FnMut(InstantKind),
+    ) -> Result<Attempt, ExecError> {
+        let t = &graph.tasks()[tid as usize];
+        let (store, plan) = (&self.store, self.plan.as_ref());
+        let sdc = |slot: String, attempts: u32, message: String| ExecError::SdcDetected {
+            task: tid,
+            kernel: t.kind,
+            slot,
+            attempts,
+            message,
+        };
+        // Paged runs: pin every slot the task touches (faulting misses in
+        // from the spill file) before anything — guard checks, snapshot,
+        // kernel — reads or writes them. The pins outlive the whole ladder,
+        // so evicted buffers can't move under a snapshot's raw pointers.
+        // Fallible, not panicking: this runs outside the `catch_unwind`
+        // perimeter below. A failure is a spill-file I/O error or an
+        // at-rest checksum mismatch; nothing ran.
+        let pins = store.pin_task(t).map_err(|message| ExecError::SpillIo { message })?;
+        if let Some(p) = &pins {
+            counters.tile_faults += p.demand_faults;
+            counters.prefetch_hits += p.prefetch_hits;
+            counters.tile_spills += p.evictions;
+            if p.demand_faults > 0 {
+                instant(InstantKind::TileFaulted);
+            }
+            if p.evictions > 0 {
+                instant(InstantKind::TileSpilled);
+            }
+        }
+        if self.full_integrity {
+            // SAFETY: `tid` is ready, so DAG order guarantees no concurrent
+            // writer of its read or write set.
+            if let Some(m) = self.guards.as_ref().and_then(|g| unsafe { g.verify_inputs(store, t) })
+            {
+                // Corrupted *inputs* cannot be healed by re-running this task.
                 wstats.sdc_detected += 1;
                 instant(InstantKind::SdcDetected);
-                if let Some(s) = &snap {
-                    // SAFETY: exclusive access, as above.
-                    unsafe { ctx.store.rollback(s) };
-                    wstats.tiles_rolled_back += s.tiles() as u32;
-                }
-                if snap.is_some() && attempt < ctx.max_retries {
-                    attempt += 1;
-                    wstats.tasks_reexecuted += 1;
-                    counters.retries += 1;
-                    recomputed_sdc = true;
-                    instant(InstantKind::SdcRecomputed);
-                    continue;
-                }
-                return AttemptEnd::Sdc {
-                    attempts: attempt,
-                    slot: m.label(),
-                    message: m.mismatch.to_string(),
-                };
-            }
-            Err(payload) => {
-                wstats.panics_caught += 1;
-                counters.panics_caught += 1;
-                instant(InstantKind::PanicCaught);
-                if let Some(s) = &snap {
-                    // SAFETY: exclusive access, as above.
-                    unsafe { ctx.store.rollback(s) };
-                    wstats.tiles_rolled_back += s.tiles() as u32;
-                }
-                if ctx.poisoned {
-                    return AttemptEnd::Requeue;
-                }
-                if snap.is_some() && attempt < ctx.max_retries {
-                    attempt += 1;
-                    wstats.tasks_reexecuted += 1;
-                    counters.retries += 1;
-                    instant(InstantKind::Retry);
-                    continue;
-                }
-                return AttemptEnd::Fail { attempts: attempt + 1, message: panic_message(payload) };
+                return Err(sdc(m.label(), 0, m.mismatch.to_string()));
             }
         }
+        // SAFETY: exclusive access per the function contract — for the kernel
+        // and the snapshot alike.
+        let snap = self.recovery.then(|| unsafe { store.snapshot(t) });
+        let mut attempt = 0u32;
+        let mut recomputed_sdc = false;
+        loop {
+            // Between attempts the write set is consistent (pristine or rolled
+            // back), so this is a safe point to yield to a run-level halt.
+            if self.halt.load(Ordering::Acquire) {
+                return Ok(Attempt::Aborted);
+            }
+            let inject = poisoned || plan.is_some_and(|p| p.should_fail_attempt(tid, attempt));
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                if inject {
+                    panic!("{INJECTED_FAULT_PREFIX}: task {tid} attempt {attempt} on worker {me}");
+                }
+                // SAFETY: DAG order, as above.
+                unsafe { store.run_task(t) };
+            }));
+            match run {
+                Ok(()) => {
+                    // Kernel-postcondition hook: refresh the write-set guards
+                    // from the fresh output while it is "hot". The window
+                    // between this hook and the commit-time check below is
+                    // where an SDC strike lands.
+                    if let Some(g) = &self.guards {
+                        // SAFETY: DAG order, as above.
+                        unsafe { g.refresh_task(store, t) };
+                    }
+                    if attempt == 0 {
+                        if let Some(fault) = plan.and_then(|p| p.sdc_for(tid)) {
+                            // The strike happens regardless of the integrity
+                            // mode — only the *verification* is optional.
+                            // SAFETY: DAG order, as above.
+                            unsafe { store.apply_sdc(t, &fault) };
+                            wstats.sdc_injected += 1;
+                        }
+                    }
+                    // SAFETY: DAG order, as above.
+                    let found =
+                        self.guards.as_ref().and_then(|g| unsafe { g.verify_outputs(store, t) });
+                    let Some(m) = found else {
+                        wstats.tasks_recovered += u32::from(attempt > 0);
+                        wstats.sdc_recomputed += u32::from(recomputed_sdc);
+                        return Ok(Attempt::Done);
+                    };
+                    wstats.sdc_detected += 1;
+                    instant(InstantKind::SdcDetected);
+                    if let Some(s) = &snap {
+                        // SAFETY: exclusive access, as above.
+                        unsafe { store.rollback(s) };
+                        wstats.tiles_rolled_back += s.tiles() as u32;
+                    }
+                    if snap.is_some() && attempt < self.max_retries {
+                        attempt += 1;
+                        wstats.tasks_reexecuted += 1;
+                        counters.retries += 1;
+                        recomputed_sdc = true;
+                        instant(InstantKind::SdcRecomputed);
+                        continue;
+                    }
+                    // The mismatch persisted past the recompute budget (or
+                    // no snapshot was available to recompute from).
+                    return Err(sdc(m.label(), attempt, m.mismatch.to_string()));
+                }
+                Err(payload) => {
+                    wstats.panics_caught += 1;
+                    counters.panics_caught += 1;
+                    instant(InstantKind::PanicCaught);
+                    if let Some(s) = &snap {
+                        // SAFETY: exclusive access, as above.
+                        unsafe { store.rollback(s) };
+                        wstats.tiles_rolled_back += s.tiles() as u32;
+                    }
+                    if poisoned {
+                        return Ok(Attempt::Requeue);
+                    }
+                    if snap.is_some() && attempt < self.max_retries {
+                        attempt += 1;
+                        wstats.tasks_reexecuted += 1;
+                        counters.retries += 1;
+                        instant(InstantKind::Retry);
+                        continue;
+                    }
+                    // Out of retry budget, or no recovery enabled.
+                    let message = panic_message(payload);
+                    return Err(if self.recovery {
+                        let attempts = attempt + 1;
+                        ExecError::TaskFailed { task: tid, kernel: t.kind, attempts, message }
+                    } else {
+                        ExecError::WorkerPanicked { task: tid, kernel: t.kind, worker: me, message }
+                    });
+                }
+            }
+        }
+    }
+
+    /// Mark `tid` (which just ran [`Attempt::Done`]) completed and release
+    /// its successors: each one whose last predecessor this was becomes
+    /// ready, has its slots queued for prefetch so the fault-in overlaps
+    /// whatever runs before it, and is handed to `keep` (the caller's own
+    /// deque) or `publish` (the shared queue) per [`RunPolicy::publish_rest`].
+    /// Successors past the segment limit stay pending.
+    pub(crate) fn complete(
+        &self,
+        graph: &TaskGraph,
+        tid: u32,
+        mut keep: impl FnMut(u32),
+        mut publish: impl FnMut(u32),
+    ) {
+        self.done[tid as usize].store(true, Ordering::Release);
+        if self.plan.as_ref().is_some_and(|p| p.loses_completion(tid)) {
+            // Dropped completion: successors are never released and
+            // `remaining` stays high; the (mandatory) watchdog reports the
+            // stall.
+            return;
+        }
+        let ranks = &self.ranks;
+        let mut best: Option<u32> = None;
+        for &s in graph.successors(tid as usize) {
+            if self.indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1
+                && (s as usize) < self.limit
+            {
+                self.store.prefetch_task(&graph.tasks()[s as usize]);
+                if !self.publish_rest {
+                    keep(s);
+                    continue;
+                }
+                match best {
+                    Some(k) if ranks[s as usize] < ranks[k as usize] => {
+                        publish(k);
+                        best = Some(s);
+                    }
+                    Some(_) => publish(s),
+                    None => best = Some(s),
+                }
+            }
+        }
+        if let Some(s) = best {
+            keep(s);
+        }
+        self.remaining.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// The shared executor engine behind every parallel entry point.
-///
-/// Workers pull tasks work-stealing style exactly as before; on top of
-/// that, each task runs inside `catch_unwind` so a panicking kernel (real
-/// or injected by the [`crate::FaultPlan`]) can be retried against a
-/// pre-execution snapshot of its write-set, reported as a typed error, or —
-/// for poisoned workers — handed back to healthy peers. A watchdog thread
-/// converts lack of progress into [`ExecError::Stalled`], and the final
-/// "pending tasks" state of the old executor is a typed error instead of
-/// an assert.
+/// The executor engine behind [`try_execute_with`] / [`try_execute_traced`].
 fn run_engine(
     graph: &TaskGraph,
     a: &mut TiledMatrix,
@@ -763,13 +956,19 @@ fn run_engine(
 /// that are not already marked in `completed`, writing into a
 /// caller-provided [`TFactors`].
 ///
+/// Workers run the shared [`worker_loop`] over one [`DagRun`]: each task
+/// runs inside `catch_unwind` so a panicking kernel (real or injected by
+/// the [`crate::FaultPlan`]) can be retried against a pre-execution
+/// snapshot of its write-set, reported as a typed error, or — for poisoned
+/// workers — handed back to healthy peers. A watchdog thread converts lack
+/// of progress into [`ExecError::Stalled`].
+///
 /// Program order is panel-major and topological, and every predecessor of
 /// a task precedes it in the task list, so a prefix `0..limit` at a panel
 /// boundary is dependency-closed: running it to quiescence yields a
 /// consistent state that can be serialized and later resumed. `completed`
 /// must be closed under predecessors (every predecessor of a completed
-/// task is completed); the ready frontier is reconstructed by discounting
-/// completed predecessors from each remaining task's in-degree.
+/// task is completed).
 pub(crate) fn run_engine_segment(
     graph: &TaskGraph,
     a: &mut TiledMatrix,
@@ -813,73 +1012,42 @@ pub(crate) fn run_engine_segment(
             ),
         });
     }
-    let plan = opts.plan.as_ref().filter(|p| !p.is_empty());
+    let plan = opts.plan.as_ref();
     if plan.is_some_and(|p| p.loses_any_completion()) && opts.watchdog.is_none() {
         return Err(ExecError::Config {
             message: "a fault plan that loses completions requires a watchdog".to_string(),
         });
     }
     let recovery = opts.recovery_enabled();
-    let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
 
     let epoch = Instant::now();
-    // Page the tile store when a resident budget is set and the run's
-    // allocated buffers exceed it; otherwise keep the flat resident store
-    // (zero per-access overhead, bitwise-identical results either way).
-    let tile_bytes = (b * b * 8) as u64;
-    let allocated_slots = a.mt() * a.nt()
-        + [&f.vg, &f.tg, &f.tk]
-            .iter()
-            .map(|fam| fam.iter().filter(|s| s.is_some()).count())
-            .sum::<usize>();
-    let allocated_bytes = allocated_slots as u64 * tile_bytes;
-    let mut store = match opts.resident_budget.filter(|&rb| rb < allocated_bytes) {
-        Some(rb) => TileStore::paged_with_ib(a, f, ib, rb, opts.spill_dir.as_deref())
-            .map_err(|message| ExecError::SpillIo { message })?,
-        None => TileStore::with_ib(a, f, ib),
+    let store = TileStore::open(a, f, ib, opts.resident_budget, opts.spill_dir.as_deref())
+        .map_err(|message| ExecError::SpillIo { message })?;
+    let policy = RunPolicy {
+        policy: opts.policy,
+        integrity: opts.integrity,
+        max_retries: opts.max_retries,
+        plan,
+        publish_rest: opts.policy != SchedPolicy::Fifo,
     };
-    // One guard per slot, shared by all workers under the same DAG
-    // exclusive-writer discipline as the tile buffers themselves.
-    let guard_store = opts.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt()));
-    // Reconstruct the frontier: a remaining task's effective in-degree
-    // counts only its not-yet-completed predecessors.
-    let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
-    if completed.is_some() {
-        for t in 0..n {
-            if is_done(t) {
-                for &s in graph.successors(t) {
-                    indeg0[s as usize] -= 1;
-                }
-            }
-        }
-    }
-    let active = (0..limit).filter(|&t| !is_done(t)).count();
-    let indeg: Vec<AtomicU32> = indeg0.iter().map(|&d| AtomicU32::new(d)).collect();
-    let done: Vec<AtomicBool> = (0..n).map(|t| AtomicBool::new(is_done(t))).collect();
-    let remaining = AtomicUsize::new(active);
+    let (mut run, frontier) = DagRun::new(graph, store, &policy, completed, limit);
     let alive = AtomicUsize::new(nthreads);
-    let halt = AtomicBool::new(false);
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
-    // Static priority keys under the active policy (lower sorts first);
-    // the FIFO queue ignores them.
-    let ranks: Vec<u64> = sched::priorities(graph, opts.policy);
     let global = GlobalQueue::new(opts.policy);
-    for (tid, &d) in indeg0.iter().enumerate().take(limit) {
-        if d == 0 && !is_done(tid) {
-            // Ready-frontier lookahead: queue the seed tasks' slots for
-            // background fault-in before any worker runs.
-            store.prefetch_task(&graph.tasks()[tid]);
-            global.push(tid as u32, &ranks);
-        }
+    for tid in frontier {
+        // Ready-frontier lookahead: queue the seed tasks' slots for
+        // background fault-in before any worker runs.
+        run.store.prefetch_task(&graph.tasks()[tid as usize]);
+        global.push(tid, &run.ranks);
     }
     let workers: Vec<Worker<u32>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
     let mut logs: Vec<WorkerLog> = (0..nthreads).map(|_| WorkerLog::default()).collect();
 
     std::thread::scope(|scope| {
+        let (run, alive, error, global, stealers) = (&run, &alive, &error, &global, &stealers);
+        let (remaining, halt) = (&run.remaining, &run.halt);
         if let Some(window) = opts.watchdog {
-            let (remaining, halt, error) = (&remaining, &halt, &error);
-            let (indeg, done) = (&indeg, &done);
             scope.spawn(move || {
                 // Short poll slices, and shutdown checked *before* each
                 // sleep: a worker error (`halt`) or completion must not pay
@@ -898,16 +1066,8 @@ pub(crate) fn run_engine_segment(
                         last = rem;
                         last_change = Instant::now();
                     } else if last_change.elapsed() >= window {
-                        set_error(
-                            error,
-                            ExecError::Stalled(stall_report(
-                                StallCause::WatchdogTimeout,
-                                window,
-                                indeg,
-                                done,
-                                rem,
-                            )),
-                        );
+                        let report = run.stall_report(StallCause::WatchdogTimeout, window, rem);
+                        set_error(error, ExecError::Stalled(report));
                         halt.store(true, Ordering::Release);
                         break;
                     }
@@ -916,238 +1076,95 @@ pub(crate) fn run_engine_segment(
             });
         }
         for ((me, worker), log) in workers.into_iter().enumerate().zip(logs.iter_mut()) {
-            let store = &store;
-            let guards = guard_store.as_ref();
-            let (indeg, done) = (&indeg, &done);
-            let (remaining, alive, halt, error) = (&remaining, &alive, &halt, &error);
-            let global = &global;
-            // Under a prioritizing policy the release path consults the
-            // rank table; `None` selects the legacy all-local FIFO path.
-            let prio: Option<&[u64]> =
-                (opts.policy != SchedPolicy::Fifo).then_some(ranks.as_slice());
-            let ranks = ranks.as_slice();
-            let stealers = &stealers;
-            let tasks: &[Task] = graph.tasks();
-            let graph = &*graph;
             scope.spawn(move || {
                 // Expected (caught) panics shouldn't spam stderr through
                 // the panic hook while recovery is handling them — but
                 // only on this worker thread; the rest of the process
                 // keeps its backtraces.
                 let _quiet = recovery.then(QuietPanics::engage);
-                let backoff = Backoff::new();
                 let poisoned = plan.is_some_and(|p| p.is_poisoned(me));
                 let mut strikes = 0u32;
-                let wstats = &mut log.stats;
-                let counters = &mut log.counters;
+                let WorkerLog { records, instants, counters, stats: wstats } = log;
+                let now = || epoch.elapsed().as_secs_f64();
                 let mut instant = |kind: InstantKind, task: u32| {
                     if trace {
-                        log.instants.push(ExecInstant {
-                            kind,
-                            task,
-                            worker: me as u16,
-                            time: epoch.elapsed().as_secs_f64(),
-                        });
+                        instants.push(ExecInstant { kind, task, worker: me as u16, time: now() });
                     }
                 };
-                loop {
-                    if halt.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let next = match worker.pop() {
-                        Some(tid) => {
-                            counters.local_pops += 1;
-                            Some(tid)
+                let fail = |e: ExecError| {
+                    set_error(error, e);
+                    halt.store(true, Ordering::Release);
+                    ControlFlow::Break(())
+                };
+                worker_loop(
+                    me,
+                    &worker,
+                    stealers,
+                    |dest| global.take(dest),
+                    || halt.load(Ordering::Acquire),
+                    || remaining.load(Ordering::Acquire) == 0,
+                    |tid, source| {
+                        match source {
+                            Source::Local => counters.local_pops += 1,
+                            Source::Global => counters.injector_pops += 1,
+                            Source::Peer => counters.steals += 1,
                         }
-                        None => steal_one(global, stealers, me, &worker, counters),
-                    };
-                    let Some(tid) = next else {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        if backoff.is_completed() {
-                            // The spin/yield ladder is exhausted: park in
-                            // bounded naps instead of burning the core
-                            // through a long serial tail. New work is still
-                            // picked up within ~IDLE_PARK. Re-check `halt`
-                            // first: a cancel/abort raised while this worker
-                            // was scanning must not pay another park of
-                            // shutdown latency.
-                            if halt.load(Ordering::Acquire) {
-                                break;
+                        let start = trace.then(now);
+                        // SAFETY contract of `attempt`: every predecessor
+                        // of `tid` has completed (its in-degree reached 0)
+                        // and `tid` has not, so its read/write sets are
+                        // exclusively this worker's until completion.
+                        let end =
+                            run.attempt(graph, tid, me, poisoned, wstats, counters, &mut |k| {
+                                instant(k, tid)
+                            });
+                        match end {
+                            Ok(Attempt::Done) => {
+                                if let Some(start) = start {
+                                    let (task, end) = (tid, now());
+                                    records.push(TaskRecord {
+                                        task,
+                                        worker: me as u16,
+                                        start,
+                                        end,
+                                    });
+                                }
+                                run.complete(
+                                    graph,
+                                    tid,
+                                    |s| worker.push(s),
+                                    |s| global.push(s, &run.ranks),
+                                );
                             }
-                            std::thread::sleep(IDLE_PARK);
-                        } else {
-                            backoff.snooze();
-                        }
-                        continue;
-                    };
-                    backoff.reset();
-                    let t = &tasks[tid as usize];
-                    let ctx = AttemptCtx {
-                        store,
-                        guards,
-                        plan,
-                        max_retries: opts.max_retries,
-                        recovery,
-                        full_integrity: opts.integrity == IntegrityMode::Full,
-                        poisoned,
-                        me,
-                        halt: Some(halt),
-                    };
-                    let t0 = trace.then(|| epoch.elapsed().as_secs_f64());
-                    // SAFETY contract of `attempt_task`: every predecessor
-                    // of `tid` has completed (its in-degree reached 0) and
-                    // `tid` has not, so its read/write sets are exclusively
-                    // this worker's until completion.
-                    let outcome =
-                        attempt_task(&ctx, t, tid, wstats, counters, &mut |k| instant(k, tid));
-                    match outcome {
-                        AttemptEnd::Done { retried, recomputed_sdc } => {
-                            if retried {
-                                wstats.tasks_recovered += 1;
-                            }
-                            if recomputed_sdc {
-                                wstats.sdc_recomputed += 1;
-                            }
-                            if let Some(start) = t0 {
-                                log.records.push(TaskRecord {
-                                    task: tid,
-                                    worker: me as u16,
-                                    start,
-                                    end: epoch.elapsed().as_secs_f64(),
-                                });
-                            }
-                            done[tid as usize].store(true, Ordering::Release);
-                            if plan.is_some_and(|p| p.loses_completion(tid)) {
-                                // Dropped completion: successors are never
-                                // released and `remaining` stays high; the
-                                // (mandatory) watchdog reports the stall.
-                                continue;
-                            }
-                            // Successors past the segment limit stay
-                            // pending for the next segment/resume. Under
-                            // FIFO every released successor goes to this
-                            // worker's LIFO deque (the data-reuse heuristic
-                            // of DAGuE §IV-C); under a prioritizing policy
-                            // the worker keeps only the best-ranked release
-                            // for itself and publishes the rest on the
-                            // shared priority queue, so the globally most
-                            // urgent work is never buried in one deque.
-                            let mut keep: Option<u32> = None;
-                            for &s in graph.successors(tid as usize) {
-                                if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                                    && (s as usize) < limit
-                                {
-                                    // The successor just became ready:
-                                    // prefetch its slots so the fault-in
-                                    // overlaps whatever runs before it.
-                                    store.prefetch_task(&tasks[s as usize]);
-                                    match prio {
-                                        None => worker.push(s),
-                                        Some(p) => match keep {
-                                            Some(k) if p[s as usize] < p[k as usize] => {
-                                                global.push(k, p);
-                                                keep = Some(s);
-                                            }
-                                            Some(_) => global.push(s, p),
-                                            None => keep = Some(s),
-                                        },
-                                    }
+                            Ok(Attempt::Requeue) => {
+                                strikes += 1;
+                                wstats.tasks_reexecuted += 1;
+                                counters.requeues += 1;
+                                instant(InstantKind::Requeue, tid);
+                                global.push(tid, &run.ranks);
+                                if strikes >= POISON_STRIKES {
+                                    // The poisoned worker "dies"; its queued
+                                    // work stays stealable by healthy peers.
+                                    wstats.workers_lost += 1;
+                                    return ControlFlow::Break(());
                                 }
                             }
-                            if let Some(s) = keep {
-                                worker.push(s);
-                            }
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        AttemptEnd::Requeue => {
-                            strikes += 1;
-                            wstats.tasks_reexecuted += 1;
-                            counters.requeues += 1;
-                            instant(InstantKind::Requeue, tid);
-                            global.push(tid, ranks);
-                            if strikes >= POISON_STRIKES {
-                                // The poisoned worker "dies"; its queued
-                                // work stays stealable by healthy peers.
-                                wstats.workers_lost += 1;
-                                break;
-                            }
-                        }
-                        AttemptEnd::Sdc { attempts, slot, message } => {
-                            set_error(
-                                error,
-                                ExecError::SdcDetected {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    slot,
-                                    attempts,
-                                    message,
-                                },
-                            );
-                            halt.store(true, Ordering::Release);
-                            break;
-                        }
-                        AttemptEnd::InputSdc { slot, message } => {
-                            set_error(
-                                error,
-                                ExecError::SdcDetected {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    slot,
-                                    attempts: 0,
-                                    message,
-                                },
-                            );
-                            halt.store(true, Ordering::Release);
-                            break;
-                        }
-                        AttemptEnd::Aborted => {
                             // Someone else halted the run and recorded why;
                             // the task is untouched and not done.
-                            break;
+                            Ok(Attempt::Aborted) => return ControlFlow::Break(()),
+                            Err(e) => return fail(e),
                         }
-                        AttemptEnd::SpillFault { message } => {
-                            set_error(error, ExecError::SpillIo { message });
-                            halt.store(true, Ordering::Release);
-                            break;
-                        }
-                        AttemptEnd::Fail { attempts, message } => {
-                            let e = if recovery {
-                                ExecError::TaskFailed {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    attempts,
-                                    message,
-                                }
-                            } else {
-                                ExecError::WorkerPanicked {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    worker: me,
-                                    message,
-                                }
-                            };
-                            set_error(error, e);
-                            halt.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
+                        ControlFlow::Continue(())
+                    },
+                );
                 if alive.fetch_sub(1, Ordering::AcqRel) == 1 {
                     let rem = remaining.load(Ordering::Acquire);
                     if rem > 0 && !halt.load(Ordering::Acquire) {
-                        set_error(
-                            error,
-                            ExecError::Stalled(stall_report(
-                                StallCause::AllWorkersExited,
-                                Duration::ZERO,
-                                indeg,
-                                done,
-                                rem,
-                            )),
-                        );
-                        halt.store(true, Ordering::Release);
+                        let _ = fail(ExecError::Stalled(run.stall_report(
+                            StallCause::AllWorkersExited,
+                            Duration::ZERO,
+                            rem,
+                        )));
                     }
                 }
             });
@@ -1157,23 +1174,21 @@ pub(crate) fn run_engine_segment(
     // on success *and* on error paths, so the matrix is never left hollow.
     // The traffic summary is snapshotted first: unpage mass-faults every
     // slot back in and would otherwise inflate the counters.
-    let spill = store.spill_summary();
-    let unpage_err = store.unpage(a, f).err();
+    let spill = run.store.spill_summary();
+    let unpage_err = run.store.unpage(a, f).err();
     if let Some(e) = error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
         return Err(e);
     }
     if let Some(message) = unpage_err {
         return Err(ExecError::SpillIo { message });
     }
-    let rem = remaining.load(Ordering::Acquire);
+    let rem = run.remaining.load(Ordering::Acquire);
     if rem != 0 {
         // Unreachable by construction (every exit path above reports an
         // error first), but kept as a typed error rather than an assert.
-        return Err(ExecError::Stalled(stall_report(
+        return Err(ExecError::Stalled(run.stall_report(
             StallCause::AllWorkersExited,
             Duration::ZERO,
-            &indeg,
-            &done,
             rem,
         )));
     }
@@ -1197,24 +1212,6 @@ pub(crate) fn run_engine_segment(
     Ok((stats, exec_trace))
 }
 
-fn run_parallel(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    nthreads: usize,
-    trace: bool,
-    ib: usize,
-) -> (TFactors, Option<ExecTrace>) {
-    assert!(nthreads > 0, "need at least one thread");
-    if nthreads == 1 && !trace {
-        return (execute_serial_ib(graph, a, ib), None);
-    }
-    let opts = ExecOptions { nthreads, ib: Some(ib), ..Default::default() };
-    match run_engine(graph, a, &opts, trace) {
-        Ok((f, _, t)) => (f, t),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1229,6 +1226,11 @@ mod tests {
             }
         }
         v
+    }
+
+    /// The engine on `nthreads` workers with default options.
+    fn parallel(g: &TaskGraph, a: &mut TiledMatrix, nthreads: usize) -> TFactors {
+        try_execute_with(g, a, &ExecOptions::with_threads(nthreads)).unwrap().0
     }
 
     fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
@@ -1291,7 +1293,7 @@ mod tests {
         let mut a1 = hqr_tile::TiledMatrix::random(mt, nt, b, 11);
         let mut a2 = a1.clone();
         let _f1 = execute_serial(&g, &mut a1);
-        let _f2 = execute_parallel(&g, &mut a2, 4);
+        let _f2 = parallel(&g, &mut a2, 4);
         assert_eq!(a1.to_dense().data(), a2.to_dense().data(), "parallel != serial");
     }
 
@@ -1302,7 +1304,7 @@ mod tests {
         let mut a1 = hqr_tile::TiledMatrix::random(mt, nt, b, 13);
         let mut a2 = a1.clone();
         let _ = execute_serial(&g, &mut a1);
-        let _ = execute_parallel(&g, &mut a2, 3);
+        let _ = parallel(&g, &mut a2, 3);
         assert_eq!(a1.to_dense().data(), a2.to_dense().data());
     }
 
@@ -1333,12 +1335,12 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_parallel_falls_back_to_serial() {
+    fn single_worker_engine_matches_serial() {
         let g = TaskGraph::build(3, 3, 2, &flat_elims(3, 3));
         let mut a1 = hqr_tile::TiledMatrix::random(3, 3, 2, 19);
         let mut a2 = a1.clone();
         let _ = execute_serial(&g, &mut a1);
-        let _ = execute_parallel(&g, &mut a2, 1);
+        let _ = parallel(&g, &mut a2, 1);
         assert_eq!(a1.to_dense().data(), a2.to_dense().data());
     }
 
@@ -1348,8 +1350,8 @@ mod tests {
         let g = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
         let mut a1 = hqr_tile::TiledMatrix::random(mt, nt, b, 29);
         let mut a2 = a1.clone();
-        let _ = execute_parallel(&g, &mut a1, 3);
-        let (_, trace) = execute_parallel_traced(&g, &mut a2, 3);
+        let _ = parallel(&g, &mut a1, 3);
+        let (_, _, trace) = try_execute_traced(&g, &mut a2, &ExecOptions::with_threads(3)).unwrap();
         assert_eq!(a1.to_dense().data(), a2.to_dense().data());
         assert_eq!(trace.records.len(), g.tasks().len(), "every task recorded");
         assert_eq!(trace.nthreads, 3);
@@ -1372,7 +1374,7 @@ mod tests {
     fn traced_single_thread_works() {
         let g = TaskGraph::build(3, 2, 3, &flat_elims(3, 2));
         let mut a = hqr_tile::TiledMatrix::random(3, 2, 3, 30);
-        let (_, trace) = execute_parallel_traced(&g, &mut a, 1);
+        let (_, _, trace) = try_execute_traced(&g, &mut a, &ExecOptions::with_threads(1)).unwrap();
         assert_eq!(trace.records.len(), g.tasks().len());
         assert_eq!(trace.nthreads, 1);
     }
@@ -1389,11 +1391,8 @@ mod tests {
                 w.push(i as u32 * 10);
             }
         }
-        let mut c = WorkerCounters::default();
-        let got = steal_one(&global, &stealers, 1, &workers[1], &mut c);
-        assert_eq!(got, Some(20), "worker 1 must try worker 2 first, not worker 0");
-        assert_eq!(c.steals, 1);
-        assert_eq!(c.injector_pops, 0);
+        let got = acquire(1, &workers[1], &stealers, &|w| global.take(w));
+        assert_eq!(got, Some((20, Source::Peer)), "worker 1 must try worker 2 first, not 0");
     }
 
     #[test]
@@ -1402,13 +1401,64 @@ mod tests {
         let workers: Vec<Worker<u32>> = (0..4).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
         workers[0].push(7); // only worker 0 has work
-        let mut c = WorkerCounters::default();
-        let got = steal_one(&global, &stealers, 2, &workers[2], &mut c);
-        assert_eq!(got, Some(7), "scan from worker 2 must wrap 3 -> 0");
-        assert_eq!(c.steals, 1);
-        // Nothing anywhere: a definite miss, with counters untouched.
-        assert_eq!(steal_one(&global, &stealers, 2, &workers[2], &mut c), None);
-        assert_eq!(c.steals, 1);
+        let got = acquire(2, &workers[2], &stealers, &|w| global.take(w));
+        assert_eq!(got, Some((7, Source::Peer)), "scan from worker 2 must wrap 3 -> 0");
+        // Nothing anywhere: a definite miss.
+        assert_eq!(acquire(2, &workers[2], &stealers, &|w| global.take(w)), None);
+    }
+
+    #[test]
+    fn acquire_prefers_local_then_global_then_peers() {
+        let global = GlobalQueue::new(SchedPolicy::CriticalPath);
+        let workers: Vec<Worker<u32>> = (0..2).map(|_| Worker::new_lifo()).collect();
+        let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
+        workers[0].push(1);
+        workers[1].push(3);
+        global.push(2, &[0, 0, 0]);
+        let take = |w: &Worker<u32>| global.take(w);
+        assert_eq!(acquire(0, &workers[0], &stealers, &take), Some((1, Source::Local)));
+        assert_eq!(acquire(0, &workers[0], &stealers, &take), Some((2, Source::Global)));
+        assert_eq!(acquire(0, &workers[0], &stealers, &take), Some((3, Source::Peer)));
+    }
+
+    #[test]
+    fn idle_worker_parks_then_exits_on_halt_or_drain() {
+        // The loop shared by the engine, the pool and apply-Q: with nothing
+        // to run it must neither spin forever nor miss either exit signal.
+        let local: Worker<u32> = Worker::new_lifo();
+        let stealers = [local.stealer()];
+        let polls = std::cell::Cell::new(0u32);
+        let none = |_: &Worker<u32>| Steal::Empty;
+        worker_loop(
+            0,
+            &local,
+            &stealers,
+            none,
+            || false,
+            || {
+                polls.set(polls.get() + 1);
+                polls.get() > 20 // well past the backoff ladder: it parked
+            },
+            |_, _| unreachable!("no task was ever queued"),
+        );
+        assert_eq!(polls.get(), 21);
+        let halt = AtomicBool::new(false);
+        local.push(5);
+        let mut ran = Vec::new();
+        worker_loop(
+            0,
+            &local,
+            &stealers,
+            none,
+            || halt.load(Ordering::Acquire),
+            || false,
+            |t, source| {
+                ran.push((t, source));
+                halt.store(true, Ordering::Release);
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(ran, vec![(5, Source::Local)]);
     }
 
     #[test]

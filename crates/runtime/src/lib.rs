@@ -8,18 +8,17 @@
 //! three consumers:
 //!
 //! * [`exec::execute_serial`] — in-order execution on one thread;
-//! * [`exec::execute_parallel`] — a work-stealing multithreaded executor
+//! * [`exec::try_execute_with`] — a work-stealing multithreaded executor
 //!   with data-reuse (LIFO) scheduling, mirroring DAGuE's "each core will
 //!   try to execute close successors of the last task it ran";
 //! * the `hqr-sim` crate — a discrete-event cluster simulator that replays
 //!   the DAG on a modeled distributed machine.
-
 //!
-//! Execution is fault-tolerant on request: the `try_execute_*` entry
-//! points report failures as typed [`ExecError`]s, and
-//! [`exec::try_execute_with`] adds bounded per-task retry with write-set
-//! rollback, a deterministic seeded [`FaultPlan`] for fault injection, and
-//! a stall watchdog (see `DESIGN.md`, "Fault tolerance"). Silent data
+//! Execution is fault-tolerant on request: [`exec::try_execute_with`]
+//! reports failures as typed [`ExecError`]s, and its [`ExecOptions`] add
+//! bounded per-task retry with write-set rollback, a deterministic seeded
+//! [`FaultPlan`] for fault injection, and a stall watchdog (see
+//! `DESIGN.md`, "Fault tolerance" and "Execution core"). Silent data
 //! corruption is covered by checksum [`hqr_tile::TileGuard`]s on every
 //! tile-sized buffer: an [`IntegrityMode`] on [`ExecOptions`] verifies
 //! guards around each task and routes mismatches into the same
@@ -53,9 +52,8 @@ pub use checkpoint::{
 pub use elim::ElimOp;
 pub use error::{ExecError, GraphError, StallCause, StallReport};
 pub use exec::{
-    execute_parallel, execute_parallel_ib, execute_parallel_traced, execute_serial,
-    execute_serial_ib, try_execute_parallel, try_execute_serial, try_execute_traced,
-    try_execute_with, ExecInstant, ExecTrace, InstantKind, TFactors, TaskRecord, WorkerCounters,
+    execute_serial, execute_serial_ib, try_execute_parallel, try_execute_traced, try_execute_with,
+    ExecInstant, ExecTrace, InstantKind, TFactors, TaskRecord, WorkerCounters,
 };
 pub use fault::{ExecOptions, FaultPlan, FaultStats, SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 pub use graph::TaskGraph;

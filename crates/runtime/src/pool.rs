@@ -10,7 +10,7 @@
 //! to a population of DAGs.
 //!
 //! Robustness is per-tenant policy, reusing the PR 1–5 substrate through
-//! the shared attempt ladder ([`crate::exec`]'s `attempt_task`):
+//! the shared per-DAG run state ([`crate::exec`]'s `DagRun`):
 //!
 //! * **admission control** — a job's working-set footprint is priced at
 //!   submission; jobs that can never fit the memory budget are rejected,
@@ -44,14 +44,14 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_deque::{Steal, Stealer, Worker};
-use crossbeam_utils::Backoff;
 
 use crate::checkpoint::{
     checkpoint_from_bytes, checkpoint_to_bytes, elims_from_words, elims_to_words,
@@ -59,14 +59,12 @@ use crate::checkpoint::{
 };
 use crate::elim::ElimOp;
 use crate::error::ExecError;
-use crate::exec::{
-    attempt_task, relock, AttemptCtx, AttemptEnd, TFactors, WorkerCounters, IDLE_PARK,
-};
+use crate::exec::{relock, worker_loop, Attempt, DagRun, RunPolicy, TFactors, WorkerCounters};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
-use crate::integrity::{GuardStore, IntegrityMode};
+use crate::integrity::IntegrityMode;
 use crate::journal::{replay, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore};
-use crate::sched::{self, SchedPolicy};
+use crate::sched::SchedPolicy;
 use crate::store::TileStore;
 use hqr_kernels::KernelKind;
 use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionReader, SectionWriter};
@@ -620,10 +618,10 @@ enum Verdict {
     Suspend(SuspendKind),
 }
 
-/// One admitted job: the pool's unit of ownership. The [`TileStore`]'s raw
-/// pointers target the heap buffers owned by `a` and `factors` below —
-/// tiles are independently boxed slices, so moving this struct (or the
-/// `Arc` around it) never invalidates the store.
+/// One admitted job: the pool's unit of ownership. The run state's
+/// [`TileStore`] holds raw pointers into the heap buffers owned by `a` and
+/// `factors` below — tiles are independently boxed slices, so moving this
+/// struct (or the `Arc` around it) never invalidates the store.
 struct ActiveJob {
     /// Activation id — unique per *attempt*, so stale queue entries from a
     /// previous incarnation of a retried job can never reach a new one.
@@ -634,23 +632,15 @@ struct ActiveJob {
     seq: u64,
     qos_inv: u64,
     graph: TaskGraph,
-    ranks: Vec<u64>,
-    store: TileStore,
-    guards: Option<GuardStore>,
-    plan: Option<FaultPlan>,
-    max_retries: u32,
-    recovery: bool,
-    full_integrity: bool,
-    indeg: Vec<AtomicU32>,
-    done: Vec<AtomicBool>,
-    remaining: AtomicUsize,
+    /// Store, guards, fault plan, ranks and frontier of this activation;
+    /// `run.halt` halts the job's tasks.
+    run: DagRun,
     /// Tasks remaining when this activation started — periodic
     /// checkpoints only fire once the activation has made progress.
     initial_remaining: usize,
     /// Workers currently holding (or about to run) one of this job's
     /// tasks. Finalization requires `halted-or-finished` AND `inflight == 0`.
     inflight: AtomicUsize,
-    halted: AtomicBool,
     verdict: Mutex<Option<Verdict>>,
     stats: Mutex<FaultStats>,
     started: Instant,
@@ -664,7 +654,7 @@ struct ActiveJob {
     origin_policy: JobPolicy,
     /// Pristine payload, retained while the job may still be retried.
     origin_seed: Option<Seed>,
-    /// Backing storage for `store` (kept alive for the job's lifetime).
+    /// Backing storage for `run.store` (kept alive for the job's lifetime).
     a: TiledMatrix,
     factors: TFactors,
 }
@@ -677,7 +667,7 @@ impl ActiveJob {
             *g = Some(v);
         }
         drop(g);
-        self.halted.store(true, Ordering::SeqCst);
+        self.run.halt.store(true, Ordering::SeqCst);
     }
 }
 
@@ -817,7 +807,7 @@ impl Shared {
         relock(&self.ready).push(Reverse((
             job.qos_inv,
             job.seq,
-            job.ranks[tid as usize],
+            job.run.ranks[tid as usize],
             tid,
             job.rid,
         )));
@@ -1002,7 +992,7 @@ impl JobPool {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("hqr-pool-{me}"))
-                    .spawn(move || worker_loop(&shared, me, &local, &stealers))
+                    .spawn(move || pool_worker(&shared, me, &local, &stealers))
                     .expect("spawn pool worker"),
             );
         }
@@ -1430,7 +1420,7 @@ impl JobPool {
             let active = s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
             active
                 .values()
-                .map(|j| (j.id, j.graph.tasks().len() - j.remaining.load(Ordering::Acquire)))
+                .map(|j| (j.id, j.graph.tasks().len() - j.run.remaining.load(Ordering::Acquire)))
                 .collect()
         };
         let recs = relock(&s.records);
@@ -1866,31 +1856,7 @@ pub fn load_queue(path: &Path) -> Result<Vec<QueueEntry>, QueueFormatError> {
 // Worker side
 // ---------------------------------------------------------------------------
 
-fn steal_pool_task(
-    shared: &Shared,
-    stealers: &[Stealer<(u64, u32)>],
-    me: usize,
-) -> Option<(u64, u32)> {
-    loop {
-        let mut contended = false;
-        if let Some(Reverse((_, _, _, tid, rid))) = relock(&shared.ready).pop() {
-            return Some((rid, tid));
-        }
-        let n = stealers.len();
-        for off in 1..n {
-            match stealers[(me + off) % n].steal() {
-                Steal::Success(e) => return Some(e),
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-    }
-}
-
-fn worker_loop(
+fn pool_worker(
     shared: &Shared,
     me: usize,
     local: &Worker<(u64, u32)>,
@@ -1899,48 +1865,40 @@ fn worker_loop(
     // Caught panics (injected faults, kernel bugs) are expected events on
     // this thread for the pool's whole lifetime — keep them off stderr.
     let _quiet = crate::fault::QuietPanics::engage();
-    let backoff = Backoff::new();
-    loop {
-        let next = match local.pop() {
-            Some(e) => Some(e),
-            None => steal_pool_task(shared, stealers, me),
-        };
-        let Some((rid, tid)) = next else {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            if backoff.is_completed() {
-                // Same idle discipline as the engine: bounded naps once the
-                // spin ladder is exhausted, with the stop flag re-checked
-                // first so shutdown never pays an extra park.
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
+    worker_loop(
+        me,
+        local,
+        stealers,
+        |_| match relock(&shared.ready).pop() {
+            Some(Reverse((_, _, _, tid, rid))) => Steal::Success((rid, tid)),
+            None => Steal::Empty,
+        },
+        || shared.stop.load(Ordering::SeqCst),
+        // Pool workers outlive every job: only `stop` ends them.
+        || false,
+        |(rid, tid), _| {
+            let job = {
+                let active =
+                    shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+                active.get(&rid).cloned()
+            };
+            // A missing rid means the incarnation already finalized (or was
+            // retired by a retry); the queue entry is stale — skip it.
+            if let Some(job) = job {
+                // Inflight is raised BEFORE the halt check (and the
+                // supervisor halts BEFORE reading inflight, both SeqCst), so
+                // finalization can never observe inflight == 0 while this
+                // worker goes on to run a task: either we see the halt and
+                // bail, or the supervisor sees our increment and waits.
+                job.inflight.fetch_add(1, Ordering::SeqCst);
+                if !job.run.halt.load(Ordering::SeqCst) && !job.run.is_done(tid) {
+                    run_job_task(shared, &job, tid, me, local);
                 }
-                std::thread::sleep(IDLE_PARK);
-            } else {
-                backoff.snooze();
+                job.inflight.fetch_sub(1, Ordering::SeqCst);
             }
-            continue;
-        };
-        backoff.reset();
-        let job = {
-            let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            active.get(&rid).cloned()
-        };
-        // A missing rid means the incarnation already finalized (or was
-        // retired by a retry); the queue entry is stale — skip it.
-        let Some(job) = job else { continue };
-        // Inflight is raised BEFORE the halt check (and the supervisor
-        // halts BEFORE reading inflight, both SeqCst), so finalization can
-        // never observe inflight == 0 while this worker goes on to run a
-        // task: either we see `halted` and bail, or the supervisor sees
-        // our increment and waits.
-        job.inflight.fetch_add(1, Ordering::SeqCst);
-        if !job.halted.load(Ordering::SeqCst) && !job.done[tid as usize].load(Ordering::Acquire) {
-            run_job_task(shared, &job, tid, me, local);
-        }
-        job.inflight.fetch_sub(1, Ordering::SeqCst);
-    }
+            ControlFlow::Continue(())
+        },
+    );
 }
 
 fn run_job_task(
@@ -1950,88 +1908,31 @@ fn run_job_task(
     me: usize,
     local: &Worker<(u64, u32)>,
 ) {
-    let t = &job.graph.tasks()[tid as usize];
-    let ctx = AttemptCtx {
-        store: &job.store,
-        guards: job.guards.as_ref(),
-        plan: job.plan.as_ref(),
-        max_retries: job.max_retries,
-        recovery: job.recovery,
-        full_integrity: job.full_integrity,
-        poisoned: false,
-        me,
-        halt: Some(&job.halted),
-    };
     let mut wstats = FaultStats::default();
     let mut counters = WorkerCounters::default();
-    // SAFETY contract of `attempt_task`: `tid` is ready (released by its
-    // last predecessor) and not done, so within this job's DAG this worker
+    // SAFETY contract of `attempt`: `tid` is ready (released by its last
+    // predecessor) and not done, so within this job's DAG this worker
     // holds exclusive access to its read/write sets; distinct jobs never
-    // share buffers at all.
-    let end = attempt_task(&ctx, t, tid, &mut wstats, &mut counters, &mut |_| {});
+    // share buffers at all. Pool workers are never poisoned (rejected at
+    // submission).
+    let end = job.run.attempt(&job.graph, tid, me, false, &mut wstats, &mut counters, &mut |_| {});
     if wstats != FaultStats::default() {
         relock(&job.stats).merge(&wstats);
     }
     match end {
-        AttemptEnd::Done { .. } => {
-            job.done[tid as usize].store(true, Ordering::Release);
-            // Keep the best-ranked released successor local (data reuse),
-            // publish the rest on the shared QoS-major heap.
-            let mut keep: Option<u32> = None;
-            for &s in job.graph.successors(tid as usize) {
-                if job.indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Ready-frontier lookahead for paged jobs: start the
-                    // successor's fault-in while other tasks run.
-                    job.store.prefetch_task(&job.graph.tasks()[s as usize]);
-                    match keep {
-                        Some(k) if job.ranks[s as usize] < job.ranks[k as usize] => {
-                            shared.push_ready(job, k);
-                            keep = Some(s);
-                        }
-                        Some(_) => shared.push_ready(job, s),
-                        None => keep = Some(s),
-                    }
-                }
-            }
-            if let Some(s) = keep {
-                local.push((job.rid, s));
-            }
-            job.remaining.fetch_sub(1, Ordering::AcqRel);
-        }
-        AttemptEnd::Fail { attempts, message } => {
-            let e = if job.recovery {
-                ExecError::TaskFailed { task: tid, kernel: t.kind, attempts, message }
-            } else {
-                ExecError::WorkerPanicked { task: tid, kernel: t.kind, worker: me, message }
-            };
-            job.halt_with(Verdict::Fault(e));
-        }
-        AttemptEnd::Sdc { attempts, slot, message } => {
-            job.halt_with(Verdict::Fault(ExecError::SdcDetected {
-                task: tid,
-                kernel: t.kind,
-                slot,
-                attempts,
-                message,
-            }));
-        }
-        AttemptEnd::InputSdc { slot, message } => {
-            job.halt_with(Verdict::Fault(ExecError::SdcDetected {
-                task: tid,
-                kernel: t.kind,
-                slot,
-                attempts: 0,
-                message,
-            }));
-        }
-        AttemptEnd::SpillFault { message } => {
-            job.halt_with(Verdict::Fault(ExecError::SpillIo { message }));
-        }
+        // The best-ranked released successor stays local (data reuse), the
+        // rest go on the shared QoS-major heap.
+        Ok(Attempt::Done) => job.run.complete(
+            &job.graph,
+            tid,
+            |s| local.push((job.rid, s)),
+            |s| shared.push_ready(job, s),
+        ),
         // The job was halted between attempts (cancel/deadline/drain);
         // whoever halted it recorded the verdict. The task is not done.
-        AttemptEnd::Aborted => {}
-        // Pool workers are never poisoned (rejected at submission).
-        AttemptEnd::Requeue => unreachable!("pool workers are never poisoned"),
+        Ok(Attempt::Aborted) => {}
+        Ok(Attempt::Requeue) => unreachable!("pool workers are never poisoned"),
+        Err(e) => job.halt_with(Verdict::Fault(e)),
     }
 }
 
@@ -2100,8 +2001,8 @@ fn periodic_checkpoints(shared: &Shared) {
     }
     let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
     for job in active.values() {
-        let rem = job.remaining.load(Ordering::Acquire);
-        if !job.halted.load(Ordering::SeqCst)
+        let rem = job.run.remaining.load(Ordering::Acquire);
+        if !job.run.halt.load(Ordering::SeqCst)
             && job.deadline.is_none()
             && rem > 0
             && rem < job.initial_remaining
@@ -2144,7 +2045,7 @@ fn preempt_for_qos(shared: &Shared) {
     }
     let lower: Vec<&Arc<ActiveJob>> = active
         .values()
-        .filter(|j| j.qos_inv > cand_qos_inv && !j.halted.load(Ordering::SeqCst))
+        .filter(|j| j.qos_inv > cand_qos_inv && !j.run.halt.load(Ordering::SeqCst))
         .collect();
     if lower.is_empty() {
         return;
@@ -2203,8 +2104,8 @@ fn enforce_deadlines(shared: &Shared) {
             // A job that already finished its last task but has not been
             // finalized yet has met its deadline — don't fail it on a
             // supervisor scheduling artifact.
-            if !job.halted.load(Ordering::SeqCst)
-                && job.remaining.load(Ordering::Acquire) > 0
+            if !job.run.halt.load(Ordering::SeqCst)
+                && job.run.remaining.load(Ordering::Acquire) > 0
                 && job.started.elapsed() > d
             {
                 job.halt_with(Verdict::Deadline(d));
@@ -2236,8 +2137,8 @@ fn finalize_jobs(shared: &Shared) {
         active
             .iter()
             .filter(|(_, j)| {
-                let finished = j.remaining.load(Ordering::Acquire) == 0;
-                let halted = j.halted.load(Ordering::SeqCst);
+                let finished = j.run.remaining.load(Ordering::Acquire) == 0;
+                let halted = j.run.halt.load(Ordering::SeqCst);
                 (finished || halted) && j.inflight.load(Ordering::SeqCst) == 0
             })
             .map(|(&rid, _)| rid)
@@ -2278,8 +2179,8 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
     // fails, a clean or suspending verdict must not survive — the state
     // it would persist is zero-filled where the read failed.
     let unpage_err = {
-        let ActiveJob { store, a, factors, .. } = &mut job;
-        store.unpage(a, factors).err()
+        let ActiveJob { run, a, factors, .. } = &mut job;
+        run.store.unpage(a, factors).err()
     };
     let verdict = relock(&job.verdict).take();
     let verdict = match (verdict, unpage_err) {
@@ -2290,7 +2191,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
     };
     let stats = *relock(&job.stats);
     let tasks_total = job.graph.tasks().len();
-    let tasks_done = tasks_total - job.remaining.load(Ordering::Acquire);
+    let tasks_done = tasks_total - job.run.remaining.load(Ordering::Acquire);
     let id = job.id;
     match verdict {
         None => {
@@ -2372,11 +2273,6 @@ fn suspend_job(
     kind: SuspendKind,
 ) {
     let id = job.id;
-    // At quiescence the done set is exactly the completed tasks, and a task
-    // only completes after all its predecessors did — so the set is closed
-    // under predecessors, which is precisely what `validate_against`
-    // requires of a resumable checkpoint.
-    let completed: Vec<bool> = job.done.iter().map(|d| d.load(Ordering::Acquire)).collect();
     let ckpt = Checkpoint {
         mt: job.graph.mt(),
         nt: job.graph.nt(),
@@ -2385,7 +2281,9 @@ fn suspend_job(
         fingerprint: graph_fingerprint(&job.graph, job.ib),
         input_seed: 0,
         elims: job.elims.clone(),
-        completed,
+        // Quiescent, hence closed under predecessors — what
+        // `validate_against` requires of a resumable checkpoint.
+        completed: job.run.completed(),
         a: job.a.clone(),
         factors: job.factors.clone(),
     };
@@ -2618,59 +2516,30 @@ fn activate_job(shared: &Shared, p: PendingJob) {
     // directory (or the OS temp dir on non-durable pools). Spill-store
     // setup failure degrades to fully-resident — the job was already
     // admitted, so availability beats the memory cap here.
-    let ws = working_set_bytes(&graph);
-    let store = match shared.cfg.resident_budget.filter(|&rb| rb < ws) {
-        Some(rb) => {
-            let spill_dir = shared.cfg.durability.as_ref().map(|d| d.state_dir.join("spill"));
-            match TileStore::paged_with_ib(&mut a, &mut factors, jp.ib, rb, spill_dir.as_deref()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!(
-                        "hqr-pool: job {id}: spill store unavailable ({e}); running resident"
-                    );
-                    TileStore::with_ib(&mut a, &mut factors, jp.ib)
-                }
-            }
-        }
-        None => TileStore::with_ib(&mut a, &mut factors, jp.ib),
+    let spill_dir = shared.cfg.durability.as_ref().map(|d| d.state_dir.join("spill"));
+    let budget = shared.cfg.resident_budget;
+    let store = TileStore::open(&mut a, &mut factors, jp.ib, budget, spill_dir.as_deref())
+        .unwrap_or_else(|e| {
+            eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
+            TileStore::with_ib(&mut a, &mut factors, jp.ib)
+        });
+    let policy = RunPolicy {
+        policy: jp.policy,
+        integrity: jp.integrity,
+        max_retries: jp.max_retries,
+        plan: jp.plan.as_ref(),
+        publish_rest: true,
     };
-    let guards = jp.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt()));
-    let ranks = sched::priorities(&graph, jp.policy);
-    let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
-    for (t, &done) in completed.iter().enumerate() {
-        if done {
-            for &s in graph.successors(t) {
-                indeg0[s as usize] -= 1;
-            }
-        }
-    }
-    let remaining = completed.iter().filter(|&&d| !d).count();
-    // The initial frontier is fixed here, from state no worker can see
-    // yet: once the first task is queued, workers release successors and
-    // queue them themselves, so a scan of the live counters could queue a
-    // task a second time.
-    let frontier: Vec<u32> =
-        (0..n).filter(|&t| indeg0[t] == 0 && !completed[t]).map(|t| t as u32).collect();
-    let recovery = jp.max_retries > 0 || jp.plan.is_some();
+    let (run, frontier) = DagRun::new(&graph, store, &policy, Some(&completed), n);
     let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(ActiveJob {
         rid,
         id,
         seq,
         qos_inv: jp.qos.inverted(),
-        ranks,
-        store,
-        guards,
-        plan: jp.plan.clone(),
-        max_retries: jp.max_retries,
-        recovery,
-        full_integrity: jp.integrity == IntegrityMode::Full,
-        indeg: indeg0.iter().map(|&d| AtomicU32::new(d)).collect(),
-        done: completed.iter().map(|&d| AtomicBool::new(d)).collect(),
-        remaining: AtomicUsize::new(remaining),
-        initial_remaining: remaining,
+        initial_remaining: run.remaining.load(Ordering::Acquire),
+        run,
         inflight: AtomicUsize::new(0),
-        halted: AtomicBool::new(false),
         verdict: Mutex::new(None),
         stats: Mutex::new(FaultStats::default()),
         started: Instant::now(),

@@ -25,14 +25,13 @@ use crate::exec::TFactors;
 use crate::fault::{SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 use crate::spill::{PagedStore, SpillSummary};
 use crate::task::{SlotFamily, Task};
-use hqr_kernels::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib};
-use hqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, KernelKind, Trans};
+use hqr_kernels::{run_kernel, Trans};
 use hqr_tile::TiledMatrix;
 
 /// Raw-pointer view over the matrix tiles and the factor buffers.
 pub struct TileStore {
     b: usize,
-    /// Inner block size; `ib == b` selects the unblocked kernels.
+    /// Inner block size the kernels run with (`ib == b`: one panel).
     ib: usize,
     mt: usize,
     a: Vec<*mut f64>,
@@ -142,6 +141,26 @@ impl TileStore {
         })
     }
 
+    /// The store a run should use: [`TileStore::paged_with_ib`] when a
+    /// resident budget is set and the allocated buffers (matrix tiles plus
+    /// factor buffers) exceed it, else the flat resident store (zero
+    /// per-access overhead, bitwise-identical results either way).
+    pub fn open(
+        a: &mut TiledMatrix,
+        f: &mut TFactors,
+        ib: usize,
+        resident_budget: Option<u64>,
+        spill_dir: Option<&Path>,
+    ) -> Result<Self, String> {
+        let factor_bufs: usize =
+            [&f.vg, &f.tg, &f.tk].iter().map(|fam| fam.iter().flatten().count()).sum();
+        let allocated = ((a.mt() * a.nt() + factor_bufs) * a.b() * a.b() * 8) as u64;
+        match resident_budget.filter(|&rb| rb < allocated) {
+            Some(rb) => Self::paged_with_ib(a, f, ib, rb, spill_dir),
+            None => Ok(Self::with_ib(a, f, ib)),
+        }
+    }
+
     fn check_shapes(a: &TiledMatrix, f: &TFactors, ib: usize) {
         assert_eq!(a.mt(), f.mt, "matrix/factor shape mismatch");
         assert_eq!(a.nt(), f.nt, "matrix/factor shape mismatch");
@@ -236,11 +255,6 @@ impl TileStore {
     }
 
     #[inline]
-    fn a(&self, i: usize, j: usize) -> &mut [f64] {
-        self.slice(self.slot_ptr((SlotFamily::A, i, j)))
-    }
-
-    #[inline]
     fn slot_ptr(&self, (fam, i, j): (SlotFamily, usize, usize)) -> *mut f64 {
         if let Some(paged) = &self.paged {
             // Pinned by the executor before the task ran, so the buffer
@@ -326,108 +340,22 @@ impl TileStore {
         }
     }
 
-    /// Execute one kernel task against the store.
+    /// Execute one kernel task against the store: gather the task's
+    /// operands in [`Task::reads`] / [`Task::writes`] order and hand them to
+    /// the one kernel dispatcher, [`hqr_kernels::run_kernel`].
     ///
     /// # Safety
     /// The caller must guarantee that no other thread concurrently executes
     /// a task whose read/write set overlaps this task's write set — which is
     /// exactly what executing tasks in DAG order provides.
     pub unsafe fn run_task(&self, t: &Task) {
-        let (b, ib) = (self.b, self.ib);
-        let blocked = ib < b;
-        let (k, i, piv, j) = (t.k as usize, t.i as usize, t.piv as usize, t.j as usize);
-        let fslot = |fam: SlotFamily| self.slice(self.slot_ptr((fam, i, k)));
-        match t.kind {
-            KernelKind::Geqrt => {
-                let tile = self.a(i, k);
-                if blocked {
-                    geqrt_ib(b, ib, tile, fslot(SlotFamily::Tg));
-                } else {
-                    geqrt(b, tile, fslot(SlotFamily::Tg));
-                }
-                // Copy V out so UNMQRs read it while kills rewrite the
-                // tile's R part (the logical V/R tile split of the DAG).
-                fslot(SlotFamily::Vg).copy_from_slice(tile);
-            }
-            KernelKind::Unmqr => {
-                if blocked {
-                    unmqr_ib(
-                        b,
-                        ib,
-                        fslot(SlotFamily::Vg),
-                        fslot(SlotFamily::Tg),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                } else {
-                    unmqr(
-                        b,
-                        fslot(SlotFamily::Vg),
-                        fslot(SlotFamily::Tg),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                }
-            }
-            KernelKind::Tsqrt => {
-                if blocked {
-                    tsqrt_ib(b, ib, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                } else {
-                    tsqrt(b, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                }
-            }
-            KernelKind::Ttqrt => {
-                if blocked {
-                    ttqrt_ib(b, ib, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                } else {
-                    ttqrt(b, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                }
-            }
-            KernelKind::Tsmqr => {
-                if blocked {
-                    tsmqr_ib(
-                        b,
-                        ib,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                } else {
-                    tsmqr(
-                        b,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                }
-            }
-            KernelKind::Ttmqr => {
-                if blocked {
-                    ttmqr_ib(
-                        b,
-                        ib,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                } else {
-                    ttmqr(
-                        b,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                }
-            }
-        }
+        // SAFETY: the caller's contract rules out concurrent writers of any
+        // slot gathered here, and a task's read and write slots are pairwise
+        // distinct, so the views never alias each other either.
+        let reads: Vec<&[f64]> = t.reads().into_iter().map(|s| self.slot_data(s)).collect();
+        let mut writes: Vec<&mut [f64]> =
+            t.writes().into_iter().map(|s| self.slice(self.slot_ptr(s))).collect();
+        run_kernel(t.kind, self.b, self.ib, Trans::Trans, &reads, &mut writes);
     }
 }
 

@@ -3,10 +3,9 @@
 //! ships, but arbitrary members of the combinatorial space of §III.
 
 use hqr_runtime::{
-    chrome_trace_from_exec, execute_parallel, execute_serial, realized_critical_path,
-    resume_from_checkpoint, try_execute_checkpointed, try_execute_traced, try_execute_with,
-    validate_chrome_trace, CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, FaultPlan,
-    IntegrityMode, TaskGraph,
+    chrome_trace_from_exec, execute_serial, realized_critical_path, resume_from_checkpoint,
+    try_execute_checkpointed, try_execute_traced, try_execute_with, validate_chrome_trace,
+    CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, FaultPlan, IntegrityMode, TaskGraph,
 };
 use hqr_tile::TiledMatrix;
 use proptest::prelude::*;
@@ -68,7 +67,7 @@ proptest! {
         let mut a1 = TiledMatrix::random(mt, nt, b, seed ^ 0xABCD);
         let mut a2 = a1.clone();
         let _ = execute_serial(&g, &mut a1);
-        let _ = execute_parallel(&g, &mut a2, threads);
+        try_execute_with(&g, &mut a2, &ExecOptions::with_threads(threads)).unwrap();
         let (d1, d2) = (a1.to_dense(), a2.to_dense());
         prop_assert_eq!(d1.data(), d2.data());
     }
