@@ -1228,6 +1228,13 @@ fn trace_exec(args: &Args) -> i32 {
             sp.prefetches,
             sp.prefetch_hits
         );
+        let pin: f64 = tr.records.iter().map(|r| r.kernel_start - r.start).sum();
+        println!(
+            "pin wait     : {:.3} ms of {:.3} ms busy ({:.1}%) spent making tiles resident",
+            pin * 1e3,
+            busy * 1e3,
+            100.0 * pin / busy.max(f64::MIN_POSITIVE)
+        );
     }
     if stats.panics_caught > 0 {
         println!(

@@ -19,8 +19,9 @@ use std::io::{self, Read, Write};
 pub const PROTO_MAGIC: [u8; 8] = *b"HQRPROT\0";
 /// Protocol version; bumped on incompatible changes. v2 adds durable
 /// result retrieval (`Result`), checkpoint-backed suspension
-/// (`Suspend`/`ResumeJob`), and the dedup flag on `Submitted`.
-pub const PROTO_VERSION: u32 = 2;
+/// (`Suspend`/`ResumeJob`), and the dedup flag on `Submitted`; v3 changes
+/// the frame trailer to `hqr_tile::io::checksum64`.
+pub const PROTO_VERSION: u32 = 3;
 /// Upper bound on a single frame payload (defends the daemon against a
 /// corrupt or hostile length prefix). Large enough for a submission
 /// carrying a multi-gigabyte-free tiled matrix is *not* the goal — jobs
@@ -533,6 +534,14 @@ mod tests {
             let back = Request::from_bytes(req.to_bytes()).expect("decode");
             assert_eq!(format!("{req:?}"), format!("{back:?}"));
         }
+    }
+
+    #[test]
+    fn older_protocol_version_is_refused_by_version_not_by_checksum() {
+        let mut old_client = Request::Ping.to_bytes();
+        old_client[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = Request::from_bytes(old_client).expect_err("v2 frame must be refused");
+        assert!(err.to_string().contains("unsupported format version 2"), "{err}");
     }
 
     #[test]

@@ -1,29 +1,35 @@
 //! Wire messages: checksummed sectioned containers inside length frames.
 //!
 //! Every message is one `hqr_tile::io` sectioned container — the same
-//! `magic | version | (tag,len,payload)* | FNV-1a trailer` format the
+//! `magic | version | (tag,len,payload)* | checksum64 trailer` format the
 //! checkpoint and journal files use on disk — carried in one
 //! length-prefixed frame. Decoding therefore validates magic, version,
 //! per-section bounds, and the whole-container checksum before any field
 //! is believed; corruption anywhere yields a typed [`NetError::Frame`],
 //! never a panic. Dispatch is by a kind word, mirroring the job-service
 //! protocol in `hqr-cli`.
+//!
+//! A tile crosses each hop in three passes over its bytes: the `f64`s of
+//! [`Msg::Put`] / [`Msg::SlotData`] are encoded straight into the frame's
+//! buffer (`SectionWriter::section_f64s`), the trailer is the memory-speed
+//! word-parallel `checksum64`, and the receiver verifies it and decodes
+//! the payload once, into the message's `Vec<f64>`. Version 2 is the
+//! first with that trailer; a version-1 peer is refused as
+//! `UnsupportedVersion` before any checksum is compared.
 
 use crate::error::NetError;
 use crate::frame::{read_frame, write_frame};
 use hqr_kernels::KernelKind;
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Task;
-use hqr_tile::io::{
-    bytes_of_f64s, bytes_of_u64s, f64s_of_bytes, u64s_of_bytes, SectionReader, SectionWriter,
-};
+use hqr_tile::io::{bytes_of_u64s, f64s_of_bytes, u64s_of_bytes, SectionReader, SectionWriter};
 use std::io::{Read, Write};
 use std::time::Duration;
 
 /// Container magic for every net message.
 pub const NET_MAGIC: [u8; 8] = *b"HQRNETV0";
 /// Protocol version; bumped on any incompatible change.
-pub const NET_VERSION: u32 = 1;
+pub const NET_VERSION: u32 = 2;
 
 const TAG_KIND: u32 = 1;
 const TAG_META: u32 = 2;
@@ -197,7 +203,7 @@ impl Msg {
             Msg::Put { fam, i, j, data } => {
                 w.section(TAG_KIND, &bytes_of_u64s(&[KIND_PUT]));
                 w.section(TAG_META, &bytes_of_u64s(&[fam_code(*fam), *i, *j]));
-                w.section(TAG_DATA, &bytes_of_f64s(data));
+                w.section_f64s(TAG_DATA, data);
             }
             Msg::PutOk => {
                 w.section(TAG_KIND, &bytes_of_u64s(&[KIND_PUT_OK]));
@@ -209,7 +215,7 @@ impl Msg {
             Msg::SlotData { fam, i, j, data } => {
                 w.section(TAG_KIND, &bytes_of_u64s(&[KIND_SLOT_DATA]));
                 w.section(TAG_META, &bytes_of_u64s(&[fam_code(*fam), *i, *j]));
-                w.section(TAG_DATA, &bytes_of_f64s(data));
+                w.section_f64s(TAG_DATA, data);
             }
             Msg::Run { task_id, task } => {
                 w.section(TAG_KIND, &bytes_of_u64s(&[KIND_RUN]));
@@ -387,9 +393,9 @@ mod tests {
                     let mut dirty = clean.clone();
                     dirty[byte] ^= 1 << bit;
                     // Magic/version flips fail structurally; any other flip
-                    // fails the FNV-1a trailer (each absorb step is
+                    // fails the checksum trailer (each absorb step is
                     // injective, so one flipped byte always changes the
-                    // hash). Either way: typed error, no panic.
+                    // sum). Either way: typed error, no panic.
                     assert!(Msg::decode(dirty).is_err(), "flip at {byte}.{bit} accepted");
                 }
             }
@@ -410,5 +416,16 @@ mod tests {
         let mut bad_magic = clean.clone();
         bad_magic[0] ^= 0xFF;
         assert!(Msg::decode(bad_magic).is_err());
+        // A version-1 peer (FNV trailer) is told its version is wrong; the
+        // differing checksum is never what it hears about.
+        let mut old_peer = clean;
+        old_peer[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Msg::decode(old_peer),
+            Err(NetError::Frame(hqr_tile::BinFormatError::UnsupportedVersion {
+                expected: NET_VERSION,
+                found: 1
+            }))
+        ));
     }
 }

@@ -9,7 +9,7 @@
 //! make consistent checkpoints cheap for tiled QR.
 //!
 //! A checkpoint is a single binary file (section container from
-//! [`hqr_tile::io`], FNV-1a checksummed, written atomically via a sibling
+//! [`hqr_tile::io`], `checksum64` trailer, written atomically via a sibling
 //! temp file + rename) holding:
 //!
 //! * a header (`mt`, `nt`, `b`, `ib`, task count, completed count, graph
@@ -31,7 +31,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use hqr_tile::io::{
-    bytes_of_f64s, bytes_of_u64s, f64s_of_bytes, fnv1a64, tiled_from_bytes, tiled_to_bytes,
+    bytes_of_u64s, extend_f64s_le, f64s_from_le, fnv1a64, tiled_from_bytes, tiled_to_bytes,
     u64s_of_bytes, BinFormatError, SectionReader, SectionWriter,
 };
 use hqr_tile::TiledMatrix;
@@ -47,8 +47,8 @@ use crate::graph::TaskGraph;
 
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HQRCKPT\0";
-/// Checkpoint container version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Checkpoint container version (2: `checksum64` trailer).
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 const SEC_HEADER: u32 = 1;
 const SEC_ELIMS: u32 = 2;
@@ -340,9 +340,9 @@ fn bitmap_from_words(tag: u32, words: &[u64], nbits: usize) -> Result<Vec<bool>,
 pub(crate) fn family_to_bytes(family: &[Option<Box<[f64]>>]) -> Vec<u8> {
     let present: Vec<bool> = family.iter().map(|o| o.is_some()).collect();
     let mut out = bytes_of_u64s(&bitmap_to_words(&present));
-    let payload: Vec<f64> =
-        family.iter().filter_map(|o| o.as_deref()).flat_map(|s| s.iter().copied()).collect();
-    out.extend_from_slice(&bytes_of_f64s(&payload));
+    for buf in family.iter().flatten() {
+        extend_f64s_le(&mut out, buf);
+    }
     out
 }
 
@@ -361,29 +361,38 @@ pub(crate) fn family_from_bytes(
     }
     let (bitmap_bytes, payload_bytes) = bytes.split_at(words * 8);
     let present = bitmap_from_words(tag, &u64s_of_bytes(tag, bitmap_bytes)?, slots)?;
-    let payload = f64s_of_bytes(tag, payload_bytes)?;
     let count = present.iter().filter(|&&p| p).count();
-    if payload.len() != count * b * b {
+    // Checked: `b` comes from the file, and a wrapped product could match
+    // the payload length by accident.
+    let per_buffer = b.checked_mul(b).and_then(|x| x.checked_mul(8)).filter(|&x| x > 0);
+    let expect = per_buffer.and_then(|x| x.checked_mul(count));
+    let (Some(per_buffer), Some(expect)) = (per_buffer, expect) else {
+        return Err(CheckpointError::Format(BinFormatError::BadSection {
+            tag,
+            message: format!("{count} buffers of {b}² doubles overflow"),
+        }));
+    };
+    if payload_bytes.len() != expect {
         return Err(CheckpointError::Format(BinFormatError::BadSection {
             tag,
             message: format!(
-                "family payload holds {} floats, expected {} ({} buffers of {}²)",
-                payload.len(),
-                count * b * b,
-                count,
-                b
+                "family payload holds {} bytes, expected {expect} ({count} buffers of {b}² doubles)",
+                payload_bytes.len(),
             ),
         }));
     }
+    let mut buffers = payload_bytes.chunks_exact(per_buffer);
     let mut family: Vec<Option<Box<[f64]>>> = Vec::with_capacity(slots);
-    let mut off = 0;
     for &p in &present {
-        if p {
-            family.push(Some(payload[off..off + b * b].to_vec().into_boxed_slice()));
-            off += b * b;
-        } else {
-            family.push(None);
-        }
+        family.push(match p {
+            true => {
+                let mut buf = vec![0.0; b * b].into_boxed_slice();
+                let bytes = buffers.next().expect("payload length checked above");
+                f64s_from_le(tag, bytes, &mut buf)?;
+                Some(buf)
+            }
+            false => None,
+        });
     }
     Ok(family)
 }
@@ -613,6 +622,7 @@ pub fn try_execute_checkpointed(
             if let (Some(acc), Some(seg)) = (stitched.as_mut(), seg_trace) {
                 for mut r in seg.records {
                     r.start += offset;
+                    r.kernel_start += offset;
                     r.end += offset;
                     acc.records.push(r);
                 }

@@ -73,7 +73,7 @@ pub enum ExecError {
     /// The paged (spill-to-disk) tile store failed to move a tile between
     /// its resident and on-disk tiers: an I/O failure, or a checksum
     /// mismatch in an at-rest spill record (the sectioned container's
-    /// FNV-1a trailer doubles as the at-rest corruption guard).
+    /// checksum trailer doubles as the at-rest corruption guard).
     SpillIo {
         /// Human-readable description (slot, path, underlying error).
         message: String,

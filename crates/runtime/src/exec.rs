@@ -44,7 +44,7 @@ use crate::fault::{
 use crate::graph::TaskGraph;
 use crate::integrity::{GuardStore, IntegrityMode};
 use crate::sched::{self, SchedPolicy};
-use crate::store::TileStore;
+use crate::store::{RunPlan, TileStore};
 use crate::task::Task;
 use hqr_kernels::KernelKind;
 use hqr_tile::TiledMatrix;
@@ -196,8 +196,13 @@ pub struct TaskRecord {
     pub task: u32,
     /// Worker thread that executed it.
     pub worker: u16,
-    /// Start time (s).
+    /// Start time (s): the worker picked the task up.
     pub start: f64,
+    /// When the kernel itself began (s): the end of the pin pass that made
+    /// the task's slots resident on a paged run, `== start` on a resident
+    /// one. `start..kernel_start` is time spent waiting on the storage
+    /// tier, `kernel_start..end` computing.
+    pub kernel_start: f64,
     /// End time (s).
     pub end: f64,
 }
@@ -583,7 +588,8 @@ struct WorkerLog {
 /// How one task's attempt ladder ended without an error.
 pub(crate) enum Attempt {
     /// The task ran to completion; the caller must [`DagRun::complete`] it.
-    Done,
+    /// On a paged store, `pinned_at` is when its pin pass ended.
+    Done { pinned_at: Option<Instant> },
     /// A poisoned worker gave the task back to its peers.
     Requeue,
     /// The run was halted (cancel, deadline, drain, or a sibling's error)
@@ -668,16 +674,7 @@ impl DagRun {
     ) -> (DagRun, Vec<u32>) {
         let n = graph.tasks().len();
         let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
-        let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
-        if completed.is_some() {
-            for t in (0..n).filter(|&t| is_done(t)) {
-                for &s in graph.successors(t) {
-                    indeg0[s as usize] -= 1;
-                }
-            }
-        }
-        let frontier: Vec<u32> =
-            (0..limit).filter(|&t| indeg0[t] == 0 && !is_done(t)).map(|t| t as u32).collect();
+        let (indeg0, frontier) = initial_frontier(graph, completed, limit);
         let run = DagRun {
             store,
             guards: p.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt())),
@@ -770,7 +767,8 @@ impl DagRun {
         // Fallible, not panicking: this runs outside the `catch_unwind`
         // perimeter below. A failure is a spill-file I/O error or an
         // at-rest checksum mismatch; nothing ran.
-        let pins = store.pin_task(t).map_err(|message| ExecError::SpillIo { message })?;
+        let pins = store.pin_task(tid).map_err(|message| ExecError::SpillIo { message })?;
+        let pinned_at = pins.is_some().then(Instant::now);
         if let Some(p) = &pins {
             counters.tile_faults += p.demand_faults;
             counters.prefetch_hits += p.prefetch_hits;
@@ -837,7 +835,7 @@ impl DagRun {
                     let Some(m) = found else {
                         wstats.tasks_recovered += u32::from(attempt > 0);
                         wstats.sdc_recomputed += u32::from(recomputed_sdc);
-                        return Ok(Attempt::Done);
+                        return Ok(Attempt::Done { pinned_at });
                     };
                     wstats.sdc_detected += 1;
                     instant(InstantKind::SdcDetected);
@@ -892,16 +890,15 @@ impl DagRun {
 
     /// Mark `tid` (which just ran [`Attempt::Done`]) completed and release
     /// its successors: each one whose last predecessor this was becomes
-    /// ready, has its slots queued for prefetch so the fault-in overlaps
-    /// whatever runs before it, and is handed to `keep` (the caller's own
-    /// deque) or `publish` (the shared queue) per [`RunPolicy::publish_rest`].
-    /// Successors past the segment limit stay pending.
+    /// ready and is handed to `keep` (the caller's own deque) or `publish`
+    /// (the shared queue) per [`RunPolicy::publish_rest`]. Successors past
+    /// the segment limit stay pending.
     pub(crate) fn complete(
         &self,
         graph: &TaskGraph,
         tid: u32,
-        mut keep: impl FnMut(u32),
-        mut publish: impl FnMut(u32),
+        keep: impl FnMut(u32),
+        publish: impl FnMut(u32),
     ) {
         self.done[tid as usize].store(true, Ordering::Release);
         if self.plan.as_ref().is_some_and(|p| p.loses_completion(tid)) {
@@ -910,32 +907,102 @@ impl DagRun {
             // stall.
             return;
         }
-        let ranks = &self.ranks;
-        let mut best: Option<u32> = None;
-        for &s in graph.successors(tid as usize) {
-            if self.indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                && (s as usize) < self.limit
-            {
-                self.store.prefetch_task(&graph.tasks()[s as usize]);
-                if !self.publish_rest {
-                    keep(s);
-                    continue;
-                }
-                match best {
-                    Some(k) if ranks[s as usize] < ranks[k as usize] => {
-                        publish(k);
-                        best = Some(s);
-                    }
-                    Some(_) => publish(s),
-                    None => best = Some(s),
-                }
-            }
-        }
-        if let Some(s) = best {
-            keep(s);
-        }
+        release(graph, tid, &self.indeg, self.limit, self.publish_rest, &self.ranks, keep, publish);
         self.remaining.fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// In-degrees of the sub-DAG of tasks with index `< limit` not marked in
+/// `completed` (completed predecessors discounted), and its ready frontier
+/// in task order.
+fn initial_frontier(
+    graph: &TaskGraph,
+    completed: Option<&[bool]>,
+    limit: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
+    let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
+    if completed.is_some() {
+        for t in (0..graph.tasks().len()).filter(|&t| is_done(t)) {
+            for &s in graph.successors(t) {
+                indeg0[s as usize] -= 1;
+            }
+        }
+    }
+    let frontier =
+        (0..limit).filter(|&t| indeg0[t] == 0 && !is_done(t)).map(|t| t as u32).collect();
+    (indeg0, frontier)
+}
+
+/// The release rule: every successor of `tid` whose last predecessor this
+/// was (and that lies below the segment `limit`) becomes ready. With
+/// `publish_rest` the best-ranked one is kept and the others published;
+/// without it all are kept, in successor order.
+#[allow(clippy::too_many_arguments)]
+fn release(
+    graph: &TaskGraph,
+    tid: u32,
+    indeg: &[AtomicU32],
+    limit: usize,
+    publish_rest: bool,
+    ranks: &[u64],
+    mut keep: impl FnMut(u32),
+    mut publish: impl FnMut(u32),
+) {
+    let mut best: Option<u32> = None;
+    for &s in graph.successors(tid as usize) {
+        if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 && (s as usize) < limit {
+            if !publish_rest {
+                keep(s);
+                continue;
+            }
+            match best {
+                Some(k) if ranks[s as usize] < ranks[k as usize] => {
+                    publish(k);
+                    best = Some(s);
+                }
+                Some(_) => publish(s),
+                None => best = Some(s),
+            }
+        }
+    }
+    if let Some(s) = best {
+        keep(s);
+    }
+}
+
+/// The order a single worker would run the sub-DAG in under policy `p`: a
+/// dry run of the engine's own queues ([`acquire`] over one LIFO deque and
+/// the shared queue) and release rule, with no kernel. It is what a paged
+/// tile store measures "next use" in — exact at one thread, and the order
+/// each of several workers follows between steals.
+pub(crate) fn preview_order(
+    graph: &TaskGraph,
+    p: &RunPolicy<'_>,
+    completed: Option<&[bool]>,
+    limit: usize,
+) -> Vec<u32> {
+    let (indeg0, frontier) = initial_frontier(graph, completed, limit);
+    let indeg: Vec<AtomicU32> = indeg0.into_iter().map(AtomicU32::new).collect();
+    let ranks = sched::priorities(graph, p.policy);
+    // Publishing executors hand shared work out best-rank-first (the
+    // engine's heap under a prioritizing policy; the pool always).
+    let global = match p.publish_rest {
+        true => GlobalQueue::Prio(Mutex::new(BinaryHeap::new())),
+        false => GlobalQueue::Fifo(Injector::new()),
+    };
+    for tid in frontier {
+        global.push(tid, &ranks);
+    }
+    let worker = Worker::new_lifo();
+    let stealers = [worker.stealer()];
+    let mut order = Vec::new();
+    while let Some((tid, _)) = acquire(0, &worker, &stealers, &|dest| global.take(dest)) {
+        order.push(tid);
+        let (keep, publish) = (|s| worker.push(s), |s| global.push(s, &ranks));
+        release(graph, tid, &indeg, limit, p.publish_rest, &ranks, keep, publish);
+    }
+    order
 }
 
 /// The executor engine behind [`try_execute_with`] / [`try_execute_traced`].
@@ -1021,8 +1088,6 @@ pub(crate) fn run_engine_segment(
     let recovery = opts.recovery_enabled();
 
     let epoch = Instant::now();
-    let store = TileStore::open(a, f, ib, opts.resident_budget, opts.spill_dir.as_deref())
-        .map_err(|message| ExecError::SpillIo { message })?;
     let policy = RunPolicy {
         policy: opts.policy,
         integrity: opts.integrity,
@@ -1030,14 +1095,16 @@ pub(crate) fn run_engine_segment(
         plan,
         publish_rest: opts.policy != SchedPolicy::Fifo,
     };
+    let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
+    let order = || preview_order(graph, &policy, completed, limit);
+    let run_plan = RunPlan { graph, completed, order: &order };
+    let store = TileStore::open(a, f, ib, &run_plan, budget, spill_dir)
+        .map_err(|message| ExecError::SpillIo { message })?;
     let (mut run, frontier) = DagRun::new(graph, store, &policy, completed, limit);
     let alive = AtomicUsize::new(nthreads);
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
     let global = GlobalQueue::new(opts.policy);
     for tid in frontier {
-        // Ready-frontier lookahead: queue the seed tasks' slots for
-        // background fault-in before any worker runs.
-        run.store.prefetch_task(&graph.tasks()[tid as usize]);
         global.push(tid, &run.ranks);
     }
     let workers: Vec<Worker<u32>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
@@ -1119,13 +1186,16 @@ pub(crate) fn run_engine_segment(
                                 instant(k, tid)
                             });
                         match end {
-                            Ok(Attempt::Done) => {
+                            Ok(Attempt::Done { pinned_at }) => {
                                 if let Some(start) = start {
                                     let (task, end) = (tid, now());
+                                    let kernel_start = pinned_at
+                                        .map_or(start, |t| (t - epoch).as_secs_f64().max(start));
                                     records.push(TaskRecord {
                                         task,
                                         worker: me as u16,
                                         start,
+                                        kernel_start,
                                         end,
                                     });
                                 }

@@ -299,7 +299,8 @@ pub struct ExecOptions {
     pub integrity: IntegrityMode,
     /// Resident-tier byte budget for the two-tier tile store. When set
     /// and smaller than the run's allocated tile footprint, the engine
-    /// pages tiles between an LRU-resident working set and a checksummed
+    /// pages tiles between a resident working set (evicted by furthest
+    /// next use in the order the scheduler will run) and a checksummed
     /// spill file (see `DESIGN.md`, "Storage tiers"), keeping the
     /// factorization bitwise identical. `None` (the default) keeps every
     /// buffer resident.

@@ -23,10 +23,13 @@
 //! where each record is a complete checksummed section container
 //! ([`hqr_tile::io`], magic `HQRJRNL\0`) holding meta words plus optional
 //! text / spec / dedup-key sections. Because every record carries its own
-//! FNV-1a trailer, a torn tail — the expected state after a crash
+//! checksum trailer, a torn tail — the expected state after a crash
 //! mid-append — is detected and discarded by [`Journal::read`] without
 //! losing any earlier record; there is no window in which the whole file
-//! is unverifiable.
+//! is unverifiable. Only the *last* record can be a torn tail: a complete
+//! record of another format version or magic, or damage before the end,
+//! is a typed [`JournalError`], so a journal this reader cannot read is
+//! never mistaken for an empty one.
 //!
 //! Appends go to the live file with `fdatasync`; the only whole-file
 //! rewrite is [`Journal::compact`], which uses the shared
@@ -56,13 +59,13 @@ use crate::pool::{JobResult, JobState};
 
 /// Magic bytes opening every journal record container.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"HQRJRNL\0";
-/// Journal record version.
-pub const JOURNAL_VERSION: u32 = 1;
+/// Journal record version (2: `checksum64` trailer).
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// Magic bytes opening a durable result container.
 pub const RESULT_MAGIC: [u8; 8] = *b"HQRRSLT\0";
-/// Result container version.
-pub const RESULT_VERSION: u32 = 1;
+/// Result container version (2: `checksum64` trailer).
+pub const RESULT_VERSION: u32 = 2;
 
 const J_META: u32 = 1;
 const J_TEXT: u32 = 2;
@@ -409,10 +412,17 @@ impl Journal {
 
     /// Read every intact record from the journal at `path`, oldest first.
     ///
-    /// A missing file is an empty journal. A torn or corrupt *tail*
-    /// (truncated length prefix, short record, failed checksum — the
-    /// expected residue of a crash mid-append) ends the scan without an
-    /// error: everything before it was fsynced and is returned.
+    /// A missing file is an empty journal. A torn *tail* — a truncated
+    /// length prefix, a record shorter than its prefix says, or a *last*
+    /// record that is truncated inside or fails its checksum: the expected
+    /// residue of a crash mid-append — ends the scan without an error:
+    /// everything before it was fsynced and is returned.
+    ///
+    /// Anything else that does not decode is an error, not a tail: a
+    /// complete record with the wrong magic or another format version (a
+    /// journal written by a different release — reading it as empty would
+    /// let the caller compact every accepted job away), a record that
+    /// decodes to nonsense, or damage anywhere but the end of the file.
     pub fn read(path: &Path) -> Result<Vec<JournalEvent>, JournalError> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
@@ -428,9 +438,13 @@ impl Journal {
             if len > bytes.len() - start {
                 break; // torn tail: record longer than what survived
             }
+            let last = start + len == bytes.len();
             match JournalEvent::from_bytes(bytes[start..start + len].to_vec()) {
                 Ok(ev) => events.push(ev),
-                Err(_) => break, // corrupt tail record: discard it and stop
+                Err(JournalError::Format(
+                    BinFormatError::Truncated { .. } | BinFormatError::ChecksumMismatch { .. },
+                )) if last => break, // torn tail record: discard it and stop
+                Err(e) => return Err(e),
             }
             off = start + len;
         }
@@ -927,6 +941,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `body` as the journal file frames it: length prefix, then the bytes.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u64).to_le_bytes().to_vec();
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    /// One framed record whose container header says `version`, trailer
+    /// valid for those bytes — what another release's journal looks like.
+    fn framed_record_of_version(version: u32) -> Vec<u8> {
+        let mut w = SectionWriter::new(JOURNAL_MAGIC, version);
+        w.section(J_META, &bytes_of_u64s(&[8, 7, 0, 0]));
+        framed(&w.into_bytes())
+    }
+
+    #[test]
+    fn other_version_or_magic_is_an_error_not_an_empty_journal() {
+        // Regression: any decode error used to end the scan as a "torn
+        // tail", so a journal from another format version read as empty and
+        // recovery then compacted every accepted job away.
+        let dir = std::env::temp_dir().join(format!("hqr_journal_ver{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.wal");
+        std::fs::write(&path, framed_record_of_version(JOURNAL_VERSION - 1)).unwrap();
+        let err = Journal::read(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                JournalError::Format(BinFormatError::UnsupportedVersion { found, .. })
+                    if found == JOURNAL_VERSION - 1
+            ),
+            "{err}"
+        );
+        // The same after good records: the old record is complete, so it is
+        // not a tail to discard.
+        let mut bytes = framed(&JournalEvent::Cancelled { id: 3 }.to_bytes());
+        bytes.extend_from_slice(&framed_record_of_version(JOURNAL_VERSION + 1));
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            Journal::read(&path),
+            Err(JournalError::Format(BinFormatError::UnsupportedVersion { .. }))
+        ));
+        let mut foreign = framed_record_of_version(JOURNAL_VERSION);
+        foreign[8] ^= 0x20; // first magic byte, inside the length-prefixed record
+        std::fs::write(&path, &foreign).unwrap();
+        assert!(matches!(
+            Journal::read(&path),
+            Err(JournalError::Format(BinFormatError::BadMagic { .. }))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damage_before_the_last_record_is_an_error() {
+        let mut bytes: Vec<u8> =
+            every_event().iter().flat_map(|ev| framed(&ev.to_bytes())).collect();
+        bytes[8 + 30] ^= 0x01; // inside the first record's body
+        let dir = std::env::temp_dir().join(format!("hqr_journal_mid{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mid.wal");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            Journal::read(&path),
+            Err(JournalError::Format(BinFormatError::ChecksumMismatch { .. }))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn compaction_rewrites_and_keeps_appending() {
         let dir = std::env::temp_dir().join(format!("hqr_journal_compact{}", std::process::id()));
@@ -1126,6 +1208,20 @@ mod tests {
         assert_eq!(pruned, vec![3, 4]);
         assert!(aged.list().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_result_container_is_unsupported_version() {
+        let a = hqr_tile::TiledMatrix::zeros(1, 1, 2);
+        let factors =
+            TFactors { b: 2, mt: 1, nt: 1, vg: vec![None], tg: vec![None], tk: vec![None] };
+        let mut bytes = result_to_bytes(4, &JobResult { a, factors });
+        assert_eq!(result_from_bytes(bytes.clone()).expect("current version decodes").id, 4);
+        bytes[8..12].copy_from_slice(&(RESULT_VERSION - 1).to_le_bytes());
+        assert!(matches!(
+            result_from_bytes(bytes),
+            Err(JournalError::Format(BinFormatError::UnsupportedVersion { .. }))
+        ));
     }
 
     #[test]

@@ -59,21 +59,25 @@ use crate::checkpoint::{
 };
 use crate::elim::ElimOp;
 use crate::error::ExecError;
-use crate::exec::{relock, worker_loop, Attempt, DagRun, RunPolicy, TFactors, WorkerCounters};
+use crate::exec::{
+    preview_order, relock, worker_loop, Attempt, DagRun, RunPolicy, TFactors, WorkerCounters,
+};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
 use crate::integrity::IntegrityMode;
-use crate::journal::{replay, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore};
+use crate::journal::{
+    replay, result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore,
+};
 use crate::sched::SchedPolicy;
-use crate::store::TileStore;
+use crate::store::{RunPlan, TileStore};
 use hqr_kernels::KernelKind;
 use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionReader, SectionWriter};
 use hqr_tile::TiledMatrix;
 
 /// Magic bytes opening a persisted service queue file.
 pub const QUEUE_MAGIC: [u8; 8] = *b"HQRQUEUE";
-/// Queue container version.
-pub const QUEUE_VERSION: u32 = 1;
+/// Queue container version (2: `checksum64` trailer).
+pub const QUEUE_VERSION: u32 = 2;
 
 const QSEC_COUNT: u32 = 1;
 /// Per-entry tags: entry `i` owns tags `QSEC_BASE + i*QSEC_STRIDE ..`.
@@ -480,8 +484,10 @@ pub struct JobOutcome {
     pub error: Option<String>,
     /// Fault-recovery accounting accumulated across attempts.
     pub stats: FaultStats,
-    /// The factorization (present iff `state == Completed` and this is the
-    /// first waiter to claim it).
+    /// The factorization (present iff `state == Completed`, this is the
+    /// first waiter to claim it, and — on a durable pool, where it lives in
+    /// the result store rather than in memory — retention has not pruned
+    /// it).
     pub result: Option<JobResult>,
     /// Wall-clock from submission to the terminal state.
     pub wall: Duration,
@@ -1382,15 +1388,22 @@ impl JobPool {
     }
 
     /// Block until `id` reaches a terminal state and return its outcome.
-    /// The factored matrix is handed to the first waiter; later waiters
-    /// (and waits on already-reported jobs) get a payload-less outcome.
-    /// Returns `None` for ids this pool never accepted.
+    /// The factored matrix is handed to the first waiter — read back from
+    /// the durable result store when that is where it lives (it is gone
+    /// if retention has pruned it since); later waiters (and waits on
+    /// already-reported jobs) get a payload-less outcome. Returns `None`
+    /// for ids this pool never accepted.
     pub fn wait(&self, id: JobId) -> Option<JobOutcome> {
         let s = &*self.shared;
         let mut recs = relock(&s.records);
         loop {
             let r = recs.get_mut(&id.0)?;
-            if let Some(out) = r.outcome.take() {
+            if let Some(mut out) = r.outcome.take() {
+                drop(recs);
+                if out.state == JobState::Completed && out.result.is_none() {
+                    let stored = s.results.as_ref().and_then(|store| store.get(id.0));
+                    out.result = stored.and_then(|b| result_from_bytes(b).ok()).map(|r| r.result);
+                }
                 return Some(out);
             }
             if r.state.is_terminal() {
@@ -1510,9 +1523,10 @@ impl JobPool {
     }
 
     /// Encoded result container for a completed job — from the durable
-    /// store when present, else re-encoded from the in-memory outcome.
-    /// `None` when the job is unknown, not completed, or its stored
-    /// result was pruned and the outcome already claimed.
+    /// store when the pool has one (the record then holds no copy), else
+    /// re-encoded from the in-memory outcome. `None` when the job is
+    /// unknown, not completed, its stored result was pruned, or (volatile
+    /// pools) the outcome was already claimed.
     pub fn result_bytes(&self, id: JobId) -> Option<Vec<u8>> {
         let s = &*self.shared;
         if let Some(store) = &s.results {
@@ -1922,7 +1936,7 @@ fn run_job_task(
     match end {
         // The best-ranked released successor stays local (data reuse), the
         // rest go on the shared QoS-major heap.
-        Ok(Attempt::Done) => job.run.complete(
+        Ok(Attempt::Done { .. }) => job.run.complete(
             &job.graph,
             tid,
             |s| local.push((job.rid, s)),
@@ -2201,24 +2215,23 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
             let result = JobResult { a, factors };
             // Durable pools persist R/V/T *before* journaling the
             // completion, so a journaled Completed always implies a
-            // retrievable result.
-            if let Some(store) = &shared.results {
-                let bytes = result_to_bytes(id, &result);
-                match store.put(id, &bytes) {
-                    Ok(file) => {
-                        for pruned in store.prune_over_cap() {
-                            shared.log_event(JournalEvent::ResultPruned { id: pruned });
-                        }
-                        shared.log_event(JournalEvent::Completed { id, file: Some(file) });
-                    }
-                    Err(e) => {
-                        eprintln!("hqr-pool: persisting result of job-{id} failed: {e}");
-                        shared.log_event(JournalEvent::Completed { id, file: None });
+            // retrievable result — and once the store holds it the record
+            // keeps no second copy: nobody may ever `wait` for this job (a
+            // socket client cannot), and a daemon that held every result
+            // grew by one factorization per job.
+            let stored = shared.results.as_ref().and_then(|store| {
+                let put = store.put(id, &result_to_bytes(id, &result));
+                if let Err(e) = &put {
+                    eprintln!("hqr-pool: persisting result of job-{id} failed: {e}");
+                } else {
+                    for pruned in store.prune_over_cap() {
+                        shared.log_event(JournalEvent::ResultPruned { id: pruned });
                     }
                 }
-            } else {
-                shared.log_event(JournalEvent::Completed { id, file: None });
-            }
+                put.ok()
+            });
+            let in_memory = stored.is_none().then_some(result);
+            shared.log_event(JournalEvent::Completed { id, file: stored });
             cleanup_ckpt(shared, id);
             shared.notify_records(|recs| {
                 if let Some(r) = recs.get_mut(&id) {
@@ -2232,7 +2245,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
                         attempts: r.attempts,
                         error: None,
                         stats: r.stats,
-                        result: Some(result),
+                        result: in_memory,
                         wall: r.wall.unwrap_or_default(),
                     });
                 }
@@ -2518,11 +2531,6 @@ fn activate_job(shared: &Shared, p: PendingJob) {
     // admitted, so availability beats the memory cap here.
     let spill_dir = shared.cfg.durability.as_ref().map(|d| d.state_dir.join("spill"));
     let budget = shared.cfg.resident_budget;
-    let store = TileStore::open(&mut a, &mut factors, jp.ib, budget, spill_dir.as_deref())
-        .unwrap_or_else(|e| {
-            eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
-            TileStore::with_ib(&mut a, &mut factors, jp.ib)
-        });
     let policy = RunPolicy {
         policy: jp.policy,
         integrity: jp.integrity,
@@ -2530,6 +2538,15 @@ fn activate_job(shared: &Shared, p: PendingJob) {
         plan: jp.plan.as_ref(),
         publish_rest: true,
     };
+    // This job's tasks as one worker would take them: the pool interleaves
+    // jobs, but each job's own tasks still come in about this order.
+    let order = || preview_order(&graph, &policy, Some(&completed), n);
+    let plan = RunPlan { graph: &graph, completed: Some(&completed), order: &order };
+    let store = TileStore::open(&mut a, &mut factors, jp.ib, &plan, budget, spill_dir.as_deref())
+        .unwrap_or_else(|e| {
+            eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
+            TileStore::with_ib(&mut a, &mut factors, jp.ib)
+        });
     let (run, frontier) = DagRun::new(&graph, store, &policy, Some(&completed), n);
     let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(ActiveJob {
@@ -2729,6 +2746,48 @@ mod tests {
             )
         });
         assert!(admitted, "escape hatch must journal OverBudgetAdmitted: {events:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Benchmark finding 2: a completed job's record kept the whole
+    /// factorization until somebody `wait`ed, which a socket client never
+    /// does. Once the durable store holds the result the record must not;
+    /// `wait` and `result_bytes` read it back from the store.
+    #[test]
+    fn durable_pool_keeps_no_in_memory_copy_of_a_stored_result() {
+        let dir = std::env::temp_dir().join(format!("hqr_pool_stored_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mt, nt, b) = (3, 2, 4);
+        let elims = flat_elims(mt, nt);
+        let input = TiledMatrix::random(mt, nt, b, 11);
+        let mut expect = input.clone();
+        let f_expect =
+            crate::exec::execute_serial(&TaskGraph::build(mt, nt, b, &elims), &mut expect);
+        let held = |pool: &JobPool, id: JobId| {
+            let recs = relock(&pool.shared.records);
+            recs[&id.0].outcome.as_ref().map(|o| o.result.is_some())
+        };
+        for durable in [true, false] {
+            let pool = JobPool::new(PoolConfig {
+                nthreads: 2,
+                durability: durable.then(|| DurabilityConfig::at(&dir)),
+                ..Default::default()
+            });
+            let id = pool.submit(JobSpec::fresh(elims.clone(), input.clone())).expect("submit");
+            while pool.status(id).is_none_or(|v| v.state != JobState::Completed) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Volatile pools have nowhere else to keep it.
+            assert_eq!(held(&pool, id), Some(!durable), "durable={durable}");
+            let bytes = pool.result_bytes(id).expect("result bytes");
+            assert_eq!(result_from_bytes(bytes).expect("decodes").id, id.0);
+            let out = pool.wait(id).expect("known job");
+            let result = out.result.expect("first waiter gets the factorization");
+            assert_eq!(result.a.to_dense().data(), expect.to_dense().data(), "durable={durable}");
+            assert!(result.factors.bitwise_eq(&f_expect), "durable={durable}");
+            assert!(pool.wait(id).expect("known job").result.is_none(), "claimed once");
+            pool.shutdown();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

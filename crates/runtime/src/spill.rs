@@ -1,5 +1,6 @@
-//! The disk tier of the two-tier tile store: an LRU-resident working set
-//! of pinned/unpinned tile slots backed by one checksummed spill file.
+//! The disk tier of the two-tier tile store: a resident working set of
+//! pinned/unpinned tile slots, evicted by *next use*, backed by one
+//! checksummed spill file.
 //!
 //! Production-scale matrices do not fit in RAM; tile algorithms were
 //! designed for exactly this regime (block data layout gives out-of-core
@@ -10,52 +11,112 @@
 //! *spilled* (a fixed-offset record in the per-run spill file). The
 //! executor pins a task's read/write slots before the attempt ladder runs
 //! and unpins them after, so eviction can never pull a buffer out from
-//! under a running kernel; a background prefetch thread faults in the
-//! read-sets of tasks entering the ready frontier so disk reads overlap
-//! compute.
+//! under a running kernel.
+//!
+//! ## Residency policy: the schedule is known, so use it
+//!
+//! The whole access stream is a static DAG fixed before the first kernel
+//! runs, and the tile is the unit of both computation and data movement,
+//! so each slot's future is known. The store is built from a
+//! [`RunPlan`]: the graph plus the *order* the run's scheduler is expected
+//! to reach its tasks in — a dry run of the engine's own queues and release
+//! rule (`exec::preview_order`; exact on one worker, and what each
+//! of several workers follows between steals). Program order would be the
+//! wrong clock: a LIFO worker runs depth-first, on average hundreds of
+//! positions away from a task's index. `PagedStore::build` walks that
+//! order once and records, per slot, the ascending positions at which it is
+//! touched (and, per task, its slots). From that table:
+//!
+//! * **Next use.** A slot's next use is the first position in its list
+//!   whose task has not started; a slot with none is never needed again in
+//!   this run. Tasks a resumed run has completed, or that a later segment
+//!   runs, are not in the order at all, so cursors begin past finished work.
+//! * **Victim set.** Every unpinned resident slot sits in one ordered set
+//!   keyed by `(next use, slot)`, maintained at pin and unpin. Eviction
+//!   takes the last entry — furthest next use, "never again" first — which
+//!   is Belady's MIN over the expected order; no slot-table scan.
+//! * **Prefetch window.** A background thread walks the same order from
+//!   the first unstarted task, a distance ahead that the budget sets (a
+//!   window's worth of slots is at most a quarter of the resident tier),
+//!   loading the slots those tasks will pin. It makes room only by
+//!   evicting a slot needed *later* than the task it loads for, so it can
+//!   never push out something needed sooner, and a prefetched slot — now
+//!   in the victim set under its imminent next use — is the last thing a
+//!   later eviction picks. Strictly best-effort: a worker whose slot is
+//!   not resident reads it itself and never waits for the prefetcher.
+//! * **Lazy-zero factor slots.** `Vg`/`Tg`/`Tk` buffers are all-zero until
+//!   the task that first touches them writes them. They start non-resident
+//!   with no disk record and are materialised as zeros by that first pin —
+//!   neither written out at build time nor read back.
 //!
 //! ## On-disk format
 //!
 //! The spill file is an array of fixed-length records, one per slot,
 //! at offset `slot_index * record_len`. Each record is a complete
 //! sectioned container from [`hqr_tile::io`] (magic `HQRSPILL`, one
-//! payload section, FNV-1a trailer), so every fault-in re-verifies the
-//! checksum: the container trailer doubles as the at-rest
+//! payload section, `checksum64` trailer), so every fault-in re-verifies
+//! the checksum: the container trailer doubles as the at-rest
 //! silent-data-corruption guard. A mismatch surfaces as a typed error
 //! ([`crate::ExecError::SpillIo`]), never as silent numerical garbage.
+//! Records are encoded into, and read through, one reused byte buffer per
+//! thread, and decoded straight into the slot's buffer.
 //!
 //! ## Locking and liveness
 //!
-//! Each slot has its own mutex. A pin blocks on exactly one slot lock at
-//! a time; eviction scans candidates with `try_lock` only, so no thread
-//! ever blocks on a second slot lock while holding a first — the
-//! classic two-lock deadlock is structurally impossible. The resident
-//! budget is *soft*: pinned bytes may exceed it (correctness first), and
-//! the evictor brings residency back under budget as pins release.
+//! Each slot has its own mutex, held across that slot's disk I/O; one more
+//! mutex guards the victim set and the resident-byte count. The order is
+//! always *slot, then set*: the set lock is only ever taken last and never
+//! held while a slot lock is acquired. No thread acquires a slot lock
+//! while holding another — a pin that must make room releases its own slot
+//! first (its pin count already protects it) — so the classic two-lock
+//! deadlock is structurally impossible. An evictor *claims* its victim by
+//! removing it from the set before locking it, so two evictors never
+//! chase the same slot; the claim is re-validated under the slot's lock.
+//! The resident budget is *soft*: pinned bytes may exceed it (correctness
+//! first), and evictions bring residency back under budget as pins
+//! release. The prefetcher alone never exceeds it.
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use hqr_tile::io::{bytes_of_f64s, f64s_of_bytes, SectionReader, SectionWriter};
+use hqr_tile::io::{SectionReader, SectionWriter};
 use hqr_tile::TiledMatrix;
 
 use crate::exec::TFactors;
-use crate::task::{SlotFamily, Task, SLOT_FAMILIES};
+use crate::graph::TaskGraph;
+use crate::store::RunPlan;
+use crate::task::{SlotFamily, SLOT_FAMILIES};
 
 /// Magic bytes opening every spill record.
 pub const SPILL_MAGIC: [u8; 8] = *b"HQRSPILL";
-/// Spill record version.
-pub const SPILL_VERSION: u32 = 1;
+/// Spill record version (2: `checksum64` trailer).
+pub const SPILL_VERSION: u32 = 2;
 
 const S_TILE: u32 = 1;
 
 /// Container overhead around one tile payload: magic (8) + version (4)
 /// + section tag (4) + section length (8) + checksum trailer (8).
 const RECORD_OVERHEAD: usize = 32;
+
+/// Next-use key of a slot no unstarted task touches.
+const NEVER: u32 = u32::MAX;
+
+/// Write flag on an entry of [`PagedCore::task_slots`].
+const WRITES: u32 = 1 << 31;
+
+/// Evicted buffers kept for the next fault-in instead of being freed.
+const FREE_BUFFERS: usize = 8;
+
+/// How long the prefetcher sleeps when its window is full or room was
+/// refused, before looking at the run's progress again: well under one
+/// kernel (a 128x128 update is ~300 us), so it falls at most a task behind.
+const PREFETCH_NAP: Duration = Duration::from_micros(100);
 
 /// Per-run totals of the paged store's tier traffic, snapshotted into
 /// [`crate::exec::ExecTrace::spill`].
@@ -86,11 +147,15 @@ impl SpillSummary {
     }
 }
 
-/// One slot of the paged store.
+/// One slot of the paged store. The default is an absent slot: no buffer,
+/// no record, nothing to pin.
+#[derive(Default)]
 struct Slot {
     /// Resident buffer, if any.
     buf: Option<Box<[f64]>>,
-    /// True once a valid record for this slot exists in the spill file.
+    /// True once a valid record for this slot exists in the spill file. A
+    /// non-resident slot without one is all zeros (a factor buffer nothing
+    /// has written yet).
     on_disk: bool,
     /// Resident copy differs from (or predates) the disk copy.
     dirty: bool,
@@ -98,23 +163,38 @@ struct Slot {
     pins: u32,
     /// Loaded by the prefetch thread and not yet claimed by a pin.
     prefetched: bool,
-    /// LRU clock stamp of the last pin.
-    epoch: u64,
     /// The slot is backed by a real buffer (factor families only allocate
     /// the slots their graph writes).
     exists: bool,
+    /// Position in this slot's use list of its first use that had not
+    /// started when last looked at; only ever advances.
+    cursor: u32,
+    /// The next-use key this slot sits under in the victim set; `Some`
+    /// exactly while it is resident and unpinned.
+    key: Option<u32>,
 }
 
-/// What one [`PagedCore::pin`] observed, for per-worker counters.
+/// What one [`PagedCore::pin_task`] observed, for per-worker counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PinEvents {
-    pub demand_fault: bool,
-    pub prefetch_hit: bool,
+    pub demand_faults: u64,
+    pub prefetch_hits: u64,
     pub evictions: u64,
 }
 
-/// Shared state of the paged store: slot table, spill file, budget
-/// accounting, traffic counters, and the prefetch queue.
+/// The part of the store's state that orders evictions, under one mutex.
+struct Residency {
+    /// Unpinned resident slots as `(next use, slot)`; the last entry is the
+    /// eviction victim.
+    victims: BTreeSet<(u32, u32)>,
+    /// Bytes resident or reserved for a load in flight.
+    resident: u64,
+    /// Evicted buffers awaiting reuse.
+    free: Vec<Box<[f64]>>,
+}
+
+/// Shared state of the paged store: slot table, next-use table, spill
+/// file, budget accounting and traffic counters.
 pub(crate) struct PagedCore {
     b: usize,
     mt: usize,
@@ -125,15 +205,28 @@ pub(crate) struct PagedCore {
     file: File,
     path: PathBuf,
     slots: Vec<Mutex<Slot>>,
-    resident: AtomicU64,
-    clock: AtomicU64,
+    /// The run's tasks in the order its scheduler is expected to reach
+    /// them; a *position* in this list is the store's unit of time.
+    order: Vec<u32>,
+    /// Position of each task in `order` ([`NEVER`] for tasks not in this
+    /// run: completed before it, or left for a later segment).
+    position: Vec<u32>,
+    /// Slot `s` is touched at positions `uses[use_off[s]..use_off[s + 1]]`,
+    /// ascending.
+    use_off: Vec<u32>,
+    uses: Vec<u32>,
+    /// Task `t` touches slots `task_slots[task_off[t]..task_off[t + 1]]`
+    /// (write set first, [`WRITES`] flagged).
+    task_off: Vec<u32>,
+    task_slots: Vec<u32>,
+    /// Per position: that task's pin pass has begun.
+    started: Vec<AtomicBool>,
+    residency: Mutex<Residency>,
     evictions: AtomicU64,
     writebacks: AtomicU64,
     demand_faults: AtomicU64,
     prefetches: AtomicU64,
     prefetch_hits: AtomicU64,
-    queue: Mutex<VecDeque<usize>>,
-    queue_cv: Condvar,
     shutdown: AtomicBool,
 }
 
@@ -144,16 +237,10 @@ pub(crate) struct PagedStore {
     prefetcher: Option<std::thread::JoinHandle<()>>,
 }
 
-fn slot_label(b: usize, mt: usize, spf: usize, idx: usize) -> String {
-    let fam = match idx / spf {
-        0 => SlotFamily::A,
-        1 => SlotFamily::Vg,
-        2 => SlotFamily::Tg,
-        _ => SlotFamily::Tk,
-    };
-    let local = idx % spf;
-    let _ = b;
-    format!("{}({},{})", fam.name(), local % mt, local / mt)
+thread_local! {
+    /// One record's bytes, reused across this thread's spill reads and
+    /// writes.
+    static RECORD: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 impl PagedCore {
@@ -163,7 +250,20 @@ impl PagedCore {
     }
 
     fn label(&self, idx: usize) -> String {
-        slot_label(self.b, self.mt, self.slots_per_family, idx)
+        let fam = match idx / self.slots_per_family {
+            0 => SlotFamily::A,
+            1 => SlotFamily::Vg,
+            2 => SlotFamily::Tg,
+            _ => SlotFamily::Tk,
+        };
+        let local = idx % self.slots_per_family;
+        format!("{}({},{})", fam.name(), local % self.mt, local / self.mt)
+    }
+
+    /// The slots task `tid` pins, write set first.
+    fn slots_of(&self, tid: u32) -> &[u32] {
+        let t = tid as usize;
+        &self.task_slots[self.task_off[t] as usize..self.task_off[t + 1] as usize]
     }
 
     /// Raw pointer to a pinned slot's resident buffer. Panics if the slot
@@ -179,195 +279,305 @@ impl PagedCore {
             .as_mut_ptr()
     }
 
-    fn record_bytes(&self, buf: &[f64]) -> Vec<u8> {
-        let mut w = SectionWriter::new(SPILL_MAGIC, SPILL_VERSION);
-        w.section(S_TILE, &bytes_of_f64s(buf));
-        w.into_bytes()
-    }
-
     fn write_record(&self, idx: usize, buf: &[f64]) -> Result<(), String> {
-        let bytes = self.record_bytes(buf);
-        debug_assert_eq!(bytes.len() as u64, self.record_len);
-        self.file.write_all_at(&bytes, idx as u64 * self.record_len).map_err(|e| {
-            format!("spill write for {} ({}): {e}", self.label(idx), self.path.display())
+        RECORD.with_borrow_mut(|scratch| {
+            let mut w = SectionWriter::reusing(std::mem::take(scratch), SPILL_MAGIC, SPILL_VERSION);
+            w.section_f64s(S_TILE, buf);
+            *scratch = w.into_bytes();
+            debug_assert_eq!(scratch.len() as u64, self.record_len);
+            self.file.write_all_at(scratch, idx as u64 * self.record_len).map_err(|e| {
+                format!("spill write for {} ({}): {e}", self.label(idx), self.path.display())
+            })
         })
     }
 
-    fn read_record(&self, idx: usize) -> Result<Box<[f64]>, String> {
-        let mut bytes = vec![0u8; self.record_len as usize];
-        self.file.read_exact_at(&mut bytes, idx as u64 * self.record_len).map_err(|e| {
-            format!("spill read for {} ({}): {e}", self.label(idx), self.path.display())
-        })?;
-        let r = SectionReader::from_bytes(bytes, SPILL_MAGIC, SPILL_VERSION)
-            .map_err(|e| format!("spill record for {} is corrupt: {e}", self.label(idx)))?;
-        let payload = r
-            .require(S_TILE)
-            .map_err(|e| format!("spill record for {} is corrupt: {e}", self.label(idx)))?;
-        let floats = f64s_of_bytes(S_TILE, payload)
-            .map_err(|e| format!("spill record for {} is corrupt: {e}", self.label(idx)))?;
-        if floats.len() != self.b * self.b {
-            return Err(format!(
-                "spill record for {} holds {} floats, expected {}",
-                self.label(idx),
-                floats.len(),
-                self.b * self.b
-            ));
-        }
-        Ok(floats.into_boxed_slice())
+    /// Read and verify slot `idx`'s record, decoding it into `dst`.
+    fn read_record(&self, idx: usize, dst: &mut [f64]) -> Result<(), String> {
+        RECORD.with_borrow_mut(|scratch| {
+            scratch.resize(self.record_len as usize, 0);
+            self.file.read_exact_at(scratch, idx as u64 * self.record_len).map_err(|e| {
+                format!("spill read for {} ({}): {e}", self.label(idx), self.path.display())
+            })?;
+            SectionReader::from_bytes(&scratch[..], SPILL_MAGIC, SPILL_VERSION)
+                .and_then(|r| r.f64s_into(S_TILE, dst))
+                .map_err(|e| format!("spill record for {} is corrupt: {e}", self.label(idx)))
+        })
     }
 
-    /// Evict unpinned resident slots (LRU first) until residency plus
-    /// `incoming` fits the budget or no evictable slot remains. Returns
-    /// the number of slots evicted. Never blocks on a slot lock.
-    fn make_room(&self, incoming: u64) -> Result<u64, String> {
+    /// The slot's next use: the first position in its use list whose task
+    /// has not started, or [`NEVER`]. Advances the slot's cursor past
+    /// started tasks.
+    fn next_use(&self, idx: usize, s: &mut Slot) -> u32 {
+        let list = &self.uses[self.use_off[idx] as usize..self.use_off[idx + 1] as usize];
+        while let Some(&at) = list.get(s.cursor as usize) {
+            if !self.started[at as usize].load(Ordering::Acquire) {
+                return at;
+            }
+            s.cursor += 1;
+        }
+        NEVER
+    }
+
+    /// Enter a resident, unpinned slot into the victim set under its next
+    /// use. Caller holds the slot's lock.
+    fn make_evictable(&self, idx: usize, s: &mut Slot) {
+        debug_assert!(s.key.is_none() && s.pins == 0 && s.buf.is_some());
+        let key = self.next_use(idx, s);
+        s.key = Some(key);
+        lock(&self.residency).victims.insert((key, idx as u32));
+    }
+
+    /// Take a slot out of the victim set (a no-op if an evictor has
+    /// already claimed the entry). Caller holds the slot's lock.
+    fn make_unevictable(&self, idx: usize, s: &mut Slot) {
+        if let Some(key) = s.key.take() {
+            lock(&self.residency).victims.remove(&(key, idx as u32));
+        }
+    }
+
+    /// Reserve `bytes` of residency, evicting unpinned resident slots —
+    /// furthest next use first — while the reservation does not fit the
+    /// budget. With `needed_at`, only slots whose next use is later than
+    /// that task may go, and the request is refused (`None`) rather than
+    /// exceed the budget (the prefetcher); without it the reservation
+    /// always succeeds, over budget if every resident slot is pinned (a
+    /// worker's demand fault). Returns the number of slots evicted. Holds no
+    /// slot lock on entry and at most one at a time.
+    fn reserve_room(&self, bytes: u64, needed_at: Option<u32>) -> Result<Option<u64>, String> {
         let mut evicted = 0u64;
-        while self.resident.load(Ordering::Acquire).saturating_add(incoming) > self.budget {
-            // Pick the least-recently-pinned unpinned resident slot among
-            // those we can inspect without blocking.
-            let mut best: Option<(u64, usize)> = None;
-            for idx in 0..self.slots.len() {
-                let Ok(s) = self.slots[idx].try_lock() else { continue };
-                if s.exists && s.pins == 0 && s.buf.is_some() {
-                    let stamp = s.epoch;
-                    if best.is_none_or(|(e, _)| stamp < e) {
-                        best = Some((stamp, idx));
+        loop {
+            let claim = {
+                let mut r = lock(&self.residency);
+                let fits = r.resident.saturating_add(bytes) <= self.budget;
+                let victim = match (fits, r.victims.last().copied()) {
+                    (false, Some(v)) if needed_at.is_none_or(|t| v.0 > t) => Some(v),
+                    _ => None,
+                };
+                match victim {
+                    Some(v) => {
+                        r.victims.remove(&v);
+                        v
                     }
+                    None if fits || needed_at.is_none() => {
+                        r.resident += bytes;
+                        return Ok(Some(evicted));
+                    }
+                    None => return Ok(None),
                 }
-            }
-            let Some((stamp, idx)) = best else { return Ok(evicted) };
-            let Ok(mut s) = self.slots[idx].try_lock() else { continue };
-            // Re-check under the lock: a pin or another evictor may have
-            // raced us since the scan.
-            if !(s.exists && s.pins == 0 && s.buf.is_some() && s.epoch == stamp) {
-                continue;
-            }
-            if s.dirty {
-                let buf = s.buf.as_ref().unwrap();
-                self.write_record(idx, buf)?;
-                s.on_disk = true;
-                s.dirty = false;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
-            }
-            debug_assert!(s.on_disk, "evicting a clean slot with no disk copy");
-            s.buf = None;
-            s.prefetched = false;
-            drop(s);
-            self.resident.fetch_sub(self.tile_bytes, Ordering::AcqRel);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            evicted += 1;
+            };
+            evicted += u64::from(self.evict(claim)?);
         }
-        Ok(evicted)
     }
 
-    /// Pin one slot, faulting it in from disk if evicted. Returns the
-    /// events observed (for per-worker counters).
-    pub(crate) fn pin(
-        &self,
-        fam: SlotFamily,
-        i: usize,
-        j: usize,
-        will_write: bool,
-    ) -> Result<PinEvents, String> {
-        let idx = self.slot_index(fam, i, j);
-        let mut ev = PinEvents::default();
+    /// Evict the claimed victim `(key, slot)` unless a pin got to it since
+    /// it was claimed. Returns whether a buffer was released.
+    fn evict(&self, (key, idx): (u32, u32)) -> Result<bool, String> {
+        let idx = idx as usize;
+        let mut s = lock(&self.slots[idx]);
+        // A pin since the claim cleared the key (and, if it has unpinned
+        // again, re-entered the slot under a fresh one): not ours any more.
+        if s.key != Some(key) || s.pins > 0 || s.buf.is_none() {
+            return Ok(false);
+        }
+        if s.dirty {
+            let written = self.write_record(idx, s.buf.as_ref().expect("checked resident"));
+            if let Err(e) = written {
+                // Still resident and unpinned: hand the claim back.
+                lock(&self.residency).victims.insert((key, idx as u32));
+                return Err(e);
+            }
+            s.on_disk = true;
+            s.dirty = false;
+            self.writebacks.fetch_add(1, Ordering::Relaxed);
+        }
+        debug_assert!(s.on_disk, "evicting a clean slot with no disk copy");
+        let buf = s.buf.take().expect("checked resident");
+        s.prefetched = false;
+        s.key = None;
+        let mut r = lock(&self.residency);
+        // Re-entered under the same key since the claim: drop that entry too.
+        r.victims.remove(&(key, idx as u32));
+        r.resident -= self.tile_bytes;
+        if r.free.len() < FREE_BUFFERS {
+            r.free.push(buf);
+        }
+        drop(r);
+        drop(s);
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        Ok(true)
+    }
+
+    /// A `b × b` buffer for a load: a recycled one if any (contents
+    /// arbitrary), else fresh.
+    fn take_buffer(&self) -> Box<[f64]> {
+        let recycled = lock(&self.residency).free.pop();
+        recycled.unwrap_or_else(|| vec![0.0; self.b * self.b].into_boxed_slice())
+    }
+
+    /// Undo a one-tile reservation whose load did not happen.
+    fn release_reservation(&self, buf: Option<Box<[f64]>>) {
+        let mut r = lock(&self.residency);
+        r.resident -= self.tile_bytes;
+        if let Some(buf) = buf.filter(|_| r.free.len() < FREE_BUFFERS) {
+            r.free.push(buf);
+        }
+    }
+
+    /// Pin one slot for a running task, faulting it in from disk (or
+    /// materialising an unwritten factor buffer as zeros) if it is not
+    /// resident.
+    fn pin(&self, idx: usize, will_write: bool, ev: &mut PinEvents) -> Result<(), String> {
         let mut s = lock(&self.slots[idx]);
         if !s.exists {
             return Err(format!("task pinned unallocated slot {}", self.label(idx)));
         }
+        // Pinned from here on — even while the lock is released below — so
+        // no evictor touches the slot.
+        s.pins += 1;
+        self.make_unevictable(idx, &mut s);
         if s.buf.is_none() {
-            // Demand fault. Make room without holding this slot's lock —
-            // the evictor only try_locks, but spill writes are slow and
-            // other pins of this same slot would serialize behind them
-            // anyway; more importantly `make_room` must observe this slot
-            // as un-evictable, which `pins > 0` below guarantees, so
-            // release-and-retry keeps the invariant simple.
+            // Make room without holding this slot's lock (one slot lock at
+            // a time). A concurrent pin of the same slot may do the same;
+            // whichever relocks first loads the buffer.
             drop(s);
-            ev.evictions += self.make_room(self.tile_bytes)?;
+            let room = self.reserve_room(self.tile_bytes, None);
             s = lock(&self.slots[idx]);
-            if s.buf.is_none() {
-                let buf = self.read_record(idx)?;
-                s.buf = Some(buf);
-                s.dirty = false;
+            let loaded = room.and_then(|evicted| {
+                ev.evictions += evicted.expect("a demand reservation is never refused");
+                if s.buf.is_some() {
+                    self.release_reservation(None);
+                    return Ok(());
+                }
+                let mut buf = self.take_buffer();
+                if s.on_disk {
+                    if let Err(e) = self.read_record(idx, &mut buf) {
+                        self.release_reservation(Some(buf));
+                        return Err(e);
+                    }
+                    // A demand fault is a read this worker did itself.
+                    self.demand_faults.fetch_add(1, Ordering::Relaxed);
+                    ev.demand_faults += 1;
+                } else {
+                    // Never written: zeros, and no bytes moved.
+                    buf.fill(0.0);
+                }
+                s.dirty = !s.on_disk;
                 s.prefetched = false;
-                self.resident.fetch_add(self.tile_bytes, Ordering::AcqRel);
-                self.demand_faults.fetch_add(1, Ordering::Relaxed);
-                ev.demand_fault = true;
+                s.buf = Some(buf);
+                Ok(())
+            });
+            if let Err(e) = loaded {
+                s.pins -= 1;
+                if s.pins == 0 && s.buf.is_some() {
+                    self.make_evictable(idx, &mut s);
+                }
+                return Err(e);
             }
         }
         if s.prefetched {
             s.prefetched = false;
             self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-            ev.prefetch_hit = true;
+            ev.prefetch_hits += 1;
         }
-        s.pins += 1;
         s.dirty |= will_write;
-        s.epoch = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        Ok(ev)
+        Ok(())
     }
 
-    pub(crate) fn unpin(&self, idx: usize) {
+    fn unpin(&self, idx: usize) {
         let mut s = lock(&self.slots[idx]);
         debug_assert!(s.pins > 0, "unpin of unpinned slot {}", self.label(idx));
         s.pins = s.pins.saturating_sub(1);
+        if s.pins == 0 && s.buf.is_some() {
+            self.make_evictable(idx, &mut s);
+        }
     }
 
-    /// Queue the slots a ready task touches for background fault-in.
-    pub(crate) fn enqueue_prefetch(&self, t: &Task) {
-        let mut wanted = Vec::new();
-        for (fam, i, j) in t.reads().into_iter().chain(t.writes()) {
-            let idx = self.slot_index(fam, i, j);
-            // Cheap pre-filter: skip slots already resident right now.
-            if let Ok(s) = self.slots[idx].try_lock() {
-                if !s.exists || s.buf.is_some() {
-                    continue;
+    /// Pin every slot task `tid` touches — write set first (it sets the
+    /// dirty bits) — one slot lock at a time, so concurrent pinners cannot
+    /// deadlock. On error the pins taken so far are released.
+    pub(crate) fn pin_task(&self, tid: u32) -> Result<PinEvents, String> {
+        if let Some(started) = self.started.get(self.position[tid as usize] as usize) {
+            started.store(true, Ordering::Release);
+        }
+        let mut ev = PinEvents::default();
+        let slots = self.slots_of(tid);
+        for (n, &entry) in slots.iter().enumerate() {
+            let idx = (entry & !WRITES) as usize;
+            if let Err(e) = self.pin(idx, entry & WRITES != 0, &mut ev) {
+                for &held in &slots[..n] {
+                    self.unpin((held & !WRITES) as usize);
                 }
+                return Err(e);
             }
-            wanted.push(idx);
         }
-        if wanted.is_empty() {
-            return;
-        }
-        let mut q = lock(&self.queue);
-        q.extend(wanted);
-        drop(q);
-        self.queue_cv.notify_one();
+        Ok(ev)
     }
 
-    /// Body of the background prefetch thread: fault queued slots in ahead
-    /// of their pins, without ever pushing residency over budget.
-    fn prefetch_loop(&self) {
-        loop {
-            let idx = {
-                let mut q = lock(&self.queue);
-                loop {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Some(idx) = q.pop_front() {
-                        break idx;
-                    }
-                    q = self.queue_cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            // Best-effort: a prefetch that cannot make room (everything
-            // pinned) or hits an I/O error is skipped; the pin path will
-            // fault the slot in on demand and surface any real error.
-            if self.make_room(self.tile_bytes).is_err() {
-                continue;
-            }
-            if self.resident.load(Ordering::Acquire).saturating_add(self.tile_bytes) > self.budget {
-                continue;
-            }
-            let mut s = lock(&self.slots[idx]);
-            if !s.exists || s.buf.is_some() || s.pins > 0 {
-                continue;
-            }
-            let Ok(buf) = self.read_record(idx) else { continue };
+    /// Release the pins [`PagedCore::pin_task`] took for `tid`.
+    pub(crate) fn unpin_task(&self, tid: u32) {
+        for &entry in self.slots_of(tid) {
+            self.unpin((entry & !WRITES) as usize);
+        }
+    }
+
+    /// Load one slot ahead of the pin of the task at position `at`, if that
+    /// takes no room from anything needed sooner. Returns `false` when room
+    /// was refused.
+    fn prefetch_slot(&self, idx: usize, at: u32) -> bool {
+        let wanted = |s: &Slot| s.exists && s.on_disk && s.buf.is_none() && s.pins == 0;
+        if !wanted(&lock(&self.slots[idx])) {
+            return true;
+        }
+        // Best-effort: an I/O error here is left for the pin to hit.
+        match self.reserve_room(self.tile_bytes, Some(at)) {
+            Ok(Some(_)) => {}
+            Ok(None) => return false,
+            Err(_) => return true,
+        }
+        let mut buf = self.take_buffer();
+        let mut s = lock(&self.slots[idx]);
+        if wanted(&s) && self.read_record(idx, &mut buf).is_ok() {
             s.buf = Some(buf);
             s.dirty = false;
             s.prefetched = true;
-            self.resident.fetch_add(self.tile_bytes, Ordering::AcqRel);
+            self.make_evictable(idx, &mut s);
             self.prefetches.fetch_add(1, Ordering::Relaxed);
+        } else {
+            drop(s);
+            self.release_reservation(Some(buf));
+        }
+        true
+    }
+
+    /// Body of the background prefetch thread: walk the run's order from
+    /// its first unstarted task, at most `window` tasks ahead of it, loading
+    /// what those tasks will pin.
+    fn prefetch_loop(&self) {
+        // A window's worth of slots (a task pins at most four) is at most
+        // a quarter of the resident tier.
+        let window = ((self.budget / self.tile_bytes) as usize / 16).max(1);
+        let n = self.order.len();
+        let (mut low, mut next) = (0usize, 0usize);
+        'walk: while !self.shutdown.load(Ordering::Acquire) {
+            while low < n && self.started[low].load(Ordering::Acquire) {
+                low += 1;
+            }
+            next = next.max(low);
+            if next >= n.min(low + window) {
+                std::thread::sleep(PREFETCH_NAP);
+                continue;
+            }
+            if !self.started[next].load(Ordering::Acquire) {
+                for &entry in self.slots_of(self.order[next]) {
+                    if !self.prefetch_slot((entry & !WRITES) as usize, next as u32) {
+                        // Everything evictable is needed sooner: wait for
+                        // the run to move on, then retry this task.
+                        std::thread::sleep(PREFETCH_NAP);
+                        continue 'walk;
+                    }
+                }
+            }
+            next += 1;
         }
     }
 
@@ -398,20 +608,75 @@ pub(crate) fn spill_file_path(dir: Option<&Path>) -> PathBuf {
     dir.map_or_else(std::env::temp_dir, Path::to_path_buf).join(name)
 }
 
+/// The two directions of the next-use table: per slot the positions (in
+/// the run's order) at which it is touched, per task the slots it touches,
+/// both in CSR form.
+struct UseTable {
+    use_off: Vec<u32>,
+    uses: Vec<u32>,
+    task_off: Vec<u32>,
+    task_slots: Vec<u32>,
+}
+
+fn use_table(graph: &TaskGraph, order: &[u32], nslots: usize) -> UseTable {
+    let spf = graph.mt() * graph.nt();
+    let slot_of = |(fam, i, j): (SlotFamily, usize, usize)| {
+        ((fam as usize) * spf + i + j * graph.mt()) as u32
+    };
+    let mut task_off = Vec::with_capacity(graph.tasks().len() + 1);
+    let mut task_slots: Vec<u32> = Vec::with_capacity(graph.tasks().len() * 4);
+    task_off.push(0);
+    for t in graph.tasks() {
+        task_slots.extend(t.writes().into_iter().map(|s| slot_of(s) | WRITES));
+        task_slots.extend(t.reads().into_iter().map(slot_of));
+        task_off.push(task_slots.len() as u32);
+    }
+    let slots_of = |tid: u32| {
+        let t = tid as usize;
+        task_slots[task_off[t] as usize..task_off[t + 1] as usize].iter().map(|e| e & !WRITES)
+    };
+    let mut use_off = vec![0u32; nslots + 1];
+    for &tid in order {
+        for slot in slots_of(tid) {
+            use_off[slot as usize + 1] += 1;
+        }
+    }
+    for s in 0..nslots {
+        use_off[s + 1] += use_off[s];
+    }
+    // Positions are visited in ascending order, so each slot's list is too.
+    let mut fill = use_off.clone();
+    let mut uses = vec![0u32; use_off[nslots] as usize];
+    for (at, &tid) in order.iter().enumerate() {
+        for slot in slots_of(tid) {
+            let next = &mut fill[slot as usize];
+            uses[*next as usize] = at as u32;
+            *next += 1;
+        }
+    }
+    UseTable { use_off, uses, task_off, task_slots }
+}
+
 impl PagedStore {
-    /// Build the paged store over a matrix and its factor buffers: take
-    /// ownership of every allocated `b × b` buffer, then evict down to
-    /// `budget` bytes so the run starts inside its residency target. The
-    /// matrix and factors are hollow until [`PagedStore::unpage`] returns
-    /// their buffers.
+    /// Build the paged store over a matrix and its factor buffers for the
+    /// run `plan` describes: take ownership of every allocated `b × b`
+    /// buffer, drop the factor buffers nothing has written yet (they come
+    /// back as zeros on first pin), then evict matrix tiles — furthest next
+    /// use first — down to `budget` bytes so the run starts inside its
+    /// residency target. The matrix and factors are hollow until
+    /// [`PagedStore::unpage`] returns their buffers.
     pub(crate) fn build(
         a: &mut TiledMatrix,
         f: &mut TFactors,
+        plan: &RunPlan<'_>,
         budget: u64,
         dir: Option<&Path>,
     ) -> Result<PagedStore, String> {
+        let RunPlan { graph, completed, .. } = *plan;
+        let order = (plan.order)();
         let (mt, nt, b) = (a.mt(), a.nt(), a.b());
         let spf = mt * nt;
+        let nslots = SLOT_FAMILIES * spf;
         let tile_bytes = (b * b * 8) as u64;
         let path = spill_file_path(dir);
         if let Some(parent) = path.parent() {
@@ -424,44 +689,42 @@ impl PagedStore {
             .truncate(true)
             .open(&path)
             .map_err(|e| format!("cannot create spill file {}: {e}", path.display()))?;
-        let mut slots = Vec::with_capacity(SLOT_FAMILIES * spf);
-        let mut resident = 0u64;
-        let absent = || Slot {
-            buf: None,
-            on_disk: false,
-            dirty: false,
-            pins: 0,
-            prefetched: false,
-            epoch: 0,
-            exists: false,
-        };
+        let UseTable { use_off, uses, task_off, task_slots } = use_table(graph, &order, nslots);
+        let mut position = vec![NEVER; graph.tasks().len()];
+        for (at, &tid) in order.iter().enumerate() {
+            position[tid as usize] = at as u32;
+        }
+        // Slots a completed task touched hold its output.
+        let mut written = vec![false; nslots];
+        for t in (0..graph.tasks().len()).filter(|&t| completed.is_some_and(|c| c[t])) {
+            for &entry in &task_slots[task_off[t] as usize..task_off[t + 1] as usize] {
+                written[(entry & !WRITES) as usize] = true;
+            }
+        }
+        let mut slots = Vec::with_capacity(nslots);
         // Family A first, in slot-index order (i fastest — idx = i + j*mt).
         for j in 0..nt {
             for i in 0..mt {
-                let buf = a.take_tile_buf(i, j);
-                resident += tile_bytes;
-                slots.push(Mutex::new(Slot {
-                    buf: Some(buf),
-                    dirty: true,
-                    exists: true,
-                    ..absent()
-                }));
+                let buf = Some(a.take_tile_buf(i, j));
+                slots.push(Mutex::new(Slot { buf, dirty: true, exists: true, ..Slot::default() }));
             }
         }
         for fam in [&mut f.vg, &mut f.tg, &mut f.tk] {
             for slot in fam.iter_mut() {
-                match slot.take() {
-                    Some(buf) => {
-                        resident += tile_bytes;
-                        slots.push(Mutex::new(Slot {
-                            buf: Some(buf),
-                            dirty: true,
-                            exists: true,
-                            ..absent()
-                        }));
+                // A factor buffer no completed task has touched is still
+                // the zeros it was allocated as, and needs neither memory
+                // nor a record.
+                let unwritten = !written[slots.len()];
+                slots.push(Mutex::new(match slot.take() {
+                    Some(buf) if unwritten => {
+                        debug_assert!(buf.iter().all(|&x| x == 0.0), "unwritten factor not zero");
+                        Slot { exists: true, ..Slot::default() }
                     }
-                    None => slots.push(Mutex::new(absent())),
-                }
+                    Some(buf) => {
+                        Slot { buf: Some(buf), dirty: true, exists: true, ..Slot::default() }
+                    }
+                    None => Slot::default(),
+                }));
             }
         }
         let core = Arc::new(PagedCore {
@@ -474,21 +737,37 @@ impl PagedStore {
             file,
             path,
             slots,
-            resident: AtomicU64::new(resident),
-            clock: AtomicU64::new(0),
+            started: order.iter().map(|_| AtomicBool::new(false)).collect(),
+            order,
+            position,
+            use_off,
+            uses,
+            task_off,
+            task_slots,
+            residency: Mutex::new(Residency {
+                victims: BTreeSet::new(),
+                resident: 0,
+                free: Vec::new(),
+            }),
             evictions: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
             demand_faults: AtomicU64::new(0),
             prefetches: AtomicU64::new(0),
             prefetch_hits: AtomicU64::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        // Establish the initial residency: everything starts resident
-        // (the caller allocated the full matrix), so spill cold slots
-        // until the working set fits. Errors here are real I/O failures.
-        core.make_room(0)?;
+        // Establish the initial residency: everything kept above starts
+        // resident (the caller allocated it), so spill the slots needed
+        // last until the working set fits. Errors here are real I/O
+        // failures.
+        for idx in 0..nslots {
+            let mut s = lock(&core.slots[idx]);
+            if s.buf.is_some() {
+                lock(&core.residency).resident += tile_bytes;
+                core.make_evictable(idx, &mut s);
+            }
+        }
+        core.reserve_room(0, None)?;
         let worker = Arc::clone(&core);
         let prefetcher = std::thread::Builder::new()
             .name("hqr-spill-prefetch".into())
@@ -512,18 +791,17 @@ impl PagedStore {
         let mut recover = |idx: usize, core: &PagedCore| -> Box<[f64]> {
             let mut s = lock(&core.slots[idx]);
             debug_assert!(s.exists, "unpaging an absent slot");
-            match s.buf.take() {
-                Some(buf) => buf,
-                None => match core.read_record(idx) {
-                    Ok(buf) => buf,
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        vec![0.0; b * b].into_boxed_slice()
+            s.buf.take().unwrap_or_else(|| {
+                let mut buf = vec![0.0; b * b].into_boxed_slice();
+                // No record: a factor buffer nothing wrote — zeros.
+                if s.on_disk {
+                    if let Err(e) = core.read_record(idx, &mut buf) {
+                        first_err.get_or_insert(e);
+                        buf.fill(0.0);
                     }
-                },
-            }
+                }
+                buf
+            })
         };
         for j in 0..nt {
             for i in 0..mt {
@@ -551,7 +829,6 @@ impl PagedStore {
 
     fn stop_prefetcher(&mut self) {
         self.core.shutdown.store(true, Ordering::Release);
-        self.core.queue_cv.notify_all();
         if let Some(h) = self.prefetcher.take() {
             let _ = h.join();
         }
@@ -569,7 +846,6 @@ impl Drop for PagedStore {
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
-    use crate::graph::TaskGraph;
 
     fn fixture(mt: usize, nt: usize, b: usize) -> (TaskGraph, TiledMatrix, TFactors) {
         let mut elims = Vec::new();
@@ -584,14 +860,47 @@ mod tests {
         (g, a, f)
     }
 
+    /// A store over the fixture whose run order is program order (what the
+    /// engine's preview gives a flat tree on one FIFO worker is not needed
+    /// here: any order is a valid plan).
+    fn build(
+        a: &mut TiledMatrix,
+        f: &mut TFactors,
+        g: &TaskGraph,
+        completed: Option<&[bool]>,
+        budget: u64,
+    ) -> PagedStore {
+        let order = || {
+            let left = |&t: &u32| !completed.is_some_and(|c| c[t as usize]);
+            (0..g.tasks().len() as u32).filter(left).collect()
+        };
+        PagedStore::build(a, f, &RunPlan { graph: g, completed, order: &order }, budget, None)
+            .unwrap()
+    }
+
+    fn resident(core: &PagedCore, idx: usize) -> bool {
+        lock(&core.slots[idx]).buf.is_some()
+    }
+
+    /// Evict until nothing unpinned is resident.
+    fn evict_all(core: &PagedCore) {
+        loop {
+            let claim = lock(&core.residency).victims.pop_last();
+            match claim {
+                Some(v) => core.evict(v).map(drop).unwrap(),
+                None => return,
+            }
+        }
+    }
+
     #[test]
     fn build_unpage_roundtrips_bitwise() {
-        let (_g, mut a, mut f) = fixture(3, 2, 4);
+        let (g, mut a, mut f) = fixture(3, 2, 4);
         let before = a.to_dense();
         let tile_bytes = (4 * 4 * 8) as u64;
         // Budget of two tiles: almost everything spills at build time.
-        let mut store = PagedStore::build(&mut a, &mut f, 2 * tile_bytes, None).unwrap();
-        assert!(store.core.resident.load(Ordering::Relaxed) <= 2 * tile_bytes);
+        let mut store = build(&mut a, &mut f, &g, None, 2 * tile_bytes);
+        assert!(lock(&store.core.residency).resident <= 2 * tile_bytes);
         store.unpage(&mut a, &mut f).unwrap();
         assert_eq!(a.to_dense().data(), before.data(), "spill roundtrip must be bitwise");
         let s = store.core.summary();
@@ -599,43 +908,140 @@ mod tests {
     }
 
     #[test]
-    fn pin_faults_in_and_blocks_eviction() {
-        let (_g, mut a, mut f) = fixture(3, 2, 3);
-        let tile_bytes = (3 * 3 * 8) as u64;
-        let mut store = PagedStore::build(&mut a, &mut f, 2 * tile_bytes, None).unwrap();
+    fn build_keeps_the_tiles_needed_first_and_no_factor_buffer() {
+        let (g, mut a, mut f) = fixture(3, 2, 4);
+        let tile_bytes = (4 * 4 * 8) as u64;
+        let mut store = build(&mut a, &mut f, &g, None, 2 * tile_bytes);
         let core = Arc::clone(&store.core);
-        let ev = core.pin(SlotFamily::A, 2, 1, false).unwrap();
-        assert!(ev.demand_fault, "evicted slot must fault in on pin");
+        // Program order opens with GEQRT(0,0) then UNMQR(0,0;1): A(0,0) and
+        // A(0,1) are the two tiles needed first.
+        assert!(resident(&core, core.slot_index(SlotFamily::A, 0, 0)));
+        assert!(resident(&core, core.slot_index(SlotFamily::A, 0, 1)));
+        // Six matrix tiles, two kept: four write-backs, and not one for a
+        // factor buffer — those start as zeros with no record.
+        let s = core.summary();
+        assert_eq!((s.evictions, s.writebacks), (4, 4));
+        let vg = core.slot_index(SlotFamily::Vg, 0, 0);
+        assert!(!resident(&core, vg) && !lock(&core.slots[vg]).on_disk);
+        // First pin materialises it: no fault, no prefetch.
+        let ev = core.pin_task(0).unwrap();
+        assert_eq!(ev.demand_faults, 0);
+        assert!(resident(&core, vg));
+        core.unpin_task(0);
+        assert_eq!(core.summary().demand_faults, 0);
+        store.unpage(&mut a, &mut f).unwrap();
+    }
+
+    #[test]
+    fn pin_faults_in_and_blocks_eviction() {
+        let (g, mut a, mut f) = fixture(3, 2, 3);
+        let tile_bytes = (3 * 3 * 8) as u64;
+        let mut store = build(&mut a, &mut f, &g, None, 2 * tile_bytes);
+        store.stop_prefetcher();
+        let core = Arc::clone(&store.core);
+        // The last task, TSMQR(2,1;1)... pins A(2,1), spilled at build time.
+        let last = (g.tasks().len() - 1) as u32;
         let idx = core.slot_index(SlotFamily::A, 2, 1);
+        assert!(core.slots_of(last).iter().any(|&e| (e & !WRITES) as usize == idx));
+        assert!(!resident(&core, idx));
+        let ev = core.pin_task(last).unwrap();
+        assert!(ev.demand_faults > 0, "evicted slot must fault in on pin");
         // A pinned slot survives any amount of eviction pressure.
-        core.make_room(u64::MAX / 2).unwrap();
-        assert!(lock(&core.slots[idx]).buf.is_some(), "pinned slot evicted");
-        core.unpin(idx);
-        core.make_room(u64::MAX / 2).unwrap();
-        assert!(lock(&core.slots[idx]).buf.is_none(), "unpinned slot must evict");
+        evict_all(&core);
+        assert!(resident(&core, idx), "pinned slot evicted");
+        core.unpin_task(last);
+        evict_all(&core);
+        assert!(!resident(&core, idx), "unpinned slot must evict");
+        store.unpage(&mut a, &mut f).unwrap();
+    }
+
+    #[test]
+    fn eviction_takes_the_furthest_next_use_and_spares_a_prefetched_slot() {
+        let (g, mut a, mut f) = fixture(4, 3, 3);
+        let tile_bytes = (3 * 3 * 8) as u64;
+        // Room for every matrix tile, so the test chooses what is spilled.
+        let mut store = build(&mut a, &mut f, &g, None, 12 * tile_bytes);
+        store.stop_prefetcher();
+        let core = Arc::clone(&store.core);
+        // Spill the tile needed first of all, A(0,0) (task 0 touches it)...
+        let idx = core.slot_index(SlotFamily::A, 0, 0);
+        assert!(lock(&core.residency).victims.remove(&(0, idx as u32)));
+        assert!(core.evict((0, idx as u32)).unwrap());
+        // ...and bring it back the way the prefetcher does, ahead of task 0.
+        assert!(core.prefetch_slot(idx, 0));
+        assert!(resident(&core, idx) && lock(&core.slots[idx]).prefetched);
+        assert_eq!(core.summary().prefetches, 1);
+        // Demand reservations now evict one slot each. Under LRU the
+        // prefetched slot — never pinned, so with the oldest stamp — went
+        // first; keyed by its imminent next use it goes last.
+        for _ in 0..11 {
+            assert_eq!(core.reserve_room(tile_bytes, None).unwrap(), Some(1));
+            assert!(resident(&core, idx), "prefetched slot evicted before a later-needed one");
+        }
+        // The prefetcher never displaces a slot needed as soon or sooner.
+        assert_eq!(core.reserve_room(tile_bytes, Some(0)).unwrap(), None);
+        store.unpage(&mut a, &mut f).unwrap();
+    }
+
+    #[test]
+    fn resumed_run_starts_its_cursors_past_completed_tasks() {
+        let (g, mut a, mut f) = fixture(3, 2, 3);
+        let tile_bytes = (3 * 3 * 8) as u64;
+        // Panel 0 done: every task with k == 0.
+        let completed: Vec<bool> = g.tasks().iter().map(|t| t.k == 0).collect();
+        let mut store = build(&mut a, &mut f, &g, Some(&completed), 64 * tile_bytes);
+        let core = Arc::clone(&store.core);
+        for key in lock(&core.residency).victims.iter().map(|v| v.0).filter(|&k| k != NEVER) {
+            let task = core.order[key as usize] as usize;
+            assert!(!completed[task], "next use of a slot points at completed task {task}");
+        }
+        // A(0,0) is only touched by panel 0: never needed again. Factor
+        // buffers panel 0 wrote are kept; panel 1's are still lazy zeros.
+        let idx = core.slot_index(SlotFamily::A, 0, 0);
+        assert_eq!(lock(&core.slots[idx]).key, Some(NEVER));
+        assert!(resident(&core, core.slot_index(SlotFamily::Tg, 0, 0)));
+        assert!(!resident(&core, core.slot_index(SlotFamily::Tg, 1, 1)));
         store.unpage(&mut a, &mut f).unwrap();
     }
 
     #[test]
     fn corrupt_record_is_a_typed_fault() {
-        let (_g, mut a, mut f) = fixture(2, 2, 3);
+        let (g, mut a, mut f) = fixture(2, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
-        let mut store = PagedStore::build(&mut a, &mut f, tile_bytes, None).unwrap();
+        let mut store = build(&mut a, &mut f, &g, None, tile_bytes);
+        store.stop_prefetcher();
         let core = Arc::clone(&store.core);
         // Ensure the victim slot is on disk and evicted.
         let idx = core.slot_index(SlotFamily::A, 1, 1);
-        assert!(lock(&core.slots[idx]).buf.is_none());
-        // Flip one payload byte of its record: the FNV-1a trailer must
+        assert!(!resident(&core, idx));
+        // Flip one payload byte of its record: the checksum trailer must
         // catch the at-rest corruption on the next fault-in.
         let off = idx as u64 * core.record_len + 20;
         let mut byte = [0u8; 1];
         core.file.read_exact_at(&mut byte, off).unwrap();
         byte[0] ^= 0x10;
         core.file.write_all_at(&byte, off).unwrap();
-        let err = core.pin(SlotFamily::A, 1, 1, false).unwrap_err();
+        let last = (g.tasks().len() - 1) as u32;
+        let err = core.pin_task(last).unwrap_err();
         assert!(err.contains("corrupt"), "error must name the corruption: {err}");
         // Unpage restores what it can and reports the bad slot.
         let err = store.unpage(&mut a, &mut f).unwrap_err();
         assert!(err.contains("A(1,1)"), "error must name the slot: {err}");
+    }
+
+    #[test]
+    fn old_version_record_is_unsupported_not_corrupt() {
+        let (g, mut a, mut f) = fixture(2, 2, 3);
+        let tile_bytes = (3 * 3 * 8) as u64;
+        let mut store = build(&mut a, &mut f, &g, None, tile_bytes);
+        store.stop_prefetcher();
+        let core = Arc::clone(&store.core);
+        let idx = core.slot_index(SlotFamily::A, 1, 1);
+        // Rewrite the record's version word to 1 (the FNV-trailer format).
+        core.file.write_all_at(&1u32.to_le_bytes(), idx as u64 * core.record_len + 8).unwrap();
+        let mut dst = vec![0.0; 9];
+        let err = core.read_record(idx, &mut dst).unwrap_err();
+        assert!(err.contains("unsupported format version 1"), "{err}");
+        let _ = store.unpage(&mut a, &mut f);
     }
 }

@@ -11,18 +11,22 @@
 //!
 //! * **Resident** (the default): a flat pointer table over buffers that
 //!   stay allocated for the whole run — zero per-access overhead.
-//! * **Paged**: buffers live in a two-tier cache ([`crate::spill`]) with
-//!   an LRU-resident working set bounded by a byte budget and a spill
-//!   file for the rest. The executor pins every slot a task touches
-//!   ([`TileStore::pin_task`]) before running it — faulting misses in
-//!   from disk — and releases the pins when the attempt ends, so kernels
-//!   still see plain stable `&mut [f64]` views and the factorization
-//!   stays bitwise identical to the resident run.
+//! * **Paged**: buffers live in a two-tier cache ([`crate::spill`]): a
+//!   resident working set bounded by a byte budget, evicted by furthest
+//!   next use over the task graph's program order and refilled by a
+//!   prefetcher walking the same order, and a spill file for the rest.
+//!   That is why [`TileStore::open`] takes the graph: residency is decided
+//!   from the schedule, not from past accesses. The executor pins every
+//!   slot a task touches ([`TileStore::pin_task`]) before running it —
+//!   faulting misses in from disk — and releases the pins when the
+//!   attempt ends, so kernels still see plain stable `&mut [f64]` views
+//!   and the factorization stays bitwise identical to the resident run.
 
 use std::path::Path;
 
 use crate::exec::TFactors;
 use crate::fault::{SdcFault, SdcPattern, SDC_SCALE_FACTOR};
+use crate::graph::TaskGraph;
 use crate::spill::{PagedStore, SpillSummary};
 use crate::task::{SlotFamily, Task};
 use hqr_kernels::{run_kernel, Trans};
@@ -43,12 +47,26 @@ pub struct TileStore {
     paged: Option<PagedStore>,
 }
 
+/// What a paged store knows of the run it serves: residency is decided from
+/// the schedule, not from past accesses.
+pub struct RunPlan<'a> {
+    /// The DAG being executed.
+    pub graph: &'a TaskGraph,
+    /// Tasks a resumed run has already done (their writes are in the
+    /// buffers; they are no future use of anything).
+    pub completed: Option<&'a [bool]>,
+    /// The tasks this run will execute, in the order its scheduler is
+    /// expected to reach them (`exec::preview_order`); "next use" is a
+    /// position in this list. Only called when the store pages.
+    pub order: &'a dyn Fn() -> Vec<u32>,
+}
+
 /// Pins held over every slot one task touches in a paged store; dropping
 /// releases them. Carries what the pin pass observed for the executor's
 /// per-worker counters.
 pub struct TaskPins {
     core: std::sync::Arc<crate::spill::PagedCore>,
-    idxs: Vec<usize>,
+    task: u32,
     /// Slots this task had to fault in from disk on demand.
     pub demand_faults: u64,
     /// Slots found resident because the prefetcher loaded them.
@@ -59,9 +77,7 @@ pub struct TaskPins {
 
 impl Drop for TaskPins {
     fn drop(&mut self) {
-        for &idx in &self.idxs {
-            self.core.unpin(idx);
-        }
+        self.core.unpin_task(self.task);
     }
 }
 
@@ -114,21 +130,36 @@ impl TileStore {
         }
     }
 
-    /// Build a *paged* store: buffers move into a two-tier cache whose
-    /// resident tier is bounded by `budget` bytes, with the rest spilled
-    /// to a checksummed file under `spill_dir` (OS temp dir when `None`).
-    /// The matrix and factors are hollow until [`TileStore::unpage`]
-    /// returns their buffers — callers must unpage on every exit path.
-    pub fn paged_with_ib(
+    /// The store the run `plan` describes should use: paged — buffers move
+    /// into a two-tier cache whose resident tier is bounded by
+    /// `resident_budget` bytes, the rest spilled to a checksummed file under
+    /// `spill_dir` (OS temp dir when `None`) — when a budget is set and the
+    /// allocated buffers (matrix tiles plus factor buffers) exceed it, else
+    /// the flat resident store (zero per-access overhead, bitwise-identical
+    /// results either way; `plan.order` is not looked at).
+    ///
+    /// A paged store leaves the matrix and factors hollow until
+    /// [`TileStore::unpage`] returns their buffers — callers must unpage
+    /// on every exit path.
+    pub fn open(
         a: &mut TiledMatrix,
         f: &mut TFactors,
         ib: usize,
-        budget: u64,
+        plan: &RunPlan<'_>,
+        resident_budget: Option<u64>,
         spill_dir: Option<&Path>,
     ) -> Result<Self, String> {
+        let factor_bufs: usize =
+            [&f.vg, &f.tg, &f.tk].iter().map(|fam| fam.iter().flatten().count()).sum();
+        let allocated = ((a.mt() * a.nt() + factor_bufs) * a.b() * a.b() * 8) as u64;
+        let Some(budget) = resident_budget.filter(|&rb| rb < allocated) else {
+            return Ok(Self::with_ib(a, f, ib));
+        };
         Self::check_shapes(a, f, ib);
+        let graph = plan.graph;
+        assert_eq!((a.mt(), a.nt()), (graph.mt(), graph.nt()), "matrix/graph shape mismatch");
         let (b, mt) = (a.b(), a.mt());
-        let paged = PagedStore::build(a, f, budget, spill_dir)?;
+        let paged = PagedStore::build(a, f, plan, budget, spill_dir)?;
         Ok(TileStore {
             b,
             ib,
@@ -139,26 +170,6 @@ impl TileStore {
             tk: Vec::new(),
             paged: Some(paged),
         })
-    }
-
-    /// The store a run should use: [`TileStore::paged_with_ib`] when a
-    /// resident budget is set and the allocated buffers (matrix tiles plus
-    /// factor buffers) exceed it, else the flat resident store (zero
-    /// per-access overhead, bitwise-identical results either way).
-    pub fn open(
-        a: &mut TiledMatrix,
-        f: &mut TFactors,
-        ib: usize,
-        resident_budget: Option<u64>,
-        spill_dir: Option<&Path>,
-    ) -> Result<Self, String> {
-        let factor_bufs: usize =
-            [&f.vg, &f.tg, &f.tk].iter().map(|fam| fam.iter().flatten().count()).sum();
-        let allocated = ((a.mt() * a.nt() + factor_bufs) * a.b() * a.b() * 8) as u64;
-        match resident_budget.filter(|&rb| rb < allocated) {
-            Some(rb) => Self::paged_with_ib(a, f, ib, rb, spill_dir),
-            None => Ok(Self::with_ib(a, f, ib)),
-        }
     }
 
     fn check_shapes(a: &TiledMatrix, f: &TFactors, ib: usize) {
@@ -173,55 +184,25 @@ impl TileStore {
         self.paged.is_some()
     }
 
-    /// Pin every slot `t` touches, faulting evicted slots in from disk.
-    /// Returns `Ok(None)` in resident mode (nothing to pin). The returned
-    /// guard must stay alive for as long as `t` may run, be verified, be
-    /// snapshotted, or be rolled back; dropping it releases the pins.
+    /// Pin every slot task `tid` of the store's graph touches, faulting
+    /// evicted slots in from disk. Returns `Ok(None)` in resident mode
+    /// (nothing to pin). The returned guard must stay alive for as long as
+    /// the task may run, be verified, be snapshotted, or be rolled back;
+    /// dropping it releases the pins.
     ///
     /// Errors are real I/O failures or at-rest checksum mismatches —
     /// fallible (not panicking) because the executor calls this outside
     /// its `catch_unwind` perimeter.
-    pub fn pin_task(&self, t: &Task) -> Result<Option<TaskPins>, String> {
+    pub fn pin_task(&self, tid: u32) -> Result<Option<TaskPins>, String> {
         let Some(paged) = &self.paged else { return Ok(None) };
-        let core = &paged.core;
-        let mut pins = TaskPins {
-            core: std::sync::Arc::clone(core),
-            idxs: Vec::new(),
-            demand_faults: 0,
-            prefetch_hits: 0,
-            evictions: 0,
-        };
-        // Writes first (they set the dirty bit), then any read-only slots
-        // not already pinned. At most one slot lock is held at a time, so
-        // concurrent pinners cannot deadlock.
-        for (will_write, set) in [(true, t.writes()), (false, t.reads())] {
-            for (fam, i, j) in set {
-                let idx = core.slot_index(fam, i, j);
-                if pins.idxs.contains(&idx) {
-                    continue;
-                }
-                match core.pin(fam, i, j, will_write) {
-                    Ok(ev) => {
-                        pins.idxs.push(idx);
-                        pins.demand_faults += u64::from(ev.demand_fault);
-                        pins.prefetch_hits += u64::from(ev.prefetch_hit);
-                        pins.evictions += ev.evictions;
-                    }
-                    // Drop releases the pins taken so far.
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(Some(pins))
-    }
-
-    /// Hint that `t` is about to become runnable: queue its slots for
-    /// background fault-in so disk reads overlap compute. No-op in
-    /// resident mode.
-    pub fn prefetch_task(&self, t: &Task) {
-        if let Some(paged) = &self.paged {
-            paged.core.enqueue_prefetch(t);
-        }
+        let ev = paged.core.pin_task(tid)?;
+        Ok(Some(TaskPins {
+            core: std::sync::Arc::clone(&paged.core),
+            task: tid,
+            demand_faults: ev.demand_faults,
+            prefetch_hits: ev.prefetch_hits,
+            evictions: ev.evictions,
+        }))
     }
 
     /// Fault every slot back in and return ownership of all buffers to

@@ -202,8 +202,10 @@ fn render_number(v: f64) -> String {
 
 /// Serialize a real-executor [`ExecTrace`] to Chrome Trace Format: one
 /// process ("executor"), one lane per worker thread, task spans colored by
-/// kernel kind, instant events for caught panics / retries / poison
-/// requeues, and per-worker scheduler counters sampled at start and end.
+/// kernel kind (on paged runs each preceded by a `spill`-category "pin"
+/// slice for the time the task waited on the storage tier), instant events
+/// for caught panics / retries / poison requeues, and per-worker scheduler
+/// counters sampled at start and end.
 pub fn chrome_trace_from_exec(trace: &ExecTrace, tasks: &[Task]) -> String {
     let mut b = ChromeTraceBuilder::new();
     let pid = 0u32;
@@ -213,15 +215,22 @@ pub fn chrome_trace_from_exec(trace: &ExecTrace, tasks: &[Task]) -> String {
     }
     for r in &trace.records {
         let t = &tasks[r.task as usize];
+        let args = [("task", r.task.to_string()), ("kernel", t.kind.name().to_string())];
+        if r.kernel_start > r.start {
+            // Paged runs: the wait on the storage tier (pin pass) is its
+            // own slice, so the kernel slice shows compute only.
+            let label = format!("pin {}", t.label());
+            b.span(pid, r.worker as u32, &label, "spill", None, r.start, r.kernel_start, &args);
+        }
         b.span(
             pid,
             r.worker as u32,
             &t.label(),
             t.kind.name(),
             Some(kind_cname(t.kind)),
-            r.start,
+            r.kernel_start,
             r.end,
-            &[("task", r.task.to_string()), ("kernel", t.kind.name().to_string())],
+            &args,
         );
     }
     for i in &trace.instants {

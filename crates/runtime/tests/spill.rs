@@ -172,7 +172,11 @@ fn refaulted_tiles_verify_checksums_and_count_faults() {
 /// Checkpoint/resume of a partially-spilled job: interrupting a paged run
 /// at a panel boundary must persist a complete, non-hollow checkpoint
 /// (spilled tiles faulted back in before the snapshot), and resuming —
-/// paged again — must land bitwise on the uninterrupted answer.
+/// paged again — must land bitwise on the uninterrupted answer. The
+/// resumed store counts only the work that is left as future use: its
+/// next-use cursors start past the completed tasks, so the tiles of the
+/// finished panels are the first to go and the segment moves fewer tiles
+/// than the whole run did.
 #[test]
 fn checkpoint_and_resume_of_partially_spilled_run_is_bitwise() {
     let (mt, nt, b) = (6, 4, 8);
@@ -183,33 +187,81 @@ fn checkpoint_and_resume_of_partially_spilled_run_is_bitwise() {
     let mut a_ref = a0.clone();
     let (f_ref, _) = try_execute_with(&graph, &mut a_ref, &ExecOptions::with_threads(2)).unwrap();
 
-    let path = tmp("ckpt_resume.ckpt");
     let budget = matrix_bytes(mt, nt, b) / 4;
-    let opts = ExecOptions { nthreads: 2, resident_budget: Some(budget), ..Default::default() };
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::default(),
-        input_seed: 31,
-        stop_after_panel: Some(1),
-    };
-    let mut a = a0.clone();
-    let run = try_execute_checkpointed(&graph, &mut a, &opts, &spec, false).expect("paged segment");
-    assert!(run.interrupted, "stopping after panel 1 must leave work");
-    assert!(run.completed_tasks < graph.tasks().len());
+    for nthreads in [2usize, 1] {
+        let path = tmp(&format!("ckpt_resume_{nthreads}t.ckpt"));
+        let opts = ExecOptions { nthreads, resident_budget: Some(budget), ..Default::default() };
+        let mut a_whole = a0.clone();
+        let (_, _, whole) = try_execute_traced(&graph, &mut a_whole, &opts).expect("whole run");
+        let whole = whole.spill.expect("whole run pages");
 
-    let resumed = resume_from_checkpoint(&path, &opts, false).expect("paged resume");
-    assert!(
-        resumed.factors.bitwise_eq(&f_ref),
-        "resumed paged factors must match the uninterrupted resident run"
-    );
-    let d_ref = a_ref.to_dense();
-    let d_res = resumed.a.to_dense();
-    assert!(
-        d_ref.data().iter().zip(d_res.data().iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "resumed paged tile store must match the uninterrupted resident run"
-    );
-    let _ = std::fs::remove_file(&path);
+        let spec = CheckpointSpec {
+            path: &path,
+            elims: &elims,
+            policy: CheckpointPolicy::default(),
+            input_seed: 31,
+            stop_after_panel: Some(1),
+        };
+        let mut a = a0.clone();
+        let run =
+            try_execute_checkpointed(&graph, &mut a, &opts, &spec, false).expect("paged segment");
+        assert!(run.interrupted, "stopping after panel 1 must leave work");
+        assert!(run.completed_tasks < graph.tasks().len());
+
+        let resumed = resume_from_checkpoint(&path, &opts, true).expect("paged resume");
+        assert!(
+            resumed.factors.bitwise_eq(&f_ref),
+            "resumed paged factors must match the uninterrupted resident run"
+        );
+        let d_ref = a_ref.to_dense();
+        let d_res = resumed.a.to_dense();
+        assert!(
+            d_ref.data().iter().zip(d_res.data().iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "resumed paged tile store must match the uninterrupted resident run"
+        );
+        let spill = resumed.trace.expect("trace requested").spill.expect("resumed run pages");
+        assert_eq!(spill.budget, budget);
+        assert!(
+            spill.demand_faults + spill.prefetches < whole.demand_faults + whole.prefetches
+                && spill.writebacks < whole.writebacks,
+            "{nthreads}t: two of four panels were left, yet the resumed segment moved \
+             {spill:?} against the whole run's {whole:?}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The pin pass is split out of a task's span: `kernel_start` marks where
+/// waiting on the storage tier ended and the kernel began. Resident runs
+/// have no pin pass (`kernel_start == start`, and the Chrome trace draws no
+/// pin slice); paged runs spend measurable time there, drawn as a `spill`
+/// slice before the kernel's.
+#[test]
+fn trace_separates_the_pin_pass_from_the_kernel() {
+    let (mt, nt, b) = (6, 4, 8);
+    let graph = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
+    let a0 = TiledMatrix::random(mt, nt, b, 3);
+    let budget = matrix_bytes(mt, nt, b) / 4;
+    for resident_budget in [None, Some(budget)] {
+        let opts = ExecOptions { nthreads: 2, resident_budget, ..Default::default() };
+        let (_, _, trace) = try_execute_traced(&graph, &mut a0.clone(), &opts).expect("run");
+        assert_eq!(trace.records.len(), graph.tasks().len());
+        for r in &trace.records {
+            assert!(r.start <= r.kernel_start && r.kernel_start <= r.end, "{r:?}");
+        }
+        let pin: f64 = trace.records.iter().map(|r| r.kernel_start - r.start).sum();
+        let json = hqr_runtime::chrome_trace_from_exec(&trace, graph.tasks());
+        hqr_runtime::validate_chrome_trace(&json).expect("valid Chrome trace");
+        let pin_slices = json.matches("\"name\":\"pin ").count();
+        match resident_budget {
+            None => assert!(pin == 0.0 && pin_slices == 0, "resident run has no pin pass"),
+            Some(_) => {
+                let pinned = trace.records.iter().filter(|r| r.kernel_start > r.start).count();
+                assert!(pin > 0.0 && pinned > 0, "a paged run spends time pinning");
+                assert_eq!(pin_slices, pinned, "one pin slice per task that waited");
+            }
+        }
+    }
 }
 
 /// A budget at or above the allocated footprint never pages: the engine

@@ -6,6 +6,7 @@
 //! data locality for the sequential kernels").
 
 use crate::dense::DenseMatrix;
+use rand::{Rng, SeedableRng};
 
 /// A tiled `mt × nt` matrix of square `b × b` tiles.
 ///
@@ -42,8 +43,23 @@ impl TiledMatrix {
     /// Random tiled matrix with entries in `[-0.5, 0.5)`, deterministic from
     /// `seed`. Matches [`DenseMatrix::random`] element-for-element so tiled
     /// and dense test fixtures agree.
+    ///
+    /// The draws go straight into the tiles, in the dense matrix's stream
+    /// order (column-major: each element column runs down through every
+    /// tile row), so no dense copy is built and scattered.
     pub fn random(mt: usize, nt: usize, b: usize, seed: u64) -> Self {
-        Self::from_dense(&DenseMatrix::random(mt * b, nt * b, seed), b)
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut m = Self::zeros(mt, nt, b);
+        for tj in 0..nt {
+            for j in 0..b {
+                for ti in 0..mt {
+                    for x in &mut m.tile_mut(ti, tj)[j * b..(j + 1) * b] {
+                        *x = rng.gen::<f64>() - 0.5;
+                    }
+                }
+            }
+        }
+        m
     }
 
     /// Scatter a dense matrix into tiles. The dense dimensions must be exact
@@ -195,9 +211,20 @@ mod tests {
 
     #[test]
     fn random_matches_dense_random() {
-        let t = TiledMatrix::random(3, 2, 4, 77);
-        let d = DenseMatrix::random(12, 8, 77);
-        assert_eq!(t.to_dense().data(), d.data());
+        // Generated tile by tile, yet bit-identical to scattering the dense
+        // stream: square, tall, wide and single-tile shapes.
+        for (mt, nt, b) in [(3, 3, 4), (5, 2, 3), (2, 4, 5), (1, 1, 7), (1, 1, 1)] {
+            let t = TiledMatrix::random(mt, nt, b, 77);
+            let d = DenseMatrix::random(mt * b, nt * b, 77);
+            let scattered = TiledMatrix::from_dense(&d, b);
+            for j in 0..nt {
+                for i in 0..mt {
+                    let same = t.tile(i, j).iter().zip(scattered.tile(i, j));
+                    assert!(same.clone().all(|(x, y)| x.to_bits() == y.to_bits()), "{mt}x{nt}x{b}");
+                }
+            }
+            assert_eq!(t.to_dense().data(), d.data());
+        }
     }
 
     #[test]
