@@ -79,28 +79,29 @@ USAGE:
       run either backend with timeline recording, write a Chrome Trace
       Format JSON (open at https://ui.perfetto.dev), and print a summary
       (utilization, steal counts, top realized-critical-path tasks)
-  hqr serve    [--socket PATH --queue FILE --threads T --mem-budget-mb MB
-                --queue-cap N --max-active N --grace-ms MS --resume
-                --resident-budget-kb KB --state-dir DIR --ckpt-interval-ms MS
+  hqr serve    [--socket PATH --state-dir DIR --threads T --mem-budget-mb MB
+                --queue-cap N --max-active N --grace-ms MS
+                --resident-budget-kb KB --ckpt-interval-ms MS
                 --result-cap N --result-max-kb KB --result-max-age-secs S
                 --journal-rotate-kb KB]
       run the multi-job factorization service on a local Unix socket:
       one shared work-stealing pool multiplexes every accepted job, with
       admission control (memory budget), bounded-queue backpressure
-      (lowest-QoS shedding), per-job deadlines/retries, and graceful
-      drain on SIGTERM (suspend in-flight work at a quiescent point and
-      persist the queue; restart with --resume to finish it);
+      (lowest-QoS shedding) and per-job deadlines/retries;
+      the daemon is always journaled: every lifecycle transition is
+      written to a fsync'd job journal under --state-dir (default
+      <socket>.state), completed results persist to a durable store
+      there (capped at --result-cap, 0 = unlimited, plus
+      --result-max-kb / --result-max-age-secs byte and age ceilings),
+      running jobs checkpoint every --ckpt-interval-ms, the journal
+      compacts itself past --journal-rotate-kb, and every start replays
+      the journal so no accepted job is ever lost — after kill -9, or
+      after the graceful drain on SIGTERM (which first suspends
+      in-flight work at a quiescent point so it resumes rather than
+      restarts);
       --resident-budget-kb caps each job's in-memory tile tier (jobs
       beyond it run out-of-core against a spill file under the state
-      dir, and admission charges only the resident tier);
-      --state-dir turns on crash-safe durability: every lifecycle
-      transition is written to a fsync'd job journal, completed results
-      persist to a durable store (capped at --result-cap, 0 = unlimited,
-      plus --result-max-kb / --result-max-age-secs byte and age
-      ceilings), running jobs checkpoint every --ckpt-interval-ms, the
-      journal compacts itself past --journal-rotate-kb, and a restarted
-      daemon replays the journal so no accepted job is ever lost — even
-      after kill -9
+      dir, and admission charges only the resident tier)
   hqr submit   [--socket PATH --rows R --cols C --tile B --grid PxQ
                 --low TREE --high TREE --domino --a A --ib IB --seed S
                 --qos batch|normal|interactive --policy POLICY
@@ -124,8 +125,8 @@ USAGE:
   hqr resume-job [--socket PATH --id JOB]
       requeue a suspended job from its checkpoint
   hqr drain    [--socket PATH --grace-ms MS]
-      gracefully drain the daemon: finish or suspend in-flight jobs,
-      persist the queue, exit
+      gracefully drain the daemon: finish or suspend in-flight jobs and
+      exit; the next `hqr serve` on the same state dir finishes the rest
   hqr ping     [--socket PATH]
       liveness check against a running daemon
   hqr admission [--servers C --queue-cap Q --mean-service S --jobs N

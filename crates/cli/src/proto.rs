@@ -3,7 +3,7 @@
 //! Transport: a local Unix-domain stream socket carrying length-prefixed
 //! frames — a u64 little-endian payload length followed by that many bytes.
 //! Each payload is a [`hqr_tile::io`] section container (the same sectioned
-//! binary format used by checkpoints and the persisted submission queue),
+//! binary format used by checkpoints, job specs and the journal),
 //! so the protocol inherits the container's magic/version handshake and
 //! tolerates unknown trailing sections for forward compatibility.
 //!

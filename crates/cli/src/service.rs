@@ -9,10 +9,14 @@
 //!   budget are rejected with a typed error before any allocation;
 //! * backpressure — a bounded queue; when full, a new arrival either sheds
 //!   a strictly lower-QoS queued job or is refused;
+//! * durability — the daemon is always journaled: every accepted job is in
+//!   the write-ahead journal of its state directory before the client
+//!   learns the id, and every start replays that journal, so accepted jobs
+//!   survive a restart however the last daemon ended;
 //! * graceful drain — on SIGTERM (or a `drain` request) the daemon stops
-//!   admitting, gives in-flight jobs a grace period, suspends the rest at
-//!   a quiescent point, persists the queue, and exits 0. `serve --resume`
-//!   reloads that queue, so accepted jobs survive daemon restarts.
+//!   admitting, gives in-flight jobs a grace period, checkpoints the rest
+//!   at a quiescent point, and exits 0: the polite special case of a
+//!   crash, recovered by the same replay.
 //!
 //! A client failure never takes the daemon down: every connection runs in
 //! its own thread and protocol or I/O errors only end that conversation.
@@ -22,8 +26,8 @@ use crate::proto::{read_frame, write_frame, ProtoError, Request, Response, WireJ
 use hqr::baselines;
 use hqr::prelude::*;
 use hqr_runtime::{
-    load_queue, result_from_bytes, DrainReport, DurabilityConfig, FaultPlan, IntegrityMode,
-    JobPool, JobSpec, JobState, PoolConfig, QosClass, SubmitError,
+    result_from_bytes, DrainReport, DurabilityConfig, FaultPlan, IntegrityMode, JobPool, JobSpec,
+    JobState, PoolConfig, QosClass, SubmitError,
 };
 use hqr_tile::{ProcessGrid, TiledMatrix};
 use std::io;
@@ -54,11 +58,12 @@ fn install_signal_handlers() {
 /// Everything a connection thread needs, shared behind an `Arc`.
 struct Service {
     pool: JobPool,
-    queue_path: PathBuf,
     grace: Duration,
     /// First drain wins; later requests (or the SIGTERM path) reuse the
     /// stored report instead of draining twice.
     drained: Mutex<Option<DrainReport>>,
+    /// Raised by the connection that answered a `drain` request, once its
+    /// `Drained` frame is written; the accept loop then exits.
     exit: AtomicBool,
 }
 
@@ -70,24 +75,32 @@ fn socket_of(args: &Args) -> PathBuf {
     args.get("socket").map(PathBuf::from).unwrap_or_else(default_socket)
 }
 
-fn queue_path_of(args: &Args, socket: &Path) -> PathBuf {
-    match args.get("queue") {
-        Some(p) => PathBuf::from(p),
-        None => socket.with_extension("queue"),
-    }
-}
-
 /// `hqr serve`: run the factorization service until SIGTERM or `hqr drain`.
 pub fn serve(args: &Args) -> i32 {
     let socket = socket_of(args);
-    let queue_path = queue_path_of(args, &socket);
     let threads = args.usize_or("threads", 4);
     if threads == 0 {
         eprintln!("--threads must be positive");
         return 2;
     }
     let budget_mb = args.usize_or("mem-budget-mb", 0) as u64;
-    let mut cfg = PoolConfig {
+    // The journal, the per-job checkpoint files and the result store all
+    // live under the state directory, `<socket>.state` unless told otherwise.
+    let state_dir =
+        args.get("state-dir").map_or_else(|| socket.with_extension("state"), PathBuf::from);
+    let mut durability = DurabilityConfig::at(&state_dir);
+    durability.ckpt_interval =
+        Duration::from_millis(args.usize_or("ckpt-interval-ms", 30_000) as u64);
+    durability.result_cap = args.usize_or("result-cap", 0);
+    // Disk-growth guards: rotate the journal past a size threshold, and
+    // bound the result store by bytes and age as well as count.
+    durability.journal_rotate_bytes = (args.usize_or("journal-rotate-kb", 0) as u64) << 10;
+    durability.result_max_bytes = (args.usize_or("result-max-kb", 0) as u64) << 10;
+    durability.result_max_age = match args.usize_or("result-max-age-secs", 0) as u64 {
+        0 => None,
+        secs => Some(Duration::from_secs(secs)),
+    };
+    let cfg = PoolConfig {
         nthreads: threads,
         mem_budget: if budget_mb == 0 { u64::MAX } else { budget_mb << 20 },
         queue_cap: args.usize_or("queue-cap", 64),
@@ -99,80 +112,42 @@ pub fn serve(args: &Args) -> i32 {
             0 => None,
             kb => Some(kb << 10),
         },
+        durability: Some(durability),
         ..PoolConfig::default()
     };
-    // `--state-dir DIR` turns on crash-safe durability: a write-ahead job
-    // journal, per-job checkpoint files, and a durable result store all live
-    // under DIR.
-    let durable = args.get("state-dir").is_some();
-    if let Some(dir) = args.get("state-dir") {
-        let mut d = DurabilityConfig::at(dir);
-        d.ckpt_interval = Duration::from_millis(args.usize_or("ckpt-interval-ms", 30_000) as u64);
-        d.result_cap = args.usize_or("result-cap", 0);
-        // Disk-growth guards: rotate the journal past a size threshold,
-        // and bound the result store by bytes and age as well as count.
-        d.journal_rotate_bytes = (args.usize_or("journal-rotate-kb", 0) as u64) << 10;
-        d.result_max_bytes = (args.usize_or("result-max-kb", 0) as u64) << 10;
-        d.result_max_age = match args.usize_or("result-max-age-secs", 0) as u64 {
-            0 => None,
-            secs => Some(Duration::from_secs(secs)),
-        };
-        cfg.durability = Some(d);
+    let pool = match JobPool::try_new(cfg) {
+        Ok(pool) => pool,
+        Err(e) => {
+            eprintln!("cannot open state directory {}: {e}", state_dir.display());
+            return 2;
+        }
+    };
+    // The journal is the queue: replay it so every job a previous daemon
+    // accepted is driven to a terminal state (and so fresh job ids never
+    // collide with journaled ones) — the same replay whether that daemon
+    // drained on SIGTERM or died by SIGKILL.
+    match pool.recover() {
+        Ok(r) if r.total > 0 => println!(
+            "recovered {} journaled jobs ({} resumed from checkpoint, {} restarted fresh, {} \
+             already terminal, {} unrecoverable)",
+            r.total,
+            r.resumed_from_checkpoint,
+            r.restarted_fresh,
+            r.completed_retained + r.terminal_retained,
+            r.unrecoverable
+        ),
+        Ok(_) => {}
+        Err(e) => {
+            eprintln!("cannot replay the job journal: {e}");
+            return 2;
+        }
     }
     let svc = Arc::new(Service {
-        pool: JobPool::new(cfg),
-        queue_path: queue_path.clone(),
+        pool,
         grace: Duration::from_millis(args.usize_or("grace-ms", 2000) as u64),
         drained: Mutex::new(None),
         exit: AtomicBool::new(false),
     });
-
-    // With a state dir the journal — not the drain-time queue file — is the
-    // source of truth: replay it unconditionally so every previously-accepted
-    // job is driven to a terminal state (and so fresh job ids never collide
-    // with journaled ones), even when the last daemon died by SIGKILL and no
-    // drain ever ran.
-    if durable {
-        match svc.pool.recover() {
-            Ok(r) => {
-                if r.total > 0 {
-                    println!(
-                        "recovered {} journaled jobs ({} resumed from checkpoint, {} restarted \
-                         fresh, {} already terminal, {} unrecoverable)",
-                        r.total,
-                        r.resumed_from_checkpoint,
-                        r.restarted_fresh,
-                        r.completed_retained + r.terminal_retained,
-                        r.unrecoverable
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot replay the job journal: {e}");
-                return 2;
-            }
-        }
-    }
-    if args.flag("resume") && !durable {
-        match load_queue(&queue_path) {
-            Ok(entries) => {
-                let n = entries.len();
-                let mut accepted = 0usize;
-                for entry in entries {
-                    match svc.pool.submit(entry.spec) {
-                        Ok(_) => accepted += 1,
-                        Err(e) => eprintln!("resume: dropping persisted job: {e}"),
-                    }
-                }
-                println!("resumed {accepted}/{n} persisted jobs from {}", queue_path.display());
-            }
-            Err(e) if queue_path.exists() => {
-                eprintln!("cannot resume from {}: {e}", queue_path.display());
-                return 2;
-            }
-            Err(_) => println!("no persisted queue at {}; starting empty", queue_path.display()),
-        }
-    }
 
     // A stale socket file from a crashed daemon would make bind fail.
     let _ = std::fs::remove_file(&socket);
@@ -192,27 +167,23 @@ pub fn serve(args: &Args) -> i32 {
 
     let code = loop {
         if svc.exit.load(Ordering::SeqCst) {
-            // A drain request already quiesced and persisted the pool.
+            // A drain request quiesced the pool and has been answered.
             break 0;
         }
-        if STOP.load(Ordering::SeqCst) {
+        if STOP.swap(false, Ordering::SeqCst) {
             println!("hqr serve: signal received, draining ...");
-            match drain_with(&svc, svc.grace) {
-                Ok(report) => {
-                    println!(
-                        "hqr serve: drained ({} finished, {} suspended, {} persisted to {})",
-                        report.finished,
-                        report.suspended.len(),
-                        report.persisted,
-                        queue_path.display()
-                    );
-                    break 0;
-                }
-                Err(e) => {
-                    eprintln!("hqr serve: drain failed: {e}");
-                    break 1;
-                }
+            if let (report, true) = drain_with(&svc, svc.grace) {
+                println!(
+                    "hqr serve: drained ({} finished, {} suspended, {} persisted to {})",
+                    report.finished,
+                    report.suspended.len(),
+                    report.persisted,
+                    state_dir.display()
+                );
+                break 0;
             }
+            // A drain request got there first: its connection raises `exit`
+            // once the client has its answer; keep accepting till then.
         }
         match listener.accept() {
             Ok((stream, _addr)) => {
@@ -247,10 +218,14 @@ fn handle_conn(mut stream: UnixStream, svc: &Service) -> io::Result<()> {
             Ok(req) => respond(req, svc),
             Err(ProtoError(msg)) => Response::Error { code: 0, message: msg },
         };
-        write_frame(&mut stream, &response.to_bytes())?;
-        if svc.exit.load(Ordering::SeqCst) {
-            break;
+        let sent = write_frame(&mut stream, &response.to_bytes());
+        // Only now may the accept loop exit: raised any earlier, the
+        // process could be gone before the client has its `Drained` frame.
+        if matches!(response, Response::Drained { .. }) {
+            svc.exit.store(true, Ordering::SeqCst);
+            return sent;
         }
+        sent?;
     }
     Ok(())
 }
@@ -314,27 +289,26 @@ fn respond(req: Request, svc: &Service) -> Response {
             // A requested grace overrides the daemon default for this drain.
             let grace =
                 if grace_ms == u64::MAX { svc.grace } else { Duration::from_millis(grace_ms) };
-            match drain_with(svc, grace) {
-                Ok(report) => Response::Drained {
-                    finished: report.finished as u64,
-                    suspended: report.suspended.iter().map(|id| id.0).collect(),
-                    persisted: report.persisted as u64,
-                },
-                Err(e) => Response::Error { code: 0, message: format!("drain failed: {e}") },
+            let (report, _) = drain_with(svc, grace);
+            Response::Drained {
+                finished: report.finished as u64,
+                suspended: report.suspended.iter().map(|id| id.0).collect(),
+                persisted: report.persisted as u64,
             }
         }
     }
 }
 
-fn drain_with(svc: &Service, grace: Duration) -> io::Result<DrainReport> {
+/// Drain the pool once: the first caller drains and gets `true`, later
+/// callers (a second request, the SIGTERM path) get the stored report.
+fn drain_with(svc: &Service, grace: Duration) -> (DrainReport, bool) {
     let mut slot = svc.drained.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(report) = slot.as_ref() {
-        return Ok(report.clone());
+        return (report.clone(), false);
     }
-    let report = svc.pool.drain(grace, Some(&svc.queue_path))?;
+    let report = svc.pool.drain(grace);
     *slot = Some(report.clone());
-    svc.exit.store(true, Ordering::SeqCst);
-    Ok(report)
+    (report, true)
 }
 
 // ---------------------------------------------------------------------------

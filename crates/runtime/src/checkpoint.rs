@@ -210,6 +210,31 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// The checkpoint of `graph` run with inner block size `ib`, quiesced
+    /// with `completed` done: the one place the fingerprint is tied to the
+    /// state it describes. `input_seed` starts at 0 (caller metadata).
+    pub fn capture(
+        graph: &TaskGraph,
+        ib: usize,
+        elims: Vec<ElimOp>,
+        completed: Vec<bool>,
+        a: TiledMatrix,
+        factors: TFactors,
+    ) -> Checkpoint {
+        Checkpoint {
+            mt: graph.mt(),
+            nt: graph.nt(),
+            b: graph.b(),
+            ib,
+            fingerprint: graph_fingerprint(graph, ib),
+            input_seed: 0,
+            elims,
+            completed,
+            a,
+            factors,
+        }
+    }
+
     /// Number of tasks marked complete.
     pub fn completed_tasks(&self) -> usize {
         self.completed.iter().filter(|&&d| d).count()
@@ -258,7 +283,7 @@ impl Checkpoint {
 }
 
 /// Pack an elimination list as `[count, (k, victim, killer, ts)*]` words —
-/// the encoding shared by checkpoint files and the service queue format.
+/// the encoding shared by checkpoint files and encoded job specs.
 pub(crate) fn elims_to_words(elims: &[ElimOp]) -> Vec<u64> {
     let mut words: Vec<u64> = Vec::with_capacity(1 + 4 * elims.len());
     words.push(elims.len() as u64);
@@ -429,8 +454,8 @@ pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> Result<(), Checkpoint
 }
 
 /// Serialize a checkpoint into the same checksummed container bytes
-/// [`write_checkpoint`] puts on disk — used to embed suspended jobs inside
-/// the service's persisted queue file.
+/// [`write_checkpoint`] puts on disk — used to embed a checkpoint inside an
+/// encoded resume-job spec.
 pub fn checkpoint_to_bytes(ckpt: &Checkpoint) -> Vec<u8> {
     checkpoint_writer(ckpt).into_bytes()
 }
@@ -583,7 +608,6 @@ pub fn try_execute_checkpointed(
         }
     }
     let ib = opts.ib.unwrap_or(graph.b());
-    let fingerprint = graph_fingerprint(graph, ib);
 
     let nthreads = opts.nthreads.max(1);
     let mut completed = vec![false; n];
@@ -648,16 +672,15 @@ pub fn try_execute_checkpointed(
             && last_write.is_none_or(|t| t.elapsed() >= spec.policy.min_interval);
         if due || stop_here {
             let ckpt = Checkpoint {
-                mt: graph.mt(),
-                nt: graph.nt(),
-                b: graph.b(),
-                ib,
-                fingerprint,
                 input_seed: spec.input_seed,
-                elims: spec.elims.to_vec(),
-                completed: completed.clone(),
-                a: a.clone(),
-                factors: factors.clone(),
+                ..Checkpoint::capture(
+                    graph,
+                    ib,
+                    spec.elims.to_vec(),
+                    completed.clone(),
+                    a.clone(),
+                    factors.clone(),
+                )
             };
             write_checkpoint(spec.path, &ckpt)?;
             written += 1;

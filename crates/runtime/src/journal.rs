@@ -117,7 +117,7 @@ impl From<BinFormatError> for JournalError {
     }
 }
 
-fn io_err(path: &Path, e: std::io::Error) -> JournalError {
+pub(crate) fn io_err(path: &Path, e: std::io::Error) -> JournalError {
     JournalError::Io { path: path.display().to_string(), message: e.to_string() }
 }
 

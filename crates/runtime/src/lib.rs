@@ -64,9 +64,9 @@ pub use journal::{
 };
 pub use lineage::{last_writers, rebuild_closure, recompute_slots, Slot};
 pub use pool::{
-    load_queue, DrainReport, DurabilityConfig, JobId, JobInput, JobOutcome, JobPool, JobResult,
-    JobSpec, JobState, JobView, PoolConfig, QosClass, QueueEntry, QueueFormatError, RecoveryReport,
-    SubmitError, SuspendKind, CKPT_DIR, JOURNAL_FILE, QUEUE_MAGIC, QUEUE_VERSION, RESULTS_DIR,
+    DrainReport, DurabilityConfig, JobId, JobInput, JobOutcome, JobPool, JobResult, JobSpec,
+    JobState, JobView, PoolConfig, QosClass, QueueFormatError, RecoveryReport, SubmitError,
+    SuspendKind, CKPT_DIR, JOURNAL_FILE, QUEUE_MAGIC, QUEUE_VERSION, RESULTS_DIR,
 };
 pub use retry::RetryPolicy;
 pub use sched::SchedPolicy;

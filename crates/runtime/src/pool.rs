@@ -24,9 +24,11 @@
 //!   pristine payload after a capped exponential backoff, and quarantined
 //!   ([`JobState::Quarantined`]) once its retry budget is exhausted;
 //! * **graceful drain** — stop admitting, let running jobs finish within a
-//!   grace period, checkpoint the stragglers at a quiescent point (the
-//!   PR-3 machinery), and persist the whole queue to one container file
-//!   that a restarted service can resubmit from.
+//!   grace period, and checkpoint the stragglers at a quiescent point (the
+//!   PR-3 machinery). Nothing else is written: on a durable pool the
+//!   write-ahead journal already holds every queued spec and now the
+//!   stragglers' checkpoints, so a restart after a drain is the same
+//!   [`JobPool::recover`] as a restart after a crash.
 //!
 //! Scheduling across jobs is QoS-major: the shared ready heap orders tasks
 //! by (QoS class, admission order, per-job policy rank), so interactive
@@ -39,23 +41,23 @@
 //! engine-only features rejected at submission: poisoned workers (worker
 //! indices belong to one engine run) and lost completions (the pool's
 //! progress accounting would wedge). Plans are also not serialized into
-//! persisted queues — injection is in-process test machinery.
+//! the journal or the wire — injection is in-process test machinery.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam_deque::{Steal, Stealer, Worker};
 
 use crate::checkpoint::{
-    checkpoint_from_bytes, checkpoint_to_bytes, elims_from_words, elims_to_words,
-    graph_fingerprint, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError,
+    checkpoint_from_bytes, checkpoint_to_bytes, elims_from_words, elims_to_words, read_checkpoint,
+    write_checkpoint, Checkpoint, CheckpointError,
 };
 use crate::elim::ElimOp;
 use crate::error::ExecError;
@@ -66,7 +68,8 @@ use crate::fault::{FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
 use crate::integrity::IntegrityMode;
 use crate::journal::{
-    replay, result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore,
+    io_err, replay, result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent,
+    RecoveredJob, ResultStore,
 };
 use crate::sched::SchedPolicy;
 use crate::store::{RunPlan, TileStore};
@@ -74,21 +77,23 @@ use hqr_kernels::KernelKind;
 use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionReader, SectionWriter};
 use hqr_tile::TiledMatrix;
 
-/// Magic bytes opening a persisted service queue file.
+/// Magic bytes opening an encoded [`JobSpec`]. The name is historical: the
+/// container used to be a drain-time queue file of many specs; it is now
+/// the encoding of one, on the wire and in the journal.
 pub const QUEUE_MAGIC: [u8; 8] = *b"HQRQUEUE";
-/// Queue container version (2: `checksum64` trailer).
+/// Spec container version (2: `checksum64` trailer).
 pub const QUEUE_VERSION: u32 = 2;
 
+/// Section tags of the spec container — the count section and first
+/// entry of the old queue layout, which every reader and writer of
+/// version 2 agrees on.
 const QSEC_COUNT: u32 = 1;
-/// Per-entry tags: entry `i` owns tags `QSEC_BASE + i*QSEC_STRIDE ..`.
-const QSEC_BASE: u32 = 16;
-const QSEC_STRIDE: u32 = 8;
-const QOFF_META: u32 = 0;
-const QOFF_TAG: u32 = 1;
-const QOFF_ELIMS: u32 = 2;
-const QOFF_TILES: u32 = 3;
-const QOFF_CKPT: u32 = 4;
-const QOFF_DEDUP: u32 = 5;
+const QSEC_META: u32 = 16;
+const QSEC_TAG: u32 = 17;
+const QSEC_ELIMS: u32 = 18;
+const QSEC_TILES: u32 = 19;
+const QSEC_CKPT: u32 = 20;
+const QSEC_DEDUP: u32 = 21;
 
 /// File name of the write-ahead journal inside a state directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
@@ -204,7 +209,7 @@ pub struct JobSpec {
     pub deadline: Option<Duration>,
     /// Deterministic fault injection for this job only. Poisoned workers
     /// and lost completions are engine-only and rejected at submission;
-    /// plans are never serialized into persisted queues.
+    /// plans are never serialized (wire or journal).
     pub plan: Option<FaultPlan>,
     /// Free-form label shown by `hqr jobs`.
     pub tag: String,
@@ -242,21 +247,95 @@ impl JobSpec {
     }
 
     /// Serialize the spec (minus any fault plan) for the wire protocol and
-    /// the persisted queue. The encoding is a section container:
-    /// meta words, tag string, then either elims + tiles (fresh) or an
-    /// embedded checkpoint container (resume).
+    /// the journal. The encoding is a section container: meta words, tag
+    /// string, then either elims + tiles (fresh) or an embedded checkpoint
+    /// container (resume).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let kind = match &self.input {
+            JobInput::Fresh { .. } => 0u64,
+            JobInput::Resume(_) => 1u64,
+        };
+        let meta = [
+            kind,
+            self.qos as u64,
+            self.policy_word(),
+            self.integrity_word(),
+            self.ib.map_or(0, |ib| ib as u64),
+            self.max_retries as u64,
+            self.job_retries as u64,
+            self.deadline.map_or(u64::MAX, |d| d.as_millis() as u64),
+            0, // attempts consumed: the journal's `Accepted` record carries them now
+        ];
         let mut w = SectionWriter::new(QUEUE_MAGIC, QUEUE_VERSION);
-        spec_sections(&mut w, self, QSEC_BASE, 0);
+        w.section(QSEC_META, &bytes_of_u64s(&meta));
+        w.section(QSEC_TAG, self.tag.as_bytes());
+        if let Some(k) = &self.dedup_key {
+            w.section(QSEC_DEDUP, k.as_bytes());
+        }
+        match &self.input {
+            JobInput::Fresh { elims, a } => {
+                w.section(QSEC_ELIMS, &bytes_of_u64s(&elims_to_words(elims)));
+                w.section(QSEC_TILES, &hqr_tile::io::tiled_to_bytes(a));
+            }
+            JobInput::Resume(ck) => {
+                w.section(QSEC_CKPT, &checkpoint_to_bytes(ck));
+            }
+        }
         w.section(QSEC_COUNT, &bytes_of_u64s(&[1]));
         w.into_bytes()
     }
 
     /// Decode the inverse of [`JobSpec::to_bytes`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<JobSpec, QueueFormatError> {
+        let bad = |message: String| QueueFormatError::Inconsistent { message };
         let r = SectionReader::from_bytes(bytes, QUEUE_MAGIC, QUEUE_VERSION)?;
-        let (spec, _) = spec_from_sections(&r, QSEC_BASE)?;
-        Ok(spec)
+        let meta = u64s_of_bytes(QSEC_META, r.require(QSEC_META)?)?;
+        if meta.len() != 9 {
+            return Err(bad(format!("spec meta holds {} words, expected 9", meta.len())));
+        }
+        let qos = QosClass::from_index(meta[1])
+            .ok_or_else(|| bad(format!("unknown QoS index {}", meta[1])))?;
+        let policy = match meta[2] {
+            0 => SchedPolicy::Fifo,
+            1 => SchedPolicy::PanelFirst,
+            2 => SchedPolicy::CriticalPath,
+            other => return Err(bad(format!("unknown policy index {other}"))),
+        };
+        let integrity = match meta[3] {
+            0 => IntegrityMode::Off,
+            1 => IntegrityMode::Spot,
+            2 => IntegrityMode::Full,
+            other => return Err(bad(format!("unknown integrity index {other}"))),
+        };
+        let utf8 = |b: &[u8], what: &str| {
+            String::from_utf8(b.to_vec()).map_err(|_| bad(format!("spec {what} is not UTF-8")))
+        };
+        let tag = utf8(r.require(QSEC_TAG)?, "tag")?;
+        let dedup_key = r.section(QSEC_DEDUP).map(|b| utf8(b, "dedup key")).transpose()?;
+        let input = match meta[0] {
+            0 => {
+                let words = u64s_of_bytes(QSEC_ELIMS, r.require(QSEC_ELIMS)?)?;
+                let elims = elims_from_words(QSEC_ELIMS, &words)
+                    .map_err(|e| bad(format!("spec elims: {e}")))?;
+                let a = hqr_tile::io::tiled_from_bytes(QSEC_TILES, r.require(QSEC_TILES)?)?;
+                JobInput::Fresh { elims, a }
+            }
+            1 => JobInput::Resume(Box::new(checkpoint_from_bytes(r.require(QSEC_CKPT)?.to_vec())?)),
+            other => return Err(bad(format!("unknown spec kind {other}"))),
+        };
+        Ok(JobSpec {
+            input,
+            ib: if meta[4] == 0 { None } else { Some(meta[4] as usize) },
+            qos,
+            policy,
+            integrity,
+            max_retries: meta[5] as u32,
+            job_retries: meta[6] as u32,
+            deadline: if meta[7] == u64::MAX { None } else { Some(Duration::from_millis(meta[7])) },
+            plan: None,
+            tag,
+            dedup_key,
+        })
     }
 
     fn policy_word(&self) -> u64 {
@@ -307,8 +386,9 @@ pub enum JobState {
     Shed,
     /// Exhausted its job-level retry budget; the last error is recorded.
     Quarantined,
-    /// Halted at a quiescent point by a drain and checkpointed; the
-    /// persisted queue holds its resumable state.
+    /// Halted at a quiescent point (by a drain or a suspend request),
+    /// checkpointed and parked until [`JobPool::resume_job`] — or, on a
+    /// durable pool, until the next [`JobPool::recover`].
     Suspended,
 }
 
@@ -399,7 +479,7 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Why a persisted queue file could not be decoded.
+/// Why an encoded [`JobSpec`] could not be decoded.
 #[derive(Debug)]
 pub enum QueueFormatError {
     /// The container is unreadable or corrupt.
@@ -416,9 +496,9 @@ pub enum QueueFormatError {
 impl fmt::Display for QueueFormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueueFormatError::Format(e) => write!(f, "queue format error: {e}"),
+            QueueFormatError::Format(e) => write!(f, "spec format error: {e}"),
             QueueFormatError::Inconsistent { message } => {
-                write!(f, "inconsistent queue file: {message}")
+                write!(f, "inconsistent job spec: {message}")
             }
             QueueFormatError::Checkpoint(e) => write!(f, "embedded checkpoint: {e}"),
         }
@@ -456,7 +536,8 @@ pub struct JobView {
     pub tasks_done: usize,
     /// Tasks in the job's DAG.
     pub tasks_total: usize,
-    /// Last recorded error, if any.
+    /// Why the job is in its current state, when that needs saying (the
+    /// failure it is backing off from, what suspended or ended it).
     pub error: Option<String>,
     /// Wall-clock from submission to terminal state (terminal jobs only).
     pub wall: Option<Duration>,
@@ -586,8 +667,9 @@ impl DurabilityConfig {
 /// Why a running job is being suspended at its next quiescent point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SuspendKind {
-    /// A graceful drain: the checkpoint goes to the persisted queue
-    /// and/or the journal for a later restart.
+    /// A graceful drain: the job parks like [`SuspendKind::Park`]; on a
+    /// durable pool its checkpoint file and journal records are what the
+    /// next [`JobPool::recover`] resumes from.
     Drain,
     /// An explicit suspend request: the job parks in
     /// [`JobState::Suspended`] until [`JobPool::resume_job`].
@@ -601,10 +683,11 @@ pub enum SuspendKind {
 }
 
 impl SuspendKind {
+    /// Journaled with the suspension and shown as a parked job's error.
     fn reason(self) -> &'static str {
         match self {
-            SuspendKind::Drain => "drain",
-            SuspendKind::Park => "suspend request",
+            SuspendKind::Drain => "suspended by drain; state checkpointed",
+            SuspendKind::Park => "suspended by request; resume with resume-job",
             SuspendKind::Preempt => "preempted by a higher-QoS job",
             SuspendKind::Periodic => "periodic durability checkpoint",
         }
@@ -636,6 +719,8 @@ struct ActiveJob {
     id: u64,
     /// Admission order, for FCFS tie-breaking within a QoS class.
     seq: u64,
+    /// Attempts started, this activation included.
+    attempts: u32,
     qos_inv: u64,
     graph: TaskGraph,
     /// Store, guards, fault plan, ranks and frontier of this activation;
@@ -678,7 +763,7 @@ impl ActiveJob {
 }
 
 /// The per-job policy knobs, separated from the payload so retries and
-/// persistence can carry them around cheaply.
+/// suspensions can carry them around cheaply.
 #[derive(Clone, Debug)]
 struct JobPolicy {
     ib: usize,
@@ -689,8 +774,6 @@ struct JobPolicy {
     job_retries: u32,
     deadline: Option<Duration>,
     plan: Option<FaultPlan>,
-    tag: String,
-    dedup_key: Option<String>,
 }
 
 /// The pristine payload a retry re-runs from.
@@ -730,14 +813,78 @@ struct JobRecord {
     stats: FaultStats,
     submitted: Instant,
     wall: Option<Duration>,
+    /// Set at completion, taken by the first [`JobPool::wait`].
     outcome: Option<JobOutcome>,
 }
 
-/// A job suspended by a drain: its policy plus the resumable checkpoint.
-struct SuspendedEntry {
-    policy: JobPolicy,
-    attempts: u32,
-    ckpt: Box<Checkpoint>,
+impl JobRecord {
+    /// The record of a job entering the queue with `attempts` already
+    /// consumed (zero unless the journal is re-enqueueing it).
+    fn queued(qos: QosClass, tag: String, attempts: u32, tasks_total: usize) -> JobRecord {
+        JobRecord {
+            state: JobState::Queued,
+            qos,
+            tag,
+            attempts,
+            tasks_total,
+            tasks_done: 0,
+            error: None,
+            stats: FaultStats::default(),
+            submitted: Instant::now(),
+            wall: None,
+            outcome: None,
+        }
+    }
+
+    /// The record of a job the journal says was settled in a previous
+    /// life; only its listing survives, not its timing or fault stats.
+    fn settled(
+        j: &RecoveredJob,
+        state: JobState,
+        spec: Option<JobSpec>,
+        error: Option<String>,
+    ) -> JobRecord {
+        let (qos, tag) = spec.map_or_else(Default::default, |sp| (sp.qos, sp.tag));
+        let total = j.tasks_total as usize;
+        JobRecord {
+            state,
+            tasks_done: if state == JobState::Completed {
+                total
+            } else {
+                j.ckpt_tasks_done as usize
+            },
+            error,
+            wall: Some(Duration::ZERO),
+            ..JobRecord::queued(qos, tag, j.attempts, total)
+        }
+    }
+
+    fn outcome(&self, id: u64, result: Option<JobResult>) -> JobOutcome {
+        JobOutcome {
+            id: JobId(id),
+            state: self.state,
+            attempts: self.attempts,
+            error: self.error.clone(),
+            stats: self.stats,
+            result,
+            wall: self.wall.unwrap_or_default(),
+        }
+    }
+}
+
+/// What one lifecycle transition does besides changing the job's state
+/// (see [`Shared::transition`]).
+#[derive(Default)]
+struct Settle {
+    /// Journal record of the transition, written before the record changes.
+    event: Option<JournalEvent>,
+    /// The record's error from here on; `None` clears it.
+    error: Option<String>,
+    /// Accounting of the activation that just ended: its fault stats and
+    /// the tasks it leaves done.
+    ran: Option<(FaultStats, usize)>,
+    /// The factorization, when a completion's result is not in the store.
+    result: Option<JobResult>,
 }
 
 /// What [`JobPool::drain`] accomplished.
@@ -747,7 +894,8 @@ pub struct DrainReport {
     pub finished: usize,
     /// Jobs halted at a quiescent point and checkpointed.
     pub suspended: Vec<JobId>,
-    /// Entries written to the persisted queue (queued + suspended jobs).
+    /// Live jobs (queued, backing off, suspended) the journal holds for
+    /// the next [`JobPool::recover`]; 0 on a volatile pool.
     pub persisted: usize,
 }
 
@@ -770,14 +918,6 @@ pub struct RecoveryReport {
     pub unrecoverable: usize,
 }
 
-/// One entry decoded from a persisted queue file.
-pub struct QueueEntry {
-    /// The job spec to resubmit ([`JobInput::Resume`] for suspended jobs).
-    pub spec: JobSpec,
-    /// Job-level attempts already consumed before persistence.
-    pub attempts: u32,
-}
-
 type ReadyKey = Reverse<(u64, u64, u64, u32, u64)>;
 
 struct Shared {
@@ -791,12 +931,11 @@ struct Shared {
     active: RwLock<HashMap<u64, Arc<ActiveJob>>>,
     /// Shared ready heap: (qos_inv, seq, rank, tid, rid), min-ordered.
     ready: Mutex<BinaryHeap<ReadyKey>>,
-    cancel_requests: Mutex<Vec<u64>>,
-    suspended: Mutex<Vec<SuspendedEntry>>,
-    /// Jobs parked by an explicit suspend request, keyed by job id,
+    /// Cancel (`None`) and suspend requests awaiting the supervisor.
+    requests: Mutex<Vec<(u64, Option<SuspendKind>)>>,
+    /// Jobs parked by a suspend request or a drain, keyed by job id,
     /// awaiting [`JobPool::resume_job`].
     parked: Mutex<HashMap<u64, PendingJob>>,
-    suspend_requests: Mutex<Vec<u64>>,
     /// Idempotent-submission index: dedup key -> job id.
     dedup: Mutex<HashMap<String, u64>>,
     /// Write-ahead journal of lifecycle transitions (durable pools only).
@@ -819,21 +958,18 @@ impl Shared {
         )));
     }
 
-    fn notify_records<R>(&self, f: impl FnOnce(&mut HashMap<u64, JobRecord>) -> R) -> R {
-        let mut recs = relock(&self.records);
-        let r = f(&mut recs);
-        drop(recs);
-        self.waiters.notify_all();
-        r
+    /// The active-job map, read-locked (poison-tolerant like [`relock`]).
+    fn active(&self) -> RwLockReadGuard<'_, HashMap<u64, Arc<ActiveJob>>> {
+        self.active.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Append a lifecycle transition to the write-ahead journal. Journal
     /// IO failure degrades durability, never availability: the pool keeps
     /// running and the failure goes to stderr.
-    fn log_event(&self, ev: JournalEvent) {
+    fn log_event(&self, ev: &JournalEvent) {
         if let Some(j) = &self.journal {
             let mut j = relock(j);
-            if let Err(e) = j.append(&ev) {
+            if let Err(e) = j.append(ev) {
                 eprintln!("hqr-pool: journal append failed: {e}");
             }
             // Size-threshold rotation: compact away terminal noise once
@@ -850,13 +986,43 @@ impl Shared {
             }
         }
     }
+
+    /// The one place a job changes state. Journal first (write-ahead), then
+    /// drop the suspension checkpoint of a job that will never run again,
+    /// then the record, then wake waiters — so the journal and the records
+    /// cannot tell different stories about a job.
+    fn transition(&self, id: u64, to: JobState, s: Settle) {
+        if let Some(ev) = &s.event {
+            self.log_event(ev);
+        }
+        if to.is_terminal() && to != JobState::Suspended {
+            if let Some(d) = &self.cfg.durability {
+                let _ = std::fs::remove_file(d.state_dir.join(ckpt_file(id)));
+            }
+        }
+        if let Some(r) = relock(&self.records).get_mut(&id) {
+            r.state = to;
+            // The attempt just journaled is the record's count.
+            if let Some(JournalEvent::Started { attempt, .. }) = s.event {
+                r.attempts = attempt;
+            }
+            r.error = s.error;
+            r.wall = to.is_terminal().then(|| r.submitted.elapsed());
+            if let Some((stats, tasks_done)) = s.ran {
+                r.stats.merge(&stats);
+                r.tasks_done = tasks_done;
+            }
+            if to == JobState::Completed {
+                r.outcome = Some(r.outcome(id, s.result));
+            }
+        }
+        self.waiters.notify_all();
+    }
 }
 
-/// Remove a terminal job's suspension checkpoint, if one was written.
-fn cleanup_ckpt(shared: &Shared, id: u64) {
-    if let Some(d) = &shared.cfg.durability {
-        let _ = std::fs::remove_file(d.state_dir.join(format!("{CKPT_DIR}/job-{id}.ckpt")));
-    }
+/// A job's suspension checkpoint, relative to the state directory.
+fn ckpt_file(id: u64) -> String {
+    format!("{CKPT_DIR}/job-{id}.ckpt")
 }
 
 /// The multi-job pool: owned worker threads plus a supervisor enforcing
@@ -946,23 +1112,28 @@ impl JobPool {
     ///
     /// # Panics
     ///
-    /// Panics when the durability state directory (if configured) cannot
-    /// be created or its journal cannot be opened — a daemon that cannot
-    /// keep its durability promise must not start.
+    /// Panics where [`JobPool::try_new`] returns an error — a pool that
+    /// cannot keep its durability promise must not start.
     pub fn new(cfg: PoolConfig) -> JobPool {
+        JobPool::try_new(cfg).expect("open pool state directory")
+    }
+
+    /// [`JobPool::new`], reporting an unusable durability state directory
+    /// (it cannot be created, or its journal or result store cannot be
+    /// opened) as an error instead of panicking.
+    pub fn try_new(cfg: PoolConfig) -> Result<JobPool, JournalError> {
         let nthreads = cfg.nthreads.max(1);
         let (journal, results) = match &cfg.durability {
             Some(d) => {
-                std::fs::create_dir_all(d.state_dir.join(CKPT_DIR))
-                    .expect("create pool state directory");
-                let j = Journal::open(&d.state_dir.join(JOURNAL_FILE)).expect("open pool journal");
+                let ckpts = d.state_dir.join(CKPT_DIR);
+                std::fs::create_dir_all(&ckpts).map_err(|e| io_err(&ckpts, e))?;
+                let j = Journal::open(&d.state_dir.join(JOURNAL_FILE))?;
                 let r = ResultStore::with_retention(
                     &d.state_dir.join(RESULTS_DIR),
                     d.result_cap,
                     d.result_max_bytes,
                     d.result_max_age,
-                )
-                .expect("open pool result store");
+                )?;
                 (Some(Mutex::new(j)), Some(r))
             }
             None => (None, None),
@@ -977,10 +1148,8 @@ impl JobPool {
             waiters: Condvar::new(),
             active: RwLock::new(HashMap::new()),
             ready: Mutex::new(BinaryHeap::new()),
-            cancel_requests: Mutex::new(Vec::new()),
-            suspended: Mutex::new(Vec::new()),
+            requests: Mutex::new(Vec::new()),
             parked: Mutex::new(HashMap::new()),
-            suspend_requests: Mutex::new(Vec::new()),
             dedup: Mutex::new(HashMap::new()),
             journal,
             results,
@@ -1011,7 +1180,7 @@ impl JobPool {
                     .expect("spawn pool supervisor"),
             );
         }
-        JobPool { shared, handles: Mutex::new(handles) }
+        Ok(JobPool { shared, handles: Mutex::new(handles) })
     }
 
     /// Submit one job. Admission-control decisions (budget, backpressure,
@@ -1028,60 +1197,67 @@ impl JobPool {
     /// job is journaled before this returns, so a response the client
     /// receives is a response that survives a crash.
     pub fn submit_dedup(&self, spec: JobSpec) -> Result<(JobId, bool), SubmitError> {
+        self.enqueue(spec, None)
+    }
+
+    /// Validate `spec`, price it, and put it on the queue: the one way a
+    /// job enters the pool. A new arrival (`readmit: None`) gets a fresh id
+    /// and faces the drain gate, the dedup index, backpressure and
+    /// shedding; a job the journal is re-enqueueing keeps its original id
+    /// and attempt count and skips all four — they decided its fate once
+    /// already, in a previous life. Either way `Accepted` reaches stable
+    /// storage before the caller learns the id.
+    fn enqueue(
+        &self,
+        spec: JobSpec,
+        readmit: Option<(u64, &RecoveredJob)>,
+    ) -> Result<(JobId, bool), SubmitError> {
         let s = &*self.shared;
-        if s.draining.load(Ordering::SeqCst) || s.stop.load(Ordering::SeqCst) {
-            return Err(SubmitError::Draining);
-        }
         // The dedup guard is held through acceptance so two racing
         // submissions of the same key cannot both register.
         let mut dedup_guard = None;
-        if let Some(k) = &spec.dedup_key {
-            let dd = relock(&s.dedup);
-            if let Some(&id) = dd.get(k) {
-                return Ok((JobId(id), true));
+        if readmit.is_none() {
+            if s.draining.load(Ordering::SeqCst) || s.stop.load(Ordering::SeqCst) {
+                return Err(SubmitError::Draining);
             }
-            dedup_guard = Some(dd);
+            if let Some(k) = &spec.dedup_key {
+                let dd = relock(&s.dedup);
+                if let Some(&id) = dd.get(k) {
+                    return Ok((JobId(id), true));
+                }
+                dedup_guard = Some(dd);
+            }
         }
         let (elims, graph, ib, need) = prepare(&spec)?;
         let need = chargeable(&s.cfg, need);
         if need > s.cfg.mem_budget {
             return Err(SubmitError::OverBudget { need, budget: s.cfg.mem_budget });
         }
-        // Journal payload is encoded before the spec is torn apart (and
-        // only when a journal exists to receive it).
-        let spec_bytes = s.journal.as_ref().map(|_| spec.to_bytes());
-        let JobSpec {
-            input,
+        // The journal payload is the spec as first accepted: encoded before
+        // a new spec is torn apart, carried over for a re-enqueued one
+        // (whose `spec.input` may by now be its last checkpoint).
+        let (attempts, spec_bytes) = match readmit {
+            Some((_, j)) => (j.attempts, j.spec.clone()),
+            None => (0, s.journal.as_ref().map(|_| spec.to_bytes())),
+        };
+        let qos = spec.qos;
+        let policy = JobPolicy {
+            ib,
             qos,
-            policy,
-            integrity,
-            max_retries,
-            job_retries,
-            deadline,
-            plan,
-            tag,
-            dedup_key,
-            ..
-        } = spec;
-        let seed = match input {
+            policy: spec.policy,
+            integrity: spec.integrity,
+            max_retries: spec.max_retries,
+            job_retries: spec.job_retries,
+            deadline: spec.deadline,
+            plan: spec.plan,
+        };
+        let seed = match spec.input {
             JobInput::Fresh { a, .. } => Seed::Fresh(a),
             JobInput::Resume(ck) => Seed::Resume(ck),
         };
-        let jp = JobPolicy {
-            ib,
-            qos,
-            policy,
-            integrity,
-            max_retries,
-            job_retries,
-            deadline,
-            plan,
-            tag: tag.clone(),
-            dedup_key: dedup_key.clone(),
-        };
         let tasks_total = graph.tasks().len();
         let mut pending = relock(&s.pending);
-        if pending.len() >= s.cfg.queue_cap {
+        if readmit.is_none() && pending.len() >= s.cfg.queue_cap {
             // Load shedding: evict the lowest-QoS queued job iff the
             // arrival strictly outranks it; shed the *newest* of that
             // class so older accepted work keeps its place.
@@ -1091,142 +1267,34 @@ impl JobPool {
                 .filter(|(_, p)| p.policy.qos < qos)
                 .min_by_key(|(_, p)| (p.policy.qos, Reverse(p.seq)))
                 .map(|(i, _)| i);
-            match victim {
-                Some(i) => {
-                    let shed = pending.remove(i);
-                    s.log_event(JournalEvent::Shed {
-                        id: shed.id,
-                        reason: "shed by a higher-QoS arrival".into(),
-                    });
-                    s.notify_records(|recs| {
-                        if let Some(r) = recs.get_mut(&shed.id) {
-                            r.state = JobState::Shed;
-                            r.wall = Some(r.submitted.elapsed());
-                            r.error = Some("shed by a higher-QoS arrival".into());
-                            r.outcome = Some(JobOutcome {
-                                id: JobId(shed.id),
-                                state: JobState::Shed,
-                                attempts: r.attempts,
-                                error: r.error.clone(),
-                                stats: r.stats,
-                                result: None,
-                                wall: r.wall.unwrap_or_default(),
-                            });
-                        }
-                    });
-                }
-                None => return Err(SubmitError::QueueFull { cap: s.cfg.queue_cap }),
-            }
+            let Some(i) = victim else {
+                return Err(SubmitError::QueueFull { cap: s.cfg.queue_cap });
+            };
+            let shed = pending.remove(i).id;
+            let reason = "shed by a higher-QoS arrival".to_string();
+            s.transition(
+                shed,
+                JobState::Shed,
+                Settle {
+                    event: Some(JournalEvent::Shed { id: shed, reason: reason.clone() }),
+                    error: Some(reason),
+                    ..Settle::default()
+                },
+            );
         }
-        let id = s.next_id.fetch_add(1, Ordering::Relaxed);
-        let seq = s.next_seq.fetch_add(1, Ordering::Relaxed);
+        let id = match readmit {
+            Some((id, _)) => id,
+            None => s.next_id.fetch_add(1, Ordering::Relaxed),
+        };
         // The record exists before the supervisor can see the job: it may
         // admit, run and finalize a tiny job before this thread runs
         // again, and a record inserted after that would read `Queued` for
         // ever.
-        relock(&s.records).insert(
-            id,
-            JobRecord {
-                state: JobState::Queued,
-                qos,
-                tag,
-                attempts: 0,
-                tasks_total,
-                tasks_done: 0,
-                error: None,
-                stats: FaultStats::default(),
-                submitted: Instant::now(),
-                wall: None,
-                outcome: None,
-            },
-        );
+        relock(&s.records).insert(id, JobRecord::queued(qos, spec.tag, attempts, tasks_total));
         pending.push(PendingJob {
             id,
-            seq,
-            policy: jp,
-            elims,
-            seed,
-            graph,
-            footprint: need,
-            attempts: 0,
-            not_before: None,
-            count_attempt: true,
-        });
-        drop(pending);
-        if let Some(mut dd) = dedup_guard {
-            dd.insert(dedup_key.clone().expect("guard implies key"), id);
-        }
-        // Accepted reaches stable storage before the caller learns the id.
-        s.log_event(JournalEvent::Accepted {
-            id,
-            attempts: 0,
-            tasks_total: tasks_total as u64,
-            dedup: dedup_key,
-            spec: spec_bytes,
-        });
-        Ok((JobId(id), false))
-    }
-
-    /// Resubmit one journal-recovered job under its original id and
-    /// attempt count, bypassing backpressure (it was already accepted in
-    /// a previous life).
-    fn resubmit_recovered(&self, spec: JobSpec, id: u64, attempts: u32) -> Result<(), SubmitError> {
-        let s = &*self.shared;
-        let (elims, graph, ib, need) = prepare(&spec)?;
-        let need = chargeable(&s.cfg, need);
-        if need > s.cfg.mem_budget {
-            return Err(SubmitError::OverBudget { need, budget: s.cfg.mem_budget });
-        }
-        let JobSpec {
-            input,
-            qos,
-            policy,
-            integrity,
-            max_retries,
-            job_retries,
-            deadline,
-            tag,
-            dedup_key,
-            ..
-        } = spec;
-        let seed = match input {
-            JobInput::Fresh { a, .. } => Seed::Fresh(a),
-            JobInput::Resume(ck) => Seed::Resume(ck),
-        };
-        let jp = JobPolicy {
-            ib,
-            qos,
-            policy,
-            integrity,
-            max_retries,
-            job_retries,
-            deadline,
-            plan: None,
-            tag: tag.clone(),
-            dedup_key,
-        };
-        let tasks_total = graph.tasks().len();
-        // Record first, as in `submit_dedup`.
-        relock(&s.records).insert(
-            id,
-            JobRecord {
-                state: JobState::Queued,
-                qos,
-                tag,
-                attempts,
-                tasks_total,
-                tasks_done: 0,
-                error: None,
-                stats: FaultStats::default(),
-                submitted: Instant::now(),
-                wall: None,
-                outcome: None,
-            },
-        );
-        relock(&s.pending).push(PendingJob {
-            id,
             seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
-            policy: jp,
+            policy,
             elims,
             seed,
             graph,
@@ -1235,13 +1303,25 @@ impl JobPool {
             not_before: None,
             count_attempt: true,
         });
-        Ok(())
+        drop(pending);
+        if let (Some(mut dd), Some(k)) = (dedup_guard, &spec.dedup_key) {
+            dd.insert(k.clone(), id);
+        }
+        s.log_event(&JournalEvent::Accepted {
+            id,
+            attempts,
+            tasks_total: tasks_total as u64,
+            dedup: spec.dedup_key,
+            spec: spec_bytes,
+        });
+        Ok((JobId(id), false))
     }
 
-    /// Replay the write-ahead journal after a restart (or crash): every
-    /// job the old process accepted is driven back to a known state —
-    /// terminal jobs re-register (completed results stay retrievable),
-    /// live jobs resubmit from their last durable checkpoint when one
+    /// Replay the write-ahead journal after a restart — a polite one (the
+    /// old process drained first) or a crash, the code is the same: every
+    /// job the old process accepted is driven back to a known state.
+    /// Terminal jobs re-register (completed results stay retrievable),
+    /// live jobs re-enqueue from their last durable checkpoint when one
     /// exists, else from their original spec. The journal is compacted to
     /// terminal summaries plus the re-journaled live jobs.
     ///
@@ -1261,16 +1341,17 @@ impl JobPool {
         let mut report = RecoveryReport { total: jobs.len(), ..Default::default() };
         // Compact away everything except terminal summaries; live jobs
         // are re-journaled in full below.
+        let summary = |id: u64, j: &RecoveredJob| JournalEvent::Accepted {
+            id,
+            attempts: j.attempts,
+            tasks_total: j.tasks_total,
+            dedup: j.dedup.clone(),
+            spec: None,
+        };
         let mut keep: Vec<JournalEvent> = Vec::new();
         for (&id, j) in &jobs {
             let Some(state) = j.terminal else { continue };
-            keep.push(JournalEvent::Accepted {
-                id,
-                attempts: j.attempts,
-                tasks_total: j.tasks_total,
-                dedup: j.dedup.clone(),
-                spec: None,
-            });
+            keep.push(summary(id, j));
             keep.push(terminal_event(id, state, j));
         }
         relock(jm).compact(&keep)?;
@@ -1283,29 +1364,8 @@ impl JobPool {
             }
             let decoded = j.spec.as_ref().and_then(|b| JobSpec::from_bytes(b.clone()).ok());
             if let Some(state) = j.terminal {
-                let (qos, tag) =
-                    decoded.map_or((QosClass::default(), String::new()), |sp| (sp.qos, sp.tag));
-                let total = j.tasks_total as usize;
-                relock(&s.records).insert(
-                    id,
-                    JobRecord {
-                        state,
-                        qos,
-                        tag,
-                        attempts: j.attempts,
-                        tasks_total: total,
-                        tasks_done: if state == JobState::Completed {
-                            total
-                        } else {
-                            j.ckpt_tasks_done as usize
-                        },
-                        error: j.error.clone(),
-                        stats: FaultStats::default(),
-                        submitted: Instant::now(),
-                        wall: Some(Duration::ZERO),
-                        outcome: None,
-                    },
-                );
+                let record = JobRecord::settled(j, state, decoded, j.error.clone());
+                relock(&s.records).insert(id, record);
                 if state == JobState::Completed {
                     report.completed_retained += 1;
                 } else {
@@ -1313,78 +1373,41 @@ impl JobPool {
                 }
                 continue;
             }
-            // Live at the crash: prefer the last durable checkpoint so
+            // Live at the restart: prefer the last durable checkpoint so
             // completed panels are never recomputed.
-            let Some(mut spec) = decoded else {
-                self.quarantine_unrecoverable(j, id, "journal lost the job's spec");
-                report.unrecoverable += 1;
-                continue;
-            };
-            let mut ck_file = None;
-            if let Some(f) = &j.ckpt_file {
-                if let Ok(ck) = read_checkpoint(&state_dir.join(f)) {
-                    spec.input = JobInput::Resume(Box::new(ck));
-                    spec.ib = None; // take the checkpoint's recorded ib
-                    ck_file = Some(f.clone());
-                }
-            }
-            match self.resubmit_recovered(spec, id, j.attempts) {
-                Ok(()) => {
-                    s.log_event(JournalEvent::Accepted {
-                        id,
-                        attempts: j.attempts,
-                        tasks_total: j.tasks_total,
-                        dedup: j.dedup.clone(),
-                        spec: j.spec.clone(),
-                    });
-                    match ck_file {
-                        Some(file) => {
-                            s.log_event(JournalEvent::Checkpointed {
-                                id,
-                                tasks_done: j.ckpt_tasks_done,
-                                file,
-                            });
-                            report.resumed_from_checkpoint += 1;
+            let readmitted = match decoded {
+                None => Err("journal lost the job's spec".to_string()),
+                Some(mut spec) => {
+                    let mut resumed = None;
+                    if let Some(file) = &j.ckpt_file {
+                        if let Ok(ck) = read_checkpoint(&state_dir.join(file)) {
+                            spec.input = JobInput::Resume(Box::new(ck));
+                            spec.ib = None; // take the checkpoint's recorded ib
+                            resumed = Some(file.clone());
                         }
-                        None => report.restarted_fresh += 1,
                     }
+                    self.enqueue(spec, Some((id, j))).map(|_| resumed).map_err(|e| e.to_string())
                 }
-                Err(e) => {
-                    self.quarantine_unrecoverable(j, id, &e.to_string());
+            };
+            match readmitted {
+                Ok(Some(file)) => {
+                    let tasks_done = j.ckpt_tasks_done;
+                    s.log_event(&JournalEvent::Checkpointed { id, tasks_done, file });
+                    report.resumed_from_checkpoint += 1;
+                }
+                Ok(None) => report.restarted_fresh += 1,
+                // Quarantined, so it still reaches a terminal state.
+                Err(why) => {
+                    let error = format!("unrecoverable after restart: {why}");
+                    s.log_event(&summary(id, j));
+                    s.log_event(&JournalEvent::Quarantined { id, error: error.clone() });
+                    let record = JobRecord::settled(j, JobState::Quarantined, None, Some(error));
+                    relock(&s.records).insert(id, record);
                     report.unrecoverable += 1;
                 }
             }
         }
         Ok(report)
-    }
-
-    fn quarantine_unrecoverable(&self, j: &crate::journal::RecoveredJob, id: u64, why: &str) {
-        let s = &*self.shared;
-        let error = format!("unrecoverable after restart: {why}");
-        s.log_event(JournalEvent::Accepted {
-            id,
-            attempts: j.attempts,
-            tasks_total: j.tasks_total,
-            dedup: j.dedup.clone(),
-            spec: None,
-        });
-        s.log_event(JournalEvent::Quarantined { id, error: error.clone() });
-        relock(&s.records).insert(
-            id,
-            JobRecord {
-                state: JobState::Quarantined,
-                qos: QosClass::default(),
-                tag: String::new(),
-                attempts: j.attempts,
-                tasks_total: j.tasks_total as usize,
-                tasks_done: j.ckpt_tasks_done as usize,
-                error: Some(error),
-                stats: FaultStats::default(),
-                submitted: Instant::now(),
-                wall: Some(Duration::ZERO),
-                outcome: None,
-            },
-        );
     }
 
     /// Block until `id` reaches a terminal state and return its outcome.
@@ -1407,17 +1430,9 @@ impl JobPool {
                 return Some(out);
             }
             if r.state.is_terminal() {
-                return Some(JobOutcome {
-                    id,
-                    state: r.state,
-                    attempts: r.attempts,
-                    error: r.error.clone(),
-                    stats: r.stats,
-                    result: None,
-                    wall: r.wall.unwrap_or_default(),
-                });
+                return Some(r.outcome(id.0, None));
             }
-            recs = s.waiters.wait(recs).unwrap_or_else(std::sync::PoisonError::into_inner);
+            recs = s.waiters.wait(recs).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -1429,13 +1444,11 @@ impl JobPool {
     /// Current snapshot of every job the pool has accepted, newest first.
     pub fn jobs(&self) -> Vec<JobView> {
         let s = &*self.shared;
-        let live: HashMap<u64, usize> = {
-            let active = s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            active
-                .values()
-                .map(|j| (j.id, j.graph.tasks().len() - j.run.remaining.load(Ordering::Acquire)))
-                .collect()
-        };
+        let live: HashMap<u64, usize> = s
+            .active()
+            .values()
+            .map(|j| (j.id, j.graph.tasks().len() - j.run.remaining.load(Ordering::Acquire)))
+            .collect();
         let recs = relock(&s.records);
         let mut out: Vec<JobView> = recs
             .iter()
@@ -1466,25 +1479,29 @@ impl JobPool {
     pub fn cancel(&self, id: JobId) -> bool {
         let s = &*self.shared;
         if relock(&s.parked).remove(&id.0).is_some() {
-            s.log_event(JournalEvent::Cancelled { id: id.0 });
-            cleanup_ckpt(s, id.0);
-            s.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id.0) {
-                    r.state = JobState::Cancelled;
-                    r.wall = Some(r.submitted.elapsed());
-                    r.error = Some("cancelled while suspended".into());
-                }
-            });
+            s.transition(
+                id.0,
+                JobState::Cancelled,
+                Settle {
+                    event: Some(JournalEvent::Cancelled { id: id.0 }),
+                    error: Some("cancelled while suspended".into()),
+                    ..Settle::default()
+                },
+            );
             return true;
         }
-        let recs = relock(&s.records);
-        let Some(r) = recs.get(&id.0) else { return false };
-        if r.state.is_terminal() {
-            return false;
+        self.request(id, None)
+    }
+
+    /// Queue a cancel (`None`) or suspend request for the supervisor;
+    /// `false` for unknown or terminal jobs.
+    fn request(&self, id: JobId, kind: Option<SuspendKind>) -> bool {
+        let s = &*self.shared;
+        let live = relock(&s.records).get(&id.0).is_some_and(|r| !r.state.is_terminal());
+        if live {
+            relock(&s.requests).push((id.0, kind));
         }
-        drop(recs);
-        relock(&s.cancel_requests).push(id.0);
-        true
+        live
     }
 
     /// Request suspension of `id`: a queued job parks immediately, a
@@ -1493,15 +1510,7 @@ impl JobPool {
     /// until [`JobPool::resume_job`] (or [`JobPool::cancel`]). Returns
     /// `false` for unknown or terminal jobs.
     pub fn suspend(&self, id: JobId) -> bool {
-        let s = &*self.shared;
-        let recs = relock(&s.records);
-        let Some(r) = recs.get(&id.0) else { return false };
-        if r.state.is_terminal() {
-            return false;
-        }
-        drop(recs);
-        relock(&s.suspend_requests).push(id.0);
-        true
+        self.request(id, Some(SuspendKind::Park))
     }
 
     /// Resume a job parked by [`JobPool::suspend`]: it re-queues from its
@@ -1511,13 +1520,7 @@ impl JobPool {
         let s = &*self.shared;
         let Some(p) = relock(&s.parked).remove(&id.0) else { return false };
         // State first: once pending, the supervisor owns the record.
-        s.notify_records(|recs| {
-            if let Some(r) = recs.get_mut(&id.0) {
-                r.state = JobState::Queued;
-                r.error = None;
-                r.wall = None;
-            }
-        });
+        s.transition(id.0, JobState::Queued, Settle::default());
         relock(&s.pending).push(p);
         true
     }
@@ -1542,15 +1545,16 @@ impl JobPool {
     /// True when no job is queued, active, or awaiting finalization.
     pub fn is_idle(&self) -> bool {
         let s = &*self.shared;
-        relock(&s.pending).is_empty()
-            && s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner).is_empty()
+        relock(&s.pending).is_empty() && s.active().is_empty()
     }
 
     /// Graceful drain: stop admitting, give running jobs `grace` to
     /// finish, then checkpoint the stragglers at a quiescent point and
-    /// persist the whole queue (never-started + suspended jobs) to
-    /// `persist`, if given. Blocks until the pool is quiet.
-    pub fn drain(&self, grace: Duration, persist: Option<&Path>) -> std::io::Result<DrainReport> {
+    /// park them. Blocks until the pool is quiet. Queued and parked jobs
+    /// stay where they are: on a durable pool the journal already holds
+    /// them for the next [`JobPool::recover`], on a volatile pool they stay
+    /// in memory (a parked job can still be resumed or cancelled).
+    pub fn drain(&self, grace: Duration) -> DrainReport {
         let s = &*self.shared;
         s.draining.store(true, Ordering::SeqCst);
         let terminal_before: HashSet<u64> = {
@@ -1558,119 +1562,76 @@ impl JobPool {
             recs.iter().filter(|(_, r)| r.state.is_terminal()).map(|(&id, _)| id).collect()
         };
         let deadline = Instant::now() + grace;
-        loop {
-            let active_empty =
-                s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner).is_empty();
-            if active_empty || Instant::now() >= deadline {
-                break;
-            }
+        while !s.active().is_empty() && Instant::now() < deadline {
             std::thread::sleep(s.cfg.tick);
         }
         // Suspend whatever is still running.
-        {
-            let active = s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for job in active.values() {
-                job.halt_with(Verdict::Suspend(SuspendKind::Drain));
-            }
+        for job in s.active().values() {
+            job.halt_with(Verdict::Suspend(SuspendKind::Drain));
         }
         // Quiesce. An empty active map is not enough: the supervisor
-        // removes a job from the map *before* concluding it (pushing its
-        // suspended checkpoint, settling its record), so breaking on
-        // emptiness alone can snapshot mid-conclusion and silently drop
-        // the last job. A record leaves `Running` only inside that
-        // conclusion, so also wait for every running record to settle.
-        loop {
-            let active_empty =
-                s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner).is_empty();
-            let running_settled =
-                !relock(&s.records).values().any(|r| r.state == JobState::Running);
-            if active_empty && running_settled {
-                break;
-            }
+        // removes a job from the map *before* concluding it (parking its
+        // checkpoint, settling its record), so breaking on emptiness alone
+        // can snapshot mid-conclusion and miss the last job. A record
+        // leaves `Running` only inside that conclusion, so also wait for
+        // every running record to settle.
+        while !s.active().is_empty()
+            || relock(&s.records).values().any(|r| r.state == JobState::Running)
+        {
             std::thread::sleep(s.cfg.tick);
         }
-        let mut finished = 0usize;
-        let suspended_ids: Vec<JobId>;
-        {
-            let recs = relock(&s.records);
-            suspended_ids = recs
-                .iter()
-                .filter(|(_, r)| r.state == JobState::Suspended)
-                .map(|(&id, _)| JobId(id))
-                .collect();
-            finished += recs
-                .iter()
-                .filter(|(id, r)| {
-                    !terminal_before.contains(id)
-                        && matches!(
-                            r.state,
-                            JobState::Completed | JobState::Cancelled | JobState::Quarantined
-                        )
-                })
-                .count();
-        }
-        // Persist: never-started pending jobs keep their fresh payloads;
-        // suspended jobs are embedded as resumable checkpoints. Parked
-        // jobs ride along as pending entries (their seed already is the
-        // suspension checkpoint).
-        let mut pending: Vec<PendingJob> = std::mem::take(&mut *relock(&s.pending));
-        pending.extend(relock(&s.parked).drain().map(|(_, p)| p));
-        let suspended: Vec<SuspendedEntry> = std::mem::take(&mut *relock(&s.suspended));
-        let persisted = pending.len() + suspended.len();
-        if let Some(path) = persist {
-            let mut w = SectionWriter::new(QUEUE_MAGIC, QUEUE_VERSION);
-            let mut index = 0u32;
-            for p in &pending {
-                let spec = pending_to_spec(p);
-                spec_sections(&mut w, &spec, QSEC_BASE + index * QSEC_STRIDE, p.attempts);
-                index += 1;
-            }
-            for e in &suspended {
-                let spec = suspended_to_spec(e);
-                spec_sections(&mut w, &spec, QSEC_BASE + index * QSEC_STRIDE, e.attempts);
-                index += 1;
-            }
-            w.section(QSEC_COUNT, &bytes_of_u64s(&[index as u64]));
-            w.write_atomic(path).map_err(|e| {
-                std::io::Error::other(format!("failed to persist queue to {}: {e}", path.display()))
-            })?;
-        }
-        Ok(DrainReport { finished, suspended: suspended_ids, persisted })
+        let recs = relock(&s.records);
+        let suspended = recs
+            .iter()
+            .filter(|(_, r)| r.state == JobState::Suspended)
+            .map(|(&id, _)| JobId(id))
+            .collect();
+        let finished = recs
+            .iter()
+            .filter(|(id, r)| {
+                !terminal_before.contains(id)
+                    && matches!(
+                        r.state,
+                        JobState::Completed | JobState::Cancelled | JobState::Quarantined
+                    )
+            })
+            .count();
+        drop(recs);
+        let live = relock(&s.pending).len() + relock(&s.parked).len();
+        DrainReport { finished, suspended, persisted: if s.journal.is_some() { live } else { 0 } }
     }
 
     /// Stop the pool: finish active jobs, mark still-queued jobs as shed,
-    /// and join every thread. The pool accepts nothing afterwards.
+    /// and join every thread. The pool accepts nothing afterwards. A pool
+    /// that was drained first keeps its queue un-shed: those jobs are the
+    /// journal's to resubmit, and a `Shed` record would end them.
     pub fn shutdown(&self) {
         let s = &*self.shared;
-        s.draining.store(true, Ordering::SeqCst);
-        loop {
-            let active_empty =
-                s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner).is_empty();
-            if active_empty {
-                break;
-            }
+        let drained = s.draining.swap(true, Ordering::SeqCst);
+        while !s.active().is_empty() {
             std::thread::sleep(s.cfg.tick);
         }
-        let mut pending: Vec<PendingJob> = std::mem::take(&mut *relock(&s.pending));
-        pending.extend(relock(&s.parked).drain().map(|(_, p)| p));
-        if !pending.is_empty() {
-            for p in &pending {
-                s.log_event(JournalEvent::Shed {
-                    id: p.id,
-                    reason: "pool shut down before admission".into(),
-                });
+        if !drained {
+            let mut queued: Vec<u64> = relock(&s.pending).drain(..).map(|p| p.id).collect();
+            queued.extend(relock(&s.parked).drain().map(|(id, _)| id));
+            for id in queued {
+                let reason = "pool shut down before admission".to_string();
+                s.transition(
+                    id,
+                    JobState::Shed,
+                    Settle {
+                        event: Some(JournalEvent::Shed { id, reason: reason.clone() }),
+                        error: Some(reason),
+                        ..Settle::default()
+                    },
+                );
             }
-            s.notify_records(|recs| {
-                for p in &pending {
-                    if let Some(r) = recs.get_mut(&p.id) {
-                        r.state = JobState::Shed;
-                        r.wall = Some(r.submitted.elapsed());
-                        r.error = Some("pool shut down before admission".into());
-                    }
-                }
-            });
         }
-        s.stop.store(true, Ordering::SeqCst);
+        self.stop_threads();
+    }
+
+    fn stop_threads(&self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *relock(&self.handles));
         for h in handles {
             let _ = h.join();
@@ -1682,24 +1643,18 @@ impl Drop for JobPool {
     fn drop(&mut self) {
         let s = &*self.shared;
         // Abandon outstanding work: halt active jobs so workers stop
-        // touching them, then stop the threads.
+        // touching them, then stop the threads. Queued and parked jobs are
+        // left as the journal has them.
         s.draining.store(true, Ordering::SeqCst);
-        {
-            let active = s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for job in active.values() {
-                job.halt_with(Verdict::Cancel);
-            }
+        for job in s.active().values() {
+            job.halt_with(Verdict::Cancel);
         }
-        s.stop.store(true, Ordering::SeqCst);
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *relock(&self.handles));
-        for h in handles {
-            let _ = h.join();
-        }
+        self.stop_threads();
     }
 }
 
 /// The journal event that records a recovered job's terminal state.
-fn terminal_event(id: u64, state: JobState, j: &crate::journal::RecoveredJob) -> JournalEvent {
+fn terminal_event(id: u64, state: JobState, j: &RecoveredJob) -> JournalEvent {
     match state {
         JobState::Completed => JournalEvent::Completed { id, file: j.result_file.clone() },
         JobState::Quarantined => {
@@ -1708,162 +1663,6 @@ fn terminal_event(id: u64, state: JobState, j: &crate::journal::RecoveredJob) ->
         JobState::Cancelled => JournalEvent::Cancelled { id },
         _ => JournalEvent::Shed { id, reason: j.error.clone().unwrap_or_default() },
     }
-}
-
-/// Convert a never-started pending job back into a submittable spec.
-fn pending_to_spec(p: &PendingJob) -> JobSpec {
-    let input = match &p.seed {
-        Seed::Fresh(a) => JobInput::Fresh { elims: p.elims.clone(), a: a.clone() },
-        Seed::Resume(ck) => JobInput::Resume(ck.clone()),
-    };
-    policy_to_spec(input, &p.policy)
-}
-
-fn suspended_to_spec(e: &SuspendedEntry) -> JobSpec {
-    policy_to_spec(JobInput::Resume(e.ckpt.clone()), &e.policy)
-}
-
-fn policy_to_spec(input: JobInput, jp: &JobPolicy) -> JobSpec {
-    JobSpec {
-        input,
-        ib: Some(jp.ib),
-        qos: jp.qos,
-        policy: jp.policy,
-        integrity: jp.integrity,
-        max_retries: jp.max_retries,
-        job_retries: jp.job_retries,
-        deadline: jp.deadline,
-        plan: None, // injection is in-process test machinery, never persisted
-        tag: jp.tag.clone(),
-        dedup_key: jp.dedup_key.clone(),
-    }
-}
-
-/// Append one spec's sections to a queue container at tag `base`.
-fn spec_sections(w: &mut SectionWriter, spec: &JobSpec, base: u32, attempts: u32) {
-    let kind = match &spec.input {
-        JobInput::Fresh { .. } => 0u64,
-        JobInput::Resume(_) => 1u64,
-    };
-    let meta = [
-        kind,
-        spec.qos as u64,
-        spec.policy_word(),
-        spec.integrity_word(),
-        spec.ib.map_or(0, |ib| ib as u64),
-        spec.max_retries as u64,
-        spec.job_retries as u64,
-        spec.deadline.map_or(u64::MAX, |d| d.as_millis() as u64),
-        attempts as u64,
-    ];
-    w.section(base + QOFF_META, &bytes_of_u64s(&meta));
-    w.section(base + QOFF_TAG, spec.tag.as_bytes());
-    if let Some(k) = &spec.dedup_key {
-        w.section(base + QOFF_DEDUP, k.as_bytes());
-    }
-    match &spec.input {
-        JobInput::Fresh { elims, a } => {
-            w.section(base + QOFF_ELIMS, &bytes_of_u64s(&elims_to_words(elims)));
-            w.section(base + QOFF_TILES, &hqr_tile::io::tiled_to_bytes(a));
-        }
-        JobInput::Resume(ck) => {
-            w.section(base + QOFF_CKPT, &checkpoint_to_bytes(ck));
-        }
-    }
-}
-
-fn spec_from_sections(r: &SectionReader, base: u32) -> Result<(JobSpec, u32), QueueFormatError> {
-    let meta = u64s_of_bytes(base + QOFF_META, r.require(base + QOFF_META)?)?;
-    if meta.len() != 9 {
-        return Err(QueueFormatError::Inconsistent {
-            message: format!("entry meta holds {} words, expected 9", meta.len()),
-        });
-    }
-    let qos = QosClass::from_index(meta[1]).ok_or(QueueFormatError::Inconsistent {
-        message: format!("unknown QoS index {}", meta[1]),
-    })?;
-    let policy = match meta[2] {
-        0 => SchedPolicy::Fifo,
-        1 => SchedPolicy::PanelFirst,
-        2 => SchedPolicy::CriticalPath,
-        other => {
-            return Err(QueueFormatError::Inconsistent {
-                message: format!("unknown policy index {other}"),
-            })
-        }
-    };
-    let integrity = match meta[3] {
-        0 => IntegrityMode::Off,
-        1 => IntegrityMode::Spot,
-        2 => IntegrityMode::Full,
-        other => {
-            return Err(QueueFormatError::Inconsistent {
-                message: format!("unknown integrity index {other}"),
-            })
-        }
-    };
-    let tag = String::from_utf8(r.require(base + QOFF_TAG)?.to_vec())
-        .map_err(|_| QueueFormatError::Inconsistent { message: "entry tag is not UTF-8".into() })?;
-    let dedup_key = match r.section(base + QOFF_DEDUP) {
-        Some(bytes) => Some(String::from_utf8(bytes.to_vec()).map_err(|_| {
-            QueueFormatError::Inconsistent { message: "entry dedup key is not UTF-8".into() }
-        })?),
-        None => None,
-    };
-    let input = match meta[0] {
-        0 => {
-            let words = u64s_of_bytes(base + QOFF_ELIMS, r.require(base + QOFF_ELIMS)?)?;
-            let elims = elims_from_words(base + QOFF_ELIMS, &words).map_err(|e| {
-                QueueFormatError::Inconsistent { message: format!("entry elims: {e}") }
-            })?;
-            let a =
-                hqr_tile::io::tiled_from_bytes(base + QOFF_TILES, r.require(base + QOFF_TILES)?)?;
-            JobInput::Fresh { elims, a }
-        }
-        1 => {
-            let ck = checkpoint_from_bytes(r.require(base + QOFF_CKPT)?.to_vec())?;
-            JobInput::Resume(Box::new(ck))
-        }
-        other => {
-            return Err(QueueFormatError::Inconsistent {
-                message: format!("unknown entry kind {other}"),
-            })
-        }
-    };
-    Ok((
-        JobSpec {
-            input,
-            ib: if meta[4] == 0 { None } else { Some(meta[4] as usize) },
-            qos,
-            policy,
-            integrity,
-            max_retries: meta[5] as u32,
-            job_retries: meta[6] as u32,
-            deadline: if meta[7] == u64::MAX { None } else { Some(Duration::from_millis(meta[7])) },
-            plan: None,
-            tag,
-            dedup_key,
-        },
-        meta[8] as u32,
-    ))
-}
-
-/// Decode a queue file written by [`JobPool::drain`]: the entries a
-/// restarted service should resubmit (fresh jobs with their original
-/// payloads, suspended jobs as resumable checkpoints).
-pub fn load_queue(path: &Path) -> Result<Vec<QueueEntry>, QueueFormatError> {
-    let r = SectionReader::read(path, QUEUE_MAGIC, QUEUE_VERSION)?;
-    let count = u64s_of_bytes(QSEC_COUNT, r.require(QSEC_COUNT)?)?;
-    let n = *count
-        .first()
-        .ok_or(QueueFormatError::Inconsistent { message: "missing entry count".into() })?
-        as usize;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let (spec, attempts) = spec_from_sections(&r, QSEC_BASE + (i as u32) * QSEC_STRIDE)?;
-        out.push(QueueEntry { spec, attempts });
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1891,11 +1690,7 @@ fn pool_worker(
         // Pool workers outlive every job: only `stop` ends them.
         || false,
         |(rid, tid), _| {
-            let job = {
-                let active =
-                    shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-                active.get(&rid).cloned()
-            };
+            let job = shared.active().get(&rid).cloned();
             // A missing rid means the incarnation already finalized (or was
             // retired by a retry); the queue entry is stale — skip it.
             if let Some(job) = job {
@@ -1962,8 +1757,7 @@ fn supervisor_loop(shared: &Shared) {
 }
 
 fn supervisor_tick(shared: &Shared) {
-    process_cancellations(shared);
-    process_suspends(shared);
+    process_requests(shared);
     enforce_deadlines(shared);
     periodic_checkpoints(shared);
     preempt_for_qos(shared);
@@ -1971,34 +1765,32 @@ fn supervisor_tick(shared: &Shared) {
     admit_jobs(shared);
 }
 
-fn process_suspends(shared: &Shared) {
-    let requests: Vec<u64> = std::mem::take(&mut *relock(&shared.suspend_requests));
-    for id in requests {
-        // Queued? Park as-is — nothing has run, so the pending seed is
-        // already the exact resumable state.
-        let taken = {
+/// Serve the cancel (`None`) and suspend requests: a queued job comes off
+/// the queue and is settled on the spot — nothing has run, so a parked
+/// one's pending seed already is its exact resumable state; an active job
+/// is halted with the matching verdict and settled at its conclusion.
+fn process_requests(shared: &Shared) {
+    for (id, kind) in std::mem::take(&mut *relock(&shared.requests)) {
+        let queued = {
             let mut pending = relock(&shared.pending);
             pending.iter().position(|p| p.id == id).map(|i| pending.remove(i))
         };
-        if let Some(p) = taken {
-            shared.log_event(JournalEvent::Suspended {
+        match (queued, kind) {
+            (Some(p), Some(kind)) => park(shared, p, kind, None),
+            (Some(_), None) => shared.transition(
                 id,
-                reason: SuspendKind::Park.reason().into(),
-            });
-            relock(&shared.parked).insert(id, p);
-            shared.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id) {
-                    r.state = JobState::Suspended;
-                    r.wall = Some(r.submitted.elapsed());
-                    r.error = Some("suspended by request; resume with resume-job".into());
+                JobState::Cancelled,
+                Settle {
+                    event: Some(JournalEvent::Cancelled { id }),
+                    error: Some("cancelled while queued".into()),
+                    ..Settle::default()
+                },
+            ),
+            (None, _) => {
+                if let Some(job) = shared.active().values().find(|j| j.id == id) {
+                    job.halt_with(kind.map_or(Verdict::Cancel, Verdict::Suspend));
                 }
-            });
-            continue;
-        }
-        // Active? Halt at the next quiescent point; conclusion parks it.
-        let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(job) = active.values().find(|j| j.id == id) {
-            job.halt_with(Verdict::Suspend(SuspendKind::Park));
+            }
         }
     }
 }
@@ -2013,8 +1805,7 @@ fn periodic_checkpoints(shared: &Shared) {
     if d.ckpt_interval.is_zero() {
         return;
     }
-    let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for job in active.values() {
+    for job in shared.active().values() {
         let rem = job.run.remaining.load(Ordering::Acquire);
         if !job.run.halt.load(Ordering::SeqCst)
             && job.deadline.is_none()
@@ -2048,7 +1839,7 @@ fn preempt_for_qos(shared: &Shared) {
         (p.policy.qos.inverted(), p.footprint)
     };
     let in_use = shared.active_footprint.load(Ordering::SeqCst);
-    let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let active = shared.active();
     if active.is_empty() {
         return;
     }
@@ -2074,46 +1865,8 @@ fn preempt_for_qos(shared: &Shared) {
     victim.halt_with(Verdict::Suspend(SuspendKind::Preempt));
 }
 
-fn process_cancellations(shared: &Shared) {
-    let requests: Vec<u64> = std::mem::take(&mut *relock(&shared.cancel_requests));
-    if requests.is_empty() {
-        return;
-    }
-    for id in requests {
-        // Queued? Remove and mark terminal.
-        let removed = {
-            let mut pending = relock(&shared.pending);
-            match pending.iter().position(|p| p.id == id) {
-                Some(i) => {
-                    pending.remove(i);
-                    true
-                }
-                None => false,
-            }
-        };
-        if removed {
-            shared.log_event(JournalEvent::Cancelled { id });
-            cleanup_ckpt(shared, id);
-            shared.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id) {
-                    r.state = JobState::Cancelled;
-                    r.wall = Some(r.submitted.elapsed());
-                    r.error = Some("cancelled while queued".into());
-                }
-            });
-            continue;
-        }
-        // Active? Halt; finalization turns the verdict into Cancelled.
-        let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(job) = active.values().find(|j| j.id == id) {
-            job.halt_with(Verdict::Cancel);
-        }
-    }
-}
-
 fn enforce_deadlines(shared: &Shared) {
-    let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for job in active.values() {
+    for job in shared.active().values() {
         if let Some(d) = job.deadline {
             // A job that already finished its last task but has not been
             // finalized yet has met its deadline — don't fail it on a
@@ -2146,24 +1899,21 @@ fn retry_backoff(cfg: &PoolConfig, attempts: u32, salt: u64) -> Duration {
 fn finalize_jobs(shared: &Shared) {
     // Snapshot candidate rids only — holding an Arc clone here would keep
     // the strong count above 1 and wedge the ownership-recovery spin below.
-    let candidates: Vec<u64> = {
-        let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        active
-            .iter()
-            .filter(|(_, j)| {
-                let finished = j.run.remaining.load(Ordering::Acquire) == 0;
-                let halted = j.run.halt.load(Ordering::SeqCst);
-                (finished || halted) && j.inflight.load(Ordering::SeqCst) == 0
-            })
-            .map(|(&rid, _)| rid)
-            .collect()
-    };
+    let candidates: Vec<u64> = shared
+        .active()
+        .iter()
+        .filter(|(_, j)| {
+            let finished = j.run.remaining.load(Ordering::Acquire) == 0;
+            let halted = j.run.halt.load(Ordering::SeqCst);
+            (finished || halted) && j.inflight.load(Ordering::SeqCst) == 0
+        })
+        .map(|(&rid, _)| rid)
+        .collect();
     for rid in candidates {
         // A worker that raced us holds only a transient Arc clone (it sees
         // `halted` or an all-done bitmap and drops it within one step);
         // the unwrap spin below absorbs it.
-        let Some(arc) =
-            shared.active.write().unwrap_or_else(std::sync::PoisonError::into_inner).remove(&rid)
+        let Some(arc) = shared.active.write().unwrap_or_else(PoisonError::into_inner).remove(&rid)
         else {
             continue;
         };
@@ -2203,9 +1953,9 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
         }
         (v, _) => v,
     };
-    let stats = *relock(&job.stats);
     let tasks_total = job.graph.tasks().len();
     let tasks_done = tasks_total - job.run.remaining.load(Ordering::Acquire);
+    let ran = (*relock(&job.stats), tasks_done);
     let id = job.id;
     match verdict {
         None => {
@@ -2225,100 +1975,92 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
                     eprintln!("hqr-pool: persisting result of job-{id} failed: {e}");
                 } else {
                     for pruned in store.prune_over_cap() {
-                        shared.log_event(JournalEvent::ResultPruned { id: pruned });
+                        shared.log_event(&JournalEvent::ResultPruned { id: pruned });
                     }
                 }
                 put.ok()
             });
-            let in_memory = stored.is_none().then_some(result);
-            shared.log_event(JournalEvent::Completed { id, file: stored });
-            cleanup_ckpt(shared, id);
-            shared.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id) {
-                    r.state = JobState::Completed;
-                    r.stats.merge(&stats);
-                    r.tasks_done = tasks_done;
-                    r.wall = Some(r.submitted.elapsed());
-                    r.outcome = Some(JobOutcome {
-                        id: JobId(id),
-                        state: JobState::Completed,
-                        attempts: r.attempts,
-                        error: None,
-                        stats: r.stats,
-                        result: in_memory,
-                        wall: r.wall.unwrap_or_default(),
-                    });
-                }
-            });
+            shared.transition(
+                id,
+                JobState::Completed,
+                Settle {
+                    result: stored.is_none().then_some(result),
+                    event: Some(JournalEvent::Completed { id, file: stored }),
+                    error: None,
+                    ran: Some(ran),
+                },
+            );
         }
-        Some(Verdict::Cancel) => {
-            shared.log_event(JournalEvent::Cancelled { id });
-            cleanup_ckpt(shared, id);
-            shared.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id) {
-                    r.state = JobState::Cancelled;
-                    r.stats.merge(&stats);
-                    r.tasks_done = tasks_done;
-                    r.wall = Some(r.submitted.elapsed());
-                    r.error = Some("cancelled while running".into());
-                }
-            });
-        }
-        Some(Verdict::Suspend(kind)) => {
-            suspend_job(shared, job, stats, tasks_done, kind);
-        }
-        Some(v) => {
-            let message = match &v {
-                Verdict::Fault(e) => e.to_string(),
-                Verdict::Deadline(d) => format!("deadline of {d:?} exceeded"),
-                _ => unreachable!(),
-            };
-            retry_or_quarantine(shared, job, stats, tasks_done, message);
+        Some(Verdict::Cancel) => shared.transition(
+            id,
+            JobState::Cancelled,
+            Settle {
+                event: Some(JournalEvent::Cancelled { id }),
+                error: Some("cancelled while running".into()),
+                ran: Some(ran),
+                ..Settle::default()
+            },
+        ),
+        Some(Verdict::Suspend(kind)) => suspend_job(shared, job, ran, kind),
+        Some(Verdict::Fault(e)) => retry_or_quarantine(shared, job, ran, e.to_string()),
+        Some(Verdict::Deadline(d)) => {
+            retry_or_quarantine(shared, job, ran, format!("deadline of {d:?} exceeded"));
         }
     }
 }
 
-fn suspend_job(
-    shared: &Shared,
-    job: ActiveJob,
-    stats: FaultStats,
-    tasks_done: usize,
-    kind: SuspendKind,
-) {
-    let id = job.id;
-    let ckpt = Checkpoint {
-        mt: job.graph.mt(),
-        nt: job.graph.nt(),
-        b: job.graph.b(),
-        ib: job.ib,
-        fingerprint: graph_fingerprint(&job.graph, job.ib),
-        input_seed: 0,
-        elims: job.elims.clone(),
-        // Quiescent, hence closed under predecessors — what
-        // `validate_against` requires of a resumable checkpoint.
-        completed: job.run.completed(),
-        a: job.a.clone(),
-        factors: job.factors.clone(),
-    };
-    let attempts = {
-        let recs = relock(&shared.records);
-        recs.get(&id).map_or(0, |r| r.attempts)
-    };
+/// Put a job that is not running aside until [`JobPool::resume_job`]: a
+/// queued job as it stands, a halted one (`ran` is its accounting) as the
+/// checkpoint [`suspend_job`] just took. The park and the record change
+/// under one `parked` lock, so a racing resume sees both or neither.
+fn park(shared: &Shared, p: PendingJob, kind: SuspendKind, ran: Option<(FaultStats, usize)>) {
+    let id = p.id;
+    let reason = kind.reason().to_string();
+    let mut parked = relock(&shared.parked);
+    parked.insert(id, p);
+    shared.transition(
+        id,
+        JobState::Suspended,
+        Settle {
+            event: Some(JournalEvent::Suspended { id, reason: reason.clone() }),
+            error: Some(reason),
+            ran,
+            ..Settle::default()
+        },
+    );
+}
+
+/// Checkpoint a job halted at a quiescent point and park or re-queue it.
+fn suspend_job(shared: &Shared, job: ActiveJob, ran: (FaultStats, usize), kind: SuspendKind) {
+    let ActiveJob {
+        id,
+        seq,
+        attempts,
+        ib,
+        elims,
+        origin_policy,
+        graph,
+        run,
+        footprint,
+        a,
+        factors,
+        ..
+    } = job;
+    // Quiescent, hence closed under predecessors — what `validate_against`
+    // requires of a resumable checkpoint.
+    let ckpt = Checkpoint::capture(&graph, ib, elims.clone(), run.completed(), a, factors);
     // Durable pools write the checkpoint file first: once Checkpointed
-    // is journaled, a crash resumes from this panel frontier.
+    // is journaled, a restart resumes from this panel frontier.
     if let Some(d) = &shared.cfg.durability {
-        let file = format!("{CKPT_DIR}/job-{id}.ckpt");
+        let file = ckpt_file(id);
         match write_checkpoint(&d.state_dir.join(&file), &ckpt) {
-            Ok(()) => shared.log_event(JournalEvent::Checkpointed {
-                id,
-                tasks_done: tasks_done as u64,
-                file,
-            }),
+            Ok(()) => {
+                let tasks_done = ran.1 as u64;
+                shared.log_event(&JournalEvent::Checkpointed { id, tasks_done, file });
+            }
             Err(e) => eprintln!("hqr-pool: checkpointing job-{id} failed: {e}"),
         }
     }
-    shared.log_event(JournalEvent::Suspended { id, reason: kind.reason().into() });
-    let ActiveJob { seq, elims, origin_policy, graph, footprint, .. } = job;
     let requeued = PendingJob {
         id,
         seq,
@@ -2332,104 +2074,66 @@ fn suspend_job(
         count_attempt: false,
     };
     match kind {
-        SuspendKind::Drain => {
-            // The legacy persisted-queue path wants policy + checkpoint.
-            let Seed::Resume(ckpt) = requeued.seed else { unreachable!() };
-            relock(&shared.suspended).push(SuspendedEntry {
-                policy: requeued.policy,
-                attempts,
-                ckpt,
-            });
-            shared.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id) {
-                    r.state = JobState::Suspended;
-                    r.stats.merge(&stats);
-                    r.tasks_done = tasks_done;
-                    r.wall = Some(r.submitted.elapsed());
-                    r.error = Some("suspended by drain; state checkpointed".into());
-                }
-            });
-        }
-        SuspendKind::Park => {
-            relock(&shared.parked).insert(id, requeued);
-            shared.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id) {
-                    r.state = JobState::Suspended;
-                    r.stats.merge(&stats);
-                    r.tasks_done = tasks_done;
-                    r.wall = Some(r.submitted.elapsed());
-                    r.error = Some("suspended by request; resume with resume-job".into());
-                }
-            });
-        }
+        SuspendKind::Drain | SuspendKind::Park => park(shared, requeued, kind, Some(ran)),
         SuspendKind::Preempt | SuspendKind::Periodic => {
             // Straight back into the queue: the same attempt continues
             // from the checkpointed frontier when room frees up.
             relock(&shared.pending).push(requeued);
-            shared.notify_records(|recs| {
-                if let Some(r) = recs.get_mut(&id) {
-                    r.state = JobState::Queued;
-                    r.stats.merge(&stats);
-                    r.tasks_done = tasks_done;
-                    r.error = None;
-                }
-            });
+            shared.transition(
+                id,
+                JobState::Queued,
+                Settle {
+                    event: Some(JournalEvent::Suspended { id, reason: kind.reason().into() }),
+                    ran: Some(ran),
+                    ..Settle::default()
+                },
+            );
         }
     }
 }
 
-fn retry_or_quarantine(
-    shared: &Shared,
-    job: ActiveJob,
-    stats: FaultStats,
-    tasks_done: usize,
-    message: String,
-) {
-    let id = job.id;
-    let seq = job.seq;
-    let attempts = {
-        let recs = relock(&shared.records);
-        recs.get(&id).map_or(1, |r| r.attempts)
-    };
+fn retry_or_quarantine(shared: &Shared, job: ActiveJob, ran: (FaultStats, usize), message: String) {
+    let ActiveJob {
+        id, seq, attempts, origin_policy, origin_seed, elims, graph, footprint, ..
+    } = job;
     // `attempts` counts runs started; the budget allows `job_retries`
     // re-runs on top of the first.
-    let can_retry = attempts <= job.origin_policy.job_retries && job.origin_seed.is_some();
-    if can_retry {
-        shared.log_event(JournalEvent::Failed { id, attempts, error: message.clone() });
-        let not_before = Instant::now() + retry_backoff(&shared.cfg, attempts, id);
-        let ActiveJob { origin_policy, origin_seed, elims, graph, footprint, .. } = job;
-        relock(&shared.pending).push(PendingJob {
+    match origin_seed.filter(|_| attempts <= origin_policy.job_retries) {
+        Some(seed) => {
+            relock(&shared.pending).push(PendingJob {
+                id,
+                seq,
+                policy: origin_policy,
+                elims,
+                seed,
+                graph,
+                footprint,
+                attempts,
+                not_before: Some(Instant::now() + retry_backoff(&shared.cfg, attempts, id)),
+                count_attempt: true,
+            });
+            shared.transition(
+                id,
+                JobState::Backoff,
+                Settle {
+                    event: Some(JournalEvent::Failed { id, attempts, error: message.clone() }),
+                    error: Some(message),
+                    // The re-run starts from the pristine payload.
+                    ran: Some((ran.0, 0)),
+                    ..Settle::default()
+                },
+            );
+        }
+        None => shared.transition(
             id,
-            seq,
-            policy: origin_policy,
-            elims,
-            seed: origin_seed.expect("checked above"),
-            graph,
-            footprint,
-            attempts,
-            not_before: Some(not_before),
-            count_attempt: true,
-        });
-        shared.notify_records(|recs| {
-            if let Some(r) = recs.get_mut(&id) {
-                r.state = JobState::Backoff;
-                r.stats.merge(&stats);
-                r.tasks_done = 0;
-                r.error = Some(message);
-            }
-        });
-    } else {
-        shared.log_event(JournalEvent::Quarantined { id, error: message.clone() });
-        cleanup_ckpt(shared, id);
-        shared.notify_records(|recs| {
-            if let Some(r) = recs.get_mut(&id) {
-                r.state = JobState::Quarantined;
-                r.stats.merge(&stats);
-                r.tasks_done = tasks_done;
-                r.wall = Some(r.submitted.elapsed());
-                r.error = Some(message);
-            }
-        });
+            JobState::Quarantined,
+            Settle {
+                event: Some(JournalEvent::Quarantined { id, error: message.clone() }),
+                error: Some(message),
+                ran: Some(ran),
+                ..Settle::default()
+            },
+        ),
     }
 }
 
@@ -2446,11 +2150,7 @@ fn admit_jobs(shared: &Shared) {
             let now = Instant::now();
             let budget = shared.cfg.mem_budget;
             let in_use = shared.active_footprint.load(Ordering::SeqCst);
-            let active_count = {
-                let active =
-                    shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-                active.len()
-            };
+            let active_count = shared.active().len();
             if shared.cfg.max_active != 0 && active_count >= shared.cfg.max_active {
                 break;
             }
@@ -2481,7 +2181,7 @@ fn admit_jobs(shared: &Shared) {
                 "hqr-pool: job {} admitted over budget (need {} bytes, budget {}): pool was idle",
                 p.id, p.footprint, shared.cfg.mem_budget
             );
-            shared.log_event(JournalEvent::OverBudgetAdmitted {
+            shared.log_event(&JournalEvent::OverBudgetAdmitted {
                 id: p.id,
                 need: p.footprint,
                 budget: shared.cfg.mem_budget,
@@ -2553,6 +2253,7 @@ fn activate_job(shared: &Shared, p: PendingJob) {
         rid,
         id,
         seq,
+        attempts: attempts + u32::from(count_attempt),
         qos_inv: jp.qos.inverted(),
         initial_remaining: run.remaining.load(Ordering::Acquire),
         run,
@@ -2572,20 +2273,11 @@ fn activate_job(shared: &Shared, p: PendingJob) {
     });
     shared.active_footprint.fetch_add(footprint, Ordering::SeqCst);
     {
-        let mut active = shared.active.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut active = shared.active.write().unwrap_or_else(PoisonError::into_inner);
         active.insert(rid, Arc::clone(&job));
     }
-    let attempt = shared.notify_records(|recs| match recs.get_mut(&id) {
-        Some(r) => {
-            r.state = JobState::Running;
-            if count_attempt {
-                r.attempts += 1;
-            }
-            r.attempts
-        }
-        None => attempts,
-    });
-    shared.log_event(JournalEvent::Started { id, attempt });
+    let started = JournalEvent::Started { id, attempt: job.attempts };
+    shared.transition(id, JobState::Running, Settle { event: Some(started), ..Settle::default() });
     for tid in frontier {
         shared.push_ready(&job, tid);
     }
@@ -2659,6 +2351,21 @@ mod tests {
         elims
     }
 
+    /// The spec container outlived the queue file it was designed for
+    /// without a version bump, so its bytes are pinned: the same digest the
+    /// commit that still wrote queue files produces for this spec.
+    #[test]
+    fn job_spec_encoding_is_pinned() {
+        let mut spec = JobSpec::fresh(flat_elims(3, 2), TiledMatrix::random(3, 2, 4, 9));
+        spec.qos = QosClass::Interactive;
+        spec.ib = Some(2);
+        spec.deadline = Some(Duration::from_millis(77));
+        spec.tag = "pinned".into();
+        spec.dedup_key = Some("k/1".into());
+        let bytes = spec.to_bytes();
+        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (1077, 17724287557011816738));
+    }
+
     #[test]
     fn job_spec_roundtrips_dedup_key() {
         let a = TiledMatrix::zeros(2, 1, 4);
@@ -2695,22 +2402,8 @@ mod tests {
         let footprint = working_set_bytes(&graph);
         assert!(footprint > pool.shared.cfg.mem_budget);
         let id = 17u64;
-        relock(&pool.shared.records).insert(
-            id,
-            JobRecord {
-                state: JobState::Queued,
-                qos: QosClass::Normal,
-                tag: String::new(),
-                attempts: 0,
-                tasks_total: graph.tasks().len(),
-                tasks_done: 0,
-                error: None,
-                stats: FaultStats::default(),
-                submitted: Instant::now(),
-                wall: None,
-                outcome: None,
-            },
-        );
+        let record = JobRecord::queued(QosClass::Normal, String::new(), 0, graph.tasks().len());
+        relock(&pool.shared.records).insert(id, record);
         relock(&pool.shared.pending).push(PendingJob {
             id,
             seq: 1,
@@ -2723,8 +2416,6 @@ mod tests {
                 job_retries: 0,
                 deadline: None,
                 plan: None,
-                tag: String::new(),
-                dedup_key: None,
             },
             elims,
             seed: Seed::Fresh(a),

@@ -13,8 +13,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use hqr_runtime::{
-    execute_serial_ib, result_from_bytes, DurabilityConfig, ElimOp, FaultPlan, JobPool, JobSpec,
-    JobState, Journal, JournalEvent, PoolConfig, TFactors, TaskGraph, CKPT_DIR, JOURNAL_FILE,
+    execute_serial_ib, replay, result_from_bytes, DurabilityConfig, ElimOp, FaultPlan, JobPool,
+    JobSpec, JobState, Journal, JournalEvent, PoolConfig, QosClass, TFactors, TaskGraph, CKPT_DIR,
+    JOURNAL_FILE,
 };
 use hqr_tile::TiledMatrix;
 
@@ -334,6 +335,136 @@ fn periodic_checkpoints_fire_without_perturbing_results() {
         !dir.join(CKPT_DIR).join(format!("job-{}.ckpt", id.0)).exists(),
         "completion removes the suspension checkpoint"
     );
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every transition writes its journal record and its job record in one
+/// function, so a replay of the journal and the pool's own listing must
+/// tell the same story. Call only while no transition is in flight (every
+/// job settled, parked, queued behind a full slot, or stalled mid-run).
+fn assert_journal_matches_records(pool: &JobPool, dir: &Path, at: &str) {
+    let journal = replay(&Journal::read(&dir.join(JOURNAL_FILE)).expect("journal readable"));
+    let views = pool.jobs();
+    assert_eq!(journal.len(), views.len(), "{at}: the journal and the pool name the same jobs");
+    for v in views {
+        let j = &journal[&v.id.0];
+        // A parked job is settled for a waiter but live for the journal:
+        // recovery resumes it.
+        let settled = v.state.is_terminal() && v.state != JobState::Suspended;
+        assert_eq!(j.terminal, settled.then_some(v.state), "{at}: job {} ({})", v.id.0, v.tag);
+        assert_eq!(j.attempts, v.attempts, "{at}: attempts of job {} ({})", v.id.0, v.tag);
+        let on_disk = dir.join(CKPT_DIR).join(format!("job-{}.ckpt", v.id.0)).exists();
+        if settled {
+            assert!(!on_disk, "{at}: settled job {} ({}) left a checkpoint", v.id.0, v.tag);
+        } else {
+            assert_eq!(
+                j.ckpt_file.is_some(),
+                on_disk,
+                "{at}: checkpoint of {} ({})",
+                v.id.0,
+                v.tag
+            );
+        }
+        if v.state == JobState::Suspended && on_disk {
+            assert_eq!(j.ckpt_tasks_done as usize, v.tasks_done, "{at}: progress of {}", v.id.0);
+        }
+    }
+}
+
+#[test]
+fn journal_replay_agrees_with_the_records_through_every_transition() {
+    let dir = state_dir("consistent");
+    let mut d = DurabilityConfig::at(&dir);
+    d.ckpt_interval = Duration::from_millis(1);
+    let pool = JobPool::new(PoolConfig {
+        nthreads: 2,
+        max_active: 1,
+        queue_cap: 1,
+        backoff_base: Duration::from_millis(1),
+        durability: Some(d),
+        ..PoolConfig::default()
+    });
+    let elims = flat_elims(4, 3);
+    let small = |seed: u64, tag: &str, qos: QosClass| {
+        let mut s = JobSpec::fresh(elims.clone(), TiledMatrix::random(4, 3, 8, seed));
+        (s.tag, s.qos) = (tag.into(), qos);
+        s
+    };
+    let stalled = |seed: u64, tag: &str| {
+        let mut s = stalling_spec(elims.clone(), TiledMatrix::random(4, 3, 8, seed), 0);
+        s.tag = tag.into();
+        s
+    };
+
+    let ckpts_of = |id: hqr_runtime::JobId| {
+        let events = Journal::read(&dir.join(JOURNAL_FILE)).expect("journal readable");
+        events
+            .iter()
+            .filter(|e| matches!(e, JournalEvent::Checkpointed { id: jid, .. } if *jid == id.0))
+            .count()
+    };
+
+    // Clean completion with a periodic checkpoint on the way. The
+    // supervisor has to get a tick in mid-run for that; on a busy machine
+    // a run can slip through un-checkpointed, so go again.
+    let mut long = JobSpec::fresh(flat_elims(96, 8), TiledMatrix::random(96, 8, 16, 81));
+    long.tag = "long".into();
+    let mut tries = 0;
+    loop {
+        let id = pool.submit(long.clone()).expect("submit long");
+        assert_eq!(pool.wait(id).expect("long").state, JobState::Completed);
+        tries += 1;
+        if ckpts_of(id) >= 1 {
+            break;
+        }
+        assert!(tries < 50, "no run of the long job was ever checkpointed periodically");
+    }
+
+    // Deadline -> backoff -> deadline -> quarantine.
+    let mut doomed = stalled(82, "doomed");
+    doomed.deadline = Some(Duration::from_millis(2));
+    doomed.job_retries = 1;
+    let id_doomed = pool.submit(doomed).expect("submit doomed");
+    let out = pool.wait(id_doomed).expect("doomed");
+    assert_eq!((out.state, out.attempts), (JobState::Quarantined, 2), "{:?}", out.error);
+
+    // One stalled job holds the only slot; behind it a batch job fills the
+    // queue, is shed by an interactive arrival, which in turn preempts the
+    // stalled job, completes, and hands the slot back.
+    let id_stall = pool.submit(stalled(83, "stall")).expect("submit stall");
+    wait_for_state(&pool, id_stall, JobState::Running);
+    let id_shed = pool.submit(small(84, "shed", QosClass::Batch)).expect("submit shed");
+    let id_vip = pool.submit(small(85, "vip", QosClass::Interactive)).expect("submit vip");
+    assert_eq!(pool.wait(id_shed).expect("shed").state, JobState::Shed);
+    assert_eq!(pool.wait(id_vip).expect("vip").state, JobState::Completed);
+    wait_for_state(&pool, id_stall, JobState::Running);
+
+    // Cancel while queued.
+    let id_cq = pool.submit(small(86, "cancel-queued", QosClass::Normal)).expect("submit");
+    assert!(pool.cancel(id_cq));
+    assert_eq!(pool.wait(id_cq).expect("cancelled").state, JobState::Cancelled);
+
+    // Suspend the running job: parked on a checkpoint, everything else settled.
+    assert!(pool.suspend(id_stall));
+    wait_for_state(&pool, id_stall, JobState::Suspended);
+    assert_journal_matches_records(&pool, &dir, "one job parked");
+
+    // Resume it; park a queued job behind it, resume that too; then cancel
+    // the running one so the resumed job gets the slot and completes.
+    assert!(pool.resume_job(id_stall));
+    wait_for_state(&pool, id_stall, JobState::Running);
+    let id_parked = pool.submit(small(87, "parked", QosClass::Normal)).expect("submit parked");
+    assert!(pool.suspend(id_parked));
+    wait_for_state(&pool, id_parked, JobState::Suspended);
+    assert_journal_matches_records(&pool, &dir, "one job stalled, one parked off the queue");
+    assert!(pool.resume_job(id_parked));
+    assert!(pool.cancel(id_stall));
+    assert_eq!(pool.wait(id_stall).expect("stall").state, JobState::Cancelled);
+    assert_eq!(pool.wait(id_parked).expect("parked").state, JobState::Completed);
+
+    assert_journal_matches_records(&pool, &dir, "everything settled");
+    assert!(ckpts_of(id_stall) >= 2, "preemption and suspension both checkpointed");
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,9 +8,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use hqr_runtime::{
-    execute_serial_ib, load_queue, ElimOp, FaultPlan, IntegrityMode, JobInput, JobPool, JobSpec,
-    JobState, PoolConfig, QosClass, SchedPolicy, SdcFault, SdcPattern, SubmitError, TFactors,
-    TaskGraph,
+    execute_serial_ib, DurabilityConfig, ElimOp, FaultPlan, IntegrityMode, JobInput, JobPool,
+    JobSpec, JobState, Journal, JournalEvent, PoolConfig, QosClass, SchedPolicy, SdcFault,
+    SdcPattern, SubmitError, TFactors, TaskGraph, JOURNAL_FILE,
 };
 use hqr_tile::TiledMatrix;
 
@@ -70,8 +70,11 @@ fn assert_bitwise(
     assert!(got_f.bitwise_eq(&ref_f), "{label}: factor buffers differ from solo run");
 }
 
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("hqr_pool_{name}_{}.queue", std::process::id()))
+/// A fresh state directory (names are pid-derived and pids recycle).
+fn state_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hqr_pool_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Block until `id` is admitted and running (bounded by a generous
@@ -389,89 +392,112 @@ fn admission_rejects_overbudget_sheds_lowest_qos_and_applies_backpressure() {
     pool.shutdown();
 }
 
-/// Graceful drain: in-flight work is checkpointed at a quiescent point,
-/// queued work keeps its pristine payload, and a fresh pool resubmitting
-/// the persisted queue finishes every accepted job bitwise-identically to
-/// its solo run — zero lost accepted jobs.
-#[test]
-fn drain_persists_queue_and_resumes_bitwise() {
-    let path = tmp("drain_resume");
-    let _ = std::fs::remove_file(&path);
+/// A job stalled on injected retries of its first task (so a drain lands
+/// while it is provably incomplete) plus two jobs queued behind it on a
+/// one-slot pool: `(elims, input)` per job and the ids, active job first.
+type DrainCase = (Vec<(Vec<ElimOp>, TiledMatrix)>, Vec<hqr_runtime::JobId>);
 
-    let pool = JobPool::new(PoolConfig { nthreads: 2, max_active: 1, ..Default::default() });
-    // The active job: enough injected-retry stalling on task 0 that the
-    // drain lands while it is provably incomplete, then clean execution.
-    let elims_active = flat_elims(5, 4);
-    let a_active = TiledMatrix::random(5, 4, 8, 201);
-    let mut spec_active = JobSpec::fresh(elims_active.clone(), a_active.clone());
-    spec_active.plan = Some(FaultPlan::new(3).fail_task(0, 50_000));
-    spec_active.max_retries = 60_000;
-    spec_active.tag = "active".into();
-    let id_active = pool.submit(spec_active).expect("submit active");
-    // The drain must land while this job is provably in flight.
-    wait_until_running(&pool, id_active);
-    // Two queued jobs that never start before the drain.
-    let queued_cases = [
+fn one_running_two_queued(pool: &JobPool) -> DrainCase {
+    let cases = vec![
+        (flat_elims(5, 4), TiledMatrix::random(5, 4, 8, 201)),
         (binary_elims(4, 4), TiledMatrix::random(4, 4, 8, 202)),
         (flat_elims(4, 3), TiledMatrix::random(4, 3, 8, 203)),
     ];
-    let queued_ids: Vec<_> = queued_cases
-        .iter()
-        .map(|(elims, a)| {
-            let mut s = JobSpec::fresh(elims.clone(), a.clone());
-            s.tag = "queued".into();
-            pool.submit(s).expect("submit queued")
-        })
-        .collect();
-
-    let report = pool.drain(Duration::from_millis(5), Some(&path)).expect("drain");
-    assert_eq!(report.persisted, 3, "one suspended + two queued jobs persisted");
-    assert_eq!(report.suspended, vec![id_active], "the active job was suspended");
-    let oa = pool.wait(id_active).expect("active");
-    assert_eq!(oa.state, JobState::Suspended);
-    for id in &queued_ids {
-        // Queued jobs stay Queued in the drained pool's records; their
-        // payloads live on in the persisted queue.
-        let v = pool.status(*id).expect("known");
-        assert_eq!(v.state, JobState::Queued);
+    let mut ids = Vec::new();
+    for (i, (elims, a)) in cases.iter().enumerate() {
+        let mut spec = JobSpec::fresh(elims.clone(), a.clone());
+        if i == 0 {
+            spec.plan = Some(FaultPlan::new(3).fail_task(0, 50_000));
+            spec.max_retries = 60_000;
+        }
+        ids.push(pool.submit(spec).expect("submit"));
+        if i == 0 {
+            wait_until_running(pool, ids[0]);
+        }
     }
-    assert!(
-        pool.submit(JobSpec::fresh(flat_elims(2, 2), TiledMatrix::random(2, 2, 4, 1))).is_err(),
-        "draining pool refuses new work"
-    );
+    (cases, ids)
+}
+
+/// Graceful drain is the polite special case of crash recovery: in-flight
+/// work is checkpointed at a quiescent point, queued work stays journaled
+/// as accepted, and a second pool over the same state directory finishes
+/// every accepted job through the ordinary `recover()` — bitwise-identical
+/// to its solo run, whether the drained pool was shut down or just dropped.
+#[test]
+fn drain_then_recover_resumes_bitwise() {
+    for polite in [true, false] {
+        let dir = state_dir("drain_recover");
+        let durable = |max_active| {
+            JobPool::new(PoolConfig {
+                nthreads: 2,
+                max_active,
+                durability: Some(DurabilityConfig::at(&dir)),
+                ..Default::default()
+            })
+        };
+        let pool = durable(1);
+        let (cases, ids) = one_running_two_queued(&pool);
+
+        let report = pool.drain(Duration::from_millis(5));
+        assert_eq!(report.persisted, 3, "one suspended + two queued jobs stay journaled");
+        assert_eq!(report.suspended, vec![ids[0]], "the active job was suspended");
+        assert_eq!(pool.wait(ids[0]).expect("active").state, JobState::Suspended);
+        for id in &ids[1..] {
+            assert_eq!(pool.status(*id).expect("known").state, JobState::Queued);
+        }
+        assert!(
+            pool.submit(JobSpec::fresh(flat_elims(2, 2), TiledMatrix::random(2, 2, 4, 1))).is_err(),
+            "draining pool refuses new work"
+        );
+        if polite {
+            pool.shutdown();
+        }
+        drop(pool);
+        // The hazard: a drained pool's queue must not be journaled away.
+        let events = Journal::read(&dir.join(JOURNAL_FILE)).expect("journal");
+        let ended = |e: &&JournalEvent| {
+            matches!(e, JournalEvent::Shed { .. } | JournalEvent::Cancelled { .. })
+        };
+        assert_eq!(events.iter().find(ended), None, "polite={polite}");
+
+        let pool2 = durable(0);
+        let r = pool2.recover().expect("recover");
+        assert_eq!(
+            (r.total, r.resumed_from_checkpoint, r.restarted_fresh, r.unrecoverable),
+            (3, 1, 2, 0),
+            "polite={polite}: exactly the suspended job resumes from a checkpoint"
+        );
+        for (id, (elims, a0)) in ids.iter().zip(&cases) {
+            let out = pool2.wait(*id).expect("recovered under its original id");
+            assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
+            let res = out.result.expect("payload");
+            assert_bitwise(&format!("recovered {id}"), &res.a, &res.factors, elims, a0, a0.b());
+        }
+        pool2.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Without a journal a drain parks the straggler in memory like
+/// `hqr suspend`: reported, `Suspended`, and still the pool's to hand back.
+#[test]
+fn drain_on_a_volatile_pool_parks_in_memory() {
+    let pool = JobPool::new(PoolConfig { nthreads: 2, max_active: 1, ..Default::default() });
+    let (_, ids) = one_running_two_queued(&pool);
+    let report = pool.drain(Duration::from_millis(5));
+    assert_eq!(report.suspended, vec![ids[0]]);
+    assert_eq!(report.persisted, 0, "no journal, nothing for a restart to resubmit");
+    assert_eq!(pool.status(ids[0]).expect("known").state, JobState::Suspended);
+    for id in &ids[1..] {
+        assert_eq!(pool.status(*id).expect("known").state, JobState::Queued);
+    }
+    // Nothing was dropped: the parked job's checkpoint is still there to
+    // re-queue, and shutting the drained pool down sheds none of them.
+    assert!(pool.resume_job(ids[0]), "the suspended job is parked, not gone");
     pool.shutdown();
-
-    // A restarted service resubmits the persisted queue.
-    let entries = load_queue(&path).expect("queue decodes");
-    assert_eq!(entries.len(), 3);
-    let resumed = entries.iter().filter(|e| matches!(e.spec.input, JobInput::Resume(_))).count();
-    assert_eq!(resumed, 1, "exactly the suspended job resumes from a checkpoint");
-
-    let pool2 = JobPool::new(PoolConfig { nthreads: 2, ..Default::default() });
-    let mut expected: Vec<(Vec<ElimOp>, TiledMatrix)> = vec![(elims_active, a_active)];
-    expected.extend(queued_cases.iter().cloned());
-    let ids2: Vec<_> =
-        entries.into_iter().map(|e| pool2.submit(e.spec).expect("resubmit")).collect();
-    // Entries are persisted pending-first? No: queued jobs first, then the
-    // suspended one — match each outcome to its reference by tag order.
-    let mut done = 0;
-    for id in ids2 {
-        let out = pool2.wait(id).expect("resubmitted");
-        assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
-        let r = out.result.expect("payload");
-        // Identify the matching reference by shape + input fingerprint.
-        let matched = expected.iter().any(|(elims, a0)| {
-            if a0.mt() != r.a.mt() || a0.nt() != r.a.nt() {
-                return false;
-            }
-            let (ref_a, ref_f) = solo(elims, a0, a0.b());
-            ref_a.to_dense().data() == r.a.to_dense().data() && r.factors.bitwise_eq(&ref_f)
-        });
-        assert!(matched, "resumed job must match one solo reference bitwise");
-        done += 1;
+    for id in &ids {
+        assert_eq!(pool.status(*id).expect("known").state, JobState::Queued);
     }
-    assert_eq!(done, 3, "zero lost accepted jobs");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
