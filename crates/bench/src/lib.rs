@@ -10,8 +10,6 @@
 //! | `fig7_domino`     | Figure 7 |
 //! | `fig8_compare_m`  | Figure 8 |
 //! | `fig9_compare_n`  | Figure 9 |
-//! | `kernels` (criterion) | §V-A kernel rates (TS vs TT) |
-//! | `runtime_parallel` (criterion) | shared-memory executor scaling |
 //!
 //! Set `HQR_QUICK=1` to shrink the sweeps (useful in CI); the default runs
 //! the paper-scale parameter sets.

@@ -1,22 +1,27 @@
-//! The `hqr` subcommands.
+//! The `hqr` subcommands: each parses its flags into a [`Problem`] (and the
+//! option families beside it), rejects what it did not read, calls one
+//! backend and reports.
 
-use crate::args::Args;
+use crate::args::{Args, CliError};
+use crate::problem::{
+    bitwise_vs_serial, coarse_schedule, describe, graph_of, policy_of, sim_platform, threads_of,
+    Defaults, Engine, Problem, Shape, SimFaults,
+};
 use hqr::baselines;
 use hqr::prelude::*;
 use hqr_runtime::trace::{chrome_trace_from_exec, realized_critical_path, RealizedPath};
 use hqr_runtime::{
-    analysis, execute_serial, resume_from_checkpoint, try_execute_checkpointed, try_execute_traced,
-    try_execute_with, CheckpointPolicy, CheckpointSpec, ExecOptions, FaultPlan, IntegrityMode,
+    analysis, resume_from_checkpoint, try_execute_checkpointed, try_execute_traced,
+    try_execute_with, CheckpointPolicy, CheckpointSpec, ExecOptions, IntegrityMode, SchedPolicy,
     TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
 use hqr_sim::{
     compare_recovery_policies, find_crossover, find_sdc_crossover, find_suspend_crossover,
     recovery_crossover, sdc_policy_sweep, simulate_traced, simulate_with_faults,
-    simulate_with_policy, suspend_vs_scratch_sweep, CheckpointCostModel, KernelRates, Platform,
-    RecoveryPolicy, SchedPolicy, SdcCostModel, SimFaultPlan,
+    simulate_with_policy, suspend_vs_scratch_sweep, CheckpointCostModel, RecoveryPolicy,
+    SdcCostModel,
 };
-use hqr_tile::{ProcessGrid, TiledMatrix};
 use std::time::Instant;
 
 /// Top-level usage text.
@@ -170,190 +175,50 @@ USAGE:
       emit the task DAG as Graphviz DOT
   TREE: flat | binary | greedy | fibonacci
   POLICY: fifo | panel | cp   (ready-queue scheduling policy; both backends)
+  a flag the subcommand does not take, or a stray argument, is an error (exit 2)
 ";
 
-pub(crate) fn tree_of(args: &Args, key: &str, default: TreeKind) -> TreeKind {
-    match args.get(key) {
-        None => default,
-        Some(v) => TreeKind::parse(v).unwrap_or_else(|| {
-            eprintln!("--{key}: unknown tree `{v}` (flat|binary|greedy|fibonacci)");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Parse `--policy` (shared by `simulate`, `fault` and both `trace`
-/// backends); `default` applies when the flag is absent. Returns the exit
-/// code on an unknown spelling.
-fn policy_of(args: &Args, default: SchedPolicy) -> Result<SchedPolicy, i32> {
-    match args.get("policy") {
-        None => Ok(default),
-        Some(v) => SchedPolicy::parse(v).ok_or_else(|| {
-            eprintln!("unknown policy `{v}` (fifo|panel|cp)");
-            eprintln!("run `hqr help` for usage");
-            2
-        }),
-    }
-}
-
-/// `--rates edel|measured`: which kernel-rate calibration the simulator
-/// prices tasks with (paper §V-A numbers vs this repo's BENCH_7.json).
-fn rates_of(args: &Args) -> Result<KernelRates, i32> {
-    match args.str_or("rates", "edel").as_str() {
-        "edel" => Ok(KernelRates::edel()),
-        "measured" => Ok(KernelRates::measured()),
-        other => {
-            eprintln!("unknown rates `{other}` (edel|measured)");
-            eprintln!("run `hqr help` for usage");
-            Err(2)
-        }
-    }
-}
-
-pub(crate) fn config_of(args: &Args, grid: (usize, usize)) -> HqrConfig {
-    HqrConfig::new(grid.0, grid.1)
-        .with_a(args.usize_or("a", 1))
-        .with_low(tree_of(args, "low", TreeKind::Greedy))
-        .with_high(tree_of(args, "high", TreeKind::Fibonacci))
-        .with_domino(args.flag("domino"))
-}
-
-/// Reject zero where a positive value is required, with a clean message
-/// instead of a panic deep inside the library. Returns `Some(2)` (the exit
-/// code) on the first offending argument.
-pub(crate) fn require_positive(checks: &[(&str, usize)]) -> Option<i32> {
-    for &(name, v) in checks {
-        if v == 0 {
-            eprintln!("--{name} must be positive");
-            eprintln!("run `hqr help` for usage");
-            return Some(2);
-        }
-    }
-    None
-}
-
-/// Reject non-finite or non-positive floats (bandwidth/latency factors,
-/// I/O rates) with a usage hint. Returns `Some(2)` on the first offender.
-pub(crate) fn require_positive_f64(checks: &[(&str, f64)]) -> Option<i32> {
-    for &(name, v) in checks {
-        if !v.is_finite() || v <= 0.0 {
-            eprintln!("--{name} must be a positive finite number, got {v}");
-            eprintln!("run `hqr help` for usage");
-            return Some(2);
-        }
-    }
-    None
-}
-
-/// Validate the simulated-fault arguments shared by `hqr fault` and
-/// `hqr trace --backend sim`: node indices in range, times non-negative,
-/// degradation factors positive. Returns `Some(2)` on the first offender.
-fn validate_sim_fault_args(args: &Args, nodes: usize) -> Option<i32> {
-    if let Some(raw) = args.get("crash-node") {
-        let node = args.usize_or("crash-node", 0);
-        if node >= nodes {
-            eprintln!(
-                "--crash-node {raw} is out of range: platform has {nodes} nodes (0..{})",
-                nodes - 1
-            );
-            eprintln!("run `hqr help` for usage");
-            return Some(2);
-        }
-    }
-    let crash_frac = args.f64_or("crash-frac", 0.3);
-    if !crash_frac.is_finite() || crash_frac < 0.0 {
-        eprintln!("--crash-frac must be a non-negative finite fraction, got {crash_frac}");
-        eprintln!("run `hqr help` for usage");
-        return Some(2);
-    }
-    require_positive_f64(&[
-        ("degrade-bw", args.f64_or("degrade-bw", 1.0)),
-        ("degrade-lat", args.f64_or("degrade-lat", 1.0)),
-    ])
-}
-
-/// Validate the silent-data-corruption arguments shared by `hqr fault` and
-/// `hqr trace --backend exec`: `--sdc-rate` must be a finite probability in
-/// `[0, 1]` and `--integrity` one of `off`/`spot`/`full`. When corruption is
-/// being injected the integrity mode defaults to `full`; otherwise `off`.
-/// Returns the parsed pair, or the exit code on the first offender.
-fn validate_sdc_args(args: &Args) -> Result<(f64, IntegrityMode), i32> {
-    let rate = args.f64_or("sdc-rate", 0.0);
-    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-        eprintln!("--sdc-rate must be a probability in [0, 1], got {rate}");
-        eprintln!("run `hqr help` for usage");
-        return Err(2);
-    }
-    let default = if rate > 0.0 { IntegrityMode::Full } else { IntegrityMode::Off };
-    match args.get("integrity") {
-        None => Ok((rate, default)),
-        Some(v) => match IntegrityMode::parse(v) {
-            Some(mode) => Ok((rate, mode)),
-            None => {
-                eprintln!("--integrity: unknown mode `{v}` (off|spot|full)");
-                eprintln!("run `hqr help` for usage");
-                Err(2)
-            }
-        },
-    }
+/// Write `json` to the `--out` path (or `default_name`) and confirm.
+fn write_trace(out: Option<&str>, default_name: &str, json: &str) -> Result<(), CliError> {
+    let out = out.unwrap_or(default_name);
+    std::fs::write(out, json)
+        .map_err(|e| CliError::usage(format!("failed to write {out}: {e}")))?;
+    println!("trace        : {out} ({} bytes) — open at https://ui.perfetto.dev", json.len());
+    Ok(())
 }
 
 /// `hqr factor`: factor a random matrix and verify.
-pub fn factor(args: &Args) -> i32 {
-    let rows = args.usize_or("rows", 384);
-    let cols = args.usize_or("cols", 160);
-    let b = args.usize_or("tile", 16);
-    let grid = args.grid_or("grid", (2, 1));
-    let threads = args.usize_or("threads", 4);
-    let ib = args.usize_or("ib", b);
-    let seed = args.usize_or("seed", 42) as u64;
-    if let Some(code) = require_positive(&[
-        ("rows", rows),
-        ("cols", cols),
-        ("tile", b),
-        ("threads", threads),
-        ("ib", ib),
-        ("grid (P)", grid.0),
-        ("grid (Q)", grid.1),
-    ]) {
-        return code;
-    }
-    if ib > b {
-        eprintln!("--ib must not exceed --tile ({ib} > {b})");
-        return 2;
-    }
-    if rows < cols {
-        eprintln!("factor expects rows >= cols");
-        return 2;
-    }
-    let cfg = config_of(args, grid);
-    println!("configuration : {}", cfg.describe());
-    let a0 = match args.get("input") {
-        Some(path) => match hqr_tile::io::read_matrix_market(std::path::Path::new(path)) {
-            Ok(m) => {
-                println!("input         : {path} ({} x {})", m.rows(), m.cols());
-                if m.rows() < m.cols() {
-                    eprintln!("factor expects rows >= cols");
-                    return 2;
-                }
-                m
-            }
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return 2;
-            }
-        },
-        None => DenseMatrix::random(rows, cols, seed),
+pub fn factor(args: &Args) -> Result<i32, CliError> {
+    let input = match args.get("input") {
+        None => None,
+        Some(path) => Some((
+            path,
+            hqr_tile::io::read_matrix_market(std::path::Path::new(path))
+                .map_err(|e| CliError::usage(format!("failed to read {path}: {e}")))?,
+        )),
     };
-    let (rows, cols) = (a0.rows(), a0.cols());
+    // A MatrixMarket input brings its own dimensions: they stand in for
+    // the `--rows/--cols` defaults, and flags that contradict them are an
+    // error rather than a second, ignored, description of the matrix.
+    let d = Defaults { rows: 384, cols: 160, tile: 16, ..Defaults::EXEC };
+    let d = input.as_ref().map_or(d, |(_, m)| Defaults { rows: m.rows(), cols: m.cols(), ..d });
+    let s = Shape::from_args(args, d)?;
+    args.reject_unknown()?;
+    if (s.rows, s.cols) != (d.rows, d.cols) && input.is_some() {
+        return Err(CliError::usage("--rows/--cols disagree with the --input matrix"));
+    }
+    println!("configuration : {}", s.cfg.describe());
+    let a0 = match input {
+        Some((path, m)) => {
+            println!("input         : {path} ({} x {})", m.rows(), m.cols());
+            m
+        }
+        None => DenseMatrix::random(s.rows, s.cols, s.seed),
+    };
+    let Shape { rows, cols, b, ib, threads, .. } = s;
+    let exec = if threads <= 1 { Execution::Serial } else { Execution::Parallel(threads) };
     let t0 = Instant::now();
-    let qr = DenseQr::compute_ib(
-        &a0,
-        b,
-        cfg,
-        if threads <= 1 { Execution::Serial } else { Execution::Parallel(threads) },
-        ib,
-    );
+    let qr = DenseQr::compute_ib(&a0, b, s.cfg, exec, ib);
     let dt = t0.elapsed();
     let q = qr.q_thin();
     let recon = q.matmul(&qr.r());
@@ -365,107 +230,57 @@ pub fn factor(args: &Args) -> i32 {
     println!("||A-QR||/||A||: {resid:.3e}");
     let ok = ortho < 1e-12 * rows as f64 && resid < 1e-12 * rows as f64;
     println!("checks        : {}", if ok { "satisfactory" } else { "FAILED" });
-    i32::from(!ok)
+    Ok(i32::from(!ok))
 }
 
 /// `hqr simulate`: replay on the modeled cluster.
-pub fn simulate(args: &Args) -> i32 {
-    let b = args.usize_or("tile", 280);
-    let rows = args.usize_or("rows", 71_680);
-    let cols = args.usize_or("cols", 4_480);
-    let grid = args.grid_or("grid", (15, 4));
-    if let Some(code) = require_positive(&[("tile", b), ("grid (P)", grid.0), ("grid (Q)", grid.1)])
-    {
-        return code;
-    }
-    let (mt, nt) = (rows / b, cols / b);
-    if mt == 0 || nt == 0 {
-        eprintln!("matrix smaller than one tile");
-        return 2;
-    }
-    let rates = match rates_of(args) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let mut platform = Platform {
-        nodes: args.usize_or("nodes", grid.0 * grid.1),
-        cores_per_node: args.usize_or("cores", 8),
-        rates,
-        ..Platform::edel()
-    };
-    if let Some(code) =
-        require_positive(&[("nodes", platform.nodes), ("cores", platform.cores_per_node)])
-    {
-        return code;
-    }
-    let gpus = args.usize_or("gpus", 0);
-    if gpus > 0 {
-        platform.accelerators = Some(hqr_sim::Accelerators {
-            per_node: gpus,
-            update_speedup: args.f64_or("gpu-speedup", 8.0),
-        });
-    }
-    let mut link_note = String::new();
-    if let Some(path) = args.get("net-calib") {
-        let parsed = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| hqr_sim::LinkModel::parse_calibration(&text).map(|(l, _)| l));
-        match parsed {
-            Ok(link) => {
-                link_note = format!(
-                    ", link calibrated from {path} ({:.2} us, {:.2} GB/s)",
-                    link.latency * 1e6,
-                    link.bandwidth / 1e9
-                );
-                platform.link = link;
-            }
-            Err(e) => {
-                eprintln!("--net-calib {path}: {e}");
-                return 2;
-            }
-        }
-    }
-    let policy = match policy_of(args, SchedPolicy::PanelFirst) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+pub fn simulate(args: &Args) -> Result<i32, CliError> {
+    let d = Defaults { rows: 71_680, cols: 4_480, grid: (15, 4), ..Defaults::SIM };
+    let shape = Shape::from_args(args, d)?;
+    let (platform, link_note) = &sim_platform(args, shape.grid, 8)?;
+    let policy = policy_of(args, SchedPolicy::PanelFirst)?;
     let alg = args.str_or("algorithm", "hqr");
+    // `--disk-read-mbs` (or any disk flag) prices an out-of-core run of
+    // the same DAG: sweep the resident fraction of the tile footprint and
+    // report where spill bandwidth overtakes compute.
+    let disk_flags = ["disk-read-mbs", "disk-write-mbs", "disk-latency-us"];
+    let disk = if disk_flags.iter().any(|k| args.get(k).is_some()) {
+        let disk = hqr_sim::DiskModel {
+            read_bw: args.f64_or("disk-read-mbs", 500.0)? * 1e6,
+            write_bw: args.f64_or("disk-write-mbs", 450.0)? * 1e6,
+            latency: args.f64_or("disk-latency-us", 100.0)? * 1e-6,
+        };
+        if disk.read_bw <= 0.0 || disk.write_bw <= 0.0 || disk.latency < 0.0 {
+            return Err(CliError::usage("disk rates must be positive (latency may be zero)"));
+        }
+        Some(disk)
+    } else {
+        None
+    };
+    args.reject_unknown()?;
+    let Shape { rows, cols, b, mt, nt, grid, .. } = shape;
     let setup = match alg.as_str() {
-        "hqr" => baselines::hqr(mt, nt, ProcessGrid::new(grid.0, grid.1), config_of(args, grid)),
-        "hqr-tall" => baselines::hqr_tall_skinny(mt, nt, ProcessGrid::new(grid.0, grid.1)),
-        "hqr-square" => baselines::hqr_square(mt, nt, ProcessGrid::new(grid.0, grid.1)),
-        "bbd10" => baselines::bbd10(mt, nt, ProcessGrid::new(grid.0, grid.1)),
+        "hqr" => shape.hqr(),
+        "hqr-tall" => baselines::hqr_tall_skinny(mt, nt, grid),
+        "hqr-square" => baselines::hqr_square(mt, nt, grid),
+        "bbd10" => baselines::bbd10(mt, nt, grid),
         "slhd10" => baselines::slhd10(mt, nt, platform.nodes),
         "scalapack" => {
-            let r = ScalapackModel::default().run(rows, cols, grid.0, grid.1, &platform);
+            let r = ScalapackModel::default().run(rows, cols, grid.p, grid.q, platform);
             println!("algorithm : ScaLAPACK pdgeqrf (analytic model)");
             println!("makespan  : {:.3} s", r.makespan);
             println!("GFlop/s   : {:.1} ({:.1}% of peak)", r.gflops, 100.0 * r.efficiency);
-            return 0;
+            return Ok(0);
         }
-        other => {
-            eprintln!("unknown algorithm `{other}`");
-            return 2;
-        }
+        other => return Err(CliError::usage(format!("unknown algorithm `{other}`"))),
     };
     println!("algorithm : {}", setup.name);
     println!("matrix    : {rows} x {cols} ({mt} x {nt} tiles of {b})");
-    println!(
-        "platform  : {} nodes x {} cores{}{}",
-        platform.nodes,
-        platform.cores_per_node,
-        if gpus > 0 { format!(" + {gpus} GPUs/node") } else { String::new() },
-        link_note
-    );
+    println!("platform  : {}{link_note}", describe(platform));
     let t0 = Instant::now();
-    let graph = match TaskGraph::try_build(mt, nt, b, &setup.elims.to_ops()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let rep = simulate_with_policy(&graph, &setup.layout, &platform, policy);
+    let p = shape.build(setup)?;
+    let graph = &p.graph;
+    let rep = simulate_with_policy(graph, &p.setup.layout, platform, policy);
     println!("tasks     : {} ({} edges)", graph.tasks().len(), graph.edge_count());
     println!(
         "makespan  : {:.3} s (simulated; wall {:.2} s)",
@@ -484,31 +299,18 @@ pub fn simulate(args: &Args) -> i32 {
             .collect();
         println!("  by producer kernel: {}", by_kind.join(" "));
     }
-    println!("utilization: {:.1}%", 100.0 * rep.utilization(&platform));
-    // `--disk-read-mbs` (or any disk flag) prices an out-of-core run of
-    // the same DAG: sweep the resident fraction of the tile footprint and
-    // report where spill bandwidth overtakes compute.
-    if ["disk-read-mbs", "disk-write-mbs", "disk-latency-us"].iter().any(|k| args.get(k).is_some())
-    {
-        let disk = hqr_sim::DiskModel {
-            read_bw: args.f64_or("disk-read-mbs", 500.0) * 1e6,
-            write_bw: args.f64_or("disk-write-mbs", 450.0) * 1e6,
-            latency: args.f64_or("disk-latency-us", 100.0) * 1e-6,
-        };
-        if disk.read_bw <= 0.0 || disk.write_bw <= 0.0 || disk.latency < 0.0 {
-            eprintln!("disk rates must be positive (latency may be zero)");
-            return 2;
-        }
+    println!("utilization: {:.1}%", 100.0 * rep.utilization(platform));
+    if let Some(disk) = disk {
         let tile_bytes = hqr_sim::Platform::tile_bytes(b);
         println!(
             "\nout-of-core : disk {:.0}/{:.0} MB/s r/w, {:.0} us/access, {} tile touches",
             disk.read_bw / 1e6,
             disk.write_bw / 1e6,
             disk.latency * 1e6,
-            hqr_sim::tile_touches(&graph)
+            hqr_sim::tile_touches(graph)
         );
         println!("  residency   misses      disk s   overlap s    serial s  bound");
-        for p in hqr_sim::spill_sweep(&graph, tile_bytes, rep.makespan, &disk, 10) {
+        for p in hqr_sim::spill_sweep(graph, tile_bytes, rep.makespan, &disk, 10) {
             println!(
                 "  {:>8.0}% {:>9.0} {:>11.3} {:>11.3} {:>11.3}  {}",
                 100.0 * p.residency,
@@ -519,7 +321,7 @@ pub fn simulate(args: &Args) -> i32 {
                 if p.disk_bound() { "disk" } else { "compute" }
             );
         }
-        let rstar = hqr_sim::spill_crossover(&graph, tile_bytes, rep.makespan, &disk);
+        let rstar = hqr_sim::spill_crossover(graph, tile_bytes, rep.makespan, &disk);
         if rstar > 0.0 {
             println!(
                 "  crossover : below {:.0}% residency even perfect prefetch is disk-bound",
@@ -529,130 +331,76 @@ pub fn simulate(args: &Args) -> i32 {
             println!("  crossover : never disk-bound — prefetch hides the spill at any residency");
         }
     }
-    0
+    Ok(0)
 }
 
-/// `hqr fault`: seeded fault-injection demo. Part one injects kernel
-/// panics into a real parallel factorization and verifies the recovered
-/// result is bitwise-identical to the fault-free one; part two crashes a
-/// simulated node mid-run and reports the lineage-recovery overhead.
-pub fn fault(args: &Args) -> i32 {
-    let rows = args.usize_or("rows", 96);
-    let cols = args.usize_or("cols", 48);
-    let b = args.usize_or("tile", 8);
-    let grid = args.grid_or("grid", (3, 1));
-    let threads = args.usize_or("threads", 4);
-    let seed = args.usize_or("seed", 42) as u64;
-    let fail = args.usize_or("fail", 3);
-    let retries = args.usize_or("retries", 1) as u32;
-    let policy = match policy_of(args, SchedPolicy::PanelFirst) {
-        Ok(p) => p,
-        Err(code) => return code,
+/// `hqr fault`: seeded fault-injection demo in five report sections. The
+/// first two inject kernel panics, then bit flips, into a real parallel
+/// factorization and verify the recovered result is bitwise-identical to a
+/// serial one; the rest crash a simulated node mid-run and price the
+/// recovery policies against each other.
+pub fn fault(args: &Args) -> Result<i32, CliError> {
+    let p = Problem::from_args(args, Defaults { grid: (3, 1), ..Defaults::EXEC })?;
+    let engine = Engine::from_args(args, &p, SchedPolicy::PanelFirst, 3)?;
+    let (platform, _) = sim_platform(args, p.shape.grid, 4)?;
+    let faults = SimFaults::from_args(args, platform.nodes)?;
+    let sdc_model = SdcCostModel {
+        guard_bandwidth: args.f64_or("guard-bw", 4e9)?,
+        residual_check: args.f64_or("residual-cost", 0.05)?,
     };
-    if let Some(code) = require_positive(&[
-        ("rows", rows),
-        ("cols", cols),
-        ("tile", b),
-        ("threads", threads),
-        ("grid (P)", grid.0),
-        ("grid (Q)", grid.1),
-        ("retries", retries as usize),
-    ]) {
-        return code;
+    let model = CheckpointCostModel {
+        io_bandwidth: args.positive_f64_or("io-bw", 1e9)?,
+        restart_overhead: args.f64_or("restart-cost", 0.5)?,
+    };
+    if !model.restart_overhead.is_finite() || model.restart_overhead < 0.0 {
+        let msg = format!("--restart-cost must be non-negative, got {}", model.restart_overhead);
+        return Err(CliError::usage(msg));
     }
-    if rows < cols {
-        eprintln!("fault expects rows >= cols");
-        return 2;
-    }
-    let (sdc_rate, integrity) = match validate_sdc_args(args) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let (mt, nt) = (rows.div_ceil(b), cols.div_ceil(b));
-    let cfg = config_of(args, grid);
-    let setup = baselines::hqr(mt, nt, ProcessGrid::new(grid.0, grid.1), cfg);
-    let graph = match TaskGraph::try_build(mt, nt, b, &setup.elims.to_ops()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let n = graph.tasks().len();
-    let rates = match rates_of(args) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let platform = Platform {
-        nodes: args.usize_or("nodes", grid.0 * grid.1),
-        cores_per_node: args.usize_or("cores", 4),
-        rates,
-        ..Platform::edel()
-    };
-    if let Some(code) =
-        require_positive(&[("nodes", platform.nodes), ("cores", platform.cores_per_node)])
-    {
-        return code;
-    }
+    let interval = args
+        .get("ckpt-interval")
+        .map(|_| args.positive_f64_or("ckpt-interval", 0.0))
+        .transpose()?;
+    let max_crashes = args.usize_or("crossover-max", 4)?;
+    args.reject_unknown()?;
+    let Shape { b, ib, mt, nt, seed, .. } = p.shape;
+    let (graph, layout, policy) = (&p.graph, &p.setup.layout, engine.policy);
 
     println!("== execution: seeded kernel-panic injection ==");
-    let plan = FaultPlan::new(seed).fail_random_tasks(n, fail, 1);
+    let plan = engine.plan(true, false);
     let injected = plan.failing_tasks().count();
-    println!("graph        : {mt} x {nt} tiles of {b} ({n} tasks)");
+    println!("graph        : {mt} x {nt} tiles of {b} ({} tasks)", graph.tasks().len());
     println!("policy       : {policy}");
     println!("fault plan   : seed {seed}, {injected} tasks panic on first attempt");
-    let mut a_clean = TiledMatrix::random(mt, nt, b, seed);
-    let mut a_faulty = a_clean.clone();
-    let a_pristine = a_clean.clone();
-    let f_clean = execute_serial(&graph, &mut a_clean);
-    let opts = ExecOptions {
-        nthreads: threads,
-        max_retries: retries,
-        plan: Some(plan),
-        policy,
-        ..Default::default()
-    };
-    match try_execute_with(&graph, &mut a_faulty, &opts) {
-        Ok((_, stats)) => {
-            let bitwise = a_clean.to_dense().data() == a_faulty.to_dense().data();
-            println!("recovery     : {} panics caught, {} tasks recovered, {} re-executions, {} tiles rolled back",
-                stats.panics_caught, stats.tasks_recovered, stats.tasks_reexecuted, stats.tiles_rolled_back);
-            println!(
-                "bitwise check: {}",
-                if bitwise { "identical to fault-free run" } else { "MISMATCH" }
-            );
-            if !bitwise {
-                return 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("execution failed to recover: {e}");
-            return 1;
-        }
+    let input = p.input();
+    let mut a = input.clone();
+    // This section shows recovery by retry alone; the guards belong to the
+    // SDC section, whatever `--integrity` says.
+    let opts = ExecOptions { integrity: IntegrityMode::Off, ..engine.options(&p.shape, plan) };
+    let (factors, stats) = try_execute_with(graph, &mut a, &opts)
+        .map_err(|e| CliError::failed(format!("execution failed to recover: {e}")))?;
+    let bitwise = bitwise_vs_serial(graph, &input, ib, &a, &factors);
+    println!("recovery     : {} panics caught, {} tasks recovered, {} re-executions, {} tiles rolled back",
+        stats.panics_caught, stats.tasks_recovered, stats.tasks_reexecuted, stats.tiles_rolled_back);
+    println!("bitwise check: {}", if bitwise { "identical to fault-free run" } else { "MISMATCH" });
+    if !bitwise {
+        return Ok(1);
     }
 
-    if sdc_rate > 0.0 {
-        let sdc_seed = args.usize_or("sdc-seed", seed as usize) as u64;
-        let strikes = ((sdc_rate * n as f64).round() as usize).max(1);
-        let sdc_plan = FaultPlan::new(seed).corrupt_random_tasks_seeded(sdc_seed, n, strikes);
-        let planned = sdc_plan.planned_corruptions();
+    if engine.strikes > 0 {
+        let integrity = engine.integrity;
+        let plan = engine.plan(false, true);
         println!();
         println!("== execution: seeded bit-flip (SDC) injection ==");
-        println!("fault plan   : sdc seed {sdc_seed}, {planned} tasks struck by a single bit flip");
+        println!(
+            "fault plan   : sdc seed {}, {} tasks struck by a single bit flip",
+            engine.sdc_seed,
+            plan.planned_corruptions()
+        );
         println!("integrity    : {integrity}");
-        let mut a_sdc = a_pristine.clone();
-        let sdc_opts = ExecOptions {
-            nthreads: threads,
-            max_retries: retries.max(1),
-            plan: Some(sdc_plan),
-            policy,
-            integrity,
-            ..Default::default()
-        };
-        match try_execute_with(&graph, &mut a_sdc, &sdc_opts) {
-            Ok((f_sdc, stats)) => {
-                let (d1, d2) = (a_clean.to_dense(), a_sdc.to_dense());
-                let clean = d1.data() == d2.data() && f_sdc.bitwise_eq(&f_clean);
+        let mut a = input.clone();
+        match try_execute_with(graph, &mut a, &engine.options(&p.shape, plan)) {
+            Ok((factors, stats)) => {
+                let clean = bitwise_vs_serial(graph, &input, ib, &a, &factors);
                 // Corruption that neither the guards nor the recompute
                 // healed must still be visible in the outputs; count it
                 // as escaped.
@@ -671,48 +419,28 @@ pub fn fault(args: &Args) -> i32 {
                         "MISMATCH (escaped SDC)"
                     }
                 );
-                if integrity.is_on() && escaped > 0 {
-                    return 1;
+                if integrity.is_on() && !clean {
+                    return Ok(1);
                 }
             }
-            Err(e) => {
-                eprintln!("execution failed under SDC injection: {e}");
-                if integrity.is_on() {
-                    return 1;
-                }
+            Err(e) if integrity.is_on() => {
+                return Err(CliError::failed(format!("execution failed under SDC injection: {e}")));
             }
+            // An unprotected run is allowed to die of its corruption; the
+            // sweep below does not depend on it.
+            Err(e) => eprintln!("execution failed under SDC injection: {e}"),
         }
 
         println!();
         println!("== recovery policy: SDC corruption-rate sweep ==");
-        let sdc_model = SdcCostModel {
-            guard_bandwidth: args.f64_or("guard-bw", 4e9),
-            residual_check: args.f64_or("residual-cost", 0.05),
-        };
-        let ckpt_model = CheckpointCostModel {
-            io_bandwidth: args.f64_or("io-bw", 1e9),
-            restart_overhead: args.f64_or("restart-cost", 0.5),
-        };
         // The detect-recompute arm needs guards on; price `full` when the
         // execution above ran unprotected.
         let sweep_mode = if integrity.is_on() { integrity } else { IntegrityMode::Full };
         let rates = [0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1];
-        let points = match sdc_policy_sweep(
-            &graph,
-            &setup.layout,
-            &platform,
-            policy,
-            sweep_mode,
-            &sdc_model,
-            &ckpt_model,
-            &rates,
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        };
+        let points = sdc_policy_sweep(
+            graph, layout, &platform, policy, sweep_mode, &sdc_model, &model, &rates,
+        )
+        .map_err(CliError::usage)?;
         println!("  rate      E[strikes]  detect-recompute(s)  ckpt/restart(s)  unprotected(s)");
         for p in &points {
             println!(
@@ -737,85 +465,39 @@ pub fn fault(args: &Args) -> i32 {
 
     println!();
     println!("== simulation: node crash with lineage recovery ==");
-    if let Some(code) = validate_sim_fault_args(args, platform.nodes) {
-        return code;
-    }
-    let model = CheckpointCostModel {
-        io_bandwidth: args.f64_or("io-bw", 1e9),
-        restart_overhead: args.f64_or("restart-cost", 0.5),
-    };
-    if let Some(code) = require_positive_f64(&[("io-bw", model.io_bandwidth)]) {
-        return code;
-    }
-    if !model.restart_overhead.is_finite() || model.restart_overhead < 0.0 {
-        eprintln!("--restart-cost must be non-negative, got {}", model.restart_overhead);
-        eprintln!("run `hqr help` for usage");
-        return 2;
-    }
-    let baseline = simulate_with_policy(&graph, &setup.layout, &platform, policy);
-    let crash_frac = args.f64_or("crash-frac", 0.3);
-    let crash_at = crash_frac * baseline.makespan;
-    let mut plan = match args.get("crash-node") {
-        Some(_) => SimFaultPlan::new().crash_node(args.usize_or("crash-node", 0), crash_at),
-        None => SimFaultPlan::new().crash_random_node(platform.nodes, seed, crash_at),
-    };
-    let degrade_bw = args.f64_or("degrade-bw", 1.0);
-    let degrade_lat = args.f64_or("degrade-lat", 1.0);
-    if degrade_bw != 1.0 || degrade_lat != 1.0 {
-        plan = plan.degrade_link(0.0, degrade_bw, degrade_lat);
-    }
-    let crashed = plan.crashes()[0].node;
-    println!("platform     : {} nodes x {} cores", platform.nodes, platform.cores_per_node);
-    println!("fault plan   : crash node {crashed} at t = {crash_at:.4} s ({:.0}% of fault-free makespan)",
-        100.0 * crash_frac);
-    match simulate_with_faults(&graph, &setup.layout, &platform, policy, &plan) {
-        Ok(rep) => {
-            let o = rep.overhead.expect("faulty run reports overhead");
-            println!(
-                "makespan     : {:.4} s (fault-free {:.4} s, {:+.1}%)",
-                rep.makespan,
-                o.baseline_makespan,
-                100.0 * o.makespan_inflation
-            );
-            println!(
-                "recovery     : {} tasks re-executed, {} aborted, {} nodes lost",
-                o.reexecuted_tasks, o.aborted_tasks, o.nodes_lost
-            );
-            println!(
-                "restaging    : {} messages re-sent ({:.3} MB)",
-                o.resent_messages,
-                o.resent_bytes / 1e6
-            );
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    }
+    let baseline = simulate_with_policy(graph, layout, &platform, policy);
+    let plan = faults.plan(baseline.makespan, Some((platform.nodes, seed)));
+    let crash = &plan.crashes()[0];
+    println!("platform     : {}", describe(&platform));
+    println!(
+        "fault plan   : crash node {} at t = {:.4} s ({:.0}% of fault-free makespan)",
+        crash.node,
+        crash.at,
+        100.0 * faults.crash_frac
+    );
+    let rep =
+        simulate_with_faults(graph, layout, &platform, policy, &plan).map_err(CliError::usage)?;
+    let o = rep.overhead.expect("faulty run reports overhead");
+    println!(
+        "makespan     : {:.4} s (fault-free {:.4} s, {:+.1}%)",
+        rep.makespan,
+        o.baseline_makespan,
+        100.0 * o.makespan_inflation
+    );
+    println!(
+        "recovery     : {} tasks re-executed, {} aborted, {} nodes lost",
+        o.reexecuted_tasks, o.aborted_tasks, o.nodes_lost
+    );
+    println!(
+        "restaging    : {} messages re-sent ({:.3} MB)",
+        o.resent_messages,
+        o.resent_bytes / 1e6
+    );
 
     println!();
     println!("== recovery policy: lineage vs checkpoint/restart ==");
-    let interval = args.get("ckpt-interval").map(|_| args.f64_or("ckpt-interval", 0.0));
-    if let Some(tau) = interval {
-        if let Some(code) = require_positive_f64(&[("ckpt-interval", tau)]) {
-            return code;
-        }
-    }
-    let cmp = match compare_recovery_policies(
-        &graph,
-        &setup.layout,
-        &platform,
-        policy,
-        &plan,
-        &model,
-        interval,
-    ) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let cmp = compare_recovery_policies(graph, layout, &platform, policy, &plan, &model, interval)
+        .map_err(CliError::usage)?;
     println!(
         "checkpoint   : cost {:.4} s per checkpoint, interval {:.4} s ({})",
         cmp.checkpoint_cost,
@@ -844,22 +526,8 @@ pub fn fault(args: &Args) -> i32 {
         }
     );
 
-    let max_crashes = args.usize_or("crossover-max", 4);
-    let points = match recovery_crossover(
-        &graph,
-        &setup.layout,
-        &platform,
-        policy,
-        &model,
-        seed,
-        max_crashes,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let points = recovery_crossover(graph, layout, &platform, policy, &model, seed, max_crashes)
+        .map_err(CliError::usage)?;
     println!();
     println!("crash-rate sweep (seed {seed}):");
     println!("  crashes  rate(1/s)   lineage(s)   ckpt/restart(s)");
@@ -879,19 +547,14 @@ pub fn fault(args: &Args) -> i32 {
 
     // Price the `hqr serve` daemon's checkpoint-backed suspension against
     // restarting killed jobs from scratch, under the same cost model.
-    let sweep = match suspend_vs_scratch_sweep(
+    let sweep = suspend_vs_scratch_sweep(
         cmp.baseline_makespan,
         cmp.checkpoint_cost,
         model.restart_overhead,
         interval,
         max_crashes,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    )
+    .map_err(CliError::usage)?;
     println!();
     println!("service suspend-resume vs restart-from-scratch (per-job kill sweep):");
     println!("  kills  rate(1/s)   resume(s)   scratch(s)   ckpts");
@@ -908,94 +571,43 @@ pub fn fault(args: &Args) -> i32 {
         ),
         None => println!("crossover    : restart-from-scratch wins at every tested kill rate"),
     }
-    0
+    Ok(0)
 }
 
 /// `hqr checkpoint`: factor with durable checkpoints at quiescent panel
 /// boundaries; `--stop-after-panel` simulates a mid-run kill.
-pub fn checkpoint(args: &Args) -> i32 {
-    let rows = args.usize_or("rows", 96);
-    let cols = args.usize_or("cols", 48);
-    let b = args.usize_or("tile", 8);
-    let grid = args.grid_or("grid", (2, 1));
-    let threads = args.usize_or("threads", 4);
-    let seed = args.usize_or("seed", 42) as u64;
-    let ib = args.usize_or("ib", b);
-    let fail = args.usize_or("fail", 0);
-    let retries = args.usize_or("retries", 1) as u32;
-    let every = args.usize_or("every-panels", 1);
-    let min_interval_ms = args.usize_or("min-interval-ms", 0);
-    if let Some(code) = require_positive(&[
-        ("rows", rows),
-        ("cols", cols),
-        ("tile", b),
-        ("threads", threads),
-        ("ib", ib),
-        ("grid (P)", grid.0),
-        ("grid (Q)", grid.1),
-        ("retries", retries as usize),
-        ("every-panels", every),
-    ]) {
-        return code;
-    }
-    if ib > b {
-        eprintln!("--ib must not exceed --tile ({ib} > {b})");
-        return 2;
-    }
-    if rows < cols {
-        eprintln!("checkpoint expects rows >= cols");
-        return 2;
-    }
-    let (mt, nt) = (rows.div_ceil(b), cols.div_ceil(b));
-    let setup = baselines::hqr(mt, nt, ProcessGrid::new(grid.0, grid.1), config_of(args, grid));
-    let elims = setup.elims.to_ops();
-    let graph = match TaskGraph::try_build(mt, nt, b, &elims) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let n = graph.tasks().len();
-    let panels = mt.min(nt);
-    let stop_after_panel =
-        args.get("stop-after-panel").map(|_| args.usize_or("stop-after-panel", 0));
-    if let Some(p) = stop_after_panel {
-        if p + 1 >= panels {
-            eprintln!("--stop-after-panel {p} must leave work: graph has {panels} panels");
-            eprintln!("run `hqr help` for usage");
-            return 2;
-        }
-    }
+pub fn checkpoint(args: &Args) -> Result<i32, CliError> {
+    let p = Problem::from_args(args, Defaults::EXEC)?;
+    let engine = Engine::from_args(args, &p, SchedPolicy::Fifo, 0)?;
+    let every = args.positive_or("every-panels", 1)?;
+    let min_interval = args.millis_or("min-interval-ms", 0)?;
+    let stop_after_panel = args.parsed::<usize>("stop-after-panel", "an integer")?;
     let path = args.str_or("ckpt", "hqr.ckpt");
+    let out = args.get("out");
+    args.reject_unknown()?;
+    let Shape { b, mt, nt, seed, .. } = p.shape;
+    let (n, panels) = (p.graph.tasks().len(), mt.min(nt));
+    if let Some(stop) = stop_after_panel.filter(|stop| stop + 1 >= panels) {
+        return Err(CliError::usage(format!(
+            "--stop-after-panel {stop} must leave work: graph has {panels} panels"
+        )));
+    }
+    let elims = p.setup.elims.to_ops();
     let spec = CheckpointSpec {
         path: std::path::Path::new(&path),
         elims: &elims,
-        policy: CheckpointPolicy {
-            every_panels: every,
-            min_interval: std::time::Duration::from_millis(min_interval_ms as u64),
-        },
+        policy: CheckpointPolicy { every_panels: every, min_interval },
         input_seed: seed,
         stop_after_panel,
     };
-    let mut a = TiledMatrix::random(mt, nt, b, seed);
-    let opts = ExecOptions {
-        nthreads: threads,
-        ib: Some(ib),
-        max_retries: retries,
-        plan: (fail > 0).then(|| FaultPlan::new(seed).fail_random_tasks(n, fail, 1)),
-        ..Default::default()
-    };
-    let traced = args.get("out").is_some();
+    let opts = engine.options(&p.shape, engine.plan(true, false));
     println!("graph        : {mt} x {nt} tiles of {b} ({n} tasks, {panels} panels)");
-    println!("checkpoints  : {path} every {every} panel(s), min interval {min_interval_ms} ms");
-    let run = match try_execute_checkpointed(&graph, &mut a, &opts, &spec, traced) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("checkpointed execution failed: {e}");
-            return 2;
-        }
-    };
+    println!(
+        "checkpoints  : {path} every {every} panel(s), min interval {} ms",
+        min_interval.as_millis()
+    );
+    let run = try_execute_checkpointed(&p.graph, &mut p.input(), &opts, &spec, out.is_some())
+        .map_err(|e| CliError::usage(format!("checkpointed execution failed: {e}")))?;
     println!(
         "progress     : {}/{} tasks completed, {} checkpoint(s) written",
         run.completed_tasks, n, run.checkpoints_written
@@ -1008,31 +620,21 @@ pub fn checkpoint(args: &Args) -> i32 {
             "factorization complete"
         }
     );
-    if let (true, Some(tr)) = (traced, &run.trace) {
-        let json = chrome_trace_from_exec(tr, graph.tasks());
-        if let Some(code) = write_trace(args, "hqr-checkpoint.trace.json", &json) {
-            return code;
-        }
+    if let (Some(_), Some(tr)) = (out, &run.trace) {
+        let json = chrome_trace_from_exec(tr, p.graph.tasks());
+        write_trace(out, "hqr-checkpoint.trace.json", &json)?;
     }
-    0
+    Ok(0)
 }
 
 /// `hqr resume`: reload a checkpoint and finish the factorization.
-pub fn resume(args: &Args) -> i32 {
+pub fn resume(args: &Args) -> Result<i32, CliError> {
     let path = args.str_or("ckpt", "hqr.ckpt");
-    let threads = args.usize_or("threads", 4);
-    if let Some(code) = require_positive(&[("threads", threads)]) {
-        return code;
-    }
-    let opts = ExecOptions::with_threads(threads);
-    let traced = args.get("out").is_some();
-    let resumed = match resume_from_checkpoint(std::path::Path::new(&path), &opts, traced) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("failed to resume from {path}: {e}");
-            return 2;
-        }
-    };
+    let opts = ExecOptions::with_threads(threads_of(args)?);
+    let (out, verify) = (args.get("out"), args.flag("verify"));
+    args.reject_unknown()?;
+    let resumed = resume_from_checkpoint(std::path::Path::new(&path), &opts, out.is_some())
+        .map_err(|e| CliError::usage(format!("failed to resume from {path}: {e}")))?;
     let n = resumed.graph.tasks().len();
     println!("checkpoint   : {path}");
     println!(
@@ -1042,32 +644,21 @@ pub fn resume(args: &Args) -> i32 {
         n - resumed.resumed_from
     );
     println!("status       : factorization complete");
-    if let (true, Some(tr)) = (traced, &resumed.trace) {
+    if let (Some(_), Some(tr)) = (out, &resumed.trace) {
         let json = chrome_trace_from_exec(tr, resumed.graph.tasks());
-        if let Some(code) = write_trace(args, "hqr-resume.trace.json", &json) {
-            return code;
-        }
+        write_trace(out, "hqr-resume.trace.json", &json)?;
     }
-    if args.flag("verify") {
-        let (mt, nt, b) = (resumed.a.mt(), resumed.a.nt(), resumed.a.b());
-        let mut a_ref = TiledMatrix::random(mt, nt, b, resumed.input_seed);
-        let f_ref = hqr_runtime::execute_serial_ib(&resumed.graph, &mut a_ref, resumed.ib);
-        let factors_ok = resumed.factors.bitwise_eq(&f_ref);
-        let (d1, d2) = (a_ref.to_dense(), resumed.a.to_dense());
-        let tiles_ok = d1.data().iter().zip(d2.data()).all(|(x, y)| x.to_bits() == y.to_bits());
+    if verify {
+        let a = &resumed.a;
+        let input = TiledMatrix::random(a.mt(), a.nt(), a.b(), resumed.input_seed);
+        let ok = bitwise_vs_serial(&resumed.graph, &input, resumed.ib, a, &resumed.factors);
         println!(
             "bitwise check: {}",
-            if factors_ok && tiles_ok {
-                "identical to an uninterrupted serial run"
-            } else {
-                "MISMATCH"
-            }
+            if ok { "identical to an uninterrupted serial run" } else { "MISMATCH" }
         );
-        if !(factors_ok && tiles_ok) {
-            return 1;
-        }
+        return Ok(i32::from(!ok));
     }
-    0
+    Ok(0)
 }
 
 /// Print the heaviest steps of a realized critical path, one line per
@@ -1096,115 +687,31 @@ fn print_critical_path(cp: &RealizedPath, graph: &TaskGraph, top: usize) {
 /// simulator with timeline recording on, write a Chrome Trace Format JSON
 /// (loadable at <https://ui.perfetto.dev> or chrome://tracing), and print
 /// a scheduling summary.
-pub fn trace(args: &Args) -> i32 {
-    let backend = args.str_or("backend", "exec");
-    match backend.as_str() {
+pub fn trace(args: &Args) -> Result<i32, CliError> {
+    match args.str_or("backend", "exec").as_str() {
         "exec" | "runtime" => trace_exec(args),
         "sim" | "simulator" => trace_sim(args),
-        other => {
-            eprintln!("unknown backend `{other}` (exec|sim)");
-            2
-        }
+        other => Err(CliError::usage(format!("unknown backend `{other}` (exec|sim)"))),
     }
-}
-
-/// Write `json` to the `--out` path (or `default_name`) and confirm.
-fn write_trace(args: &Args, default_name: &str, json: &str) -> Option<i32> {
-    let out = args.str_or("out", default_name);
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("failed to write {out}: {e}");
-        return Some(2);
-    }
-    println!("trace        : {out} ({} bytes) — open at https://ui.perfetto.dev", json.len());
-    None
 }
 
 /// The `exec` backend of [`trace`]: a real parallel factorization.
-fn trace_exec(args: &Args) -> i32 {
-    let rows = args.usize_or("rows", 96);
-    let cols = args.usize_or("cols", 48);
-    let b = args.usize_or("tile", 8);
-    let grid = args.grid_or("grid", (2, 1));
-    let threads = args.usize_or("threads", 4);
-    let seed = args.usize_or("seed", 42) as u64;
-    let fail = args.usize_or("fail", 0);
-    let retries = args.usize_or("retries", 1) as u32;
+fn trace_exec(args: &Args) -> Result<i32, CliError> {
+    let p = Problem::from_args(args, Defaults::EXEC)?;
     // The executor's historical behavior is plain FIFO release order, so
     // that stays the default here; `hqr simulate` keeps panel-first.
-    let policy = match policy_of(args, SchedPolicy::Fifo) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    if let Some(code) = require_positive(&[
-        ("rows", rows),
-        ("cols", cols),
-        ("tile", b),
-        ("threads", threads),
-        ("grid (P)", grid.0),
-        ("grid (Q)", grid.1),
-        ("retries", retries as usize),
-    ]) {
-        return code;
-    }
-    if rows < cols {
-        eprintln!("trace expects rows >= cols");
-        return 2;
-    }
-    let (sdc_rate, integrity) = match validate_sdc_args(args) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let (mt, nt) = (rows.div_ceil(b), cols.div_ceil(b));
-    let setup = baselines::hqr(mt, nt, ProcessGrid::new(grid.0, grid.1), config_of(args, grid));
-    let graph = match TaskGraph::try_build(mt, nt, b, &setup.elims.to_ops()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let n = graph.tasks().len();
-    let mut a = TiledMatrix::random(mt, nt, b, seed);
-    let mut plan = (fail > 0).then(|| FaultPlan::new(seed).fail_random_tasks(n, fail, 1));
-    if sdc_rate > 0.0 {
-        let sdc_seed = args.usize_or("sdc-seed", seed as usize) as u64;
-        let strikes = ((sdc_rate * n as f64).round() as usize).max(1);
-        plan = Some(
-            plan.unwrap_or_else(|| FaultPlan::new(seed))
-                .corrupt_random_tasks_seeded(sdc_seed, n, strikes),
-        );
-    }
-    // `--resident-budget-kb` turns on the two-tier tile store: at most
-    // this many KiB of tiles stay resident, the rest page against a
-    // checksummed spill file. 0 (the default) keeps everything resident.
-    let resident_budget = match args.usize_or("resident-budget-kb", 0) as u64 {
-        0 => None,
-        kb => Some(kb << 10),
-    };
-    let opts = ExecOptions {
-        nthreads: threads,
-        max_retries: if sdc_rate > 0.0 { retries.max(1) } else { retries },
-        plan,
-        policy,
-        integrity,
-        resident_budget,
-        ..Default::default()
-    };
+    let engine = Engine::from_args(args, &p, SchedPolicy::Fifo, 0)?;
+    let out = args.get("out");
+    args.reject_unknown()?;
+    let Shape { b, mt, nt, threads, .. } = p.shape;
+    let (graph, n) = (&p.graph, p.graph.tasks().len());
+    let opts = engine.options(&p.shape, engine.plan(true, true));
     println!("backend      : work-stealing executor ({threads} threads)");
-    println!("policy       : {policy}");
+    println!("policy       : {}", engine.policy);
     println!("graph        : {mt} x {nt} tiles of {b} ({n} tasks, {} edges)", graph.edge_count());
-    let (_, stats, tr) = match try_execute_traced(&graph, &mut a, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("execution failed: {e}");
-            return 1;
-        }
-    };
-    if let Some(code) =
-        write_trace(args, "hqr-exec.trace.json", &chrome_trace_from_exec(&tr, graph.tasks()))
-    {
-        return code;
-    }
+    let (_, stats, tr) = try_execute_traced(graph, &mut p.input(), &opts)
+        .map_err(|e| CliError::failed(format!("execution failed: {e}")))?;
+    write_trace(out, "hqr-exec.trace.json", &chrome_trace_from_exec(&tr, graph.tasks()))?;
     let busy: f64 = tr.records.iter().map(|r| r.end - r.start).sum();
     println!("wall         : {:.3} ms", tr.wall * 1e3);
     println!(
@@ -1243,10 +750,10 @@ fn trace_exec(args: &Args) -> i32 {
             stats.panics_caught, stats.tasks_recovered, stats.tasks_reexecuted
         );
     }
-    if stats.sdc_injected > 0 || integrity.is_on() {
+    if stats.sdc_injected > 0 || engine.integrity.is_on() {
         println!(
             "integrity    : {} guards — {} corruptions injected, {} detected, {} recomputed",
-            integrity, stats.sdc_injected, stats.sdc_detected, stats.sdc_recomputed
+            engine.integrity, stats.sdc_injected, stats.sdc_detected, stats.sdc_recomputed
         );
     }
     // Realized CP over the wall-clock records; the executor is shared
@@ -1255,101 +762,40 @@ fn trace_exec(args: &Args) -> i32 {
     for r in &tr.records {
         span[r.task as usize] = Some((r.start, r.end));
     }
-    let cp = realized_critical_path(&graph, |t| span[t as usize], |_, _| 0.0);
-    print_critical_path(&cp, &graph, 10);
-    0
+    let cp = realized_critical_path(graph, |t| span[t as usize], |_, _| 0.0);
+    print_critical_path(&cp, graph, 10);
+    Ok(0)
 }
 
 /// The `sim` backend of [`trace`]: a traced discrete-event replay.
-fn trace_sim(args: &Args) -> i32 {
-    let b = args.usize_or("tile", 280);
-    let rows = args.usize_or("rows", 8960);
-    let cols = args.usize_or("cols", 2240);
-    let grid = args.grid_or("grid", (3, 2));
-    if let Some(code) = require_positive(&[("tile", b), ("grid (P)", grid.0), ("grid (Q)", grid.1)])
-    {
-        return code;
-    }
-    let (mt, nt) = (rows / b, cols / b);
-    if mt == 0 || nt == 0 {
-        eprintln!("matrix smaller than one tile");
-        return 2;
-    }
-    let rates = match rates_of(args) {
-        Ok(r) => r,
-        Err(code) => return code,
+fn trace_sim(args: &Args) -> Result<i32, CliError> {
+    let p = Problem::from_args(args, Defaults::SIM)?;
+    let (platform, _) = &sim_platform(args, p.shape.grid, 4)?;
+    let faults = SimFaults::from_args(args, platform.nodes)?;
+    let policy = policy_of(args, SchedPolicy::PanelFirst)?;
+    let out = args.get("out");
+    args.reject_unknown()?;
+    let Shape { b, mt, nt, .. } = p.shape;
+    let (graph, layout) = (&p.graph, &p.setup.layout);
+    // The crash instant is a fraction of the fault-free makespan, so run
+    // the baseline once to find it.
+    let baseline = match faults.crash_node {
+        Some(_) => simulate_with_policy(graph, layout, platform, policy).makespan,
+        None => 0.0,
     };
-    let mut platform = Platform {
-        nodes: args.usize_or("nodes", grid.0 * grid.1),
-        cores_per_node: args.usize_or("cores", 4),
-        rates,
-        ..Platform::edel()
-    };
-    if let Some(code) =
-        require_positive(&[("nodes", platform.nodes), ("cores", platform.cores_per_node)])
-    {
-        return code;
-    }
-    if let Some(code) = validate_sim_fault_args(args, platform.nodes) {
-        return code;
-    }
-    let gpus = args.usize_or("gpus", 0);
-    if gpus > 0 {
-        platform.accelerators = Some(hqr_sim::Accelerators {
-            per_node: gpus,
-            update_speedup: args.f64_or("gpu-speedup", 8.0),
-        });
-    }
-    let policy = match policy_of(args, SchedPolicy::PanelFirst) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let setup = baselines::hqr(mt, nt, ProcessGrid::new(grid.0, grid.1), config_of(args, grid));
-    let graph = match TaskGraph::try_build(mt, nt, b, &setup.elims.to_ops()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mut plan = SimFaultPlan::new();
-    if args.get("crash-node").is_some() {
-        // The crash instant is a fraction of the fault-free makespan, so
-        // run the baseline once to find it.
-        let baseline = simulate_with_policy(&graph, &setup.layout, &platform, policy);
-        let crash_at = args.f64_or("crash-frac", 0.3) * baseline.makespan;
-        plan = plan.crash_node(args.usize_or("crash-node", 0), crash_at);
-    }
-    let degrade_bw = args.f64_or("degrade-bw", 1.0);
-    let degrade_lat = args.f64_or("degrade-lat", 1.0);
-    if degrade_bw != 1.0 || degrade_lat != 1.0 {
-        plan = plan.degrade_link(0.0, degrade_bw, degrade_lat);
-    }
-    println!(
-        "backend      : cluster simulator ({} nodes x {} cores{})",
-        platform.nodes,
-        platform.cores_per_node,
-        if gpus > 0 { format!(" + {gpus} GPUs/node") } else { String::new() }
-    );
+    let plan = faults.plan(baseline, None);
+    println!("backend      : cluster simulator ({})", describe(platform));
     println!(
         "graph        : {mt} x {nt} tiles of {b} ({} tasks, {} edges)",
         graph.tasks().len(),
         graph.edge_count()
     );
-    let rep = match simulate_traced(&graph, &setup.layout, &platform, policy, &plan) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let rep = simulate_traced(graph, layout, platform, policy, &plan).map_err(CliError::usage)?;
     let tl = rep.timeline.as_ref().expect("traced run records a timeline");
-    if let Some(code) = write_trace(args, "hqr-sim.trace.json", &tl.to_chrome_trace(&graph)) {
-        return code;
-    }
+    write_trace(out, "hqr-sim.trace.json", &tl.to_chrome_trace(graph))?;
     println!("makespan     : {:.4} s (simulated)", rep.makespan);
     println!("messages     : {} ({:.3} MB)", rep.messages, rep.bytes / 1e6);
-    println!("utilization  : {:.1}%", 100.0 * rep.utilization(&platform));
+    println!("utilization  : {:.1}%", 100.0 * rep.utilization(platform));
     if let Some(o) = &rep.overhead {
         println!(
             "recovery     : {} tasks re-executed, {} messages re-sent ({:+.1}% makespan)",
@@ -1363,35 +809,25 @@ fn trace_sim(args: &Args) -> i32 {
         "cp/makespan  : {:.1}% of the makespan is the realized critical path",
         100.0 * cp.length / rep.makespan.max(f64::MIN_POSITIVE)
     );
-    print_critical_path(cp, &graph, 10);
-    0
+    print_critical_path(cp, graph, 10);
+    Ok(0)
 }
 
 /// `hqr schedule`: coarse-grain schedule tables.
-pub fn schedule(args: &Args) -> i32 {
-    let mt = args.usize_or("rows", 12);
-    let nt = args.usize_or("cols", 3);
-    let panels = args.usize_or("panels", nt.min(3));
-    let tree = args.str_or("tree", "greedy");
-    let s = match tree.as_str() {
-        "flat" => Schedule::flat(mt, nt),
-        "binary" => Schedule::binary(mt, nt),
-        "greedy" => Schedule::greedy(mt, nt),
-        "fibonacci" => Schedule::fibonacci(mt, nt),
-        other => {
-            eprintln!("unknown tree `{other}`");
-            return 2;
-        }
-    };
-    println!("{tree} tree on {mt} x {nt} tiles (unit-time model):");
+pub fn schedule(args: &Args) -> Result<i32, CliError> {
+    let (s, tree) = coarse_schedule(args, (12, 3), TreeKind::Greedy)?;
+    let panels = args.usize_or("panels", s.nt().min(3))?;
+    args.reject_unknown()?;
+    println!("{} tree on {} x {} tiles (unit-time model):", tree.name(), s.mt(), s.nt());
     println!("{}", s.render(panels));
     println!("makespan: {} steps", s.makespan());
-    0
+    Ok(0)
 }
 
 /// `hqr trees`: reduction pairings.
-pub fn trees(args: &Args) -> i32 {
-    let z = args.usize_or("size", 12);
+pub fn trees(args: &Args) -> Result<i32, CliError> {
+    let z = args.usize_or("size", 12)?;
+    args.reject_unknown()?;
     for kind in TreeKind::ALL {
         print!("{:<10}", kind.name());
         for (v, u) in kind.reduction(z) {
@@ -1399,71 +835,39 @@ pub fn trees(args: &Args) -> i32 {
         }
         println!("   [depth {}]", kind.depth(z));
     }
-    0
+    Ok(0)
 }
 
 /// `hqr dot`: Graphviz export.
-pub fn dot(args: &Args) -> i32 {
-    let mt = args.usize_or("rows", 4);
-    let nt = args.usize_or("cols", 2);
-    let tree = args.str_or("tree", "flat");
-    let elims = match tree.as_str() {
-        "flat" => Schedule::flat(mt, nt).to_elim_list(true),
-        "binary" => Schedule::binary(mt, nt).to_elim_list(false),
-        "greedy" => Schedule::greedy(mt, nt).to_elim_list(false),
-        "fibonacci" => Schedule::fibonacci(mt, nt).to_elim_list(false),
-        other => {
-            eprintln!("unknown tree `{other}`");
-            return 2;
-        }
-    };
-    let graph = match TaskGraph::try_build(mt, nt, 4, &elims.to_ops()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    match analysis::to_dot(&graph, 512) {
-        Ok(s) => {
-            print!("{s}");
-            0
-        }
-        Err(e) => {
-            eprintln!("{e}; try a smaller matrix");
-            2
-        }
-    }
+pub fn dot(args: &Args) -> Result<i32, CliError> {
+    let (s, tree) = coarse_schedule(args, (4, 2), TreeKind::Flat)?;
+    args.reject_unknown()?;
+    // Only the flat tree's eliminations are TS-kernel ones.
+    let graph = graph_of(s.mt(), s.nt(), 4, &s.to_elim_list(tree == TreeKind::Flat))?;
+    let dot = analysis::to_dot(&graph, 512)
+        .map_err(|e| CliError::usage(format!("{e}; try a smaller matrix")))?;
+    print!("{dot}");
+    Ok(0)
 }
 
 /// `hqr admission`: sweep the service's admission arms across arrival
 /// rates and report where each one saturates.
-pub fn admission(args: &Args) -> i32 {
+pub fn admission(args: &Args) -> Result<i32, CliError> {
     use hqr_sim::{saturation_sweep, AdmissionConfig, AdmissionPolicy};
     let base = AdmissionConfig {
-        servers: args.usize_or("servers", 4),
-        queue_cap: args.usize_or("queue-cap", 16),
-        mean_service: args.f64_or("mean-service", 2.0),
-        jobs: args.usize_or("jobs", 5_000),
-        seed: args.usize_or("seed", 42) as u64,
+        servers: args.positive_or("servers", 4)?,
+        queue_cap: args.usize_or("queue-cap", 16)?,
+        mean_service: args.positive_f64_or("mean-service", 2.0)?,
+        jobs: args.positive_or("jobs", 5_000)?,
+        seed: args.usize_or("seed", 42)? as u64,
         ..AdmissionConfig::default()
     };
-    if let Some(code) = require_positive(&[("servers", base.servers), ("jobs", base.jobs)]) {
-        return code;
-    }
-    let rate_min = args.f64_or("rate-min", 0.25);
-    let rate_max = args.f64_or("rate-max", 4.0);
-    let points = args.usize_or("points", 7);
-    if let Some(code) = require_positive_f64(&[
-        ("mean-service", base.mean_service),
-        ("rate-min", rate_min),
-        ("rate-max", rate_max),
-    ]) {
-        return code;
-    }
+    let rate_min = args.positive_f64_or("rate-min", 0.25)?;
+    let rate_max = args.positive_f64_or("rate-max", 4.0)?;
+    let points = args.usize_or("points", 7)?;
+    args.reject_unknown()?;
     if points < 2 || rate_max <= rate_min {
-        eprintln!("--points must be >= 2 and --rate-max > --rate-min");
-        return 2;
+        return Err(CliError::usage("--points must be >= 2 and --rate-max > --rate-min"));
     }
     // Geometric ramp: equal multiplicative steps resolve both the flat
     // region and the post-knee blow-up.
@@ -1511,20 +915,20 @@ pub fn admission(args: &Args) -> i32 {
             None => println!("{:<8} never saturates in this sweep", policy.name()),
         }
     }
-    0
+    Ok(0)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn args(s: &[&str]) -> Args {
-        Args::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>())
+    /// Run one subcommand in-process, through the same door as the binary.
+    fn hqr(argv: &[&str]) -> i32 {
+        crate::run(&argv.iter().map(|x| x.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn factor_small_succeeds() {
-        let code = factor(&args(&[
+        let code = hqr(&[
+            "factor",
             "--rows",
             "48",
             "--cols",
@@ -1538,7 +942,7 @@ mod tests {
             "--domino",
             "--threads",
             "2",
-        ]));
+        ]);
         assert_eq!(code, 0);
     }
 
@@ -1548,25 +952,26 @@ mod tests {
         let path = std::env::temp_dir().join("hqr_cli_input.mtx");
         hqr_tile::io::write_matrix_market(&path, &m).unwrap();
         let code =
-            factor(&args(&["--input", path.to_str().unwrap(), "--tile", "4", "--grid", "2x1"]));
+            hqr(&["factor", "--input", path.to_str().unwrap(), "--tile", "4", "--grid", "2x1"]);
         assert_eq!(code, 0);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn factor_reports_missing_file() {
-        assert_eq!(factor(&args(&["--input", "/no/such/file.mtx"])), 2);
+        assert_eq!(hqr(&["factor", "--input", "/no/such/file.mtx"]), 2);
     }
 
     #[test]
     fn factor_rejects_wide() {
-        assert_eq!(factor(&args(&["--rows", "8", "--cols", "16", "--tile", "4"])), 2);
+        assert_eq!(hqr(&["factor", "--rows", "8", "--cols", "16", "--tile", "4"]), 2);
     }
 
     #[test]
     fn simulate_all_algorithms() {
         for alg in ["hqr", "hqr-tall", "hqr-square", "bbd10", "slhd10", "scalapack"] {
-            let code = simulate(&args(&[
+            let code = hqr(&[
+                "simulate",
                 "--rows",
                 "3360",
                 "--cols",
@@ -1577,7 +982,7 @@ mod tests {
                 "3x2",
                 "--algorithm",
                 alg,
-            ]));
+            ]);
             assert_eq!(code, 0, "{alg}");
         }
     }
@@ -1585,45 +990,46 @@ mod tests {
     #[test]
     fn simulate_with_gpus_and_policies() {
         for policy in ["panel", "fifo", "cp"] {
-            let code = simulate(&args(&[
-                "--rows", "2240", "--cols", "1120", "--tile", "280", "--grid", "2x2", "--gpus",
-                "2", "--policy", policy,
-            ]));
+            let code = hqr(&[
+                "simulate", "--rows", "2240", "--cols", "1120", "--tile", "280", "--grid", "2x2",
+                "--gpus", "2", "--policy", policy,
+            ]);
             assert_eq!(code, 0, "{policy}");
         }
     }
 
     #[test]
     fn schedule_and_trees_and_dot() {
-        assert_eq!(schedule(&args(&["--rows", "12", "--cols", "3", "--tree", "greedy"])), 0);
-        assert_eq!(trees(&args(&["--size", "8"])), 0);
-        assert_eq!(dot(&args(&["--rows", "3", "--cols", "2", "--tree", "flat"])), 0);
+        assert_eq!(hqr(&["schedule", "--rows", "12", "--cols", "3", "--tree", "greedy"]), 0);
+        assert_eq!(hqr(&["trees", "--size", "8"]), 0);
+        assert_eq!(hqr(&["dot", "--rows", "3", "--cols", "2", "--tree", "flat"]), 0);
     }
 
     #[test]
     fn bad_inputs_rejected() {
-        assert_eq!(schedule(&args(&["--tree", "nope"])), 2);
-        assert_eq!(simulate(&args(&["--algorithm", "nope"])), 2);
-        assert_eq!(simulate(&args(&["--rows", "10", "--tile", "280"])), 2);
+        assert_eq!(hqr(&["schedule", "--tree", "nope"]), 2);
+        assert_eq!(hqr(&["simulate", "--algorithm", "nope"]), 2);
+        assert_eq!(hqr(&["simulate", "--rows", "10", "--tile", "280"]), 2);
     }
 
     #[test]
     fn zero_valued_inputs_exit_cleanly() {
         // Each of these used to reach an assert/panic deep in the library.
-        assert_eq!(factor(&args(&["--tile", "0"])), 2);
-        assert_eq!(factor(&args(&["--rows", "0"])), 2);
-        assert_eq!(factor(&args(&["--threads", "0"])), 2);
-        assert_eq!(factor(&args(&["--grid", "0x2"])), 2);
-        assert_eq!(factor(&args(&["--tile", "8", "--ib", "9"])), 2);
-        assert_eq!(simulate(&args(&["--tile", "0"])), 2);
-        assert_eq!(simulate(&args(&["--nodes", "0"])), 2);
-        assert_eq!(fault(&args(&["--tile", "0"])), 2);
-        assert_eq!(fault(&args(&["--rows", "8", "--cols", "16"])), 2);
+        assert_eq!(hqr(&["factor", "--tile", "0"]), 2);
+        assert_eq!(hqr(&["factor", "--rows", "0"]), 2);
+        assert_eq!(hqr(&["factor", "--threads", "0"]), 2);
+        assert_eq!(hqr(&["factor", "--grid", "0x2"]), 2);
+        assert_eq!(hqr(&["factor", "--tile", "8", "--ib", "9"]), 2);
+        assert_eq!(hqr(&["simulate", "--tile", "0"]), 2);
+        assert_eq!(hqr(&["simulate", "--nodes", "0"]), 2);
+        assert_eq!(hqr(&["fault", "--tile", "0"]), 2);
+        assert_eq!(hqr(&["fault", "--rows", "8", "--cols", "16"]), 2);
     }
 
     #[test]
     fn fault_demo_recovers_end_to_end() {
-        let code = fault(&args(&[
+        let code = hqr(&[
+            "fault",
             "--rows",
             "48",
             "--cols",
@@ -1638,13 +1044,14 @@ mod tests {
             "2",
             "--seed",
             "7",
-        ]));
+        ]);
         assert_eq!(code, 0);
     }
 
     #[test]
     fn fault_demo_with_explicit_crash_and_degradation() {
-        let code = fault(&args(&[
+        let code = hqr(&[
+            "fault",
             "--rows",
             "48",
             "--cols",
@@ -1663,7 +1070,7 @@ mod tests {
             "0.5",
             "--degrade-lat",
             "2.0",
-        ]));
+        ]);
         assert_eq!(code, 0);
     }
 
@@ -1671,7 +1078,8 @@ mod tests {
     fn fault_rejects_crashing_only_node() {
         // A 1x1 grid has one simulated node; crashing it must be a clean
         // typed rejection, not a hang or panic.
-        let code = fault(&args(&[
+        let code = hqr(&[
+            "fault",
             "--rows",
             "24",
             "--cols",
@@ -1684,14 +1092,15 @@ mod tests {
             "2",
             "--crash-node",
             "0",
-        ]));
+        ]);
         assert_eq!(code, 2);
     }
 
     #[test]
     fn trace_exec_backend_writes_valid_chrome_trace() {
         let out = std::env::temp_dir().join("hqr_cli_trace_exec.trace.json");
-        let code = trace(&args(&[
+        let code = hqr(&[
+            "trace",
             "--backend",
             "exec",
             "--rows",
@@ -1708,7 +1117,7 @@ mod tests {
             "1",
             "--out",
             out.to_str().unwrap(),
-        ]));
+        ]);
         assert_eq!(code, 0);
         let json = std::fs::read_to_string(&out).unwrap();
         let events = hqr_runtime::validate_chrome_trace(&json).expect("schema-valid");
@@ -1720,7 +1129,8 @@ mod tests {
     fn trace_exec_backend_runs_every_policy_and_reports_it() {
         for policy in ["fifo", "panel", "cp"] {
             let out = std::env::temp_dir().join(format!("hqr_cli_trace_{policy}.trace.json"));
-            let code = trace(&args(&[
+            let code = hqr(&[
+                "trace",
                 "--backend",
                 "exec",
                 "--rows",
@@ -1737,7 +1147,7 @@ mod tests {
                 policy,
                 "--out",
                 out.to_str().unwrap(),
-            ]));
+            ]);
             assert_eq!(code, 0, "{policy}");
             let json = std::fs::read_to_string(&out).unwrap();
             hqr_runtime::validate_chrome_trace(&json).expect("schema-valid");
@@ -1751,7 +1161,8 @@ mod tests {
 
     #[test]
     fn fault_accepts_policy_flag() {
-        let code = fault(&args(&[
+        let code = hqr(&[
+            "fault",
             "--rows",
             "48",
             "--cols",
@@ -1766,22 +1177,23 @@ mod tests {
             "1",
             "--policy",
             "cp",
-        ]));
+        ]);
         assert_eq!(code, 0);
     }
 
     #[test]
     fn unknown_policy_is_rejected_everywhere() {
-        assert_eq!(trace(&args(&["--backend", "exec", "--policy", "bogus"])), 2);
-        assert_eq!(trace(&args(&["--backend", "sim", "--policy", "bogus"])), 2);
-        assert_eq!(fault(&args(&["--policy", "bogus"])), 2);
-        assert_eq!(simulate(&args(&["--policy", "bogus"])), 2);
+        assert_eq!(hqr(&["trace", "--backend", "exec", "--policy", "bogus"]), 2);
+        assert_eq!(hqr(&["trace", "--backend", "sim", "--policy", "bogus"]), 2);
+        assert_eq!(hqr(&["fault", "--policy", "bogus"]), 2);
+        assert_eq!(hqr(&["simulate", "--policy", "bogus"]), 2);
     }
 
     #[test]
     fn trace_sim_backend_writes_valid_chrome_trace() {
         let out = std::env::temp_dir().join("hqr_cli_trace_sim.trace.json");
-        let code = trace(&args(&[
+        let code = hqr(&[
+            "trace",
             "--backend",
             "sim",
             "--rows",
@@ -1796,7 +1208,7 @@ mod tests {
             "1",
             "--out",
             out.to_str().unwrap(),
-        ]));
+        ]);
         assert_eq!(code, 0);
         let json = std::fs::read_to_string(&out).unwrap();
         hqr_runtime::validate_chrome_trace(&json).expect("schema-valid");
@@ -1806,7 +1218,8 @@ mod tests {
     #[test]
     fn trace_sim_backend_with_crash() {
         let out = std::env::temp_dir().join("hqr_cli_trace_crash.trace.json");
-        let code = trace(&args(&[
+        let code = hqr(&[
+            "trace",
             "--backend",
             "sim",
             "--rows",
@@ -1823,7 +1236,7 @@ mod tests {
             "0.3",
             "--out",
             out.to_str().unwrap(),
-        ]));
+        ]);
         assert_eq!(code, 0);
         hqr_runtime::validate_chrome_trace(&std::fs::read_to_string(&out).unwrap()).unwrap();
         let _ = std::fs::remove_file(&out);
@@ -1831,16 +1244,17 @@ mod tests {
 
     #[test]
     fn trace_rejects_bad_inputs() {
-        assert_eq!(trace(&args(&["--backend", "nope"])), 2);
-        assert_eq!(trace(&args(&["--backend", "exec", "--tile", "0"])), 2);
-        assert_eq!(trace(&args(&["--backend", "exec", "--rows", "8", "--cols", "16"])), 2);
-        assert_eq!(trace(&args(&["--backend", "sim", "--rows", "10", "--tile", "280"])), 2);
-        assert_eq!(trace(&args(&["--backend", "exec", "--out", "/no/such/dir/x.trace.json"])), 2);
+        assert_eq!(hqr(&["trace", "--backend", "nope"]), 2);
+        assert_eq!(hqr(&["trace", "--backend", "exec", "--tile", "0"]), 2);
+        assert_eq!(hqr(&["trace", "--backend", "exec", "--rows", "8", "--cols", "16"]), 2);
+        assert_eq!(hqr(&["trace", "--backend", "sim", "--rows", "10", "--tile", "280"]), 2);
+        assert_eq!(hqr(&["trace", "--backend", "exec", "--out", "/no/such/dir/x.trace.json"]), 2);
     }
 
     #[test]
     fn fault_prints_policy_comparison_with_explicit_interval() {
-        let code = fault(&args(&[
+        let code = hqr(&[
+            "fault",
             "--rows",
             "48",
             "--cols",
@@ -1855,17 +1269,17 @@ mod tests {
             "0.05",
             "--crossover-max",
             "1",
-        ]));
+        ]);
         assert_eq!(code, 0);
     }
 
     #[test]
     fn fault_rejects_malformed_fault_arguments() {
-        let base = ["--rows", "48", "--cols", "24", "--tile", "8", "--grid", "2x1"];
+        let base = ["fault", "--rows", "48", "--cols", "24", "--tile", "8", "--grid", "2x1"];
         let with = |extra: &[&str]| {
             let mut v: Vec<&str> = base.to_vec();
             v.extend_from_slice(extra);
-            fault(&args(&v))
+            hqr(&v)
         };
         // Node index out of range for the 2-node platform.
         assert_eq!(with(&["--crash-node", "7"]), 2);
@@ -1883,6 +1297,7 @@ mod tests {
     #[test]
     fn trace_sim_rejects_malformed_fault_arguments() {
         let base = [
+            "trace",
             "--backend",
             "sim",
             "--rows",
@@ -1897,7 +1312,7 @@ mod tests {
         let with = |extra: &[&str]| {
             let mut v: Vec<&str> = base.to_vec();
             v.extend_from_slice(extra);
-            trace(&args(&v))
+            hqr(&v)
         };
         assert_eq!(with(&["--crash-node", "9"]), 2);
         assert_eq!(with(&["--crash-node", "1", "--crash-frac", "-0.1"]), 2);
@@ -1907,7 +1322,8 @@ mod tests {
     #[test]
     fn trace_sim_backend_with_degradation() {
         let out = std::env::temp_dir().join("hqr_cli_trace_degrade.trace.json");
-        let code = trace(&args(&[
+        let code = hqr(&[
+            "trace",
             "--backend",
             "sim",
             "--rows",
@@ -1924,7 +1340,7 @@ mod tests {
             "2.0",
             "--out",
             out.to_str().unwrap(),
-        ]));
+        ]);
         assert_eq!(code, 0);
         hqr_runtime::validate_chrome_trace(&std::fs::read_to_string(&out).unwrap()).unwrap();
         let _ = std::fs::remove_file(&out);
@@ -1933,7 +1349,8 @@ mod tests {
     #[test]
     fn checkpoint_then_resume_roundtrip_is_bitwise_verified() {
         let ckpt = std::env::temp_dir().join("hqr_cli_roundtrip.ckpt");
-        let code = checkpoint(&args(&[
+        let code = hqr(&[
+            "checkpoint",
             "--rows",
             "48",
             "--cols",
@@ -1948,12 +1365,12 @@ mod tests {
             "0",
             "--ckpt",
             ckpt.to_str().unwrap(),
-        ]));
+        ]);
         assert_eq!(code, 0);
         // The `--verify` pass re-runs the whole factorization serially and
         // exits 1 on any bitwise divergence — 0 means the resumed run is
         // indistinguishable from an uninterrupted one.
-        let code = resume(&args(&["--ckpt", ckpt.to_str().unwrap(), "--threads", "3", "--verify"]));
+        let code = hqr(&["resume", "--ckpt", ckpt.to_str().unwrap(), "--threads", "3", "--verify"]);
         assert_eq!(code, 0);
         let _ = std::fs::remove_file(&ckpt);
     }
@@ -1963,7 +1380,8 @@ mod tests {
         let ckpt = std::env::temp_dir().join("hqr_cli_traced.ckpt");
         let out1 = std::env::temp_dir().join("hqr_cli_ckpt.trace.json");
         let out2 = std::env::temp_dir().join("hqr_cli_resume.trace.json");
-        let code = checkpoint(&args(&[
+        let code = hqr(&[
+            "checkpoint",
             "--rows",
             "48",
             "--cols",
@@ -1980,19 +1398,20 @@ mod tests {
             ckpt.to_str().unwrap(),
             "--out",
             out1.to_str().unwrap(),
-        ]));
+        ]);
         assert_eq!(code, 0);
         let json = std::fs::read_to_string(&out1).unwrap();
         hqr_runtime::validate_chrome_trace(&json).expect("schema-valid");
         assert!(json.contains("checkpoint written"), "checkpoint instants in the trace");
-        let code = resume(&args(&[
+        let code = hqr(&[
+            "resume",
             "--ckpt",
             ckpt.to_str().unwrap(),
             "--threads",
             "2",
             "--out",
             out2.to_str().unwrap(),
-        ]));
+        ]);
         assert_eq!(code, 0);
         let json = std::fs::read_to_string(&out2).unwrap();
         hqr_runtime::validate_chrome_trace(&json).expect("schema-valid");
@@ -2004,13 +1423,14 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_bad_inputs() {
-        assert_eq!(checkpoint(&args(&["--tile", "0"])), 2);
-        assert_eq!(checkpoint(&args(&["--rows", "8", "--cols", "16"])), 2);
-        assert_eq!(checkpoint(&args(&["--tile", "8", "--ib", "9"])), 2);
-        assert_eq!(checkpoint(&args(&["--every-panels", "0"])), 2);
+        assert_eq!(hqr(&["checkpoint", "--tile", "0"]), 2);
+        assert_eq!(hqr(&["checkpoint", "--rows", "8", "--cols", "16"]), 2);
+        assert_eq!(hqr(&["checkpoint", "--tile", "8", "--ib", "9"]), 2);
+        assert_eq!(hqr(&["checkpoint", "--every-panels", "0"]), 2);
         // Stopping at or past the last panel leaves nothing to resume.
         assert_eq!(
-            checkpoint(&args(&[
+            hqr(&[
+                "checkpoint",
                 "--rows",
                 "48",
                 "--cols",
@@ -2019,15 +1439,34 @@ mod tests {
                 "8",
                 "--stop-after-panel",
                 "2"
-            ])),
+            ]),
             2
         );
     }
 
     #[test]
     fn resume_rejects_missing_checkpoint() {
-        assert_eq!(resume(&args(&["--ckpt", "/no/such/dir/x.ckpt"])), 2);
-        assert_eq!(resume(&args(&["--threads", "0"])), 2);
+        assert_eq!(hqr(&["resume", "--ckpt", "/no/such/dir/x.ckpt"]), 2);
+        assert_eq!(hqr(&["resume", "--threads", "0"]), 2);
+    }
+
+    /// Garbage reaches the caller as exit code 2; nothing in the library
+    /// may end the host process (the benchmark runs `run` in-process).
+    #[test]
+    fn garbage_and_unknown_flags_return_2_in_process() {
+        assert_eq!(hqr(&["factor", "--rows", "abc"]), 2);
+        assert_eq!(hqr(&["factor", "--grid", "3by2"]), 2);
+        assert_eq!(hqr(&["factor", "--low", "nonsense"]), 2);
+        assert_eq!(hqr(&["factor", "--a", "0"]), 2);
+        assert_eq!(hqr(&["fault", "--crash-frac", "soon"]), 2);
+        for cmd in ["factor", "fault", "trace", "simulate", "schedule", "dot", "trees", "resume"] {
+            assert_eq!(hqr(&[cmd, "--no-such-flag", "1"]), 2, "{cmd}");
+            assert_eq!(hqr(&[cmd, "stray"]), 2, "{cmd}");
+        }
+        #[cfg(unix)]
+        for cmd in ["serve", "submit", "jobs", "cancel", "result", "drain", "ping"] {
+            assert_eq!(hqr(&[cmd, "--id", "1", "--thread", "2"]), 2, "{cmd}");
+        }
     }
 
     #[test]

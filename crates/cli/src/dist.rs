@@ -7,145 +7,102 @@
 //! `calibrate` measures the real loopback transport and persists LogGP
 //! parameters the simulator can load with `--net-calib`.
 
-use crate::args::Args;
-use crate::commands::{config_of, require_positive, require_positive_f64};
-use hqr::baselines;
+use crate::args::{Args, CliError};
+use crate::problem::{bitwise_vs_serial, Defaults, Problem, Shape};
 use hqr_net::{
     factorize, measure_loopback, shutdown_workers, spawn_local, DistConfig, DistReport,
     NetFaultPlan, WorkerOptions,
 };
-use hqr_runtime::{execute_serial, TaskGraph};
 use hqr_sim::{LinkModel, Platform};
-use hqr_tile::{ProcessGrid, TiledMatrix};
+use hqr_tile::ProcessGrid;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 /// `hqr worker`: serve tile storage and kernel execution over TCP until
 /// told to shut down (or until a configured kill-point for chaos tests).
-pub fn worker(args: &Args) -> i32 {
+pub fn worker(args: &Args) -> Result<i32, CliError> {
     let listen = args.str_or("listen", "127.0.0.1:0");
     let opts = WorkerOptions {
-        die_after_tasks: args.get("die-after-tasks").and_then(|v| v.parse().ok()),
+        die_after_tasks: args.parsed("die-after-tasks", "an integer")?,
         die_hard: args.flag("die-hard"),
-        slow_task_ms: args.usize_or("slow-ms", 0) as u64,
+        slow_task_ms: args.usize_or("slow-ms", 0)? as u64,
     };
-    let listener = match TcpListener::bind(&listen) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("bind {listen}: {e}");
-            return 2;
-        }
-    };
-    match listener.local_addr() {
-        Ok(addr) => println!("worker pid {} listening on {addr}", std::process::id()),
-        Err(e) => {
-            eprintln!("local_addr: {e}");
-            return 2;
-        }
-    }
-    match hqr_net::serve(listener, opts) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("worker failed: {e}");
-            1
-        }
-    }
+    args.reject_unknown()?;
+    let listener =
+        TcpListener::bind(&listen).map_err(|e| CliError::usage(format!("bind {listen}: {e}")))?;
+    let addr = listener.local_addr().map_err(|e| CliError::usage(format!("local_addr: {e}")))?;
+    println!("worker pid {} listening on {addr}", std::process::id());
+    hqr_net::serve(listener, opts).map_err(|e| CliError::failed(format!("worker failed: {e}")))?;
+    Ok(0)
 }
 
-fn parse_worker_addrs(spec: &str) -> Result<Vec<SocketAddr>, String> {
+fn parse_worker_addrs(spec: &str) -> Result<Vec<SocketAddr>, CliError> {
     spec.split(',')
         .filter(|s| !s.trim().is_empty())
-        .map(|s| s.trim().parse::<SocketAddr>().map_err(|e| format!("bad address `{s}`: {e}")))
+        .map(|s| {
+            s.trim()
+                .parse::<SocketAddr>()
+                .map_err(|e| CliError::usage(format!("--workers: bad address `{s}`: {e}")))
+        })
         .collect()
 }
 
 /// `hqr dist`: distributed factorization across a worker fleet.
-pub fn dist(args: &Args) -> i32 {
-    let rows = args.usize_or("rows", 384);
-    let cols = args.usize_or("cols", 160);
-    let b = args.usize_or("tile", 16);
-    let ib = args.usize_or("ib", b);
-    let seed = args.usize_or("seed", 42) as u64;
-    if let Some(code) = require_positive(&[("rows", rows), ("cols", cols), ("tile", b), ("ib", ib)])
-    {
-        return code;
+pub fn dist(args: &Args) -> Result<i32, CliError> {
+    let d = Defaults { rows: 384, cols: 160, tile: 16, whole_tiles: true, ..Defaults::EXEC };
+    let p = Problem::from_args(args, d)?;
+    let Shape { rows, cols, b, ib, mt, nt, .. } = p.shape;
+    if mt < nt {
+        return Err(CliError::usage("need rows >= cols and at least one full tile each way"));
     }
-    if ib > b {
-        eprintln!("--ib must not exceed --tile ({ib} > {b})");
-        return 2;
-    }
-    let (mt, nt) = (rows / b, cols / b);
-    if mt == 0 || nt == 0 || mt < nt {
-        eprintln!("need rows >= cols and at least one full tile each way");
-        return 2;
-    }
-
     // The fleet: external addresses, or workers spawned in this process.
-    let spawn_n = args.usize_or("spawn", 0);
-    let external = match args.get("workers").map(parse_worker_addrs) {
-        Some(Ok(a)) => a,
-        Some(Err(e)) => {
-            eprintln!("--workers: {e}");
-            return 2;
-        }
-        None => Vec::new(),
-    };
+    let spawn_n = args.usize_or("spawn", 0)?;
+    let external = args.get("workers").map_or(Ok(Vec::new()), parse_worker_addrs)?;
     if external.is_empty() == (spawn_n == 0) {
-        eprintln!("pass exactly one of --workers a:p,b:p,... or --spawn N");
-        return 2;
+        return Err(CliError::usage("pass exactly one of --workers a:p,b:p,... or --spawn N"));
     }
+    let workers = spawn_n + external.len();
+    let mut cfg = DistConfig::for_workers(workers);
+    if let Some(g) = args.get("worker-grid") {
+        let (wp, wq) = args.grid_or("worker-grid", (0, 0))?;
+        if wp * wq != workers {
+            return Err(CliError::usage(format!(
+                "--worker-grid {g} does not cover {workers} workers"
+            )));
+        }
+        cfg.grid = ProcessGrid::new(wp, wq);
+    }
+    cfg.rpc_timeout = args.millis_or("rpc-timeout-ms", 5_000)?;
+    cfg.hb_interval = args.millis_or("hb-interval-ms", 50)?;
+    cfg.hb_timeout = args.millis_or("hb-timeout-ms", 1_500)?;
+    cfg.stall_timeout = args.millis_or("stall-timeout-ms", 60_000)?;
+    cfg.retry.max_attempts = args.usize_or("retries", 3)? as u32;
+    let chaos = NetFaultPlan {
+        seed: args.usize_or("net-seed", 0)? as u64,
+        drop_frac: args.f64_or("drop-frac", 0.0)?,
+        delay_frac: args.f64_or("delay-frac", 0.0)?,
+        delay: args.millis_or("delay-ms", 2)?,
+    };
+    if chaos.drop_frac > 0.0 || chaos.delay_frac > 0.0 {
+        cfg.fault = chaos;
+    }
+    let (verify, trace) = (args.flag("verify"), args.get("trace"));
+    args.reject_unknown()?;
+
     let mut locals = Vec::new();
-    let addrs: Vec<SocketAddr> = if external.is_empty() {
-        for _ in 0..spawn_n {
-            match spawn_local(WorkerOptions::default()) {
-                Ok(w) => locals.push(w),
-                Err(e) => {
-                    eprintln!("spawn worker: {e}");
-                    shutdown_workers(&locals.iter().map(|w| w.addr).collect::<Vec<_>>());
-                    return 1;
-                }
+    for _ in 0..spawn_n {
+        match spawn_local(WorkerOptions::default()) {
+            Ok(w) => locals.push(w),
+            Err(e) => {
+                shutdown_workers(&locals.iter().map(|w| w.addr).collect::<Vec<_>>());
+                return Err(CliError::failed(format!("spawn worker: {e}")));
             }
         }
-        locals.iter().map(|w| w.addr).collect()
-    } else {
-        external
-    };
-
-    let mut cfg = DistConfig::for_workers(addrs.len());
-    if let Some(g) = args.get("worker-grid") {
-        let parsed = args.grid_or("worker-grid", (0, 0));
-        if parsed.0 * parsed.1 != addrs.len() {
-            eprintln!("--worker-grid {g} does not cover {} workers", addrs.len());
-            return 2;
-        }
-        cfg.grid = ProcessGrid::new(parsed.0, parsed.1);
     }
-    cfg.rpc_timeout = Duration::from_millis(args.usize_or("rpc-timeout-ms", 5_000) as u64);
-    cfg.hb_interval = Duration::from_millis(args.usize_or("hb-interval-ms", 50) as u64);
-    cfg.hb_timeout = Duration::from_millis(args.usize_or("hb-timeout-ms", 1_500) as u64);
-    cfg.stall_timeout = Duration::from_millis(args.usize_or("stall-timeout-ms", 60_000) as u64);
-    cfg.retry.max_attempts = args.usize_or("retries", 3) as u32;
-    let (drop_frac, delay_frac) = (args.f64_or("drop-frac", 0.0), args.f64_or("delay-frac", 0.0));
-    if drop_frac > 0.0 || delay_frac > 0.0 {
-        cfg.fault = NetFaultPlan {
-            seed: args.usize_or("net-seed", 0) as u64,
-            drop_frac,
-            delay_frac,
-            delay: Duration::from_millis(args.usize_or("delay-ms", 2) as u64),
-        };
-    }
-
-    let grid = args.grid_or("grid", (2, 1));
-    let setup = baselines::hqr(mt, nt, ProcessGrid::new(grid.0, grid.1), config_of(args, grid));
-    let graph = match TaskGraph::try_build(mt, nt, b, &setup.elims.to_ops()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let input = TiledMatrix::random(mt, nt, b, seed);
-    println!("algorithm : {}", setup.name);
+    let addrs: Vec<SocketAddr> =
+        if spawn_n > 0 { locals.iter().map(|w| w.addr).collect() } else { external };
+    let input = p.input();
+    println!("algorithm : {}", p.setup.name);
     println!("matrix    : {rows} x {cols} ({mt} x {nt} tiles of {b}, ib {ib})");
     println!(
         "fleet     : {} workers on a {}x{} tile-owner grid",
@@ -155,42 +112,28 @@ pub fn dist(args: &Args) -> i32 {
     );
 
     let t0 = Instant::now();
-    let result = factorize(&addrs, &graph, &input, ib, &cfg);
+    let result = factorize(&addrs, &p.graph, &input, ib, &cfg);
     if spawn_n > 0 {
         shutdown_workers(&addrs);
         for w in locals {
             let _ = w.join();
         }
     }
-    let (a, factors, report) = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("distributed factorization failed: {e}");
-            return 1;
-        }
-    };
+    let (a, factors, report) =
+        result.map_err(|e| CliError::failed(format!("distributed factorization failed: {e}")))?;
     print_report(&report, t0.elapsed());
 
-    if let Some(path) = args.get("trace") {
-        if let Err(e) = std::fs::write(path, trace_text(&report)) {
-            eprintln!("write {path}: {e}");
-            return 1;
-        }
+    if let Some(path) = trace {
+        std::fs::write(path, trace_text(&report))
+            .map_err(|e| CliError::failed(format!("write {path}: {e}")))?;
         println!("trace     : {path}");
     }
-
-    if args.flag("verify") {
-        let mut reference = input.clone();
-        let ref_factors = execute_serial(&graph, &mut reference);
-        let (d_ref, d_got) = (reference.to_dense(), a.to_dense());
-        let same_a = d_ref.data().iter().zip(d_got.data()).all(|(x, y)| x.to_bits() == y.to_bits());
-        let ok = same_a && ref_factors.bitwise_eq(&factors);
+    if verify {
+        let ok = bitwise_vs_serial(&p.graph, &input, ib, &a, &factors);
         println!("verify    : {}", if ok { "bitwise-identical to serial" } else { "DIVERGED" });
-        if !ok {
-            return 1;
-        }
+        return Ok(i32::from(!ok));
     }
-    0
+    Ok(0)
 }
 
 fn print_report(report: &DistReport, wall: Duration) {
@@ -239,32 +182,20 @@ fn trace_text(report: &DistReport) -> String {
 /// `hqr calibrate`: measure the real loopback transport, print a
 /// measured-vs-model table, and optionally persist LogGP parameters for
 /// `hqr simulate --net-calib`.
-pub fn calibrate(args: &Args) -> i32 {
-    let reps = args.usize_or("reps", 7);
-    if let Some(code) = require_positive(&[("reps", reps)]) {
-        return code;
-    }
+pub fn calibrate(args: &Args) -> Result<i32, CliError> {
+    let reps = args.positive_or("reps", 7)?;
     let sizes: Vec<usize> = match args.get("sizes") {
         None => vec![64, 1024, 8192, 65_536, 524_288, 4_194_304],
         Some(csv) => {
-            let parsed: Result<Vec<usize>, _> =
-                csv.split(',').map(|s| s.trim().parse::<usize>()).collect();
-            match parsed {
-                Ok(v) if !v.is_empty() => v,
-                _ => {
-                    eprintln!("--sizes: comma-separated byte counts, e.g. 64,4096,65536");
-                    return 2;
-                }
-            }
+            csv.split(',').map(|s| s.trim().parse::<usize>()).collect::<Result<_, _>>().map_err(
+                |_| CliError::usage("--sizes: comma-separated byte counts, e.g. 64,4096,65536"),
+            )?
         }
     };
-    let calib = match measure_loopback(&sizes, reps) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("calibration failed: {e}");
-            return 1;
-        }
-    };
+    let out = args.get("out");
+    args.reject_unknown()?;
+    let calib = measure_loopback(&sizes, reps)
+        .map_err(|e| CliError::failed(format!("calibration failed: {e}")))?;
     let fitted = LinkModel { latency: calib.latency, bandwidth: calib.bandwidth, overhead: 0.0 };
     let paper = Platform::edel().link;
     println!("loopback transport calibration (best of {reps} per size)");
@@ -283,16 +214,17 @@ pub fn calibrate(args: &Args) -> i32 {
             paper.transfer(s.bytes as f64) * 1e6
         );
     }
-    if let Some(code) = require_positive_f64(&[("fitted bandwidth", fitted.bandwidth)]) {
-        return code;
+    if !fitted.bandwidth.is_finite() || fitted.bandwidth <= 0.0 {
+        return Err(CliError::usage(format!(
+            "fitted bandwidth {} is not usable",
+            fitted.bandwidth
+        )));
     }
-    if let Some(path) = args.get("out") {
+    if let Some(path) = out {
         let samples: Vec<(u64, f64)> = calib.samples.iter().map(|s| (s.bytes, s.secs)).collect();
-        if let Err(e) = std::fs::write(path, fitted.format_calibration(&samples)) {
-            eprintln!("write {path}: {e}");
-            return 1;
-        }
+        std::fs::write(path, fitted.format_calibration(&samples))
+            .map_err(|e| CliError::failed(format!("write {path}: {e}")))?;
         println!("saved     : {path} (use with `hqr simulate --net-calib {path}`)");
     }
-    0
+    Ok(0)
 }

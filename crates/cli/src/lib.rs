@@ -4,55 +4,69 @@
 pub mod args;
 pub mod commands;
 pub mod dist;
+pub mod problem;
 pub mod proto;
 #[cfg(unix)]
 pub mod service;
 
-pub use args::Args;
+pub use args::{Args, CliError};
 
 /// Entry point shared by the binary and the tests. Returns the process
-/// exit code.
+/// exit code: every subcommand reports failure as a [`CliError`], and this
+/// is the one place that prints it (with the usage hint on exit 2).
 pub fn run(argv: &[String]) -> i32 {
-    match argv.first().map(String::as_str) {
-        Some("factor") => commands::factor(&Args::parse(&argv[1..])),
-        Some("simulate") => commands::simulate(&Args::parse(&argv[1..])),
-        Some("fault") => commands::fault(&Args::parse(&argv[1..])),
-        Some("checkpoint") => commands::checkpoint(&Args::parse(&argv[1..])),
-        Some("resume") => commands::resume(&Args::parse(&argv[1..])),
-        Some("trace") => commands::trace(&Args::parse(&argv[1..])),
-        Some("schedule") => commands::schedule(&Args::parse(&argv[1..])),
-        Some("trees") => commands::trees(&Args::parse(&argv[1..])),
+    let Some(command) = argv.first() else {
+        print!("{}", commands::USAGE);
+        return 0;
+    };
+    let args = &Args::parse(&argv[1..]);
+    let outcome = match command.as_str() {
+        "factor" => commands::factor(args),
+        "simulate" => commands::simulate(args),
+        "fault" => commands::fault(args),
+        "checkpoint" => commands::checkpoint(args),
+        "resume" => commands::resume(args),
+        "trace" => commands::trace(args),
+        "schedule" => commands::schedule(args),
+        "trees" => commands::trees(args),
+        "dot" => commands::dot(args),
+        "admission" => commands::admission(args),
         #[cfg(unix)]
-        Some("serve") => service::serve(&Args::parse(&argv[1..])),
+        "serve" => service::serve(args),
         #[cfg(unix)]
-        Some("submit") => service::submit(&Args::parse(&argv[1..])),
+        "submit" => service::submit(args),
         #[cfg(unix)]
-        Some("jobs") => service::jobs(&Args::parse(&argv[1..])),
+        "jobs" => service::jobs(args),
         #[cfg(unix)]
-        Some("cancel") => service::cancel(&Args::parse(&argv[1..])),
+        "cancel" => service::cancel(args),
         #[cfg(unix)]
-        Some("result") => service::result(&Args::parse(&argv[1..])),
+        "result" => service::result(args),
         #[cfg(unix)]
-        Some("suspend") => service::suspend(&Args::parse(&argv[1..])),
+        "suspend" => service::suspend(args),
         #[cfg(unix)]
-        Some("resume-job") => service::resume_job(&Args::parse(&argv[1..])),
+        "resume-job" => service::resume_job(args),
         #[cfg(unix)]
-        Some("drain") => service::drain(&Args::parse(&argv[1..])),
+        "drain" => service::drain(args),
         #[cfg(unix)]
-        Some("ping") => service::ping(&Args::parse(&argv[1..])),
-        Some("worker") => dist::worker(&Args::parse(&argv[1..])),
-        Some("dist") => dist::dist(&Args::parse(&argv[1..])),
-        Some("calibrate") => dist::calibrate(&Args::parse(&argv[1..])),
-        Some("dot") => commands::dot(&Args::parse(&argv[1..])),
-        Some("admission") => commands::admission(&Args::parse(&argv[1..])),
-        Some("help") | Some("--help") | Some("-h") | None => {
+        "ping" => service::ping(args),
+        "worker" => dist::worker(args),
+        "dist" => dist::dist(args),
+        "calibrate" => dist::calibrate(args),
+        "help" | "--help" | "-h" => {
             print!("{}", commands::USAGE);
-            0
+            Ok(0)
         }
-        Some(other) => {
+        other => {
             eprintln!("unknown command `{other}`\n");
             eprint!("{}", commands::USAGE);
-            2
+            Ok(2)
         }
-    }
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{}", e.message);
+        if e.code == 2 {
+            eprintln!("run `hqr help` for usage");
+        }
+        e.code
+    })
 }

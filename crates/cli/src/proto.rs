@@ -12,7 +12,7 @@
 //! stream between frames is a clean end of conversation.
 
 use hqr_runtime::{JobSpec, JobState, QosClass};
-use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, SectionReader, SectionWriter};
+use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionReader, SectionWriter};
 use std::io::{self, Read, Write};
 
 /// Magic bytes identifying a protocol frame payload.
@@ -71,6 +71,12 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<BinFormatError> for ProtoError {
+    fn from(e: BinFormatError) -> Self {
+        ProtoError(e.to_string())
+    }
+}
 
 fn bad<T>(msg: impl Into<String>) -> Result<T, ProtoError> {
     Err(ProtoError(msg.into()))
@@ -142,42 +148,28 @@ pub enum Request {
 }
 
 impl Request {
-    /// Encode into a frame payload.
+    /// Encode into a frame payload: the kind, then its one word if it has
+    /// one, then (for a submission) the spec and any injection plan.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let (kind, word) = match self {
+            Request::Ping => (K_PING, None),
+            Request::Submit { .. } => (K_SUBMIT, None),
+            Request::Jobs => (K_JOBS, None),
+            Request::Cancel(id) => (K_CANCEL, Some(*id)),
+            Request::Drain { grace_ms } => (K_DRAIN, Some(*grace_ms)),
+            Request::Result(id) => (K_RESULT, Some(*id)),
+            Request::Suspend(id) => (K_SUSPEND, Some(*id)),
+            Request::ResumeJob(id) => (K_RESUME_JOB, Some(*id)),
+        };
         let mut w = SectionWriter::new(PROTO_MAGIC, PROTO_VERSION);
-        match self {
-            Request::Ping => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_PING]));
-            }
-            Request::Submit { spec, plan } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_SUBMIT]));
-                w.section(TAG_SPEC, &spec.to_bytes());
-                if !plan.is_empty() {
-                    w.section(TAG_PLAN, &bytes_of_u64s(&plan.words()));
-                }
-            }
-            Request::Jobs => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_JOBS]));
-            }
-            Request::Cancel(id) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_CANCEL]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*id]));
-            }
-            Request::Drain { grace_ms } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_DRAIN]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*grace_ms]));
-            }
-            Request::Result(id) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_RESULT]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*id]));
-            }
-            Request::Suspend(id) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_SUSPEND]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*id]));
-            }
-            Request::ResumeJob(id) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_RESUME_JOB]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*id]));
+        w.section(TAG_KIND, &bytes_of_u64s(&[kind]));
+        if let Some(word) = word {
+            w.section(TAG_WORDS, &bytes_of_u64s(&[word]));
+        }
+        if let Request::Submit { spec, plan } = self {
+            w.section(TAG_SPEC, &spec.to_bytes());
+            if !plan.is_empty() {
+                w.section(TAG_PLAN, &bytes_of_u64s(&plan.words()));
             }
         }
         w.into_bytes()
@@ -189,14 +181,12 @@ impl Request {
         match kind(&r)? {
             K_PING => Ok(Request::Ping),
             K_SUBMIT => {
-                let raw = r.require(TAG_SPEC).map_err(|e| ProtoError(e.to_string()))?;
+                let raw = r.require(TAG_SPEC)?;
                 let spec = JobSpec::from_bytes(raw.to_vec())
                     .map_err(|e| ProtoError(format!("bad job spec: {e}")))?;
                 let plan = match r.section(TAG_PLAN) {
                     None => WirePlan::default(),
-                    Some(raw) => WirePlan::of_words(
-                        &u64s_of_bytes(TAG_PLAN, raw).map_err(|e| ProtoError(e.to_string()))?,
-                    )?,
+                    Some(raw) => WirePlan::of_words(&u64s_of_bytes(TAG_PLAN, raw)?)?,
                 };
                 Ok(Request::Submit { spec: Box::new(spec), plan })
             }
@@ -267,27 +257,35 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encode into a frame payload.
+    /// Encode into a frame payload: the kind, its fixed words if it has
+    /// any, then whatever variable-length sections the kind carries.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let (kind, words) = match self {
+            Response::Pong { live_jobs } => (K_PONG, vec![*live_jobs]),
+            Response::Submitted { id, deduped } => (K_SUBMITTED, vec![*id, *deduped as u64]),
+            Response::JobList(jobs) => (K_JOB_LIST, vec![jobs.len() as u64]),
+            Response::Cancelled(ok) => (K_CANCELLED, vec![*ok as u64]),
+            Response::Drained { finished, persisted, .. } => {
+                (K_DRAINED, vec![*finished, *persisted])
+            }
+            Response::Error { code, .. } => (K_ERROR, vec![*code]),
+            Response::ResultBytes(_) => (K_RESULT_BYTES, vec![]),
+            Response::Suspended(ok) => (K_SUSPENDED, vec![*ok as u64]),
+            Response::Resumed(ok) => (K_RESUMED, vec![*ok as u64]),
+        };
         let mut w = SectionWriter::new(PROTO_MAGIC, PROTO_VERSION);
+        w.section(TAG_KIND, &bytes_of_u64s(&[kind]));
+        if !words.is_empty() {
+            w.section(TAG_WORDS, &bytes_of_u64s(&words));
+        }
         match self {
-            Response::Pong { live_jobs } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_PONG]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*live_jobs]));
-            }
-            Response::Submitted { id, deduped } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_SUBMITTED]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*id, *deduped as u64]));
-            }
             Response::JobList(jobs) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_JOB_LIST]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[jobs.len() as u64]));
                 for (i, j) in jobs.iter().enumerate() {
                     let base = TAG_JOB_BASE + i as u32 * JOB_STRIDE;
                     let meta = [
                         j.id,
-                        state_word(j.state),
-                        qos_word(j.qos),
+                        word_of(&STATES, j.state),
+                        word_of(&QOS, j.qos),
                         j.attempts as u64,
                         j.tasks_done,
                         j.tasks_total,
@@ -300,32 +298,16 @@ impl Response {
                     }
                 }
             }
-            Response::Cancelled(ok) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_CANCELLED]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*ok as u64]));
-            }
-            Response::Drained { finished, suspended, persisted } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_DRAINED]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*finished, *persisted]));
+            Response::Drained { suspended, .. } => {
                 w.section(TAG_IDS, &bytes_of_u64s(suspended));
             }
-            Response::Error { code, message } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_ERROR]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*code]));
+            Response::Error { message, .. } => {
                 w.section(TAG_TEXT, message.as_bytes());
             }
             Response::ResultBytes(bytes) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_RESULT_BYTES]));
                 w.section(TAG_BLOB, bytes);
             }
-            Response::Suspended(ok) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_SUSPENDED]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*ok as u64]));
-            }
-            Response::Resumed(ok) => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[K_RESUMED]));
-                w.section(TAG_WORDS, &bytes_of_u64s(&[*ok as u64]));
-            }
+            _ => {}
         }
         w.into_bytes()
     }
@@ -344,16 +326,16 @@ impl Response {
                 let mut jobs = Vec::with_capacity(n);
                 for i in 0..n {
                     let base = TAG_JOB_BASE + i as u32 * JOB_STRIDE;
-                    let raw = r.require(base).map_err(|e| ProtoError(e.to_string()))?;
-                    let m = u64s_of_bytes(base, raw).map_err(|e| ProtoError(e.to_string()))?;
+                    let raw = r.require(base)?;
+                    let m = u64s_of_bytes(base, raw)?;
                     if m.len() != 7 {
                         return bad(format!("job {i}: meta has {} words, want 7", m.len()));
                     }
                     let tag = text(&r, base + 1)?.unwrap_or_default();
                     jobs.push(WireJob {
                         id: m[0],
-                        state: state_of_word(m[1])?,
-                        qos: qos_of_word(m[2])?,
+                        state: of_word(&STATES, m[1], "job state")?,
+                        qos: of_word(&QOS, m[2], "qos")?,
                         attempts: m[3] as u32,
                         tasks_done: m[4],
                         tasks_total: m[5],
@@ -367,9 +349,8 @@ impl Response {
             K_CANCELLED => Ok(Response::Cancelled(words1(&r)? != 0)),
             K_DRAINED => {
                 let w = wordsn(&r, 2)?;
-                let raw = r.require(TAG_IDS).map_err(|e| ProtoError(e.to_string()))?;
-                let suspended =
-                    u64s_of_bytes(TAG_IDS, raw).map_err(|e| ProtoError(e.to_string()))?;
+                let raw = r.require(TAG_IDS)?;
+                let suspended = u64s_of_bytes(TAG_IDS, raw)?;
                 Ok(Response::Drained { finished: w[0], suspended, persisted: w[1] })
             }
             K_ERROR => Ok(Response::Error {
@@ -377,7 +358,7 @@ impl Response {
                 message: text(&r, TAG_TEXT)?.unwrap_or_default(),
             }),
             K_RESULT_BYTES => {
-                let raw = r.require(TAG_BLOB).map_err(|e| ProtoError(e.to_string()))?;
+                let raw = r.require(TAG_BLOB)?;
                 Ok(Response::ResultBytes(raw.to_vec()))
             }
             K_SUSPENDED => Ok(Response::Suspended(words1(&r)? != 0)),
@@ -388,13 +369,12 @@ impl Response {
 }
 
 fn reader(bytes: Vec<u8>) -> Result<SectionReader, ProtoError> {
-    SectionReader::from_bytes(bytes, PROTO_MAGIC, PROTO_VERSION)
-        .map_err(|e| ProtoError(e.to_string()))
+    Ok(SectionReader::from_bytes(bytes, PROTO_MAGIC, PROTO_VERSION)?)
 }
 
 fn kind(r: &SectionReader) -> Result<u64, ProtoError> {
-    let raw = r.require(TAG_KIND).map_err(|e| ProtoError(e.to_string()))?;
-    let words = u64s_of_bytes(TAG_KIND, raw).map_err(|e| ProtoError(e.to_string()))?;
+    let raw = r.require(TAG_KIND)?;
+    let words = u64s_of_bytes(TAG_KIND, raw)?;
     match words.as_slice() {
         [k] => Ok(*k),
         _ => bad("kind section must hold exactly one word"),
@@ -402,8 +382,8 @@ fn kind(r: &SectionReader) -> Result<u64, ProtoError> {
 }
 
 fn wordsn(r: &SectionReader, n: usize) -> Result<Vec<u64>, ProtoError> {
-    let raw = r.require(TAG_WORDS).map_err(|e| ProtoError(e.to_string()))?;
-    let words = u64s_of_bytes(TAG_WORDS, raw).map_err(|e| ProtoError(e.to_string()))?;
+    let raw = r.require(TAG_WORDS)?;
+    let words = u64s_of_bytes(TAG_WORDS, raw)?;
     if words.len() != n {
         return bad(format!("words section has {} entries, want {n}", words.len()));
     }
@@ -424,48 +404,29 @@ fn text(r: &SectionReader, tag: u32) -> Result<Option<String>, ProtoError> {
     }
 }
 
-fn state_word(s: JobState) -> u64 {
-    match s {
-        JobState::Queued => 0,
-        JobState::Running => 1,
-        JobState::Completed => 2,
-        JobState::Backoff => 3,
-        JobState::Cancelled => 4,
-        JobState::Shed => 5,
-        JobState::Quarantined => 6,
-        JobState::Suspended => 7,
+/// Wire words of [`JobState`] and [`QosClass`]: the index in these tables,
+/// so the encoder and the decoder cannot drift apart.
+const STATES: [JobState; 8] = [
+    JobState::Queued,
+    JobState::Running,
+    JobState::Completed,
+    JobState::Backoff,
+    JobState::Cancelled,
+    JobState::Shed,
+    JobState::Quarantined,
+    JobState::Suspended,
+];
+const QOS: [QosClass; 3] = [QosClass::Batch, QosClass::Normal, QosClass::Interactive];
+
+fn word_of<T: PartialEq>(table: &[T], v: T) -> u64 {
+    table.iter().position(|x| *x == v).expect("every variant is in its table") as u64
+}
+
+fn of_word<T: Copy>(table: &[T], w: u64, what: &str) -> Result<T, ProtoError> {
+    match usize::try_from(w).ok().and_then(|i| table.get(i)) {
+        Some(v) => Ok(*v),
+        None => bad(format!("unknown {what} word {w}")),
     }
-}
-
-fn state_of_word(w: u64) -> Result<JobState, ProtoError> {
-    Ok(match w {
-        0 => JobState::Queued,
-        1 => JobState::Running,
-        2 => JobState::Completed,
-        3 => JobState::Backoff,
-        4 => JobState::Cancelled,
-        5 => JobState::Shed,
-        6 => JobState::Quarantined,
-        7 => JobState::Suspended,
-        other => return bad(format!("unknown job state word {other}")),
-    })
-}
-
-fn qos_word(q: QosClass) -> u64 {
-    match q {
-        QosClass::Batch => 0,
-        QosClass::Normal => 1,
-        QosClass::Interactive => 2,
-    }
-}
-
-fn qos_of_word(w: u64) -> Result<QosClass, ProtoError> {
-    Ok(match w {
-        0 => QosClass::Batch,
-        1 => QosClass::Normal,
-        2 => QosClass::Interactive,
-        other => return bad(format!("unknown qos word {other}")),
-    })
 }
 
 /// Write one length-prefixed frame.
@@ -607,6 +568,56 @@ mod tests {
             let back = Response::from_bytes(resp.to_bytes()).expect("decode");
             assert_eq!(format!("{resp:?}"), format!("{back:?}"));
         }
+    }
+
+    /// The encodings themselves, not just that they round-trip: a daemon
+    /// and a client of different builds agree only if these bytes stay put.
+    #[test]
+    fn wire_encodings_are_pinned() {
+        let job = WireJob {
+            id: 2,
+            tag: "t".into(),
+            state: JobState::Quarantined,
+            qos: QosClass::Batch,
+            attempts: 3,
+            tasks_done: 2,
+            tasks_total: 6,
+            error: Some("deadline exceeded".into()),
+            wall_ms: None,
+        };
+        let spec =
+            JobSpec::fresh(vec![ElimOp::new(0, 1, 0, true)], TiledMatrix::random(2, 1, 4, 7));
+        let plan = WirePlan { seed: 9, fail: vec![(0, 2), (3, 1)] };
+        let mut bytes = Vec::new();
+        for req in [
+            Request::Ping,
+            Request::Submit { spec: Box::new(spec), plan },
+            Request::Jobs,
+            Request::Cancel(42),
+            Request::Drain { grace_ms: 1500 },
+            Request::Result(9),
+            Request::Suspend(10),
+            Request::ResumeJob(11),
+        ] {
+            bytes.extend(req.to_bytes());
+        }
+        for resp in [
+            Response::Pong { live_jobs: 3 },
+            Response::Submitted { id: 4, deduped: true },
+            Response::JobList(vec![job]),
+            Response::Cancelled(true),
+            Response::Drained { finished: 2, suspended: vec![4, 5], persisted: 3 },
+            Response::Error { code: 2, message: "over budget".into() },
+            Response::ResultBytes(vec![1, 2, 3, 255]),
+            Response::Suspended(true),
+            Response::Resumed(false),
+        ] {
+            bytes.extend(resp.to_bytes());
+        }
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (1685, 12_895_646_396_341_803_543));
     }
 
     #[test]

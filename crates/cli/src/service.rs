@@ -21,15 +21,16 @@
 //! A client failure never takes the daemon down: every connection runs in
 //! its own thread and protocol or I/O errors only end that conversation.
 
-use crate::args::Args;
-use crate::proto::{read_frame, write_frame, ProtoError, Request, Response, WireJob, WirePlan};
-use hqr::baselines;
-use hqr::prelude::*;
-use hqr_runtime::{
-    result_from_bytes, DrainReport, DurabilityConfig, FaultPlan, IntegrityMode, JobPool, JobSpec,
-    JobState, PoolConfig, QosClass, SubmitError,
+use crate::args::{Args, CliError};
+use crate::problem::{
+    choice, integrity_of, policy_of, resident_budget_of, threads_of, Defaults, Shape,
 };
-use hqr_tile::{ProcessGrid, TiledMatrix};
+use crate::proto::{read_frame, write_frame, ProtoError, Request, Response, WireJob, WirePlan};
+use hqr_runtime::{
+    result_from_bytes, DrainReport, DurabilityConfig, FaultPlan, JobPool, JobSpec, JobState,
+    PoolConfig, QosClass, SubmitError,
+};
+use hqr_tile::TiledMatrix;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -76,58 +77,51 @@ fn socket_of(args: &Args) -> PathBuf {
 }
 
 /// `hqr serve`: run the factorization service until SIGTERM or `hqr drain`.
-pub fn serve(args: &Args) -> i32 {
+pub fn serve(args: &Args) -> Result<i32, CliError> {
     let socket = socket_of(args);
-    let threads = args.usize_or("threads", 4);
-    if threads == 0 {
-        eprintln!("--threads must be positive");
-        return 2;
-    }
-    let budget_mb = args.usize_or("mem-budget-mb", 0) as u64;
+    let threads = threads_of(args)?;
+    let budget_mb = args.usize_or("mem-budget-mb", 0)? as u64;
     // The journal, the per-job checkpoint files and the result store all
     // live under the state directory, `<socket>.state` unless told otherwise.
     let state_dir =
         args.get("state-dir").map_or_else(|| socket.with_extension("state"), PathBuf::from);
     let mut durability = DurabilityConfig::at(&state_dir);
-    durability.ckpt_interval =
-        Duration::from_millis(args.usize_or("ckpt-interval-ms", 30_000) as u64);
-    durability.result_cap = args.usize_or("result-cap", 0);
+    durability.ckpt_interval = args.millis_or("ckpt-interval-ms", 30_000)?;
+    durability.result_cap = args.usize_or("result-cap", 0)?;
     // Disk-growth guards: rotate the journal past a size threshold, and
     // bound the result store by bytes and age as well as count.
-    durability.journal_rotate_bytes = (args.usize_or("journal-rotate-kb", 0) as u64) << 10;
-    durability.result_max_bytes = (args.usize_or("result-max-kb", 0) as u64) << 10;
-    durability.result_max_age = match args.usize_or("result-max-age-secs", 0) as u64 {
+    durability.journal_rotate_bytes = (args.usize_or("journal-rotate-kb", 0)? as u64) << 10;
+    durability.result_max_bytes = (args.usize_or("result-max-kb", 0)? as u64) << 10;
+    durability.result_max_age = match args.usize_or("result-max-age-secs", 0)? as u64 {
         0 => None,
         secs => Some(Duration::from_secs(secs)),
     };
     let cfg = PoolConfig {
         nthreads: threads,
         mem_budget: if budget_mb == 0 { u64::MAX } else { budget_mb << 20 },
-        queue_cap: args.usize_or("queue-cap", 64),
-        max_active: args.usize_or("max-active", 0),
-        // `--resident-budget-kb` caps each job's in-memory tile tier:
-        // jobs whose working set exceeds it run out-of-core against a
-        // spill file, and admission charges only the resident tier.
-        resident_budget: match args.usize_or("resident-budget-kb", 0) as u64 {
-            0 => None,
-            kb => Some(kb << 10),
-        },
+        queue_cap: args.usize_or("queue-cap", 64)?,
+        max_active: args.usize_or("max-active", 0)?,
+        // Jobs whose working set exceeds the resident budget run
+        // out-of-core against a spill file, and admission charges only the
+        // resident tier.
+        resident_budget: resident_budget_of(args)?,
         durability: Some(durability),
         ..PoolConfig::default()
     };
-    let pool = match JobPool::try_new(cfg) {
-        Ok(pool) => pool,
-        Err(e) => {
-            eprintln!("cannot open state directory {}: {e}", state_dir.display());
-            return 2;
-        }
-    };
+    let grace = args.millis_or("grace-ms", 2000)?;
+    args.reject_unknown()?;
+    let pool = JobPool::try_new(cfg).map_err(|e| {
+        CliError::usage(format!("cannot open state directory {}: {e}", state_dir.display()))
+    })?;
     // The journal is the queue: replay it so every job a previous daemon
     // accepted is driven to a terminal state (and so fresh job ids never
     // collide with journaled ones) — the same replay whether that daemon
     // drained on SIGTERM or died by SIGKILL.
-    match pool.recover() {
-        Ok(r) if r.total > 0 => println!(
+    let r = pool
+        .recover()
+        .map_err(|e| CliError::usage(format!("cannot replay the job journal: {e}")))?;
+    if r.total > 0 {
+        println!(
             "recovered {} journaled jobs ({} resumed from checkpoint, {} restarted fresh, {} \
              already terminal, {} unrecoverable)",
             r.total,
@@ -135,33 +129,18 @@ pub fn serve(args: &Args) -> i32 {
             r.restarted_fresh,
             r.completed_retained + r.terminal_retained,
             r.unrecoverable
-        ),
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("cannot replay the job journal: {e}");
-            return 2;
-        }
+        );
     }
-    let svc = Arc::new(Service {
-        pool,
-        grace: Duration::from_millis(args.usize_or("grace-ms", 2000) as u64),
-        drained: Mutex::new(None),
-        exit: AtomicBool::new(false),
-    });
+    let svc =
+        Arc::new(Service { pool, grace, drained: Mutex::new(None), exit: AtomicBool::new(false) });
 
     // A stale socket file from a crashed daemon would make bind fail.
     let _ = std::fs::remove_file(&socket);
-    let listener = match UnixListener::bind(&socket) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("cannot bind {}: {e}", socket.display());
-            return 1;
-        }
-    };
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("cannot set the listener nonblocking: {e}");
-        return 1;
-    }
+    let listener = UnixListener::bind(&socket)
+        .map_err(|e| CliError::failed(format!("cannot bind {}: {e}", socket.display())))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| CliError::failed(format!("cannot set the listener nonblocking: {e}")))?;
     install_signal_handlers();
     println!("hqr serve: listening on {} ({threads} worker threads)", socket.display());
 
@@ -207,7 +186,7 @@ pub fn serve(args: &Args) -> i32 {
         }
     };
     let _ = std::fs::remove_file(&socket);
-    code
+    Ok(code)
 }
 
 /// Serve one connection: a loop of framed request/response exchanges.
@@ -315,86 +294,74 @@ fn drain_with(svc: &Service, grace: Duration) -> (DrainReport, bool) {
 // Client side
 // ---------------------------------------------------------------------------
 
-/// One request/response exchange over a fresh connection.
-fn rpc(socket: &Path, req: &Request) -> Result<Response, String> {
+/// One request/response exchange over a fresh connection. `expect` picks
+/// out the one response kind the verb asked for; a daemon-side rejection,
+/// any other kind and every transport failure are this side's exit 1.
+fn call<T>(
+    socket: &Path,
+    req: &Request,
+    expect: impl FnOnce(Response) -> Result<T, Response>,
+) -> Result<T, CliError> {
     let mut stream = UnixStream::connect(socket).map_err(|e| {
-        format!("cannot connect to {}: {e} (is `hqr serve` running?)", socket.display())
+        let socket = socket.display();
+        CliError::failed(format!("cannot connect to {socket}: {e} (is `hqr serve` running?)"))
     })?;
-    write_frame(&mut stream, &req.to_bytes()).map_err(|e| format!("send failed: {e}"))?;
-    match read_frame(&mut stream) {
-        Ok(Some(payload)) => Response::from_bytes(payload).map_err(|e| e.to_string()),
-        Ok(None) => Err("daemon closed the connection without answering".into()),
-        Err(e) => Err(format!("receive failed: {e}")),
+    write_frame(&mut stream, &req.to_bytes())
+        .map_err(|e| CliError::failed(format!("send failed: {e}")))?;
+    let payload = read_frame(&mut stream)
+        .map_err(|e| CliError::failed(format!("receive failed: {e}")))?
+        .ok_or_else(|| CliError::failed("daemon closed the connection without answering"))?;
+    match Response::from_bytes(payload).map_err(CliError::failed)? {
+        Response::Error { code: 0, message } => Err(CliError::failed(message)),
+        Response::Error { code, message } => {
+            let why = match code {
+                1 => "invalid",
+                2 => "over budget",
+                3 => "queue full",
+                4 => "draining",
+                _ => "error",
+            };
+            Err(CliError::failed(format!("rejected ({why}): {message}")))
+        }
+        other => expect(other)
+            .map_err(|r| CliError::failed(format!("unexpected response from daemon: {r:?}"))),
     }
 }
 
+/// The `expect` argument of [`call`]: this response kind, or the response
+/// handed back as unexpected.
+macro_rules! expect {
+    ($kind:pat => $out:expr) => {
+        |r| match r {
+            $kind => Ok($out),
+            r => Err(r),
+        }
+    };
+}
+
 /// `hqr ping`: liveness check against a running daemon.
-pub fn ping(args: &Args) -> i32 {
-    match rpc(&socket_of(args), &Request::Ping) {
-        Ok(Response::Pong { live_jobs }) => {
-            println!("daemon is alive; {live_jobs} live jobs");
-            0
-        }
-        Ok(other) => unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
-    }
+pub fn ping(args: &Args) -> Result<i32, CliError> {
+    let socket = socket_of(args);
+    args.reject_unknown()?;
+    let live = call(&socket, &Request::Ping, expect!(Response::Pong { live_jobs } => live_jobs))?;
+    println!("daemon is alive; {live} live jobs");
+    Ok(0)
 }
 
 /// Build a [`JobSpec`] from submit arguments (shared by `hqr submit` and
 /// the service tests).
-pub fn spec_of_args(args: &Args) -> Result<(JobSpec, WirePlan), String> {
-    let rows = args.usize_or("rows", 256);
-    let cols = args.usize_or("cols", 128);
-    let b = args.usize_or("tile", 16);
-    let grid = args.grid_or("grid", (2, 1));
-    let seed = args.usize_or("seed", 42) as u64;
-    for (name, v) in
-        [("rows", rows), ("cols", cols), ("tile", b), ("grid (P)", grid.0), ("grid (Q)", grid.1)]
-    {
-        if v == 0 {
-            return Err(format!("--{name} must be positive"));
-        }
-    }
-    if rows < cols {
-        return Err("submit expects rows >= cols".into());
-    }
-    let (mt, nt) = (rows.div_ceil(b), cols.div_ceil(b));
-    let cfg = HqrConfig::new(grid.0, grid.1)
-        .with_a(args.usize_or("a", 1))
-        .with_low(parse_tree(args, "low", TreeKind::Greedy)?)
-        .with_high(parse_tree(args, "high", TreeKind::Fibonacci)?)
-        .with_domino(args.flag("domino"));
-    let setup = baselines::hqr(mt, nt, ProcessGrid::new(grid.0, grid.1), cfg);
-    let mut spec = JobSpec::fresh(setup.elims.to_ops(), TiledMatrix::random(mt, nt, b, seed));
-    if let Some(ib) = args.get("ib") {
-        let ib: usize = ib.parse().map_err(|_| format!("--ib expects an integer, got `{ib}`"))?;
-        if ib == 0 || ib > b {
-            return Err(format!("--ib must be in 1..={b}, got {ib}"));
-        }
-        spec.ib = Some(ib);
-    }
-    if let Some(q) = args.get("qos") {
-        spec.qos = QosClass::parse(q)
-            .ok_or_else(|| format!("--qos: unknown class `{q}` (batch|normal|interactive)"))?;
-    }
-    if let Some(p) = args.get("policy") {
-        spec.policy = hqr_runtime::SchedPolicy::parse(p)
-            .ok_or_else(|| format!("--policy: unknown policy `{p}` (fifo|panel|cp)"))?;
-    }
-    if let Some(m) = args.get("integrity") {
-        spec.integrity = IntegrityMode::parse(m)
-            .ok_or_else(|| format!("--integrity: unknown mode `{m}` (off|spot|full)"))?;
-    }
-    spec.max_retries = args.usize_or("retries", 0) as u32;
-    spec.job_retries = args.usize_or("job-retries", 0) as u32;
-    if let Some(ms) = args.get("deadline-ms") {
-        let ms: u64 =
-            ms.parse().map_err(|_| format!("--deadline-ms expects an integer, got `{ms}`"))?;
-        spec.deadline = Some(Duration::from_millis(ms));
-    }
+pub fn spec_of_args(args: &Args) -> Result<(JobSpec, WirePlan), CliError> {
+    let d = Defaults { rows: 256, cols: 128, tile: 16, ..Defaults::EXEC };
+    let shape = Shape::from_args(args, d)?;
+    let Shape { b, ib, mt, nt, seed, .. } = shape;
+    let mut spec = JobSpec::fresh(shape.hqr().elims.to_ops(), TiledMatrix::random(mt, nt, b, seed));
+    spec.ib = Some(ib);
+    spec.qos = choice(args, "qos", spec.qos, QosClass::parse, "batch|normal|interactive")?;
+    spec.policy = policy_of(args, spec.policy)?;
+    spec.integrity = integrity_of(args, spec.integrity)?;
+    spec.max_retries = args.usize_or("retries", 0)? as u32;
+    spec.job_retries = args.usize_or("job-retries", 0)? as u32;
+    spec.deadline = args.parsed("deadline-ms", "an integer")?.map(Duration::from_millis);
     spec.tag = args.str_or("tag", "");
     // Idempotent submission: a retried submit with the same key returns the
     // original job id instead of enqueueing a duplicate.
@@ -405,81 +372,42 @@ pub fn spec_of_args(args: &Args) -> Result<(JobSpec, WirePlan), String> {
         let (task, n) = inj
             .split_once(':')
             .and_then(|(t, n)| Some((t.parse().ok()?, n.parse().ok()?)))
-            .ok_or_else(|| format!("--inject-fail expects TASK:ATTEMPTS, got `{inj}`"))?;
+            .ok_or_else(|| {
+                CliError::usage(format!("--inject-fail expects TASK:ATTEMPTS, got `{inj}`"))
+            })?;
         plan.fail.push((task, n));
     }
     Ok((spec, plan))
 }
 
-fn parse_tree(args: &Args, key: &str, default: TreeKind) -> Result<TreeKind, String> {
-    match args.get(key) {
-        None => Ok(default),
-        Some(v) => TreeKind::parse(v)
-            .ok_or_else(|| format!("--{key}: unknown tree `{v}` (flat|binary|greedy|fibonacci)")),
-    }
-}
-
 /// `hqr submit`: send one factorization job to a running daemon.
-pub fn submit(args: &Args) -> i32 {
+pub fn submit(args: &Args) -> Result<i32, CliError> {
     let socket = socket_of(args);
-    let (spec, plan) = match spec_of_args(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let id = match rpc(&socket, &Request::Submit { spec: Box::new(spec), plan }) {
-        Ok(Response::Submitted { id, deduped }) => {
-            if deduped {
-                println!("submitted job {id} (deduplicated: key matched an existing job)");
-            } else {
-                println!("submitted job {id}");
-            }
-            id
-        }
-        Ok(Response::Error { code, message }) => {
-            eprintln!("rejected ({}): {message}", reject_name(code));
-            return 1;
-        }
-        Ok(other) => return unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    if !args.flag("wait") {
-        return 0;
+    let (spec, plan) = spec_of_args(args)?;
+    let wait = args.flag("wait");
+    args.reject_unknown()?;
+    let submit = Request::Submit { spec: Box::new(spec), plan };
+    let accepted = expect!(Response::Submitted { id, deduped } => (id, deduped));
+    let (id, deduped) = call(&socket, &submit, accepted)?;
+    if deduped {
+        println!("submitted job {id} (deduplicated: key matched an existing job)");
+    } else {
+        println!("submitted job {id}");
+    }
+    if !wait {
+        return Ok(0);
     }
     // Poll until the job reaches a terminal state.
     loop {
         std::thread::sleep(Duration::from_millis(50));
-        let jobs = match rpc(&socket, &Request::Jobs) {
-            Ok(Response::JobList(jobs)) => jobs,
-            Ok(other) => return unexpected(other),
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        };
+        let jobs = call(&socket, &Request::Jobs, expect!(Response::JobList(jobs) => jobs))?;
         let Some(job) = jobs.iter().find(|j| j.id == id) else {
-            eprintln!("job {id} disappeared from the daemon");
-            return 1;
+            return Err(CliError::failed(format!("job {id} disappeared from the daemon")));
         };
         if job.state.is_terminal() {
             print_job(job);
-            return if job.state == JobState::Completed { 0 } else { 1 };
+            return Ok(i32::from(job.state != JobState::Completed));
         }
-    }
-}
-
-fn reject_name(code: u64) -> &'static str {
-    match code {
-        1 => "invalid",
-        2 => "over budget",
-        3 => "queue full",
-        4 => "draining",
-        _ => "error",
     }
 }
 
@@ -501,62 +429,58 @@ fn print_job(j: &WireJob) {
 }
 
 /// `hqr jobs`: list every job the daemon knows about.
-pub fn jobs(args: &Args) -> i32 {
-    match rpc(&socket_of(args), &Request::Jobs) {
-        Ok(Response::JobList(jobs)) => {
-            println!(
-                "{:>5}  {:<11} {:<11} {:>3}  {:>11}  {:>9}  {:<12} ERROR",
-                "ID", "STATE", "QOS", "TRY", "TASKS", "WALL", "TAG"
-            );
-            for j in &jobs {
-                print_job(j);
-            }
-            0
-        }
-        Ok(other) => unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
+pub fn jobs(args: &Args) -> Result<i32, CliError> {
+    let socket = socket_of(args);
+    args.reject_unknown()?;
+    let jobs = call(&socket, &Request::Jobs, expect!(Response::JobList(jobs) => jobs))?;
+    println!(
+        "{:>5}  {:<11} {:<11} {:>3}  {:>11}  {:>9}  {:<12} ERROR",
+        "ID", "STATE", "QOS", "TRY", "TASKS", "WALL", "TAG"
+    );
+    jobs.iter().for_each(print_job);
+    Ok(0)
+}
+
+fn id_of(args: &Args, verb: &str) -> Result<u64, CliError> {
+    args.parsed("id", "an integer")?
+        .ok_or_else(|| CliError::usage(format!("{verb} requires --id JOB")))
+}
+
+/// `cancel`, `suspend` and `resume-job` are one exchange: name a job by
+/// `--id`, get a yes or a no. `done`/`refused` finish "job N ...".
+fn job_verb(
+    args: &Args,
+    verb: &str,
+    request: fn(u64) -> Request,
+    (done, refused): (&str, &str),
+) -> Result<i32, CliError> {
+    let (socket, id) = (socket_of(args), id_of(args, verb)?);
+    args.reject_unknown()?;
+    let yes_or_no =
+        expect!(Response::Cancelled(ok) | Response::Suspended(ok) | Response::Resumed(ok) => ok);
+    if !call(&socket, &request(id), yes_or_no)? {
+        return Err(CliError::failed(format!("job {id} {refused}")));
     }
+    println!("job {id} {done}");
+    Ok(0)
 }
 
 /// `hqr cancel`: cancel one job by `--id`.
-pub fn cancel(args: &Args) -> i32 {
-    let Some(id) = args.get("id") else {
-        eprintln!("cancel requires --id JOB");
-        return 2;
-    };
-    let Ok(id) = id.parse::<u64>() else {
-        eprintln!("--id expects an integer, got `{id}`");
-        return 2;
-    };
-    match rpc(&socket_of(args), &Request::Cancel(id)) {
-        Ok(Response::Cancelled(true)) => {
-            println!("job {id} cancelled");
-            0
-        }
-        Ok(Response::Cancelled(false)) => {
-            eprintln!("job {id} is unknown or already terminal");
-            1
-        }
-        Ok(other) => unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
-    }
+pub fn cancel(args: &Args) -> Result<i32, CliError> {
+    job_verb(args, "cancel", Request::Cancel, ("cancelled", "is unknown or already terminal"))
 }
 
-fn id_of(args: &Args, verb: &str) -> Result<u64, i32> {
-    let Some(id) = args.get("id") else {
-        eprintln!("{verb} requires --id JOB");
-        return Err(2);
-    };
-    id.parse::<u64>().map_err(|_| {
-        eprintln!("--id expects an integer, got `{id}`");
-        2
-    })
+/// `hqr suspend`: checkpoint a job at its next panel boundary and park it.
+pub fn suspend(args: &Args) -> Result<i32, CliError> {
+    let says = ("will suspend at its next quiescent point", "is unknown or already terminal");
+    job_verb(args, "suspend", Request::Suspend, says)
+}
+
+/// `hqr resume-job`: requeue a previously suspended (parked) job.
+pub fn resume_job(args: &Args) -> Result<i32, CliError> {
+    let says =
+        ("requeued from its checkpoint", "is not parked (only suspended jobs can be resumed)");
+    job_verb(args, "resume-job", Request::ResumeJob, says)
 }
 
 /// `hqr result`: fetch the durably stored factorization of a completed job.
@@ -564,126 +488,38 @@ fn id_of(args: &Args, verb: &str) -> Result<u64, i32> {
 /// With `--out FILE` the raw result container is written verbatim (the same
 /// sectioned format the daemon persisted, readable with
 /// [`hqr_runtime::result_from_bytes`]); otherwise a summary is printed.
-pub fn result(args: &Args) -> i32 {
-    let id = match id_of(args, "result") {
-        Ok(id) => id,
-        Err(code) => return code,
-    };
-    match rpc(&socket_of(args), &Request::Result(id)) {
-        Ok(Response::ResultBytes(bytes)) => {
-            if let Some(out) = args.get("out") {
-                if let Err(e) = std::fs::write(out, &bytes) {
-                    eprintln!("cannot write {out}: {e}");
-                    return 1;
-                }
-                println!("wrote {} bytes to {out}", bytes.len());
-                return 0;
-            }
-            match result_from_bytes(bytes) {
-                Ok(stored) => {
-                    let a = &stored.result.a;
-                    println!(
-                        "job {}: stored factorization, R/V matrix {}x{} tiles (tile size {})",
-                        stored.id,
-                        a.mt(),
-                        a.nt(),
-                        a.b()
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("stored result is unreadable: {e}");
-                    1
-                }
-            }
-        }
-        Ok(Response::Error { message, .. }) => {
-            eprintln!("{message}");
-            1
-        }
-        Ok(other) => unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
+pub fn result(args: &Args) -> Result<i32, CliError> {
+    let (socket, id, out) = (socket_of(args), id_of(args, "result")?, args.get("out"));
+    args.reject_unknown()?;
+    let bytes = call(&socket, &Request::Result(id), expect!(Response::ResultBytes(b) => b))?;
+    if let Some(out) = out {
+        std::fs::write(out, &bytes)
+            .map_err(|e| CliError::failed(format!("cannot write {out}: {e}")))?;
+        println!("wrote {} bytes to {out}", bytes.len());
+        return Ok(0);
     }
-}
-
-/// `hqr suspend`: checkpoint a job at its next panel boundary and park it.
-pub fn suspend(args: &Args) -> i32 {
-    let id = match id_of(args, "suspend") {
-        Ok(id) => id,
-        Err(code) => return code,
-    };
-    match rpc(&socket_of(args), &Request::Suspend(id)) {
-        Ok(Response::Suspended(true)) => {
-            println!("job {id} will suspend at its next quiescent point");
-            0
-        }
-        Ok(Response::Suspended(false)) => {
-            eprintln!("job {id} is unknown or already terminal");
-            1
-        }
-        Ok(other) => unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
-    }
-}
-
-/// `hqr resume-job`: requeue a previously suspended (parked) job.
-pub fn resume_job(args: &Args) -> i32 {
-    let id = match id_of(args, "resume-job") {
-        Ok(id) => id,
-        Err(code) => return code,
-    };
-    match rpc(&socket_of(args), &Request::ResumeJob(id)) {
-        Ok(Response::Resumed(true)) => {
-            println!("job {id} requeued from its checkpoint");
-            0
-        }
-        Ok(Response::Resumed(false)) => {
-            eprintln!("job {id} is not parked (only suspended jobs can be resumed)");
-            1
-        }
-        Ok(other) => unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
-    }
+    let stored = result_from_bytes(bytes)
+        .map_err(|e| CliError::failed(format!("stored result is unreadable: {e}")))?;
+    let a = &stored.result.a;
+    println!(
+        "job {}: stored factorization, R/V matrix {}x{} tiles (tile size {})",
+        stored.id,
+        a.mt(),
+        a.nt(),
+        a.b()
+    );
+    Ok(0)
 }
 
 /// `hqr drain`: ask the daemon to drain gracefully and exit.
-pub fn drain(args: &Args) -> i32 {
-    let grace_ms = match args.get("grace-ms") {
-        None => u64::MAX, // daemon default
-        Some(v) => match v.parse() {
-            Ok(ms) => ms,
-            Err(_) => {
-                eprintln!("--grace-ms expects an integer, got `{v}`");
-                return 2;
-            }
-        },
-    };
-    match rpc(&socket_of(args), &Request::Drain { grace_ms }) {
-        Ok(Response::Drained { finished, suspended, persisted }) => {
-            println!(
-                "drained: {finished} finished, {} suspended, {persisted} persisted",
-                suspended.len()
-            );
-            0
-        }
-        Ok(other) => unexpected(other),
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
-    }
-}
-
-fn unexpected(resp: Response) -> i32 {
-    eprintln!("unexpected response from daemon: {resp:?}");
-    1
+pub fn drain(args: &Args) -> Result<i32, CliError> {
+    let socket = socket_of(args);
+    // No `--grace-ms` asks for the daemon's own default.
+    let grace_ms = args.parsed("grace-ms", "an integer")?.unwrap_or(u64::MAX);
+    args.reject_unknown()?;
+    let report = expect!(Response::Drained { finished: f, suspended: s, persisted: p } => {
+        format!("drained: {f} finished, {} suspended, {p} persisted", s.len())
+    });
+    println!("{}", call(&socket, &Request::Drain { grace_ms }, report)?);
+    Ok(0)
 }

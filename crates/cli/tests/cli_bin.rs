@@ -1,10 +1,64 @@
 //! End-to-end tests of the compiled `hqr` binary.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn hqr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hqr"))
 }
+
+/// An empty directory of this test's own: several subcommands write their
+/// default outputs (`hqr.ckpt`, `hqr-exec.trace.json`) into the cwd.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hqr_bin_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Run `hqr args...` in `dir`; exit code, stdout, stderr.
+fn run_in(dir: &Path, args: &[&str]) -> (i32, String, String) {
+    let out = hqr().current_dir(dir).args(args).output().unwrap();
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `hqr serve` on a socket inside `dir`, killed on drop.
+#[cfg(unix)]
+struct Daemon(Child, PathBuf);
+
+#[cfg(unix)]
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[cfg(unix)]
+fn serve_in(dir: &Path, extra: &[&str]) -> Daemon {
+    let socket = dir.join("d.sock");
+    let child = hqr()
+        .current_dir(dir)
+        .args(["serve", "--socket", socket.to_str().unwrap(), "--threads", "2"])
+        .args(extra)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !socket.exists() {
+        assert!(Instant::now() < deadline, "daemon never bound its socket");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    Daemon(child, socket)
+}
+
+const TINY: [&str; 6] = ["--rows", "48", "--cols", "24", "--tile", "8"];
 
 #[test]
 fn help_prints_usage() {
@@ -212,4 +266,192 @@ fn unknown_command_fails_with_usage() {
     let out = hqr().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+}
+
+/// Every sentinel a CI step or the verify skill greps for on stdout, except
+/// the three the tests above already pin ("satisfactory", "identical to
+/// corruption-free run", "MISMATCH (escaped SDC)").
+#[test]
+fn sentinel_strings_ci_greps_for_are_on_stdout() {
+    let dir = scratch("sentinels");
+    let expect = |args: &[&str], sentinel: &str| {
+        let (code, out, err) = run_in(&dir, args);
+        assert_eq!(code, 0, "{args:?}: {err}");
+        assert!(out.contains(sentinel), "{args:?} lacks `{sentinel}`:\n{out}");
+    };
+    expect(&[&["fault", "--threads", "2"], &TINY[..]].concat(), "identical to fault-free run");
+    expect(&[&["checkpoint", "--stop-after-panel", "0"], &TINY[..]].concat(), "interrupted");
+    expect(&["resume", "--verify"], "identical to an uninterrupted serial run");
+    expect(
+        &[&["dist", "--spawn", "2", "--verify"], &TINY[..]].concat(),
+        "bitwise-identical to serial",
+    );
+    expect(&["admission", "--jobs", "500", "--points", "3"], "saturates near");
+    #[cfg(unix)]
+    {
+        let d = serve_in(&dir, &[]);
+        let sock = d.1.to_str().unwrap();
+        let submit = [&["submit", "--socket", sock, "--dedup-key", "k"], &TINY[..]].concat();
+        expect(&submit, "submitted job");
+        expect(&submit, "deduplicated");
+        expect(&["drain", "--socket", sock], "drained:");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each engine-driving subcommand given only a tiny shape: every other flag
+/// falls to the subcommand's own default, so a default lost on the way to
+/// `Problem::from_args` fails here and not in a CI smoke job.
+#[test]
+fn every_engine_driving_subcommand_runs_on_its_defaults() {
+    let dir = scratch("defaults");
+    let sim_tiny = ["--rows", "1120", "--cols", "560", "--tile", "280"];
+    let mut table: Vec<Vec<&str>> = vec![
+        [&["factor"], &TINY[..]].concat(),
+        [&["fault"], &TINY[..]].concat(),
+        [&["checkpoint"], &TINY[..]].concat(),
+        vec!["resume"],
+        [&["trace"], &TINY[..]].concat(),
+        [&["trace", "--backend", "sim"], &sim_tiny[..]].concat(),
+        [&["simulate"], &sim_tiny[..]].concat(),
+        [&["dist", "--spawn", "2"], &TINY[..]].concat(),
+    ];
+    #[cfg(unix)]
+    let d = serve_in(&dir, &[]);
+    #[cfg(unix)]
+    table.push([&["submit", "--wait", "--socket", d.1.to_str().unwrap()], &TINY[..]].concat());
+    for args in &table {
+        let (code, out, err) = run_in(&dir, args);
+        assert_eq!(code, 0, "{args:?}\nstderr: {err}\nstdout: {out}");
+    }
+    // With no shape at all the documented defaults apply (the simulators'
+    // defaults are paper-scale, so they are left to the unit tests).
+    for cmd in ["factor", "fault", "checkpoint", "trace"] {
+        let (code, _, err) = run_in(&dir, &[cmd]);
+        assert_eq!(code, 0, "{cmd}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The flags `hqr help` lists for `subcommand`, in order.
+fn usage_flags(subcommand: &str) -> Vec<String> {
+    let help = String::from_utf8(hqr().arg("help").output().unwrap().stdout).unwrap();
+    let stanza = help.split(&format!("\n  hqr {subcommand} ")).nth(1).expect("subcommand in USAGE");
+    let stanza = &stanza[..stanza.find(']').expect("flag list closes")];
+    stanza
+        .split_whitespace()
+        .filter_map(|w| w.trim_start_matches('[').strip_prefix("--"))
+        .map(String::from)
+        .collect()
+}
+
+/// `--flag value` for every flag `hqr help` lists for `subcommand`, valued
+/// from `values`; a flag missing there is a flag this test was not told of.
+fn all_usage_flags<'a>(subcommand: &str, values: &[(&'a str, &'a str)]) -> Vec<String> {
+    let mut argv = vec![subcommand.to_string()];
+    for flag in usage_flags(subcommand) {
+        let (_, value) = values.iter().find(|(f, _)| *f == flag).unwrap_or_else(|| {
+            panic!("`hqr {subcommand} --{flag}` is in USAGE; give it a value here")
+        });
+        argv.push(format!("--{flag}"));
+        if !value.is_empty() {
+            argv.push(value.to_string());
+        }
+    }
+    argv
+}
+
+#[test]
+fn a_misspelled_flag_is_an_error_and_every_documented_flag_is_not() {
+    let dir = scratch("flags");
+    fn as_strs(v: &[String]) -> Vec<&str> {
+        v.iter().map(String::as_str).collect()
+    }
+    let problem = [
+        ("rows", "48"),
+        ("cols", "24"),
+        ("tile", "8"),
+        ("grid", "2x1"),
+        ("a", "2"),
+        ("low", "flat"),
+        ("high", "binary"),
+        ("domino", ""),
+        ("ib", "4"),
+        ("seed", "3"),
+    ];
+
+    // factor: `--input` brings its own shape, so it gets a run of its own.
+    let (code, _, err) = run_in(&dir, &["factor", "--thread", "2"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("--thread"), "{err}");
+    let (code, _, err) = run_in(&dir, &[&["factor", "extra"], &TINY[..]].concat());
+    assert_eq!(code, 2);
+    assert!(err.contains("`extra`"), "{err}");
+    let mut argv = all_usage_flags(
+        "factor",
+        &[&problem[..], &[("threads", "2"), ("input", "m.mtx")]].concat(),
+    );
+    let at = argv.iter().position(|a| a == "--input").unwrap();
+    argv.drain(at..at + 2);
+    let (code, out, err) = run_in(&dir, &as_strs(&argv));
+    assert_eq!(code, 0, "{argv:?}: {err}\n{out}");
+    hqr_tile::io::write_matrix_market(&dir.join("m.mtx"), &hqr_tile::DenseMatrix::random(20, 8, 5))
+        .unwrap();
+    let (code, _, err) = run_in(&dir, &["factor", "--input", "m.mtx", "--tile", "4"]);
+    assert_eq!(code, 0, "{err}");
+
+    #[cfg(unix)]
+    {
+        // serve: a misspelling must not leave a daemon running on defaults.
+        let (code, _, err) = run_in(&dir, &["serve", "--thread", "2"]);
+        assert_eq!(code, 2);
+        assert!(err.contains("--thread"), "{err}");
+        let state = dir.join("state");
+        let serve = [
+            ("socket", ""),
+            ("state-dir", state.to_str().unwrap()),
+            ("threads", ""),
+            ("mem-budget-mb", "64"),
+            ("queue-cap", "8"),
+            ("max-active", "2"),
+            ("grace-ms", "50"),
+            ("resident-budget-kb", "64"),
+            ("ckpt-interval-ms", "1000"),
+            ("result-cap", "4"),
+            ("result-max-kb", "1024"),
+            ("result-max-age-secs", "60"),
+            ("journal-rotate-kb", "64"),
+        ];
+        // `serve_in` supplies --socket and --threads itself.
+        let argv: Vec<String> = all_usage_flags("serve", &serve)
+            .into_iter()
+            .skip(1)
+            .filter(|a| a != "--socket" && a != "--threads")
+            .collect();
+        let d = serve_in(&dir, &as_strs(&argv));
+        let sock = d.1.to_str().unwrap();
+
+        let (code, _, err) = run_in(&dir, &["submit", "--socket", sock, "--thread", "2"]);
+        assert_eq!(code, 2);
+        assert!(err.contains("--thread"), "{err}");
+        let submit = [
+            ("socket", sock),
+            ("qos", "batch"),
+            ("policy", "cp"),
+            ("integrity", "spot"),
+            ("retries", "1"),
+            ("job-retries", "1"),
+            ("deadline-ms", "60000"),
+            ("tag", "t"),
+            ("inject-fail", "0:1"),
+            ("dedup-key", "k"),
+            ("wait", ""),
+        ];
+        let argv = all_usage_flags("submit", &[&problem[..], &submit[..]].concat());
+        let (code, out, err) = run_in(&dir, &as_strs(&argv));
+        assert_eq!(code, 0, "{argv:?}: {err}\n{out}");
+        let (code, _, err) = run_in(&dir, &["drain", "--socket", sock]);
+        assert_eq!(code, 0, "{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -431,7 +431,7 @@ fn submission_rejections_are_typed_and_do_not_kill_the_daemon() {
     // Garbage arguments are caught client-side.
     let (code, _, err) = run(&["submit", "--socket", sock, "--qos", "platinum"]);
     assert_eq!(code, 2);
-    assert!(err.contains("unknown class"), "{err}");
+    assert!(err.contains("--qos: unknown value `platinum`"), "{err}");
 
     // The daemon shrugged all of it off.
     let (code, out, _) = run(&["ping", "--socket", sock]);

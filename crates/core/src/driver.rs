@@ -72,11 +72,6 @@ impl DenseQr {
         self.n
     }
 
-    /// The underlying tile factorization (padded shapes).
-    pub fn tile_factorization(&self) -> &QrFactorization {
-        &self.fac
-    }
-
     /// The N × N upper-triangular R factor of the original matrix.
     pub fn r(&self) -> DenseMatrix {
         let rp = self.fac.r_dense();

@@ -22,8 +22,8 @@
 //! TT kernels exploit the triangular structure of the second tile and so
 //! perform roughly a third of the floating-point work of their TS
 //! counterparts per call, but "the sequential performance of the TS kernels
-//! is higher" per *flop* (§II) — which the criterion bench `kernels`
-//! measures on this implementation.
+//! is higher" per *flop* (§II) — which the repo benchmark measures on this
+//! implementation (`kernels.tsmqr_*_gflops` vs `kernels.ttmqr_*_gflops`).
 //!
 //! Conventions (LAPACK-style): `geqrt` factors A = Q·R with
 //! Q = I − V·T·Vᵀ (V unit lower triangular, T upper triangular);

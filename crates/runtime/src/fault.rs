@@ -26,7 +26,10 @@ pub const INJECTED_FAULT_PREFIX: &str = "injected fault";
 /// progress.
 pub(crate) const POISON_STRIKES: u32 = 3;
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: the one seeded stream behind every fault plan in the
+/// workspace (this crate's and `hqr-sim`'s), so a seed means the same
+/// schedule wherever it is spent.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

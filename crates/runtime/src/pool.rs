@@ -1542,12 +1542,6 @@ impl JobPool {
         Some(result_to_bytes(id.0, result))
     }
 
-    /// True when no job is queued, active, or awaiting finalization.
-    pub fn is_idle(&self) -> bool {
-        let s = &*self.shared;
-        relock(&s.pending).is_empty() && s.active().is_empty()
-    }
-
     /// Graceful drain: stop admitting, give running jobs `grace` to
     /// finish, then checkpoint the stragglers at a quiescent point and
     /// park them. Blocks until the pool is quiet. Queued and parked jobs

@@ -179,11 +179,6 @@ impl TileStore {
         assert!(ib > 0 && ib <= a.b(), "inner block size must be in 1..=b");
     }
 
-    /// True when the store runs over the two-tier (spill-to-disk) cache.
-    pub fn is_paged(&self) -> bool {
-        self.paged.is_some()
-    }
-
     /// Pin every slot task `tid` of the store's graph touches, faulting
     /// evicted slots in from disk. Returns `Ok(None)` in resident mode
     /// (nothing to pin). The returned guard must stay alive for as long as

@@ -24,19 +24,12 @@
 //! Dispatch is QoS-major FCFS in all arms, matching the pool's admission
 //! order.
 
+use hqr_runtime::fault::splitmix64;
+
 /// Service QoS mix: class index 0 = batch, 1 = normal, 2 = interactive.
 const QOS_SHARE: [f64; 3] = [0.50, 0.35, 0.15];
 /// Mean service demand of each class relative to `mean_service`.
 const QOS_SCALE: [f64; 3] = [2.0, 1.0, 0.3];
-const QOS_NAME: [&str; 3] = ["batch", "normal", "interactive"];
-
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// Uniform in (0, 1]; never 0 so `ln` stays finite.
 fn uniform(state: &mut u64) -> f64 {
@@ -124,13 +117,6 @@ pub struct AdmissionReport {
     pub p99_interactive: f64,
     /// Mean sojourn, seconds.
     pub mean: f64,
-}
-
-impl AdmissionReport {
-    /// Fraction of all arrivals that never completed (refused or shed).
-    pub fn loss_rate(&self, total: usize) -> f64 {
-        (self.rejected + self.shed) as f64 / total.max(1) as f64
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -347,11 +333,6 @@ pub fn saturation_sweep(base: &AdmissionConfig, rates: &[f64]) -> Vec<Saturation
             }
         })
         .collect()
-}
-
-/// Name of QoS class `i` (0 = batch .. 2 = interactive), for reports.
-pub fn qos_class_name(i: usize) -> &'static str {
-    QOS_NAME[i.min(2)]
 }
 
 #[cfg(test)]

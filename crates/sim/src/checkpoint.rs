@@ -17,6 +17,7 @@
 //! near-optimal `τ* = √(2·C·MTBF)`, and [`recovery_crossover`] sweeps the
 //! crash count to locate where checkpointing starts to win.
 
+use hqr_runtime::fault::splitmix64;
 use hqr_runtime::TaskGraph;
 use hqr_tile::Layout;
 
@@ -272,14 +273,6 @@ pub struct CrossoverPoint {
     pub lineage_makespan: f64,
     /// Checkpoint/restart makespan.
     pub checkpoint_makespan: f64,
-}
-
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Sweep the expected crash count from 0 to `max_crashes` (capped at

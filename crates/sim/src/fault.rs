@@ -8,6 +8,7 @@
 //! exactly the lost producers whose outputs are still needed, on the
 //! surviving nodes.
 
+use hqr_runtime::fault::splitmix64;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -41,14 +42,6 @@ pub struct LinkDegrade {
 pub struct SimFaultPlan {
     crashes: Vec<NodeCrash>,
     degrades: Vec<LinkDegrade>,
-}
-
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl SimFaultPlan {
