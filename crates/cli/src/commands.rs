@@ -142,7 +142,8 @@ USAGE:
       the interactive-class p99, and loss rates per arm
   hqr worker   [--listen ADDR --die-after-tasks N --die-hard --slow-ms MS]
       run one distributed tile worker: owns a shard of the matrix,
-      executes kernels on request, serves tiles to peers over TCP;
+      runs the tasks of the DAG its tiles own and pushes finished
+      tiles straight to the workers that consume them over TCP;
       prints its pid and bound address (--listen 127.0.0.1:0 picks a
       free port); --die-after-tasks/--die-hard are deterministic
       kill-points for chaos tests (--die-hard aborts the process)
@@ -155,12 +156,16 @@ USAGE:
                 --verify --trace FILE]
       distributed factorization across a worker fleet (external
       addresses, or --spawn N in-process workers): tiles live in 2D
-      block-cyclic shards, every RPC has a deadline plus jittered
-      retries, heartbeats supervise the fleet, and a worker lost
-      mid-run is recovered by lineage re-execution onto survivors;
-      --drop-frac/--delay-frac inject seeded chaos, --verify checks
-      the result is bitwise-identical to a serial run, --trace writes
-      the coordinator's account of the run (transfers, retries,
+      block-cyclic shards, every worker runs its own share of the
+      DAG and pushes tiles to its peers, and the coordinator only
+      scatters, supervises and gathers (`relayed` in the report is
+      what else passed through it: 0 unless a worker was lost); every
+      exchange has a deadline plus jittered retries, heartbeats
+      supervise the fleet, and a worker lost mid-run is recovered by
+      lineage re-execution onto survivors; --drop-frac/--delay-frac
+      inject seeded chaos, --verify checks the result is
+      bitwise-identical to a serial run, --trace writes the
+      coordinator's account of the run (transfers by link, retries,
       recoveries) for CI artifacts
   hqr calibrate [--sizes B1,B2,... --reps N --out FILE]
       measure real loopback TCP transfers across payload sizes, fit

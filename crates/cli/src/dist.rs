@@ -15,11 +15,13 @@ use hqr_net::{
 };
 use hqr_sim::{LinkModel, Platform};
 use hqr_tile::ProcessGrid;
+use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-/// `hqr worker`: serve tile storage and kernel execution over TCP until
-/// told to shut down (or until a configured kill-point for chaos tests).
+/// `hqr worker`: hold a shard of tiles and run its share of each run's
+/// DAG over TCP until told to shut down (or until a configured kill-point
+/// for chaos tests).
 pub fn worker(args: &Args) -> Result<i32, CliError> {
     let listen = args.str_or("listen", "127.0.0.1:0");
     let opts = WorkerOptions {
@@ -121,10 +123,15 @@ pub fn dist(args: &Args) -> Result<i32, CliError> {
     }
     let (a, factors, report) =
         result.map_err(|e| CliError::failed(format!("distributed factorization failed: {e}")))?;
-    print_report(&report, t0.elapsed());
+    // What the coordinator has to move: every tile out, every slot some
+    // task wrote back in. Anything beyond that was relayed through it.
+    let written: HashSet<_> = p.graph.tasks().iter().flat_map(|t| t.writes()).collect();
+    let scatter_gather = ((mt * nt + written.len()) * b * b) as u64;
+    let relayed = report.coordinator_floats.saturating_sub(scatter_gather);
+    print_report(&report, relayed, t0.elapsed());
 
     if let Some(path) = trace {
-        std::fs::write(path, trace_text(&report))
+        std::fs::write(path, trace_text(&report, relayed))
             .map_err(|e| CliError::failed(format!("write {path}: {e}")))?;
         println!("trace     : {path}");
     }
@@ -136,7 +143,7 @@ pub fn dist(args: &Args) -> Result<i32, CliError> {
     Ok(0)
 }
 
-fn print_report(report: &DistReport, wall: Duration) {
+fn print_report(report: &DistReport, relayed: u64, wall: Duration) {
     println!("tasks     : {} total, per worker {:?}", report.tasks_total, report.tasks_by_worker);
     println!(
         "transfers : {} ({:.1} MB moved), {} rpc retries",
@@ -144,6 +151,12 @@ fn print_report(report: &DistReport, wall: Duration) {
         report.floats_moved as f64 * 8.0 / 1e6,
         report.rpc_retries
     );
+    println!(
+        "peers     : {} pushes worker -> worker, {:.1} MB through the coordinator",
+        report.peer_transfers,
+        report.coordinator_floats as f64 * 8.0 / 1e6
+    );
+    println!("relayed   : {relayed}");
     println!(
         "elapsed   : {:.1} ms (wall {:.1} ms)",
         report.elapsed.as_secs_f64() * 1e3,
@@ -159,7 +172,7 @@ fn print_report(report: &DistReport, wall: Duration) {
 
 /// The coordinator trace artifact: a line-oriented account of the run
 /// suitable for CI upload and post-mortem reading.
-fn trace_text(report: &DistReport) -> String {
+fn trace_text(report: &DistReport, relayed: u64) -> String {
     let mut out = String::from("# hqr dist coordinator trace v1\n");
     out.push_str(&format!("workers {}\n", report.workers));
     out.push_str(&format!("tasks_total {}\n", report.tasks_total));
@@ -168,6 +181,9 @@ fn trace_text(report: &DistReport) -> String {
     }
     out.push_str(&format!("transfers {}\n", report.transfers));
     out.push_str(&format!("floats_moved {}\n", report.floats_moved));
+    out.push_str(&format!("peer_transfers {}\n", report.peer_transfers));
+    out.push_str(&format!("coordinator_floats {}\n", report.coordinator_floats));
+    out.push_str(&format!("relayed_floats {relayed}\n"));
     out.push_str(&format!("rpc_retries {}\n", report.rpc_retries));
     out.push_str(&format!("elapsed_ms {:.3}\n", report.elapsed.as_secs_f64() * 1e3));
     for r in &report.recoveries {

@@ -1,45 +1,45 @@
-//! The distributed coordinator: drives an elimination-list DAG across
-//! TCP tile workers, supervises them, and recovers from their deaths.
-//!
-//! ## Shard ownership and data movement
+//! The distributed coordinator: plans a run, streams the matrix out and
+//! the factors back, supervises the workers in between, and recovers from
+//! their deaths. It executes nothing and relays nothing.
 //!
 //! Tiles are distributed 2D block-cyclically: tile `(i, j)` belongs to
 //! grid rank `owner(i%p, j%q)`, and a `rank → worker` table maps ranks
 //! onto live processes (initially the identity; recovery remaps a dead
-//! worker's ranks onto survivors). Tasks execute on the worker owning
-//! their affinity tile (owner-computes); operand slots the executing
-//! worker does not hold are relayed — `Get` from the current holder,
-//! `Put` to the executor — before the `Run` RPC. The coordinator tracks
-//! for every slot the set of workers holding its *current* version:
-//! a task's writes make its worker the sole holder; its reads add the
-//! worker to the holder set.
-//!
-//! ## Failure detection and recovery
+//! worker's ranks onto survivors). Every worker gets the whole task list
+//! at `Hello` and runs the tasks whose affinity tile its ranks own, pushing
+//! finished tiles straight to their consumers (see [`crate::worker`]). The
+//! coordinator scatters each worker's tiles as one stream with a single
+//! acknowledgement at its end, sends `Start`, follows completions through
+//! the `Completed` cursor, and has each worker stream back the slots whose
+//! last writer it owns.
 //!
 //! Every worker is watched by a dedicated heartbeat connection; pings
-//! that go unanswered for longer than `hb_timeout` condemn the worker.
-//! RPC failures that survive the retry ladder condemn their target too
-//! (partitions are treated as fail-stop: once condemned, a worker is
-//! never spoken to again, so a revived partition cannot corrupt the
-//! run). Condemnation triggers recovery: the dead worker's ranks are
-//! remapped onto survivors, its queued/in-flight tasks are requeued,
-//! and every slot whose holders all died is rebuilt *locally* by
-//! lineage re-execution (`hqr_runtime::lineage`) from the pristine
-//! input, then pushed to its new owner. Kernels are deterministic, so
-//! the finished factorization is bitwise-identical to a fault-free run.
+//! that go unanswered for longer than `hb_timeout` condemn the worker, and
+//! so does an exchange that fails through the whole retry ladder
+//! (partitions are fail-stop: a condemned worker is never spoken to again,
+//! so a revived partition cannot corrupt the run). Condemnation triggers
+//! recovery: the survivors halt at a task boundary and report what they
+//! ran; the dead worker's ranks are remapped onto survivors; every slot
+//! version that should now live on a worker which does not hold it is
+//! rebuilt *locally* by lineage re-execution (`hqr_runtime::lineage`) from
+//! the pristine input and placed there; and the survivors restart as a new
+//! epoch from the new owner table and the completed set. Kernels are
+//! deterministic, so the result is bitwise-identical to a fault-free run.
 
 use crate::error::NetError;
 use crate::fault::{FaultAction, NetFaultPlan};
+use crate::frame::{dial, write_frame};
 use crate::kernel::Slot;
-use crate::msg::{recv_msg, send_msg, Msg};
+use crate::msg::{encode_put, recv_msg, send_msg, Msg};
 use hqr_runtime::task::SlotFamily;
-use hqr_runtime::{rebuild_closure, recompute_slots, RetryPolicy, TFactors, Task, TaskGraph};
-use hqr_tile::{ProcessGrid, TiledMatrix};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use hqr_runtime::{
+    last_writers, rebuild_closure, recompute_slots, RetryPolicy, TFactors, Task, TaskGraph,
+};
+use hqr_tile::{Layout, ProcessGrid, TiledMatrix};
+use std::collections::HashSet;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -91,15 +91,15 @@ impl DistConfig {
 }
 
 /// One worker-loss recovery, for the report.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RecoveryEvent {
     /// Which worker was condemned.
     pub worker: usize,
     /// Why.
     pub reason: String,
-    /// In-flight/queued tasks of the dead worker put back on the queue.
+    /// Unfinished tasks of the dead worker's ranks, moved to survivors.
     pub tasks_requeued: usize,
-    /// Slots whose only holders died and had to be rebuilt.
+    /// Slot versions rebuilt and placed on their new owners.
     pub slots_rebuilt: usize,
     /// Lineage tasks re-executed locally to rebuild them.
     pub closure_len: usize,
@@ -114,10 +114,16 @@ pub struct DistReport {
     pub tasks_total: usize,
     /// Accepted task completions per worker.
     pub tasks_by_worker: Vec<u64>,
-    /// Slot transfers relayed (Get+Put pairs), including scatter/gather.
+    /// Tile-carrying frames on any link, each counted once whoever sent
+    /// it: scatter, worker → worker pushes, gather, recovery placements.
     pub transfers: u64,
-    /// Doubles moved across the wire.
+    /// Doubles those frames carried.
     pub floats_moved: u64,
+    /// The pushes among `transfers`: fault-free, the tree's message count.
+    pub peer_transfers: u64,
+    /// The doubles among `floats_moved` that crossed the coordinator:
+    /// scatter + gather, plus recovery placements.
+    pub coordinator_floats: u64,
     /// RPC attempts beyond the first, fleet-wide.
     pub rpc_retries: u64,
     /// Every condemnation + recovery, in order.
@@ -126,40 +132,30 @@ pub struct DistReport {
     pub elapsed: Duration,
 }
 
+/// Pause between rounds of `Completed` reads: how late the last completion
+/// or a heartbeat verdict is noticed, against one RPC per worker per round.
+const POLL_INTERVAL: Duration = Duration::from_millis(4);
+
 /// A lazily-(re)connected channel to one worker.
 struct Conn {
     addr: SocketAddr,
     timeout: Duration,
     stream: Option<TcpStream>,
+    /// Exchanges attempted so far — what the fault plan is keyed by.
+    seq: u64,
 }
 
 impl Conn {
-    fn new(addr: SocketAddr, timeout: Duration) -> Self {
-        Conn { addr, timeout, stream: None }
-    }
-
-    fn ensure(&mut self) -> Result<&mut TcpStream, NetError> {
+    /// Run one exchange. Any failure drops the connection (the next attempt
+    /// re-dials), so a late reply to a timed-out request is never mismatched.
+    fn exchange<T>(
+        &mut self,
+        mut f: impl FnMut(&mut TcpStream, Duration) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         if self.stream.is_none() {
-            let s = TcpStream::connect_timeout(&self.addr, self.timeout)
-                .map_err(|e| NetError::Io(format!("connect {}: {e}", self.addr)))?;
-            let _ = s.set_nodelay(true);
-            s.set_read_timeout(Some(self.timeout))
-                .map_err(|e| NetError::Io(format!("set timeout: {e}")))?;
-            self.stream = Some(s);
+            self.stream = Some(dial(self.addr, self.timeout)?);
         }
-        Ok(self.stream.as_mut().expect("just set"))
-    }
-
-    /// One request/reply exchange. Any failure poisons the connection
-    /// (it is dropped and re-dialed on the next attempt), so a late
-    /// reply to a timed-out request can never be mismatched.
-    fn rpc(&mut self, req: &Msg, what: &str) -> Result<Msg, NetError> {
-        let timeout = self.timeout;
-        let result = (|| {
-            let s = self.ensure()?;
-            send_msg(s, req)?;
-            recv_msg(s, what, timeout)
-        })();
+        let result = f(self.stream.as_mut().expect("just set"), self.timeout);
         if result.is_err() {
             self.stream = None;
         }
@@ -167,12 +163,14 @@ impl Conn {
     }
 }
 
-/// Per-worker connections and counters shared between threads.
+fn rpc(s: &mut TcpStream, timeout: Duration, req: &Msg, what: &str) -> Result<Msg, NetError> {
+    send_msg(s, req)?;
+    recv_msg(s, what, timeout)
+}
+
+/// Per-worker connection and verdict shared between threads.
 struct Link {
-    addr: SocketAddr,
-    exec: Mutex<Conn>,
-    data: Mutex<Conn>,
-    send_seq: AtomicU64,
+    conn: Mutex<Conn>,
     condemned: AtomicBool,
 }
 
@@ -180,204 +178,393 @@ struct Shared {
     links: Vec<Link>,
     cfg: DistConfig,
     retries: AtomicU64,
-    stop: AtomicBool,
+    /// Heartbeat verdicts the supervision loop has not read yet.
+    hb_dead: Mutex<Vec<(usize, String)>>,
 }
 
 impl Shared {
-    /// Retry ladder around one RPC, with seeded fault injection at the
-    /// send site. `salt` decorrelates backoff between callers.
-    fn rpc_retry(
+    fn alive(&self, worker: usize) -> bool {
+        !self.links[worker].condemned.load(Ordering::SeqCst)
+    }
+
+    fn survivors(&self) -> Vec<usize> {
+        (0..self.links.len()).filter(|&w| self.alive(w)).collect()
+    }
+
+    /// Retry ladder around one exchange with `worker` — an RPC or a whole
+    /// tile stream, either of which can simply be run again — with seeded
+    /// fault injection at the send site.
+    fn retrying<T>(
         &self,
         worker: usize,
-        lane: fn(&Link) -> &Mutex<Conn>,
-        req: &Msg,
         what: &str,
-    ) -> Result<Msg, NetError> {
-        let link = &self.links[worker];
-        if link.condemned.load(Ordering::SeqCst) {
+        mut exchange: impl FnMut(&mut TcpStream, Duration) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        if !self.alive(worker) {
             return Err(NetError::WorkerDead { worker, reason: "previously condemned".into() });
         }
+        let mut conn = self.links[worker].conn.lock().expect("conn lock");
         let mut attempt = 1u32;
         loop {
-            let seq = link.send_seq.fetch_add(1, Ordering::Relaxed);
-            let outcome = match self.cfg.fault.action(worker, seq) {
+            let seq = conn.seq;
+            conn.seq += 1;
+            let action = self.cfg.fault.action(worker, seq);
+            if let FaultAction::Delay(d) = action {
+                thread::sleep(d);
+            }
+            let outcome = match action {
                 FaultAction::Drop => Err(NetError::Timeout {
                     what: format!("{what} (injected drop)"),
                     after: self.cfg.rpc_timeout,
                 }),
-                FaultAction::Delay(d) => {
-                    thread::sleep(d);
-                    lane(link).lock().unwrap().rpc(req, what)
-                }
-                FaultAction::Deliver => lane(link).lock().unwrap().rpc(req, what),
+                _ => conn.exchange(&mut exchange),
             };
             match outcome {
-                Ok(Msg::Err { detail }) => return Err(NetError::Remote(detail)),
-                Ok(m) => return Ok(m),
                 Err(e) if e.is_retryable() && self.cfg.retry.allows(attempt + 1) => {
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     let salt = (worker as u64) << 32 | seq & 0xFFFF_FFFF;
                     thread::sleep(self.cfg.retry.backoff(attempt, salt));
                     attempt += 1;
                 }
-                Err(e) => return Err(e),
+                outcome => return outcome,
             }
         }
     }
 
-    fn get_slot(&self, worker: usize, slot: Slot) -> Result<Vec<f64>, NetError> {
-        let (fam, i, j) = slot;
-        let req = Msg::Get { fam, i: i as u64, j: j as u64 };
-        match self.rpc_retry(worker, |l| &l.data, &req, "slot data")? {
-            Msg::SlotData { data, .. } => Ok(data),
-            other => Err(NetError::Proto(format!("expected SlotData, got {other:?}"))),
+    fn ask(&self, worker: usize, req: &Msg, what: &str) -> Result<Msg, NetError> {
+        match self.retrying(worker, what, |s, timeout| rpc(s, timeout, req, what))? {
+            Msg::Err { detail } => Err(NetError::Remote(detail)),
+            m => Ok(m),
         }
     }
 
-    fn put_slot(&self, worker: usize, slot: Slot, data: Vec<f64>) -> Result<(), NetError> {
-        let (fam, i, j) = slot;
-        let req = Msg::Put { fam, i: i as u64, j: j as u64, data };
-        match self.rpc_retry(worker, |l| &l.data, &req, "put ack")? {
-            Msg::PutOk => Ok(()),
-            other => Err(NetError::Proto(format!("expected PutOk, got {other:?}"))),
+    /// `ask` for the requests whose only good answer is `Ok`.
+    fn ack(&self, worker: usize, req: &Msg, what: &str) -> Result<(), NetError> {
+        match self.ask(worker, req, what)? {
+            Msg::Ok => Ok(()),
+            m => Err(NetError::Proto(format!("{what}: got {m:?}"))),
         }
     }
-}
 
-enum Event {
-    Done { worker: usize, tid: u32 },
-    Failed { worker: usize, tid: u32, culprit: usize, error: String },
-    HbDead { worker: usize, reason: String },
-}
+    /// Stream `tiles` to `worker` as unacknowledged `Put`s, encoded from
+    /// where they live, closed by one acknowledged `Ping`. A connection is
+    /// served in order, so the ack says every tile is installed; a stream
+    /// whose connection broke is sent again whole.
+    fn put_all<'a>(
+        &self,
+        worker: usize,
+        tiles: impl Iterator<Item = (Slot, &'a [f64])> + Clone,
+    ) -> Result<(), NetError> {
+        self.retrying(worker, "tile stream", |s, timeout| {
+            tiles.clone().try_for_each(|(slot, data)| write_frame(s, &encode_put(slot, data)))?;
+            match rpc(s, timeout, &Msg::Ping, "tile stream ack")? {
+                Msg::Ok => Ok(()),
+                m => Err(NetError::Proto(format!("tile stream ack: got {m:?}"))),
+            }
+        })
+    }
 
-enum Cmd {
-    Run { tid: u32, task: Task, fetches: Vec<(Slot, usize)> },
-    Stop,
-}
-
-/// Agent thread: executes Run commands for one worker, relaying operand
-/// slots from their holders first.
-fn agent_loop(w: usize, shared: &Shared, rx: &mpsc::Receiver<Cmd>, tx: &mpsc::Sender<Event>) {
-    while let Ok(cmd) = rx.recv() {
-        let Cmd::Run { tid, task, fetches } = cmd else { break };
-        let mut failed = false;
-        for (slot, holder) in fetches {
-            let data = match shared.get_slot(holder, slot) {
-                Ok(d) => d,
-                Err(e) => {
-                    let _ = tx.send(Event::Failed {
-                        worker: w,
-                        tid,
-                        culprit: holder,
-                        error: format!("fetch {slot:?} from worker {holder}: {e}"),
-                    });
-                    failed = true;
-                    break;
-                }
-            };
-            if let Err(e) = shared.put_slot(w, slot, data) {
-                let _ = tx.send(Event::Failed {
-                    worker: w,
-                    tid,
-                    culprit: w,
-                    error: format!("stage {slot:?} on worker {w}: {e}"),
-                });
-                failed = true;
-                break;
-            }
-        }
-        if failed {
-            continue;
-        }
-        let req = Msg::Run { task_id: tid as u64, task };
-        match shared.rpc_retry(w, |l| &l.exec, &req, "task completion") {
-            Ok(Msg::Done { .. }) => {
-                let _ = tx.send(Event::Done { worker: w, tid });
-            }
-            Ok(other) => {
-                let _ = tx.send(Event::Failed {
-                    worker: w,
-                    tid,
-                    culprit: w,
-                    error: format!("expected Done, got {other:?}"),
-                });
-            }
-            Err(e) => {
-                let _ = tx.send(Event::Failed {
-                    worker: w,
-                    tid,
-                    culprit: w,
-                    error: format!("run on worker {w}: {e}"),
-                });
-            }
-        }
+    /// Run `f(w)` for every live worker at once, one thread each.
+    fn fan_out<T: Send>(&self, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let f = &f;
+        thread::scope(|scope| {
+            let spawn = |w| scope.spawn(move || f(w));
+            let threads: Vec<_> = self.survivors().into_iter().map(spawn).collect();
+            threads.into_iter().map(|h| h.join().expect("fan-out panicked")).collect()
+        })
     }
 }
 
 /// Heartbeat monitor: a dedicated connection pings the worker; silence
 /// past `hb_timeout` condemns it. A worker busy inside a kernel still
-/// answers (its heartbeat connection has its own thread), so slow is
-/// not declared dead.
-fn heartbeat_loop(w: usize, shared: &Shared, tx: &mpsc::Sender<Event>) {
-    let mut conn =
-        Conn::new(shared.links[w].addr, shared.cfg.hb_interval.max(Duration::from_millis(10)));
-    let mut seq = 0u64;
+/// answers (that connection has its own thread), so slow is not dead. It
+/// waits between probes on `stop`, dropped when the run is over, so the
+/// end of a run does not sit out an interval.
+fn heartbeat_loop(w: usize, addr: SocketAddr, shared: &Shared, stop: &mpsc::Receiver<()>) {
+    let timeout = shared.cfg.hb_interval.max(Duration::from_millis(10));
+    let mut conn = Conn { addr, timeout, stream: None, seq: 0 };
     let mut last_ok = Instant::now();
-    while !shared.stop.load(Ordering::SeqCst) && !shared.links[w].condemned.load(Ordering::SeqCst) {
-        seq += 1;
-        match conn.rpc(&Msg::Ping { seq }, "pong") {
-            Ok(Msg::Pong { seq: echo }) if echo == seq => last_ok = Instant::now(),
-            _ => {
-                if last_ok.elapsed() > shared.cfg.hb_timeout {
-                    let _ = tx.send(Event::HbDead {
-                        worker: w,
-                        reason: format!(
-                            "no heartbeat for {:?} (> {:?})",
-                            last_ok.elapsed(),
-                            shared.cfg.hb_timeout
-                        ),
-                    });
-                    return;
-                }
+    while shared.alive(w) {
+        match conn.exchange(|s, timeout| rpc(s, timeout, &Msg::Ping, "ping ack")) {
+            Ok(Msg::Ok) => last_ok = Instant::now(),
+            _ if last_ok.elapsed() > shared.cfg.hb_timeout => {
+                let (silent, limit) = (last_ok.elapsed(), shared.cfg.hb_timeout);
+                let reason = format!("no heartbeat for {silent:?} (> {limit:?})");
+                return shared.hb_dead.lock().expect("hb lock").push((w, reason));
             }
+            _ => {}
         }
-        thread::sleep(shared.cfg.hb_interval);
+        if stop.recv_timeout(shared.cfg.hb_interval) != Err(mpsc::RecvTimeoutError::Timeout) {
+            return;
+        }
     }
 }
 
 struct CoordState<'g> {
     graph: &'g TaskGraph,
+    input: &'g TiledMatrix,
+    ib: usize,
+    shared: &'g Shared,
+    /// Tile → grid rank: 2D block-cyclic.
+    layout: Layout,
     completed: Vec<bool>,
-    queued: Vec<bool>,
-    indeg: Vec<u32>,
-    /// Ready tasks per grid rank (stable across worker deaths).
-    rank_queues: Vec<VecDeque<u32>>,
-    /// rank -> live worker index.
+    /// Who ran each completed task (dead or alive).
+    ran: Vec<usize>,
+    /// How many of each worker's log entries have been read.
+    cursor: Vec<u64>,
+    /// rank -> live worker index; rank `r` starts on worker `r`.
     rank_owner: Vec<usize>,
-    /// Current-version holders per slot.
-    holders: HashMap<Slot, Vec<usize>>,
-    alive: Vec<bool>,
-    busy: Vec<Option<u32>>,
+    epoch: u64,
     done_count: usize,
     report: DistReport,
 }
 
 impl CoordState<'_> {
-    fn owner_rank(&self, grid: &ProcessGrid, task: &Task) -> usize {
+    fn owner(&self, task: &Task) -> usize {
         let (i, j) = task.affinity_tile();
-        grid.rank(i % grid.p, j % grid.q)
+        self.rank_owner[self.layout.owner(i, j)]
     }
 
-    fn enqueue(&mut self, grid: &ProcessGrid, tid: u32) {
-        if self.completed[tid as usize] || self.queued[tid as usize] {
-            return;
+    /// One `Completed` read of `w` (halting it first if `halt`), merged.
+    /// Returns the tasks whose pushes `w` accepted, which only a halt lists.
+    fn poll(&mut self, w: usize, halt: bool) -> Result<Vec<usize>, NetError> {
+        let ask = Msg::Completed { run_id: self.shared.cfg.run_id, after: self.cursor[w], halt };
+        let Msg::Progress { ids, accepted } = self.shared.ask(w, &ask, "progress report")? else {
+            return Err(NetError::Proto(format!("worker {w} answered a read with no progress")));
+        };
+        let tasks = self.completed.len();
+        let known = |ids: Vec<u64>| -> Result<Vec<usize>, NetError> {
+            let unknown = |id| NetError::Proto(format!("worker {w} reports unknown task {id}"));
+            let index = |id| usize::try_from(id).ok().filter(|&t| t < tasks).ok_or(unknown(id));
+            ids.into_iter().map(index).collect()
+        };
+        let (ids, accepted) = (known(ids)?, known(accepted)?);
+        self.cursor[w] += ids.len() as u64;
+        for t in ids {
+            self.credit(t, w);
         }
-        if self.busy.contains(&Some(tid)) {
-            return;
+        Ok(accepted)
+    }
+
+    fn credit(&mut self, t: usize, worker: usize) {
+        if !std::mem::replace(&mut self.completed[t], true) {
+            self.ran[t] = worker;
+            self.done_count += 1;
+            self.report.tasks_by_worker[worker] += 1;
         }
-        let rank = self.owner_rank(grid, &self.graph.tasks()[tid as usize]);
-        self.rank_queues[rank].push_back(tid);
-        self.queued[tid as usize] = true;
+    }
+
+    fn count_frames(&mut self, frames: u64, floats: u64, via_coordinator: bool) {
+        self.report.transfers += frames;
+        self.report.floats_moved += floats;
+        if via_coordinator {
+            self.report.coordinator_floats += floats;
+        } else {
+            self.report.peer_transfers += frames;
+        }
+    }
+
+    /// Scatter, start, follow completions (recovering from losses), gather.
+    fn supervise(&mut self) -> Result<(TiledMatrix, TFactors), NetError> {
+        let (graph, shared, input, layout) = (self.graph, self.shared, self.input, &self.layout);
+        // Scatter: each worker's tiles as one pipelined stream, all workers at
+        // once, encoded straight from `input`.
+        let coords = (0..graph.nt()).flat_map(|j| (0..graph.mt()).map(move |i| (i, j)));
+        let scattered = shared.fan_out(|w| {
+            let mine = coords.clone().filter(|&(i, j)| layout.owner(i, j) == w);
+            shared.put_all(w, mine.map(|(i, j)| ((SlotFamily::A, i, j), input.tile(i, j))))
+        });
+        scattered.into_iter().collect::<Result<(), NetError>>()?;
+        let tiles = (graph.mt() * graph.nt()) as u64;
+        self.count_frames(tiles, tiles * (graph.b() * graph.b()) as u64, true);
+        let mut doomed: Vec<(usize, String)> = Vec::new();
+        self.restart(&mut doomed)?;
+        // The result's storage, made while the workers compute.
+        let out = (input.clone(), TFactors::allocate_for(graph), HashSet::new());
+
+        let mut last_progress = Instant::now();
+        while self.done_count < self.report.tasks_total {
+            thread::sleep(POLL_INTERVAL);
+            let before = self.done_count;
+            for w in shared.survivors() {
+                if let Err(e) = self.poll(w, false) {
+                    doomed.push((w, format!("completion poll failed: {e}")));
+                }
+            }
+            doomed.append(&mut shared.hb_dead.lock().expect("hb lock"));
+            if self.done_count > before || !doomed.is_empty() {
+                last_progress = Instant::now();
+            }
+            if !doomed.is_empty() {
+                self.restart(&mut doomed)?;
+            } else if last_progress.elapsed() > shared.cfg.stall_timeout {
+                let (done, total) = (self.done_count, self.report.tasks_total);
+                return Err(NetError::Recovery(format!("stalled at {done}/{total} tasks done")));
+            }
+        }
+        self.gather(Mutex::new(out))
+    }
+
+    /// Condemn every worker in `doomed`, recover, and `Start` the survivors
+    /// as a new epoch (a run's first `Start` is the empty case). A survivor
+    /// that fails a step stays in `doomed` for the caller's next round:
+    /// every step is idempotent.
+    fn restart(&mut self, doomed: &mut Vec<(usize, String)>) -> Result<(), NetError> {
+        let (tasks, shared) = (self.graph.tasks(), self.shared);
+        for (w, reason) in doomed.drain(..) {
+            if !shared.alive(w) {
+                continue;
+            }
+            shared.links[w].condemned.store(true, Ordering::SeqCst);
+            let survivors = shared.survivors();
+            if survivors.is_empty() {
+                let last = format!("worker {w} condemned ({reason}) and no survivors remain");
+                return Err(NetError::Recovery(last));
+            }
+            let orphaned =
+                tasks.iter().zip(&self.completed).filter(|(t, &c)| !c && self.owner(t) == w);
+            let tasks_requeued = orphaned.count();
+            for (rank, owner) in self.rank_owner.iter_mut().enumerate() {
+                if *owner == w {
+                    *owner = survivors[rank % survivors.len()];
+                }
+            }
+            let event = RecoveryEvent { worker: w, reason, tasks_requeued, ..Default::default() };
+            self.report.recoveries.push(event);
+        }
+        let survivors = shared.survivors();
+        if !self.report.recoveries.is_empty() {
+            // Survivors stop at a task boundary and say what they ran, and
+            // whose pushes they took in.
+            let mut accepted = Vec::new();
+            for &w in &survivors {
+                match self.poll(w, true) {
+                    Ok(pushed) => accepted.extend(pushed),
+                    Err(e) => doomed.push((w, format!("halt failed: {e}"))),
+                }
+            }
+            if doomed.is_empty() {
+                doomed.extend(self.replace_lost(&accepted).err());
+            }
+            if !doomed.is_empty() {
+                return Ok(());
+            }
+        }
+        self.epoch += 1;
+        let owners = self.rank_owner.iter().map(|&w| w as u64).collect();
+        let completed = (0..tasks.len() as u64).filter(|&t| self.completed[t as usize]).collect();
+        let start = Msg::Start { run_id: shared.cfg.run_id, epoch: self.epoch, owners, completed };
+        for &w in &survivors {
+            if let Err(e) = shared.ack(w, &start, "start ack") {
+                doomed.push((w, format!("start failed: {e}")));
+            }
+        }
+        Ok(())
+    }
+
+    /// After the survivors halted: close the completed set, then rebuild and
+    /// place every slot version whose new owner does not hold it; `Err` names
+    /// a survivor that could not take one.
+    fn replace_lost(&mut self, accepted: &[usize]) -> Result<(), (usize, String)> {
+        let (graph, shared, tasks) = (self.graph, self.shared, self.graph.tasks());
+        let dead = self.report.recoveries.last().expect("recovering").worker;
+        // A push a survivor accepted replaced the slot's previous version in
+        // its shard, so its task counts as run; if no survivor's log has it,
+        // it ran on the dead worker, whose outputs are then rebuilt below.
+        // Leaving it to be run again would apply it to its own output.
+        for &t in accepted {
+            self.credit(t, dead);
+        }
+        // A task some survivor ran had all its ancestors run, wherever the
+        // report of them was lost: they ran on the dead worker too. Edges
+        // point forward, so one descending pass closes the set.
+        for t in (0..tasks.len()).rev() {
+            if graph.successors(t).iter().any(|&s| self.completed[s as usize]) {
+                self.credit(t, dead);
+            }
+        }
+        // The holders rule: a task's writes make its worker the holder; a
+        // completed reader is a holder too. Lost: a slot version whose
+        // writer's worker is dead and whose new owner never read it, and a
+        // never-written tile of a rank that has left its first worker. (A
+        // second recovery places both again: correct, and simpler than
+        // remembering where the first one put them.)
+        let (done, ran) = ((0..tasks.len()).filter(|&t| self.completed[t]), &self.ran);
+        let readers: HashSet<(Slot, usize)> =
+            done.flat_map(|t| tasks[t].reads().into_iter().map(move |s| (s, ran[t]))).collect();
+        let writers = last_writers(graph, &self.completed);
+        let mut lost: Vec<(usize, Slot)> = Vec::new();
+        for (&slot, &t) in &writers {
+            let target = self.owner(&tasks[t as usize]);
+            if !shared.alive(self.ran[t as usize]) && !readers.contains(&(slot, target)) {
+                lost.push((target, slot));
+            }
+        }
+        for (i, j) in (0..graph.nt()).flat_map(|j| (0..graph.mt()).map(move |i| (i, j))) {
+            let (slot, rank) = ((SlotFamily::A, i, j), self.layout.owner(i, j));
+            if !writers.contains_key(&slot) && self.rank_owner[rank] != rank {
+                lost.push((self.rank_owner[rank], slot));
+            }
+        }
+        lost.sort_unstable();
+        let slots: Vec<Slot> = lost.iter().map(|&(_, s)| s).collect();
+        let closure = rebuild_closure(graph, &self.completed, &slots);
+        let rebuilt = recompute_slots(graph, self.input, self.ib, &closure, &slots)
+            .map_err(|e| (dead, format!("lineage rebuild failed: {e}")))?;
+        for placed in lost.chunk_by(|a, b| a.0 == b.0) {
+            let tiles = placed.iter().map(|(_, slot)| (*slot, &*rebuilt[slot]));
+            let sent = shared.put_all(placed[0].0, tiles);
+            sent.map_err(|e| (placed[0].0, format!("recovery put failed: {e}")))?;
+        }
+        self.count_frames(lost.len() as u64, (lost.len() * graph.b() * graph.b()) as u64, true);
+        let event = self.report.recoveries.last_mut().expect("recovering");
+        event.slots_rebuilt += lost.len();
+        event.closure_len = closure.len();
+        Ok(())
+    }
+
+    /// Gather: every live worker streams the slots whose last writer it owns
+    /// straight into `out`, all workers at once; anything that does not
+    /// arrive is rebuilt locally from lineage, as in recovery.
+    fn gather(
+        &mut self,
+        out: Mutex<(TiledMatrix, TFactors, HashSet<Slot>)>,
+    ) -> Result<(TiledMatrix, TFactors), NetError> {
+        let (graph, shared) = (self.graph, self.shared);
+        let ask = Msg::Gather { run_id: shared.cfg.run_id };
+        let streamed = shared.fan_out(|w| {
+            shared.retrying(w, "gather stream", |s, timeout| {
+                send_msg(s, &ask)?;
+                loop {
+                    match recv_msg(s, "gather stream", timeout)? {
+                        Msg::Put { slot, data } => {
+                            let mut out = out.lock().expect("gather lock");
+                            let (a, f, seen) = &mut *out;
+                            install_slot(a, f, slot, &data)?;
+                            seen.insert(slot);
+                        }
+                        Msg::End { pushes, push_floats } => return Ok((pushes, push_floats)),
+                        m => return Err(NetError::Proto(format!("gather stream: got {m:?}"))),
+                    }
+                }
+            })
+        });
+        let (mut result, mut factors, seen) = out.into_inner().expect("gather lock");
+        self.count_frames(seen.len() as u64, (seen.len() * graph.b() * graph.b()) as u64, true);
+        // A broken stream reports no pushes; what it lacks is rebuilt here.
+        for (pushes, push_floats) in streamed.into_iter().flatten() {
+            self.count_frames(pushes, push_floats, false);
+        }
+        let all = last_writers(graph, &self.completed);
+        let unreachable: Vec<Slot> = all.into_keys().filter(|s| !seen.contains(s)).collect();
+        if !unreachable.is_empty() {
+            let closure = rebuild_closure(graph, &self.completed, &unreachable);
+            let rebuilt = recompute_slots(graph, self.input, self.ib, &closure, &unreachable);
+            for (slot, data) in rebuilt.map_err(NetError::Recovery)? {
+                install_slot(&mut result, &mut factors, slot, &data)?;
+            }
+        }
+        Ok((result, factors))
     }
 }
 
@@ -392,142 +579,58 @@ pub fn factorize(
     ib: usize,
     cfg: &DistConfig,
 ) -> Result<(TiledMatrix, TFactors, DistReport), NetError> {
-    let n_workers = addrs.len();
-    if n_workers == 0 {
-        return Err(NetError::Recovery("no workers".into()));
-    }
+    let (n_workers, n_tasks) = (addrs.len(), graph.tasks().len());
     if cfg.grid.nodes() != n_workers {
-        return Err(NetError::Recovery(format!(
-            "grid {}x{} needs {} workers, got {n_workers}",
-            cfg.grid.p,
-            cfg.grid.q,
-            cfg.grid.nodes()
-        )));
+        return Err(NetError::Recovery(format!("{:?} does not fit {n_workers} workers", cfg.grid)));
     }
     let start = Instant::now();
-    let shared = Arc::new(Shared {
-        links: addrs
-            .iter()
-            .map(|&addr| Link {
-                addr,
-                exec: Mutex::new(Conn::new(addr, cfg.rpc_timeout)),
-                data: Mutex::new(Conn::new(addr, cfg.rpc_timeout)),
-                send_seq: AtomicU64::new(0),
-                condemned: AtomicBool::new(false),
-            })
-            .collect(),
+    let link = |&addr| Link {
+        conn: Mutex::new(Conn { addr, timeout: cfg.rpc_timeout, stream: None, seq: 0 }),
+        condemned: AtomicBool::new(false),
+    };
+    let shared = Shared {
+        links: addrs.iter().map(link).collect(),
         cfg: cfg.clone(),
         retries: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-    });
-
-    let n_tasks = graph.tasks().len();
+        hb_dead: Mutex::new(Vec::new()),
+    };
+    let tasks_by_worker = vec![0; n_workers];
     let mut st = CoordState {
         graph,
+        input,
+        ib,
+        shared: &shared,
+        layout: Layout::Cyclic2D(cfg.grid),
         completed: vec![false; n_tasks],
-        queued: vec![false; n_tasks],
-        indeg: graph.in_degrees().to_vec(),
-        rank_queues: vec![VecDeque::new(); cfg.grid.nodes()],
+        ran: vec![0; n_tasks],
+        cursor: vec![0; n_workers],
         rank_owner: (0..n_workers).collect(),
-        holders: HashMap::new(),
-        alive: vec![true; n_workers],
-        busy: vec![None; n_workers],
+        epoch: 0,
         done_count: 0,
         report: DistReport {
             workers: n_workers,
             tasks_total: n_tasks,
-            tasks_by_worker: vec![0; n_workers],
+            tasks_by_worker,
             ..DistReport::default()
         },
     };
-
-    // Handshake, then scatter the initial shard.
-    let hello = Msg::Hello {
-        run_id: cfg.run_id,
-        mt: graph.mt() as u64,
-        nt: graph.nt() as u64,
-        b: graph.b() as u64,
-        ib: ib as u64,
-    };
+    // Handshake: every worker gets the whole plan.
     for w in 0..n_workers {
-        match shared.rpc_retry(w, |l| &l.data, &hello, "hello ack")? {
-            Msg::HelloOk => {}
-            other => return Err(NetError::Proto(format!("expected HelloOk, got {other:?}"))),
-        }
+        let dims = [graph.mt(), graph.nt(), graph.b(), ib, cfg.grid.p, cfg.grid.q, w];
+        let (addrs, tasks) = (addrs.to_vec(), graph.tasks().to_vec());
+        let hello = Msg::Hello { run_id: cfg.run_id, dims: dims.map(|d| d as u64), addrs, tasks };
+        shared.ack(w, &hello, "hello ack")?;
     }
-    for j in 0..graph.nt() {
-        for i in 0..graph.mt() {
-            let rank = cfg.grid.rank(i % cfg.grid.p, j % cfg.grid.q);
-            let w = st.rank_owner[rank];
-            shared.put_slot(w, (SlotFamily::A, i, j), input.tile(i, j).to_vec())?;
-            st.holders.insert((SlotFamily::A, i, j), vec![w]);
-            st.report.transfers += 1;
-            st.report.floats_moved += (graph.b() * graph.b()) as u64;
-        }
-    }
-
-    // Agents + heartbeat monitors.
-    let (ev_tx, ev_rx) = mpsc::channel::<Event>();
-    let mut cmd_txs = Vec::with_capacity(n_workers);
-    let mut threads = Vec::new();
-    for w in 0..n_workers {
-        let (tx, rx) = mpsc::channel::<Cmd>();
-        cmd_txs.push(tx);
-        let sh = Arc::clone(&shared);
-        let etx = ev_tx.clone();
-        threads.push(thread::spawn(move || agent_loop(w, &sh, &rx, &etx)));
-        let sh = Arc::clone(&shared);
-        let etx = ev_tx.clone();
-        threads.push(thread::spawn(move || heartbeat_loop(w, &sh, &etx)));
-    }
-
-    // Seed the ready queues.
-    for t in 0..n_tasks {
-        if st.indeg[t] == 0 {
-            st.enqueue(&cfg.grid, t as u32);
-        }
-    }
-
-    let run = drive(&mut st, &shared, cfg, graph, input, ib, &cmd_txs, &ev_rx);
-
-    // Wind down threads regardless of outcome.
-    shared.stop.store(true, Ordering::SeqCst);
-    for tx in &cmd_txs {
-        let _ = tx.send(Cmd::Stop);
-    }
-    drop(ev_tx);
-    for t in threads {
-        let _ = t.join();
-    }
-    run?;
-
-    // Gather: pull every current slot version back; anything unreachable
-    // is rebuilt locally from lineage (same machinery as recovery).
-    let mut result = input.clone();
-    let mut factors = TFactors::allocate_for(graph);
-    let mut unreachable: Vec<Slot> = Vec::new();
-    for (&slot, holders) in &st.holders {
-        let Some(&w) = holders.iter().find(|&&h| st.alive[h]) else {
-            unreachable.push(slot);
-            continue;
+    let (result, factors) = thread::scope(|scope| {
+        let monitor = |(w, &addr)| {
+            let (stop, stopped) = mpsc::channel();
+            let shared = &shared;
+            scope.spawn(move || heartbeat_loop(w, addr, shared, &stopped));
+            stop
         };
-        match shared.get_slot(w, slot) {
-            Ok(data) => {
-                st.report.transfers += 1;
-                st.report.floats_moved += data.len() as u64;
-                install_slot(&mut result, &mut factors, slot, &data)?;
-            }
-            Err(_) => unreachable.push(slot),
-        }
-    }
-    if !unreachable.is_empty() {
-        let closure = rebuild_closure(graph, &st.completed, &unreachable);
-        let rebuilt = recompute_slots(graph, input, ib, &closure, &unreachable)
-            .map_err(NetError::Recovery)?;
-        for (slot, data) in rebuilt {
-            install_slot(&mut result, &mut factors, slot, &data)?;
-        }
-    }
+        let _stops: Vec<mpsc::Sender<()>> = addrs.iter().enumerate().map(monitor).collect();
+        st.supervise()
+    })?;
     st.report.rpc_retries = shared.retries.load(Ordering::Relaxed);
     st.report.elapsed = start.elapsed();
     Ok((result, factors, st.report))
@@ -536,235 +639,17 @@ pub fn factorize(
 fn install_slot(
     a: &mut TiledMatrix,
     f: &mut TFactors,
-    slot: Slot,
+    (fam, i, j): Slot,
     data: &[f64],
 ) -> Result<(), NetError> {
-    let (fam, i, j) = slot;
-    let dst: &mut [f64] = match fam {
-        SlotFamily::A => a.tile_mut(i, j),
-        _ => f.slot_mut(fam, i, j).ok_or_else(|| {
-            NetError::Recovery(format!("gathered {fam:?}({i},{j}) has no home in TFactors"))
-        })?,
+    let dst: Option<&mut [f64]> = match fam {
+        SlotFamily::A if i < a.mt() && j < a.nt() => Some(a.tile_mut(i, j)),
+        _ => f.slot_mut(fam, i, j),
     };
-    if data.len() != dst.len() {
-        return Err(NetError::Recovery(format!(
-            "gathered {fam:?}({i},{j}) has {} floats, expected {}",
-            data.len(),
-            dst.len()
-        )));
-    }
+    let n = data.len();
+    let homeless = || format!("gathered {fam:?}({i},{j}) of {n} floats has no home in the result");
+    let dst = dst.filter(|dst| dst.len() == n).ok_or_else(|| NetError::Recovery(homeless()))?;
     dst.copy_from_slice(data);
-    Ok(())
-}
-
-/// The scheduling/recovery event loop. Returns when every task is done.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    st: &mut CoordState<'_>,
-    shared: &Shared,
-    cfg: &DistConfig,
-    graph: &TaskGraph,
-    input: &TiledMatrix,
-    ib: usize,
-    cmd_txs: &[mpsc::Sender<Cmd>],
-    ev_rx: &mpsc::Receiver<Event>,
-) -> Result<(), NetError> {
-    let mut last_progress = Instant::now();
-    while st.done_count < st.report.tasks_total {
-        dispatch_all(st, cfg, cmd_txs)?;
-        match ev_rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(Event::Done { worker, tid }) => {
-                if !st.alive[worker] {
-                    // A condemned worker's result is untrusted and its
-                    // data unreachable; the task was already requeued.
-                    continue;
-                }
-                st.busy[worker] = None;
-                if st.completed[tid as usize] {
-                    continue;
-                }
-                st.completed[tid as usize] = true;
-                st.done_count += 1;
-                st.report.tasks_by_worker[worker] += 1;
-                last_progress = Instant::now();
-                let task = &graph.tasks()[tid as usize];
-                for s in task.writes() {
-                    st.holders.insert(s, vec![worker]);
-                }
-                for s in task.reads() {
-                    let hs = st.holders.entry(s).or_default();
-                    if !hs.contains(&worker) {
-                        hs.push(worker);
-                    }
-                }
-                for &succ in graph.successors(tid as usize) {
-                    st.indeg[succ as usize] -= 1;
-                    if st.indeg[succ as usize] == 0 {
-                        st.enqueue(&cfg.grid, succ);
-                    }
-                }
-            }
-            Ok(Event::Failed { worker, tid, culprit, error }) => {
-                st.busy[worker] = None;
-                st.enqueue(&cfg.grid, tid);
-                condemn(st, shared, cfg, graph, input, ib, culprit, &error)?;
-                last_progress = Instant::now();
-            }
-            Ok(Event::HbDead { worker, reason }) => {
-                condemn(st, shared, cfg, graph, input, ib, worker, &reason)?;
-                last_progress = Instant::now();
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(NetError::Recovery("all agents exited early".into()));
-            }
-        }
-        if last_progress.elapsed() > cfg.stall_timeout {
-            return Err(NetError::Recovery(format!(
-                "no progress for {:?} ({}/{} tasks done)",
-                cfg.stall_timeout, st.done_count, st.report.tasks_total
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Hand every idle live worker its next task, with the fetch list
-/// resolved against the current holder map.
-fn dispatch_all(
-    st: &mut CoordState<'_>,
-    cfg: &DistConfig,
-    cmd_txs: &[mpsc::Sender<Cmd>],
-) -> Result<(), NetError> {
-    for (w, tx) in cmd_txs.iter().enumerate() {
-        if !st.alive[w] || st.busy[w].is_some() {
-            continue;
-        }
-        // Lowest task id across this worker's ranks keeps program order.
-        let mut pick: Option<(usize, u32)> = None;
-        for (rank, q) in st.rank_queues.iter().enumerate() {
-            if st.rank_owner[rank] != w {
-                continue;
-            }
-            if let Some(&tid) = q.front() {
-                if pick.is_none_or(|(_, best)| tid < best) {
-                    pick = Some((rank, tid));
-                }
-            }
-        }
-        let Some((rank, tid)) = pick else { continue };
-        st.rank_queues[rank].pop_front();
-        st.queued[tid as usize] = false;
-        let task = st.graph.tasks()[tid as usize];
-        let mut fetches = Vec::new();
-        let mut need = task.writes();
-        for s in task.reads() {
-            if !need.contains(&s) {
-                need.push(s);
-            }
-        }
-        for s in need {
-            match st.holders.get(&s) {
-                Some(hs) if hs.contains(&w) => {}
-                Some(hs) => {
-                    let Some(&holder) = hs.iter().find(|&&h| st.alive[h]) else {
-                        return Err(NetError::Recovery(format!(
-                            "slot {s:?} has no live holder at dispatch"
-                        )));
-                    };
-                    fetches.push((s, holder));
-                }
-                // Never-written factor output: the worker zero-creates it.
-                None => {}
-            }
-        }
-        st.report.transfers += fetches.len() as u64;
-        st.report.floats_moved += (fetches.len() * st.graph.b() * st.graph.b()) as u64;
-        st.busy[w] = Some(tid);
-        if tx.send(Cmd::Run { tid, task, fetches }).is_err() {
-            // Agent gone (only happens on shutdown); requeue.
-            st.busy[w] = None;
-            st.enqueue(&cfg.grid, tid);
-        }
-    }
-    Ok(())
-}
-
-/// Condemn `worker` and recover: remap its ranks, requeue its work, and
-/// rebuild any slot version that died with it. Failures to place
-/// rebuilt slots condemn the new target and loop.
-#[allow(clippy::too_many_arguments)]
-fn condemn(
-    st: &mut CoordState<'_>,
-    shared: &Shared,
-    cfg: &DistConfig,
-    graph: &TaskGraph,
-    input: &TiledMatrix,
-    ib: usize,
-    worker: usize,
-    reason: &str,
-) -> Result<(), NetError> {
-    let mut pending: Vec<(usize, String)> = vec![(worker, reason.to_string())];
-    while let Some((w, why)) = pending.pop() {
-        if !st.alive[w] {
-            continue;
-        }
-        st.alive[w] = false;
-        shared.links[w].condemned.store(true, Ordering::SeqCst);
-        let survivors: Vec<usize> = (0..st.alive.len()).filter(|&x| st.alive[x]).collect();
-        if survivors.is_empty() {
-            return Err(NetError::Recovery(format!(
-                "worker {w} condemned ({why}) and no survivors remain"
-            )));
-        }
-        let mut requeued = 0;
-        if let Some(tid) = st.busy[w].take() {
-            st.enqueue(&cfg.grid, tid);
-            requeued += 1;
-        }
-        for (rank, owner) in st.rank_owner.iter_mut().enumerate() {
-            if *owner == w {
-                *owner = survivors[rank % survivors.len()];
-            }
-        }
-        // Rebuild every slot version whose holders all died.
-        let lost: Vec<Slot> = st
-            .holders
-            .iter()
-            .filter(|(_, hs)| hs.iter().all(|&h| !st.alive[h]))
-            .map(|(&s, _)| s)
-            .collect();
-        let closure = rebuild_closure(graph, &st.completed, &lost);
-        let rebuilt =
-            recompute_slots(graph, input, ib, &closure, &lost).map_err(NetError::Recovery)?;
-        let mut placed = 0usize;
-        for (slot, data) in rebuilt {
-            let (_, i, j) = slot;
-            let rank = cfg.grid.rank(i % cfg.grid.p, j % cfg.grid.q);
-            let target = st.rank_owner[rank];
-            match shared.put_slot(target, slot, data.to_vec()) {
-                Ok(()) => {
-                    st.holders.insert(slot, vec![target]);
-                    st.report.transfers += 1;
-                    st.report.floats_moved += data.len() as u64;
-                    placed += 1;
-                }
-                Err(e) => {
-                    // The replacement died too; condemn it and redo the
-                    // scan (lost set will include what we failed to place).
-                    pending.push((target, format!("recovery put failed: {e}")));
-                    break;
-                }
-            }
-        }
-        st.report.recoveries.push(RecoveryEvent {
-            worker: w,
-            reason: why,
-            tasks_requeued: requeued,
-            slots_rebuilt: placed,
-            closure_len: closure.len(),
-        });
-    }
     Ok(())
 }
 

@@ -10,8 +10,8 @@
 //! timeout (the frame never leaves, the retry ladder engages) so tests
 //! do not have to sit out real deadlines; delays are real sleeps.
 //! Severed links and killed workers are driven from the worker side
-//! (`WorkerOptions::die_after_tasks` / `Msg::Die`), where all of a
-//! process's connections can be cut at once.
+//! (`WorkerOptions::die_after_tasks`), where all of a process's
+//! connections can be cut at once.
 
 use hqr_tile::io::{bytes_of_u64s, fnv1a64};
 use std::time::Duration;

@@ -8,11 +8,23 @@
 
 use crate::error::NetError;
 use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// Upper bound on a frame payload (256 MiB — far above the largest tile
 /// message we ever send, far below anything that could hurt).
 pub const MAX_FRAME: u64 = 1 << 28;
+
+/// Connect with `timeout` as the connect, read and write deadline, and
+/// Nagle off (a frame is written whole).
+pub(crate) fn dial(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, NetError> {
+    let failed = |e: std::io::Error| NetError::Io(format!("connect {addr}: {e}"));
+    let s = TcpStream::connect_timeout(&addr, timeout).map_err(failed)?;
+    s.set_nodelay(true).map_err(failed)?;
+    s.set_read_timeout(Some(timeout)).map_err(failed)?;
+    s.set_write_timeout(Some(timeout)).map_err(failed)?;
+    Ok(s)
+}
 
 /// Write one frame. Flushes, so the peer's blocking read returns.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {

@@ -1,73 +1,65 @@
 //! Worker-side kernel dispatch over an owned slot map.
 //!
-//! A worker holds its shard as `HashMap<Slot, Box<[f64]>>`. To run a
-//! task it takes the task's write and read slots *out* of the map, in
+//! A worker holds its shard as `Mutex<HashMap<Slot, Box<[f64]>>>`. To run
+//! a task it takes the task's write and read slots *out* of the map, in
 //! `Task::writes()` / `Task::reads()` order, hands them to
 //! `hqr_kernels::run_kernel` — the one task→kernel dispatcher, the same
 //! call `hqr_runtime::store::TileStore::run_task` makes with the same
-//! operand order — and reinserts the buffers. Bitwise parity with the
-//! in-process backends is therefore by construction: there is no kernel
-//! sequence here to keep in step with another copy. Distinct slots are
-//! distinct boxes, so the dispatch is safe code: no raw pointers, no
-//! aliasing argument to make.
+//! operand order — and reinserts the buffers. The lock is held to take and
+//! to return buffers, never across the kernel, so a peer's push never waits
+//! behind one. Bitwise parity with the in-process backends is by
+//! construction: there is no kernel sequence here to keep in step with
+//! another copy. Distinct slots are distinct boxes, so the dispatch is safe
+//! code: no raw pointers, no aliasing argument to make.
 
 use crate::error::NetError;
 use hqr_kernels::{run_kernel, Trans};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Task;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
-/// A slot coordinate, as in `hqr_runtime::lineage`.
-pub type Slot = (SlotFamily, usize, usize);
+pub use hqr_runtime::Slot;
 
-/// Execute `t` against `slots`. Factor-family *write* slots are created
+/// A worker's shard: every slot version it currently holds.
+pub type Shard = Mutex<HashMap<Slot, Box<[f64]>>>;
+
+/// Execute `t` against `shard`. Factor-family *write* slots are created
 /// zero-filled on demand (matching `TFactors::allocate_for`); a missing
-/// `A`-family operand is a typed error — the coordinator failed to stage
-/// an input. On error the map holds every buffer it held before.
-pub fn run_task_on_map(
-    slots: &mut HashMap<Slot, Box<[f64]>>,
-    t: &Task,
-    b: usize,
-    ib: usize,
-) -> Result<(), NetError> {
+/// `A`-family operand is a typed error — an input was never staged or
+/// pushed. On error the map holds every buffer it held before.
+pub fn run_task_on_map(shard: &Shard, t: &Task, b: usize, ib: usize) -> Result<(), NetError> {
     // Take the operands out of the map as owned buffers: writes first,
     // then reads (a task's read and write slots are pairwise distinct).
     let (writes, reads) = (t.writes(), t.reads());
     let mut held: Vec<(Slot, Box<[f64]>)> = Vec::with_capacity(writes.len() + reads.len());
-    let mut failure = None;
+    let mut slots = shard.lock().expect("shard lock: a holder panicked");
+    let mut missing = None;
     for (n, s) in writes.iter().chain(&reads).enumerate() {
-        let buf = match slots.remove(s) {
-            Some(buf) => buf,
-            // Factor outputs start life zeroed, exactly as
-            // TFactors::allocate_for zero-fills them.
-            None if n < writes.len() && s.0 != SlotFamily::A => vec![0.0; b * b].into_boxed_slice(),
-            None => {
-                failure = Some(format!(
-                    "task {} needs slot {:?}({},{}) which this worker does not hold",
-                    t.label(),
-                    s.0,
-                    s.1,
-                    s.2
-                ));
-                break;
-            }
-        };
-        let sized = buf.len() == b * b;
-        held.push((*s, buf));
-        if !sized {
-            failure =
-                Some(format!("slot {:?}({},{}) has wrong size for tile size {b}", s.0, s.1, s.2));
+        // Factor outputs start life zeroed, exactly as
+        // TFactors::allocate_for zero-fills them.
+        let output = n < writes.len() && s.0 != SlotFamily::A;
+        let zeroed = || output.then(|| vec![0.0; b * b].into_boxed_slice());
+        let buf = slots.remove(s).or_else(zeroed);
+        let fits = buf.as_ref().is_some_and(|buf| buf.len() == b * b);
+        held.extend(buf.map(|buf| (*s, buf)));
+        if !fits {
+            missing = Some(*s);
             break;
         }
     }
-    if failure.is_none() {
+    drop(slots);
+    if missing.is_none() {
         let (w, r) = held.split_at_mut(writes.len());
         let reads: Vec<&[f64]> = r.iter().map(|(_, buf)| &**buf).collect();
         let mut writes: Vec<&mut [f64]> = w.iter_mut().map(|(_, buf)| &mut **buf).collect();
         run_kernel(t.kind, b, ib, Trans::Trans, &reads, &mut writes);
     }
-    slots.extend(held);
-    failure.map_or(Ok(()), |message| Err(NetError::Remote(message)))
+    shard.lock().expect("shard lock: a holder panicked").extend(held);
+    missing.map_or(Ok(()), |(fam, i, j)| {
+        let task = t.label();
+        Err(NetError::Remote(format!("task {task} needs {fam:?}({i},{j}) as a {b}x{b} tile here")))
+    })
 }
 
 #[cfg(test)]
@@ -102,9 +94,11 @@ mod tests {
                     slots.insert((SlotFamily::A, i, j), tile);
                 }
             }
+            let shard = Mutex::new(slots);
             for t in g.tasks() {
-                run_task_on_map(&mut slots, t, b, ib).unwrap();
+                run_task_on_map(&shard, t, b, ib).unwrap();
             }
+            let slots = shard.into_inner().unwrap();
             for j in 0..nt {
                 for i in 0..mt {
                     assert_eq!(
@@ -135,19 +129,19 @@ mod tests {
 
     #[test]
     fn missing_a_operand_is_a_typed_error_and_map_unchanged() {
-        let mut slots: HashMap<Slot, Box<[f64]>> = HashMap::new();
+        let shard = Shard::default();
         let t = Task::geqrt(0, 0);
-        let err = run_task_on_map(&mut slots, &t, 4, 4).unwrap_err();
+        let err = run_task_on_map(&shard, &t, 4, 4).unwrap_err();
         assert!(matches!(err, NetError::Remote(_)), "{err}");
-        assert!(slots.is_empty());
+        assert!(shard.lock().unwrap().is_empty());
     }
 
     #[test]
     fn wrong_sized_slot_rejected() {
-        let mut slots: HashMap<Slot, Box<[f64]>> = HashMap::new();
-        slots.insert((SlotFamily::A, 0, 0), vec![0.0; 5].into_boxed_slice());
-        let err = run_task_on_map(&mut slots, &Task::geqrt(0, 0), 4, 4).unwrap_err();
+        let shard = Shard::default();
+        shard.lock().unwrap().insert((SlotFamily::A, 0, 0), vec![0.0; 5].into_boxed_slice());
+        let err = run_task_on_map(&shard, &Task::geqrt(0, 0), 4, 4).unwrap_err();
         assert!(matches!(err, NetError::Remote(_)), "{err}");
-        assert_eq!(slots.len(), 1, "buffer must be reinserted");
+        assert_eq!(shard.lock().unwrap().len(), 1, "buffer must be reinserted");
     }
 }

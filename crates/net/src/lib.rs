@@ -2,16 +2,16 @@
 //!
 //! The paper's algorithms target a *cluster* — the hierarchical
 //! elimination trees exist to minimize inter-node communication — and
-//! this crate supplies the cluster: multi-process tile workers holding
-//! 2D block-cyclic shards, a coordinator driving the same
-//! elimination-list DAG the in-process runtime and the simulator use,
-//! and tiles moving as checksummed `hqr_tile::io` containers inside
-//! length-prefixed TCP frames.
+//! this crate supplies the cluster: multi-process tile workers holding 2D
+//! block-cyclic shards, each running its share of the elimination-list DAG
+//! the in-process runtime and the simulator use and pushing finished tiles
+//! to the workers that consume them, a coordinator that only supervises, and
+//! tiles as checksummed `hqr_tile::io` containers in length-prefixed frames.
 //!
 //! Robustness is the design center, extending the single-process
 //! fault-tolerance contract across process boundaries:
 //!
-//! * every RPC has a deadline and a capped decorrelated-jitter retry
+//! * every exchange has a deadline and a capped decorrelated-jitter retry
 //!   ladder ([`hqr_runtime::RetryPolicy`]);
 //! * corrupt, truncated, or oversized frames surface as typed
 //!   [`NetError`]s — never panics, never unbounded allocations;
@@ -39,5 +39,5 @@ pub use coord::{factorize, shutdown_workers, DistConfig, DistReport, RecoveryEve
 pub use error::NetError;
 pub use fault::{FaultAction, NetFaultPlan};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
-pub use msg::{recv_msg, send_msg, Msg, NET_MAGIC, NET_VERSION};
+pub use msg::{recv_msg, send_msg, Msg, SlotBuf, NET_MAGIC, NET_VERSION};
 pub use worker::{serve, shutdown, spawn_local, LocalWorker, WorkerOptions};

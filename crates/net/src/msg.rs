@@ -6,322 +6,244 @@
 //! length-prefixed frame. Decoding therefore validates magic, version,
 //! per-section bounds, and the whole-container checksum before any field
 //! is believed; corruption anywhere yields a typed [`NetError::Frame`],
-//! never a panic. Dispatch is by a kind word, mirroring the job-service
-//! protocol in `hqr-cli`.
+//! never a panic. Every kind has the same five parts — a head (kind word,
+//! then fixed fields), two word lists, a text and tile buffers — so there
+//! is one encoder and one decoder under all of them.
 //!
-//! A tile crosses each hop in three passes over its bytes: the `f64`s of
-//! [`Msg::Put`] / [`Msg::SlotData`] are encoded straight into the frame's
-//! buffer (`SectionWriter::section_f64s`), the trailer is the memory-speed
-//! word-parallel `checksum64`, and the receiver verifies it and decodes
-//! the payload once, into the message's `Vec<f64>`. Version 2 is the
-//! first with that trailer; a version-1 peer is refused as
-//! `UnsupportedVersion` before any checksum is compared.
+//! A tile crosses each hop in three passes over its bytes: the sender
+//! encodes it straight from the buffer it lives in (the coordinator's
+//! input matrix, a worker's shard) into the frame, the trailer is the
+//! memory-speed word-parallel `checksum64`, and the receiver verifies it
+//! and decodes the payload once. Version 3 is the owner-computes protocol;
+//! a version-2 peer (the per-task relay) is refused as `UnsupportedVersion`
+//! before any checksum is compared.
 
 use crate::error::NetError;
 use crate::frame::{read_frame, write_frame};
+use crate::kernel::Slot;
 use hqr_kernels::KernelKind;
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Task;
 use hqr_tile::io::{bytes_of_u64s, f64s_of_bytes, u64s_of_bytes, SectionReader, SectionWriter};
 use std::io::{Read, Write};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Container magic for every net message.
 pub const NET_MAGIC: [u8; 8] = *b"HQRNETV0";
 /// Protocol version; bumped on any incompatible change.
-pub const NET_VERSION: u32 = 2;
+pub const NET_VERSION: u32 = 3;
 
-const TAG_KIND: u32 = 1;
-const TAG_META: u32 = 2;
-const TAG_DATA: u32 = 3;
+const TAG_HEAD: u32 = 1;
+const TAG_LIST_A: u32 = 2;
+const TAG_LIST_B: u32 = 3;
 const TAG_TEXT: u32 = 4;
+/// `(family, row, column)` of each tile the message carries.
+const TAG_COORDS: u32 = 5;
+/// Buffer of the message's `n`-th tile is section `TAG_DATA + n`.
+const TAG_DATA: u32 = 16;
 
 const KIND_HELLO: u64 = 1;
-const KIND_HELLO_OK: u64 = 2;
+const KIND_OK: u64 = 2;
 const KIND_PUT: u64 = 3;
-const KIND_PUT_OK: u64 = 4;
-const KIND_GET: u64 = 5;
-const KIND_SLOT_DATA: u64 = 6;
-const KIND_RUN: u64 = 7;
-const KIND_DONE: u64 = 8;
-const KIND_PING: u64 = 9;
-const KIND_PONG: u64 = 10;
-const KIND_DIE: u64 = 11;
-const KIND_SHUTDOWN: u64 = 12;
-const KIND_BYE: u64 = 13;
-const KIND_ERR: u64 = 14;
+const KIND_START: u64 = 4;
+const KIND_PUSH: u64 = 5;
+const KIND_COMPLETED: u64 = 6;
+const KIND_PROGRESS: u64 = 7;
+const KIND_GATHER: u64 = 8;
+const KIND_END: u64 = 9;
+const KIND_PING: u64 = 10;
+const KIND_SHUTDOWN: u64 = 11;
+const KIND_ERR: u64 = 12;
+
+/// One slot's coordinate and its `b*b` buffer.
+pub type SlotBuf = (Slot, Vec<f64>);
 
 /// One protocol message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
-    /// Coordinator introduces a run to a worker.
-    Hello {
-        /// Identifies the run; a worker serves one run at a time.
-        run_id: u64,
-        /// Tile rows of the matrix.
-        mt: u64,
-        /// Tile columns of the matrix.
-        nt: u64,
-        /// Tile side length.
-        b: u64,
-        /// Inner block size (`ib == b` selects unblocked kernels).
-        ib: u64,
-    },
-    /// Worker acknowledges the run configuration.
-    HelloOk,
-    /// Install one slot's `b*b` buffer on the worker.
-    Put {
-        /// Slot family.
-        fam: SlotFamily,
-        /// Tile row.
-        i: u64,
-        /// Tile column.
-        j: u64,
-        /// The buffer, exactly `b*b` doubles.
-        data: Vec<f64>,
-    },
-    /// Put acknowledged.
-    PutOk,
-    /// Fetch one slot's buffer.
-    Get {
-        /// Slot family.
-        fam: SlotFamily,
-        /// Tile row.
-        i: u64,
-        /// Tile column.
-        j: u64,
-    },
-    /// Reply to [`Msg::Get`].
-    SlotData {
-        /// Slot family.
-        fam: SlotFamily,
-        /// Tile row.
-        i: u64,
-        /// Tile column.
-        j: u64,
-        /// The buffer.
-        data: Vec<f64>,
-    },
-    /// Execute one kernel task (idempotent: re-sends of the same
-    /// `task_id` wait for / reuse the first execution).
-    Run {
-        /// Coordinator's task index — the dedup key.
-        task_id: u64,
-        /// The kernel task itself.
-        task: Task,
-    },
-    /// Task finished.
-    Done {
-        /// Echo of the request's task id.
-        task_id: u64,
-    },
-    /// Heartbeat probe.
-    Ping {
-        /// Monotonic sequence number.
-        seq: u64,
-    },
-    /// Heartbeat reply.
-    Pong {
-        /// Echo of the probe's sequence number.
-        seq: u64,
-    },
-    /// Chaos kill switch: `hard` aborts the process (SIGKILL-equivalent);
-    /// otherwise the worker severs every connection and stops serving.
-    Die {
-        /// Abort the whole process instead of severing.
-        hard: bool,
-    },
+    /// Coordinator introduces run `run_id` to a worker (one at a time).
+    /// `dims` is `[mt, nt, b, ib, p, q, me]`: `mt x nt` tiles of `b x b`,
+    /// inner block `ib` (`ib == b` selects unblocked kernels), a `p x q`
+    /// tile-owner grid served by the `p * q` workers at `addrs`, the
+    /// receiver being `addrs[me]`. `tasks` is `TaskGraph::tasks()` in
+    /// program order: every worker rebuilds the same DAG from it. Grid rank
+    /// `r` starts out on worker `r`; [`Msg::Start`] says where it is now.
+    Hello { run_id: u64, dims: [u64; 7], addrs: Vec<SocketAddr>, tasks: Vec<Task> },
+    /// The positive answer to `Hello`, `Start`, `Ping` and `Shutdown`.
+    Ok,
+    /// Install one slot's `b*b` buffer at the receiver. Unacknowledged: the
+    /// scatter and a recovery's placements stream these to a worker (the
+    /// acknowledged `Ping` that closes the stream is the barrier), the
+    /// gather streams them back.
+    Put { slot: Slot, data: Vec<f64> },
+    /// Begin (or, after a worker loss, resume) executing owned tasks:
+    /// `owners` maps grid rank → worker index, `completed` lists the tasks
+    /// that count as done, whoever ran them. `epoch` is 1 at first and
+    /// bumped by every recovery; idempotent per `(run_id, epoch)`.
+    Start { run_id: u64, epoch: u64, owners: Vec<u64>, completed: Vec<u64> },
+    /// Worker → worker, unacknowledged: `task_id` (the dedup key) finished
+    /// on the sender in `epoch`, and `slots` are the slots it wrote that the
+    /// receiver's tasks touch. A push of another run or epoch is ignored.
+    Push { run_id: u64, epoch: u64, task_id: u64, slots: Vec<SlotBuf> },
+    /// Cursor read of the tasks this worker ran, past the first `after`.
+    /// With `halt`, the worker first stops at the next task boundary (and
+    /// ignores pushes until the next `Start`). Idempotent.
+    Completed { run_id: u64, after: u64, halt: bool },
+    /// Reply to [`Msg::Completed`]: task ids run here, in completion
+    /// order, from the cursor on. A halted worker adds `accepted`, every
+    /// task whose push it installed this epoch: a push overwrites the slot
+    /// in place, so recovery must count its sender as having run, even if
+    /// the sender died before it could say so.
+    Progress { ids: Vec<u64>, accepted: Vec<u64> },
+    /// Stream back every slot whose last writer this worker owns, as
+    /// [`Msg::Put`] frames closed by one [`Msg::End`].
+    Gather { run_id: u64 },
+    /// End of the gather stream, with the `Push` frames (and the doubles
+    /// in them) this worker sent during the run.
+    End { pushes: u64, push_floats: u64 },
+    /// Heartbeat probe. (No sequence number to echo: an exchange that
+    /// fails drops its connection, so a reply is never a late one.)
+    Ping,
     /// Orderly shutdown request.
     Shutdown,
-    /// Orderly shutdown acknowledged.
-    Bye,
-    /// Application-level failure report.
-    Err {
-        /// Human-readable reason.
-        detail: String,
-    },
+    /// Application-level failure report with a human-readable reason.
+    Err { detail: String },
 }
 
-fn fam_code(f: SlotFamily) -> u64 {
-    match f {
-        SlotFamily::A => 0,
-        SlotFamily::Vg => 1,
-        SlotFamily::Tg => 2,
-        SlotFamily::Tk => 3,
+const FAMILIES: [SlotFamily; 4] = [SlotFamily::A, SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk];
+const KERNELS: [KernelKind; 6] = [
+    KernelKind::Geqrt,
+    KernelKind::Unmqr,
+    KernelKind::Tsqrt,
+    KernelKind::Tsmqr,
+    KernelKind::Ttqrt,
+    KernelKind::Ttmqr,
+];
+
+/// Position of `x` in its code table (every variant is listed).
+fn code_of<T: PartialEq>(table: &[T], x: &T) -> u64 {
+    table.iter().position(|y| y == x).expect("every variant has a code") as u64
+}
+
+fn of_code<T: Copy>(table: &[T], code: u64, what: &str) -> Result<T, NetError> {
+    let known = usize::try_from(code).ok().and_then(|c| table.get(c).copied());
+    known.ok_or_else(|| NetError::Proto(format!("unknown {what} code {code}")))
+}
+
+fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, NetError> {
+    T::try_from(v).map_err(|_| NetError::Proto(format!("{what} {v} out of range")))
+}
+
+/// The one encoder. Tile buffers are borrowed, so a hot path encodes from
+/// where the tile lives without an owned copy in between.
+fn encode(head: &[u64], a: &[u64], b: &[u64], text: &str, tiles: &[(Slot, &[f64])]) -> Vec<u8> {
+    let coord = |&((fam, i, j), _): &(Slot, _)| [code_of(&FAMILIES, &fam), i as u64, j as u64];
+    let coords: Vec<u64> = tiles.iter().flat_map(coord).collect();
+    let mut w = SectionWriter::new(NET_MAGIC, NET_VERSION);
+    w.section(TAG_HEAD, &bytes_of_u64s(head)).section(TAG_LIST_A, &bytes_of_u64s(a));
+    w.section(TAG_LIST_B, &bytes_of_u64s(b)).section(TAG_TEXT, text.as_bytes());
+    w.section(TAG_COORDS, &bytes_of_u64s(&coords));
+    for (n, (_, data)) in tiles.iter().enumerate() {
+        w.section_f64s(TAG_DATA + n as u32, data);
     }
+    w.into_bytes()
 }
 
-fn fam_of(code: u64) -> Result<SlotFamily, NetError> {
-    Ok(match code {
-        0 => SlotFamily::A,
-        1 => SlotFamily::Vg,
-        2 => SlotFamily::Tg,
-        3 => SlotFamily::Tk,
-        other => return Err(NetError::Proto(format!("unknown slot family code {other}"))),
-    })
+/// [`Msg::Put`] straight from the buffer the tile lives in.
+pub fn encode_put(slot: Slot, data: &[f64]) -> Vec<u8> {
+    encode(&[KIND_PUT], &[], &[], "", &[(slot, data)])
 }
 
-fn kind_code(k: KernelKind) -> u64 {
-    match k {
-        KernelKind::Geqrt => 0,
-        KernelKind::Unmqr => 1,
-        KernelKind::Tsqrt => 2,
-        KernelKind::Tsmqr => 3,
-        KernelKind::Ttqrt => 4,
-        KernelKind::Ttmqr => 5,
-    }
-}
-
-fn kind_of(code: u64) -> Result<KernelKind, NetError> {
-    Ok(match code {
-        0 => KernelKind::Geqrt,
-        1 => KernelKind::Unmqr,
-        2 => KernelKind::Tsqrt,
-        3 => KernelKind::Tsmqr,
-        4 => KernelKind::Ttqrt,
-        5 => KernelKind::Ttmqr,
-        other => return Err(NetError::Proto(format!("unknown kernel kind code {other}"))),
-    })
-}
-
-fn u16_of(v: u64, what: &str) -> Result<u16, NetError> {
-    u16::try_from(v).map_err(|_| NetError::Proto(format!("{what} {v} out of u16 range")))
+/// [`Msg::Push`] straight from the shard's buffers.
+pub fn encode_push(run_id: u64, epoch: u64, task_id: u64, slots: &[(Slot, &[f64])]) -> Vec<u8> {
+    encode(&[KIND_PUSH, run_id, epoch, task_id], &[], &[], "", slots)
 }
 
 impl Msg {
     /// Encode into one checksummed container.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SectionWriter::new(NET_MAGIC, NET_VERSION);
+        let plain = |head: &[u64]| encode(head, &[], &[], "", &[]);
         match self {
-            Msg::Hello { run_id, mt, nt, b, ib } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_HELLO]));
-                w.section(TAG_META, &bytes_of_u64s(&[*run_id, *mt, *nt, *b, *ib]));
+            Msg::Hello { run_id, dims, addrs, tasks } => {
+                let words = |t: &Task| {
+                    [code_of(&KERNELS, &t.kind), t.k.into(), t.i.into(), t.piv.into(), t.j.into()]
+                };
+                let words: Vec<u64> = tasks.iter().flat_map(words).collect();
+                let text: Vec<String> = addrs.iter().map(SocketAddr::to_string).collect();
+                let head = [&[KIND_HELLO, *run_id], &dims[..]].concat();
+                encode(&head, &words, &[], &text.join("\n"), &[])
             }
-            Msg::HelloOk => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_HELLO_OK]));
+            Msg::Ok => plain(&[KIND_OK]),
+            Msg::Put { slot, data } => encode_put(*slot, data),
+            Msg::Start { run_id, epoch, owners, completed } => {
+                encode(&[KIND_START, *run_id, *epoch], owners, completed, "", &[])
             }
-            Msg::Put { fam, i, j, data } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_PUT]));
-                w.section(TAG_META, &bytes_of_u64s(&[fam_code(*fam), *i, *j]));
-                w.section_f64s(TAG_DATA, data);
+            Msg::Push { run_id, epoch, task_id, slots } => {
+                let views: Vec<(Slot, &[f64])> = slots.iter().map(|(s, d)| (*s, &d[..])).collect();
+                encode_push(*run_id, *epoch, *task_id, &views)
             }
-            Msg::PutOk => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_PUT_OK]));
+            Msg::Completed { run_id, after, halt } => {
+                plain(&[KIND_COMPLETED, *run_id, *after, u64::from(*halt)])
             }
-            Msg::Get { fam, i, j } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_GET]));
-                w.section(TAG_META, &bytes_of_u64s(&[fam_code(*fam), *i, *j]));
-            }
-            Msg::SlotData { fam, i, j, data } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_SLOT_DATA]));
-                w.section(TAG_META, &bytes_of_u64s(&[fam_code(*fam), *i, *j]));
-                w.section_f64s(TAG_DATA, data);
-            }
-            Msg::Run { task_id, task } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_RUN]));
-                w.section(
-                    TAG_META,
-                    &bytes_of_u64s(&[
-                        *task_id,
-                        kind_code(task.kind),
-                        task.k as u64,
-                        task.i as u64,
-                        task.piv as u64,
-                        task.j as u64,
-                    ]),
-                );
-            }
-            Msg::Done { task_id } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_DONE]));
-                w.section(TAG_META, &bytes_of_u64s(&[*task_id]));
-            }
-            Msg::Ping { seq } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_PING]));
-                w.section(TAG_META, &bytes_of_u64s(&[*seq]));
-            }
-            Msg::Pong { seq } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_PONG]));
-                w.section(TAG_META, &bytes_of_u64s(&[*seq]));
-            }
-            Msg::Die { hard } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_DIE]));
-                w.section(TAG_META, &bytes_of_u64s(&[u64::from(*hard)]));
-            }
-            Msg::Shutdown => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_SHUTDOWN]));
-            }
-            Msg::Bye => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_BYE]));
-            }
-            Msg::Err { detail } => {
-                w.section(TAG_KIND, &bytes_of_u64s(&[KIND_ERR]));
-                w.section(TAG_TEXT, detail.as_bytes());
-            }
+            Msg::Progress { ids, accepted } => encode(&[KIND_PROGRESS], ids, accepted, "", &[]),
+            Msg::Gather { run_id } => plain(&[KIND_GATHER, *run_id]),
+            Msg::End { pushes, push_floats } => plain(&[KIND_END, *pushes, *push_floats]),
+            Msg::Ping => plain(&[KIND_PING]),
+            Msg::Shutdown => plain(&[KIND_SHUTDOWN]),
+            Msg::Err { detail } => encode(&[KIND_ERR], &[], &[], detail, &[]),
         }
-        w.into_bytes()
     }
 
     /// Decode a container, validating checksum and structure throughout.
     pub fn decode(bytes: Vec<u8>) -> Result<Msg, NetError> {
         let r = SectionReader::from_bytes(bytes, NET_MAGIC, NET_VERSION)?;
-        let kind = *u64s_of_bytes(TAG_KIND, r.require(TAG_KIND)?)?
-            .first()
-            .ok_or_else(|| NetError::Proto("empty kind section".into()))?;
-        let meta = |n: usize| -> Result<Vec<u64>, NetError> {
-            let v = u64s_of_bytes(TAG_META, r.require(TAG_META)?)?;
-            if v.len() < n {
-                return Err(NetError::Proto(format!(
-                    "meta section has {} words, message kind {kind} needs {n}",
-                    v.len()
-                )));
-            }
-            Ok(v)
-        };
-        Ok(match kind {
-            KIND_HELLO => {
-                let m = meta(5)?;
-                Msg::Hello { run_id: m[0], mt: m[1], nt: m[2], b: m[3], ib: m[4] }
-            }
-            KIND_HELLO_OK => Msg::HelloOk,
-            KIND_PUT => {
-                let m = meta(3)?;
-                let data = f64s_of_bytes(TAG_DATA, r.require(TAG_DATA)?)?;
-                Msg::Put { fam: fam_of(m[0])?, i: m[1], j: m[2], data }
-            }
-            KIND_PUT_OK => Msg::PutOk,
-            KIND_GET => {
-                let m = meta(3)?;
-                Msg::Get { fam: fam_of(m[0])?, i: m[1], j: m[2] }
-            }
-            KIND_SLOT_DATA => {
-                let m = meta(3)?;
-                let data = f64s_of_bytes(TAG_DATA, r.require(TAG_DATA)?)?;
-                Msg::SlotData { fam: fam_of(m[0])?, i: m[1], j: m[2], data }
-            }
-            KIND_RUN => {
-                let m = meta(6)?;
-                let task = Task {
-                    kind: kind_of(m[1])?,
-                    k: u16_of(m[2], "k")?,
-                    i: u16_of(m[3], "i")?,
-                    piv: u16_of(m[4], "piv")?,
-                    j: u16_of(m[5], "j")?,
-                };
-                Msg::Run { task_id: m[0], task }
-            }
-            KIND_DONE => Msg::Done { task_id: meta(1)?[0] },
-            KIND_PING => Msg::Ping { seq: meta(1)?[0] },
-            KIND_PONG => Msg::Pong { seq: meta(1)?[0] },
-            KIND_DIE => Msg::Die { hard: meta(1)?[0] != 0 },
+        let words =
+            |tag: u32| -> Result<Vec<u64>, NetError> { Ok(u64s_of_bytes(tag, r.require(tag)?)?) };
+        let (head, a, b, coords) =
+            (words(TAG_HEAD)?, words(TAG_LIST_A)?, words(TAG_LIST_B)?, words(TAG_COORDS)?);
+        let text = std::str::from_utf8(r.require(TAG_TEXT)?)
+            .map_err(|_| NetError::Proto("text section is not UTF-8".into()))?;
+        let cut_short = |what: &str| NetError::Proto(format!("{what} is cut short"));
+        let h = |i: usize| head.get(i).copied().ok_or_else(|| cut_short("head"));
+        let mut tiles = Vec::with_capacity(coords.len() / 3);
+        for (n, c) in coords.chunks(3).enumerate() {
+            let &[fam, i, j] = c else { return Err(cut_short("tile coordinate list")) };
+            let fam = of_code(&FAMILIES, fam, "slot family")?;
+            let slot: Slot = (fam, narrow(i, "tile row")?, narrow(j, "tile column")?);
+            let tag = TAG_DATA + narrow::<u32>(n as u64, "tile count")?;
+            tiles.push((slot, f64s_of_bytes(tag, r.require(tag)?)?));
+        }
+        Ok(match h(0)? {
+            KIND_HELLO => Msg::Hello {
+                run_id: h(1)?,
+                dims: head.get(2..9).and_then(|d| d.try_into().ok()).ok_or(cut_short("head"))?,
+                addrs: (text.lines())
+                    .map(|l| l.parse().map_err(|_| NetError::Proto(format!("bad address `{l}`"))))
+                    .collect::<Result<_, _>>()?,
+                tasks: (a.chunks(5))
+                    .map(|t| {
+                        let &[kind, k, i, piv, j] = t else { return Err(cut_short("task list")) };
+                        let kind = of_code(&KERNELS, kind, "kernel kind")?;
+                        let (k, i) = (narrow(k, "panel")?, narrow(i, "row")?);
+                        Ok(Task { kind, k, i, piv: narrow(piv, "pivot")?, j: narrow(j, "column")? })
+                    })
+                    .collect::<Result<_, NetError>>()?,
+            },
+            KIND_OK => Msg::Ok,
+            KIND_PUT => match (tiles.pop(), tiles.is_empty()) {
+                (Some((slot, data)), true) => Msg::Put { slot, data },
+                _ => return Err(NetError::Proto("a put carries exactly one slot".into())),
+            },
+            KIND_START => Msg::Start { run_id: h(1)?, epoch: h(2)?, owners: a, completed: b },
+            KIND_PUSH => Msg::Push { run_id: h(1)?, epoch: h(2)?, task_id: h(3)?, slots: tiles },
+            KIND_COMPLETED => Msg::Completed { run_id: h(1)?, after: h(2)?, halt: h(3)? != 0 },
+            KIND_PROGRESS => Msg::Progress { ids: a, accepted: b },
+            KIND_GATHER => Msg::Gather { run_id: h(1)? },
+            KIND_END => Msg::End { pushes: h(1)?, push_floats: h(2)? },
+            KIND_PING => Msg::Ping,
             KIND_SHUTDOWN => Msg::Shutdown,
-            KIND_BYE => Msg::Bye,
-            KIND_ERR => {
-                let text = r.require(TAG_TEXT)?;
-                Msg::Err {
-                    detail: String::from_utf8(text.to_vec())
-                        .map_err(|_| NetError::Proto("error detail is not UTF-8".into()))?,
-                }
-            }
+            KIND_ERR => Msg::Err { detail: text.to_string() },
             other => return Err(NetError::Proto(format!("unknown message kind {other}"))),
         })
     }
@@ -342,21 +264,33 @@ mod tests {
     use super::*;
 
     fn samples() -> Vec<Msg> {
+        let slot = |fam, i, j, x: f64, n| ((fam, i, j), vec![x; n]);
         vec![
-            Msg::Hello { run_id: 7, mt: 8, nt: 4, b: 16, ib: 8 },
-            Msg::HelloOk,
-            Msg::Put { fam: SlotFamily::A, i: 3, j: 1, data: vec![1.5, -0.0, f64::MAX] },
-            Msg::PutOk,
-            Msg::Get { fam: SlotFamily::Tk, i: 0, j: 0 },
-            Msg::SlotData { fam: SlotFamily::Vg, i: 2, j: 2, data: vec![0.25; 9] },
-            Msg::Run { task_id: 42, task: Task::update(1, 3, 2, 5, true) },
-            Msg::Done { task_id: 42 },
-            Msg::Ping { seq: 9 },
-            Msg::Pong { seq: 9 },
-            Msg::Die { hard: true },
-            Msg::Die { hard: false },
+            Msg::Hello {
+                run_id: 7,
+                dims: [8, 4, 16, 8, 2, 1, 1],
+                addrs: vec!["127.0.0.1:4001".parse().unwrap(), "[::1]:4002".parse().unwrap()],
+                tasks: vec![Task::geqrt(0, 0), Task::update(1, 3, 2, 5, true)],
+            },
+            Msg::Ok,
+            Msg::Put { slot: (SlotFamily::A, 3, 1), data: vec![1.5, -0.0, f64::MAX] },
+            Msg::Start { run_id: 7, epoch: 2, owners: vec![1, 1], completed: vec![0, 5, 9] },
+            Msg::Push {
+                run_id: 7,
+                epoch: 2,
+                task_id: 42,
+                slots: vec![
+                    slot(SlotFamily::A, 2, 0, 0.25, 9),
+                    slot(SlotFamily::Tk, 2, 0, -1.0, 9),
+                ],
+            },
+            Msg::Push { run_id: 7, epoch: 1, task_id: 3, slots: vec![] },
+            Msg::Completed { run_id: 7, after: 12, halt: true },
+            Msg::Progress { ids: vec![3, 1, 4, 1, 5], accepted: vec![2, 6] },
+            Msg::Gather { run_id: 7 },
+            Msg::End { pushes: 17, push_floats: 17 * 512 },
+            Msg::Ping,
             Msg::Shutdown,
-            Msg::Bye,
             Msg::Err { detail: "no such slot".into() },
         ]
     }
@@ -370,18 +304,51 @@ mod tests {
     }
 
     #[test]
-    fn run_preserves_kernel_kind_exactly() {
-        for task in [
+    fn hello_preserves_kernel_kind_exactly() {
+        let tasks = vec![
             Task::geqrt(0, 0),
             Task::unmqr(0, 0, 1),
             Task::kill(0, 1, 0, true),
             Task::kill(0, 1, 0, false),
             Task::update(0, 1, 0, 1, true),
             Task::update(0, 1, 0, 1, false),
-        ] {
-            let m = Msg::Run { task_id: 1, task };
-            assert_eq!(Msg::decode(m.encode()).unwrap(), m);
-        }
+        ];
+        let m = Msg::Hello { run_id: 1, dims: [2, 2, 4, 4, 1, 1, 0], addrs: vec![], tasks };
+        assert_eq!(Msg::decode(m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn borrowed_encoders_match_the_owned_messages() {
+        let data = vec![2.5; 16];
+        let slot = (SlotFamily::Vg, 1, 0);
+        let put = Msg::Put { slot, data: data.clone() };
+        assert_eq!(encode_put(slot, &data), put.encode());
+        let push = Msg::Push { run_id: 3, epoch: 1, task_id: 9, slots: vec![(slot, data.clone())] };
+        assert_eq!(encode_push(3, 1, 9, &[(slot, &data)]), push.encode());
+    }
+
+    #[test]
+    fn unknown_codes_and_cut_lists_are_typed_errors() {
+        // A well-formed container whose words no message can have.
+        let kernel = encode(&[KIND_HELLO, 1, 1, 1, 4, 4, 1, 1, 0], &[6, 0, 0, 0, 0], &[], "", &[]);
+        assert!(matches!(Msg::decode(kernel), Err(NetError::Proto(_))), "kernel kind 6");
+        let row =
+            encode(&[KIND_HELLO, 1, 1, 1, 4, 4, 1, 1, 0], &[0, 0, 1 << 16, 0, 0], &[], "", &[]);
+        assert!(matches!(Msg::decode(row), Err(NetError::Proto(_))), "row beyond u16");
+        let cut = encode(&[KIND_HELLO, 1, 1, 1, 4, 4, 1, 1, 0], &[0, 0, 0, 0], &[], "", &[]);
+        assert!(matches!(Msg::decode(cut), Err(NetError::Proto(_))), "four-word task");
+        let head = encode(&[KIND_START, 1], &[], &[], "", &[]);
+        assert!(matches!(Msg::decode(head), Err(NetError::Proto(_))), "start without an epoch");
+        let family = {
+            let mut w = SectionWriter::new(NET_MAGIC, NET_VERSION);
+            w.section(TAG_HEAD, &bytes_of_u64s(&[KIND_PUT])).section(TAG_LIST_A, &[]);
+            w.section(TAG_LIST_B, &[]).section(TAG_TEXT, &[]);
+            w.section(TAG_COORDS, &bytes_of_u64s(&[4, 0, 0])).section_f64s(TAG_DATA, &[0.0]);
+            w.into_bytes()
+        };
+        assert!(matches!(Msg::decode(family), Err(NetError::Proto(_))), "slot family 4");
+        let kind = encode(&[99], &[], &[], "", &[]);
+        assert!(matches!(Msg::decode(kind), Err(NetError::Proto(_))), "kind 99");
     }
 
     #[test]
@@ -404,28 +371,33 @@ mod tests {
 
     #[test]
     fn truncation_at_every_cut_is_a_typed_error() {
-        let clean = Msg::Put { fam: SlotFamily::A, i: 1, j: 2, data: vec![3.0; 16] }.encode();
-        for cut in 0..clean.len() {
-            assert!(Msg::decode(clean[..cut].to_vec()).is_err(), "cut {cut} accepted");
+        for m in samples() {
+            let clean = m.encode();
+            for cut in 0..clean.len() {
+                assert!(Msg::decode(clean[..cut].to_vec()).is_err(), "cut {cut} accepted");
+            }
         }
     }
 
     #[test]
-    fn wrong_magic_and_version_rejected() {
-        let clean = Msg::Ping { seq: 1 }.encode();
+    fn wrong_magic_and_older_versions_rejected() {
+        let clean = Msg::Ping.encode();
         let mut bad_magic = clean.clone();
         bad_magic[0] ^= 0xFF;
         assert!(Msg::decode(bad_magic).is_err());
-        // A version-1 peer (FNV trailer) is told its version is wrong; the
-        // differing checksum is never what it hears about.
-        let mut old_peer = clean;
-        old_peer[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            Msg::decode(old_peer),
-            Err(NetError::Frame(hqr_tile::BinFormatError::UnsupportedVersion {
-                expected: NET_VERSION,
-                found: 1
-            }))
-        ));
+        // A version-2 peer (the per-task relay) or a version-1 peer (FNV
+        // trailer) is told its version is wrong; a differing checksum or
+        // layout is never what it hears about.
+        for old in [1u32, 2] {
+            let mut old_peer = clean.clone();
+            old_peer[8..12].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                Msg::decode(old_peer),
+                Err(NetError::Frame(hqr_tile::BinFormatError::UnsupportedVersion {
+                    expected: NET_VERSION,
+                    found
+                })) if found == old
+            ));
+        }
     }
 }

@@ -1,37 +1,51 @@
-//! The tile worker: a process (or thread) that owns a shard of tiles
-//! and executes kernel tasks on command.
+//! The tile worker: a process (or thread) that owns a shard of tiles and
+//! runs its own share of the DAG.
 //!
-//! One worker serves many connections concurrently — the coordinator
-//! opens separate exec, data, and heartbeat connections — each handled
-//! by its own thread over the shared state. Heartbeats therefore keep
-//! flowing while a kernel runs: a slow worker is *slow*, not dead, and
-//! the failure detector can tell the difference.
+//! At `Hello` the worker rebuilds from the task list the `TaskGraph` every
+//! other worker holds. From `Start` on it runs the tasks whose affinity
+//! tile its grid ranks own, lowest task id first, on one compute thread (a
+//! host with more cores runs more workers). When a task finishes, each
+//! *other* worker owning one of its successors gets one `Push` with the
+//! written slots those successors touch; a received push installs them and
+//! releases the local successors. The graph has only last-writer edges and
+//! a slot that is read without being written is never written again, so
+//! every cross-worker edge carries data and no "I have read it" notice exists.
+//! Installing is overwriting: the version the pushed task consumed is gone
+//! from this shard, so a halted worker reports which pushes it accepted and
+//! recovery counts those tasks as run (see `Msg::Progress`).
 //!
-//! `Run` is idempotent: task ids land in a done-set, and a re-sent id
-//! (the coordinator retrying after a lost reply) waits for / reuses the
-//! first execution instead of corrupting read-modify-write kernels by
-//! running them twice.
+//! Every connection has its own thread: pushes are drained and heartbeats
+//! answered while a kernel runs (the shard lock is held to take and return
+//! buffers, never across a kernel, and a send never holds it), so two
+//! workers pushing to each other cannot deadlock and a slow worker is
+//! *slow*, not dead. Every request is idempotent. A push that cannot be
+//! delivered is dropped: its target is dead (the coordinator's poll of it
+//! fails, and the next epoch re-pushes to the new owner) or partitioned
+//! from this worker alone (the run ends at the stall deadline).
 //!
-//! Chaos hooks: [`WorkerOptions::die_after_tasks`] makes the worker die
-//! at a deterministic kill-point — `die_hard` aborts the process
-//! (SIGKILL-equivalent), otherwise it severs every connection and stops
-//! serving, which is the in-process stand-in the property tests use.
+//! Chaos hook: [`WorkerOptions::die_after_tasks`] is a deterministic
+//! kill-point — `die_hard` aborts the process (as SIGKILL would), otherwise
+//! the worker severs every connection and stops serving.
 
 use crate::error::NetError;
-use crate::kernel::{run_task_on_map, Slot};
-use crate::msg::{recv_msg, send_msg, Msg};
-use std::collections::{HashMap, HashSet};
+use crate::frame::{dial, write_frame};
+use crate::kernel::{run_task_on_map, Shard, Slot};
+use crate::msg::{encode_push, encode_put, recv_msg, send_msg, Msg, SlotBuf};
+use hqr_runtime::{last_writers, Task, TaskGraph};
+use hqr_tile::{Layout, ProcessGrid};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Behavior knobs, mostly for chaos testing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerOptions {
-    /// Die when asked to run a task after this many completed ones.
+    /// Die when about to run a task after this many completed ones.
     pub die_after_tasks: Option<u64>,
     /// When dying, abort the whole process (SIGKILL-equivalent) instead
     /// of severing connections.
@@ -40,216 +54,483 @@ pub struct WorkerOptions {
     pub slow_task_ms: u64,
 }
 
-/// A run's kernel shape, checked where it enters: `1 <= ib <= b` and
-/// `b * b` representable, so no kernel precondition can fail (and poison
-/// the shard's mutex) on the first `Run`.
-#[derive(Clone, Copy)]
-struct RunCfg {
-    run_id: u64,
-    b: usize,
-    ib: usize,
+/// How long a push may wait: on a peer's socket, or for this worker's own
+/// `Start` of the epoch the push belongs to.
+const PEER_TIMEOUT: Duration = Duration::from_secs(5);
+const NOT_TO_RUN: u32 = u32::MAX;
+
+/// What the compute thread and the connection handlers share about the
+/// current epoch.
+#[derive(Default)]
+struct Sched {
+    /// 0 until the first `Start`.
+    epoch: u64,
+    /// Grid rank → worker index.
+    owners: Vec<usize>,
+    /// The task's outputs are in the shard: it ran or was placed here, or
+    /// its push was accepted this epoch.
+    arrived: Vec<bool>,
+    /// Predecessors whose outputs have not arrived, for a task owned here
+    /// and not yet run; `NOT_TO_RUN` for every other task.
+    deps: Vec<u32>,
+    ready: BTreeSet<u32>,
+    left: usize,
+    /// Tasks run here, in completion order — what `Completed` reads.
+    log: Vec<u64>,
+    /// Tasks whose push was accepted this epoch — what a halt reports.
+    accepted: Vec<u64>,
+    /// Set by a halting `Completed`, cleared by `Start`: the compute
+    /// thread stops at the next task boundary and pushes are ignored.
+    halt: bool,
+    failed: Option<String>,
+    pushes: u64,
+    push_floats: u64,
+    compute: Option<JoinHandle<()>>,
 }
 
-impl RunCfg {
-    fn checked(run_id: u64, b: u64, ib: u64) -> Result<RunCfg, String> {
-        let tile = usize::try_from(b).ok().filter(|&b| b >= 1 && b.checked_mul(b).is_some());
-        match (tile, usize::try_from(ib)) {
-            (Some(b), Ok(ib)) if (1..=b).contains(&ib) => Ok(RunCfg { run_id, b, ib }),
-            _ => Err(format!(
-                "hello rejected: need tile size b >= 1 and 1 <= ib <= b, got b={b} ib={ib}"
-            )),
+/// One run's plan, checked where it entered, and the state built on it.
+struct Run {
+    run_id: u64,
+    graph: TaskGraph,
+    /// Tile → grid rank: 2D block-cyclic.
+    layout: Layout,
+    ib: usize,
+    me: usize,
+    addrs: Vec<SocketAddr>,
+    shard: Shard,
+    sched: Mutex<Sched>,
+    /// Wakes the compute thread (a task became ready, or halt) and pushes
+    /// waiting for their epoch.
+    work: Condvar,
+}
+
+impl Run {
+    /// Validate a `Hello`: `1 <= ib <= b` with `b * b` representable (so no
+    /// kernel precondition can fail later), a fleet that covers the grid, a
+    /// matrix no larger than its task list (every tile has a task, so a shape
+    /// cannot size an allocation the frame did not pay for), and a task list
+    /// `TaskGraph::try_from_tasks` accepts.
+    fn plan(
+        run_id: u64,
+        dims: [u64; 7],
+        addrs: Vec<SocketAddr>,
+        tasks: Vec<Task>,
+    ) -> Result<Run, String> {
+        let [mt, nt, b, ib, p, q, me] = dims.map(|v| usize::try_from(v).unwrap_or(usize::MAX));
+        if b == 0 || b.checked_mul(b).is_none() || !(1..=b).contains(&ib) {
+            return Err(format!("need tile size b >= 1 and 1 <= ib <= b, got b={b} ib={ib}"));
         }
+        if p == 0 || q == 0 || p.checked_mul(q) != Some(addrs.len()) || me >= addrs.len() {
+            return Err(format!("{} workers (this one #{me}) on a {p}x{q} grid", addrs.len()));
+        }
+        if mt.checked_mul(nt).is_none_or(|tiles| tiles > tasks.len()) {
+            return Err(format!("{} tasks cannot cover {mt}x{nt} tiles", tasks.len()));
+        }
+        let graph = TaskGraph::try_from_tasks(mt, nt, b, tasks).map_err(|e| e.to_string())?;
+        let layout = Layout::Cyclic2D(ProcessGrid::new(p, q));
+        let (shard, sched, work) = (Shard::default(), Mutex::default(), Condvar::new());
+        Ok(Run { run_id, graph, layout, ib, me, addrs, shard, sched, work })
+    }
+
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().expect("sched lock: a holder panicked")
+    }
+
+    /// A task runs on the worker owning the rank of its affinity tile.
+    fn owner(&self, owners: &[usize], t: &Task) -> usize {
+        let (i, j) = t.affinity_tile();
+        owners[self.layout.owner(i, j)]
+    }
+
+    /// Stop the compute thread at its next task boundary and wait for it.
+    fn halt(&self) {
+        self.sched().halt = true;
+        self.work.notify_all();
+        let handle = self.sched().compute.take();
+        let _ = handle.map(JoinHandle::join);
+    }
+
+    /// `Start`: adopt the epoch's owner map and completed set, then run. An
+    /// epoch is a function of those two and of the shard. A push accepted
+    /// earlier overwrote its slots in place, which is why a halt reports it
+    /// and `completed` counts its task; beyond that it is forgotten, and
+    /// every completed task owned here re-pushes to the owners of its
+    /// unfinished successors.
+    fn start(
+        self: &Arc<Self>,
+        state: &Arc<WorkerState>,
+        epoch: u64,
+        owners: &[u64],
+        completed: &[u64],
+    ) -> Result<(), String> {
+        let (n, fleet) = (self.graph.tasks().len(), self.addrs.len() as u64);
+        let covers = owners.len() == self.layout.nodes() && owners.iter().all(|&w| w < fleet);
+        if !covers || completed.iter().any(|&t| t >= n as u64) {
+            return Err(format!(
+                "start rejected: owners {owners:?} or a completed id off the plan"
+            ));
+        }
+        if self.sched().epoch == epoch {
+            return Ok(());
+        }
+        self.halt();
+        let owners: Vec<usize> = owners.iter().map(|&w| w as usize).collect();
+        let mut done = vec![false; n];
+        for &t in completed {
+            done[t as usize] = true;
+        }
+        let mine = |t: usize| self.owner(&owners, &self.graph.tasks()[t]) == self.me;
+        let mut guard = self.sched();
+        let s = &mut *guard;
+        s.arrived = (0..n).map(|t| done[t] && mine(t)).collect();
+        s.deps = (0..n).map(|t| if !done[t] && mine(t) { 0 } else { NOT_TO_RUN }).collect();
+        s.left = s.deps.iter().filter(|&&d| d == 0).count();
+        for t in (0..n).filter(|&t| !s.arrived[t]) {
+            for &succ in self.graph.successors(t) {
+                s.deps[succ as usize] = s.deps[succ as usize].saturating_add(1);
+            }
+        }
+        s.ready = (0..n as u32).filter(|&t| s.deps[t as usize] == 0).collect();
+        (s.epoch, s.halt, s.owners) = (epoch, false, owners.clone());
+        s.accepted.clear();
+        let (run, st) = (Arc::clone(self), Arc::clone(state));
+        s.compute = Some(thread::spawn(move || run.compute(&st, epoch, &owners, &done)));
+        drop(guard);
+        self.work.notify_all();
+        Ok(())
+    }
+
+    fn compute(&self, state: &WorkerState, epoch: u64, owners: &[usize], done: &[bool]) {
+        let mut peers: HashMap<usize, TcpStream> = HashMap::new();
+        // What this worker's finished tasks owe the epoch's unfinished ones.
+        for (t, task) in self.graph.tasks().iter().enumerate() {
+            if done[t] && self.owner(owners, task) == self.me {
+                self.push_outputs(&mut peers, owners, done, epoch, t as u32);
+            }
+        }
+        loop {
+            let mut s = self.sched();
+            let next = loop {
+                if s.halt || s.left == 0 || state.dead.load(Ordering::SeqCst) {
+                    return;
+                }
+                if let Some(t) = s.ready.pop_first() {
+                    break t;
+                }
+                s = self.work.wait(s).expect("sched lock: a holder panicked");
+            };
+            let ran = s.log.len() as u64;
+            drop(s);
+            if state.opts.die_after_tasks.is_some_and(|limit| ran >= limit) {
+                if state.opts.die_hard {
+                    // The real thing: no destructors, no goodbyes —
+                    // indistinguishable from SIGKILL for every peer.
+                    std::process::abort();
+                }
+                return state.die_soft();
+            }
+            thread::sleep(Duration::from_millis(state.opts.slow_task_ms));
+            let task = &self.graph.tasks()[next as usize];
+            let result = run_task_on_map(&self.shard, task, self.graph.b(), self.ib);
+            // A worker killed mid-kernel publishes nothing.
+            if state.dead.load(Ordering::SeqCst) {
+                return;
+            }
+            let mut s = self.sched();
+            if let Err(e) = result {
+                s.failed = Some(e.to_string());
+                return;
+            }
+            (s.deps[next as usize], s.arrived[next as usize]) = (NOT_TO_RUN, true);
+            s.left -= 1;
+            s.log.push(u64::from(next));
+            self.release(&mut s, next);
+            drop(s);
+            self.push_outputs(&mut peers, owners, done, epoch, next);
+        }
+    }
+
+    /// `t`'s outputs are here: its local successors lose a dependency.
+    fn release(&self, s: &mut Sched, t: u32) {
+        for &succ in self.graph.successors(t as usize) {
+            if s.deps[succ as usize] != NOT_TO_RUN {
+                s.deps[succ as usize] -= 1;
+                if s.deps[succ as usize] == 0 {
+                    s.ready.insert(succ);
+                }
+            }
+        }
+    }
+
+    /// One `Push` per other worker owning a successor of `t` not `done`
+    /// when the epoch began (none is, of a task that ran in it), carrying
+    /// the slots `t` wrote that those successors touch. Frames are encoded
+    /// from the shard's buffers under its lock and sent after its release.
+    fn push_outputs(
+        &self,
+        peers: &mut HashMap<usize, TcpStream>,
+        owners: &[usize],
+        done: &[bool],
+        epoch: u64,
+        t: u32,
+    ) {
+        let tasks = self.graph.tasks();
+        let writes = tasks[t as usize].writes();
+        let mut dests: BTreeMap<usize, Vec<Slot>> = BTreeMap::new();
+        for &succ in self.graph.successors(t as usize).iter().filter(|&&s| !done[s as usize]) {
+            let (next, w) = (&tasks[succ as usize], self.owner(owners, &tasks[succ as usize]));
+            if w != self.me {
+                let (touched, slots) = ([next.reads(), next.writes()].concat(), dests.entry(w));
+                let slots = slots.or_default();
+                slots.extend(writes.iter().filter(|s| touched.contains(s)));
+                slots.sort_unstable();
+                slots.dedup();
+            }
+        }
+        for (w, slots) in dests {
+            let shard = self.shard.lock().expect("shard lock");
+            let held = slots.iter().filter_map(|s| shard.get(s).map(|buf| (*s, &**buf)));
+            let frame = encode_push(self.run_id, epoch, u64::from(t), &held.collect::<Vec<_>>());
+            drop(shard);
+            // A connection that fails is dropped with the push (the next
+            // one re-dials): see the module note on undeliverable pushes.
+            let peer = match peers.entry(w) {
+                Entry::Occupied(open) => Some(open.into_mut()),
+                Entry::Vacant(none) => {
+                    dial(self.addrs[w], PEER_TIMEOUT).ok().map(|s| none.insert(s))
+                }
+            };
+            if peer.is_some_and(|s| write_frame(s, &frame).is_ok()) {
+                let mut s = self.sched();
+                s.pushes += 1;
+                s.push_floats += (slots.len() * self.graph.b() * self.graph.b()) as u64;
+            } else {
+                peers.remove(&w);
+            }
+        }
+    }
+
+    /// A peer's push: install and release, exactly once per task and
+    /// epoch; anything that does not fit the plan changes nothing.
+    fn accept_push(&self, epoch: u64, task_id: u64, slots: Vec<SlotBuf>) {
+        let tasks = self.graph.tasks();
+        let Some(task) = usize::try_from(task_id).ok().and_then(|t| tasks.get(t)) else { return };
+        let (t, writes, b) = (task_id as usize, task.writes(), self.graph.b());
+        if slots.iter().any(|(s, data)| !writes.contains(s) || data.len() != b * b) {
+            return;
+        }
+        // The sender's `Start` can precede ours: wait for the epoch rather
+        // than lose the push (ours is on its way, or the run is over and the
+        // wait times out). The sched lock is then held across the install, so
+        // a halt or a `Start` sees this push whole or not at all.
+        let (mut s, _) = self
+            .work
+            .wait_timeout_while(self.sched(), PEER_TIMEOUT, |s| s.epoch < epoch)
+            .expect("sched lock: a holder panicked");
+        // (`owners` is empty until the first `Start`: epoch 0 is no epoch.)
+        let stale = s.epoch != epoch || s.halt || s.owners.is_empty();
+        if stale || s.arrived[t] || self.owner(&s.owners, task) == self.me {
+            return;
+        }
+        let boxed = slots.into_iter().map(|(slot, data)| (slot, data.into_boxed_slice()));
+        self.shard.lock().expect("shard lock").extend(boxed);
+        s.arrived[t] = true;
+        s.accepted.push(task_id);
+        self.release(&mut s, t as u32);
+        drop(s);
+        self.work.notify_all();
+    }
+
+    /// `Gather`: stream every slot whose last writer this worker owns,
+    /// in slot order, then the push counters.
+    fn gather(&self, stream: &mut TcpStream) -> Result<(), NetError> {
+        // The compute thread may still be counting its last push.
+        self.halt();
+        let s = self.sched();
+        let (owners, end) =
+            (s.owners.clone(), Msg::End { pushes: s.pushes, push_floats: s.push_floats });
+        drop(s);
+        let tasks = self.graph.tasks();
+        let mut last: Vec<(Slot, u32)> =
+            last_writers(&self.graph, &vec![true; tasks.len()]).into_iter().collect();
+        last.sort_unstable();
+        for (slot, w) in last {
+            if !owners.is_empty() && self.owner(&owners, &tasks[w as usize]) == self.me {
+                let shard = self.shard.lock().expect("shard lock");
+                let frame = shard.get(&slot).map(|buf| encode_put(slot, buf));
+                drop(shard);
+                // A slot that is not here is the coordinator's to rebuild.
+                if let Some(frame) = frame {
+                    write_frame(stream, &frame)?;
+                }
+            }
+        }
+        send_msg(stream, &end)
     }
 }
 
 struct WorkerState {
     opts: WorkerOptions,
-    slots: Mutex<HashMap<Slot, Box<[f64]>>>,
-    cfg: Mutex<Option<RunCfg>>,
-    done: Mutex<HashSet<u64>>,
-    running: Mutex<HashSet<u64>>,
-    tasks_run: AtomicU64,
+    /// Where the accept loop listens — dialed to wake it.
+    addr: SocketAddr,
+    run: Mutex<Option<Arc<Run>>>,
     dead: AtomicBool,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every open inbound connection, for death to sever.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl WorkerState {
-    fn die(&self) {
-        if self.opts.die_hard {
-            // The real thing: no destructors, no goodbyes — indistinguishable
-            // from SIGKILL for every peer.
-            std::process::abort();
-        }
-        self.die_soft();
-    }
-
-    /// Sever every connection and stop serving — the in-process
-    /// SIGKILL stand-in.
+    /// Sever every connection and stop serving: the in-process SIGKILL.
     fn die_soft(&self) {
         self.dead.store(true, Ordering::SeqCst);
-        for c in self.conns.lock().unwrap().iter() {
+        for c in self.conns.lock().expect("conns lock").values() {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
+        if let Some(run) = self.current() {
+            // Through the lock, so a compute thread between its check of
+            // `dead` and its wait cannot miss the wake-up.
+            drop(run.sched());
+            run.work.notify_all();
+        }
+        // The accept loop blocks in `accept`; a connection wakes it.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
+    }
+
+    fn current(&self) -> Option<Arc<Run>> {
+        self.run.lock().expect("run lock").clone()
+    }
+
+    /// The current run, if it is `run_id`.
+    fn run(&self, run_id: u64) -> Result<Arc<Run>, String> {
+        let current = self.current().filter(|r| r.run_id == run_id);
+        current.ok_or_else(|| format!("no run {run_id} on this worker (hello first)"))
     }
 }
 
-/// Serve until orderly shutdown or a (soft) death. Blocks the caller;
-/// `hqr worker` calls this directly, tests use [`spawn_local`].
+/// Serve until orderly shutdown or a (soft) death; blocks the caller.
 pub fn serve(listener: TcpListener, opts: WorkerOptions) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let state = Arc::new(WorkerState {
-        opts,
-        slots: Mutex::new(HashMap::new()),
-        cfg: Mutex::new(None),
-        done: Mutex::new(HashSet::new()),
-        running: Mutex::new(HashSet::new()),
-        tasks_run: AtomicU64::new(0),
-        dead: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
-    });
-    let mut handlers = Vec::new();
-    while !state.dead.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    state.conns.lock().unwrap().push(clone);
-                }
-                let st = Arc::clone(&state);
-                handlers.push(thread::spawn(move || handle_conn(stream, &st)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into());
     }
-    for h in handlers {
-        let _ = h.join();
+    let (run, conns, dead) = (Mutex::new(None), Mutex::new(HashMap::new()), AtomicBool::new(false));
+    let state = Arc::new(WorkerState { opts, addr, run, dead, conns });
+    // One thread per connection, each gone — with its descriptor — when
+    // its peer hangs up, not when the worker exits: a fleet serves any
+    // number of runs. The scope joins whichever are left.
+    thread::scope(|scope| {
+        for id in 0u64.. {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    // Sever what is open, or the scope never ends.
+                    state.die_soft();
+                    return Err(e);
+                }
+            };
+            if state.dead.load(Ordering::SeqCst) {
+                break;
+            }
+            let _ = stream.set_nodelay(true);
+            if let Ok(clone) = stream.try_clone() {
+                state.conns.lock().expect("conns lock").insert(id, clone);
+            }
+            let state = &state;
+            scope.spawn(move || {
+                handle_conn(stream, state);
+                state.conns.lock().expect("conns lock").remove(&id);
+            });
+        }
+        Ok(())
+    })?;
+    if let Some(run) = state.current() {
+        run.halt();
     }
     Ok(())
 }
 
 fn handle_conn(mut stream: TcpStream, state: &Arc<WorkerState>) {
-    loop {
-        if state.dead.load(Ordering::SeqCst) {
-            return;
-        }
-        let msg = match recv_msg(&mut stream, "request", Duration::ZERO) {
-            Ok(m) => m,
-            // Peer hung up, link severed, or the frame was corrupt beyond
-            // trust — drop the connection either way.
-            Err(_) => return,
-        };
-        let reply = match msg {
-            Msg::Hello { run_id, mt: _, nt: _, b, ib } => match RunCfg::checked(run_id, b, ib) {
-                Ok(run) => {
-                    let mut cfg = state.cfg.lock().unwrap();
-                    let fresh = cfg.is_none_or(|c| c.run_id != run_id);
-                    if fresh {
-                        // New run: forget the previous run's shard and dedup set.
-                        state.slots.lock().unwrap().clear();
-                        state.done.lock().unwrap().clear();
-                        state.tasks_run.store(0, Ordering::SeqCst);
-                    }
-                    *cfg = Some(run);
-                    Msg::HelloOk
-                }
-                Err(detail) => Msg::Err { detail },
-            },
-            Msg::Put { fam, i, j, data } => match state.cfg.lock().unwrap().as_ref() {
-                Some(cfg) if data.len() == cfg.b * cfg.b => {
-                    state
-                        .slots
-                        .lock()
-                        .unwrap()
-                        .insert((fam, i as usize, j as usize), data.into_boxed_slice());
-                    Msg::PutOk
-                }
-                Some(cfg) => Msg::Err {
-                    detail: format!(
-                        "put of {} floats does not match tile size {}",
-                        data.len(),
-                        cfg.b
-                    ),
-                },
-                None => Msg::Err { detail: "put before hello".into() },
-            },
-            Msg::Get { fam, i, j } => {
-                let slots = state.slots.lock().unwrap();
-                match slots.get(&(fam, i as usize, j as usize)) {
-                    Some(buf) => Msg::SlotData { fam, i, j, data: buf.to_vec() },
-                    None => {
-                        Msg::Err { detail: format!("no such slot {fam:?}({i},{j}) on this worker") }
-                    }
-                }
-            }
-            Msg::Run { task_id, task } => run_rpc(state, task_id, &task),
-            Msg::Ping { seq } => Msg::Pong { seq },
-            Msg::Die { hard } => {
-                if hard {
-                    std::process::abort();
-                }
-                state.die_soft();
-                return;
-            }
-            Msg::Shutdown => {
-                let _ = send_msg(&mut stream, &Msg::Bye);
-                state.die_soft();
-                return;
-            }
-            other => Msg::Err { detail: format!("unexpected message for a worker: {other:?}") },
+    while !state.dead.load(Ordering::SeqCst) {
+        // Peer hung up, link severed, or the frame was corrupt beyond
+        // trust — drop the connection either way.
+        let Ok(msg) = recv_msg(&mut stream, "request", Duration::ZERO) else { return };
+        let shutdown = msg == Msg::Shutdown;
+        let reply = match answer(state, &mut stream, msg) {
+            Ok(None) => continue,
+            Ok(Some(reply)) => reply,
+            Err(detail) => Msg::Err { detail },
         };
         if send_msg(&mut stream, &reply).is_err() {
             return;
         }
+        if shutdown {
+            return state.die_soft();
+        }
     }
 }
 
-fn run_rpc(state: &Arc<WorkerState>, task_id: u64, task: &hqr_runtime::Task) -> Msg {
-    // Dedup / in-progress wait: a re-sent id never re-executes.
-    loop {
-        if state.done.lock().unwrap().contains(&task_id) {
-            return Msg::Done { task_id };
+/// Serve one request; `None` for the unacknowledged kinds.
+fn answer(
+    state: &Arc<WorkerState>,
+    stream: &mut TcpStream,
+    msg: Msg,
+) -> Result<Option<Msg>, String> {
+    Ok(Some(match msg {
+        Msg::Hello { run_id, dims, addrs, tasks } => {
+            if state.run(run_id).is_err() {
+                let run = Run::plan(run_id, dims, addrs, tasks);
+                let run = Arc::new(run.map_err(|e| format!("hello rejected: {e}"))?);
+                // New run: the previous one's shard, plan and compute thread
+                // go. (Halted outside the lock: a dying compute thread takes it.)
+                let old = state.run.lock().expect("run lock").replace(run);
+                if let Some(old) = old {
+                    old.halt();
+                }
+            }
+            Msg::Ok
         }
-        let mut running = state.running.lock().unwrap();
-        if !running.contains(&task_id) {
-            running.insert(task_id);
-            break;
+        Msg::Put { slot, data } => {
+            // Whether it fits is checked where a task takes it (`run_task_on_map`).
+            // Tiles are placed between epochs: a straggler from a connection
+            // the coordinator gave up on must not undo what a task wrote since.
+            if let Some(run) = state.current() {
+                let s = run.sched();
+                if s.epoch == 0 || s.halt {
+                    run.shard.lock().expect("shard lock").insert(slot, data.into_boxed_slice());
+                }
+            }
+            return Ok(None);
         }
-        drop(running);
-        thread::sleep(Duration::from_millis(2));
-    }
-    // Kill-point check happens only for a *first* execution, so the
-    // dedup path above can still acknowledge past work.
-    if let Some(limit) = state.opts.die_after_tasks {
-        if state.tasks_run.load(Ordering::SeqCst) >= limit {
-            state.running.lock().unwrap().remove(&task_id);
-            state.die();
-            return Msg::Err { detail: "worker dying at kill-point".into() };
+        Msg::Start { run_id, epoch, owners, completed } => {
+            state.run(run_id)?.start(state, epoch, &owners, &completed)?;
+            Msg::Ok
         }
-    }
-    let Some(cfg) = *state.cfg.lock().unwrap() else {
-        state.running.lock().unwrap().remove(&task_id);
-        return Msg::Err { detail: "run before hello".into() };
-    };
-    if state.opts.slow_task_ms > 0 {
-        thread::sleep(Duration::from_millis(state.opts.slow_task_ms));
-    }
-    let result = {
-        let mut slots = state.slots.lock().unwrap();
-        run_task_on_map(&mut slots, task, cfg.b, cfg.ib)
-    };
-    state.running.lock().unwrap().remove(&task_id);
-    match result {
-        Ok(()) => {
-            state.tasks_run.fetch_add(1, Ordering::SeqCst);
-            state.done.lock().unwrap().insert(task_id);
-            Msg::Done { task_id }
+        Msg::Push { run_id, epoch, task_id, slots } => {
+            if let Ok(run) = state.run(run_id) {
+                run.accept_push(epoch, task_id, slots);
+            }
+            return Ok(None);
         }
-        Err(e) => Msg::Err { detail: e.to_string() },
-    }
+        Msg::Completed { run_id, after, halt } => {
+            let run = state.run(run_id)?;
+            if halt {
+                run.halt();
+            }
+            let s = run.sched();
+            if let Some(e) = &s.failed {
+                return Err(e.clone());
+            }
+            let ids = s.log.get(after as usize..).unwrap_or_default().into();
+            Msg::Progress { ids, accepted: if halt { s.accepted.clone() } else { Vec::new() } }
+        }
+        Msg::Gather { run_id } => {
+            state.run(run_id)?.gather(stream).map_err(|e| e.to_string())?;
+            return Ok(None);
+        }
+        Msg::Ping | Msg::Shutdown => Msg::Ok,
+        other => return Err(format!("unexpected message for a worker: {other:?}")),
+    }))
 }
 
 /// An in-process worker for tests and the spawned-workers CLI mode.
@@ -278,12 +559,10 @@ pub fn spawn_local(opts: WorkerOptions) -> io::Result<LocalWorker> {
 /// Orderly shutdown of a worker by address; errors are reported but a
 /// dead worker is simply already shut down.
 pub fn shutdown(addr: SocketAddr) -> Result<(), NetError> {
-    let mut s = TcpStream::connect_timeout(&addr, Duration::from_millis(500))
-        .map_err(|e| NetError::Io(format!("connect {addr}: {e}")))?;
-    let _ = s.set_read_timeout(Some(Duration::from_millis(500)));
+    let mut s = dial(addr, Duration::from_millis(500))?;
     send_msg(&mut s, &Msg::Shutdown)?;
-    match recv_msg(&mut s, "bye", Duration::from_millis(500))? {
-        Msg::Bye => Ok(()),
-        other => Err(NetError::Proto(format!("expected Bye, got {other:?}"))),
+    match recv_msg(&mut s, "shutdown ack", Duration::from_millis(500))? {
+        Msg::Ok => Ok(()),
+        other => Err(NetError::Proto(format!("expected Ok, got {other:?}"))),
     }
 }

@@ -2,14 +2,17 @@
 //! worker-loss recovery, chaos (drop/delay) runs, and heartbeat
 //! false-positive safety — all against real TCP workers on loopback.
 
+use hqr::baselines;
 use hqr_net::{
     factorize, shutdown_workers, spawn_local, DistConfig, DistReport, NetFaultPlan, WorkerOptions,
 };
-use hqr_runtime::{execute_serial, ElimOp, TFactors, TaskGraph};
+use hqr_runtime::task::SlotFamily;
+use hqr_runtime::{execute_serial, ElimOp, Slot, TFactors, Task, TaskGraph};
 use hqr_tile::TiledMatrix;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -130,6 +133,42 @@ fn worker_killed_before_first_task_recovers() {
     assert!(!report.recoveries.is_empty());
 }
 
+/// A push replaces the receiver's copy of a slot in place, so a producer
+/// that dies between its push and its report must still count as having
+/// run, or recovery runs its task again on that task's own output. The
+/// A(0,1) chain of a flat tree on a 2 x 1 grid is UNMQR (worker 0) ->
+/// TTMQR of row 1 (worker 1) -> TTMQR of row 2 (worker 0). Worker 1 dies
+/// right after its TTMQR and the push of it, which the 4 ms completion
+/// poll all but never sees, while worker 0, at 150 ms a task, is still two
+/// tasks short of its own TTMQR when the halt reaches it.
+#[test]
+fn producer_killed_between_its_push_and_its_report_recovers_bitwise() {
+    let (mt, nt, b) = (3, 2, 4);
+    let flat =
+        [ElimOp::new(0, 1, 0, false), ElimOp::new(0, 2, 0, false), ElimOp::new(1, 2, 1, false)];
+    let graph = TaskGraph::build(mt, nt, b, &flat);
+    let grid = hqr_tile::ProcessGrid::new(2, 1);
+    let tasks = graph.tasks();
+    let pushed = tasks.iter().position(|t| *t == Task::update(0, 1, 0, 1, false)).expect("TTMQR");
+    assert_eq!(
+        (owner(&tasks[pushed], grid), tasks[pushed].writes()[0]),
+        (1, (SlotFamily::A, 0, 1))
+    );
+    // Worker 1 runs its tasks up to that one in program order (each waits
+    // on the one before, or on worker 0), and the next is ready at once.
+    let kill_point = tasks[..=pushed].iter().filter(|t| owner(t, grid) == 1).count() as u64;
+    let input = TiledMatrix::random(mt, nt, b, 91);
+    let mut cfg = test_config(2);
+    cfg.grid = grid;
+    let opts = [
+        WorkerOptions { die_after_tasks: None, die_hard: false, slow_task_ms: 150 },
+        WorkerOptions { die_after_tasks: Some(kill_point), die_hard: false, slow_task_ms: 0 },
+    ];
+    let (a, f, report) = dist_run(&opts, &graph, &input, &cfg);
+    assert_bitwise_parity(&graph, &input, &a, &f, "producer killed after its push");
+    assert!(report.recoveries.iter().any(|r| r.worker == 1), "{:?}", report.recoveries);
+}
+
 /// The acceptance-criteria property: over random trees × kill-points ×
 /// worker counts, killing one worker mid-run always completes with a
 /// bitwise-identical result. Deterministic seeds, exhaustive-ish sweep
@@ -220,4 +259,144 @@ fn report_accounts_for_transfers_and_elapsed() {
     assert!(report.transfers >= (mt * nt) as u64);
     assert!(report.floats_moved >= (mt * nt * b * b) as u64);
     assert!(report.elapsed > Duration::ZERO);
+}
+
+/// Satellite of the owner-computes rewrite: a finished run used to join
+/// heartbeat threads asleep in `thread::sleep(hb_interval)`. They wait on
+/// the stop signal now, so the interval is not a floor on the run time.
+#[test]
+fn wind_down_does_not_sit_out_a_heartbeat_interval() {
+    let (mt, nt, b) = (4, 2, 4);
+    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 51));
+    let input = TiledMatrix::random(mt, nt, b, 52);
+    let mut cfg = test_config(2);
+    cfg.hb_interval = Duration::from_secs(2);
+    cfg.hb_timeout = Duration::from_secs(10);
+    let t0 = std::time::Instant::now();
+    let (a, f, _) = dist_run(&[WorkerOptions::default(); 2], &graph, &input, &cfg);
+    let wall = t0.elapsed();
+    assert_bitwise_parity(&graph, &input, &a, &f, "hb_interval = 2 s");
+    assert!(wall < Duration::from_secs(1), "a 14-tile run took {wall:?}");
+}
+
+/// Grid rank (= worker, on a fault-free run) that executes `t`.
+fn owner(t: &Task, grid: hqr_tile::ProcessGrid) -> usize {
+    let (i, j) = t.affinity_tile();
+    hqr_tile::Layout::Cyclic2D(grid).owner(i, j)
+}
+
+/// Every slot some task writes.
+fn written_slots(graph: &TaskGraph) -> HashSet<Slot> {
+    graph.tasks().iter().flat_map(|t| t.writes()).collect()
+}
+
+/// The inter-node message count of a tree under a layout, from the graph
+/// and the layout alone: distinct (producer task, other worker that owns
+/// one of its successors) pairs.
+fn cross_worker_messages(graph: &TaskGraph, grid: hqr_tile::ProcessGrid) -> u64 {
+    let tasks = graph.tasks();
+    let mut pairs = HashSet::new();
+    for (t, task) in tasks.iter().enumerate() {
+        for &s in graph.successors(t) {
+            let dest = owner(&tasks[s as usize], grid);
+            if dest != owner(task, grid) {
+                pairs.insert((t, dest));
+            }
+        }
+    }
+    pairs.len() as u64
+}
+
+/// What the push rule rests on, asserted rather than assumed: the graph has
+/// only last-writer edges, so (a) every edge must carry at least one slot
+/// the producer wrote and the consumer touches — there is no edge a bare
+/// completion notice would have to travel on — and (b) no slot is written
+/// after a task has read it without writing it, so a consumer can never
+/// find a later version than the one it was sent (`Vg` is the copy made
+/// for exactly that purpose).
+#[test]
+fn every_edge_carries_data_and_no_read_slot_is_rewritten() {
+    let grid = hqr_tile::ProcessGrid::new(2, 2);
+    let mut graphs = vec![
+        TaskGraph::build(6, 4, 2, &random_elims(6, 4, 61)),
+        TaskGraph::build(7, 3, 2, &random_elims(7, 3, 62)),
+    ];
+    for setup in [baselines::hqr_tall_skinny(12, 3, grid), baselines::hqr_square(6, 6, grid)] {
+        graphs.push(TaskGraph::build(setup.elims.mt(), setup.elims.nt(), 2, &setup.elims.to_ops()));
+    }
+    graphs.push(TaskGraph::build(8, 3, 2, &baselines::bbd10(8, 3, grid).elims.to_ops()));
+    for graph in &graphs {
+        let tasks = graph.tasks();
+        let mut read_only: HashSet<Slot> = HashSet::new();
+        for (t, task) in tasks.iter().enumerate() {
+            for s in task.writes() {
+                assert!(!read_only.contains(&s), "{} rewrites {s:?} after a reader", task.label());
+            }
+            read_only.extend(task.reads());
+            for &succ in graph.successors(t) {
+                let next = &tasks[succ as usize];
+                let touched = [next.reads(), next.writes()].concat();
+                assert!(
+                    task.writes().iter().any(|s| touched.contains(s)),
+                    "edge {} -> {} carries no slot",
+                    task.label(),
+                    next.label()
+                );
+            }
+        }
+    }
+}
+
+/// The paper's message counts as an executable check: on a fault-free run
+/// the workers push exactly one frame per (producer task, consuming worker)
+/// pair of the graph under the layout, and the coordinator moves the
+/// scatter and the gather and not one double more.
+#[test]
+fn peer_transfers_are_the_cross_worker_edges_and_the_coordinator_relays_nothing() {
+    let (mt, nt, b) = (8, 4, 4);
+    for (p, q) in [(1, 2), (2, 2), (4, 1)] {
+        let grid = hqr_tile::ProcessGrid::new(p, q);
+        let setup = baselines::hqr_tall_skinny(mt, nt, grid);
+        let graph = TaskGraph::build(mt, nt, b, &setup.elims.to_ops());
+        let input = TiledMatrix::random(mt, nt, b, 70 + p as u64);
+        let mut cfg = test_config(p * q);
+        cfg.grid = grid;
+        let (a, f, report) = dist_run(&vec![WorkerOptions::default(); p * q], &graph, &input, &cfg);
+        assert_bitwise_parity(&graph, &input, &a, &f, &format!("{p}x{q} fleet"));
+        assert!(report.recoveries.is_empty(), "{p}x{q}: {:?}", report.recoveries);
+        let (scatter, gather) = ((mt * nt) as u64, written_slots(&graph).len() as u64);
+        let tile = (b * b) as u64;
+        assert_eq!(report.peer_transfers, cross_worker_messages(&graph, grid), "{p}x{q}");
+        assert_eq!(report.coordinator_floats, (scatter + gather) * tile, "{p}x{q}");
+        assert_eq!(report.transfers, scatter + gather + report.peer_transfers, "{p}x{q}");
+        assert!(report.floats_moved > report.coordinator_floats, "{p}x{q}: pushes carry data");
+    }
+}
+
+/// PAPER.md §IV-A on real processes: on a tall matrix over a 4 x 1 grid the
+/// hierarchical tree crosses workers no more often than the flat tree of
+/// [BBD+10]. (The three counts, with [SLHD10]'s tree on the same layout,
+/// are in EXPERIMENTS.md "Owner-computes `dist`".)
+#[test]
+fn hqr_moves_no_more_peer_messages_than_the_flat_tree() {
+    let (mt, nt, b) = (16, 2, 4);
+    let grid = hqr_tile::ProcessGrid::new(4, 1);
+    let mut counts = Vec::new();
+    for setup in [
+        baselines::hqr_tall_skinny(mt, nt, grid),
+        baselines::bbd10(mt, nt, grid),
+        baselines::slhd10(mt, nt, 4),
+    ] {
+        let graph = TaskGraph::build(mt, nt, b, &setup.elims.to_ops());
+        let input = TiledMatrix::random(mt, nt, b, 80);
+        let mut cfg = test_config(4);
+        cfg.grid = grid;
+        let (a, f, report) = dist_run(&[WorkerOptions::default(); 4], &graph, &input, &cfg);
+        assert_bitwise_parity(&graph, &input, &a, &f, &setup.name);
+        assert!(report.recoveries.is_empty(), "{:?}", report.recoveries);
+        assert_eq!(report.peer_transfers, cross_worker_messages(&graph, grid), "{}", setup.name);
+        println!("{:>40}: {} peer messages", setup.name, report.peer_transfers);
+        counts.push(report.peer_transfers);
+    }
+    assert!(counts[0] <= counts[1], "HQR {} > [BBD+10] {}", counts[0], counts[1]);
 }

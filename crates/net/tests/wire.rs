@@ -5,10 +5,10 @@
 
 use hqr_net::{
     read_frame, recv_msg, send_msg, shutdown, spawn_local, write_frame, Msg, NetError,
-    WorkerOptions, MAX_FRAME,
+    WorkerOptions, MAX_FRAME, NET_MAGIC, NET_VERSION,
 };
 use hqr_runtime::task::SlotFamily;
-use hqr_runtime::Task;
+use hqr_runtime::{execute_serial_ib, recompute_slots, ElimOp, Slot, TFactors, Task, TaskGraph};
 use hqr_tile::io::{
     bytes_of_f64s, bytes_of_u64s, tiled_from_bytes, tiled_to_bytes, u64s_of_bytes, SectionReader,
     SectionWriter,
@@ -44,14 +44,33 @@ fn flip_bits(buf: &mut [u8], seed: u64, n: usize) {
     }
 }
 
+/// How many messages [`sample_msgs`] returns.
+const SAMPLES: usize = 8;
+
 fn sample_msgs() -> Vec<Msg> {
-    vec![
-        Msg::Hello { run_id: 1, mt: 4, nt: 4, b: 8, ib: 4 },
-        Msg::Put { fam: SlotFamily::A, i: 1, j: 2, data: vec![1.0; 64] },
-        Msg::Get { fam: SlotFamily::Tg, i: 0, j: 3 },
-        Msg::Run { task_id: 17, task: Task::update(0, 2, 1, 3, false) },
+    let tile = |fam, i, j| ((fam, i, j), vec![1.0; 64]);
+    let samples = vec![
+        Msg::Hello {
+            run_id: 1,
+            dims: [4, 4, 8, 4, 2, 1, 0],
+            addrs: vec!["127.0.0.1:9".parse().unwrap(), "127.0.0.1:10".parse().unwrap()],
+            tasks: vec![Task::geqrt(0, 0), Task::update(0, 2, 1, 3, false)],
+        },
+        Msg::Put { slot: (SlotFamily::A, 1, 2), data: vec![1.0; 64] },
+        Msg::Start { run_id: 1, epoch: 3, owners: vec![0, 0], completed: vec![0, 1, 7] },
+        Msg::Push {
+            run_id: 1,
+            epoch: 3,
+            task_id: 17,
+            slots: vec![tile(SlotFamily::A, 2, 0), tile(SlotFamily::Tk, 2, 0)],
+        },
+        Msg::Completed { run_id: 1, after: 5, halt: false },
+        Msg::Progress { ids: vec![9, 2, 6], accepted: vec![4] },
+        Msg::End { pushes: 12, push_floats: 768 },
         Msg::Err { detail: "boom".into() },
-    ]
+    ];
+    assert_eq!(samples.len(), SAMPLES);
+    samples
 }
 
 proptest! {
@@ -67,7 +86,7 @@ proptest! {
     /// flips cancelled out — never silently decode to something else.
     #[test]
     fn mutated_messages_error_or_roundtrip(
-        which in 0usize..5,
+        which in 0usize..SAMPLES,
         seed in any::<u64>(),
         nflips in 1usize..8,
     ) {
@@ -82,7 +101,7 @@ proptest! {
 
     /// Truncation of valid messages at any point is a typed error.
     #[test]
-    fn truncated_messages_are_typed_errors(which in 0usize..5, frac in 0.0f64..1.0) {
+    fn truncated_messages_are_typed_errors(which in 0usize..SAMPLES, frac in 0.0f64..1.0) {
         let clean = sample_msgs().swap_remove(which).encode();
         let cut = (clean.len() as f64 * frac) as usize;
         if cut < clean.len() {
@@ -180,32 +199,221 @@ fn lying_section_length_rejected_without_allocation() {
     assert!(SectionReader::from_bytes(dirty, MAGIC, 1).is_err());
 }
 
-/// A `Hello` whose kernel shape no kernel accepts (`b = 0`, `ib = 0`,
-/// `ib > b`, `b * b` overflowing) must be refused with `Msg::Err` when it
-/// arrives. Accepted, it made the first `Run` trip a kernel assertion
-/// while the shard's mutex was held, poisoning it for every connection.
+/// One request/reply exchange on a hand-driven connection to a worker.
+fn rpc(conn: &mut std::net::TcpStream, msg: Msg) -> Msg {
+    send_msg(conn, &msg).expect("send");
+    recv_msg(conn, "reply", Duration::from_secs(5)).expect("reply")
+}
+
+/// Poll `Completed` until the worker has run `want` tasks.
+fn wait_for_tasks(conn: &mut std::net::TcpStream, run_id: u64, want: usize) -> Vec<u64> {
+    for _ in 0..2_000 {
+        match rpc(conn, Msg::Completed { run_id, after: 0, halt: false }) {
+            Msg::Progress { ids, .. } if ids.len() >= want => return ids,
+            Msg::Progress { .. } => std::thread::sleep(Duration::from_millis(2)),
+            other => panic!("expected Progress, got {other:?}"),
+        }
+    }
+    panic!("worker never ran {want} tasks");
+}
+
+/// `Gather`, collected: the streamed slots and the `End` that closed them.
+fn gather(conn: &mut std::net::TcpStream, run_id: u64) -> (Vec<(Slot, Vec<f64>)>, Msg) {
+    send_msg(conn, &Msg::Gather { run_id }).expect("send gather");
+    let mut slots = Vec::new();
+    loop {
+        match recv_msg(conn, "gather stream", Duration::from_secs(5)).expect("gather frame") {
+            Msg::Put { slot, data } => slots.push((slot, data)),
+            end => return (slots, end),
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// What `execute_serial_ib` leaves in `slot`.
+fn serial_slot<'a>(a: &'a TiledMatrix, f: &'a TFactors, (fam, i, j): Slot) -> &'a [f64] {
+    match fam {
+        SlotFamily::A => a.tile(i, j),
+        SlotFamily::Vg => f.vg(i, j).expect("vg"),
+        SlotFamily::Tg => f.tg(i, j).expect("tg"),
+        SlotFamily::Tk => f.tk(i, j).expect("tk"),
+    }
+}
+
+/// A `Hello` no worker can run must be refused with `Msg::Err` when it
+/// arrives: a kernel shape no kernel accepts (`b = 0`, `ib = 0`, `ib > b`,
+/// `b * b` overflowing — accepted, it made the first task trip a kernel
+/// assertion while the shard's mutex was held, poisoning it for every
+/// connection), a task list with a row, column or panel outside the
+/// matrix or coordinates its kernel cannot have, a matrix larger than its
+/// task list, or a fleet that does not cover the grid. An unknown kernel
+/// kind does not even decode. After each, the worker serves the next run.
 #[test]
 fn hostile_hello_is_rejected_and_the_worker_stays_usable() {
     let worker = spawn_local(WorkerOptions::default()).expect("spawn worker");
     let mut conn = std::net::TcpStream::connect(worker.addr).expect("connect");
-    let mut rpc = |msg: Msg| {
-        send_msg(&mut conn, &msg).expect("send");
-        recv_msg(&mut conn, "reply", Duration::from_secs(5)).expect("reply")
+    let me = vec![worker.addr];
+    let hello = |run_id, dims, addrs: &Vec<_>, tasks| Msg::Hello {
+        run_id,
+        dims,
+        addrs: addrs.clone(),
+        tasks,
+    };
+    let refused = |conn: &mut std::net::TcpStream, msg: Msg, why: &str| {
+        let reply = rpc(conn, msg);
+        assert!(matches!(reply, Msg::Err { .. }), "{why}: {reply:?}");
+        // No run was configured, so nothing downstream can reach a kernel.
+        let start = Msg::Start { run_id: 1, epoch: 1, owners: vec![0], completed: vec![] };
+        let started = rpc(conn, start);
+        assert!(matches!(started, Msg::Err { .. }), "{why}: {started:?}");
     };
     for (b, ib) in [(0, 0), (0, 1), (8, 0), (8, 9), (u64::MAX, 1), (1 << 40, 1 << 40)] {
-        let reply = rpc(Msg::Hello { run_id: 1, mt: 1, nt: 1, b, ib });
-        assert!(matches!(reply, Msg::Err { .. }), "b={b} ib={ib}: {reply:?}");
-        // No run was configured, so nothing downstream can reach a kernel.
-        let run = rpc(Msg::Run { task_id: 0, task: Task::geqrt(0, 0) });
-        assert!(matches!(run, Msg::Err { .. }), "b={b} ib={ib}: {run:?}");
+        let msg = hello(1, [1, 1, b, ib, 1, 1, 0], &me, vec![Task::geqrt(0, 0)]);
+        refused(&mut conn, msg, &format!("b={b} ib={ib}"));
     }
-    // The same worker still serves a well-formed run on both `ib` sides.
+    let two = vec![worker.addr, "127.0.0.1:9".parse().unwrap()];
+    for (why, dims, addrs, tasks) in [
+        ("row out of range", [1, 1, 4, 4, 1, 1, 0], &me, vec![Task::geqrt(0, 5)]),
+        ("pivot out of range", [2, 1, 4, 4, 1, 1, 0], &me, vec![Task::kill(0, 1, 7, true); 2]),
+        ("column out of range", [1, 2, 4, 4, 1, 1, 0], &me, vec![Task::unmqr(0, 0, 2); 2]),
+        ("panel out of range", [2, 2, 4, 4, 1, 1, 0], &me, vec![Task::geqrt(2, 1); 4]),
+        (
+            "a kill of the pivot by itself",
+            [2, 1, 4, 4, 1, 1, 0],
+            &me,
+            vec![Task::kill(0, 1, 1, true); 2],
+        ),
+        ("more tiles than tasks", [3, 3, 4, 4, 1, 1, 0], &me, vec![Task::geqrt(0, 0)]),
+        ("one worker on a 2x1 grid", [1, 1, 4, 4, 2, 1, 0], &me, vec![Task::geqrt(0, 0)]),
+        ("two workers on a 1x1 grid", [1, 1, 4, 4, 1, 1, 0], &two, vec![Task::geqrt(0, 0)]),
+        ("a worker index outside the fleet", [1, 1, 4, 4, 2, 1, 2], &two, vec![Task::geqrt(0, 0)]),
+        ("an empty grid", [1, 1, 4, 4, 0, 0, 0], &vec![], vec![Task::geqrt(0, 0)]),
+    ] {
+        refused(&mut conn, hello(1, dims, addrs, tasks), why);
+    }
+    // Kernel kind 6 names no kernel: the frame is a valid container that is
+    // not a message, so the worker hangs up on it — and keeps serving.
+    let unknown_kind = {
+        let mut w = SectionWriter::new(NET_MAGIC, NET_VERSION);
+        w.section(1, &bytes_of_u64s(&[1, 1, 1, 1, 4, 4, 1, 1, 0]));
+        w.section(2, &bytes_of_u64s(&[6, 0, 0, 0, 0])).section(3, &[]);
+        w.section(4, worker.addr.to_string().as_bytes()).section(5, &[]);
+        w.into_bytes()
+    };
+    assert!(matches!(Msg::decode(unknown_kind.clone()), Err(NetError::Proto(_))));
+    write_frame(&mut conn, &unknown_kind).expect("send");
+    assert!(recv_msg(&mut conn, "hang-up", Duration::from_secs(5)).is_err());
+    let mut conn = std::net::TcpStream::connect(worker.addr).expect("reconnect");
+
+    // The same worker still serves a well-formed run on both `ib` sides —
+    // and refuses a `Start` whose owner table does not cover its grid.
+    let graph = TaskGraph::build(1, 1, 4, &[]);
+    let data: Vec<f64> = (0..16).map(|x| ((x * 7) % 5) as f64 - 1.5).collect();
     for (run_id, ib) in [(2, 4), (3, 2)] {
-        assert_eq!(rpc(Msg::Hello { run_id, mt: 1, nt: 1, b: 4, ib }), Msg::HelloOk);
-        let data: Vec<f64> = (0..16).map(|x| ((x * 7) % 5) as f64 - 1.5).collect();
-        assert_eq!(rpc(Msg::Put { fam: SlotFamily::A, i: 0, j: 0, data }), Msg::PutOk);
-        let done = rpc(Msg::Run { task_id: 0, task: Task::geqrt(0, 0) });
-        assert_eq!(done, Msg::Done { task_id: 0 });
+        let plan = hello(run_id, [1, 1, 4, ib, 1, 1, 0], &me, graph.tasks().to_vec());
+        assert_eq!(rpc(&mut conn, plan), Msg::Ok);
+        send_msg(&mut conn, &Msg::Put { slot: (SlotFamily::A, 0, 0), data: data.clone() })
+            .expect("put");
+        for owners in [vec![], vec![0, 0], vec![1]] {
+            let bad = rpc(&mut conn, Msg::Start { run_id, epoch: 1, owners, completed: vec![] });
+            assert!(matches!(bad, Msg::Err { .. }), "{bad:?}");
+        }
+        let bad = Msg::Start { run_id, epoch: 1, owners: vec![0], completed: vec![1] };
+        assert!(matches!(rpc(&mut conn, bad), Msg::Err { .. }));
+        let start = Msg::Start { run_id, epoch: 1, owners: vec![0], completed: vec![] };
+        assert_eq!(rpc(&mut conn, start), Msg::Ok);
+        assert_eq!(wait_for_tasks(&mut conn, run_id, 1), vec![0]);
+        let mut a = TiledMatrix::random(1, 1, 4, 0);
+        a.tile_mut(0, 0).copy_from_slice(&data);
+        let f = execute_serial_ib(&graph, &mut a, ib as usize);
+        let (slots, end) = gather(&mut conn, run_id);
+        assert_eq!(end, Msg::End { pushes: 0, push_floats: 0 });
+        assert_eq!(slots.len(), 3, "A, Vg and Tg of the one GEQRT");
+        for (slot, got) in slots {
+            assert_eq!(bits(&got), bits(serial_slot(&a, &f, slot)), "ib={ib}: {slot:?}");
+        }
+    }
+    shutdown(worker.addr).expect("orderly shutdown");
+    worker.join().expect("worker thread");
+}
+
+/// Pushes that do not belong — one sent before the first `Start`, an old
+/// run, an old epoch, an unknown task, a slot the named task does not
+/// write, a wrong-sized buffer, a task the receiver owns itself, a repeat
+/// of an accepted push — change nothing and never panic: the worker's
+/// share of the run still comes out bitwise equal to the serial reference.
+#[test]
+fn stale_and_hostile_pushes_change_nothing() {
+    // Two tile rows on a 2x1 grid, the second killed into the first by a
+    // TT kernel: worker 1 (under test) owns GEQRT(1,0) and the TTQRT, and
+    // needs A(0,0) as GEQRT(0,0) left it — from worker 0, which is us.
+    let (b, ib, run_id) = (4usize, 2usize, 11u64);
+    let graph = TaskGraph::build(2, 1, b, &[ElimOp::new(0, 1, 0, false)]);
+    assert_eq!(graph.tasks(), [Task::geqrt(0, 0), Task::geqrt(0, 1), Task::kill(0, 1, 0, false)]);
+    let input = TiledMatrix::random(2, 1, b, 77);
+    let pivot: Slot = (SlotFamily::A, 0, 0);
+    let after_geqrt = recompute_slots(&graph, &input, ib, &[0], &[pivot]).unwrap();
+    let (good, junk) = (after_geqrt[&pivot].to_vec(), vec![f64::NAN; b * b]);
+
+    let worker = spawn_local(WorkerOptions::default()).expect("spawn worker");
+    // Worker 0's address only has to exist: nothing is pushed to it.
+    let nobody = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addrs = vec![nobody.local_addr().unwrap(), worker.addr];
+    let mut conn = std::net::TcpStream::connect(worker.addr).expect("connect");
+    let dims = [2, 1, b as u64, ib as u64, 2, 1, 1];
+    let plan = Msg::Hello { run_id, dims, addrs, tasks: graph.tasks().to_vec() };
+    assert_eq!(rpc(&mut conn, plan), Msg::Ok);
+    let mine = Msg::Put { slot: (SlotFamily::A, 1, 0), data: input.tile(1, 0).to_vec() };
+    send_msg(&mut conn, &mine).expect("put");
+    let push = |run_id, epoch, task_id, slot: Slot, data: &Vec<f64>| Msg::Push {
+        run_id,
+        epoch,
+        task_id,
+        slots: vec![(slot, data.clone())],
+    };
+    // Before the first `Start` there is no owner table to look the task up
+    // in, and epoch 0 is the epoch the worker is "in".
+    send_msg(&mut conn, &push(run_id, 0, 0, pivot, &junk)).expect("push before start");
+    let start = Msg::Start { run_id, epoch: 2, owners: vec![0, 1], completed: vec![] };
+    assert_eq!(rpc(&mut conn, start), Msg::Ok);
+
+    for hostile in [
+        push(run_id - 1, 2, 0, pivot, &junk),
+        push(run_id, 1, 0, pivot, &junk),
+        push(run_id, 2, 99, pivot, &junk),
+        push(run_id, 2, u64::MAX, pivot, &junk),
+        push(run_id, 2, 0, (SlotFamily::A, 1, 0), &junk),
+        push(run_id, 2, 0, pivot, &vec![f64::NAN; b * b - 1]),
+        push(run_id, 2, 1, (SlotFamily::A, 1, 0), &junk),
+        push(run_id, 2, 0, pivot, &good),
+        push(run_id, 2, 0, pivot, &junk),
+    ] {
+        send_msg(&mut conn, &hostile).expect("push");
+    }
+    assert_eq!(wait_for_tasks(&mut conn, run_id, 2), vec![1, 2]);
+    // A halt names the one push that was taken in, once.
+    let halted = rpc(&mut conn, Msg::Completed { run_id, after: 0, halt: true });
+    assert_eq!(halted, Msg::Progress { ids: vec![1, 2], accepted: vec![0] });
+
+    let mut a = input.clone();
+    let f = execute_serial_ib(&graph, &mut a, ib);
+    let (slots, end) = gather(&mut conn, run_id);
+    assert_eq!(end, Msg::End { pushes: 0, push_floats: 0 });
+    let mut got: Vec<Slot> = slots.iter().map(|(slot, _)| *slot).collect();
+    got.sort();
+    let want = [
+        (SlotFamily::A, 0, 0),
+        (SlotFamily::A, 1, 0),
+        (SlotFamily::Vg, 1, 0),
+        (SlotFamily::Tg, 1, 0),
+        (SlotFamily::Tk, 1, 0),
+    ];
+    assert_eq!(got, want, "the slots whose last writer worker 1 owns");
+    for (slot, data) in slots {
+        assert_eq!(bits(&data), bits(serial_slot(&a, &f, slot)), "{slot:?} diverged");
     }
     shutdown(worker.addr).expect("orderly shutdown");
     worker.join().expect("worker thread");

@@ -210,6 +210,24 @@ pub enum GraphError {
         /// The victim row that must stay square.
         victim: u32,
     },
+    /// A task names a trailing column outside `0..nt`.
+    ColumnOutOfRange {
+        /// Index of the offending task in the task list.
+        index: usize,
+        /// The out-of-range column.
+        column: u32,
+        /// Number of tile columns.
+        nt: usize,
+    },
+    /// A task's coordinates do not fit its kernel (a factor kernel off its
+    /// panel column, an update on it, a kill whose victim is its pivot), so
+    /// its operand slots would not be pairwise distinct.
+    MalformedTask {
+        /// Index of the offending task in the task list.
+        index: usize,
+        /// The kernel it names.
+        kernel: KernelKind,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -233,6 +251,12 @@ impl fmt::Display for GraphError {
             ),
             GraphError::TsVictimTriangular { panel, victim } => {
                 write!(f, "TS victim row {victim} of panel {panel} must stay square")
+            }
+            GraphError::ColumnOutOfRange { index, column, nt } => {
+                write!(f, "column {column} out of range (task {index}; columns are 0..{nt})")
+            }
+            GraphError::MalformedTask { index, kernel } => {
+                write!(f, "task {index} has coordinates no {kernel:?} task can have")
             }
         }
     }

@@ -11,6 +11,7 @@
 use crate::elim::ElimOp;
 use crate::error::GraphError;
 use crate::task::{SlotFamily, Task, SLOT_FAMILIES};
+use hqr_kernels::KernelKind;
 
 /// An immutable task DAG in CSR form.
 #[derive(Clone, Debug)]
@@ -60,6 +61,54 @@ impl TaskGraph {
             return Err(GraphError::TileCountOverflow { mt, nt });
         }
         let tasks = generate_tasks(mt, nt, elims)?;
+        let (succ_off, succ, in_degree) = build_edges(mt, nt, &tasks);
+        Ok(TaskGraph { mt, nt, b, tasks, succ_off, succ, in_degree })
+    }
+
+    /// Rebuild a DAG from its task list — what a peer that was sent
+    /// [`TaskGraph::tasks`] over the wire holds. The list comes from outside
+    /// the program, so every index is checked against the shape and every
+    /// task against its kernel (a factor kernel sits on its panel column, an
+    /// update right of it, a kill's victim is not its pivot — which makes a
+    /// task's operand slots pairwise distinct). Edges are last-writer edges
+    /// over the list in the order given, so any accepted list is a DAG.
+    pub fn try_from_tasks(
+        mt: usize,
+        nt: usize,
+        b: usize,
+        tasks: Vec<Task>,
+    ) -> Result<Self, GraphError> {
+        if mt == 0 || nt == 0 {
+            return Err(GraphError::EmptyMatrix);
+        }
+        if b == 0 {
+            return Err(GraphError::ZeroTileSize);
+        }
+        if mt >= u16::MAX as usize || nt >= u16::MAX as usize {
+            return Err(GraphError::TileCountOverflow { mt, nt });
+        }
+        let kmax = mt.min(nt);
+        for (index, t) in tasks.iter().enumerate() {
+            if t.k as usize >= kmax {
+                return Err(GraphError::PanelOutOfRange { index, panel: t.k.into(), kmax });
+            }
+            if t.i as usize >= mt || t.piv as usize >= mt {
+                let (victim, killer) = (t.i.into(), t.piv.into());
+                return Err(GraphError::RowOutOfRange { index, victim, killer, mt });
+            }
+            if t.j as usize >= nt {
+                return Err(GraphError::ColumnOutOfRange { index, column: t.j.into(), nt });
+            }
+            let (factor, paired) = match t.kind {
+                KernelKind::Geqrt => (true, false),
+                KernelKind::Unmqr => (false, false),
+                KernelKind::Tsqrt | KernelKind::Ttqrt => (true, true),
+                KernelKind::Tsmqr | KernelKind::Ttmqr => (false, true),
+            };
+            if (t.j == t.k) != factor || t.j < t.k || (t.piv != t.i) != paired {
+                return Err(GraphError::MalformedTask { index, kernel: t.kind });
+            }
+        }
         let (succ_off, succ, in_degree) = build_edges(mt, nt, &tasks);
         Ok(TaskGraph { mt, nt, b, tasks, succ_off, succ, in_degree })
     }
@@ -416,6 +465,60 @@ mod tests {
         let g2 = TaskGraph::build(4, 3, 2, &flat_elims(4, 3));
         assert_eq!(g.tasks(), g2.tasks());
         assert_eq!(g.in_degrees(), g2.in_degrees());
+    }
+
+    #[test]
+    fn try_from_tasks_rebuilds_the_same_dag() {
+        let g = TaskGraph::build(5, 3, 2, &flat_elims(5, 3));
+        let back = TaskGraph::try_from_tasks(5, 3, 2, g.tasks().to_vec()).unwrap();
+        assert_eq!(back.tasks(), g.tasks());
+        assert_eq!(back.in_degrees(), g.in_degrees());
+        for t in 0..g.tasks().len() {
+            assert_eq!(back.successors(t), g.successors(t));
+        }
+    }
+
+    #[test]
+    fn try_from_tasks_reports_typed_errors() {
+        let from = |t: Task| TaskGraph::try_from_tasks(3, 2, 2, vec![Task::geqrt(0, 0), t]);
+        assert_eq!(
+            TaskGraph::try_from_tasks(0, 2, 2, vec![]).unwrap_err(),
+            GraphError::EmptyMatrix
+        );
+        assert_eq!(
+            TaskGraph::try_from_tasks(3, 2, 0, vec![]).unwrap_err(),
+            GraphError::ZeroTileSize
+        );
+        assert!(matches!(
+            from(Task::geqrt(2, 2)).unwrap_err(),
+            GraphError::PanelOutOfRange { index: 1, panel: 2, kmax: 2 }
+        ));
+        assert!(matches!(
+            from(Task::geqrt(0, 3)).unwrap_err(),
+            GraphError::RowOutOfRange { index: 1, victim: 3, .. }
+        ));
+        assert!(matches!(
+            from(Task::kill(0, 1, 7, true)).unwrap_err(),
+            GraphError::RowOutOfRange { index: 1, killer: 7, .. }
+        ));
+        assert!(matches!(
+            from(Task::unmqr(0, 0, 2)).unwrap_err(),
+            GraphError::ColumnOutOfRange { index: 1, column: 2, nt: 2 }
+        ));
+        // Coordinates in range that no task of the kind can have: a kill of
+        // the pivot by itself, an update on the panel column, a GEQRT with a
+        // pivot, an UNMQR left of its panel.
+        for bad in [
+            Task::kill(0, 1, 1, false),
+            Task::update(0, 1, 0, 0, true),
+            Task { piv: 1, ..Task::geqrt(0, 0) },
+            Task { k: 1, j: 0, ..Task::unmqr(0, 1, 1) },
+        ] {
+            assert!(
+                matches!(from(bad).unwrap_err(), GraphError::MalformedTask { index: 1, .. }),
+                "{bad:?} accepted"
+            );
+        }
     }
 
     #[test]
