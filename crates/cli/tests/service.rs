@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use hqr_cli::proto::{read_frame, write_frame, Request, Response, WirePlan};
 use hqr_runtime::{execute_serial_ib, result_from_bytes, JobInput, TaskGraph};
 
 fn hqr() -> Command {
@@ -437,4 +438,34 @@ fn submission_rejections_are_typed_and_do_not_kill_the_daemon() {
     let (code, out, _) = run(&["ping", "--socket", sock]);
     assert_eq!(code, 0);
     assert!(out.contains("alive"), "{out}");
+}
+
+/// `hqr submit` generates its matrix, so hostile numerics can only arrive
+/// as a hand-built frame: a spec holding a NaN is answered with the typed
+/// "invalid" error naming the tile, and the daemon carries on.
+#[test]
+fn non_finite_spec_over_the_socket_is_a_typed_rejection() {
+    let d = start_daemon("nan", &[]);
+    let sock = d.socket.to_str().unwrap();
+    let argv: Vec<String> =
+        submit_args(sock, "hostile", &[])[1..].iter().map(|s| s.to_string()).collect();
+    let (mut spec, _) = hqr_cli::service::spec_of_args(&hqr_cli::Args::parse(&argv)).expect("spec");
+    let JobInput::Fresh { a, .. } = &mut spec.input else { unreachable!("submit is fresh") };
+    a.tile_mut(1, 2)[3] = f64::NAN;
+
+    let mut stream = std::os::unix::net::UnixStream::connect(&d.socket).expect("connect");
+    let request =
+        Request::Submit { spec: Box::new(spec), plan: WirePlan { seed: 0, fail: vec![] } };
+    write_frame(&mut stream, &request.to_bytes()).expect("send");
+    let answer = read_frame(&mut stream).expect("receive").expect("the daemon answers");
+    match Response::from_bytes(answer).expect("a well-formed response") {
+        Response::Error { code: 1, message } => {
+            assert!(message.contains("tile (1, 2)") && message.contains("non-finite"), "{message}");
+        }
+        other => panic!("expected the typed invalid-spec error, got {other:?}"),
+    }
+
+    let (code, out, err) = run(&["jobs", "--socket", sock]);
+    assert_eq!(code, 0, "the daemon stays up: {err}");
+    assert!(!out.contains("hostile"), "nothing was accepted: {out}");
 }

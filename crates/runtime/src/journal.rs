@@ -6,11 +6,11 @@
 //! completed, failed, quarantined, cancelled, shed — is appended as one
 //! self-contained record *before* the transition is acknowledged, and each
 //! append is `fsync`ed, so a SIGKILL (or power loss) at any instant loses
-//! at most the record being written. A restarted daemon replays the
-//! journal ([`replay`]) and drives every previously-accepted job back to a
-//! terminal state: completed jobs keep their stored results, running jobs
-//! resume from their last panel checkpoint, queued jobs are resubmitted
-//! from their recorded specs.
+//! at most the record being written. A restarted daemon folds the journal
+//! through the pool's own rules ([`PoolState::replayed`]) and drives every
+//! previously-accepted job back to a terminal state: completed jobs keep
+//! their stored results, running jobs resume from their last panel
+//! checkpoint, queued jobs are resubmitted from their recorded specs.
 //!
 //! ## Record framing
 //!
@@ -43,7 +43,6 @@
 //! results are stored the oldest (smallest job id) are pruned, each prune
 //! journaled so replay knows the result is gone rather than lost.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -55,7 +54,8 @@ use hqr_tile::io::{
 
 use crate::checkpoint::{family_from_bytes, family_to_bytes};
 use crate::exec::TFactors;
-use crate::pool::{JobResult, JobState};
+use crate::pool::{JobResult, PoolConfig};
+use crate::pool_step::{snapshot, PoolState};
 
 /// Magic bytes opening every journal record container.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"HQRJRNL\0";
@@ -206,11 +206,10 @@ pub enum JournalEvent {
         /// The job's stable id.
         id: u64,
     },
-    /// The admission escape hatch fired: a job whose working-set demand
-    /// exceeds the pool's memory budget was admitted anyway because the
-    /// pool was idle (nothing else to wait for). Informational — replay
-    /// does not change the job's state — but durable, so an operator can
-    /// see that the over-budget path was taken deliberately.
+    /// Retired: an idle pool once admitted a job over its memory budget
+    /// and noted it here. No pool writes this record any more (submission
+    /// refuses such a job outright); it still decodes, as the no-op it
+    /// always was on replay, so journals written before then stay readable.
     OverBudgetAdmitted {
         /// The job's stable id.
         id: u64,
@@ -481,13 +480,11 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Size-threshold rotation: atomically rewrite the journal down to a
-    /// compacted snapshot — live jobs in full (acceptance, attempt count,
-    /// last checkpoint), terminal jobs only as a summary when their stored
-    /// result still matters (completed with a result file), everything
-    /// else dropped. This is what bounds journal growth under sustained
-    /// churn (ROADMAP item 2): the spec payloads and per-transition
-    /// records of settled jobs dominate the file and are all elided.
+    /// Size-threshold rotation: atomically rewrite the journal down to the
+    /// [`snapshot`] of the state it folds to, minus the settled jobs with
+    /// nothing durable left (no stored result to stay listed for). This
+    /// bounds journal growth under sustained churn: the specs and
+    /// per-transition records of settled jobs dominate the file.
     ///
     /// Crash safety: a `<journal>.rotating` marker is created and synced
     /// before the rewrite and removed after. The rewrite itself is the
@@ -504,137 +501,15 @@ impl Journal {
             let f = std::fs::File::create(&marker).map_err(|e| io_err(&marker, e))?;
             f.sync_all().map_err(|e| io_err(&marker, e))?;
         }
-        let events = Journal::read(&self.path)?;
-        let jobs = replay(&events);
-        let mut keep: Vec<JournalEvent> = Vec::new();
-        for (&id, j) in &jobs {
-            match j.terminal {
-                // Live job: keep everything a replay needs to resume it.
-                None => {
-                    keep.push(JournalEvent::Accepted {
-                        id,
-                        attempts: j.attempts,
-                        tasks_total: j.tasks_total,
-                        dedup: j.dedup.clone(),
-                        spec: j.spec.clone(),
-                    });
-                    if j.attempts > 0 {
-                        keep.push(JournalEvent::Started { id, attempt: j.attempts });
-                    }
-                    if let Some(file) = &j.ckpt_file {
-                        keep.push(JournalEvent::Checkpointed {
-                            id,
-                            tasks_done: j.ckpt_tasks_done,
-                            file: file.clone(),
-                        });
-                    }
-                }
-                // Completed with a live result: keep a two-record summary
-                // so the result stays listed/fetchable after a restart.
-                Some(JobState::Completed) if j.result_file.is_some() => {
-                    keep.push(JournalEvent::Accepted {
-                        id,
-                        attempts: j.attempts,
-                        tasks_total: j.tasks_total,
-                        dedup: j.dedup.clone(),
-                        spec: None,
-                    });
-                    keep.push(JournalEvent::Completed { id, file: j.result_file.clone() });
-                }
-                // Settled with nothing durable left: drop the records.
-                Some(_) => {}
-            }
-        }
+        let mut state =
+            PoolState::<()>::replayed(PoolConfig::default(), Journal::read(&self.path)?);
+        state.forget(|j| j.settled().is_some() && j.result_file.is_none());
+        let keep = snapshot(&state);
         self.compact(&keep)?;
         std::fs::remove_file(&marker).map_err(|e| io_err(&marker, e))?;
         self.floor = self.len();
         Ok(before.saturating_sub(self.floor))
     }
-}
-
-/// The reconstructed fate of one journaled job after [`replay`].
-#[derive(Clone, Debug, Default)]
-pub struct RecoveredJob {
-    /// Attempts consumed before the crash.
-    pub attempts: u32,
-    /// Tasks in the job's DAG, as recorded at acceptance.
-    pub tasks_total: u64,
-    /// Client-supplied idempotency key, if any.
-    pub dedup: Option<String>,
-    /// Serialized spec to resubmit from, if still present.
-    pub spec: Option<Vec<u8>>,
-    /// Terminal state reached before the crash, if any. `None` means the
-    /// job was still live (queued, running, suspended, or in backoff) and
-    /// must be driven to a terminal state by the recovered pool.
-    pub terminal: Option<JobState>,
-    /// Last recorded error message.
-    pub error: Option<String>,
-    /// Last persisted checkpoint file (relative to the state dir).
-    pub ckpt_file: Option<String>,
-    /// Tasks complete in that checkpoint.
-    pub ckpt_tasks_done: u64,
-    /// Stored result file for a completed job (relative to the state dir).
-    pub result_file: Option<String>,
-}
-
-/// Fold a journal into per-job final states, oldest event first.
-///
-/// Jobs with `terminal: None` were accepted but not settled — the
-/// recovered pool must resubmit them (from `ckpt_file` when present, else
-/// from `spec`) so every accepted job still reaches a terminal state.
-pub fn replay(events: &[JournalEvent]) -> BTreeMap<u64, RecoveredJob> {
-    let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
-    for ev in events {
-        let j = jobs.entry(ev.job_id()).or_default();
-        match ev {
-            JournalEvent::Accepted { attempts, tasks_total, dedup, spec, .. } => {
-                j.attempts = (*attempts).max(j.attempts);
-                j.tasks_total = *tasks_total;
-                j.dedup = dedup.clone();
-                if spec.is_some() {
-                    j.spec = spec.clone();
-                }
-            }
-            JournalEvent::Started { attempt, .. } => {
-                j.attempts = (*attempt).max(j.attempts);
-            }
-            JournalEvent::Checkpointed { tasks_done, file, .. } => {
-                j.ckpt_file = Some(file.clone());
-                j.ckpt_tasks_done = *tasks_done;
-            }
-            // Suspension is not terminal for recovery: the checkpoint (or
-            // the original spec) makes the job resumable.
-            JournalEvent::Suspended { reason, .. } => {
-                j.error = Some(reason.clone());
-            }
-            JournalEvent::Completed { file, .. } => {
-                j.terminal = Some(JobState::Completed);
-                j.result_file = file.clone();
-                j.error = None;
-            }
-            JournalEvent::Failed { attempts, error, .. } => {
-                j.attempts = (*attempts).max(j.attempts);
-                j.error = Some(error.clone());
-            }
-            JournalEvent::Quarantined { error, .. } => {
-                j.terminal = Some(JobState::Quarantined);
-                j.error = Some(error.clone());
-            }
-            JournalEvent::Cancelled { .. } => {
-                j.terminal = Some(JobState::Cancelled);
-            }
-            JournalEvent::Shed { reason, .. } => {
-                j.terminal = Some(JobState::Shed);
-                j.error = Some(reason.clone());
-            }
-            JournalEvent::ResultPruned { .. } => {
-                j.result_file = None;
-            }
-            // Informational: the admission decision, not a state change.
-            JournalEvent::OverBudgetAdmitted { .. } => {}
-        }
-    }
-    jobs
 }
 
 // ---------------------------------------------------------------------------
@@ -833,6 +708,13 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::JobState;
+    use crate::pool_step::Job;
+
+    /// The jobs a journal's records fold to.
+    fn fold(events: &[JournalEvent]) -> std::collections::BTreeMap<u64, Job> {
+        PoolState::<()>::replayed(PoolConfig::default(), events.iter().cloned()).jobs
+    }
 
     fn every_event() -> Vec<JournalEvent> {
         vec![
@@ -1067,18 +949,18 @@ mod tests {
                 spec: Some(vec![3]),
             },
         ];
-        let jobs = replay(&events);
+        let jobs = fold(&events);
         assert_eq!(jobs.len(), 3);
         let j1 = &jobs[&1];
-        assert!(j1.terminal.is_none(), "running job is not terminal");
+        assert_eq!(j1.state, JobState::Running, "running job is not terminal");
         assert_eq!(j1.ckpt_file.as_deref(), Some("c1"));
         assert_eq!(j1.ckpt_tasks_done, 6);
         assert_eq!(j1.dedup.as_deref(), Some("k"));
         let j2 = &jobs[&2];
-        assert_eq!(j2.terminal, Some(JobState::Completed));
+        assert_eq!(j2.settled(), Some(JobState::Completed));
         assert_eq!(j2.result_file.as_deref(), Some("r2"));
         let j3 = &jobs[&3];
-        assert!(j3.terminal.is_none());
+        assert_eq!(j3.settled(), None);
         assert!(j3.ckpt_file.is_none(), "never ran: resubmit from spec");
         assert_eq!(j3.spec.as_deref(), Some(&[3u8][..]));
     }
@@ -1139,23 +1021,23 @@ mod tests {
         let reclaimed = j.rotate().unwrap();
         assert!(reclaimed > 0 && j.len() < before / 10, "rotation must shrink the file");
         assert!(!Journal::rotate_marker(&path).exists(), "marker must be cleaned up");
-        let jobs = replay(&Journal::read(&path).unwrap());
+        let jobs = fold(&Journal::read(&path).unwrap());
         // Settled jobs (cancelled; completed-then-pruned) are gone.
         assert_eq!(jobs.keys().copied().collect::<Vec<_>>(), vec![90, 91]);
         let live = &jobs[&90];
-        assert!(live.terminal.is_none());
+        assert_eq!(live.state, JobState::Running);
         assert_eq!(live.spec.as_deref(), Some(&[1u8, 2, 3][..]));
         assert_eq!(live.ckpt_file.as_deref(), Some("c90"));
         assert_eq!(live.ckpt_tasks_done, 3);
         assert_eq!(live.attempts, 1);
         assert_eq!(live.dedup.as_deref(), Some("live"));
         let done = &jobs[&91];
-        assert_eq!(done.terminal, Some(JobState::Completed));
+        assert_eq!(done.settled(), Some(JobState::Completed));
         assert_eq!(done.result_file.as_deref(), Some("r91"));
         // The journal still appends after rotation.
         j.append(&JournalEvent::Cancelled { id: 90 }).unwrap();
-        let jobs = replay(&Journal::read(&path).unwrap());
-        assert_eq!(jobs[&90].terminal, Some(JobState::Cancelled));
+        let jobs = fold(&Journal::read(&path).unwrap());
+        assert_eq!(jobs[&90].settled(), Some(JobState::Cancelled));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,6 +36,7 @@ pub mod integrity;
 pub mod journal;
 pub mod lineage;
 pub mod pool;
+pub mod pool_step;
 pub mod retry;
 pub mod sched;
 pub mod spill;
@@ -59,8 +60,8 @@ pub use fault::{ExecOptions, FaultPlan, FaultStats, SdcFault, SdcPattern, SDC_SC
 pub use graph::TaskGraph;
 pub use integrity::IntegrityMode;
 pub use journal::{
-    replay, result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent, RecoveredJob,
-    ResultStore, StoredResult, JOURNAL_MAGIC, JOURNAL_VERSION, RESULT_MAGIC, RESULT_VERSION,
+    result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore,
+    StoredResult, JOURNAL_MAGIC, JOURNAL_VERSION, RESULT_MAGIC, RESULT_VERSION,
 };
 pub use lineage::{last_writers, rebuild_closure, recompute_slots, Slot};
 pub use pool::{

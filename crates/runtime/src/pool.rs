@@ -9,6 +9,8 @@
 //! of cores — the paper's "keep every core busy" goal lifted from one DAG
 //! to a population of DAGs.
 //!
+//! Every rule below is decided by one pure function, [`crate::pool_step::step`];
+//! this module drives it (one lock for job state) and owns the data plane.
 //! Robustness is per-tenant policy, reusing the PR 1–5 substrate through
 //! the shared per-DAG run state ([`crate::exec`]'s `DagRun`):
 //!
@@ -44,10 +46,10 @@
 //! the journal or the wire — injection is in-process test machinery.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
@@ -68,8 +70,11 @@ use crate::fault::{FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
 use crate::integrity::IntegrityMode;
 use crate::journal::{
-    io_err, replay, result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent,
-    RecoveredJob, ResultStore,
+    io_err, result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore,
+};
+pub use crate::pool_step::SuspendKind;
+use crate::pool_step::{
+    over_budget, snapshot, step, Conclusion, Effect, Event, Job, Observed, PoolState, Verdict,
 };
 use crate::sched::SchedPolicy;
 use crate::store::{RunPlan, TileStore};
@@ -370,9 +375,10 @@ impl JobSpec {
 ///                       ▼                      Quarantined
 ///                   Cancelled      Running ──drain grace expired──► Suspended
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JobState {
     /// Accepted, waiting for admission (memory budget / active slot).
+    #[default]
     Queued,
     /// Tasks are being executed by the shared pool.
     Running,
@@ -436,7 +442,7 @@ impl fmt::Display for JobState {
 }
 
 /// Why a submission was not accepted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SubmitError {
     /// The spec itself is unusable (bad elimination list, bad `ib`,
     /// engine-only fault-plan features, checkpoint mismatch, ...).
@@ -575,7 +581,7 @@ pub struct JobOutcome {
 }
 
 /// Pool sizing and robustness knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PoolConfig {
     /// Worker threads shared by every job.
     pub nthreads: usize,
@@ -623,7 +629,7 @@ impl Default for PoolConfig {
 
 /// Crash-safety knobs: where durable state lives and how eagerly running
 /// jobs are checkpointed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DurabilityConfig {
     /// State directory; the pool creates [`JOURNAL_FILE`], [`CKPT_DIR`],
     /// and [`RESULTS_DIR`] inside it.
@@ -664,47 +670,27 @@ impl DurabilityConfig {
     }
 }
 
-/// Why a running job is being suspended at its next quiescent point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SuspendKind {
-    /// A graceful drain: the job parks like [`SuspendKind::Park`]; on a
-    /// durable pool its checkpoint file and journal records are what the
-    /// next [`JobPool::recover`] resumes from.
-    Drain,
-    /// An explicit suspend request: the job parks in
-    /// [`JobState::Suspended`] until [`JobPool::resume_job`].
-    Park,
-    /// A higher-QoS arrival needs the job's memory or active slot; the
-    /// job re-queues from its checkpoint and re-admits when room frees.
-    Preempt,
-    /// A periodic durability checkpoint; the job re-queues immediately
-    /// and loses no retry budget.
-    Periodic,
+/// What the data plane needs to run a job; opaque to [`step`].
+struct Work {
+    graph: TaskGraph,
+    /// Inner block size in effect (recorded into suspension checkpoints).
+    ib: usize,
+    policy: SchedPolicy,
+    integrity: IntegrityMode,
+    max_retries: u32,
+    plan: Option<FaultPlan>,
+    /// What the next activation starts from: the submitted matrix, or the
+    /// last suspension's checkpoint. A run that cannot be retried takes it.
+    seed: Option<JobInput>,
 }
 
-impl SuspendKind {
-    /// Journaled with the suspension and shown as a parked job's error.
-    fn reason(self) -> &'static str {
-        match self {
-            SuspendKind::Drain => "suspended by drain; state checkpointed",
-            SuspendKind::Park => "suspended by request; resume with resume-job",
-            SuspendKind::Preempt => "preempted by a higher-QoS job",
-            SuspendKind::Periodic => "periodic durability checkpoint",
-        }
-    }
-}
-
-/// Why an active job was halted (set once; first writer wins).
-#[derive(Debug)]
-enum Verdict {
-    /// A task exhausted its budgets; carries the engine error.
-    Fault(ExecError),
-    /// The per-attempt deadline elapsed.
-    Deadline(Duration),
-    /// The tenant cancelled the job.
-    Cancel,
-    /// Checkpoint the job at the next quiescent point, for this reason.
-    Suspend(SuspendKind),
+/// What the pool holds for a job that is not running.
+enum Held {
+    /// The means to run it (again).
+    Work(Box<Work>),
+    /// A completed job's factorization, until the first [`JobPool::wait`]
+    /// claims it; `None` when the durable store has it instead.
+    Done(Option<JobResult>),
 }
 
 /// One admitted job: the pool's unit of ownership. The run state's
@@ -715,14 +701,13 @@ struct ActiveJob {
     /// Activation id — unique per *attempt*, so stale queue entries from a
     /// previous incarnation of a retried job can never reach a new one.
     rid: u64,
-    /// Public job id (stable across retries).
+    /// Public job id (stable across retries); also the FCFS tie-break
+    /// within a QoS class, ids being handed out in admission order.
     id: u64,
-    /// Admission order, for FCFS tie-breaking within a QoS class.
-    seq: u64,
-    /// Attempts started, this activation included.
-    attempts: u32,
     qos_inv: u64,
-    graph: TaskGraph,
+    work: Box<Work>,
+    /// The job's elimination list (re-serialized on suspension).
+    elims: Vec<ElimOp>,
     /// Store, guards, fault plan, ranks and frontier of this activation;
     /// `run.halt` halts the job's tasks.
     run: DagRun,
@@ -732,19 +717,10 @@ struct ActiveJob {
     /// Workers currently holding (or about to run) one of this job's
     /// tasks. Finalization requires `halted-or-finished` AND `inflight == 0`.
     inflight: AtomicUsize,
+    /// Why the run was halted (set once; first writer wins).
     verdict: Mutex<Option<Verdict>>,
     stats: Mutex<FaultStats>,
     started: Instant,
-    deadline: Option<Duration>,
-    footprint: u64,
-    /// Inner block size in effect (recorded into suspension checkpoints).
-    ib: usize,
-    /// The job's elimination list (re-serialized on suspension/retry).
-    elims: Vec<ElimOp>,
-    /// Policy knobs, kept for retry and suspension re-queuing.
-    origin_policy: JobPolicy,
-    /// Pristine payload, retained while the job may still be retried.
-    origin_seed: Option<Seed>,
     /// Backing storage for `run.store` (kept alive for the job's lifetime).
     a: TiledMatrix,
     factors: TFactors,
@@ -753,138 +729,13 @@ struct ActiveJob {
 impl ActiveJob {
     /// Record a verdict (first wins) and halt the job's tasks.
     fn halt_with(&self, v: Verdict) {
-        let mut g = relock(&self.verdict);
-        if g.is_none() {
-            *g = Some(v);
-        }
-        drop(g);
+        relock(&self.verdict).get_or_insert(v);
         self.run.halt.store(true, Ordering::SeqCst);
     }
-}
 
-/// The per-job policy knobs, separated from the payload so retries and
-/// suspensions can carry them around cheaply.
-#[derive(Clone, Debug)]
-struct JobPolicy {
-    ib: usize,
-    qos: QosClass,
-    policy: SchedPolicy,
-    integrity: IntegrityMode,
-    max_retries: u32,
-    job_retries: u32,
-    deadline: Option<Duration>,
-    plan: Option<FaultPlan>,
-}
-
-/// The pristine payload a retry re-runs from.
-#[derive(Clone, Debug)]
-enum Seed {
-    Fresh(TiledMatrix),
-    Resume(Box<Checkpoint>),
-}
-
-/// A job accepted but not currently active: waiting for admission, or
-/// waiting out a retry backoff.
-struct PendingJob {
-    id: u64,
-    seq: u64,
-    policy: JobPolicy,
-    elims: Vec<ElimOp>,
-    seed: Seed,
-    graph: TaskGraph,
-    footprint: u64,
-    attempts: u32,
-    not_before: Option<Instant>,
-    /// Whether activation counts against the record's attempt counter.
-    /// Suspension re-queues (park/preempt/periodic) continue the *same*
-    /// attempt and must not consume retry budget.
-    count_attempt: bool,
-}
-
-/// Bookkeeping for every job the pool ever accepted.
-struct JobRecord {
-    state: JobState,
-    qos: QosClass,
-    tag: String,
-    attempts: u32,
-    tasks_total: usize,
-    tasks_done: usize,
-    error: Option<String>,
-    stats: FaultStats,
-    submitted: Instant,
-    wall: Option<Duration>,
-    /// Set at completion, taken by the first [`JobPool::wait`].
-    outcome: Option<JobOutcome>,
-}
-
-impl JobRecord {
-    /// The record of a job entering the queue with `attempts` already
-    /// consumed (zero unless the journal is re-enqueueing it).
-    fn queued(qos: QosClass, tag: String, attempts: u32, tasks_total: usize) -> JobRecord {
-        JobRecord {
-            state: JobState::Queued,
-            qos,
-            tag,
-            attempts,
-            tasks_total,
-            tasks_done: 0,
-            error: None,
-            stats: FaultStats::default(),
-            submitted: Instant::now(),
-            wall: None,
-            outcome: None,
-        }
+    fn tasks_done(&self) -> usize {
+        self.work.graph.tasks().len() - self.run.remaining.load(Ordering::Acquire)
     }
-
-    /// The record of a job the journal says was settled in a previous
-    /// life; only its listing survives, not its timing or fault stats.
-    fn settled(
-        j: &RecoveredJob,
-        state: JobState,
-        spec: Option<JobSpec>,
-        error: Option<String>,
-    ) -> JobRecord {
-        let (qos, tag) = spec.map_or_else(Default::default, |sp| (sp.qos, sp.tag));
-        let total = j.tasks_total as usize;
-        JobRecord {
-            state,
-            tasks_done: if state == JobState::Completed {
-                total
-            } else {
-                j.ckpt_tasks_done as usize
-            },
-            error,
-            wall: Some(Duration::ZERO),
-            ..JobRecord::queued(qos, tag, j.attempts, total)
-        }
-    }
-
-    fn outcome(&self, id: u64, result: Option<JobResult>) -> JobOutcome {
-        JobOutcome {
-            id: JobId(id),
-            state: self.state,
-            attempts: self.attempts,
-            error: self.error.clone(),
-            stats: self.stats,
-            result,
-            wall: self.wall.unwrap_or_default(),
-        }
-    }
-}
-
-/// What one lifecycle transition does besides changing the job's state
-/// (see [`Shared::transition`]).
-#[derive(Default)]
-struct Settle {
-    /// Journal record of the transition, written before the record changes.
-    event: Option<JournalEvent>,
-    /// The record's error from here on; `None` clears it.
-    error: Option<String>,
-    /// Accounting of the activation that just ended: its fault stats and
-    /// the tasks it leaves done.
-    ran: Option<(FaultStats, usize)>,
-    /// The factorization, when a completion's result is not in the store.
-    result: Option<JobResult>,
 }
 
 /// What [`JobPool::drain`] accomplished.
@@ -920,30 +771,32 @@ pub struct RecoveryReport {
 
 type ReadyKey = Reverse<(u64, u64, u64, u32, u64)>;
 
+/// The control plane behind its one lock.
+struct Control {
+    state: PoolState<Held>,
+    /// Journal records decided on and not yet written, in `step` order.
+    /// Whoever next holds the journal file writes all of them, so records
+    /// reach the file in decision order though nobody syncs under this lock.
+    outbox: Vec<JournalEvent>,
+}
+
 struct Shared {
     cfg: PoolConfig,
-    next_id: AtomicU64,
-    next_rid: AtomicU64,
-    next_seq: AtomicU64,
-    pending: Mutex<Vec<PendingJob>>,
-    records: Mutex<HashMap<u64, JobRecord>>,
+    /// `step`'s clock counts from here.
+    epoch: Instant,
+    /// The one lock for job state: held for a `step` or a lookup, never
+    /// across I/O.
+    control: Mutex<Control>,
     waiters: Condvar,
     active: RwLock<HashMap<u64, Arc<ActiveJob>>>,
-    /// Shared ready heap: (qos_inv, seq, rank, tid, rid), min-ordered.
+    /// Shared ready heap: (qos_inv, job id, rank, tid, rid), min-ordered.
     ready: Mutex<BinaryHeap<ReadyKey>>,
-    /// Cancel (`None`) and suspend requests awaiting the supervisor.
-    requests: Mutex<Vec<(u64, Option<SuspendKind>)>>,
-    /// Jobs parked by a suspend request or a drain, keyed by job id,
-    /// awaiting [`JobPool::resume_job`].
-    parked: Mutex<HashMap<u64, PendingJob>>,
-    /// Idempotent-submission index: dedup key -> job id.
-    dedup: Mutex<HashMap<String, u64>>,
     /// Write-ahead journal of lifecycle transitions (durable pools only).
+    /// Taken before `control` when both are needed, never after.
     journal: Option<Mutex<Journal>>,
     /// Durable store of completed results (durable pools only).
     results: Option<ResultStore>,
-    active_footprint: AtomicU64,
-    draining: AtomicBool,
+    next_rid: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -951,7 +804,7 @@ impl Shared {
     fn push_ready(&self, job: &ActiveJob, tid: u32) {
         relock(&self.ready).push(Reverse((
             job.qos_inv,
-            job.seq,
+            job.id,
             job.run.ranks[tid as usize],
             tid,
             job.rid,
@@ -963,19 +816,21 @@ impl Shared {
         self.active.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append a lifecycle transition to the write-ahead journal. Journal
-    /// IO failure degrades durability, never availability: the pool keeps
-    /// running and the failure goes to stderr.
-    fn log_event(&self, ev: &JournalEvent) {
-        if let Some(j) = &self.journal {
-            let mut j = relock(j);
+    /// Write every journal record decided so far, oldest first, each
+    /// `fsync`ed. On return the caller's own records are durable — written
+    /// here, or by the thread this one waited behind. Journal IO failure
+    /// degrades durability, never availability: it goes to stderr.
+    fn flush(&self) {
+        let Some(j) = &self.journal else { return };
+        let mut j = relock(j);
+        let batch = std::mem::take(&mut relock(&self.control).outbox);
+        let rotate_at = self.cfg.durability.as_ref().map_or(0, |d| d.journal_rotate_bytes);
+        for ev in &batch {
             if let Err(e) = j.append(ev) {
                 eprintln!("hqr-pool: journal append failed: {e}");
             }
             // Size-threshold rotation: compact away terminal noise once
-            // the file outgrows the configured budget. Held under the
-            // journal lock so appends never interleave with the rewrite.
-            let rotate_at = self.cfg.durability.as_ref().map_or(0, |d| d.journal_rotate_bytes);
+            // the file outgrows the configured budget.
             if j.rotate_due(rotate_at) {
                 match j.rotate() {
                     Ok(reclaimed) => {
@@ -987,36 +842,63 @@ impl Shared {
         }
     }
 
-    /// The one place a job changes state. Journal first (write-ahead), then
-    /// drop the suspension checkpoint of a job that will never run again,
-    /// then the record, then wake waiters — so the journal and the records
-    /// cannot tell different stories about a job.
-    fn transition(&self, id: u64, to: JobState, s: Settle) {
-        if let Some(ev) = &s.event {
-            self.log_event(ev);
-        }
-        if to.is_terminal() && to != JobState::Suspended {
-            if let Some(d) = &self.cfg.durability {
-                let _ = std::fs::remove_file(d.state_dir.join(ckpt_file(id)));
+    /// The one way the live pool changes a job's state: feed `event` to
+    /// [`step`] under the state lock, then carry out what it asks for with
+    /// the lock released — journal first (write-ahead: nothing else happens
+    /// and no caller is answered before the records are durable).
+    /// Returns the answer to the caller, if the event asked for one.
+    fn apply(&self, event: Event<Held>) -> Option<Effect<Held>> {
+        let mut c = relock(&self.control);
+        let mut effects = step(&mut c.state, event, self.epoch.elapsed());
+        let answer = effects.pop_if(|e| matches!(e, Effect::Submitted(_) | Effect::Ack(_)));
+        let mut wrote = false;
+        let (mut starts, mut rest) = (Vec::new(), Vec::new());
+        for effect in effects {
+            match effect {
+                Effect::Journal(ev) if self.journal.is_some() => {
+                    c.outbox.push(ev);
+                    wrote = true;
+                }
+                Effect::Journal(_) => {}
+                Effect::Activate(id, held) => {
+                    let Some(Held::Work(work)) = held else {
+                        unreachable!("a waiting job holds its work")
+                    };
+                    let job = &c.state.jobs[&id];
+                    starts.push((id, job.qos, job.may_retry(), work));
+                }
+                other => rest.push(other),
             }
         }
-        if let Some(r) = relock(&self.records).get_mut(&id) {
-            r.state = to;
-            // The attempt just journaled is the record's count.
-            if let Some(JournalEvent::Started { attempt, .. }) = s.event {
-                r.attempts = attempt;
-            }
-            r.error = s.error;
-            r.wall = to.is_terminal().then(|| r.submitted.elapsed());
-            if let Some((stats, tasks_done)) = s.ran {
-                r.stats.merge(&stats);
-                r.tasks_done = tasks_done;
-            }
-            if to == JobState::Completed {
-                r.outcome = Some(r.outcome(id, s.result));
+        drop(c);
+        if wrote {
+            self.flush();
+        }
+        for effect in rest {
+            match effect {
+                Effect::Halt(id, v) => {
+                    if let Some(job) = self.active().values().find(|j| j.id == id) {
+                        job.halt_with(v);
+                    }
+                }
+                Effect::DropCheckpoint(id) => {
+                    if let Some(d) = &self.cfg.durability {
+                        let _ = std::fs::remove_file(d.state_dir.join(ckpt_file(id)));
+                    }
+                }
+                Effect::Wake => self.waiters.notify_all(),
+                _ => unreachable!("handled under the lock"),
             }
         }
-        self.waiters.notify_all();
+        for (id, qos, retain, work) in starts {
+            activate_job(self, id, qos, retain, work);
+        }
+        answer
+    }
+
+    /// Jobs the state has running (activating and concluding included).
+    fn running(&self) -> usize {
+        relock(&self.control).state.live().filter(|j| j.state == JobState::Running).count()
     }
 }
 
@@ -1052,9 +934,24 @@ fn invalid(message: impl Into<String>) -> SubmitError {
     SubmitError::Invalid { message: message.into() }
 }
 
-/// Validate a spec and build its graph + footprint. Shared by `submit`
-/// and the retry path (which revalidated once already, but is cheap).
-fn prepare(spec: &JobSpec) -> Result<(Vec<ElimOp>, TaskGraph, usize, u64), SubmitError> {
+/// The first tile of `a` holding a NaN or an infinity, as a rejection.
+fn reject_non_finite(a: &TiledMatrix, what: &str) -> Result<(), SubmitError> {
+    for i in 0..a.mt() {
+        for j in 0..a.nt() {
+            if let Some(v) = a.tile(i, j).iter().find(|v| !v.is_finite()) {
+                return Err(invalid(format!(
+                    "{what} tile ({i}, {j}) holds a non-finite value ({v})"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Validate a spec, price it, and turn it into the [`Job`] that travels
+/// through the pool: the one place a spec is taken apart. `journaled` pools
+/// get the spec's encoding along, for the `Accepted` record.
+fn prepare(spec: JobSpec, cfg: &PoolConfig, journaled: bool) -> Result<(Job, Held), SubmitError> {
     if let Some(p) = &spec.plan {
         if p.poisons_any_worker() {
             return Err(invalid("fault plans with poisoned workers are engine-only"));
@@ -1063,33 +960,42 @@ fn prepare(spec: &JobSpec) -> Result<(Vec<ElimOp>, TaskGraph, usize, u64), Submi
             return Err(invalid("fault plans that lose completions are engine-only"));
         }
     }
-    let (elims, mt, nt, b) = match &spec.input {
-        JobInput::Fresh { elims, a } => (elims.clone(), a.mt(), a.nt(), a.b()),
-        JobInput::Resume(ck) => (ck.elims.clone(), ck.mt, ck.nt, ck.b),
+    let (elims, a) = match &spec.input {
+        JobInput::Fresh { elims, a } => (elims, a),
+        JobInput::Resume(ck) => (&ck.elims, &ck.a),
     };
-    let graph = TaskGraph::try_build(mt, nt, b, &elims)
+    let graph = TaskGraph::try_build(a.mt(), a.nt(), a.b(), elims)
         .map_err(|e| invalid(format!("elimination list rejected: {e}")))?;
-    let ib = effective_ib(spec, b).map_err(|message| SubmitError::Invalid { message })?;
+    let ib = effective_ib(&spec, a.b()).map_err(invalid)?;
     if let JobInput::Resume(ck) = &spec.input {
         ck.validate_against(&graph, ib)
             .map_err(|e| invalid(format!("checkpoint rejected: {e}")))?;
+        reject_non_finite(a, "checkpoint")?;
+    } else {
+        reject_non_finite(a, "matrix")?;
     }
-    let footprint = working_set_bytes(&graph);
-    let retain = spec.job_retries > 0;
-    let need = if retain { footprint + matrix_bytes(&graph) } else { footprint };
-    Ok((elims, graph, ib, need))
-}
-
-fn matrix_bytes(graph: &TaskGraph) -> u64 {
-    (graph.mt() * graph.nt() * graph.b() * graph.b() * std::mem::size_of::<f64>()) as u64
-}
-
-/// Admission charge for a job needing `need` resident bytes. With a
-/// resident budget the charge is capped at that budget: the job runs
-/// out-of-core and keeps at most `resident_budget` bytes of tiles in
-/// memory, spilling the rest.
-fn chargeable(cfg: &PoolConfig, need: u64) -> u64 {
-    cfg.resident_budget.map_or(need, |rb| need.min(rb.max(1)))
+    // A job that may be retried keeps its pristine matrix beside the
+    // working copy. A resident budget caps the charge: the job runs
+    // out-of-core with at most that many bytes of tiles in memory.
+    let need = working_set_bytes(&graph)
+        + if spec.job_retries > 0 { (a.mt() * a.nt() * a.b() * a.b() * 8) as u64 } else { 0 };
+    let bytes = journaled.then(|| spec.to_bytes());
+    let tasks_total = graph.tasks().len();
+    let JobSpec { input, qos, policy, integrity, max_retries, job_retries, deadline, plan, .. } =
+        spec;
+    let work = Work { graph, ib, policy, integrity, max_retries, plan, seed: Some(input) };
+    let job = Job {
+        tag: spec.tag,
+        qos,
+        job_retries,
+        deadline,
+        footprint: cfg.resident_budget.map_or(need, |rb| need.min(rb.max(1))),
+        dedup: spec.dedup_key,
+        spec: bytes,
+        tasks_total,
+        ..Job::default()
+    };
+    Ok((job, Held::Work(Box::new(work))))
 }
 
 fn effective_ib(spec: &JobSpec, b: usize) -> Result<usize, String> {
@@ -1105,6 +1011,58 @@ fn effective_ib(spec: &JobSpec, b: usize) -> Result<usize, String> {
         return Err(format!("inner block size {ib} must be in 1..={b}"));
     }
     Ok(ib)
+}
+
+/// Give a replayed job back what only its spec and checkpoint file know:
+/// label, policy, price — and, if it will run again, what to run from: its
+/// checkpoint when readable (`true`), so no completed panel is recomputed.
+fn hydrate(job: &mut Job, dir: &Path, cfg: &PoolConfig) -> Result<Option<(bool, Held)>, String> {
+    let bytes = job.spec.clone().ok_or("journal lost the job's spec")?;
+    let mut spec = JobSpec::from_bytes(bytes).map_err(|e| e.to_string())?;
+    (job.tag, job.qos) = (spec.tag.clone(), spec.qos);
+    if job.settled().is_some() {
+        return Ok(None);
+    }
+    let ckpt = job.ckpt_file.as_ref().and_then(|f| read_checkpoint(&dir.join(f)).ok());
+    let resumed = ckpt.is_some();
+    match ckpt {
+        Some(ck) => {
+            spec.input = JobInput::Resume(Box::new(ck));
+            spec.ib = None; // take the checkpoint's recorded ib
+        }
+        None => (job.ckpt_file, job.ckpt_tasks_done) = (None, 0),
+    }
+    let (priced, held) = prepare(spec, cfg, false).map_err(|e| e.to_string())?;
+    if let Some(e) = over_budget(cfg, priced.footprint) {
+        return Err(e.to_string());
+    }
+    *job = Job {
+        id: job.id,
+        attempts: job.attempts,
+        spec: job.spec.take(),
+        ckpt_file: job.ckpt_file.take(),
+        ckpt_tasks_done: job.ckpt_tasks_done,
+        ..priced
+    };
+    Ok(Some((resumed, held)))
+}
+
+/// One job as the listings show it; `live_done` is its running
+/// activation's progress, if it has one.
+fn view(job: &Job, live_done: Option<usize>) -> JobView {
+    JobView {
+        id: JobId(job.id),
+        tag: job.tag.clone(),
+        state: job.state,
+        qos: job.qos,
+        attempts: job.attempts,
+        // The activation was read before the state: a job concluded in
+        // between is terminal here and its own count is the right one.
+        tasks_done: live_done.filter(|_| !job.state.is_terminal()).unwrap_or(job.tasks_done),
+        tasks_total: job.tasks_total,
+        error: job.error.clone(),
+        wall: job.wall,
+    }
 }
 
 impl JobPool {
@@ -1138,23 +1096,18 @@ impl JobPool {
             }
             None => (None, None),
         };
+        let cfg = PoolConfig { nthreads, ..cfg };
+        let state = PoolState::new(cfg.clone());
         let shared = Arc::new(Shared {
-            cfg: PoolConfig { nthreads, ..cfg },
-            next_id: AtomicU64::new(1),
-            next_rid: AtomicU64::new(1),
-            next_seq: AtomicU64::new(1),
-            pending: Mutex::new(Vec::new()),
-            records: Mutex::new(HashMap::new()),
+            cfg,
+            epoch: Instant::now(),
+            control: Mutex::new(Control { state, outbox: Vec::new() }),
             waiters: Condvar::new(),
             active: RwLock::new(HashMap::new()),
             ready: Mutex::new(BinaryHeap::new()),
-            requests: Mutex::new(Vec::new()),
-            parked: Mutex::new(HashMap::new()),
-            dedup: Mutex::new(HashMap::new()),
             journal,
             results,
-            active_footprint: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
+            next_rid: AtomicU64::new(1),
             stop: AtomicBool::new(false),
         });
         let workers: Vec<Worker<(u64, u32)>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
@@ -1197,216 +1150,66 @@ impl JobPool {
     /// job is journaled before this returns, so a response the client
     /// receives is a response that survives a crash.
     pub fn submit_dedup(&self, spec: JobSpec) -> Result<(JobId, bool), SubmitError> {
-        self.enqueue(spec, None)
-    }
-
-    /// Validate `spec`, price it, and put it on the queue: the one way a
-    /// job enters the pool. A new arrival (`readmit: None`) gets a fresh id
-    /// and faces the drain gate, the dedup index, backpressure and
-    /// shedding; a job the journal is re-enqueueing keeps its original id
-    /// and attempt count and skips all four — they decided its fate once
-    /// already, in a previous life. Either way `Accepted` reaches stable
-    /// storage before the caller learns the id.
-    fn enqueue(
-        &self,
-        spec: JobSpec,
-        readmit: Option<(u64, &RecoveredJob)>,
-    ) -> Result<(JobId, bool), SubmitError> {
         let s = &*self.shared;
-        // The dedup guard is held through acceptance so two racing
-        // submissions of the same key cannot both register.
-        let mut dedup_guard = None;
-        if readmit.is_none() {
-            if s.draining.load(Ordering::SeqCst) || s.stop.load(Ordering::SeqCst) {
-                return Err(SubmitError::Draining);
+        // Gate and dedup index are asked before the spec is priced (the
+        // graph build is the expensive part), and again by `step`.
+        let early = relock(&s.control).state.precheck(spec.dedup_key.as_deref(), 0);
+        let answer = early.unwrap_or_else(|| {
+            let (job, held) = prepare(spec, &s.cfg, s.journal.is_some())?;
+            match s.apply(Event::Submit(Box::new(job), Some(held))) {
+                Some(Effect::Submitted(answer)) => answer,
+                _ => unreachable!("a submission is answered"),
             }
-            if let Some(k) = &spec.dedup_key {
-                let dd = relock(&s.dedup);
-                if let Some(&id) = dd.get(k) {
-                    return Ok((JobId(id), true));
-                }
-                dedup_guard = Some(dd);
-            }
-        }
-        let (elims, graph, ib, need) = prepare(&spec)?;
-        let need = chargeable(&s.cfg, need);
-        if need > s.cfg.mem_budget {
-            return Err(SubmitError::OverBudget { need, budget: s.cfg.mem_budget });
-        }
-        // The journal payload is the spec as first accepted: encoded before
-        // a new spec is torn apart, carried over for a re-enqueued one
-        // (whose `spec.input` may by now be its last checkpoint).
-        let (attempts, spec_bytes) = match readmit {
-            Some((_, j)) => (j.attempts, j.spec.clone()),
-            None => (0, s.journal.as_ref().map(|_| spec.to_bytes())),
-        };
-        let qos = spec.qos;
-        let policy = JobPolicy {
-            ib,
-            qos,
-            policy: spec.policy,
-            integrity: spec.integrity,
-            max_retries: spec.max_retries,
-            job_retries: spec.job_retries,
-            deadline: spec.deadline,
-            plan: spec.plan,
-        };
-        let seed = match spec.input {
-            JobInput::Fresh { a, .. } => Seed::Fresh(a),
-            JobInput::Resume(ck) => Seed::Resume(ck),
-        };
-        let tasks_total = graph.tasks().len();
-        let mut pending = relock(&s.pending);
-        if readmit.is_none() && pending.len() >= s.cfg.queue_cap {
-            // Load shedding: evict the lowest-QoS queued job iff the
-            // arrival strictly outranks it; shed the *newest* of that
-            // class so older accepted work keeps its place.
-            let victim = pending
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.policy.qos < qos)
-                .min_by_key(|(_, p)| (p.policy.qos, Reverse(p.seq)))
-                .map(|(i, _)| i);
-            let Some(i) = victim else {
-                return Err(SubmitError::QueueFull { cap: s.cfg.queue_cap });
-            };
-            let shed = pending.remove(i).id;
-            let reason = "shed by a higher-QoS arrival".to_string();
-            s.transition(
-                shed,
-                JobState::Shed,
-                Settle {
-                    event: Some(JournalEvent::Shed { id: shed, reason: reason.clone() }),
-                    error: Some(reason),
-                    ..Settle::default()
-                },
-            );
-        }
-        let id = match readmit {
-            Some((id, _)) => id,
-            None => s.next_id.fetch_add(1, Ordering::Relaxed),
-        };
-        // The record exists before the supervisor can see the job: it may
-        // admit, run and finalize a tiny job before this thread runs
-        // again, and a record inserted after that would read `Queued` for
-        // ever.
-        relock(&s.records).insert(id, JobRecord::queued(qos, spec.tag, attempts, tasks_total));
-        pending.push(PendingJob {
-            id,
-            seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
-            policy,
-            elims,
-            seed,
-            graph,
-            footprint: need,
-            attempts,
-            not_before: None,
-            count_attempt: true,
         });
-        drop(pending);
-        if let (Some(mut dd), Some(k)) = (dedup_guard, &spec.dedup_key) {
-            dd.insert(k.clone(), id);
-        }
-        s.log_event(&JournalEvent::Accepted {
-            id,
-            attempts,
-            tasks_total: tasks_total as u64,
-            dedup: spec.dedup_key,
-            spec: spec_bytes,
-        });
-        Ok((JobId(id), false))
+        answer.map(|(id, deduped)| (JobId(id), deduped))
     }
 
-    /// Replay the write-ahead journal after a restart — a polite one (the
-    /// old process drained first) or a crash, the code is the same: every
-    /// job the old process accepted is driven back to a known state.
-    /// Terminal jobs re-register (completed results stay retrievable),
-    /// live jobs re-enqueue from their last durable checkpoint when one
-    /// exists, else from their original spec. The journal is compacted to
-    /// terminal summaries plus the re-journaled live jobs.
+    /// Replay the write-ahead journal after a restart — polite (the old
+    /// process drained first) or a crash, the code is the same: the records
+    /// are folded through [`step`] into the state the old process had
+    /// reached, and [`Event::Restart`] re-queues whatever was still live.
+    /// Settled jobs stay listed (completed results stay retrievable); live
+    /// jobs run from their last durable checkpoint, else from their spec.
+    /// The journal is compacted to the [`snapshot`] of that state.
     ///
     /// Call once, before accepting new submissions.
     pub fn recover(&self) -> Result<RecoveryReport, JournalError> {
         let s = &*self.shared;
-        let (state_dir, jm) = match (&s.cfg.durability, &s.journal) {
-            (Some(d), Some(j)) => (d.state_dir.clone(), j),
-            _ => {
-                return Err(JournalError::Inconsistent {
-                    message: "pool has no durable state directory".into(),
-                })
-            }
+        let (Some(d), Some(jm)) = (&s.cfg.durability, &s.journal) else {
+            return Err(JournalError::Inconsistent {
+                message: "pool has no durable state directory".into(),
+            });
         };
-        let events = Journal::read(&state_dir.join(JOURNAL_FILE))?;
-        let jobs = replay(&events);
-        let mut report = RecoveryReport { total: jobs.len(), ..Default::default() };
-        // Compact away everything except terminal summaries; live jobs
-        // are re-journaled in full below.
-        let summary = |id: u64, j: &RecoveredJob| JournalEvent::Accepted {
-            id,
-            attempts: j.attempts,
-            tasks_total: j.tasks_total,
-            dedup: j.dedup.clone(),
-            spec: None,
-        };
-        let mut keep: Vec<JournalEvent> = Vec::new();
-        for (&id, j) in &jobs {
-            let Some(state) = j.terminal else { continue };
-            keep.push(summary(id, j));
-            keep.push(terminal_event(id, state, j));
-        }
-        relock(jm).compact(&keep)?;
-        if let Some(&max_id) = jobs.keys().max() {
-            s.next_id.fetch_max(max_id + 1, Ordering::SeqCst);
-        }
-        for (&id, j) in &jobs {
-            if let Some(k) = &j.dedup {
-                relock(&s.dedup).insert(k.clone(), id);
-            }
-            let decoded = j.spec.as_ref().and_then(|b| JobSpec::from_bytes(b.clone()).ok());
-            if let Some(state) = j.terminal {
-                let record = JobRecord::settled(j, state, decoded, j.error.clone());
-                relock(&s.records).insert(id, record);
-                if state == JobState::Completed {
-                    report.completed_retained += 1;
-                } else {
-                    report.terminal_retained += 1;
+        let events = Journal::read(&d.state_dir.join(JOURNAL_FILE))?;
+        let mut state = PoolState::replayed(s.cfg.clone(), events);
+        step(&mut state, Event::Restart, Duration::ZERO);
+        let mut report = RecoveryReport { total: state.jobs.len(), ..Default::default() };
+        let jobs = state.jobs.values_mut();
+        let hydrated: Vec<_> =
+            jobs.map(|job| (job.id, job.settled(), hydrate(job, &d.state_dir, &s.cfg))).collect();
+        for (id, settled, outcome) in hydrated {
+            match (settled, outcome) {
+                (Some(JobState::Completed), _) => report.completed_retained += 1,
+                (Some(_), _) => report.terminal_retained += 1,
+                (None, Ok(Some((resumed, held)))) => {
+                    state.held.insert(id, held);
+                    report.resumed_from_checkpoint += usize::from(resumed);
+                    report.restarted_fresh += usize::from(!resumed);
                 }
-                continue;
-            }
-            // Live at the restart: prefer the last durable checkpoint so
-            // completed panels are never recomputed.
-            let readmitted = match decoded {
-                None => Err("journal lost the job's spec".to_string()),
-                Some(mut spec) => {
-                    let mut resumed = None;
-                    if let Some(file) = &j.ckpt_file {
-                        if let Ok(ck) = read_checkpoint(&state_dir.join(file)) {
-                            spec.input = JobInput::Resume(Box::new(ck));
-                            spec.ib = None; // take the checkpoint's recorded ib
-                            resumed = Some(file.clone());
-                        }
-                    }
-                    self.enqueue(spec, Some((id, j))).map(|_| resumed).map_err(|e| e.to_string())
-                }
-            };
-            match readmitted {
-                Ok(Some(file)) => {
-                    let tasks_done = j.ckpt_tasks_done;
-                    s.log_event(&JournalEvent::Checkpointed { id, tasks_done, file });
-                    report.resumed_from_checkpoint += 1;
-                }
-                Ok(None) => report.restarted_fresh += 1,
                 // Quarantined, so it still reaches a terminal state.
-                Err(why) => {
+                (None, lost) => {
+                    let why = lost.err().unwrap_or_default();
                     let error = format!("unrecoverable after restart: {why}");
-                    s.log_event(&summary(id, j));
-                    s.log_event(&JournalEvent::Quarantined { id, error: error.clone() });
-                    let record = JobRecord::settled(j, JobState::Quarantined, None, Some(error));
-                    relock(&s.records).insert(id, record);
+                    let ev = JournalEvent::Quarantined { id, error };
+                    step(&mut state, Event::Replay(ev), Duration::ZERO);
                     report.unrecoverable += 1;
                 }
             }
         }
+        relock(jm).compact(&snapshot(&state))?;
+        // The journal holds the specs from here on; the live state never does.
+        state.jobs.values_mut().for_each(|j| j.spec = None);
+        relock(&s.control).state = state;
         Ok(report)
     }
 
@@ -1418,90 +1221,62 @@ impl JobPool {
     /// for ids this pool never accepted.
     pub fn wait(&self, id: JobId) -> Option<JobOutcome> {
         let s = &*self.shared;
-        let mut recs = relock(&s.records);
-        loop {
-            let r = recs.get_mut(&id.0)?;
-            if let Some(mut out) = r.outcome.take() {
-                drop(recs);
-                if out.state == JobState::Completed && out.result.is_none() {
-                    let stored = s.results.as_ref().and_then(|store| store.get(id.0));
-                    out.result = stored.and_then(|b| result_from_bytes(b).ok()).map(|r| r.result);
-                }
-                return Some(out);
+        let mut c = relock(&s.control);
+        let (mut out, claimed) = loop {
+            let job = c.state.jobs.get_mut(&id.0)?;
+            if job.state.is_terminal() {
+                let out = JobOutcome {
+                    id,
+                    state: job.state,
+                    attempts: job.attempts,
+                    error: job.error.clone(),
+                    stats: job.stats,
+                    result: None,
+                    wall: job.wall.unwrap_or_default(),
+                };
+                // What is held for a parked job is its work, and stays.
+                let done = matches!(c.state.held.get(&id.0), Some(Held::Done(_)));
+                break (out, c.state.held.remove(&id.0).filter(|_| done));
             }
-            if r.state.is_terminal() {
-                return Some(r.outcome(id.0, None));
-            }
-            recs = s.waiters.wait(recs).unwrap_or_else(PoisonError::into_inner);
+            c = s.waiters.wait(c).unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(c);
+        if let Some(Held::Done(in_memory)) = claimed {
+            out.result = in_memory.or_else(|| {
+                let stored = s.results.as_ref()?.get(id.0)?;
+                result_from_bytes(stored).ok().map(|r| r.result)
+            });
         }
+        Some(out)
     }
 
     /// Current snapshot of one job.
     pub fn status(&self, id: JobId) -> Option<JobView> {
-        self.jobs().into_iter().find(|v| v.id == id)
+        let s = &*self.shared;
+        let live_done = s.active().values().find(|j| j.id == id.0).map(|j| j.tasks_done());
+        relock(&s.control).state.jobs.get(&id.0).map(|job| view(job, live_done))
     }
 
     /// Current snapshot of every job the pool has accepted, newest first.
     pub fn jobs(&self) -> Vec<JobView> {
         let s = &*self.shared;
-        let live: HashMap<u64, usize> = s
-            .active()
-            .values()
-            .map(|j| (j.id, j.graph.tasks().len() - j.run.remaining.load(Ordering::Acquire)))
-            .collect();
-        let recs = relock(&s.records);
-        let mut out: Vec<JobView> = recs
-            .iter()
-            .map(|(&id, r)| JobView {
-                id: JobId(id),
-                tag: r.tag.clone(),
-                state: r.state,
-                qos: r.qos,
-                attempts: r.attempts,
-                // `live` was read before `records`: a job finalized in
-                // between is terminal here and its record has the count.
-                tasks_done: match live.get(&id) {
-                    Some(&done) if !r.state.is_terminal() => done,
-                    _ => r.tasks_done,
-                },
-                tasks_total: r.tasks_total,
-                error: r.error.clone(),
-                wall: r.wall,
-            })
-            .collect();
-        out.sort_by_key(|v| Reverse(v.id));
-        out
+        let live: HashMap<u64, usize> =
+            s.active().values().map(|j| (j.id, j.tasks_done())).collect();
+        let c = relock(&s.control);
+        c.state.jobs.values().rev().map(|job| view(job, live.get(&job.id).copied())).collect()
+    }
+
+    /// A yes-or-no request about one job.
+    fn ask(&self, event: Event<Held>) -> bool {
+        matches!(self.shared.apply(event), Some(Effect::Ack(true)))
     }
 
     /// Request cancellation. Returns `false` for unknown or already
-    /// terminal jobs; otherwise the job reaches [`JobState::Cancelled`].
-    /// Parked (suspended) jobs cancel immediately.
+    /// terminal jobs; otherwise the job reaches [`JobState::Cancelled`]
+    /// (unless its run finishes before the halt lands). Queued and parked
+    /// (suspended) jobs cancel immediately.
     pub fn cancel(&self, id: JobId) -> bool {
-        let s = &*self.shared;
-        if relock(&s.parked).remove(&id.0).is_some() {
-            s.transition(
-                id.0,
-                JobState::Cancelled,
-                Settle {
-                    event: Some(JournalEvent::Cancelled { id: id.0 }),
-                    error: Some("cancelled while suspended".into()),
-                    ..Settle::default()
-                },
-            );
-            return true;
-        }
-        self.request(id, None)
-    }
-
-    /// Queue a cancel (`None`) or suspend request for the supervisor;
-    /// `false` for unknown or terminal jobs.
-    fn request(&self, id: JobId, kind: Option<SuspendKind>) -> bool {
-        let s = &*self.shared;
-        let live = relock(&s.records).get(&id.0).is_some_and(|r| !r.state.is_terminal());
-        if live {
-            relock(&s.requests).push((id.0, kind));
-        }
-        live
+        self.ask(Event::Request(id.0, Verdict::Cancel))
     }
 
     /// Request suspension of `id`: a queued job parks immediately, a
@@ -1510,36 +1285,31 @@ impl JobPool {
     /// until [`JobPool::resume_job`] (or [`JobPool::cancel`]). Returns
     /// `false` for unknown or terminal jobs.
     pub fn suspend(&self, id: JobId) -> bool {
-        self.request(id, Some(SuspendKind::Park))
+        self.ask(Event::Request(id.0, Verdict::Suspend(SuspendKind::Park)))
     }
 
     /// Resume a job parked by [`JobPool::suspend`]: it re-queues from its
     /// suspension checkpoint and continues bitwise-identically from the
     /// completed-panel frontier. Returns `false` when `id` is not parked.
     pub fn resume_job(&self, id: JobId) -> bool {
-        let s = &*self.shared;
-        let Some(p) = relock(&s.parked).remove(&id.0) else { return false };
-        // State first: once pending, the supervisor owns the record.
-        s.transition(id.0, JobState::Queued, Settle::default());
-        relock(&s.pending).push(p);
-        true
+        self.ask(Event::ResumeJob(id.0))
     }
 
     /// Encoded result container for a completed job — from the durable
-    /// store when the pool has one (the record then holds no copy), else
-    /// re-encoded from the in-memory outcome. `None` when the job is
-    /// unknown, not completed, its stored result was pruned, or (volatile
-    /// pools) the outcome was already claimed.
+    /// store when the pool has one (the state then holds no copy), else
+    /// re-encoded from the unclaimed in-memory result. `None` when the job
+    /// is unknown, not completed, its stored result was pruned, or
+    /// (volatile pools) the outcome was already claimed.
     pub fn result_bytes(&self, id: JobId) -> Option<Vec<u8>> {
         let s = &*self.shared;
-        if let Some(store) = &s.results {
-            if let Some(bytes) = store.get(id.0) {
-                return Some(bytes);
-            }
+        if let Some(bytes) = s.results.as_ref().and_then(|store| store.get(id.0)) {
+            return Some(bytes);
         }
-        let recs = relock(&s.records);
-        let result = recs.get(&id.0)?.outcome.as_ref()?.result.as_ref()?;
-        Some(result_to_bytes(id.0, result))
+        let c = relock(&s.control);
+        match c.state.held.get(&id.0)? {
+            Held::Done(Some(result)) => Some(result_to_bytes(id.0, result)),
+            _ => None,
+        }
     }
 
     /// Graceful drain: stop admitting, give running jobs `grace` to
@@ -1550,49 +1320,34 @@ impl JobPool {
     /// in memory (a parked job can still be resumed or cancelled).
     pub fn drain(&self, grace: Duration) -> DrainReport {
         let s = &*self.shared;
-        s.draining.store(true, Ordering::SeqCst);
-        let terminal_before: HashSet<u64> = {
-            let recs = relock(&s.records);
-            recs.iter().filter(|(_, r)| r.state.is_terminal()).map(|(&id, _)| id).collect()
+        s.apply(Event::Drain { grace_over: false });
+        // Settled states are absorbing, so a count before and after tells
+        // how many jobs ended during the drain.
+        let ended = || {
+            let c = relock(&s.control);
+            let done = [JobState::Completed, JobState::Cancelled, JobState::Quarantined];
+            c.state.jobs.values().filter(|j| done.contains(&j.state)).count()
         };
+        let ended_before = ended();
         let deadline = Instant::now() + grace;
-        while !s.active().is_empty() && Instant::now() < deadline {
+        while s.running() > 0 && Instant::now() < deadline {
             std::thread::sleep(s.cfg.tick);
         }
-        // Suspend whatever is still running.
-        for job in s.active().values() {
-            job.halt_with(Verdict::Suspend(SuspendKind::Drain));
-        }
-        // Quiesce. An empty active map is not enough: the supervisor
-        // removes a job from the map *before* concluding it (parking its
-        // checkpoint, settling its record), so breaking on emptiness alone
-        // can snapshot mid-conclusion and miss the last job. A record
-        // leaves `Running` only inside that conclusion, so also wait for
-        // every running record to settle.
-        while !s.active().is_empty()
-            || relock(&s.records).values().any(|r| r.state == JobState::Running)
-        {
+        // Suspend what still runs; a job leaves `Running` in the one `step`
+        // that parks or settles it.
+        s.apply(Event::Drain { grace_over: true });
+        while s.running() > 0 {
             std::thread::sleep(s.cfg.tick);
         }
-        let recs = relock(&s.records);
-        let suspended = recs
-            .iter()
-            .filter(|(_, r)| r.state == JobState::Suspended)
-            .map(|(&id, _)| JobId(id))
-            .collect();
-        let finished = recs
-            .iter()
-            .filter(|(id, r)| {
-                !terminal_before.contains(id)
-                    && matches!(
-                        r.state,
-                        JobState::Completed | JobState::Cancelled | JobState::Quarantined
-                    )
-            })
-            .count();
-        drop(recs);
-        let live = relock(&s.pending).len() + relock(&s.parked).len();
-        DrainReport { finished, suspended, persisted: if s.journal.is_some() { live } else { 0 } }
+        // Its records were queued before the state showed it; whoever is
+        // still writing them holds the journal, so this waits for them.
+        s.flush();
+        let finished = ended() - ended_before;
+        let c = relock(&s.control);
+        let parked = c.state.live().filter(|j| j.state == JobState::Suspended);
+        let suspended = parked.map(|j| JobId(j.id)).collect();
+        let persisted = if s.journal.is_some() { c.state.live().count() } else { 0 };
+        DrainReport { finished, suspended, persisted }
     }
 
     /// Stop the pool: finish active jobs, mark still-queued jobs as shed,
@@ -1601,26 +1356,11 @@ impl JobPool {
     /// journal's to resubmit, and a `Shed` record would end them.
     pub fn shutdown(&self) {
         let s = &*self.shared;
-        let drained = s.draining.swap(true, Ordering::SeqCst);
-        while !s.active().is_empty() {
+        s.apply(Event::Shutdown { quiet: false });
+        while s.running() > 0 {
             std::thread::sleep(s.cfg.tick);
         }
-        if !drained {
-            let mut queued: Vec<u64> = relock(&s.pending).drain(..).map(|p| p.id).collect();
-            queued.extend(relock(&s.parked).drain().map(|(id, _)| id));
-            for id in queued {
-                let reason = "pool shut down before admission".to_string();
-                s.transition(
-                    id,
-                    JobState::Shed,
-                    Settle {
-                        event: Some(JournalEvent::Shed { id, reason: reason.clone() }),
-                        error: Some(reason),
-                        ..Settle::default()
-                    },
-                );
-            }
-        }
+        s.apply(Event::Shutdown { quiet: true });
         self.stop_threads();
     }
 
@@ -1639,23 +1379,11 @@ impl Drop for JobPool {
         // Abandon outstanding work: halt active jobs so workers stop
         // touching them, then stop the threads. Queued and parked jobs are
         // left as the journal has them.
-        s.draining.store(true, Ordering::SeqCst);
+        s.apply(Event::Drain { grace_over: false });
         for job in s.active().values() {
             job.halt_with(Verdict::Cancel);
         }
         self.stop_threads();
-    }
-}
-
-/// The journal event that records a recovered job's terminal state.
-fn terminal_event(id: u64, state: JobState, j: &RecoveredJob) -> JournalEvent {
-    match state {
-        JobState::Completed => JournalEvent::Completed { id, file: j.result_file.clone() },
-        JobState::Quarantined => {
-            JournalEvent::Quarantined { id, error: j.error.clone().unwrap_or_default() }
-        }
-        JobState::Cancelled => JournalEvent::Cancelled { id },
-        _ => JournalEvent::Shed { id, reason: j.error.clone().unwrap_or_default() },
     }
 }
 
@@ -1711,6 +1439,7 @@ fn run_job_task(
     me: usize,
     local: &Worker<(u64, u32)>,
 ) {
+    let graph = &job.work.graph;
     let mut wstats = FaultStats::default();
     let mut counters = WorkerCounters::default();
     // SAFETY contract of `attempt`: `tid` is ready (released by its last
@@ -1718,24 +1447,26 @@ fn run_job_task(
     // holds exclusive access to its read/write sets; distinct jobs never
     // share buffers at all. Pool workers are never poisoned (rejected at
     // submission).
-    let end = job.run.attempt(&job.graph, tid, me, false, &mut wstats, &mut counters, &mut |_| {});
+    let end = job.run.attempt(graph, tid, me, false, &mut wstats, &mut counters, &mut |_| {});
     if wstats != FaultStats::default() {
         relock(&job.stats).merge(&wstats);
     }
     match end {
         // The best-ranked released successor stays local (data reuse), the
         // rest go on the shared QoS-major heap.
-        Ok(Attempt::Done { .. }) => job.run.complete(
-            &job.graph,
-            tid,
-            |s| local.push((job.rid, s)),
-            |s| shared.push_ready(job, s),
-        ),
+        Ok(Attempt::Done { .. }) => {
+            job.run.complete(
+                graph,
+                tid,
+                |s| local.push((job.rid, s)),
+                |s| shared.push_ready(job, s),
+            );
+        }
         // The job was halted between attempts (cancel/deadline/drain);
         // whoever halted it recorded the verdict. The task is not done.
         Ok(Attempt::Aborted) => {}
         Ok(Attempt::Requeue) => unreachable!("pool workers are never poisoned"),
-        Err(e) => job.halt_with(Verdict::Fault(e)),
+        Err(e) => job.halt_with(Verdict::Fault(e.to_string())),
     }
 }
 
@@ -1745,149 +1476,26 @@ fn run_job_task(
 
 fn supervisor_loop(shared: &Shared) {
     while !shared.stop.load(Ordering::SeqCst) {
-        supervisor_tick(shared);
+        // Conclude what has quiesced, then tell `step` what is still
+        // running and let it halt, preempt and admit.
+        finalize_jobs(shared);
+        let seen = shared
+            .active()
+            .values()
+            .map(|j| {
+                let remaining = j.run.remaining.load(Ordering::Acquire);
+                Observed {
+                    id: j.id,
+                    remaining,
+                    progressed: remaining < j.initial_remaining,
+                    halted: j.run.halt.load(Ordering::SeqCst),
+                    elapsed: j.started.elapsed(),
+                }
+            })
+            .collect();
+        shared.apply(Event::Tick(seen));
         std::thread::sleep(shared.cfg.tick);
     }
-}
-
-fn supervisor_tick(shared: &Shared) {
-    process_requests(shared);
-    enforce_deadlines(shared);
-    periodic_checkpoints(shared);
-    preempt_for_qos(shared);
-    finalize_jobs(shared);
-    admit_jobs(shared);
-}
-
-/// Serve the cancel (`None`) and suspend requests: a queued job comes off
-/// the queue and is settled on the spot — nothing has run, so a parked
-/// one's pending seed already is its exact resumable state; an active job
-/// is halted with the matching verdict and settled at its conclusion.
-fn process_requests(shared: &Shared) {
-    for (id, kind) in std::mem::take(&mut *relock(&shared.requests)) {
-        let queued = {
-            let mut pending = relock(&shared.pending);
-            pending.iter().position(|p| p.id == id).map(|i| pending.remove(i))
-        };
-        match (queued, kind) {
-            (Some(p), Some(kind)) => park(shared, p, kind, None),
-            (Some(_), None) => shared.transition(
-                id,
-                JobState::Cancelled,
-                Settle {
-                    event: Some(JournalEvent::Cancelled { id }),
-                    error: Some("cancelled while queued".into()),
-                    ..Settle::default()
-                },
-            ),
-            (None, _) => {
-                if let Some(job) = shared.active().values().find(|j| j.id == id) {
-                    job.halt_with(kind.map_or(Verdict::Cancel, Verdict::Suspend));
-                }
-            }
-        }
-    }
-}
-
-/// Durable pools checkpoint long-running jobs at a configured cadence so
-/// a crash rolls back to the last panel boundary, not to scratch. Only
-/// activations that made progress are cycled (re-queuing resets the
-/// clock), and deadline-carrying jobs are exempt — their wall budget is
-/// per activation.
-fn periodic_checkpoints(shared: &Shared) {
-    let Some(d) = &shared.cfg.durability else { return };
-    if d.ckpt_interval.is_zero() {
-        return;
-    }
-    for job in shared.active().values() {
-        let rem = job.run.remaining.load(Ordering::Acquire);
-        if !job.run.halt.load(Ordering::SeqCst)
-            && job.deadline.is_none()
-            && rem > 0
-            && rem < job.initial_remaining
-            && job.started.elapsed() >= d.ckpt_interval
-        {
-            job.halt_with(Verdict::Suspend(SuspendKind::Periodic));
-        }
-    }
-}
-
-/// When the best admissible pending job is blocked only by lower-QoS
-/// active work, suspend one victim at its next quiescent point: the
-/// newest job of the lowest class, and only if suspension can actually
-/// free what the candidate needs (an active slot, or enough budget
-/// across all lower-QoS jobs). The victim re-queues from its checkpoint
-/// and loses no retry budget.
-fn preempt_for_qos(shared: &Shared) {
-    if shared.draining.load(Ordering::SeqCst) {
-        return;
-    }
-    let (cand_qos_inv, cand_fp) = {
-        let pending = relock(&shared.pending);
-        let now = Instant::now();
-        let best = pending
-            .iter()
-            .filter(|p| p.not_before.is_none_or(|t| now >= t))
-            .min_by_key(|p| (p.policy.qos.inverted(), p.seq));
-        let Some(p) = best else { return };
-        (p.policy.qos.inverted(), p.footprint)
-    };
-    let in_use = shared.active_footprint.load(Ordering::SeqCst);
-    let active = shared.active();
-    if active.is_empty() {
-        return;
-    }
-    let slot_blocked = shared.cfg.max_active != 0 && active.len() >= shared.cfg.max_active;
-    let budget_blocked = in_use.saturating_add(cand_fp) > shared.cfg.mem_budget;
-    if !slot_blocked && !budget_blocked {
-        return;
-    }
-    let lower: Vec<&Arc<ActiveJob>> = active
-        .values()
-        .filter(|j| j.qos_inv > cand_qos_inv && !j.run.halt.load(Ordering::SeqCst))
-        .collect();
-    if lower.is_empty() {
-        return;
-    }
-    if budget_blocked && !slot_blocked {
-        let reclaimable: u64 = lower.iter().map(|j| j.footprint).sum();
-        if in_use.saturating_sub(reclaimable).saturating_add(cand_fp) > shared.cfg.mem_budget {
-            return;
-        }
-    }
-    let victim = lower.into_iter().max_by_key(|j| (j.qos_inv, j.seq)).expect("lower is non-empty");
-    victim.halt_with(Verdict::Suspend(SuspendKind::Preempt));
-}
-
-fn enforce_deadlines(shared: &Shared) {
-    for job in shared.active().values() {
-        if let Some(d) = job.deadline {
-            // A job that already finished its last task but has not been
-            // finalized yet has met its deadline — don't fail it on a
-            // supervisor scheduling artifact.
-            if !job.run.halt.load(Ordering::SeqCst)
-                && job.run.remaining.load(Ordering::Acquire) > 0
-                && job.started.elapsed() > d
-            {
-                job.halt_with(Verdict::Deadline(d));
-            }
-        }
-    }
-}
-
-/// Exponential backoff for job-level retries, delegating to the shared
-/// [`crate::retry::RetryPolicy`] (decorrelated jitter in [0.5, 1.0] from
-/// `(salt, attempts)`) — jobs that fail together (a shared fault, a mass
-/// deadline miss) spread their retries out instead of re-colliding in
-/// lockstep, and the job pool and the network RPC layer stay on one
-/// implementation of the constants.
-fn retry_backoff(cfg: &PoolConfig, attempts: u32, salt: u64) -> Duration {
-    let policy = crate::retry::RetryPolicy {
-        base: cfg.backoff_base,
-        cap: cfg.backoff_cap,
-        max_attempts: u32::MAX,
-    };
-    policy.backoff(attempts, salt)
 }
 
 fn finalize_jobs(shared: &Shared) {
@@ -1911,7 +1519,6 @@ fn finalize_jobs(shared: &Shared) {
         else {
             continue;
         };
-        shared.active_footprint.fetch_sub(arc.footprint, Ordering::SeqCst);
         let mut arc = arc;
         let job = loop {
             match Arc::try_unwrap(arc) {
@@ -1928,8 +1535,8 @@ fn finalize_jobs(shared: &Shared) {
     }
 }
 
-/// Turn one quiesced, owned job into a terminal record, a retry, or a
-/// suspension.
+/// Report one quiesced, owned run to [`step`], after the I/O whose outcome
+/// the report carries: result stored, or checkpoint captured and written.
 fn conclude_job(shared: &Shared, mut job: ActiveJob) {
     // An out-of-core job is hollow at quiescence: spilled tiles live only
     // in its spill file. Fault everything back in before any verdict
@@ -1940,282 +1547,69 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
         let ActiveJob { run, a, factors, .. } = &mut job;
         run.store.unpage(a, factors).err()
     };
-    let verdict = relock(&job.verdict).take();
-    let verdict = match (verdict, unpage_err) {
-        (None, Some(message)) | (Some(Verdict::Suspend(_)), Some(message)) => {
-            Some(Verdict::Fault(ExecError::SpillIo { message }))
+    let verdict = match (relock(&job.verdict).take(), unpage_err) {
+        (None | Some(Verdict::Suspend(_)), Some(message)) => {
+            Some(Verdict::Fault(ExecError::SpillIo { message }.to_string()))
         }
         (v, _) => v,
     };
-    let tasks_total = job.graph.tasks().len();
-    let tasks_done = tasks_total - job.run.remaining.load(Ordering::Acquire);
-    let ran = (*relock(&job.stats), tasks_done);
-    let id = job.id;
-    match verdict {
+    let (tasks_done, stats) = (job.tasks_done(), *relock(&job.stats));
+    let ActiveJob { id, mut work, elims, run, a, factors, .. } = job;
+    let mut pruned = Vec::new();
+    let (durable, payload) = match &verdict {
         None => {
-            // Clean completion.
-            debug_assert_eq!(tasks_done, tasks_total);
-            let ActiveJob { a, factors, .. } = job;
             let result = JobResult { a, factors };
-            // Durable pools persist R/V/T *before* journaling the
-            // completion, so a journaled Completed always implies a
-            // retrievable result — and once the store holds it the record
-            // keeps no second copy: nobody may ever `wait` for this job (a
-            // socket client cannot), and a daemon that held every result
-            // grew by one factorization per job.
+            // Durable pools persist R/V/T *before* the completion is
+            // journaled, so a journaled Completed implies a retrievable
+            // result — and once the store holds it the pool keeps no copy:
+            // nobody may ever `wait` for this job (a socket client cannot),
+            // and a daemon holding every result grew without bound.
             let stored = shared.results.as_ref().and_then(|store| {
                 let put = store.put(id, &result_to_bytes(id, &result));
-                if let Err(e) = &put {
-                    eprintln!("hqr-pool: persisting result of job-{id} failed: {e}");
-                } else {
-                    for pruned in store.prune_over_cap() {
-                        shared.log_event(&JournalEvent::ResultPruned { id: pruned });
-                    }
+                match &put {
+                    Err(e) => eprintln!("hqr-pool: persisting result of job-{id} failed: {e}"),
+                    Ok(_) => pruned = store.prune_over_cap(),
                 }
                 put.ok()
             });
-            shared.transition(
-                id,
-                JobState::Completed,
-                Settle {
-                    result: stored.is_none().then_some(result),
-                    event: Some(JournalEvent::Completed { id, file: stored }),
-                    error: None,
-                    ran: Some(ran),
-                },
-            );
+            let unstored = stored.is_none().then_some(result);
+            (stored, Held::Done(unstored))
         }
-        Some(Verdict::Cancel) => shared.transition(
-            id,
-            JobState::Cancelled,
-            Settle {
-                event: Some(JournalEvent::Cancelled { id }),
-                error: Some("cancelled while running".into()),
-                ran: Some(ran),
-                ..Settle::default()
-            },
-        ),
-        Some(Verdict::Suspend(kind)) => suspend_job(shared, job, ran, kind),
-        Some(Verdict::Fault(e)) => retry_or_quarantine(shared, job, ran, e.to_string()),
-        Some(Verdict::Deadline(d)) => {
-            retry_or_quarantine(shared, job, ran, format!("deadline of {d:?} exceeded"));
+        Some(Verdict::Suspend(_)) => {
+            // Quiescent, hence closed under predecessors — what
+            // `validate_against` requires of a resumable checkpoint.
+            let ckpt =
+                Checkpoint::capture(&work.graph, work.ib, elims, run.completed(), a, factors);
+            let file = shared.cfg.durability.as_ref().and_then(|d| {
+                let file = ckpt_file(id);
+                write_checkpoint(&d.state_dir.join(&file), &ckpt)
+                    .map_err(|e| eprintln!("hqr-pool: checkpointing job-{id} failed: {e}"))
+                    .ok()
+                    .map(|()| file)
+            });
+            work.seed = Some(JobInput::Resume(Box::new(ckpt)));
+            (file, Held::Work(work))
         }
-    }
-}
-
-/// Put a job that is not running aside until [`JobPool::resume_job`]: a
-/// queued job as it stands, a halted one (`ran` is its accounting) as the
-/// checkpoint [`suspend_job`] just took. The park and the record change
-/// under one `parked` lock, so a racing resume sees both or neither.
-fn park(shared: &Shared, p: PendingJob, kind: SuspendKind, ran: Option<(FaultStats, usize)>) {
-    let id = p.id;
-    let reason = kind.reason().to_string();
-    let mut parked = relock(&shared.parked);
-    parked.insert(id, p);
-    shared.transition(
-        id,
-        JobState::Suspended,
-        Settle {
-            event: Some(JournalEvent::Suspended { id, reason: reason.clone() }),
-            error: Some(reason),
-            ran,
-            ..Settle::default()
-        },
-    );
-}
-
-/// Checkpoint a job halted at a quiescent point and park or re-queue it.
-fn suspend_job(shared: &Shared, job: ActiveJob, ran: (FaultStats, usize), kind: SuspendKind) {
-    let ActiveJob {
-        id,
-        seq,
-        attempts,
-        ib,
-        elims,
-        origin_policy,
-        graph,
-        run,
-        footprint,
-        a,
-        factors,
-        ..
-    } = job;
-    // Quiescent, hence closed under predecessors — what `validate_against`
-    // requires of a resumable checkpoint.
-    let ckpt = Checkpoint::capture(&graph, ib, elims.clone(), run.completed(), a, factors);
-    // Durable pools write the checkpoint file first: once Checkpointed
-    // is journaled, a restart resumes from this panel frontier.
-    if let Some(d) = &shared.cfg.durability {
-        let file = ckpt_file(id);
-        match write_checkpoint(&d.state_dir.join(&file), &ckpt) {
-            Ok(()) => {
-                let tasks_done = ran.1 as u64;
-                shared.log_event(&JournalEvent::Checkpointed { id, tasks_done, file });
-            }
-            Err(e) => eprintln!("hqr-pool: checkpointing job-{id} failed: {e}"),
-        }
-    }
-    let requeued = PendingJob {
-        id,
-        seq,
-        policy: origin_policy,
-        elims,
-        seed: Seed::Resume(Box::new(ckpt)),
-        graph,
-        footprint,
-        attempts,
-        not_before: None,
-        count_attempt: false,
+        // Re-run from the retained seed, or dropped with the job.
+        Some(_) => (None, Held::Work(work)),
     };
-    match kind {
-        SuspendKind::Drain | SuspendKind::Park => park(shared, requeued, kind, Some(ran)),
-        SuspendKind::Preempt | SuspendKind::Periodic => {
-            // Straight back into the queue: the same attempt continues
-            // from the checkpointed frontier when room frees up.
-            relock(&shared.pending).push(requeued);
-            shared.transition(
-                id,
-                JobState::Queued,
-                Settle {
-                    event: Some(JournalEvent::Suspended { id, reason: kind.reason().into() }),
-                    ran: Some(ran),
-                    ..Settle::default()
-                },
-            );
-        }
-    }
+    let payload = Some(payload);
+    let run = Conclusion { id, verdict, tasks_done, stats, durable, pruned, payload };
+    shared.apply(Event::Concluded(run));
 }
 
-fn retry_or_quarantine(shared: &Shared, job: ActiveJob, ran: (FaultStats, usize), message: String) {
-    let ActiveJob {
-        id, seq, attempts, origin_policy, origin_seed, elims, graph, footprint, ..
-    } = job;
-    // `attempts` counts runs started; the budget allows `job_retries`
-    // re-runs on top of the first.
-    match origin_seed.filter(|_| attempts <= origin_policy.job_retries) {
-        Some(seed) => {
-            relock(&shared.pending).push(PendingJob {
-                id,
-                seq,
-                policy: origin_policy,
-                elims,
-                seed,
-                graph,
-                footprint,
-                attempts,
-                not_before: Some(Instant::now() + retry_backoff(&shared.cfg, attempts, id)),
-                count_attempt: true,
-            });
-            shared.transition(
-                id,
-                JobState::Backoff,
-                Settle {
-                    event: Some(JournalEvent::Failed { id, attempts, error: message.clone() }),
-                    error: Some(message),
-                    // The re-run starts from the pristine payload.
-                    ran: Some((ran.0, 0)),
-                    ..Settle::default()
-                },
-            );
+/// Build the run state of a job [`step`] just admitted and hand its
+/// frontier to the workers. `retain` keeps the seed for a later retry.
+fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work: Box<Work>) {
+    let seed = if retain { work.seed.clone() } else { work.seed.take() };
+    let n = work.graph.tasks().len();
+    let (elims, mut a, mut factors, completed) = match seed.expect("a waiting job holds its seed") {
+        JobInput::Fresh { elims, a } => {
+            (elims, a, TFactors::allocate_for(&work.graph), vec![false; n])
         }
-        None => shared.transition(
-            id,
-            JobState::Quarantined,
-            Settle {
-                event: Some(JournalEvent::Quarantined { id, error: message.clone() }),
-                error: Some(message),
-                ran: Some(ran),
-                ..Settle::default()
-            },
-        ),
-    }
-}
-
-fn admit_jobs(shared: &Shared) {
-    if shared.draining.load(Ordering::SeqCst) {
-        return;
-    }
-    loop {
-        let admitted = {
-            let mut pending = relock(&shared.pending);
-            if pending.is_empty() {
-                break;
-            }
-            let now = Instant::now();
-            let budget = shared.cfg.mem_budget;
-            let in_use = shared.active_footprint.load(Ordering::SeqCst);
-            let active_count = shared.active().len();
-            if shared.cfg.max_active != 0 && active_count >= shared.cfg.max_active {
-                break;
-            }
-            // Highest QoS first, FCFS within a class; best-fit skip-ahead
-            // past jobs that don't currently fit the budget or are waiting
-            // out a retry backoff.
-            let mut order: Vec<usize> = (0..pending.len()).collect();
-            order.sort_by_key(|&i| (pending[i].policy.qos.inverted(), pending[i].seq));
-            let pick = order.into_iter().find(|&i| {
-                let p = &pending[i];
-                let gated = p.not_before.is_some_and(|t| now < t);
-                let fits = in_use.saturating_add(p.footprint) <= budget || active_count == 0;
-                !gated && fits
-            });
-            pick.map(|i| {
-                let p = pending.remove(i);
-                // The escape hatch above admits an over-budget job when
-                // the pool is otherwise idle (so one huge job cannot
-                // wedge the queue forever). That bypass must be visible,
-                // not silent: journal it and warn.
-                let over = in_use.saturating_add(p.footprint) > budget;
-                (p, over)
-            })
-        };
-        let Some((p, over_budget)) = admitted else { break };
-        if over_budget {
-            eprintln!(
-                "hqr-pool: job {} admitted over budget (need {} bytes, budget {}): pool was idle",
-                p.id, p.footprint, shared.cfg.mem_budget
-            );
-            shared.log_event(&JournalEvent::OverBudgetAdmitted {
-                id: p.id,
-                need: p.footprint,
-                budget: shared.cfg.mem_budget,
-            });
-        }
-        activate_job(shared, p);
-    }
-}
-
-fn activate_job(shared: &Shared, p: PendingJob) {
-    let PendingJob {
-        id,
-        seq,
-        policy: jp,
-        elims,
-        seed,
-        graph,
-        footprint,
-        attempts,
-        count_attempt,
-        ..
-    } = p;
-    let n = graph.tasks().len();
-    let retain = attempts < jp.job_retries;
-    // Build the working state from the seed, retaining a pristine copy
-    // when the job may be retried again later.
-    let (mut a, mut factors, completed, seed_back): (
-        TiledMatrix,
-        TFactors,
-        Vec<bool>,
-        Option<Seed>,
-    ) = match seed {
-        Seed::Fresh(m) => {
-            let back = retain.then(|| Seed::Fresh(m.clone()));
-            (m, TFactors::allocate_for(&graph), vec![false; n], back)
-        }
-        Seed::Resume(ck) => {
-            let back = retain.then(|| Seed::Resume(ck.clone()));
-            let Checkpoint { a, factors, completed, .. } = *ck;
-            (a, factors, completed, back)
+        JobInput::Resume(ck) => {
+            let Checkpoint { elims, a, factors, completed, .. } = *ck;
+            (elims, a, factors, completed)
         }
     };
     // A job whose working set outgrows the resident budget runs
@@ -2224,54 +1618,48 @@ fn activate_job(shared: &Shared, p: PendingJob) {
     // setup failure degrades to fully-resident — the job was already
     // admitted, so availability beats the memory cap here.
     let spill_dir = shared.cfg.durability.as_ref().map(|d| d.state_dir.join("spill"));
-    let budget = shared.cfg.resident_budget;
-    let policy = RunPolicy {
-        policy: jp.policy,
-        integrity: jp.integrity,
-        max_retries: jp.max_retries,
-        plan: jp.plan.as_ref(),
-        publish_rest: true,
+    let (run, frontier) = {
+        let Work { graph, ib, policy, integrity, max_retries, plan, .. } = &*work;
+        let policy = RunPolicy {
+            policy: *policy,
+            integrity: *integrity,
+            max_retries: *max_retries,
+            plan: plan.as_ref(),
+            publish_rest: true,
+        };
+        // This job's tasks as one worker would take them: the pool
+        // interleaves jobs, but each job's own tasks still come in about
+        // this order.
+        let order = || preview_order(graph, &policy, Some(&completed), n);
+        let plan = RunPlan { graph, completed: Some(&completed), order: &order };
+        let budget = shared.cfg.resident_budget;
+        let store = TileStore::open(&mut a, &mut factors, *ib, &plan, budget, spill_dir.as_deref())
+            .unwrap_or_else(|e| {
+                eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
+                TileStore::with_ib(&mut a, &mut factors, *ib)
+            });
+        DagRun::new(graph, store, &policy, Some(&completed), n)
     };
-    // This job's tasks as one worker would take them: the pool interleaves
-    // jobs, but each job's own tasks still come in about this order.
-    let order = || preview_order(&graph, &policy, Some(&completed), n);
-    let plan = RunPlan { graph: &graph, completed: Some(&completed), order: &order };
-    let store = TileStore::open(&mut a, &mut factors, jp.ib, &plan, budget, spill_dir.as_deref())
-        .unwrap_or_else(|e| {
-            eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
-            TileStore::with_ib(&mut a, &mut factors, jp.ib)
-        });
-    let (run, frontier) = DagRun::new(&graph, store, &policy, Some(&completed), n);
     let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(ActiveJob {
         rid,
         id,
-        seq,
-        attempts: attempts + u32::from(count_attempt),
-        qos_inv: jp.qos.inverted(),
+        qos_inv: qos.inverted(),
+        work,
+        elims,
         initial_remaining: run.remaining.load(Ordering::Acquire),
         run,
         inflight: AtomicUsize::new(0),
         verdict: Mutex::new(None),
         stats: Mutex::new(FaultStats::default()),
         started: Instant::now(),
-        deadline: jp.deadline,
-        footprint,
-        ib: jp.ib,
-        elims,
-        origin_policy: jp,
-        origin_seed: seed_back,
-        graph,
         a,
         factors,
     });
-    shared.active_footprint.fetch_add(footprint, Ordering::SeqCst);
     {
         let mut active = shared.active.write().unwrap_or_else(PoisonError::into_inner);
         active.insert(rid, Arc::clone(&job));
     }
-    let started = JournalEvent::Started { id, attempt: job.attempts };
-    shared.transition(id, JobState::Running, Settle { event: Some(started), ..Settle::default() });
     for tid in frontier {
         shared.push_ready(&job, tid);
     }
@@ -2309,30 +1697,6 @@ mod tests {
             assert!(s.is_terminal(), "{s}");
             assert_eq!(JobState::parse(s.name()), Some(s));
         }
-    }
-
-    #[test]
-    fn retry_backoff_doubles_caps_and_jitters() {
-        let cfg = PoolConfig {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(65),
-            ..Default::default()
-        };
-        // Deterministic per (attempt, salt).
-        assert_eq!(retry_backoff(&cfg, 1, 7), retry_backoff(&cfg, 1, 7));
-        // Jitter keeps each delay inside [raw/2, raw] of the capped
-        // exponential ladder.
-        for (attempts, raw_ms) in [(1u32, 10u64), (2, 20), (3, 40), (4, 65), (30, 65)] {
-            let raw = Duration::from_millis(raw_ms);
-            for salt in 0..32u64 {
-                let d = retry_backoff(&cfg, attempts, salt);
-                assert!(d <= raw, "attempt {attempts} salt {salt}: {d:?} > {raw:?}");
-                assert!(d >= raw / 2, "attempt {attempts} salt {salt}: {d:?} < {:?}", raw / 2);
-            }
-        }
-        // Co-failing jobs decorrelate: salts do not all share one delay.
-        let d0 = retry_backoff(&cfg, 1, 0);
-        assert!((1..32).any(|s| retry_backoff(&cfg, 1, s) != d0));
     }
 
     fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
@@ -2373,70 +1737,9 @@ mod tests {
         assert_eq!(decoded.dedup_key, None);
     }
 
-    /// The idle-pool escape hatch (`active_count == 0` in `admit_jobs`)
-    /// exists so one oversized job cannot wedge the queue forever — but
-    /// firing it must be loud: journaled as `OverBudgetAdmitted` and the
-    /// job still driven to completion.
-    #[test]
-    fn idle_over_budget_admission_is_journaled_not_silent() {
-        let dir = std::env::temp_dir().join(format!("hqr_pool_escape_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let pool = JobPool::new(PoolConfig {
-            nthreads: 2,
-            mem_budget: 1,
-            durability: Some(DurabilityConfig::at(&dir)),
-            ..Default::default()
-        });
-        // Regular submission refuses anything over the 1-byte budget, so
-        // plant the pending job directly — the shape a stale in-use
-        // reading leaves behind when admission races finalization.
-        let elims = flat_elims(2, 2);
-        let a = TiledMatrix::random(2, 2, 4, 3);
-        let graph = TaskGraph::build(2, 2, 4, &elims);
-        let footprint = working_set_bytes(&graph);
-        assert!(footprint > pool.shared.cfg.mem_budget);
-        let id = 17u64;
-        let record = JobRecord::queued(QosClass::Normal, String::new(), 0, graph.tasks().len());
-        relock(&pool.shared.records).insert(id, record);
-        relock(&pool.shared.pending).push(PendingJob {
-            id,
-            seq: 1,
-            policy: JobPolicy {
-                ib: 4,
-                qos: QosClass::Normal,
-                policy: SchedPolicy::Fifo,
-                integrity: IntegrityMode::Off,
-                max_retries: 0,
-                job_retries: 0,
-                deadline: None,
-                plan: None,
-            },
-            elims,
-            seed: Seed::Fresh(a),
-            graph,
-            footprint,
-            attempts: 0,
-            not_before: None,
-            count_attempt: true,
-        });
-        let out = pool.wait(JobId(id)).expect("planted job reaches a terminal state");
-        assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
-        pool.shutdown();
-        let events = Journal::read(&dir.join(JOURNAL_FILE)).expect("read journal");
-        let admitted = events.iter().any(|e| {
-            matches!(
-                e,
-                JournalEvent::OverBudgetAdmitted { id: 17, need, budget: 1 }
-                    if *need == footprint
-            )
-        });
-        assert!(admitted, "escape hatch must journal OverBudgetAdmitted: {events:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Benchmark finding 2: a completed job's record kept the whole
     /// factorization until somebody `wait`ed, which a socket client never
-    /// does. Once the durable store holds the result the record must not;
+    /// does. Once the durable store holds the result the state must not;
     /// `wait` and `result_bytes` read it back from the store.
     #[test]
     fn durable_pool_keeps_no_in_memory_copy_of_a_stored_result() {
@@ -2449,8 +1752,11 @@ mod tests {
         let f_expect =
             crate::exec::execute_serial(&TaskGraph::build(mt, nt, b, &elims), &mut expect);
         let held = |pool: &JobPool, id: JobId| {
-            let recs = relock(&pool.shared.records);
-            recs[&id.0].outcome.as_ref().map(|o| o.result.is_some())
+            let c = relock(&pool.shared.control);
+            match c.state.held.get(&id.0) {
+                Some(Held::Done(result)) => Some(result.is_some()),
+                _ => None,
+            }
         };
         for durable in [true, false] {
             let pool = JobPool::new(PoolConfig {

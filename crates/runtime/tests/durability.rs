@@ -12,9 +12,10 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use hqr_runtime::pool_step::PoolState;
 use hqr_runtime::{
-    execute_serial_ib, replay, result_from_bytes, DurabilityConfig, ElimOp, FaultPlan, JobPool,
-    JobSpec, JobState, Journal, JournalEvent, PoolConfig, QosClass, TFactors, TaskGraph, CKPT_DIR,
+    execute_serial_ib, result_from_bytes, DurabilityConfig, ElimOp, FaultPlan, JobPool, JobSpec,
+    JobState, Journal, JournalEvent, PoolConfig, QosClass, TFactors, TaskGraph, CKPT_DIR,
     JOURNAL_FILE,
 };
 use hqr_tile::TiledMatrix;
@@ -344,7 +345,25 @@ fn periodic_checkpoints_fire_without_perturbing_results() {
 /// tell the same story. Call only while no transition is in flight (every
 /// job settled, parked, queued behind a full slot, or stalled mid-run).
 fn assert_journal_matches_records(pool: &JobPool, dir: &Path, at: &str) {
-    let journal = replay(&Journal::read(&dir.join(JOURNAL_FILE)).expect("journal readable"));
+    // What the journal says of each job: the pool's own rules folded over
+    // its records — the fold a restart would start from.
+    struct Journaled {
+        terminal: Option<JobState>,
+        attempts: u32,
+        ckpt_file: Option<String>,
+        ckpt_tasks_done: u64,
+    }
+    let events = Journal::read(&dir.join(JOURNAL_FILE)).expect("journal readable");
+    let journal: std::collections::BTreeMap<u64, Journaled> =
+        PoolState::<()>::replayed(PoolConfig::default(), events)
+            .jobs
+            .into_iter()
+            .map(|(id, j)| {
+                let (terminal, attempts) = (j.settled(), j.attempts);
+                let (ckpt_file, ckpt_tasks_done) = (j.ckpt_file, j.ckpt_tasks_done);
+                (id, Journaled { terminal, attempts, ckpt_file, ckpt_tasks_done })
+            })
+            .collect();
     let views = pool.jobs();
     assert_eq!(journal.len(), views.len(), "{at}: the journal and the pool name the same jobs");
     for v in views {

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use hqr_runtime::{
-    execute_serial_ib, DurabilityConfig, ElimOp, FaultPlan, IntegrityMode, JobInput, JobPool,
-    JobSpec, JobState, Journal, JournalEvent, PoolConfig, QosClass, SchedPolicy, SdcFault,
+    execute_serial_ib, Checkpoint, DurabilityConfig, ElimOp, FaultPlan, IntegrityMode, JobInput,
+    JobPool, JobSpec, JobState, Journal, JournalEvent, PoolConfig, QosClass, SchedPolicy, SdcFault,
     SdcPattern, SubmitError, TFactors, TaskGraph, JOURNAL_FILE,
 };
 use hqr_tile::TiledMatrix;
@@ -549,6 +549,38 @@ fn invalid_specs_are_rejected_with_typed_errors() {
     // Out-of-range victim row → graph rejection.
     let s = JobSpec::fresh(vec![ElimOp::new(0, 9, 0, true)], TiledMatrix::random(2, 2, 4, 1));
     assert!(matches!(pool.submit(s), Err(SubmitError::Invalid { .. })));
+    pool.shutdown();
+}
+
+/// Hostile numerics stop at the door: a NaN or an infinity anywhere in a
+/// fresh matrix or a resume checkpoint is a typed rejection naming the
+/// first offending tile — nothing is factored, journaled or stored.
+#[test]
+fn non_finite_input_is_rejected_at_admission() {
+    let pool = JobPool::new(PoolConfig { nthreads: 1, ..Default::default() });
+    let (mt, nt, b) = (3, 2, 4);
+    let elims = flat_elims(mt, nt);
+    let graph = TaskGraph::try_build(mt, nt, b, &elims).expect("valid elims");
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut a = TiledMatrix::random(mt, nt, b, 5);
+        a.tile_mut(2, 1)[5] = bad;
+        a.tile_mut(2, 0)[0] = bad; // the first offender, row-major over tiles
+        let none_done = vec![false; graph.tasks().len()];
+        let factors = TFactors::allocate_for(&graph);
+        let ckpt = Checkpoint::capture(&graph, b, elims.clone(), none_done, a.clone(), factors);
+        for (what, spec) in
+            [("matrix", JobSpec::fresh(elims.clone(), a)), ("checkpoint", JobSpec::resume(ckpt))]
+        {
+            match pool.submit(spec) {
+                Err(SubmitError::Invalid { message }) => {
+                    assert!(message.contains(what), "{message}");
+                    assert!(message.contains("tile (2, 0)"), "{message}");
+                }
+                other => panic!("{what} holding {bad}: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+    assert!(pool.jobs().is_empty(), "a rejected spec leaves no job behind");
     pool.shutdown();
 }
 

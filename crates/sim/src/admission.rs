@@ -8,10 +8,11 @@
 //!   full, new arrivals are refused (the client retries later). Nothing
 //!   already accepted is ever dropped, but every accepted job inherits the
 //!   full backlog in its latency.
-//! * **shed** — the pool's own policy: bounded queue, and an arrival that
-//!   finds it full may displace the newest *strictly lower-QoS* queued job
-//!   (otherwise it is refused). Interactive latency stays flat through
-//!   saturation at the price of batch completions.
+//! * **shed** — the pool's own policy, priced by running the pool's own
+//!   rules (`hqr_runtime::pool_step::step`) in virtual time: bounded queue,
+//!   and an arrival that finds it full may displace the newest *strictly
+//!   lower-QoS* queued job (otherwise it is refused). Interactive latency
+//!   stays flat through saturation at the price of batch completions.
 //! * **degrade** — admit everything and oversubscribe the workers: a job
 //!   admitted with `n` jobs in the system runs slowed by `max(1, n/c)`
 //!   (cache and memory-bandwidth pressure of co-scheduling). No job is
@@ -21,10 +22,15 @@
 //! Arrivals are Poisson with exponential service demands scaled per QoS
 //! class (interactive jobs are short, batch jobs long), drawn from a
 //! deterministic splitmix64 stream so every report is reproducible.
-//! Dispatch is QoS-major FCFS in all arms, matching the pool's admission
-//! order.
+//! Dispatch is QoS-major FCFS in all arms, the pool's admission order.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::time::Duration;
 
 use hqr_runtime::fault::splitmix64;
+use hqr_runtime::pool_step::{step, Conclusion, Effect, Event, Job, PoolState};
+use hqr_runtime::{JobState, JournalEvent, PoolConfig, QosClass};
 
 /// Service QoS mix: class index 0 = batch, 1 = normal, 2 = interactive.
 const QOS_SHARE: [f64; 3] = [0.50, 0.35, 0.15];
@@ -190,104 +196,87 @@ pub fn simulate_admission(cfg: &AdmissionConfig, policy: AdmissionPolicy) -> Adm
     let arrivals = draw_arrivals(cfg);
     match policy {
         AdmissionPolicy::Degrade => degrade_arm(cfg, &arrivals),
-        _ => queue_arm(cfg, &arrivals, policy == AdmissionPolicy::Shed),
+        _ => pool_arm(cfg, &arrivals, policy),
     }
 }
 
-/// Bounded-queue arms (`Queue` and `Shed`). Event-driven: walk arrivals
-/// and completions in time order with a c-server station and a QoS-major
-/// FCFS wait list.
-fn queue_arm(cfg: &AdmissionConfig, arrivals: &[Arrival], shed_enabled: bool) -> AdmissionReport {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// Fixed-point event ordering.
+fn key(t: f64) -> u64 {
+    (t * 1e9) as u64
+}
 
-    // Completion events: (time, token). Waiting: (qos, seq) -> arrival idx.
+/// The bounded-queue arms are the pool itself: its control plane
+/// ([`hqr_runtime::pool_step`]) walked through arrivals and completions in
+/// virtual time, with no payload. Arrivals are `Submit`s, completions are
+/// `Concluded`s, a supervisor `Tick` follows each, and `Activate` effects
+/// schedule the completions — so under `Shed` who is shed, who is refused
+/// and who runs next are the pool's own decisions, not a copy of them.
+/// `Queue` is the counterfactual: the same dispatch behind a door that
+/// refuses at `queue_cap` before the pool could shed anything. Servers
+/// stay non-preemptive: the tick's QoS preemption (a `Halt` effect) is
+/// ignored, there being no price here for the checkpoint round trip.
+fn pool_arm(cfg: &AdmissionConfig, arrivals: &[Arrival], arm: AdmissionPolicy) -> AdmissionReport {
+    let shedding = arm == AdmissionPolicy::Shed;
+    let queue_cap = if shedding { cfg.queue_cap } else { usize::MAX };
+    let limits = PoolConfig { queue_cap, max_active: cfg.servers, ..PoolConfig::default() };
+    let mut pool = PoolState::<()>::new(limits);
+    // Job ids are handed out from 1 in acceptance order.
+    let mut accepted: Vec<usize> = Vec::new(); // indices into `arrivals`
     let mut completions: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut waiting: Vec<usize> = Vec::new(); // indices into `arrivals`
-    let mut busy = 0usize;
-    let (mut rejected, mut shed) = (0usize, 0usize);
     let mut sojourns: Vec<(usize, f64)> = Vec::with_capacity(arrivals.len());
-    let key = |t: f64| (t * 1e9) as u64; // fixed-point event ordering
-
-    let start = |idx: usize, now: f64, completions: &mut BinaryHeap<Reverse<(u64, usize)>>| {
-        let a = arrivals[idx];
-        completions.push(Reverse((key(now + a.service), idx)));
-    };
-
-    let mut next = 0usize;
+    let (mut rejected, mut shed, mut next) = (0usize, 0usize, 0usize);
     loop {
         let arrival_at = arrivals.get(next).map(|a| key(a.at));
         let completion_at = completions.peek().map(|Reverse((t, _))| *t);
-        match (arrival_at, completion_at) {
+        let (now, event) = match (arrival_at, completion_at) {
             (None, None) => break,
-            (Some(ta), Some(tc)) if tc <= ta => {
-                let Reverse((t, idx)) = completions.pop().expect("peeked");
-                let now = t as f64 / 1e9;
-                sojourns.push((arrivals[idx].qos, now - arrivals[idx].at));
-                busy -= 1;
-                // QoS-major FCFS dispatch from the wait list.
-                if let Some(pos) =
-                    (0..waiting.len()).max_by_key(|&i| (arrivals[waiting[i]].qos, Reverse(i)))
-                {
-                    let idx = waiting.remove(pos);
-                    busy += 1;
-                    start(idx, now, &mut completions);
-                }
-            }
-            (Some(_), _) => {
-                let idx = next;
+            (Some(ta), tc) if tc.is_none_or(|tc| ta < tc) => {
+                let a = arrivals[next];
                 next += 1;
-                let a = arrivals[idx];
-                if busy < cfg.servers {
-                    busy += 1;
-                    start(idx, a.at, &mut completions);
-                } else if waiting.len() < cfg.queue_cap {
-                    waiting.push(idx);
-                } else if shed_enabled {
-                    // Displace the newest strictly lower-QoS queued job.
-                    match (0..waiting.len())
-                        .filter(|&i| arrivals[waiting[i]].qos < a.qos)
-                        .max_by_key(|&i| (Reverse(arrivals[waiting[i]].qos), i))
-                    {
-                        Some(pos) => {
-                            waiting.remove(pos);
-                            shed += 1;
-                            waiting.push(idx);
-                        }
-                        None => rejected += 1,
-                    }
-                } else {
+                let idle = |at| pool.live().filter(|j| j.state == at).count();
+                let full = idle(JobState::Queued) >= cfg.queue_cap
+                    && idle(JobState::Running) >= cfg.servers;
+                if full && !shedding {
                     rejected += 1;
+                    continue;
                 }
+                accepted.push(next - 1);
+                let job = Job { qos: QosClass::ALL[a.qos], ..Job::default() };
+                (a.at, Event::Submit(Box::new(job), None))
             }
-            (None, Some(_)) => {
-                let Reverse((t, idx)) = completions.pop().expect("peeked");
-                let now = t as f64 / 1e9;
-                sojourns.push((arrivals[idx].qos, now - arrivals[idx].at));
-                busy -= 1;
-                if let Some(pos) =
-                    (0..waiting.len()).max_by_key(|&i| (arrivals[waiting[i]].qos, Reverse(i)))
-                {
-                    let idx = waiting.remove(pos);
-                    busy += 1;
-                    start(idx, now, &mut completions);
+            _ => {
+                let Reverse((t, id)) = completions.pop().expect("peeked");
+                let (now, a) = (t as f64 / 1e9, arrivals[accepted[id - 1]]);
+                sojourns.push((a.qos, now - a.at));
+                (now, Event::Concluded(Conclusion { id: id as u64, ..Conclusion::default() }))
+            }
+        };
+        let at = Duration::from_secs_f64(now);
+        let mut effects = step(&mut pool, event, at);
+        effects.extend(step(&mut pool, Event::Tick(Vec::new()), at));
+        for effect in effects {
+            match effect {
+                Effect::Submitted(Err(_)) => {
+                    rejected += 1;
+                    accepted.pop();
                 }
+                Effect::Journal(JournalEvent::Shed { .. }) => shed += 1,
+                Effect::Activate(id, _) => {
+                    let service = arrivals[accepted[id as usize - 1]].service;
+                    completions.push(Reverse((key(now + service), id as usize)));
+                }
+                _ => {}
             }
         }
     }
-    let policy = if shed_enabled { AdmissionPolicy::Shed } else { AdmissionPolicy::Queue };
-    finish(policy, cfg, sojourns, rejected, shed)
+    finish(arm, cfg, sojourns, rejected, shed)
 }
 
 /// The `Degrade` arm: every arrival starts immediately; a job admitted
 /// with `n` jobs already in the system runs `max(1, n/c)` times slower.
 fn degrade_arm(cfg: &AdmissionConfig, arrivals: &[Arrival]) -> AdmissionReport {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let mut completions: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     let mut sojourns: Vec<(usize, f64)> = Vec::with_capacity(arrivals.len());
-    let key = |t: f64| (t * 1e9) as u64;
     for (idx, a) in arrivals.iter().enumerate() {
         while let Some(&Reverse((t, done))) = completions.peek() {
             if t as f64 / 1e9 > a.at {
