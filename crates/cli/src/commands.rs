@@ -16,12 +16,7 @@ use hqr_runtime::{
     TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
-use hqr_sim::{
-    compare_recovery_policies, find_crossover, find_sdc_crossover, find_suspend_crossover,
-    recovery_crossover, sdc_policy_sweep, simulate_traced, simulate_with_faults,
-    simulate_with_policy, suspend_vs_scratch_sweep, CheckpointCostModel, RecoveryPolicy,
-    SdcCostModel,
-};
+use hqr_sim::{simulate_traced, simulate_with_faults, simulate_with_policy};
 use std::time::Instant;
 
 /// Top-level usage text.
@@ -35,32 +30,22 @@ USAGE:
       factor a random (or MatrixMarket) matrix, verify ||QtQ-I|| and ||A-QR||
   hqr simulate [--rows R --cols C --tile B --grid PxQ --algorithm ALG
                 --nodes N --cores C --policy POLICY --gpus G --gpu-speedup X
-                --rates edel|measured --disk-read-mbs X --disk-write-mbs X
-                --disk-latency-us U --net-calib FILE]
-      replay the task DAG on the simulated cluster; with --disk-read-mbs
-      (and friends) also price an out-of-core run, sweeping the resident
-      fraction and reporting where spill bandwidth overtakes compute
+                --rates edel|measured --net-calib FILE]
+      replay the task DAG on the simulated cluster
       ALG: hqr | hqr-square | bbd10 | slhd10 | scalapack
       RATES: edel = the paper's §V-A kernel rates (default);
              measured = this repo's own kernels (BENCH_7.json)
   hqr fault    [--rows R --cols C --tile B --grid PxQ --threads T --seed S
                 --fail K --retries N --policy POLICY --crash-node X
                 --crash-frac F --degrade-bw F --degrade-lat F --nodes N
-                --cores C --io-bw BYTES/S --restart-cost S --ckpt-interval S
-                --crossover-max K --sdc-rate F --sdc-seed S
-                --integrity off|spot|full --guard-bw BYTES/S --residual-cost S
+                --cores C --sdc-rate F --sdc-seed S --integrity off|spot|full
                 --rates edel|measured]
       inject a seeded fault schedule: panic K random kernel tasks in a real
       parallel factorization (verifying bitwise recovery), then crash a
-      simulated node mid-run, report the lineage-recovery overhead, and
-      price lineage re-execution against checkpoint/restart (Young/Daly
-      interval unless --ckpt-interval) including a crash-rate crossover sweep
-      and a per-job kill sweep pricing the service's checkpoint-backed
-      suspend-resume against restart-from-scratch;
-      with --sdc-rate, also strike random tasks with silent single-bit flips,
-      report detected/recomputed/escaped counts under the chosen --integrity
-      mode, and price detect-recompute vs checkpoint/restart vs unprotected
-      rerun across a corruption-rate sweep
+      simulated node mid-run and report the lineage-recovery overhead;
+      with --sdc-rate, also strike random tasks with silent single-bit flips
+      and report detected/recomputed/escaped counts under the chosen
+      --integrity mode
   hqr checkpoint [--rows R --cols C --tile B --grid PxQ --a A --low TREE
                 --high TREE --domino --ib IB --threads T --seed S
                 --ckpt FILE --every-panels K --min-interval-ms MS
@@ -172,6 +157,12 @@ USAGE:
       LogGP (latency, bandwidth) by least squares, print a
       measured-vs-model table against the paper's InfiniBand link, and
       persist the fit for `hqr simulate --net-calib FILE`
+  hqr experiments table|fig6|fig7|fig8|fig9|ablations|scaling|cp|policies|all
+                [--quick --gate]
+      regenerate the paper's evaluation (§V) as markdown: Tables I-IV,
+      Figures 6-9 on the simulated edel cluster, and the extension studies;
+      --quick shrinks the sweeps, --gate makes `policies` exit 1 when the
+      critical-path policy runs past 1.10x FIFO on the real executor
   hqr schedule [--rows MT --cols NT --tree TREE --panels P]
       print the coarse-grain unit-time schedule (Tables I-IV)
   hqr trees    [--size Z]
@@ -245,23 +236,6 @@ pub fn simulate(args: &Args) -> Result<i32, CliError> {
     let (platform, link_note) = &sim_platform(args, shape.grid, 8)?;
     let policy = policy_of(args, SchedPolicy::PanelFirst)?;
     let alg = args.str_or("algorithm", "hqr");
-    // `--disk-read-mbs` (or any disk flag) prices an out-of-core run of
-    // the same DAG: sweep the resident fraction of the tile footprint and
-    // report where spill bandwidth overtakes compute.
-    let disk_flags = ["disk-read-mbs", "disk-write-mbs", "disk-latency-us"];
-    let disk = if disk_flags.iter().any(|k| args.get(k).is_some()) {
-        let disk = hqr_sim::DiskModel {
-            read_bw: args.f64_or("disk-read-mbs", 500.0)? * 1e6,
-            write_bw: args.f64_or("disk-write-mbs", 450.0)? * 1e6,
-            latency: args.f64_or("disk-latency-us", 100.0)? * 1e-6,
-        };
-        if disk.read_bw <= 0.0 || disk.write_bw <= 0.0 || disk.latency < 0.0 {
-            return Err(CliError::usage("disk rates must be positive (latency may be zero)"));
-        }
-        Some(disk)
-    } else {
-        None
-    };
     args.reject_unknown()?;
     let Shape { rows, cols, b, mt, nt, grid, .. } = shape;
     let setup = match alg.as_str() {
@@ -305,67 +279,19 @@ pub fn simulate(args: &Args) -> Result<i32, CliError> {
         println!("  by producer kernel: {}", by_kind.join(" "));
     }
     println!("utilization: {:.1}%", 100.0 * rep.utilization(platform));
-    if let Some(disk) = disk {
-        let tile_bytes = hqr_sim::Platform::tile_bytes(b);
-        println!(
-            "\nout-of-core : disk {:.0}/{:.0} MB/s r/w, {:.0} us/access, {} tile touches",
-            disk.read_bw / 1e6,
-            disk.write_bw / 1e6,
-            disk.latency * 1e6,
-            hqr_sim::tile_touches(graph)
-        );
-        println!("  residency   misses      disk s   overlap s    serial s  bound");
-        for p in hqr_sim::spill_sweep(graph, tile_bytes, rep.makespan, &disk, 10) {
-            println!(
-                "  {:>8.0}% {:>9.0} {:>11.3} {:>11.3} {:>11.3}  {}",
-                100.0 * p.residency,
-                p.misses,
-                p.disk_seconds,
-                p.overlapped,
-                p.serialized,
-                if p.disk_bound() { "disk" } else { "compute" }
-            );
-        }
-        let rstar = hqr_sim::spill_crossover(graph, tile_bytes, rep.makespan, &disk);
-        if rstar > 0.0 {
-            println!(
-                "  crossover : below {:.0}% residency even perfect prefetch is disk-bound",
-                100.0 * rstar
-            );
-        } else {
-            println!("  crossover : never disk-bound — prefetch hides the spill at any residency");
-        }
-    }
     Ok(0)
 }
 
-/// `hqr fault`: seeded fault-injection demo in five report sections. The
+/// `hqr fault`: seeded fault-injection demo in three report sections. The
 /// first two inject kernel panics, then bit flips, into a real parallel
 /// factorization and verify the recovered result is bitwise-identical to a
-/// serial one; the rest crash a simulated node mid-run and price the
-/// recovery policies against each other.
+/// serial one; the third crashes a simulated node mid-run and reports what
+/// lineage recovery cost.
 pub fn fault(args: &Args) -> Result<i32, CliError> {
     let p = Problem::from_args(args, Defaults { grid: (3, 1), ..Defaults::EXEC })?;
     let engine = Engine::from_args(args, &p, SchedPolicy::PanelFirst, 3)?;
     let (platform, _) = sim_platform(args, p.shape.grid, 4)?;
     let faults = SimFaults::from_args(args, platform.nodes)?;
-    let sdc_model = SdcCostModel {
-        guard_bandwidth: args.f64_or("guard-bw", 4e9)?,
-        residual_check: args.f64_or("residual-cost", 0.05)?,
-    };
-    let model = CheckpointCostModel {
-        io_bandwidth: args.positive_f64_or("io-bw", 1e9)?,
-        restart_overhead: args.f64_or("restart-cost", 0.5)?,
-    };
-    if !model.restart_overhead.is_finite() || model.restart_overhead < 0.0 {
-        let msg = format!("--restart-cost must be non-negative, got {}", model.restart_overhead);
-        return Err(CliError::usage(msg));
-    }
-    let interval = args
-        .get("ckpt-interval")
-        .map(|_| args.positive_f64_or("ckpt-interval", 0.0))
-        .transpose()?;
-    let max_crashes = args.usize_or("crossover-max", 4)?;
     args.reject_unknown()?;
     let Shape { b, ib, mt, nt, seed, .. } = p.shape;
     let (graph, layout, policy) = (&p.graph, &p.setup.layout, engine.policy);
@@ -431,40 +357,8 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
             Err(e) if integrity.is_on() => {
                 return Err(CliError::failed(format!("execution failed under SDC injection: {e}")));
             }
-            // An unprotected run is allowed to die of its corruption; the
-            // sweep below does not depend on it.
+            // An unprotected run is allowed to die of its corruption.
             Err(e) => eprintln!("execution failed under SDC injection: {e}"),
-        }
-
-        println!();
-        println!("== recovery policy: SDC corruption-rate sweep ==");
-        // The detect-recompute arm needs guards on; price `full` when the
-        // execution above ran unprotected.
-        let sweep_mode = if integrity.is_on() { integrity } else { IntegrityMode::Full };
-        let rates = [0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1];
-        let points = sdc_policy_sweep(
-            graph, layout, &platform, policy, sweep_mode, &sdc_model, &model, &rates,
-        )
-        .map_err(CliError::usage)?;
-        println!("  rate      E[strikes]  detect-recompute(s)  ckpt/restart(s)  unprotected(s)");
-        for p in &points {
-            println!(
-                "  {:<8}  {:>10.2}  {:>19.4}  {:>15.4}  {:>14.4}",
-                format!("{:.0e}", p.rate),
-                p.expected_corruptions,
-                p.detect_recompute,
-                p.checkpoint_restart,
-                p.unprotected_rerun
-            );
-        }
-        match find_sdc_crossover(&points) {
-            Some(p) => println!(
-                "crossover    : detect-recompute first beats checkpoint/restart at rate {:.0e}",
-                p.rate
-            ),
-            None => println!(
-                "crossover    : checkpoint/restart cheaper at every tested corruption rate"
-            ),
         }
     }
 
@@ -498,84 +392,6 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
         o.resent_messages,
         o.resent_bytes / 1e6
     );
-
-    println!();
-    println!("== recovery policy: lineage vs checkpoint/restart ==");
-    let cmp = compare_recovery_policies(graph, layout, &platform, policy, &plan, &model, interval)
-        .map_err(CliError::usage)?;
-    println!(
-        "checkpoint   : cost {:.4} s per checkpoint, interval {:.4} s ({})",
-        cmp.checkpoint_cost,
-        cmp.interval,
-        if interval.is_some() { "from --ckpt-interval" } else { "Young/Daly" }
-    );
-    println!(
-        "lineage      : makespan {:.4} s ({:+.1}% over fault-free)",
-        cmp.lineage_makespan,
-        100.0 * (cmp.lineage_makespan / cmp.baseline_makespan - 1.0)
-    );
-    println!(
-        "ckpt/restart : makespan {:.4} s ({:+.1}% over fault-free; {} checkpoints, {:.4} s ckpt + {:.4} s rework + {:.4} s restart)",
-        cmp.checkpoint.makespan,
-        100.0 * (cmp.checkpoint.makespan / cmp.baseline_makespan - 1.0),
-        cmp.checkpoint.checkpoints_taken,
-        cmp.checkpoint.checkpoint_seconds,
-        cmp.checkpoint.rework_seconds,
-        cmp.checkpoint.restart_seconds
-    );
-    println!(
-        "winner       : {}",
-        match cmp.winner() {
-            RecoveryPolicy::Lineage => "lineage re-execution",
-            RecoveryPolicy::CheckpointRestart => "checkpoint/restart",
-        }
-    );
-
-    let points = recovery_crossover(graph, layout, &platform, policy, &model, seed, max_crashes)
-        .map_err(CliError::usage)?;
-    println!();
-    println!("crash-rate sweep (seed {seed}):");
-    println!("  crashes  rate(1/s)   lineage(s)   ckpt/restart(s)");
-    for p in &points {
-        println!(
-            "  {:>7}  {:>9.4}  {:>11.4}  {:>16.4}",
-            p.crashes, p.crash_rate, p.lineage_makespan, p.checkpoint_makespan
-        );
-    }
-    match find_crossover(&points) {
-        Some(p) => println!(
-            "crossover    : checkpoint/restart first wins at {} crash(es) per run",
-            p.crashes
-        ),
-        None => println!("crossover    : lineage re-execution wins at every tested crash rate"),
-    }
-
-    // Price the `hqr serve` daemon's checkpoint-backed suspension against
-    // restarting killed jobs from scratch, under the same cost model.
-    let sweep = suspend_vs_scratch_sweep(
-        cmp.baseline_makespan,
-        cmp.checkpoint_cost,
-        model.restart_overhead,
-        interval,
-        max_crashes,
-    )
-    .map_err(CliError::usage)?;
-    println!();
-    println!("service suspend-resume vs restart-from-scratch (per-job kill sweep):");
-    println!("  kills  rate(1/s)   resume(s)   scratch(s)   ckpts");
-    for p in &sweep {
-        println!(
-            "  {:>5}  {:>9.4}  {:>10.4}  {:>11.4}  {:>5}",
-            p.kills, p.kill_rate, p.resume_makespan, p.scratch_makespan, p.checkpoints_taken
-        );
-    }
-    match find_suspend_crossover(&sweep) {
-        Some(p) => println!(
-            "crossover    : checkpoint-backed resume first wins at {} kill(s) per job",
-            p.kills
-        ),
-        None => println!("crossover    : restart-from-scratch wins at every tested kill rate"),
-    }
     Ok(0)
 }
 
@@ -1257,28 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_prints_policy_comparison_with_explicit_interval() {
-        let code = hqr(&[
-            "fault",
-            "--rows",
-            "48",
-            "--cols",
-            "24",
-            "--tile",
-            "8",
-            "--grid",
-            "2x1",
-            "--threads",
-            "2",
-            "--ckpt-interval",
-            "0.05",
-            "--crossover-max",
-            "1",
-        ]);
-        assert_eq!(code, 0);
-    }
-
-    #[test]
     fn fault_rejects_malformed_fault_arguments() {
         let base = ["fault", "--rows", "48", "--cols", "24", "--tile", "8", "--grid", "2x1"];
         let with = |extra: &[&str]| {
@@ -1293,10 +1087,6 @@ mod tests {
         // Zero bandwidth / latency degradation factors.
         assert_eq!(with(&["--degrade-bw", "0"]), 2);
         assert_eq!(with(&["--degrade-lat", "0"]), 2);
-        // Checkpoint-model arguments must be positive where required.
-        assert_eq!(with(&["--io-bw", "0"]), 2);
-        assert_eq!(with(&["--restart-cost", "-1"]), 2);
-        assert_eq!(with(&["--ckpt-interval", "0"]), 2);
     }
 
     #[test]
@@ -1468,6 +1258,10 @@ mod tests {
             assert_eq!(hqr(&[cmd, "--no-such-flag", "1"]), 2, "{cmd}");
             assert_eq!(hqr(&[cmd, "stray"]), 2, "{cmd}");
         }
+        assert_eq!(hqr(&["experiments"]), 2);
+        assert_eq!(hqr(&["experiments", "fig10"]), 2);
+        assert_eq!(hqr(&["experiments", "table", "--no-such-flag"]), 2);
+        assert_eq!(hqr(&["experiments", "table", "stray"]), 2);
         #[cfg(unix)]
         for cmd in ["serve", "submit", "jobs", "cancel", "result", "drain", "ping"] {
             assert_eq!(hqr(&[cmd, "--id", "1", "--thread", "2"]), 2, "{cmd}");

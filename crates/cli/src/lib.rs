@@ -4,6 +4,7 @@
 pub mod args;
 pub mod commands;
 pub mod dist;
+pub mod experiments;
 pub mod problem;
 pub mod proto;
 #[cfg(unix)]
@@ -31,6 +32,7 @@ pub fn run(argv: &[String]) -> i32 {
         "trees" => commands::trees(args),
         "dot" => commands::dot(args),
         "admission" => commands::admission(args),
+        "experiments" => experiments::experiments(&argv[1..]),
         #[cfg(unix)]
         "serve" => service::serve(args),
         #[cfg(unix)]

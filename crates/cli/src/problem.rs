@@ -288,7 +288,8 @@ pub fn sim_platform(
         rates: choice(args, "rates", KernelRates::edel(), rate_of, "edel|measured")?,
         ..Platform::edel()
     };
-    let (per_node, update_speedup) = (args.usize_or("gpus", 0)?, args.f64_or("gpu-speedup", 8.0)?);
+    let per_node = args.usize_or("gpus", 0)?;
+    let update_speedup = args.positive_f64_or("gpu-speedup", 8.0)?;
     if per_node > 0 {
         platform.accelerators = Some(Accelerators { per_node, update_speedup });
     }

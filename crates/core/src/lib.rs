@@ -22,8 +22,9 @@
 //!   `hqr-sim`);
 //! * [`model`] — analytic formulas (flop counts, §III-C load-balance
 //!   bounds);
-//! * [`experiments`] — glue to run any configuration through the cluster
-//!   simulator, used by the figure-regenerating benches.
+//! * [`experiments`] — the paper's evaluation as one row-producing function
+//!   per table, figure and extension study, over the cluster simulator;
+//!   what `hqr experiments` prints and `tests/paper_claims.rs` asserts on.
 //!
 //! # Quickstart
 //!

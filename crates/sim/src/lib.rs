@@ -22,30 +22,20 @@
 //! simulator reproduces faithfully from the real DAGs.
 
 pub mod admission;
-pub mod checkpoint;
 pub mod des;
-pub mod disk;
 pub mod fault;
 pub mod platform;
 pub mod scalapack;
-pub mod sdc;
 pub mod timeline;
 
 pub use admission::{
     saturation_sweep, simulate_admission, AdmissionConfig, AdmissionPolicy, AdmissionReport,
     SaturationPoint,
 };
-pub use checkpoint::{
-    compare_recovery_policies, find_crossover, find_suspend_crossover, recovery_crossover,
-    suspend_vs_scratch_sweep, young_daly_interval, CheckpointCostModel, CheckpointOutcome,
-    CrossoverPoint, RecoveryComparison, RecoveryPolicy, SuspendPoint,
-};
 pub use des::{
     priority_ranks, simulate, simulate_traced, simulate_with_faults, simulate_with_policy,
     SchedPolicy, SimReport,
 };
-pub use disk::{spill_crossover, spill_point, spill_sweep, tile_touches, DiskModel, SpillPoint};
 pub use fault::{FaultOverhead, LinkDegrade, NodeCrash, SimError, SimFaultPlan};
 pub use platform::{Accelerators, KernelRates, LinkModel, Platform};
-pub use sdc::{find_sdc_crossover, sdc_policy_sweep, SdcCostModel, SdcSweepPoint};
 pub use timeline::{SimInstant, SimInstantKind, SimSpan, SimTimeline, SimTransfer};

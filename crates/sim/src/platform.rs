@@ -65,7 +65,7 @@ pub struct LinkModel {
     /// Per-message software overhead (seconds) occupying the NIC/progress
     /// engine at *both* endpoints on top of the wire time — the LogGP "o"
     /// term (MPI matching, rendezvous, runtime progress). Zero in the
-    /// baseline calibration; the `ablations` bench sweeps it.
+    /// baseline calibration; the `ablations` study sweeps it.
     pub overhead: f64,
 }
 

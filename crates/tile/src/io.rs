@@ -37,10 +37,18 @@ pub fn read_matrix_market(path: &Path) -> Result<DenseMatrix, String> {
     parse_matrix_market(BufReader::new(file))
 }
 
+/// One matrix entry: a finite number. `nan` and `inf` parse as `f64` but no
+/// factorization of them means anything, so they are refused here, by line.
+fn entry(tok: &str, line: usize) -> Result<f64, String> {
+    let finite = tok.parse::<f64>().ok().filter(|v| v.is_finite());
+    finite.ok_or_else(|| format!("line {line}: `{tok}` is not a finite number"))
+}
+
 /// Parse MatrixMarket content from any reader.
 pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix, String> {
-    let mut lines = reader.lines();
-    let header = lines.next().ok_or("empty file")?.map_err(|e| e.to_string())?;
+    // Numbered from 1, as an editor shows them.
+    let mut lines = reader.lines().zip(1..).map(|(l, n)| l.map(|l| (l, n)));
+    let (header, _) = lines.next().ok_or("empty file")?.map_err(|e| e.to_string())?;
     let h = header.to_ascii_lowercase();
     if !h.starts_with("%%matrixmarket matrix") {
         return Err("missing %%MatrixMarket header".into());
@@ -58,7 +66,7 @@ pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix,
     // Skip comments, find the size line.
     let mut size_line = None;
     for line in lines.by_ref() {
-        let line = line.map_err(|e| e.to_string())?;
+        let (line, _) = line.map_err(|e| e.to_string())?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
@@ -84,7 +92,7 @@ pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix,
         let nnz = dims[2];
         let mut seen = 0usize;
         for line in lines {
-            let line = line.map_err(|e| e.to_string())?;
+            let (line, no) = line.map_err(|e| e.to_string())?;
             let t = line.trim();
             if t.is_empty() || t.starts_with('%') {
                 continue;
@@ -95,7 +103,7 @@ pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix,
             }
             let i: usize = parts[0].parse().map_err(|_| format!("bad row `{}`", parts[0]))?;
             let j: usize = parts[1].parse().map_err(|_| format!("bad col `{}`", parts[1]))?;
-            let v: f64 = parts[2].parse().map_err(|_| format!("bad value `{}`", parts[2]))?;
+            let v = entry(parts[2], no)?;
             if i == 0 || j == 0 || i > rows || j > cols {
                 return Err(format!("entry ({i},{j}) out of bounds"));
             }
@@ -108,12 +116,12 @@ pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix,
     } else {
         let mut values = Vec::with_capacity(rows * cols);
         for line in lines {
-            let line = line.map_err(|e| e.to_string())?;
+            let (line, no) = line.map_err(|e| e.to_string())?;
             for tok in line.split_whitespace() {
                 if tok.starts_with('%') {
                     break;
                 }
-                values.push(tok.parse::<f64>().map_err(|_| format!("bad value `{tok}`"))?);
+                values.push(entry(tok, no)?);
             }
         }
         if values.len() != rows * cols {
@@ -787,6 +795,17 @@ mod tests {
         assert!(parse("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n").is_err());
         assert!(parse("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n").is_err());
         assert!(parse("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n").is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_entries_by_line() {
+        let e =
+            parse("%%MatrixMarket matrix array real general\n% c\n2 1\n1.0\nnan\n").unwrap_err();
+        assert_eq!(e, "line 5: `nan` is not a finite number");
+        let e = parse("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 -inf\n")
+            .unwrap_err();
+        assert_eq!(e, "line 4: `-inf` is not a finite number");
+        assert!(parse("%%MatrixMarket matrix array real general\n1 1\n1e999\n").is_err());
     }
 
     const MAGIC: [u8; 8] = *b"HQRTEST\0";

@@ -1,20 +1,28 @@
 //! Integration tests pinning the paper's qualitative claims, at reduced
-//! scale so they run quickly in debug builds. The full paper-scale sweeps
-//! live in the bench harnesses (see EXPERIMENTS.md).
+//! scale so they run quickly in debug builds, on rows produced by the same
+//! `hqr::experiments` functions `hqr experiments <study>` prints at the
+//! paper's scale (see EXPERIMENTS.md).
 
-use hqr::baselines::{bbd10, hqr_square, hqr_tall_skinny, slhd10};
-use hqr::experiments::simulate_setup;
+use hqr::baselines::{bbd10, hqr_tall_skinny};
+use hqr::experiments::{cp, fig6, fig7, fig8, fig9, FigurePoint, Setting};
 use hqr::model;
 use hqr::prelude::*;
 use hqr_runtime::{analysis, TaskGraph};
 use hqr_sim::scalapack::ScalapackModel;
 use hqr_sim::Platform;
 
-fn mini_platform() -> Platform {
-    Platform { nodes: 6, cores_per_node: 4, ..Platform::edel() }
+const B: usize = 40;
+
+/// A scaled-down edel — 6 nodes × 4 cores, same rates — as a `p × q` grid.
+fn mini(p: usize, q: usize) -> Setting {
+    let platform = Platform { nodes: 6, cores_per_node: 4, ..Platform::edel() };
+    Setting { platform, grid: ProcessGrid::new(p, q), b: B, ..Setting::paper() }
 }
 
-const B: usize = 40;
+/// The row of a study whose label starts with `label`.
+fn row<'a>(rows: &'a [FigurePoint], label: &str) -> &'a FigurePoint {
+    rows.iter().find(|r| r.label.starts_with(label)).unwrap_or_else(|| panic!("no row `{label}`"))
+}
 
 /// §II: the total kernel weight is 6mn² − 2n³ for *any* elimination list.
 #[test]
@@ -38,12 +46,9 @@ fn weight_invariant_across_algorithms() {
 /// pin the ordering and coarse magnitudes.
 #[test]
 fn tall_skinny_ranking() {
-    let p = mini_platform();
-    let grid = ProcessGrid::new(3, 2);
-    let (mt, nt) = (96usize, 4usize);
-    let hqr = simulate_setup(&hqr_tall_skinny(mt, nt, grid), B, &p).gflops;
-    let bbd = simulate_setup(&bbd10(mt, nt, grid), B, &p).gflops;
-    let scal = ScalapackModel::default().run(mt * B, nt * B, 3, 2, &p).gflops;
+    // Figure 8's tall-skinny end: 96 × 4 tiles on the 3 × 2 grid.
+    let rows = fig8(&mini(3, 2), &[96 * B], 4 * B);
+    let [hqr, bbd, scal] = ["HQR", "[BBD+10]", "ScaLAPACK"].map(|l| row(&rows, l).gflops);
     assert!(hqr > 1.5 * bbd, "HQR {hqr:.0} vs [BBD+10] {bbd:.0}");
     assert!(hqr > 3.0 * scal, "HQR {hqr:.0} vs ScaLAPACK {scal:.0}");
 }
@@ -52,14 +57,14 @@ fn tall_skinny_ranking() {
 /// square matrices.
 #[test]
 fn square_slhd10_load_imbalance() {
-    let p = mini_platform();
-    let grid = ProcessGrid::new(3, 2);
-    let n = 48usize;
-    let hqr = simulate_setup(&hqr_square(n, n, grid), B, &p).gflops;
-    let slhd = simulate_setup(&slhd10(n, n, 6), B, &p).gflops;
-    let ratio = slhd / hqr;
-    assert!(ratio < 0.85, "1D block layout must hurt on square: ratio {ratio:.2}");
-    let bound = model::block_distribution_speedup_bound(6, n, n) / 6.0;
+    // Figure 9's square end, at two sizes.
+    let ratio = |n: usize| {
+        let rows = fig9(&mini(3, 2), n * B, &[n * B]);
+        row(&rows, "[SLHD10]").gflops / row(&rows, "HQR").gflops
+    };
+    assert!(ratio(36) < 1.0, "HQR should beat [SLHD10] on square: ratio {:.2}", ratio(36));
+    assert!(ratio(48) < 0.85, "1D block layout must hurt on square: ratio {:.2}", ratio(48));
+    let bound = model::block_distribution_speedup_bound(6, 48, 48) / 6.0;
     assert!((bound - 2.0 / 3.0).abs() < 1e-12);
 }
 
@@ -67,18 +72,8 @@ fn square_slhd10_load_imbalance() {
 /// especially with a flat low-level tree.
 #[test]
 fn domino_improves_tall_skinny_flat_low() {
-    let p = mini_platform();
-    let grid = ProcessGrid::new(3, 2);
-    let (mt, nt) = (96usize, 4usize);
-    let mk = |domino| {
-        let cfg = HqrConfig::new(3, 2)
-            .with_a(4)
-            .with_low(TreeKind::Flat)
-            .with_high(TreeKind::Fibonacci)
-            .with_domino(domino);
-        simulate_setup(&hqr::baselines::hqr(mt, nt, grid, cfg), B, &p).gflops
-    };
-    let (off, on) = (mk(false), mk(true));
+    let rows = fig7(&mini(3, 2), &[96 * B], 4 * B);
+    let [off, on] = ["w/o domino, low=flat", "w/  domino, low=flat"].map(|l| row(&rows, l).gflops);
     assert!(on > off, "domino on {on:.0} should beat off {off:.0} on tall-skinny");
 }
 
@@ -87,18 +82,8 @@ fn domino_improves_tall_skinny_flat_low() {
 /// pipeline — "way above 10%" gain.
 #[test]
 fn ts_level_shortens_flat_pipeline() {
-    let p = mini_platform();
-    let grid = ProcessGrid::new(3, 2);
-    let (mt, nt) = (128usize, 4usize);
-    let mk = |a| {
-        let cfg = HqrConfig::new(3, 2)
-            .with_a(a)
-            .with_low(TreeKind::Flat)
-            .with_high(TreeKind::Flat)
-            .with_domino(false);
-        simulate_setup(&hqr::baselines::hqr(mt, nt, grid, cfg), B, &p).gflops
-    };
-    let (a1, a4) = (mk(1), mk(4));
+    let [_, flat_low] = fig6(&mini(3, 2), &[128 * B], 4 * B);
+    let [a1, a4] = ["a=1, high=flat", "a=4, high=flat"].map(|l| row(&flat_low, l).gflops);
     assert!(a4 > 1.1 * a1, "a=4 {a4:.0} should beat a=1 {a1:.0} by >10%");
 }
 
@@ -106,18 +91,9 @@ fn ts_level_shortens_flat_pipeline() {
 /// a = 1 (parallelism) — the crossover of Figure 6(a).
 #[test]
 fn small_matrices_prefer_a1_under_greedy_low() {
-    let p = mini_platform();
-    let grid = ProcessGrid::new(3, 2);
-    let (mt, nt) = (16usize, 4usize);
-    let mk = |a| {
-        let cfg = HqrConfig::new(3, 2)
-            .with_a(a)
-            .with_low(TreeKind::Greedy)
-            .with_high(TreeKind::Greedy)
-            .with_domino(false);
-        simulate_setup(&hqr::baselines::hqr(mt, nt, grid, cfg), B, &p).gflops
-    };
-    assert!(mk(1) >= mk(8), "a=1 should win on small matrices");
+    let [greedy_low, _] = fig6(&mini(3, 2), &[16 * B], 4 * B);
+    let [a1, a8] = ["a=1, high=greedy", "a=8, high=greedy"].map(|l| row(&greedy_low, l).gflops);
+    assert!(a1 >= a8, "a=1 should win on small matrices");
 }
 
 /// "Communication-avoiding": HQR's layout-aware trees send far fewer
@@ -133,6 +109,10 @@ fn hqr_communicates_less_than_bbd10() {
     let (mh, _) = analysis::comm_messages(&gh, &h.layout);
     let (mf, _) = analysis::comm_messages(&gf, &f.layout);
     assert!(mh < mf / 2, "HQR {mh} messages vs [BBD+10] {mf}");
+    // And as the simulator counts them, on a two-column panel.
+    let rows = fig8(&mini(6, 1), &[96 * B], 2 * B);
+    let [mh, mf] = ["HQR", "[BBD+10]"].map(|l| row(&rows, l).messages.unwrap());
+    assert!(mh < mf, "HQR messages {mh} should undercut [BBD+10] {mf}");
 }
 
 /// [12,13]: greedy is optimal under the coarse-grain model — never slower
@@ -153,23 +133,16 @@ fn greedy_coarse_optimality() {
 
 /// §V-B: "in the 286,720 × 4,480 case, the low level tree performs on a
 /// 68×16 matrix, and in that case the critical path length of flat tree is
-/// approximately 2.6x the one of greedy". We check the ratio on the real
-/// weighted DAGs of that local problem.
+/// approximately 2.6x the one of greedy". The real weighted DAGs of that
+/// local problem (the `cp` study's first four rows) put it at 2.82.
 #[test]
 fn low_level_critical_path_ratio() {
     let (mt, nt) = (68usize, 16usize);
-    let flat = Schedule::flat(mt, nt).to_elim_list(true);
-    let greedy = Schedule::greedy(mt, nt).to_elim_list(false);
-    let cp = |l: &ElimList| {
-        let g = TaskGraph::build(mt, nt, B, &l.to_ops());
-        analysis::dag_stats(&g).critical_path_weight as f64
-    };
-    let ratio = cp(&flat) / cp(&greedy);
-    assert!(
-        (1.8..=3.4).contains(&ratio),
-        "flat/greedy DAG critical-path ratio {ratio:.2}, paper model ≈ 2.6"
-    );
-    // The analytic coarse model agrees.
+    let [rows, _] = cp(&[(mt, nt)], &[]);
+    let (flat, greedy) = (&rows[0], &rows[2]);
+    assert_eq!((flat.name, flat.stats.critical_path_weight), ("flat (TS)", 1072));
+    assert_eq!((greedy.name, greedy.stats.critical_path_weight), ("greedy (TT)", 380));
+    // The analytic coarse model is the paper's 2.6.
     let model_ratio = model::low_level_cp_ratio(mt, nt);
     assert!((model_ratio - 2.6).abs() < 0.15);
 }
