@@ -12,7 +12,9 @@
 //! stream between frames is a clean end of conversation.
 
 use hqr_runtime::{JobSpec, JobState, QosClass};
-use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionReader, SectionWriter};
+use hqr_tile::io::{
+    bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionList, SectionReader, SectionWriter,
+};
 use std::io::{self, Read, Write};
 
 /// Magic bytes identifying a protocol frame payload.
@@ -175,14 +177,15 @@ impl Request {
         w.into_bytes()
     }
 
-    /// Decode a frame payload.
+    /// Decode a frame payload; a submission's spec is decoded straight out
+    /// of the frame.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Request, ProtoError> {
-        let r = reader(bytes)?;
+        let r = reader(&bytes)?;
         match kind(&r)? {
             K_PING => Ok(Request::Ping),
             K_SUBMIT => {
                 let raw = r.require(TAG_SPEC)?;
-                let spec = JobSpec::from_bytes(raw.to_vec())
+                let spec = JobSpec::from_bytes(raw)
                     .map_err(|e| ProtoError(format!("bad job spec: {e}")))?;
                 let plan = match r.section(TAG_PLAN) {
                     None => WirePlan::default(),
@@ -260,6 +263,9 @@ impl Response {
     /// Encode into a frame payload: the kind, its fixed words if it has
     /// any, then whatever variable-length sections the kind carries.
     pub fn to_bytes(&self) -> Vec<u8> {
+        if let Response::ResultBytes(blob) = self {
+            return blob_frame(blob).into_bytes();
+        }
         let (kind, words) = match self {
             Response::Pong { live_jobs } => (K_PONG, vec![*live_jobs]),
             Response::Submitted { id, deduped } => (K_SUBMITTED, vec![*id, *deduped as u64]),
@@ -304,17 +310,15 @@ impl Response {
             Response::Error { message, .. } => {
                 w.section(TAG_TEXT, message.as_bytes());
             }
-            Response::ResultBytes(bytes) => {
-                w.section(TAG_BLOB, bytes);
-            }
             _ => {}
         }
         w.into_bytes()
     }
 
-    /// Decode a frame payload.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Response, ProtoError> {
-        let r = reader(bytes)?;
+    /// Decode a frame payload. A result container is taken out of the
+    /// frame in place, not copied out of it.
+    pub fn from_bytes(mut bytes: Vec<u8>) -> Result<Response, ProtoError> {
+        let r = reader(&bytes)?;
         match kind(&r)? {
             K_PONG => Ok(Response::Pong { live_jobs: words1(&r)? }),
             K_SUBMITTED => {
@@ -359,7 +363,12 @@ impl Response {
             }),
             K_RESULT_BYTES => {
                 let raw = r.require(TAG_BLOB)?;
-                Ok(Response::ResultBytes(raw.to_vec()))
+                let start = raw.as_ptr() as usize - bytes.as_ptr() as usize;
+                let end = start + raw.len();
+                drop(r);
+                bytes.truncate(end);
+                bytes.drain(..start);
+                Ok(Response::ResultBytes(bytes))
             }
             K_SUSPENDED => Ok(Response::Suspended(words1(&r)? != 0)),
             K_RESUMED => Ok(Response::Resumed(words1(&r)? != 0)),
@@ -368,11 +377,18 @@ impl Response {
     }
 }
 
-fn reader(bytes: Vec<u8>) -> Result<SectionReader, ProtoError> {
+fn reader(bytes: &[u8]) -> Result<SectionReader<&[u8]>, ProtoError> {
     Ok(SectionReader::from_bytes(bytes, PROTO_MAGIC, PROTO_VERSION)?)
 }
 
-fn kind(r: &SectionReader) -> Result<u64, ProtoError> {
+/// The `ResultBytes` payload, borrowing its blob.
+fn blob_frame(blob: &[u8]) -> SectionList<'_> {
+    let mut w = SectionList::new(PROTO_MAGIC, PROTO_VERSION);
+    w.section(TAG_KIND, bytes_of_u64s(&[K_RESULT_BYTES])).section(TAG_BLOB, blob);
+    w
+}
+
+fn kind(r: &SectionReader<&[u8]>) -> Result<u64, ProtoError> {
     let raw = r.require(TAG_KIND)?;
     let words = u64s_of_bytes(TAG_KIND, raw)?;
     match words.as_slice() {
@@ -381,7 +397,7 @@ fn kind(r: &SectionReader) -> Result<u64, ProtoError> {
     }
 }
 
-fn wordsn(r: &SectionReader, n: usize) -> Result<Vec<u64>, ProtoError> {
+fn wordsn(r: &SectionReader<&[u8]>, n: usize) -> Result<Vec<u64>, ProtoError> {
     let raw = r.require(TAG_WORDS)?;
     let words = u64s_of_bytes(TAG_WORDS, raw)?;
     if words.len() != n {
@@ -390,18 +406,14 @@ fn wordsn(r: &SectionReader, n: usize) -> Result<Vec<u64>, ProtoError> {
     Ok(words)
 }
 
-fn words1(r: &SectionReader) -> Result<u64, ProtoError> {
+fn words1(r: &SectionReader<&[u8]>) -> Result<u64, ProtoError> {
     Ok(wordsn(r, 1)?[0])
 }
 
-fn text(r: &SectionReader, tag: u32) -> Result<Option<String>, ProtoError> {
-    match r.section(tag) {
-        None => Ok(None),
-        Some(raw) => match String::from_utf8(raw.to_vec()) {
-            Ok(s) => Ok(Some(s)),
-            Err(_) => bad(format!("section {tag} is not UTF-8")),
-        },
-    }
+fn text(r: &SectionReader<&[u8]>, tag: u32) -> Result<Option<String>, ProtoError> {
+    let utf8 = |raw: &[u8]| String::from_utf8(raw.to_vec());
+    let text = r.section(tag).map(utf8).transpose();
+    text.map_err(|_| ProtoError(format!("section {tag} is not UTF-8")))
 }
 
 /// Wire words of [`JobState`] and [`QosClass`]: the index in these tables,
@@ -441,6 +453,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
+}
+
+/// `write_frame(w, &resp.to_bytes())`, except that a result container is
+/// not copied into the frame but sent from where it lies, in one writev.
+pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
+    if let Response::ResultBytes(blob) = resp {
+        let frame = blob_frame(blob);
+        if frame.encoded_len() as u64 <= MAX_FRAME {
+            frame.write_to(w, true)?;
+            return w.flush();
+        }
+    }
+    write_frame(w, &resp.to_bytes())
 }
 
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
@@ -618,6 +643,33 @@ mod tests {
             (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!((bytes.len(), fnv), (1685, 12_895_646_396_341_803_543));
+    }
+
+    #[test]
+    fn result_frames_stream_what_write_frame_sends_and_decode_in_place() {
+        for n in [0usize, 1, 7, 8, 4093, 100_000] {
+            let blob: Vec<u8> = (0..n).map(|i| (i * 31 % 251) as u8).collect();
+            let resp = Response::ResultBytes(blob.clone());
+            let mut gathered = Vec::new();
+            write_frame(&mut gathered, &resp.to_bytes()).unwrap();
+            let mut streamed = Vec::new();
+            write_response(&mut streamed, &resp).unwrap();
+            assert_eq!(streamed, gathered, "{n}-byte blob");
+            // The frame as the pre-streaming encoder built it.
+            let mut old = SectionWriter::new(PROTO_MAGIC, PROTO_VERSION);
+            old.section(TAG_KIND, &bytes_of_u64s(&[K_RESULT_BYTES])).section(TAG_BLOB, &blob);
+            assert_eq!(streamed[8..], old.into_bytes()[..], "{n}-byte blob");
+            let payload = read_frame(&mut std::io::Cursor::new(streamed)).unwrap().unwrap();
+            match Response::from_bytes(payload).unwrap() {
+                Response::ResultBytes(back) => assert_eq!(back, blob, "{n}-byte blob"),
+                other => panic!("wrong response: {other:?}"),
+            }
+        }
+        let mut out = Vec::new();
+        write_response(&mut out, &Response::Cancelled(true)).unwrap();
+        let mut expect = Vec::new();
+        write_frame(&mut expect, &Response::Cancelled(true).to_bytes()).unwrap();
+        assert_eq!(out, expect);
     }
 
     #[test]

@@ -25,7 +25,9 @@ use crate::args::{Args, CliError};
 use crate::problem::{
     choice, integrity_of, policy_of, resident_budget_of, threads_of, Defaults, Shape,
 };
-use crate::proto::{read_frame, write_frame, ProtoError, Request, Response, WireJob, WirePlan};
+use crate::proto::{
+    read_frame, write_frame, write_response, ProtoError, Request, Response, WireJob, WirePlan,
+};
 use hqr_runtime::{
     result_from_bytes, DrainReport, DurabilityConfig, FaultPlan, JobPool, JobSpec, JobState,
     PoolConfig, QosClass, SubmitError,
@@ -197,7 +199,7 @@ fn handle_conn(mut stream: UnixStream, svc: &Service) -> io::Result<()> {
             Ok(req) => respond(req, svc),
             Err(ProtoError(msg)) => Response::Error { code: 0, message: msg },
         };
-        let sent = write_frame(&mut stream, &response.to_bytes());
+        let sent = write_response(&mut stream, &response);
         // Only now may the accept loop exit: raised any earlier, the
         // process could be gone before the client has its `Drained` frame.
         if matches!(response, Response::Drained { .. }) {
@@ -255,6 +257,7 @@ fn respond(req: Request, svc: &Service) -> Response {
                 .collect(),
         ),
         Request::Cancel(id) => Response::Cancelled(svc.pool.cancel(hqr_runtime::JobId(id))),
+        // Blocks until the job is settled (or the daemon starts draining).
         Request::Result(id) => match svc.pool.result_bytes(hqr_runtime::JobId(id)) {
             Some(bytes) => Response::ResultBytes(bytes),
             None => Response::Error {
@@ -397,18 +400,15 @@ pub fn submit(args: &Args) -> Result<i32, CliError> {
     if !wait {
         return Ok(0);
     }
-    // Poll until the job reaches a terminal state.
-    loop {
-        std::thread::sleep(Duration::from_millis(50));
-        let jobs = call(&socket, &Request::Jobs, expect!(Response::JobList(jobs) => jobs))?;
-        let Some(job) = jobs.iter().find(|j| j.id == id) else {
-            return Err(CliError::failed(format!("job {id} disappeared from the daemon")));
-        };
-        if job.state.is_terminal() {
-            print_job(job);
-            return Ok(i32::from(job.state != JobState::Completed));
-        }
-    }
+    // `result` answers once the job is settled; whether it carried a result
+    // or not, the job's row says how it ended.
+    let _ = call(&socket, &Request::Result(id), expect!(Response::ResultBytes(_) => ()));
+    let jobs = call(&socket, &Request::Jobs, expect!(Response::JobList(jobs) => jobs))?;
+    let job = jobs.iter().find(|j| j.id == id);
+    let job =
+        job.ok_or_else(|| CliError::failed(format!("job {id} disappeared from the daemon")))?;
+    print_job(job);
+    Ok(i32::from(job.state != JobState::Completed))
 }
 
 fn print_job(j: &WireJob) {
@@ -483,7 +483,8 @@ pub fn resume_job(args: &Args) -> Result<i32, CliError> {
     job_verb(args, "resume-job", Request::ResumeJob, says)
 }
 
-/// `hqr result`: fetch the durably stored factorization of a completed job.
+/// `hqr result`: fetch the durably stored factorization of a job, waiting
+/// for the job to settle first.
 ///
 /// With `--out FILE` the raw result container is written verbatim (the same
 /// sectioned format the daemon persisted, readable with

@@ -469,3 +469,84 @@ fn non_finite_spec_over_the_socket_is_a_typed_rejection() {
     assert_eq!(code, 0, "the daemon stays up: {err}");
     assert!(!out.contains("hostile"), "nothing was accepted: {out}");
 }
+
+/// `hqr result` started in the background, for a call that must block.
+fn spawn_result(sock: &str, id: &str) -> Child {
+    hqr()
+        .args(["result", "--socket", sock, "--id", id])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn result")
+}
+
+/// Exit code and stderr of `child`, which must end within 30 s.
+fn finish(mut child: Child) -> (i32, String) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("try_wait").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("a parked `hqr result` was never released");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("output");
+    (out.status.code().unwrap_or(-1), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// A `result` of a job that stalls on injected faults (seconds of them):
+/// parked in the daemon until something settles the job or drains the pool.
+fn parked_result(sock: &str, tag: &str) -> (String, Child) {
+    let stall = ["--inject-fail", "0:4000000", "--retries", "4000001"];
+    let (code, out, err) = run(&submit_args(sock, tag, &stall));
+    assert_eq!(code, 0, "stalling job: {err}");
+    let id = submitted_id(&out);
+    let mut child = spawn_result(sock, &id);
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(child.try_wait().expect("try_wait").is_none(), "`result` must wait for a live job");
+    (id, child)
+}
+
+#[test]
+fn result_blocks_until_the_job_settles() {
+    let d = start_daemon("blocking", &[]);
+    let sock = d.socket.to_str().unwrap();
+
+    // Issued right after a plain submit, `result` is one exchange that
+    // answers with the container once the job completes.
+    let (code, out, err) =
+        run(&submit_args(sock, "big", &["--rows", "384", "--cols", "192", "--tile", "16"]));
+    assert_eq!(code, 0, "submit: {err}");
+    let (code, out, err) = run(&["result", "--socket", sock, "--id", &submitted_id(&out)]);
+    assert_eq!(code, 0, "result: {err}");
+    assert!(out.contains("stored factorization"), "{out}");
+
+    // An unknown id is not waited for.
+    let t = Instant::now();
+    let (code, _, err) = run(&["result", "--socket", sock, "--id", "4242"]);
+    assert_eq!(code, 1);
+    assert!(err.contains("no stored result"), "{err}");
+    assert!(t.elapsed() < Duration::from_secs(10), "an unknown id fails at once");
+
+    // A parked call on a job that is then cancelled gets the same refusal.
+    let (id, child) = parked_result(sock, "doomed");
+    let (code, _, err) = run(&["cancel", "--socket", sock, "--id", &id]);
+    assert_eq!(code, 0, "cancel: {err}");
+    let (code, err) = finish(child);
+    assert_eq!(code, 1);
+    assert!(err.contains("no stored result"), "{err}");
+}
+
+#[test]
+fn drain_releases_a_parked_result() {
+    let mut d = start_daemon("drain_parked", &["--grace-ms", "50"]);
+    let sock = d.socket.to_str().unwrap().to_string();
+    let (_, child) = parked_result(&sock, "stalled");
+    let (code, out, err) = run(&["drain", "--socket", &sock]);
+    assert_eq!(code, 0, "drain: {err}");
+    assert!(out.contains("drained:"), "{out}");
+    let (code, err) = finish(child);
+    assert_eq!(code, 1);
+    assert!(err.contains("no stored result"), "{err}");
+    assert_eq!(d.wait_timeout_or_kill(), Some(0), "daemon exits 0 after the drain");
+}

@@ -26,13 +26,14 @@
 //! [`CheckpointError::FingerprintMismatch`] instead of producing silent
 //! numerical garbage.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use hqr_tile::io::{
-    bytes_of_u64s, extend_f64s_le, f64s_from_le, fnv1a64, tiled_from_bytes, tiled_to_bytes,
-    u64s_of_bytes, BinFormatError, SectionReader, SectionWriter,
+    bytes_of_u64s, f64s_from_le, f64s_le, fnv1a64, tiled_from_bytes, tiled_to_bytes, u64s_of_bytes,
+    BinFormatError, SectionReader, SectionWriter,
 };
 use hqr_tile::TiledMatrix;
 
@@ -359,16 +360,18 @@ fn bitmap_from_words(tag: u32, words: &[u64], nbits: usize) -> Result<Vec<bool>,
     Ok(bits)
 }
 
-/// Serialize one `TFactors` family: presence bitmap words, then the
-/// packed `b*b` payloads of present slots in index order — shared with the
-/// service's durable result containers (`journal::result_to_bytes`).
-pub(crate) fn family_to_bytes(family: &[Option<Box<[f64]>>]) -> Vec<u8> {
-    let present: Vec<bool> = family.iter().map(|o| o.is_some()).collect();
-    let mut out = bytes_of_u64s(&bitmap_to_words(&present));
-    for buf in family.iter().flatten() {
-        extend_f64s_le(&mut out, buf);
-    }
-    out
+/// One `TFactors` family as [`SectionList`] pieces: presence bitmap words,
+/// then the packed `b*b` payloads of present slots in index order, in
+/// place — shared with the service's durable result containers
+/// (`journal::result_sections`).
+pub(crate) fn family_parts(family: &[Option<Box<[f64]>>]) -> impl Iterator<Item = Cow<'_, [u8]>> {
+    let present: Vec<bool> = family.iter().map(Option::is_some).collect();
+    let bitmap = Cow::Owned(bytes_of_u64s(&bitmap_to_words(&present)));
+    std::iter::once(bitmap).chain(family.iter().flatten().map(|t| f64s_le(t)))
+}
+
+fn family_to_bytes(family: &[Option<Box<[f64]>>]) -> Vec<u8> {
+    family_parts(family).collect::<Vec<_>>().concat()
 }
 
 pub(crate) fn family_from_bytes(

@@ -4,10 +4,11 @@
 //! The journal is the daemon's source of truth for job lifecycles. Every
 //! transition — accepted, started, panel-checkpointed, suspended,
 //! completed, failed, quarantined, cancelled, shed — is appended as one
-//! self-contained record *before* the transition is acknowledged, and each
-//! append is `fsync`ed, so a SIGKILL (or power loss) at any instant loses
-//! at most the record being written. A restarted daemon folds the journal
-//! through the pool's own rules ([`PoolState::replayed`]) and drives every
+//! self-contained record *before* the transition is acknowledged, and no
+//! acknowledgement precedes the `fdatasync` that covers its record, so a
+//! SIGKILL (or power loss) at any instant loses only records nobody has
+//! been told about. A restarted daemon folds the journal through the
+//! pool's own rules ([`PoolState::replayed`]) and drives every
 //! previously-accepted job back to a terminal state: completed jobs keep
 //! their stored results, running jobs resume from their last panel
 //! checkpoint, queued jobs are resubmitted from their recorded specs.
@@ -31,29 +32,35 @@
 //! is a typed [`JournalError`], so a journal this reader cannot read is
 //! never mistaken for an empty one.
 //!
-//! Appends go to the live file with `fdatasync`; the only whole-file
+//! Appends go to the live file, streamed from the event (an `Accepted`
+//! spec is never copied into a record), and one `fdatasync` covers a whole
+//! batch ([`Journal::append`], group commit); the only whole-file
 //! rewrite is [`Journal::compact`], which uses the shared
 //! [`atomic_write`] fsync-then-rename discipline.
 //!
 //! ## Result store
 //!
 //! Completed factorizations persist R (and the V/T factor families) to
-//! per-job result containers (`job-<id>.result`, magic `HQRRSLT\0`) in a
-//! flat directory with an optional retention cap: when more than `cap`
-//! results are stored the oldest (smallest job id) are pruned, each prune
-//! journaled so replay knows the result is gone rather than lost.
+//! per-job result containers (`job-<id>.result`, magic `HQRRSLT\0`),
+//! streamed from the factorization in place, in a flat directory with
+//! count, byte and age retention. The store reads the directory once and
+//! decides retention from its in-memory set; the oldest (smallest job id)
+//! results are pruned, each prune journaled before its file is unlinked, so
+//! replay knows the result is gone rather than lost.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+use std::time::{Duration, SystemTime};
 
 use hqr_tile::io::{
-    atomic_write, bytes_of_u64s, tiled_from_bytes, tiled_to_bytes, u64s_of_bytes, BinFormatError,
-    SectionReader, SectionWriter,
+    atomic_write, bytes_of_u64s, tiled_from_bytes, tiled_parts, u64s_of_bytes, BinFormatError,
+    SectionList, SectionReader,
 };
 
-use crate::checkpoint::{family_from_bytes, family_to_bytes};
-use crate::exec::TFactors;
+use crate::checkpoint::{family_from_bytes, family_parts};
+use crate::exec::{relock, TFactors};
 use crate::pool::{JobResult, PoolConfig};
 use crate::pool_step::{snapshot, PoolState};
 
@@ -256,6 +263,12 @@ impl JournalEvent {
 
     /// Serialize into one self-checksummed record container.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.sections().into_bytes()
+    }
+
+    /// The record container over this event's own fields: an `Accepted`
+    /// spec goes to the file from where it lies, uncopied.
+    fn sections(&self) -> SectionList<'_> {
         let (x1, x2): (u64, u64) = match self {
             JournalEvent::Accepted { attempts, tasks_total, .. } => {
                 (*attempts as u64, *tasks_total)
@@ -266,8 +279,8 @@ impl JournalEvent {
             JournalEvent::OverBudgetAdmitted { need, budget, .. } => (*need, *budget),
             _ => (0, 0),
         };
-        let mut w = SectionWriter::new(JOURNAL_MAGIC, JOURNAL_VERSION);
-        w.section(J_META, &bytes_of_u64s(&[self.kind_word(), self.job_id(), x1, x2]));
+        let mut w = SectionList::new(JOURNAL_MAGIC, JOURNAL_VERSION);
+        w.section(J_META, bytes_of_u64s(&[self.kind_word(), self.job_id(), x1, x2]));
         let text: Option<&str> = match self {
             JournalEvent::Checkpointed { file, .. } => Some(file),
             JournalEvent::Suspended { reason, .. } => Some(reason),
@@ -288,47 +301,38 @@ impl JournalEvent {
                 w.section(J_SPEC, s);
             }
         }
-        w.into_bytes()
+        w
     }
 
-    /// Decode the inverse of [`JournalEvent::to_bytes`].
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<JournalEvent, JournalError> {
+    /// Decode the inverse of [`JournalEvent::to_bytes`], from owned bytes
+    /// or in place.
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<JournalEvent, JournalError> {
         let r = SectionReader::from_bytes(bytes, JOURNAL_MAGIC, JOURNAL_VERSION)?;
         let meta = u64s_of_bytes(J_META, r.require(J_META)?)?;
         if meta.len() != 4 {
             return Err(inconsistent(format!("meta holds {} words, expected 4", meta.len())));
         }
         let [kind, id, x1, x2] = [meta[0], meta[1], meta[2], meta[3]];
+        // Section `tag` as text, if present; `what` names it in the error.
+        let opt_text = |tag: u32, what: &str| -> Result<Option<String>, JournalError> {
+            let utf8 = |b: &[u8]| String::from_utf8(b.to_vec());
+            let text = r.section(tag).map(utf8).transpose();
+            text.map_err(|_| inconsistent(format!("{what} is not UTF-8")))
+        };
         let text = |what: &str| -> Result<String, JournalError> {
-            let bytes = r.require(J_TEXT)?;
-            String::from_utf8(bytes.to_vec())
-                .map_err(|_| inconsistent(format!("{what} is not UTF-8")))
+            opt_text(J_TEXT, what)?
+                .ok_or_else(|| BinFormatError::MissingSection { tag: J_TEXT }.into())
         };
         let ev = match kind {
             1 => {
-                let dedup = match r.section(J_DEDUP) {
-                    Some(b) => Some(
-                        String::from_utf8(b.to_vec())
-                            .map_err(|_| inconsistent("dedup key is not UTF-8"))?,
-                    ),
-                    None => None,
-                };
+                let dedup = opt_text(J_DEDUP, "dedup key")?;
                 let spec = r.section(J_SPEC).map(|b| b.to_vec());
                 JournalEvent::Accepted { id, attempts: x1 as u32, tasks_total: x2, dedup, spec }
             }
             2 => JournalEvent::Started { id, attempt: x1 as u32 },
             3 => JournalEvent::Checkpointed { id, tasks_done: x1, file: text("checkpoint file")? },
             4 => JournalEvent::Suspended { id, reason: text("suspend reason")? },
-            5 => {
-                let file = match r.section(J_TEXT) {
-                    Some(b) => Some(
-                        String::from_utf8(b.to_vec())
-                            .map_err(|_| inconsistent("result file is not UTF-8"))?,
-                    ),
-                    None => None,
-                };
-                JournalEvent::Completed { id, file }
-            }
+            5 => JournalEvent::Completed { id, file: opt_text(J_TEXT, "result file")? },
             6 => JournalEvent::Failed { id, attempts: x1 as u32, error: text("error")? },
             7 => JournalEvent::Quarantined { id, error: text("error")? },
             8 => JournalEvent::Cancelled { id },
@@ -393,19 +397,18 @@ impl Journal {
         path.with_file_name(name)
     }
 
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Append one record and `fdatasync` it to stable storage. The record
-    /// is durable when this returns: a crash one instant later replays it.
-    pub fn append(&mut self, ev: &JournalEvent) -> Result<(), JournalError> {
-        let body = ev.to_bytes();
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&body);
-        self.file.write_all(&frame).map_err(|e| io_err(&self.path, e))?;
+    /// Append records, in order, each framed and streamed from its event,
+    /// then `fdatasync` once (group commit). They are durable when this
+    /// returns: a crash one instant later replays them, and one before it
+    /// leaves a prefix of them, the last possibly torn — what
+    /// [`Journal::read`] tolerates. Appending nothing syncs nothing.
+    pub fn append(&mut self, events: &[JournalEvent]) -> Result<(), JournalError> {
+        if events.is_empty() {
+            return Ok(());
+        }
+        for ev in events {
+            ev.sections().write_to(&mut self.file, true).map_err(|e| io_err(&self.path, e))?;
+        }
         self.file.sync_data().map_err(|e| io_err(&self.path, e))
     }
 
@@ -438,7 +441,7 @@ impl Journal {
                 break; // torn tail: record longer than what survived
             }
             let last = start + len == bytes.len();
-            match JournalEvent::from_bytes(bytes[start..start + len].to_vec()) {
+            match JournalEvent::from_bytes(&bytes[start..start + len]) {
                 Ok(ev) => events.push(ev),
                 Err(JournalError::Format(
                     BinFormatError::Truncated { .. } | BinFormatError::ChecksumMismatch { .. },
@@ -457,9 +460,7 @@ impl Journal {
     pub fn compact(&mut self, events: &[JournalEvent]) -> Result<(), JournalError> {
         let mut bytes = Vec::new();
         for ev in events {
-            let body = ev.to_bytes();
-            bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&body);
+            ev.sections().write_to(&mut bytes, true).expect("writing into a Vec cannot fail");
         }
         atomic_write(&self.path, &bytes)?;
         self.file = std::fs::OpenOptions::new()
@@ -471,13 +472,8 @@ impl Journal {
 
     /// Current journal file size in bytes (what size-threshold rotation
     /// compares against).
-    pub fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         self.file.metadata().map_or(0, |m| m.len())
-    }
-
-    /// True when the journal file is empty (or unreadable).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Size-threshold rotation: atomically rewrite the journal down to the
@@ -522,14 +518,21 @@ impl Journal {
 /// result fetched after a daemon restart is byte-identical to one fetched
 /// before.
 pub fn result_to_bytes(id: u64, result: &JobResult) -> Vec<u8> {
+    result_sections(id, result).into_bytes()
+}
+
+/// The [`result_to_bytes`] container over the factorization in place —
+/// what [`ResultStore::put`] streams to the file.
+pub(crate) fn result_sections(id: u64, result: &JobResult) -> SectionList<'_> {
     let (mt, nt, b) = (result.a.mt(), result.a.nt(), result.a.b());
-    let mut w = SectionWriter::new(RESULT_MAGIC, RESULT_VERSION);
-    w.section(R_HEADER, &bytes_of_u64s(&[id, mt as u64, nt as u64, b as u64]))
-        .section(R_TILES, &tiled_to_bytes(&result.a))
-        .section(R_VG, &family_to_bytes(&result.factors.vg))
-        .section(R_TG, &family_to_bytes(&result.factors.tg))
-        .section(R_TK, &family_to_bytes(&result.factors.tk));
-    w.into_bytes()
+    let mut w = SectionList::new(RESULT_MAGIC, RESULT_VERSION);
+    w.section(R_HEADER, bytes_of_u64s(&[id, mt as u64, nt as u64, b as u64]))
+        .section_of(R_TILES, tiled_parts(&result.a));
+    let f = &result.factors;
+    for (tag, family) in [(R_VG, &f.vg), (R_TG, &f.tg), (R_TK, &f.tk)] {
+        w.section_of(tag, family_parts(family));
+    }
+    w
 }
 
 /// A decoded result container.
@@ -570,22 +573,26 @@ pub fn result_from_bytes(bytes: Vec<u8>) -> Result<StoredResult, JournalError> {
 
 /// Flat directory of per-job result containers with count, byte, and age
 /// retention limits (each `0`/`None` disables that limit).
+///
+/// The directory is read once, at open; from then on the store keeps the
+/// retained set in memory and decides every limit from it, so a completion
+/// costs one file write and no directory walk. Retention is two steps the
+/// caller orders around its journal: [`ResultStore::prune`] drops ids from
+/// the set, [`ResultStore::unlink`] deletes their files once the prunes are
+/// durable — a crash in between leaves orphan files, never a journaled
+/// result without its file, and recovery unlinks the orphans.
 pub struct ResultStore {
     dir: PathBuf,
     cap: usize,
     max_bytes: u64,
-    max_age: Option<std::time::Duration>,
+    max_age: Option<Duration>,
+    /// The retained set: job id -> (file bytes, modification time).
+    kept: Mutex<BTreeMap<u64, (u64, SystemTime)>>,
 }
 
 impl ResultStore {
-    /// Open (creating if absent) the store rooted at `dir`. `cap` bounds
-    /// how many results are retained; `0` disables pruning.
-    pub fn open(dir: &Path, cap: usize) -> Result<ResultStore, JournalError> {
-        Self::with_retention(dir, cap, 0, None)
-    }
-
-    /// [`ResultStore::open`] with the full retention policy: `cap` bounds
-    /// the result *count*, `max_bytes` the directory's total size (a few
+    /// Open (creating if absent) the store rooted at `dir`, reading what it
+    /// holds. `cap` bounds the result *count*, `max_bytes` the total size (a few
     /// huge R/V/T containers can fill a disk long before any count cap
     /// trips), and `max_age` the age of the oldest retained file. Zero /
     /// `None` disables the corresponding limit.
@@ -593,15 +600,22 @@ impl ResultStore {
         dir: &Path,
         cap: usize,
         max_bytes: u64,
-        max_age: Option<std::time::Duration>,
+        max_age: Option<Duration>,
     ) -> Result<ResultStore, JournalError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        Ok(ResultStore { dir: dir.to_path_buf(), cap, max_bytes, max_age })
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
+        let kept = entries
+            .flatten()
+            .filter_map(|e| {
+                let name = e.file_name();
+                let id = name.to_str()?.strip_prefix("job-")?.strip_suffix(".result")?;
+                let meta = e.metadata().ok()?;
+                let mtime = meta.modified().unwrap_or_else(|_| SystemTime::now());
+                Some((id.parse().ok()?, (meta.len(), mtime)))
+            })
+            .collect();
+        let kept = Mutex::new(kept);
+        Ok(ResultStore { dir: dir.to_path_buf(), cap, max_bytes, max_age, kept })
     }
 
     /// Canonical file name for a job's result.
@@ -614,94 +628,59 @@ impl ResultStore {
         self.dir.join(Self::file_name(id))
     }
 
-    /// Durably store container bytes for `id` (fsync-then-rename) and
-    /// return the file name relative to the store.
-    pub fn put(&self, id: u64, bytes: &[u8]) -> Result<String, JournalError> {
-        atomic_write(&self.path_of(id), bytes)?;
+    /// Durably store `container` as `id`'s result — streamed into the file,
+    /// fsync-then-rename — and return the file name relative to the store.
+    pub fn put(&self, id: u64, container: &SectionList<'_>) -> Result<String, JournalError> {
+        container.write_atomic(&self.path_of(id))?;
+        relock(&self.kept).insert(id, (container.encoded_len() as u64, SystemTime::now()));
         Ok(Self::file_name(id))
     }
 
-    /// Raw container bytes for `id`, if stored.
+    /// Raw container bytes for `id`, if it is retained.
     pub fn get(&self, id: u64) -> Option<Vec<u8>> {
-        std::fs::read(self.path_of(id)).ok()
+        let kept = relock(&self.kept).contains_key(&id);
+        kept.then(|| std::fs::read(self.path_of(id)).ok()).flatten()
     }
 
-    /// Remove `id`'s result. Returns true if a file was deleted.
-    pub fn remove(&self, id: u64) -> bool {
-        std::fs::remove_file(self.path_of(id)).is_ok()
-    }
-
-    /// Job ids with stored results, ascending.
+    /// Retained job ids, ascending.
     pub fn list(&self) -> Vec<u64> {
-        let mut ids = Vec::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return ids };
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(id) = name
-                .strip_prefix("job-")
-                .and_then(|s| s.strip_suffix(".result"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                ids.push(id);
-            }
-        }
-        ids.sort_unstable();
-        ids
+        relock(&self.kept).keys().copied().collect()
     }
 
-    /// Enforce every configured retention limit, oldest (smallest-id)
-    /// results first: drop files older than `max_age`, then shrink to at
-    /// most `cap` results, then shrink the directory's total size to at
-    /// most `max_bytes`. Returns the pruned ids (for journaling as
-    /// `result-pruned`, exactly like the count cap always was).
-    pub fn prune_over_cap(&self) -> Vec<u64> {
-        let mut pruned = Vec::new();
-        let ids = self.list();
-        // (id, bytes) for the files that still exist; pruning walks this
-        // front-to-back so every limit removes oldest-first.
-        let mut live: Vec<(u64, u64)> = ids
-            .iter()
-            .filter_map(|&id| std::fs::metadata(self.path_of(id)).ok().map(|m| (id, m.len())))
-            .collect();
-        if let Some(max_age) = self.max_age {
-            let now = std::time::SystemTime::now();
-            live.retain(|&(id, _)| {
-                let too_old = std::fs::metadata(self.path_of(id))
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| now.duration_since(t).ok())
-                    .is_some_and(|age| age > max_age);
-                if too_old && self.remove(id) {
-                    pruned.push(id);
-                    return false;
-                }
-                true
-            });
+    /// Enforce every configured retention limit on the retained set,
+    /// oldest (smallest-id) results first: drop results older than
+    /// `max_age`, then shrink to at most `cap` results, then to at most
+    /// `max_bytes` in total. Returns the dropped ids, ascending, for the
+    /// caller to journal as `result-pruned` and then [`ResultStore::unlink`].
+    pub fn prune(&self) -> Vec<u64> {
+        let mut kept = relock(&self.kept);
+        let now = SystemTime::now();
+        let too_old = |t: &SystemTime| {
+            self.max_age.is_some_and(|max| now.duration_since(*t).is_ok_and(|age| age > max))
+        };
+        let mut pruned: Vec<u64> =
+            kept.iter().filter(|(_, (_, t))| too_old(t)).map(|(&id, _)| id).collect();
+        for id in &pruned {
+            kept.remove(id);
         }
-        if self.cap > 0 && live.len() > self.cap {
-            let drop_n = live.len() - self.cap;
-            for &(id, _) in &live[..drop_n] {
-                if self.remove(id) {
-                    pruned.push(id);
-                }
-            }
-            live.drain(..drop_n);
-        }
-        if self.max_bytes > 0 {
-            let mut total: u64 = live.iter().map(|&(_, n)| n).sum();
-            let mut i = 0;
-            while total > self.max_bytes && i < live.len() {
-                let (id, n) = live[i];
-                if self.remove(id) {
-                    pruned.push(id);
-                    total -= n;
-                }
-                i += 1;
-            }
+        let mut total: u64 = kept.values().map(|&(n, _)| n).sum();
+        while (self.cap > 0 && kept.len() > self.cap)
+            || (self.max_bytes > 0 && total > self.max_bytes)
+        {
+            let Some((id, (n, _))) = kept.pop_first() else { break };
+            total -= n;
+            pruned.push(id);
         }
         pruned.sort_unstable();
         pruned
+    }
+
+    /// Forget `ids` and delete their files.
+    pub fn unlink(&self, ids: &[u64]) {
+        for &id in ids {
+            relock(&self.kept).remove(&id);
+            let _ = std::fs::remove_file(self.path_of(id));
+        }
     }
 }
 
@@ -710,6 +689,7 @@ mod tests {
     use super::*;
     use crate::pool::JobState;
     use crate::pool_step::Job;
+    use hqr_tile::io::SectionWriter;
 
     /// The jobs a journal's records fold to.
     fn fold(events: &[JournalEvent]) -> std::collections::BTreeMap<u64, Job> {
@@ -764,9 +744,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut j = Journal::open(&path).unwrap();
         let events = every_event();
-        for ev in &events {
-            j.append(ev).unwrap();
-        }
+        j.append(&events).unwrap();
         assert_eq!(Journal::read(&path).unwrap(), events);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -811,9 +789,7 @@ mod tests {
         let path = dir.join("flip.wal");
         let _ = std::fs::remove_file(&path);
         let mut j = Journal::open(&path).unwrap();
-        for ev in &events {
-            j.append(ev).unwrap();
-        }
+        j.append(&events).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 3] ^= 0x40; // corrupt inside the last record's checksum
@@ -898,9 +874,7 @@ mod tests {
         let path = dir.join("compact.wal");
         let _ = std::fs::remove_file(&path);
         let mut j = Journal::open(&path).unwrap();
-        for ev in every_event() {
-            j.append(&ev).unwrap();
-        }
+        j.append(&every_event()).unwrap();
         let keep = vec![JournalEvent::Accepted {
             id: 7,
             attempts: 0,
@@ -911,7 +885,7 @@ mod tests {
         j.compact(&keep).unwrap();
         // Appends after compaction must land in the *new* file, not the
         // renamed-away inode.
-        j.append(&JournalEvent::Started { id: 7, attempt: 1 }).unwrap();
+        j.append(&[JournalEvent::Started { id: 7, attempt: 1 }]).unwrap();
         let got = Journal::read(&path).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], keep[0]);
@@ -976,47 +950,47 @@ mod tests {
         // one live job mid-flight, one completed job with a stored result,
         // one completed job whose result was pruned.
         for id in 1..=50u64 {
-            j.append(&JournalEvent::Accepted {
+            j.append(&[JournalEvent::Accepted {
                 id,
                 attempts: 0,
                 tasks_total: 100,
                 dedup: None,
                 spec: Some(vec![0xAB; 4096]),
-            })
+            }])
             .unwrap();
-            j.append(&JournalEvent::Started { id, attempt: 1 }).unwrap();
-            j.append(&JournalEvent::Cancelled { id }).unwrap();
+            j.append(&[JournalEvent::Started { id, attempt: 1 }]).unwrap();
+            j.append(&[JournalEvent::Cancelled { id }]).unwrap();
         }
-        j.append(&JournalEvent::Accepted {
+        j.append(&[JournalEvent::Accepted {
             id: 90,
             attempts: 0,
             tasks_total: 7,
             dedup: Some("live".into()),
             spec: Some(vec![1, 2, 3]),
-        })
+        }])
         .unwrap();
-        j.append(&JournalEvent::Started { id: 90, attempt: 1 }).unwrap();
-        j.append(&JournalEvent::Checkpointed { id: 90, tasks_done: 3, file: "c90".into() })
+        j.append(&[JournalEvent::Started { id: 90, attempt: 1 }]).unwrap();
+        j.append(&[JournalEvent::Checkpointed { id: 90, tasks_done: 3, file: "c90".into() }])
             .unwrap();
-        j.append(&JournalEvent::Accepted {
+        j.append(&[JournalEvent::Accepted {
             id: 91,
             attempts: 0,
             tasks_total: 7,
             dedup: None,
             spec: Some(vec![9; 2048]),
-        })
+        }])
         .unwrap();
-        j.append(&JournalEvent::Completed { id: 91, file: Some("r91".into()) }).unwrap();
-        j.append(&JournalEvent::Accepted {
+        j.append(&[JournalEvent::Completed { id: 91, file: Some("r91".into()) }]).unwrap();
+        j.append(&[JournalEvent::Accepted {
             id: 92,
             attempts: 0,
             tasks_total: 7,
             dedup: None,
             spec: Some(vec![9; 2048]),
-        })
+        }])
         .unwrap();
-        j.append(&JournalEvent::Completed { id: 92, file: Some("r92".into()) }).unwrap();
-        j.append(&JournalEvent::ResultPruned { id: 92 }).unwrap();
+        j.append(&[JournalEvent::Completed { id: 92, file: Some("r92".into()) }]).unwrap();
+        j.append(&[JournalEvent::ResultPruned { id: 92 }]).unwrap();
         let before = j.len();
         let reclaimed = j.rotate().unwrap();
         assert!(reclaimed > 0 && j.len() < before / 10, "rotation must shrink the file");
@@ -1035,7 +1009,7 @@ mod tests {
         assert_eq!(done.settled(), Some(JobState::Completed));
         assert_eq!(done.result_file.as_deref(), Some("r91"));
         // The journal still appends after rotation.
-        j.append(&JournalEvent::Cancelled { id: 90 }).unwrap();
+        j.append(&[JournalEvent::Cancelled { id: 90 }]).unwrap();
         let jobs = fold(&Journal::read(&path).unwrap());
         assert_eq!(jobs[&90].settled(), Some(JobState::Cancelled));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1051,13 +1025,13 @@ mod tests {
         let path = dir.join("marked.wal");
         let _ = std::fs::remove_file(&path);
         let mut j = Journal::open(&path).unwrap();
-        j.append(&JournalEvent::Accepted {
+        j.append(&[JournalEvent::Accepted {
             id: 1,
             attempts: 0,
             tasks_total: 4,
             dedup: None,
             spec: Some(vec![7]),
-        })
+        }])
         .unwrap();
         drop(j);
         std::fs::write(Journal::rotate_marker(&path), b"").unwrap();
@@ -1065,30 +1039,6 @@ mod tests {
         assert!(!Journal::rotate_marker(&path).exists());
         assert_eq!(Journal::read(&path).unwrap().len(), 1);
         drop(j);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn result_store_byte_and_age_retention() {
-        let dir = std::env::temp_dir().join(format!("hqr_results_bytes{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Byte cap of 40: four 16-byte results exceed it; the two oldest
-        // must go even though the count cap (10) is nowhere near tripped.
-        let store = ResultStore::with_retention(&dir, 10, 40, None).unwrap();
-        for id in 1..=4u64 {
-            store.put(id, &[id as u8; 16]).unwrap();
-        }
-        let pruned = store.prune_over_cap();
-        assert_eq!(pruned, vec![1, 2]);
-        assert_eq!(store.list(), vec![3, 4]);
-        // Age cap of zero: everything still stored is older than the
-        // limit and is pruned regardless of count/byte headroom.
-        let aged =
-            ResultStore::with_retention(&dir, 0, 0, Some(std::time::Duration::ZERO)).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let pruned = aged.prune_over_cap();
-        assert_eq!(pruned, vec![3, 4]);
-        assert!(aged.list().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1106,23 +1056,111 @@ mod tests {
         ));
     }
 
+    /// A 48-byte container standing in for a result.
+    fn blob(id: u64) -> SectionList<'static> {
+        let mut c = SectionList::new(RESULT_MAGIC, RESULT_VERSION);
+        c.section(R_HEADER, vec![id as u8; 16]);
+        c
+    }
+
     #[test]
-    fn result_store_retention_prunes_oldest() {
+    fn result_store_byte_and_age_retention() {
+        let dir = std::env::temp_dir().join(format!("hqr_results_bytes{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Byte cap of 100: four 48-byte results exceed it; the two oldest
+        // must go even though the count cap (10) is nowhere near tripped.
+        let store = ResultStore::with_retention(&dir, 10, 100, None).unwrap();
+        for id in 1..=4u64 {
+            store.put(id, &blob(id)).unwrap();
+        }
+        assert_eq!(store.prune(), vec![1, 2]);
+        assert_eq!(store.list(), vec![3, 4]);
+        store.unlink(&[1, 2]);
+        // Age cap of zero: everything still stored is older than the
+        // limit and is pruned regardless of count/byte headroom.
+        let aged = ResultStore::with_retention(&dir, 0, 0, Some(Duration::ZERO)).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(aged.prune(), vec![3, 4]);
+        assert!(aged.list().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn result_store_retention_prunes_oldest_and_unlinks_on_request() {
         let dir = std::env::temp_dir().join(format!("hqr_results_t{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir, 2).unwrap();
+        let store = ResultStore::with_retention(&dir, 2, 0, None).unwrap();
         for id in 1..=4u64 {
-            store.put(id, &[id as u8; 16]).unwrap();
+            store.put(id, &blob(id)).unwrap();
         }
-        let pruned = store.prune_over_cap();
-        assert_eq!(pruned, vec![1, 2]);
+        assert_eq!(store.prune(), vec![1, 2]);
         assert_eq!(store.list(), vec![3, 4]);
+        // Pruned means not served; the file waits for `unlink`.
         assert!(store.get(1).is_none());
-        assert_eq!(store.get(4).unwrap(), vec![4u8; 16]);
-        assert!(store.remove(4));
-        assert!(!store.remove(4));
-        let unlimited = ResultStore::open(&dir, 0).unwrap();
-        assert!(unlimited.prune_over_cap().is_empty());
+        assert!(store.path_of(1).exists());
+        assert_eq!(store.get(4).unwrap(), blob(4).into_bytes());
+        store.unlink(&[1, 2]);
+        assert!(!store.path_of(1).exists() && !store.path_of(2).exists());
+        // A second store reads what the directory holds, once.
+        let unlimited = ResultStore::with_retention(&dir, 0, 0, None).unwrap();
+        assert_eq!(unlimited.list(), vec![3, 4]);
+        assert!(unlimited.prune().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_records_are_the_framed_containers() {
+        let events = every_event();
+        let dir = std::env::temp_dir().join(format!("hqr_journal_stream{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stream.wal");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::open(&path).unwrap();
+        j.append(&events).unwrap();
+        let framed_all: Vec<u8> = events.iter().flat_map(|ev| framed(&ev.to_bytes())).collect();
+        assert_eq!(std::fs::read(&path).unwrap(), framed_all);
+        // The bytes every record kind had when records were gathered into a
+        // buffer first (the parent commit's digest of the same events).
+        let all: Vec<u8> = events.iter().flat_map(JournalEvent::to_bytes).collect();
+        assert_eq!((all.len(), hqr_tile::io::fnv1a64(&all)), (1026, 632511323393590529));
+        // A big spec, against the gathering writer itself.
+        let spec: Vec<u8> = (0..100_003u32).map(|i| (i * 7) as u8).collect();
+        let mut old = SectionWriter::new(JOURNAL_MAGIC, JOURNAL_VERSION);
+        old.section(J_META, &bytes_of_u64s(&[1, 3, 1, 9])).section(J_SPEC, &spec);
+        let ev = JournalEvent::Accepted {
+            id: 3,
+            attempts: 1,
+            tasks_total: 9,
+            dedup: None,
+            spec: Some(spec),
+        };
+        assert_eq!(ev.to_bytes(), old.into_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_result_file_is_the_gathered_container() {
+        use crate::graph::TaskGraph;
+        let (mt, nt, b) = (4, 3, 4);
+        let mut elims = Vec::new();
+        for k in 0..nt {
+            for i in (k + 1)..mt {
+                elims.push(crate::elim::ElimOp::new(k as u32, i as u32, k as u32, true));
+            }
+        }
+        let mut a = hqr_tile::TiledMatrix::random(mt, nt, b, 3);
+        let factors = crate::exec::execute_serial(&TaskGraph::build(mt, nt, b, &elims), &mut a);
+        let result = JobResult { a, factors };
+        // The container the parent commit gathered from `tiled_to_bytes` and
+        // `family_to_bytes` intermediates, by its digest.
+        let old = result_to_bytes(7, &result);
+        assert_eq!((old.len(), hqr_tile::io::fnv1a64(&old)), (3232, 3504738851380218351));
+        let dir = std::env::temp_dir().join(format!("hqr_results_stream{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::with_retention(&dir, 0, 0, None).unwrap();
+        store.put(7, &result_sections(7, &result)).unwrap();
+        assert_eq!(std::fs::read(store.path_of(7)).unwrap(), old);
+        assert_eq!(store.get(7).unwrap(), old);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -51,8 +51,8 @@ use std::fmt;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crossbeam_deque::{Steal, Stealer, Worker};
@@ -70,7 +70,8 @@ use crate::fault::{FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
 use crate::integrity::IntegrityMode;
 use crate::journal::{
-    io_err, result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore,
+    io_err, result_from_bytes, result_sections, result_to_bytes, Journal, JournalError,
+    JournalEvent, ResultStore,
 };
 pub use crate::pool_step::SuspendKind;
 use crate::pool_step::{
@@ -79,7 +80,9 @@ use crate::pool_step::{
 use crate::sched::SchedPolicy;
 use crate::store::{RunPlan, TileStore};
 use hqr_kernels::KernelKind;
-use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionReader, SectionWriter};
+use hqr_tile::io::{
+    bytes_of_u64s, tiled_parts, u64s_of_bytes, BinFormatError, SectionList, SectionReader,
+};
 use hqr_tile::TiledMatrix;
 
 /// Magic bytes opening an encoded [`JobSpec`]. The name is historical: the
@@ -271,27 +274,27 @@ impl JobSpec {
             self.deadline.map_or(u64::MAX, |d| d.as_millis() as u64),
             0, // attempts consumed: the journal's `Accepted` record carries them now
         ];
-        let mut w = SectionWriter::new(QUEUE_MAGIC, QUEUE_VERSION);
-        w.section(QSEC_META, &bytes_of_u64s(&meta));
-        w.section(QSEC_TAG, self.tag.as_bytes());
+        let mut w = SectionList::new(QUEUE_MAGIC, QUEUE_VERSION);
+        w.section(QSEC_META, bytes_of_u64s(&meta)).section(QSEC_TAG, self.tag.as_bytes());
         if let Some(k) = &self.dedup_key {
             w.section(QSEC_DEDUP, k.as_bytes());
         }
         match &self.input {
             JobInput::Fresh { elims, a } => {
-                w.section(QSEC_ELIMS, &bytes_of_u64s(&elims_to_words(elims)));
-                w.section(QSEC_TILES, &hqr_tile::io::tiled_to_bytes(a));
+                w.section(QSEC_ELIMS, bytes_of_u64s(&elims_to_words(elims)));
+                w.section_of(QSEC_TILES, tiled_parts(a));
             }
             JobInput::Resume(ck) => {
-                w.section(QSEC_CKPT, &checkpoint_to_bytes(ck));
+                w.section(QSEC_CKPT, checkpoint_to_bytes(ck));
             }
         }
-        w.section(QSEC_COUNT, &bytes_of_u64s(&[1]));
+        w.section(QSEC_COUNT, bytes_of_u64s(&[1]));
         w.into_bytes()
     }
 
-    /// Decode the inverse of [`JobSpec::to_bytes`].
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<JobSpec, QueueFormatError> {
+    /// Decode the inverse of [`JobSpec::to_bytes`], from owned bytes or
+    /// straight out of a borrowed frame.
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<JobSpec, QueueFormatError> {
         let bad = |message: String| QueueFormatError::Inconsistent { message };
         let r = SectionReader::from_bytes(bytes, QUEUE_MAGIC, QUEUE_VERSION)?;
         let meta = u64s_of_bytes(QSEC_META, r.require(QSEC_META)?)?;
@@ -593,7 +596,8 @@ pub struct PoolConfig {
     pub queue_cap: usize,
     /// Maximum concurrently active jobs; `0` means unbounded.
     pub max_active: usize,
-    /// Supervisor poll interval (admission, deadlines, finalization).
+    /// Longest the supervisor sleeps: submissions and quiesced runs wake it
+    /// at once, deadlines and backoffs are checked at least this often.
     pub tick: Duration,
     /// First job-level retry backoff; doubles per attempt.
     pub backoff_base: Duration,
@@ -796,6 +800,8 @@ struct Shared {
     journal: Option<Mutex<Journal>>,
     /// Durable store of completed results (durable pools only).
     results: Option<ResultStore>,
+    /// The supervisor's thread, unparked by the events it acts on.
+    supervisor: OnceLock<Thread>,
     next_rid: AtomicU64,
     stop: AtomicBool,
 }
@@ -816,30 +822,33 @@ impl Shared {
         self.active.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Write every journal record decided so far, oldest first, each
-    /// `fsync`ed. On return the caller's own records are durable — written
+    /// Write every journal record decided so far, oldest first, under one
+    /// `fdatasync`. On return the caller's own records are durable — written
     /// here, or by the thread this one waited behind. Journal IO failure
     /// degrades durability, never availability: it goes to stderr.
     fn flush(&self) {
         let Some(j) = &self.journal else { return };
         let mut j = relock(j);
         let batch = std::mem::take(&mut relock(&self.control).outbox);
+        if let Err(e) = j.append(&batch) {
+            eprintln!("hqr-pool: journal append failed: {e}");
+        }
+        // Size-threshold rotation: compact away terminal noise once the file
+        // outgrows the configured budget.
         let rotate_at = self.cfg.durability.as_ref().map_or(0, |d| d.journal_rotate_bytes);
-        for ev in &batch {
-            if let Err(e) = j.append(ev) {
-                eprintln!("hqr-pool: journal append failed: {e}");
-            }
-            // Size-threshold rotation: compact away terminal noise once
-            // the file outgrows the configured budget.
-            if j.rotate_due(rotate_at) {
-                match j.rotate() {
-                    Ok(reclaimed) => {
-                        eprintln!("hqr-pool: journal rotated, reclaimed {reclaimed} bytes");
-                    }
-                    Err(e) => eprintln!("hqr-pool: journal rotation failed: {e}"),
+        if j.rotate_due(rotate_at) {
+            match j.rotate() {
+                Ok(reclaimed) => {
+                    eprintln!("hqr-pool: journal rotated, reclaimed {reclaimed} bytes")
                 }
+                Err(e) => eprintln!("hqr-pool: journal rotation failed: {e}"),
             }
         }
+    }
+
+    /// Wake the supervisor: there is a job to admit or a run to conclude.
+    fn kick(&self) {
+        self.supervisor.get().map(Thread::unpark);
     }
 
     /// The one way the live pool changes a job's state: feed `event` to
@@ -1017,7 +1026,7 @@ fn effective_ib(spec: &JobSpec, b: usize) -> Result<usize, String> {
 /// label, policy, price — and, if it will run again, what to run from: its
 /// checkpoint when readable (`true`), so no completed panel is recomputed.
 fn hydrate(job: &mut Job, dir: &Path, cfg: &PoolConfig) -> Result<Option<(bool, Held)>, String> {
-    let bytes = job.spec.clone().ok_or("journal lost the job's spec")?;
+    let bytes = job.spec.as_ref().ok_or("journal lost the job's spec")?;
     let mut spec = JobSpec::from_bytes(bytes).map_err(|e| e.to_string())?;
     (job.tag, job.qos) = (spec.tag.clone(), spec.qos);
     if job.settled().is_some() {
@@ -1107,6 +1116,7 @@ impl JobPool {
             ready: Mutex::new(BinaryHeap::new()),
             journal,
             results,
+            supervisor: OnceLock::new(),
             next_rid: AtomicU64::new(1),
             stop: AtomicBool::new(false),
         });
@@ -1125,13 +1135,13 @@ impl JobPool {
             );
         }
         {
-            let shared = Arc::clone(&shared);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("hqr-pool-supervisor".into())
-                    .spawn(move || supervisor_loop(&shared))
-                    .expect("spawn pool supervisor"),
-            );
+            let s = Arc::clone(&shared);
+            let supervisor = std::thread::Builder::new()
+                .name("hqr-pool-supervisor".into())
+                .spawn(move || supervisor_loop(&s))
+                .expect("spawn pool supervisor");
+            let _ = shared.supervisor.set(supervisor.thread().clone());
+            handles.push(supervisor);
         }
         Ok(JobPool { shared, handles: Mutex::new(handles) })
     }
@@ -1156,10 +1166,13 @@ impl JobPool {
         let early = relock(&s.control).state.precheck(spec.dedup_key.as_deref(), 0);
         let answer = early.unwrap_or_else(|| {
             let (job, held) = prepare(spec, &s.cfg, s.journal.is_some())?;
-            match s.apply(Event::Submit(Box::new(job), Some(held))) {
+            let answer = match s.apply(Event::Submit(Box::new(job), Some(held))) {
                 Some(Effect::Submitted(answer)) => answer,
                 _ => unreachable!("a submission is answered"),
-            }
+            };
+            // Admission happens now, not at the next tick.
+            s.kick();
+            answer
         });
         answer.map(|(id, deduped)| (JobId(id), deduped))
     }
@@ -1207,6 +1220,11 @@ impl JobPool {
             }
         }
         relock(jm).compact(&snapshot(&state))?;
+        // Files no record names: a prune or a completion cut short by a crash.
+        if let Some(store) = &s.results {
+            let listed = |id: &u64| state.jobs.get(id).is_some_and(|j| j.result_file.is_some());
+            store.unlink(&store.list().into_iter().filter(|id| !listed(id)).collect::<Vec<_>>());
+        }
         // The journal holds the specs from here on; the live state never does.
         state.jobs.values_mut().for_each(|j| j.spec = None);
         relock(&s.control).state = state;
@@ -1295,21 +1313,34 @@ impl JobPool {
         self.ask(Event::ResumeJob(id.0))
     }
 
-    /// Encoded result container for a completed job — from the durable
-    /// store when the pool has one (the state then holds no copy), else
-    /// re-encoded from the unclaimed in-memory result. `None` when the job
-    /// is unknown, not completed, its stored result was pruned, or
-    /// (volatile pools) the outcome was already claimed.
+    /// Encoded result container of job `id`, once the job is settled — a
+    /// stored result only after its `Completed` record is durable; else the
+    /// unclaimed in-memory one. Blocks until then or until the pool starts
+    /// draining. `None` (at once for an unknown id) when there is no result:
+    /// not completed, drained first, pruned, or already claimed.
     pub fn result_bytes(&self, id: JobId) -> Option<Vec<u8>> {
         let s = &*self.shared;
-        if let Some(bytes) = s.results.as_ref().and_then(|store| store.get(id.0)) {
-            return Some(bytes);
+        let mut c = relock(&s.control);
+        let stored = loop {
+            let job = c.state.jobs.get(&id.0)?;
+            if job.settled().is_some() {
+                break job.result_file.is_some();
+            }
+            if c.state.draining {
+                return None;
+            }
+            c = s.waiters.wait(c).unwrap_or_else(PoisonError::into_inner);
+        };
+        if !stored {
+            return match c.state.held.get(&id.0)? {
+                Held::Done(Some(result)) => Some(result_to_bytes(id.0, result)),
+                _ => None,
+            };
         }
-        let c = relock(&s.control);
-        match c.state.held.get(&id.0)? {
-            Held::Done(Some(result)) => Some(result_to_bytes(id.0, result)),
-            _ => None,
-        }
+        // Its `Completed` record was queued before the state showed it: flush.
+        drop(c);
+        s.flush();
+        s.results.as_ref()?.get(id.0)
     }
 
     /// Graceful drain: stop admitting, give running jobs `grace` to
@@ -1321,6 +1352,8 @@ impl JobPool {
     pub fn drain(&self, grace: Duration) -> DrainReport {
         let s = &*self.shared;
         s.apply(Event::Drain { grace_over: false });
+        // Release the `result_bytes` calls parked on jobs that may not end.
+        s.waiters.notify_all();
         // Settled states are absorbing, so a count before and after tells
         // how many jobs ended during the drain.
         let ended = || {
@@ -1357,6 +1390,7 @@ impl JobPool {
     pub fn shutdown(&self) {
         let s = &*self.shared;
         s.apply(Event::Shutdown { quiet: false });
+        s.waiters.notify_all();
         while s.running() > 0 {
             std::thread::sleep(s.cfg.tick);
         }
@@ -1366,6 +1400,7 @@ impl JobPool {
 
     fn stop_threads(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.kick();
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *relock(&self.handles));
         for h in handles {
             let _ = h.join();
@@ -1425,7 +1460,16 @@ fn pool_worker(
                 if !job.run.halt.load(Ordering::SeqCst) && !job.run.is_done(tid) {
                     run_job_task(shared, &job, tid, me, local);
                 }
-                job.inflight.fetch_sub(1, Ordering::SeqCst);
+                // Whoever leaves a finished or halted run quiescent wakes the
+                // supervisor — once its clone, which `finalize_jobs` waits
+                // out, is dropped.
+                let quiesced = job.inflight.fetch_sub(1, Ordering::SeqCst) == 1
+                    && (job.run.remaining.load(Ordering::Acquire) == 0
+                        || job.run.halt.load(Ordering::SeqCst));
+                drop(job);
+                if quiesced {
+                    shared.kick();
+                }
             }
             ControlFlow::Continue(())
         },
@@ -1478,7 +1522,7 @@ fn supervisor_loop(shared: &Shared) {
     while !shared.stop.load(Ordering::SeqCst) {
         // Conclude what has quiesced, then tell `step` what is still
         // running and let it halt, preempt and admit.
-        finalize_jobs(shared);
+        let pruned = finalize_jobs(shared);
         let seen = shared
             .active()
             .values()
@@ -1494,11 +1538,15 @@ fn supervisor_loop(shared: &Shared) {
             })
             .collect();
         shared.apply(Event::Tick(seen));
-        std::thread::sleep(shared.cfg.tick);
+        // Last, off every waiter's and arrival's path: the journaled prunes.
+        shared.results.iter().for_each(|store| store.unlink(&pruned));
+        // Until a submission or a quiesced run unparks it.
+        std::thread::park_timeout(shared.cfg.tick);
     }
 }
 
-fn finalize_jobs(shared: &Shared) {
+/// Conclude every quiesced run; returns the stored results they pruned.
+fn finalize_jobs(shared: &Shared) -> Vec<u64> {
     // Snapshot candidate rids only — holding an Arc clone here would keep
     // the strong count above 1 and wedge the ownership-recovery spin below.
     let candidates: Vec<u64> = shared
@@ -1511,6 +1559,7 @@ fn finalize_jobs(shared: &Shared) {
         })
         .map(|(&rid, _)| rid)
         .collect();
+    let mut pruned = Vec::new();
     for rid in candidates {
         // A worker that raced us holds only a transient Arc clone (it sees
         // `halted` or an all-done bitmap and drops it within one step);
@@ -1531,13 +1580,15 @@ fn finalize_jobs(shared: &Shared) {
                 }
             }
         };
-        conclude_job(shared, job);
+        pruned.extend(conclude_job(shared, job));
     }
+    pruned
 }
 
 /// Report one quiesced, owned run to [`step`], after the I/O whose outcome
-/// the report carries: result stored, or checkpoint captured and written.
-fn conclude_job(shared: &Shared, mut job: ActiveJob) {
+/// the report carries: result stored, or checkpoint captured and written —
+/// and return the stored results it pruned (journaled, still on disk).
+fn conclude_job(shared: &Shared, mut job: ActiveJob) -> Vec<u64> {
     // An out-of-core job is hollow at quiescence: spilled tiles live only
     // in its spill file. Fault everything back in before any verdict
     // branch clones or returns `a`/`factors`. When the fault-in itself
@@ -1565,10 +1616,10 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
             // nobody may ever `wait` for this job (a socket client cannot),
             // and a daemon holding every result grew without bound.
             let stored = shared.results.as_ref().and_then(|store| {
-                let put = store.put(id, &result_to_bytes(id, &result));
+                let put = store.put(id, &result_sections(id, &result));
                 match &put {
                     Err(e) => eprintln!("hqr-pool: persisting result of job-{id} failed: {e}"),
-                    Ok(_) => pruned = store.prune_over_cap(),
+                    Ok(_) => pruned = store.prune(),
                 }
                 put.ok()
             });
@@ -1594,8 +1645,10 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
         Some(_) => (None, Held::Work(work)),
     };
     let payload = Some(payload);
+    let unlink = pruned.clone();
     let run = Conclusion { id, verdict, tasks_done, stats, durable, pruned, payload };
     shared.apply(Event::Concluded(run));
+    unlink
 }
 
 /// Build the run state of a job [`step`] just admitted and hand its

@@ -10,14 +10,16 @@
 //! replay tolerates), and a second pool recovers from the copy.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
+use hqr_runtime::fault::splitmix64;
 use hqr_runtime::pool_step::PoolState;
 use hqr_runtime::{
     execute_serial_ib, result_from_bytes, DurabilityConfig, ElimOp, FaultPlan, JobPool, JobSpec,
-    JobState, Journal, JournalEvent, PoolConfig, QosClass, TFactors, TaskGraph, CKPT_DIR,
-    JOURNAL_FILE,
+    JobState, Journal, JournalEvent, PoolConfig, QosClass, ResultStore, TFactors, TaskGraph,
+    CKPT_DIR, JOURNAL_FILE, RESULTS_DIR,
 };
+use hqr_tile::io::SectionList;
 use hqr_tile::TiledMatrix;
 
 /// Flat-tree elimination list: row k kills every row below it.
@@ -628,4 +630,187 @@ fn result_byte_retention_prunes_and_journals() {
     );
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bug: `conclude_job` renamed the result file into place before the
+/// `Completed` record was journaled, and `result_bytes` served any file it
+/// found — so a client could hold the result of a job `jobs` still listed
+/// as running. Only a settled, journaled completion is served now, and a
+/// `result_bytes` on a live job waits for it to settle.
+#[test]
+fn result_bytes_serves_only_settled_completions_and_waits_for_them() {
+    let dir = state_dir("planted");
+    let elims = flat_elims(4, 3);
+    let pool = durable_pool(&dir, Duration::from_secs(3600));
+    let done = pool.submit(JobSpec::fresh(elims.clone(), TiledMatrix::random(4, 3, 8, 91)));
+    let done = done.expect("submit");
+    assert_eq!(pool.wait(done).expect("wait").state, JobState::Completed);
+    let planted = pool.result_bytes(done).expect("a completed job's result");
+
+    // A running job with a well-formed result file under its name.
+    let stuck = pool.submit(stalling_spec(elims.clone(), TiledMatrix::random(4, 3, 8, 92), 1));
+    let stuck = stuck.expect("submit");
+    wait_for_state(&pool, stuck, JobState::Running);
+    let path = dir.join(RESULTS_DIR).join(format!("job-{}.result", stuck.0));
+    std::fs::write(path, &planted).expect("plant a result file");
+    std::thread::scope(|s| {
+        let fetch = s.spawn(|| pool.result_bytes(stuck));
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!fetch.is_finished(), "result_bytes must wait for a running job");
+        assert!(pool.cancel(stuck));
+        let got = fetch.join().expect("fetch thread");
+        assert_eq!(got, None, "a cancelled job has no result, whatever file carries its name");
+    });
+
+    // Issued right after the submission, the call returns the container
+    // once the job is done — and by then `Completed` is in the journal.
+    let a0 = TiledMatrix::random(4, 3, 8, 93);
+    let next = pool.submit(JobSpec::fresh(elims.clone(), a0.clone())).expect("submit");
+    let bytes = pool.result_bytes(next).expect("the result, once completed");
+    let events = Journal::read(&dir.join(JOURNAL_FILE)).expect("journal");
+    let completed =
+        |e: &JournalEvent| matches!(e, JournalEvent::Completed { id, .. } if *id == next.0);
+    assert!(events.iter().any(completed), "served before its Completed record was durable");
+    let stored = result_from_bytes(bytes).expect("decodes");
+    let (ref_a, ref_f) = solo(&elims, &a0);
+    assert_eq!(stored.result.a.to_dense().data(), ref_a.to_dense().data());
+    assert!(stored.result.factors.bitwise_eq(&ref_f));
+    assert_eq!(pool.result_bytes(hqr_runtime::JobId(999)), None, "unknown ids answer at once");
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Retention as it was decided before the store kept its set in memory: a
+/// walk of the directory — list, stat, oldest (smallest id) first. The
+/// oracle only decides; the store under test unlinks.
+fn walk_prune(dir: &Path, cap: usize, max_bytes: u64, max_age: Option<Duration>) -> Vec<u64> {
+    let mut live: Vec<(u64, u64, SystemTime)> = std::fs::read_dir(dir)
+        .expect("read_dir")
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name().into_string().ok()?;
+            let id = name.strip_prefix("job-")?.strip_suffix(".result")?.parse().ok()?;
+            let meta = e.metadata().ok()?;
+            Some((id, meta.len(), meta.modified().ok()?))
+        })
+        .collect();
+    live.sort_unstable();
+    let mut pruned = Vec::new();
+    if let Some(max_age) = max_age {
+        let now = SystemTime::now();
+        live.retain(|&(id, _, t)| {
+            let too_old = now.duration_since(t).is_ok_and(|age| age > max_age);
+            if too_old {
+                pruned.push(id);
+            }
+            !too_old
+        });
+    }
+    if cap > 0 && live.len() > cap {
+        let drop_n = live.len() - cap;
+        pruned.extend(live.drain(..drop_n).map(|(id, ..)| id));
+    }
+    if max_bytes > 0 {
+        let mut total: u64 = live.iter().map(|&(_, n, _)| n).sum();
+        for &(id, n, _) in &live {
+            if total <= max_bytes {
+                break;
+            }
+            pruned.push(id);
+            total -= n;
+        }
+    }
+    pruned.sort_unstable();
+    pruned
+}
+
+#[test]
+fn in_memory_retention_prunes_what_the_directory_walk_pruned() {
+    let mut rng = 0x5eed_u64;
+    let mut draw = |n: u64| splitmix64(&mut rng) % n;
+    for round in 0..4 {
+        let dir = state_dir(&format!("retention_{round}"));
+        let cap = draw(6) as usize;
+        let max_bytes = [0, 150, 400][draw(3) as usize];
+        // Ages are whole 100 ms steps apart, far from the 250 ms limit.
+        let max_age = (round % 2 == 1).then_some(Duration::from_millis(250));
+        let store = ResultStore::with_retention(&dir, cap, max_bytes, max_age).expect("open");
+        for id in 1..=14u64 {
+            if max_age.is_some() && draw(4) == 0 {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let mut c = SectionList::new(*b"HQRTEST\0", 1);
+            c.section(1, vec![id as u8; draw(120) as usize]);
+            store.put(id, &c).expect("put");
+            let expect = walk_prune(&dir, cap, max_bytes, max_age);
+            let pruned = store.prune();
+            let at = format!("round {round} (cap {cap}, {max_bytes} B, {max_age:?}), put {id}");
+            assert_eq!(pruned, expect, "{at}");
+            store.unlink(&pruned);
+            assert_eq!(store.list(), listed(&dir), "{at}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Result ids with a file in `dir`, ascending.
+fn listed(dir: &Path) -> Vec<u64> {
+    let mut ids: Vec<u64> = std::fs::read_dir(dir)
+        .expect("read_dir")
+        .flatten()
+        .filter_map(|e| {
+            e.file_name()
+                .into_string()
+                .ok()?
+                .strip_prefix("job-")?
+                .strip_suffix(".result")?
+                .parse()
+                .ok()
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// A prune is journaled before its file is unlinked: a crash in between
+/// leaves a file no record names, which recovery deletes.
+#[test]
+fn orphan_result_of_a_journaled_prune_is_deleted_at_recover() {
+    let dir = state_dir("orphan");
+    let crash = state_dir("orphan_image");
+    let elims = flat_elims(4, 3);
+    let mut d = DurabilityConfig::at(&dir);
+    d.result_cap = 1;
+    let (first, second, orphan);
+    {
+        let pool =
+            JobPool::new(PoolConfig { nthreads: 2, durability: Some(d), ..Default::default() });
+        first = pool.submit(JobSpec::fresh(elims.clone(), TiledMatrix::random(4, 3, 8, 94)));
+        let first_id = first.as_ref().copied().expect("submit");
+        assert_eq!(pool.wait(first_id).expect("wait").state, JobState::Completed);
+        orphan = pool.result_bytes(first_id).expect("stored result");
+        second = pool.submit(JobSpec::fresh(elims.clone(), TiledMatrix::random(4, 3, 8, 95)));
+        let second_id = second.as_ref().copied().expect("submit");
+        assert_eq!(pool.wait(second_id).expect("wait").state, JobState::Completed);
+        snapshot(&dir, &crash);
+        pool.shutdown();
+    }
+    let (first, second) = (first.unwrap(), second.unwrap());
+    let events = Journal::read(&crash.join(JOURNAL_FILE)).expect("journal");
+    let pruned =
+        |e: &JournalEvent| matches!(e, JournalEvent::ResultPruned { id } if *id == first.0);
+    assert!(events.iter().any(pruned), "the cap of one prunes the first result: {events:?}");
+    // The crash landed between the record and the unlink.
+    let file = crash.join(RESULTS_DIR).join(format!("job-{}.result", first.0));
+    std::fs::write(&file, &orphan).expect("restore the pruned file");
+
+    let pool = durable_pool(&crash, Duration::from_secs(3600));
+    pool.recover().expect("recover");
+    assert!(!file.exists(), "recovery deletes the orphan of a journaled prune");
+    assert_eq!(pool.result_bytes(first), None);
+    let kept = result_from_bytes(pool.result_bytes(second).expect("retained")).expect("decodes");
+    assert_eq!(kept.id, second.0);
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crash);
 }

@@ -24,11 +24,15 @@
 //! container's buffer) and one decode routine ([`f64s_from_le`], straight
 //! into the destination slice), and both ends can reuse their byte buffers
 //! ([`SectionWriter::reusing`], [`SectionReader`] over a borrowed slice).
+//! A payload that already lives somewhere (a spec, a factorization's tiles,
+//! a stored result) is not copied into a container at all: [`SectionList`]
+//! borrows it and writes header, payload and trailer in one vectored write.
 //! Every container is still verified in full on every read.
 
 use crate::dense::DenseMatrix;
 use crate::matrix::TiledMatrix;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::borrow::Cow;
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::path::Path;
 
 /// Read a MatrixMarket file into a dense matrix.
@@ -459,6 +463,108 @@ impl SectionWriter {
     }
 }
 
+/// A section container over payloads that live elsewhere (a spec, a
+/// factorization's tiles, a stored result): [`SectionWriter`]'s layout, but
+/// [`SectionList::write_to`] checksums the borrowed parts and hands them to
+/// the writer as one vectored write; [`SectionList::into_bytes`] is that
+/// write into a `Vec`.
+pub struct SectionList<'a> {
+    /// Header, section headers and payload pieces, in container order.
+    parts: Vec<Cow<'a, [u8]>>,
+    /// Bytes in `parts`.
+    len: usize,
+}
+
+impl<'a> SectionList<'a> {
+    /// Start a container with the given magic and version.
+    pub fn new(magic: [u8; 8], version: u32) -> Self {
+        Self { len: 12, parts: vec![Cow::Owned([&magic[..], &version.to_le_bytes()].concat())] }
+    }
+
+    /// Append one tagged section.
+    pub fn section(&mut self, tag: u32, payload: impl Into<Cow<'a, [u8]>>) -> &mut Self {
+        self.section_of(tag, [payload.into()])
+    }
+
+    /// Append one tagged section whose payload is `pieces`, in order.
+    pub fn section_of(
+        &mut self,
+        tag: u32,
+        pieces: impl IntoIterator<Item = Cow<'a, [u8]>>,
+    ) -> &mut Self {
+        let pieces: Vec<_> = pieces.into_iter().collect();
+        let n: usize = pieces.iter().map(|p| p.len()).sum();
+        self.parts.push(Cow::Owned([&tag.to_le_bytes()[..], &(n as u64).to_le_bytes()].concat()));
+        self.parts.extend(pieces);
+        self.len += 12 + n;
+        self
+    }
+
+    /// Bytes of the finished container, checksum trailer included.
+    pub fn encoded_len(&self) -> usize {
+        self.len + 8
+    }
+
+    /// Write the finished container to `w`, behind its `u64` little-endian
+    /// length when `framed` (the journal's and the protocol's framing).
+    pub fn write_to(&self, w: &mut impl Write, framed: bool) -> std::io::Result<()> {
+        let mut sum = Checksum64::new();
+        self.parts.iter().for_each(|p| sum.update(p));
+        let len = (self.encoded_len() as u64).to_le_bytes();
+        let prefix: &[u8] = if framed { &len } else { &[] };
+        let trailer = sum.finish().to_le_bytes();
+        let pieces = std::iter::once(prefix).chain(self.parts.iter().map(|p| &**p));
+        let mut slices: Vec<IoSlice<'_>> =
+            pieces.chain([&trailer[..]]).filter(|p| !p.is_empty()).map(IoSlice::new).collect();
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match w.write_vectored(rest) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The finished container as bytes — byte for byte what [`SectionWriter`]
+    /// builds from the same sections.
+    pub fn into_bytes(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut out, false).expect("writing into a Vec cannot fail");
+        out
+    }
+
+    /// Write the container to `path` with [`atomic_write`]'s discipline,
+    /// streamed from the parts.
+    pub fn write_atomic(&self, path: &Path) -> Result<(), BinFormatError> {
+        atomic_write_with(path, |f| self.write_to(f, false))
+    }
+}
+
+/// The little-endian bytes of `values` (bit-exact): borrowed in place on a
+/// little-endian target, so a [`SectionList`] can carry tiles uncopied.
+pub fn f64s_le(values: &[f64]) -> Cow<'_, [u8]> {
+    if cfg!(target_endian = "big") {
+        return Cow::Owned(bytes_of_f64s(values));
+    }
+    // SAFETY: the slice is exactly the memory of `values`, `f64` has no
+    // padding, and on a little-endian target those bytes are `to_le_bytes`.
+    Cow::Borrowed(unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast(), size_of_val(values))
+    })
+}
+
+/// [`tiled_to_bytes`] as [`SectionList`] pieces (the one statement of that
+/// layout): the shape words, then every tile in place.
+pub fn tiled_parts(m: &TiledMatrix) -> impl Iterator<Item = Cow<'_, [u8]>> {
+    let (mt, nt, b) = (m.mt(), m.nt(), m.b());
+    let shape = Cow::Owned(bytes_of_u64s(&[mt as u64, nt as u64, b as u64]));
+    let tiles = (0..nt).flat_map(move |j| (0..mt).map(move |i| f64s_le(m.tile(i, j))));
+    std::iter::once(shape).chain(tiles)
+}
+
 /// Write `bytes` to `path` with the full crash-consistency discipline every
 /// durable container in the workspace (checkpoints, queue persists, job
 /// journal compactions, result store) must follow:
@@ -475,17 +581,25 @@ impl SectionWriter {
 /// best-effort: some filesystems refuse `fsync` on a directory handle, and
 /// the rename is already durable there.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), BinFormatError> {
+    atomic_write_with(path, |f| f.write_all(bytes))
+}
+
+/// [`atomic_write`] of whatever `write` puts into the staging file.
+fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), BinFormatError> {
     let io_err = |p: &Path, e: std::io::Error| BinFormatError::Io {
         path: p.display().to_string(),
         message: e.to_string(),
     };
     let tmp = sibling_tmp_path(path);
-    let write_synced = |bytes: &[u8]| -> std::io::Result<()> {
+    let write_synced = || -> std::io::Result<()> {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        write(&mut f)?;
         f.sync_all()
     };
-    write_synced(bytes).map_err(|e| {
+    write_synced().map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         io_err(&tmp, e)
     })?;
@@ -687,15 +801,7 @@ pub fn f64s_of_bytes(tag: u32, bytes: &[u8]) -> Result<Vec<f64>, BinFormatError>
 /// tile order — bit-exact, so a checkpointed factorization resumes to
 /// bitwise-identical results.
 pub fn tiled_to_bytes(m: &TiledMatrix) -> Vec<u8> {
-    let (mt, nt, b) = (m.mt(), m.nt(), m.b());
-    let mut out = Vec::with_capacity(24 + mt * nt * b * b * 8);
-    out.extend_from_slice(&bytes_of_u64s(&[mt as u64, nt as u64, b as u64]));
-    for j in 0..nt {
-        for i in 0..mt {
-            extend_f64s_le(&mut out, m.tile(i, j));
-        }
-    }
-    out
+    tiled_parts(m).collect::<Vec<_>>().concat()
 }
 
 /// Deserialize a [`TiledMatrix`] from [`tiled_to_bytes`] payload bytes.
@@ -997,6 +1103,50 @@ mod tests {
             r.f64s_into(6, &mut back),
             Err(BinFormatError::MissingSection { tag: 6 })
         ));
+    }
+
+    /// A writer that takes at most `step` bytes a call, so every vectored
+    /// write is cut somewhere inside a slice.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn section_list_writes_what_section_writer_builds() {
+        let m = TiledMatrix::random(3, 2, 4, 5);
+        let words = bytes_of_u64s(&[3, 5, 7]);
+        let mut old = SectionWriter::new(MAGIC, 1);
+        old.section(1, &words).section(3, b"").section(7, &tiled_to_bytes(&m));
+        let old = old.into_bytes();
+        let mut list = SectionList::new(MAGIC, 1);
+        list.section(1, words.clone()).section(3, &b""[..]).section_of(7, tiled_parts(&m));
+        assert_eq!(list.encoded_len(), old.len());
+        for step in [1, 7, 8, 13, 64, usize::MAX] {
+            let mut framed = Trickle { out: Vec::new(), step };
+            list.write_to(&mut framed, true).unwrap();
+            assert_eq!(framed.out[..8], (old.len() as u64).to_le_bytes(), "step {step}");
+            assert_eq!(framed.out[8..], old[..], "step {step}");
+        }
+        let path = std::env::temp_dir().join(format!("hqr_io_list_{}.bin", std::process::id()));
+        list.write_atomic(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(list.into_bytes(), old);
+        let values = tile_f64s(3);
+        assert_eq!(f64s_le(&values)[..], bytes_of_f64s(&values)[..]);
     }
 
     #[test]
