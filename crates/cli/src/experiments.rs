@@ -15,10 +15,17 @@ const STUDIES: [&str; 9] =
 const TOLERANCE: f64 = 1.10;
 
 /// `hqr experiments <study> [--quick] [--gate]`: the one subcommand with a
-/// positional, the study's name, which comes first.
+/// positional, the study's name — the argument that is not a flag, so flags
+/// may come before or after it (every flag here is boolean, none takes a
+/// value).
 pub fn experiments(argv: &[String]) -> Result<i32, CliError> {
-    let study = argv.first().map_or("", String::as_str);
-    let args = Args::parse(argv.get(1..).unwrap_or_default());
+    let (flags, names): (Vec<String>, Vec<String>) =
+        argv.iter().cloned().partition(|a| a.starts_with("--"));
+    if let Some(extra) = names.get(1) {
+        return Err(CliError::usage(format!("unexpected argument `{extra}`")));
+    }
+    let study = names.first().map_or("", String::as_str);
+    let args = Args::parse(&flags);
     let (quick, gate) = (args.flag("quick"), args.flag("gate"));
     args.reject_unknown()?;
     let names = match study {

@@ -319,6 +319,25 @@ fn experiments_prints_studies_and_names_them_when_asked_for_another() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The study is the first argument that is not a flag: `--quick fig8` is
+/// `fig8 --quick`, not `--quick` set to `fig8`.
+#[test]
+fn experiments_takes_flags_before_or_after_the_study() {
+    let dir = scratch("experiments_order");
+    let (code, after, err) = run_in(&dir, &["experiments", "fig8", "--quick"]);
+    assert_eq!(code, 0, "{err}");
+    let (code, before, err) = run_in(&dir, &["experiments", "--quick", "fig8"]);
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(before, after);
+    let (code, _, err) = run_in(&dir, &["experiments", "--quick", "fig8", "fig9"]);
+    assert_eq!(code, 2, "a second study is a stray argument");
+    assert!(err.contains("unexpected argument `fig9`"), "{err}");
+    let (code, _, err) = run_in(&dir, &["experiments", "--quick"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("unknown study ``"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn trace_exec_records_sdc_instants() {
     let out_path = std::env::temp_dir().join("hqr_bin_sdc.trace.json");

@@ -7,7 +7,7 @@
 //! transport instead of the paper's quoted InfiniBand figures.
 
 use crate::error::NetError;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame_into, write_frame};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::thread;
@@ -75,14 +75,10 @@ pub fn measure_loopback(sizes: &[usize], reps: usize) -> Result<Calibration, Net
     let echo = thread::spawn(move || {
         if let Ok((mut s, _)) = listener.accept() {
             let _ = s.set_nodelay(true);
-            loop {
-                match read_frame(&mut s, "echo", Duration::ZERO) {
-                    Ok(p) => {
-                        if write_frame(&mut s, &p).is_err() || p.is_empty() {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
+            let mut p = Vec::new();
+            while read_frame_into(&mut s, &mut p, "echo", Duration::ZERO).is_ok() {
+                if write_frame(&mut s, &p).is_err() || p.is_empty() {
+                    return;
                 }
             }
         }
@@ -93,14 +89,14 @@ pub fn measure_loopback(sizes: &[usize], reps: usize) -> Result<Calibration, Net
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(|e| NetError::Io(e.to_string()))?;
-    let mut samples = Vec::with_capacity(sizes.len());
+    let (mut samples, mut back) = (Vec::with_capacity(sizes.len()), Vec::new());
     for &size in sizes {
         let payload = vec![0x5Au8; size.max(1)];
         let mut best = f64::INFINITY;
         for _ in 0..reps.max(1) {
             let t0 = Instant::now();
             write_frame(&mut stream, &payload)?;
-            let back = read_frame(&mut stream, "echo reply", Duration::from_secs(10))?;
+            read_frame_into(&mut stream, &mut back, "echo reply", Duration::from_secs(10))?;
             let rtt = t0.elapsed().as_secs_f64();
             if back.len() != payload.len() {
                 return Err(NetError::Proto("echo length mismatch".into()));
@@ -111,7 +107,7 @@ pub fn measure_loopback(sizes: &[usize], reps: usize) -> Result<Calibration, Net
     }
     // Empty frame tells the echo thread to stop after echoing.
     let _ = write_frame(&mut stream, &[]);
-    let _ = read_frame(&mut stream, "final echo", Duration::from_secs(2));
+    let _ = read_frame_into(&mut stream, &mut back, "final echo", Duration::from_secs(2));
     let _ = stream.flush();
     let _ = echo.join();
     Ok(Calibration::fit(samples))

@@ -28,9 +28,9 @@
 
 use crate::error::NetError;
 use crate::fault::{FaultAction, NetFaultPlan};
-use crate::frame::{dial, write_frame};
+use crate::frame::{dial, read_frame_into, write_list};
 use crate::kernel::Slot;
-use crate::msg::{encode_put, recv_msg, send_msg, Msg};
+use crate::msg::{decode_borrowed, decode_tile, put_frame, recv_msg, send_msg, Msg};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::{
     last_writers, rebuild_closure, recompute_slots, RetryPolicy, TFactors, Task, TaskGraph,
@@ -246,17 +246,17 @@ impl Shared {
         }
     }
 
-    /// Stream `tiles` to `worker` as unacknowledged `Put`s, encoded from
-    /// where they live, closed by one acknowledged `Ping`. A connection is
-    /// served in order, so the ack says every tile is installed; a stream
-    /// whose connection broke is sent again whole.
+    /// Stream `tiles` to `worker` as unacknowledged `Put`s, written from
+    /// where they live without a copy, closed by one acknowledged `Ping`. A
+    /// connection is served in order, so the ack says every tile is
+    /// installed; a stream whose connection broke is sent again whole.
     fn put_all<'a>(
         &self,
         worker: usize,
         tiles: impl Iterator<Item = (Slot, &'a [f64])> + Clone,
     ) -> Result<(), NetError> {
         self.retrying(worker, "tile stream", |s, timeout| {
-            tiles.clone().try_for_each(|(slot, data)| write_frame(s, &encode_put(slot, data)))?;
+            tiles.clone().try_for_each(|(slot, data)| write_list(s, &put_frame(slot, data)))?;
             match rpc(s, timeout, &Msg::Ping, "tile stream ack")? {
                 Msg::Ok => Ok(()),
                 m => Err(NetError::Proto(format!("tile stream ack: got {m:?}"))),
@@ -379,8 +379,14 @@ impl CoordState<'_> {
         self.count_frames(tiles, tiles * (graph.b() * graph.b()) as u64, true);
         let mut doomed: Vec<(usize, String)> = Vec::new();
         self.restart(&mut doomed)?;
-        // The result's storage, made while the workers compute.
-        let out = (input.clone(), TFactors::allocate_for(graph), HashSet::new());
+        // The result's storage, made while the workers compute. The gather
+        // fills every tile some task writes, so only the others are copied.
+        let written: HashSet<Slot> = graph.tasks().iter().flat_map(Task::writes).collect();
+        let mut a = TiledMatrix::zeros(graph.mt(), graph.nt(), graph.b());
+        for (i, j) in coords.filter(|&(i, j)| !written.contains(&(SlotFamily::A, i, j))) {
+            a.tile_mut(i, j).copy_from_slice(input.tile(i, j));
+        }
+        let out = (a, TFactors::allocate_for(graph), HashSet::new());
 
         let mut last_progress = Instant::now();
         while self.done_count < self.report.tasks_total {
@@ -524,8 +530,10 @@ impl CoordState<'_> {
     }
 
     /// Gather: every live worker streams the slots whose last writer it owns
-    /// straight into `out`, all workers at once; anything that does not
-    /// arrive is rebuilt locally from lineage, as in recovery.
+    /// straight into `out`, all workers at once: each stream's frames are
+    /// read into one buffer and every tile is decoded from it into its place
+    /// in the result. Anything that does not arrive is rebuilt locally from
+    /// lineage, as in recovery.
     fn gather(
         &mut self,
         out: Mutex<(TiledMatrix, TFactors, HashSet<Slot>)>,
@@ -535,12 +543,14 @@ impl CoordState<'_> {
         let streamed = shared.fan_out(|w| {
             shared.retrying(w, "gather stream", |s, timeout| {
                 send_msg(s, &ask)?;
+                let mut frame = Vec::new();
                 loop {
-                    match recv_msg(s, "gather stream", timeout)? {
+                    read_frame_into(s, &mut frame, "gather stream", timeout)?;
+                    match decode_borrowed(&frame)? {
                         Msg::Put { slot, data } => {
                             let mut out = out.lock().expect("gather lock");
                             let (a, f, seen) = &mut *out;
-                            install_slot(a, f, slot, &data)?;
+                            decode_tile(data, home(a, f, slot, data.len() / 8)?)?;
                             seen.insert(slot);
                         }
                         Msg::End { pushes, push_floats } => return Ok((pushes, push_floats)),
@@ -561,7 +571,7 @@ impl CoordState<'_> {
             let closure = rebuild_closure(graph, &self.completed, &unreachable);
             let rebuilt = recompute_slots(graph, self.input, self.ib, &closure, &unreachable);
             for (slot, data) in rebuilt.map_err(NetError::Recovery)? {
-                install_slot(&mut result, &mut factors, slot, &data)?;
+                home(&mut result, &mut factors, slot, data.len())?.copy_from_slice(&data);
             }
         }
         Ok((result, factors))
@@ -636,21 +646,19 @@ pub fn factorize(
     Ok((result, factors, st.report))
 }
 
-fn install_slot(
-    a: &mut TiledMatrix,
-    f: &mut TFactors,
+/// Where a gathered slot of `n` doubles goes in the result.
+fn home<'r>(
+    a: &'r mut TiledMatrix,
+    f: &'r mut TFactors,
     (fam, i, j): Slot,
-    data: &[f64],
-) -> Result<(), NetError> {
+    n: usize,
+) -> Result<&'r mut [f64], NetError> {
     let dst: Option<&mut [f64]> = match fam {
         SlotFamily::A if i < a.mt() && j < a.nt() => Some(a.tile_mut(i, j)),
         _ => f.slot_mut(fam, i, j),
     };
-    let n = data.len();
     let homeless = || format!("gathered {fam:?}({i},{j}) of {n} floats has no home in the result");
-    let dst = dst.filter(|dst| dst.len() == n).ok_or_else(|| NetError::Recovery(homeless()))?;
-    dst.copy_from_slice(data);
-    Ok(())
+    dst.filter(|dst| dst.len() == n).ok_or_else(|| NetError::Recovery(homeless()))
 }
 
 /// Orderly shutdown of a fleet; dead workers are skipped silently.

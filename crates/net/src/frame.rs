@@ -7,7 +7,8 @@
 //! allocator, and short reads surface as typed errors.
 
 use crate::error::NetError;
-use std::io::{Read, Write};
+use hqr_tile::io::SectionList;
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -26,17 +27,45 @@ pub(crate) fn dial(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, Net
     Ok(s)
 }
 
-/// Write one frame. Flushes, so the peer's blocking read returns.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
-    if payload.len() as u64 > MAX_FRAME {
-        return Err(NetError::FrameTooLarge { declared: payload.len() as u64, cap: MAX_FRAME });
+fn check_len(len: u64) -> Result<(), NetError> {
+    if len > MAX_FRAME {
+        return Err(NetError::FrameTooLarge { declared: len, cap: MAX_FRAME });
     }
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf).map_err(|e| NetError::from_io(e, "frame write", Duration::ZERO))?;
-    w.flush().map_err(|e| NetError::from_io(e, "frame flush", Duration::ZERO))?;
     Ok(())
+}
+
+fn flush(w: &mut impl Write, written: std::io::Result<()>) -> Result<(), NetError> {
+    written.map_err(|e| NetError::from_io(e, "frame write", Duration::ZERO))?;
+    w.flush().map_err(|e| NetError::from_io(e, "frame flush", Duration::ZERO))
+}
+
+/// Write one frame: the length and the payload as one vectored write, with
+/// no staging copy. Flushes, so the peer's blocking read returns.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
+    check_len(payload.len() as u64)?;
+    let len = (payload.len() as u64).to_le_bytes();
+    let written = write_all_vectored(w, &mut [IoSlice::new(&len), IoSlice::new(payload)]);
+    flush(w, written)
+}
+
+fn write_all_vectored(w: &mut impl Write, mut rest: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Write `list` as one frame, its borrowed parts handed to the writer
+/// uncopied (see [`SectionList::write_to`]).
+pub(crate) fn write_list(w: &mut impl Write, list: &SectionList<'_>) -> Result<(), NetError> {
+    check_len(list.encoded_len() as u64)?;
+    let written = list.write_to(w, true);
+    flush(w, written)
 }
 
 /// Read one frame under the caller-configured socket deadline.
@@ -45,15 +74,27 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
 /// `deadline` is reported in the error, the enforcement is the socket's
 /// own read timeout.
 pub fn read_frame(r: &mut impl Read, what: &str, deadline: Duration) -> Result<Vec<u8>, NetError> {
+    let mut payload = Vec::new();
+    read_frame_into(r, &mut payload, what, deadline)?;
+    Ok(payload)
+}
+
+/// [`read_frame`] into `buf`, which a connection keeps across frames: once
+/// it has grown to the largest frame seen, reading a frame allocates and
+/// zero-fills nothing. On error `buf` holds no frame.
+pub(crate) fn read_frame_into(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+    what: &str,
+    deadline: Duration,
+) -> Result<(), NetError> {
     let mut len_bytes = [0u8; 8];
     read_exact(r, &mut len_bytes, what, deadline)?;
     let len = u64::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(NetError::FrameTooLarge { declared: len, cap: MAX_FRAME });
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact(r, &mut payload, what, deadline)?;
-    Ok(payload)
+    check_len(len)?;
+    // Only growth is zero-filled; the read overwrites all of it.
+    buf.resize(len as usize, 0);
+    read_exact(r, buf, what, deadline)
 }
 
 fn read_exact(
@@ -136,5 +177,66 @@ mod tests {
         let err = write_frame(&mut sink, &big).unwrap_err();
         assert!(matches!(err, NetError::FrameTooLarge { .. }));
         assert_eq!(sink.0, 0, "nothing may hit the wire");
+    }
+
+    /// A writer that takes one byte per call, and with `interrupt` fails
+    /// every other call with `Interrupted`; with `zero` it accepts nothing.
+    #[derive(Default)]
+    struct Stingy {
+        out: Vec<u8>,
+        calls: usize,
+        interrupt: bool,
+        zero: bool,
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls.is_multiple_of(2) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = if self.zero { 0 } else { b.len().min(1) };
+            self.out.extend_from_slice(&b[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_frames_survive_short_and_interrupted_writes_byte_for_byte() {
+        for payload in [&b""[..], b"x", b"a payload of some length"] {
+            // What the staging writer produced: the length word, then the payload.
+            let staged = [&(payload.len() as u64).to_le_bytes()[..], payload].concat();
+            for interrupt in [false, true] {
+                let mut w = Stingy { interrupt, ..Stingy::default() };
+                write_frame(&mut w, payload).unwrap();
+                assert_eq!(w.out, staged, "interrupt={interrupt}");
+            }
+        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello").unwrap();
+        assert_eq!(wire, [&5u64.to_le_bytes()[..], b"hello"].concat());
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_a_typed_error() {
+        let mut w = Stingy { zero: true, ..Stingy::default() };
+        let err = write_frame(&mut w, b"payload").unwrap_err();
+        assert!(matches!(&err, NetError::Io(m) if m.contains("frame write")), "{err}");
+    }
+
+    #[test]
+    fn a_reused_read_buffer_holds_exactly_each_frame() {
+        let mut wire = Vec::new();
+        for payload in [&b"a longer first frame"[..], b"short", b"", b"middling"] {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        let (mut r, mut buf) = (wire.as_slice(), Vec::new());
+        for payload in [&b"a longer first frame"[..], b"short", b"", b"middling"] {
+            read_frame_into(&mut r, &mut buf, "t", Duration::ZERO).unwrap();
+            assert_eq!(buf, payload);
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! code: no raw pointers, no aliasing argument to make.
 
 use crate::error::NetError;
+use crate::pool::TilePool;
 use hqr_kernels::{run_kernel, Trans};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Task;
@@ -25,10 +26,17 @@ pub use hqr_runtime::Slot;
 pub type Shard = Mutex<HashMap<Slot, Box<[f64]>>>;
 
 /// Execute `t` against `shard`. Factor-family *write* slots are created
-/// zero-filled on demand (matching `TFactors::allocate_for`); a missing
-/// `A`-family operand is a typed error — an input was never staged or
-/// pushed. On error the map holds every buffer it held before.
-pub fn run_task_on_map(shard: &Shard, t: &Task, b: usize, ib: usize) -> Result<(), NetError> {
+/// zero-filled on demand (matching `TFactors::allocate_for`) from buffers
+/// `pool` recycles; a missing `A`-family operand is a typed error — an
+/// input was never staged or pushed. On error the map holds every buffer it
+/// held before.
+pub(crate) fn run_task_on_map(
+    shard: &Shard,
+    pool: &TilePool,
+    t: &Task,
+    b: usize,
+    ib: usize,
+) -> Result<(), NetError> {
     // Take the operands out of the map as owned buffers: writes first,
     // then reads (a task's read and write slots are pairwise distinct).
     let (writes, reads) = (t.writes(), t.reads());
@@ -39,7 +47,7 @@ pub fn run_task_on_map(shard: &Shard, t: &Task, b: usize, ib: usize) -> Result<(
         // Factor outputs start life zeroed, exactly as
         // TFactors::allocate_for zero-fills them.
         let output = n < writes.len() && s.0 != SlotFamily::A;
-        let zeroed = || output.then(|| vec![0.0; b * b].into_boxed_slice());
+        let zeroed = || output.then(|| pool.zeroed(b * b));
         let buf = slots.remove(s).or_else(zeroed);
         let fits = buf.as_ref().is_some_and(|buf| buf.len() == b * b);
         held.extend(buf.map(|buf| (*s, buf)));
@@ -96,7 +104,7 @@ mod tests {
             }
             let shard = Mutex::new(slots);
             for t in g.tasks() {
-                run_task_on_map(&shard, t, b, ib).unwrap();
+                run_task_on_map(&shard, &TilePool::default(), t, b, ib).unwrap();
             }
             let slots = shard.into_inner().unwrap();
             for j in 0..nt {
@@ -131,7 +139,7 @@ mod tests {
     fn missing_a_operand_is_a_typed_error_and_map_unchanged() {
         let shard = Shard::default();
         let t = Task::geqrt(0, 0);
-        let err = run_task_on_map(&shard, &t, 4, 4).unwrap_err();
+        let err = run_task_on_map(&shard, &TilePool::default(), &t, 4, 4).unwrap_err();
         assert!(matches!(err, NetError::Remote(_)), "{err}");
         assert!(shard.lock().unwrap().is_empty());
     }
@@ -140,7 +148,8 @@ mod tests {
     fn wrong_sized_slot_rejected() {
         let shard = Shard::default();
         shard.lock().unwrap().insert((SlotFamily::A, 0, 0), vec![0.0; 5].into_boxed_slice());
-        let err = run_task_on_map(&shard, &Task::geqrt(0, 0), 4, 4).unwrap_err();
+        let err =
+            run_task_on_map(&shard, &TilePool::default(), &Task::geqrt(0, 0), 4, 4).unwrap_err();
         assert!(matches!(err, NetError::Remote(_)), "{err}");
         assert_eq!(shard.lock().unwrap().len(), 1, "buffer must be reinserted");
     }

@@ -32,6 +32,7 @@ pub mod fault;
 pub mod frame;
 pub mod kernel;
 pub mod msg;
+mod pool;
 pub mod worker;
 
 pub use calib::{measure_loopback, CalibSample, Calibration};
@@ -39,5 +40,5 @@ pub use coord::{factorize, shutdown_workers, DistConfig, DistReport, RecoveryEve
 pub use error::NetError;
 pub use fault::{FaultAction, NetFaultPlan};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
-pub use msg::{recv_msg, send_msg, Msg, SlotBuf, NET_MAGIC, NET_VERSION};
+pub use msg::{recv_msg, send_msg, Msg, NET_MAGIC, NET_VERSION};
 pub use worker::{serve, shutdown, spawn_local, LocalWorker, WorkerOptions};

@@ -10,21 +10,27 @@
 //! then fixed fields), two word lists, a text and tile buffers — so there
 //! is one encoder and one decoder under all of them.
 //!
-//! A tile crosses each hop in three passes over its bytes: the sender
-//! encodes it straight from the buffer it lives in (the coordinator's
-//! input matrix, a worker's shard) into the frame, the trailer is the
-//! memory-speed word-parallel `checksum64`, and the receiver verifies it
-//! and decodes the payload once. Version 3 is the owner-computes protocol;
-//! a version-2 peer (the per-task relay) is refused as `UnsupportedVersion`
-//! before any checksum is compared.
+//! Passes over a tile's bytes per hop, none into fresh memory. The sender
+//! makes two on a scatter or a recovery placement — the `checksum64`
+//! trailer and the socket write, straight from the coordinator's matrix —
+//! and three on a push or a gather, whose bytes must leave the shard lock
+//! first: the encode into the sender's reused frame buffer, the checksum,
+//! the write. The receiver makes three: the socket read into the
+//! connection's reused buffer, the checksum verification, and the decode
+//! into a buffer from the worker's pool, or straight into the coordinator's
+//! result. Version 3 is the owner-computes protocol; a version-2 peer (the
+//! per-task relay) is refused as `UnsupportedVersion` before any checksum
+//! is compared.
 
 use crate::error::NetError;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame_into, write_frame};
 use crate::kernel::Slot;
 use hqr_kernels::KernelKind;
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Task;
-use hqr_tile::io::{bytes_of_u64s, f64s_of_bytes, u64s_of_bytes, SectionReader, SectionWriter};
+use hqr_tile::io::{
+    bytes_of_u64s, f64s_from_le, f64s_le, u64s_of_bytes, SectionList, SectionReader,
+};
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -56,12 +62,11 @@ const KIND_PING: u64 = 10;
 const KIND_SHUTDOWN: u64 = 11;
 const KIND_ERR: u64 = 12;
 
-/// One slot's coordinate and its `b*b` buffer.
-pub type SlotBuf = (Slot, Vec<f64>);
-
-/// One protocol message.
+/// One protocol message. `T` is how a tile buffer is held: owned doubles
+/// (the default, what [`Msg::decode`] returns), or, on the data plane, the
+/// little-endian bytes still in the frame ([`Msg::decode_with`]).
 #[derive(Clone, Debug, PartialEq)]
-pub enum Msg {
+pub enum Msg<T = Vec<f64>> {
     /// Coordinator introduces run `run_id` to a worker (one at a time).
     /// `dims` is `[mt, nt, b, ib, p, q, me]`: `mt x nt` tiles of `b x b`,
     /// inner block `ib` (`ib == b` selects unblocked kernels), a `p x q`
@@ -76,7 +81,7 @@ pub enum Msg {
     /// scatter and a recovery's placements stream these to a worker (the
     /// acknowledged `Ping` that closes the stream is the barrier), the
     /// gather streams them back.
-    Put { slot: Slot, data: Vec<f64> },
+    Put { slot: Slot, data: T },
     /// Begin (or, after a worker loss, resume) executing owned tasks:
     /// `owners` maps grid rank → worker index, `completed` lists the tasks
     /// that count as done, whoever ran them. `epoch` is 1 at first and
@@ -85,7 +90,7 @@ pub enum Msg {
     /// Worker → worker, unacknowledged: `task_id` (the dedup key) finished
     /// on the sender in `epoch`, and `slots` are the slots it wrote that the
     /// receiver's tasks touch. A push of another run or epoch is ignored.
-    Push { run_id: u64, epoch: u64, task_id: u64, slots: Vec<SlotBuf> },
+    Push { run_id: u64, epoch: u64, task_id: u64, slots: Vec<(Slot, T)> },
     /// Cursor read of the tasks this worker ran, past the first `after`.
     /// With `halt`, the worker first stops at the next task boundary (and
     /// ignores pushes until the next `Start`). Idempotent.
@@ -135,29 +140,72 @@ fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, NetError> {
     T::try_from(v).map_err(|_| NetError::Proto(format!("{what} {v} out of range")))
 }
 
-/// The one encoder. Tile buffers are borrowed, so a hot path encodes from
-/// where the tile lives without an owned copy in between.
-fn encode(head: &[u64], a: &[u64], b: &[u64], text: &str, tiles: &[(Slot, &[f64])]) -> Vec<u8> {
+/// The one encoder. Tile buffers are borrowed, not copied: the container
+/// is written from where each tile lives ([`crate::frame::write_list`]).
+fn sections<'a>(
+    head: &[u64],
+    a: &[u64],
+    b: &[u64],
+    text: &str,
+    tiles: &[(Slot, &'a [f64])],
+) -> SectionList<'a> {
     let coord = |&((fam, i, j), _): &(Slot, _)| [code_of(&FAMILIES, &fam), i as u64, j as u64];
     let coords: Vec<u64> = tiles.iter().flat_map(coord).collect();
-    let mut w = SectionWriter::new(NET_MAGIC, NET_VERSION);
-    w.section(TAG_HEAD, &bytes_of_u64s(head)).section(TAG_LIST_A, &bytes_of_u64s(a));
-    w.section(TAG_LIST_B, &bytes_of_u64s(b)).section(TAG_TEXT, text.as_bytes());
-    w.section(TAG_COORDS, &bytes_of_u64s(&coords));
+    let mut w = SectionList::new(NET_MAGIC, NET_VERSION);
+    w.section(TAG_HEAD, bytes_of_u64s(head)).section(TAG_LIST_A, bytes_of_u64s(a));
+    w.section(TAG_LIST_B, bytes_of_u64s(b)).section(TAG_TEXT, text.as_bytes().to_vec());
+    w.section(TAG_COORDS, bytes_of_u64s(&coords));
     for (n, (_, data)) in tiles.iter().enumerate() {
-        w.section_f64s(TAG_DATA + n as u32, data);
+        w.section(TAG_DATA + n as u32, f64s_le(data));
     }
-    w.into_bytes()
+    w
+}
+
+fn encode(head: &[u64], a: &[u64], b: &[u64], text: &str, tiles: &[(Slot, &[f64])]) -> Vec<u8> {
+    sections(head, a, b, text, tiles).into_bytes()
+}
+
+/// [`Msg::Put`] over the buffer the tile lives in.
+pub(crate) fn put_frame(slot: Slot, data: &[f64]) -> SectionList<'_> {
+    sections(&[KIND_PUT], &[], &[], "", &[(slot, data)])
+}
+
+/// [`Msg::Push`] over the shard's buffers.
+pub(crate) fn push_frame<'a>(
+    run_id: u64,
+    epoch: u64,
+    task_id: u64,
+    slots: &[(Slot, &'a [f64])],
+) -> SectionList<'a> {
+    sections(&[KIND_PUSH, run_id, epoch, task_id], &[], &[], "", slots)
 }
 
 /// [`Msg::Put`] straight from the buffer the tile lives in.
 pub fn encode_put(slot: Slot, data: &[f64]) -> Vec<u8> {
-    encode(&[KIND_PUT], &[], &[], "", &[(slot, data)])
+    put_frame(slot, data).into_bytes()
 }
 
 /// [`Msg::Push`] straight from the shard's buffers.
 pub fn encode_push(run_id: u64, epoch: u64, task_id: u64, slots: &[(Slot, &[f64])]) -> Vec<u8> {
-    encode(&[KIND_PUSH, run_id, epoch, task_id], &[], &[], "", slots)
+    push_frame(run_id, epoch, task_id, slots).into_bytes()
+}
+
+/// Encode `frame` into `buf`, replacing what it held: a sender that must
+/// release the shard lock before it writes keeps one such buffer.
+pub(crate) fn encode_into(buf: &mut Vec<u8>, frame: &SectionList<'_>) {
+    buf.clear();
+    frame.write_to(buf, false).expect("writing into a Vec cannot fail");
+}
+
+/// A data-plane message: its tiles are their bytes in the frame buffer.
+pub(crate) fn decode_borrowed(bytes: &[u8]) -> Result<Msg<&[u8]>, NetError> {
+    Msg::decode_with(bytes, |_, raw| Ok(raw))
+}
+
+/// Decode a tile of a [`decode_borrowed`] message into `dst`, which must
+/// be exactly its size.
+pub(crate) fn decode_tile(raw: &[u8], dst: &mut [f64]) -> Result<(), NetError> {
+    Ok(f64s_from_le(TAG_DATA, raw, dst)?)
 }
 
 impl Msg {
@@ -197,6 +245,22 @@ impl Msg {
 
     /// Decode a container, validating checksum and structure throughout.
     pub fn decode(bytes: Vec<u8>) -> Result<Msg, NetError> {
+        Msg::decode_with(&bytes, |tag, raw| {
+            let mut data = crate::pool::fresh(raw.len() / 8).into_vec();
+            f64s_from_le(tag, raw, &mut data)?;
+            Ok(data)
+        })
+    }
+}
+
+impl<T> Msg<T> {
+    /// [`Msg::decode`] over borrowed bytes: each tile of a `Put` or `Push`
+    /// is made by `tile(tag, section bytes)`, after every other field has
+    /// been checked; the tiles of any other kind are not looked at.
+    pub fn decode_with<'a>(
+        bytes: &'a [u8],
+        mut tile: impl FnMut(u32, &'a [u8]) -> Result<T, NetError>,
+    ) -> Result<Msg<T>, NetError> {
         let r = SectionReader::from_bytes(bytes, NET_MAGIC, NET_VERSION)?;
         let words =
             |tag: u32| -> Result<Vec<u64>, NetError> { Ok(u64s_of_bytes(tag, r.require(tag)?)?) };
@@ -212,8 +276,11 @@ impl Msg {
             let fam = of_code(&FAMILIES, fam, "slot family")?;
             let slot: Slot = (fam, narrow(i, "tile row")?, narrow(j, "tile column")?);
             let tag = TAG_DATA + narrow::<u32>(n as u64, "tile count")?;
-            tiles.push((slot, f64s_of_bytes(tag, r.require(tag)?)?));
+            tiles.push((slot, tag, r.require_borrowed(tag)?));
         }
+        let mut decoded = || -> Result<Vec<(Slot, T)>, NetError> {
+            tiles.iter().map(|&(slot, tag, raw)| Ok((slot, tile(tag, raw)?))).collect()
+        };
         Ok(match h(0)? {
             KIND_HELLO => Msg::Hello {
                 run_id: h(1)?,
@@ -231,12 +298,15 @@ impl Msg {
                     .collect::<Result<_, NetError>>()?,
             },
             KIND_OK => Msg::Ok,
-            KIND_PUT => match (tiles.pop(), tiles.is_empty()) {
-                (Some((slot, data)), true) => Msg::Put { slot, data },
-                _ => return Err(NetError::Proto("a put carries exactly one slot".into())),
-            },
+            KIND_PUT if tiles.len() == 1 => {
+                let (slot, data) = decoded()?.pop().expect("one slot");
+                Msg::Put { slot, data }
+            }
+            KIND_PUT => return Err(NetError::Proto("a put carries exactly one slot".into())),
             KIND_START => Msg::Start { run_id: h(1)?, epoch: h(2)?, owners: a, completed: b },
-            KIND_PUSH => Msg::Push { run_id: h(1)?, epoch: h(2)?, task_id: h(3)?, slots: tiles },
+            KIND_PUSH => {
+                Msg::Push { run_id: h(1)?, epoch: h(2)?, task_id: h(3)?, slots: decoded()? }
+            }
             KIND_COMPLETED => Msg::Completed { run_id: h(1)?, after: h(2)?, halt: h(3)? != 0 },
             KIND_PROGRESS => Msg::Progress { ids: a, accepted: b },
             KIND_GATHER => Msg::Gather { run_id: h(1)? },
@@ -256,12 +326,15 @@ pub fn send_msg(w: &mut impl Write, msg: &Msg) -> Result<(), NetError> {
 
 /// Receive one message under the socket's configured read deadline.
 pub fn recv_msg(r: &mut impl Read, what: &str, deadline: Duration) -> Result<Msg, NetError> {
-    Msg::decode(read_frame(r, what, deadline)?)
+    let mut frame = Vec::new();
+    read_frame_into(r, &mut frame, what, deadline)?;
+    Msg::decode(frame)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqr_tile::io::SectionWriter;
 
     fn samples() -> Vec<Msg> {
         let slot = |fam, i, j, x: f64, n| ((fam, i, j), vec![x; n]);

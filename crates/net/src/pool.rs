@@ -1,0 +1,102 @@
+//! A worker's recycled tile buffers.
+//!
+//! Every tile a worker holds is a `b*b` `Box<[f64]>`. Without a pool each
+//! received tile, each zero-filled factor output and each shard after a
+//! `Hello` is fresh memory the kernel has to fault in page by page; with
+//! it, a buffer that leaves the shard (overwritten by a `Put` or a `Push`,
+//! or the previous run's shard) is handed to the next tile that arrives.
+//! The pool lives in the worker's state, not in a run, so it survives runs,
+//! and it never holds more buffers than the largest shard the worker has
+//! held, so it does not raise the worker's peak memory. This is the one
+//! place a tile buffer is allocated.
+
+use std::sync::Mutex;
+
+/// Free `b*b` buffers; a leaf lock (nothing is locked while it is held).
+#[derive(Default)]
+pub(crate) struct TilePool(Mutex<Free>);
+
+#[derive(Default)]
+struct Free {
+    bufs: Vec<Box<[f64]>>,
+    /// The largest shard the worker has held: the most `bufs` may hold.
+    cap: usize,
+    /// The most `bufs` ever held.
+    #[cfg(test)]
+    peak: usize,
+}
+
+/// A new zero-filled buffer of `n` doubles.
+pub(crate) fn fresh(n: usize) -> Box<[f64]> {
+    vec![0.0; n].into_boxed_slice()
+}
+
+impl TilePool {
+    fn free(&self) -> std::sync::MutexGuard<'_, Free> {
+        self.0.lock().expect("pool lock: a holder panicked")
+    }
+
+    /// A buffer of `n` doubles with unspecified contents: the caller
+    /// overwrites all of it. Buffers of another length (a previous run's
+    /// tile size) are dropped on the way.
+    pub(crate) fn take(&self, n: usize) -> Box<[f64]> {
+        let reused = {
+            let mut free = self.free();
+            let top = free.bufs.pop();
+            if top.as_ref().is_some_and(|buf| buf.len() != n) {
+                free.bufs.clear();
+            }
+            top.filter(|buf| buf.len() == n)
+        };
+        reused.unwrap_or_else(|| fresh(n))
+    }
+
+    /// [`TilePool::take`], zero-filled.
+    pub(crate) fn zeroed(&self, n: usize) -> Box<[f64]> {
+        let mut buf = self.take(n);
+        buf.fill(0.0);
+        buf
+    }
+
+    /// Return buffers that left a shard of `held` slots (0 when they never
+    /// entered one); what does not fit under the cap is freed.
+    pub(crate) fn give(&self, bufs: impl IntoIterator<Item = Box<[f64]>>, held: usize) {
+        let mut free = self.free();
+        free.cap = free.cap.max(held);
+        let room = free.cap.saturating_sub(free.bufs.len());
+        free.bufs.extend(bufs.into_iter().take(room));
+        #[cfg(test)]
+        {
+            free.peak = free.peak.max(free.bufs.len());
+        }
+    }
+
+    /// The most buffers the pool has held at once.
+    #[cfg(test)]
+    pub(crate) fn peak(&self) -> usize {
+        self.free().peak
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn holds_no_more_than_the_largest_shard_and_drops_other_sizes() {
+        let pool = TilePool::default();
+        pool.give((0..5).map(|_| fresh(4)), 3);
+        assert_eq!(pool.peak(), 3, "capped at the shard the buffers came from");
+        let buf = pool.take(4);
+        assert_eq!(buf.len(), 4);
+        pool.give([buf], 0);
+        assert_eq!(pool.peak(), 3, "a buffer that never entered a shard raises no cap");
+        let mut dirty = pool.take(4);
+        dirty.fill(7.0);
+        pool.give([dirty], 3);
+        assert!(pool.zeroed(4).iter().all(|&x| x == 0.0));
+        // A run with another tile size: the old buffers go, the new one is fresh.
+        assert_eq!(pool.take(9).len(), 9);
+        assert_eq!(pool.take(4).len(), 4);
+    }
+}

@@ -28,9 +28,12 @@
 //! the worker severs every connection and stops serving.
 
 use crate::error::NetError;
-use crate::frame::{dial, write_frame};
+use crate::frame::{dial, read_frame_into, write_frame};
 use crate::kernel::{run_task_on_map, Shard, Slot};
-use crate::msg::{encode_push, encode_put, recv_msg, send_msg, Msg, SlotBuf};
+use crate::msg::{
+    decode_borrowed, decode_tile, encode_into, push_frame, put_frame, recv_msg, send_msg, Msg,
+};
+use crate::pool::TilePool;
 use hqr_runtime::{last_writers, Task, TaskGraph};
 use hqr_tile::{Layout, ProcessGrid};
 use std::collections::hash_map::Entry;
@@ -201,11 +204,12 @@ impl Run {
     }
 
     fn compute(&self, state: &WorkerState, epoch: u64, owners: &[usize], done: &[bool]) {
-        let mut peers: HashMap<usize, TcpStream> = HashMap::new();
+        let (mut peers, mut frame) = (HashMap::new(), Vec::new());
+        let mut push = |t| self.push_outputs(&mut peers, &mut frame, owners, done, epoch, t);
         // What this worker's finished tasks owe the epoch's unfinished ones.
         for (t, task) in self.graph.tasks().iter().enumerate() {
             if done[t] && self.owner(owners, task) == self.me {
-                self.push_outputs(&mut peers, owners, done, epoch, t as u32);
+                push(t as u32);
             }
         }
         loop {
@@ -231,7 +235,7 @@ impl Run {
             }
             thread::sleep(Duration::from_millis(state.opts.slow_task_ms));
             let task = &self.graph.tasks()[next as usize];
-            let result = run_task_on_map(&self.shard, task, self.graph.b(), self.ib);
+            let result = run_task_on_map(&self.shard, &state.pool, task, self.graph.b(), self.ib);
             // A worker killed mid-kernel publishes nothing.
             if state.dead.load(Ordering::SeqCst) {
                 return;
@@ -246,7 +250,7 @@ impl Run {
             s.log.push(u64::from(next));
             self.release(&mut s, next);
             drop(s);
-            self.push_outputs(&mut peers, owners, done, epoch, next);
+            push(next);
         }
     }
 
@@ -265,10 +269,12 @@ impl Run {
     /// One `Push` per other worker owning a successor of `t` not `done`
     /// when the epoch began (none is, of a task that ran in it), carrying
     /// the slots `t` wrote that those successors touch. Frames are encoded
-    /// from the shard's buffers under its lock and sent after its release.
+    /// from the shard's buffers into `frame` under its lock and sent after
+    /// its release.
     fn push_outputs(
         &self,
         peers: &mut HashMap<usize, TcpStream>,
+        frame: &mut Vec<u8>,
         owners: &[usize],
         done: &[bool],
         epoch: u64,
@@ -290,7 +296,8 @@ impl Run {
         for (w, slots) in dests {
             let shard = self.shard.lock().expect("shard lock");
             let held = slots.iter().filter_map(|s| shard.get(s).map(|buf| (*s, &**buf)));
-            let frame = encode_push(self.run_id, epoch, u64::from(t), &held.collect::<Vec<_>>());
+            let held: Vec<_> = held.collect();
+            encode_into(frame, &push_frame(self.run_id, epoch, u64::from(t), &held));
             drop(shard);
             // A connection that fails is dropped with the push (the next
             // one re-dials): see the module note on undeliverable pushes.
@@ -300,7 +307,7 @@ impl Run {
                     dial(self.addrs[w], PEER_TIMEOUT).ok().map(|s| none.insert(s))
                 }
             };
-            if peer.is_some_and(|s| write_frame(s, &frame).is_ok()) {
+            if peer.is_some_and(|s| write_frame(s, frame).is_ok()) {
                 let mut s = self.sched();
                 s.pushes += 1;
                 s.push_floats += (slots.len() * self.graph.b() * self.graph.b()) as u64;
@@ -312,13 +319,15 @@ impl Run {
 
     /// A peer's push: install and release, exactly once per task and
     /// epoch; anything that does not fit the plan changes nothing.
-    fn accept_push(&self, epoch: u64, task_id: u64, slots: Vec<SlotBuf>) {
+    fn accept_push(&self, pool: &TilePool, epoch: u64, task_id: u64, slots: Vec<(Slot, &[u8])>) {
         let tasks = self.graph.tasks();
         let Some(task) = usize::try_from(task_id).ok().and_then(|t| tasks.get(t)) else { return };
-        let (t, writes, b) = (task_id as usize, task.writes(), self.graph.b());
-        if slots.iter().any(|(s, data)| !writes.contains(s) || data.len() != b * b) {
+        let (t, writes, bytes) = (task_id as usize, task.writes(), self.graph.b().pow(2) * 8);
+        if slots.iter().any(|(s, raw)| !writes.contains(s) || raw.len() != bytes) {
             return;
         }
+        let tiles: Vec<_> =
+            slots.into_iter().filter_map(|(s, raw)| Some((s, self.tile(pool, raw)?))).collect();
         // The sender's `Start` can precede ours: wait for the epoch rather
         // than lose the push (ours is on its way, or the run is over and the
         // wait times out). The sched lock is then held across the install, so
@@ -330,10 +339,9 @@ impl Run {
         // (`owners` is empty until the first `Start`: epoch 0 is no epoch.)
         let stale = s.epoch != epoch || s.halt || s.owners.is_empty();
         if stale || s.arrived[t] || self.owner(&s.owners, task) == self.me {
-            return;
+            return pool.give(tiles.into_iter().map(|(_, buf)| buf), 0);
         }
-        let boxed = slots.into_iter().map(|(slot, data)| (slot, data.into_boxed_slice()));
-        self.shard.lock().expect("shard lock").extend(boxed);
+        self.install(pool, tiles);
         s.arrived[t] = true;
         s.accepted.push(task_id);
         self.release(&mut s, t as u32);
@@ -341,8 +349,45 @@ impl Run {
         self.work.notify_all();
     }
 
+    /// The coordinator's `Put`. Tiles are placed between epochs: a
+    /// straggler from a connection the coordinator gave up on must not undo
+    /// what a task wrote since.
+    fn place(&self, pool: &TilePool, slot: Slot, raw: &[u8]) {
+        let Some(buf) = self.tile(pool, raw) else { return };
+        let s = self.sched();
+        if s.epoch == 0 || s.halt {
+            self.install(pool, [(slot, buf)]);
+        } else {
+            pool.give([buf], 0);
+        }
+    }
+
+    /// A received tile decoded into a pooled buffer if it is `b x b`; a
+    /// tile of any other size is dropped on arrival and never enters the
+    /// shard.
+    fn tile(&self, pool: &TilePool, raw: &[u8]) -> Option<Box<[f64]>> {
+        let n = self.graph.b() * self.graph.b();
+        (raw.len() == n * 8).then(|| {
+            let mut buf = pool.take(n);
+            decode_tile(raw, &mut buf).expect("the size was checked");
+            buf
+        })
+    }
+
+    /// Install `tiles` in the shard; the buffers they replace go back to
+    /// `pool`.
+    fn install(&self, pool: &TilePool, tiles: impl IntoIterator<Item = (Slot, Box<[f64]>)>) {
+        let mut shard = self.shard.lock().expect("shard lock");
+        let replaced: Vec<_> =
+            tiles.into_iter().filter_map(|(s, buf)| shard.insert(s, buf)).collect();
+        let held = shard.len();
+        drop(shard);
+        pool.give(replaced, held);
+    }
+
     /// `Gather`: stream every slot whose last writer this worker owns,
-    /// in slot order, then the push counters.
+    /// in slot order, then the push counters. Each frame is encoded under
+    /// the shard lock into one reused buffer and written after its release.
     fn gather(&self, stream: &mut TcpStream) -> Result<(), NetError> {
         // The compute thread may still be counting its last push.
         self.halt();
@@ -354,13 +399,15 @@ impl Run {
         let mut last: Vec<(Slot, u32)> =
             last_writers(&self.graph, &vec![true; tasks.len()]).into_iter().collect();
         last.sort_unstable();
+        let mut frame = Vec::new();
         for (slot, w) in last {
             if !owners.is_empty() && self.owner(&owners, &tasks[w as usize]) == self.me {
                 let shard = self.shard.lock().expect("shard lock");
-                let frame = shard.get(&slot).map(|buf| encode_put(slot, buf));
+                let held =
+                    shard.get(&slot).map(|buf| encode_into(&mut frame, &put_frame(slot, buf)));
                 drop(shard);
                 // A slot that is not here is the coordinator's to rebuild.
-                if let Some(frame) = frame {
+                if held.is_some() {
                     write_frame(stream, &frame)?;
                 }
             }
@@ -377,9 +424,20 @@ struct WorkerState {
     dead: AtomicBool,
     /// A clone of every open inbound connection, for death to sever.
     conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Tile buffers for every run this worker serves.
+    pool: TilePool,
 }
 
 impl WorkerState {
+    fn new(listener: &TcpListener, opts: WorkerOptions) -> io::Result<WorkerState> {
+        let mut addr = listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into());
+        }
+        let (run, conns, dead) = (Mutex::default(), Mutex::default(), AtomicBool::new(false));
+        Ok(WorkerState { opts, addr, run, dead, conns, pool: TilePool::default() })
+    }
+
     /// Sever every connection and stop serving: the in-process SIGKILL.
     fn die_soft(&self) {
         self.dead.store(true, Ordering::SeqCst);
@@ -409,12 +467,11 @@ impl WorkerState {
 
 /// Serve until orderly shutdown or a (soft) death; blocks the caller.
 pub fn serve(listener: TcpListener, opts: WorkerOptions) -> io::Result<()> {
-    let mut addr = listener.local_addr()?;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into());
-    }
-    let (run, conns, dead) = (Mutex::new(None), Mutex::new(HashMap::new()), AtomicBool::new(false));
-    let state = Arc::new(WorkerState { opts, addr, run, dead, conns });
+    let state = Arc::new(WorkerState::new(&listener, opts)?);
+    serve_state(listener, &state)
+}
+
+fn serve_state(listener: TcpListener, state: &Arc<WorkerState>) -> io::Result<()> {
     // One thread per connection, each gone — with its descriptor — when
     // its peer hangs up, not when the worker exits: a fleet serves any
     // number of runs. The scope joins whichever are left.
@@ -436,7 +493,6 @@ pub fn serve(listener: TcpListener, opts: WorkerOptions) -> io::Result<()> {
             if let Ok(clone) = stream.try_clone() {
                 state.conns.lock().expect("conns lock").insert(id, clone);
             }
-            let state = &state;
             scope.spawn(move || {
                 handle_conn(stream, state);
                 state.conns.lock().expect("conns lock").remove(&id);
@@ -451,11 +507,15 @@ pub fn serve(listener: TcpListener, opts: WorkerOptions) -> io::Result<()> {
 }
 
 fn handle_conn(mut stream: TcpStream, state: &Arc<WorkerState>) {
+    // Every frame of the connection is read into this one buffer, and tiles
+    // are decoded from it into pooled buffers.
+    let mut frame = Vec::new();
     while !state.dead.load(Ordering::SeqCst) {
         // Peer hung up, link severed, or the frame was corrupt beyond
         // trust — drop the connection either way.
-        let Ok(msg) = recv_msg(&mut stream, "request", Duration::ZERO) else { return };
-        let shutdown = msg == Msg::Shutdown;
+        let read = read_frame_into(&mut stream, &mut frame, "request", Duration::ZERO);
+        let Ok(msg) = read.and_then(|()| decode_borrowed(&frame)) else { return };
+        let shutdown = matches!(msg, Msg::Shutdown);
         let reply = match answer(state, &mut stream, msg) {
             Ok(None) => continue,
             Ok(Some(reply)) => reply,
@@ -474,31 +534,29 @@ fn handle_conn(mut stream: TcpStream, state: &Arc<WorkerState>) {
 fn answer(
     state: &Arc<WorkerState>,
     stream: &mut TcpStream,
-    msg: Msg,
+    msg: Msg<&[u8]>,
 ) -> Result<Option<Msg>, String> {
     Ok(Some(match msg {
         Msg::Hello { run_id, dims, addrs, tasks } => {
             if state.run(run_id).is_err() {
                 let run = Run::plan(run_id, dims, addrs, tasks);
                 let run = Arc::new(run.map_err(|e| format!("hello rejected: {e}"))?);
-                // New run: the previous one's shard, plan and compute thread
-                // go. (Halted outside the lock: a dying compute thread takes it.)
+                // New run: the previous one's plan and compute thread go, and
+                // its shard's buffers go back to the pool. (Halted outside
+                // the lock: a dying compute thread takes it.)
                 let old = state.run.lock().expect("run lock").replace(run);
                 if let Some(old) = old {
                     old.halt();
+                    let shard = std::mem::take(&mut *old.shard.lock().expect("shard lock"));
+                    let held = shard.len();
+                    state.pool.give(shard.into_values(), held);
                 }
             }
             Msg::Ok
         }
         Msg::Put { slot, data } => {
-            // Whether it fits is checked where a task takes it (`run_task_on_map`).
-            // Tiles are placed between epochs: a straggler from a connection
-            // the coordinator gave up on must not undo what a task wrote since.
             if let Some(run) = state.current() {
-                let s = run.sched();
-                if s.epoch == 0 || s.halt {
-                    run.shard.lock().expect("shard lock").insert(slot, data.into_boxed_slice());
-                }
+                run.place(&state.pool, slot, data);
             }
             return Ok(None);
         }
@@ -508,7 +566,7 @@ fn answer(
         }
         Msg::Push { run_id, epoch, task_id, slots } => {
             if let Ok(run) = state.run(run_id) {
-                run.accept_push(epoch, task_id, slots);
+                run.accept_push(&state.pool, epoch, task_id, slots);
             }
             return Ok(None);
         }
@@ -564,5 +622,58 @@ pub fn shutdown(addr: SocketAddr) -> Result<(), NetError> {
     match recv_msg(&mut s, "shutdown ack", Duration::from_millis(500))? {
         Msg::Ok => Ok(()),
         other => Err(NetError::Proto(format!("expected Ok, got {other:?}"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coord::{factorize, shutdown_workers, DistConfig};
+    use hqr_runtime::{execute_serial_ib, ElimOp};
+    use hqr_tile::TiledMatrix;
+
+    /// One fleet serves five runs of different shapes, tile sizes and
+    /// inputs out of recycled buffers. Every run is bitwise the serial
+    /// reference, and no worker's pool ever holds more buffers than the
+    /// largest shard that worker held (a shard only grows during a run, so
+    /// its size after the run is its largest).
+    #[test]
+    fn pooled_buffers_leak_nothing_across_runs() {
+        let mut fleet = Vec::new();
+        for _ in 0..2 {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let state = Arc::new(WorkerState::new(&listener, WorkerOptions::default()).unwrap());
+            let serving = Arc::clone(&state);
+            fleet.push((state, thread::spawn(move || serve_state(listener, &serving))));
+        }
+        let addrs: Vec<SocketAddr> = fleet.iter().map(|(s, _)| s.addr).collect();
+        let mut largest = [0usize; 2];
+        let shapes = [(6, 4, 8, 4), (4, 4, 8, 8), (8, 3, 4, 2), (5, 2, 8, 3), (6, 4, 8, 4)];
+        for (run, &(mt, nt, b, ib)) in shapes.iter().enumerate() {
+            let elims: Vec<ElimOp> = (0..nt as u32)
+                .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
+                .collect();
+            let graph = TaskGraph::build(mt, nt, b, &elims);
+            let input = TiledMatrix::random(mt, nt, b, 100 + run as u64);
+            let cfg = DistConfig { run_id: run as u64 + 1, ..DistConfig::for_workers(2) };
+            let (a, f, _) = factorize(&addrs, &graph, &input, ib, &cfg).expect("factorize");
+            let mut reference = input.clone();
+            let truth = execute_serial_ib(&graph, &mut reference, ib);
+            let bits = |m: &TiledMatrix| m.to_dense().data().iter().map(|x| x.to_bits()).collect();
+            let (got, want): (Vec<u64>, Vec<u64>) = (bits(&a), bits(&reference));
+            assert_eq!(got, want, "run {run}: matrix diverged");
+            assert!(truth.bitwise_eq(&f), "run {run}: T factors diverged");
+            for (w, (state, _)) in fleet.iter().enumerate() {
+                let shard = state.current().expect("a run").shard.lock().unwrap().len();
+                largest[w] = largest[w].max(shard);
+            }
+        }
+        shutdown_workers(&addrs);
+        for (w, (state, serving)) in fleet.into_iter().enumerate() {
+            serving.join().unwrap().unwrap();
+            let peak = state.pool.peak();
+            assert!(peak > 0, "worker {w} never recycled a buffer");
+            assert!(peak <= largest[w], "worker {w}: pool held {peak} > shard {}", largest[w]);
+        }
     }
 }

@@ -400,3 +400,35 @@ fn hqr_moves_no_more_peer_messages_than_the_flat_tree() {
     }
     assert!(counts[0] <= counts[1], "HQR {} > [BBD+10] {}", counts[0], counts[1]);
 }
+
+/// Recovery out of recycled buffers: worker 1 serves a first run whole, so
+/// its shard goes back to its pool at the next `Hello`, and its kill point
+/// falls inside the second, larger run. The survivor's recovery placements
+/// and re-pushes land in pooled buffers, and both runs are still bitwise.
+#[test]
+fn a_kill_point_in_a_second_run_recovers_bitwise_from_pooled_buffers() {
+    let grid = DistConfig::for_workers(2).grid;
+    let small = TaskGraph::build(4, 2, 4, &random_elims(4, 2, 81));
+    let large = TaskGraph::build(6, 4, 4, &random_elims(6, 4, 82));
+    let on_victim = |g: &TaskGraph| g.tasks().iter().filter(|t| owner(t, grid) == 1).count() as u64;
+    let kill_point = on_victim(&small);
+    assert!(on_victim(&large) > kill_point + 1, "the second run must reach the kill point");
+    let victim =
+        WorkerOptions { die_after_tasks: Some(kill_point), die_hard: false, slow_task_ms: 0 };
+    let workers = [spawn_local(WorkerOptions::default()).unwrap(), spawn_local(victim).unwrap()];
+    let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.addr).collect();
+    let mut reports = Vec::new();
+    for (run_id, graph) in [(1, &small), (2, &large)] {
+        let input = TiledMatrix::random(graph.mt(), graph.nt(), 4, 90 + run_id);
+        let cfg = DistConfig { run_id, ..test_config(2) };
+        let (a, f, report) = factorize(&addrs, graph, &input, 4, &cfg).expect("factorize");
+        assert_bitwise_parity(graph, &input, &a, &f, &format!("run {run_id}"));
+        reports.push(report);
+    }
+    shutdown_workers(&addrs);
+    for w in workers {
+        let _ = w.join();
+    }
+    assert!(reports[0].recoveries.is_empty(), "run 1: {:?}", reports[0].recoveries);
+    assert!(reports[1].recoveries.iter().any(|r| r.worker == 1), "run 2: {:?}", reports[1]);
+}

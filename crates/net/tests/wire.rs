@@ -418,3 +418,38 @@ fn stale_and_hostile_pushes_change_nothing() {
     shutdown(worker.addr).expect("orderly shutdown");
     worker.join().expect("worker thread");
 }
+
+/// A `Put` whose tile is not `b x b` doubles is dropped when it arrives: the
+/// slot stays absent from the shard (the gather does not stream it back),
+/// and the task that needs it fails with the typed "needs ... as a b x b
+/// tile here" error.
+#[test]
+fn a_wrong_sized_put_is_dropped_on_arrival() {
+    let worker = spawn_local(WorkerOptions::default()).expect("spawn worker");
+    let mut conn = std::net::TcpStream::connect(worker.addr).expect("connect");
+    let (run_id, pivot) = (5, (SlotFamily::A, 0, 0));
+    let graph = TaskGraph::build(1, 1, 4, &[]);
+    let dims = [1, 1, 4, 4, 1, 1, 0];
+    let plan = Msg::Hello { run_id, dims, addrs: vec![worker.addr], tasks: graph.tasks().to_vec() };
+    assert_eq!(rpc(&mut conn, plan), Msg::Ok);
+    send_msg(&mut conn, &Msg::Put { slot: pivot, data: vec![1.0; 15] }).expect("put");
+    let start = Msg::Start { run_id, epoch: 1, owners: vec![0], completed: vec![] };
+    assert_eq!(rpc(&mut conn, start), Msg::Ok);
+    let failure = (0..2_000).find_map(|_| {
+        match rpc(&mut conn, Msg::Completed { run_id, after: 0, halt: false }) {
+            Msg::Err { detail } => Some(detail),
+            Msg::Progress { ids, .. } => {
+                assert!(ids.is_empty(), "GEQRT ran on a 15-double tile");
+                std::thread::sleep(Duration::from_millis(2));
+                None
+            }
+            other => panic!("expected Progress or Err, got {other:?}"),
+        }
+    });
+    let failure = failure.expect("the task never failed");
+    assert!(failure.contains("needs A(0,0) as a 4x4 tile here"), "{failure}");
+    let (slots, _) = gather(&mut conn, run_id);
+    assert!(slots.iter().all(|(slot, _)| *slot != pivot), "the tile entered the shard");
+    shutdown(worker.addr).expect("orderly shutdown");
+    worker.join().expect("worker thread");
+}

@@ -16,8 +16,8 @@ use crate::task::Task;
 /// function, which the paper leaves as "a very promising but technically
 /// challenging direction" for study. Shared by
 /// [`crate::exec::try_execute_with`] (via [`crate::ExecOptions::policy`])
-/// and the simulator's ready queues; the `ablations` and `policies`
-/// benches compare them.
+/// and the simulator's ready queues; `hqr experiments ablations` and
+/// `hqr experiments policies` compare them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// Panel-first, factor kernels before updates, left-to-right trailing

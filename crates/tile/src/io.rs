@@ -728,6 +728,16 @@ impl<B: AsRef<[u8]>> SectionReader<B> {
     }
 }
 
+impl<'a> SectionReader<&'a [u8]> {
+    /// [`SectionReader::require`] for a reader over borrowed bytes: the
+    /// payload lives as long as those bytes, not as long as the reader.
+    pub fn require_borrowed(&self, tag: u32) -> Result<&'a [u8], BinFormatError> {
+        let buf: &'a [u8] = self.buf;
+        let found = self.sections.iter().find(|(t, _)| *t == tag);
+        found.map(|(_, r)| &buf[r.clone()]).ok_or(BinFormatError::MissingSection { tag })
+    }
+}
+
 /// Encode a slice of `u64` as little-endian bytes.
 pub fn bytes_of_u64s(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 8);
