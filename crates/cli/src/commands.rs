@@ -533,13 +533,8 @@ fn trace_exec(args: &Args) -> Result<i32, CliError> {
     let (_, stats, tr) = try_execute_traced(graph, &mut p.input(), &opts)
         .map_err(|e| CliError::failed(format!("execution failed: {e}")))?;
     write_trace(out, "hqr-exec.trace.json", &chrome_trace_from_exec(&tr, graph.tasks()))?;
-    let busy: f64 = tr.records.iter().map(|r| r.end - r.start).sum();
     println!("wall         : {:.3} ms", tr.wall * 1e3);
-    println!(
-        "utilization  : {:.1}% of {} workers",
-        100.0 * busy / (tr.wall * threads as f64).max(f64::MIN_POSITIVE),
-        threads
-    );
+    println!("utilization  : {:.1}% of {threads} workers", 100.0 * tr.utilization());
     println!(
         "scheduler    : {} local pops, {} injector pops, {} steals",
         tr.counters.iter().map(|c| c.local_pops).sum::<u64>(),
@@ -558,6 +553,7 @@ fn trace_exec(args: &Args) -> Result<i32, CliError> {
             sp.prefetch_hits
         );
         let pin: f64 = tr.records.iter().map(|r| r.kernel_start - r.start).sum();
+        let busy: f64 = tr.per_worker_busy().iter().sum();
         println!(
             "pin wait     : {:.3} ms of {:.3} ms busy ({:.1}%) spent making tiles resident",
             pin * 1e3,

@@ -13,6 +13,7 @@ use hqr_net::{
     factorize, measure_loopback, shutdown_workers, spawn_local, DistConfig, DistReport,
     NetFaultPlan, WorkerOptions,
 };
+use hqr_runtime::task::SlotFamily;
 use hqr_sim::{LinkModel, Platform};
 use hqr_tile::ProcessGrid;
 use std::collections::HashSet;
@@ -126,7 +127,8 @@ pub fn dist(args: &Args) -> Result<i32, CliError> {
     // What the coordinator has to move: every tile out, every slot some
     // task wrote back in. Anything beyond that was relayed through it.
     let written: HashSet<_> = p.graph.tasks().iter().flat_map(|t| t.writes()).collect();
-    let scatter_gather = ((mt * nt + written.len()) * b * b) as u64;
+    let gathered: usize = written.iter().map(|&(fam, ..)| fam.slot_len(b, ib)).sum();
+    let scatter_gather = (mt * nt * SlotFamily::A.slot_len(b, ib) + gathered) as u64;
     let relayed = report.coordinator_floats.saturating_sub(scatter_gather);
     print_report(&report, relayed, t0.elapsed());
 

@@ -387,9 +387,8 @@ pub fn policies(reps: usize) -> Result<(usize, Vec<PolicyRow>), String> {
                 return Err(format!("{policy} diverged from the serial executor"));
             }
             if tr.wall < row.wall {
-                let busy: f64 = tr.records.iter().map(|r| r.end - r.start).sum();
                 row.wall = tr.wall;
-                row.utilization = busy / (tr.wall * threads as f64).max(f64::MIN_POSITIVE);
+                row.utilization = tr.utilization();
                 row.steals = tr.total_steals();
             }
         }

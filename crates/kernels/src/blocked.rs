@@ -28,14 +28,16 @@
 //! guard, so per-call flop counts are a function of `(b, ib)` and results
 //! are bitwise deterministic run-to-run on a fixed dispatch arm.
 //!
-//! Layout convention: the `t` buffer is `b × b`; the T factor of the
+//! Layout convention: the `t` buffer is `ib × b`, column-major with
+//! leading dimension `ib` ([`crate::t_len`] doubles); the T factor of the
 //! panel starting at column `s` (width `w = min(ib, b−s)`) is the `w × w`
-//! upper triangle at rows `0..w`, columns `s..s+w`.
+//! upper triangle at rows `0..w`, columns `s..s+w`. Nothing else is
+//! stored, so at `ib < b` no row of the buffer is padding.
 
-use crate::check_tile;
 use crate::micro::{gemm_core, simd_arm, MaskA, SimdArm};
 use crate::panel::tile_qrt;
 use crate::Trans;
+use crate::{check_t, check_tile};
 
 pub(crate) fn check_ib(b: usize, ib: usize) {
     assert!(ib > 0 && ib <= b, "inner block size must be in 1..=b (got {ib} for b={b})");
@@ -47,12 +49,12 @@ pub(crate) fn panels(b: usize, ib: usize) -> impl Iterator<Item = (usize, usize)
 }
 
 /// Multiply the `w × n` workspace `wbuf` in place by op(T_panel), where the
-/// panel T is stored at rows 0..w, cols s..s+w of `t` (strict lower of the
-/// panel triangle ignored).
+/// panel T is stored at rows 0..w, cols s..s+w of `t` (leading dimension
+/// `ib`; strict lower of the panel triangle ignored).
 #[allow(clippy::too_many_arguments)]
 fn apply_t_panel(
     arm: SimdArm,
-    b: usize,
+    ib: usize,
     t: &[f64],
     s: usize,
     w: usize,
@@ -65,7 +67,7 @@ fn apply_t_panel(
         Trans::Trans => {
             for j in 0..w {
                 for i in 0..=j {
-                    tc[j + i * w] = t[i + (s + j) * b];
+                    tc[j + i * w] = t[i + (s + j) * ib];
                 }
             }
             MaskA::Lower
@@ -73,7 +75,7 @@ fn apply_t_panel(
         Trans::NoTrans => {
             for j in 0..w {
                 for i in 0..=j {
-                    tc[i + j * w] = t[i + (s + j) * b];
+                    tc[i + j * w] = t[i + (s + j) * ib];
                 }
             }
             MaskA::Upper
@@ -165,7 +167,7 @@ pub fn unmqr_ib_arm(
     trans: Trans,
 ) {
     check_tile(b, v);
-    check_tile(b, t);
+    check_t(b, ib, t);
     check_tile(b, c);
     check_ib(b, ib);
     let plist: Vec<(usize, usize)> = panels(b, ib).collect();
@@ -179,7 +181,7 @@ pub fn unmqr_ib_arm(
         let (vp, vpt) = pack_unit_lower_panel(b, s, w, v);
         let mut wbuf = vec![0.0; w * b];
         gemm_core(arm, w, b, mrows, 1.0, &vpt, w, MaskA::Upper, &c[s..], b, 0.0, &mut wbuf, w);
-        apply_t_panel(arm, b, t, s, w, b, &mut wbuf, trans);
+        apply_t_panel(arm, ib, t, s, w, b, &mut wbuf, trans);
         gemm_core(arm, mrows, b, w, -1.0, &vp, mrows, MaskA::Lower, &wbuf, w, 1.0, &mut c[s..], b);
     }
 }
@@ -232,7 +234,7 @@ fn stacked_mqr_ib(
     tri: bool,
 ) {
     check_tile(b, v2);
-    check_tile(b, t);
+    check_t(b, ib, t);
     check_tile(b, a1);
     check_tile(b, a2);
     check_ib(b, ib);
@@ -259,7 +261,7 @@ fn stacked_mqr_ib(
             }
         }
         gemm_core(arm, w, b, keff, 1.0, &vpt, w, mask_vt, a2, b, 1.0, &mut wbuf, w);
-        apply_t_panel(arm, b, t, s, w, b, &mut wbuf, trans);
+        apply_t_panel(arm, ib, t, s, w, b, &mut wbuf, trans);
         // A1[s..e, :] -= W; A2[0..keff, :] -= V·W.
         for col in 0..b {
             for r in 0..w {

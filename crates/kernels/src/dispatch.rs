@@ -11,7 +11,8 @@
 use crate::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib};
 use crate::{KernelKind, Trans};
 
-/// Run tile kernel `kind` on `b × b` tiles with inner block size `ib`.
+/// Run tile kernel `kind` on `b × b` tiles with inner block size `ib`; the
+/// T operand (`Tg`, `Tk`) holds [`crate::t_len`]`(b, ib)` doubles.
 ///
 /// Operand order is the slot order of the runtime's `Task::reads()` and
 /// `Task::writes()`:
@@ -30,7 +31,8 @@ use crate::{KernelKind, Trans};
 ///
 /// # Panics
 /// When the operand counts do not match `kind`, or a tile is not `b * b`
-/// long, or `ib` is outside `1..=b` — caller bugs, not input errors.
+/// long, or a T is shorter than `t_len(b, ib)`, or `ib` is outside `1..=b`
+/// — caller bugs, not input errors.
 pub fn run_kernel(
     kind: KernelKind,
     b: usize,
@@ -58,7 +60,7 @@ pub fn run_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{geqrt, tsmqr, tsqrt};
+    use crate::{geqrt, t_len, tsmqr, tsqrt};
     use hqr_tile::DenseMatrix;
 
     fn tile(b: usize, seed: u64) -> Vec<f64> {
@@ -68,8 +70,8 @@ mod tests {
     #[test]
     fn geqrt_copies_the_factored_tile_to_vg() {
         let b = 8;
-        let (mut a, mut vg, mut tg) = (tile(b, 1), vec![0.0; b * b], vec![0.0; b * b]);
-        let (mut pa, mut pt) = (a.clone(), vec![0.0; b * b]);
+        let (mut a, mut vg) = (tile(b, 1), vec![0.0; b * b]);
+        let (mut tg, mut pa, mut pt) = (vec![0.0; t_len(b, b)], a.clone(), vec![0.0; t_len(b, b)]);
         run_kernel(KernelKind::Geqrt, b, b, Trans::Trans, &[], &mut [&mut a, &mut vg, &mut tg]);
         geqrt(b, &mut pa, &mut pt);
         assert_eq!(a, pa);
@@ -84,7 +86,7 @@ mod tests {
         for j in 0..b {
             top[j + 1 + j * b..(j + 1) * b].fill(0.0);
         }
-        let (mut bot, mut t) = (tile(b, 3), vec![0.0; b * b]);
+        let (mut bot, mut t) = (tile(b, 3), vec![0.0; t_len(b, b)]);
         tsqrt(b, &mut top, &mut bot, &mut t);
         let (mut c1, mut c2) = (tile(b, 4), tile(b, 5));
         let (mut p1, mut p2) = (c1.clone(), c2.clone());

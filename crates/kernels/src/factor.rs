@@ -51,11 +51,11 @@ mod tests {
     }
 
     fn tile_identity(b: usize) -> Vec<f64> {
-        let mut t = vec![0.0; b * b];
+        let mut eye = vec![0.0; b * b];
         for d in 0..b {
-            t[d + d * b] = 1.0;
+            eye[d + d * b] = 1.0;
         }
-        t
+        eye
     }
 
     fn upper_of(b: usize, a: &[f64]) -> DenseMatrix {

@@ -18,7 +18,10 @@
 //! `ib = b` call. Executors do not call kernels by name: they hand a
 //! task's operands to [`run_kernel`], the one task→kernel dispatcher.
 //!
-//! All tiles are square `b × b`, column-major slices of length `b²`.
+//! All tiles are square `b × b`, column-major slices of length `b²`. A T
+//! factor is smaller: [`t_len`]`(b, ib)` doubles, `ib × b` with leading
+//! dimension `ib` (the plain kernels' `ib = b` makes it a full tile; see
+//! [`crate::blocked`] for the layout).
 //! TT kernels exploit the triangular structure of the second tile and so
 //! perform roughly a third of the floating-point work of their TS
 //! counterparts per call, but "the sequential performance of the TS kernels
@@ -32,11 +35,11 @@
 //! identity, as the paper's checks do).
 //!
 //! ```
-//! use hqr_kernels::{geqrt, unmqr, Trans};
+//! use hqr_kernels::{geqrt, t_len, unmqr, Trans};
 //! use hqr_tile::DenseMatrix;
 //! let b = 8;
 //! let a0 = DenseMatrix::random(b, b, 7).data().to_vec();
-//! let (mut a, mut t) = (a0.clone(), vec![0.0; b * b]);
+//! let (mut a, mut t) = (a0.clone(), vec![0.0; t_len(b, b)]);
 //! geqrt(b, &mut a, &mut t);
 //! // Qᵀ·A0 reproduces R: strictly-lower part vanishes.
 //! let mut c = a0.clone();
@@ -76,7 +79,26 @@ pub enum Trans {
     Trans,
 }
 
+/// Doubles in the T factor of one tile kernel at tile size `b` and inner
+/// block size `ib`: the panels' `w × w` triangles side by side in an
+/// `ib × b` column-major array with leading dimension `ib`. Every buffer
+/// that holds a T factor — in a store, a spill record, a checkpoint, a
+/// stored result or a wire frame — is sized by this function and by no
+/// other.
+#[inline]
+pub fn t_len(b: usize, ib: usize) -> usize {
+    ib * b
+}
+
 #[inline]
 pub(crate) fn check_tile(b: usize, t: &[f64]) {
     assert_eq!(t.len(), b * b, "tile must be b*b = {} elements, got {}", b * b, t.len());
+}
+
+/// A T operand must hold at least [`t_len`] doubles; the kernels read and
+/// write only those, so a longer buffer (a full tile) works unchanged.
+#[inline]
+pub(crate) fn check_t(b: usize, ib: usize, t: &[f64]) {
+    let n = t_len(b, ib);
+    assert!(t.len() >= n, "T must hold t_len({b}, {ib}) = {n} elements, got {}", t.len());
 }

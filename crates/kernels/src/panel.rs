@@ -34,7 +34,7 @@
 
 use crate::larfg::larfg;
 use crate::micro::{axpy_cols, dot_cols, gemm_core, MaskA, SimdArm};
-use crate::{blocked, check_tile};
+use crate::{blocked, check_t, check_tile, t_len};
 use std::cell::RefCell;
 
 /// Widest column block factored with level-2 code: one row block of the
@@ -63,9 +63,9 @@ pub(crate) fn tile_qrt(
     if let Some(a2) = &bottom {
         check_tile(b, a2);
     }
-    check_tile(b, t);
+    check_t(b, ib, t);
     blocked::check_ib(b, ib);
-    t.fill(0.0);
+    t[..t_len(b, ib)].fill(0.0);
     SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
         for (s, e) in blocked::panels(b, ib) {
@@ -90,6 +90,7 @@ pub(crate) fn tile_qrt(
             let mut p = Panel {
                 arm,
                 b,
+                ib,
                 s,
                 w,
                 r0,
@@ -116,6 +117,8 @@ pub(crate) fn tile_qrt(
 struct Panel<'a> {
     arm: SimdArm,
     b: usize,
+    /// Leading dimension of `t`.
+    ib: usize,
     s: usize,
     w: usize,
     r0: usize,
@@ -160,8 +163,8 @@ impl Panel<'_> {
     /// Offset in `t` of `T[i, j]` of the panel triangle, `i` and `j` tile
     /// columns (a closure, so callers can hold field borrows across it).
     fn t_index(&self) -> impl Fn(usize, usize) -> usize {
-        let (s, b) = (self.s, self.b);
-        move |i, j| (i - s) + j * b
+        let (s, ib) = (self.s, self.ib);
+        move |i, j| (i - s) + j * ib
     }
 
     /// Factor columns `c0..c1`, leaving R and V in the tiles, T in `t`.
@@ -316,7 +319,7 @@ impl Panel<'_> {
 
     /// `T[c0..mid, mid..c1] = −T1·(V1ᵀV2)·T2`.
     fn merge_t(&mut self, c0: usize, mid: usize, c1: usize) {
-        let (arm, b, tix) = (self.arm, self.b, self.t_index());
+        let (arm, ib, tix) = (self.arm, self.ib, self.t_index());
         let (n1, n2) = (mid - c0, c1 - mid);
         // Rows on which both halves can be nonzero.
         let (lo, hi) = (self.span(mid, c1).0, self.span(c0, mid).1);
@@ -325,9 +328,9 @@ impl Panel<'_> {
         let (vt, v) = (&self.vpt[pvt..], &self.vp[pv..]);
         gemm_core(arm, n1, n2, hi - lo, 1.0, vt, self.w, MaskA::Full, v, self.rows, 0.0, wa, n1);
         let (t1, t2) = (&self.t[tix(c0, c0)..], &self.t[tix(mid, mid)..]);
-        gemm_core(arm, n1, n2, n1, 1.0, t1, b, MaskA::Upper, wa, n1, 0.0, wb, n1);
+        gemm_core(arm, n1, n2, n1, 1.0, t1, ib, MaskA::Upper, wa, n1, 0.0, wb, n1);
         // T2's strict lower triangle in `t` is zero, so a full product is exact.
-        gemm_core(arm, n1, n2, n2, -1.0, wb, n1, MaskA::Full, t2, b, 0.0, wa, n1);
+        gemm_core(arm, n1, n2, n2, -1.0, wb, n1, MaskA::Full, t2, ib, 0.0, wa, n1);
         for (j, col) in wa.chunks_exact(n1).enumerate() {
             let at = tix(c0, mid + j);
             self.t[at..at + n1].copy_from_slice(col);

@@ -15,7 +15,7 @@ use hqr_kernels::blocked::{
 };
 use hqr_kernels::reference::{geqrt_level2, stacked_qrt_level2};
 use hqr_kernels::{
-    geqrt, simd_arm, simd_detected, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, SimdArm, Trans,
+    geqrt, simd_arm, simd_detected, t_len, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, SimdArm, Trans,
 };
 use hqr_tile::DenseMatrix;
 
@@ -76,7 +76,7 @@ fn factor(
     a1: &mut [f64],
     a2: &mut [f64],
 ) -> Vec<f64> {
-    let mut t = vec![f64::NAN; b * b];
+    let mut t = vec![f64::NAN; t_len(b, ib)];
     match kernel {
         Kernel::Geqrt => geqrt_ib_arm(arm, b, ib, a1, &mut t),
         Kernel::Tsqrt => tsqrt_ib_arm(arm, b, ib, a1, a2, &mut t),
@@ -208,9 +208,13 @@ fn every_panel_t_is_consistent_with_its_v() {
                             for i in 0..w {
                                 g.set(i, j, cols[i].iter().zip(&cols[j]).map(|(x, y)| x * y).sum());
                                 if i <= j {
-                                    tp.set(i, j, t[i + (s + j) * b]);
+                                    tp.set(i, j, t[i + (s + j) * ib]);
                                 } else {
-                                    assert_eq!(t[i + (s + j) * b], 0.0, "T strict lower must be 0");
+                                    assert_eq!(
+                                        t[i + (s + j) * ib],
+                                        0.0,
+                                        "T strict lower must be 0"
+                                    );
                                 }
                             }
                         }
@@ -236,7 +240,7 @@ fn r_matches_the_level2_oracle_up_to_signs() {
                     let (x, y) = inputs(kernel, b, 41 + b as u64, 0.0);
                     let (mut a1, mut a2) = (x.clone(), y.clone());
                     factor(kernel, arm, b, ib, &mut a1, &mut a2);
-                    let (mut o1, mut o2, mut ot) = (x, y, vec![0.0; b * b]);
+                    let (mut o1, mut o2, mut ot) = (x, y, vec![0.0; t_len(b, b)]);
                     match kernel {
                         Kernel::Geqrt => geqrt_level2(b, &mut o1, &mut ot),
                         _ => stacked_qrt_level2(
@@ -315,7 +319,7 @@ fn a_fixed_arm_repeats_bitwise_and_plain_is_ib_equal_b() {
             }
             // The plain entry points are the process arm's `ib = b` case.
             let (mut a1, mut a2) = inputs(kernel, b, 67 + b as u64, 0.0);
-            let (mut p1, mut p2, mut pt) = (a1.clone(), a2.clone(), vec![0.0; b * b]);
+            let (mut p1, mut p2, mut pt) = (a1.clone(), a2.clone(), vec![0.0; t_len(b, b)]);
             let t = factor(kernel, simd_arm(), b, b, &mut a1, &mut a2);
             match kernel {
                 Kernel::Geqrt => geqrt(b, &mut p1, &mut pt),

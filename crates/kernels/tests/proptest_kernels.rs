@@ -2,7 +2,7 @@
 //! invariants over random tiles, tile sizes and inner block sizes.
 
 use hqr_kernels::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, unmqr_ib};
-use hqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, Trans};
+use hqr_kernels::{geqrt, t_len, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, Trans};
 use hqr_tile::{DenseMatrix, TileGuard};
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ proptest! {
     fn geqrt_invariants(b in 1usize..16, seed in any::<u64>()) {
         let a0 = tile(b, seed);
         let mut a = a0.clone();
-        let mut t = vec![0.0; b * b];
+        let mut t = vec![0.0; t_len(b, b)];
         geqrt(b, &mut a, &mut t);
         // |r00| = ‖a0[:,0]‖.
         let col0 = norm(&a0[..b]);
@@ -55,7 +55,7 @@ proptest! {
         let a1_0 = upper(b, &tile(b, seed));
         let a2_0 = tile(b, seed.wrapping_add(2));
         let (mut a1, mut a2) = (a1_0.clone(), a2_0.clone());
-        let mut t = vec![0.0; b * b];
+        let mut t = vec![0.0; t_len(b, b)];
         tsqrt(b, &mut a1, &mut a2, &mut t);
         let (mut c1, mut c2) = (a1_0.clone(), a2_0.clone());
         tsmqr(b, &a2, &t, &mut c1, &mut c2, Trans::Trans);
@@ -81,7 +81,7 @@ proptest! {
             v
         };
         let (l1, l2) = (lower(&a1), lower(&a2));
-        let mut t = vec![0.0; b * b];
+        let mut t = vec![0.0; t_len(b, b)];
         ttqrt(b, &mut a1, &mut a2, &mut t);
         prop_assert_eq!(lower(&a1), l1, "A1 strict lower untouched");
         prop_assert_eq!(lower(&a2), l2, "A2 strict lower untouched");
@@ -92,7 +92,7 @@ proptest! {
     fn updates_are_isometries(b in 1usize..12, seed in any::<u64>(), tt in any::<bool>()) {
         let mut a1 = upper(b, &tile(b, seed));
         let mut a2 = if tt { upper(b, &tile(b, seed ^ 5)) } else { tile(b, seed ^ 5) };
-        let mut t = vec![0.0; b * b];
+        let mut t = vec![0.0; t_len(b, b)];
         if tt {
             ttqrt(b, &mut a1, &mut a2, &mut t);
         } else {
@@ -115,9 +115,9 @@ proptest! {
     fn blocked_matches_unblocked(b in 2usize..14, ib_frac in 1usize..14, seed in any::<u64>()) {
         let ib = (ib_frac % b).max(1);
         let a0 = tile(b, seed);
-        let (mut a_ref, mut t_ref) = (a0.clone(), vec![0.0; b * b]);
+        let (mut a_ref, mut t_ref) = (a0.clone(), vec![0.0; t_len(b, b)]);
         geqrt(b, &mut a_ref, &mut t_ref);
-        let (mut a_ib, mut t_ib) = (a0.clone(), vec![0.0; b * b]);
+        let (mut a_ib, mut t_ib) = (a0.clone(), vec![0.0; t_len(b, ib)]);
         geqrt_ib(b, ib, &mut a_ib, &mut t_ib);
         let diff: Vec<f64> = a_ref.iter().zip(&a_ib).map(|(x, y)| x - y).collect();
         prop_assert!(norm(&diff) < 1e-10 * norm(&a0).max(1.0), "ib={ib} b={b}");
@@ -129,7 +129,7 @@ proptest! {
         let ib = (ib_frac % b).max(1);
         let mut a1 = upper(b, &tile(b, seed));
         let mut a2 = tile(b, seed ^ 21);
-        let mut t = vec![0.0; b * b];
+        let mut t = vec![0.0; t_len(b, ib)];
         tsqrt_ib(b, ib, &mut a1, &mut a2, &mut t);
         let (c1_0, c2_0) = (tile(b, seed ^ 23), tile(b, seed ^ 27));
         let (mut c1, mut c2) = (c1_0.clone(), c2_0.clone());
@@ -166,7 +166,7 @@ proptest! {
             tile(b, seed ^ 1),
             tile(b, seed ^ 2),
             tile(b, seed ^ 3),
-            vec![0.0; b * b],
+            vec![0.0; t_len(b, b)],
         ];
         let mut guards: Vec<TileGuard> =
             bufs.iter().map(|x| TileGuard::compute(b, x)).collect();
@@ -212,9 +212,9 @@ proptest! {
     fn blocked_apply_agrees(b in 2usize..12, ib_frac in 1usize..12, seed in any::<u64>()) {
         let ib = (ib_frac % b).max(1);
         let a0 = tile(b, seed);
-        let (mut a_u, mut t_u) = (a0.clone(), vec![0.0; b * b]);
+        let (mut a_u, mut t_u) = (a0.clone(), vec![0.0; t_len(b, b)]);
         geqrt(b, &mut a_u, &mut t_u);
-        let (mut a_b, mut t_b) = (a0.clone(), vec![0.0; b * b]);
+        let (mut a_b, mut t_b) = (a0.clone(), vec![0.0; t_len(b, ib)]);
         geqrt_ib(b, ib, &mut a_b, &mut t_b);
         let c0 = tile(b, seed ^ 33);
         let mut cu = c0.clone();

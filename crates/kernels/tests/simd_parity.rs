@@ -17,7 +17,7 @@ use hqr_kernels::blocked::{
     geqrt_ib_arm, tsmqr_ib_arm, tsqrt_ib_arm, ttmqr_ib_arm, ttqrt_ib_arm, unmqr_ib_arm,
 };
 use hqr_kernels::micro::simd_detected;
-use hqr_kernels::{geqrt, tsmqr_arm, tsqrt, ttmqr_arm, ttqrt, unmqr_arm, SimdArm, Trans};
+use hqr_kernels::{geqrt, t_len, tsmqr_arm, tsqrt, ttmqr_arm, ttqrt, unmqr_arm, SimdArm, Trans};
 use hqr_tile::DenseMatrix;
 
 const SIZES: &[usize] = &[1, 3, 5, 8, 13, 24, 32, 64, 128];
@@ -74,7 +74,7 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
 
     // GEQRT feeds UNMQR. The plain factor kernels run on the process arm,
     // so both passes hand the update kernels identical V and T.
-    let (mut v, mut t) = (tile(b, seed), vec![0.0; b * b]);
+    let (mut v, mut t) = (tile(b, seed), vec![0.0; t_len(b, b)]);
     geqrt(b, &mut v, &mut t);
     let mut c = tile(b, seed ^ 1);
     unmqr_arm(arm, b, &v, &t, &mut c, Trans::Trans);
@@ -84,7 +84,7 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
 
     // TSQRT feeds TSMQR.
     let (mut r1, mut a2, mut ts) =
-        (upper(b, &tile(b, seed ^ 3)), tile(b, seed ^ 4), vec![0.0; b * b]);
+        (upper(b, &tile(b, seed ^ 3)), tile(b, seed ^ 4), vec![0.0; t_len(b, b)]);
     tsqrt(b, &mut r1, &mut a2, &mut ts);
     let (mut p1, mut p2) = (tile(b, seed ^ 5), tile(b, seed ^ 6));
     tsmqr_arm(arm, b, &a2, &ts, &mut p1, &mut p2, Trans::Trans);
@@ -92,7 +92,7 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
 
     // TTQRT feeds TTMQR (second tile upper-triangular).
     let (mut q1, mut q2, mut tt) =
-        (upper(b, &tile(b, seed ^ 7)), upper(b, &tile(b, seed ^ 8)), vec![0.0; b * b]);
+        (upper(b, &tile(b, seed ^ 7)), upper(b, &tile(b, seed ^ 8)), vec![0.0; t_len(b, b)]);
     ttqrt(b, &mut q1, &mut q2, &mut tt);
     let (mut w1, mut w2) = (tile(b, seed ^ 9), tile(b, seed ^ 10));
     ttmqr_arm(arm, b, &q2, &tt, &mut w1, &mut w2, Trans::Trans);
@@ -100,7 +100,7 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
 
     // Inner-blocked variants of all six kernels, factor kernels included,
     // on the explicit arm.
-    let (mut gv, mut gt) = (tile(b, seed ^ 11), vec![0.0; b * b]);
+    let (mut gv, mut gt) = (tile(b, seed ^ 11), vec![0.0; t_len(b, ib)]);
     geqrt_ib_arm(arm, b, ib, &mut gv, &mut gt);
     let mut gc = tile(b, seed ^ 12);
     unmqr_ib_arm(arm, b, ib, &gv, &gt, &mut gc, Trans::Trans);
@@ -108,7 +108,7 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     out.push(("unmqr_ib", gc));
 
     let (mut sr, mut sa, mut st) =
-        (upper(b, &tile(b, seed ^ 13)), tile(b, seed ^ 14), vec![0.0; b * b]);
+        (upper(b, &tile(b, seed ^ 13)), tile(b, seed ^ 14), vec![0.0; t_len(b, ib)]);
     tsqrt_ib_arm(arm, b, ib, &mut sr, &mut sa, &mut st);
     let (mut s1, mut s2) = (tile(b, seed ^ 15), tile(b, seed ^ 16));
     tsmqr_ib_arm(arm, b, ib, &sa, &st, &mut s1, &mut s2, Trans::Trans);
@@ -116,7 +116,7 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     out.push(("tsmqr_ib", [s1, s2].concat()));
 
     let (mut tr, mut ta, mut tt2) =
-        (upper(b, &tile(b, seed ^ 17)), upper(b, &tile(b, seed ^ 18)), vec![0.0; b * b]);
+        (upper(b, &tile(b, seed ^ 17)), upper(b, &tile(b, seed ^ 18)), vec![0.0; t_len(b, ib)]);
     ttqrt_ib_arm(arm, b, ib, &mut tr, &mut ta, &mut tt2);
     let (mut u1, mut u2) = (tile(b, seed ^ 19), tile(b, seed ^ 20));
     ttmqr_ib_arm(arm, b, ib, &ta, &tt2, &mut u1, &mut u2, Trans::Trans);
@@ -178,13 +178,13 @@ fn ib_factorization_matches_flat_kernels_numerically() {
     for &b in &[6usize, 12, 24] {
         let a0 = tile(b, 77 + b as u64);
         let mut flat = a0.clone();
-        let mut tflat = vec![0.0; b * b];
+        let mut tflat = vec![0.0; t_len(b, b)];
         geqrt(b, &mut flat, &mut tflat);
         for arm in [SimdArm::Scalar, det] {
             for ib in [1usize, 2, b / 2, b] {
                 let ib = ib.max(1);
                 let mut ab = a0.clone();
-                let mut tb = vec![0.0; b * b];
+                let mut tb = vec![0.0; t_len(b, ib)];
                 geqrt_ib_arm(arm, b, ib, &mut ab, &mut tb);
                 assert_close(b, &flat, &ab, "geqrt_ib vs geqrt (V,R)");
             }

@@ -354,6 +354,11 @@ impl CoordState<'_> {
         }
     }
 
+    /// Doubles the buffers of `slots` hold.
+    fn floats(&self, slots: impl Iterator<Item = Slot>) -> u64 {
+        slots.map(|(fam, ..)| fam.slot_len(self.graph.b(), self.ib) as u64).sum()
+    }
+
     fn count_frames(&mut self, frames: u64, floats: u64, via_coordinator: bool) {
         self.report.transfers += frames;
         self.report.floats_moved += floats;
@@ -375,8 +380,8 @@ impl CoordState<'_> {
             shared.put_all(w, mine.map(|(i, j)| ((SlotFamily::A, i, j), input.tile(i, j))))
         });
         scattered.into_iter().collect::<Result<(), NetError>>()?;
-        let tiles = (graph.mt() * graph.nt()) as u64;
-        self.count_frames(tiles, tiles * (graph.b() * graph.b()) as u64, true);
+        let floats = self.floats(coords.clone().map(|(i, j)| (SlotFamily::A, i, j)));
+        self.count_frames((graph.mt() * graph.nt()) as u64, floats, true);
         let mut doomed: Vec<(usize, String)> = Vec::new();
         self.restart(&mut doomed)?;
         // The result's storage, made while the workers compute. The gather
@@ -386,7 +391,7 @@ impl CoordState<'_> {
         for (i, j) in coords.filter(|&(i, j)| !written.contains(&(SlotFamily::A, i, j))) {
             a.tile_mut(i, j).copy_from_slice(input.tile(i, j));
         }
-        let out = (a, TFactors::allocate_for(graph), HashSet::new());
+        let out = (a, TFactors::allocate_for(graph, self.ib), HashSet::new());
 
         let mut last_progress = Instant::now();
         while self.done_count < self.report.tasks_total {
@@ -522,7 +527,8 @@ impl CoordState<'_> {
             let sent = shared.put_all(placed[0].0, tiles);
             sent.map_err(|e| (placed[0].0, format!("recovery put failed: {e}")))?;
         }
-        self.count_frames(lost.len() as u64, (lost.len() * graph.b() * graph.b()) as u64, true);
+        let floats = self.floats(lost.iter().map(|&(_, slot)| slot));
+        self.count_frames(lost.len() as u64, floats, true);
         let event = self.report.recoveries.last_mut().expect("recovering");
         event.slots_rebuilt += lost.len();
         event.closure_len = closure.len();
@@ -560,7 +566,8 @@ impl CoordState<'_> {
             })
         });
         let (mut result, mut factors, seen) = out.into_inner().expect("gather lock");
-        self.count_frames(seen.len() as u64, (seen.len() * graph.b() * graph.b()) as u64, true);
+        let floats = self.floats(seen.iter().copied());
+        self.count_frames(seen.len() as u64, floats, true);
         // A broken stream reports no pushes; what it lacks is rebuilt here.
         for (pushes, push_floats) in streamed.into_iter().flatten() {
             self.count_frames(pushes, push_floats, false);

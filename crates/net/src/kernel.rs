@@ -27,9 +27,10 @@ pub type Shard = Mutex<HashMap<Slot, Box<[f64]>>>;
 
 /// Execute `t` against `shard`. Factor-family *write* slots are created
 /// zero-filled on demand (matching `TFactors::allocate_for`) from buffers
-/// `pool` recycles; a missing `A`-family operand is a typed error — an
-/// input was never staged or pushed. On error the map holds every buffer it
-/// held before.
+/// `pool` recycles; a missing `A`-family operand, or a buffer that is not
+/// its slot's `SlotFamily::slot_len` long, is a typed error — an input was
+/// never staged or pushed. On error the map holds every buffer it held
+/// before.
 pub(crate) fn run_task_on_map(
     shard: &Shard,
     pool: &TilePool,
@@ -44,15 +45,16 @@ pub(crate) fn run_task_on_map(
     let mut slots = shard.lock().expect("shard lock: a holder panicked");
     let mut missing = None;
     for (n, s) in writes.iter().chain(&reads).enumerate() {
+        let len = s.0.slot_len(b, ib);
         // Factor outputs start life zeroed, exactly as
         // TFactors::allocate_for zero-fills them.
         let output = n < writes.len() && s.0 != SlotFamily::A;
-        let zeroed = || output.then(|| pool.zeroed(b * b));
+        let zeroed = || output.then(|| pool.zeroed(len));
         let buf = slots.remove(s).or_else(zeroed);
-        let fits = buf.as_ref().is_some_and(|buf| buf.len() == b * b);
+        let fits = buf.as_ref().is_some_and(|buf| buf.len() == len);
         held.extend(buf.map(|buf| (*s, buf)));
         if !fits {
-            missing = Some(*s);
+            missing = Some((*s, len));
             break;
         }
     }
@@ -64,9 +66,9 @@ pub(crate) fn run_task_on_map(
         run_kernel(t.kind, b, ib, Trans::Trans, &reads, &mut writes);
     }
     shard.lock().expect("shard lock: a holder panicked").extend(held);
-    missing.map_or(Ok(()), |(fam, i, j)| {
+    missing.map_or(Ok(()), |((fam, i, j), len)| {
         let task = t.label();
-        Err(NetError::Remote(format!("task {task} needs {fam:?}({i},{j}) as a {b}x{b} tile here")))
+        Err(NetError::Remote(format!("task {task} needs {fam:?}({i},{j}) of {len} doubles here")))
     })
 }
 

@@ -37,8 +37,9 @@ use std::time::Duration;
 
 /// Container magic for every net message.
 pub const NET_MAGIC: [u8; 8] = *b"HQRNETV0";
-/// Protocol version; bumped on any incompatible change.
-pub const NET_VERSION: u32 = 3;
+/// Protocol version; bumped on any incompatible change (4: a T factor
+/// travels as its `t_len(b, ib)` doubles, not as a zero-padded `b*b` tile).
+pub const NET_VERSION: u32 = 4;
 
 const TAG_HEAD: u32 = 1;
 const TAG_LIST_A: u32 = 2;
@@ -77,7 +78,8 @@ pub enum Msg<T = Vec<f64>> {
     Hello { run_id: u64, dims: [u64; 7], addrs: Vec<SocketAddr>, tasks: Vec<Task> },
     /// The positive answer to `Hello`, `Start`, `Ping` and `Shutdown`.
     Ok,
-    /// Install one slot's `b*b` buffer at the receiver. Unacknowledged: the
+    /// Install one slot's buffer at the receiver: `b*b` doubles for a tile
+    /// or a V copy, `t_len(b, ib)` for a T factor. Unacknowledged: the
     /// scatter and a recovery's placements stream these to a worker (the
     /// acknowledged `Ping` that closes the stream is the barrier), the
     /// gather streams them back.

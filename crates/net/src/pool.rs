@@ -1,27 +1,31 @@
 //! A worker's recycled tile buffers.
 //!
-//! Every tile a worker holds is a `b*b` `Box<[f64]>`. Without a pool each
-//! received tile, each zero-filled factor output and each shard after a
-//! `Hello` is fresh memory the kernel has to fault in page by page; with
-//! it, a buffer that leaves the shard (overwritten by a `Put` or a `Push`,
-//! or the previous run's shard) is handed to the next tile that arrives.
-//! The pool lives in the worker's state, not in a run, so it survives runs,
-//! and it never holds more buffers than the largest shard the worker has
-//! held, so it does not raise the worker's peak memory. This is the one
-//! place a tile buffer is allocated.
+//! Every slot a worker holds is a `Box<[f64]>`: a `b*b` tile, or a T factor
+//! of `t_len(b, ib)` doubles. Without a pool each received slot, each
+//! zero-filled factor output and each shard after a `Hello` is fresh memory
+//! the kernel has to fault in page by page; with it, a buffer that leaves
+//! the shard (overwritten by a `Put` or a `Push`, or the previous run's
+//! shard) is handed to the next slot of its length that arrives. The pool
+//! lives in the worker's state, not in a run, so it survives runs, and it
+//! never holds more buffers than the largest shard the worker has held, so
+//! it does not raise the worker's peak memory. This is the one place a
+//! tile buffer is allocated.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Free `b*b` buffers; a leaf lock (nothing is locked while it is held).
+/// Free buffers by length; a leaf lock (nothing is locked while it is held).
 #[derive(Default)]
 pub(crate) struct TilePool(Mutex<Free>);
 
 #[derive(Default)]
 struct Free {
-    bufs: Vec<Box<[f64]>>,
-    /// The largest shard the worker has held: the most `bufs` may hold.
+    shelves: BTreeMap<usize, Vec<Box<[f64]>>>,
+    /// Buffers on all shelves.
+    count: usize,
+    /// The largest shard the worker has held: the most `count` may reach.
     cap: usize,
-    /// The most `bufs` ever held.
+    /// The most buffers ever held.
     #[cfg(test)]
     peak: usize,
 }
@@ -37,16 +41,13 @@ impl TilePool {
     }
 
     /// A buffer of `n` doubles with unspecified contents: the caller
-    /// overwrites all of it. Buffers of another length (a previous run's
-    /// tile size) are dropped on the way.
+    /// overwrites all of it.
     pub(crate) fn take(&self, n: usize) -> Box<[f64]> {
         let reused = {
             let mut free = self.free();
-            let top = free.bufs.pop();
-            if top.as_ref().is_some_and(|buf| buf.len() != n) {
-                free.bufs.clear();
-            }
-            top.filter(|buf| buf.len() == n)
+            let buf = free.shelves.get_mut(&n).and_then(Vec::pop);
+            free.count -= usize::from(buf.is_some());
+            buf
         };
         reused.unwrap_or_else(|| fresh(n))
     }
@@ -63,12 +64,22 @@ impl TilePool {
     pub(crate) fn give(&self, bufs: impl IntoIterator<Item = Box<[f64]>>, held: usize) {
         let mut free = self.free();
         free.cap = free.cap.max(held);
-        let room = free.cap.saturating_sub(free.bufs.len());
-        free.bufs.extend(bufs.into_iter().take(room));
+        for buf in bufs.into_iter().take(free.cap.saturating_sub(free.count)) {
+            free.shelves.entry(buf.len()).or_default().push(buf);
+            free.count += 1;
+        }
         #[cfg(test)]
         {
-            free.peak = free.peak.max(free.bufs.len());
+            free.peak = free.peak.max(free.count);
         }
+    }
+
+    /// Free every buffer whose length is not in `lens` (a new run's slot
+    /// lengths: what an earlier run's sizes left behind is never taken).
+    pub(crate) fn keep(&self, lens: &[usize]) {
+        let mut free = self.free();
+        free.shelves.retain(|len, _| lens.contains(len));
+        free.count = free.shelves.values().map(Vec::len).sum();
     }
 
     /// The most buffers the pool has held at once.
@@ -95,8 +106,12 @@ mod tests {
         dirty.fill(7.0);
         pool.give([dirty], 3);
         assert!(pool.zeroed(4).iter().all(|&x| x == 0.0));
-        // A run with another tile size: the old buffers go, the new one is fresh.
+        // Tiles and T factors share the cap and keep their lengths.
+        pool.give([fresh(2)], 3);
+        assert_eq!((pool.take(2).len(), pool.take(4).len()), (2, 4));
+        // A run with other sizes: the old buffers go, the new ones are fresh.
+        pool.keep(&[9, 3]);
+        assert_eq!(pool.free().count, 0);
         assert_eq!(pool.take(9).len(), 9);
-        assert_eq!(pool.take(4).len(), 4);
     }
 }

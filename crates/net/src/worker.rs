@@ -34,6 +34,7 @@ use crate::msg::{
     decode_borrowed, decode_tile, encode_into, push_frame, put_frame, recv_msg, send_msg, Msg,
 };
 use crate::pool::TilePool;
+use hqr_runtime::task::SlotFamily;
 use hqr_runtime::{last_writers, Task, TaskGraph};
 use hqr_tile::{Layout, ProcessGrid};
 use std::collections::hash_map::Entry;
@@ -310,7 +311,7 @@ impl Run {
             if peer.is_some_and(|s| write_frame(s, frame).is_ok()) {
                 let mut s = self.sched();
                 s.pushes += 1;
-                s.push_floats += (slots.len() * self.graph.b() * self.graph.b()) as u64;
+                s.push_floats += slots.iter().map(|&s| self.slot_len(s) as u64).sum::<u64>();
             } else {
                 peers.remove(&w);
             }
@@ -322,12 +323,14 @@ impl Run {
     fn accept_push(&self, pool: &TilePool, epoch: u64, task_id: u64, slots: Vec<(Slot, &[u8])>) {
         let tasks = self.graph.tasks();
         let Some(task) = usize::try_from(task_id).ok().and_then(|t| tasks.get(t)) else { return };
-        let (t, writes, bytes) = (task_id as usize, task.writes(), self.graph.b().pow(2) * 8);
-        if slots.iter().any(|(s, raw)| !writes.contains(s) || raw.len() != bytes) {
+        let (t, writes) = (task_id as usize, task.writes());
+        if slots.iter().any(|&(s, raw)| !writes.contains(&s) || raw.len() != self.slot_len(s) * 8) {
             return;
         }
-        let tiles: Vec<_> =
-            slots.into_iter().filter_map(|(s, raw)| Some((s, self.tile(pool, raw)?))).collect();
+        let tiles: Vec<_> = slots
+            .into_iter()
+            .filter_map(|(s, raw)| Some((s, self.decode(pool, s, raw)?)))
+            .collect();
         // The sender's `Start` can precede ours: wait for the epoch rather
         // than lose the push (ours is on its way, or the run is over and the
         // wait times out). The sched lock is then held across the install, so
@@ -353,7 +356,7 @@ impl Run {
     /// straggler from a connection the coordinator gave up on must not undo
     /// what a task wrote since.
     fn place(&self, pool: &TilePool, slot: Slot, raw: &[u8]) {
-        let Some(buf) = self.tile(pool, raw) else { return };
+        let Some(buf) = self.decode(pool, slot, raw) else { return };
         let s = self.sched();
         if s.epoch == 0 || s.halt {
             self.install(pool, [(slot, buf)]);
@@ -362,11 +365,16 @@ impl Run {
         }
     }
 
-    /// A received tile decoded into a pooled buffer if it is `b x b`; a
-    /// tile of any other size is dropped on arrival and never enters the
-    /// shard.
-    fn tile(&self, pool: &TilePool, raw: &[u8]) -> Option<Box<[f64]>> {
-        let n = self.graph.b() * self.graph.b();
+    /// Doubles in `slot`'s buffer in this run.
+    fn slot_len(&self, (fam, ..): Slot) -> usize {
+        fam.slot_len(self.graph.b(), self.ib)
+    }
+
+    /// A received buffer for `slot` decoded into a pooled one if it is
+    /// [`Run::slot_len`] long; a buffer of any other size is dropped on
+    /// arrival and never enters the shard.
+    fn decode(&self, pool: &TilePool, slot: Slot, raw: &[u8]) -> Option<Box<[f64]>> {
+        let n = self.slot_len(slot);
         (raw.len() == n * 8).then(|| {
             let mut buf = pool.take(n);
             decode_tile(raw, &mut buf).expect("the size was checked");
@@ -541,6 +549,8 @@ fn answer(
             if state.run(run_id).is_err() {
                 let run = Run::plan(run_id, dims, addrs, tasks);
                 let run = Arc::new(run.map_err(|e| format!("hello rejected: {e}"))?);
+                // What the pool holds of an earlier run's sizes is never taken.
+                let lens = [SlotFamily::A, SlotFamily::Tg].map(|fam| run.slot_len((fam, 0, 0)));
                 // New run: the previous one's plan and compute thread go, and
                 // its shard's buffers go back to the pool. (Halted outside
                 // the lock: a dying compute thread takes it.)
@@ -551,6 +561,7 @@ fn answer(
                     let held = shard.len();
                     state.pool.give(shard.into_values(), held);
                 }
+                state.pool.keep(&lens);
             }
             Msg::Ok
         }

@@ -3,6 +3,7 @@
 //! and into `hqr_tile::io` — everything must come back as a typed error
 //! (or a valid message), never a panic, never an unbounded allocation.
 
+use hqr_kernels::t_len;
 use hqr_net::{
     read_frame, recv_msg, send_msg, shutdown, spawn_local, write_frame, Msg, NetError,
     WorkerOptions, MAX_FRAME, NET_MAGIC, NET_VERSION,
@@ -421,8 +422,8 @@ fn stale_and_hostile_pushes_change_nothing() {
 
 /// A `Put` whose tile is not `b x b` doubles is dropped when it arrives: the
 /// slot stays absent from the shard (the gather does not stream it back),
-/// and the task that needs it fails with the typed "needs ... as a b x b
-/// tile here" error.
+/// and the task that needs it fails with the typed "needs ... of b * b
+/// doubles here" error.
 #[test]
 fn a_wrong_sized_put_is_dropped_on_arrival() {
     let worker = spawn_local(WorkerOptions::default()).expect("spawn worker");
@@ -447,9 +448,86 @@ fn a_wrong_sized_put_is_dropped_on_arrival() {
         }
     });
     let failure = failure.expect("the task never failed");
-    assert!(failure.contains("needs A(0,0) as a 4x4 tile here"), "{failure}");
+    assert!(failure.contains("needs A(0,0) of 16 doubles here"), "{failure}");
     let (slots, _) = gather(&mut conn, run_id);
     assert!(slots.iter().all(|(slot, _)| *slot != pivot), "the tile entered the shard");
+    shutdown(worker.addr).expect("orderly shutdown");
+    worker.join().expect("worker thread");
+}
+
+/// A T factor travels as its `t_len(b, ib)` doubles. A push or put whose
+/// T payload has any other length — the zero-padded `b * b` tile of the
+/// previous protocol version among them — is dropped whole on arrival: the
+/// kernel that reads the T sees only the one of the right length, and the
+/// kernel that writes it finds no misfit buffer in its way.
+#[test]
+fn factor_payloads_that_are_not_t_len_long_are_dropped() {
+    let (b, ib) = (4usize, 2usize);
+    let tg: Slot = (SlotFamily::Tg, 0, 0);
+    let (padded, short) = (vec![f64::NAN; b * b], vec![f64::NAN; t_len(b, ib) - 1]);
+
+    // Push: one tile row on a 1x2 grid. Worker 1 (under test) owns the
+    // UNMQR, which reads GEQRT(0,0)'s V and T from worker 0 — us.
+    let graph = TaskGraph::build(1, 2, b, &[]);
+    assert_eq!(graph.tasks(), [Task::geqrt(0, 0), Task::unmqr(0, 0, 1)]);
+    let input = TiledMatrix::random(1, 2, b, 5);
+    let vg: Slot = (SlotFamily::Vg, 0, 0);
+    let geqrt = recompute_slots(&graph, &input, ib, &[0], &[vg, tg]).unwrap();
+    let (v, t) = (geqrt[&vg].to_vec(), geqrt[&tg].to_vec());
+    assert_eq!(t.len(), t_len(b, ib));
+
+    let worker = spawn_local(WorkerOptions::default()).expect("spawn worker");
+    let nobody = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addrs = vec![nobody.local_addr().unwrap(), worker.addr];
+    let mut conn = std::net::TcpStream::connect(worker.addr).expect("connect");
+    let dims = [1, 2, b as u64, ib as u64, 1, 2, 1];
+    let plan = Msg::Hello { run_id: 1, dims, addrs, tasks: graph.tasks().to_vec() };
+    assert_eq!(rpc(&mut conn, plan), Msg::Ok);
+    let mine = Msg::Put { slot: (SlotFamily::A, 0, 1), data: input.tile(0, 1).to_vec() };
+    send_msg(&mut conn, &mine).expect("put");
+    let start = Msg::Start { run_id: 1, epoch: 1, owners: vec![0, 1], completed: vec![] };
+    assert_eq!(rpc(&mut conn, start), Msg::Ok);
+    let push = |t: &Vec<f64>| Msg::Push {
+        run_id: 1,
+        epoch: 1,
+        task_id: 0,
+        slots: vec![(vg, v.clone()), (tg, t.clone())],
+    };
+    for t in [&padded, &short, &t, &padded] {
+        send_msg(&mut conn, &push(t)).expect("push");
+    }
+    assert_eq!(wait_for_tasks(&mut conn, 1, 1), vec![1]);
+    let halted = rpc(&mut conn, Msg::Completed { run_id: 1, after: 0, halt: true });
+    assert_eq!(halted, Msg::Progress { ids: vec![1], accepted: vec![0] });
+    let mut a = input.clone();
+    execute_serial_ib(&graph, &mut a, ib);
+    let (slots, _) = gather(&mut conn, 1);
+    let updated = (SlotFamily::A, 0, 1);
+    let (_, got) = slots.iter().find(|(slot, _)| *slot == updated).expect("A(0,1) gathered");
+    assert_eq!(bits(got), bits(a.tile(0, 1)), "UNMQR ran with the t_len-long T only");
+
+    // Put: a 1x1 run, all of it on the worker. A misfit Tg installed
+    // before the GEQRT would make the kernel refuse its operand.
+    let graph = TaskGraph::build(1, 1, b, &[]);
+    let dims = [1, 1, b as u64, ib as u64, 1, 1, 0];
+    let plan =
+        Msg::Hello { run_id: 2, dims, addrs: vec![worker.addr], tasks: graph.tasks().to_vec() };
+    assert_eq!(rpc(&mut conn, plan), Msg::Ok);
+    let data = input.tile(0, 0).to_vec();
+    send_msg(&mut conn, &Msg::Put { slot: (SlotFamily::A, 0, 0), data }).expect("put");
+    for t in [&padded, &short] {
+        send_msg(&mut conn, &Msg::Put { slot: tg, data: t.clone() }).expect("put");
+    }
+    let start = Msg::Start { run_id: 2, epoch: 1, owners: vec![0], completed: vec![] };
+    assert_eq!(rpc(&mut conn, start), Msg::Ok);
+    assert_eq!(wait_for_tasks(&mut conn, 2, 1), vec![0]);
+    let mut a = TiledMatrix::zeros(1, 1, b);
+    a.tile_mut(0, 0).copy_from_slice(input.tile(0, 0));
+    let f_one = execute_serial_ib(&graph, &mut a, ib);
+    let (slots, _) = gather(&mut conn, 2);
+    let (_, got) = slots.iter().find(|(slot, _)| *slot == tg).expect("Tg(0,0) gathered");
+    assert_eq!(got.len(), t_len(b, ib));
+    assert_eq!(bits(got), bits(f_one.tg(0, 0).unwrap()));
     shutdown(worker.addr).expect("orderly shutdown");
     worker.join().expect("worker thread");
 }

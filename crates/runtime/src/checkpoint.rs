@@ -18,7 +18,8 @@
 //! * the completed-task bitmap,
 //! * the tile store, and
 //! * the three `TFactors` buffer families (presence bitmap + packed
-//!   payloads).
+//!   payloads: `b × b` V copies, `hqr_kernels::t_len(b, ib)`-double T
+//!   factors).
 //!
 //! The [`graph_fingerprint`] binds a checkpoint to the exact plan that
 //! produced it: resuming against a different elimination list, tile
@@ -45,11 +46,13 @@ use crate::exec::{
 };
 use crate::fault::{ExecOptions, FaultStats};
 use crate::graph::TaskGraph;
+use crate::task::SlotFamily;
 
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HQRCKPT\0";
-/// Checkpoint container version (2: `checksum64` trailer).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Checkpoint container version (2: `checksum64` trailer; 3: T factors of
+/// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 const SEC_HEADER: u32 = 1;
 const SEC_ELIMS: u32 = 2;
@@ -211,17 +214,18 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The checkpoint of `graph` run with inner block size `ib`, quiesced
-    /// with `completed` done: the one place the fingerprint is tied to the
-    /// state it describes. `input_seed` starts at 0 (caller metadata).
+    /// The checkpoint of `graph` run with the inner block size `factors`
+    /// are laid out for, quiesced with `completed` done: the one place the
+    /// fingerprint is tied to the state it describes. `input_seed` starts
+    /// at 0 (caller metadata).
     pub fn capture(
         graph: &TaskGraph,
-        ib: usize,
         elims: Vec<ElimOp>,
         completed: Vec<bool>,
         a: TiledMatrix,
         factors: TFactors,
     ) -> Checkpoint {
+        let ib = factors.ib;
         Checkpoint {
             mt: graph.mt(),
             nt: graph.nt(),
@@ -361,8 +365,8 @@ fn bitmap_from_words(tag: u32, words: &[u64], nbits: usize) -> Result<Vec<bool>,
 }
 
 /// One `TFactors` family as [`SectionList`] pieces: presence bitmap words,
-/// then the packed `b*b` payloads of present slots in index order, in
-/// place — shared with the service's durable result containers
+/// then the payloads of present slots in index order, in place — shared
+/// with the service's durable result containers
 /// (`journal::result_sections`).
 pub(crate) fn family_parts(family: &[Option<Box<[f64]>>]) -> impl Iterator<Item = Cow<'_, [u8]>> {
     let present: Vec<bool> = family.iter().map(Option::is_some).collect();
@@ -374,12 +378,12 @@ fn family_to_bytes(family: &[Option<Box<[f64]>>]) -> Vec<u8> {
     family_parts(family).collect::<Vec<_>>().concat()
 }
 
-pub(crate) fn family_from_bytes(
+/// An encoded family's presence bitmap and the payload bytes after it.
+fn family_split(
     tag: u32,
     bytes: &[u8],
     slots: usize,
-    b: usize,
-) -> Result<Vec<Option<Box<[f64]>>>, CheckpointError> {
+) -> Result<(Vec<bool>, &[u8]), CheckpointError> {
     let words = slots.div_ceil(64);
     if bytes.len() < words * 8 {
         return Err(CheckpointError::Format(BinFormatError::BadSection {
@@ -389,22 +393,53 @@ pub(crate) fn family_from_bytes(
     }
     let (bitmap_bytes, payload_bytes) = bytes.split_at(words * 8);
     let present = bitmap_from_words(tag, &u64s_of_bytes(tag, bitmap_bytes)?, slots)?;
+    Ok((present, payload_bytes))
+}
+
+/// Doubles per buffer of an encoded family, `None` when it holds none.
+pub(crate) fn family_buffer_len(
+    tag: u32,
+    bytes: &[u8],
+    slots: usize,
+) -> Result<Option<usize>, CheckpointError> {
+    let (present, payload) = family_split(tag, bytes, slots)?;
     let count = present.iter().filter(|&&p| p).count();
-    // Checked: `b` comes from the file, and a wrapped product could match
+    if count == 0 {
+        return Ok(None);
+    }
+    if !payload.len().is_multiple_of(count * 8) {
+        return Err(CheckpointError::Format(BinFormatError::BadSection {
+            tag,
+            message: format!("{} payload bytes do not split into {count} buffers", payload.len()),
+        }));
+    }
+    Ok(Some(payload.len() / 8 / count))
+}
+
+/// Decode a family of `slots` slots whose buffers hold `len` doubles each.
+pub(crate) fn family_from_bytes(
+    tag: u32,
+    bytes: &[u8],
+    slots: usize,
+    len: usize,
+) -> Result<Vec<Option<Box<[f64]>>>, CheckpointError> {
+    let (present, payload_bytes) = family_split(tag, bytes, slots)?;
+    let count = present.iter().filter(|&&p| p).count();
+    // Checked: `len` comes from the file, and a wrapped product could match
     // the payload length by accident.
-    let per_buffer = b.checked_mul(b).and_then(|x| x.checked_mul(8)).filter(|&x| x > 0);
+    let per_buffer = len.checked_mul(8).filter(|&x| x > 0);
     let expect = per_buffer.and_then(|x| x.checked_mul(count));
     let (Some(per_buffer), Some(expect)) = (per_buffer, expect) else {
         return Err(CheckpointError::Format(BinFormatError::BadSection {
             tag,
-            message: format!("{count} buffers of {b}² doubles overflow"),
+            message: format!("{count} buffers of {len} doubles overflow"),
         }));
     };
     if payload_bytes.len() != expect {
         return Err(CheckpointError::Format(BinFormatError::BadSection {
             tag,
             message: format!(
-                "family payload holds {} bytes, expected {expect} ({count} buffers of {b}² doubles)",
+                "family payload holds {} bytes, expected {expect} ({count} buffers of {len} doubles)",
                 payload_bytes.len(),
             ),
         }));
@@ -414,7 +449,7 @@ pub(crate) fn family_from_bytes(
     for &p in &present {
         family.push(match p {
             true => {
-                let mut buf = vec![0.0; b * b].into_boxed_slice();
+                let mut buf = vec![0.0; len].into_boxed_slice();
                 let bytes = buffers.next().expect("payload length checked above");
                 f64s_from_le(tag, bytes, &mut buf)?;
                 Some(buf)
@@ -488,7 +523,7 @@ fn decode_checkpoint(r: SectionReader) -> Result<Checkpoint, CheckpointError> {
         [header[0], header[1], header[2], header[3], header[4], header[5], header[6], header[7]];
     let (mt, nt, b, ib, ntasks) =
         (mt as usize, nt as usize, b as usize, ib as usize, ntasks as usize);
-    if mt == 0 || nt == 0 || b == 0 || ib == 0 || ib > b {
+    if mt == 0 || nt == 0 || b == 0 || ib == 0 || ib > b || b.checked_mul(b).is_none() {
         return Err(inconsistent(format!("degenerate shape mt={mt} nt={nt} b={b} ib={ib}")));
     }
 
@@ -515,14 +550,12 @@ fn decode_checkpoint(r: SectionReader) -> Result<Checkpoint, CheckpointError> {
     }
 
     let slots = mt * nt;
-    let factors = TFactors {
-        b,
-        mt,
-        nt,
-        vg: family_from_bytes(SEC_VG, r.require(SEC_VG)?, slots, b)?,
-        tg: family_from_bytes(SEC_TG, r.require(SEC_TG)?, slots, b)?,
-        tk: family_from_bytes(SEC_TK, r.require(SEC_TK)?, slots, b)?,
-    };
+    let mut factors = TFactors::empty(mt, nt, b, ib);
+    for (tag, fam) in [(SEC_VG, SlotFamily::Vg), (SEC_TG, SlotFamily::Tg), (SEC_TK, SlotFamily::Tk)]
+    {
+        let family = family_from_bytes(tag, r.require(tag)?, slots, fam.slot_len(b, ib))?;
+        *factors.family_mut(fam).expect("a factor family") = family;
+    }
 
     Ok(Checkpoint { mt, nt, b, ib, fingerprint, input_seed, elims, completed, a, factors })
 }
@@ -614,7 +647,7 @@ pub fn try_execute_checkpointed(
 
     let nthreads = opts.nthreads.max(1);
     let mut completed = vec![false; n];
-    let mut factors = TFactors::allocate_for(graph);
+    let mut factors = TFactors::allocate_for(graph, ib);
     let mut stats = FaultStats::default();
     let mut stitched = trace.then(|| ExecTrace {
         nthreads,
@@ -678,7 +711,6 @@ pub fn try_execute_checkpointed(
                 input_seed: spec.input_seed,
                 ..Checkpoint::capture(
                     graph,
-                    ib,
                     spec.elims.to_vec(),
                     completed.clone(),
                     a.clone(),
@@ -764,7 +796,7 @@ pub fn resume_from_checkpoint(
     }
     // The stored factor allocation must match what this graph allocates —
     // a slot mismatch means the file pairs a bitmap with foreign buffers.
-    let fresh = TFactors::allocate_for(&graph);
+    let fresh = TFactors::allocate_for(&graph, ckpt.ib);
     let same_slots = |x: &[Option<Box<[f64]>>], y: &[Option<Box<[f64]>>]| {
         x.iter().zip(y).all(|(a, b)| a.is_some() == b.is_some())
     };

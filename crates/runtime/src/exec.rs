@@ -43,19 +43,22 @@ use crate::fault::{
 };
 use crate::graph::TaskGraph;
 use crate::integrity::{GuardStore, IntegrityMode};
+use crate::lineage::Slot;
 use crate::sched::{self, SchedPolicy};
-use crate::store::{RunPlan, TileStore};
-use crate::task::Task;
-use hqr_kernels::KernelKind;
+use crate::store::{pages, RunPlan, TileStore};
+use crate::task::{SlotFamily, Task};
 use hqr_tile::TiledMatrix;
 
 /// The Householder factor buffers produced by a factorization: the V copies
 /// and T factors of every GEQRT, and the T factors of every kill kernel.
 /// Together with the factored matrix (V/V2 blocks in place, R in the upper
-/// triangle) and the elimination list, they fully determine Q.
+/// triangle) and the elimination list, they fully determine Q. A V copy is
+/// a `b × b` tile; a T factor is `hqr_kernels::t_len(b, ib)` doubles, so
+/// the buffers belong to one inner block size.
 #[derive(Clone)]
 pub struct TFactors {
     pub(crate) b: usize,
+    pub(crate) ib: usize,
     pub(crate) mt: usize,
     pub(crate) nt: usize,
     pub(crate) vg: Vec<Option<Box<[f64]>>>,
@@ -69,6 +72,7 @@ impl std::fmt::Debug for TFactors {
         let count = |v: &[Option<Box<[f64]>>]| v.iter().filter(|o| o.is_some()).count();
         f.debug_struct("TFactors")
             .field("b", &self.b)
+            .field("ib", &self.ib)
             .field("mt", &self.mt)
             .field("nt", &self.nt)
             .field("vg_buffers", &count(&self.vg))
@@ -78,28 +82,43 @@ impl std::fmt::Debug for TFactors {
     }
 }
 
+/// Every factor slot `graph`'s tasks write, as `(family, i, k)`: the
+/// buffers a run of it needs besides the matrix tiles.
+pub(crate) fn factor_slots(graph: &TaskGraph) -> impl Iterator<Item = Slot> + '_ {
+    graph.tasks().iter().flat_map(Task::writes).filter(|s| s.0 != SlotFamily::A)
+}
+
 impl TFactors {
-    /// Allocate exactly the buffers the graph's tasks will write.
-    pub fn allocate_for(graph: &TaskGraph) -> Self {
-        let (mt, nt, b) = (graph.mt(), graph.nt(), graph.b());
-        let mut vg: Vec<Option<Box<[f64]>>> = (0..mt * nt).map(|_| None).collect();
-        let mut tg: Vec<Option<Box<[f64]>>> = (0..mt * nt).map(|_| None).collect();
-        let mut tk: Vec<Option<Box<[f64]>>> = (0..mt * nt).map(|_| None).collect();
-        let zero = || Some(vec![0.0; b * b].into_boxed_slice());
-        for t in graph.tasks() {
-            let idx = t.i as usize + (t.k as usize) * mt;
-            match t.kind {
-                KernelKind::Geqrt => {
-                    vg[idx] = zero();
-                    tg[idx] = zero();
-                }
-                KernelKind::Tsqrt | KernelKind::Ttqrt => {
-                    tk[idx] = zero();
-                }
-                _ => {}
-            }
+    /// No buffer at all: the families a paged store or a decoder fills.
+    pub(crate) fn empty(mt: usize, nt: usize, b: usize, ib: usize) -> Self {
+        let none = || (0..mt * nt).map(|_| None).collect();
+        TFactors { b, ib, mt, nt, vg: none(), tg: none(), tk: none() }
+    }
+
+    /// Allocate, zero-filled, exactly the buffers the graph's tasks will
+    /// write when they run with inner block size `ib`.
+    pub fn allocate_for(graph: &TaskGraph, ib: usize) -> Self {
+        let (mt, b) = (graph.mt(), graph.b());
+        let mut f = Self::empty(mt, graph.nt(), b, ib);
+        for (fam, i, k) in factor_slots(graph) {
+            let buf = vec![0.0; fam.slot_len(b, ib)].into_boxed_slice();
+            f.family_mut(fam).expect("a factor family")[i + k * mt] = Some(buf);
         }
-        TFactors { b, mt, nt, vg, tg, tk }
+        f
+    }
+
+    /// Inner block size the T factors are laid out for.
+    pub fn ib(&self) -> usize {
+        self.ib
+    }
+
+    pub(crate) fn family_mut(&mut self, fam: SlotFamily) -> Option<&mut Vec<Option<Box<[f64]>>>> {
+        match fam {
+            SlotFamily::Vg => Some(&mut self.vg),
+            SlotFamily::Tg => Some(&mut self.tg),
+            SlotFamily::Tk => Some(&mut self.tk),
+            SlotFamily::A => None,
+        }
     }
 
     /// Tile size.
@@ -130,20 +149,9 @@ impl TFactors {
     /// Mutable view of an allocated factor buffer, for callers (the
     /// distributed gather step) that fill a [`TFactors`] from bytes
     /// computed elsewhere. `None` when the graph never writes that slot.
-    pub fn slot_mut(
-        &mut self,
-        fam: crate::task::SlotFamily,
-        i: usize,
-        k: usize,
-    ) -> Option<&mut [f64]> {
+    pub fn slot_mut(&mut self, fam: SlotFamily, i: usize, k: usize) -> Option<&mut [f64]> {
         let idx = i + k * self.mt;
-        let v = match fam {
-            crate::task::SlotFamily::Vg => &mut self.vg,
-            crate::task::SlotFamily::Tg => &mut self.tg,
-            crate::task::SlotFamily::Tk => &mut self.tk,
-            crate::task::SlotFamily::A => return None,
-        };
-        v.get_mut(idx).and_then(|o| o.as_deref_mut())
+        self.family_mut(fam)?.get_mut(idx).and_then(|o| o.as_deref_mut())
     }
 
     /// Bit-exact equality of every allocated factor buffer (comparing
@@ -162,6 +170,7 @@ impl TFactors {
                 })
         }
         self.b == other.b
+            && self.ib == other.ib
             && self.mt == other.mt
             && self.nt == other.nt
             && family_eq(&self.vg, &other.vg)
@@ -179,8 +188,8 @@ pub fn execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> TFactors {
 /// [`execute_serial`] with an explicit inner block size (PLASMA's IB);
 /// `ib == b` selects the unblocked kernels.
 pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> TFactors {
-    let mut f = TFactors::allocate_for(graph);
-    let store = TileStore::with_ib(a, &mut f, ib);
+    let mut f = TFactors::allocate_for(graph, ib);
+    let store = TileStore::new(a, &mut f);
     for t in graph.tasks() {
         // SAFETY: single-threaded, topological order.
         unsafe { store.run_task(t) };
@@ -1012,10 +1021,27 @@ fn run_engine(
     opts: &ExecOptions,
     trace: bool,
 ) -> Result<(TFactors, FaultStats, Option<ExecTrace>), ExecError> {
-    let mut f = TFactors::allocate_for(graph);
+    let ib = checked_ib(opts, graph.b())?;
+    // A paged store creates each factor slot as zeros at its first pin, so
+    // buffers allocated here would only be dropped.
+    let mut f = match pages(graph, ib, opts.resident_budget) {
+        true => TFactors::empty(graph.mt(), graph.nt(), graph.b(), ib),
+        false => TFactors::allocate_for(graph, ib),
+    };
     let limit = graph.tasks().len();
     let (stats, exec_trace) = run_engine_segment(graph, a, &mut f, opts, trace, None, limit)?;
     Ok((f, stats, exec_trace))
+}
+
+/// The run's inner block size: `opts.ib`, or `b` (the plain kernels).
+fn checked_ib(opts: &ExecOptions, b: usize) -> Result<usize, ExecError> {
+    let ib = opts.ib.unwrap_or(b);
+    if ib == 0 || ib > b {
+        return Err(ExecError::Config {
+            message: format!("inner block size {ib} must be in 1..={b}"),
+        });
+    }
+    Ok(ib)
 }
 
 /// The engine behind [`run_engine`] and the checkpoint/resume drivers in
@@ -1047,7 +1073,7 @@ pub(crate) fn run_engine_segment(
 ) -> Result<(FaultStats, Option<ExecTrace>), ExecError> {
     let nthreads = opts.nthreads.max(1);
     let b = graph.b();
-    let ib = opts.ib.unwrap_or(b);
+    let ib = checked_ib(opts, b)?;
     if a.mt() != graph.mt() || a.nt() != graph.nt() || a.b() != b {
         return Err(ExecError::Config {
             message: format!(
@@ -1060,9 +1086,17 @@ pub(crate) fn run_engine_segment(
             ),
         });
     }
-    if ib == 0 || ib > b {
+    if (f.mt, f.nt, f.b, f.ib) != (graph.mt(), graph.nt(), b, ib) {
         return Err(ExecError::Config {
-            message: format!("inner block size {ib} must be in 1..={b}"),
+            message: format!(
+                "factors are {}x{} of size {} for ib {}, the run is {}x{} of size {b} at ib {ib}",
+                f.mt,
+                f.nt,
+                f.b,
+                f.ib,
+                graph.mt(),
+                graph.nt()
+            ),
         });
     }
     let n = graph.tasks().len();
@@ -1098,7 +1132,7 @@ pub(crate) fn run_engine_segment(
     let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
     let order = || preview_order(graph, &policy, completed, limit);
     let run_plan = RunPlan { graph, completed, order: &order };
-    let store = TileStore::open(a, f, ib, &run_plan, budget, spill_dir)
+    let store = TileStore::open(a, f, &run_plan, budget, spill_dir)
         .map_err(|message| ExecError::SpillIo { message })?;
     let (mut run, frontier) = DagRun::new(graph, store, &policy, completed, limit);
     let alive = AtomicUsize::new(nthreads);
@@ -1395,9 +1429,12 @@ mod tests {
     #[test]
     fn tfactors_allocation_is_sparse() {
         let g = TaskGraph::build(3, 2, 2, &flat_elims(3, 2));
-        let f = TFactors::allocate_for(&g);
+        let f = TFactors::allocate_for(&g, 1);
         // GEQRT only on diagonal rows (flat tree = TS everywhere).
         assert!(f.tg(0, 0).is_some());
+        // A V copy is a tile; a T is `ib x b`.
+        assert_eq!((f.vg(0, 0).unwrap().len(), f.tg(0, 0).unwrap().len()), (4, 2));
+        assert_eq!(f.tk(1, 0).unwrap().len(), 2);
         assert!(f.tg(1, 1).is_some());
         assert!(f.tg(2, 0).is_none(), "TS victims have no GEQRT T");
         assert!(f.tk(1, 0).is_some());

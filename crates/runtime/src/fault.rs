@@ -61,7 +61,8 @@ pub enum SdcPattern {
 pub struct SdcFault {
     /// Picks which write-set buffer is struck (mod the task's write count).
     pub slot: u32,
-    /// Picks which element within the `b × b` buffer is struck (mod `b²`).
+    /// Picks which element within the slot's buffer is struck (mod its
+    /// length: `b²` for a tile, `t_len(b, ib)` for a T factor).
     pub element: u32,
     /// The corruption applied to that element.
     pub pattern: SdcPattern,

@@ -59,10 +59,11 @@ use hqr_tile::io::{
     SectionList, SectionReader,
 };
 
-use crate::checkpoint::{family_from_bytes, family_parts};
+use crate::checkpoint::{family_buffer_len, family_from_bytes, family_parts};
 use crate::exec::{relock, TFactors};
 use crate::pool::{JobResult, PoolConfig};
 use crate::pool_step::{snapshot, PoolState};
+use crate::task::SlotFamily;
 
 /// Magic bytes opening every journal record container.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"HQRJRNL\0";
@@ -71,8 +72,9 @@ pub const JOURNAL_VERSION: u32 = 2;
 
 /// Magic bytes opening a durable result container.
 pub const RESULT_MAGIC: [u8; 8] = *b"HQRRSLT\0";
-/// Result container version (2: `checksum64` trailer).
-pub const RESULT_VERSION: u32 = 2;
+/// Result container version (2: `checksum64` trailer; 3: T factors of
+/// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`).
+pub const RESULT_VERSION: u32 = 3;
 
 const J_META: u32 = 1;
 const J_TEXT: u32 = 2;
@@ -563,11 +565,19 @@ pub fn result_from_bytes(bytes: Vec<u8>) -> Result<StoredResult, JournalError> {
         )));
     }
     let slots = mt * nt;
-    let fam = |tag: u32| -> Result<Vec<Option<Box<[f64]>>>, JournalError> {
-        family_from_bytes(tag, r.require(tag)?, slots, b)
-            .map_err(|e| inconsistent(format!("factor family {tag}: {e}")))
+    let family = |e| inconsistent(format!("factor family: {e}"));
+    // The header has no `ib` word; a T factor holds `t_len(b, ib) = ib · b`
+    // doubles, so `ib` is read off the Tg family (a graph always has a GEQRT).
+    let ib = match family_buffer_len(R_TG, r.require(R_TG)?, slots).map_err(family)? {
+        Some(n) if n.is_multiple_of(b) && (1..=b).contains(&(n / b)) => n / b,
+        Some(n) => return Err(inconsistent(format!("a T factor of {n} doubles for b = {b}"))),
+        None => b,
     };
-    let factors = TFactors { b, mt, nt, vg: fam(R_VG)?, tg: fam(R_TG)?, tk: fam(R_TK)? };
+    let mut factors = TFactors::empty(mt, nt, b, ib);
+    for (tag, fam) in [(R_VG, SlotFamily::Vg), (R_TG, SlotFamily::Tg), (R_TK, SlotFamily::Tk)] {
+        let buffers = family_from_bytes(tag, r.require(tag)?, slots, fam.slot_len(b, ib));
+        *factors.family_mut(fam).expect("a factor family") = buffers.map_err(family)?;
+    }
     Ok(StoredResult { id, result: JobResult { a, factors } })
 }
 
@@ -1045,8 +1055,7 @@ mod tests {
     #[test]
     fn older_result_container_is_unsupported_version() {
         let a = hqr_tile::TiledMatrix::zeros(1, 1, 2);
-        let factors =
-            TFactors { b: 2, mt: 1, nt: 1, vg: vec![None], tg: vec![None], tk: vec![None] };
+        let factors = TFactors::empty(1, 1, 2, 2);
         let mut bytes = result_to_bytes(4, &JobResult { a, factors });
         assert_eq!(result_from_bytes(bytes.clone()).expect("current version decodes").id, 4);
         bytes[8..12].copy_from_slice(&(RESULT_VERSION - 1).to_le_bytes());
@@ -1151,10 +1160,23 @@ mod tests {
         let mut a = hqr_tile::TiledMatrix::random(mt, nt, b, 3);
         let factors = crate::exec::execute_serial(&TaskGraph::build(mt, nt, b, &elims), &mut a);
         let result = JobResult { a, factors };
-        // The container the parent commit gathered from `tiled_to_bytes` and
-        // `family_to_bytes` intermediates, by its digest.
+        // The container gathered from `tiled_to_bytes` and `family_to_bytes`
+        // intermediates, by its digest. These are plain kernels (ib = b), so
+        // with the version word set back to 2 (and the trailer recomputed) it
+        // is byte for byte the version-2 container: packing T moved nothing.
+        // The digests are per dispatch arm: the factors' bits are.
+        let (now, v2_digest) = match hqr_kernels::simd_arm() {
+            hqr_kernels::SimdArm::Avx2 => (3881935433520469945, 3504738851380218351),
+            hqr_kernels::SimdArm::Scalar => (12232409187736074487, 17305655160278161035),
+        };
         let old = result_to_bytes(7, &result);
-        assert_eq!((old.len(), hqr_tile::io::fnv1a64(&old)), (3232, 3504738851380218351));
+        assert_eq!((old.len(), hqr_tile::io::fnv1a64(&old)), (3232, now));
+        let mut v2 = old.clone();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let n = v2.len() - 8;
+        let sum = hqr_tile::io::checksum64(&v2[..n]);
+        v2[n..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(hqr_tile::io::fnv1a64(&v2), v2_digest);
         let dir = std::env::temp_dir().join(format!("hqr_results_stream{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::with_retention(&dir, 0, 0, None).unwrap();

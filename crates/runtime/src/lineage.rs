@@ -103,10 +103,13 @@ pub fn recompute_slots(
             graph.b()
         ));
     }
+    if ib == 0 || ib > graph.b() {
+        return Err(format!("inner block size {ib} must be in 1..={}", graph.b()));
+    }
     let mut a = input.clone();
-    let mut f = TFactors::allocate_for(graph);
+    let mut f = TFactors::allocate_for(graph, ib);
     {
-        let store = TileStore::with_ib(&mut a, &mut f, ib);
+        let store = TileStore::new(&mut a, &mut f);
         let mut prev: i64 = -1;
         for &tid in closure {
             if (tid as usize) >= graph.tasks().len() || (tid as i64) <= prev {
@@ -247,9 +250,9 @@ mod tests {
         }
         // Run the same prefix for ground truth.
         let mut a = input.clone();
-        let mut f = TFactors::allocate_for(&g);
+        let mut f = TFactors::allocate_for(&g, b);
         {
-            let store = TileStore::with_ib(&mut a, &mut f, b);
+            let store = TileStore::new(&mut a, &mut f);
             for t in 0..cut {
                 unsafe { store.run_task(&g.tasks()[t]) };
             }

@@ -78,8 +78,7 @@ use crate::pool_step::{
     over_budget, snapshot, step, Conclusion, Effect, Event, Job, Observed, PoolState, Verdict,
 };
 use crate::sched::SchedPolicy;
-use crate::store::{RunPlan, TileStore};
-use hqr_kernels::KernelKind;
+use crate::store::{working_set_bytes, RunPlan, TileStore};
 use hqr_tile::io::{
     bytes_of_u64s, tiled_parts, u64s_of_bytes, BinFormatError, SectionList, SectionReader,
 };
@@ -923,22 +922,6 @@ pub struct JobPool {
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Bytes resident for one admitted job: matrix tiles plus the factor
-/// buffers its graph allocates (guards are negligible next to either).
-fn working_set_bytes(graph: &TaskGraph) -> u64 {
-    let bb = (graph.b() * graph.b() * std::mem::size_of::<f64>()) as u64;
-    let tiles = (graph.mt() * graph.nt()) as u64;
-    let mut factor_bufs = 0u64;
-    for t in graph.tasks() {
-        factor_bufs += match t.kind {
-            KernelKind::Geqrt => 2,
-            KernelKind::Tsqrt | KernelKind::Ttqrt => 1,
-            _ => 0,
-        };
-    }
-    (tiles + factor_bufs) * bb
-}
-
 fn invalid(message: impl Into<String>) -> SubmitError {
     SubmitError::Invalid { message: message.into() }
 }
@@ -986,8 +969,8 @@ fn prepare(spec: JobSpec, cfg: &PoolConfig, journaled: bool) -> Result<(Job, Hel
     // A job that may be retried keeps its pristine matrix beside the
     // working copy. A resident budget caps the charge: the job runs
     // out-of-core with at most that many bytes of tiles in memory.
-    let need = working_set_bytes(&graph)
-        + if spec.job_retries > 0 { (a.mt() * a.nt() * a.b() * a.b() * 8) as u64 } else { 0 };
+    let need = working_set_bytes(&graph, ib)
+        + if spec.job_retries > 0 { (a.rows() * a.cols() * 8) as u64 } else { 0 };
     let bytes = journaled.then(|| spec.to_bytes());
     let tasks_total = graph.tasks().len();
     let JobSpec { input, qos, policy, integrity, max_retries, job_retries, deadline, plan, .. } =
@@ -1629,8 +1612,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) -> Vec<u64> {
         Some(Verdict::Suspend(_)) => {
             // Quiescent, hence closed under predecessors — what
             // `validate_against` requires of a resumable checkpoint.
-            let ckpt =
-                Checkpoint::capture(&work.graph, work.ib, elims, run.completed(), a, factors);
+            let ckpt = Checkpoint::capture(&work.graph, elims, run.completed(), a, factors);
             let file = shared.cfg.durability.as_ref().and_then(|d| {
                 let file = ckpt_file(id);
                 write_checkpoint(&d.state_dir.join(&file), &ckpt)
@@ -1658,7 +1640,7 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
     let n = work.graph.tasks().len();
     let (elims, mut a, mut factors, completed) = match seed.expect("a waiting job holds its seed") {
         JobInput::Fresh { elims, a } => {
-            (elims, a, TFactors::allocate_for(&work.graph), vec![false; n])
+            (elims, a, TFactors::allocate_for(&work.graph, work.ib), vec![false; n])
         }
         JobInput::Resume(ck) => {
             let Checkpoint { elims, a, factors, completed, .. } = *ck;
@@ -1672,7 +1654,7 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
     // admitted, so availability beats the memory cap here.
     let spill_dir = shared.cfg.durability.as_ref().map(|d| d.state_dir.join("spill"));
     let (run, frontier) = {
-        let Work { graph, ib, policy, integrity, max_retries, plan, .. } = &*work;
+        let Work { graph, policy, integrity, max_retries, plan, .. } = &*work;
         let policy = RunPolicy {
             policy: *policy,
             integrity: *integrity,
@@ -1686,10 +1668,10 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
         let order = || preview_order(graph, &policy, Some(&completed), n);
         let plan = RunPlan { graph, completed: Some(&completed), order: &order };
         let budget = shared.cfg.resident_budget;
-        let store = TileStore::open(&mut a, &mut factors, *ib, &plan, budget, spill_dir.as_deref())
+        let store = TileStore::open(&mut a, &mut factors, &plan, budget, spill_dir.as_deref())
             .unwrap_or_else(|e| {
                 eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
-                TileStore::with_ib(&mut a, &mut factors, *ib)
+                TileStore::new(&mut a, &mut factors)
             });
         DagRun::new(graph, store, &policy, Some(&completed), n)
     };

@@ -6,7 +6,8 @@
 //! designed for exactly this regime (block data layout gives out-of-core
 //! execution its contiguous, fine-grained transfer unit). This module
 //! turns the flat pointer table of [`crate::store::TileStore`] into a
-//! cache: every `b × b` buffer of the matrix and the factor families
+//! cache: every buffer of the matrix and the factor families — a `b × b`
+//! tile, or a T factor of [`hqr_kernels::t_len`]`(b, ib)` doubles —
 //! becomes a [`Slot`] that is either *resident* (heap `Box<[f64]>`) or
 //! *spilled* (a fixed-offset record in the per-run spill file). The
 //! executor pins a task's read/write slots before the attempt ladder runs
@@ -45,21 +46,23 @@
 //!   later eviction picks. Strictly best-effort: a worker whose slot is
 //!   not resident reads it itself and never waits for the prefetcher.
 //! * **Lazy-zero factor slots.** `Vg`/`Tg`/`Tk` buffers are all-zero until
-//!   the task that first touches them writes them. They start non-resident
-//!   with no disk record and are materialised as zeros by that first pin —
-//!   neither written out at build time nor read back.
+//!   the task that first touches them writes them. The store learns which
+//!   exist from the graph's writes; they start non-resident with no disk
+//!   record and are materialised as zeros by that first pin — neither
+//!   allocated by the caller, written out at build time nor read back.
 //!
 //! ## On-disk format
 //!
-//! The spill file is an array of fixed-length records, one per slot,
-//! at offset `slot_index * record_len`. Each record is a complete
-//! sectioned container from [`hqr_tile::io`] (magic `HQRSPILL`, one
-//! payload section, `checksum64` trailer), so every fault-in re-verifies
-//! the checksum: the container trailer doubles as the at-rest
-//! silent-data-corruption guard. A mismatch surfaces as a typed error
-//! ([`crate::ExecError::SpillIo`]), never as silent numerical garbage.
-//! Records are encoded into, and read through, one reused byte buffer per
-//! thread, and decoded straight into the slot's buffer.
+//! The spill file holds one region per slot family, each an array of
+//! fixed-length records, one per slot of the family (a tile's record or
+//! a T factor's). Each record is a complete sectioned container from
+//! [`hqr_tile::io`] (magic `HQRSPILL`, one payload section, `checksum64`
+//! trailer), so every fault-in re-verifies the checksum: the container
+//! trailer doubles as the at-rest silent-data-corruption guard. A mismatch
+//! surfaces as a typed error ([`crate::ExecError::SpillIo`]), never as
+//! silent numerical garbage. A write-back is written straight from the
+//! slot's buffer, its checksum taken over the borrowed bytes; a fault-in
+//! is read straight into the slot's buffer and verified there.
 //!
 //! ## Locking and liveness
 //!
@@ -76,7 +79,6 @@
 //! first), and evictions bring residency back under budget as pins
 //! release. The prefetcher alone never exceeds it.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -85,7 +87,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hqr_tile::io::{SectionReader, SectionWriter};
+use hqr_tile::io::{f64_record_len, read_f64_record, write_f64_record, BinFormatError};
 use hqr_tile::TiledMatrix;
 
 use crate::exec::TFactors;
@@ -100,9 +102,9 @@ pub const SPILL_VERSION: u32 = 2;
 
 const S_TILE: u32 = 1;
 
-/// Container overhead around one tile payload: magic (8) + version (4)
-/// + section tag (4) + section length (8) + checksum trailer (8).
-const RECORD_OVERHEAD: usize = 32;
+/// The slot families in slot-index order.
+const FAMILIES: [SlotFamily; SLOT_FAMILIES] =
+    [SlotFamily::A, SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk];
 
 /// Next-use key of a slot no unstarted task touches.
 const NEVER: u32 = u32::MAX;
@@ -110,7 +112,8 @@ const NEVER: u32 = u32::MAX;
 /// Write flag on an entry of [`PagedCore::task_slots`].
 const WRITES: u32 = 1 << 31;
 
-/// Evicted buffers kept for the next fault-in instead of being freed.
+/// Evicted buffers of each length kept for the next fault-in instead of
+/// being freed.
 const FREE_BUFFERS: usize = 8;
 
 /// How long the prefetcher sleeps when its window is full or room was
@@ -189,18 +192,21 @@ struct Residency {
     victims: BTreeSet<(u32, u32)>,
     /// Bytes resident or reserved for a load in flight.
     resident: u64,
-    /// Evicted buffers awaiting reuse.
-    free: Vec<Box<[f64]>>,
+    /// Evicted buffers awaiting reuse: full tiles, then T factors.
+    free: [Vec<Box<[f64]>>; 2],
 }
 
 /// Shared state of the paged store: slot table, next-use table, spill
 /// file, budget accounting and traffic counters.
 pub(crate) struct PagedCore {
     b: usize,
+    ib: usize,
     mt: usize,
     slots_per_family: usize,
+    /// Bytes of one `b × b` tile.
     tile_bytes: u64,
-    record_len: u64,
+    /// Offset in the spill file of each family's region of records.
+    region: [u64; SLOT_FAMILIES],
     budget: u64,
     file: File,
     path: PathBuf,
@@ -237,27 +243,40 @@ pub(crate) struct PagedStore {
     prefetcher: Option<std::thread::JoinHandle<()>>,
 }
 
-thread_local! {
-    /// One record's bytes, reused across this thread's spill reads and
-    /// writes.
-    static RECORD: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
 impl PagedCore {
     #[inline]
     pub(crate) fn slot_index(&self, fam: SlotFamily, i: usize, j: usize) -> usize {
         (fam as usize) * self.slots_per_family + i + j * self.mt
     }
 
+    fn family(&self, idx: usize) -> SlotFamily {
+        FAMILIES[idx / self.slots_per_family]
+    }
+
     fn label(&self, idx: usize) -> String {
-        let fam = match idx / self.slots_per_family {
-            0 => SlotFamily::A,
-            1 => SlotFamily::Vg,
-            2 => SlotFamily::Tg,
-            _ => SlotFamily::Tk,
-        };
         let local = idx % self.slots_per_family;
-        format!("{}({},{})", fam.name(), local % self.mt, local / self.mt)
+        format!("{}({},{})", self.family(idx).name(), local % self.mt, local / self.mt)
+    }
+
+    /// Doubles in slot `idx`'s buffer.
+    fn slot_len(&self, idx: usize) -> usize {
+        self.family(idx).slot_len(self.b, self.ib)
+    }
+
+    /// Bytes slot `idx` holds resident.
+    fn slot_bytes(&self, idx: usize) -> u64 {
+        (self.slot_len(idx) * std::mem::size_of::<f64>()) as u64
+    }
+
+    /// Offset of slot `idx`'s record in the spill file.
+    fn record_offset(&self, idx: usize) -> u64 {
+        let local = (idx % self.slots_per_family) as u64;
+        self.region[idx / self.slots_per_family] + local * f64_record_len(self.slot_len(idx)) as u64
+    }
+
+    /// The free-buffer shelf of buffers `len` doubles long.
+    fn shelf(&self, len: usize) -> usize {
+        usize::from(len != SlotFamily::A.slot_len(self.b, self.ib))
     }
 
     /// The slots task `tid` pins, write set first.
@@ -279,28 +298,30 @@ impl PagedCore {
             .as_mut_ptr()
     }
 
+    /// Write slot `idx`'s record straight from its buffer.
     fn write_record(&self, idx: usize, buf: &[f64]) -> Result<(), String> {
-        RECORD.with_borrow_mut(|scratch| {
-            let mut w = SectionWriter::reusing(std::mem::take(scratch), SPILL_MAGIC, SPILL_VERSION);
-            w.section_f64s(S_TILE, buf);
-            *scratch = w.into_bytes();
-            debug_assert_eq!(scratch.len() as u64, self.record_len);
-            self.file.write_all_at(scratch, idx as u64 * self.record_len).map_err(|e| {
-                format!("spill write for {} ({}): {e}", self.label(idx), self.path.display())
-            })
+        let at = self.record_offset(idx);
+        write_f64_record(SPILL_MAGIC, SPILL_VERSION, S_TILE, buf, |off, bytes| {
+            self.file.write_all_at(bytes, at + off as u64)
         })
+        .map_err(|e| format!("spill write for {} ({}): {e}", self.label(idx), self.path.display()))
     }
 
-    /// Read and verify slot `idx`'s record, decoding it into `dst`.
+    /// Read slot `idx`'s record straight into `dst` and verify it there.
     fn read_record(&self, idx: usize, dst: &mut [f64]) -> Result<(), String> {
-        RECORD.with_borrow_mut(|scratch| {
-            scratch.resize(self.record_len as usize, 0);
-            self.file.read_exact_at(scratch, idx as u64 * self.record_len).map_err(|e| {
-                format!("spill read for {} ({}): {e}", self.label(idx), self.path.display())
-            })?;
-            SectionReader::from_bytes(&scratch[..], SPILL_MAGIC, SPILL_VERSION)
-                .and_then(|r| r.f64s_into(S_TILE, dst))
-                .map_err(|e| format!("spill record for {} is corrupt: {e}", self.label(idx)))
+        let (at, path) = (self.record_offset(idx), self.path.display());
+        let io = |e: std::io::Error| BinFormatError::Io {
+            path: path.to_string(),
+            message: e.to_string(),
+        };
+        let read = read_f64_record(SPILL_MAGIC, SPILL_VERSION, S_TILE, dst, |off, buf| {
+            self.file.read_exact_at(buf, at + off as u64).map_err(io)
+        });
+        read.map_err(|e| match e {
+            BinFormatError::Io { message, .. } => {
+                format!("spill read for {} ({path}): {message}", self.label(idx))
+            }
+            e => format!("spill record for {} is corrupt: {e}", self.label(idx)),
         })
     }
 
@@ -397,9 +418,10 @@ impl PagedCore {
         let mut r = lock(&self.residency);
         // Re-entered under the same key since the claim: drop that entry too.
         r.victims.remove(&(key, idx as u32));
-        r.resident -= self.tile_bytes;
-        if r.free.len() < FREE_BUFFERS {
-            r.free.push(buf);
+        r.resident -= self.slot_bytes(idx);
+        let shelf = &mut r.free[self.shelf(buf.len())];
+        if shelf.len() < FREE_BUFFERS {
+            shelf.push(buf);
         }
         drop(r);
         drop(s);
@@ -407,19 +429,23 @@ impl PagedCore {
         Ok(true)
     }
 
-    /// A `b × b` buffer for a load: a recycled one if any (contents
+    /// A buffer for a load of slot `idx`: a recycled one if any (contents
     /// arbitrary), else fresh.
-    fn take_buffer(&self) -> Box<[f64]> {
-        let recycled = lock(&self.residency).free.pop();
-        recycled.unwrap_or_else(|| vec![0.0; self.b * self.b].into_boxed_slice())
+    fn take_buffer(&self, idx: usize) -> Box<[f64]> {
+        let len = self.slot_len(idx);
+        let recycled = lock(&self.residency).free[self.shelf(len)].pop();
+        recycled.unwrap_or_else(|| vec![0.0; len].into_boxed_slice())
     }
 
-    /// Undo a one-tile reservation whose load did not happen.
-    fn release_reservation(&self, buf: Option<Box<[f64]>>) {
+    /// Undo the reservation for a load of slot `idx` that did not happen.
+    fn release_reservation(&self, idx: usize, buf: Option<Box<[f64]>>) {
         let mut r = lock(&self.residency);
-        r.resident -= self.tile_bytes;
-        if let Some(buf) = buf.filter(|_| r.free.len() < FREE_BUFFERS) {
-            r.free.push(buf);
+        r.resident -= self.slot_bytes(idx);
+        if let Some(buf) = buf {
+            let shelf = &mut r.free[self.shelf(buf.len())];
+            if shelf.len() < FREE_BUFFERS {
+                shelf.push(buf);
+            }
         }
     }
 
@@ -440,18 +466,18 @@ impl PagedCore {
             // a time). A concurrent pin of the same slot may do the same;
             // whichever relocks first loads the buffer.
             drop(s);
-            let room = self.reserve_room(self.tile_bytes, None);
+            let room = self.reserve_room(self.slot_bytes(idx), None);
             s = lock(&self.slots[idx]);
             let loaded = room.and_then(|evicted| {
                 ev.evictions += evicted.expect("a demand reservation is never refused");
                 if s.buf.is_some() {
-                    self.release_reservation(None);
+                    self.release_reservation(idx, None);
                     return Ok(());
                 }
-                let mut buf = self.take_buffer();
+                let mut buf = self.take_buffer(idx);
                 if s.on_disk {
                     if let Err(e) = self.read_record(idx, &mut buf) {
-                        self.release_reservation(Some(buf));
+                        self.release_reservation(idx, Some(buf));
                         return Err(e);
                     }
                     // A demand fault is a read this worker did itself.
@@ -529,12 +555,12 @@ impl PagedCore {
             return true;
         }
         // Best-effort: an I/O error here is left for the pin to hit.
-        match self.reserve_room(self.tile_bytes, Some(at)) {
+        match self.reserve_room(self.slot_bytes(idx), Some(at)) {
             Ok(Some(_)) => {}
             Ok(None) => return false,
             Err(_) => return true,
         }
-        let mut buf = self.take_buffer();
+        let mut buf = self.take_buffer(idx);
         let mut s = lock(&self.slots[idx]);
         if wanted(&s) && self.read_record(idx, &mut buf).is_ok() {
             s.buf = Some(buf);
@@ -544,7 +570,7 @@ impl PagedCore {
             self.prefetches.fetch_add(1, Ordering::Relaxed);
         } else {
             drop(s);
-            self.release_reservation(Some(buf));
+            self.release_reservation(idx, Some(buf));
         }
         true
     }
@@ -659,10 +685,11 @@ fn use_table(graph: &TaskGraph, order: &[u32], nslots: usize) -> UseTable {
 
 impl PagedStore {
     /// Build the paged store over a matrix and its factor buffers for the
-    /// run `plan` describes: take ownership of every allocated `b × b`
-    /// buffer, drop the factor buffers nothing has written yet (they come
-    /// back as zeros on first pin), then evict matrix tiles — furthest next
-    /// use first — down to `budget` bytes so the run starts inside its
+    /// run `plan` describes: take ownership of every matrix tile and of the
+    /// factor buffers completed tasks wrote, drop any other factor buffer
+    /// `f` holds (the slots the graph writes come back as zeros on first
+    /// pin, so `f` need hold none of them), then evict — furthest next use
+    /// first — down to `budget` bytes so the run starts inside its
     /// residency target. The matrix and factors are hollow until
     /// [`PagedStore::unpage`] returns their buffers.
     pub(crate) fn build(
@@ -674,10 +701,15 @@ impl PagedStore {
     ) -> Result<PagedStore, String> {
         let RunPlan { graph, completed, .. } = *plan;
         let order = (plan.order)();
-        let (mt, nt, b) = (a.mt(), a.nt(), a.b());
+        let (mt, nt, b, ib) = (a.mt(), a.nt(), a.b(), f.ib);
         let spf = mt * nt;
         let nslots = SLOT_FAMILIES * spf;
-        let tile_bytes = (b * b * 8) as u64;
+        let tile_bytes = (SlotFamily::A.slot_len(b, ib) * 8) as u64;
+        let mut region = [0u64; SLOT_FAMILIES];
+        for k in 1..SLOT_FAMILIES {
+            let records = spf * f64_record_len(FAMILIES[k - 1].slot_len(b, ib));
+            region[k] = region[k - 1] + records as u64;
+        }
         let path = spill_file_path(dir);
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
@@ -694,11 +726,15 @@ impl PagedStore {
         for (at, &tid) in order.iter().enumerate() {
             position[tid as usize] = at as u32;
         }
-        // Slots a completed task touched hold its output.
-        let mut written = vec![false; nslots];
-        for t in (0..graph.tasks().len()).filter(|&t| completed.is_some_and(|c| c[t])) {
+        // Slots some task writes exist; those a completed task touched hold
+        // its output.
+        let (mut exists, mut written) = (vec![false; nslots], vec![false; nslots]);
+        for t in 0..graph.tasks().len() {
+            let done = completed.is_some_and(|c| c[t]);
             for &entry in &task_slots[task_off[t] as usize..task_off[t + 1] as usize] {
-                written[(entry & !WRITES) as usize] = true;
+                let idx = (entry & !WRITES) as usize;
+                exists[idx] |= entry & WRITES != 0;
+                written[idx] |= done;
             }
         }
         let mut slots = Vec::with_capacity(nslots);
@@ -711,28 +747,22 @@ impl PagedStore {
         }
         for fam in [&mut f.vg, &mut f.tg, &mut f.tk] {
             for slot in fam.iter_mut() {
-                // A factor buffer no completed task has touched is still
-                // the zeros it was allocated as, and needs neither memory
-                // nor a record.
-                let unwritten = !written[slots.len()];
-                slots.push(Mutex::new(match slot.take() {
-                    Some(buf) if unwritten => {
-                        debug_assert!(buf.iter().all(|&x| x == 0.0), "unwritten factor not zero");
-                        Slot { exists: true, ..Slot::default() }
-                    }
-                    Some(buf) => {
-                        Slot { buf: Some(buf), dirty: true, exists: true, ..Slot::default() }
-                    }
-                    None => Slot::default(),
-                }));
+                let idx = slots.len();
+                // A factor slot no completed task has touched is still all
+                // zeros, and needs neither memory nor a record.
+                let buf = slot.take().filter(|_| written[idx]);
+                debug_assert!(buf.is_none() || exists[idx], "a buffer the graph never writes");
+                let dirty = buf.is_some();
+                slots.push(Mutex::new(Slot { buf, dirty, exists: exists[idx], ..Slot::default() }));
             }
         }
         let core = Arc::new(PagedCore {
             b,
+            ib,
             mt,
             slots_per_family: spf,
             tile_bytes,
-            record_len: (RECORD_OVERHEAD + b * b * 8) as u64,
+            region,
             budget: budget.max(tile_bytes), // at least one resident tile
             file,
             path,
@@ -747,7 +777,7 @@ impl PagedStore {
             residency: Mutex::new(Residency {
                 victims: BTreeSet::new(),
                 resident: 0,
-                free: Vec::new(),
+                free: [Vec::new(), Vec::new()],
             }),
             evictions: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
@@ -763,7 +793,7 @@ impl PagedStore {
         for idx in 0..nslots {
             let mut s = lock(&core.slots[idx]);
             if s.buf.is_some() {
-                lock(&core.residency).resident += tile_bytes;
+                lock(&core.residency).resident += core.slot_bytes(idx);
                 core.make_evictable(idx, &mut s);
             }
         }
@@ -785,14 +815,14 @@ impl PagedStore {
     pub(crate) fn unpage(&mut self, a: &mut TiledMatrix, f: &mut TFactors) -> Result<(), String> {
         self.stop_prefetcher();
         let core = &self.core;
-        let (mt, spf, b) = (core.mt, core.slots_per_family, core.b);
+        let (mt, spf) = (core.mt, core.slots_per_family);
         let nt = spf / mt;
         let mut first_err: Option<String> = None;
         let mut recover = |idx: usize, core: &PagedCore| -> Box<[f64]> {
             let mut s = lock(&core.slots[idx]);
             debug_assert!(s.exists, "unpaging an absent slot");
             s.buf.take().unwrap_or_else(|| {
-                let mut buf = vec![0.0; b * b].into_boxed_slice();
+                let mut buf = vec![0.0; core.slot_len(idx)].into_boxed_slice();
                 // No record: a factor buffer nothing wrote — zeros.
                 if s.on_disk {
                     if let Err(e) = core.read_record(idx, &mut buf) {
@@ -856,7 +886,7 @@ mod tests {
         }
         let g = TaskGraph::build(mt, nt, b, &elims);
         let a = TiledMatrix::random(mt, nt, b, 42);
-        let f = TFactors::allocate_for(&g);
+        let f = TFactors::allocate_for(&g, b);
         (g, a, f)
     }
 
@@ -1016,7 +1046,7 @@ mod tests {
         assert!(!resident(&core, idx));
         // Flip one payload byte of its record: the checksum trailer must
         // catch the at-rest corruption on the next fault-in.
-        let off = idx as u64 * core.record_len + 20;
+        let off = core.record_offset(idx) + 20;
         let mut byte = [0u8; 1];
         core.file.read_exact_at(&mut byte, off).unwrap();
         byte[0] ^= 0x10;
@@ -1038,7 +1068,7 @@ mod tests {
         let core = Arc::clone(&store.core);
         let idx = core.slot_index(SlotFamily::A, 1, 1);
         // Rewrite the record's version word to 1 (the FNV-trailer format).
-        core.file.write_all_at(&1u32.to_le_bytes(), idx as u64 * core.record_len + 8).unwrap();
+        core.file.write_all_at(&1u32.to_le_bytes(), core.record_offset(idx) + 8).unwrap();
         let mut dst = vec![0.0; 9];
         let err = core.read_record(idx, &mut dst).unwrap_err();
         assert!(err.contains("unsupported format version 1"), "{err}");

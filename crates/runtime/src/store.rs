@@ -24,9 +24,10 @@
 
 use std::path::Path;
 
-use crate::exec::TFactors;
+use crate::exec::{factor_slots, TFactors};
 use crate::fault::{SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 use crate::graph::TaskGraph;
+use crate::lineage::Slot;
 use crate::spill::{PagedStore, SpillSummary};
 use crate::task::{SlotFamily, Task};
 use hqr_kernels::{run_kernel, Trans};
@@ -92,7 +93,6 @@ unsafe impl Sync for TileStore {}
 /// deliberately `!Send`: it lives and dies on the worker that took it.
 pub struct TaskSnapshot {
     saved: Vec<(*mut f64, Box<[f64]>)>,
-    len: usize,
 }
 
 impl TaskSnapshot {
@@ -106,21 +106,30 @@ fn ptrs(v: &mut [Option<Box<[f64]>>]) -> Vec<*mut f64> {
     v.iter_mut().map(|o| o.as_mut().map_or(std::ptr::null_mut(), |b| b.as_mut_ptr())).collect()
 }
 
-impl TileStore {
-    /// Build a store over a matrix and its (pre-allocated) factor buffers,
-    /// using the unblocked kernels.
-    pub fn new(a: &mut TiledMatrix, f: &mut TFactors) -> Self {
-        let b = a.b();
-        Self::with_ib(a, f, b)
-    }
+/// Bytes a run of `graph` with inner block size `ib` keeps resident when
+/// nothing pages: the matrix tiles plus the factor buffers its tasks write
+/// (guards are negligible next to either).
+pub(crate) fn working_set_bytes(graph: &TaskGraph, ib: usize) -> u64 {
+    let (b, tiles) = (graph.b(), graph.mt() * graph.nt());
+    let factors: usize = factor_slots(graph).map(|(fam, ..)| fam.slot_len(b, ib)).sum();
+    ((tiles * SlotFamily::A.slot_len(b, ib) + factors) * std::mem::size_of::<f64>()) as u64
+}
 
-    /// [`TileStore::new`] with an explicit inner block size (PLASMA's IB);
-    /// `ib == b` selects the unblocked kernels.
-    pub fn with_ib(a: &mut TiledMatrix, f: &mut TFactors, ib: usize) -> Self {
-        Self::check_shapes(a, f, ib);
+/// Whether a run of `graph` at `ib` under `resident_budget` pages: a budget
+/// is set and the working set exceeds it.
+pub(crate) fn pages(graph: &TaskGraph, ib: usize, resident_budget: Option<u64>) -> bool {
+    resident_budget.is_some_and(|rb| rb < working_set_bytes(graph, ib))
+}
+
+impl TileStore {
+    /// Build a store over a matrix and its (pre-allocated) factor buffers;
+    /// the kernels run with the inner block size the factors are laid out
+    /// for (`ib == b`: the unblocked kernels).
+    pub fn new(a: &mut TiledMatrix, f: &mut TFactors) -> Self {
+        Self::check_shapes(a, f);
         TileStore {
             b: a.b(),
-            ib,
+            ib: f.ib,
             mt: a.mt(),
             a: a.tile_ptrs(),
             vg: ptrs(&mut f.vg),
@@ -133,32 +142,28 @@ impl TileStore {
     /// The store the run `plan` describes should use: paged — buffers move
     /// into a two-tier cache whose resident tier is bounded by
     /// `resident_budget` bytes, the rest spilled to a checksummed file under
-    /// `spill_dir` (OS temp dir when `None`) — when a budget is set and the
-    /// allocated buffers (matrix tiles plus factor buffers) exceed it, else
+    /// `spill_dir` (OS temp dir when `None`) — when [`pages`] says so, else
     /// the flat resident store (zero per-access overhead, bitwise-identical
     /// results either way; `plan.order` is not looked at).
     ///
-    /// A paged store leaves the matrix and factors hollow until
-    /// [`TileStore::unpage`] returns their buffers — callers must unpage
-    /// on every exit path.
+    /// A paged store needs no factor buffer the graph has not written yet
+    /// (`f` may hold none at all) and leaves the matrix and factors hollow
+    /// until [`TileStore::unpage`] returns every buffer — callers must
+    /// unpage on every exit path.
     pub fn open(
         a: &mut TiledMatrix,
         f: &mut TFactors,
-        ib: usize,
         plan: &RunPlan<'_>,
         resident_budget: Option<u64>,
         spill_dir: Option<&Path>,
     ) -> Result<Self, String> {
-        let factor_bufs: usize =
-            [&f.vg, &f.tg, &f.tk].iter().map(|fam| fam.iter().flatten().count()).sum();
-        let allocated = ((a.mt() * a.nt() + factor_bufs) * a.b() * a.b() * 8) as u64;
-        let Some(budget) = resident_budget.filter(|&rb| rb < allocated) else {
-            return Ok(Self::with_ib(a, f, ib));
-        };
-        Self::check_shapes(a, f, ib);
         let graph = plan.graph;
+        let Some(budget) = resident_budget.filter(|_| pages(graph, f.ib, resident_budget)) else {
+            return Ok(Self::new(a, f));
+        };
+        Self::check_shapes(a, f);
         assert_eq!((a.mt(), a.nt()), (graph.mt(), graph.nt()), "matrix/graph shape mismatch");
-        let (b, mt) = (a.b(), a.mt());
+        let (b, ib, mt) = (a.b(), f.ib, a.mt());
         let paged = PagedStore::build(a, f, plan, budget, spill_dir)?;
         Ok(TileStore {
             b,
@@ -172,11 +177,19 @@ impl TileStore {
         })
     }
 
-    fn check_shapes(a: &TiledMatrix, f: &TFactors, ib: usize) {
+    /// The conditions the raw views rely on: the matrix and factors agree
+    /// on the shape, and every factor buffer holds its slot's length.
+    fn check_shapes(a: &TiledMatrix, f: &TFactors) {
         assert_eq!(a.mt(), f.mt, "matrix/factor shape mismatch");
         assert_eq!(a.nt(), f.nt, "matrix/factor shape mismatch");
         assert_eq!(a.b(), f.b, "tile size mismatch");
-        assert!(ib > 0 && ib <= a.b(), "inner block size must be in 1..=b");
+        assert!(f.ib > 0 && f.ib <= a.b(), "inner block size must be in 1..=b");
+        for (fam, family) in
+            [(SlotFamily::Vg, &f.vg), (SlotFamily::Tg, &f.tg), (SlotFamily::Tk, &f.tk)]
+        {
+            let len = fam.slot_len(f.b, f.ib);
+            assert!(family.iter().flatten().all(|buf| buf.len() == len), "{fam:?} buffer length");
+        }
     }
 
     /// Pin every slot task `tid` of the store's graph touches, faulting
@@ -223,15 +236,18 @@ impl TileStore {
     // the same contract an UnsafeCell-based store would express.
     #[allow(clippy::mut_from_ref)]
     #[inline]
-    fn slice(&self, ptr: *mut f64) -> &mut [f64] {
+    fn slice(&self, s: Slot) -> &mut [f64] {
+        let ptr = self.slot_ptr(s);
         debug_assert!(!ptr.is_null(), "kernel touched an unallocated buffer");
-        // SAFETY: buffers are b*b doubles, alive for the store's lifetime;
-        // exclusivity is guaranteed by the caller (DAG discipline).
-        unsafe { std::slice::from_raw_parts_mut(ptr, self.b * self.b) }
+        // SAFETY: a slot's buffer holds `slot_len` doubles (`check_shapes`
+        // asserted it of the factors; tiles and paged slots are allocated
+        // that long) and is alive for the store's lifetime; exclusivity is
+        // guaranteed by the caller (DAG discipline).
+        unsafe { std::slice::from_raw_parts_mut(ptr, s.0.slot_len(self.b, self.ib)) }
     }
 
     #[inline]
-    fn slot_ptr(&self, (fam, i, j): (SlotFamily, usize, usize)) -> *mut f64 {
+    fn slot_ptr(&self, (fam, i, j): Slot) -> *mut f64 {
         if let Some(paged) = &self.paged {
             // Pinned by the executor before the task ran, so the buffer
             // is resident and its address is stable for the pin's life.
@@ -251,28 +267,26 @@ impl TileStore {
         self.b
     }
 
-    /// Read-only view of one slot's `b * b` buffer (guard computation).
+    /// Read-only view of one slot's buffer (guard computation).
     ///
     /// # Safety
     /// Same contract as [`TileStore::run_task`]: no concurrent writer of
     /// the slot, which DAG ordering of the calling task provides.
-    pub(crate) unsafe fn slot_data(&self, s: (SlotFamily, usize, usize)) -> &[f64] {
-        let p = self.slot_ptr(s);
-        debug_assert!(!p.is_null(), "slot has no buffer");
-        std::slice::from_raw_parts(p, self.b * self.b)
+    pub(crate) unsafe fn slot_data(&self, s: Slot) -> &[f64] {
+        self.slice(s)
     }
 
     /// Apply a planned silent-data-corruption strike to one element of
     /// `t`'s write set: the raw `slot`/`element` picks are reduced modulo
-    /// the write-set size and `b²` here, where both are known.
+    /// the write-set size and the slot's length here, where both are known.
     ///
     /// # Safety
     /// Same contract as [`TileStore::run_task`] for `t`'s write set.
     pub(crate) unsafe fn apply_sdc(&self, t: &Task, f: &SdcFault) {
         let writes = t.writes();
         let s = writes[f.slot as usize % writes.len()];
-        let buf = self.slice(self.slot_ptr(s));
-        let x = &mut buf[f.element as usize % (self.b * self.b)];
+        let buf = self.slice(s);
+        let x = &mut buf[f.element as usize % buf.len()];
         match f.pattern {
             SdcPattern::BitFlip(bit) => *x = f64::from_bits(x.to_bits() ^ (1u64 << (bit % 64))),
             // A zero element would make scaling a no-op; plant a tiny
@@ -292,17 +306,15 @@ impl TileStore {
     /// touch `t`'s write set — which DAG order provides, since `t` has not
     /// completed.
     pub unsafe fn snapshot(&self, t: &Task) -> TaskSnapshot {
-        let len = self.b * self.b;
         let saved = t
             .writes()
             .into_iter()
             .map(|s| {
-                let p = self.slot_ptr(s);
-                debug_assert!(!p.is_null(), "write-set slot has no buffer");
-                (p, std::slice::from_raw_parts(p, len).to_vec().into_boxed_slice())
+                let buf = self.slice(s);
+                (buf.as_mut_ptr(), buf.to_vec().into_boxed_slice())
             })
             .collect();
-        TaskSnapshot { saved, len }
+        TaskSnapshot { saved }
     }
 
     /// Restore the buffers captured by [`TileStore::snapshot`].
@@ -312,7 +324,7 @@ impl TileStore {
     /// this store.
     pub unsafe fn rollback(&self, snap: &TaskSnapshot) {
         for (p, data) in &snap.saved {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), *p, snap.len);
+            std::ptr::copy_nonoverlapping(data.as_ptr(), *p, data.len());
         }
     }
 
@@ -329,8 +341,7 @@ impl TileStore {
         // slot gathered here, and a task's read and write slots are pairwise
         // distinct, so the views never alias each other either.
         let reads: Vec<&[f64]> = t.reads().into_iter().map(|s| self.slot_data(s)).collect();
-        let mut writes: Vec<&mut [f64]> =
-            t.writes().into_iter().map(|s| self.slice(self.slot_ptr(s))).collect();
+        let mut writes: Vec<&mut [f64]> = t.writes().into_iter().map(|s| self.slice(s)).collect();
         run_kernel(t.kind, self.b, self.ib, Trans::Trans, &reads, &mut writes);
     }
 }
@@ -348,7 +359,7 @@ mod tests {
         let g = TaskGraph::build(mt, nt, b, &elims);
         let mut a = TiledMatrix::random(mt, nt, b, 5);
         let before = a.to_dense();
-        let mut f = TFactors::allocate_for(&g);
+        let mut f = TFactors::allocate_for(&g, b);
         let store = TileStore::new(&mut a, &mut f);
         for t in g.tasks() {
             // SAFETY: single-threaded, topological order.

@@ -1,6 +1,6 @@
 //! Kernel tasks and their data-access footprints.
 
-use hqr_kernels::KernelKind;
+use hqr_kernels::{t_len, KernelKind};
 
 /// A single kernel invocation in the factorization DAG.
 ///
@@ -50,6 +50,16 @@ impl SlotFamily {
             SlotFamily::Vg => "Vg",
             SlotFamily::Tg => "Tg",
             SlotFamily::Tk => "Tk",
+        }
+    }
+
+    /// Doubles in one slot of this family at tile size `b` and inner
+    /// block size `ib`: a full tile for `A` and `Vg`, [`t_len`] for the
+    /// T families.
+    pub fn slot_len(self, b: usize, ib: usize) -> usize {
+        match self {
+            SlotFamily::A | SlotFamily::Vg => b * b,
+            SlotFamily::Tg | SlotFamily::Tk => t_len(b, ib),
         }
     }
 }

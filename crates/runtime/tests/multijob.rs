@@ -566,8 +566,8 @@ fn non_finite_input_is_rejected_at_admission() {
         a.tile_mut(2, 1)[5] = bad;
         a.tile_mut(2, 0)[0] = bad; // the first offender, row-major over tiles
         let none_done = vec![false; graph.tasks().len()];
-        let factors = TFactors::allocate_for(&graph);
-        let ckpt = Checkpoint::capture(&graph, b, elims.clone(), none_done, a.clone(), factors);
+        let factors = TFactors::allocate_for(&graph, b);
+        let ckpt = Checkpoint::capture(&graph, elims.clone(), none_done, a.clone(), factors);
         for (what, spec) in
             [("matrix", JobSpec::fresh(elims.clone(), a)), ("checkpoint", JobSpec::resume(ckpt))]
         {

@@ -1,6 +1,8 @@
 //! Per-tile integrity guards for silent-data-corruption (SDC) detection.
 //!
-//! A [`TileGuard`] summarizes one `b × b` tile with two detectors:
+//! A [`TileGuard`] summarizes one tile-shaped buffer — a `b × b` tile, or
+//! any column-major buffer of `b` columns such as an `ib × b` T factor —
+//! with two detectors:
 //!
 //! * a **bit digest** — FNV-1a over the tile's little-endian `f64` bit
 //!   patterns. Bit-exact: any flipped bit in the tile changes the digest
@@ -25,27 +27,39 @@
 
 use crate::io::{fnv1a64_update, FNV1A64_INIT};
 
-/// Integrity summary of one `b × b` tile: column-sum checksums plus an
-/// FNV-1a digest over the tile's bit pattern. See the module docs for the
-/// two-detector scheme and the tolerance model.
+/// Integrity summary of one column-major buffer of `b` columns:
+/// column-sum checksums plus an FNV-1a digest over its bit pattern. See the
+/// module docs for the two-detector scheme and the tolerance model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileGuard {
     b: usize,
+    /// Rows per column: `b` for a tile, `ib` for a T factor.
+    rows: usize,
     digest: u64,
     col_sums: Box<[f64]>,
 }
 
 impl TileGuard {
-    /// Compute the guard of a tile (`tile.len()` must be `b * b`,
-    /// column-major).
+    /// Compute the guard of a column-major buffer of `b` columns
+    /// (`tile.len()` must be a nonzero multiple of `b`: `b * b` for a tile).
     pub fn compute(b: usize, tile: &[f64]) -> Self {
-        assert_eq!(tile.len(), b * b, "tile guard needs a full b x b tile");
-        Self { b, digest: digest_of(tile), col_sums: col_sums_of(b, tile) }
+        assert!(
+            b > 0 && !tile.is_empty() && tile.len().is_multiple_of(b),
+            "tile guard needs whole columns of a {b}-column buffer, got {} elements",
+            tile.len()
+        );
+        let rows = tile.len() / b;
+        Self { b, rows, digest: digest_of(tile), col_sums: col_sums_of(b, rows, tile) }
     }
 
-    /// Tile side length this guard was computed for.
+    /// Column count this guard was computed for.
     pub fn b(&self) -> usize {
         self.b
+    }
+
+    fn check_shape(&self, tile: &[f64]) {
+        let n = self.rows * self.b;
+        assert_eq!(tile.len(), n, "tile guard covers {n} elements, got {}", tile.len());
     }
 
     /// The FNV-1a digest over the tile's bits.
@@ -61,20 +75,20 @@ impl TileGuard {
     /// Recompute both detectors from the tile's current content — called
     /// after every legitimate kernel update of the tile.
     pub fn refresh(&mut self, tile: &[f64]) {
-        assert_eq!(tile.len(), self.b * self.b, "tile guard needs a full b x b tile");
+        self.check_shape(tile);
         self.digest = digest_of(tile);
-        self.col_sums = col_sums_of(self.b, tile);
+        self.col_sums = col_sums_of(self.b, self.rows, tile);
     }
 
     /// Bit-exact verification: the tile must hash to the stored digest.
     /// On mismatch the column sums localize the damage when they can.
     pub fn verify(&self, tile: &[f64]) -> Result<(), GuardMismatch> {
-        assert_eq!(tile.len(), self.b * self.b, "tile guard needs a full b x b tile");
+        self.check_shape(tile);
         let found = digest_of(tile);
         if found == self.digest {
             return Ok(());
         }
-        let sums = col_sums_of(self.b, tile);
+        let sums = col_sums_of(self.b, self.rows, tile);
         let column = sums
             .iter()
             .zip(self.col_sums.iter())
@@ -91,10 +105,10 @@ impl TileGuard {
     /// when bit-exactness is not guaranteed (see the module docs); low-
     /// order corruption inside the band escapes this check by design.
     pub fn verify_sums(&self, tile: &[f64]) -> Result<(), GuardMismatch> {
-        assert_eq!(tile.len(), self.b * self.b, "tile guard needs a full b x b tile");
-        let sums = col_sums_of(self.b, tile);
+        self.check_shape(tile);
+        let sums = col_sums_of(self.b, self.rows, tile);
         for (j, (found, expect)) in sums.iter().zip(self.col_sums.iter()).enumerate() {
-            if (found - expect).abs() > Self::sum_tolerance(self.b, *expect) {
+            if (found - expect).abs() > Self::sum_tolerance(self.rows, *expect) {
                 return Err(GuardMismatch {
                     expected_digest: self.digest,
                     found_digest: digest_of(tile),
@@ -105,10 +119,11 @@ impl TileGuard {
         Ok(())
     }
 
-    /// Acceptance band for one column checksum of magnitude `magnitude`:
-    /// `64 · ε · b · max(|magnitude|, 1)`. The `b` factor covers the
-    /// rounding noise of re-summing `b` entries; the constant leaves
-    /// headroom for compensated-vs-naive summation differences.
+    /// Acceptance band for one checksum of a column of `b` entries with
+    /// magnitude `magnitude`: `64 · ε · b · max(|magnitude|, 1)`. The `b`
+    /// factor covers the rounding noise of re-summing `b` entries; the
+    /// constant leaves headroom for compensated-vs-naive summation
+    /// differences.
     pub fn sum_tolerance(b: usize, magnitude: f64) -> f64 {
         64.0 * f64::EPSILON * (b as f64) * magnitude.abs().max(1.0)
     }
@@ -153,11 +168,11 @@ fn digest_of(tile: &[f64]) -> u64 {
     h
 }
 
-/// Compensated (Kahan) per-column sums of a column-major `b × b` tile.
-fn col_sums_of(b: usize, tile: &[f64]) -> Box<[f64]> {
+/// Compensated (Kahan) per-column sums of a column-major `rows × b` buffer.
+fn col_sums_of(b: usize, rows: usize, tile: &[f64]) -> Box<[f64]> {
     let mut sums = vec![0.0f64; b].into_boxed_slice();
     for (j, s) in sums.iter_mut().enumerate() {
-        let col = &tile[j * b..(j + 1) * b];
+        let col = &tile[j * rows..(j + 1) * rows];
         let (mut sum, mut c) = (0.0f64, 0.0f64);
         for &x in col {
             let y = x - c;
@@ -219,6 +234,17 @@ mod tests {
         let err = g.verify(t.tile(0, 0)).unwrap_err();
         assert_eq!(err.column, Some(2), "{err}");
         assert!(g.verify_sums(t.tile(0, 0)).is_err(), "a +1.0 hit exceeds the drift band");
+    }
+
+    #[test]
+    fn guards_a_buffer_of_fewer_rows_than_columns() {
+        // A T factor is `ib x b`: 2 rows of 4 columns here.
+        let b = 4usize;
+        let mut t: Vec<f64> = (0..2 * b).map(|x| x as f64 + 0.5).collect();
+        let g = TileGuard::compute(b, &t);
+        assert_eq!(g.col_sums(), &[2.0, 6.0, 10.0, 14.0]);
+        t[1 + 3 * 2] += 1.0; // element (1, 3)
+        assert_eq!(g.verify(&t).unwrap_err().column, Some(3));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! have exactly one encode routine ([`extend_f64s_le`], straight into the
 //! container's buffer) and one decode routine ([`f64s_from_le`], straight
 //! into the destination slice), and both ends can reuse their byte buffers
-//! ([`SectionWriter::reusing`], [`SectionReader`] over a borrowed slice).
+//! ([`SectionWriter::reusing`], [`SectionReader`] over a borrowed slice);
+//! a one-section record of doubles is written from and read into the
+//! caller's buffer directly ([`write_f64_record`], [`read_f64_record`]).
 //! A payload that already lives somewhere (a spec, a factorization's tiles,
 //! a stored result) is not copied into a container at all: [`SectionList`]
 //! borrows it and writes header, payload and trailer in one vectored write.
@@ -556,6 +558,95 @@ pub fn f64s_le(values: &[f64]) -> Cow<'_, [u8]> {
     })
 }
 
+/// Bytes of a container holding one section of `n` doubles (a spill
+/// record): header, section header, payload, checksum trailer.
+pub const fn f64_record_len(n: usize) -> usize {
+    12 + 12 + 8 * n + 8
+}
+
+/// `magic | version | tag | payload length`: the fixed head of a
+/// one-section container.
+fn record_head(magic: [u8; 8], version: u32, tag: u32, payload: usize) -> [u8; 24] {
+    let mut head = [0u8; 24];
+    head[..8].copy_from_slice(&magic);
+    head[8..12].copy_from_slice(&version.to_le_bytes());
+    head[12..16].copy_from_slice(&tag.to_le_bytes());
+    head[16..].copy_from_slice(&(payload as u64).to_le_bytes());
+    head
+}
+
+/// Write the one-section container of `values` — byte for byte what
+/// `SectionWriter::new(magic, version).section_f64s(tag, values)` builds —
+/// from `values`' own memory: the checksum is taken over the borrowed
+/// bytes and nothing is staged. `write(offset, bytes)` receives the head,
+/// the payload and the trailer at their offsets in the record.
+pub fn write_f64_record(
+    magic: [u8; 8],
+    version: u32,
+    tag: u32,
+    values: &[f64],
+    mut write: impl FnMut(usize, &[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let payload = f64s_le(values);
+    let head = record_head(magic, version, tag, payload.len());
+    let mut sum = Checksum64::new();
+    sum.update(&head);
+    sum.update(&payload);
+    write(0, &head)?;
+    write(head.len(), &payload)?;
+    write(head.len() + payload.len(), &sum.finish().to_le_bytes())
+}
+
+/// Read a container written by [`write_f64_record`] straight into `dst`,
+/// whose length is the payload's: `read(offset, buf)` fills `buf` from that
+/// offset of the record (its errors pass through). Magic, version and the
+/// checksum over the bytes as read are verified with [`SectionReader`]'s
+/// typed errors, the checksum before the section header is trusted.
+pub fn read_f64_record(
+    magic: [u8; 8],
+    version: u32,
+    tag: u32,
+    dst: &mut [f64],
+    mut read: impl FnMut(usize, &mut [u8]) -> Result<(), BinFormatError>,
+) -> Result<(), BinFormatError> {
+    let mut head = [0u8; 24];
+    read(0, &mut head)?;
+    let found: [u8; 8] = head[..8].try_into().unwrap();
+    if found != magic {
+        return Err(BinFormatError::BadMagic { expected: magic, found });
+    }
+    let v = u32::from_le_bytes(head[8..12].try_into().unwrap());
+    if v != version {
+        return Err(BinFormatError::UnsupportedVersion { expected: version, found: v });
+    }
+    let n = size_of_val(dst);
+    // SAFETY: the slice is exactly the memory of `dst`, and every bit
+    // pattern is a valid `f64`, so any bytes `read` stores are sound.
+    let payload = unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast::<u8>(), n) };
+    read(head.len(), payload)?;
+    let mut sum = Checksum64::new();
+    sum.update(&head);
+    sum.update(payload);
+    let mut trailer = [0u8; 8];
+    read(head.len() + n, &mut trailer)?;
+    let (stored, computed) = (u64::from_le_bytes(trailer), sum.finish());
+    if stored != computed {
+        return Err(BinFormatError::ChecksumMismatch { stored, computed });
+    }
+    if head[12..] != record_head(magic, version, tag, n)[12..] {
+        return Err(BinFormatError::BadSection {
+            tag,
+            message: format!("record does not hold one section of {} doubles", dst.len()),
+        });
+    }
+    if cfg!(target_endian = "big") {
+        for x in dst.iter_mut() {
+            *x = f64::from_bits(u64::from_le(x.to_bits()));
+        }
+    }
+    Ok(())
+}
+
 /// [`tiled_to_bytes`] as [`SectionList`] pieces (the one statement of that
 /// layout): the shape words, then every tile in place.
 pub fn tiled_parts(m: &TiledMatrix) -> impl Iterator<Item = Cow<'_, [u8]>> {
@@ -976,6 +1067,47 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn f64_record_is_the_section_writer_bytes_and_reads_in_place() {
+        let values = tile_f64s(5);
+        let mut built = SectionWriter::new(MAGIC, 3);
+        built.section_f64s(9, &values);
+        let built = built.into_bytes();
+        let mut rec = vec![0u8; f64_record_len(values.len())];
+        write_f64_record(MAGIC, 3, 9, &values, |at, bytes| {
+            rec[at..at + bytes.len()].copy_from_slice(bytes);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(rec, built, "a record is the container SectionWriter builds");
+        let read = |rec: &[u8], dst: &mut [f64]| {
+            read_f64_record(MAGIC, 3, 9, dst, |at, buf| {
+                buf.copy_from_slice(&rec[at..at + buf.len()]);
+                Ok(())
+            })
+        };
+        let mut dst = vec![0.0; values.len()];
+        read(&rec, &mut dst).unwrap();
+        assert_eq!(dst, values);
+        // Every flipped bit is a typed error, never a silent misread.
+        for at in 0..rec.len() {
+            let mut bad = rec.clone();
+            bad[at] ^= 0x10;
+            let err = read(&bad, &mut dst).unwrap_err();
+            let expected = match at {
+                0..8 => matches!(err, BinFormatError::BadMagic { .. }),
+                8..12 => matches!(err, BinFormatError::UnsupportedVersion { .. }),
+                _ => matches!(err, BinFormatError::ChecksumMismatch { .. }),
+            };
+            assert!(expected, "flip at {at}: {err}");
+        }
+        // An intact record of another section is not this one.
+        let mut other = SectionWriter::new(MAGIC, 3);
+        other.section_f64s(8, &values);
+        let err = read(&other.into_bytes(), &mut dst).unwrap_err();
+        assert!(matches!(err, BinFormatError::BadSection { tag: 9, .. }), "{err}");
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn least_squares_solve_is_bitwise_reproducible() {
 
 mod golden {
     use hqr::prelude::*;
-    use hqr_kernels::{simd_arm, KernelKind, SimdArm};
+    use hqr_kernels::{simd_arm, t_len, KernelKind, SimdArm};
     use hqr_net::{factorize, shutdown_workers, spawn_local, DistConfig, WorkerOptions};
     use hqr_runtime::{
         execute_serial_ib, resume_from_checkpoint, try_execute_checkpointed, try_execute_with,
@@ -114,6 +114,9 @@ mod golden {
 
     /// FNV-1a over the bit patterns of every A tile (column-major tile
     /// order), then every allocated Vg, Tg and Tk buffer in the same order.
+    /// A T factor is stored `ib x b`; it is hashed as the zero-padded
+    /// `b x b` tile it used to be stored as, so the constants predate the
+    /// packed layout.
     fn digest(a: &TiledMatrix, f: &TFactors) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |buf: &[f64]| {
@@ -128,12 +131,25 @@ mod golden {
                 eat(a.tile(i, j));
             }
         }
+        let ib = f.ib();
+        let padded = |t: &[f64]| -> Vec<f64> {
+            assert_eq!(t.len(), t_len(B, ib), "a T factor is t_len(b, ib) long");
+            let mut tile = vec![0.0; B * B];
+            for (col, src) in tile.chunks_exact_mut(B).zip(t.chunks_exact(ib)) {
+                col[..ib].copy_from_slice(src);
+            }
+            tile
+        };
         type Family = fn(&TFactors, usize, usize) -> Option<&[f64]>;
-        for family in [TFactors::vg as Family, TFactors::tg, TFactors::tk] {
+        for (family, is_t) in
+            [(TFactors::vg as Family, false), (TFactors::tg, true), (TFactors::tk, true)]
+        {
             for k in 0..NT {
                 for i in 0..MT {
-                    if let Some(buf) = family(f, i, k) {
-                        eat(buf);
+                    match family(f, i, k) {
+                        Some(t) if is_t => eat(&padded(t)),
+                        Some(v) => eat(v),
+                        None => {}
                     }
                 }
             }

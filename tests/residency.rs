@@ -10,7 +10,7 @@
 
 use hqr::prelude::*;
 use hqr_runtime::task::SlotFamily;
-use hqr_runtime::{try_execute_traced, ExecOptions, SchedPolicy, TaskGraph};
+use hqr_runtime::{try_execute_traced, ExecOptions, SchedPolicy, TFactors, TaskGraph};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Policy {
@@ -141,4 +141,25 @@ fn one_worker_paged_run_moves_what_min_needs_and_less_than_lru() {
             }
         }
     }
+}
+
+/// The factor buffers of the benchmark's `tall_skinny` problem (32768 x
+/// 512 in tiles of b = 128, ib = 32, the adaptive tall-skinny tree on a
+/// 2 x 1 grid): 268 GEQRTs each leave a `b x b` V copy and a T, and 1 014
+/// kills a T, every T being `ib x b`: 73.56 MiB of factor buffers, where
+/// T factors zero-padded to `b x b` made them 193.75 MiB.
+#[test]
+fn tall_skinny_factor_buffers_hold_packed_t_factors() {
+    let (mt, nt, b, ib) = (256, 4, 128, 32);
+    let elims = baselines::hqr_adaptive(mt, nt, ProcessGrid::new(2, 1)).elims.to_ops();
+    let graph = TaskGraph::build(mt, nt, b, &elims);
+    let f = TFactors::allocate_for(&graph, ib);
+    type Family = fn(&TFactors, usize, usize) -> Option<&[f64]>;
+    let doubles = |family: Family| -> usize {
+        let slots = (0..nt).flat_map(|k| (0..mt).map(move |i| (i, k)));
+        slots.filter_map(|(i, k)| family(&f, i, k)).map(<[f64]>::len).sum()
+    };
+    let (vg, tg, tk) = (doubles(TFactors::vg), doubles(TFactors::tg), doubles(TFactors::tk));
+    assert_eq!((vg, tg, tk), (268 * b * b, 268 * ib * b, 1014 * ib * b));
+    assert_eq!(vg + tg + tk, 268 * b * b + 1282 * ib * b);
 }
