@@ -14,10 +14,20 @@
 //! * **Scalar** — portable Rust, axpy-ordered (`j`-outer, `l`-middle,
 //!   contiguous `i`-inner) so the compiler can autovectorize with
 //!   baseline features. Always available; the fallback on every target.
-//! * **Avx2** — `core::arch` AVX2+FMA intrinsics, an 8×4 register block
-//!   (8 accumulator vectors) streaming columns of `A` against broadcast
-//!   elements of `B`. Only compiled on x86-64 and only selected when the
-//!   CPU reports both `avx2` and `fma`.
+//! * **Avx2** — `core::arch` FMA intrinsics streaming columns of `A`
+//!   against broadcast elements of `B`. Only compiled on x86-64 and only
+//!   selected when the CPU reports both `avx2` and `fma`.
+//!
+//! The arm names the arithmetic; the CPU picks the register width under
+//! it. Where the CPU reports `avx512f` (checked once, `wide_registers`),
+//! `gemm_core` runs 16×8 blocks of `__m512d` accumulators, two vectors
+//! per column; elsewhere 8×4 blocks of `__m256d`. The `m mod 16` rows and
+//! `n mod 8` columns of the wide driver go through the 256-bit blocks.
+//! Both widths give every `C` element the same operation sequence — one
+//! FMA chain `acc = fma(a_il, b_lj, acc)` from `+0.0` over the `l` range
+//! its 8-row group's mask allows, then the same `α`/`β` epilogue — so
+//! they produce the same bits, and a fleet mixing AVX2 and AVX-512 hosts
+//! stays bitwise.
 //!
 //! The arm is chosen **once per process** ([`simd_arm`], a `OnceLock`):
 //! runtime feature detection, overridable with `HQR_SIMD=off|scalar`
@@ -31,7 +41,7 @@
 //! cross-arm tests are tolerance-based while same-arm tests are exact.
 //!
 //! The same two arms implement the fused level-2 steps that end the panel
-//! recursion ([`dot_cols`], [`axpy_cols`]).
+//! recursion ([`dot_cols`], [`axpy_cols`]); those stay 256-bit.
 
 use std::sync::OnceLock;
 
@@ -40,7 +50,10 @@ use std::sync::OnceLock;
 pub enum SimdArm {
     /// Portable Rust loops (autovectorizable, no target features).
     Scalar,
-    /// AVX2 + FMA intrinsics (x86-64 only, runtime-detected).
+    /// FMA intrinsics on AVX2 hosts (x86-64 only, runtime-detected). The
+    /// arm fixes the arithmetic; `gemm_core` runs it in 512-bit registers
+    /// where the CPU has `avx512f` and in 256-bit ones elsewhere, with
+    /// identical results.
     Avx2,
 }
 
@@ -96,10 +109,31 @@ pub fn simd_arm() -> SimdArm {
     dispatch().0
 }
 
-/// Human-readable dispatch description, e.g. `"avx2 (runtime-detected)"`.
+/// Whether the Avx2 arm's gemm runs in 512-bit registers: the CPU reports
+/// `avx512f`. Detected once per process; `HQR_SIMD` does not choose it.
+pub(crate) fn wide_registers() -> bool {
+    static WIDE: OnceLock<bool> = OnceLock::new();
+    *WIDE.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx512f")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    })
+}
+
+/// Human-readable dispatch description, e.g.
+/// `"avx2 (runtime-detected, 512-bit registers)"`.
 pub fn simd_description() -> String {
     let (arm, how) = dispatch();
-    format!("{} ({how})", arm.name())
+    match arm {
+        SimdArm::Scalar => format!("{} ({how})", arm.name()),
+        SimdArm::Avx2 => {
+            let bits = if wide_registers() { 512 } else { 256 };
+            format!("{} ({how}, {bits}-bit registers)", arm.name())
+        }
+    }
 }
 
 /// Structure of the `A` operand: which `(i, l)` entries may be nonzero.
@@ -159,9 +193,14 @@ pub(crate) fn gemm_core(
         SimdArm::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the Avx2 arm is only ever selected when runtime
-            // detection confirmed avx2+fma (see `resolve_arm`).
+            // detection confirmed avx2+fma (see `resolve_arm`), and the
+            // 512-bit driver only when it confirmed avx512f.
             unsafe {
-                avx2::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
+                if wide_registers() {
+                    avx512::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
+                } else {
+                    avx2::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
+                }
             }
             #[cfg(not(target_arch = "x86_64"))]
             gemm_scalar(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
@@ -270,8 +309,8 @@ pub(crate) fn axpy_cols(arm: SimdArm, v: &[f64], w: &[f64], cols: &mut [f64], ld
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::MaskA;
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
+    use core::ops::Range;
 
     /// `NC` columns of [`super::dot_cols`]: two accumulator vectors per
     /// column (rows mod 8), reduced in the order the scalar arm uses.
@@ -450,9 +489,11 @@ mod avx2 {
         }
     }
 
-    /// Blocked driver for the AVX2 arm. The mask trims the `k` range per
-    /// 8-row block; diagonal-crossing blocks rely on callers packing
-    /// zeros into the masked-out triangle.
+    /// 256-bit driver for the Avx2 arm.
+    ///
+    /// # Safety
+    /// avx2+fma present; `a`, `b`, `c` hold their `m × k`, `k × n`, `m × n`
+    /// operands at the given leading dimensions.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm(
@@ -469,13 +510,41 @@ mod avx2 {
         c: &mut [f64],
         ldc: usize,
     ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut j = 0;
-        while j < n {
-            let nr = (n - j).min(4);
-            let mut i = 0;
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        blocks(0..m, 0..n, k, alpha, ap, lda, mask, bp, ldb, beta, cp, ldc);
+    }
+
+    /// The 256-bit blocks of `C[rows, cols]`, indices absolute. The mask
+    /// trims the `k` range per 8-row block; diagonal-crossing blocks rely
+    /// on callers packing zeros into the masked-out triangle. `rows`
+    /// starts on a multiple of 8, so a block's rows and `k` range do not
+    /// depend on which driver hands it the rectangle.
+    ///
+    /// # Safety
+    /// avx2+fma present; every element of the rectangle and its operands
+    /// in bounds.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn blocks(
+        rows: Range<usize>,
+        cols: Range<usize>,
+        k: usize,
+        alpha: f64,
+        ap: *const f64,
+        lda: usize,
+        mask: MaskA,
+        bp: *const f64,
+        ldb: usize,
+        beta: f64,
+        cp: *mut f64,
+        ldc: usize,
+    ) {
+        debug_assert!(rows.start.is_multiple_of(8));
+        let m = rows.end;
+        let mut j = cols.start;
+        while j < cols.end {
+            let nr = (cols.end - j).min(4);
+            let mut i = rows.start;
             while i < m {
                 let mr = (m - i).min(8);
                 let (klo, khi) = mask.k_range(i, i + mr, k);
@@ -533,6 +602,128 @@ mod avx2 {
     }
 }
 
+/// The Avx2 arm's gemm in 512-bit registers, for CPUs with `avx512f`.
+/// Bit-for-bit the 256-bit driver: each 8-row group keeps its own mask
+/// `k` range (one range per 16 rows would feed extra `0·b` terms into the
+/// chain, which flips signed zeros and spreads non-finite `b`), and every
+/// remainder goes through the 256-bit blocks.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{avx2, MaskA};
+    use core::arch::x86_64::*;
+
+    /// Columns of one register block; each holds two 8-row vectors.
+    const NR: usize = 8;
+
+    /// `l` in `l0..l1` for the live 8-row groups (`G0`: rows 0..8, `G1`:
+    /// rows 8..16) of a 16-row block.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn span<const G0: bool, const G1: bool>(
+        acc: &mut [[__m512d; 2]; NR],
+        l0: usize,
+        l1: usize,
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+    ) {
+        for l in l0..l1 {
+            let ap = a.add(l * lda);
+            let a0 = if G0 { _mm512_loadu_pd(ap) } else { _mm512_setzero_pd() };
+            let a1 = if G1 { _mm512_loadu_pd(ap.add(8)) } else { _mm512_setzero_pd() };
+            for (j, accj) in acc.iter_mut().enumerate() {
+                let bv = _mm512_set1_pd(*b.add(l + j * ldb));
+                if G0 {
+                    accj[0] = _mm512_fmadd_pd(a0, bv, accj[0]);
+                }
+                if G1 {
+                    accj[1] = _mm512_fmadd_pd(a1, bv, accj[1]);
+                }
+            }
+        }
+    }
+
+    /// `C[0..16, 0..8] = α·(A·B) + β·C`, rows `8g..8g + 8` summing `l`
+    /// over `ranges[g]` in ascending order.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn mk(
+        ranges: [(usize, usize); 2],
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        alpha: f64,
+        beta: f64,
+        c: *mut f64,
+        ldc: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_pd(); 2]; NR];
+        // Between consecutive cuts the set of live groups is fixed.
+        let mut cuts = [ranges[0].0, ranges[0].1, ranges[1].0, ranges[1].1];
+        cuts.sort_unstable();
+        for w in cuts.windows(2) {
+            let (p, q) = (w[0], w[1]);
+            let live = |(lo, hi): (usize, usize)| lo <= p && p < hi;
+            match (live(ranges[0]), live(ranges[1])) {
+                (true, true) => span::<true, true>(&mut acc, p, q, a, lda, b, ldb),
+                (true, false) => span::<true, false>(&mut acc, p, q, a, lda, b, ldb),
+                (false, true) => span::<false, true>(&mut acc, p, q, a, lda, b, ldb),
+                (false, false) => {}
+            }
+        }
+        let va = _mm512_set1_pd(alpha);
+        for (j, accj) in acc.iter().enumerate() {
+            let cp = c.add(j * ldc);
+            for (g, accv) in accj.iter().enumerate() {
+                let p = cp.add(8 * g);
+                let mut r = _mm512_mul_pd(*accv, va);
+                if beta == 1.0 {
+                    r = _mm512_add_pd(r, _mm512_loadu_pd(p));
+                } else if beta != 0.0 {
+                    r = _mm512_fmadd_pd(_mm512_loadu_pd(p), _mm512_set1_pd(beta), r);
+                }
+                _mm512_storeu_pd(p, r);
+            }
+        }
+    }
+
+    /// 512-bit driver: 16×8 blocks over `C[0..m − m mod 16, 0..n − n mod 8]`,
+    /// the 256-bit blocks for the rest.
+    ///
+    /// # Safety
+    /// avx512f (hence avx2+fma) present; operands as for
+    /// [`avx2::gemm`].
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn gemm(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        mask: MaskA,
+        b: &[f64],
+        ldb: usize,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let (m16, n8) = (m - m % 16, n - n % NR);
+        for j in (0..n8).step_by(NR) {
+            for i in (0..m16).step_by(16) {
+                let ranges = [mask.k_range(i, i + 8, k), mask.k_range(i + 8, i + 16, k)];
+                let (ab, bb, cb) = (ap.add(i), bp.add(j * ldb), cp.add(i + j * ldc));
+                mk(ranges, ab, lda, bb, ldb, alpha, beta, cb, ldc);
+            }
+        }
+        avx2::blocks(0..m16, n8..n, k, alpha, ap, lda, mask, bp, ldb, beta, cp, ldc);
+        avx2::blocks(m16..m, 0..n, k, alpha, ap, lda, mask, bp, ldb, beta, cp, ldc);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,9 +764,11 @@ mod tests {
         out
     }
 
-    fn masked_fill(m: usize, k: usize, mask: MaskA, seed: u64) -> Vec<f64> {
-        let full = DenseMatrix::random(m, k, seed).data().to_vec();
-        let mut out = vec![0.0; m * k];
+    /// Pack-cleaned `m × k` operand at leading dimension `ld`: zeros in the
+    /// masked-out triangle, NaN in the rows past `m` that no arm may read.
+    fn masked_fill(m: usize, k: usize, ld: usize, mask: MaskA, seed: u64) -> Vec<f64> {
+        let full = DenseMatrix::random(ld, k, seed).data().to_vec();
+        let mut out = vec![f64::NAN; ld * k];
         for l in 0..k {
             for i in 0..m {
                 let live = match mask {
@@ -583,16 +776,16 @@ mod tests {
                     MaskA::Lower => l <= i,
                     MaskA::Upper => l >= i,
                 };
-                if live {
-                    out[i + l * m] = full[i + l * m];
-                }
+                out[i + l * ld] = if live { full[i + l * ld] } else { 0.0 };
             }
         }
         out
     }
 
+    const ALPHA_BETA: [(f64, f64); 4] = [(1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (2.5, -0.5)];
+
     fn check(arm: SimdArm, m: usize, n: usize, k: usize, mask: MaskA, alpha: f64, beta: f64) {
-        let a = masked_fill(m, k, mask, 1000 + m as u64 * 7 + n as u64);
+        let a = masked_fill(m, k, m, mask, 1000 + m as u64 * 7 + n as u64);
         let b = DenseMatrix::random(k, n, 2000 + k as u64).data().to_vec();
         let c0 = DenseMatrix::random(m, n, 3000 + n as u64).data().to_vec();
         let expect = reference(m, n, k, alpha, &a, m, mask, &b, k, beta, &c0, m);
@@ -623,7 +816,7 @@ mod tests {
                 (33, 13, 33),
             ] {
                 for &mask in &[MaskA::Full, MaskA::Lower, MaskA::Upper] {
-                    for &(alpha, beta) in &[(1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (2.5, -0.5)] {
+                    for (alpha, beta) in ALPHA_BETA {
                         check(arm, m, n, k, mask, alpha, beta);
                     }
                 }
@@ -636,7 +829,7 @@ mod tests {
         // Poison the masked-out triangle: the scalar arm's exact row
         // trimming must never touch it.
         let (m, k, n) = (9usize, 9usize, 4usize);
-        let mut a = masked_fill(m, k, MaskA::Lower, 7);
+        let mut a = masked_fill(m, k, m, MaskA::Lower, 7);
         for l in 0..k {
             for i in 0..m {
                 if l > i {
@@ -672,5 +865,86 @@ mod tests {
         assert!(!simd_description().is_empty());
         assert_eq!(SimdArm::Scalar.name(), "scalar");
         assert_eq!(SimdArm::Avx2.name(), "avx2");
+    }
+
+    /// The Avx2 arm's 512-bit and 256-bit gemm drivers, run directly on the
+    /// same inputs, must leave bitwise-equal `C`.
+    #[test]
+    fn register_widths_compute_the_same_bits() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            type Driver = unsafe fn(
+                usize,
+                usize,
+                usize,
+                f64,
+                &[f64],
+                usize,
+                MaskA,
+                &[f64],
+                usize,
+                f64,
+                &mut [f64],
+                usize,
+            );
+            if simd_detected() != SimdArm::Avx2 || !wide_registers() {
+                println!("register widths: skipped, this CPU lacks avx512f");
+                return;
+            }
+            // Every m, n and k in 1..=40 and 128 occurs, so every m mod 16
+            // and n mod 8 does.
+            let dims: Vec<usize> = (1..=40).chain([128]).collect();
+            let mut shapes = vec![(128, 128, 128)];
+            for (x, &m) in dims.iter().enumerate() {
+                for (y, &n) in dims.iter().enumerate() {
+                    shapes.push((m, n, dims[(3 * x + 5 * y) % dims.len()]));
+                }
+            }
+            let mut compared = 0;
+            for &(m, n, k) in &shapes {
+                let (lda, ldb, ldc) = (m + 3, k + 2, m + 5);
+                let seed = (m * 10_000 + n * 100 + k) as u64;
+                let mut b = DenseMatrix::random(ldb, n, seed).data().to_vec();
+                // ±∞ in B's first and last rows: a group whose mask range
+                // stops short of them must not turn its 0·∞ into NaN.
+                b[(n - 1) * ldb] = f64::INFINITY;
+                b[k - 1 + (n - 1) * ldb] = f64::NEG_INFINITY;
+                let mut c0 = DenseMatrix::random(ldc, n, seed + 1).data().to_vec();
+                for (idx, v) in c0.iter_mut().enumerate() {
+                    if idx % ldc >= m {
+                        *v = 7.0;
+                    } else if idx % 3 == 0 {
+                        *v = -0.0;
+                    }
+                }
+                for mask in [MaskA::Full, MaskA::Lower, MaskA::Upper] {
+                    let a = masked_fill(m, k, lda, mask, seed + 2);
+                    for (alpha, beta) in ALPHA_BETA {
+                        let run = |gemm: Driver| {
+                            let mut c = c0.clone();
+                            // SAFETY: avx2+fma and avx512f were detected
+                            // above; the buffers hold the operands at these
+                            // dimensions.
+                            unsafe {
+                                gemm(m, n, k, alpha, &a, lda, mask, &b, ldb, beta, &mut c, ldc)
+                            };
+                            c
+                        };
+                        let (narrow, wide) = (run(avx2::gemm), run(avx512::gemm));
+                        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&narrow),
+                            bits(&wide),
+                            "{m}x{n}x{k} {mask:?} alpha={alpha} beta={beta}"
+                        );
+                        assert!(wide.iter().enumerate().all(|(i, v)| i % ldc < m || *v == 7.0));
+                        compared += 1;
+                    }
+                }
+            }
+            println!("register widths: {compared} products bitwise equal at 512 and 256 bits");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("register widths: skipped, not an x86-64 CPU");
     }
 }
