@@ -119,12 +119,6 @@ USAGE:
       exit; the next `hqr serve` on the same state dir finishes the rest
   hqr ping     [--socket PATH]
       liveness check against a running daemon
-  hqr admission [--servers C --queue-cap Q --mean-service S --jobs N
-                --seed S --rate-min R --rate-max R --points K]
-      price the service's admission arms (bounded-queue backpressure vs
-      QoS shedding vs oversubscribed degradation) with a Poisson-arrival
-      simulation swept across arrival rates; reports p50/p99 latency,
-      the interactive-class p99, and loss rates per arm
   hqr worker   [--listen ADDR --die-after-tasks N --die-hard --slow-ms MS]
       run one distributed tile worker: owns a shard of the matrix,
       runs the tasks of the DAG its tiles own and pushes finished
@@ -135,8 +129,7 @@ USAGE:
   hqr dist     [--workers A:P,B:P,... | --spawn N] [--rows R --cols C
                 --tile B --ib IB --seed S --grid PxQ --a A --low TREE
                 --high TREE --domino --worker-grid PxQ
-                --rpc-timeout-ms MS --retries N --hb-interval-ms MS
-                --hb-timeout-ms MS --stall-timeout-ms MS
+                --rpc-timeout-ms MS --retries N --stall-timeout-ms MS
                 --net-seed S --drop-frac F --delay-frac F --delay-ms MS
                 --verify --trace FILE]
       distributed factorization across a worker fleet (external
@@ -145,11 +138,12 @@ USAGE:
       DAG and pushes tiles to its peers, and the coordinator only
       scatters, supervises and gathers (`relayed` in the report is
       what else passed through it: 0 unless a worker was lost); every
-      exchange has a deadline plus jittered retries, heartbeats
-      supervise the fleet, and a worker lost mid-run is recovered by
-      lineage re-execution onto survivors; --drop-frac/--delay-frac
-      inject seeded chaos, --verify checks the result is
-      bitwise-identical to a serial run, --trace writes the
+      exchange has a deadline plus jittered retries, a progress poll of
+      each worker every few ms is the liveness check (a poll that fails
+      through the retries condemns the worker), and a worker lost
+      mid-run is recovered by lineage re-execution onto survivors;
+      --drop-frac/--delay-frac inject seeded chaos, --verify checks the
+      result is bitwise-identical to a serial run, --trace writes the
       coordinator's account of the run (transfers by link, retries,
       recoveries) for CI artifacts
   hqr calibrate [--sizes B1,B2,... --reps N --out FILE]
@@ -664,74 +658,6 @@ pub fn dot(args: &Args) -> Result<i32, CliError> {
     let dot = analysis::to_dot(&graph, 512)
         .map_err(|e| CliError::usage(format!("{e}; try a smaller matrix")))?;
     print!("{dot}");
-    Ok(0)
-}
-
-/// `hqr admission`: sweep the service's admission arms across arrival
-/// rates and report where each one saturates.
-pub fn admission(args: &Args) -> Result<i32, CliError> {
-    use hqr_sim::{saturation_sweep, AdmissionConfig, AdmissionPolicy};
-    let base = AdmissionConfig {
-        servers: args.positive_or("servers", 4)?,
-        queue_cap: args.usize_or("queue-cap", 16)?,
-        mean_service: args.positive_f64_or("mean-service", 2.0)?,
-        jobs: args.positive_or("jobs", 5_000)?,
-        seed: args.usize_or("seed", 42)? as u64,
-        ..AdmissionConfig::default()
-    };
-    let rate_min = args.positive_f64_or("rate-min", 0.25)?;
-    let rate_max = args.positive_f64_or("rate-max", 4.0)?;
-    let points = args.usize_or("points", 7)?;
-    args.reject_unknown()?;
-    if points < 2 || rate_max <= rate_min {
-        return Err(CliError::usage("--points must be >= 2 and --rate-max > --rate-min"));
-    }
-    // Geometric ramp: equal multiplicative steps resolve both the flat
-    // region and the post-knee blow-up.
-    let ratio = (rate_max / rate_min).powf(1.0 / (points - 1) as f64);
-    let rates: Vec<f64> = (0..points).map(|i| rate_min * ratio.powi(i as i32)).collect();
-    println!(
-        "admission sweep: {} servers, queue cap {}, mean service {:.2}s, {} arrivals/point",
-        base.servers, base.queue_cap, base.mean_service, base.jobs
-    );
-    println!(
-        "{:>7} {:>6}  {:<8} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
-        "rate/s", "rho", "arm", "p50(s)", "p99(s)", "p99i(s)", "done", "shed", "refused"
-    );
-    let sweep = saturation_sweep(&base, &rates);
-    for point in &sweep {
-        for report in &point.arms {
-            println!(
-                "{:>7.3} {:>6.2}  {:<8} {:>9.3} {:>9.3} {:>9.3} {:>8} {:>8} {:>8}",
-                point.rate,
-                report.rho,
-                report.policy.name(),
-                report.p50,
-                report.p99,
-                report.p99_interactive,
-                report.completed,
-                report.shed,
-                report.rejected
-            );
-        }
-    }
-    // Report each arm's knee: the first rate where it loses jobs or its
-    // p99 exceeds 10x the unloaded service demand.
-    for (a, policy) in AdmissionPolicy::ALL.iter().enumerate() {
-        let knee = sweep.iter().find(|p| {
-            let r = &p.arms[a];
-            r.shed + r.rejected > 0 || r.p99 > 10.0 * base.mean_service
-        });
-        match knee {
-            Some(p) => println!(
-                "{:<8} saturates near {:.3} arrivals/s (rho {:.2})",
-                policy.name(),
-                p.rate,
-                p.arms[a].rho
-            ),
-            None => println!("{:<8} never saturates in this sweep", policy.name()),
-        }
-    }
     Ok(0)
 }
 

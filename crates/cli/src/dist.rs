@@ -76,8 +76,6 @@ pub fn dist(args: &Args) -> Result<i32, CliError> {
         cfg.grid = ProcessGrid::new(wp, wq);
     }
     cfg.rpc_timeout = args.millis_or("rpc-timeout-ms", 5_000)?;
-    cfg.hb_interval = args.millis_or("hb-interval-ms", 50)?;
-    cfg.hb_timeout = args.millis_or("hb-timeout-ms", 1_500)?;
     cfg.stall_timeout = args.millis_or("stall-timeout-ms", 60_000)?;
     cfg.retry.max_attempts = args.usize_or("retries", 3)? as u32;
     let chaos = NetFaultPlan {

@@ -31,7 +31,6 @@ pub fn run(argv: &[String]) -> i32 {
         "schedule" => commands::schedule(args),
         "trees" => commands::trees(args),
         "dot" => commands::dot(args),
-        "admission" => commands::admission(args),
         "experiments" => experiments::experiments(&argv[1..]),
         #[cfg(unix)]
         "serve" => service::serve(args),

@@ -13,7 +13,8 @@
 
 use hqr_runtime::{JobSpec, JobState, QosClass};
 use hqr_tile::io::{
-    bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionList, SectionReader, SectionWriter,
+    bytes_of_u64s, read_frame_into, u64s_of_bytes, BinFormatError, FrameError, SectionList,
+    SectionReader,
 };
 use std::io::{self, Read, Write};
 
@@ -24,11 +25,6 @@ pub const PROTO_MAGIC: [u8; 8] = *b"HQRPROT\0";
 /// (`Suspend`/`ResumeJob`), and the dedup flag on `Submitted`; v3 changes
 /// the frame trailer to `hqr_tile::io::checksum64`.
 pub const PROTO_VERSION: u32 = 3;
-/// Upper bound on a single frame payload (defends the daemon against a
-/// corrupt or hostile length prefix). Large enough for a submission
-/// carrying a multi-gigabyte-free tiled matrix is *not* the goal — jobs
-/// beyond this belong in files, not sockets.
-pub const MAX_FRAME: u64 = 1 << 28; // 256 MiB
 
 // Section tags.
 const TAG_KIND: u32 = 1; // u64 discriminant
@@ -163,15 +159,15 @@ impl Request {
             Request::Suspend(id) => (K_SUSPEND, Some(*id)),
             Request::ResumeJob(id) => (K_RESUME_JOB, Some(*id)),
         };
-        let mut w = SectionWriter::new(PROTO_MAGIC, PROTO_VERSION);
-        w.section(TAG_KIND, &bytes_of_u64s(&[kind]));
+        let mut w = SectionList::new(PROTO_MAGIC, PROTO_VERSION);
+        w.section(TAG_KIND, bytes_of_u64s(&[kind]));
         if let Some(word) = word {
-            w.section(TAG_WORDS, &bytes_of_u64s(&[word]));
+            w.section(TAG_WORDS, bytes_of_u64s(&[word]));
         }
         if let Request::Submit { spec, plan } = self {
-            w.section(TAG_SPEC, &spec.to_bytes());
+            w.section(TAG_SPEC, spec.to_bytes());
             if !plan.is_empty() {
-                w.section(TAG_PLAN, &bytes_of_u64s(&plan.words()));
+                w.section(TAG_PLAN, bytes_of_u64s(&plan.words()));
             }
         }
         w.into_bytes()
@@ -263,9 +259,12 @@ impl Response {
     /// Encode into a frame payload: the kind, its fixed words if it has
     /// any, then whatever variable-length sections the kind carries.
     pub fn to_bytes(&self) -> Vec<u8> {
-        if let Response::ResultBytes(blob) = self {
-            return blob_frame(blob).into_bytes();
-        }
+        self.sections().into_bytes()
+    }
+
+    /// The payload over this response's own fields: a result container is
+    /// borrowed, not copied.
+    fn sections(&self) -> SectionList<'_> {
         let (kind, words) = match self {
             Response::Pong { live_jobs } => (K_PONG, vec![*live_jobs]),
             Response::Submitted { id, deduped } => (K_SUBMITTED, vec![*id, *deduped as u64]),
@@ -279,10 +278,10 @@ impl Response {
             Response::Suspended(ok) => (K_SUSPENDED, vec![*ok as u64]),
             Response::Resumed(ok) => (K_RESUMED, vec![*ok as u64]),
         };
-        let mut w = SectionWriter::new(PROTO_MAGIC, PROTO_VERSION);
-        w.section(TAG_KIND, &bytes_of_u64s(&[kind]));
+        let mut w = SectionList::new(PROTO_MAGIC, PROTO_VERSION);
+        w.section(TAG_KIND, bytes_of_u64s(&[kind]));
         if !words.is_empty() {
-            w.section(TAG_WORDS, &bytes_of_u64s(&words));
+            w.section(TAG_WORDS, bytes_of_u64s(&words));
         }
         match self {
             Response::JobList(jobs) => {
@@ -297,7 +296,7 @@ impl Response {
                         j.tasks_total,
                         j.wall_ms.unwrap_or(u64::MAX),
                     ];
-                    w.section(base, &bytes_of_u64s(&meta));
+                    w.section(base, bytes_of_u64s(&meta));
                     w.section(base + 1, j.tag.as_bytes());
                     if let Some(e) = &j.error {
                         w.section(base + 2, e.as_bytes());
@@ -305,14 +304,17 @@ impl Response {
                 }
             }
             Response::Drained { suspended, .. } => {
-                w.section(TAG_IDS, &bytes_of_u64s(suspended));
+                w.section(TAG_IDS, bytes_of_u64s(suspended));
             }
             Response::Error { message, .. } => {
                 w.section(TAG_TEXT, message.as_bytes());
             }
+            Response::ResultBytes(blob) => {
+                w.section(TAG_BLOB, &blob[..]);
+            }
             _ => {}
         }
-        w.into_bytes()
+        w
     }
 
     /// Decode a frame payload. A result container is taken out of the
@@ -381,13 +383,6 @@ fn reader(bytes: &[u8]) -> Result<SectionReader<&[u8]>, ProtoError> {
     Ok(SectionReader::from_bytes(bytes, PROTO_MAGIC, PROTO_VERSION)?)
 }
 
-/// The `ResultBytes` payload, borrowing its blob.
-fn blob_frame(blob: &[u8]) -> SectionList<'_> {
-    let mut w = SectionList::new(PROTO_MAGIC, PROTO_VERSION);
-    w.section(TAG_KIND, bytes_of_u64s(&[K_RESULT_BYTES])).section(TAG_BLOB, blob);
-    w
-}
-
 fn kind(r: &SectionReader<&[u8]>) -> Result<u64, ProtoError> {
     let raw = r.require(TAG_KIND)?;
     let words = u64s_of_bytes(TAG_KIND, raw)?;
@@ -441,61 +436,35 @@ fn of_word<T: Copy>(table: &[T], w: u64, what: &str) -> Result<T, ProtoError> {
     }
 }
 
-/// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u64;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+/// A frame failure as `io::Error`: an oversized frame is `InvalidData`, a
+/// frame cut short `UnexpectedEof`.
+fn io_error(e: FrameError) -> io::Error {
+    let kind = match e {
+        FrameError::Io(e) => return e,
+        FrameError::TooLarge { .. } => io::ErrorKind::InvalidData,
+        FrameError::Truncated => io::ErrorKind::UnexpectedEof,
+    };
+    io::Error::new(kind, e.to_string())
 }
 
-/// `write_frame(w, &resp.to_bytes())`, except that a result container is
-/// not copied into the frame but sent from where it lies, in one writev.
+/// Write one length-prefixed frame (`hqr_tile::io::write_frame`: a frame
+/// past `MAX_FRAME` writes nothing).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    hqr_tile::io::write_frame(w, payload).map_err(io_error)
+}
+
+/// `write_frame(w, &resp.to_bytes())`, except that the payload is sent from
+/// where its fields lie — a result container uncopied — in one writev.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    if let Response::ResultBytes(blob) = resp {
-        let frame = blob_frame(blob);
-        if frame.encoded_len() as u64 <= MAX_FRAME {
-            frame.write_to(w, true)?;
-            return w.flush();
-        }
-    }
-    write_frame(w, &resp.to_bytes())
+    resp.sections().write_frame(w).map_err(io_error)
 }
 
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer hung up between exchanges); a truncated frame
 /// is an error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 8];
-    let mut got = 0;
-    while got < len.len() {
-        match r.read(&mut len[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid length prefix",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = u64::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len}-byte frame; cap is {MAX_FRAME}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload).map_err(io_error)?.then_some(payload))
 }
 
 #[cfg(test)]
@@ -655,10 +624,6 @@ mod tests {
             let mut streamed = Vec::new();
             write_response(&mut streamed, &resp).unwrap();
             assert_eq!(streamed, gathered, "{n}-byte blob");
-            // The frame as the pre-streaming encoder built it.
-            let mut old = SectionWriter::new(PROTO_MAGIC, PROTO_VERSION);
-            old.section(TAG_KIND, &bytes_of_u64s(&[K_RESULT_BYTES])).section(TAG_BLOB, &blob);
-            assert_eq!(streamed[8..], old.into_bytes()[..], "{n}-byte blob");
             let payload = read_frame(&mut std::io::Cursor::new(streamed)).unwrap().unwrap();
             match Response::from_bytes(payload).unwrap() {
                 Response::ResultBytes(back) => assert_eq!(back, blob, "{n}-byte blob"),
@@ -683,7 +648,7 @@ mod tests {
         assert_eq!(read_frame(&mut cur).unwrap(), None);
 
         let mut lying = Vec::new();
-        lying.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        lying.extend_from_slice(&(hqr_tile::io::MAX_FRAME + 1).to_le_bytes());
         let err = read_frame(&mut std::io::Cursor::new(lying)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

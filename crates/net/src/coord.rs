@@ -13,13 +13,16 @@
 //! the `Completed` cursor, and has each worker stream back the slots whose
 //! last writer it owns.
 //!
-//! Every worker is watched by a dedicated heartbeat connection; pings
-//! that go unanswered for longer than `hb_timeout` condemn the worker, and
-//! so does an exchange that fails through the whole retry ladder
-//! (partitions are fail-stop: a condemned worker is never spoken to again,
-//! so a revived partition cannot corrupt the run). Condemnation triggers
-//! recovery: the survivors halt at a task boundary and report what they
-//! ran; the dead worker's ranks are remapped onto survivors; every slot
+//! Failure detection is the progress poll: every few milliseconds the
+//! coordinator reads each survivor's `Completed` cursor over the one
+//! connection it keeps per worker, and a worker answers that connection on
+//! its own thread while a kernel runs, so a slow worker is not a dead one.
+//! A poll — or any exchange — that fails through the whole retry ladder
+//! condemns the worker (partitions are fail-stop: a condemned worker is
+//! never spoken to again, so a revived partition cannot corrupt the run);
+//! a run with no progress for `stall_timeout` is abandoned. Condemnation
+//! triggers recovery: the survivors halt at a task boundary and report what
+//! they ran; the dead worker's ranks are remapped onto survivors; every slot
 //! version that should now live on a worker which does not hold it is
 //! rebuilt *locally* by lineage re-execution (`hqr_runtime::lineage`) from
 //! the pristine input and placed there; and the survivors restart as a new
@@ -39,7 +42,7 @@ use hqr_tile::{Layout, ProcessGrid, TiledMatrix};
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -52,10 +55,6 @@ pub struct DistConfig {
     pub rpc_timeout: Duration,
     /// Retry ladder applied to retryable RPC failures.
     pub retry: RetryPolicy,
-    /// Gap between heartbeat probes.
-    pub hb_interval: Duration,
-    /// Silence longer than this condemns the worker.
-    pub hb_timeout: Duration,
     /// Progress stall longer than this aborts the run.
     pub stall_timeout: Duration,
     /// Seeded drop/delay injection on coordinator-side RPC sends.
@@ -66,7 +65,7 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// Sensible defaults for `n` workers: the most square grid with
-    /// `p*q == n`, patient RPC deadlines, snappy heartbeats.
+    /// `p*q == n`, patient RPC deadlines.
     pub fn for_workers(n: usize) -> Self {
         assert!(n > 0, "need at least one worker");
         let mut p = (n as f64).sqrt() as usize;
@@ -81,8 +80,6 @@ impl DistConfig {
                 cap: Duration::from_millis(200),
                 max_attempts: 3,
             },
-            hb_interval: Duration::from_millis(50),
-            hb_timeout: Duration::from_millis(1500),
             stall_timeout: Duration::from_secs(60),
             fault: NetFaultPlan::none(),
             run_id: 1,
@@ -133,7 +130,7 @@ pub struct DistReport {
 }
 
 /// Pause between rounds of `Completed` reads: how late the last completion
-/// or a heartbeat verdict is noticed, against one RPC per worker per round.
+/// or a dead worker is noticed, against one RPC per worker per round.
 const POLL_INTERVAL: Duration = Duration::from_millis(4);
 
 /// A lazily-(re)connected channel to one worker.
@@ -178,8 +175,6 @@ struct Shared {
     links: Vec<Link>,
     cfg: DistConfig,
     retries: AtomicU64,
-    /// Heartbeat verdicts the supervision loop has not read yet.
-    hb_dead: Mutex<Vec<(usize, String)>>,
 }
 
 impl Shared {
@@ -272,31 +267,6 @@ impl Shared {
             let threads: Vec<_> = self.survivors().into_iter().map(spawn).collect();
             threads.into_iter().map(|h| h.join().expect("fan-out panicked")).collect()
         })
-    }
-}
-
-/// Heartbeat monitor: a dedicated connection pings the worker; silence
-/// past `hb_timeout` condemns it. A worker busy inside a kernel still
-/// answers (that connection has its own thread), so slow is not dead. It
-/// waits between probes on `stop`, dropped when the run is over, so the
-/// end of a run does not sit out an interval.
-fn heartbeat_loop(w: usize, addr: SocketAddr, shared: &Shared, stop: &mpsc::Receiver<()>) {
-    let timeout = shared.cfg.hb_interval.max(Duration::from_millis(10));
-    let mut conn = Conn { addr, timeout, stream: None, seq: 0 };
-    let mut last_ok = Instant::now();
-    while shared.alive(w) {
-        match conn.exchange(|s, timeout| rpc(s, timeout, &Msg::Ping, "ping ack")) {
-            Ok(Msg::Ok) => last_ok = Instant::now(),
-            _ if last_ok.elapsed() > shared.cfg.hb_timeout => {
-                let (silent, limit) = (last_ok.elapsed(), shared.cfg.hb_timeout);
-                let reason = format!("no heartbeat for {silent:?} (> {limit:?})");
-                return shared.hb_dead.lock().expect("hb lock").push((w, reason));
-            }
-            _ => {}
-        }
-        if stop.recv_timeout(shared.cfg.hb_interval) != Err(mpsc::RecvTimeoutError::Timeout) {
-            return;
-        }
     }
 }
 
@@ -402,7 +372,6 @@ impl CoordState<'_> {
                     doomed.push((w, format!("completion poll failed: {e}")));
                 }
             }
-            doomed.append(&mut shared.hb_dead.lock().expect("hb lock"));
             if self.done_count > before || !doomed.is_empty() {
                 last_progress = Instant::now();
             }
@@ -609,7 +578,6 @@ pub fn factorize(
         links: addrs.iter().map(link).collect(),
         cfg: cfg.clone(),
         retries: AtomicU64::new(0),
-        hb_dead: Mutex::new(Vec::new()),
     };
     let tasks_by_worker = vec![0; n_workers];
     let mut st = CoordState {
@@ -638,16 +606,7 @@ pub fn factorize(
         let hello = Msg::Hello { run_id: cfg.run_id, dims: dims.map(|d| d as u64), addrs, tasks };
         shared.ack(w, &hello, "hello ack")?;
     }
-    let (result, factors) = thread::scope(|scope| {
-        let monitor = |(w, &addr)| {
-            let (stop, stopped) = mpsc::channel();
-            let shared = &shared;
-            scope.spawn(move || heartbeat_loop(w, addr, shared, &stopped));
-            stop
-        };
-        let _stops: Vec<mpsc::Sender<()>> = addrs.iter().enumerate().map(monitor).collect();
-        st.supervise()
-    })?;
+    let (result, factors) = st.supervise()?;
     st.report.rpc_retries = shared.retries.load(Ordering::Relaxed);
     st.report.elapsed = start.elapsed();
     Ok((result, factors, st.report))

@@ -38,8 +38,8 @@ pub enum NetError {
     Proto(String),
     /// The peer reported an application-level error.
     Remote(String),
-    /// A worker was condemned (heartbeat timeout or RPC failure after
-    /// retries) and the operation cannot proceed on it.
+    /// A worker was condemned (an exchange with it failed through the
+    /// retry ladder) and the operation cannot proceed on it.
     WorkerDead {
         /// Index of the condemned worker.
         worker: usize,

@@ -1,20 +1,19 @@
-//! Length-prefixed frames: `len: u64 LE | payload[len]`.
+//! Length-prefixed frames, `len: u64 LE | payload[len]`, in `NetError`s.
 //!
-//! The frame layer only delimits; integrity comes from the payload, which
-//! is always a checksummed `hqr_tile::io` sectioned container (see
-//! [`crate::msg`]). The length is validated against [`MAX_FRAME`] *before*
-//! any allocation, so a hostile or corrupt length word cannot blow up the
-//! allocator, and short reads surface as typed errors.
+//! The codec is `hqr_tile::io`'s ([`hqr_tile::io::read_frame_into`] and
+//! friends): the length is checked against [`MAX_FRAME`] before anything is
+//! allocated, a connection reads every frame into one buffer it keeps, and
+//! integrity comes from the payload, which is always a checksummed section
+//! container (see [`crate::msg`]). This module only names what failed: an
+//! oversized length is [`NetError::FrameTooLarge`], a socket deadline
+//! [`NetError::Timeout`], and a stream that ends — inside a frame or
+//! between two while a reply is awaited — [`NetError::Io`].
 
 use crate::error::NetError;
-use hqr_tile::io::SectionList;
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use hqr_tile::io::{FrameError, SectionList, MAX_FRAME};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-
-/// Upper bound on a frame payload (256 MiB — far above the largest tile
-/// message we ever send, far below anything that could hurt).
-pub const MAX_FRAME: u64 = 1 << 28;
 
 /// Connect with `timeout` as the connect, read and write deadline, and
 /// Nagle off (a frame is written whole).
@@ -27,45 +26,24 @@ pub(crate) fn dial(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, Net
     Ok(s)
 }
 
-fn check_len(len: u64) -> Result<(), NetError> {
-    if len > MAX_FRAME {
-        return Err(NetError::FrameTooLarge { declared: len, cap: MAX_FRAME });
+/// `e` while `what` was under way; `deadline` is what a timeout reports.
+fn net_error(e: FrameError, what: &str, deadline: Duration) -> NetError {
+    match e {
+        FrameError::TooLarge { declared } => NetError::FrameTooLarge { declared, cap: MAX_FRAME },
+        FrameError::Io(e) => NetError::from_io(e, what, deadline),
+        cut => NetError::Io(format!("{what}: {cut}")),
     }
-    Ok(())
 }
 
-fn flush(w: &mut impl Write, written: std::io::Result<()>) -> Result<(), NetError> {
-    written.map_err(|e| NetError::from_io(e, "frame write", Duration::ZERO))?;
-    w.flush().map_err(|e| NetError::from_io(e, "frame flush", Duration::ZERO))
-}
-
-/// Write one frame: the length and the payload as one vectored write, with
-/// no staging copy. Flushes, so the peer's blocking read returns.
+/// Write one frame, the length and the payload in one vectored write.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NetError> {
-    check_len(payload.len() as u64)?;
-    let len = (payload.len() as u64).to_le_bytes();
-    let written = write_all_vectored(w, &mut [IoSlice::new(&len), IoSlice::new(payload)]);
-    flush(w, written)
-}
-
-fn write_all_vectored(w: &mut impl Write, mut rest: &mut [IoSlice<'_>]) -> std::io::Result<()> {
-    while !rest.is_empty() {
-        match w.write_vectored(rest) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut rest, n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
+    hqr_tile::io::write_frame(w, payload).map_err(|e| net_error(e, "frame write", Duration::ZERO))
 }
 
 /// Write `list` as one frame, its borrowed parts handed to the writer
-/// uncopied (see [`SectionList::write_to`]).
+/// uncopied.
 pub(crate) fn write_list(w: &mut impl Write, list: &SectionList<'_>) -> Result<(), NetError> {
-    check_len(list.encoded_len() as u64)?;
-    let written = list.write_to(w, true);
-    flush(w, written)
+    list.write_frame(w).map_err(|e| net_error(e, "frame write", Duration::ZERO))
 }
 
 /// Read one frame under the caller-configured socket deadline.
@@ -79,45 +57,18 @@ pub fn read_frame(r: &mut impl Read, what: &str, deadline: Duration) -> Result<V
     Ok(payload)
 }
 
-/// [`read_frame`] into `buf`, which a connection keeps across frames: once
-/// it has grown to the largest frame seen, reading a frame allocates and
-/// zero-fills nothing. On error `buf` holds no frame.
+/// [`read_frame`] into `buf`, which a connection keeps across frames.
 pub(crate) fn read_frame_into(
     r: &mut impl Read,
     buf: &mut Vec<u8>,
     what: &str,
     deadline: Duration,
 ) -> Result<(), NetError> {
-    let mut len_bytes = [0u8; 8];
-    read_exact(r, &mut len_bytes, what, deadline)?;
-    let len = u64::from_le_bytes(len_bytes);
-    check_len(len)?;
-    // Only growth is zero-filled; the read overwrites all of it.
-    buf.resize(len as usize, 0);
-    read_exact(r, buf, what, deadline)
-}
-
-fn read_exact(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    what: &str,
-    deadline: Duration,
-) -> Result<(), NetError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(NetError::Io(format!(
-                    "{what}: connection closed mid-frame ({filled}/{} bytes)",
-                    buf.len()
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(NetError::from_io(e, what, deadline)),
-        }
+    match hqr_tile::io::read_frame_into(r, buf) {
+        Ok(true) => Ok(()),
+        Ok(false) => Err(NetError::Io(format!("{what}: connection closed"))),
+        Err(e) => Err(net_error(e, what, deadline)),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -151,92 +102,35 @@ mod tests {
             let err = read_frame(&mut &wire[..cut], "t", Duration::ZERO).unwrap_err();
             assert!(
                 matches!(err, NetError::Io(_)),
-                "cut at {cut}: expected Io(closed mid-frame), got {err}"
+                "cut at {cut}: expected Io(connection closed), got {err}"
             );
         }
     }
 
     #[test]
-    fn writer_refuses_oversized_payload_without_allocating_wire() {
-        // Can't build a >256MiB buffer cheaply, so check the guard directly.
-        struct Counted(usize);
-        impl Write for Counted {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0 += b.len();
-                Ok(b.len())
+    fn a_timed_out_read_is_a_timeout() {
+        struct Late;
+        impl Read for Late {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let err = read_frame(&mut Late, "a reply", Duration::from_millis(7)).unwrap_err();
+        assert!(matches!(err, NetError::Timeout { after, .. } if after.as_millis() == 7), "{err}");
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_a_typed_error() {
+        struct Stuck;
+        impl Write for Stuck {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
             }
             fn flush(&mut self) -> std::io::Result<()> {
                 Ok(())
             }
         }
-        // MAX_FRAME itself is allowed; MAX_FRAME+1 must be refused. Use a
-        // zero-copy view to avoid materializing 256MiB twice: a Vec of that
-        // size is fine in CI.
-        let big = vec![0u8; (MAX_FRAME + 1) as usize];
-        let mut sink = Counted(0);
-        let err = write_frame(&mut sink, &big).unwrap_err();
-        assert!(matches!(err, NetError::FrameTooLarge { .. }));
-        assert_eq!(sink.0, 0, "nothing may hit the wire");
-    }
-
-    /// A writer that takes one byte per call, and with `interrupt` fails
-    /// every other call with `Interrupted`; with `zero` it accepts nothing.
-    #[derive(Default)]
-    struct Stingy {
-        out: Vec<u8>,
-        calls: usize,
-        interrupt: bool,
-        zero: bool,
-    }
-
-    impl Write for Stingy {
-        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-            self.calls += 1;
-            if self.interrupt && self.calls.is_multiple_of(2) {
-                return Err(ErrorKind::Interrupted.into());
-            }
-            let n = if self.zero { 0 } else { b.len().min(1) };
-            self.out.extend_from_slice(&b[..n]);
-            Ok(n)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn vectored_frames_survive_short_and_interrupted_writes_byte_for_byte() {
-        for payload in [&b""[..], b"x", b"a payload of some length"] {
-            // What the staging writer produced: the length word, then the payload.
-            let staged = [&(payload.len() as u64).to_le_bytes()[..], payload].concat();
-            for interrupt in [false, true] {
-                let mut w = Stingy { interrupt, ..Stingy::default() };
-                write_frame(&mut w, payload).unwrap();
-                assert_eq!(w.out, staged, "interrupt={interrupt}");
-            }
-        }
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        assert_eq!(wire, [&5u64.to_le_bytes()[..], b"hello"].concat());
-    }
-
-    #[test]
-    fn a_writer_that_takes_nothing_is_a_typed_error() {
-        let mut w = Stingy { zero: true, ..Stingy::default() };
-        let err = write_frame(&mut w, b"payload").unwrap_err();
+        let err = write_frame(&mut Stuck, b"payload").unwrap_err();
         assert!(matches!(&err, NetError::Io(m) if m.contains("frame write")), "{err}");
-    }
-
-    #[test]
-    fn a_reused_read_buffer_holds_exactly_each_frame() {
-        let mut wire = Vec::new();
-        for payload in [&b"a longer first frame"[..], b"short", b"", b"middling"] {
-            write_frame(&mut wire, payload).unwrap();
-        }
-        let (mut r, mut buf) = (wire.as_slice(), Vec::new());
-        for payload in [&b"a longer first frame"[..], b"short", b"", b"middling"] {
-            read_frame_into(&mut r, &mut buf, "t", Duration::ZERO).unwrap();
-            assert_eq!(buf, payload);
-        }
     }
 }

@@ -15,8 +15,10 @@
 //!   ladder ([`hqr_runtime::RetryPolicy`]);
 //! * corrupt, truncated, or oversized frames surface as typed
 //!   [`NetError`]s — never panics, never unbounded allocations;
-//! * workers are supervised over dedicated heartbeat connections, so a
-//!   slow worker is distinguishable from a dead one;
+//! * liveness is the progress poll: every few milliseconds the coordinator
+//!   reads each worker's `Completed` cursor over its one connection, which
+//!   the worker answers on that connection's own thread while a kernel
+//!   runs, so a slow worker is not a dead one and a failed poll condemns;
 //! * a confirmed-dead worker triggers lineage-based recovery
 //!   ([`hqr_runtime::lineage`]): lost slot versions are re-executed
 //!   locally from the pristine input and re-placed on survivors, and the
@@ -39,6 +41,7 @@ pub use calib::{measure_loopback, CalibSample, Calibration};
 pub use coord::{factorize, shutdown_workers, DistConfig, DistReport, RecoveryEvent};
 pub use error::NetError;
 pub use fault::{FaultAction, NetFaultPlan};
-pub use frame::{read_frame, write_frame, MAX_FRAME};
+pub use frame::{read_frame, write_frame};
+pub use hqr_tile::io::MAX_FRAME;
 pub use msg::{recv_msg, send_msg, Msg, NET_MAGIC, NET_VERSION};
 pub use worker::{serve, shutdown, spawn_local, LocalWorker, WorkerOptions};

@@ -109,8 +109,10 @@ pub enum Msg<T = Vec<f64>> {
     /// End of the gather stream, with the `Push` frames (and the doubles
     /// in them) this worker sent during the run.
     End { pushes: u64, push_floats: u64 },
-    /// Heartbeat probe. (No sequence number to echo: an exchange that
-    /// fails drops its connection, so a reply is never a late one.)
+    /// The barrier that closes a tile stream: a connection is served in
+    /// order, so its `Ok` says every `Put` before it is installed. (No
+    /// sequence number to echo: an exchange that fails drops its
+    /// connection, so a reply is never a late one.)
     Ping,
     /// Orderly shutdown request.
     Shutdown,
@@ -182,16 +184,6 @@ pub(crate) fn push_frame<'a>(
     sections(&[KIND_PUSH, run_id, epoch, task_id], &[], &[], "", slots)
 }
 
-/// [`Msg::Put`] straight from the buffer the tile lives in.
-pub fn encode_put(slot: Slot, data: &[f64]) -> Vec<u8> {
-    put_frame(slot, data).into_bytes()
-}
-
-/// [`Msg::Push`] straight from the shard's buffers.
-pub fn encode_push(run_id: u64, epoch: u64, task_id: u64, slots: &[(Slot, &[f64])]) -> Vec<u8> {
-    push_frame(run_id, epoch, task_id, slots).into_bytes()
-}
-
 /// Encode `frame` into `buf`, replacing what it held: a sender that must
 /// release the shard lock before it writes keeps one such buffer.
 pub(crate) fn encode_into(buf: &mut Vec<u8>, frame: &SectionList<'_>) {
@@ -225,13 +217,13 @@ impl Msg {
                 encode(&head, &words, &[], &text.join("\n"), &[])
             }
             Msg::Ok => plain(&[KIND_OK]),
-            Msg::Put { slot, data } => encode_put(*slot, data),
+            Msg::Put { slot, data } => put_frame(*slot, data).into_bytes(),
             Msg::Start { run_id, epoch, owners, completed } => {
                 encode(&[KIND_START, *run_id, *epoch], owners, completed, "", &[])
             }
             Msg::Push { run_id, epoch, task_id, slots } => {
                 let views: Vec<(Slot, &[f64])> = slots.iter().map(|(s, d)| (*s, &d[..])).collect();
-                encode_push(*run_id, *epoch, *task_id, &views)
+                push_frame(*run_id, *epoch, *task_id, &views).into_bytes()
             }
             Msg::Completed { run_id, after, halt } => {
                 plain(&[KIND_COMPLETED, *run_id, *after, u64::from(*halt)])
@@ -336,7 +328,6 @@ pub fn recv_msg(r: &mut impl Read, what: &str, deadline: Duration) -> Result<Msg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqr_tile::io::SectionWriter;
 
     fn samples() -> Vec<Msg> {
         let slot = |fam, i, j, x: f64, n| ((fam, i, j), vec![x; n]);
@@ -393,16 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_encoders_match_the_owned_messages() {
-        let data = vec![2.5; 16];
-        let slot = (SlotFamily::Vg, 1, 0);
-        let put = Msg::Put { slot, data: data.clone() };
-        assert_eq!(encode_put(slot, &data), put.encode());
-        let push = Msg::Push { run_id: 3, epoch: 1, task_id: 9, slots: vec![(slot, data.clone())] };
-        assert_eq!(encode_push(3, 1, 9, &[(slot, &data)]), push.encode());
-    }
-
-    #[test]
     fn unknown_codes_and_cut_lists_are_typed_errors() {
         // A well-formed container whose words no message can have.
         let kernel = encode(&[KIND_HELLO, 1, 1, 1, 4, 4, 1, 1, 0], &[6, 0, 0, 0, 0], &[], "", &[]);
@@ -415,10 +396,10 @@ mod tests {
         let head = encode(&[KIND_START, 1], &[], &[], "", &[]);
         assert!(matches!(Msg::decode(head), Err(NetError::Proto(_))), "start without an epoch");
         let family = {
-            let mut w = SectionWriter::new(NET_MAGIC, NET_VERSION);
-            w.section(TAG_HEAD, &bytes_of_u64s(&[KIND_PUT])).section(TAG_LIST_A, &[]);
-            w.section(TAG_LIST_B, &[]).section(TAG_TEXT, &[]);
-            w.section(TAG_COORDS, &bytes_of_u64s(&[4, 0, 0])).section_f64s(TAG_DATA, &[0.0]);
+            let mut w = SectionList::new(NET_MAGIC, NET_VERSION);
+            w.section(TAG_HEAD, bytes_of_u64s(&[KIND_PUT])).section(TAG_LIST_A, &b""[..]);
+            w.section(TAG_LIST_B, &b""[..]).section(TAG_TEXT, &b""[..]);
+            w.section(TAG_COORDS, bytes_of_u64s(&[4, 0, 0])).section(TAG_DATA, f64s_le(&[0.0]));
             w.into_bytes()
         };
         assert!(matches!(Msg::decode(family), Err(NetError::Proto(_))), "slot family 4");

@@ -14,8 +14,8 @@
 //! from this shard, so a halted worker reports which pushes it accepted and
 //! recovery counts those tasks as run (see `Msg::Progress`).
 //!
-//! Every connection has its own thread: pushes are drained and heartbeats
-//! answered while a kernel runs (the shard lock is held to take and return
+//! Every connection has its own thread: pushes are drained and progress
+//! polls answered while a kernel runs (the shard lock is held to take and return
 //! buffers, never across a kernel, and a send never holds it), so two
 //! workers pushing to each other cannot deadlock and a slow worker is
 //! *slow*, not dead. Every request is idempotent. A push that cannot be

@@ -11,8 +11,8 @@ use hqr_net::{
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::{execute_serial_ib, recompute_slots, ElimOp, Slot, TFactors, Task, TaskGraph};
 use hqr_tile::io::{
-    bytes_of_f64s, bytes_of_u64s, tiled_from_bytes, tiled_to_bytes, u64s_of_bytes, SectionReader,
-    SectionWriter,
+    bytes_of_u64s, f64s_le, tiled_from_bytes, tiled_parts, u64s_of_bytes, SectionList,
+    SectionReader,
 };
 use hqr_tile::TiledMatrix;
 use proptest::prelude::*;
@@ -144,10 +144,10 @@ proptest! {
     fn tile_io_containers_survive_mutation(seed in any::<u64>(), nflips in 1usize..6) {
         const MAGIC: [u8; 8] = *b"WIRETEST";
         let m = TiledMatrix::random(2, 2, 3, seed);
-        let mut w = SectionWriter::new(MAGIC, 1);
-        w.section(1, &tiled_to_bytes(&m));
-        w.section(2, &bytes_of_u64s(&[seed]));
-        w.section(3, &bytes_of_f64s(&[1.0, -2.5]));
+        let mut w = SectionList::new(MAGIC, 1);
+        w.section_of(1, tiled_parts(&m));
+        w.section(2, bytes_of_u64s(&[seed]));
+        w.section(3, f64s_le(&[1.0, -2.5]));
         let clean = w.into_bytes();
         let mut dirty = clean.clone();
         flip_bits(&mut dirty, seed, nflips);
@@ -167,8 +167,8 @@ proptest! {
     #[test]
     fn tile_io_truncation_always_errors(seed in any::<u64>(), frac in 0.0f64..1.0) {
         const MAGIC: [u8; 8] = *b"WIRETEST";
-        let mut w = SectionWriter::new(MAGIC, 1);
-        w.section(1, &bytes_of_u64s(&[seed, seed ^ 1]));
+        let mut w = SectionList::new(MAGIC, 1);
+        w.section(1, bytes_of_u64s(&[seed, seed ^ 1]));
         let clean = w.into_bytes();
         let cut = (clean.len() as f64 * frac) as usize;
         if cut < clean.len() {
@@ -189,8 +189,8 @@ proptest! {
 #[test]
 fn lying_section_length_rejected_without_allocation() {
     const MAGIC: [u8; 8] = *b"WIRETEST";
-    let mut w = SectionWriter::new(MAGIC, 1);
-    w.section(7, b"tiny");
+    let mut w = SectionList::new(MAGIC, 1);
+    w.section(7, &b"tiny"[..]);
     let clean = w.into_bytes();
     // Find the section length word (after magic[8] + version[4] + tag[4])
     // and replace it with something absurd.
@@ -298,10 +298,11 @@ fn hostile_hello_is_rejected_and_the_worker_stays_usable() {
     // Kernel kind 6 names no kernel: the frame is a valid container that is
     // not a message, so the worker hangs up on it — and keeps serving.
     let unknown_kind = {
-        let mut w = SectionWriter::new(NET_MAGIC, NET_VERSION);
-        w.section(1, &bytes_of_u64s(&[1, 1, 1, 1, 4, 4, 1, 1, 0]));
-        w.section(2, &bytes_of_u64s(&[6, 0, 0, 0, 0])).section(3, &[]);
-        w.section(4, worker.addr.to_string().as_bytes()).section(5, &[]);
+        let (addr, none) = (worker.addr.to_string(), &b""[..]);
+        let mut w = SectionList::new(NET_MAGIC, NET_VERSION);
+        w.section(1, bytes_of_u64s(&[1, 1, 1, 1, 4, 4, 1, 1, 0]));
+        w.section(2, bytes_of_u64s(&[6, 0, 0, 0, 0])).section(3, none);
+        w.section(4, addr.as_bytes()).section(5, none);
         w.into_bytes()
     };
     assert!(matches!(Msg::decode(unknown_kind.clone()), Err(NetError::Proto(_))));

@@ -33,8 +33,8 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use hqr_tile::io::{
-    bytes_of_u64s, f64s_from_le, f64s_le, fnv1a64, tiled_from_bytes, tiled_to_bytes, u64s_of_bytes,
-    BinFormatError, SectionReader, SectionWriter,
+    bytes_of_u64s, f64s_from_le, f64s_le, fnv1a64, tiled_from_bytes, tiled_parts, u64s_of_bytes,
+    BinFormatError, SectionList, SectionReader,
 };
 use hqr_tile::TiledMatrix;
 
@@ -42,7 +42,7 @@ use crate::analysis::kind_index;
 use crate::elim::ElimOp;
 use crate::error::ExecError;
 use crate::exec::{
-    run_engine_segment, ExecInstant, ExecTrace, InstantKind, TFactors, WorkerCounters,
+    factor_slots, run_engine_segment, ExecInstant, ExecTrace, InstantKind, TFactors, WorkerCounters,
 };
 use crate::fault::{ExecOptions, FaultStats};
 use crate::graph::TaskGraph;
@@ -260,7 +260,9 @@ impl Checkpoint {
     }
 
     /// Check this checkpoint is a valid mid-run state of `graph` executed
-    /// with inner block size `ib`.
+    /// with inner block size `ib`: the plan's fingerprint, factor buffers
+    /// in exactly the slots the graph allocates, and a completed set closed
+    /// under dependencies.
     pub fn validate_against(&self, graph: &TaskGraph, ib: usize) -> Result<(), CheckpointError> {
         let expected = graph_fingerprint(graph, ib);
         if expected != self.fingerprint {
@@ -268,6 +270,20 @@ impl Checkpoint {
         }
         if graph.tasks().len() != self.completed.len() {
             return Err(inconsistent("bitmap length does not match task count"));
+        }
+        // A slot mismatch pairs the bitmap with foreign buffers: a missing
+        // one is a kernel writing through nothing.
+        let families = [SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk];
+        let mut allocated = families.map(|_| vec![false; graph.mt() * graph.nt()]);
+        for (fam, i, k) in factor_slots(graph) {
+            allocated[families.iter().position(|&f| f == fam).expect("a factor family")]
+                [i + k * graph.mt()] = true;
+        }
+        let f = &self.factors;
+        let present =
+            [&f.vg, &f.tg, &f.tk].map(|v| v.iter().map(Option::is_some).collect::<Vec<_>>());
+        if present != allocated {
+            return Err(inconsistent("factor buffers do not match the graph's allocation pattern"));
         }
         // Closure under dependencies: no completed task may have a
         // pending predecessor.
@@ -374,10 +390,6 @@ pub(crate) fn family_parts(family: &[Option<Box<[f64]>>]) -> impl Iterator<Item 
     std::iter::once(bitmap).chain(family.iter().flatten().map(|t| f64s_le(t)))
 }
 
-fn family_to_bytes(family: &[Option<Box<[f64]>>]) -> Vec<u8> {
-    family_parts(family).collect::<Vec<_>>().concat()
-}
-
 /// An encoded family's presence bitmap and the payload bytes after it.
 fn family_split(
     tag: u32,
@@ -460,9 +472,9 @@ pub(crate) fn family_from_bytes(
     Ok(family)
 }
 
-/// Stage a checkpoint into a section container, ready for
-/// [`SectionWriter::into_bytes`] or [`SectionWriter::write_atomic`].
-fn checkpoint_writer(ckpt: &Checkpoint) -> SectionWriter {
+/// A checkpoint as a section container over its own buffers, ready for
+/// [`SectionList::into_bytes`] or [`SectionList::write_atomic`].
+fn checkpoint_sections(ckpt: &Checkpoint) -> SectionList<'_> {
     let header = [
         ckpt.mt as u64,
         ckpt.nt as u64,
@@ -474,20 +486,21 @@ fn checkpoint_writer(ckpt: &Checkpoint) -> SectionWriter {
         ckpt.input_seed,
     ];
     let elims = elims_to_words(&ckpt.elims);
-    let mut w = SectionWriter::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
-    w.section(SEC_HEADER, &bytes_of_u64s(&header))
-        .section(SEC_ELIMS, &bytes_of_u64s(&elims))
-        .section(SEC_DONE, &bytes_of_u64s(&bitmap_to_words(&ckpt.completed)))
-        .section(SEC_TILES, &tiled_to_bytes(&ckpt.a))
-        .section(SEC_VG, &family_to_bytes(&ckpt.factors.vg))
-        .section(SEC_TG, &family_to_bytes(&ckpt.factors.tg))
-        .section(SEC_TK, &family_to_bytes(&ckpt.factors.tk));
+    let mut w = SectionList::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+    w.section(SEC_HEADER, bytes_of_u64s(&header))
+        .section(SEC_ELIMS, bytes_of_u64s(&elims))
+        .section(SEC_DONE, bytes_of_u64s(&bitmap_to_words(&ckpt.completed)))
+        .section_of(SEC_TILES, tiled_parts(&ckpt.a));
+    let f = &ckpt.factors;
+    for (tag, family) in [(SEC_VG, &f.vg), (SEC_TG, &f.tg), (SEC_TK, &f.tk)] {
+        w.section_of(tag, family_parts(family));
+    }
     w
 }
 
 /// Write `ckpt` to `path` atomically (sibling temp file + rename).
 pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-    checkpoint_writer(ckpt).write_atomic(path)?;
+    checkpoint_sections(ckpt).write_atomic(path)?;
     Ok(())
 }
 
@@ -495,7 +508,7 @@ pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> Result<(), Checkpoint
 /// [`write_checkpoint`] puts on disk — used to embed a checkpoint inside an
 /// encoded resume-job spec.
 pub fn checkpoint_to_bytes(ckpt: &Checkpoint) -> Vec<u8> {
-    checkpoint_writer(ckpt).into_bytes()
+    checkpoint_sections(ckpt).into_bytes()
 }
 
 /// Decode checkpoint container bytes (the inverse of
@@ -773,9 +786,9 @@ pub struct ResumedRun {
 
 /// Load a checkpoint and run the remaining tasks to completion.
 ///
-/// The graph is rebuilt from the stored elimination list, revalidated
-/// against the stored fingerprint, and the bitmap is checked for closure
-/// under dependencies before any kernel runs.  `opts.ib`, if set, must
+/// The graph is rebuilt from the stored elimination list and the
+/// checkpoint is checked against it ([`Checkpoint::validate_against`])
+/// before any kernel runs.  `opts.ib`, if set, must
 /// match the checkpointed inner block size (factors computed with one `ib`
 /// cannot be extended with another).
 pub fn resume_from_checkpoint(
@@ -794,19 +807,6 @@ pub fn resume_from_checkpoint(
             )));
         }
     }
-    // The stored factor allocation must match what this graph allocates —
-    // a slot mismatch means the file pairs a bitmap with foreign buffers.
-    let fresh = TFactors::allocate_for(&graph, ckpt.ib);
-    let same_slots = |x: &[Option<Box<[f64]>>], y: &[Option<Box<[f64]>>]| {
-        x.iter().zip(y).all(|(a, b)| a.is_some() == b.is_some())
-    };
-    if !(same_slots(&fresh.vg, &ckpt.factors.vg)
-        && same_slots(&fresh.tg, &ckpt.factors.tg)
-        && same_slots(&fresh.tk, &ckpt.factors.tk))
-    {
-        return Err(inconsistent("factor buffers do not match the graph's allocation pattern"));
-    }
-
     let mut opts = opts.clone();
     opts.ib = Some(ckpt.ib);
     let n = graph.tasks().len();

@@ -1759,6 +1759,30 @@ mod tests {
         assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (1077, 17724287557011816738));
     }
 
+    /// Checkpoint files and resume specs carry these bytes, so they are
+    /// pinned too: 2x1 tiles of 4 with ib = 2 (T factors of `ib * b`
+    /// doubles), one task done, every factor buffer filled with its own
+    /// pattern so that no kernel's bits enter the digest.
+    #[test]
+    fn checkpoint_encoding_is_pinned() {
+        let (mt, nt, b, ib) = (2, 1, 4, 2);
+        let graph = TaskGraph::build(mt, nt, b, &flat_elims(mt, nt));
+        let mut factors = TFactors::allocate_for(&graph, ib);
+        for (n, (fam, i, k)) in crate::exec::factor_slots(&graph).enumerate() {
+            let buf = factors.slot_mut(fam, i, k).expect("allocated");
+            buf.iter_mut().enumerate().for_each(|(e, x)| *x = (n * 100 + e) as f64 * 0.25);
+        }
+        let mut done = vec![false; graph.tasks().len()];
+        done[0] = true;
+        let a = TiledMatrix::random(mt, nt, b, 21);
+        let ckpt = Checkpoint {
+            input_seed: 77,
+            ..Checkpoint::capture(&graph, flat_elims(mt, nt), done, a, factors)
+        };
+        let bytes = checkpoint_to_bytes(&ckpt);
+        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (776, 12360854095494485543));
+    }
+
     #[test]
     fn job_spec_roundtrips_dedup_key() {
         let a = TiledMatrix::zeros(2, 1, 4);

@@ -8,8 +8,8 @@
 //! ([`crate::pool`]), recovery (the journal's records folded through
 //! [`Event::Replay`], then [`Event::Restart`] — a restart cannot have a
 //! rule the live pool lacks), both journal compactions ([`snapshot`]), and
-//! `hqr-sim::admission` and the exploration in `tests/pool_step.rs`, in
-//! virtual time with no payload at all.
+//! the exploration in `tests/pool_step.rs`, in virtual time with no payload
+//! at all.
 //!
 //! A job's place in the pool *is* its [`JobState`]: `Queued` and `Backoff`
 //! jobs are the bounded queue, `Running` jobs hold the memory in use,

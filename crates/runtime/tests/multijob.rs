@@ -584,6 +584,32 @@ fn non_finite_input_is_rejected_at_admission() {
     pool.shutdown();
 }
 
+/// A resume spec whose factor buffers do not cover the slots its graph
+/// allocates is refused at the door, after a trip through the spec
+/// encoding: admitted, it would hand a kernel a slot with no buffer behind
+/// it. The checkpoint is a binary tree's carrying a flat tree's buffers —
+/// the flat tree factors only each panel's diagonal tile, so its Vg/Tg
+/// lack the rows the binary tree's GEQRTs write.
+#[test]
+fn a_resume_spec_missing_a_factor_buffer_is_invalid() {
+    let (mt, nt, b) = (3, 2, 4);
+    let graph = TaskGraph::try_build(mt, nt, b, &binary_elims(mt, nt)).expect("valid elims");
+    let flat = TaskGraph::try_build(mt, nt, b, &flat_elims(mt, nt)).expect("valid elims");
+    let (none_done, a) = (vec![false; graph.tasks().len()], TiledMatrix::random(mt, nt, b, 17));
+    let foreign = TFactors::allocate_for(&flat, b);
+    let ckpt = Checkpoint::capture(&graph, binary_elims(mt, nt), none_done, a, foreign);
+    let spec = JobSpec::from_bytes(JobSpec::resume(ckpt).to_bytes()).expect("roundtrip");
+    let pool = JobPool::new(PoolConfig { nthreads: 1, ..Default::default() });
+    match pool.submit(spec) {
+        Err(SubmitError::Invalid { message }) => {
+            assert!(message.contains("factor buffers"), "{message}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+    assert!(pool.jobs().is_empty(), "a rejected spec leaves no job behind");
+    pool.shutdown();
+}
+
 /// The out-of-core admission fix: a matrix whose working set exceeds the
 /// pool's memory budget was rejected `OverBudget` before; with a resident
 /// budget configured the pool charges only the resident tier, admits the

@@ -21,17 +21,12 @@
 //! determined by work, critical path and message structure — which the
 //! simulator reproduces faithfully from the real DAGs.
 
-pub mod admission;
 pub mod des;
 pub mod fault;
 pub mod platform;
 pub mod scalapack;
 pub mod timeline;
 
-pub use admission::{
-    saturation_sweep, simulate_admission, AdmissionConfig, AdmissionPolicy, AdmissionReport,
-    SaturationPoint,
-};
 pub use des::{
     priority_ranks, simulate, simulate_traced, simulate_with_faults, simulate_with_policy,
     SchedPolicy, SimReport,

@@ -188,7 +188,7 @@ fn col_sums_of(b: usize, rows: usize, tile: &[f64]) -> Box<[f64]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{bytes_of_f64s, fnv1a64};
+    use crate::io::{f64s_le, fnv1a64};
     use crate::matrix::TiledMatrix;
 
     #[test]
@@ -196,7 +196,7 @@ mod tests {
         let t = TiledMatrix::random(1, 1, 5, 7);
         let tile = t.tile(0, 0);
         let g = TileGuard::compute(5, tile);
-        assert_eq!(g.digest(), fnv1a64(&bytes_of_f64s(tile)));
+        assert_eq!(g.digest(), fnv1a64(&f64s_le(tile)));
     }
 
     #[test]

@@ -1,40 +1,35 @@
-//! Matrix and checkpoint container I/O.
+//! Matrix and container I/O.
 //!
-//! Two halves:
+//! * Minimal MatrixMarket I/O for dense matrices (`array` and `coordinate`
+//!   `real general`), enough for the `hqr` CLI to factor user matrices.
+//! * The checksummed *section container* under every byte format in the
+//!   workspace (spill records, wire messages, journal records, result
+//!   files, checkpoints, job specs, protocol frames): tagged length-prefixed
+//!   sections between a magic/version header and a [`checksum64`] trailer,
+//!   written atomically (temp file + rename) and read with typed errors
+//!   ([`BinFormatError`]). There is one writer, [`SectionList`], which
+//!   borrows its payloads and writes header, payloads and trailer in one
+//!   vectored write to a file, a socket or a `Vec`; and one encoder and one
+//!   decoder per payload: doubles [`f64s_le`] / [`f64s_from_le`], a tiled
+//!   matrix [`tiled_parts`] / [`tiled_from_bytes`], words [`bytes_of_u64s`]
+//!   / [`u64s_of_bytes`]. A one-section record of doubles is written from
+//!   and read into the caller's buffer ([`write_f64_record`],
+//!   [`read_f64_record`]).
+//! * The one frame codec, `u64 LE len | payload` ([`write_frame`],
+//!   [`read_frame_into`]), under the `hqr-net` wire and the `hqr serve`
+//!   socket: the length is checked against [`MAX_FRAME`] before anything is
+//!   allocated or written, a frame is read into a buffer the caller keeps,
+//!   and a clean end of stream between frames is not a frame cut short.
 //!
-//! * Minimal MatrixMarket I/O for dense matrices — `matrix array real
-//!   general` (column-major dense) and `matrix coordinate real general`
-//!   (sparse triplets, densified on read). Enough for the `hqr` CLI to
-//!   factor user-supplied matrices.
-//! * A checksummed binary *section container* ([`SectionWriter`] /
-//!   [`SectionReader`]) under every byte format in the workspace — spill
-//!   records, wire frames, journal records, result files, checkpoints,
-//!   queue files and service protocol frames: tagged length-prefixed
-//!   sections between a magic/version header and a trailing 64-bit
-//!   checksum ([`checksum64`]), written atomically (temp file + rename) so
-//!   a crash mid-write never leaves a half-written file under the real
-//!   name, and read with typed errors ([`BinFormatError`]) for bad magic,
-//!   truncation and corruption.
-//!
-//! The byte path is built to cost what memory costs: the trailer is a
-//! word-parallel checksum (four independent multiply lanes; 20 GB/s
-//! measured, against 0.8 GB/s for byte-serial FNV-1a — 6.5 µs instead of
-//! 160 µs per 128×128 tile) rather than a byte-serial hash, `f64` payloads
-//! have exactly one encode routine ([`extend_f64s_le`], straight into the
-//! container's buffer) and one decode routine ([`f64s_from_le`], straight
-//! into the destination slice), and both ends can reuse their byte buffers
-//! ([`SectionWriter::reusing`], [`SectionReader`] over a borrowed slice);
-//! a one-section record of doubles is written from and read into the
-//! caller's buffer directly ([`write_f64_record`], [`read_f64_record`]).
-//! A payload that already lives somewhere (a spec, a factorization's tiles,
-//! a stored result) is not copied into a container at all: [`SectionList`]
-//! borrows it and writes header, payload and trailer in one vectored write.
-//! Every container is still verified in full on every read.
+//! The trailer is word-parallel (four multiply lanes; 20 GB/s against
+//! 0.8 GB/s for byte-serial FNV-1a, 6.5 µs instead of 160 µs per 128×128
+//! tile), and a [`SectionReader`] reads over a borrowed slice, so every
+//! container is verified in full on every read at memory speed.
 
 use crate::dense::DenseMatrix;
 use crate::matrix::TiledMatrix;
 use std::borrow::Cow;
-use std::io::{BufRead, BufReader, IoSlice, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::path::Path;
 
 /// Read a MatrixMarket file into a dense matrix.
@@ -399,77 +394,10 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     c.finish()
 }
 
-/// Builder for a checksummed binary section container.
-///
-/// Layout: `magic[8] | version:u32 | (tag:u32 | len:u64 | payload)* |
-/// checksum64:u64` — all integers little-endian, the checksum covering
-/// every preceding byte. [`SectionWriter::write_atomic`] stages the bytes
-/// in a sibling temp file and renames it into place, so readers never
-/// observe a partially written file under the final name.
-pub struct SectionWriter {
-    buf: Vec<u8>,
-}
-
-impl SectionWriter {
-    /// Start a container with the given magic and version.
-    pub fn new(magic: [u8; 8], version: u32) -> Self {
-        Self::reusing(Vec::with_capacity(64), magic, version)
-    }
-
-    /// [`SectionWriter::new`] into a caller-supplied buffer (cleared
-    /// first), so a hot path can keep one allocation across records.
-    pub fn reusing(mut buf: Vec<u8>, magic: [u8; 8], version: u32) -> Self {
-        buf.clear();
-        buf.extend_from_slice(&magic);
-        buf.extend_from_slice(&version.to_le_bytes());
-        Self { buf }
-    }
-
-    /// Section header, with room reserved for `len` payload bytes and the
-    /// trailer so the buffer grows at most once per section.
-    fn open_section(&mut self, tag: u32, len: usize) {
-        self.buf.reserve(12 + len + 8);
-        self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf.extend_from_slice(&(len as u64).to_le_bytes());
-    }
-
-    /// Append one tagged section.
-    pub fn section(&mut self, tag: u32, payload: &[u8]) -> &mut Self {
-        self.open_section(tag, payload.len());
-        self.buf.extend_from_slice(payload);
-        self
-    }
-
-    /// Append one tagged section of `f64`s (little-endian, bit-exact),
-    /// encoded straight into the container's buffer.
-    pub fn section_f64s(&mut self, tag: u32, values: &[f64]) -> &mut Self {
-        self.open_section(tag, values.len() * 8);
-        extend_f64s_le(&mut self.buf, values);
-        self
-    }
-
-    /// The finished container (checksum appended) as bytes.
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        let sum = checksum64(&self.buf);
-        self.buf.extend_from_slice(&sum.to_le_bytes());
-        self.buf
-    }
-
-    /// Write the container to `path` atomically: the bytes go to a
-    /// `<path>.tmp.<pid>` sibling first and are renamed into place, so a
-    /// crash mid-write leaves either the old file or the new one — never a
-    /// torn hybrid. Delegates to [`atomic_write`] for the full
-    /// fsync-then-rename crash-consistency discipline.
-    pub fn write_atomic(self, path: &Path) -> Result<(), BinFormatError> {
-        atomic_write(path, &self.into_bytes())
-    }
-}
-
-/// A section container over payloads that live elsewhere (a spec, a
-/// factorization's tiles, a stored result): [`SectionWriter`]'s layout, but
-/// [`SectionList::write_to`] checksums the borrowed parts and hands them to
-/// the writer as one vectored write; [`SectionList::into_bytes`] is that
-/// write into a `Vec`.
+/// The section container writer. Layout: `magic[8] | version:u32 |
+/// (tag:u32 | len:u64 | payload)* | checksum64:u64`, integers little-endian,
+/// the checksum over every preceding byte. Payloads are borrowed where they
+/// live (or owned, for small words) and written by one vectored write.
 pub struct SectionList<'a> {
     /// Header, section headers and payload pieces, in container order.
     parts: Vec<Cow<'a, [u8]>>,
@@ -516,22 +444,18 @@ impl<'a> SectionList<'a> {
         let prefix: &[u8] = if framed { &len } else { &[] };
         let trailer = sum.finish().to_le_bytes();
         let pieces = std::iter::once(prefix).chain(self.parts.iter().map(|p| &**p));
-        let mut slices: Vec<IoSlice<'_>> =
-            pieces.chain([&trailer[..]]).filter(|p| !p.is_empty()).map(IoSlice::new).collect();
-        let mut rest = &mut slices[..];
-        while !rest.is_empty() {
-            match w.write_vectored(rest) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut rest, n),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        write_all_vectored(w, pieces.chain([&trailer[..]]))
     }
 
-    /// The finished container as bytes — byte for byte what [`SectionWriter`]
-    /// builds from the same sections.
+    /// Send the container as one frame (see [`write_frame`]): refused whole
+    /// past [`MAX_FRAME`], its parts handed to `w` uncopied, then flushed.
+    pub fn write_frame(&self, w: &mut impl Write) -> Result<(), FrameError> {
+        check_frame_len(self.encoded_len() as u64)?;
+        self.write_to(w, true)?;
+        Ok(w.flush()?)
+    }
+
+    /// The finished container as bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.write_to(&mut out, false).expect("writing into a Vec cannot fail");
@@ -549,7 +473,7 @@ impl<'a> SectionList<'a> {
 /// little-endian target, so a [`SectionList`] can carry tiles uncopied.
 pub fn f64s_le(values: &[f64]) -> Cow<'_, [u8]> {
     if cfg!(target_endian = "big") {
-        return Cow::Owned(bytes_of_f64s(values));
+        return Cow::Owned(values.iter().flat_map(|v| v.to_le_bytes()).collect());
     }
     // SAFETY: the slice is exactly the memory of `values`, `f64` has no
     // padding, and on a little-endian target those bytes are `to_le_bytes`.
@@ -575,9 +499,9 @@ fn record_head(magic: [u8; 8], version: u32, tag: u32, payload: usize) -> [u8; 2
     head
 }
 
-/// Write the one-section container of `values` — byte for byte what
-/// `SectionWriter::new(magic, version).section_f64s(tag, values)` builds —
-/// from `values`' own memory: the checksum is taken over the borrowed
+/// Write the one-section container of `values` — byte for byte what a
+/// [`SectionList`] of the one section `f64s_le(values)` writes — from
+/// `values`' own memory: the checksum is taken over the borrowed
 /// bytes and nothing is staged. `write(offset, bytes)` receives the head,
 /// the payload and the trailer at their offsets in the record.
 pub fn write_f64_record(
@@ -647,8 +571,10 @@ pub fn read_f64_record(
     Ok(())
 }
 
-/// [`tiled_to_bytes`] as [`SectionList`] pieces (the one statement of that
-/// layout): the shape words, then every tile in place.
+/// A [`TiledMatrix`] as [`SectionList`] pieces (the one statement of that
+/// payload): `mt, nt, b` as little-endian `u64`, then every tile in
+/// column-major tile order, in place — bit-exact, so a checkpointed
+/// factorization resumes to bitwise-identical results.
 pub fn tiled_parts(m: &TiledMatrix) -> impl Iterator<Item = Cow<'_, [u8]>> {
     let (mt, nt, b) = (m.mt(), m.nt(), m.b());
     let shape = Cow::Owned(bytes_of_u64s(&[mt as u64, nt as u64, b as u64]));
@@ -706,7 +632,7 @@ fn atomic_write_with(
     Ok(())
 }
 
-/// The staging path [`SectionWriter::write_atomic`] renames from — in the
+/// The staging path [`atomic_write`] renames from — in the
 /// same directory as `path` (renames across filesystems are not atomic).
 pub fn sibling_tmp_path(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
@@ -806,9 +732,8 @@ impl<B: AsRef<[u8]>> SectionReader<B> {
         self.section(tag).ok_or(BinFormatError::MissingSection { tag })
     }
 
-    /// Decode required section `tag` — written by
-    /// [`SectionWriter::section_f64s`] — straight into `dst`, whose length
-    /// the section must match exactly.
+    /// Decode required section `tag` — written from [`f64s_le`] — straight
+    /// into `dst`, whose length the section must match exactly.
     pub fn f64s_into(&self, tag: u32, dst: &mut [f64]) -> Result<(), BinFormatError> {
         f64s_from_le(tag, self.require(tag)?, dst)
     }
@@ -850,17 +775,6 @@ pub fn u64s_of_bytes(tag: u32, bytes: &[u8]) -> Result<Vec<u64>, BinFormatError>
     Ok(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
 }
 
-/// Append `values` to `out` as little-endian bytes (bit-exact) — the one
-/// `f64` payload encoder: every tile that reaches a spill record, a wire
-/// frame, a checkpoint or a result file goes through here, in one pass.
-pub fn extend_f64s_le(out: &mut Vec<u8>, values: &[f64]) {
-    let start = out.len();
-    out.resize(start + values.len() * 8, 0);
-    for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
 /// Decode little-endian bytes (bit-exact) into `dst`, which must hold
 /// exactly `bytes.len() / 8` elements — the one `f64` payload decoder
 /// (`tag` names the section in the error).
@@ -877,35 +791,7 @@ pub fn f64s_from_le(tag: u32, bytes: &[u8], dst: &mut [f64]) -> Result<(), BinFo
     Ok(())
 }
 
-/// Encode a slice of `f64` as little-endian bytes (bit-exact).
-pub fn bytes_of_f64s(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    extend_f64s_le(&mut out, values);
-    out
-}
-
-/// Decode little-endian bytes into `f64`s (bit-exact).
-pub fn f64s_of_bytes(tag: u32, bytes: &[u8]) -> Result<Vec<f64>, BinFormatError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(BinFormatError::BadSection {
-            tag,
-            message: format!("length {} is not a multiple of 8", bytes.len()),
-        });
-    }
-    let mut out = vec![0.0; bytes.len() / 8];
-    f64s_from_le(tag, bytes, &mut out)?;
-    Ok(out)
-}
-
-/// Serialize a [`TiledMatrix`] into a section payload: `mt, nt, b` as
-/// little-endian `u64` followed by every tile's elements in column-major
-/// tile order — bit-exact, so a checkpointed factorization resumes to
-/// bitwise-identical results.
-pub fn tiled_to_bytes(m: &TiledMatrix) -> Vec<u8> {
-    tiled_parts(m).collect::<Vec<_>>().concat()
-}
-
-/// Deserialize a [`TiledMatrix`] from [`tiled_to_bytes`] payload bytes.
+/// Deserialize a [`TiledMatrix`] from the payload [`tiled_parts`] writes.
 pub fn tiled_from_bytes(tag: u32, bytes: &[u8]) -> Result<TiledMatrix, BinFormatError> {
     let bad = |message: String| BinFormatError::BadSection { tag, message };
     if bytes.len() < 24 {
@@ -944,6 +830,116 @@ pub fn tiled_from_bytes(tag: u32, bytes: &[u8]) -> Result<TiledMatrix, BinFormat
         }
     }
     Ok(m)
+}
+
+/// Upper bound on a frame's payload (256 MiB): far above the largest
+/// message or job spec anything sends, far below what could hurt.
+pub const MAX_FRAME: u64 = 1 << 28;
+
+/// Why a frame could not be written or read.
+#[derive(Debug)]
+pub enum FrameError {
+    /// A length past [`MAX_FRAME`], declared by the peer or offered by the
+    /// caller: refused before anything was allocated or written.
+    TooLarge {
+        /// The length.
+        declared: u64,
+    },
+    /// The stream ended inside a frame.
+    Truncated,
+    /// The stream failed (a socket timeout among the ways).
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::TooLarge { declared } => {
+                write!(f, "frame of {declared} bytes exceeds the {MAX_FRAME}-byte cap")
+            }
+            FrameError::Truncated => write!(f, "connection closed mid-frame"),
+            FrameError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl From<std::io::Error> for FrameError {
+    fn from(e: std::io::Error) -> Self {
+        FrameError::Io(e)
+    }
+}
+
+fn check_frame_len(declared: u64) -> Result<(), FrameError> {
+    if declared > MAX_FRAME {
+        return Err(FrameError::TooLarge { declared });
+    }
+    Ok(())
+}
+
+/// Write one frame: the length word and `payload` as one vectored write,
+/// with no staging copy, then flush, so the peer's blocking read returns.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
+    check_frame_len(payload.len() as u64)?;
+    write_all_vectored(w, [&(payload.len() as u64).to_le_bytes()[..], payload])?;
+    Ok(w.flush()?)
+}
+
+/// Read one frame into `buf`, which the caller keeps across frames: once it
+/// has grown to the largest frame seen, a read allocates and zero-fills
+/// nothing. `Ok(false)` is a clean end of stream at a frame boundary (the
+/// peer hung up between frames); a stream that ends inside a frame is
+/// [`FrameError::Truncated`]. The length is checked against [`MAX_FRAME`]
+/// before `buf` grows.
+pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, FrameError> {
+    let mut len = [0u8; 8];
+    match fill(r, &mut len)? {
+        0 => return Ok(false),
+        8 => {}
+        _ => return Err(FrameError::Truncated),
+    }
+    let len = u64::from_le_bytes(len);
+    check_frame_len(len)?;
+    // Only growth is zero-filled; the read overwrites all of it.
+    buf.resize(len as usize, 0);
+    if fill(r, buf)? < buf.len() {
+        return Err(FrameError::Truncated);
+    }
+    Ok(true)
+}
+
+/// Read into `buf` until it is full or the stream ends; the bytes read.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+/// Hand `pieces` to `w` in order, in as few vectored writes as it takes.
+fn write_all_vectored<'p>(
+    w: &mut impl Write,
+    pieces: impl IntoIterator<Item = &'p [u8]>,
+) -> std::io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> =
+        pieces.into_iter().filter(|p| !p.is_empty()).map(IoSlice::new).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1018,10 +1014,10 @@ mod tests {
     const MAGIC: [u8; 8] = *b"HQRTEST\0";
 
     fn demo_container() -> Vec<u8> {
-        let mut w = SectionWriter::new(MAGIC, 1);
-        w.section(1, &bytes_of_u64s(&[3, 5, 7]));
-        w.section(2, &bytes_of_f64s(&[1.25, -0.5]));
-        w.section(3, b"");
+        let mut w = SectionList::new(MAGIC, 1);
+        w.section(1, bytes_of_u64s(&[3, 5, 7]));
+        w.section(2, f64s_le(&[1.25, -0.5]));
+        w.section(3, &b""[..]);
         w.into_bytes()
     }
 
@@ -1031,7 +1027,9 @@ mod tests {
         let r = SectionReader::from_bytes(bytes, MAGIC, 1).unwrap();
         assert_eq!(r.tags(), vec![1, 2, 3]);
         assert_eq!(u64s_of_bytes(1, r.require(1).unwrap()).unwrap(), vec![3, 5, 7]);
-        assert_eq!(f64s_of_bytes(2, r.require(2).unwrap()).unwrap(), vec![1.25, -0.5]);
+        let mut doubles = [0.0; 2];
+        r.f64s_into(2, &mut doubles).unwrap();
+        assert_eq!(doubles, [1.25, -0.5]);
         assert_eq!(r.require(3).unwrap(), b"");
         assert!(r.section(9).is_none());
         assert!(matches!(r.require(9), Err(BinFormatError::MissingSection { tag: 9 })));
@@ -1069,19 +1067,24 @@ mod tests {
         }
     }
 
+    /// The one-section container of `values` under `tag`.
+    fn f64_container(version: u32, tag: u32, values: &[f64]) -> Vec<u8> {
+        let mut w = SectionList::new(MAGIC, version);
+        w.section(tag, f64s_le(values));
+        w.into_bytes()
+    }
+
     #[test]
-    fn f64_record_is_the_section_writer_bytes_and_reads_in_place() {
+    fn f64_record_is_the_section_list_bytes_and_reads_in_place() {
         let values = tile_f64s(5);
-        let mut built = SectionWriter::new(MAGIC, 3);
-        built.section_f64s(9, &values);
-        let built = built.into_bytes();
+        let built = f64_container(3, 9, &values);
         let mut rec = vec![0u8; f64_record_len(values.len())];
         write_f64_record(MAGIC, 3, 9, &values, |at, bytes| {
             rec[at..at + bytes.len()].copy_from_slice(bytes);
             Ok(())
         })
         .unwrap();
-        assert_eq!(rec, built, "a record is the container SectionWriter builds");
+        assert_eq!(rec, built, "a record is the container SectionList writes");
         let read = |rec: &[u8], dst: &mut [f64]| {
             read_f64_record(MAGIC, 3, 9, dst, |at, buf| {
                 buf.copy_from_slice(&rec[at..at + buf.len()]);
@@ -1104,9 +1107,7 @@ mod tests {
             assert!(expected, "flip at {at}: {err}");
         }
         // An intact record of another section is not this one.
-        let mut other = SectionWriter::new(MAGIC, 3);
-        other.section_f64s(8, &values);
-        let err = read(&other.into_bytes(), &mut dst).unwrap_err();
+        let err = read(&f64_container(3, 8, &values), &mut dst).unwrap_err();
         assert!(matches!(err, BinFormatError::BadSection { tag: 9, .. }), "{err}");
     }
 
@@ -1147,8 +1148,8 @@ mod tests {
         for (n, sum) in expect {
             assert_eq!(checksum64(&pattern(n)), sum, "{n} bytes");
         }
-        let tile = bytes_of_f64s(&tile_f64s(128));
-        assert_eq!(checksum64(&tile), 0x5e053312c7ce522a, "one 128x128 tile");
+        let tile = tile_f64s(128);
+        assert_eq!(checksum64(&f64s_le(&tile)), 0x5e053312c7ce522a, "one 128x128 tile");
     }
 
     #[test]
@@ -1171,9 +1172,7 @@ mod tests {
     }
 
     fn tile_record(b: usize) -> Vec<u8> {
-        let mut w = SectionWriter::new(MAGIC, 1);
-        w.section_f64s(1, &tile_f64s(b));
-        w.into_bytes()
+        f64_container(1, 1, &tile_f64s(b))
     }
 
     fn assert_rejected(bytes: Vec<u8>, what: &str) {
@@ -1222,13 +1221,7 @@ mod tests {
     #[test]
     fn f64_sections_decode_into_the_destination_and_check_its_length() {
         let values = tile_f64s(4);
-        let mut w = SectionWriter::reusing(vec![0xAA; 100], MAGIC, 1);
-        w.section_f64s(5, &values);
-        let bytes = w.into_bytes();
-        // The same bytes as the two-step encoding.
-        let mut two_step = SectionWriter::new(MAGIC, 1);
-        two_step.section(5, &bytes_of_f64s(&values));
-        assert_eq!(bytes, two_step.into_bytes());
+        let bytes = f64_container(1, 5, &values);
         // Borrowed reader, decoded in place, bit-exact.
         let r = SectionReader::from_bytes(&bytes[..], MAGIC, 1).unwrap();
         let mut back = vec![0.0; 16];
@@ -1266,36 +1259,46 @@ mod tests {
         }
     }
 
+    /// A tiled-matrix payload gathered into one buffer.
+    fn tiled_bytes(m: &TiledMatrix) -> Vec<u8> {
+        tiled_parts(m).collect::<Vec<_>>().concat()
+    }
+
     #[test]
-    fn section_list_writes_what_section_writer_builds() {
+    fn section_list_writes_the_documented_layout_through_every_sink() {
         let m = TiledMatrix::random(3, 2, 4, 5);
         let words = bytes_of_u64s(&[3, 5, 7]);
-        let mut old = SectionWriter::new(MAGIC, 1);
-        old.section(1, &words).section(3, b"").section(7, &tiled_to_bytes(&m));
-        let old = old.into_bytes();
+        // The layout by hand: header, (tag, length, payload)*, trailer.
+        let mut want = [&MAGIC[..], &1u32.to_le_bytes()].concat();
+        for (tag, payload) in [(1u32, words.clone()), (3, Vec::new()), (7, tiled_bytes(&m))] {
+            want.extend([&tag.to_le_bytes()[..], &(payload.len() as u64).to_le_bytes()].concat());
+            want.extend(payload);
+        }
+        want.extend(checksum64(&want).to_le_bytes());
         let mut list = SectionList::new(MAGIC, 1);
-        list.section(1, words.clone()).section(3, &b""[..]).section_of(7, tiled_parts(&m));
-        assert_eq!(list.encoded_len(), old.len());
+        list.section(1, words).section(3, &b""[..]).section_of(7, tiled_parts(&m));
+        assert_eq!(list.encoded_len(), want.len());
         for step in [1, 7, 8, 13, 64, usize::MAX] {
             let mut framed = Trickle { out: Vec::new(), step };
-            list.write_to(&mut framed, true).unwrap();
-            assert_eq!(framed.out[..8], (old.len() as u64).to_le_bytes(), "step {step}");
-            assert_eq!(framed.out[8..], old[..], "step {step}");
+            list.write_frame(&mut framed).unwrap();
+            assert_eq!(framed.out[..8], (want.len() as u64).to_le_bytes(), "step {step}");
+            assert_eq!(framed.out[8..], want[..], "step {step}");
         }
         let path = std::env::temp_dir().join(format!("hqr_io_list_{}.bin", std::process::id()));
         list.write_atomic(&path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), old);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
         let _ = std::fs::remove_file(&path);
-        assert_eq!(list.into_bytes(), old);
+        assert_eq!(list.into_bytes(), want);
         let values = tile_f64s(3);
-        assert_eq!(f64s_le(&values)[..], bytes_of_f64s(&values)[..]);
+        let by_value: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(f64s_le(&values)[..], by_value[..]);
     }
 
     #[test]
     fn atomic_write_leaves_no_temp_file() {
         let path = std::env::temp_dir().join("hqr_io_container_test.bin");
-        let mut w = SectionWriter::new(MAGIC, 1);
-        w.section(1, b"payload");
+        let mut w = SectionList::new(MAGIC, 1);
+        w.section(1, &b"payload"[..]);
         w.write_atomic(&path).unwrap();
         assert!(!sibling_tmp_path(&path).exists(), "temp staging file must be renamed away");
         let r = SectionReader::read(&path, MAGIC, 1).unwrap();
@@ -1320,8 +1323,8 @@ mod tests {
 
     #[test]
     fn atomic_write_into_missing_dir_is_typed() {
-        let mut w = SectionWriter::new(MAGIC, 1);
-        w.section(1, b"x");
+        let mut w = SectionList::new(MAGIC, 1);
+        w.section(1, &b"x"[..]);
         let err = w.write_atomic(Path::new("/no/such/dir/f.bin")).unwrap_err();
         assert!(matches!(err, BinFormatError::Io { .. }), "{err}");
     }
@@ -1329,7 +1332,7 @@ mod tests {
     #[test]
     fn tiled_matrix_payload_roundtrips_bitwise() {
         let m = TiledMatrix::random(3, 2, 4, 99);
-        let bytes = tiled_to_bytes(&m);
+        let bytes = tiled_bytes(&m);
         let back = tiled_from_bytes(7, &bytes).unwrap();
         assert_eq!(back.mt(), 3);
         assert_eq!(back.nt(), 2);
@@ -1370,11 +1373,104 @@ mod tests {
     #[test]
     fn tiled_matrix_payload_rejects_bad_lengths() {
         let m = TiledMatrix::random(2, 2, 3, 1);
-        let mut bytes = tiled_to_bytes(&m);
+        let mut bytes = tiled_bytes(&m);
         bytes.pop();
         assert!(matches!(tiled_from_bytes(7, &bytes), Err(BinFormatError::BadSection { .. })));
         assert!(matches!(tiled_from_bytes(7, &[0u8; 10]), Err(BinFormatError::BadSection { .. })));
         let zeros = bytes_of_u64s(&[0, 2, 3]);
         assert!(matches!(tiled_from_bytes(7, &zeros), Err(BinFormatError::BadSection { .. })));
+    }
+
+    /// `read_frame_into` over `wire` until it ends or fails.
+    fn read_all(mut wire: &[u8]) -> (Vec<Vec<u8>>, Result<(), FrameError>) {
+        let (mut frames, mut buf) = (Vec::new(), Vec::new());
+        loop {
+            match read_frame_into(&mut wire, &mut buf) {
+                Ok(true) => frames.push(buf.clone()),
+                Ok(false) => return (frames, Ok(())),
+                Err(e) => return (frames, Err(e)),
+            }
+        }
+    }
+
+    #[test]
+    fn frames_roundtrip_into_one_buffer_and_end_cleanly_between_frames() {
+        let payloads = [&b"a longer first frame"[..], b"short", b"", b"middling"];
+        let mut wire = Vec::new();
+        for p in payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        assert_eq!(wire[..28], [&20u64.to_le_bytes()[..], b"a longer first frame"].concat());
+        let (frames, end) = read_all(&wire);
+        assert!(end.is_ok(), "a stream ending between frames is a clean end");
+        assert_eq!(frames, payloads);
+    }
+
+    #[test]
+    fn a_frame_cut_anywhere_is_truncated_not_a_clean_end() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"payload").unwrap();
+        for cut in 1..wire.len() {
+            let (frames, end) = read_all(&wire[..cut]);
+            assert!(frames.is_empty(), "cut at {cut}");
+            assert!(matches!(end, Err(FrameError::Truncated)), "cut at {cut}: {end:?}");
+        }
+        assert!(matches!(read_all(&wire[..0]), (f, Ok(())) if f.is_empty()));
+    }
+
+    #[test]
+    fn an_oversized_length_is_refused_before_any_allocation_or_write() {
+        let mut wire = u64::MAX.to_le_bytes().to_vec();
+        wire.extend_from_slice(b"junk");
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut wire.as_slice(), &mut buf).unwrap_err();
+        assert!(matches!(err, FrameError::TooLarge { declared: u64::MAX }), "{err}");
+        assert_eq!(buf.capacity(), 0, "nothing was allocated");
+        // The writer's side: MAX_FRAME + 1 (untouched, so never paged in).
+        let big = vec![0u8; (MAX_FRAME + 1) as usize];
+        let mut sink = Trickle { out: Vec::new(), step: usize::MAX };
+        let err = write_frame(&mut sink, &big).unwrap_err();
+        assert!(matches!(err, FrameError::TooLarge { declared } if declared == MAX_FRAME + 1));
+        assert!(sink.out.is_empty(), "nothing may reach the stream");
+    }
+
+    /// A writer that takes one byte a call, and with `interrupt` fails
+    /// every other call with `Interrupted`; with `zero` it takes nothing.
+    #[derive(Default)]
+    struct Stingy {
+        out: Vec<u8>,
+        calls: usize,
+        interrupt: bool,
+        zero: bool,
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls.is_multiple_of(2) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = if self.zero { 0 } else { b.len().min(1) };
+            self.out.extend_from_slice(&b[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_survive_short_and_interrupted_writes_and_a_stuck_writer_is_typed() {
+        for payload in [&b""[..], b"x", b"a payload of some length"] {
+            let staged = [&(payload.len() as u64).to_le_bytes()[..], payload].concat();
+            for interrupt in [false, true] {
+                let mut w = Stingy { interrupt, ..Stingy::default() };
+                write_frame(&mut w, payload).unwrap();
+                assert_eq!(w.out, staged, "interrupt={interrupt}");
+            }
+        }
+        let err = write_frame(&mut Stingy { zero: true, ..Stingy::default() }, b"x").unwrap_err();
+        assert!(matches!(&err, FrameError::Io(e) if e.kind() == ErrorKind::WriteZero), "{err}");
     }
 }

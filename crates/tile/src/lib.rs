@@ -20,6 +20,6 @@ pub mod matrix;
 
 pub use dense::DenseMatrix;
 pub use guard::{GuardMismatch, TileGuard};
-pub use io::{BinFormatError, SectionReader, SectionWriter};
+pub use io::{BinFormatError, SectionList, SectionReader};
 pub use layout::{Layout, ProcessGrid};
 pub use matrix::TiledMatrix;
