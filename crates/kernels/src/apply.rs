@@ -1,11 +1,10 @@
 //! Update kernels: UNMQR, TSMQR, TTMQR (apply op(Q) of a factor kernel) —
 //! the inner-blocked routines of [`crate::blocked`] run with one panel
 //! spanning the whole tile (`ib = b`), exactly as [`crate::factor`] does
-//! for the factor kernels. There is no second code path: the packing,
-//! the three gemm-core calls per panel and the structure masks live in
-//! `blocked.rs`, and with a single full-width panel they reduce to the
-//! classic unblocked apply `C −= V·op(T)·Vᵀ·C`, bit for bit and flop for
-//! flop.
+//! for the factor kernels. There is no second code path: every panel is
+//! one call of the factor routine's block apply in [`crate::panel`], and
+//! with a single full-width panel that is the classic unblocked apply
+//! `C −= V·op(T)·Vᵀ·C`, bit for bit and flop for flop.
 
 use crate::blocked::{tsmqr_ib_arm, ttmqr_ib_arm, unmqr_ib_arm};
 use crate::micro::{simd_arm, SimdArm};

@@ -41,7 +41,10 @@
 //! cross-arm tests are tolerance-based while same-arm tests are exact.
 //!
 //! The same two arms implement the fused level-2 steps that end the panel
-//! recursion ([`dot_cols`], [`axpy_cols`]); those stay 256-bit.
+//! recursion ([`dot_cols`], [`axpy_cols`]) and the reflector packs'
+//! [`transpose`], at the same register width as the gemm: one `__m512d`
+//! holds the eight row partials two `__m256d` hold, so the widths agree
+//! bit for bit there too.
 
 use std::sync::OnceLock;
 
@@ -184,12 +187,58 @@ pub(crate) fn gemm_core(
     c: &mut [f64],
     ldc: usize,
 ) {
+    gemm_any(arm, m, n, k, alpha, a, lda, mask, b, ldb, beta, None, c, ldc);
+}
+
+/// `C := α·A·B + S`, `S` an `m × n` operand at leading dimension `lds`:
+/// [`gemm_core`] with `β = 1` whose epilogue reads the `β` term from `S`
+/// instead of from `C`. The bits are those of copying `S` into `C` and
+/// calling [`gemm_core`], without the copy.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_seeded(
+    arm: SimdArm,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    mask: MaskA,
+    b: &[f64],
+    ldb: usize,
+    s: &[f64],
+    lds: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    check_cols(m, n, s, lds);
+    gemm_any(arm, m, n, k, alpha, a, lda, mask, b, ldb, 1.0, Some((s, lds)), c, ldc);
+}
+
+/// The arm and width dispatch behind [`gemm_core`] and [`gemm_seeded`].
+#[allow(clippy::too_many_arguments)]
+fn gemm_any(
+    arm: SimdArm,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    mask: MaskA,
+    b: &[f64],
+    ldb: usize,
+    beta: f64,
+    seed: Seed,
+    c: &mut [f64],
+    ldc: usize,
+) {
     if m == 0 || n == 0 {
         return;
     }
     debug_assert!(lda >= m && ldc >= m && (k == 0 || ldb >= k));
     match arm {
-        SimdArm::Scalar => gemm_scalar(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc),
+        SimdArm::Scalar => gemm_scalar(m, n, k, alpha, a, lda, mask, b, ldb, beta, seed, c, ldc),
         SimdArm::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the Avx2 arm is only ever selected when runtime
@@ -197,16 +246,20 @@ pub(crate) fn gemm_core(
             // 512-bit driver only when it confirmed avx512f.
             unsafe {
                 if wide_registers() {
-                    avx512::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
+                    avx512::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, seed, c, ldc)
                 } else {
-                    avx2::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
+                    avx2::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, seed, c, ldc)
                 }
             }
             #[cfg(not(target_arch = "x86_64"))]
-            gemm_scalar(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
+            gemm_scalar(m, n, k, alpha, a, lda, mask, b, ldb, beta, seed, c, ldc)
         }
     }
 }
+
+/// Where a `β = 1` epilogue reads its `β` term when not from `C`: an
+/// operand and its leading dimension.
+type Seed<'a> = Option<(&'a [f64], usize)>;
 
 /// Portable arm: axpy ordering keeps the inner loop contiguous in `i`,
 /// and the mask trims each `A` column to its exact nonzero row range.
@@ -222,13 +275,16 @@ fn gemm_scalar(
     b: &[f64],
     ldb: usize,
     beta: f64,
+    seed: Seed,
     c: &mut [f64],
     ldc: usize,
 ) {
     for j in 0..n {
         let cj = j * ldc;
         let ccol = &mut c[cj..cj + m];
-        if beta == 0.0 {
+        if let Some((s, lds)) = seed {
+            ccol.copy_from_slice(&s[j * lds..j * lds + m]);
+        } else if beta == 0.0 {
             ccol.fill(0.0);
         } else if beta != 1.0 {
             for v in ccol.iter_mut() {
@@ -265,8 +321,15 @@ pub(crate) fn dot_cols(arm: SimdArm, v: &[f64], cols: &[f64], ld: usize, out: &m
     match arm {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `check_cols` proved every column read in bounds; the Avx2
-        // arm is only selected after runtime detection of avx2+fma.
-        SimdArm::Avx2 => unsafe { avx2::dot_cols(v, cols, ld, out) },
+        // arm is only selected after runtime detection of avx2+fma, the
+        // 512-bit leaf only after avx512f.
+        SimdArm::Avx2 => unsafe {
+            if wide_registers() {
+                avx512::dot_cols(v, cols, ld, out)
+            } else {
+                avx2::dot_cols(v, cols, ld, out)
+            }
+        },
         _ => {
             for (k, o) in out.iter_mut().enumerate() {
                 let c = &cols[k * ld..k * ld + v.len()];
@@ -295,11 +358,55 @@ pub(crate) fn axpy_cols(arm: SimdArm, v: &[f64], w: &[f64], cols: &mut [f64], ld
     match arm {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `dot_cols`.
-        SimdArm::Avx2 => unsafe { avx2::axpy_cols(v, w, cols, ld) },
+        SimdArm::Avx2 => unsafe {
+            if wide_registers() {
+                avx512::axpy_cols(v, w, cols, ld)
+            } else {
+                avx2::axpy_cols(v, w, cols, ld)
+            }
+        },
         _ => {
             for (k, &wk) in w.iter().enumerate() {
                 for (c, x) in cols[k * ld..k * ld + v.len()].iter_mut().zip(v) {
                     *c -= wk * x;
+                }
+            }
+        }
+    }
+}
+
+/// `dst[j + i·ldd] = src[i + j·lds]` for `i < rows`, `j < cols`: the
+/// `cols × rows` transpose of a column-major `rows × cols` block, which is
+/// how the reflector packs build `Vᵀ`. The vector arm moves 8×8 (512-bit)
+/// or 4×4 (256-bit) tiles through registers, the scalar arm one element
+/// at a time; either way only values move.
+pub(crate) fn transpose(
+    arm: SimdArm,
+    rows: usize,
+    cols: usize,
+    src: &[f64],
+    lds: usize,
+    dst: &mut [f64],
+    ldd: usize,
+) {
+    check_cols(rows, cols, src, lds);
+    check_cols(cols, rows, dst, ldd);
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: both `check_cols` calls proved every access in bounds;
+        // the arm and width were detected as in `dot_cols`.
+        SimdArm::Avx2 => unsafe {
+            let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+            if wide_registers() {
+                avx512::transpose(rows, cols, sp, lds, dp, ldd)
+            } else {
+                avx2::transpose(rows, cols, sp, lds, dp, ldd)
+            }
+        },
+        _ => {
+            for j in 0..cols {
+                for (i, x) in src[j * lds..j * lds + rows].iter().enumerate() {
+                    dst[j + i * ldd] = *x;
                 }
             }
         }
@@ -332,17 +439,31 @@ mod avx2 {
             }
             r += 8;
         }
-        let mut out = [0.0; NC];
-        for (k, a) in acc.iter().enumerate() {
-            let mut lanes = [0.0f64; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), _mm256_add_pd(a[0], a[1]));
-            let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-            for i in r..len {
-                s = (*v.add(i)).mul_add(*c.add(k * ld + i), s);
-            }
-            out[k] = s;
+        core::array::from_fn(|k| {
+            dot_finish(_mm256_add_pd(acc[k][0], acc[k][1]), r, len, v, c.add(k * ld))
+        })
+    }
+
+    /// One dot's end: `pairs` holds partials `(i, i + 4)` summed per lane;
+    /// reduce them as `(p0 + p1) + (p2 + p3)`, then add rows `r..len`.
+    ///
+    /// # Safety
+    /// avx2+fma present; `v` and `c` hold `len` elements.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn dot_finish(
+        pairs: __m256d,
+        r: usize,
+        len: usize,
+        v: *const f64,
+        c: *const f64,
+    ) -> f64 {
+        let mut lanes = [0.0f64; 4];
+        _mm256_storeu_pd(lanes.as_mut_ptr(), pairs);
+        let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        for i in r..len {
+            s = (*v.add(i)).mul_add(*c.add(i), s);
         }
-        out
+        s
     }
 
     /// # Safety
@@ -370,8 +491,14 @@ mod avx2 {
         }
     }
 
+    /// Rows `0..len` of `NC` columns of [`super::axpy_cols`]: four at a
+    /// time, then one by one, each a single FMA.
+    ///
+    /// # Safety
+    /// avx2+fma present; `v` holds `len` elements, `w` holds `NC`, and `c`
+    /// holds `NC` columns of `len` at leading dimension `ld`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn axpy_nc<const NC: usize>(
+    pub(super) unsafe fn axpy_nc<const NC: usize>(
         len: usize,
         v: *const f64,
         w: *const f64,
@@ -420,8 +547,61 @@ mod avx2 {
         }
     }
 
-    /// Microkernel: `C[0..4·MV, 0..NR] = α·(A·B) + β·C` over `kk` terms,
-    /// accumulating the full block in `MV × NR` vector registers.
+    /// The elements of a transpose outside its whole `T × T` tiles: every
+    /// row of columns `cols − cols mod T..`, and rows `rows − rows mod T..`
+    /// of the others.
+    ///
+    /// # Safety
+    /// Both blocks in bounds at their leading dimensions, as
+    /// [`super::transpose`] checks.
+    pub(super) unsafe fn transpose_edges<const T: usize>(
+        rows: usize,
+        cols: usize,
+        src: *const f64,
+        lds: usize,
+        dst: *mut f64,
+        ldd: usize,
+    ) {
+        let (rt, ct) = (rows - rows % T, cols - cols % T);
+        for j in 0..cols {
+            for i in if j < ct { rt } else { 0 }..rows {
+                *dst.add(j + i * ldd) = *src.add(i + j * lds);
+            }
+        }
+    }
+
+    /// [`super::transpose`] in 4×4 register tiles.
+    ///
+    /// # Safety
+    /// avx2 present; both blocks in bounds at their leading dimensions.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn transpose(
+        rows: usize,
+        cols: usize,
+        src: *const f64,
+        lds: usize,
+        dst: *mut f64,
+        ldd: usize,
+    ) {
+        for j in (0..cols - cols % 4).step_by(4) {
+            for i in (0..rows - rows % 4).step_by(4) {
+                let s = src.add(i + j * lds);
+                let r: [__m256d; 4] = core::array::from_fn(|c| _mm256_loadu_pd(s.add(c * lds)));
+                let (t0, t1) = (_mm256_unpacklo_pd(r[0], r[1]), _mm256_unpackhi_pd(r[0], r[1]));
+                let (t2, t3) = (_mm256_unpacklo_pd(r[2], r[3]), _mm256_unpackhi_pd(r[2], r[3]));
+                let d = dst.add(j + i * ldd);
+                _mm256_storeu_pd(d, _mm256_permute2f128_pd::<0x20>(t0, t2));
+                _mm256_storeu_pd(d.add(ldd), _mm256_permute2f128_pd::<0x20>(t1, t3));
+                _mm256_storeu_pd(d.add(2 * ldd), _mm256_permute2f128_pd::<0x31>(t0, t2));
+                _mm256_storeu_pd(d.add(3 * ldd), _mm256_permute2f128_pd::<0x31>(t1, t3));
+            }
+        }
+        transpose_edges::<4>(rows, cols, src, lds, dst, ldd);
+    }
+
+    /// Microkernel: `C[0..4·MV, 0..NR] = α·(A·B) + β·S` over `kk` terms,
+    /// accumulating the full block in `MV × NR` vector registers (`S` is
+    /// `C` itself unless the caller seeds from elsewhere).
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn mk<const MV: usize, const NR: usize>(
@@ -432,6 +612,8 @@ mod avx2 {
         ldb: usize,
         alpha: f64,
         beta: f64,
+        s: *const f64,
+        lds: usize,
         c: *mut f64,
         ldc: usize,
     ) {
@@ -448,13 +630,13 @@ mod avx2 {
         }
         let va = _mm256_set1_pd(alpha);
         for (j, accj) in acc.iter().enumerate() {
-            let cp = c.add(j * ldc);
+            let (cp, sp) = (c.add(j * ldc), s.add(j * lds));
             for (v, accv) in accj.iter().enumerate() {
                 let mut r = _mm256_mul_pd(*accv, va);
                 if beta == 1.0 {
-                    r = _mm256_add_pd(r, _mm256_loadu_pd(cp.add(4 * v)));
+                    r = _mm256_add_pd(r, _mm256_loadu_pd(sp.add(4 * v)));
                 } else if beta != 0.0 {
-                    r = _mm256_fmadd_pd(_mm256_loadu_pd(cp.add(4 * v)), _mm256_set1_pd(beta), r);
+                    r = _mm256_fmadd_pd(_mm256_loadu_pd(sp.add(4 * v)), _mm256_set1_pd(beta), r);
                 }
                 _mm256_storeu_pd(cp.add(4 * v), r);
             }
@@ -473,27 +655,36 @@ mod avx2 {
         ldb: usize,
         alpha: f64,
         beta: f64,
+        s: *const f64,
+        lds: usize,
         c: *mut f64,
         ldc: usize,
     ) {
         for j in 0..nr {
             for i in 0..rows {
-                let mut s = 0.0;
+                let mut acc = 0.0;
                 for l in 0..kk {
-                    s += *a.add(i + l * lda) * *b.add(l + j * ldb);
+                    acc += *a.add(i + l * lda) * *b.add(l + j * ldb);
                 }
-                let cp = c.add(i + j * ldc);
-                let prev = if beta == 0.0 { 0.0 } else { beta * *cp };
-                *cp = prev + alpha * s;
+                let prev = if beta == 0.0 { 0.0 } else { beta * *s.add(i + j * lds) };
+                *c.add(i + j * ldc) = prev + alpha * acc;
             }
+        }
+    }
+
+    /// The `β` source of a driver call: `seed` if given, else `C` itself.
+    pub(super) fn seed_ptr(seed: super::Seed, c: *mut f64, ldc: usize) -> (*const f64, usize) {
+        match seed {
+            Some((s, lds)) => (s.as_ptr(), lds),
+            None => (c as *const f64, ldc),
         }
     }
 
     /// 256-bit driver for the Avx2 arm.
     ///
     /// # Safety
-    /// avx2+fma present; `a`, `b`, `c` hold their `m × k`, `k × n`, `m × n`
-    /// operands at the given leading dimensions.
+    /// avx2+fma present; `a`, `b`, `c` (and `seed`, if given) hold their
+    /// `m × k`, `k × n`, `m × n` operands at the given leading dimensions.
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn gemm(
@@ -507,11 +698,13 @@ mod avx2 {
         b: &[f64],
         ldb: usize,
         beta: f64,
+        seed: super::Seed,
         c: &mut [f64],
         ldc: usize,
     ) {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        blocks(0..m, 0..n, k, alpha, ap, lda, mask, bp, ldb, beta, cp, ldc);
+        let (sp, lds) = seed_ptr(seed, cp, ldc);
+        blocks(0..m, 0..n, k, alpha, ap, lda, mask, bp, ldb, beta, sp, lds, cp, ldc);
     }
 
     /// The 256-bit blocks of `C[rows, cols]`, indices absolute. The mask
@@ -536,6 +729,8 @@ mod avx2 {
         bp: *const f64,
         ldb: usize,
         beta: f64,
+        sp: *const f64,
+        lds: usize,
         cp: *mut f64,
         ldc: usize,
     ) {
@@ -551,49 +746,33 @@ mod avx2 {
                 let kk = khi - klo;
                 let ab = ap.add(i + klo * lda);
                 let bb = bp.add(klo + j * ldb);
-                let cb = cp.add(i + j * ldc);
-                match (mr >= 8, mr >= 4, nr) {
-                    (true, _, 4) => mk::<2, 4>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc),
-                    (true, _, 3) => {
-                        mk::<2, 2>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc);
-                        mk::<2, 1>(
-                            kk,
-                            ab,
-                            lda,
-                            bb.add(2 * ldb),
-                            ldb,
-                            alpha,
-                            beta,
-                            cb.add(2 * ldc),
-                            ldc,
-                        );
+                let (sb, cb) = (sp.add(i + j * lds), cp.add(i + j * ldc));
+                // The last `cols` columns of the block starting `skip` columns in.
+                let part = |mv: usize, cols: usize, skip: usize| {
+                    let (b, s, c) = (bb.add(skip * ldb), sb.add(skip * lds), cb.add(skip * ldc));
+                    match (mv, cols) {
+                        (2, 4) => mk::<2, 4>(kk, ab, lda, b, ldb, alpha, beta, s, lds, c, ldc),
+                        (2, 2) => mk::<2, 2>(kk, ab, lda, b, ldb, alpha, beta, s, lds, c, ldc),
+                        (2, _) => mk::<2, 1>(kk, ab, lda, b, ldb, alpha, beta, s, lds, c, ldc),
+                        (_, 4) => mk::<1, 4>(kk, ab, lda, b, ldb, alpha, beta, s, lds, c, ldc),
+                        (_, 2) => mk::<1, 2>(kk, ab, lda, b, ldb, alpha, beta, s, lds, c, ldc),
+                        _ => mk::<1, 1>(kk, ab, lda, b, ldb, alpha, beta, s, lds, c, ldc),
                     }
-                    (true, _, 2) => mk::<2, 2>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc),
-                    (true, _, _) => mk::<2, 1>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc),
-                    (false, true, 4) => mk::<1, 4>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc),
-                    (false, true, 3) => {
-                        mk::<1, 2>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc);
-                        mk::<1, 1>(
-                            kk,
-                            ab,
-                            lda,
-                            bb.add(2 * ldb),
-                            ldb,
-                            alpha,
-                            beta,
-                            cb.add(2 * ldc),
-                            ldc,
-                        );
-                    }
-                    (false, true, 2) => mk::<1, 2>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc),
-                    (false, true, _) => mk::<1, 1>(kk, ab, lda, bb, ldb, alpha, beta, cb, ldc),
-                    (false, false, _) => {
-                        tail_rows(mr, nr, kk, ab, lda, bb, ldb, alpha, beta, cb, ldc)
+                };
+                if mr >= 4 {
+                    let mv = if mr >= 8 { 2 } else { 1 };
+                    if nr == 3 {
+                        part(mv, 2, 0);
+                        part(mv, 1, 2);
+                    } else {
+                        part(mv, nr, 0);
                     }
                 }
-                // 5..=7 rows: the vector kernel covered the first 4.
-                if (4..8).contains(&mr) {
-                    tail_rows(mr - 4, nr, kk, ab.add(4), lda, bb, ldb, alpha, beta, cb.add(4), ldc);
+                // 1..=3 rows, or the 5..=7 the vector kernel's first 4 left.
+                let done = mr - mr % 4;
+                if mr > done {
+                    let (a, s, c) = (ab.add(done), sb.add(done), cb.add(done));
+                    tail_rows(mr - done, nr, kk, a, lda, bb, ldb, alpha, beta, s, lds, c, ldc);
                 }
                 i += mr;
             }
@@ -606,7 +785,8 @@ mod avx2 {
 /// Bit-for-bit the 256-bit driver: each 8-row group keeps its own mask
 /// `k` range (one range per 16 rows would feed extra `0·b` terms into the
 /// chain, which flips signed zeros and spreads non-finite `b`), and every
-/// remainder goes through the 256-bit blocks.
+/// remainder goes through the 256-bit blocks. The level-2 leaves and the
+/// transpose live here too, at the same width.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{avx2, MaskA};
@@ -614,6 +794,144 @@ mod avx512 {
 
     /// Columns of one register block; each holds two 8-row vectors.
     const NR: usize = 8;
+
+    /// `NC` columns of [`super::dot_cols`]: one accumulator per column
+    /// whose lane `i` sums rows `≡ i (mod 8)` — the partials the 256-bit
+    /// leaf keeps in two vectors — reduced by the same tree.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn dot_nc<const NC: usize>(
+        len: usize,
+        v: *const f64,
+        c: *const f64,
+        ld: usize,
+    ) -> [f64; NC] {
+        let mut acc = [_mm512_setzero_pd(); NC];
+        let mut r = 0;
+        while r + 8 <= len {
+            let vv = _mm512_loadu_pd(v.add(r));
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_fmadd_pd(vv, _mm512_loadu_pd(c.add(k * ld + r)), *a);
+            }
+            r += 8;
+        }
+        core::array::from_fn(|k| {
+            let a = acc[k];
+            let pairs = _mm256_add_pd(_mm512_castpd512_pd256(a), _mm512_extractf64x4_pd::<1>(a));
+            avx2::dot_finish(pairs, r, len, v, c.add(k * ld))
+        })
+    }
+
+    /// # Safety
+    /// avx512f present; `(out.len() − 1)·ld + v.len() ≤ cols.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn dot_cols(v: &[f64], cols: &[f64], ld: usize, out: &mut [f64]) {
+        let (len, vp) = (v.len(), v.as_ptr());
+        for (k, o) in out.chunks_mut(4).enumerate() {
+            let c = cols.as_ptr().add(4 * k * ld);
+            match o.len() {
+                4 => o.copy_from_slice(&dot_nc::<4>(len, vp, c, ld)),
+                3 => {
+                    o[..2].copy_from_slice(&dot_nc::<2>(len, vp, c, ld));
+                    o[2..].copy_from_slice(&dot_nc::<1>(len, vp, c.add(2 * ld), ld));
+                }
+                2 => o.copy_from_slice(&dot_nc::<2>(len, vp, c, ld)),
+                _ => o.copy_from_slice(&dot_nc::<1>(len, vp, c, ld)),
+            }
+        }
+    }
+
+    /// `NC` columns of [`super::axpy_cols`]: eight rows at a time, the rest
+    /// through the 256-bit leaf; every element is one FMA either way.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn axpy_nc<const NC: usize>(
+        len: usize,
+        v: *const f64,
+        w: *const f64,
+        c: *mut f64,
+        ld: usize,
+    ) {
+        let wv: [__m512d; NC] = core::array::from_fn(|k| _mm512_set1_pd(*w.add(k)));
+        let mut r = 0;
+        while r + 8 <= len {
+            let vv = _mm512_loadu_pd(v.add(r));
+            for (k, wk) in wv.iter().enumerate() {
+                let p = c.add(k * ld + r);
+                _mm512_storeu_pd(p, _mm512_fnmadd_pd(*wk, vv, _mm512_loadu_pd(p)));
+            }
+            r += 8;
+        }
+        avx2::axpy_nc::<NC>(len - r, v.add(r), w, c.add(r), ld);
+    }
+
+    /// # Safety
+    /// avx512f present; `(w.len() − 1)·ld + v.len() ≤ cols.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn axpy_cols(v: &[f64], w: &[f64], cols: &mut [f64], ld: usize) {
+        let (len, vp) = (v.len(), v.as_ptr());
+        for (k, wk) in w.chunks(4).enumerate() {
+            let c = cols.as_mut_ptr().add(4 * k * ld);
+            match wk.len() {
+                4 => axpy_nc::<4>(len, vp, wk.as_ptr(), c, ld),
+                3 => {
+                    axpy_nc::<2>(len, vp, wk.as_ptr(), c, ld);
+                    axpy_nc::<1>(len, vp, wk.as_ptr().add(2), c.add(2 * ld), ld);
+                }
+                2 => axpy_nc::<2>(len, vp, wk.as_ptr(), c, ld),
+                _ => axpy_nc::<1>(len, vp, wk.as_ptr(), c, ld),
+            }
+        }
+    }
+
+    /// [`super::transpose`] in 8×8 register tiles: pairs of columns
+    /// interleaved, then 128-bit and 256-bit lanes exchanged.
+    ///
+    /// # Safety
+    /// avx512f present; both blocks in bounds at their leading dimensions.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn transpose(
+        rows: usize,
+        cols: usize,
+        src: *const f64,
+        lds: usize,
+        dst: *mut f64,
+        ldd: usize,
+    ) {
+        // Lanes {0, 1, 4, 5} and {2, 3, 6, 7} of `a` beside the same of `b`.
+        let even = _mm512_set_epi64(13, 12, 5, 4, 9, 8, 1, 0);
+        let odd = _mm512_set_epi64(15, 14, 7, 6, 11, 10, 3, 2);
+        for j in (0..cols - cols % 8).step_by(8) {
+            for i in (0..rows - rows % 8).step_by(8) {
+                let s = src.add(i + j * lds);
+                let r: [__m512d; 8] = core::array::from_fn(|c| _mm512_loadu_pd(s.add(c * lds)));
+                // t[2p] holds rows 0, 2, 4, 6 of columns 2p and 2p + 1;
+                // t[2p + 1] rows 1, 3, 5, 7.
+                let t: [__m512d; 8] = core::array::from_fn(|q| {
+                    let (a, b) = (r[q & !1], r[q | 1]);
+                    if q % 2 == 0 {
+                        _mm512_unpacklo_pd(a, b)
+                    } else {
+                        _mm512_unpackhi_pd(a, b)
+                    }
+                });
+                // u[h][x]: rows x and x + 4 of columns 4h..4h + 4.
+                let u: [[__m512d; 4]; 2] = core::array::from_fn(|h| {
+                    let (p, q) = (4 * h, 4 * h + 2);
+                    [
+                        _mm512_permutex2var_pd(t[p], even, t[q]),
+                        _mm512_permutex2var_pd(t[p + 1], even, t[q + 1]),
+                        _mm512_permutex2var_pd(t[p], odd, t[q]),
+                        _mm512_permutex2var_pd(t[p + 1], odd, t[q + 1]),
+                    ]
+                });
+                let d = dst.add(j + i * ldd);
+                for (x, (&lo, &hi)) in u[0].iter().zip(&u[1]).enumerate() {
+                    _mm512_storeu_pd(d.add(x * ldd), _mm512_shuffle_f64x2::<0x44>(lo, hi));
+                    _mm512_storeu_pd(d.add((x + 4) * ldd), _mm512_shuffle_f64x2::<0xee>(lo, hi));
+                }
+            }
+        }
+        avx2::transpose_edges::<8>(rows, cols, src, lds, dst, ldd);
+    }
 
     /// `l` in `l0..l1` for the live 8-row groups (`G0`: rows 0..8, `G1`:
     /// rows 8..16) of a 16-row block.
@@ -643,7 +961,7 @@ mod avx512 {
         }
     }
 
-    /// `C[0..16, 0..8] = α·(A·B) + β·C`, rows `8g..8g + 8` summing `l`
+    /// `C[0..16, 0..8] = α·(A·B) + β·S`, rows `8g..8g + 8` summing `l`
     /// over `ranges[g]` in ascending order.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
@@ -655,6 +973,8 @@ mod avx512 {
         ldb: usize,
         alpha: f64,
         beta: f64,
+        s: *const f64,
+        lds: usize,
         c: *mut f64,
         ldc: usize,
     ) {
@@ -674,16 +994,15 @@ mod avx512 {
         }
         let va = _mm512_set1_pd(alpha);
         for (j, accj) in acc.iter().enumerate() {
-            let cp = c.add(j * ldc);
+            let (cp, sp) = (c.add(j * ldc), s.add(j * lds));
             for (g, accv) in accj.iter().enumerate() {
-                let p = cp.add(8 * g);
                 let mut r = _mm512_mul_pd(*accv, va);
                 if beta == 1.0 {
-                    r = _mm512_add_pd(r, _mm512_loadu_pd(p));
+                    r = _mm512_add_pd(r, _mm512_loadu_pd(sp.add(8 * g)));
                 } else if beta != 0.0 {
-                    r = _mm512_fmadd_pd(_mm512_loadu_pd(p), _mm512_set1_pd(beta), r);
+                    r = _mm512_fmadd_pd(_mm512_loadu_pd(sp.add(8 * g)), _mm512_set1_pd(beta), r);
                 }
-                _mm512_storeu_pd(p, r);
+                _mm512_storeu_pd(cp.add(8 * g), r);
             }
         }
     }
@@ -707,20 +1026,26 @@ mod avx512 {
         b: &[f64],
         ldb: usize,
         beta: f64,
+        seed: super::Seed,
         c: &mut [f64],
         ldc: usize,
     ) {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let (sp, lds) = avx2::seed_ptr(seed, cp, ldc);
         let (m16, n8) = (m - m % 16, n - n % NR);
         for j in (0..n8).step_by(NR) {
             for i in (0..m16).step_by(16) {
                 let ranges = [mask.k_range(i, i + 8, k), mask.k_range(i + 8, i + 16, k)];
-                let (ab, bb, cb) = (ap.add(i), bp.add(j * ldb), cp.add(i + j * ldc));
-                mk(ranges, ab, lda, bb, ldb, alpha, beta, cb, ldc);
+                let (ab, bb) = (ap.add(i), bp.add(j * ldb));
+                let (sb, cb) = (sp.add(i + j * lds), cp.add(i + j * ldc));
+                mk(ranges, ab, lda, bb, ldb, alpha, beta, sb, lds, cb, ldc);
             }
         }
-        avx2::blocks(0..m16, n8..n, k, alpha, ap, lda, mask, bp, ldb, beta, cp, ldc);
-        avx2::blocks(m16..m, 0..n, k, alpha, ap, lda, mask, bp, ldb, beta, cp, ldc);
+        let rest = |rows, cols| {
+            avx2::blocks(rows, cols, k, alpha, ap, lda, mask, bp, ldb, beta, sp, lds, cp, ldc)
+        };
+        rest(0..m16, n8..n);
+        rest(m16..m, 0..n);
     }
 }
 
@@ -868,7 +1193,8 @@ mod tests {
     }
 
     /// The Avx2 arm's 512-bit and 256-bit gemm drivers, run directly on the
-    /// same inputs, must leave bitwise-equal `C`.
+    /// same inputs, must leave bitwise-equal `C`; at `β = 1` so must both
+    /// seeded from a separate operand over a `C` of NaN.
     #[test]
     fn register_widths_compute_the_same_bits() {
         #[cfg(target_arch = "x86_64")]
@@ -884,6 +1210,7 @@ mod tests {
                 &[f64],
                 usize,
                 f64,
+                Seed,
                 &mut [f64],
                 usize,
             );
@@ -920,25 +1247,39 @@ mod tests {
                 for mask in [MaskA::Full, MaskA::Lower, MaskA::Upper] {
                     let a = masked_fill(m, k, lda, mask, seed + 2);
                     for (alpha, beta) in ALPHA_BETA {
-                        let run = |gemm: Driver| {
+                        let run = |gemm: Driver, seeded: bool| {
                             let mut c = c0.clone();
+                            if seeded {
+                                c.iter_mut().enumerate().for_each(|(i, v)| {
+                                    if i % ldc < m {
+                                        *v = f64::NAN
+                                    }
+                                });
+                            }
+                            let seed = seeded.then_some((&c0[..], ldc));
                             // SAFETY: avx2+fma and avx512f were detected
                             // above; the buffers hold the operands at these
                             // dimensions.
                             unsafe {
-                                gemm(m, n, k, alpha, &a, lda, mask, &b, ldb, beta, &mut c, ldc)
+                                gemm(
+                                    m, n, k, alpha, &a, lda, mask, &b, ldb, beta, seed, &mut c, ldc,
+                                )
                             };
                             c
                         };
-                        let (narrow, wide) = (run(avx2::gemm), run(avx512::gemm));
                         let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(
-                            bits(&narrow),
-                            bits(&wide),
-                            "{m}x{n}x{k} {mask:?} alpha={alpha} beta={beta}"
-                        );
-                        assert!(wide.iter().enumerate().all(|(i, v)| i % ldc < m || *v == 7.0));
-                        compared += 1;
+                        let narrow = bits(&run(avx2::gemm, false));
+                        let what = format!("{m}x{n}x{k} {mask:?} alpha={alpha} beta={beta}");
+                        let mut runs = vec![(run(avx512::gemm, false), "")];
+                        if beta == 1.0 {
+                            runs.push((run(avx2::gemm, true), " seeded"));
+                            runs.push((run(avx512::gemm, true), " seeded"));
+                        }
+                        for (c, how) in runs {
+                            assert_eq!(narrow, bits(&c), "{what}{how}");
+                            assert!(c.iter().enumerate().all(|(i, v)| i % ldc < m || *v == 7.0));
+                            compared += 1;
+                        }
                     }
                 }
             }
@@ -946,5 +1287,78 @@ mod tests {
         }
         #[cfg(not(target_arch = "x86_64"))]
         println!("register widths: skipped, not an x86-64 CPU");
+    }
+
+    /// The level-2 leaves and the transpose, run at both register widths on
+    /// the same inputs, must leave bitwise-equal results: dots and rank-1
+    /// steps over every length 1..=136 and 1..=8 columns with ±0 and ±∞
+    /// among the entries, transposes over every shape up to 20×20.
+    #[test]
+    fn level2_leaves_compute_the_same_bits_at_both_widths() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if simd_detected() != SimdArm::Avx2 || !wide_registers() {
+                println!("leaf widths: skipped, this CPU lacks avx512f");
+                return;
+            }
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+            let mut compared = 0;
+            for len in 1..=136usize {
+                for ncols in 1..=8usize {
+                    let ld = len + 3;
+                    let seed = (len * 100 + ncols) as u64;
+                    let mut v = DenseMatrix::random(len, 1, seed).data().to_vec();
+                    let mut cols = DenseMatrix::random(ld, ncols, seed + 1).data().to_vec();
+                    let w = DenseMatrix::random(ncols, 1, seed + 2).data().to_vec();
+                    v[(len * 5) % len] = special[len % 4];
+                    for (c, col) in cols.chunks_mut(ld).enumerate() {
+                        col[(c * 7 + len) % len] = special[(c + len) % 4];
+                    }
+                    let (mut narrow, mut wide) = (vec![0.0; ncols], vec![0.0; ncols]);
+                    // SAFETY: avx2+fma and avx512f were detected above;
+                    // `cols` holds `ncols` columns of `len` rows at `ld`.
+                    unsafe {
+                        avx2::dot_cols(&v, &cols, ld, &mut narrow);
+                        avx512::dot_cols(&v, &cols, ld, &mut wide);
+                    }
+                    assert_eq!(bits(&narrow), bits(&wide), "dot_cols len {len} ncols {ncols}");
+                    let (mut narrow, mut wide) = (cols.clone(), cols);
+                    // SAFETY: as above.
+                    unsafe {
+                        avx2::axpy_cols(&v, &w, &mut narrow, ld);
+                        avx512::axpy_cols(&v, &w, &mut wide, ld);
+                    }
+                    assert_eq!(bits(&narrow), bits(&wide), "axpy_cols len {len} ncols {ncols}");
+                    compared += 2;
+                }
+            }
+            for rows in 1..=20usize {
+                for cols in 1..=20usize {
+                    let (lds, ldd) = (rows + 2, cols + 1);
+                    let src = DenseMatrix::random(lds, cols, (rows * 32 + cols) as u64);
+                    let src = src.data();
+                    let mut want = vec![7.0; ldd * rows];
+                    transpose(SimdArm::Scalar, rows, cols, src, lds, &mut want, ldd);
+                    for i in 0..rows {
+                        for j in 0..cols {
+                            assert_eq!(want[j + i * ldd], src[i + j * lds]);
+                        }
+                    }
+                    let (mut narrow, mut wide) = (vec![7.0; ldd * rows], vec![7.0; ldd * rows]);
+                    // SAFETY: as above; both blocks fit their buffers.
+                    unsafe {
+                        avx2::transpose(rows, cols, src.as_ptr(), lds, narrow.as_mut_ptr(), ldd);
+                        avx512::transpose(rows, cols, src.as_ptr(), lds, wide.as_mut_ptr(), ldd);
+                    }
+                    assert_eq!(bits(&want), bits(&narrow), "transpose {rows}x{cols} at 256 bits");
+                    assert_eq!(bits(&want), bits(&wide), "transpose {rows}x{cols} at 512 bits");
+                    compared += 2;
+                }
+            }
+            println!("leaf widths: {compared} leaf calls bitwise equal at 512 and 256 bits");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("leaf widths: skipped, not an x86-64 CPU");
     }
 }

@@ -28,13 +28,19 @@
 //! step the recursion uses; the plain kernels are the case `ib = b`, one
 //! recursion over the whole tile whose merges build the full-width T.
 //!
+//! That apply, [`block_apply`], is also the whole of the update kernels
+//! ([`tile_mqr`]): UNMQR, TSMQR and TTMQR are one block apply per `ib`
+//! panel with the reflectors read from a factored tile instead of from
+//! the panel in flight. TSMQR's `V` is read where it lies; UNMQR's and
+//! TTMQR's are copied once, cleaned of what the tile holds beside them.
+//!
 //! Split points depend on `(b, ib)` only, both arms accumulate in a fixed
 //! order, and nothing but [`larfg`]'s rescaling guard looks at the data, so
 //! a fixed arm is bitwise deterministic run-to-run.
 
 use crate::larfg::larfg;
-use crate::micro::{axpy_cols, dot_cols, gemm_core, MaskA, SimdArm};
-use crate::{blocked, check_t, check_tile, t_len};
+use crate::micro::{axpy_cols, dot_cols, gemm_core, gemm_seeded, transpose, MaskA, SimdArm};
+use crate::{check_t, check_tile, t_len, Trans};
 use std::cell::RefCell;
 
 /// Widest column block factored with level-2 code: one row block of the
@@ -42,8 +48,31 @@ use std::cell::RefCell;
 const BASE: usize = 8;
 
 thread_local! {
-    /// Pack / W / T scratch of the factor kernels, grown on first use.
+    /// Pack / W / T scratch of all six kernels, grown on first use.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+pub(crate) fn check_ib(b: usize, ib: usize) {
+    assert!(ib > 0 && ib <= b, "inner block size must be in 1..=b (got {ib} for b={b})");
+}
+
+/// Panel `(start, end)` column ranges for tile size `b` and inner block `ib`.
+fn panels(b: usize, ib: usize) -> impl DoubleEndedIterator<Item = (usize, usize)> {
+    (0..b.div_ceil(ib)).map(move |p| (p * ib, (p * ib + ib).min(b)))
+}
+
+/// `SCRATCH` split into slices of the given lengths, grown if short.
+fn carve<const N: usize>(buf: &mut Vec<f64>, lens: [usize; N]) -> [&mut [f64]; N] {
+    let need = lens.iter().sum();
+    if buf.len() < need {
+        buf.resize(need, 0.0);
+    }
+    let mut rest = &mut buf[..];
+    lens.map(|n| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        head
+    })
 }
 
 /// QR of one tile (`bottom` absent: GEQRT) or of a triangle stacked on a
@@ -64,11 +93,11 @@ pub(crate) fn tile_qrt(
         check_tile(b, a2);
     }
     check_t(b, ib, t);
-    blocked::check_ib(b, ib);
+    check_ib(b, ib);
     t[..t_len(b, ib)].fill(0.0);
     SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
-        for (s, e) in blocked::panels(b, ib) {
+        for (s, e) in panels(b, ib) {
             let w = e - s;
             // Packed V is indexed by tile row − r0 and has `rows` rows.
             let (r0, rows) = match (&bottom, tri) {
@@ -77,14 +106,7 @@ pub(crate) fn tile_qrt(
                 (Some(_), true) => (0, e),
             };
             let nw = w * (b - e).max(w);
-            let need = 2 * rows * w + 2 * nw + w * w;
-            if buf.len() < need {
-                buf.resize(need, 0.0);
-            }
-            let (vp, rest) = buf.split_at_mut(rows * w);
-            let (vpt, rest) = rest.split_at_mut(rows * w);
-            let (wa, rest) = rest.split_at_mut(nw);
-            let (wb, rest) = rest.split_at_mut(nw);
+            let [vp, vpt, wa, wb, tc] = carve(&mut buf, [rows * w, rows * w, nw, nw, w * w]);
             vp.fill(0.0);
             vpt.fill(0.0);
             let mut p = Panel {
@@ -103,7 +125,7 @@ pub(crate) fn tile_qrt(
                 vpt,
                 wa,
                 wb,
-                tc: &mut rest[..w * w],
+                tc,
             };
             p.factor(s, e);
             p.apply(s, e, e, b);
@@ -251,70 +273,59 @@ impl Panel<'_> {
         }
     }
 
-    /// Copy reflectors `c0..c1` from the tiles into `vp` / `vpt`.
+    /// Copy reflectors `c0..c1` from the tiles into `vp`, then into `vpt`
+    /// with one transpose of the block.
     fn pack(&mut self, c0: usize, c1: usize) {
+        let b = self.b;
         for j in c0..c1 {
             let (lo, hi) = self.vtail(j);
+            let (pv, _) = self.packed(lo, j);
             let tail = match &self.bottom {
                 Some(a2) => &a2[..],
                 None => {
-                    let (pv, pvt) = self.packed(j, j);
-                    self.vp[pv] = 1.0;
-                    self.vpt[pvt] = 1.0;
+                    self.vp[self.packed(j, j).0] = 1.0;
                     &self.top[..]
                 }
             };
-            let col = &tail[lo + j * self.b..hi + j * self.b];
-            let (r, c) = (lo - self.r0, j - self.s);
-            blocked::pack_column(self.vp, self.rows, self.vpt, self.w, r, c, col);
+            self.vp[pv..pv + hi - lo].copy_from_slice(&tail[lo + j * b..hi + j * b]);
         }
+        let (lo, hi) = self.span(c0, c1);
+        let (pv, pvt) = self.packed(lo, c0);
+        let (vp, vpt) = (&self.vp[pv..], &mut self.vpt[pvt..]);
+        transpose(self.arm, hi - lo, c1 - c0, vp, self.rows, vpt, self.w);
     }
 
     /// `C := (I − V·T·Vᵀ)ᵀ·C` for the reflectors `c0..c1` and the stacked
     /// columns `n0..n1` to their right.
     fn apply(&mut self, c0: usize, c1: usize, n0: usize, n1: usize) {
-        let (arm, b, tix) = (self.arm, self.b, self.t_index());
-        let (nv, nc) = (c1 - c0, n1 - n0);
-        if nc == 0 {
+        let (b, tix) = (self.b, self.t_index());
+        if n1 == n0 {
             return;
         }
         let (lo, hi) = self.span(c0, c1);
         let (pv, pvt) = self.packed(lo, c0);
-        let stacked = self.bottom.is_some();
-        let (wa, wb) = (&mut self.wa[..nv * nc], &mut self.wb[..nv * nc]);
-        // W = Vᵀ·C: the e_j rows of a stacked V̂ are rows c0..c1 of A1.
-        let (mask_vt, mask_v, beta) = if stacked {
-            for (col, wcol) in wa.chunks_exact_mut(nv).enumerate() {
-                wcol.copy_from_slice(&self.top[c0 + (n0 + col) * b..][..nv]);
-            }
-            (MaskA::Full, MaskA::Full, 1.0)
-        } else {
-            (MaskA::Upper, MaskA::Lower, 0.0)
+        let (mask_v, mask_vt) = match self.bottom {
+            Some(_) => (MaskA::Full, MaskA::Full),
+            None => (MaskA::Lower, MaskA::Upper),
         };
-        let tail = match self.bottom.as_deref_mut() {
-            Some(a2) => a2,
-            None => &mut *self.top,
+        let v = Piece { at: 0, rows: hi - lo, a: &self.vp[pv..], ld: self.rows, mask: mask_v };
+        let wy = Wy {
+            rows: hi - lo,
+            nv: c1 - c0,
+            v: [v, Piece::NONE],
+            vt: &self.vpt[pvt..],
+            ldvt: self.w,
+            mask_vt,
+            t: &self.t[tix(c0, c0)..],
+            ldt: self.ib,
         };
-        let c = &mut tail[lo + n0 * b..];
-        gemm_core(arm, nv, nc, hi - lo, 1.0, &self.vpt[pvt..], self.w, mask_vt, c, b, beta, wa, nv);
-        // W := Tᵀ·W.
-        let tc = &mut self.tc[..nv * nv];
-        tc.fill(0.0);
-        for j in 0..nv {
-            for i in 0..=j {
-                tc[j + i * nv] = self.t[tix(c0 + i, c0 + j)];
-            }
-        }
-        gemm_core(arm, nv, nc, nv, 1.0, tc, nv, MaskA::Lower, wa, nv, 0.0, wb, nv);
-        // C −= V·W.
-        gemm_core(arm, hi - lo, nc, nv, -1.0, &self.vp[pv..], self.rows, mask_v, wb, nv, 1.0, c, b);
-        if stacked {
-            for (col, wcol) in wb.chunks_exact(nv).enumerate() {
-                for (x, wv) in self.top[c0 + (n0 + col) * b..][..nv].iter_mut().zip(wcol) {
-                    *x -= wv;
-                }
-            }
-        }
+        // The e_j rows of a stacked V̂ meet rows c0..c1 of A1.
+        let (top, c) = match self.bottom.as_deref_mut() {
+            Some(a2) => (Some(&mut self.top[c0 + n0 * b..]), &mut a2[lo + n0 * b..]),
+            None => (None, &mut self.top[lo + n0 * b..]),
+        };
+        let ws = [&mut *self.wa, &mut *self.wb, &mut *self.tc];
+        block_apply(self.arm, &wy, Trans::Trans, top, c, n1 - n0, b, ws);
     }
 
     /// `T[c0..mid, mid..c1] = −T1·(V1ᵀV2)·T2`.
@@ -336,4 +347,190 @@ impl Panel<'_> {
             self.t[at..at + n1].copy_from_slice(col);
         }
     }
+}
+
+/// A compact-WY block of `nv` reflectors as gemm operands: `V`
+/// (`rows × nv`) as up to two row pieces, `Vᵀ` (`nv × rows`) at its leading
+/// dimension, each pack-clean wherever its mask reaches, and the block's T
+/// (upper triangle read, leading dimension `ldt`).
+struct Wy<'a> {
+    rows: usize,
+    nv: usize,
+    v: [Piece<'a>; 2],
+    vt: &'a [f64],
+    ldvt: usize,
+    mask_vt: MaskA,
+    t: &'a [f64],
+    ldt: usize,
+}
+
+/// Rows `at..at + rows` of `V`, at leading dimension `ld`. A piece starts
+/// on a multiple of 8 rows, so every row of `V·W` sees the 8-row group,
+/// hence the mask `k` range and FMA chain, that one gemm over all of `V`
+/// would give it.
+struct Piece<'a> {
+    at: usize,
+    rows: usize,
+    a: &'a [f64],
+    ld: usize,
+    mask: MaskA,
+}
+
+impl Piece<'_> {
+    const NONE: Piece<'static> = Piece { at: 0, rows: 0, a: &[], ld: 1, mask: MaskA::Full };
+}
+
+/// `C := op(I − V·T·Vᵀ)·C`, the one block-reflector apply of all six
+/// kernels. `c` holds the tail tile from the block's first row, `nc`
+/// columns at leading dimension `ldc`. For a stacked `V̂ = [I; V]`, `top`
+/// holds the `nv` rows of the top tile the identity meets (same leading
+/// dimension): they seed W through the gemm epilogue and take `−W` back.
+/// `ws` is scratch for W, op(T)·W and the packed op(T).
+#[allow(clippy::too_many_arguments)]
+fn block_apply(
+    arm: SimdArm,
+    wy: &Wy,
+    trans: Trans,
+    top: Option<&mut [f64]>,
+    c: &mut [f64],
+    nc: usize,
+    ldc: usize,
+    [wa, wb, tc]: [&mut [f64]; 3],
+) {
+    let nv = wy.nv;
+    let (wa, wb, tc) = (&mut wa[..nv * nc], &mut wb[..nv * nc], &mut tc[..nv * nv]);
+    // W = Vᵀ·C (+ the top rows).
+    let (vt, ldvt, rows) = (wy.vt, wy.ldvt, wy.rows);
+    match &top {
+        Some(s) => {
+            gemm_seeded(arm, nv, nc, rows, 1.0, vt, ldvt, wy.mask_vt, c, ldc, s, ldc, wa, nv)
+        }
+        None => gemm_core(arm, nv, nc, rows, 1.0, vt, ldvt, wy.mask_vt, c, ldc, 0.0, wa, nv),
+    }
+    // W := op(T)·W, out of place: Tᵀ is lower, T upper, and the other
+    // triangle (whatever `t` holds there) is zeroed.
+    let (t, ldt) = (wy.t, wy.ldt);
+    let mask_t = match trans {
+        Trans::Trans => {
+            transpose(arm, nv, nv, t, ldt, tc, nv);
+            for (j, col) in tc.chunks_exact_mut(nv).enumerate() {
+                col[..j].fill(0.0);
+            }
+            MaskA::Lower
+        }
+        Trans::NoTrans => {
+            for (j, col) in tc.chunks_exact_mut(nv).enumerate() {
+                col[..=j].copy_from_slice(&t[j * ldt..=j * ldt + j]);
+                col[j + 1..].fill(0.0);
+            }
+            MaskA::Upper
+        }
+    };
+    gemm_core(arm, nv, nc, nv, 1.0, tc, nv, mask_t, wa, nv, 0.0, wb, nv);
+    // C −= V·W; top −= W.
+    for p in &wy.v {
+        gemm_core(arm, p.rows, nc, nv, -1.0, p.a, p.ld, p.mask, wb, nv, 1.0, &mut c[p.at..], ldc);
+    }
+    if let Some(top) = top {
+        for (col, w) in wb.chunks_exact(nv).enumerate() {
+            for (x, y) in top[col * ldc..][..nv].iter_mut().zip(w) {
+                *x -= y;
+            }
+        }
+    }
+}
+
+/// The update kernels: `C := op(Q)·C` for the Q of a factored tile `v`
+/// with T factor `t`, one [`block_apply`] per `ib` panel (forward for
+/// `Trans`, backward for `NoTrans`). `top` absent: UNMQR, with `v` unit
+/// lower below R and `c` the tile. `top` present: `[top; c]` is the
+/// stacked pair and `v` the bottom of `V̂ = [I; V]`, square (TSMQR) or
+/// upper triangular above garbage (`tri`, TTMQR).
+///
+/// Each panel's `Vᵀ` is one transpose of the panel's columns as they lie,
+/// cleaned where the tile holds something else there (R and the unit
+/// diagonal for UNMQR, the garbage below TTMQR's triangle). `V` is read
+/// in place except for the 8-row groups that meet that `w × w` diagonal
+/// block, which are transposed back out of the clean `Vᵀ`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tile_mqr(
+    arm: SimdArm,
+    b: usize,
+    ib: usize,
+    v: &[f64],
+    t: &[f64],
+    mut top: Option<&mut [f64]>,
+    c: &mut [f64],
+    tri: bool,
+    trans: Trans,
+) {
+    check_tile(b, v);
+    check_t(b, ib, t);
+    check_tile(b, c);
+    if let Some(a1) = &top {
+        check_tile(b, a1);
+    }
+    check_ib(b, ib);
+    let stacked = top.is_some();
+    SCRATCH.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let mut order = panels(b, ib);
+        while let Some((s, e)) =
+            if trans == Trans::Trans { order.next() } else { order.next_back() }
+        {
+            let w = e - s;
+            // V's rows `lo..lo + rows` of the tile; `p0..p1` are the 8-row
+            // groups around its diagonal block, the part not read in place.
+            let (lo, rows, p0, p1) = match (stacked, tri) {
+                (false, _) => (s, b - s, 0, w.next_multiple_of(8).min(b - s)),
+                (true, false) => (0, b, 0, 0),
+                (true, true) => (0, e, s - s % 8, e),
+            };
+            let [vpt, vd, wa, wb, tc] =
+                carve(&mut buf, [w * rows, w * (p1 - p0), w * b, w * b, w * w]);
+            transpose(arm, rows, w, &v[lo + s * b..], b, vpt, w);
+            if !stacked {
+                for (r, row) in vpt.chunks_exact_mut(w).take(w).enumerate() {
+                    row[r] = 1.0;
+                    row[r + 1..].fill(0.0);
+                }
+            } else if tri {
+                for (i, row) in vpt[s * w..].chunks_exact_mut(w).enumerate() {
+                    row[..i].fill(0.0);
+                }
+            }
+            transpose(arm, w, p1 - p0, &vpt[p0 * w..], w, vd, p1 - p0);
+            let dense = |at: usize, rows: usize| Piece {
+                at,
+                rows,
+                a: &v[lo + at + s * b..],
+                ld: b,
+                mask: MaskA::Full,
+            };
+            let diag = |mask| Piece { at: p0, rows: p1 - p0, a: &vd[..], ld: p1 - p0, mask };
+            // A full-width triangular V is a square triangular operand the
+            // gemm core can mask; a narrower panel of it is a trapezoid.
+            let (v_pieces, mask_vt) = match (stacked, tri) {
+                (false, _) => ([diag(MaskA::Lower), dense(p1, rows - p1)], MaskA::Upper),
+                (true, false) => ([dense(0, b), Piece::NONE], MaskA::Full),
+                (true, true) if w == b => ([diag(MaskA::Upper), Piece::NONE], MaskA::Lower),
+                (true, true) => ([dense(0, p0), diag(MaskA::Full)], MaskA::Full),
+            };
+            let wy = Wy {
+                rows,
+                nv: w,
+                v: v_pieces,
+                vt: vpt,
+                ldvt: w,
+                mask_vt,
+                t: &t[s * ib..],
+                ldt: ib,
+            };
+            let (top, c) = match top.as_deref_mut() {
+                Some(a1) => (Some(&mut a1[s..]), &mut c[..]),
+                None => (None, &mut c[s..]),
+            };
+            block_apply(arm, &wy, trans, top, c, b, b, [wa, wb, tc]);
+        }
+    });
 }

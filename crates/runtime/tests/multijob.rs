@@ -92,6 +92,12 @@ fn wait_until_running(pool: &JobPool, id: hqr_runtime::JobId) {
     }
 }
 
+/// Injected failures a [`spinner`] cannot get through before its test
+/// cancels it: at a microsecond or more per retry, hours of work. A finite
+/// count would be a time budget, and a loaded host can spend it before the
+/// test has made its assertions about the job being resident.
+const UNTIL_CANCELLED: u32 = u32::MAX - 1;
+
 /// A job spec whose first task keeps panicking for `attempts` injected
 /// faults before succeeding: a deterministic way to keep a job resident on
 /// the pool long enough for cancel/shed/admission assertions, without any
@@ -320,7 +326,7 @@ fn task_failure_exhausts_retry_budget_then_job_quarantines() {
 fn cancel_running_and_queued_jobs() {
     let pool = JobPool::new(PoolConfig { nthreads: 1, max_active: 1, ..Default::default() });
     // Occupy the single active slot with a deterministic long-runner.
-    let (_, _, busy) = spinner(81, 200_000);
+    let (_, _, busy) = spinner(81, UNTIL_CANCELLED);
     let id_busy = pool.submit(busy).expect("submit busy");
     // This one stays queued behind max_active = 1.
     let id_queued = pool
@@ -358,7 +364,7 @@ fn admission_rejects_overbudget_sheds_lowest_qos_and_applies_backpressure() {
         other => panic!("expected OverBudget, got {other:?}", other = other.map(|id| id.0)),
     }
     // Occupy the active slot so the queue fills.
-    let (_, _, busy) = spinner(91, 200_000);
+    let (_, _, busy) = spinner(91, UNTIL_CANCELLED);
     let id_busy = pool.submit(busy).expect("submit busy");
     wait_until_running(&pool, id_busy);
     // Queue a batch job (fills the cap-1 queue).
