@@ -41,10 +41,9 @@
 //! cross-arm tests are tolerance-based while same-arm tests are exact.
 //!
 //! The same two arms implement the fused level-2 steps that end the panel
-//! recursion ([`dot_cols`], [`axpy_cols`]) and the reflector packs'
-//! [`transpose`], at the same register width as the gemm: one `__m512d`
-//! holds the eight row partials two `__m256d` hold, so the widths agree
-//! bit for bit there too.
+//! recursion ([`dot_cols`], [`axpy_cols`]); those stay 256-bit, which
+//! measured faster than 512-bit leaves in the factor kernels. The
+//! reflector packs' [`transpose`] runs at the gemm's width.
 
 use std::sync::OnceLock;
 
@@ -321,15 +320,8 @@ pub(crate) fn dot_cols(arm: SimdArm, v: &[f64], cols: &[f64], ld: usize, out: &m
     match arm {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `check_cols` proved every column read in bounds; the Avx2
-        // arm is only selected after runtime detection of avx2+fma, the
-        // 512-bit leaf only after avx512f.
-        SimdArm::Avx2 => unsafe {
-            if wide_registers() {
-                avx512::dot_cols(v, cols, ld, out)
-            } else {
-                avx2::dot_cols(v, cols, ld, out)
-            }
-        },
+        // arm is only selected after runtime detection of avx2+fma.
+        SimdArm::Avx2 => unsafe { avx2::dot_cols(v, cols, ld, out) },
         _ => {
             for (k, o) in out.iter_mut().enumerate() {
                 let c = &cols[k * ld..k * ld + v.len()];
@@ -358,13 +350,7 @@ pub(crate) fn axpy_cols(arm: SimdArm, v: &[f64], w: &[f64], cols: &mut [f64], ld
     match arm {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `dot_cols`.
-        SimdArm::Avx2 => unsafe {
-            if wide_registers() {
-                avx512::axpy_cols(v, w, cols, ld)
-            } else {
-                avx2::axpy_cols(v, w, cols, ld)
-            }
-        },
+        SimdArm::Avx2 => unsafe { avx2::axpy_cols(v, w, cols, ld) },
         _ => {
             for (k, &wk) in w.iter().enumerate() {
                 for (c, x) in cols[k * ld..k * ld + v.len()].iter_mut().zip(v) {
@@ -394,7 +380,7 @@ pub(crate) fn transpose(
     match arm {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: both `check_cols` calls proved every access in bounds;
-        // the arm and width were detected as in `dot_cols`.
+        // the arm was detected as in `dot_cols`, the width as in `gemm_any`.
         SimdArm::Avx2 => unsafe {
             let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
             if wide_registers() {
@@ -439,31 +425,17 @@ mod avx2 {
             }
             r += 8;
         }
-        core::array::from_fn(|k| {
-            dot_finish(_mm256_add_pd(acc[k][0], acc[k][1]), r, len, v, c.add(k * ld))
-        })
-    }
-
-    /// One dot's end: `pairs` holds partials `(i, i + 4)` summed per lane;
-    /// reduce them as `(p0 + p1) + (p2 + p3)`, then add rows `r..len`.
-    ///
-    /// # Safety
-    /// avx2+fma present; `v` and `c` hold `len` elements.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dot_finish(
-        pairs: __m256d,
-        r: usize,
-        len: usize,
-        v: *const f64,
-        c: *const f64,
-    ) -> f64 {
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), pairs);
-        let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        for i in r..len {
-            s = (*v.add(i)).mul_add(*c.add(i), s);
+        let mut out = [0.0; NC];
+        for (k, a) in acc.iter().enumerate() {
+            let mut lanes = [0.0f64; 4];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), _mm256_add_pd(a[0], a[1]));
+            let mut s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+            for i in r..len {
+                s = (*v.add(i)).mul_add(*c.add(k * ld + i), s);
+            }
+            out[k] = s;
         }
-        s
+        out
     }
 
     /// # Safety
@@ -491,14 +463,8 @@ mod avx2 {
         }
     }
 
-    /// Rows `0..len` of `NC` columns of [`super::axpy_cols`]: four at a
-    /// time, then one by one, each a single FMA.
-    ///
-    /// # Safety
-    /// avx2+fma present; `v` holds `len` elements, `w` holds `NC`, and `c`
-    /// holds `NC` columns of `len` at leading dimension `ld`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn axpy_nc<const NC: usize>(
+    unsafe fn axpy_nc<const NC: usize>(
         len: usize,
         v: *const f64,
         w: *const f64,
@@ -785,8 +751,8 @@ mod avx2 {
 /// Bit-for-bit the 256-bit driver: each 8-row group keeps its own mask
 /// `k` range (one range per 16 rows would feed extra `0·b` terms into the
 /// chain, which flips signed zeros and spreads non-finite `b`), and every
-/// remainder goes through the 256-bit blocks. The level-2 leaves and the
-/// transpose live here too, at the same width.
+/// remainder goes through the 256-bit blocks. The transpose lives here
+/// too, at the same width.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{avx2, MaskA};
@@ -794,93 +760,6 @@ mod avx512 {
 
     /// Columns of one register block; each holds two 8-row vectors.
     const NR: usize = 8;
-
-    /// `NC` columns of [`super::dot_cols`]: one accumulator per column
-    /// whose lane `i` sums rows `≡ i (mod 8)` — the partials the 256-bit
-    /// leaf keeps in two vectors — reduced by the same tree.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot_nc<const NC: usize>(
-        len: usize,
-        v: *const f64,
-        c: *const f64,
-        ld: usize,
-    ) -> [f64; NC] {
-        let mut acc = [_mm512_setzero_pd(); NC];
-        let mut r = 0;
-        while r + 8 <= len {
-            let vv = _mm512_loadu_pd(v.add(r));
-            for (k, a) in acc.iter_mut().enumerate() {
-                *a = _mm512_fmadd_pd(vv, _mm512_loadu_pd(c.add(k * ld + r)), *a);
-            }
-            r += 8;
-        }
-        core::array::from_fn(|k| {
-            let a = acc[k];
-            let pairs = _mm256_add_pd(_mm512_castpd512_pd256(a), _mm512_extractf64x4_pd::<1>(a));
-            avx2::dot_finish(pairs, r, len, v, c.add(k * ld))
-        })
-    }
-
-    /// # Safety
-    /// avx512f present; `(out.len() − 1)·ld + v.len() ≤ cols.len()`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot_cols(v: &[f64], cols: &[f64], ld: usize, out: &mut [f64]) {
-        let (len, vp) = (v.len(), v.as_ptr());
-        for (k, o) in out.chunks_mut(4).enumerate() {
-            let c = cols.as_ptr().add(4 * k * ld);
-            match o.len() {
-                4 => o.copy_from_slice(&dot_nc::<4>(len, vp, c, ld)),
-                3 => {
-                    o[..2].copy_from_slice(&dot_nc::<2>(len, vp, c, ld));
-                    o[2..].copy_from_slice(&dot_nc::<1>(len, vp, c.add(2 * ld), ld));
-                }
-                2 => o.copy_from_slice(&dot_nc::<2>(len, vp, c, ld)),
-                _ => o.copy_from_slice(&dot_nc::<1>(len, vp, c, ld)),
-            }
-        }
-    }
-
-    /// `NC` columns of [`super::axpy_cols`]: eight rows at a time, the rest
-    /// through the 256-bit leaf; every element is one FMA either way.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_nc<const NC: usize>(
-        len: usize,
-        v: *const f64,
-        w: *const f64,
-        c: *mut f64,
-        ld: usize,
-    ) {
-        let wv: [__m512d; NC] = core::array::from_fn(|k| _mm512_set1_pd(*w.add(k)));
-        let mut r = 0;
-        while r + 8 <= len {
-            let vv = _mm512_loadu_pd(v.add(r));
-            for (k, wk) in wv.iter().enumerate() {
-                let p = c.add(k * ld + r);
-                _mm512_storeu_pd(p, _mm512_fnmadd_pd(*wk, vv, _mm512_loadu_pd(p)));
-            }
-            r += 8;
-        }
-        avx2::axpy_nc::<NC>(len - r, v.add(r), w, c.add(r), ld);
-    }
-
-    /// # Safety
-    /// avx512f present; `(w.len() − 1)·ld + v.len() ≤ cols.len()`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy_cols(v: &[f64], w: &[f64], cols: &mut [f64], ld: usize) {
-        let (len, vp) = (v.len(), v.as_ptr());
-        for (k, wk) in w.chunks(4).enumerate() {
-            let c = cols.as_mut_ptr().add(4 * k * ld);
-            match wk.len() {
-                4 => axpy_nc::<4>(len, vp, wk.as_ptr(), c, ld),
-                3 => {
-                    axpy_nc::<2>(len, vp, wk.as_ptr(), c, ld);
-                    axpy_nc::<1>(len, vp, wk.as_ptr().add(2), c.add(2 * ld), ld);
-                }
-                2 => axpy_nc::<2>(len, vp, wk.as_ptr(), c, ld),
-                _ => axpy_nc::<1>(len, vp, wk.as_ptr(), c, ld),
-            }
-        }
-    }
 
     /// [`super::transpose`] in 8×8 register tiles: pairs of columns
     /// interleaved, then 128-bit and 256-bit lanes exchanged.
@@ -1289,50 +1168,18 @@ mod tests {
         println!("register widths: skipped, not an x86-64 CPU");
     }
 
-    /// The level-2 leaves and the transpose, run at both register widths on
-    /// the same inputs, must leave bitwise-equal results: dots and rank-1
-    /// steps over every length 1..=136 and 1..=8 columns with ±0 and ±∞
-    /// among the entries, transposes over every shape up to 20×20.
+    /// The transpose at both register widths must move every element to
+    /// the place the scalar arm does, over every shape up to 20×20.
     #[test]
-    fn level2_leaves_compute_the_same_bits_at_both_widths() {
+    fn transposes_compute_the_same_bits_at_both_widths() {
         #[cfg(target_arch = "x86_64")]
         {
             if simd_detected() != SimdArm::Avx2 || !wide_registers() {
-                println!("leaf widths: skipped, this CPU lacks avx512f");
+                println!("transpose widths: skipped, this CPU lacks avx512f");
                 return;
             }
             let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
             let mut compared = 0;
-            for len in 1..=136usize {
-                for ncols in 1..=8usize {
-                    let ld = len + 3;
-                    let seed = (len * 100 + ncols) as u64;
-                    let mut v = DenseMatrix::random(len, 1, seed).data().to_vec();
-                    let mut cols = DenseMatrix::random(ld, ncols, seed + 1).data().to_vec();
-                    let w = DenseMatrix::random(ncols, 1, seed + 2).data().to_vec();
-                    v[(len * 5) % len] = special[len % 4];
-                    for (c, col) in cols.chunks_mut(ld).enumerate() {
-                        col[(c * 7 + len) % len] = special[(c + len) % 4];
-                    }
-                    let (mut narrow, mut wide) = (vec![0.0; ncols], vec![0.0; ncols]);
-                    // SAFETY: avx2+fma and avx512f were detected above;
-                    // `cols` holds `ncols` columns of `len` rows at `ld`.
-                    unsafe {
-                        avx2::dot_cols(&v, &cols, ld, &mut narrow);
-                        avx512::dot_cols(&v, &cols, ld, &mut wide);
-                    }
-                    assert_eq!(bits(&narrow), bits(&wide), "dot_cols len {len} ncols {ncols}");
-                    let (mut narrow, mut wide) = (cols.clone(), cols);
-                    // SAFETY: as above.
-                    unsafe {
-                        avx2::axpy_cols(&v, &w, &mut narrow, ld);
-                        avx512::axpy_cols(&v, &w, &mut wide, ld);
-                    }
-                    assert_eq!(bits(&narrow), bits(&wide), "axpy_cols len {len} ncols {ncols}");
-                    compared += 2;
-                }
-            }
             for rows in 1..=20usize {
                 for cols in 1..=20usize {
                     let (lds, ldd) = (rows + 2, cols + 1);
@@ -1346,7 +1193,8 @@ mod tests {
                         }
                     }
                     let (mut narrow, mut wide) = (vec![7.0; ldd * rows], vec![7.0; ldd * rows]);
-                    // SAFETY: as above; both blocks fit their buffers.
+                    // SAFETY: avx2 and avx512f were detected above; both
+                    // blocks fit their buffers.
                     unsafe {
                         avx2::transpose(rows, cols, src.as_ptr(), lds, narrow.as_mut_ptr(), ldd);
                         avx512::transpose(rows, cols, src.as_ptr(), lds, wide.as_mut_ptr(), ldd);
@@ -1356,9 +1204,9 @@ mod tests {
                     compared += 2;
                 }
             }
-            println!("leaf widths: {compared} leaf calls bitwise equal at 512 and 256 bits");
+            println!("transpose widths: {compared} transposes bitwise equal at 512 and 256 bits");
         }
         #[cfg(not(target_arch = "x86_64"))]
-        println!("leaf widths: skipped, not an x86-64 CPU");
+        println!("transpose widths: skipped, not an x86-64 CPU");
     }
 }

@@ -308,11 +308,12 @@ impl Panel<'_> {
             Some(_) => (MaskA::Full, MaskA::Full),
             None => (MaskA::Lower, MaskA::Upper),
         };
-        let v = Piece { at: 0, rows: hi - lo, a: &self.vp[pv..], ld: self.rows, mask: mask_v };
         let wy = Wy {
             rows: hi - lo,
             nv: c1 - c0,
-            v: [v, Piece::NONE],
+            v: &self.vp[pv..],
+            ldv: self.rows,
+            mask_v,
             vt: &self.vpt[pvt..],
             ldvt: self.w,
             mask_vt,
@@ -350,34 +351,20 @@ impl Panel<'_> {
 }
 
 /// A compact-WY block of `nv` reflectors as gemm operands: `V`
-/// (`rows × nv`) as up to two row pieces, `Vᵀ` (`nv × rows`) at its leading
-/// dimension, each pack-clean wherever its mask reaches, and the block's T
-/// (upper triangle read, leading dimension `ldt`).
+/// (`rows × nv`) and `Vᵀ` (`nv × rows`) at their leading dimensions, each
+/// pack-clean wherever its mask reaches, and the block's T (upper triangle
+/// read, leading dimension `ldt`).
 struct Wy<'a> {
     rows: usize,
     nv: usize,
-    v: [Piece<'a>; 2],
+    v: &'a [f64],
+    ldv: usize,
+    mask_v: MaskA,
     vt: &'a [f64],
     ldvt: usize,
     mask_vt: MaskA,
     t: &'a [f64],
     ldt: usize,
-}
-
-/// Rows `at..at + rows` of `V`, at leading dimension `ld`. A piece starts
-/// on a multiple of 8 rows, so every row of `V·W` sees the 8-row group,
-/// hence the mask `k` range and FMA chain, that one gemm over all of `V`
-/// would give it.
-struct Piece<'a> {
-    at: usize,
-    rows: usize,
-    a: &'a [f64],
-    ld: usize,
-    mask: MaskA,
-}
-
-impl Piece<'_> {
-    const NONE: Piece<'static> = Piece { at: 0, rows: 0, a: &[], ld: 1, mask: MaskA::Full };
 }
 
 /// `C := op(I − V·T·Vᵀ)·C`, the one block-reflector apply of all six
@@ -428,9 +415,7 @@ fn block_apply(
     };
     gemm_core(arm, nv, nc, nv, 1.0, tc, nv, mask_t, wa, nv, 0.0, wb, nv);
     // C −= V·W; top −= W.
-    for p in &wy.v {
-        gemm_core(arm, p.rows, nc, nv, -1.0, p.a, p.ld, p.mask, wb, nv, 1.0, &mut c[p.at..], ldc);
-    }
+    gemm_core(arm, rows, nc, nv, -1.0, wy.v, wy.ldv, wy.mask_v, wb, nv, 1.0, c, ldc);
     if let Some(top) = top {
         for (col, w) in wb.chunks_exact(nv).enumerate() {
             for (x, y) in top[col * ldc..][..nv].iter_mut().zip(w) {
@@ -447,11 +432,10 @@ fn block_apply(
 /// stacked pair and `v` the bottom of `V̂ = [I; V]`, square (TSMQR) or
 /// upper triangular above garbage (`tri`, TTMQR).
 ///
-/// Each panel's `Vᵀ` is one transpose of the panel's columns as they lie,
-/// cleaned where the tile holds something else there (R and the unit
-/// diagonal for UNMQR, the garbage below TTMQR's triangle). `V` is read
-/// in place except for the 8-row groups that meet that `w × w` diagonal
-/// block, which are transposed back out of the clean `Vᵀ`.
+/// TSMQR reads each panel's `V` where it lies and transposes it once into
+/// `Vᵀ`. UNMQR and TTMQR first copy the panel's columns into `vp`, cleaned
+/// of what the tile holds beside `V` there (R and the unit diagonal, the
+/// garbage below the triangle), and transpose that copy.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tile_mqr(
     arm: SimdArm,
@@ -479,47 +463,43 @@ pub(crate) fn tile_mqr(
             if trans == Trans::Trans { order.next() } else { order.next_back() }
         {
             let w = e - s;
-            // V's rows `lo..lo + rows` of the tile; `p0..p1` are the 8-row
-            // groups around its diagonal block, the part not read in place.
-            let (lo, rows, p0, p1) = match (stacked, tri) {
-                (false, _) => (s, b - s, 0, w.next_multiple_of(8).min(b - s)),
-                (true, false) => (0, b, 0, 0),
-                (true, true) => (0, e, s - s % 8, e),
+            // V is rows `lo..lo + rows` of the panel's columns.
+            let (lo, rows) = match (stacked, tri) {
+                (false, _) => (s, b - s),
+                (true, false) => (0, b),
+                (true, true) => (0, e),
             };
-            let [vpt, vd, wa, wb, tc] =
-                carve(&mut buf, [w * rows, w * (p1 - p0), w * b, w * b, w * w]);
-            transpose(arm, rows, w, &v[lo + s * b..], b, vpt, w);
-            if !stacked {
-                for (r, row) in vpt.chunks_exact_mut(w).take(w).enumerate() {
-                    row[r] = 1.0;
-                    row[r + 1..].fill(0.0);
+            let copy = !stacked || tri;
+            let [vp, vpt, wa, wb, tc] =
+                carve(&mut buf, [if copy { w * rows } else { 0 }, w * rows, w * b, w * b, w * w]);
+            let (vs, ldv) = if copy {
+                for (j, col) in vp.chunks_exact_mut(rows).enumerate() {
+                    col.copy_from_slice(&v[lo + (s + j) * b..][..rows]);
+                    if !stacked {
+                        col[..j].fill(0.0);
+                        col[j] = 1.0;
+                    } else {
+                        col[s + j + 1..].fill(0.0);
+                    }
                 }
-            } else if tri {
-                for (i, row) in vpt[s * w..].chunks_exact_mut(w).enumerate() {
-                    row[..i].fill(0.0);
-                }
-            }
-            transpose(arm, w, p1 - p0, &vpt[p0 * w..], w, vd, p1 - p0);
-            let dense = |at: usize, rows: usize| Piece {
-                at,
-                rows,
-                a: &v[lo + at + s * b..],
-                ld: b,
-                mask: MaskA::Full,
+                (&vp[..], rows)
+            } else {
+                (&v[lo + s * b..], b)
             };
-            let diag = |mask| Piece { at: p0, rows: p1 - p0, a: &vd[..], ld: p1 - p0, mask };
+            transpose(arm, rows, w, vs, ldv, vpt, w);
             // A full-width triangular V is a square triangular operand the
             // gemm core can mask; a narrower panel of it is a trapezoid.
-            let (v_pieces, mask_vt) = match (stacked, tri) {
-                (false, _) => ([diag(MaskA::Lower), dense(p1, rows - p1)], MaskA::Upper),
-                (true, false) => ([dense(0, b), Piece::NONE], MaskA::Full),
-                (true, true) if w == b => ([diag(MaskA::Upper), Piece::NONE], MaskA::Lower),
-                (true, true) => ([dense(0, p0), diag(MaskA::Full)], MaskA::Full),
+            let (mask_v, mask_vt) = match (stacked, tri) {
+                (false, _) => (MaskA::Lower, MaskA::Upper),
+                (true, true) if w == b => (MaskA::Upper, MaskA::Lower),
+                (true, _) => (MaskA::Full, MaskA::Full),
             };
             let wy = Wy {
                 rows,
                 nv: w,
-                v: v_pieces,
+                v: vs,
+                ldv,
+                mask_v,
                 vt: vpt,
                 ldvt: w,
                 mask_vt,
