@@ -11,6 +11,7 @@
 use crate::elim::ElimList;
 use crate::factor::{qr_factorize_ib, Execution, QrFactorization};
 use crate::hier::HqrConfig;
+use crate::solve::back_substitute;
 use hqr_kernels::Trans;
 use hqr_tile::{DenseMatrix, TiledMatrix};
 
@@ -117,23 +118,7 @@ impl DenseQr {
         rhs: &DenseMatrix,
     ) -> Result<DenseMatrix, hqr_kernels::KernelError> {
         assert_eq!(rhs.rows(), self.m, "rhs must have M rows");
-        let (n, nrhs) = (self.n, rhs.cols());
-        let qtb = self.qt_times(rhs);
-        let r = self.r();
-        let mut r_sq = vec![0.0; n * n];
-        for j in 0..n {
-            for i in 0..=j {
-                r_sq[i + j * n] = r.get(i, j);
-            }
-        }
-        let mut x = vec![0.0; n * nrhs];
-        for j in 0..nrhs {
-            for i in 0..n {
-                x[i + j * n] = qtb.get(i, j);
-            }
-        }
-        hqr_kernels::blas::try_trsm_upper(n, nrhs, &r_sq, &mut x)?;
-        Ok(DenseMatrix::from_col_major(n, nrhs, &x))
+        back_substitute(&self.fac.r_dense(), &self.qt_times(rhs), self.n, rhs.cols())
     }
 
     /// Compute Qᵀ·c for a dense M × nc matrix (returns the full padded

@@ -5,8 +5,10 @@
 //! columns and (b) that A is equal to Q∗R").
 
 use crate::elim::ElimList;
-use hqr_kernels::{run_kernel, KernelKind, Trans};
-use hqr_runtime::{execute_serial_ib, try_execute_with, ExecOptions, TFactors, TaskGraph};
+use hqr_kernels::Trans;
+use hqr_runtime::{
+    execute_serial_ib, try_apply_q, try_execute_with, ElimOp, ExecOptions, TFactors, TaskGraph,
+};
 use hqr_tile::{DenseMatrix, TiledMatrix};
 
 /// How to execute the task DAG.
@@ -19,14 +21,13 @@ pub enum Execution {
 }
 
 /// A completed QR factorization: the factored tiles (R in the upper
-/// triangle, Householder V/V2 blocks elsewhere), the T factors, and the
-/// elimination list that produced them — everything needed to apply Q.
+/// triangle, Householder V/V2 blocks elsewhere), the T factors (laid out
+/// for the inner block size the kernels ran with), and the elimination
+/// list that produced them — everything needed to apply Q.
 pub struct QrFactorization {
     a: TiledMatrix,
     factors: TFactors,
-    elims: ElimList,
-    /// Inner block size the kernels ran with (`ib == b`: unblocked).
-    ib: usize,
+    ops: Vec<ElimOp>,
 }
 
 /// Outcome of the paper's two checks.
@@ -58,8 +59,8 @@ pub fn qr_factorize(a: &mut TiledMatrix, elims: &ElimList, exec: Execution) -> Q
 
 /// [`qr_factorize`] with PLASMA-style inner blocking: kernels process the
 /// tile in column panels of width `ib` (`ib == b` selects the unblocked
-/// kernels). The factorization records `ib` so Q applications use the
-/// matching blocked reflector grouping.
+/// kernels). Its T factors carry `ib`, so Q applications use the matching
+/// blocked reflector grouping.
 pub fn qr_factorize_ib(
     a: &mut TiledMatrix,
     elims: &ElimList,
@@ -68,7 +69,8 @@ pub fn qr_factorize_ib(
 ) -> QrFactorization {
     assert_eq!(a.mt(), elims.mt(), "elimination list built for a different mt");
     assert_eq!(a.nt(), elims.nt(), "elimination list built for a different nt");
-    let graph = TaskGraph::build(a.mt(), a.nt(), a.b(), &elims.to_ops());
+    let ops = elims.to_ops();
+    let graph = TaskGraph::build(a.mt(), a.nt(), a.b(), &ops);
     let factors = match exec {
         Execution::Serial => execute_serial_ib(&graph, a, ib),
         Execution::Parallel(nthreads) => {
@@ -76,7 +78,7 @@ pub fn qr_factorize_ib(
             try_execute_with(&graph, a, &opts).unwrap_or_else(|e| panic!("{e}")).0
         }
     };
-    QrFactorization { a: a.clone(), factors, elims: elims.clone(), ib }
+    QrFactorization { a: a.clone(), factors, ops }
 }
 
 impl QrFactorization {
@@ -90,87 +92,19 @@ impl QrFactorization {
         self.a.to_dense().upper_triangle()
     }
 
-    /// Rows triangularized (GEQRT'd) in panel `k`: the diagonal row, every
-    /// killer, and every TT victim — mirroring the runtime's task
-    /// generation.
-    fn triangle_rows(&self, k: usize) -> Vec<usize> {
-        let mt = self.a.mt();
-        let mut tri = vec![false; mt];
-        tri[k] = true;
-        for e in self.elims.panel(k) {
-            tri[e.killer as usize] = true;
-            if !e.ts {
-                tri[e.victim as usize] = true;
-            }
-        }
-        (k..mt).filter(|&i| tri[i]).collect()
-    }
-
     /// Apply op(Q) to a tiled matrix `c` with the same tile-row count:
     /// `Trans` computes Qᵀ·C (forward elimination order, as during the
     /// factorization), `NoTrans` computes Q·C ("applying the reverse
-    /// trees", §V-A).
+    /// trees", §V-A). Runs [`hqr_runtime::try_apply_q`] on one thread.
+    ///
+    /// # Panics
+    /// Panics with the engine's refusal if `c`'s tile rows or tile size
+    /// differ from the factored matrix's.
     pub fn apply_q(&self, c: &mut TiledMatrix, trans: Trans) {
-        assert_eq!(c.mt(), self.a.mt(), "C must have the same tile rows");
-        assert_eq!(c.b(), self.a.b(), "tile sizes must match");
-        let kmax = self.a.mt().min(self.a.nt());
-        let panels: Vec<usize> = match trans {
-            Trans::Trans => (0..kmax).collect(),
-            Trans::NoTrans => (0..kmax).rev().collect(),
-        };
-        for k in panels {
-            if matches!(trans, Trans::Trans) {
-                self.apply_panel_geqrts(c, k, trans);
-                self.apply_panel_kills(c, k, trans, false);
-            } else {
-                self.apply_panel_kills(c, k, trans, true);
-                self.apply_panel_geqrts(c, k, trans);
-            }
+        let opts = ExecOptions::with_threads(1);
+        if let Err(e) = try_apply_q(&self.a, &self.factors, &self.ops, c, trans, &opts) {
+            panic!("{e}");
         }
-    }
-
-    fn apply_panel_geqrts(&self, c: &mut TiledMatrix, k: usize, trans: Trans) {
-        let (b, ib) = (self.a.b(), self.ib);
-        for i in self.triangle_rows(k) {
-            let vg = self.factors.vg(i, k).expect("GEQRT factor present");
-            let tg = self.factors.tg(i, k).expect("GEQRT T present");
-            for jc in 0..c.nt() {
-                run_kernel(KernelKind::Unmqr, b, ib, trans, &[vg, tg], &mut [c.tile_mut(i, jc)]);
-            }
-        }
-    }
-
-    fn apply_panel_kills(&self, c: &mut TiledMatrix, k: usize, trans: Trans, reversed: bool) {
-        let (b, ib) = (self.a.b(), self.ib);
-        let mut panel: Vec<_> = self.elims.panel(k).copied().collect();
-        if reversed {
-            panel.reverse();
-        }
-        for e in panel {
-            let (piv, i) = (e.killer as usize, e.victim as usize);
-            let kind = if e.ts { KernelKind::Tsmqr } else { KernelKind::Ttmqr };
-            let v2 = self.a.tile(i, k);
-            let tk = self.factors.tk(i, k).expect("kill T present");
-            for jc in 0..c.nt() {
-                let (c1, c2) = c.tile_pair_mut((piv, jc), (i, jc));
-                run_kernel(kind, b, ib, trans, &[v2, tk], &mut [c1, c2]);
-            }
-        }
-    }
-
-    /// [`QrFactorization::apply_q`] through the task-DAG runtime on
-    /// `nthreads` workers (the DPLASMA `unmqr` analogue): distinct columns
-    /// of C and independent row pairs proceed concurrently.
-    pub fn apply_q_parallel(&self, c: &mut TiledMatrix, trans: Trans, nthreads: usize) {
-        hqr_runtime::apply_q_parallel(
-            &self.a,
-            &self.factors,
-            &self.elims.to_ops(),
-            self.ib,
-            c,
-            trans,
-            nthreads,
-        );
     }
 
     /// Build Q explicitly (M × M) by applying the reverse trees to the
@@ -341,7 +275,8 @@ mod tests {
             let mut cs = c0.clone();
             let mut cp = c0.clone();
             f.apply_q(&mut cs, trans);
-            f.apply_q_parallel(&mut cp, trans, 4);
+            let opts = ExecOptions::with_threads(4);
+            try_apply_q(&f.a, &f.factors, &f.ops, &mut cp, trans, &opts).unwrap();
             assert_eq!(cs.to_dense().data(), cp.to_dense().data(), "{trans:?}");
         }
     }
@@ -356,7 +291,8 @@ mod tests {
         let mut cs = c0.clone();
         let mut cp = c0.clone();
         f.apply_q(&mut cs, Trans::Trans);
-        f.apply_q_parallel(&mut cp, Trans::Trans, 3);
+        let opts = ExecOptions { nthreads: 3, ib: Some(3), ..Default::default() };
+        try_apply_q(&f.a, &f.factors, &f.ops, &mut cp, Trans::Trans, &opts).unwrap();
         assert_eq!(cs.to_dense().data(), cp.to_dense().data());
     }
 

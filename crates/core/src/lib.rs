@@ -49,7 +49,6 @@ pub mod experiments;
 pub mod factor;
 pub mod hier;
 pub mod model;
-pub mod pivots;
 pub mod schedule;
 pub mod solve;
 pub mod trees;
@@ -58,7 +57,6 @@ pub use driver::DenseQr;
 pub use elim::{ElimList, Elimination, Level};
 pub use factor::{qr_factorize, qr_factorize_ib, Execution, QrCheck, QrFactorization};
 pub use hier::HqrConfig;
-pub use pivots::PivotIndex;
 pub use trees::TreeKind;
 
 /// Convenient glob-import surface.

@@ -9,12 +9,6 @@ use hqr_kernels::{KernelError, Trans};
 use hqr_tile::{DenseMatrix, TiledMatrix};
 
 impl QrFactorization {
-    /// Dimensions (elements) of the factored matrix.
-    fn dims(&self) -> (usize, usize, usize) {
-        let a = self.factored();
-        (a.rows(), a.cols(), a.b())
-    }
-
     /// Explicit thin Q (M × N, orthonormal columns): apply the reverse
     /// trees to the first N columns of the identity (LAPACK `dorgqr`).
     pub fn q_thin_dense(&self) -> DenseMatrix {
@@ -41,7 +35,8 @@ impl QrFactorization {
     /// diagonal, instead of panicking — so services can fail one request
     /// rather than the process.
     pub fn try_solve_least_squares(&self, rhs: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
-        let (m, n, b) = self.dims();
+        let a = self.factored();
+        let (m, n, b) = (a.rows(), a.cols(), a.b());
         assert!(m >= n, "least squares requires M >= N");
         assert_eq!(rhs.rows(), m, "rhs must have M rows");
         let nrhs = rhs.cols();
@@ -55,23 +50,7 @@ impl QrFactorization {
         }
         // Qᵀ·b through the stored reflectors (forward trees).
         self.apply_q(&mut c, Trans::Trans);
-        let qtb = c.to_dense();
-        // Back-substitute with the N×N leading block of R.
-        let r = self.r_dense();
-        let mut r_sq = vec![0.0; n * n];
-        for j in 0..n {
-            for i in 0..=j {
-                r_sq[i + j * n] = r.get(i, j);
-            }
-        }
-        let mut x = vec![0.0; n * nrhs];
-        for j in 0..nrhs {
-            for i in 0..n {
-                x[i + j * n] = qtb.get(i, j);
-            }
-        }
-        try_trsm_upper(n, nrhs, &r_sq, &mut x)?;
-        Ok(DenseMatrix::from_col_major(n, nrhs, &x))
+        back_substitute(&self.r_dense(), &c.to_dense(), n, nrhs)
     }
 
     /// Residual norm ‖A·x − b‖₂ per right-hand side, given the original
@@ -84,6 +63,31 @@ impl QrFactorization {
             })
             .collect()
     }
+}
+
+/// x = R₁⁻¹·(Qᵀb)₁: back-substitute the leading `n × nrhs` block of `qtb`
+/// with the leading `n × n` upper triangle of `r`. The padded rows and
+/// columns of a tile factorization take no part.
+pub(crate) fn back_substitute(
+    r: &DenseMatrix,
+    qtb: &DenseMatrix,
+    n: usize,
+    nrhs: usize,
+) -> Result<DenseMatrix, KernelError> {
+    let mut r_sq = vec![0.0; n * n];
+    for j in 0..n {
+        for i in 0..=j {
+            r_sq[i + j * n] = r.get(i, j);
+        }
+    }
+    let mut x = vec![0.0; n * nrhs];
+    for j in 0..nrhs {
+        for i in 0..n {
+            x[i + j * n] = qtb.get(i, j);
+        }
+    }
+    try_trsm_upper(n, nrhs, &r_sq, &mut x)?;
+    Ok(DenseMatrix::from_col_major(n, nrhs, &x))
 }
 
 #[cfg(test)]

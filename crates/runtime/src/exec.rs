@@ -1,7 +1,8 @@
 //! Serial and multithreaded DAG executors, and the execution core they
-//! share with the multi-job pool and apply-Q.
+//! share with the multi-job pool.
 //!
-//! Entry points (seven in the crate, five of them here):
+//! Entry points to run a factorization DAG (seven in the crate, five of
+//! them here):
 //!
 //! * [`execute_serial`] / [`execute_serial_ib`] — program order on the
 //!   calling thread, no scheduler, panics propagate. The reference oracle
@@ -17,7 +18,8 @@
 //!
 //! (The other two are [`crate::try_execute_checkpointed`] and
 //! [`crate::resume_from_checkpoint`], which run this engine in segments;
-//! [`crate::JobPool`] runs many DAGs on one set of workers.)
+//! [`crate::JobPool`] runs many DAGs on one set of workers.) [`try_apply_q`]
+//! runs the same engine over a [`TaskGraph::apply_q`] graph to apply Q.
 //!
 //! The execution core is three pieces, each written once: the kernel
 //! dispatcher (`hqr_kernels::run_kernel`, reached through
@@ -37,6 +39,7 @@ use std::time::{Duration, Instant};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use crossbeam_utils::Backoff;
 
+use crate::elim::ElimOp;
 use crate::error::{ExecError, StallCause, StallReport};
 use crate::fault::{
     ExecOptions, FaultPlan, FaultStats, QuietPanics, INJECTED_FAULT_PREFIX, POISON_STRIKES,
@@ -47,6 +50,7 @@ use crate::lineage::Slot;
 use crate::sched::{self, SchedPolicy};
 use crate::store::{pages, RunPlan, TileStore};
 use crate::task::{SlotFamily, Task};
+use hqr_kernels::Trans;
 use hqr_tile::TiledMatrix;
 
 /// The Householder factor buffers produced by a factorization: the V copies
@@ -126,24 +130,32 @@ impl TFactors {
         self.b
     }
 
-    fn get(v: &[Option<Box<[f64]>>], mt: usize, i: usize, k: usize) -> Option<&[f64]> {
-        v[i + k * mt].as_deref()
+    /// The buffer of factor slot `(fam, i, k)`: `None` when the graph never
+    /// writes that slot, and for the `A` family (its tiles are the matrix's).
+    pub fn slot(&self, fam: SlotFamily, i: usize, k: usize) -> Option<&[f64]> {
+        let family = match fam {
+            SlotFamily::Vg => &self.vg,
+            SlotFamily::Tg => &self.tg,
+            SlotFamily::Tk => &self.tk,
+            SlotFamily::A => return None,
+        };
+        family[i + k * self.mt].as_deref()
     }
 
     /// V factor (full tile copy; V in the strict lower triangle) of the
     /// GEQRT applied to row `i` in panel `k`.
     pub fn vg(&self, i: usize, k: usize) -> Option<&[f64]> {
-        Self::get(&self.vg, self.mt, i, k)
+        self.slot(SlotFamily::Vg, i, k)
     }
 
     /// T factor of the GEQRT applied to row `i` in panel `k`.
     pub fn tg(&self, i: usize, k: usize) -> Option<&[f64]> {
-        Self::get(&self.tg, self.mt, i, k)
+        self.slot(SlotFamily::Tg, i, k)
     }
 
     /// T factor of the kill (TSQRT/TTQRT) whose victim was row `i`, panel `k`.
     pub fn tk(&self, i: usize, k: usize) -> Option<&[f64]> {
-        Self::get(&self.tk, self.mt, i, k)
+        self.slot(SlotFamily::Tk, i, k)
     }
 
     /// Mutable view of an allocated factor buffer, for callers (the
@@ -192,7 +204,7 @@ pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> T
     let store = TileStore::new(a, &mut f);
     for t in graph.tasks() {
         // SAFETY: single-threaded, topological order.
-        unsafe { store.run_task(t) };
+        unsafe { store.run_task(t, graph.trans()) };
     }
     f
 }
@@ -504,8 +516,9 @@ pub(crate) fn acquire<T>(
     }
 }
 
-/// The worker loop every executor runs — the single-DAG engine, the
-/// multi-job [`crate::pool::JobPool`] and [`crate::apply_q_parallel`]:
+/// The worker loop every executor runs — the single-DAG engine (which
+/// also applies Q, [`try_apply_q`]) and the multi-job
+/// [`crate::pool::JobPool`]:
 /// [`acquire`] a task and hand it to `run` until `run` breaks, `halted()`
 /// turns true, or no task can be found and `drained()` says none will
 /// come. An idle worker climbs the spin/yield backoff ladder, then parks in
@@ -622,6 +635,19 @@ pub(crate) struct RunPolicy<'a> {
     /// released successor goes to the worker's own LIFO deque (the engine
     /// under FIFO — the data-reuse heuristic of DAGuE §IV-C).
     pub publish_rest: bool,
+}
+
+impl<'a> RunPolicy<'a> {
+    /// The engine's policy as `opts` spells it.
+    fn of(opts: &'a ExecOptions) -> Self {
+        RunPolicy {
+            policy: opts.policy,
+            integrity: opts.integrity,
+            max_retries: opts.max_retries,
+            plan: opts.plan.as_ref(),
+            publish_rest: opts.policy != SchedPolicy::Fifo,
+        }
+    }
 }
 
 /// The state of one DAG being executed, independent of which executor
@@ -817,7 +843,7 @@ impl DagRun {
                     panic!("{INJECTED_FAULT_PREFIX}: task {tid} attempt {attempt} on worker {me}");
                 }
                 // SAFETY: DAG order, as above.
-                unsafe { store.run_task(t) };
+                unsafe { store.run_task(t, graph.trans()) };
             }));
             match run {
                 Ok(()) => {
@@ -1047,14 +1073,9 @@ fn checked_ib(opts: &ExecOptions, b: usize) -> Result<usize, ExecError> {
 /// The engine behind [`run_engine`] and the checkpoint/resume drivers in
 /// [`crate::checkpoint`]: run the sub-DAG of tasks with index `< limit`
 /// that are not already marked in `completed`, writing into a
-/// caller-provided [`TFactors`].
-///
-/// Workers run the shared [`worker_loop`] over one [`DagRun`]: each task
-/// runs inside `catch_unwind` so a panicking kernel (real or injected by
-/// the [`crate::FaultPlan`]) can be retried against a pre-execution
-/// snapshot of its write-set, reported as a typed error, or — for poisoned
-/// workers — handed back to healthy peers. A watchdog thread converts lack
-/// of progress into [`ExecError::Stalled`].
+/// caller-provided [`TFactors`]. It opens the tile store (resident or
+/// paged), hands it to [`drive`], and dissolves it again on every exit
+/// path.
 ///
 /// Program order is panel-major and topological, and every predecessor of
 /// a task precedes it in the task list, so a prefix `0..limit` at a panel
@@ -1071,7 +1092,6 @@ pub(crate) fn run_engine_segment(
     completed: Option<&[bool]>,
     limit: usize,
 ) -> Result<(FaultStats, Option<ExecTrace>), ExecError> {
-    let nthreads = opts.nthreads.max(1);
     let b = graph.b();
     let ib = checked_ib(opts, b)?;
     if a.mt() != graph.mt() || a.nt() != graph.nt() || a.b() != b {
@@ -1113,6 +1133,100 @@ pub(crate) fn run_engine_segment(
             ),
         });
     }
+    let epoch = Instant::now();
+    let policy = RunPolicy::of(opts);
+    let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
+    let order = || preview_order(graph, &policy, completed, limit);
+    let run_plan = RunPlan { graph, completed, order: &order };
+    let store = TileStore::open(a, f, &run_plan, budget, spill_dir)
+        .map_err(|message| ExecError::SpillIo { message })?;
+    let (mut run, frontier) = DagRun::new(graph, store, &policy, completed, limit);
+    let result = drive(graph, &run, frontier, opts, trace, epoch);
+    // Dissolve the paged cache before anything touches `a`/`f` again —
+    // on success *and* on error paths, so the matrix is never left hollow.
+    let unpage_err = run.store.unpage(a, f).err();
+    let (stats, mut exec_trace) = result?;
+    if let Some(message) = unpage_err {
+        return Err(ExecError::SpillIo { message });
+    }
+    // A paged run's wall clock includes handing the buffers back.
+    if let Some(t) = &mut exec_trace {
+        t.wall = epoch.elapsed().as_secs_f64();
+    }
+    Ok((stats, exec_trace))
+}
+
+/// Apply op(Q) of a completed factorization to `c` on the engine: Qᵀ·C
+/// for `Trans::Trans`, Q·C for `NoTrans` (§V-A's "reverse trees"). The
+/// DAG is [`TaskGraph::apply_q`]'s, so the run has the engine's threads,
+/// policy, retry, fault plan, integrity guards and watchdog from `opts`;
+/// only C's tiles are written, and `factored` (the V blocks in place) and
+/// `factors` are read where they are. `elims` is the elimination list
+/// that produced them, and `ib` is `factors.ib()`.
+///
+/// Refused with [`ExecError::Config`] before any kernel runs: a C whose
+/// tile rows or tile size differ from `factored`, factors of another
+/// shape, an `opts.ib` other than `factors.ib()`, an elimination list that
+/// reads a factor slot `factors` does not hold, a lossy fault plan without
+/// a watchdog, and any `opts.resident_budget` (a paged store takes
+/// ownership of its buffers, and the factored tiles are only borrowed).
+pub fn try_apply_q(
+    factored: &TiledMatrix,
+    factors: &TFactors,
+    elims: &[ElimOp],
+    c: &mut TiledMatrix,
+    trans: Trans,
+    opts: &ExecOptions,
+) -> Result<FaultStats, ExecError> {
+    let refuse = |message: String| Err(ExecError::Config { message });
+    let (mt, nt, b, ib) = (factored.mt(), factored.nt(), factored.b(), factors.ib);
+    let (fm, fnt, fb, cm, cb) = (factors.mt, factors.nt, factors.b, c.mt(), c.b());
+    if (fm, fnt, fb, cm, cb) != (mt, nt, b, mt, b) {
+        return refuse(format!(
+            "factors are {fm}x{fnt} tiles of size {fb} and C has {cm} tile rows of size {cb}, \
+             for a {mt}x{nt} matrix of size {b}"
+        ));
+    }
+    if opts.ib.is_some_and(|x| x != ib) {
+        return refuse(format!("inner block size {:?} but the factors are for {ib}", opts.ib));
+    }
+    if opts.resident_budget.is_some() {
+        return refuse("apply-Q runs resident: it borrows the factored tiles".to_string());
+    }
+    let graph = TaskGraph::apply_q(mt, nt, c.nt(), b, elims, trans)
+        .map_err(|e| ExecError::Config { message: e.to_string() })?;
+    let mut reads = graph.tasks().iter().flat_map(Task::reads);
+    let absent = |&(fam, i, k): &Slot| fam != SlotFamily::A && factors.slot(fam, i, k).is_none();
+    if let Some((fam, i, k)) = reads.find(absent) {
+        let slot = fam.name();
+        return refuse(format!("the list reads {slot}({i},{k}), which the factors do not hold"));
+    }
+    let epoch = Instant::now();
+    let store = TileStore::for_apply(factored, factors, c);
+    let (run, frontier) =
+        DagRun::new(&graph, store, &RunPolicy::of(opts), None, graph.tasks().len());
+    drive(&graph, &run, frontier, opts, false, epoch).map(|(stats, _)| stats)
+}
+
+/// The worker-and-watchdog half of the engine: run `run` (whose store is
+/// already open) from `frontier` to quiescence on `opts.nthreads` workers.
+///
+/// Workers run the shared [`worker_loop`] over the [`DagRun`]: each task
+/// runs inside `catch_unwind` so a panicking kernel (real or injected by
+/// the [`crate::FaultPlan`]) can be retried against a pre-execution
+/// snapshot of its write-set, reported as a typed error, or — for poisoned
+/// workers — handed back to healthy peers. A watchdog thread converts lack
+/// of progress into [`ExecError::Stalled`]. The store is left open: the
+/// caller dissolves it.
+fn drive(
+    graph: &TaskGraph,
+    run: &DagRun,
+    frontier: Vec<u32>,
+    opts: &ExecOptions,
+    trace: bool,
+    epoch: Instant,
+) -> Result<(FaultStats, Option<ExecTrace>), ExecError> {
+    let nthreads = opts.nthreads.max(1);
     let plan = opts.plan.as_ref();
     if plan.is_some_and(|p| p.loses_any_completion()) && opts.watchdog.is_none() {
         return Err(ExecError::Config {
@@ -1120,21 +1234,6 @@ pub(crate) fn run_engine_segment(
         });
     }
     let recovery = opts.recovery_enabled();
-
-    let epoch = Instant::now();
-    let policy = RunPolicy {
-        policy: opts.policy,
-        integrity: opts.integrity,
-        max_retries: opts.max_retries,
-        plan,
-        publish_rest: opts.policy != SchedPolicy::Fifo,
-    };
-    let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
-    let order = || preview_order(graph, &policy, completed, limit);
-    let run_plan = RunPlan { graph, completed, order: &order };
-    let store = TileStore::open(a, f, &run_plan, budget, spill_dir)
-        .map_err(|message| ExecError::SpillIo { message })?;
-    let (mut run, frontier) = DagRun::new(graph, store, &policy, completed, limit);
     let alive = AtomicUsize::new(nthreads);
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
     let global = GlobalQueue::new(opts.policy);
@@ -1146,7 +1245,7 @@ pub(crate) fn run_engine_segment(
     let mut logs: Vec<WorkerLog> = (0..nthreads).map(|_| WorkerLog::default()).collect();
 
     std::thread::scope(|scope| {
-        let (run, alive, error, global, stealers) = (&run, &alive, &error, &global, &stealers);
+        let (alive, error, global, stealers) = (&alive, &error, &global, &stealers);
         let (remaining, halt) = (&run.remaining, &run.halt);
         if let Some(window) = opts.watchdog {
             scope.spawn(move || {
@@ -1274,17 +1373,11 @@ pub(crate) fn run_engine_segment(
             });
         }
     });
-    // Dissolve the paged cache before anything touches `a`/`f` again —
-    // on success *and* on error paths, so the matrix is never left hollow.
-    // The traffic summary is snapshotted first: unpage mass-faults every
+    // Snapshotted here, before the caller unpages: unpage mass-faults every
     // slot back in and would otherwise inflate the counters.
     let spill = run.store.spill_summary();
-    let unpage_err = run.store.unpage(a, f).err();
     if let Some(e) = error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
         return Err(e);
-    }
-    if let Some(message) = unpage_err {
-        return Err(ExecError::SpillIo { message });
     }
     let rem = run.remaining.load(Ordering::Acquire);
     if rem != 0 {
@@ -1371,6 +1464,44 @@ mod tests {
                 assert!(diff < 1e-11, "R mismatch at ({d},{j}): {diff}");
             }
         }
+    }
+
+    #[test]
+    fn try_apply_q_refuses_before_any_kernel_runs() {
+        let (mt, nt, b) = (6usize, 2usize, 4usize);
+        let ts = flat_elims(mt, nt);
+        let mut a = TiledMatrix::random(mt, nt, b, 77);
+        let f = execute_serial(&TaskGraph::build(mt, nt, b, &ts), &mut a);
+        let c0 = TiledMatrix::random(mt, 2, b, 78);
+        let one = ExecOptions::with_threads(3);
+        // A TT list over TS factors: its GEQRTs below the diagonal row have
+        // no reflectors in `f`.
+        let tt: Vec<ElimOp> = ts.iter().map(|o| ElimOp { ts: false, ..*o }).collect();
+        let budget = ExecOptions { resident_budget: Some(1 << 20), ..one.clone() };
+        let cases = [
+            (&tt, &one, mt, "which the factors do not hold"),
+            (&ts, &ExecOptions { ib: Some(2), ..one.clone() }, mt, "factors are for 4"),
+            (&ts, &budget, mt, "runs resident"),
+            (&ts, &one, mt + 1, "tile rows"),
+        ];
+        for (ops, opts, rows, why) in cases {
+            let mut c = TiledMatrix::random(rows, 2, b, 78);
+            let before = c.to_dense();
+            let err = try_apply_q(&a, &f, ops, &mut c, Trans::Trans, opts).unwrap_err();
+            assert!(
+                matches!(&err, ExecError::Config { message } if message.contains(why)),
+                "{err}"
+            );
+            assert!(c
+                .to_dense()
+                .data()
+                .iter()
+                .zip(before.data())
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
+        let mut c = c0.clone();
+        try_apply_q(&a, &f, &ts, &mut c, Trans::Trans, &one).unwrap();
+        assert_ne!(c.to_dense().data(), c0.to_dense().data());
     }
 
     #[test]

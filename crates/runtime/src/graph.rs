@@ -11,7 +11,7 @@
 use crate::elim::ElimOp;
 use crate::error::GraphError;
 use crate::task::{SlotFamily, Task, SLOT_FAMILIES};
-use hqr_kernels::KernelKind;
+use hqr_kernels::{KernelKind, Trans};
 
 /// An immutable task DAG in CSR form.
 #[derive(Clone, Debug)]
@@ -19,6 +19,9 @@ pub struct TaskGraph {
     mt: usize,
     nt: usize,
     b: usize,
+    /// Direction every task's kernel applies its reflectors in: `Trans`
+    /// for a factorization (and for Qᵀ·C), `NoTrans` for Q·C.
+    trans: Trans,
     tasks: Vec<Task>,
     /// CSR offsets into `succ`, length `tasks.len() + 1`.
     succ_off: Vec<u32>,
@@ -51,18 +54,42 @@ impl TaskGraph {
     /// TS victim used as a killer, indices out of range) is reported as a
     /// [`GraphError`] instead of a panic.
     pub fn try_build(mt: usize, nt: usize, b: usize, elims: &[ElimOp]) -> Result<Self, GraphError> {
-        if mt == 0 || nt == 0 {
-            return Err(GraphError::EmptyMatrix);
-        }
-        if b == 0 {
-            return Err(GraphError::ZeroTileSize);
-        }
-        if mt >= u16::MAX as usize || nt >= u16::MAX as usize {
-            return Err(GraphError::TileCountOverflow { mt, nt });
-        }
+        check_shape(mt, nt, b)?;
         let tasks = generate_tasks(mt, nt, elims)?;
-        let (succ_off, succ, in_degree) = build_edges(mt, nt, &tasks);
-        Ok(TaskGraph { mt, nt, b, tasks, succ_off, succ, in_degree })
+        Ok(Self::from_ordered(mt, nt, b, Trans::Trans, tasks))
+    }
+
+    /// The DAG that applies op(Q) of the factorization `elims` describes
+    /// (on an `mt × nt`-tile matrix) to an `mt × ntc`-tile matrix C: the
+    /// update tasks the factorization of `[A | C]` would run on C's
+    /// columns — Qᵀ·C is exactly what factoring A does to columns right of
+    /// it. The graph is over the `mt × (nt + ntc)` shape: columns `< nt`
+    /// are the factored tiles, read-only here, and columns `≥ nt` are C.
+    /// For `NoTrans` (Q·C, "applying the reverse trees", §V-A) the task
+    /// list is reversed, which reverses each C tile's kernel sequence; the
+    /// kernels get `trans` from [`TaskGraph::trans`].
+    pub fn apply_q(
+        mt: usize,
+        nt: usize,
+        ntc: usize,
+        b: usize,
+        elims: &[ElimOp],
+        trans: Trans,
+    ) -> Result<Self, GraphError> {
+        let ncols = nt.saturating_add(ntc);
+        check_shape(mt, ncols, b)?;
+        let kmax = mt.min(nt);
+        if let Some((index, e)) = elims.iter().enumerate().find(|(_, e)| e.k as usize >= kmax) {
+            return Err(GraphError::PanelOutOfRange { index, panel: e.k, kmax });
+        }
+        let mut tasks: Vec<Task> = generate_tasks(mt, ncols, elims)?
+            .into_iter()
+            .filter(|t| t.j as usize >= nt && (t.k as usize) < kmax)
+            .collect();
+        if trans == Trans::NoTrans {
+            tasks.reverse();
+        }
+        Ok(Self::from_ordered(mt, ncols, b, trans, tasks))
     }
 
     /// Rebuild a DAG from its task list — what a peer that was sent
@@ -78,15 +105,7 @@ impl TaskGraph {
         b: usize,
         tasks: Vec<Task>,
     ) -> Result<Self, GraphError> {
-        if mt == 0 || nt == 0 {
-            return Err(GraphError::EmptyMatrix);
-        }
-        if b == 0 {
-            return Err(GraphError::ZeroTileSize);
-        }
-        if mt >= u16::MAX as usize || nt >= u16::MAX as usize {
-            return Err(GraphError::TileCountOverflow { mt, nt });
-        }
+        check_shape(mt, nt, b)?;
         let kmax = mt.min(nt);
         for (index, t) in tasks.iter().enumerate() {
             if t.k as usize >= kmax {
@@ -109,8 +128,13 @@ impl TaskGraph {
                 return Err(GraphError::MalformedTask { index, kernel: t.kind });
             }
         }
+        Ok(Self::from_ordered(mt, nt, b, Trans::Trans, tasks))
+    }
+
+    /// The DAG of `tasks` in the order given, with last-writer edges.
+    fn from_ordered(mt: usize, nt: usize, b: usize, trans: Trans, tasks: Vec<Task>) -> Self {
         let (succ_off, succ, in_degree) = build_edges(mt, nt, &tasks);
-        Ok(TaskGraph { mt, nt, b, tasks, succ_off, succ, in_degree })
+        TaskGraph { mt, nt, b, trans, tasks, succ_off, succ, in_degree }
     }
 
     /// Number of tile rows.
@@ -126,6 +150,12 @@ impl TaskGraph {
     /// Tile size the DAG was built for.
     pub fn b(&self) -> usize {
         self.b
+    }
+
+    /// Direction the kernels apply reflectors in: `Trans` except for a
+    /// Q·C graph from [`TaskGraph::apply_q`].
+    pub fn trans(&self) -> Trans {
+        self.trans
     }
 
     /// All tasks, in a valid topological (program) order.
@@ -157,6 +187,21 @@ impl TaskGraph {
     pub fn total_flops(&self) -> f64 {
         self.tasks.iter().map(|t| t.kind.flops(self.b)).sum()
     }
+}
+
+/// The shape every graph constructor accepts: a non-empty matrix of
+/// non-empty tiles whose tile indices fit a [`Task`]'s `u16` fields.
+fn check_shape(mt: usize, nt: usize, b: usize) -> Result<(), GraphError> {
+    if mt == 0 || nt == 0 {
+        return Err(GraphError::EmptyMatrix);
+    }
+    if b == 0 {
+        return Err(GraphError::ZeroTileSize);
+    }
+    if mt >= u16::MAX as usize || nt >= u16::MAX as usize {
+        return Err(GraphError::TileCountOverflow { mt, nt });
+    }
+    Ok(())
 }
 
 /// Expand an elimination list into the full kernel-task list of
@@ -306,6 +351,7 @@ fn build_edges(mt: usize, nt: usize, tasks: &[Task]) -> (Vec<u32>, Vec<u32>, Vec
 mod tests {
     use super::*;
     use hqr_kernels::KernelKind;
+    use hqr_tile::TiledMatrix;
 
     /// Flat-tree elimination list for an `mt × nt` matrix (the [BBD+10]
     /// sequence: in every panel, the diagonal row kills all rows below with
@@ -529,6 +575,77 @@ mod tests {
         let expected_weight = 6.0 * (mt * nt * nt) as f64 - 2.0 * (nt * nt * nt) as f64;
         let expected = expected_weight * 27.0 / 3.0;
         assert!((g.total_flops() - expected).abs() < 1e-9, "{} vs {expected}", g.total_flops());
+    }
+
+    /// `graph` run serially on a fresh random `mt × nt` matrix: the factored
+    /// tiles and their factors.
+    fn factored(graph: &TaskGraph, seed: u64) -> (TiledMatrix, crate::TFactors) {
+        let mut a = TiledMatrix::random(graph.mt(), graph.nt(), graph.b(), seed);
+        let f = crate::execute_serial(graph, &mut a);
+        (a, f)
+    }
+
+    fn apply(a: &TiledMatrix, f: &crate::TFactors, ops: &[ElimOp], c: &mut TiledMatrix, t: Trans) {
+        let opts = crate::ExecOptions::with_threads(3);
+        crate::try_apply_q(a, f, ops, c, t, &opts).unwrap();
+    }
+
+    #[test]
+    fn apply_q_graph_is_topological_and_complete() {
+        let (mt, nt, ntc) = (6usize, 3usize, 2usize);
+        let ops = flat_elims(mt, nt);
+        for trans in [Trans::Trans, Trans::NoTrans] {
+            let g = TaskGraph::apply_q(mt, nt, ntc, 2, &ops, trans).unwrap();
+            assert_eq!((g.nt(), g.trans()), (nt + ntc, trans));
+            // One task per (GEQRT row, column of C) + (kill, column of C).
+            assert_eq!(g.tasks().len(), nt * ntc + ops.len() * ntc);
+            assert!(g.tasks().iter().all(|t| t.j as usize >= nt));
+            for t in 0..g.tasks().len() {
+                for &s in g.successors(t) {
+                    assert!((s as usize) > t, "edge {t}->{s} backwards");
+                }
+            }
+        }
+        // A kill in a panel the factored matrix does not have.
+        let beyond = [ElimOp::new(nt as u32, nt as u32 + 1, nt as u32, true)];
+        assert!(matches!(
+            TaskGraph::apply_q(mt, nt, ntc, 2, &beyond, Trans::Trans).unwrap_err(),
+            GraphError::PanelOutOfRange { index: 0, .. }
+        ));
+    }
+
+    #[test]
+    fn apply_q_roundtrips() {
+        let (mt, nt, b) = (6usize, 2usize, 4usize);
+        let ops = flat_elims(mt, nt);
+        let (a, f) = factored(&TaskGraph::build(mt, nt, b, &ops), 73);
+        let c0 = TiledMatrix::random(mt, 1, b, 74);
+        let mut c = c0.clone();
+        apply(&a, &f, &ops, &mut c, Trans::Trans);
+        apply(&a, &f, &ops, &mut c, Trans::NoTrans);
+        let diff = c.to_dense().sub(&c0.to_dense()).frob_norm();
+        assert!(diff < 1e-11, "Q Qᵀ C != C: {diff}");
+    }
+
+    #[test]
+    fn apply_q_columns_are_independent() {
+        // Applying to a 2-column C equals applying to each column alone.
+        let (mt, nt, b) = (5usize, 2usize, 3usize);
+        let ops = flat_elims(mt, nt);
+        let (a, f) = factored(&TaskGraph::build(mt, nt, b, &ops), 75);
+        let c0 = TiledMatrix::random(mt, 2, b, 76);
+        let mut whole = c0.clone();
+        apply(&a, &f, &ops, &mut whole, Trans::Trans);
+        for col in 0..2 {
+            let mut single = TiledMatrix::zeros(mt, 1, b);
+            for i in 0..mt {
+                single.tile_mut(i, 0).copy_from_slice(c0.tile(i, col));
+            }
+            apply(&a, &f, &ops, &mut single, Trans::Trans);
+            for i in 0..mt {
+                assert_eq!(single.tile(i, 0), whole.tile(i, col), "column {col}, row {i}");
+            }
+        }
     }
 
     #[test]

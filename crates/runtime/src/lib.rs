@@ -14,6 +14,10 @@
 //! * the `hqr-sim` crate — a discrete-event cluster simulator that replays
 //!   the DAG on a modeled distributed machine.
 //!
+//! Applying op(Q) of a finished factorization is the same engine on another
+//! graph: [`exec::try_apply_q`] runs [`TaskGraph::apply_q`], the update
+//! tasks factoring `[A | C]` would run on C's columns.
+//!
 //! Execution is fault-tolerant on request: [`exec::try_execute_with`]
 //! reports failures as typed [`ExecError`]s, and its [`ExecOptions`] add
 //! bounded per-task retry with write-set rollback, a deterministic seeded
@@ -25,7 +29,6 @@
 //! rollback/recompute path (see `DESIGN.md`, "Data integrity").
 
 pub mod analysis;
-pub mod apply_graph;
 pub mod checkpoint;
 pub mod elim;
 pub mod error;
@@ -44,7 +47,6 @@ pub mod store;
 pub mod task;
 pub mod trace;
 
-pub use apply_graph::{apply_q_parallel, ApplyGraph, ApplyTask};
 pub use checkpoint::{
     graph_fingerprint, read_checkpoint, resume_from_checkpoint, try_execute_checkpointed,
     write_checkpoint, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointRun, CheckpointSpec,
@@ -53,8 +55,8 @@ pub use checkpoint::{
 pub use elim::ElimOp;
 pub use error::{ExecError, GraphError, StallCause, StallReport};
 pub use exec::{
-    execute_serial, execute_serial_ib, try_execute_parallel, try_execute_traced, try_execute_with,
-    ExecInstant, ExecTrace, InstantKind, TFactors, TaskRecord, WorkerCounters,
+    execute_serial, execute_serial_ib, try_apply_q, try_execute_parallel, try_execute_traced,
+    try_execute_with, ExecInstant, ExecTrace, InstantKind, TFactors, TaskRecord, WorkerCounters,
 };
 pub use fault::{ExecOptions, FaultPlan, FaultStats, SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 pub use graph::TaskGraph;

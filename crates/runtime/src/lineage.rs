@@ -118,30 +118,18 @@ pub fn recompute_slots(
             prev = tid as i64;
             // SAFETY: single-threaded, ascending (topological) order over an
             // ancestor-closed set — the exclusive-writer discipline holds.
-            unsafe { store.run_task(&graph.tasks()[tid as usize]) };
+            unsafe { store.run_task(&graph.tasks()[tid as usize], graph.trans()) };
         }
     }
     let mut out = HashMap::with_capacity(wanted.len());
     for &(fam, i, j) in wanted {
-        let bytes: Box<[f64]> = match fam {
-            SlotFamily::A => a.tile(i, j).to_vec().into_boxed_slice(),
-            SlotFamily::Vg => f
-                .vg(i, j)
-                .ok_or_else(|| format!("wanted Vg({i},{j}) has no writer in the closure"))?
-                .to_vec()
-                .into_boxed_slice(),
-            SlotFamily::Tg => f
-                .tg(i, j)
-                .ok_or_else(|| format!("wanted Tg({i},{j}) has no writer in the closure"))?
-                .to_vec()
-                .into_boxed_slice(),
-            SlotFamily::Tk => f
-                .tk(i, j)
-                .ok_or_else(|| format!("wanted Tk({i},{j}) has no writer in the closure"))?
-                .to_vec()
-                .into_boxed_slice(),
+        let bytes = match fam {
+            SlotFamily::A => a.tile(i, j),
+            _ => f.slot(fam, i, j).ok_or_else(|| {
+                format!("wanted {}({i},{j}) has no writer in the closure", fam.name())
+            })?,
         };
-        out.insert((fam, i, j), bytes);
+        out.insert((fam, i, j), bytes.into());
     }
     Ok(out)
 }
@@ -254,7 +242,7 @@ mod tests {
         {
             let store = TileStore::new(&mut a, &mut f);
             for t in 0..cut {
-                unsafe { store.run_task(&g.tasks()[t]) };
+                unsafe { store.run_task(&g.tasks()[t], g.trans()) };
             }
         }
         let writers = last_writers(&g, &completed);

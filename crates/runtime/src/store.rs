@@ -106,6 +106,12 @@ fn ptrs(v: &mut [Option<Box<[f64]>>]) -> Vec<*mut f64> {
     v.iter_mut().map(|o| o.as_mut().map_or(std::ptr::null_mut(), |b| b.as_mut_ptr())).collect()
 }
 
+/// [`ptrs`] of buffers the run only reads: derived from a shared borrow,
+/// so nothing may ever be written through them.
+fn read_only_ptrs(v: &[Option<Box<[f64]>>]) -> Vec<*mut f64> {
+    v.iter().map(|o| o.as_ref().map_or(std::ptr::null_mut(), |b| b.as_ptr().cast_mut())).collect()
+}
+
 /// Bytes a run of `graph` with inner block size `ib` keeps resident when
 /// nothing pages: the matrix tiles plus the factor buffers its tasks write
 /// (guards are negligible next to either).
@@ -135,6 +141,31 @@ impl TileStore {
             vg: ptrs(&mut f.vg),
             tg: ptrs(&mut f.tg),
             tk: ptrs(&mut f.tk),
+            paged: None,
+        }
+    }
+
+    /// A store over `[factored | c]` for a [`TaskGraph::apply_q`] graph:
+    /// A-table columns `< nt` are the factored tiles and the factor tables
+    /// are `f`'s, which that graph's tasks only read — so both are borrowed,
+    /// not copied — and columns `≥ nt` are `c`'s tiles. Only a graph whose
+    /// tasks write nothing but `A` slots in columns `≥ nt` may run on it:
+    /// every other pointer comes from a shared borrow.
+    pub(crate) fn for_apply(factored: &TiledMatrix, f: &TFactors, c: &mut TiledMatrix) -> Self {
+        Self::check_shapes(factored, f);
+        assert_eq!((c.mt(), c.b()), (factored.mt(), factored.b()), "C/factored shape mismatch");
+        let mt = factored.mt();
+        let tile_ptr = |k: usize| factored.tile(k % mt, k / mt).as_ptr().cast_mut();
+        let mut a: Vec<*mut f64> = (0..mt * factored.nt()).map(tile_ptr).collect();
+        a.extend(c.tile_ptrs());
+        TileStore {
+            b: f.b,
+            ib: f.ib,
+            mt,
+            a,
+            vg: read_only_ptrs(&f.vg),
+            tg: read_only_ptrs(&f.tg),
+            tk: read_only_ptrs(&f.tk),
             paged: None,
         }
     }
@@ -273,7 +304,11 @@ impl TileStore {
     /// Same contract as [`TileStore::run_task`]: no concurrent writer of
     /// the slot, which DAG ordering of the calling task provides.
     pub(crate) unsafe fn slot_data(&self, s: Slot) -> &[f64] {
-        self.slice(s)
+        let ptr = self.slot_ptr(s);
+        debug_assert!(!ptr.is_null(), "kernel read an unallocated buffer");
+        // SAFETY: as in `slice`, minus exclusivity: a shared view, because a
+        // read-only slot's pointer may come from a shared borrow.
+        std::slice::from_raw_parts(ptr, s.0.slot_len(self.b, self.ib))
     }
 
     /// Apply a planned silent-data-corruption strike to one element of
@@ -330,19 +365,20 @@ impl TileStore {
 
     /// Execute one kernel task against the store: gather the task's
     /// operands in [`Task::reads`] / [`Task::writes`] order and hand them to
-    /// the one kernel dispatcher, [`hqr_kernels::run_kernel`].
+    /// the one kernel dispatcher, [`hqr_kernels::run_kernel`], applying
+    /// reflectors in direction `trans` (its graph's [`TaskGraph::trans`]).
     ///
     /// # Safety
     /// The caller must guarantee that no other thread concurrently executes
     /// a task whose read/write set overlaps this task's write set — which is
     /// exactly what executing tasks in DAG order provides.
-    pub unsafe fn run_task(&self, t: &Task) {
+    pub unsafe fn run_task(&self, t: &Task, trans: Trans) {
         // SAFETY: the caller's contract rules out concurrent writers of any
         // slot gathered here, and a task's read and write slots are pairwise
         // distinct, so the views never alias each other either.
         let reads: Vec<&[f64]> = t.reads().into_iter().map(|s| self.slot_data(s)).collect();
         let mut writes: Vec<&mut [f64]> = t.writes().into_iter().map(|s| self.slice(s)).collect();
-        run_kernel(t.kind, self.b, self.ib, Trans::Trans, &reads, &mut writes);
+        run_kernel(t.kind, self.b, self.ib, trans, &reads, &mut writes);
     }
 }
 
@@ -366,14 +402,14 @@ mod tests {
             unsafe {
                 let snap = store.snapshot(t);
                 assert_eq!(snap.tiles(), t.writes().len());
-                store.run_task(t);
+                store.run_task(t, Trans::Trans);
                 store.rollback(&snap);
                 // Rolling back before "completion" must restore the exact
                 // pre-task bytes, so re-running is idempotent.
                 let again = store.snapshot(t);
-                store.run_task(t);
+                store.run_task(t, Trans::Trans);
                 store.rollback(&again);
-                store.run_task(t);
+                store.run_task(t, Trans::Trans);
             }
         }
         drop(store);

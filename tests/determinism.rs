@@ -83,12 +83,12 @@ fn least_squares_solve_is_bitwise_reproducible() {
 
 mod golden {
     use hqr::prelude::*;
-    use hqr_kernels::{simd_arm, t_len, KernelKind, SimdArm};
+    use hqr_kernels::{simd_arm, t_len, KernelKind, SimdArm, Trans};
     use hqr_net::{factorize, shutdown_workers, spawn_local, DistConfig, WorkerOptions};
     use hqr_runtime::{
-        execute_serial_ib, resume_from_checkpoint, try_execute_checkpointed, try_execute_with,
-        CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, JobPool, JobSpec, JobState,
-        PoolConfig, TFactors, TaskGraph,
+        execute_serial_ib, resume_from_checkpoint, try_apply_q, try_execute_checkpointed,
+        try_execute_with, CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, FaultPlan,
+        IntegrityMode, JobPool, JobSpec, JobState, PoolConfig, SchedPolicy, TFactors, TaskGraph,
     };
 
     const MT: usize = 6;
@@ -108,6 +108,39 @@ mod golden {
         }
     }
 
+    /// Digest of Qᵀ·C (`Trans`) and Q·C (`NoTrans`) for an `MT × 3`-tile C,
+    /// recorded from the serial apply loop before apply-Q ran on the
+    /// engine, indexed by `(arm, ib, trans)`.
+    fn expected_apply(arm: SimdArm, ib: usize, trans: Trans) -> u64 {
+        match (arm, ib, trans) {
+            (SimdArm::Avx2, 16, Trans::Trans) => 0x23dc_80b4_965e_8727,
+            (SimdArm::Avx2, 16, Trans::NoTrans) => 0x3d21_9c6d_6bd0_85d2,
+            (SimdArm::Avx2, 4, Trans::Trans) => 0x55a7_4aaa_cb91_3135,
+            (SimdArm::Avx2, 4, Trans::NoTrans) => 0x750a_efca_240e_9460,
+            (SimdArm::Scalar, 16, Trans::Trans) => 0x2ff5_5bed_6d8f_a4ae,
+            (SimdArm::Scalar, 16, Trans::NoTrans) => 0x9e20_158f_7c9e_e1bd,
+            (SimdArm::Scalar, 4, Trans::Trans) => 0xade3_25ae_0139_e7eb,
+            (SimdArm::Scalar, 4, Trans::NoTrans) => 0x94dd_1344_c82f_e215,
+            _ => unreachable!("no golden apply-Q digest for {arm:?}, ib = {ib}, {trans:?}"),
+        }
+    }
+
+    /// FNV-1a over the bit patterns of `buf`, continuing from `h`.
+    fn fnv1a(mut h: u64, buf: &[f64]) -> u64 {
+        for x in buf {
+            for byte in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// FNV-1a over every tile of `c`, in column-major tile order.
+    fn digest_tiles(c: &TiledMatrix) -> u64 {
+        let tiles = (0..c.nt()).flat_map(|j| (0..c.mt()).map(move |i| (i, j)));
+        tiles.fold(0xcbf2_9ce4_8422_2325, |h, (i, j)| fnv1a(h, c.tile(i, j)))
+    }
+
     fn elims() -> Vec<ElimOp> {
         HqrConfig::new(2, 1).with_a(2).with_domino(true).elimination_list(MT, NT).to_ops()
     }
@@ -118,19 +151,8 @@ mod golden {
     /// `b x b` tile it used to be stored as, so the constants predate the
     /// packed layout.
     fn digest(a: &TiledMatrix, f: &TFactors) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |buf: &[f64]| {
-            for x in buf {
-                for byte in x.to_bits().to_le_bytes() {
-                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        };
-        for j in 0..NT {
-            for i in 0..MT {
-                eat(a.tile(i, j));
-            }
-        }
+        let mut h = digest_tiles(a);
+        let mut eat = |buf: &[f64]| h = fnv1a(h, buf);
         let ib = f.ib();
         let padded = |t: &[f64]| -> Vec<f64> {
             assert_eq!(t.len(), t_len(B, ib), "a T factor is t_len(b, ib) long");
@@ -221,6 +243,77 @@ mod golden {
         }
         let (a, f, _) = result.expect("distributed factorization");
         assert_eq!(digest(&a, &f), want, "2-worker fleet, ib = {ib}");
+    }
+
+    /// Qᵀ·C and Q·C through `QrFactorization::apply_q`, through the engine
+    /// at 1, 2 and 4 threads (one scheduling policy each), and under a
+    /// seeded fault plan with retries (panics and corruptions, full
+    /// integrity checking).
+    fn check_apply_q(ib: usize) {
+        let list = HqrConfig::new(2, 1).with_a(2).with_domino(true).elimination_list(MT, NT);
+        let (elims, ntc) = (elims(), 3);
+        let mut a = TiledMatrix::random(MT, NT, B, SEED);
+        let f = execute_serial_ib(&TaskGraph::build(MT, NT, B, &elims), &mut a, ib);
+        let fac = qr_factorize_ib(
+            &mut TiledMatrix::random(MT, NT, B, SEED),
+            &list,
+            Execution::Serial,
+            ib,
+        );
+        let c0 = TiledMatrix::random(MT, ntc, B, SEED + 1);
+        for trans in [Trans::Trans, Trans::NoTrans] {
+            let want = expected_apply(simd_arm(), ib, trans);
+            let mut c = c0.clone();
+            fac.apply_q(&mut c, trans);
+            assert_eq!(
+                digest_tiles(&c),
+                want,
+                "apply_q, ib = {ib}, {trans:?}: {:#018x}",
+                digest_tiles(&c)
+            );
+            let runs = [
+                (1, SchedPolicy::Fifo),
+                (2, SchedPolicy::PanelFirst),
+                (4, SchedPolicy::CriticalPath),
+            ];
+            for (nthreads, policy) in runs {
+                let mut c = c0.clone();
+                let opts = ExecOptions { nthreads, policy, ..Default::default() };
+                try_apply_q(&a, &f, &elims, &mut c, trans, &opts).unwrap();
+                assert_eq!(
+                    digest_tiles(&c),
+                    want,
+                    "{nthreads} threads, {policy}, ib = {ib}, {trans:?}"
+                );
+            }
+            let n = TaskGraph::apply_q(MT, NT, ntc, B, &elims, trans).unwrap().tasks().len();
+            let plan = FaultPlan::new(SEED)
+                .fail_random_tasks(n, 4, 1)
+                .corrupt_random_tasks_seeded(SEED, n, 2);
+            let faulty = ExecOptions {
+                nthreads: 2,
+                max_retries: 2,
+                plan: Some(plan),
+                integrity: IntegrityMode::Full,
+                ..Default::default()
+            };
+            let mut c = c0.clone();
+            let stats = try_apply_q(&a, &f, &elims, &mut c, trans, &faulty).unwrap();
+            assert!(stats.panics_caught >= 4 && stats.sdc_recomputed >= 1, "{stats:?}");
+            assert_eq!(digest_tiles(&c), want, "fault plan, ib = {ib}, {trans:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn golden_apply_q_plain_kernels() {
+        check_apply_q(B);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn golden_apply_q_inner_blocked_kernels() {
+        check_apply_q(4);
     }
 
     #[test]
