@@ -4,15 +4,14 @@
 
 use crate::args::{Args, CliError};
 use crate::problem::{
-    bitwise_vs_serial, coarse_schedule, describe, graph_of, policy_of, sim_platform, threads_of,
-    Defaults, Engine, Problem, Shape, SimFaults,
+    bitwise_vs_serial, coarse_schedule, describe, graph_of, policy_of, sim_platform, Defaults,
+    Engine, Problem, Shape, SimFaults,
 };
 use hqr::baselines;
 use hqr::prelude::*;
 use hqr_runtime::trace::{chrome_trace_from_exec, realized_critical_path, RealizedPath};
 use hqr_runtime::{
-    analysis, resume_from_checkpoint, try_execute_checkpointed, try_execute_traced,
-    try_execute_with, CheckpointPolicy, CheckpointSpec, ExecOptions, IntegrityMode, SchedPolicy,
+    analysis, try_execute_traced, try_execute_with, ExecOptions, IntegrityMode, SchedPolicy,
     TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
@@ -46,17 +45,6 @@ USAGE:
       with --sdc-rate, also strike random tasks with silent single-bit flips
       and report detected/recomputed/escaped counts under the chosen
       --integrity mode
-  hqr checkpoint [--rows R --cols C --tile B --grid PxQ --a A --low TREE
-                --high TREE --domino --ib IB --threads T --seed S
-                --ckpt FILE --every-panels K --min-interval-ms MS
-                --stop-after-panel P --fail K --retries N --out FILE.trace.json]
-      factor with durable checkpoints at quiescent panel boundaries;
-      --stop-after-panel simulates a mid-run kill right after that panel's
-      checkpoint (resume later with `hqr resume`)
-  hqr resume   [--ckpt FILE --threads T --verify --out FILE.trace.json]
-      reload a checkpoint, rebuild the task graph from the stored
-      elimination list, and finish the factorization; --verify re-runs the
-      whole factorization serially and checks the factors are bitwise equal
   hqr trace    [--backend exec|sim --out FILE.trace.json
                 --rows R --cols C --tile B --grid PxQ --a A --low TREE
                 --high TREE --domino
@@ -388,93 +376,6 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
         o.resent_messages,
         o.resent_bytes / 1e6
     );
-    Ok(0)
-}
-
-/// `hqr checkpoint`: factor with durable checkpoints at quiescent panel
-/// boundaries; `--stop-after-panel` simulates a mid-run kill.
-pub fn checkpoint(args: &Args) -> Result<i32, CliError> {
-    let p = Problem::from_args(args, Defaults::EXEC)?;
-    let engine = Engine::from_args(args, &p, SchedPolicy::Fifo, 0)?;
-    let every = args.positive_or("every-panels", 1)?;
-    let min_interval = args.millis_or("min-interval-ms", 0)?;
-    let stop_after_panel = args.parsed::<usize>("stop-after-panel", "an integer")?;
-    let path = args.str_or("ckpt", "hqr.ckpt");
-    let out = args.get("out");
-    args.reject_unknown()?;
-    let Shape { b, mt, nt, seed, .. } = p.shape;
-    let (n, panels) = (p.graph.tasks().len(), mt.min(nt));
-    if let Some(stop) = stop_after_panel.filter(|stop| stop + 1 >= panels) {
-        return Err(CliError::usage(format!(
-            "--stop-after-panel {stop} must leave work: graph has {panels} panels"
-        )));
-    }
-    let elims = p.setup.elims.to_ops();
-    let spec = CheckpointSpec {
-        path: std::path::Path::new(&path),
-        elims: &elims,
-        policy: CheckpointPolicy { every_panels: every, min_interval },
-        input_seed: seed,
-        stop_after_panel,
-    };
-    let opts = engine.options(&p.shape, engine.plan(true, false));
-    println!("graph        : {mt} x {nt} tiles of {b} ({n} tasks, {panels} panels)");
-    println!(
-        "checkpoints  : {path} every {every} panel(s), min interval {} ms",
-        min_interval.as_millis()
-    );
-    let run = try_execute_checkpointed(&p.graph, &mut p.input(), &opts, &spec, out.is_some())
-        .map_err(|e| CliError::usage(format!("checkpointed execution failed: {e}")))?;
-    println!(
-        "progress     : {}/{} tasks completed, {} checkpoint(s) written",
-        run.completed_tasks, n, run.checkpoints_written
-    );
-    println!(
-        "status       : {}",
-        if run.interrupted {
-            "interrupted at a quiescent panel boundary — resume with `hqr resume`"
-        } else {
-            "factorization complete"
-        }
-    );
-    if let (Some(_), Some(tr)) = (out, &run.trace) {
-        let json = chrome_trace_from_exec(tr, p.graph.tasks());
-        write_trace(out, "hqr-checkpoint.trace.json", &json)?;
-    }
-    Ok(0)
-}
-
-/// `hqr resume`: reload a checkpoint and finish the factorization.
-pub fn resume(args: &Args) -> Result<i32, CliError> {
-    let path = args.str_or("ckpt", "hqr.ckpt");
-    let opts = ExecOptions::with_threads(threads_of(args)?);
-    let (out, verify) = (args.get("out"), args.flag("verify"));
-    args.reject_unknown()?;
-    let resumed = resume_from_checkpoint(std::path::Path::new(&path), &opts, out.is_some())
-        .map_err(|e| CliError::usage(format!("failed to resume from {path}: {e}")))?;
-    let n = resumed.graph.tasks().len();
-    println!("checkpoint   : {path}");
-    println!(
-        "resumed      : {}/{} tasks were durable; {} remained",
-        resumed.resumed_from,
-        n,
-        n - resumed.resumed_from
-    );
-    println!("status       : factorization complete");
-    if let (Some(_), Some(tr)) = (out, &resumed.trace) {
-        let json = chrome_trace_from_exec(tr, resumed.graph.tasks());
-        write_trace(out, "hqr-resume.trace.json", &json)?;
-    }
-    if verify {
-        let a = &resumed.a;
-        let input = TiledMatrix::random(a.mt(), a.nt(), a.b(), resumed.input_seed);
-        let ok = bitwise_vs_serial(&resumed.graph, &input, resumed.ib, a, &resumed.factors);
-        println!(
-            "bitwise check: {}",
-            if ok { "identical to an uninterrupted serial run" } else { "MISMATCH" }
-        );
-        return Ok(i32::from(!ok));
-    }
     Ok(0)
 }
 
@@ -1065,110 +966,6 @@ mod tests {
         let _ = std::fs::remove_file(&out);
     }
 
-    #[test]
-    fn checkpoint_then_resume_roundtrip_is_bitwise_verified() {
-        let ckpt = std::env::temp_dir().join("hqr_cli_roundtrip.ckpt");
-        let code = hqr(&[
-            "checkpoint",
-            "--rows",
-            "48",
-            "--cols",
-            "24",
-            "--tile",
-            "8",
-            "--grid",
-            "2x1",
-            "--threads",
-            "2",
-            "--stop-after-panel",
-            "0",
-            "--ckpt",
-            ckpt.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 0);
-        // The `--verify` pass re-runs the whole factorization serially and
-        // exits 1 on any bitwise divergence — 0 means the resumed run is
-        // indistinguishable from an uninterrupted one.
-        let code = hqr(&["resume", "--ckpt", ckpt.to_str().unwrap(), "--threads", "3", "--verify"]);
-        assert_eq!(code, 0);
-        let _ = std::fs::remove_file(&ckpt);
-    }
-
-    #[test]
-    fn checkpoint_and_resume_traces_carry_instants() {
-        let ckpt = std::env::temp_dir().join("hqr_cli_traced.ckpt");
-        let out1 = std::env::temp_dir().join("hqr_cli_ckpt.trace.json");
-        let out2 = std::env::temp_dir().join("hqr_cli_resume.trace.json");
-        let code = hqr(&[
-            "checkpoint",
-            "--rows",
-            "48",
-            "--cols",
-            "24",
-            "--tile",
-            "8",
-            "--grid",
-            "2x1",
-            "--threads",
-            "2",
-            "--stop-after-panel",
-            "1",
-            "--ckpt",
-            ckpt.to_str().unwrap(),
-            "--out",
-            out1.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 0);
-        let json = std::fs::read_to_string(&out1).unwrap();
-        hqr_runtime::validate_chrome_trace(&json).expect("schema-valid");
-        assert!(json.contains("checkpoint written"), "checkpoint instants in the trace");
-        let code = hqr(&[
-            "resume",
-            "--ckpt",
-            ckpt.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--out",
-            out2.to_str().unwrap(),
-        ]);
-        assert_eq!(code, 0);
-        let json = std::fs::read_to_string(&out2).unwrap();
-        hqr_runtime::validate_chrome_trace(&json).expect("schema-valid");
-        assert!(json.contains("resumed from checkpoint"), "resume instant in the trace");
-        for p in [&ckpt, &out1, &out2] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn checkpoint_rejects_bad_inputs() {
-        assert_eq!(hqr(&["checkpoint", "--tile", "0"]), 2);
-        assert_eq!(hqr(&["checkpoint", "--rows", "8", "--cols", "16"]), 2);
-        assert_eq!(hqr(&["checkpoint", "--tile", "8", "--ib", "9"]), 2);
-        assert_eq!(hqr(&["checkpoint", "--every-panels", "0"]), 2);
-        // Stopping at or past the last panel leaves nothing to resume.
-        assert_eq!(
-            hqr(&[
-                "checkpoint",
-                "--rows",
-                "48",
-                "--cols",
-                "24",
-                "--tile",
-                "8",
-                "--stop-after-panel",
-                "2"
-            ]),
-            2
-        );
-    }
-
-    #[test]
-    fn resume_rejects_missing_checkpoint() {
-        assert_eq!(hqr(&["resume", "--ckpt", "/no/such/dir/x.ckpt"]), 2);
-        assert_eq!(hqr(&["resume", "--threads", "0"]), 2);
-    }
-
     /// Garbage reaches the caller as exit code 2; nothing in the library
     /// may end the host process (the benchmark runs `run` in-process).
     #[test]
@@ -1178,7 +975,7 @@ mod tests {
         assert_eq!(hqr(&["factor", "--low", "nonsense"]), 2);
         assert_eq!(hqr(&["factor", "--a", "0"]), 2);
         assert_eq!(hqr(&["fault", "--crash-frac", "soon"]), 2);
-        for cmd in ["factor", "fault", "trace", "simulate", "schedule", "dot", "trees", "resume"] {
+        for cmd in ["factor", "fault", "trace", "simulate", "schedule", "dot", "trees"] {
             assert_eq!(hqr(&[cmd, "--no-such-flag", "1"]), 2, "{cmd}");
             assert_eq!(hqr(&[cmd, "stray"]), 2, "{cmd}");
         }
@@ -1195,7 +992,7 @@ mod tests {
     #[test]
     fn run_dispatches() {
         assert_eq!(crate::run(&["trees".to_string()]), 0);
-        assert_eq!(crate::run(&["resume".to_string(), "--ckpt".into(), "/no/such.ckpt".into()]), 2);
+        assert_eq!(crate::run(&["factor".to_string(), "--rows".into(), "0".into()]), 2);
         assert_eq!(crate::run(&["help".to_string()]), 0);
         assert_eq!(crate::run(&["bogus".to_string()]), 2);
         assert_eq!(crate::run(&[]), 0);

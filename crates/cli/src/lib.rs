@@ -25,8 +25,6 @@ pub fn run(argv: &[String]) -> i32 {
         "factor" => commands::factor(args),
         "simulate" => commands::simulate(args),
         "fault" => commands::fault(args),
-        "checkpoint" => commands::checkpoint(args),
-        "resume" => commands::resume(args),
         "trace" => commands::trace(args),
         "schedule" => commands::schedule(args),
         "trees" => commands::trees(args),

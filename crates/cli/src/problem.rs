@@ -102,8 +102,8 @@ pub struct Defaults {
 }
 
 impl Defaults {
-    /// The in-process executor at the size the fault, checkpoint and trace
-    /// demos share.
+    /// The in-process executor at the size the fault and trace demos
+    /// share.
     pub const EXEC: Defaults =
         Defaults { rows: 96, cols: 48, tile: 8, grid: (2, 1), whole_tiles: false };
     /// The cluster simulator at the paper's tile size.

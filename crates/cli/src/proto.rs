@@ -139,7 +139,7 @@ pub enum Request {
     /// Fetch the durable result container of a completed job.
     Result(u64),
     /// Suspend one job: queued jobs park immediately, running jobs are
-    /// checkpointed at their next panel boundary and then park.
+    /// checkpointed at their next quiescent point and then park.
     Suspend(u64),
     /// Resume a job parked by `Suspend`, continuing from its checkpoint.
     ResumeJob(u64),

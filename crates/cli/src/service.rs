@@ -470,7 +470,7 @@ pub fn cancel(args: &Args) -> Result<i32, CliError> {
     job_verb(args, "cancel", Request::Cancel, ("cancelled", "is unknown or already terminal"))
 }
 
-/// `hqr suspend`: checkpoint a job at its next panel boundary and park it.
+/// `hqr suspend`: checkpoint a job at its next quiescent point and park it.
 pub fn suspend(args: &Args) -> Result<i32, CliError> {
     let says = ("will suspend at its next quiescent point", "is unknown or already terminal");
     job_verb(args, "suspend", Request::Suspend, says)

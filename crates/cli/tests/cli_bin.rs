@@ -371,11 +371,15 @@ fn trace_exec_records_sdc_instants() {
     let _ = std::fs::remove_file(&out_path);
 }
 
+/// Includes the retired `checkpoint` and `resume` subcommands: a mid-run
+/// checkpoint is the pool's (`serve`, `suspend`, `resume-job`, `drain`).
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = hqr().arg("frobnicate").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    for cmd in ["frobnicate", "checkpoint", "resume"] {
+        let out = hqr().arg(cmd).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"), "{cmd}");
+    }
 }
 
 /// Every sentinel a CI step or the verify skill greps for on stdout, except
@@ -390,8 +394,6 @@ fn sentinel_strings_ci_greps_for_are_on_stdout() {
         assert!(out.contains(sentinel), "{args:?} lacks `{sentinel}`:\n{out}");
     };
     expect(&[&["fault", "--threads", "2"], &TINY[..]].concat(), "identical to fault-free run");
-    expect(&[&["checkpoint", "--stop-after-panel", "0"], &TINY[..]].concat(), "interrupted");
-    expect(&["resume", "--verify"], "identical to an uninterrupted serial run");
     expect(
         &[&["dist", "--spawn", "2", "--verify"], &TINY[..]].concat(),
         "bitwise-identical to serial",
@@ -418,8 +420,6 @@ fn every_engine_driving_subcommand_runs_on_its_defaults() {
     let mut table: Vec<Vec<&str>> = vec![
         [&["factor"], &TINY[..]].concat(),
         [&["fault"], &TINY[..]].concat(),
-        [&["checkpoint"], &TINY[..]].concat(),
-        vec!["resume"],
         [&["trace"], &TINY[..]].concat(),
         [&["trace", "--backend", "sim"], &sim_tiny[..]].concat(),
         [&["simulate"], &sim_tiny[..]].concat(),
@@ -435,7 +435,7 @@ fn every_engine_driving_subcommand_runs_on_its_defaults() {
     }
     // With no shape at all the documented defaults apply (the simulators'
     // defaults are paper-scale, so they are left to the unit tests).
-    for cmd in ["factor", "fault", "checkpoint", "trace"] {
+    for cmd in ["factor", "fault", "trace"] {
         let (code, _, err) = run_in(&dir, &[cmd]);
         assert_eq!(code, 0, "{cmd}: {err}");
     }

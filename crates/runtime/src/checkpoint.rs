@@ -1,12 +1,13 @@
-//! Durable checkpoint/restart for tiled QR factorizations.
+//! Durable checkpoints of tiled QR factorizations: the file format, and
+//! the check that a decoded checkpoint is a resumable state of a plan.
 //!
-//! The elimination-list DAGs of the paper have a structural property this
-//! module exploits: tasks are emitted panel-major, and every dependency of
-//! a panel-`k` task lives in a panel `≤ k`.  The task prefix belonging to
-//! panels `0..=p` is therefore dependency-closed, and quiescing the
-//! executor at a panel boundary yields a globally consistent state with no
-//! in-flight coordination — exactly the "natural quiescent points" that
-//! make consistent checkpoints cheap for tiled QR.
+//! [`crate::JobPool`] is the one writer and the one resumer. It takes a
+//! checkpoint at a quiescent point of a job's run: the run is halted and
+//! no task is in flight. A task completes only after all of its
+//! predecessors did, so the completed set is then closed under
+//! dependencies: a consistent state with no in-flight coordination to
+//! record. [`Checkpoint::capture`] ties that state to its plan, and a
+//! [`crate::JobSpec::resume`] of it runs the tasks that are left.
 //!
 //! A checkpoint is a single binary file (section container from
 //! [`hqr_tile::io`], `checksum64` trailer, written atomically via a sibling
@@ -14,7 +15,7 @@
 //!
 //! * a header (`mt`, `nt`, `b`, `ib`, task count, completed count, graph
 //!   fingerprint, caller seed),
-//! * the elimination list (so `resume` can rebuild the identical graph),
+//! * the elimination list (so a resume can rebuild the identical graph),
 //! * the completed-task bitmap,
 //! * the tile store, and
 //! * the three `TFactors` buffer families (presence bitmap + packed
@@ -30,7 +31,6 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 use hqr_tile::io::{
     bytes_of_u64s, f64s_from_le, f64s_le, fnv1a64, tiled_from_bytes, tiled_parts, u64s_of_bytes,
@@ -40,11 +40,7 @@ use hqr_tile::TiledMatrix;
 
 use crate::analysis::kind_index;
 use crate::elim::ElimOp;
-use crate::error::ExecError;
-use crate::exec::{
-    factor_slots, run_engine_segment, ExecInstant, ExecTrace, InstantKind, TFactors, WorkerCounters,
-};
-use crate::fault::{ExecOptions, FaultStats};
+use crate::exec::{factor_slots, TFactors};
 use crate::graph::TaskGraph;
 use crate::task::SlotFamily;
 
@@ -78,14 +74,11 @@ pub enum CheckpointError {
     },
     /// The file decoded but its contents are not a consistent runtime
     /// state (bitmap not closed under dependencies, factor buffers that
-    /// don't match the graph's allocation pattern, bad policy, …).
+    /// don't match the graph's allocation pattern, …).
     Inconsistent {
         /// What invariant failed.
         message: String,
     },
-    /// Execution failed after the checkpoint machinery handed control to
-    /// the engine.
-    Exec(ExecError),
 }
 
 impl fmt::Display for CheckpointError {
@@ -100,7 +93,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Inconsistent { message } => {
                 write!(f, "inconsistent checkpoint: {message}")
             }
-            CheckpointError::Exec(e) => write!(f, "execution error during resume: {e}"),
         }
     }
 }
@@ -109,7 +101,6 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Format(e) => Some(e),
-            CheckpointError::Exec(e) => Some(e),
             _ => None,
         }
     }
@@ -118,12 +109,6 @@ impl std::error::Error for CheckpointError {
 impl From<BinFormatError> for CheckpointError {
     fn from(e: BinFormatError) -> Self {
         CheckpointError::Format(e)
-    }
-}
-
-impl From<ExecError> for CheckpointError {
-    fn from(e: ExecError) -> Self {
-        CheckpointError::Exec(e)
     }
 }
 
@@ -159,34 +144,6 @@ pub fn graph_fingerprint(graph: &TaskGraph, ib: usize) -> u64 {
     fnv1a64(&bytes_of_u64s(&words))
 }
 
-/// When the checkpoint driver writes a checkpoint.
-///
-/// Both knobs must hold for a write to happen: the run has crossed
-/// `every_panels` more panel boundaries since the last write, AND at least
-/// `min_interval` wall-clock time has elapsed.  The default (`every
-/// panel`, no minimum interval) checkpoints at every quiescent point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Checkpoint after every `every_panels` completed panels (≥ 1).
-    pub every_panels: usize,
-    /// Skip a due checkpoint if the previous one was written less than
-    /// this long ago (rate limiting for fast panels).
-    pub min_interval: Duration,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy { every_panels: 1, min_interval: Duration::ZERO }
-    }
-}
-
-impl CheckpointPolicy {
-    /// Checkpoint at every `every_panels`-th panel boundary.
-    pub fn every(every_panels: usize) -> Self {
-        CheckpointPolicy { every_panels, ..Default::default() }
-    }
-}
-
 /// A fully decoded checkpoint: everything needed to rebuild the graph and
 /// continue the factorization.
 #[derive(Clone, Debug)]
@@ -201,7 +158,7 @@ pub struct Checkpoint {
     pub ib: usize,
     /// Fingerprint of the graph + `ib` this state belongs to.
     pub fingerprint: u64,
-    /// Caller-supplied metadata word (the CLI stores the input RNG seed).
+    /// Caller-supplied metadata word, stored and read back verbatim.
     pub input_seed: u64,
     /// The elimination list the graph was built from.
     pub elims: Vec<ElimOp>,
@@ -243,20 +200,6 @@ impl Checkpoint {
     /// Number of tasks marked complete.
     pub fn completed_tasks(&self) -> usize {
         self.completed.iter().filter(|&&d| d).count()
-    }
-
-    /// Rebuild the task graph this checkpoint was taken for.
-    pub fn rebuild_graph(&self) -> Result<TaskGraph, CheckpointError> {
-        let graph = TaskGraph::try_build(self.mt, self.nt, self.b, &self.elims)
-            .map_err(|e| inconsistent(format!("stored elimination list is invalid: {e}")))?;
-        if graph.tasks().len() != self.completed.len() {
-            return Err(inconsistent(format!(
-                "stored bitmap covers {} tasks but the elimination list builds {}",
-                self.completed.len(),
-                graph.tasks().len()
-            )));
-        }
-        Ok(graph)
     }
 
     /// Check this checkpoint is a valid mid-run state of `graph` executed
@@ -571,259 +514,4 @@ fn decode_checkpoint(r: SectionReader) -> Result<Checkpoint, CheckpointError> {
     }
 
     Ok(Checkpoint { mt, nt, b, ib, fingerprint, input_seed, elims, completed, a, factors })
-}
-
-/// What [`try_execute_checkpointed`] returns.
-#[derive(Debug)]
-pub struct CheckpointRun {
-    /// Factors accumulated so far (complete iff `!interrupted`).
-    pub factors: TFactors,
-    /// Fault-recovery accounting across all executed segments.
-    pub stats: FaultStats,
-    /// Stitched execution trace (if tracing was requested), covering every
-    /// segment plus `Checkpoint` instants at each write.
-    pub trace: Option<ExecTrace>,
-    /// Checkpoints written to disk.
-    pub checkpoints_written: usize,
-    /// Tasks completed before returning.
-    pub completed_tasks: usize,
-    /// True when the run stopped early at `stop_after_panel` (simulated
-    /// kill) with work remaining.
-    pub interrupted: bool,
-}
-
-/// Checkpoint placement and (for tests/CLI) a simulated mid-run kill.
-#[derive(Clone, Debug)]
-pub struct CheckpointSpec<'a> {
-    /// Where to write checkpoints (overwritten in place, atomically).
-    pub path: &'a Path,
-    /// The elimination list `graph` was built from (stored in the file so
-    /// `resume` can rebuild the graph without the caller).
-    pub elims: &'a [ElimOp],
-    /// When to checkpoint.
-    pub policy: CheckpointPolicy,
-    /// Caller metadata stored verbatim (the CLI stores the input seed).
-    pub input_seed: u64,
-    /// Stop after this panel completes — quiesce, force a final
-    /// checkpoint, and return with `interrupted = true`.  Simulates a
-    /// kill at a quiescent point.
-    pub stop_after_panel: Option<usize>,
-}
-
-/// Index after the last task of each panel, in panel order.
-fn panel_boundaries(graph: &TaskGraph) -> Vec<usize> {
-    let tasks = graph.tasks();
-    let mut out = Vec::new();
-    for (i, t) in tasks.iter().enumerate() {
-        if i + 1 == tasks.len() || tasks[i + 1].k != t.k {
-            out.push(i + 1);
-        }
-    }
-    out
-}
-
-/// Run the factorization with periodic durable checkpoints.
-///
-/// Execution proceeds in segments between quiescent panel boundaries
-/// chosen by the policy; at each chosen boundary the engine quiesces
-/// (worker threads join) and the full runtime state is written to
-/// `spec.path`.  With `stop_after_panel` set the driver abandons the run
-/// after that panel's checkpoint, simulating a killed process whose last
-/// checkpoint survived — [`resume_from_checkpoint`] then finishes the
-/// factorization to bitwise-identical factors.
-pub fn try_execute_checkpointed(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    opts: &ExecOptions,
-    spec: &CheckpointSpec<'_>,
-    trace: bool,
-) -> Result<CheckpointRun, CheckpointError> {
-    if spec.policy.every_panels == 0 {
-        return Err(inconsistent("CheckpointPolicy.every_panels must be >= 1"));
-    }
-    let check = TaskGraph::try_build(graph.mt(), graph.nt(), graph.b(), spec.elims)
-        .map_err(|e| inconsistent(format!("spec.elims does not build a graph: {e}")))?;
-    if check.tasks() != graph.tasks() {
-        return Err(inconsistent("spec.elims does not generate the supplied graph"));
-    }
-    let n = graph.tasks().len();
-    let boundaries = panel_boundaries(graph);
-    if let Some(p) = spec.stop_after_panel {
-        if p >= boundaries.len() {
-            return Err(inconsistent(format!(
-                "stop_after_panel {p} out of range: graph has {} panels",
-                boundaries.len()
-            )));
-        }
-    }
-    let ib = opts.ib.unwrap_or(graph.b());
-
-    let nthreads = opts.nthreads.max(1);
-    let mut completed = vec![false; n];
-    let mut factors = TFactors::allocate_for(graph, ib);
-    let mut stats = FaultStats::default();
-    let mut stitched = trace.then(|| ExecTrace {
-        nthreads,
-        policy: opts.policy,
-        records: Vec::new(),
-        instants: Vec::new(),
-        counters: vec![WorkerCounters::default(); nthreads],
-        wall: 0.0,
-        spill: None,
-    });
-    let epoch = Instant::now();
-    let mut written = 0usize;
-    let mut last_write: Option<Instant> = None;
-    let mut cursor = 0usize;
-
-    for (panel, &end) in boundaries.iter().enumerate() {
-        let stop_here = spec.stop_after_panel == Some(panel);
-        let last = panel + 1 == boundaries.len();
-        let ckpt_here = (panel + 1) % spec.policy.every_panels == 0;
-        if !(stop_here || last || ckpt_here) {
-            continue; // keep the engine running through this boundary
-        }
-        if end > cursor {
-            let offset = epoch.elapsed().as_secs_f64();
-            let (seg_stats, seg_trace) =
-                run_engine_segment(graph, a, &mut factors, opts, trace, Some(&completed), end)?;
-            stats.merge(&seg_stats);
-            for slot in completed[cursor..end].iter_mut() {
-                *slot = true;
-            }
-            cursor = end;
-            if let (Some(acc), Some(seg)) = (stitched.as_mut(), seg_trace) {
-                for mut r in seg.records {
-                    r.start += offset;
-                    r.kernel_start += offset;
-                    r.end += offset;
-                    acc.records.push(r);
-                }
-                for mut i in seg.instants {
-                    i.time += offset;
-                    acc.instants.push(i);
-                }
-                for (total, c) in acc.counters.iter_mut().zip(&seg.counters) {
-                    total.merge(c);
-                }
-                // Each segment pages and unpages independently; the
-                // stitched trace accumulates their spill traffic.
-                if let Some(seg_spill) = seg.spill {
-                    acc.spill.get_or_insert_with(Default::default).merge(&seg_spill);
-                }
-            }
-        }
-        // A due policy checkpoint, or the forced pre-kill checkpoint.  A
-        // run that completes naturally skips the final (fully-done)
-        // checkpoint — there is nothing left to resume.
-        let due = ckpt_here
-            && !last
-            && last_write.is_none_or(|t| t.elapsed() >= spec.policy.min_interval);
-        if due || stop_here {
-            let ckpt = Checkpoint {
-                input_seed: spec.input_seed,
-                ..Checkpoint::capture(
-                    graph,
-                    spec.elims.to_vec(),
-                    completed.clone(),
-                    a.clone(),
-                    factors.clone(),
-                )
-            };
-            write_checkpoint(spec.path, &ckpt)?;
-            written += 1;
-            last_write = Some(Instant::now());
-            if let Some(acc) = stitched.as_mut() {
-                acc.instants.push(ExecInstant {
-                    kind: InstantKind::Checkpoint,
-                    task: cursor as u32,
-                    worker: 0,
-                    time: epoch.elapsed().as_secs_f64(),
-                });
-            }
-        }
-        if stop_here {
-            break;
-        }
-    }
-
-    if let Some(acc) = stitched.as_mut() {
-        acc.records.sort_by(|x, y| x.start.total_cmp(&y.start));
-        acc.instants.sort_by(|x, y| x.time.total_cmp(&y.time));
-        acc.wall = epoch.elapsed().as_secs_f64();
-    }
-    Ok(CheckpointRun {
-        factors,
-        stats,
-        trace: stitched,
-        checkpoints_written: written,
-        completed_tasks: cursor,
-        interrupted: cursor < n,
-    })
-}
-
-/// What [`resume_from_checkpoint`] returns.
-#[derive(Debug)]
-pub struct ResumedRun {
-    /// The graph rebuilt from the stored elimination list.
-    pub graph: TaskGraph,
-    /// The tile store after the factorization finished.
-    pub a: TiledMatrix,
-    /// The completed factors.
-    pub factors: TFactors,
-    /// Fault-recovery accounting for the resumed segment.
-    pub stats: FaultStats,
-    /// Execution trace of the resumed segment (if requested), opening
-    /// with a `Resume` instant.
-    pub trace: Option<ExecTrace>,
-    /// Tasks that were already complete in the checkpoint.
-    pub resumed_from: usize,
-    /// Caller metadata stored at checkpoint time.
-    pub input_seed: u64,
-    /// The inner block size the checkpointed factors were computed with.
-    pub ib: usize,
-}
-
-/// Load a checkpoint and run the remaining tasks to completion.
-///
-/// The graph is rebuilt from the stored elimination list and the
-/// checkpoint is checked against it ([`Checkpoint::validate_against`])
-/// before any kernel runs.  `opts.ib`, if set, must
-/// match the checkpointed inner block size (factors computed with one `ib`
-/// cannot be extended with another).
-pub fn resume_from_checkpoint(
-    path: &Path,
-    opts: &ExecOptions,
-    trace: bool,
-) -> Result<ResumedRun, CheckpointError> {
-    let ckpt = read_checkpoint(path)?;
-    let graph = ckpt.rebuild_graph()?;
-    ckpt.validate_against(&graph, ckpt.ib)?;
-    if let Some(ib) = opts.ib {
-        if ib != ckpt.ib {
-            return Err(inconsistent(format!(
-                "resume requested ib={ib} but the checkpoint was taken with ib={}",
-                ckpt.ib
-            )));
-        }
-    }
-    let mut opts = opts.clone();
-    opts.ib = Some(ckpt.ib);
-    let n = graph.tasks().len();
-    let resumed_from = ckpt.completed_tasks();
-    let Checkpoint { mut a, mut factors, completed, input_seed, ib, .. } = ckpt;
-    let (stats, mut exec_trace) =
-        run_engine_segment(&graph, &mut a, &mut factors, &opts, trace, Some(&completed), n)?;
-    if let Some(tr) = exec_trace.as_mut() {
-        tr.instants.insert(
-            0,
-            ExecInstant {
-                kind: InstantKind::Resume,
-                task: resumed_from as u32,
-                worker: 0,
-                time: 0.0,
-            },
-        );
-    }
-    Ok(ResumedRun { graph, a, factors, stats, trace: exec_trace, resumed_from, input_seed, ib })
 }

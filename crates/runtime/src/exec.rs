@@ -1,8 +1,7 @@
 //! Serial and multithreaded DAG executors, and the execution core they
 //! share with the multi-job pool.
 //!
-//! Entry points to run a factorization DAG (seven in the crate, five of
-//! them here):
+//! Entry points to run a factorization DAG (five, all here):
 //!
 //! * [`execute_serial`] / [`execute_serial_ib`] — program order on the
 //!   calling thread, no scheduler, panics propagate. The reference oracle
@@ -16,10 +15,9 @@
 //! * [`try_execute_parallel`] — a shim over [`try_execute_with`] kept for
 //!   the benchmark harness.
 //!
-//! (The other two are [`crate::try_execute_checkpointed`] and
-//! [`crate::resume_from_checkpoint`], which run this engine in segments;
-//! [`crate::JobPool`] runs many DAGs on one set of workers.) [`try_apply_q`]
-//! runs the same engine over a [`TaskGraph::apply_q`] graph to apply Q.
+//! [`crate::JobPool`] runs many DAGs on one set of workers, and takes and
+//! resumes their checkpoints. [`try_apply_q`] runs the same engine over a
+//! [`TaskGraph::apply_q`] graph to apply Q.
 //!
 //! The execution core is three pieces, each written once: the kernel
 //! dispatcher (`hqr_kernels::run_kernel`, reached through
@@ -259,34 +257,6 @@ pub struct WorkerCounters {
     pub tile_spills: u64,
 }
 
-impl WorkerCounters {
-    /// Add `other`'s counts to `self` (stitching per-segment traces). The
-    /// exhaustive destructuring makes a counter added later a compile
-    /// error here instead of a silently dropped column.
-    pub(crate) fn merge(&mut self, other: &WorkerCounters) {
-        let WorkerCounters {
-            local_pops,
-            injector_pops,
-            steals,
-            panics_caught,
-            retries,
-            requeues,
-            tile_faults,
-            prefetch_hits,
-            tile_spills,
-        } = other;
-        self.local_pops += local_pops;
-        self.injector_pops += injector_pops;
-        self.steals += steals;
-        self.panics_caught += panics_caught;
-        self.retries += retries;
-        self.requeues += requeues;
-        self.tile_faults += tile_faults;
-        self.prefetch_hits += prefetch_hits;
-        self.tile_spills += tile_spills;
-    }
-}
-
 /// What a scheduler instant event marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InstantKind {
@@ -296,12 +266,6 @@ pub enum InstantKind {
     Retry,
     /// A poisoned worker pushed the task back for healthy peers.
     Requeue,
-    /// A consistent checkpoint was written to disk (the `task` field holds
-    /// the number of completed tasks it covers).
-    Checkpoint,
-    /// Execution resumed from an on-disk checkpoint (the `task` field holds
-    /// the number of tasks restored as already complete).
-    Resume,
     /// A tile-guard verification caught silent data corruption.
     SdcDetected,
     /// A corrupted task attempt was rolled back and is about to recompute.
@@ -651,7 +615,7 @@ impl<'a> RunPolicy<'a> {
 }
 
 /// The state of one DAG being executed, independent of which executor
-/// drives it — the single-job engine below (one per segment) or the
+/// drives it — the single-job engine below (one per run) or the
 /// multi-job [`crate::pool::JobPool`] (one per activation): the tile store,
 /// the integrity guards, the fault plan and retry knobs, the priority
 /// keys, and the scheduling frontier (`indeg` / `done` / `remaining`) with
@@ -682,34 +646,30 @@ pub(crate) struct DagRun {
     publish_rest: bool,
     indeg: Vec<AtomicU32>,
     done: Vec<AtomicBool>,
-    /// Tasks below `limit` not yet completed.
+    /// Tasks not yet completed.
     pub remaining: AtomicUsize,
     /// Raised to stop the run; re-checked between retry attempts so a long
     /// retry ladder yields promptly instead of burning its whole budget.
     pub halt: AtomicBool,
-    /// Tasks with index `>= limit` stay pending for a later segment.
-    limit: usize,
 }
 
 impl DagRun {
-    /// Set up the run of the sub-DAG of tasks with index `< limit` that
-    /// are not marked in `completed` (which must be closed under
-    /// predecessors), and return it with its initial ready frontier, in
-    /// task order. The frontier is reconstructed by discounting completed
-    /// predecessors from each remaining task's in-degree, from state no
-    /// worker can see yet: once the first task is queued, workers release
-    /// successors themselves, so a later scan of the live counters could
-    /// queue a task twice.
+    /// Set up the run of the tasks not marked in `completed` (which must be
+    /// closed under predecessors), and return it with its initial ready
+    /// frontier, in task order. The frontier is reconstructed by
+    /// discounting completed predecessors from each remaining task's
+    /// in-degree, from state no worker can see yet: once the first task is
+    /// queued, workers release successors themselves, so a later scan of
+    /// the live counters could queue a task twice.
     pub(crate) fn new(
         graph: &TaskGraph,
         store: TileStore,
         p: &RunPolicy<'_>,
         completed: Option<&[bool]>,
-        limit: usize,
     ) -> (DagRun, Vec<u32>) {
         let n = graph.tasks().len();
         let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
-        let (indeg0, frontier) = initial_frontier(graph, completed, limit);
+        let (indeg0, frontier) = initial_frontier(graph, completed);
         let run = DagRun {
             store,
             guards: p.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt())),
@@ -721,9 +681,8 @@ impl DagRun {
             publish_rest: p.publish_rest,
             indeg: indeg0.iter().map(|&d| AtomicU32::new(d)).collect(),
             done: (0..n).map(|t| AtomicBool::new(is_done(t))).collect(),
-            remaining: AtomicUsize::new((0..limit).filter(|&t| !is_done(t)).count()),
+            remaining: AtomicUsize::new((0..n).filter(|&t| !is_done(t)).count()),
             halt: AtomicBool::new(false),
-            limit,
         };
         (run, frontier)
     }
@@ -926,8 +885,7 @@ impl DagRun {
     /// Mark `tid` (which just ran [`Attempt::Done`]) completed and release
     /// its successors: each one whose last predecessor this was becomes
     /// ready and is handed to `keep` (the caller's own deque) or `publish`
-    /// (the shared queue) per [`RunPolicy::publish_rest`]. Successors past
-    /// the segment limit stay pending.
+    /// (the shared queue) per [`RunPolicy::publish_rest`].
     pub(crate) fn complete(
         &self,
         graph: &TaskGraph,
@@ -942,19 +900,14 @@ impl DagRun {
             // stall.
             return;
         }
-        release(graph, tid, &self.indeg, self.limit, self.publish_rest, &self.ranks, keep, publish);
+        release(graph, tid, &self.indeg, self.publish_rest, &self.ranks, keep, publish);
         self.remaining.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// In-degrees of the sub-DAG of tasks with index `< limit` not marked in
-/// `completed` (completed predecessors discounted), and its ready frontier
-/// in task order.
-fn initial_frontier(
-    graph: &TaskGraph,
-    completed: Option<&[bool]>,
-    limit: usize,
-) -> (Vec<u32>, Vec<u32>) {
+/// In-degrees of the tasks not marked in `completed` (completed
+/// predecessors discounted), and their ready frontier in task order.
+fn initial_frontier(graph: &TaskGraph, completed: Option<&[bool]>) -> (Vec<u32>, Vec<u32>) {
     let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
     let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
     if completed.is_some() {
@@ -964,21 +917,18 @@ fn initial_frontier(
             }
         }
     }
-    let frontier =
-        (0..limit).filter(|&t| indeg0[t] == 0 && !is_done(t)).map(|t| t as u32).collect();
+    let n = graph.tasks().len();
+    let frontier = (0..n).filter(|&t| indeg0[t] == 0 && !is_done(t)).map(|t| t as u32).collect();
     (indeg0, frontier)
 }
 
 /// The release rule: every successor of `tid` whose last predecessor this
-/// was (and that lies below the segment `limit`) becomes ready. With
-/// `publish_rest` the best-ranked one is kept and the others published;
-/// without it all are kept, in successor order.
-#[allow(clippy::too_many_arguments)]
+/// was becomes ready. With `publish_rest` the best-ranked one is kept and
+/// the others published; without it all are kept, in successor order.
 fn release(
     graph: &TaskGraph,
     tid: u32,
     indeg: &[AtomicU32],
-    limit: usize,
     publish_rest: bool,
     ranks: &[u64],
     mut keep: impl FnMut(u32),
@@ -986,7 +936,7 @@ fn release(
 ) {
     let mut best: Option<u32> = None;
     for &s in graph.successors(tid as usize) {
-        if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 && (s as usize) < limit {
+        if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
             if !publish_rest {
                 keep(s);
                 continue;
@@ -1006,18 +956,18 @@ fn release(
     }
 }
 
-/// The order a single worker would run the sub-DAG in under policy `p`: a
-/// dry run of the engine's own queues ([`acquire`] over one LIFO deque and
-/// the shared queue) and release rule, with no kernel. It is what a paged
-/// tile store measures "next use" in — exact at one thread, and the order
-/// each of several workers follows between steals.
+/// The order in which a single worker would run the tasks not marked in
+/// `completed` under policy `p`: a dry run of the engine's own queues
+/// ([`acquire`] over one LIFO deque and the shared queue) and release
+/// rule, with no kernel. It is what a paged tile store measures "next
+/// use" in — exact at one thread, and the order each of several workers
+/// follows between steals.
 pub(crate) fn preview_order(
     graph: &TaskGraph,
     p: &RunPolicy<'_>,
     completed: Option<&[bool]>,
-    limit: usize,
 ) -> Vec<u32> {
-    let (indeg0, frontier) = initial_frontier(graph, completed, limit);
+    let (indeg0, frontier) = initial_frontier(graph, completed);
     let indeg: Vec<AtomicU32> = indeg0.into_iter().map(AtomicU32::new).collect();
     let ranks = sched::priorities(graph, p.policy);
     // Publishing executors hand shared work out best-rank-first (the
@@ -1035,63 +985,20 @@ pub(crate) fn preview_order(
     while let Some((tid, _)) = acquire(0, &worker, &stealers, &|dest| global.take(dest)) {
         order.push(tid);
         let (keep, publish) = (|s| worker.push(s), |s| global.push(s, &ranks));
-        release(graph, tid, &indeg, limit, p.publish_rest, &ranks, keep, publish);
+        release(graph, tid, &indeg, p.publish_rest, &ranks, keep, publish);
     }
     order
 }
 
-/// The executor engine behind [`try_execute_with`] / [`try_execute_traced`].
+/// The executor engine behind [`try_execute_with`] / [`try_execute_traced`]:
+/// allocate the factors, open the tile store (resident or paged), hand it
+/// to [`drive`], and dissolve it again on every exit path.
 fn run_engine(
     graph: &TaskGraph,
     a: &mut TiledMatrix,
     opts: &ExecOptions,
     trace: bool,
 ) -> Result<(TFactors, FaultStats, Option<ExecTrace>), ExecError> {
-    let ib = checked_ib(opts, graph.b())?;
-    // A paged store creates each factor slot as zeros at its first pin, so
-    // buffers allocated here would only be dropped.
-    let mut f = match pages(graph, ib, opts.resident_budget) {
-        true => TFactors::empty(graph.mt(), graph.nt(), graph.b(), ib),
-        false => TFactors::allocate_for(graph, ib),
-    };
-    let limit = graph.tasks().len();
-    let (stats, exec_trace) = run_engine_segment(graph, a, &mut f, opts, trace, None, limit)?;
-    Ok((f, stats, exec_trace))
-}
-
-/// The run's inner block size: `opts.ib`, or `b` (the plain kernels).
-fn checked_ib(opts: &ExecOptions, b: usize) -> Result<usize, ExecError> {
-    let ib = opts.ib.unwrap_or(b);
-    if ib == 0 || ib > b {
-        return Err(ExecError::Config {
-            message: format!("inner block size {ib} must be in 1..={b}"),
-        });
-    }
-    Ok(ib)
-}
-
-/// The engine behind [`run_engine`] and the checkpoint/resume drivers in
-/// [`crate::checkpoint`]: run the sub-DAG of tasks with index `< limit`
-/// that are not already marked in `completed`, writing into a
-/// caller-provided [`TFactors`]. It opens the tile store (resident or
-/// paged), hands it to [`drive`], and dissolves it again on every exit
-/// path.
-///
-/// Program order is panel-major and topological, and every predecessor of
-/// a task precedes it in the task list, so a prefix `0..limit` at a panel
-/// boundary is dependency-closed: running it to quiescence yields a
-/// consistent state that can be serialized and later resumed. `completed`
-/// must be closed under predecessors (every predecessor of a completed
-/// task is completed).
-pub(crate) fn run_engine_segment(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    f: &mut TFactors,
-    opts: &ExecOptions,
-    trace: bool,
-    completed: Option<&[bool]>,
-    limit: usize,
-) -> Result<(FaultStats, Option<ExecTrace>), ExecError> {
     let b = graph.b();
     let ib = checked_ib(opts, b)?;
     if a.mt() != graph.mt() || a.nt() != graph.nt() || a.b() != b {
@@ -1106,45 +1013,24 @@ pub(crate) fn run_engine_segment(
             ),
         });
     }
-    if (f.mt, f.nt, f.b, f.ib) != (graph.mt(), graph.nt(), b, ib) {
-        return Err(ExecError::Config {
-            message: format!(
-                "factors are {}x{} of size {} for ib {}, the run is {}x{} of size {b} at ib {ib}",
-                f.mt,
-                f.nt,
-                f.b,
-                f.ib,
-                graph.mt(),
-                graph.nt()
-            ),
-        });
-    }
-    let n = graph.tasks().len();
-    if limit > n {
-        return Err(ExecError::Config {
-            message: format!("segment limit {limit} exceeds the task count {n}"),
-        });
-    }
-    if completed.is_some_and(|c| c.len() != n) {
-        return Err(ExecError::Config {
-            message: format!(
-                "completed bitmap has {} entries for {n} tasks",
-                completed.map_or(0, <[bool]>::len)
-            ),
-        });
-    }
+    // A paged store creates each factor slot as zeros at its first pin, so
+    // buffers allocated here would only be dropped.
+    let mut f = match pages(graph, ib, opts.resident_budget) {
+        true => TFactors::empty(graph.mt(), graph.nt(), b, ib),
+        false => TFactors::allocate_for(graph, ib),
+    };
     let epoch = Instant::now();
     let policy = RunPolicy::of(opts);
     let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
-    let order = || preview_order(graph, &policy, completed, limit);
-    let run_plan = RunPlan { graph, completed, order: &order };
-    let store = TileStore::open(a, f, &run_plan, budget, spill_dir)
+    let order = || preview_order(graph, &policy, None);
+    let run_plan = RunPlan { graph, completed: None, order: &order };
+    let store = TileStore::open(a, &mut f, &run_plan, budget, spill_dir)
         .map_err(|message| ExecError::SpillIo { message })?;
-    let (mut run, frontier) = DagRun::new(graph, store, &policy, completed, limit);
+    let (mut run, frontier) = DagRun::new(graph, store, &policy, None);
     let result = drive(graph, &run, frontier, opts, trace, epoch);
     // Dissolve the paged cache before anything touches `a`/`f` again —
     // on success *and* on error paths, so the matrix is never left hollow.
-    let unpage_err = run.store.unpage(a, f).err();
+    let unpage_err = run.store.unpage(a, &mut f).err();
     let (stats, mut exec_trace) = result?;
     if let Some(message) = unpage_err {
         return Err(ExecError::SpillIo { message });
@@ -1153,7 +1039,18 @@ pub(crate) fn run_engine_segment(
     if let Some(t) = &mut exec_trace {
         t.wall = epoch.elapsed().as_secs_f64();
     }
-    Ok((stats, exec_trace))
+    Ok((f, stats, exec_trace))
+}
+
+/// The run's inner block size: `opts.ib`, or `b` (the plain kernels).
+fn checked_ib(opts: &ExecOptions, b: usize) -> Result<usize, ExecError> {
+    let ib = opts.ib.unwrap_or(b);
+    if ib == 0 || ib > b {
+        return Err(ExecError::Config {
+            message: format!("inner block size {ib} must be in 1..={b}"),
+        });
+    }
+    Ok(ib)
 }
 
 /// Apply op(Q) of a completed factorization to `c` on the engine: Qᵀ·C
@@ -1203,8 +1100,7 @@ pub fn try_apply_q(
     }
     let epoch = Instant::now();
     let store = TileStore::for_apply(factored, factors, c);
-    let (run, frontier) =
-        DagRun::new(&graph, store, &RunPolicy::of(opts), None, graph.tasks().len());
+    let (run, frontier) = DagRun::new(&graph, store, &RunPolicy::of(opts), None);
     drive(&graph, &run, frontier, opts, false, epoch).map(|(stats, _)| stats)
 }
 

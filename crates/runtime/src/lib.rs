@@ -48,9 +48,8 @@ pub mod task;
 pub mod trace;
 
 pub use checkpoint::{
-    graph_fingerprint, read_checkpoint, resume_from_checkpoint, try_execute_checkpointed,
-    write_checkpoint, Checkpoint, CheckpointError, CheckpointPolicy, CheckpointRun, CheckpointSpec,
-    ResumedRun, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    graph_fingerprint, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError,
+    CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use elim::ElimOp;
 pub use error::{ExecError, GraphError, StallCause, StallReport};

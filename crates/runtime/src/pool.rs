@@ -1665,7 +1665,7 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
         // This job's tasks as one worker would take them: the pool
         // interleaves jobs, but each job's own tasks still come in about
         // this order.
-        let order = || preview_order(graph, &policy, Some(&completed), n);
+        let order = || preview_order(graph, &policy, Some(&completed));
         let plan = RunPlan { graph, completed: Some(&completed), order: &order };
         let budget = shared.cfg.resident_budget;
         let store = TileStore::open(&mut a, &mut factors, &plan, budget, spill_dir.as_deref())
@@ -1673,7 +1673,7 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
                 eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
                 TileStore::new(&mut a, &mut factors)
             });
-        DagRun::new(graph, store, &policy, Some(&completed), n)
+        DagRun::new(graph, store, &policy, Some(&completed))
     };
     let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(ActiveJob {

@@ -30,8 +30,8 @@
 //!
 //! * **Next use.** A slot's next use is the first position in its list
 //!   whose task has not started; a slot with none is never needed again in
-//!   this run. Tasks a resumed run has completed, or that a later segment
-//!   runs, are not in the order at all, so cursors begin past finished work.
+//!   this run. Tasks a resumed run has completed are not in the order at
+//!   all, so cursors begin past finished work.
 //! * **Victim set.** Every unpinned resident slot sits in one ordered set
 //!   keyed by `(next use, slot)`, maintained at pin and unpin. Eviction
 //!   takes the last entry — furthest next use, "never again" first — which
@@ -139,17 +139,6 @@ pub struct SpillSummary {
     pub prefetch_hits: u64,
 }
 
-impl SpillSummary {
-    pub(crate) fn merge(&mut self, other: &SpillSummary) {
-        self.budget = self.budget.max(other.budget);
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.demand_faults += other.demand_faults;
-        self.prefetches += other.prefetches;
-        self.prefetch_hits += other.prefetch_hits;
-    }
-}
-
 /// One slot of the paged store. The default is an absent slot: no buffer,
 /// no record, nothing to pin.
 #[derive(Default)]
@@ -215,7 +204,7 @@ pub(crate) struct PagedCore {
     /// them; a *position* in this list is the store's unit of time.
     order: Vec<u32>,
     /// Position of each task in `order` ([`NEVER`] for tasks not in this
-    /// run: completed before it, or left for a later segment).
+    /// run: completed before it).
     position: Vec<u32>,
     /// Slot `s` is touched at positions `uses[use_off[s]..use_off[s + 1]]`,
     /// ascending.

@@ -238,19 +238,12 @@ pub fn chrome_trace_from_exec(trace: &ExecTrace, tasks: &[Task]) -> String {
             crate::exec::InstantKind::PanicCaught => ("panic caught", "fault"),
             crate::exec::InstantKind::Retry => ("retry after rollback", "fault"),
             crate::exec::InstantKind::Requeue => ("requeued (poisoned worker)", "fault"),
-            crate::exec::InstantKind::Checkpoint => ("checkpoint written", "checkpoint"),
-            crate::exec::InstantKind::Resume => ("resumed from checkpoint", "checkpoint"),
             crate::exec::InstantKind::SdcDetected => ("sdc detected", "sdc"),
             crate::exec::InstantKind::SdcRecomputed => ("sdc recomputed", "sdc"),
             crate::exec::InstantKind::TileFaulted => ("tile faulted", "spill"),
             crate::exec::InstantKind::TileSpilled => ("tile spilled", "spill"),
         };
-        // Checkpoint/resume instants mark completed-task counts, not tasks.
-        let arg = match i.kind {
-            crate::exec::InstantKind::Checkpoint | crate::exec::InstantKind::Resume => "completed",
-            _ => "task",
-        };
-        b.instant(pid, i.worker as u32, name, category, i.time, &[(arg, i.task.to_string())]);
+        b.instant(pid, i.worker as u32, name, category, i.time, &[("task", i.task.to_string())]);
     }
     let paged = trace.spill.is_some();
     for (w, c) in trace.counters.iter().enumerate() {

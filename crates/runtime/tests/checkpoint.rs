@@ -1,17 +1,20 @@
-//! Checkpoint/restart integration tests: kill-mid-run → resume →
-//! bitwise-identical factors, durable-format hygiene (truncation,
-//! corruption, atomic writes), fingerprint binding, and trace instants.
+//! Checkpoint integration tests: a mid-run checkpoint taken by the pool at
+//! a quiescent point resumes to bitwise-identical factors, the file format
+//! reports truncation and corruption as typed errors, a checkpoint is bound
+//! to its plan by its fingerprint, and the pool refuses a resume spec that
+//! is not a valid mid-run state before any kernel runs.
+
+mod support;
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use hqr_runtime::{
-    chrome_trace_from_exec, execute_serial, read_checkpoint, resume_from_checkpoint,
-    try_execute_checkpointed, validate_chrome_trace, write_checkpoint, CheckpointError,
-    CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, InstantKind, TaskGraph,
+    execute_serial_ib, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, ElimOp,
+    JobPool, JobSpec, JobState, PoolConfig, SubmitError, TaskGraph,
 };
 use hqr_tile::io::sibling_tmp_path;
 use hqr_tile::TiledMatrix;
+use support::suspended_checkpoint;
 
 /// Flat-tree elimination list: row k kills every row below it.
 fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
@@ -44,135 +47,50 @@ fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
 }
 
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("hqr_ckpt_{name}_{}.ckpt", std::process::id()))
+    let path = std::env::temp_dir().join(format!("hqr_ckpt_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    path
 }
 
 #[test]
-fn kill_mid_run_then_resume_is_bitwise_identical() {
+fn suspended_checkpoint_resumes_bitwise_on_another_pool() {
     let (mt, nt, b) = (6, 4, 8);
     let elims = binary_elims(mt, nt);
     let graph = TaskGraph::build(mt, nt, b, &elims);
     let a0 = TiledMatrix::random(mt, nt, b, 77);
-
     let mut a_ref = a0.clone();
-    let f_ref = execute_serial(&graph, &mut a_ref);
+    let f_ref = execute_serial_ib(&graph, &mut a_ref, b);
 
-    let path = tmp("kill_resume");
-    let mut a = a0.clone();
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::default(),
-        input_seed: 77,
-        stop_after_panel: Some(1),
-    };
-    let opts = ExecOptions::with_threads(3);
-    let run = try_execute_checkpointed(&graph, &mut a, &opts, &spec, false).unwrap();
-    assert!(run.interrupted, "stopping after panel 1 of 4 must leave work");
-    assert!(run.checkpoints_written >= 1);
-    assert!(run.completed_tasks < graph.tasks().len());
-    assert!(path.exists());
+    // Stall on the first task of panel 2: panels 0 and 1 are behind it.
+    let stall = graph.tasks().iter().position(|t| t.k == 2).unwrap() as u32;
+    let dir = tmp("resume");
+    let ckpt = suspended_checkpoint(&dir, &elims, &a0, b, stall);
+    assert!(
+        ckpt.completed_tasks() >= stall as usize && ckpt.completed_tasks() < graph.tasks().len()
+    );
+
+    // The library recipe: write it anywhere, read it back, submit it.
+    let path = dir.join("copy.ckpt");
+    write_checkpoint(&path, &Checkpoint { input_seed: 77, ..ckpt }).unwrap();
     assert!(!sibling_tmp_path(&path).exists(), "temp file must not survive");
-
-    let resumed = resume_from_checkpoint(&path, &opts, false).unwrap();
-    assert_eq!(resumed.resumed_from, run.completed_tasks);
-    assert_eq!(resumed.input_seed, 77);
-    assert!(
-        resumed.factors.bitwise_eq(&f_ref),
-        "resumed factors must be bitwise-identical to an uninterrupted run"
-    );
-    let d_ref = a_ref.to_dense();
-    let d_res = resumed.a.to_dense();
-    assert!(
-        d_ref.data().iter().zip(d_res.data().iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "resumed tile store must be bitwise-identical"
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn uninterrupted_checkpointed_run_matches_serial() {
-    let (mt, nt, b) = (5, 3, 6);
-    let elims = flat_elims(mt, nt);
-    let graph = TaskGraph::build(mt, nt, b, &elims);
-    let a0 = TiledMatrix::random(mt, nt, b, 5);
-
-    let mut a_ref = a0.clone();
-    let f_ref = execute_serial(&graph, &mut a_ref);
-
-    let path = tmp("full_run");
-    let mut a = a0.clone();
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::default(),
-        input_seed: 5,
-        stop_after_panel: None,
-    };
-    let run = try_execute_checkpointed(&graph, &mut a, &ExecOptions::with_threads(2), &spec, false)
-        .unwrap();
-    assert!(!run.interrupted);
-    assert_eq!(run.completed_tasks, graph.tasks().len());
-    // One checkpoint per panel boundary except the final (fully done) one.
-    assert_eq!(run.checkpoints_written, nt - 1);
-    assert!(run.factors.bitwise_eq(&f_ref));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn policy_every_k_and_min_interval_limit_writes() {
-    let (mt, nt, b) = (6, 6, 4);
-    let elims = flat_elims(mt, nt);
-    let graph = TaskGraph::build(mt, nt, b, &elims);
-
-    // every_panels = 2 → boundaries after panels 2, 4 (final boundary skipped).
-    let path = tmp("every_two");
-    let mut a = TiledMatrix::random(mt, nt, b, 9);
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::every(2),
-        input_seed: 9,
-        stop_after_panel: None,
-    };
-    let run = try_execute_checkpointed(&graph, &mut a, &ExecOptions::with_threads(1), &spec, false)
-        .unwrap();
-    assert_eq!(run.checkpoints_written, 2);
-    let _ = std::fs::remove_file(&path);
-
-    // A prohibitive min_interval lets only the first due checkpoint through.
-    let path = tmp("min_interval");
-    let mut a = TiledMatrix::random(mt, nt, b, 9);
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy { every_panels: 1, min_interval: Duration::from_secs(3600) },
-        input_seed: 9,
-        stop_after_panel: None,
-    };
-    let run = try_execute_checkpointed(&graph, &mut a, &ExecOptions::with_threads(1), &spec, false)
-        .unwrap();
-    assert_eq!(run.checkpoints_written, 1);
-    let _ = std::fs::remove_file(&path);
+    let ckpt = read_checkpoint(&path).unwrap();
+    assert_eq!(ckpt.input_seed, 77, "the caller's header word round-trips");
+    let pool = JobPool::new(PoolConfig { nthreads: 3, ..PoolConfig::default() });
+    let out = pool.wait(pool.submit(JobSpec::resume(ckpt)).expect("submit resume")).unwrap();
+    pool.shutdown();
+    assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
+    let r = out.result.unwrap();
+    assert!(r.factors.bitwise_eq(&f_ref), "resumed factors differ from an uninterrupted run");
+    assert_eq!(r.a.to_dense().data(), a_ref.to_dense().data(), "resumed tiles differ");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn checkpoint_is_rejected_for_a_different_plan() {
     let (mt, nt, b) = (5, 3, 4);
     let elims = flat_elims(mt, nt);
-    let graph = TaskGraph::build(mt, nt, b, &elims);
-    let path = tmp("fingerprint");
-    let mut a = TiledMatrix::random(mt, nt, b, 3);
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::default(),
-        input_seed: 3,
-        stop_after_panel: Some(0),
-    };
-    try_execute_checkpointed(&graph, &mut a, &ExecOptions::with_threads(1), &spec, false).unwrap();
-
-    let ckpt = read_checkpoint(&path).unwrap();
+    let dir = tmp("fingerprint");
+    let ckpt = suspended_checkpoint(&dir, &elims, &TiledMatrix::random(mt, nt, b, 3), b, 4);
     // Same shape, different elimination order → different fingerprint.
     let other = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
     match ckpt.validate_against(&other, ckpt.ib) {
@@ -185,24 +103,17 @@ fn checkpoint_is_rejected_for_a_different_plan() {
         Err(CheckpointError::FingerprintMismatch { .. }) => {}
         other => panic!("expected FingerprintMismatch on ib change, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn truncated_and_corrupt_checkpoints_are_typed_errors() {
     let (mt, nt, b) = (4, 3, 4);
-    let elims = flat_elims(mt, nt);
-    let graph = TaskGraph::build(mt, nt, b, &elims);
-    let path = tmp("truncate");
-    let mut a = TiledMatrix::random(mt, nt, b, 11);
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::default(),
-        input_seed: 11,
-        stop_after_panel: Some(0),
-    };
-    try_execute_checkpointed(&graph, &mut a, &ExecOptions::with_threads(1), &spec, false).unwrap();
+    let dir = tmp("truncate");
+    let a = TiledMatrix::random(mt, nt, b, 11);
+    let ckpt = suspended_checkpoint(&dir, &flat_elims(mt, nt), &a, b, 3);
+    let path = dir.join("copy.ckpt");
+    write_checkpoint(&path, &ckpt).unwrap();
 
     let bytes = std::fs::read(&path).unwrap();
     // Truncate mid-file (inside the tile section).
@@ -220,77 +131,34 @@ fn truncated_and_corrupt_checkpoints_are_typed_errors() {
         Err(CheckpointError::Format(hqr_tile::BinFormatError::ChecksumMismatch { .. })) => {}
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn resume_rejects_conflicting_ib_and_open_bitmap() {
+fn resume_rejects_conflicting_ib_and_open_bitmap_at_submit() {
     let (mt, nt, b) = (4, 3, 4);
-    let elims = flat_elims(mt, nt);
-    let graph = TaskGraph::build(mt, nt, b, &elims);
-    let path = tmp("bad_resume");
-    let mut a = TiledMatrix::random(mt, nt, b, 13);
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::default(),
-        input_seed: 13,
-        stop_after_panel: Some(0),
-    };
-    let opts = ExecOptions { ib: Some(2), ..ExecOptions::with_threads(1) };
-    try_execute_checkpointed(&graph, &mut a, &opts, &spec, false).unwrap();
+    let dir = tmp("bad_resume");
+    let a = TiledMatrix::random(mt, nt, b, 13);
+    let ckpt = suspended_checkpoint(&dir, &flat_elims(mt, nt), &a, 2, 3);
+    let pool = JobPool::new(PoolConfig { nthreads: 1, ..PoolConfig::default() });
 
-    // Conflicting ib at resume time.
-    let conflicting = ExecOptions { ib: Some(4), ..ExecOptions::with_threads(1) };
-    match resume_from_checkpoint(&path, &conflicting, false) {
-        Err(CheckpointError::Inconsistent { .. }) => {}
-        other => panic!("expected Inconsistent on ib conflict, got {:?}", other.map(|_| ())),
+    // Factors computed with one ib cannot be extended with another.
+    let conflicting = JobSpec { ib: Some(4), ..JobSpec::resume(ckpt.clone()) };
+    match pool.submit(conflicting) {
+        Err(SubmitError::Invalid { .. }) => {}
+        other => panic!("expected Invalid on ib conflict, got {:?}", other.map(|id| id.0)),
     }
 
-    // A bitmap not closed under dependencies is rejected before any
-    // kernel runs.
-    let mut ckpt = read_checkpoint(&path).unwrap();
-    let n = ckpt.completed.len();
-    ckpt.completed[n - 1] = true; // final task "done" with pending preds
-    write_checkpoint(&path, &ckpt).unwrap();
-    match resume_from_checkpoint(&path, &ExecOptions::with_threads(1), false) {
-        Err(CheckpointError::Inconsistent { .. }) => {}
-        other => panic!("expected Inconsistent on open bitmap, got {:?}", other.map(|_| ())),
+    // A bitmap not closed under dependencies: the final task "done" with
+    // pending predecessors.
+    let mut open = ckpt;
+    let n = open.completed.len();
+    open.completed[n - 1] = true;
+    match pool.submit(JobSpec::resume(open)) {
+        Err(SubmitError::Invalid { .. }) => {}
+        other => panic!("expected Invalid on open bitmap, got {:?}", other.map(|id| id.0)),
     }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn traced_runs_carry_checkpoint_and_resume_instants() {
-    let (mt, nt, b) = (6, 4, 6);
-    let elims = binary_elims(mt, nt);
-    let graph = TaskGraph::build(mt, nt, b, &elims);
-    let path = tmp("traced");
-    let mut a = TiledMatrix::random(mt, nt, b, 21);
-    let spec = CheckpointSpec {
-        path: &path,
-        elims: &elims,
-        policy: CheckpointPolicy::default(),
-        input_seed: 21,
-        stop_after_panel: Some(1),
-    };
-    let opts = ExecOptions::with_threads(2);
-    let run = try_execute_checkpointed(&graph, &mut a, &opts, &spec, true).unwrap();
-    let trace = run.trace.expect("trace requested");
-    let ckpt_instants = trace.instants.iter().filter(|i| i.kind == InstantKind::Checkpoint).count();
-    assert_eq!(ckpt_instants, run.checkpoints_written);
-    assert_eq!(trace.records.len(), run.completed_tasks);
-    let json = chrome_trace_from_exec(&trace, graph.tasks());
-    let events = validate_chrome_trace(&json).expect("valid Chrome trace");
-    assert!(events > 0);
-    assert!(json.contains("checkpoint written"));
-
-    let resumed = resume_from_checkpoint(&path, &opts, true).unwrap();
-    let rtrace = resumed.trace.expect("trace requested");
-    assert_eq!(rtrace.instants[0].kind, InstantKind::Resume);
-    assert_eq!(rtrace.instants[0].task as usize, resumed.resumed_from);
-    let json = chrome_trace_from_exec(&rtrace, resumed.graph.tasks());
-    validate_chrome_trace(&json).expect("valid Chrome trace after resume");
-    assert!(json.contains("resumed from checkpoint"));
-    let _ = std::fs::remove_file(&path);
+    assert!(pool.jobs().is_empty(), "a refused spec never becomes a job");
+    pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -363,8 +363,12 @@ fn admission_rejects_overbudget_sheds_lowest_qos_and_applies_backpressure() {
         }
         other => panic!("expected OverBudget, got {other:?}", other = other.map(|id| id.0)),
     }
-    // Occupy the active slot so the queue fills.
-    let (_, _, busy) = spinner(91, UNTIL_CANCELLED);
+    // Occupy the active slot so the queue fills. `busy` is interactive so
+    // that no arrival outranks it: preempting it would let the interactive
+    // job below run and finish, and bring `busy` back from its checkpoint,
+    // leaving the queue empty for the second batch arrival.
+    let (_, _, mut busy) = spinner(91, UNTIL_CANCELLED);
+    busy.qos = QosClass::Interactive;
     let id_busy = pool.submit(busy).expect("submit busy");
     wait_until_running(&pool, id_busy);
     // Queue a batch job (fills the cap-1 queue).

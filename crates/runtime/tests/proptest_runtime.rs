@@ -2,15 +2,18 @@
 //! valid elimination lists — not just the structured trees the library
 //! ships, but arbitrary members of the combinatorial space of §III.
 
+mod support;
+
 use hqr_runtime::{
-    chrome_trace_from_exec, execute_serial, realized_critical_path, resume_from_checkpoint,
-    try_execute_checkpointed, try_execute_traced, try_execute_with, validate_chrome_trace,
-    CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, FaultPlan, IntegrityMode, TaskGraph,
+    chrome_trace_from_exec, execute_serial, realized_critical_path, try_execute_traced,
+    try_execute_with, validate_chrome_trace, ElimOp, ExecOptions, FaultPlan, IntegrityMode,
+    JobPool, JobSpec, JobState, PoolConfig, TaskGraph,
 };
 use hqr_tile::TiledMatrix;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use support::suspended_checkpoint;
 
 /// Generate a random valid elimination list: per panel, repeatedly pick a
 /// random alive non-top row as the victim and any alive row above it as
@@ -113,10 +116,11 @@ proptest! {
         prop_assert!(tr.records.len() == n);
     }
 
-    /// Kill-and-resume transparency on random trees: checkpoint at every
-    /// panel, stop after a random panel, resume from the file — the
-    /// resumed run's factors and tile store are bitwise-identical to an
-    /// uninterrupted serial run.
+    /// Suspend-and-resume transparency on random trees: a durable pool
+    /// suspends a job stalled on a random task once everything that does
+    /// not depend on it has completed, and the checkpoint it wrote, resumed
+    /// on another pool, gives factors and a tile store bitwise-identical to
+    /// an uninterrupted serial run.
     #[test]
     fn checkpoint_resume_bitwise_on_random_trees(
         mt in 2usize..8, nt in 2usize..5,
@@ -129,27 +133,21 @@ proptest! {
         let mut a1 = a0.clone();
         let f1 = execute_serial(&g, &mut a1);
 
-        let panels = mt.min(nt);
-        let stop = (seed % (panels as u64 - 1)) as usize; // always before the last panel
-        let path = std::env::temp_dir()
-            .join(format!("hqr_prop_ckpt_{}_{seed:016x}.ckpt", std::process::id()));
-        let mut a2 = a0.clone();
-        let spec = CheckpointSpec {
-            path: &path,
-            elims: &elims,
-            policy: CheckpointPolicy::default(),
-            input_seed: seed,
-            stop_after_panel: Some(stop),
-        };
-        let opts = ExecOptions::with_threads(threads);
-        let run = try_execute_checkpointed(&g, &mut a2, &opts, &spec, false)
-            .expect("checkpointed segment");
-        let resumed = resume_from_checkpoint(&path, &opts, false).expect("resume");
-        let _ = std::fs::remove_file(&path);
-        prop_assert!(run.interrupted, "stop before the last panel must leave work");
-        prop_assert_eq!(resumed.resumed_from, run.completed_tasks);
-        prop_assert!(resumed.factors.bitwise_eq(&f1), "resume diverged from the serial run");
-        let (d1, d2) = (a1.to_dense(), resumed.a.to_dense());
+        let n = g.tasks().len();
+        let stall = 1 + (seed % (n as u64 - 1)) as u32; // never the first task
+        let dir = std::env::temp_dir()
+            .join(format!("hqr_prop_ckpt_{}_{seed:016x}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = suspended_checkpoint(&dir, &elims, &a0, b, stall);
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert!(ckpt.completed_tasks() >= stall as usize && ckpt.completed_tasks() < n);
+        let pool = JobPool::new(PoolConfig { nthreads: threads, ..PoolConfig::default() });
+        let out = pool.wait(pool.submit(JobSpec::resume(ckpt)).expect("submit")).expect("wait");
+        pool.shutdown();
+        prop_assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
+        let r = out.result.expect("result");
+        prop_assert!(r.factors.bitwise_eq(&f1), "resume diverged from the serial run");
+        let (d1, d2) = (a1.to_dense(), r.a.to_dense());
         prop_assert!(
             d1.data().iter().zip(d2.data()).all(|(x, y)| x.to_bits() == y.to_bits()),
             "resumed tile store diverged"

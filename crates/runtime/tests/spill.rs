@@ -2,13 +2,13 @@
 //! fraction of the tile footprint must produce factors bitwise-identical
 //! to a fully-resident run, across elimination trees, scheduling policies
 //! and worker counts — and the two-tier store must stay safe under pin
-//! pressure, refaults, and checkpoint/resume.
+//! pressure and refaults. (A paged job's checkpoint is the pool's: see
+//! the paged suspend → resume rows of `tests/determinism.rs`.)
 
 use std::path::PathBuf;
 
 use hqr_runtime::{
-    resume_from_checkpoint, try_execute_checkpointed, try_execute_traced, try_execute_with,
-    CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, InstantKind, SchedPolicy, TaskGraph,
+    try_execute_traced, try_execute_with, ElimOp, ExecOptions, InstantKind, SchedPolicy, TaskGraph,
 };
 use hqr_tile::TiledMatrix;
 
@@ -167,68 +167,6 @@ fn refaulted_tiles_verify_checksums_and_count_faults() {
     assert!(faulted > 0, "faulting run must emit TileFaulted instants");
     assert!(faulted <= spill.demand_faults, "instants are per-attempt, faults per-tile");
     let _ = std::fs::remove_dir_all(tmp("refault"));
-}
-
-/// Checkpoint/resume of a partially-spilled job: interrupting a paged run
-/// at a panel boundary must persist a complete, non-hollow checkpoint
-/// (spilled tiles faulted back in before the snapshot), and resuming —
-/// paged again — must land bitwise on the uninterrupted answer. The
-/// resumed store counts only the work that is left as future use: its
-/// next-use cursors start past the completed tasks, so the tiles of the
-/// finished panels are the first to go and the segment moves fewer tiles
-/// than the whole run did.
-#[test]
-fn checkpoint_and_resume_of_partially_spilled_run_is_bitwise() {
-    let (mt, nt, b) = (6, 4, 8);
-    let elims = binary_elims(mt, nt);
-    let graph = TaskGraph::build(mt, nt, b, &elims);
-    let a0 = TiledMatrix::random(mt, nt, b, 31);
-
-    let mut a_ref = a0.clone();
-    let (f_ref, _) = try_execute_with(&graph, &mut a_ref, &ExecOptions::with_threads(2)).unwrap();
-
-    let budget = matrix_bytes(mt, nt, b) / 4;
-    for nthreads in [2usize, 1] {
-        let path = tmp(&format!("ckpt_resume_{nthreads}t.ckpt"));
-        let opts = ExecOptions { nthreads, resident_budget: Some(budget), ..Default::default() };
-        let mut a_whole = a0.clone();
-        let (_, _, whole) = try_execute_traced(&graph, &mut a_whole, &opts).expect("whole run");
-        let whole = whole.spill.expect("whole run pages");
-
-        let spec = CheckpointSpec {
-            path: &path,
-            elims: &elims,
-            policy: CheckpointPolicy::default(),
-            input_seed: 31,
-            stop_after_panel: Some(1),
-        };
-        let mut a = a0.clone();
-        let run =
-            try_execute_checkpointed(&graph, &mut a, &opts, &spec, false).expect("paged segment");
-        assert!(run.interrupted, "stopping after panel 1 must leave work");
-        assert!(run.completed_tasks < graph.tasks().len());
-
-        let resumed = resume_from_checkpoint(&path, &opts, true).expect("paged resume");
-        assert!(
-            resumed.factors.bitwise_eq(&f_ref),
-            "resumed paged factors must match the uninterrupted resident run"
-        );
-        let d_ref = a_ref.to_dense();
-        let d_res = resumed.a.to_dense();
-        assert!(
-            d_ref.data().iter().zip(d_res.data().iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "resumed paged tile store must match the uninterrupted resident run"
-        );
-        let spill = resumed.trace.expect("trace requested").spill.expect("resumed run pages");
-        assert_eq!(spill.budget, budget);
-        assert!(
-            spill.demand_faults + spill.prefetches < whole.demand_faults + whole.prefetches
-                && spill.writebacks < whole.writebacks,
-            "{nthreads}t: two of four panels were left, yet the resumed segment moved \
-             {spill:?} against the whole run's {whole:?}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
 }
 
 /// The pin pass is split out of a task's span: `kernel_start` marks where

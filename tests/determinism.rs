@@ -86,10 +86,11 @@ mod golden {
     use hqr_kernels::{simd_arm, t_len, KernelKind, SimdArm, Trans};
     use hqr_net::{factorize, shutdown_workers, spawn_local, DistConfig, WorkerOptions};
     use hqr_runtime::{
-        execute_serial_ib, resume_from_checkpoint, try_apply_q, try_execute_checkpointed,
-        try_execute_with, CheckpointPolicy, CheckpointSpec, ElimOp, ExecOptions, FaultPlan,
-        IntegrityMode, JobPool, JobSpec, JobState, PoolConfig, SchedPolicy, TFactors, TaskGraph,
+        execute_serial_ib, read_checkpoint, try_apply_q, try_execute_with, DurabilityConfig,
+        ElimOp, ExecOptions, FaultPlan, IntegrityMode, JobPool, JobResult, JobSpec, JobState,
+        PoolConfig, SchedPolicy, TFactors, TaskGraph, CKPT_DIR,
     };
+    use std::time::{Duration, Instant};
 
     const MT: usize = 6;
     const NT: usize = 4;
@@ -183,6 +184,61 @@ mod golden {
         std::env::temp_dir().join(format!("hqr_golden_{name}_{}", std::process::id()))
     }
 
+    /// The one checkpoint path. A durable pool (paged under
+    /// `resident_budget`) runs a job stalled on the first task of panel 2
+    /// and suspends it once every task that does not depend on that one
+    /// has completed; the `ckpt/job-N.ckpt` the suspension wrote is then
+    /// submitted as a resume spec, without the fault plan. A paged job is
+    /// unpaged before its checkpoint is captured, so the file is whole.
+    fn suspend_then_resume(
+        graph: &TaskGraph,
+        input: &TiledMatrix,
+        ib: usize,
+        resident_budget: Option<u64>,
+    ) -> JobResult {
+        let stall = graph.tasks().iter().position(|t| t.k == 2).unwrap();
+        let mut blocked = vec![false; graph.tasks().len()];
+        blocked[stall] = true;
+        for t in stall..blocked.len() {
+            if blocked[t] {
+                graph.successors(t).iter().for_each(|&s| blocked[s as usize] = true);
+            }
+        }
+        let settled = blocked.iter().filter(|&&b| !b).count();
+        let dir = tmp(&format!("suspend_ib{ib}_{}", resident_budget.is_some()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = Some(DurabilityConfig::at(&dir));
+        let pool = JobPool::new(PoolConfig {
+            nthreads: 2,
+            durability,
+            resident_budget,
+            ..Default::default()
+        });
+        let mut spec = JobSpec { ib: Some(ib), ..JobSpec::fresh(elims(), input.clone()) };
+        spec.plan = Some(FaultPlan::new(SEED).fail_task(stall as u32, 1_000_000));
+        spec.max_retries = 1_000_001;
+        let id = pool.submit(spec).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let wait_for = |done: &dyn Fn(&hqr_runtime::JobView) -> bool| loop {
+            let view = pool.status(id).unwrap();
+            if done(&view) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "stalled job stuck at {view:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        wait_for(&|v| v.state == JobState::Running && v.tasks_done == settled);
+        assert!(pool.suspend(id));
+        wait_for(&|v| v.state == JobState::Suspended);
+        let ckpt = read_checkpoint(&dir.join(CKPT_DIR).join(format!("job-{}.ckpt", id.0))).unwrap();
+        assert_eq!(ckpt.completed_tasks(), settled);
+        let out = pool.wait(pool.submit(JobSpec::resume(ckpt)).unwrap()).unwrap();
+        pool.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
+        out.result.unwrap()
+    }
+
     fn check_all_backends(ib: usize) {
         let want = expected(simd_arm(), ib);
         let elims = elims();
@@ -218,20 +274,12 @@ mod golden {
         let res = out.result.unwrap();
         assert_eq!(digest(&res.a, &res.factors), want, "JobPool, ib = {ib}");
 
-        let path = tmp(&format!("ib{ib}.ckpt"));
-        let spec = CheckpointSpec {
-            path: &path,
-            elims: &elims,
-            policy: CheckpointPolicy::default(),
-            input_seed: SEED,
-            stop_after_panel: Some(1),
-        };
-        let mut a = input.clone();
-        let run = try_execute_checkpointed(&graph, &mut a, &engine, &spec, false).unwrap();
-        assert!(run.interrupted);
-        let resumed = resume_from_checkpoint(&path, &engine, false).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(digest(&resumed.a, &resumed.factors), want, "checkpoint -> resume, ib = {ib}");
+        for budget in [None, paged.resident_budget] {
+            let res = suspend_then_resume(&graph, &input, ib, budget);
+            let paging = if budget.is_some() { "paged " } else { "" };
+            let row = format!("{paging}pool suspend -> resume, ib = {ib}");
+            assert_eq!(digest(&res.a, &res.factors), want, "{row}");
+        }
 
         let workers: Vec<_> =
             (0..2).map(|_| spawn_local(WorkerOptions::default()).expect("spawn worker")).collect();
