@@ -96,7 +96,9 @@ USAGE:
       cancel a queued or running job
   hqr result   [--socket PATH --id JOB --out FILE]
       fetch the durably stored factorization of a completed job; --out
-      writes the raw result container, otherwise prints a summary
+      writes the stored file: the job's checkpoint with every task
+      complete (the format `hqr serve` checkpoints in), otherwise prints a
+      summary
   hqr suspend  [--socket PATH --id JOB]
       checkpoint a queued or running job at its next quiescent point and
       park it (resume later with `hqr resume-job`)

@@ -80,6 +80,12 @@ fn bad<T>(msg: impl Into<String>) -> Result<T, ProtoError> {
     Err(ProtoError(msg.into()))
 }
 
+/// A `u32` field carried in a `u64` word; a wider value is refused, not
+/// truncated.
+fn narrow(word: u64, what: &str) -> Result<u32, ProtoError> {
+    u32::try_from(word).map_err(|_| ProtoError(format!("{what} {word} overflows u32")))
+}
+
 /// Deterministic fault-injection policy carried alongside a submission:
 /// seed plus `(task, attempts)` pairs that panic that task for its first
 /// N attempts. Only engine-recoverable injections are expressible on the
@@ -109,15 +115,19 @@ impl WirePlan {
     }
 
     fn of_words(words: &[u64]) -> Result<WirePlan, ProtoError> {
-        if words.len() < 2 {
+        let [seed, n, pairs @ ..] = words else {
             return bad("plan section too short");
-        }
-        let n = words[1] as usize;
-        if words.len() != 2 + 2 * n {
+        };
+        // The count is checked against the words really present, so a
+        // hostile count neither overflows nor sizes an allocation.
+        if !pairs.len().is_multiple_of(2) || (pairs.len() / 2) as u64 != *n {
             return bad("plan section length mismatch");
         }
-        let fail = (0..n).map(|i| (words[2 + 2 * i] as u32, words[3 + 2 * i] as u32)).collect();
-        Ok(WirePlan { seed: words[0], fail })
+        let fail = pairs
+            .chunks_exact(2)
+            .map(|p| Ok((narrow(p[0], "plan task")?, narrow(p[1], "plan attempts")?)))
+            .collect::<Result<_, ProtoError>>()?;
+        Ok(WirePlan { seed: *seed, fail })
     }
 }
 
@@ -328,7 +338,13 @@ impl Response {
                 Ok(Response::Submitted { id: w[0], deduped: w[1] != 0 })
             }
             K_JOB_LIST => {
-                let n = words1(&r)? as usize;
+                // Every job has its own sections: a count beyond the
+                // sections present is a lie, refused before allocating.
+                let n = words1(&r)?;
+                if n >= r.tags().len() as u64 {
+                    return bad(format!("a list of {n} jobs in {} sections", r.tags().len()));
+                }
+                let n = n as usize;
                 let mut jobs = Vec::with_capacity(n);
                 for i in 0..n {
                     let base = TAG_JOB_BASE + i as u32 * JOB_STRIDE;
@@ -342,7 +358,7 @@ impl Response {
                         id: m[0],
                         state: of_word(&STATES, m[1], "job state")?,
                         qos: of_word(&QOS, m[2], "qos")?,
-                        attempts: m[3] as u32,
+                        attempts: narrow(m[3], "job attempts")?,
                         tasks_done: m[4],
                         tasks_total: m[5],
                         error: text(&r, base + 2)?,
@@ -651,6 +667,49 @@ mod tests {
         lying.extend_from_slice(&(hqr_tile::io::MAX_FRAME + 1).to_le_bytes());
         let err = read_frame(&mut std::io::Cursor::new(lying)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// `bytes` with section `tag` carrying `words` instead: a well-formed,
+    /// checksummed frame with hostile content.
+    fn with_words(bytes: Vec<u8>, tag: u32, words: &[u64]) -> Vec<u8> {
+        let r = SectionReader::from_bytes(bytes, PROTO_MAGIC, PROTO_VERSION).unwrap();
+        let mut w = SectionList::new(PROTO_MAGIC, PROTO_VERSION);
+        for t in r.tags() {
+            let payload =
+                if t == tag { bytes_of_u64s(words) } else { r.section(t).unwrap().to_vec() };
+            w.section(t, payload);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn hostile_plan_words_are_typed_errors() {
+        let elims = vec![ElimOp::new(0, 1, 0, true)];
+        let spec = JobSpec::fresh(elims, TiledMatrix::random(2, 1, 4, 7));
+        let plan = WirePlan { seed: 9, fail: vec![(0, 2)] };
+        let bytes = Request::Submit { spec: Box::new(spec), plan }.to_bytes();
+        for (words, why) in [
+            (&[9, 1 << 63][..], "length mismatch"),
+            (&[9, u64::MAX, 0, 1], "length mismatch"),
+            (&[9, 1, (1 << 32) + 1, 1], "plan task 4294967297 overflows u32"),
+            (&[9, 1, 0, (1 << 32) + 1], "plan attempts 4294967297 overflows u32"),
+        ] {
+            let err = Request::from_bytes(with_words(bytes.clone(), TAG_PLAN, words)).unwrap_err();
+            assert!(err.to_string().contains(why), "{words:?}: {err}");
+        }
+        assert!(Request::from_bytes(bytes).is_ok(), "the valid frame decodes as before");
+    }
+
+    #[test]
+    fn hostile_job_list_count_is_a_typed_error() {
+        let bytes = Response::JobList(Vec::new()).to_bytes();
+        for n in [1 << 62, u64::MAX, 2] {
+            let err = Response::from_bytes(with_words(bytes.clone(), TAG_WORDS, &[n])).unwrap_err();
+            assert!(err.to_string().contains(&format!("a list of {n} jobs")), "{err}");
+        }
+        let err = Response::from_bytes(with_words(bytes.clone(), TAG_WORDS, &[1])).unwrap_err();
+        assert!(err.to_string().contains("missing section"), "{err}");
+        assert!(matches!(Response::from_bytes(bytes), Ok(Response::JobList(j)) if j.is_empty()));
     }
 
     #[test]

@@ -486,9 +486,10 @@ pub fn resume_job(args: &Args) -> Result<i32, CliError> {
 /// `hqr result`: fetch the durably stored factorization of a job, waiting
 /// for the job to settle first.
 ///
-/// With `--out FILE` the raw result container is written verbatim (the same
-/// sectioned format the daemon persisted, readable with
-/// [`hqr_runtime::result_from_bytes`]); otherwise a summary is printed.
+/// With `--out FILE` the stored file is written verbatim: the job's
+/// checkpoint with every task complete, readable with
+/// [`hqr_runtime::result_from_bytes`] or [`hqr_runtime::read_checkpoint`];
+/// otherwise a summary is printed.
 pub fn result(args: &Args) -> Result<i32, CliError> {
     let (socket, id, out) = (socket_of(args), id_of(args, "result")?, args.get("out"));
     args.reject_unknown()?;

@@ -7,14 +7,16 @@
 //! predecessors did, so the completed set is then closed under
 //! dependencies: a consistent state with no in-flight coordination to
 //! record. [`Checkpoint::capture`] ties that state to its plan, and a
-//! [`crate::JobSpec::resume`] of it runs the tasks that are left.
+//! [`crate::JobSpec::resume`] of it runs the tasks that are left. A
+//! finished job's checkpoint — every task complete — is its stored result
+//! (`crate::journal::result_from_bytes`).
 //!
 //! A checkpoint is a single binary file (section container from
 //! [`hqr_tile::io`], `checksum64` trailer, written atomically via a sibling
 //! temp file + rename) holding:
 //!
 //! * a header (`mt`, `nt`, `b`, `ib`, task count, completed count, graph
-//!   fingerprint, caller seed),
+//!   fingerprint, job id),
 //! * the elimination list (so a resume can rebuild the identical graph),
 //! * the completed-task bitmap,
 //! * the tile store, and
@@ -158,8 +160,9 @@ pub struct Checkpoint {
     pub ib: usize,
     /// Fingerprint of the graph + `ib` this state belongs to.
     pub fingerprint: u64,
-    /// Caller-supplied metadata word, stored and read back verbatim.
-    pub input_seed: u64,
+    /// The job this state belongs to: the pool writes the job id of every
+    /// checkpoint and result it stores; 0 for a state captured elsewhere.
+    pub job: u64,
     /// The elimination list the graph was built from.
     pub elims: Vec<ElimOp>,
     /// Per-task completion bitmap, program order.
@@ -173,8 +176,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// The checkpoint of `graph` run with the inner block size `factors`
     /// are laid out for, quiesced with `completed` done: the one place the
-    /// fingerprint is tied to the state it describes. `input_seed` starts
-    /// at 0 (caller metadata).
+    /// fingerprint is tied to the state it describes. `job` starts at 0.
     pub fn capture(
         graph: &TaskGraph,
         elims: Vec<ElimOp>,
@@ -189,7 +191,7 @@ impl Checkpoint {
             b: graph.b(),
             ib,
             fingerprint: graph_fingerprint(graph, ib),
-            input_seed: 0,
+            job: 0,
             elims,
             completed,
             a,
@@ -260,20 +262,22 @@ pub(crate) fn elims_to_words(elims: &[ElimOp]) -> Vec<u64> {
 /// Decode the inverse of [`elims_to_words`], reporting malformed input
 /// against section `tag`.
 pub(crate) fn elims_from_words(tag: u32, words: &[u64]) -> Result<Vec<ElimOp>, CheckpointError> {
-    let count = *words.first().ok_or_else(|| {
+    let (&count, body) = words.split_first().ok_or_else(|| {
         CheckpointError::Format(BinFormatError::BadSection {
             tag,
             message: "missing elimination count".into(),
         })
-    })? as usize;
-    if words.len() != 1 + 4 * count {
+    })?;
+    // The count is checked against the words the section really holds, so
+    // a hostile count neither overflows nor sizes an allocation.
+    if !body.len().is_multiple_of(4) || (body.len() / 4) as u64 != count {
         return Err(CheckpointError::Format(BinFormatError::BadSection {
             tag,
             message: format!("{} words for {count} eliminations", words.len()),
         }));
     }
-    let mut elims = Vec::with_capacity(count);
-    for chunk in words[1..].chunks_exact(4) {
+    let mut elims = Vec::with_capacity(body.len() / 4);
+    for chunk in body.chunks_exact(4) {
         let narrow = |v: u64, what: &str| {
             u32::try_from(v).map_err(|_| {
                 CheckpointError::Format(BinFormatError::BadSection {
@@ -324,21 +328,21 @@ fn bitmap_from_words(tag: u32, words: &[u64], nbits: usize) -> Result<Vec<bool>,
 }
 
 /// One `TFactors` family as [`SectionList`] pieces: presence bitmap words,
-/// then the payloads of present slots in index order, in place — shared
-/// with the service's durable result containers
-/// (`journal::result_sections`).
-pub(crate) fn family_parts(family: &[Option<Box<[f64]>>]) -> impl Iterator<Item = Cow<'_, [u8]>> {
+/// then the payloads of present slots in index order, in place.
+fn family_parts(family: &[Option<Box<[f64]>>]) -> impl Iterator<Item = Cow<'_, [u8]>> {
     let present: Vec<bool> = family.iter().map(Option::is_some).collect();
     let bitmap = Cow::Owned(bytes_of_u64s(&bitmap_to_words(&present)));
     std::iter::once(bitmap).chain(family.iter().flatten().map(|t| f64s_le(t)))
 }
 
-/// An encoded family's presence bitmap and the payload bytes after it.
-fn family_split(
+/// Decode a family of `slots` slots whose buffers hold `len` doubles each:
+/// presence bitmap words, then the present buffers in index order.
+fn family_from_bytes(
     tag: u32,
     bytes: &[u8],
     slots: usize,
-) -> Result<(Vec<bool>, &[u8]), CheckpointError> {
+    len: usize,
+) -> Result<Vec<Option<Box<[f64]>>>, CheckpointError> {
     let words = slots.div_ceil(64);
     if bytes.len() < words * 8 {
         return Err(CheckpointError::Format(BinFormatError::BadSection {
@@ -348,37 +352,6 @@ fn family_split(
     }
     let (bitmap_bytes, payload_bytes) = bytes.split_at(words * 8);
     let present = bitmap_from_words(tag, &u64s_of_bytes(tag, bitmap_bytes)?, slots)?;
-    Ok((present, payload_bytes))
-}
-
-/// Doubles per buffer of an encoded family, `None` when it holds none.
-pub(crate) fn family_buffer_len(
-    tag: u32,
-    bytes: &[u8],
-    slots: usize,
-) -> Result<Option<usize>, CheckpointError> {
-    let (present, payload) = family_split(tag, bytes, slots)?;
-    let count = present.iter().filter(|&&p| p).count();
-    if count == 0 {
-        return Ok(None);
-    }
-    if !payload.len().is_multiple_of(count * 8) {
-        return Err(CheckpointError::Format(BinFormatError::BadSection {
-            tag,
-            message: format!("{} payload bytes do not split into {count} buffers", payload.len()),
-        }));
-    }
-    Ok(Some(payload.len() / 8 / count))
-}
-
-/// Decode a family of `slots` slots whose buffers hold `len` doubles each.
-pub(crate) fn family_from_bytes(
-    tag: u32,
-    bytes: &[u8],
-    slots: usize,
-    len: usize,
-) -> Result<Vec<Option<Box<[f64]>>>, CheckpointError> {
-    let (present, payload_bytes) = family_split(tag, bytes, slots)?;
     let count = present.iter().filter(|&&p| p).count();
     // Checked: `len` comes from the file, and a wrapped product could match
     // the payload length by accident.
@@ -416,8 +389,9 @@ pub(crate) fn family_from_bytes(
 }
 
 /// A checkpoint as a section container over its own buffers, ready for
-/// [`SectionList::into_bytes`] or [`SectionList::write_atomic`].
-fn checkpoint_sections(ckpt: &Checkpoint) -> SectionList<'_> {
+/// [`SectionList::into_bytes`] or [`SectionList::write_atomic`] — what the
+/// result store streams to a finished job's file.
+pub(crate) fn checkpoint_sections(ckpt: &Checkpoint) -> SectionList<'_> {
     let header = [
         ckpt.mt as u64,
         ckpt.nt as u64,
@@ -426,7 +400,7 @@ fn checkpoint_sections(ckpt: &Checkpoint) -> SectionList<'_> {
         ckpt.completed.len() as u64,
         ckpt.completed_tasks() as u64,
         ckpt.fingerprint,
-        ckpt.input_seed,
+        ckpt.job,
     ];
     let elims = elims_to_words(&ckpt.elims);
     let mut w = SectionList::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
@@ -475,7 +449,7 @@ fn decode_checkpoint(r: SectionReader) -> Result<Checkpoint, CheckpointError> {
             message: format!("header holds {} words, expected 8", header.len()),
         }));
     }
-    let [mt, nt, b, ib, ntasks, ncompleted, fingerprint, input_seed] =
+    let [mt, nt, b, ib, ntasks, ncompleted, fingerprint, job] =
         [header[0], header[1], header[2], header[3], header[4], header[5], header[6], header[7]];
     let (mt, nt, b, ib, ntasks) =
         (mt as usize, nt as usize, b as usize, ib as usize, ntasks as usize);
@@ -513,5 +487,50 @@ fn decode_checkpoint(r: SectionReader) -> Result<Checkpoint, CheckpointError> {
         *factors.family_mut(fam).expect("a factor family") = family;
     }
 
-    Ok(Checkpoint { mt, nt, b, ib, fingerprint, input_seed, elims, completed, a, factors })
+    Ok(Checkpoint { mt, nt, b, ib, fingerprint, job, elims, completed, a, factors })
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// `bytes`, a container of `magic`/`version`, with section `tag`
+    /// carrying `words` instead: well-formed and checksummed, but hostile.
+    pub(crate) fn with_words(
+        bytes: Vec<u8>,
+        (magic, version): ([u8; 8], u32),
+        tag: u32,
+        words: &[u64],
+    ) -> Vec<u8> {
+        let r = SectionReader::from_bytes(bytes, magic, version).unwrap();
+        let mut w = SectionList::new(magic, version);
+        for t in r.tags() {
+            let payload =
+                if t == tag { bytes_of_u64s(words) } else { r.section(t).unwrap().to_vec() };
+            w.section(t, payload);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn hostile_elimination_count_is_a_typed_error() {
+        let elims = vec![ElimOp::new(0, 1, 0, true)];
+        let graph = TaskGraph::build(2, 1, 4, &elims);
+        let factors = TFactors::allocate_for(&graph, 2);
+        let done = vec![false; graph.tasks().len()];
+        let a = TiledMatrix::random(2, 1, 4, 5);
+        let bytes = checkpoint_to_bytes(&Checkpoint::capture(&graph, elims, done, a, factors));
+        let format = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        for words in [&[1 << 62][..], &[u64::MAX], &[1 << 62, 0, 1, 0, 1], &[2, 0, 1, 0, 1]] {
+            let hostile = with_words(bytes.clone(), format, SEC_ELIMS, words);
+            assert!(
+                matches!(
+                    checkpoint_from_bytes(hostile),
+                    Err(CheckpointError::Format(BinFormatError::BadSection { tag: SEC_ELIMS, .. }))
+                ),
+                "{words:?}"
+            );
+        }
+        assert_eq!(checkpoint_from_bytes(bytes).expect("the valid file decodes").elims.len(), 1);
+    }
 }

@@ -782,7 +782,7 @@ impl DagRun {
                 // Corrupted *inputs* cannot be healed by re-running this task.
                 wstats.sdc_detected += 1;
                 instant(InstantKind::SdcDetected);
-                return Err(sdc(m.label(), 0, m.mismatch.to_string()));
+                return Err(sdc(m.label(), 0, m.to_string()));
             }
         }
         // SAFETY: exclusive access per the function contract — for the kernel
@@ -848,7 +848,7 @@ impl DagRun {
                     }
                     // The mismatch persisted past the recompute budget (or
                     // no snapshot was available to recompute from).
-                    return Err(sdc(m.label(), attempt, m.mismatch.to_string()));
+                    return Err(sdc(m.label(), attempt, m.to_string()));
                 }
                 Err(payload) => {
                     wstats.panics_caught += 1;

@@ -26,9 +26,10 @@ pub const INJECTED_FAULT_PREFIX: &str = "injected fault";
 /// progress.
 pub(crate) const POISON_STRIKES: u32 = 3;
 
-/// SplitMix64: the one seeded stream behind every fault plan in the
-/// workspace (this crate's and `hqr-sim`'s), so a seed means the same
-/// schedule wherever it is spent.
+/// SplitMix64: the seeded stream behind [`FaultPlan`]'s random picks and
+/// `hqr-sim`'s fault schedules, so a seed means the same schedule in both.
+/// `hqr-net`'s `NetFaultPlan` and the retry jitter do not draw from it:
+/// they hash their keys with `hqr_tile::io::fnv1a64`.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

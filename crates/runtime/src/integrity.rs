@@ -1,9 +1,12 @@
 //! Executor-side silent-data-corruption (SDC) defense.
 //!
 //! Every tile-sized buffer the engine touches (matrix tiles and the
-//! `Vg`/`Tg`/`Tk` factor slots) gets a [`hqr_tile::TileGuard`] — a
-//! column-sum checksum vector plus an FNV bit digest. The lifecycle per
-//! task, under [`IntegrityMode::Spot`] or [`IntegrityMode::Full`]:
+//! `Vg`/`Tg`/`Tk` factor slots) gets a guard: one [`checksum64`] word over
+//! the buffer's bits, the same checksum that closes every container in the
+//! workspace. A buffer's doubles are its words, so any change confined to
+//! one element — every single-bit flip among them — changes the digest.
+//! The lifecycle per task, under [`IntegrityMode::Spot`] or
+//! [`IntegrityMode::Full`]:
 //!
 //! 1. *(full only)* before launch, verify the guards of the task's
 //!    read set and of its write-set pre-images — corruption of data at
@@ -24,9 +27,10 @@
 
 use std::cell::UnsafeCell;
 
+use hqr_tile::io::{checksum64, f64s_le};
+
 use crate::store::TileStore;
 use crate::task::{SlotFamily, Task, SLOT_FAMILIES};
-use hqr_tile::{GuardMismatch, TileGuard};
 
 /// How much guard-based SDC checking the executor performs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,10 +73,12 @@ impl std::fmt::Display for IntegrityMode {
     }
 }
 
-/// A guard verification failure, located at a slot.
+/// A guard verification failure: the slot, the digest its last writer
+/// left, and the digest of the buffer as found.
 pub(crate) struct SlotMismatch {
     pub slot: (SlotFamily, usize, usize),
-    pub mismatch: GuardMismatch,
+    pub expected: u64,
+    pub found: u64,
 }
 
 impl SlotMismatch {
@@ -83,7 +89,22 @@ impl SlotMismatch {
     }
 }
 
-/// One [`TileGuard`] per store slot (4 families × `mt·nt` coordinates),
+impl std::fmt::Display for SlotMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "tile guard mismatch: digest {:#018x} != stored {:#018x}",
+            self.found, self.expected
+        )
+    }
+}
+
+/// The guard of one buffer.
+fn digest(data: &[f64]) -> u64 {
+    checksum64(&f64s_le(data))
+}
+
+/// One digest per store slot (4 families × `mt·nt` coordinates),
 /// populated lazily: a slot is guarded from its first writer's commit on.
 ///
 /// Concurrency contract: a slot's guard is written at its writer task's
@@ -91,7 +112,7 @@ impl SlotMismatch {
 /// exclusive-writer ordering that makes [`TileStore`]'s raw views sound,
 /// hence the same `UnsafeCell` + `unsafe fn` shape.
 pub(crate) struct GuardStore {
-    slots: Vec<UnsafeCell<Option<TileGuard>>>,
+    slots: Vec<UnsafeCell<Option<u64>>>,
     per_family: usize,
     mt: usize,
 }
@@ -122,12 +143,7 @@ impl GuardStore {
     /// no concurrent task touches its write set (or those slots' guards).
     pub(crate) unsafe fn refresh_task(&self, store: &TileStore, t: &Task) {
         for s in t.writes() {
-            let data = store.slot_data(s);
-            let cell = &mut *self.slots[self.idx(s)].get();
-            match cell {
-                Some(g) => g.refresh(data),
-                None => *cell = Some(TileGuard::compute(store.b(), data)),
-            }
+            *self.slots[self.idx(s)].get() = Some(digest(store.slot_data(s)));
         }
     }
 
@@ -160,20 +176,79 @@ impl GuardStore {
         store: &TileStore,
         slots: Vec<(SlotFamily, usize, usize)>,
     ) -> Option<SlotMismatch> {
-        for s in slots {
-            if let Some(g) = &*self.slots[self.idx(s)].get() {
-                if let Err(mismatch) = g.verify(store.slot_data(s)) {
-                    return Some(SlotMismatch { slot: s, mismatch });
-                }
-            }
-        }
-        None
+        slots.into_iter().find_map(|slot| {
+            let expected = (*self.slots[self.idx(slot)].get())?;
+            let found = digest(store.slot_data(slot));
+            (found != expected).then_some(SlotMismatch { slot, expected, found })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::TFactors;
+    use crate::fault::{SdcFault, SdcPattern};
+    use crate::graph::TaskGraph;
+    use hqr_tile::TiledMatrix;
+
+    /// A one-tile GEQRT run at `ib < b` with its write set guarded: the
+    /// `b × b` tile A(0,0), its `b × b` V copy and its `ib × b` T factor.
+    fn with_guarded_geqrt(seed: u64, check: impl FnOnce(&TileStore, &Task, &GuardStore)) {
+        let (b, ib) = (8, 4);
+        let graph = TaskGraph::build(1, 1, b, &[]);
+        let mut a = TiledMatrix::random(1, 1, b, seed);
+        let mut f = TFactors::allocate_for(&graph, ib);
+        let store = TileStore::new(&mut a, &mut f);
+        let t = &graph.tasks()[0];
+        let guards = GuardStore::new(1, 1);
+        // SAFETY: one thread runs the one task.
+        unsafe {
+            assert!(guards.verify_outputs(&store, t).is_none(), "unguarded slots are skipped");
+            store.run_task(t, graph.trans());
+            guards.refresh_task(&store, t);
+            assert_eq!(store.slot_data((SlotFamily::Tg, 0, 0)).len(), ib * b);
+        }
+        check(&store, t, &guards);
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_caught_by_the_digest() {
+        // SAFETY: one thread, and no task is in flight.
+        with_guarded_geqrt(13, |store, t, guards| unsafe {
+            assert!(guards.verify_outputs(store, t).is_none());
+            for (w, slot) in t.writes().into_iter().enumerate() {
+                for element in 0..store.slot_data(slot).len() as u32 {
+                    for bit in 0..64 {
+                        let pattern = SdcPattern::BitFlip(bit);
+                        let flip = SdcFault { slot: w as u32, element, pattern };
+                        store.apply_sdc(t, &flip);
+                        let m = guards.verify_outputs(store, t).expect("flip must be detected");
+                        assert_eq!(m.slot, slot);
+                        assert_ne!(m.found, m.expected);
+                        store.apply_sdc(t, &flip);
+                    }
+                }
+            }
+            assert!(guards.verify_outputs(store, t).is_none(), "restored buffers verify again");
+        });
+    }
+
+    #[test]
+    fn refresh_tracks_legitimate_updates() {
+        // SAFETY: one thread, and no task is in flight.
+        with_guarded_geqrt(23, |store, t, guards| unsafe {
+            let update = SdcFault { slot: 0, element: 0, pattern: SdcPattern::Scale };
+            store.apply_sdc(t, &update);
+            let m = guards.verify_outputs(store, t).expect("a stale guard flags the update");
+            assert_eq!(m.label(), "A(0,0)");
+            let text = m.to_string();
+            assert!(text.contains(&format!("{:#018x}", m.expected)), "{text}");
+            assert!(text.contains(&format!("{:#018x}", m.found)), "{text}");
+            guards.refresh_task(store, t);
+            assert!(guards.verify_outputs(store, t).is_none(), "the refreshed guard accepts it");
+        });
+    }
 
     #[test]
     fn mode_parses_and_displays() {

@@ -2,7 +2,7 @@
 //! durable result store behind `hqr serve`.
 //!
 //! The journal is the daemon's source of truth for job lifecycles. Every
-//! transition — accepted, started, panel-checkpointed, suspended,
+//! transition — accepted, started, checkpointed, suspended,
 //! completed, failed, quarantined, cancelled, shed — is appended as one
 //! self-contained record *before* the transition is acknowledged, and no
 //! acknowledgement precedes the `fdatasync` that covers its record, so a
@@ -10,7 +10,7 @@
 //! been told about. A restarted daemon folds the journal through the
 //! pool's own rules ([`PoolState::replayed`]) and drives every
 //! previously-accepted job back to a terminal state: completed jobs keep
-//! their stored results, running jobs resume from their last panel
+//! their stored results, running jobs resume from their last
 //! checkpoint, queued jobs are resubmitted from their recorded specs.
 //!
 //! ## Record framing
@@ -40,13 +40,17 @@
 //!
 //! ## Result store
 //!
-//! Completed factorizations persist R (and the V/T factor families) to
-//! per-job result containers (`job-<id>.result`, magic `HQRRSLT\0`),
-//! streamed from the factorization in place, in a flat directory with
-//! count, byte and age retention. The store reads the directory once and
-//! decides retention from its in-memory set; the oldest (smallest job id)
-//! results are pruned, each prune journaled before its file is unlinked, so
-//! replay knows the result is gone rather than lost.
+//! A completed job's result is its finished checkpoint: the
+//! [`crate::checkpoint`] container with every task complete and the job id
+//! in its header word, holding R and V in the tiles and the V/T factor
+//! families. The pool streams it from the factorization in place to
+//! `job-<id>.result` ([`ResultStore`]), and [`result_from_bytes`] reads it
+//! back; it is resumable like any checkpoint, with nothing left to run.
+//! The store is a flat directory with count, byte and age retention. It
+//! reads the directory once and decides retention from its in-memory set;
+//! the oldest (smallest job id) results are pruned, each prune journaled
+//! before its file is unlinked, so replay knows the result is gone rather
+//! than lost.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -55,37 +59,23 @@ use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
 use hqr_tile::io::{
-    atomic_write, bytes_of_u64s, tiled_from_bytes, tiled_parts, u64s_of_bytes, BinFormatError,
-    SectionList, SectionReader,
+    atomic_write, bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionList, SectionReader,
 };
 
-use crate::checkpoint::{family_buffer_len, family_from_bytes, family_parts};
-use crate::exec::{relock, TFactors};
+use crate::checkpoint::{checkpoint_from_bytes, Checkpoint, CheckpointError};
+use crate::exec::relock;
 use crate::pool::{JobResult, PoolConfig};
 use crate::pool_step::{snapshot, PoolState};
-use crate::task::SlotFamily;
 
 /// Magic bytes opening every journal record container.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"HQRJRNL\0";
 /// Journal record version (2: `checksum64` trailer).
 pub const JOURNAL_VERSION: u32 = 2;
 
-/// Magic bytes opening a durable result container.
-pub const RESULT_MAGIC: [u8; 8] = *b"HQRRSLT\0";
-/// Result container version (2: `checksum64` trailer; 3: T factors of
-/// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`).
-pub const RESULT_VERSION: u32 = 3;
-
 const J_META: u32 = 1;
 const J_TEXT: u32 = 2;
 const J_SPEC: u32 = 3;
 const J_DEDUP: u32 = 4;
-
-const R_HEADER: u32 = 1;
-const R_TILES: u32 = 2;
-const R_VG: u32 = 3;
-const R_TG: u32 = 4;
-const R_TK: u32 = 5;
 
 /// Why the journal or a result container could not be used.
 #[derive(Debug)]
@@ -514,30 +504,7 @@ impl Journal {
 // Durable result containers
 // ---------------------------------------------------------------------------
 
-/// Serialize a completed factorization into a durable result container:
-/// header words, the factored tiles (R in the upper triangle, V blocks
-/// below), and the three Householder factor families — bit-exact, so a
-/// result fetched after a daemon restart is byte-identical to one fetched
-/// before.
-pub fn result_to_bytes(id: u64, result: &JobResult) -> Vec<u8> {
-    result_sections(id, result).into_bytes()
-}
-
-/// The [`result_to_bytes`] container over the factorization in place —
-/// what [`ResultStore::put`] streams to the file.
-pub(crate) fn result_sections(id: u64, result: &JobResult) -> SectionList<'_> {
-    let (mt, nt, b) = (result.a.mt(), result.a.nt(), result.a.b());
-    let mut w = SectionList::new(RESULT_MAGIC, RESULT_VERSION);
-    w.section(R_HEADER, bytes_of_u64s(&[id, mt as u64, nt as u64, b as u64]))
-        .section_of(R_TILES, tiled_parts(&result.a));
-    let f = &result.factors;
-    for (tag, family) in [(R_VG, &f.vg), (R_TG, &f.tg), (R_TK, &f.tk)] {
-        w.section_of(tag, family_parts(family));
-    }
-    w
-}
-
-/// A decoded result container.
+/// A decoded stored result.
 #[derive(Debug)]
 pub struct StoredResult {
     /// The job the result belongs to.
@@ -546,39 +513,19 @@ pub struct StoredResult {
     pub result: JobResult,
 }
 
-/// Decode the inverse of [`result_to_bytes`], verifying the container
-/// checksum and internal consistency.
+/// Decode a stored result: a checkpoint container, verified in full, whose
+/// every task is complete; its header word is the job id.
 pub fn result_from_bytes(bytes: Vec<u8>) -> Result<StoredResult, JournalError> {
-    let r = SectionReader::from_bytes(bytes, RESULT_MAGIC, RESULT_VERSION)?;
-    let header = u64s_of_bytes(R_HEADER, r.require(R_HEADER)?)?;
-    if header.len() != 4 {
-        return Err(inconsistent(format!("header holds {} words, expected 4", header.len())));
+    let ckpt = checkpoint_from_bytes(bytes).map_err(|e| match e {
+        CheckpointError::Format(e) => JournalError::Format(e),
+        e => inconsistent(e.to_string()),
+    })?;
+    let (done, total) = (ckpt.completed_tasks(), ckpt.completed.len());
+    if done != total {
+        return Err(inconsistent(format!("a result with {done} of {total} tasks complete")));
     }
-    let (id, mt, nt, b) = (header[0], header[1] as usize, header[2] as usize, header[3] as usize);
-    let a = tiled_from_bytes(R_TILES, r.require(R_TILES)?)?;
-    if a.mt() != mt || a.nt() != nt || a.b() != b {
-        return Err(inconsistent(format!(
-            "tiles are {}x{} of {} but header says {mt}x{nt} of {b}",
-            a.mt(),
-            a.nt(),
-            a.b()
-        )));
-    }
-    let slots = mt * nt;
-    let family = |e| inconsistent(format!("factor family: {e}"));
-    // The header has no `ib` word; a T factor holds `t_len(b, ib) = ib · b`
-    // doubles, so `ib` is read off the Tg family (a graph always has a GEQRT).
-    let ib = match family_buffer_len(R_TG, r.require(R_TG)?, slots).map_err(family)? {
-        Some(n) if n.is_multiple_of(b) && (1..=b).contains(&(n / b)) => n / b,
-        Some(n) => return Err(inconsistent(format!("a T factor of {n} doubles for b = {b}"))),
-        None => b,
-    };
-    let mut factors = TFactors::empty(mt, nt, b, ib);
-    for (tag, fam) in [(R_VG, SlotFamily::Vg), (R_TG, SlotFamily::Tg), (R_TK, SlotFamily::Tk)] {
-        let buffers = family_from_bytes(tag, r.require(tag)?, slots, fam.slot_len(b, ib));
-        *factors.family_mut(fam).expect("a factor family") = buffers.map_err(family)?;
-    }
-    Ok(StoredResult { id, result: JobResult { a, factors } })
+    let Checkpoint { job, a, factors, .. } = ckpt;
+    Ok(StoredResult { id: job, result: JobResult { a, factors } })
 }
 
 /// Flat directory of per-job result containers with count, byte, and age
@@ -638,9 +585,10 @@ impl ResultStore {
         self.dir.join(Self::file_name(id))
     }
 
-    /// Durably store `container` as `id`'s result — streamed into the file,
-    /// fsync-then-rename — and return the file name relative to the store.
-    pub fn put(&self, id: u64, container: &SectionList<'_>) -> Result<String, JournalError> {
+    /// Durably store `container` (a finished job's checkpoint) as `id`'s
+    /// result — streamed into the file, fsync-then-rename — and return the
+    /// file name relative to the store.
+    pub(crate) fn put(&self, id: u64, container: &SectionList<'_>) -> Result<String, JournalError> {
         container.write_atomic(&self.path_of(id))?;
         relock(&self.kept).insert(id, (container.encoded_len() as u64, SystemTime::now()));
         Ok(Self::file_name(id))
@@ -697,6 +645,10 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{
+        checkpoint_sections, checkpoint_to_bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    };
+    use crate::fault::splitmix64;
     use crate::pool::JobState;
     use crate::pool_step::Job;
 
@@ -1051,23 +1003,51 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A finished 4x3-tile flat-tree job, every task complete, as the pool
+    /// stores it for job `id`.
+    fn finished(id: u64) -> Checkpoint {
+        use crate::graph::TaskGraph;
+        let (mt, nt, b) = (4, 3, 4);
+        let mut elims = Vec::new();
+        for k in 0..nt {
+            for i in (k + 1)..mt {
+                elims.push(crate::elim::ElimOp::new(k as u32, i as u32, k as u32, true));
+            }
+        }
+        let graph = TaskGraph::build(mt, nt, b, &elims);
+        let mut a = hqr_tile::TiledMatrix::random(mt, nt, b, 3);
+        let factors = crate::exec::execute_serial_ib(&graph, &mut a, 2);
+        let done = vec![true; graph.tasks().len()];
+        Checkpoint { job: id, ..Checkpoint::capture(&graph, elims, done, a, factors) }
+    }
+
     #[test]
-    fn older_result_container_is_unsupported_version() {
-        let a = hqr_tile::TiledMatrix::zeros(1, 1, 2);
-        let factors = TFactors::empty(1, 1, 2, 2);
-        let mut bytes = result_to_bytes(4, &JobResult { a, factors });
-        assert_eq!(result_from_bytes(bytes.clone()).expect("current version decodes").id, 4);
-        bytes[8..12].copy_from_slice(&(RESULT_VERSION - 1).to_le_bytes());
+    fn a_result_is_a_finished_checkpoint_and_nothing_else() {
+        let ckpt = finished(4);
+        let stored = result_from_bytes(checkpoint_to_bytes(&ckpt)).expect("a finished job decodes");
+        assert_eq!(stored.id, 4);
+        assert_eq!(stored.result.a.to_dense().data(), ckpt.a.to_dense().data());
+        assert!(stored.result.factors.bitwise_eq(&ckpt.factors));
+        // A state with work left is a checkpoint, not a result.
+        let mut partial = ckpt.clone();
+        *partial.completed.last_mut().unwrap() = false;
+        let err = result_from_bytes(checkpoint_to_bytes(&partial)).unwrap_err();
+        assert!(matches!(err, JournalError::Inconsistent { .. }), "{err}");
+        // The retired result container (its own magic, version 3) is a
+        // typed format error, not a result.
+        let retired = [b'H', b'Q', b'R', b'R', b'S', b'L', b'T', 0];
+        let mut old = SectionList::new(retired, 3);
+        old.section(1, bytes_of_u64s(&[4, 1, 1, 2]));
         assert!(matches!(
-            result_from_bytes(bytes),
-            Err(JournalError::Format(BinFormatError::UnsupportedVersion { .. }))
+            result_from_bytes(old.into_bytes()),
+            Err(JournalError::Format(BinFormatError::BadMagic { .. }))
         ));
     }
 
     /// A 48-byte container standing in for a result.
     fn blob(id: u64) -> SectionList<'static> {
-        let mut c = SectionList::new(RESULT_MAGIC, RESULT_VERSION);
-        c.section(R_HEADER, vec![id as u8; 16]);
+        let mut c = SectionList::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        c.section(1, vec![id as u8; 16]);
         c
     }
 
@@ -1145,42 +1125,113 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The store streams a finished job's checkpoint in place; the file is
+    /// exactly `checkpoint_to_bytes` of it (whose bytes
+    /// `checkpoint_encoding_is_pinned` pins).
     #[test]
-    fn streamed_result_file_is_the_gathered_container() {
-        use crate::graph::TaskGraph;
-        let (mt, nt, b) = (4, 3, 4);
-        let mut elims = Vec::new();
-        for k in 0..nt {
-            for i in (k + 1)..mt {
-                elims.push(crate::elim::ElimOp::new(k as u32, i as u32, k as u32, true));
-            }
-        }
-        let mut a = hqr_tile::TiledMatrix::random(mt, nt, b, 3);
-        let factors = crate::exec::execute_serial(&TaskGraph::build(mt, nt, b, &elims), &mut a);
-        let result = JobResult { a, factors };
-        // The container once gathered from whole-payload intermediates, by
-        // its digest. These are plain kernels (ib = b), so
-        // with the version word set back to 2 (and the trailer recomputed) it
-        // is byte for byte the version-2 container: packing T moved nothing.
-        // The digests are per dispatch arm: the factors' bits are.
-        let (now, v2_digest) = match hqr_kernels::simd_arm() {
-            hqr_kernels::SimdArm::Avx2 => (3881935433520469945, 3504738851380218351),
-            hqr_kernels::SimdArm::Scalar => (12232409187736074487, 17305655160278161035),
-        };
-        let old = result_to_bytes(7, &result);
-        assert_eq!((old.len(), hqr_tile::io::fnv1a64(&old)), (3232, now));
-        let mut v2 = old.clone();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let n = v2.len() - 8;
-        let sum = hqr_tile::io::checksum64(&v2[..n]);
-        v2[n..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(hqr_tile::io::fnv1a64(&v2), v2_digest);
+    fn result_store_put_streams_exactly_checkpoint_to_bytes() {
+        let ckpt = finished(7);
+        let want = checkpoint_to_bytes(&ckpt);
         let dir = std::env::temp_dir().join(format!("hqr_results_stream{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::with_retention(&dir, 0, 0, None).unwrap();
-        store.put(7, &result_sections(7, &result)).unwrap();
-        assert_eq!(std::fs::read(store.path_of(7)).unwrap(), old);
-        assert_eq!(store.get(7).unwrap(), old);
+        store.put(7, &checkpoint_sections(&ckpt)).unwrap();
+        assert_eq!(std::fs::read(store.path_of(7)).unwrap(), want);
+        assert_eq!(store.get(7).unwrap(), want);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Retention as it was decided before the store kept its set in memory: a
+    /// walk of the directory — list, stat, oldest (smallest id) first. The
+    /// oracle only decides; the store under test unlinks.
+    fn walk_prune(dir: &Path, cap: usize, max_bytes: u64, max_age: Option<Duration>) -> Vec<u64> {
+        let mut live: Vec<(u64, u64, SystemTime)> = std::fs::read_dir(dir)
+            .expect("read_dir")
+            .flatten()
+            .filter_map(|e| {
+                let name = e.file_name().into_string().ok()?;
+                let id = name.strip_prefix("job-")?.strip_suffix(".result")?.parse().ok()?;
+                let meta = e.metadata().ok()?;
+                Some((id, meta.len(), meta.modified().ok()?))
+            })
+            .collect();
+        live.sort_unstable();
+        let mut pruned = Vec::new();
+        if let Some(max_age) = max_age {
+            let now = SystemTime::now();
+            live.retain(|&(id, _, t)| {
+                let too_old = now.duration_since(t).is_ok_and(|age| age > max_age);
+                if too_old {
+                    pruned.push(id);
+                }
+                !too_old
+            });
+        }
+        if cap > 0 && live.len() > cap {
+            let drop_n = live.len() - cap;
+            pruned.extend(live.drain(..drop_n).map(|(id, ..)| id));
+        }
+        if max_bytes > 0 {
+            let mut total: u64 = live.iter().map(|&(_, n, _)| n).sum();
+            for &(id, n, _) in &live {
+                if total <= max_bytes {
+                    break;
+                }
+                pruned.push(id);
+                total -= n;
+            }
+        }
+        pruned.sort_unstable();
+        pruned
+    }
+
+    #[test]
+    fn in_memory_retention_prunes_what_the_directory_walk_pruned() {
+        let mut rng = 0x5eed_u64;
+        let mut draw = |n: u64| splitmix64(&mut rng) % n;
+        for round in 0..4 {
+            let dir =
+                std::env::temp_dir().join(format!("hqr_retention_{round}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cap = draw(6) as usize;
+            let max_bytes = [0, 150, 400][draw(3) as usize];
+            // Ages are whole 100 ms steps apart, far from the 250 ms limit.
+            let max_age = (round % 2 == 1).then_some(Duration::from_millis(250));
+            let store = ResultStore::with_retention(&dir, cap, max_bytes, max_age).expect("open");
+            for id in 1..=14u64 {
+                if max_age.is_some() && draw(4) == 0 {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                let mut c = SectionList::new(*b"HQRTEST\0", 1);
+                c.section(1, vec![id as u8; draw(120) as usize]);
+                store.put(id, &c).expect("put");
+                let expect = walk_prune(&dir, cap, max_bytes, max_age);
+                let pruned = store.prune();
+                let at = format!("round {round} (cap {cap}, {max_bytes} B, {max_age:?}), put {id}");
+                assert_eq!(pruned, expect, "{at}");
+                store.unlink(&pruned);
+                assert_eq!(store.list(), listed(&dir), "{at}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Result ids with a file in `dir`, ascending.
+    fn listed(dir: &Path) -> Vec<u64> {
+        let mut ids: Vec<u64> = std::fs::read_dir(dir)
+            .expect("read_dir")
+            .flatten()
+            .filter_map(|e| {
+                e.file_name()
+                    .into_string()
+                    .ok()?
+                    .strip_prefix("job-")?
+                    .strip_suffix(".result")?
+                    .parse()
+                    .ok()
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }

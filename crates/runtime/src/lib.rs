@@ -23,10 +23,10 @@
 //! bounded per-task retry with write-set rollback, a deterministic seeded
 //! [`FaultPlan`] for fault injection, and a stall watchdog (see
 //! `DESIGN.md`, "Fault tolerance" and "Execution core"). Silent data
-//! corruption is covered by checksum [`hqr_tile::TileGuard`]s on every
-//! tile-sized buffer: an [`IntegrityMode`] on [`ExecOptions`] verifies
-//! guards around each task and routes mismatches into the same
-//! rollback/recompute path (see `DESIGN.md`, "Data integrity").
+//! corruption is covered by a `checksum64` guard on every tile-sized
+//! buffer: an [`IntegrityMode`] on [`ExecOptions`] verifies guards around
+//! each task and routes mismatches into the same rollback/recompute path
+//! (see `DESIGN.md`, "Data integrity").
 
 pub mod analysis;
 pub mod checkpoint;
@@ -61,8 +61,8 @@ pub use fault::{ExecOptions, FaultPlan, FaultStats, SdcFault, SdcPattern, SDC_SC
 pub use graph::TaskGraph;
 pub use integrity::IntegrityMode;
 pub use journal::{
-    result_from_bytes, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore,
-    StoredResult, JOURNAL_MAGIC, JOURNAL_VERSION, RESULT_MAGIC, RESULT_VERSION,
+    result_from_bytes, Journal, JournalError, JournalEvent, ResultStore, StoredResult,
+    JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use lineage::{last_writers, rebuild_closure, recompute_slots, Slot};
 pub use pool::{

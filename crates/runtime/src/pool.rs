@@ -58,8 +58,8 @@ use std::time::{Duration, Instant};
 use crossbeam_deque::{Steal, Stealer, Worker};
 
 use crate::checkpoint::{
-    checkpoint_from_bytes, checkpoint_to_bytes, elims_from_words, elims_to_words, read_checkpoint,
-    write_checkpoint, Checkpoint, CheckpointError,
+    checkpoint_from_bytes, checkpoint_sections, checkpoint_to_bytes, elims_from_words,
+    elims_to_words, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError,
 };
 use crate::elim::ElimOp;
 use crate::error::ExecError;
@@ -69,10 +69,7 @@ use crate::exec::{
 use crate::fault::{FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
 use crate::integrity::IntegrityMode;
-use crate::journal::{
-    io_err, result_from_bytes, result_sections, result_to_bytes, Journal, JournalError,
-    JournalEvent, ResultStore,
-};
+use crate::journal::{io_err, result_from_bytes, Journal, JournalError, JournalEvent, ResultStore};
 pub use crate::pool_step::SuspendKind;
 use crate::pool_step::{
     over_budget, snapshot, step, Conclusion, Effect, Event, Job, Observed, PoolState, Verdict,
@@ -319,6 +316,10 @@ impl JobSpec {
         };
         let tag = utf8(r.require(QSEC_TAG)?, "tag")?;
         let dedup_key = r.section(QSEC_DEDUP).map(|b| utf8(b, "dedup key")).transpose()?;
+        let retries = |i: usize, what: &str| {
+            u32::try_from(meta[i])
+                .map_err(|_| bad(format!("spec {what} {} overflows u32", meta[i])))
+        };
         let input = match meta[0] {
             0 => {
                 let words = u64s_of_bytes(QSEC_ELIMS, r.require(QSEC_ELIMS)?)?;
@@ -336,8 +337,8 @@ impl JobSpec {
             qos,
             policy,
             integrity,
-            max_retries: meta[5] as u32,
-            job_retries: meta[6] as u32,
+            max_retries: retries(5, "max_retries")?,
+            job_retries: retries(6, "job_retries")?,
             deadline: if meta[7] == u64::MAX { None } else { Some(Duration::from_millis(meta[7])) },
             plan: None,
             tag,
@@ -691,9 +692,10 @@ struct Work {
 enum Held {
     /// The means to run it (again).
     Work(Box<Work>),
-    /// A completed job's factorization, until the first [`JobPool::wait`]
-    /// claims it; `None` when the durable store has it instead.
-    Done(Option<JobResult>),
+    /// A completed job's finished checkpoint, until the first
+    /// [`JobPool::wait`] claims it; `None` when the durable store has it
+    /// instead.
+    Done(Option<Box<Checkpoint>>),
 }
 
 /// One admitted job: the pool's unit of ownership. The run state's
@@ -1243,6 +1245,7 @@ impl JobPool {
         };
         drop(c);
         if let Some(Held::Done(in_memory)) = claimed {
+            let in_memory = in_memory.map(|c| JobResult { a: c.a, factors: c.factors });
             out.result = in_memory.or_else(|| {
                 let stored = s.results.as_ref()?.get(id.0)?;
                 result_from_bytes(stored).ok().map(|r| r.result)
@@ -1316,7 +1319,7 @@ impl JobPool {
         };
         if !stored {
             return match c.state.held.get(&id.0)? {
-                Held::Done(Some(result)) => Some(result_to_bytes(id.0, result)),
+                Held::Done(Some(done)) => Some(checkpoint_to_bytes(done)),
                 _ => None,
             };
         }
@@ -1590,29 +1593,33 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) -> Vec<u64> {
     let (tasks_done, stats) = (job.tasks_done(), *relock(&job.stats));
     let ActiveJob { id, mut work, elims, run, a, factors, .. } = job;
     let mut pruned = Vec::new();
+    // Quiescent, hence closed under predecessors — what `validate_against`
+    // requires of a resumable checkpoint; a finished job's is its result.
+    let capture = |elims, a, factors| Checkpoint {
+        job: id,
+        ..Checkpoint::capture(&work.graph, elims, run.completed(), a, factors)
+    };
     let (durable, payload) = match &verdict {
         None => {
-            let result = JobResult { a, factors };
+            let done = capture(elims, a, factors);
             // Durable pools persist R/V/T *before* the completion is
             // journaled, so a journaled Completed implies a retrievable
             // result — and once the store holds it the pool keeps no copy:
             // nobody may ever `wait` for this job (a socket client cannot),
             // and a daemon holding every result grew without bound.
             let stored = shared.results.as_ref().and_then(|store| {
-                let put = store.put(id, &result_sections(id, &result));
+                let put = store.put(id, &checkpoint_sections(&done));
                 match &put {
                     Err(e) => eprintln!("hqr-pool: persisting result of job-{id} failed: {e}"),
                     Ok(_) => pruned = store.prune(),
                 }
                 put.ok()
             });
-            let unstored = stored.is_none().then_some(result);
+            let unstored = stored.is_none().then(|| Box::new(done));
             (stored, Held::Done(unstored))
         }
         Some(Verdict::Suspend(_)) => {
-            // Quiescent, hence closed under predecessors — what
-            // `validate_against` requires of a resumable checkpoint.
-            let ckpt = Checkpoint::capture(&work.graph, elims, run.completed(), a, factors);
+            let ckpt = capture(elims, a, factors);
             let file = shared.cfg.durability.as_ref().and_then(|d| {
                 let file = ckpt_file(id);
                 write_checkpoint(&d.state_dir.join(&file), &ckpt)
@@ -1776,11 +1783,33 @@ mod tests {
         done[0] = true;
         let a = TiledMatrix::random(mt, nt, b, 21);
         let ckpt = Checkpoint {
-            input_seed: 77,
+            job: 77,
             ..Checkpoint::capture(&graph, flat_elims(mt, nt), done, a, factors)
         };
         let bytes = checkpoint_to_bytes(&ckpt);
         assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (776, 12360854095494485543));
+    }
+
+    #[test]
+    fn hostile_spec_words_are_typed_errors() {
+        use crate::checkpoint::tests::with_words;
+        let bytes = JobSpec::fresh(flat_elims(2, 1), TiledMatrix::random(2, 1, 4, 9)).to_bytes();
+        let format = (QUEUE_MAGIC, QUEUE_VERSION);
+        let meta = |retries: u64, job_retries: u64| [0, 1, 0, 0, 0, retries, job_retries, 7, 0];
+        for (tag, words, why) in [
+            (QSEC_ELIMS, &[1 << 62][..], "words for 4611686018427387904 eliminations"),
+            (QSEC_ELIMS, &[u64::MAX, 0, 1, 0, 1], "eliminations"),
+            (QSEC_META, &meta((1 << 32) + 1, 0), "max_retries 4294967297 overflows u32"),
+            (QSEC_META, &meta(0, (1 << 32) + 1), "job_retries 4294967297 overflows u32"),
+        ] {
+            let err =
+                JobSpec::from_bytes(with_words(bytes.clone(), format, tag, words)).unwrap_err();
+            assert!(err.to_string().contains(why), "{words:?}: {err}");
+        }
+        let spec = JobSpec::from_bytes(with_words(bytes.clone(), format, QSEC_META, &meta(3, 2)));
+        let spec = spec.expect("in-range words decode");
+        assert_eq!((spec.max_retries, spec.job_retries), (3, 2));
+        assert!(JobSpec::from_bytes(bytes).is_ok(), "the valid spec decodes as before");
     }
 
     #[test]

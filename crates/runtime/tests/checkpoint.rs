@@ -71,10 +71,10 @@ fn suspended_checkpoint_resumes_bitwise_on_another_pool() {
 
     // The library recipe: write it anywhere, read it back, submit it.
     let path = dir.join("copy.ckpt");
-    write_checkpoint(&path, &Checkpoint { input_seed: 77, ..ckpt }).unwrap();
+    write_checkpoint(&path, &Checkpoint { job: 77, ..ckpt }).unwrap();
     assert!(!sibling_tmp_path(&path).exists(), "temp file must not survive");
     let ckpt = read_checkpoint(&path).unwrap();
-    assert_eq!(ckpt.input_seed, 77, "the caller's header word round-trips");
+    assert_eq!(ckpt.job, 77, "the job word round-trips");
     let pool = JobPool::new(PoolConfig { nthreads: 3, ..PoolConfig::default() });
     let out = pool.wait(pool.submit(JobSpec::resume(ckpt)).expect("submit resume")).unwrap();
     pool.shutdown();

@@ -10,16 +10,14 @@
 //! replay tolerates), and a second pool recovers from the copy.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
-use hqr_runtime::fault::splitmix64;
 use hqr_runtime::pool_step::PoolState;
 use hqr_runtime::{
-    execute_serial_ib, result_from_bytes, DurabilityConfig, ElimOp, FaultPlan, JobPool, JobSpec,
-    JobState, Journal, JournalEvent, PoolConfig, QosClass, ResultStore, TFactors, TaskGraph,
+    execute_serial_ib, read_checkpoint, result_from_bytes, DurabilityConfig, ElimOp, FaultPlan,
+    JobPool, JobSpec, JobState, Journal, JournalEvent, PoolConfig, QosClass, TFactors, TaskGraph,
     CKPT_DIR, JOURNAL_FILE, RESULTS_DIR,
 };
-use hqr_tile::io::SectionList;
 use hqr_tile::TiledMatrix;
 
 /// Flat-tree elimination list: row k kills every row below it.
@@ -135,6 +133,50 @@ fn completed_results_survive_restart_bitwise() {
     assert_eq!(stored.result.a.to_dense().data(), ref_a.to_dense().data());
     assert!(stored.result.factors.bitwise_eq(&ref_f));
     pool.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stored result is the finished job's checkpoint: the file reads back
+/// as a state of the job's plan with every task complete and the job id in
+/// its header, bit-equal to a serial run, and resuming it on another pool
+/// completes without running a task.
+#[test]
+fn stored_result_is_the_finished_jobs_checkpoint() {
+    let dir = state_dir("result_ckpt");
+    let (mt, nt, b, ib) = (4, 3, 8, 4);
+    let elims = flat_elims(mt, nt);
+    let graph = TaskGraph::build(mt, nt, b, &elims);
+    let a0 = TiledMatrix::random(mt, nt, b, 31);
+    let mut ref_a = a0.clone();
+    let ref_f = execute_serial_ib(&graph, &mut ref_a, ib);
+    let pool = durable_pool(&dir, Duration::from_secs(3600));
+    let mut spec = JobSpec::fresh(elims, a0);
+    spec.ib = Some(ib);
+    let id = pool.submit(spec).expect("submit");
+    assert_eq!(pool.wait(id).expect("wait").state, JobState::Completed);
+    pool.shutdown();
+
+    let file = dir.join(RESULTS_DIR).join(format!("job-{}.result", id.0));
+    let ckpt = read_checkpoint(&file).expect("a result file is a checkpoint");
+    ckpt.validate_against(&graph, ib).expect("a state of the job's plan");
+    assert_eq!(ckpt.completed_tasks(), graph.tasks().len(), "every task complete");
+    assert_eq!(ckpt.job, id.0, "the header word is the job id");
+    assert_eq!(ckpt.a.to_dense().data(), ref_a.to_dense().data());
+    assert!(ckpt.factors.bitwise_eq(&ref_f));
+
+    // Every task would fail its first attempt (and the job has no retries),
+    // so the job completes only if nothing runs.
+    let other = JobPool::new(PoolConfig { nthreads: 2, ..PoolConfig::default() });
+    let mut spec = JobSpec::resume(ckpt);
+    let n = graph.tasks().len() as u32;
+    spec.plan = Some((0..n).fold(FaultPlan::new(3), |plan, t| plan.fail_task(t, 1)));
+    let out = other.wait(other.submit(spec).expect("submit the result")).expect("wait");
+    other.shutdown();
+    assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
+    assert_eq!(out.stats.panics_caught, 0, "no task ran");
+    let r = out.result.expect("result");
+    assert_eq!(r.a.to_dense().data(), ref_a.to_dense().data());
+    assert!(r.factors.bitwise_eq(&ref_f));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -678,98 +720,6 @@ fn result_bytes_serves_only_settled_completions_and_waits_for_them() {
     assert_eq!(pool.result_bytes(hqr_runtime::JobId(999)), None, "unknown ids answer at once");
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Retention as it was decided before the store kept its set in memory: a
-/// walk of the directory — list, stat, oldest (smallest id) first. The
-/// oracle only decides; the store under test unlinks.
-fn walk_prune(dir: &Path, cap: usize, max_bytes: u64, max_age: Option<Duration>) -> Vec<u64> {
-    let mut live: Vec<(u64, u64, SystemTime)> = std::fs::read_dir(dir)
-        .expect("read_dir")
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().into_string().ok()?;
-            let id = name.strip_prefix("job-")?.strip_suffix(".result")?.parse().ok()?;
-            let meta = e.metadata().ok()?;
-            Some((id, meta.len(), meta.modified().ok()?))
-        })
-        .collect();
-    live.sort_unstable();
-    let mut pruned = Vec::new();
-    if let Some(max_age) = max_age {
-        let now = SystemTime::now();
-        live.retain(|&(id, _, t)| {
-            let too_old = now.duration_since(t).is_ok_and(|age| age > max_age);
-            if too_old {
-                pruned.push(id);
-            }
-            !too_old
-        });
-    }
-    if cap > 0 && live.len() > cap {
-        let drop_n = live.len() - cap;
-        pruned.extend(live.drain(..drop_n).map(|(id, ..)| id));
-    }
-    if max_bytes > 0 {
-        let mut total: u64 = live.iter().map(|&(_, n, _)| n).sum();
-        for &(id, n, _) in &live {
-            if total <= max_bytes {
-                break;
-            }
-            pruned.push(id);
-            total -= n;
-        }
-    }
-    pruned.sort_unstable();
-    pruned
-}
-
-#[test]
-fn in_memory_retention_prunes_what_the_directory_walk_pruned() {
-    let mut rng = 0x5eed_u64;
-    let mut draw = |n: u64| splitmix64(&mut rng) % n;
-    for round in 0..4 {
-        let dir = state_dir(&format!("retention_{round}"));
-        let cap = draw(6) as usize;
-        let max_bytes = [0, 150, 400][draw(3) as usize];
-        // Ages are whole 100 ms steps apart, far from the 250 ms limit.
-        let max_age = (round % 2 == 1).then_some(Duration::from_millis(250));
-        let store = ResultStore::with_retention(&dir, cap, max_bytes, max_age).expect("open");
-        for id in 1..=14u64 {
-            if max_age.is_some() && draw(4) == 0 {
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            let mut c = SectionList::new(*b"HQRTEST\0", 1);
-            c.section(1, vec![id as u8; draw(120) as usize]);
-            store.put(id, &c).expect("put");
-            let expect = walk_prune(&dir, cap, max_bytes, max_age);
-            let pruned = store.prune();
-            let at = format!("round {round} (cap {cap}, {max_bytes} B, {max_age:?}), put {id}");
-            assert_eq!(pruned, expect, "{at}");
-            store.unlink(&pruned);
-            assert_eq!(store.list(), listed(&dir), "{at}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Result ids with a file in `dir`, ascending.
-fn listed(dir: &Path) -> Vec<u64> {
-    let mut ids: Vec<u64> = std::fs::read_dir(dir)
-        .expect("read_dir")
-        .flatten()
-        .filter_map(|e| {
-            e.file_name()
-                .into_string()
-                .ok()?
-                .strip_prefix("job-")?
-                .strip_suffix(".result")?
-                .parse()
-                .ok()
-        })
-        .collect();
-    ids.sort_unstable();
-    ids
 }
 
 /// A prune is journaled before its file is unlinked: a crash in between

@@ -237,21 +237,15 @@ impl std::fmt::Display for BinFormatError {
 
 impl std::error::Error for BinFormatError {}
 
-/// FNV-1a 64-bit offset basis — the starting state for [`fnv1a64_update`].
-pub const FNV1A64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis.
+const FNV1A64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a 64-bit hash: the workspace's small-key hash (retry jitter,
-/// fault-plan draws, graph fingerprints, tile guards). Byte-serial — one
-/// dependent multiply per byte — so it is *not* the container checksum;
-/// that is [`checksum64`].
+/// FNV-1a 64-bit hash: the workspace's small-key hash (the graph
+/// fingerprint, retry jitter, `NetFaultPlan` draws) and the digest of the
+/// golden-bit tests. Byte-serial — one dependent multiply per byte — so it
+/// hashes no bulk data; tiles and containers use [`checksum64`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_update(FNV1A64_INIT, bytes)
-}
-
-/// Incremental form of [`fnv1a64`]: fold more bytes into a running hash
-/// seeded with [`FNV1A64_INIT`]. Chaining updates over chunks is identical
-/// to one [`fnv1a64`] call over their concatenation.
-pub fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h = FNV1A64_INIT;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);

@@ -13,13 +13,11 @@
 //!   CYCLIC(a) row block-cyclic).
 
 pub mod dense;
-pub mod guard;
 pub mod io;
 pub mod layout;
 pub mod matrix;
 
 pub use dense::DenseMatrix;
-pub use guard::{GuardMismatch, TileGuard};
 pub use io::{BinFormatError, SectionList, SectionReader};
 pub use layout::{Layout, ProcessGrid};
 pub use matrix::TiledMatrix;
