@@ -1,12 +1,12 @@
 //! The one task→kernel dispatcher.
 //!
-//! Every backend that executes a factorization or apply-Q task — the
-//! in-process tile store (resident or paged), the `hqr-net` worker's slot
-//! map, the apply-Q DAG and the serial apply-Q driver — gathers the task's
-//! operands and calls [`run_kernel`]. Cross-backend bitwise parity is
-//! therefore structural: there is no second `match` on [`KernelKind`] to
-//! keep in step, and no caller picks between a plain and an inner-blocked
-//! routine (`ib = b` *is* the plain kernel, see [`crate::blocked`]).
+//! Outside this crate it has two callers: the runtime's tile store, through
+//! which every backend (engine, job pool, `hqr-net` worker) runs each
+//! factorization and apply-Q task, and the `trees` study's kernel timer.
+//! Cross-backend bitwise parity is therefore structural: there is no
+//! second `match` on [`KernelKind`] to keep in step, and no caller picks
+//! between a plain and an inner-blocked routine (`ib = b` *is* the plain
+//! kernel, see [`crate::blocked`]).
 
 use crate::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib};
 use crate::{KernelKind, Trans};

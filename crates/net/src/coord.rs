@@ -32,9 +32,9 @@
 use crate::error::NetError;
 use crate::fault::{FaultAction, NetFaultPlan};
 use crate::frame::{dial, read_frame_into, write_list};
-use crate::kernel::Slot;
 use crate::msg::{decode_borrowed, decode_tile, put_frame, recv_msg, send_msg, Msg};
 use hqr_runtime::task::SlotFamily;
+use hqr_runtime::Slot;
 use hqr_runtime::{
     last_writers, rebuild_closure, recompute_slots, RetryPolicy, TFactors, Task, TaskGraph,
 };

@@ -4,9 +4,10 @@
 //! elimination trees exist to minimize inter-node communication — and
 //! this crate supplies the cluster: multi-process tile workers holding 2D
 //! block-cyclic shards, each running its share of the elimination-list DAG
-//! the in-process runtime and the simulator use and pushing finished tiles
-//! to the workers that consume them, a coordinator that only supervises, and
-//! tiles as checksummed `hqr_tile::io` containers in length-prefixed frames.
+//! on the engine's `hqr_runtime::exec::DagRun` and pushing finished tiles
+//! (a push is one more released dependency) to the workers that consume
+//! them, a coordinator that only supervises, and tiles as checksummed
+//! `hqr_tile::io` containers in length-prefixed frames.
 //!
 //! Robustness is the design center, extending the single-process
 //! fault-tolerance contract across process boundaries:
@@ -32,7 +33,6 @@ pub mod coord;
 pub mod error;
 pub mod fault;
 pub mod frame;
-pub mod kernel;
 pub mod msg;
 mod pool;
 pub mod worker;

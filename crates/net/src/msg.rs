@@ -24,9 +24,9 @@
 
 use crate::error::NetError;
 use crate::frame::{read_frame_into, write_frame};
-use crate::kernel::Slot;
 use hqr_kernels::KernelKind;
 use hqr_runtime::task::SlotFamily;
+use hqr_runtime::Slot;
 use hqr_runtime::Task;
 use hqr_tile::io::{
     bytes_of_u64s, f64s_from_le, f64s_le, u64s_of_bytes, SectionList, SectionReader,

@@ -1,15 +1,15 @@
 //! A worker's recycled tile buffers.
 //!
 //! Every slot a worker holds is a `Box<[f64]>`: a `b*b` tile, or a T factor
-//! of `t_len(b, ib)` doubles. Without a pool each received slot, each
-//! zero-filled factor output and each shard after a `Hello` is fresh memory
-//! the kernel has to fault in page by page; with it, a buffer that leaves
-//! the shard (overwritten by a `Put` or a `Push`, or the previous run's
-//! shard) is handed to the next slot of its length that arrives. The pool
-//! lives in the worker's state, not in a run, so it survives runs, and it
-//! never holds more buffers than the largest shard the worker has held, so
-//! it does not raise the worker's peak memory. This is the one place a
-//! tile buffer is allocated.
+//! of `t_len(b, ib)` doubles. A received tile is decoded in place into its
+//! slot's buffer, so a slot takes a buffer once, on first arrival (or as a
+//! zero-filled factor output), and keeps it for the run. Without a pool
+//! each of those is fresh memory the kernel has to fault in page by page;
+//! with it, the previous run's shard is handed to the next run's slots of
+//! the same length. The pool lives in the worker's state, not in a run, so
+//! it survives runs, and it never holds more buffers than the largest shard
+//! the worker has held, so it does not raise the worker's peak memory. This
+//! is the one place a tile buffer is allocated.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

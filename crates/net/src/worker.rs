@@ -2,26 +2,27 @@
 //! runs its own share of the DAG.
 //!
 //! At `Hello` the worker rebuilds from the task list the `TaskGraph` every
-//! other worker holds. From `Start` on it runs the tasks whose affinity
-//! tile its grid ranks own, lowest task id first, on one compute thread (a
-//! host with more cores runs more workers). When a task finishes, each
-//! *other* worker owning one of its successors gets one `Push` with the
-//! written slots those successors touch; a received push installs them and
-//! releases the local successors. The graph has only last-writer edges and
-//! a slot that is read without being written is never written again, so
-//! every cross-worker edge carries data and no "I have read it" notice exists.
-//! Installing is overwriting: the version the pushed task consumed is gone
-//! from this shard, so a halted worker reports which pushes it accepted and
-//! recovery counts those tasks as run (see `Msg::Progress`).
+//! other worker holds. Each `Start` is one `DagRun` of the engine's
+//! execution core over the shard, run by one compute thread in
+//! `exec::worker_loop`: the tasks whose affinity tile its grid ranks own,
+//! lowest ready task id first (a host with more cores runs more workers).
+//! When a task finishes, each *other* worker owning one of its successors
+//! gets one `Push` with the written slots those successors touch. A
+//! received push is a release: its slots are written in place and its
+//! task completes. The graph has only last-writer edges and a slot that is
+//! read without being written is never written again, so every
+//! cross-worker edge carries data and no "I have read it" notice exists.
+//! The version a pushed task consumed is gone from this shard, so a halted
+//! worker reports the pushes it accepted (see `Msg::Progress`).
 //!
 //! Every connection has its own thread: pushes are drained and progress
-//! polls answered while a kernel runs (the shard lock is held to take and return
-//! buffers, never across a kernel, and a send never holds it), so two
-//! workers pushing to each other cannot deadlock and a slow worker is
-//! *slow*, not dead. Every request is idempotent. A push that cannot be
-//! delivered is dropped: its target is dead (the coordinator's poll of it
-//! fails, and the next epoch re-pushes to the new owner) or partitioned
-//! from this worker alone (the run ends at the stall deadline).
+//! polls answered while a kernel runs (the shard lock is never held across
+//! a kernel or a send), so two workers pushing to each other cannot
+//! deadlock and a slow worker is *slow*, not dead. Every request is
+//! idempotent. A push that cannot be delivered is dropped: its target is
+//! dead (the coordinator's poll of it fails, and the next epoch re-pushes
+//! to the new owner) or partitioned from this worker alone (the run ends
+//! at the stall deadline).
 //!
 //! Chaos hook: [`WorkerOptions::die_after_tasks`] is a deterministic
 //! kill-point — `die_hard` aborts the process (as SIGKILL would), otherwise
@@ -29,18 +30,20 @@
 
 use crate::error::NetError;
 use crate::frame::{dial, read_frame_into, write_frame};
-use crate::kernel::{run_task_on_map, Shard, Slot};
 use crate::msg::{
     decode_borrowed, decode_tile, encode_into, push_frame, put_frame, recv_msg, send_msg, Msg,
 };
 use crate::pool::TilePool;
+use hqr_runtime::exec::{worker_loop, Attempt, DagRun, GlobalQueue, RunPolicy, Worker};
+use hqr_runtime::store::{Shard, TileStore};
 use hqr_runtime::task::SlotFamily;
-use hqr_runtime::{last_writers, Task, TaskGraph};
+use hqr_runtime::{last_writers, FaultStats, Slot, Task, TaskGraph};
 use hqr_tile::{Layout, ProcessGrid};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -61,7 +64,6 @@ pub struct WorkerOptions {
 /// How long a push may wait: on a peer's socket, or for this worker's own
 /// `Start` of the epoch the push belongs to.
 const PEER_TIMEOUT: Duration = Duration::from_secs(5);
-const NOT_TO_RUN: u32 = u32::MAX;
 
 /// What the compute thread and the connection handlers share about the
 /// current epoch.
@@ -69,27 +71,44 @@ const NOT_TO_RUN: u32 = u32::MAX;
 struct Sched {
     /// 0 until the first `Start`.
     epoch: u64,
-    /// Grid rank → worker index.
-    owners: Vec<usize>,
-    /// The task's outputs are in the shard: it ran or was placed here, or
-    /// its push was accepted this epoch.
-    arrived: Vec<bool>,
-    /// Predecessors whose outputs have not arrived, for a task owned here
-    /// and not yet run; `NOT_TO_RUN` for every other task.
-    deps: Vec<u32>,
-    ready: BTreeSet<u32>,
-    left: usize,
+    /// The epoch's run; `None` until the first `Start`.
+    run: Option<Arc<EpochRun>>,
     /// Tasks run here, in completion order — what `Completed` reads.
     log: Vec<u64>,
     /// Tasks whose push was accepted this epoch — what a halt reports.
     accepted: Vec<u64>,
-    /// Set by a halting `Completed`, cleared by `Start`: the compute
-    /// thread stops at the next task boundary and pushes are ignored.
+    /// Set by a halt once the compute thread stopped, cleared by `Start`.
     halt: bool,
     failed: Option<String>,
     pushes: u64,
     push_floats: u64,
     compute: Option<JoinHandle<()>>,
+}
+
+/// One epoch: its plan, its run, and the run's ready heap ranked by task id.
+struct EpochRun {
+    epoch: u64,
+    /// Grid rank → worker index.
+    owners: Vec<usize>,
+    /// The completed set the epoch began with.
+    done: Vec<bool>,
+    /// Task → owned here.
+    mine: Vec<bool>,
+    dag: DagRun,
+    ready: GlobalQueue,
+}
+
+impl EpochRun {
+    /// Complete `t` and queue the released tasks that run here and have not
+    /// run (a re-pushed input releases a task done before the epoch again).
+    fn complete(&self, graph: &TaskGraph, t: u32) {
+        let queue = |s: u32| {
+            if self.mine[s as usize] && !self.dag.is_done(s) {
+                self.ready.push(s, &self.dag.ranks);
+            }
+        };
+        self.dag.complete(graph, t, queue, queue);
+    }
 }
 
 /// One run's plan, checked where it entered, and the state built on it.
@@ -101,10 +120,9 @@ struct Run {
     ib: usize,
     me: usize,
     addrs: Vec<SocketAddr>,
-    shard: Shard,
+    shard: Arc<Shard>,
     sched: Mutex<Sched>,
-    /// Wakes the compute thread (a task became ready, or halt) and pushes
-    /// waiting for their epoch.
+    /// Wakes pushes waiting for their epoch.
     work: Condvar,
 }
 
@@ -132,7 +150,7 @@ impl Run {
         }
         let graph = TaskGraph::try_from_tasks(mt, nt, b, tasks).map_err(|e| e.to_string())?;
         let layout = Layout::Cyclic2D(ProcessGrid::new(p, q));
-        let (shard, sched, work) = (Shard::default(), Mutex::default(), Condvar::new());
+        let (shard, sched, work) = (Arc::default(), Mutex::default(), Condvar::new());
         Ok(Run { run_id, graph, layout, ib, me, addrs, shard, sched, work })
     }
 
@@ -146,12 +164,17 @@ impl Run {
         owners[self.layout.owner(i, j)]
     }
 
-    /// Stop the compute thread at its next task boundary and wait for it.
+    /// Stop the compute thread at its next task boundary and wait for it;
+    /// only then is the worker halted, so a `Put` never meets a kernel.
     fn halt(&self) {
-        self.sched().halt = true;
-        self.work.notify_all();
-        let handle = self.sched().compute.take();
+        let mut s = self.sched();
+        if let Some(run) = &s.run {
+            run.dag.halt.store(true, Ordering::Release);
+        }
+        let handle = s.compute.take();
+        drop(s);
         let _ = handle.map(JoinHandle::join);
+        self.sched().halt = true;
     }
 
     /// `Start`: adopt the epoch's owner map and completed set, then run. An
@@ -159,7 +182,8 @@ impl Run {
     /// earlier overwrote its slots in place, which is why a halt reports it
     /// and `completed` counts its task; beyond that it is forgotten, and
     /// every completed task owned here re-pushes to the owners of its
-    /// unfinished successors.
+    /// unfinished successors. A `Start` of an older epoch than the current
+    /// one (a late duplicate) is refused and changes nothing.
     fn start(
         self: &Arc<Self>,
         state: &Arc<WorkerState>,
@@ -174,8 +198,10 @@ impl Run {
                 "start rejected: owners {owners:?} or a completed id off the plan"
             ));
         }
-        if self.sched().epoch == epoch {
-            return Ok(());
+        let current = self.sched().epoch;
+        if epoch <= current {
+            let older = format!("start rejected: epoch {epoch} is older than {current}");
+            return if epoch == current { Ok(()) } else { Err(older) };
         }
         self.halt();
         let owners: Vec<usize> = owners.iter().map(|&w| w as usize).collect();
@@ -183,88 +209,111 @@ impl Run {
         for &t in completed {
             done[t as usize] = true;
         }
-        let mine = |t: usize| self.owner(&owners, &self.graph.tasks()[t]) == self.me;
-        let mut guard = self.sched();
-        let s = &mut *guard;
-        s.arrived = (0..n).map(|t| done[t] && mine(t)).collect();
-        s.deps = (0..n).map(|t| if !done[t] && mine(t) { 0 } else { NOT_TO_RUN }).collect();
-        s.left = s.deps.iter().filter(|&&d| d == 0).count();
-        for t in (0..n).filter(|&t| !s.arrived[t]) {
-            for &succ in self.graph.successors(t) {
-                s.deps[succ as usize] = s.deps[succ as usize].saturating_add(1);
-            }
+        let (tasks, succ) = (self.graph.tasks(), |t| self.graph.successors(t).iter());
+        let mine: Vec<bool> = tasks.iter().map(|t| self.owner(&owners, t) == self.me).collect();
+        // Outputs here or not needed here: done and owned here, or owned
+        // elsewhere with no unfinished successor here. The rest is this
+        // worker's unfinished tasks and the pushes it is owed, so the epoch
+        // ends at `remaining == 0`.
+        let waiting = |s: &u32| mine[*s as usize] && !done[*s as usize];
+        let settled = (0..n).map(|t| mine[t] && done[t] || !mine[t] && !succ(t).any(waiting));
+        let settled: Vec<bool> = settled.collect();
+        let store = TileStore::over_shard(Arc::clone(&self.shard), self.graph.b(), self.ib);
+        let policy = RunPolicy { publish_rest: true, ..RunPolicy::default() };
+        let (dag, frontier) = DagRun::new(&self.graph, store, &policy, Some(&settled));
+        let ready = GlobalQueue::new(policy.publish_rest);
+        for t in frontier.into_iter().filter(|&t| mine[t as usize]) {
+            ready.push(t, &dag.ranks);
         }
-        s.ready = (0..n as u32).filter(|&t| s.deps[t as usize] == 0).collect();
-        (s.epoch, s.halt, s.owners) = (epoch, false, owners.clone());
+        let run = Arc::new(EpochRun { epoch, owners, done, mine, dag, ready });
+        let mut s = self.sched();
+        (s.epoch, s.halt, s.run) = (epoch, false, Some(Arc::clone(&run)));
         s.accepted.clear();
-        let (run, st) = (Arc::clone(self), Arc::clone(state));
-        s.compute = Some(thread::spawn(move || run.compute(&st, epoch, &owners, &done)));
-        drop(guard);
+        let (this, st) = (Arc::clone(self), Arc::clone(state));
+        s.compute = Some(thread::spawn(move || this.compute(&st, &run)));
+        drop(s);
         self.work.notify_all();
         Ok(())
     }
 
-    fn compute(&self, state: &WorkerState, epoch: u64, owners: &[usize], done: &[bool]) {
-        let (mut peers, mut frame) = (HashMap::new(), Vec::new());
-        let mut push = |t| self.push_outputs(&mut peers, &mut frame, owners, done, epoch, t);
+    fn compute(&self, state: &WorkerState, run: &EpochRun) {
+        let (mut peers, mut frame, done) = (HashMap::new(), Vec::new(), &run.done);
+        let mut push =
+            |t| self.push_outputs(&mut peers, &mut frame, &run.owners, done, run.epoch, t);
         // What this worker's finished tasks owe the epoch's unfinished ones.
-        for (t, task) in self.graph.tasks().iter().enumerate() {
-            if done[t] && self.owner(owners, task) == self.me {
-                push(t as u32);
-            }
+        for t in (0..done.len()).filter(|&t| done[t] && run.mine[t]) {
+            push(t as u32);
         }
-        loop {
-            let mut s = self.sched();
-            let next = loop {
-                if s.halt || s.left == 0 || state.dead.load(Ordering::SeqCst) {
-                    return;
+        let (graph, dag, local) = (&self.graph, &run.dag, Worker::new_lifo());
+        let (mut stats, mut counters) = (FaultStats::default(), Default::default());
+        worker_loop(
+            0,
+            &local,
+            &[],
+            |dest| run.ready.take(dest),
+            || dag.halt.load(Ordering::Acquire) || state.dead.load(Ordering::SeqCst),
+            || dag.remaining.load(Ordering::Acquire) == 0,
+            |t, _| {
+                if state.opts.die_after_tasks.is_some_and(|n| self.sched().log.len() as u64 >= n) {
+                    if state.opts.die_hard {
+                        // The real thing: no destructors, no goodbyes —
+                        // indistinguishable from SIGKILL for every peer.
+                        std::process::abort();
+                    }
+                    state.die_soft();
+                    return ControlFlow::Break(());
                 }
-                if let Some(t) = s.ready.pop_first() {
-                    break t;
+                thread::sleep(Duration::from_millis(state.opts.slow_task_ms));
+                // SAFETY: `t` was queued once, when its last predecessor
+                // completed, and this is the epoch's one compute thread; a
+                // push writes the slots of a task not done yet, which DAG
+                // order keeps apart from a ready task's.
+                let ended = self.operands(&state.pool, t).and_then(|()| unsafe {
+                    dag.attempt(graph, t, 0, false, &mut stats, &mut counters, &mut |_| {})
+                        .map_err(|e| e.to_string())
+                });
+                // A worker killed mid-kernel publishes nothing.
+                if state.dead.load(Ordering::SeqCst) {
+                    return ControlFlow::Break(());
                 }
-                s = self.work.wait(s).expect("sched lock: a holder panicked");
-            };
-            let ran = s.log.len() as u64;
-            drop(s);
-            if state.opts.die_after_tasks.is_some_and(|limit| ran >= limit) {
-                if state.opts.die_hard {
-                    // The real thing: no destructors, no goodbyes —
-                    // indistinguishable from SIGKILL for every peer.
-                    std::process::abort();
-                }
-                return state.die_soft();
-            }
-            thread::sleep(Duration::from_millis(state.opts.slow_task_ms));
-            let task = &self.graph.tasks()[next as usize];
-            let result = run_task_on_map(&self.shard, &state.pool, task, self.graph.b(), self.ib);
-            // A worker killed mid-kernel publishes nothing.
-            if state.dead.load(Ordering::SeqCst) {
-                return;
-            }
-            let mut s = self.sched();
-            if let Err(e) = result {
-                s.failed = Some(e.to_string());
-                return;
-            }
-            (s.deps[next as usize], s.arrived[next as usize]) = (NOT_TO_RUN, true);
-            s.left -= 1;
-            s.log.push(u64::from(next));
-            self.release(&mut s, next);
-            drop(s);
-            push(next);
-        }
+                let mut s = self.sched();
+                // Not done: halted between attempts, or failed (the compute
+                // thread's first failure is the run's).
+                let Ok(Attempt::Done { .. }) = ended else {
+                    s.failed = ended.err();
+                    return ControlFlow::Break(());
+                };
+                run.complete(graph, t);
+                s.log.push(u64::from(t));
+                drop(s);
+                push(t);
+                ControlFlow::Continue(())
+            },
+        );
     }
 
-    /// `t`'s outputs are here: its local successors lose a dependency.
-    fn release(&self, s: &mut Sched, t: u32) {
-        for &succ in self.graph.successors(t as usize) {
-            if s.deps[succ as usize] != NOT_TO_RUN {
-                s.deps[succ as usize] -= 1;
-                if s.deps[succ as usize] == 0 {
-                    s.ready.insert(succ);
-                }
+    /// Check that every operand of task `t` is in the shard, [`Run::slot_len`]
+    /// long, or a typed error names the one that is not; then create the
+    /// task's missing factor outputs, zeroed, from `pool`.
+    fn operands(&self, pool: &TilePool, t: u32) -> Result<(), String> {
+        let task = &self.graph.tasks()[t as usize];
+        let writes = task.writes();
+        let is_output = |s: &Slot| s.0 != SlotFamily::A && writes.contains(s);
+        let mut shard = self.shard.lock().expect("shard lock");
+        for s @ &(fam, i, j) in writes.iter().chain(&task.reads()) {
+            let len = self.slot_len(*s);
+            if !shard.get(s).map_or(is_output(s), |buf| buf.len() == len) {
+                let detail =
+                    format!("task {} needs {fam:?}({i},{j}) of {len} doubles here", task.label());
+                return Err(NetError::Remote(detail).to_string());
             }
         }
+        for &s in writes.iter().filter(|s| is_output(s)) {
+            // Factor outputs start life zeroed, exactly as
+            // `TFactors::allocate_for` zero-fills them.
+            shard.entry(s).or_insert_with(|| pool.zeroed(self.slot_len(s)));
+        }
+        Ok(())
     }
 
     /// One `Push` per other worker owning a successor of `t` not `done`
@@ -318,50 +367,40 @@ impl Run {
         }
     }
 
-    /// A peer's push: install and release, exactly once per task and
+    /// A peer's push: a release of its task, exactly once per task and
     /// epoch; anything that does not fit the plan changes nothing.
     fn accept_push(&self, pool: &TilePool, epoch: u64, task_id: u64, slots: Vec<(Slot, &[u8])>) {
         let tasks = self.graph.tasks();
         let Some(task) = usize::try_from(task_id).ok().and_then(|t| tasks.get(t)) else { return };
-        let (t, writes) = (task_id as usize, task.writes());
+        let writes = task.writes();
         if slots.iter().any(|&(s, raw)| !writes.contains(&s) || raw.len() != self.slot_len(s) * 8) {
             return;
         }
-        let tiles: Vec<_> = slots
-            .into_iter()
-            .filter_map(|(s, raw)| Some((s, self.decode(pool, s, raw)?)))
-            .collect();
         // The sender's `Start` can precede ours: wait for the epoch rather
         // than lose the push (ours is on its way, or the run is over and the
-        // wait times out). The sched lock is then held across the install, so
+        // wait times out). The sched lock is then held across the write, so
         // a halt or a `Start` sees this push whole or not at all.
         let (mut s, _) = self
             .work
             .wait_timeout_while(self.sched(), PEER_TIMEOUT, |s| s.epoch < epoch)
             .expect("sched lock: a holder panicked");
-        // (`owners` is empty until the first `Start`: epoch 0 is no epoch.)
-        let stale = s.epoch != epoch || s.halt || s.owners.is_empty();
-        if stale || s.arrived[t] || self.owner(&s.owners, task) == self.me {
-            return pool.give(tiles.into_iter().map(|(_, buf)| buf), 0);
-        }
-        self.install(pool, tiles);
-        s.arrived[t] = true;
+        let (t, run) = (task_id as u32, s.run.clone().filter(|_| s.epoch == epoch && !s.halt));
+        let Some(run) = run.filter(|r| !r.dag.is_done(t) && !r.mine[t as usize]) else { return };
+        self.write(pool, slots);
+        run.complete(&self.graph, t);
         s.accepted.push(task_id);
-        self.release(&mut s, t as u32);
-        drop(s);
-        self.work.notify_all();
+        if let Some(compute) = &s.compute {
+            compute.thread().unpark();
+        }
     }
 
-    /// The coordinator's `Put`. Tiles are placed between epochs: a
-    /// straggler from a connection the coordinator gave up on must not undo
-    /// what a task wrote since.
+    /// The coordinator's `Put`, placed between epochs (a straggler from a
+    /// connection the coordinator gave up on must not undo what a task wrote
+    /// since) and only if it is [`Run::slot_len`] long.
     fn place(&self, pool: &TilePool, slot: Slot, raw: &[u8]) {
-        let Some(buf) = self.decode(pool, slot, raw) else { return };
         let s = self.sched();
-        if s.epoch == 0 || s.halt {
-            self.install(pool, [(slot, buf)]);
-        } else {
-            pool.give([buf], 0);
+        if raw.len() == self.slot_len(slot) * 8 && (s.epoch == 0 || s.halt) {
+            self.write(pool, [(slot, raw)]);
         }
     }
 
@@ -370,27 +409,14 @@ impl Run {
         fam.slot_len(self.graph.b(), self.ib)
     }
 
-    /// A received buffer for `slot` decoded into a pooled one if it is
-    /// [`Run::slot_len`] long; a buffer of any other size is dropped on
-    /// arrival and never enters the shard.
-    fn decode(&self, pool: &TilePool, slot: Slot, raw: &[u8]) -> Option<Box<[f64]>> {
-        let n = self.slot_len(slot);
-        (raw.len() == n * 8).then(|| {
-            let mut buf = pool.take(n);
-            decode_tile(raw, &mut buf).expect("the size was checked");
-            buf
-        })
-    }
-
-    /// Install `tiles` in the shard; the buffers they replace go back to
-    /// `pool`.
-    fn install(&self, pool: &TilePool, tiles: impl IntoIterator<Item = (Slot, Box<[f64]>)>) {
+    /// Decode received buffers of their slots' lengths in place into the
+    /// shard; a slot's first arrival takes its buffer from `pool`.
+    fn write<'a>(&self, pool: &TilePool, tiles: impl IntoIterator<Item = (Slot, &'a [u8])>) {
         let mut shard = self.shard.lock().expect("shard lock");
-        let replaced: Vec<_> =
-            tiles.into_iter().filter_map(|(s, buf)| shard.insert(s, buf)).collect();
-        let held = shard.len();
-        drop(shard);
-        pool.give(replaced, held);
+        for (slot, raw) in tiles {
+            let buf = shard.entry(slot).or_insert_with(|| pool.take(raw.len() / 8));
+            decode_tile(raw, buf).expect("the size was checked");
+        }
     }
 
     /// `Gather`: stream every slot whose last writer this worker owns,
@@ -400,8 +426,7 @@ impl Run {
         // The compute thread may still be counting its last push.
         self.halt();
         let s = self.sched();
-        let (owners, end) =
-            (s.owners.clone(), Msg::End { pushes: s.pushes, push_floats: s.push_floats });
+        let (run, end) = (s.run.clone(), Msg::End { pushes: s.pushes, push_floats: s.push_floats });
         drop(s);
         let tasks = self.graph.tasks();
         let mut last: Vec<(Slot, u32)> =
@@ -409,7 +434,7 @@ impl Run {
         last.sort_unstable();
         let mut frame = Vec::new();
         for (slot, w) in last {
-            if !owners.is_empty() && self.owner(&owners, &tasks[w as usize]) == self.me {
+            if run.as_ref().is_some_and(|run| run.mine[w as usize]) {
                 let shard = self.shard.lock().expect("shard lock");
                 let held =
                     shard.get(&slot).map(|buf| encode_into(&mut frame, &put_frame(slot, buf)));
@@ -452,13 +477,8 @@ impl WorkerState {
         for c in self.conns.lock().expect("conns lock").values() {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
-        if let Some(run) = self.current() {
-            // Through the lock, so a compute thread between its check of
-            // `dead` and its wait cannot miss the wake-up.
-            drop(run.sched());
-            run.work.notify_all();
-        }
-        // The accept loop blocks in `accept`; a connection wakes it.
+        // A compute thread sees `dead` within one idle nap. The accept loop
+        // blocks in `accept`; a connection wakes it.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
     }
 
@@ -643,6 +663,73 @@ mod tests {
     use hqr_runtime::{execute_serial_ib, ElimOp};
     use hqr_tile::TiledMatrix;
 
+    /// A worker serving on a background thread, as `spawn_local` starts
+    /// one, with its state in reach.
+    fn serve_one() -> (Arc<WorkerState>, JoinHandle<io::Result<()>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let state = Arc::new(WorkerState::new(&listener, WorkerOptions::default()).unwrap());
+        let serving = Arc::clone(&state);
+        (state, thread::spawn(move || serve_state(listener, &serving)))
+    }
+
+    /// One worker runs every task, lowest ready id first, which on one
+    /// worker is program order: its `Completed` log is exactly `0..n`
+    /// (a data-reuse LIFO deque would run a released update before an
+    /// older ready one).
+    #[test]
+    fn a_one_worker_fleet_runs_the_tasks_in_program_order() {
+        let (state, serving) = serve_one();
+        let (mt, nt, b) = (6, 4, 8);
+        let elims: Vec<ElimOp> = (0..nt as u32)
+            .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
+            .collect();
+        let graph = TaskGraph::build(mt, nt, b, &elims);
+        let input = TiledMatrix::random(mt, nt, b, 9);
+        factorize(&[state.addr], &graph, &input, 4, &DistConfig::for_workers(1))
+            .expect("factorize");
+        let log = state.current().expect("a run").sched().log.clone();
+        assert_eq!(log, (0..graph.tasks().len() as u64).collect::<Vec<_>>());
+        shutdown_workers(&[state.addr]);
+        serving.join().unwrap().unwrap();
+    }
+
+    /// A `Start` whose A tile was never `Put` fails its first task with a
+    /// typed error naming the slot, reported at the next progress poll, and
+    /// creates none of the task's factor outputs.
+    #[test]
+    fn a_missing_input_tile_is_a_typed_error_and_creates_nothing() {
+        let (state, serving) = serve_one();
+        let mut conn = TcpStream::connect(state.addr).unwrap();
+        let mut rpc = |msg: Msg| {
+            send_msg(&mut conn, &msg).unwrap();
+            recv_msg(&mut conn, "reply", Duration::from_secs(5)).unwrap()
+        };
+        let (addrs, tasks) = (vec![state.addr], vec![Task::geqrt(0, 0)]);
+        assert_eq!(
+            rpc(Msg::Hello { run_id: 1, dims: [1, 1, 4, 4, 1, 1, 0], addrs, tasks }),
+            Msg::Ok
+        );
+        let start = Msg::Start { run_id: 1, epoch: 1, owners: vec![0], completed: vec![] };
+        assert_eq!(rpc(start), Msg::Ok);
+        let failure = (0..2_000).find_map(|_| {
+            match rpc(Msg::Completed { run_id: 1, after: 0, halt: false }) {
+                Msg::Err { detail } => Some(detail),
+                Msg::Progress { ids, .. } => {
+                    assert!(ids.is_empty(), "GEQRT ran without its tile");
+                    thread::sleep(Duration::from_millis(2));
+                    None
+                }
+                other => panic!("expected Progress or Err, got {other:?}"),
+            }
+        });
+        let failure = failure.expect("the task never failed");
+        assert!(failure.contains("needs A(0,0) of 16 doubles here"), "{failure}");
+        let shard = state.current().expect("a run").shard.lock().unwrap().len();
+        assert_eq!(shard, 0, "a factor buffer was created");
+        shutdown_workers(&[state.addr]);
+        serving.join().unwrap().unwrap();
+    }
+
     /// One fleet serves five runs of different shapes, tile sizes and
     /// inputs out of recycled buffers. Every run is bitwise the serial
     /// reference, and no worker's pool ever holds more buffers than the
@@ -650,13 +737,7 @@ mod tests {
     /// its size after the run is its largest).
     #[test]
     fn pooled_buffers_leak_nothing_across_runs() {
-        let mut fleet = Vec::new();
-        for _ in 0..2 {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let state = Arc::new(WorkerState::new(&listener, WorkerOptions::default()).unwrap());
-            let serving = Arc::clone(&state);
-            fleet.push((state, thread::spawn(move || serve_state(listener, &serving))));
-        }
+        let fleet: Vec<_> = (0..2).map(|_| serve_one()).collect();
         let addrs: Vec<SocketAddr> = fleet.iter().map(|(s, _)| s.addr).collect();
         let mut largest = [0usize; 2];
         let shapes = [(6, 4, 8, 4), (4, 4, 8, 8), (8, 3, 4, 2), (5, 2, 8, 3), (6, 4, 8, 4)];

@@ -532,3 +532,39 @@ fn factor_payloads_that_are_not_t_len_long_are_dropped() {
     shutdown(worker.addr).expect("orderly shutdown");
     worker.join().expect("worker thread");
 }
+
+/// A late duplicate `Start` of an older epoch is refused with `Msg::Err` and
+/// changes nothing: the worker neither rolls back to that epoch's owner
+/// table nor re-runs what it ran, and the run completes bitwise under the
+/// newer epoch.
+#[test]
+fn a_start_of_an_older_epoch_is_refused() {
+    let (b, ib, run_id) = (4usize, 2usize, 3u64);
+    let graph = TaskGraph::build(2, 2, b, &[ElimOp::new(0, 1, 0, false)]);
+    let input = TiledMatrix::random(2, 2, b, 41);
+    let worker = spawn_local(WorkerOptions::default()).expect("spawn worker");
+    let mut conn = std::net::TcpStream::connect(worker.addr).expect("connect");
+    let dims = [2, 2, b as u64, ib as u64, 1, 1, 0];
+    let plan = Msg::Hello { run_id, dims, addrs: vec![worker.addr], tasks: graph.tasks().to_vec() };
+    assert_eq!(rpc(&mut conn, plan), Msg::Ok);
+    for (i, j) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+        let put = Msg::Put { slot: (SlotFamily::A, i, j), data: input.tile(i, j).to_vec() };
+        send_msg(&mut conn, &put).expect("put");
+    }
+    let start = |epoch| Msg::Start { run_id, epoch, owners: vec![0], completed: vec![] };
+    assert_eq!(rpc(&mut conn, start(2)), Msg::Ok);
+    let late = rpc(&mut conn, start(1));
+    assert!(matches!(late, Msg::Err { .. }), "an older epoch was adopted: {late:?}");
+    let n = graph.tasks().len();
+    assert_eq!(wait_for_tasks(&mut conn, run_id, n), (0..n as u64).collect::<Vec<_>>());
+    let mut a = input.clone();
+    let f = execute_serial_ib(&graph, &mut a, ib);
+    let (slots, end) = gather(&mut conn, run_id);
+    assert_eq!(end, Msg::End { pushes: 0, push_floats: 0 });
+    assert_eq!(slots.len(), 4 + 3 * 2 + 1, "A, the Vg and Tg of three GEQRTs, the Tk");
+    for (slot, data) in slots {
+        assert_eq!(bits(&data), bits(serial_slot(&a, &f, slot)), "{slot:?} diverged");
+    }
+    shutdown(worker.addr).expect("orderly shutdown");
+    worker.join().expect("worker thread");
+}

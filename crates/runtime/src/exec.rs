@@ -21,10 +21,11 @@
 //!
 //! The execution core is three pieces, each written once: the kernel
 //! dispatcher (`hqr_kernels::run_kernel`, reached through
-//! [`TileStore::run_task`]), the worker loop (`worker_loop`: pop local →
+//! [`TileStore::run_task`]), the worker loop ([`worker_loop`]: pop local →
 //! take global → rotated victim scan → backoff → bounded park), and the
-//! per-DAG run state (`DagRun`: store, guards, fault plan, priority
-//! keys, frontier, and the attempt/complete steps).
+//! per-DAG run state ([`DagRun`]: store, guards, fault plan, priority
+//! keys, frontier, and the attempt/complete steps), fed by a shared
+//! [`GlobalQueue`]. All are public: `hqr-net` workers run them too.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -34,7 +35,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+use crossbeam_deque::Injector;
+/// The deque types [`worker_loop`] takes, re-exported for its clients.
+pub use crossbeam_deque::{Steal, Stealer, Worker};
 use crossbeam_utils::Backoff;
 
 use crate::elim::ElimOp;
@@ -428,12 +431,13 @@ fn set_error(slot: &Mutex<Option<ExecError>>, e: ExecError) {
 /// Nap length for an idle worker whose exponential backoff ladder is
 /// exhausted: long enough to stop burning the core through a serial tail,
 /// short enough that newly released work (and a halt) is observed almost
-/// immediately.
+/// immediately. A release from outside the loop can end the nap early by
+/// unparking the worker's thread.
 const IDLE_PARK: Duration = Duration::from_micros(100);
 
-/// Where [`acquire`] found a task.
+/// Where [`worker_loop`] found a task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Source {
+pub enum Source {
     /// The worker's own LIFO deque (data-reuse hit).
     Local,
     /// The executor's shared ready queue.
@@ -481,14 +485,15 @@ pub(crate) fn acquire<T>(
 }
 
 /// The worker loop every executor runs — the single-DAG engine (which
-/// also applies Q, [`try_apply_q`]) and the multi-job
-/// [`crate::pool::JobPool`]:
-/// [`acquire`] a task and hand it to `run` until `run` breaks, `halted()`
-/// turns true, or no task can be found and `drained()` says none will
-/// come. An idle worker climbs the spin/yield backoff ladder, then parks in
-/// bounded naps of [`IDLE_PARK`] instead of burning its core through a
-/// long serial tail; new work is still picked up within one nap.
-pub(crate) fn worker_loop<T>(
+/// also applies Q, [`try_apply_q`]), the multi-job
+/// [`crate::pool::JobPool`] and an `hqr-net` worker's compute thread (one
+/// worker, no peers): [`acquire`] a task and hand it to `run` until `run`
+/// breaks, `halted()` turns true, or no task can be found and `drained()`
+/// says none will come. An idle worker climbs the spin/yield backoff
+/// ladder, then parks in bounded naps of [`IDLE_PARK`] instead of burning
+/// its core through a long serial tail; new work is picked up within one
+/// nap, or at once if whoever released it unparks the thread.
+pub fn worker_loop<T>(
     me: usize,
     local: &Worker<T>,
     stealers: &[Stealer<T>],
@@ -509,7 +514,7 @@ pub(crate) fn worker_loop<T>(
                 if halted() {
                     break;
                 }
-                std::thread::sleep(IDLE_PARK);
+                std::thread::park_timeout(IDLE_PARK);
             } else {
                 backoff.snooze();
             }
@@ -522,26 +527,29 @@ pub(crate) fn worker_loop<T>(
     }
 }
 
-/// The shared ready queue feeding idle engine workers: the legacy FIFO
-/// injector (with batch steals into the thief's deque), or — under a
-/// prioritizing [`SchedPolicy`] — a heap ordered by the policy's static
-/// priority keys, so releases are handed out best-priority-first instead
-/// of in arrival order.
-enum GlobalQueue {
+/// The shared ready queue of the execution core, feeding idle workers: a
+/// heap ordered by the run's static priority keys when the run publishes
+/// its releases ([`RunPolicy::publish_rest`]), so they are handed out
+/// best-priority-first, and the FIFO injector (with batch steals into the
+/// thief's deque) when it keeps them.
+pub enum GlobalQueue {
+    /// Arrival order.
     Fifo(Injector<u32>),
+    /// Lowest `(rank, task id)` first.
     Prio(Mutex<BinaryHeap<Reverse<(u64, u32)>>>),
 }
 
 impl GlobalQueue {
-    fn new(policy: SchedPolicy) -> GlobalQueue {
-        match policy {
-            SchedPolicy::Fifo => GlobalQueue::Fifo(Injector::new()),
-            _ => GlobalQueue::Prio(Mutex::new(BinaryHeap::new())),
+    /// The queue a run with this [`RunPolicy::publish_rest`] uses.
+    pub fn new(publish_rest: bool) -> GlobalQueue {
+        match publish_rest {
+            true => GlobalQueue::Prio(Mutex::new(BinaryHeap::new())),
+            false => GlobalQueue::Fifo(Injector::new()),
         }
     }
 
     /// Enqueue `tid` under its priority key (ignored by the FIFO queue).
-    fn push(&self, tid: u32, ranks: &[u64]) {
+    pub fn push(&self, tid: u32, ranks: &[u64]) {
         match self {
             GlobalQueue::Fifo(inj) => inj.push(tid),
             GlobalQueue::Prio(q) => relock(q).push(Reverse((ranks[tid as usize], tid))),
@@ -550,7 +558,7 @@ impl GlobalQueue {
 
     /// Take the next task: lowest key first for the heap; for the FIFO
     /// injector a batch is stolen into `dest` and its first task returned.
-    fn take(&self, dest: &Worker<u32>) -> Steal<u32> {
+    pub fn take(&self, dest: &Worker<u32>) -> Steal<u32> {
         match self {
             GlobalQueue::Fifo(inj) => inj.steal_batch_and_pop(dest),
             GlobalQueue::Prio(q) => match relock(q).pop() {
@@ -572,7 +580,7 @@ struct WorkerLog {
 }
 
 /// How one task's attempt ladder ended without an error.
-pub(crate) enum Attempt {
+pub enum Attempt {
     /// The task ran to completion; the caller must [`DagRun::complete`] it.
     /// On a paged store, `pinned_at` is when its pin pass ended.
     Done { pinned_at: Option<Instant> },
@@ -585,19 +593,25 @@ pub(crate) enum Attempt {
 }
 
 /// The per-run policy knobs of a [`DagRun`], as the engine's
-/// [`ExecOptions`] and the pool's per-job policy both spell them.
-pub(crate) struct RunPolicy<'a> {
+/// [`ExecOptions`], the pool's per-job policy and an `hqr-net` worker spell
+/// them. Default: FIFO ranks, no guards, retries or faults, releases kept.
+#[derive(Default)]
+pub struct RunPolicy<'a> {
+    /// Whose static priority keys rank the ready tasks.
     pub policy: SchedPolicy,
+    /// Which tile guards are kept and checked.
     pub integrity: IntegrityMode,
     /// Per-task retry budget after a caught panic or detected corruption.
     pub max_retries: u32,
+    /// Planned faults to inject, if any.
     pub plan: Option<&'a FaultPlan>,
     /// Release path. `true`: a completing worker keeps only its
     /// best-ranked released successor and publishes the rest on the shared
     /// queue, so the most urgent work is never buried in one deque (the
     /// engine under a prioritizing policy; the pool always). `false`: every
     /// released successor goes to the worker's own LIFO deque (the engine
-    /// under FIFO — the data-reuse heuristic of DAGuE §IV-C).
+    /// under FIFO — the data-reuse heuristic of DAGuE §IV-C). It also picks
+    /// the run's [`GlobalQueue`].
     pub publish_rest: bool,
 }
 
@@ -614,9 +628,10 @@ impl<'a> RunPolicy<'a> {
     }
 }
 
-/// The state of one DAG being executed, independent of which executor
-/// drives it — the single-job engine below (one per run) or the
-/// multi-job [`crate::pool::JobPool`] (one per activation): the tile store,
+/// The state of one DAG being executed — the execution core's run state —
+/// independent of which executor drives it: the single-job engine below
+/// (one per run), the multi-job [`crate::pool::JobPool`] (one per
+/// activation) or an `hqr-net` worker (one per epoch): the tile store,
 /// the integrity guards, the fault plan and retry knobs, the priority
 /// keys, and the scheduling frontier (`indeg` / `done` / `remaining`) with
 /// its halt flag. Both push a ready task through the same two steps:
@@ -628,10 +643,10 @@ impl<'a> RunPolicy<'a> {
 ///
 /// The graph is passed to each call rather than stored: the engine borrows
 /// it from its caller, the pool owns it next to this struct.
-pub(crate) struct DagRun {
+pub struct DagRun {
     /// The tile store (resident or paged); the owner must
     /// [`TileStore::unpage`] it before touching the matrix again.
-    pub store: TileStore,
+    pub(crate) store: TileStore,
     /// One guard per slot, shared by all workers under the same DAG
     /// exclusive-writer discipline as the tile buffers themselves.
     guards: Option<GuardStore>,
@@ -654,14 +669,16 @@ pub(crate) struct DagRun {
 }
 
 impl DagRun {
-    /// Set up the run of the tasks not marked in `completed` (which must be
-    /// closed under predecessors), and return it with its initial ready
-    /// frontier, in task order. The frontier is reconstructed by
-    /// discounting completed predecessors from each remaining task's
-    /// in-degree, from state no worker can see yet: once the first task is
-    /// queued, workers release successors themselves, so a later scan of
-    /// the live counters could queue a task twice.
-    pub(crate) fn new(
+    /// Set up the run of the tasks not marked in `completed`, and return it
+    /// with its initial ready frontier, in task order. The frontier is
+    /// reconstructed by discounting completed predecessors from each
+    /// remaining task's in-degree, from state no worker can see yet: once
+    /// the first task is queued, workers release successors themselves, so
+    /// a later scan of the live counters could queue a task twice. When
+    /// `completed` is not closed under predecessors, completing a task can
+    /// release a successor that is already done: the caller's `keep` and
+    /// `publish` must skip those (see [`DagRun::complete`]).
+    pub fn new(
         graph: &TaskGraph,
         store: TileStore,
         p: &RunPolicy<'_>,
@@ -688,7 +705,7 @@ impl DagRun {
     }
 
     /// True once `tid` has completed (in this run or before it).
-    pub(crate) fn is_done(&self, tid: u32) -> bool {
+    pub fn is_done(&self, tid: u32) -> bool {
         self.done[tid as usize].load(Ordering::Acquire)
     }
 
@@ -730,12 +747,14 @@ impl DagRun {
     /// Run ready task `tid` on worker `me` through the full attempt ladder.
     /// `poisoned` marks a worker the fault plan poisons (engine only).
     ///
-    /// # Safety (discharged by the caller's scheduler)
+    /// # Safety
     /// `tid` must be ready — every predecessor completed, `tid` itself not
-    /// — so DAG order guarantees this worker holds exclusive access to its
-    /// read/write sets for the kernel, the snapshot, and the guard updates.
+    /// — and no other thread may run it, so DAG order guarantees this
+    /// worker holds exclusive access to its read/write sets for the kernel,
+    /// the snapshot, and the guard updates. The caller's scheduler
+    /// discharges this.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn attempt(
+    pub unsafe fn attempt(
         &self,
         graph: &TaskGraph,
         tid: u32,
@@ -886,7 +905,7 @@ impl DagRun {
     /// its successors: each one whose last predecessor this was becomes
     /// ready and is handed to `keep` (the caller's own deque) or `publish`
     /// (the shared queue) per [`RunPolicy::publish_rest`].
-    pub(crate) fn complete(
+    pub fn complete(
         &self,
         graph: &TaskGraph,
         tid: u32,
@@ -970,12 +989,7 @@ pub(crate) fn preview_order(
     let (indeg0, frontier) = initial_frontier(graph, completed);
     let indeg: Vec<AtomicU32> = indeg0.into_iter().map(AtomicU32::new).collect();
     let ranks = sched::priorities(graph, p.policy);
-    // Publishing executors hand shared work out best-rank-first (the
-    // engine's heap under a prioritizing policy; the pool always).
-    let global = match p.publish_rest {
-        true => GlobalQueue::Prio(Mutex::new(BinaryHeap::new())),
-        false => GlobalQueue::Fifo(Injector::new()),
-    };
+    let global = GlobalQueue::new(p.publish_rest);
     for tid in frontier {
         global.push(tid, &ranks);
     }
@@ -1132,7 +1146,7 @@ fn drive(
     let recovery = opts.recovery_enabled();
     let alive = AtomicUsize::new(nthreads);
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
-    let global = GlobalQueue::new(opts.policy);
+    let global = GlobalQueue::new(run.publish_rest);
     for tid in frontier {
         global.push(tid, &run.ranks);
     }
@@ -1206,14 +1220,15 @@ fn drive(
                             Source::Peer => counters.steals += 1,
                         }
                         let start = trace.then(now);
-                        // SAFETY contract of `attempt`: every predecessor
-                        // of `tid` has completed (its in-degree reached 0)
-                        // and `tid` has not, so its read/write sets are
+                        // SAFETY: every predecessor of `tid` has completed
+                        // (its in-degree reached 0) and `tid` has not, and
+                        // it was queued once, so its read/write sets are
                         // exclusively this worker's until completion.
-                        let end =
+                        let end = unsafe {
                             run.attempt(graph, tid, me, poisoned, wstats, counters, &mut |k| {
                                 instant(k, tid)
-                            });
+                            })
+                        };
                         match end {
                             Ok(Attempt::Done { pinned_at }) => {
                                 if let Some(start) = start {
@@ -1517,7 +1532,7 @@ mod tests {
     fn steal_scan_starts_past_self() {
         // Regression: the victim scan used to start at index 0, so every
         // idle worker hammered the lowest-index deques first.
-        let global = GlobalQueue::new(SchedPolicy::Fifo);
+        let global = GlobalQueue::new(false);
         let workers: Vec<Worker<u32>> = (0..4).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
         for (i, w) in workers.iter().enumerate() {
@@ -1531,7 +1546,7 @@ mod tests {
 
     #[test]
     fn steal_scan_wraps_around() {
-        let global = GlobalQueue::new(SchedPolicy::Fifo);
+        let global = GlobalQueue::new(false);
         let workers: Vec<Worker<u32>> = (0..4).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
         workers[0].push(7); // only worker 0 has work
@@ -1543,7 +1558,7 @@ mod tests {
 
     #[test]
     fn acquire_prefers_local_then_global_then_peers() {
-        let global = GlobalQueue::new(SchedPolicy::CriticalPath);
+        let global = GlobalQueue::new(true);
         let workers: Vec<Worker<u32>> = (0..2).map(|_| Worker::new_lifo()).collect();
         let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
         workers[0].push(1);
@@ -1597,7 +1612,7 @@ mod tests {
 
     #[test]
     fn priority_queue_pops_best_rank_first() {
-        let global = GlobalQueue::new(SchedPolicy::CriticalPath);
+        let global = GlobalQueue::new(true);
         let ranks = [5u64, 1, 9, 3];
         for t in 0..4u32 {
             global.push(t, &ranks);

@@ -1472,12 +1472,12 @@ fn run_job_task(
     let graph = &job.work.graph;
     let mut wstats = FaultStats::default();
     let mut counters = WorkerCounters::default();
-    // SAFETY contract of `attempt`: `tid` is ready (released by its last
-    // predecessor) and not done, so within this job's DAG this worker
-    // holds exclusive access to its read/write sets; distinct jobs never
-    // share buffers at all. Pool workers are never poisoned (rejected at
-    // submission).
-    let end = job.run.attempt(graph, tid, me, false, &mut wstats, &mut counters, &mut |_| {});
+    // SAFETY: `tid` is ready (released by its last predecessor) and not
+    // done, so within this job's DAG this worker holds exclusive access to
+    // its read/write sets; distinct jobs never share buffers at all. Pool
+    // workers are never poisoned (rejected at submission).
+    let end =
+        unsafe { job.run.attempt(graph, tid, me, false, &mut wstats, &mut counters, &mut |_| {}) };
     if wstats != FaultStats::default() {
         relock(&job.stats).merge(&wstats);
     }

@@ -7,7 +7,7 @@
 //! (every read and every write of a slot is ordered after the slot's last
 //! writer). This is precisely the contract DAGuE's runtime relies on.
 //!
-//! The store has two modes:
+//! The store has three backings:
 //!
 //! * **Resident** (the default): a flat pointer table over buffers that
 //!   stay allocated for the whole run — zero per-access overhead.
@@ -21,10 +21,15 @@
 //!   faulting misses in from disk — and releases the pins when the
 //!   attempt ends, so kernels still see plain stable `&mut [f64]` views
 //!   and the factorization stays bitwise identical to the resident run.
+//! * **Shard**: an `hqr-net` worker's slot map ([`Shard`]); a buffer's
+//!   address is stable while its slot is present. It allocates nothing:
+//!   the worker puts every buffer a task touches in the map first.
 
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
-use crate::exec::{factor_slots, TFactors};
+use crate::exec::{factor_slots, relock, TFactors};
 use crate::fault::{SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 use crate::graph::TaskGraph;
 use crate::lineage::Slot;
@@ -46,7 +51,13 @@ pub struct TileStore {
     /// Two-tier backing cache; `None` in resident mode (the pointer
     /// tables above are empty when this is `Some`).
     paged: Option<PagedStore>,
+    /// A worker's slot map; the pointer tables are empty when this is
+    /// `Some`.
+    shard: Option<Arc<Shard>>,
 }
+
+/// An `hqr-net` worker's shard: every slot version it currently holds.
+pub type Shard = Mutex<HashMap<Slot, Box<[f64]>>>;
 
 /// What a paged store knows of the run it serves: residency is decided from
 /// the schedule, not from past accesses.
@@ -142,7 +153,18 @@ impl TileStore {
             tg: ptrs(&mut f.tg),
             tk: ptrs(&mut f.tk),
             paged: None,
+            shard: None,
         }
+    }
+
+    /// A store over a worker's `shard`, for tiles of side `b` and T factors
+    /// of inner block size `ib`. Every slot a task touches must be in the
+    /// map, [`SlotFamily::slot_len`] long, before the task runs, and stay
+    /// there until it ends.
+    pub fn over_shard(shard: Arc<Shard>, b: usize, ib: usize) -> Self {
+        let none = Vec::new;
+        let (a, vg, tg, tk) = (none(), none(), none(), none());
+        TileStore { b, ib, mt: 0, a, vg, tg, tk, paged: None, shard: Some(shard) }
     }
 
     /// A store over `[factored | c]` for a [`TaskGraph::apply_q`] graph:
@@ -167,6 +189,7 @@ impl TileStore {
             tg: read_only_ptrs(&f.tg),
             tk: read_only_ptrs(&f.tk),
             paged: None,
+            shard: None,
         }
     }
 
@@ -205,6 +228,7 @@ impl TileStore {
             tg: Vec::new(),
             tk: Vec::new(),
             paged: Some(paged),
+            shard: None,
         })
     }
 
@@ -283,6 +307,14 @@ impl TileStore {
             // Pinned by the executor before the task ran, so the buffer
             // is resident and its address is stable for the pin's life.
             return paged.core.resident_ptr(fam, i, j);
+        }
+        if let Some(shard) = &self.shard {
+            // A boxed buffer does not move when the map does. Presence and
+            // length are checked, not assumed (see `over_shard`).
+            let buf = relock(shard).get_mut(&(fam, i, j)).map(|b| (b.as_mut_ptr(), b.len()));
+            let (ptr, len) = buf.expect("a shard slot is present while its task runs");
+            assert_eq!(len, fam.slot_len(self.b, self.ib), "shard slot length");
+            return ptr;
         }
         let idx = i + j * self.mt;
         match fam {
@@ -417,5 +449,51 @@ mod tests {
         let mut a2 = TiledMatrix::from_dense(&before, b);
         let _ = crate::exec::execute_serial(&g, &mut a2);
         assert_eq!(a.to_dense().data(), a2.to_dense().data());
+    }
+
+    /// A store over a worker's shard runs a DAG to the serial reference's
+    /// bits, and a slot that is missing or misfit when its task runs is a
+    /// panic (which `DagRun::attempt` turns into a typed error), never a
+    /// view of the wrong length, and it leaves the shard's lock usable.
+    #[test]
+    fn shard_backing_matches_serial_and_checks_its_slots() {
+        let (mt, nt, b, ib) = (3, 2, 4, 2);
+        let g =
+            TaskGraph::build(mt, nt, b, &[ElimOp::new(0, 1, 0, true), ElimOp::new(0, 2, 0, false)]);
+        let input = TiledMatrix::random(mt, nt, b, 11);
+        let mut a = input.clone();
+        let f = crate::exec::execute_serial_ib(&g, &mut a, ib);
+        let shard: Arc<Shard> = Arc::default();
+        let mut map = shard.lock().unwrap();
+        for (i, j) in (0..mt).flat_map(|i| (0..nt).map(move |j| (i, j))) {
+            map.insert((SlotFamily::A, i, j), input.tile(i, j).into());
+        }
+        for (fam, i, k) in factor_slots(&g) {
+            map.insert((fam, i, k), vec![0.0; fam.slot_len(b, ib)].into());
+        }
+        drop(map);
+        let store = TileStore::over_shard(Arc::clone(&shard), b, ib);
+        for t in g.tasks() {
+            // SAFETY: single-threaded, topological order.
+            unsafe { store.run_task(t, Trans::Trans) };
+        }
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let map = shard.lock().unwrap();
+        for (&(fam, i, j), buf) in map.iter() {
+            let want = f.slot(fam, i, j).unwrap_or_else(|| a.tile(i, j));
+            assert_eq!(bits(buf), bits(want), "{fam:?}({i},{j})");
+        }
+        drop(map);
+        let geqrt = &g.tasks()[0];
+        for misfit in [None, Some(vec![0.0; b * b - 1].into_boxed_slice())] {
+            let mut map = shard.lock().unwrap();
+            map.remove(&(SlotFamily::A, 0, 0));
+            map.extend(misfit.map(|buf| ((SlotFamily::A, 0, 0), buf)));
+            drop(map);
+            // SAFETY: single-threaded; the slot check panics before any view.
+            let run = || unsafe { store.run_task(geqrt, Trans::Trans) };
+            assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err());
+        }
+        assert!(!shard.is_poisoned());
     }
 }
