@@ -28,8 +28,8 @@ USAGE:
                 --input FILE.mtx]
       factor a random (or MatrixMarket) matrix, verify ||QtQ-I|| and ||A-QR||
   hqr simulate [--rows R --cols C --tile B --grid PxQ --algorithm ALG
-                --nodes N --cores C --policy POLICY --gpus G --gpu-speedup X
-                --rates edel|measured --net-calib FILE]
+                --nodes N --cores C --policy POLICY --rates edel|measured
+                --net-calib FILE]
       replay the task DAG on the simulated cluster
       ALG: hqr | hqr-square | bbd10 | slhd10 | scalapack
       RATES: edel = the paper's §V-A kernel rates (default);
@@ -51,9 +51,9 @@ USAGE:
                 exec: --threads T --seed S --fail K --retries N
                       --policy POLICY --sdc-rate F --sdc-seed S
                       --integrity off|spot|full --resident-budget-kb KB
-                sim:  --nodes N --cores C --policy POLICY --gpus G
-                      --gpu-speedup X --crash-node X --crash-frac F
-                      --degrade-bw F --degrade-lat F --rates edel|measured]
+                sim:  --nodes N --cores C --policy POLICY --crash-node X
+                      --crash-frac F --degrade-bw F --degrade-lat F
+                      --rates edel|measured]
       run either backend with timeline recording, write a Chrome Trace
       Format JSON (open at https://ui.perfetto.dev), and print a summary
       (utilization, steal counts, top realized-critical-path tasks)
@@ -636,11 +636,11 @@ mod tests {
     }
 
     #[test]
-    fn simulate_with_gpus_and_policies() {
+    fn simulate_with_policies() {
         for policy in ["panel", "fifo", "cp"] {
             let code = hqr(&[
                 "simulate", "--rows", "2240", "--cols", "1120", "--tile", "280", "--grid", "2x2",
-                "--gpus", "2", "--policy", policy,
+                "--policy", policy,
             ]);
             assert_eq!(code, 0, "{policy}");
         }
@@ -852,8 +852,6 @@ mod tests {
             "280",
             "--grid",
             "2x1",
-            "--gpus",
-            "1",
             "--out",
             out.to_str().unwrap(),
         ]);

@@ -106,7 +106,7 @@ fn figure(title: &str, points: &[FigurePoint]) {
 }
 
 fn ablations(quick: bool) {
-    let [policy, grid, tile, domino, overhead, gpus] = ex::ablations(quick);
+    let [policy, grid, tile, domino, overhead] = ex::ablations(quick);
     let shape = |p: &FigurePoint| if p.m > p.n { "tall-skinny" } else { "square" };
     let messages = |p: &FigurePoint| p.messages.unwrap_or(0);
     study(
@@ -150,15 +150,6 @@ fn ablations(quick: bool) {
             let gf: Vec<String> = r.iter().map(|p| format!("{:.0}", p.gflops)).collect();
             format!("{} | {}", r[0].label, gf.join(" | "))
         },
-    );
-    study(
-        "\n# Ablation 6: accelerators (the paper's §VI future work)\n\
-         (2 GPUs/node running update kernels 8x faster than a core: the\n \
-         factor kernels and the reduction-tree critical path become the\n \
-         bottleneck, amplifying the value of low-depth trees)",
-        "matrix | low tree | a | GPUs | GFlop/s",
-        &gpus,
-        |p| format!("{}x{} | {} | {:.0}", p.m, p.n, p.label, p.gflops),
     );
 }
 

@@ -16,7 +16,7 @@ use hqr::prelude::*;
 use hqr_runtime::{
     execute_serial_ib, ExecOptions, FaultPlan, IntegrityMode, SchedPolicy, TFactors, TaskGraph,
 };
-use hqr_sim::{Accelerators, KernelRates, LinkModel, Platform, SimFaultPlan};
+use hqr_sim::{KernelRates, LinkModel, Platform, SimFaultPlan};
 
 /// A flag whose value is one of a few names (`names` lists them for the
 /// error); `default` applies when the flag is absent.
@@ -266,10 +266,10 @@ impl Engine {
     }
 }
 
-/// The simulated cluster from `--nodes --cores --gpus --gpu-speedup --rates
-/// --net-calib`: edel (§V-A) with one node per grid position unless the
-/// flags say otherwise. The string is `", link calibrated from FILE (…)"`
-/// when `--net-calib` replaced the paper's link, else empty.
+/// The simulated cluster from `--nodes --cores --rates --net-calib`: edel
+/// (§V-A) with one node per grid position unless the flags say otherwise.
+/// The string is `", link calibrated from FILE (…)"` when `--net-calib`
+/// replaced the paper's link, else empty.
 pub fn sim_platform(
     args: &Args,
     grid: ProcessGrid,
@@ -288,11 +288,6 @@ pub fn sim_platform(
         rates: choice(args, "rates", KernelRates::edel(), rate_of, "edel|measured")?,
         ..Platform::edel()
     };
-    let per_node = args.usize_or("gpus", 0)?;
-    let update_speedup = args.positive_f64_or("gpu-speedup", 8.0)?;
-    if per_node > 0 {
-        platform.accelerators = Some(Accelerators { per_node, update_speedup });
-    }
     let mut link_note = String::new();
     if let Some(path) = args.get("net-calib") {
         let (link, _) = std::fs::read_to_string(path)
@@ -309,11 +304,9 @@ pub fn sim_platform(
     Ok((platform, link_note))
 }
 
-/// `N nodes x C cores[ + G GPUs/node]`, as every report prints a platform.
+/// `N nodes x C cores`, as every report prints a platform.
 pub fn describe(platform: &Platform) -> String {
-    let gpus =
-        platform.accelerators.map_or(String::new(), |a| format!(" + {} GPUs/node", a.per_node));
-    format!("{} nodes x {} cores{gpus}", platform.nodes, platform.cores_per_node)
+    format!("{} nodes x {} cores", platform.nodes, platform.cores_per_node)
 }
 
 /// Simulated faults: one node crash and a degraded link.

@@ -60,21 +60,24 @@ fn serve_in(dir: &Path, extra: &[&str]) -> Daemon {
 
 const TINY: [&str; 6] = ["--rows", "48", "--cols", "24", "--tile", "8"];
 
-/// The nine flags that priced `hqr-sim`'s unmeasured cost models, spelled
-/// in halves so that a grep for a retired name finds nothing in `crates/`.
+/// The nine flags that priced `hqr-sim`'s unmeasured cost models and the
+/// two that sized its simulated GPUs, spelled in halves so that a grep for
+/// a retired name finds nothing in `crates/`.
 fn retired_flags() -> Vec<String> {
     let halves = [
-        ("io", "bw"),
-        ("restart", "cost"),
-        ("ckpt", "interval"),
-        ("crossover", "max"),
-        ("guard", "bw"),
-        ("residual", "cost"),
-        ("disk-read", "mbs"),
-        ("disk-write", "mbs"),
-        ("disk-latency", "us"),
+        ("io-", "bw"),
+        ("restart-", "cost"),
+        ("ckpt-", "interval"),
+        ("crossover-", "max"),
+        ("guard-", "bw"),
+        ("residual-", "cost"),
+        ("disk-read-", "mbs"),
+        ("disk-write-", "mbs"),
+        ("disk-latency-", "us"),
+        ("gp", "us"),
+        ("gpu-", "speedup"),
     ];
-    halves.iter().map(|(a, b)| format!("--{a}-{b}")).collect()
+    halves.iter().map(|(a, b)| format!("--{a}{b}")).collect()
 }
 
 #[test]
@@ -151,7 +154,7 @@ fn dot_is_valid_graphviz_prefix() {
 fn trace_both_backends_emit_loadable_chrome_traces() {
     for (backend, extra) in [
         ("exec", &["--rows", "48", "--cols", "24", "--tile", "8", "--threads", "2"][..]),
-        ("sim", &["--rows", "2240", "--cols", "1120", "--tile", "280", "--gpus", "1"][..]),
+        ("sim", &["--rows", "2240", "--cols", "1120", "--tile", "280"][..]),
     ] {
         let out_path = std::env::temp_dir().join(format!("hqr_bin_{backend}.trace.json"));
         let out = hqr()
@@ -261,11 +264,9 @@ fn meaningless_values_and_retired_flags_are_usage_errors() {
     let retired = retired_flags();
     let unknown: Vec<String> = retired.iter().map(|f| format!("unknown flag `{f}`")).collect();
     let mut table: Vec<(Vec<&str>, &str)> = Vec::new();
-    for bad in ["0", "-3", "nan"] {
-        table.push((vec!["simulate", "--gpus", "1", "--gpu-speedup", bad], "--gpu-speedup"));
-    }
     for (i, flag) in retired.iter().enumerate() {
-        let cmd = if flag.starts_with("--disk") { "simulate" } else { "fault" };
+        let simulate = flag.starts_with("--disk") || flag.starts_with("--gp");
+        let cmd = if simulate { "simulate" } else { "fault" };
         table.push((vec![cmd, flag, "1"], &unknown[i]));
     }
     std::fs::write(

@@ -216,9 +216,8 @@ pub fn fig9(s: &Setting, m: usize, ns: &[usize]) -> Vec<FigurePoint> {
 /// Ablations at the paper's scale, one table each: (1) ready-queue policy,
 /// (2) every p × q shape of the 60 nodes, (3) tile size b, (4) the domino
 /// on large square matrices, (5) LogGP per-message overhead, four rows per
-/// value (HQR and \[SLHD10\] tall, HQR and \[BBD+10\] square), (6) two GPUs
-/// per node running update kernels 8× faster, labelled `low | a | GPUs`.
-pub fn ablations(quick: bool) -> [Vec<FigurePoint>; 6] {
+/// value (HQR and \[SLHD10\] tall, HQR and \[BBD+10\] square).
+pub fn ablations(quick: bool) -> [Vec<FigurePoint>; 5] {
     use SchedPolicy::{CriticalPath, Fifo, PanelFirst};
     let s = Setting::paper();
     let shapes = [(1024, 16), (240, 240)];
@@ -272,20 +271,7 @@ pub fn ablations(quick: bool) -> [Vec<FigurePoint>; 6] {
         }
     }
 
-    let mut gpus = Vec::new();
-    for (low, a) in
-        [(TreeKind::Flat, 1), (TreeKind::Flat, 4), (TreeKind::Greedy, 1), (TreeKind::Greedy, 4)]
-    {
-        let setup = s.hqr(512, 16, (a, low, TreeKind::Fibonacci, true));
-        let graph = graph_of(&setup, s.b);
-        for (platform, tag) in
-            [(s.platform, "none"), (Platform::edel_with_accelerators(2, 8.0), "2x8.0")]
-        {
-            let label = format!("{} | {a} | {tag}", low.name());
-            gpus.push(Setting { platform, ..s }.run(&graph, &setup, label));
-        }
-    }
-    [by_policy, shape, tile.to_vec(), domino.to_vec(), overhead, gpus]
+    [by_policy, shape, tile.to_vec(), domino.to_vec(), overhead]
 }
 
 /// Strong scaling (a fixed 143360 × 4480 matrix) and weak scaling (~17 tile

@@ -103,8 +103,8 @@ impl EpochRun {
     /// run (a re-pushed input releases a task done before the epoch again).
     fn complete(&self, graph: &TaskGraph, t: u32) {
         let queue = |s: u32| {
-            if self.mine[s as usize] && !self.dag.is_done(s) {
-                self.ready.push(s, &self.dag.ranks);
+            if self.mine[s as usize] && !self.dag.frontier.is_done(s) {
+                self.ready.push(s, &self.dag.frontier.ranks);
             }
         };
         self.dag.complete(graph, t, queue, queue);
@@ -223,7 +223,7 @@ impl Run {
         let (dag, frontier) = DagRun::new(&self.graph, store, &policy, Some(&settled));
         let ready = GlobalQueue::new(policy.publish_rest);
         for t in frontier.into_iter().filter(|&t| mine[t as usize]) {
-            ready.push(t, &dag.ranks);
+            ready.push(t, &dag.frontier.ranks);
         }
         let run = Arc::new(EpochRun { epoch, owners, done, mine, dag, ready });
         let mut s = self.sched();
@@ -252,7 +252,7 @@ impl Run {
             &[],
             |dest| run.ready.take(dest),
             || dag.halt.load(Ordering::Acquire) || state.dead.load(Ordering::SeqCst),
-            || dag.remaining.load(Ordering::Acquire) == 0,
+            || dag.frontier.remaining.load(Ordering::Acquire) == 0,
             |t, _| {
                 if state.opts.die_after_tasks.is_some_and(|n| self.sched().log.len() as u64 >= n) {
                     if state.opts.die_hard {
@@ -385,7 +385,9 @@ impl Run {
             .wait_timeout_while(self.sched(), PEER_TIMEOUT, |s| s.epoch < epoch)
             .expect("sched lock: a holder panicked");
         let (t, run) = (task_id as u32, s.run.clone().filter(|_| s.epoch == epoch && !s.halt));
-        let Some(run) = run.filter(|r| !r.dag.is_done(t) && !r.mine[t as usize]) else { return };
+        let Some(run) = run.filter(|r| !r.dag.frontier.is_done(t) && !r.mine[t as usize]) else {
+            return;
+        };
         self.write(pool, slots);
         run.complete(&self.graph, t);
         s.accepted.push(task_id);

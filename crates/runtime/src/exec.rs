@@ -19,13 +19,15 @@
 //! resumes their checkpoints. [`try_apply_q`] runs the same engine over a
 //! [`TaskGraph::apply_q`] graph to apply Q.
 //!
-//! The execution core is three pieces, each written once: the kernel
+//! The execution core is four pieces, each written once: the kernel
 //! dispatcher (`hqr_kernels::run_kernel`, reached through
 //! [`TileStore::run_task`]), the worker loop ([`worker_loop`]: pop local →
-//! take global → rotated victim scan → backoff → bounded park), and the
-//! per-DAG run state ([`DagRun`]: store, guards, fault plan, priority
-//! keys, frontier, and the attempt/complete steps), fed by a shared
-//! [`GlobalQueue`]. All are public: `hqr-net` workers run them too.
+//! take global → rotated victim scan → backoff → bounded park), the
+//! dependency state and its release rule ([`Frontier`]), and the per-DAG
+//! run state ([`DagRun`]: store, guards, fault plan, a [`Frontier`], and
+//! the attempt/complete steps), fed by a shared [`GlobalQueue`]. All are
+//! public: `hqr-net` workers run them too, and the simulator's event
+//! engine releases tasks through the same [`Frontier`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -628,80 +630,57 @@ impl<'a> RunPolicy<'a> {
     }
 }
 
-/// The state of one DAG being executed — the execution core's run state —
-/// independent of which executor drives it: the single-job engine below
-/// (one per run), the multi-job [`crate::pool::JobPool`] (one per
-/// activation) or an `hqr-net` worker (one per epoch): the tile store,
-/// the integrity guards, the fault plan and retry knobs, the priority
-/// keys, and the scheduling frontier (`indeg` / `done` / `remaining`) with
-/// its halt flag. Both push a ready task through the same two steps:
-/// [`DagRun::attempt`] (input-guard pre-check, write-set snapshot,
-/// `catch_unwind` around the kernel with planned fault/SDC injection,
-/// output-guard verification, rollback + bounded retry, every failure
-/// mapped to its [`ExecError`]) and [`DagRun::complete`] (mark done,
-/// release successors).
+/// The dependency state of one DAG run, apart from anything that runs a
+/// kernel: per-task in-degrees and done flags, the count of tasks left,
+/// the policy's priority keys, and the one release rule. A [`DagRun`]
+/// holds one for the engine, the pool and an `hqr-net` worker;
+/// `preview_order` and the simulator's event engine hold a bare one.
 ///
-/// The graph is passed to each call rather than stored: the engine borrows
-/// it from its caller, the pool owns it next to this struct.
-pub struct DagRun {
-    /// The tile store (resident or paged); the owner must
-    /// [`TileStore::unpage`] it before touching the matrix again.
-    pub(crate) store: TileStore,
-    /// One guard per slot, shared by all workers under the same DAG
-    /// exclusive-writer discipline as the tile buffers themselves.
-    guards: Option<GuardStore>,
-    plan: Option<FaultPlan>,
-    max_retries: u32,
-    /// Snapshot/rollback enabled (retries or a fault plan are configured).
-    recovery: bool,
-    /// [`IntegrityMode::Full`]: verify input guards before launching.
-    full_integrity: bool,
-    /// Static priority keys under the run's policy (lower sorts first).
-    pub ranks: Vec<u64>,
-    publish_rest: bool,
+/// The graph is passed to each call rather than stored, as for [`DagRun`].
+pub struct Frontier {
     indeg: Vec<AtomicU32>,
     done: Vec<AtomicBool>,
     /// Tasks not yet completed.
     pub remaining: AtomicUsize,
-    /// Raised to stop the run; re-checked between retry attempts so a long
-    /// retry ladder yields promptly instead of burning its whole budget.
-    pub halt: AtomicBool,
+    /// Static priority keys under the run's policy (lower sorts first).
+    pub ranks: Vec<u64>,
+    /// The release path of [`RunPolicy::publish_rest`].
+    publish_rest: bool,
 }
 
-impl DagRun {
-    /// Set up the run of the tasks not marked in `completed`, and return it
-    /// with its initial ready frontier, in task order. The frontier is
-    /// reconstructed by discounting completed predecessors from each
-    /// remaining task's in-degree, from state no worker can see yet: once
-    /// the first task is queued, workers release successors themselves, so
-    /// a later scan of the live counters could queue a task twice. When
-    /// `completed` is not closed under predecessors, completing a task can
-    /// release a successor that is already done: the caller's `keep` and
-    /// `publish` must skip those (see [`DagRun::complete`]).
+impl Frontier {
+    /// The dependency state of a run of the tasks not marked in
+    /// `completed`, and its initial ready frontier, in task order. Each
+    /// remaining task's in-degree discounts its completed predecessors,
+    /// from state no worker can see yet: once the first task is queued,
+    /// workers release successors themselves, so a later scan of the live
+    /// counters could queue a task twice. When `completed` is not closed
+    /// under predecessors, completing a task can release a successor that
+    /// is already done: the caller's `keep` and `publish` must skip those
+    /// (see [`Frontier::complete`]).
     pub fn new(
         graph: &TaskGraph,
-        store: TileStore,
-        p: &RunPolicy<'_>,
+        policy: SchedPolicy,
+        publish_rest: bool,
         completed: Option<&[bool]>,
-    ) -> (DagRun, Vec<u32>) {
+    ) -> (Frontier, Vec<u32>) {
         let n = graph.tasks().len();
         let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
-        let (indeg0, frontier) = initial_frontier(graph, completed);
-        let run = DagRun {
-            store,
-            guards: p.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt())),
-            plan: p.plan.filter(|plan| !plan.is_empty()).cloned(),
-            max_retries: p.max_retries,
-            recovery: p.max_retries > 0 || p.plan.is_some(),
-            full_integrity: p.integrity == IntegrityMode::Full,
-            ranks: sched::priorities(graph, p.policy),
-            publish_rest: p.publish_rest,
-            indeg: indeg0.iter().map(|&d| AtomicU32::new(d)).collect(),
+        let mut indeg: Vec<u32> = graph.in_degrees().to_vec();
+        for t in (0..n).filter(|&t| is_done(t)) {
+            for &s in graph.successors(t) {
+                indeg[s as usize] -= 1;
+            }
+        }
+        let ready = (0..n).filter(|&t| indeg[t] == 0 && !is_done(t)).map(|t| t as u32).collect();
+        let frontier = Frontier {
+            indeg: indeg.into_iter().map(AtomicU32::new).collect(),
             done: (0..n).map(|t| AtomicBool::new(is_done(t))).collect(),
             remaining: AtomicUsize::new((0..n).filter(|&t| !is_done(t)).count()),
-            halt: AtomicBool::new(false),
+            ranks: sched::priorities(graph, policy),
+            publish_rest,
         };
-        (run, frontier)
+        (frontier, ready)
     }
 
     /// True once `tid` has completed (in this run or before it).
@@ -714,6 +693,42 @@ impl DagRun {
     /// checkpoint requires.
     pub(crate) fn completed(&self) -> Vec<bool> {
         self.done.iter().map(|d| d.load(Ordering::Acquire)).collect()
+    }
+
+    /// Mark `tid` completed and release its successors: every one whose
+    /// last predecessor this was becomes ready. With `publish_rest` the
+    /// best-ranked one goes to `keep` (the caller's own deque) and the
+    /// others to `publish` (the shared queue); without it all go to `keep`,
+    /// in successor order.
+    pub fn complete(
+        &self,
+        graph: &TaskGraph,
+        tid: u32,
+        mut keep: impl FnMut(u32),
+        mut publish: impl FnMut(u32),
+    ) {
+        self.done[tid as usize].store(true, Ordering::Release);
+        let mut best: Option<u32> = None;
+        for &s in graph.successors(tid as usize) {
+            if self.indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                if !self.publish_rest {
+                    keep(s);
+                    continue;
+                }
+                match best {
+                    Some(k) if self.ranks[s as usize] < self.ranks[k as usize] => {
+                        publish(k);
+                        best = Some(s);
+                    }
+                    Some(_) => publish(s),
+                    None => best = Some(s),
+                }
+            }
+        }
+        if let Some(s) = best {
+            keep(s);
+        }
+        self.remaining.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Diagnostic snapshot of the scheduler state for [`ExecError::Stalled`].
@@ -742,6 +757,65 @@ impl DagRun {
             }
         }
         StallReport { cause, timeout, completed, remaining, stuck_frontier, blocked, truncated }
+    }
+}
+
+/// The state of one DAG being executed — the execution core's run state —
+/// independent of which executor drives it: the single-job engine below
+/// (one per run), the multi-job [`crate::pool::JobPool`] (one per
+/// activation) or an `hqr-net` worker (one per epoch): the tile store,
+/// the integrity guards, the fault plan and retry knobs, and the
+/// [`Frontier`], with the run's halt flag. Both push a ready task through
+/// the same two steps: [`DagRun::attempt`] (input-guard pre-check,
+/// write-set snapshot, `catch_unwind` around the kernel with planned
+/// fault/SDC injection, output-guard verification, rollback + bounded
+/// retry, every failure mapped to its [`ExecError`]) and
+/// [`DagRun::complete`] (the frontier's release rule).
+///
+/// The graph is passed to each call rather than stored: the engine borrows
+/// it from its caller, the pool owns it next to this struct.
+pub struct DagRun {
+    /// The tile store (resident or paged); the owner must
+    /// [`TileStore::unpage`] it before touching the matrix again.
+    pub(crate) store: TileStore,
+    /// One guard per slot, shared by all workers under the same DAG
+    /// exclusive-writer discipline as the tile buffers themselves.
+    guards: Option<GuardStore>,
+    plan: Option<FaultPlan>,
+    max_retries: u32,
+    /// Snapshot/rollback enabled (retries or a fault plan are configured).
+    recovery: bool,
+    /// [`IntegrityMode::Full`]: verify input guards before launching.
+    full_integrity: bool,
+    /// Dependency state, priority keys and the release rule.
+    pub frontier: Frontier,
+    /// Raised to stop the run; re-checked between retry attempts so a long
+    /// retry ladder yields promptly instead of burning its whole budget.
+    pub halt: AtomicBool,
+}
+
+impl DagRun {
+    /// Set up the run of the tasks not marked in `completed`, and return it
+    /// with its initial ready frontier, in task order (see
+    /// [`Frontier::new`]).
+    pub fn new(
+        graph: &TaskGraph,
+        store: TileStore,
+        p: &RunPolicy<'_>,
+        completed: Option<&[bool]>,
+    ) -> (DagRun, Vec<u32>) {
+        let (frontier, ready) = Frontier::new(graph, p.policy, p.publish_rest, completed);
+        let run = DagRun {
+            store,
+            guards: p.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt())),
+            plan: p.plan.filter(|plan| !plan.is_empty()).cloned(),
+            max_retries: p.max_retries,
+            recovery: p.max_retries > 0 || p.plan.is_some(),
+            full_integrity: p.integrity == IntegrityMode::Full,
+            frontier,
+            halt: AtomicBool::new(false),
+        };
+        (run, ready)
     }
 
     /// Run ready task `tid` on worker `me` through the full attempt ladder.
@@ -901,10 +975,8 @@ impl DagRun {
         }
     }
 
-    /// Mark `tid` (which just ran [`Attempt::Done`]) completed and release
-    /// its successors: each one whose last predecessor this was becomes
-    /// ready and is handed to `keep` (the caller's own deque) or `publish`
-    /// (the shared queue) per [`RunPolicy::publish_rest`].
+    /// Complete `tid`, which just ran [`Attempt::Done`], through
+    /// [`Frontier::complete`], unless the fault plan drops the completion.
     pub fn complete(
         &self,
         graph: &TaskGraph,
@@ -912,66 +984,14 @@ impl DagRun {
         keep: impl FnMut(u32),
         publish: impl FnMut(u32),
     ) {
-        self.done[tid as usize].store(true, Ordering::Release);
         if self.plan.as_ref().is_some_and(|p| p.loses_completion(tid)) {
-            // Dropped completion: successors are never released and
-            // `remaining` stays high; the (mandatory) watchdog reports the
-            // stall.
+            // Dropped completion: the task ran, but its successors are never
+            // released and `remaining` stays high; the (mandatory) watchdog
+            // reports the stall.
+            self.frontier.done[tid as usize].store(true, Ordering::Release);
             return;
         }
-        release(graph, tid, &self.indeg, self.publish_rest, &self.ranks, keep, publish);
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// In-degrees of the tasks not marked in `completed` (completed
-/// predecessors discounted), and their ready frontier in task order.
-fn initial_frontier(graph: &TaskGraph, completed: Option<&[bool]>) -> (Vec<u32>, Vec<u32>) {
-    let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
-    let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
-    if completed.is_some() {
-        for t in (0..graph.tasks().len()).filter(|&t| is_done(t)) {
-            for &s in graph.successors(t) {
-                indeg0[s as usize] -= 1;
-            }
-        }
-    }
-    let n = graph.tasks().len();
-    let frontier = (0..n).filter(|&t| indeg0[t] == 0 && !is_done(t)).map(|t| t as u32).collect();
-    (indeg0, frontier)
-}
-
-/// The release rule: every successor of `tid` whose last predecessor this
-/// was becomes ready. With `publish_rest` the best-ranked one is kept and
-/// the others published; without it all are kept, in successor order.
-fn release(
-    graph: &TaskGraph,
-    tid: u32,
-    indeg: &[AtomicU32],
-    publish_rest: bool,
-    ranks: &[u64],
-    mut keep: impl FnMut(u32),
-    mut publish: impl FnMut(u32),
-) {
-    let mut best: Option<u32> = None;
-    for &s in graph.successors(tid as usize) {
-        if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-            if !publish_rest {
-                keep(s);
-                continue;
-            }
-            match best {
-                Some(k) if ranks[s as usize] < ranks[k as usize] => {
-                    publish(k);
-                    best = Some(s);
-                }
-                Some(_) => publish(s),
-                None => best = Some(s),
-            }
-        }
-    }
-    if let Some(s) = best {
-        keep(s);
+        self.frontier.complete(graph, tid, keep, publish);
     }
 }
 
@@ -986,20 +1006,17 @@ pub(crate) fn preview_order(
     p: &RunPolicy<'_>,
     completed: Option<&[bool]>,
 ) -> Vec<u32> {
-    let (indeg0, frontier) = initial_frontier(graph, completed);
-    let indeg: Vec<AtomicU32> = indeg0.into_iter().map(AtomicU32::new).collect();
-    let ranks = sched::priorities(graph, p.policy);
+    let (frontier, ready) = Frontier::new(graph, p.policy, p.publish_rest, completed);
     let global = GlobalQueue::new(p.publish_rest);
-    for tid in frontier {
-        global.push(tid, &ranks);
+    for tid in ready {
+        global.push(tid, &frontier.ranks);
     }
     let worker = Worker::new_lifo();
     let stealers = [worker.stealer()];
     let mut order = Vec::new();
     while let Some((tid, _)) = acquire(0, &worker, &stealers, &|dest| global.take(dest)) {
         order.push(tid);
-        let (keep, publish) = (|s| worker.push(s), |s| global.push(s, &ranks));
-        release(graph, tid, &indeg, p.publish_rest, &ranks, keep, publish);
+        frontier.complete(graph, tid, |s| worker.push(s), |s| global.push(s, &frontier.ranks));
     }
     order
 }
@@ -1146,9 +1163,9 @@ fn drive(
     let recovery = opts.recovery_enabled();
     let alive = AtomicUsize::new(nthreads);
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
-    let global = GlobalQueue::new(run.publish_rest);
+    let global = GlobalQueue::new(run.frontier.publish_rest);
     for tid in frontier {
-        global.push(tid, &run.ranks);
+        global.push(tid, &run.frontier.ranks);
     }
     let workers: Vec<Worker<u32>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
@@ -1156,7 +1173,7 @@ fn drive(
 
     std::thread::scope(|scope| {
         let (alive, error, global, stealers) = (&alive, &error, &global, &stealers);
-        let (remaining, halt) = (&run.remaining, &run.halt);
+        let (remaining, halt) = (&run.frontier.remaining, &run.halt);
         if let Some(window) = opts.watchdog {
             scope.spawn(move || {
                 // Short poll slices, and shutdown checked *before* each
@@ -1176,7 +1193,8 @@ fn drive(
                         last = rem;
                         last_change = Instant::now();
                     } else if last_change.elapsed() >= window {
-                        let report = run.stall_report(StallCause::WatchdogTimeout, window, rem);
+                        let report =
+                            run.frontier.stall_report(StallCause::WatchdogTimeout, window, rem);
                         set_error(error, ExecError::Stalled(report));
                         halt.store(true, Ordering::Release);
                         break;
@@ -1247,7 +1265,7 @@ fn drive(
                                     graph,
                                     tid,
                                     |s| worker.push(s),
-                                    |s| global.push(s, &run.ranks),
+                                    |s| global.push(s, &run.frontier.ranks),
                                 );
                             }
                             Ok(Attempt::Requeue) => {
@@ -1255,7 +1273,7 @@ fn drive(
                                 wstats.tasks_reexecuted += 1;
                                 counters.requeues += 1;
                                 instant(InstantKind::Requeue, tid);
-                                global.push(tid, &run.ranks);
+                                global.push(tid, &run.frontier.ranks);
                                 if strikes >= POISON_STRIKES {
                                     // The poisoned worker "dies"; its queued
                                     // work stays stealable by healthy peers.
@@ -1274,7 +1292,7 @@ fn drive(
                 if alive.fetch_sub(1, Ordering::AcqRel) == 1 {
                     let rem = remaining.load(Ordering::Acquire);
                     if rem > 0 && !halt.load(Ordering::Acquire) {
-                        let _ = fail(ExecError::Stalled(run.stall_report(
+                        let _ = fail(ExecError::Stalled(run.frontier.stall_report(
                             StallCause::AllWorkersExited,
                             Duration::ZERO,
                             rem,
@@ -1290,11 +1308,11 @@ fn drive(
     if let Some(e) = error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
         return Err(e);
     }
-    let rem = run.remaining.load(Ordering::Acquire);
+    let rem = run.frontier.remaining.load(Ordering::Acquire);
     if rem != 0 {
         // Unreachable by construction (every exit path above reports an
         // error first), but kept as a typed error rather than an assert.
-        return Err(ExecError::Stalled(run.stall_report(
+        return Err(ExecError::Stalled(run.frontier.stall_report(
             StallCause::AllWorkersExited,
             Duration::ZERO,
             rem,

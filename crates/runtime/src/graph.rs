@@ -168,6 +168,19 @@ impl TaskGraph {
         &self.succ[self.succ_off[t] as usize..self.succ_off[t + 1] as usize]
     }
 
+    /// Predecessors of every task (with multiplicity, ascending), built on
+    /// demand from the successor lists: only recovery paths walk the DAG
+    /// backwards, so the graph does not store them.
+    pub fn predecessor_lists(&self) -> Vec<Vec<u32>> {
+        let mut preds = vec![Vec::new(); self.tasks.len()];
+        for t in 0..self.tasks.len() {
+            for &s in self.successors(t) {
+                preds[s as usize].push(t as u32);
+            }
+        }
+        preds
+    }
+
     /// In-degrees (number of dependency edges) per task.
     pub fn in_degrees(&self) -> &[u32] {
         &self.in_degree
@@ -411,6 +424,11 @@ mod tests {
             }
         }
         assert_eq!(indeg, g.in_degrees());
+        let preds = g.predecessor_lists();
+        assert!(preds.iter().map(|p| p.len() as u32).eq(g.in_degrees().iter().copied()));
+        for (t, p) in preds.iter().enumerate() {
+            assert!(p.iter().all(|&q| g.successors(q as usize).contains(&(t as u32))));
+        }
     }
 
     #[test]

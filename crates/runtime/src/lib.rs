@@ -14,9 +14,11 @@
 //! * the `hqr-sim` crate — a discrete-event cluster simulator that replays
 //!   the DAG on a modeled distributed machine.
 //!
-//! The engine's execution core ([`exec::DagRun`], [`exec::worker_loop`],
-//! [`exec::GlobalQueue`]) is public: `hqr-net` workers run it over their
-//! shards ([`store::TileStore::over_shard`]).
+//! The engine's execution core ([`exec::DagRun`], [`exec::Frontier`],
+//! [`exec::worker_loop`], [`exec::GlobalQueue`]) is public: `hqr-net`
+//! workers run it over their shards ([`store::TileStore::over_shard`]), and
+//! `hqr-sim` releases its simulated tasks through the same
+//! [`exec::Frontier`].
 //!
 //! Applying op(Q) of a finished factorization is the same engine on another
 //! graph: [`exec::try_apply_q`] runs [`TaskGraph::apply_q`], the update

@@ -50,13 +50,7 @@ pub fn last_writers(graph: &TaskGraph, completed: &[bool]) -> HashMap<Slot, u32>
 pub fn rebuild_closure(graph: &TaskGraph, completed: &[bool], lost: &[Slot]) -> Vec<u32> {
     let writers = last_writers(graph, completed);
     let n = graph.tasks().len();
-    // Predecessor adjacency from the CSR successor lists.
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for t in 0..n {
-        for &s in graph.successors(t) {
-            preds[s as usize].push(t as u32);
-        }
-    }
+    let preds = graph.predecessor_lists();
     let mut in_set = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
     for slot in lost {

@@ -739,7 +739,7 @@ impl ActiveJob {
     }
 
     fn tasks_done(&self) -> usize {
-        self.work.graph.tasks().len() - self.run.remaining.load(Ordering::Acquire)
+        self.work.graph.tasks().len() - self.run.frontier.remaining.load(Ordering::Acquire)
     }
 }
 
@@ -812,7 +812,7 @@ impl Shared {
         relock(&self.ready).push(Reverse((
             job.qos_inv,
             job.id,
-            job.run.ranks[tid as usize],
+            job.run.frontier.ranks[tid as usize],
             tid,
             job.rid,
         )));
@@ -1443,14 +1443,14 @@ fn pool_worker(
                 // worker goes on to run a task: either we see the halt and
                 // bail, or the supervisor sees our increment and waits.
                 job.inflight.fetch_add(1, Ordering::SeqCst);
-                if !job.run.halt.load(Ordering::SeqCst) && !job.run.is_done(tid) {
+                if !job.run.halt.load(Ordering::SeqCst) && !job.run.frontier.is_done(tid) {
                     run_job_task(shared, &job, tid, me, local);
                 }
                 // Whoever leaves a finished or halted run quiescent wakes the
                 // supervisor — once its clone, which `finalize_jobs` waits
                 // out, is dropped.
                 let quiesced = job.inflight.fetch_sub(1, Ordering::SeqCst) == 1
-                    && (job.run.remaining.load(Ordering::Acquire) == 0
+                    && (job.run.frontier.remaining.load(Ordering::Acquire) == 0
                         || job.run.halt.load(Ordering::SeqCst));
                 drop(job);
                 if quiesced {
@@ -1513,7 +1513,7 @@ fn supervisor_loop(shared: &Shared) {
             .active()
             .values()
             .map(|j| {
-                let remaining = j.run.remaining.load(Ordering::Acquire);
+                let remaining = j.run.frontier.remaining.load(Ordering::Acquire);
                 Observed {
                     id: j.id,
                     remaining,
@@ -1539,7 +1539,7 @@ fn finalize_jobs(shared: &Shared) -> Vec<u64> {
         .active()
         .iter()
         .filter(|(_, j)| {
-            let finished = j.run.remaining.load(Ordering::Acquire) == 0;
+            let finished = j.run.frontier.remaining.load(Ordering::Acquire) == 0;
             let halted = j.run.halt.load(Ordering::SeqCst);
             (finished || halted) && j.inflight.load(Ordering::SeqCst) == 0
         })
@@ -1597,7 +1597,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) -> Vec<u64> {
     // requires of a resumable checkpoint; a finished job's is its result.
     let capture = |elims, a, factors| Checkpoint {
         job: id,
-        ..Checkpoint::capture(&work.graph, elims, run.completed(), a, factors)
+        ..Checkpoint::capture(&work.graph, elims, run.frontier.completed(), a, factors)
     };
     let (durable, payload) = match &verdict {
         None => {
@@ -1689,7 +1689,7 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
         qos_inv: qos.inverted(),
         work,
         elims,
-        initial_remaining: run.remaining.load(Ordering::Acquire),
+        initial_remaining: run.frontier.remaining.load(Ordering::Acquire),
         run,
         inflight: AtomicUsize::new(0),
         verdict: Mutex::new(None),

@@ -15,7 +15,7 @@
 //!
 //! Open the emitted `.trace.json` at <https://ui.perfetto.dev> (or
 //! `chrome://tracing`): one process per node, one lane per worker / core /
-//! GPU / NIC, spans colored by kernel kind.
+//! NIC, spans colored by kernel kind.
 
 use crate::exec::ExecTrace;
 use crate::graph::TaskGraph;

@@ -3,6 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
+use hqr_runtime::exec::Frontier;
 use hqr_runtime::trace::{realized_critical_path, RealizedPath};
 use hqr_runtime::TaskGraph;
 use hqr_tile::Layout;
@@ -30,12 +31,8 @@ pub struct SimReport {
     /// [`hqr_runtime::analysis::kind_index`] — shows where the traffic
     /// comes from (e.g. the high-level tree's kills versus update fan-out).
     pub messages_by_kind: [usize; 6],
-    /// Per-node CPU-core busy time (seconds of core-time actually
-    /// computing; GPU time is in [`SimReport::node_gpu_busy`]).
+    /// Per-node core busy time (seconds of core-time actually computing).
     pub node_busy: Vec<f64>,
-    /// Per-node GPU busy time (seconds of GPU-time running update
-    /// kernels); all zeros on platforms without accelerators.
-    pub node_gpu_busy: Vec<f64>,
     /// Realized critical path — the longest weighted chain of task + comm
     /// spans actually scheduled — when the run was traced
     /// ([`simulate_traced`]); `None` otherwise.
@@ -48,18 +45,14 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Average execution-slot utilization over the makespan, counting both
-    /// CPU cores and GPUs as slots: total busy seconds (core + GPU)
-    /// divided by `makespan × nodes × (cores_per_node + gpus_per_node)`.
+    /// Average core utilization over the makespan: total busy seconds
+    /// divided by `makespan × nodes × cores_per_node`.
     pub fn utilization(&self, platform: &Platform) -> f64 {
-        let gpus = platform.accelerators.map_or(0, |a| a.per_node);
-        let slots = platform.nodes * (platform.cores_per_node + gpus);
-        let slot_seconds = self.makespan * slots as f64;
+        let slot_seconds = self.makespan * (platform.nodes * platform.cores_per_node) as f64;
         if slot_seconds == 0.0 {
             0.0
         } else {
-            (self.node_busy.iter().sum::<f64>() + self.node_gpu_busy.iter().sum::<f64>())
-                / slot_seconds
+            self.node_busy.iter().sum::<f64>() / slot_seconds
         }
     }
 }
@@ -69,8 +62,8 @@ enum EventKind {
     /// All inputs of the task are available on its node. `gen` is the
     /// task's incarnation: a crash bumps it, invalidating queued events.
     Ready { tid: u32, gen: u32 },
-    /// The task finished executing (`gpu` records the pool it occupied).
-    Done { tid: u32, gpu: bool, gen: u32 },
+    /// The task finished executing.
+    Done { tid: u32, gen: u32 },
     /// Node crash (index into the fault plan's crash list).
     NodeCrash(usize),
     /// Link degradation (index into the fault plan's degradation list).
@@ -188,7 +181,7 @@ pub fn simulate_with_faults(
 
 /// [`simulate_with_faults`] with timeline recording enabled: the returned
 /// report additionally carries the full [`SimTimeline`] (task spans per
-/// core/GPU lane, transfer spans per NIC lane, crash/degrade instants —
+/// core lane, transfer spans per NIC lane, crash/degrade instants —
 /// export with [`SimTimeline::to_chrome_trace`]) and the realized critical
 /// path extracted from it.
 pub fn simulate_traced(
@@ -223,9 +216,10 @@ fn simulate_impl(
     Ok(report)
 }
 
-/// Task incarnation states for the fault-aware engine. READY means a
-/// release (Ready event) is already in the event queue — the task must not
-/// be released a second time by a re-executed predecessor's completion.
+/// Task incarnation states for the fault-aware engine. Anything past
+/// BLOCKED — a Ready event queued, queued on a node, running or done —
+/// keeps a re-executed predecessor's completion from releasing the task a
+/// second time.
 const BLOCKED: u8 = 0;
 const READY: u8 = 1;
 const ENQUEUED: u8 = 2;
@@ -259,13 +253,10 @@ fn run_sim(
         let (i, j) = tasks[tid].affinity_tile();
         layout.owner(i, j)
     };
-    let ranks = priority_ranks(graph, policy);
-    let priority = |tid: usize| -> u64 { ranks[tid] };
-
-    let gpus_per_node = platform.accelerators.map_or(0, |a| a.per_node);
-    let gpu_speedup = platform.accelerators.map_or(1.0, |a| a.update_speedup);
-
-    let mut deps: Vec<u32> = graph.in_degrees().to_vec();
+    // The engine's dependency state and release rule. Without
+    // `publish_rest` every released successor is kept, in successor order,
+    // so Ready events are queued in that order.
+    let (mut frontier, ready) = Frontier::new(graph, policy, false, None);
     let mut avail: Vec<f64> = vec![0.0; n];
     // Fault-engine state: where each task currently lives (crashes re-home
     // tasks onto survivors), its incarnation counter (stale queued events
@@ -279,36 +270,20 @@ fn run_sim(
     // Link parameters may degrade mid-run.
     let mut link = platform.link;
     // Reverse adjacency, needed only for crash recovery's lineage walk.
-    let preds: Vec<Vec<u32>> = if plan.crashes().is_empty() {
-        Vec::new()
-    } else {
-        let mut p = vec![Vec::new(); n];
-        for t in 0..n {
-            for &s in graph.successors(t) {
-                p[s as usize].push(t as u32);
-            }
-        }
-        p
-    };
+    let preds = if plan.crashes().is_empty() { Vec::new() } else { graph.predecessor_lists() };
     let mut reexecuted = 0usize;
     let mut aborted = 0usize;
     let mut resent_messages = 0usize;
     let mut resent_bytes = 0.0f64;
     let mut nodes_lost = 0usize;
-    // Two ready queues per node: factor kernels are CPU-only, update
-    // kernels may run on either pool (GPU preferred when present).
-    let mut q_factor: Vec<BinaryHeap<Reverse<(u64, u32)>>> =
-        (0..nodes).map(|_| BinaryHeap::new()).collect();
-    let mut q_update: Vec<BinaryHeap<Reverse<(u64, u32)>>> =
+    // One ready heap per node, lowest `(rank, task id)` first.
+    let mut queue: Vec<BinaryHeap<Reverse<(u64, u32)>>> =
         (0..nodes).map(|_| BinaryHeap::new()).collect();
     let mut idle: Vec<usize> = vec![platform.cores_per_node; nodes];
-    let mut idle_gpu: Vec<usize> = vec![gpus_per_node; nodes];
     let mut nic_out: Vec<f64> = vec![0.0; nodes];
     let mut nic_in: Vec<f64> = vec![0.0; nodes];
     let mut busy: Vec<f64> = vec![0.0; nodes];
-    let mut gpu_busy: Vec<f64> = vec![0.0; nodes];
-    let mut rec: Option<Recorder> =
-        trace.then(|| Recorder::new(n, nodes, platform.cores_per_node, gpus_per_node));
+    let mut rec: Option<Recorder> = trace.then(|| Recorder::new(n, nodes, platform.cores_per_node));
 
     let mut events: BinaryHeap<Event> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -317,11 +292,9 @@ fn run_sim(
         seq += 1;
     };
 
-    for (tid, &d) in deps.iter().enumerate() {
-        if d == 0 {
-            state[tid] = READY;
-            push(&mut events, 0.0, EventKind::Ready { tid: tid as u32, gen: 0 });
-        }
+    for tid in ready {
+        state[tid as usize] = READY;
+        push(&mut events, 0.0, EventKind::Ready { tid, gen: 0 });
     }
     for (ci, c) in plan.crashes().iter().enumerate() {
         push(&mut events, c.at, EventKind::NodeCrash(ci));
@@ -334,54 +307,27 @@ fn run_sim(
     let mut messages = 0usize;
     let mut bytes = 0.0f64;
     let mut messages_by_kind = [0usize; 6];
-    let mut completed = 0usize;
     // Scratch for per-completion message deduplication (dest, arrival).
     let mut dests: Vec<(usize, f64)> = Vec::with_capacity(8);
 
-    // Dispatch as much queued work as the node's idle pools allow.
+    // Hand queued work to the node's idle cores, best priority first.
     macro_rules! dispatch {
         ($node:expr, $now:expr) => {{
             let node = $node;
-            // GPUs drain the update queue first (they only run updates).
-            while idle_gpu[node] > 0 {
-                let Some(&Reverse((_, next))) = q_update[node].peek() else { break };
-                q_update[node].pop();
-                idle_gpu[node] -= 1;
-                state[next as usize] = RUNNING;
-                let dur = platform.kernel_seconds(tasks[next as usize].kind, b) / gpu_speedup;
-                gpu_busy[node] += dur;
-                if let Some(rec) = rec.as_mut() {
-                    rec.dispatch(next, node, true, $now);
-                }
-                let ev = EventKind::Done { tid: next, gpu: true, gen: gen[next as usize] };
-                push(&mut events, $now + dur, ev);
-            }
-            // Cores take the best-priority task from either queue.
             while idle[node] > 0 {
-                let pf = q_factor[node].peek().map(|&Reverse(p)| p);
-                let pu = q_update[node].peek().map(|&Reverse(p)| p);
-                let next = match (pf, pu) {
-                    (None, None) => break,
-                    (Some(_), None) => q_factor[node].pop(),
-                    (None, Some(_)) => q_update[node].pop(),
-                    (Some(f), Some(u)) => {
-                        if f <= u {
-                            q_factor[node].pop()
-                        } else {
-                            q_update[node].pop()
-                        }
-                    }
-                };
-                let Some(Reverse((_, next))) = next else { break };
+                let Some(Reverse((_, next))) = queue[node].pop() else { break };
                 idle[node] -= 1;
                 state[next as usize] = RUNNING;
                 let dur = platform.kernel_seconds(tasks[next as usize].kind, b);
                 busy[node] += dur;
                 if let Some(rec) = rec.as_mut() {
-                    rec.dispatch(next, node, false, $now);
+                    rec.dispatch(next, node, $now);
                 }
-                let ev = EventKind::Done { tid: next, gpu: false, gen: gen[next as usize] };
-                push(&mut events, $now + dur, ev);
+                push(
+                    &mut events,
+                    $now + dur,
+                    EventKind::Done { tid: next, gen: gen[next as usize] },
+                );
             }
         }};
     }
@@ -397,39 +343,29 @@ fn run_sim(
                 }
                 let node = home[tid as usize];
                 state[tid as usize] = ENQUEUED;
-                let entry = Reverse((priority(tid as usize), tid));
-                if tasks[tid as usize].kind.is_factor() {
-                    q_factor[node].push(entry);
-                } else {
-                    q_update[node].push(entry);
-                }
+                queue[node].push(Reverse((frontier.ranks[tid as usize], tid)));
                 dispatch!(node, now);
             }
-            EventKind::Done { tid, gpu, gen: g } => {
+            EventKind::Done { tid, gen: g } => {
                 // Stale completions belong to a crashed node: the core is
                 // gone, the output is lost — drop the event entirely.
                 if g != gen[tid as usize] {
                     continue;
                 }
-                completed += 1;
                 makespan = makespan.max(now);
                 let src = home[tid as usize];
                 state[tid as usize] = DONE;
                 data_node[tid as usize] = src;
-                if gpu {
-                    idle_gpu[src] += 1;
-                } else {
-                    idle[src] += 1;
-                }
+                idle[src] += 1;
                 if let Some(rec) = rec.as_mut() {
-                    rec.complete(tid, src, gpu, now);
+                    rec.complete(tid, src, now);
                 }
                 dests.clear();
                 for &s in graph.successors(tid as usize) {
                     let s = s as usize;
-                    // A re-executed producer only releases successors still
+                    // A re-executed producer only feeds successors still
                     // waiting; ones that already ran (or are queued/running
-                    // off their surviving local copy) are not re-triggered.
+                    // off their surviving local copy) get nothing.
                     if state[s] != BLOCKED {
                         continue;
                     }
@@ -462,8 +398,10 @@ fn run_sim(
                         }
                     }
                     avail[s] = avail[s].max(t_avail);
-                    deps[s] -= 1;
-                    if deps[s] == 0 {
+                }
+                let release = |s: u32| {
+                    let s = s as usize;
+                    if state[s] == BLOCKED {
                         state[s] = READY;
                         push(
                             &mut events,
@@ -471,8 +409,9 @@ fn run_sim(
                             EventKind::Ready { tid: s as u32, gen: gen[s] },
                         );
                     }
-                }
-                // The freed core/device may pick up queued work.
+                };
+                frontier.complete(graph, tid, release, |_| unreachable!("every release is kept"));
+                // The freed core may pick up queued work.
                 dispatch!(src, now);
             }
             EventKind::LinkDegrade(di) => {
@@ -495,10 +434,8 @@ fn run_sim(
                 }
                 let survivors: Vec<usize> = (0..nodes).filter(|&m| alive[m]).collect();
                 debug_assert!(!survivors.is_empty(), "plan validation keeps a survivor");
-                q_factor[x].clear();
-                q_update[x].clear();
+                queue[x].clear();
                 idle[x] = 0;
-                idle_gpu[x] = 0;
                 // Every unfinished task living on the node aborts and is
                 // deterministically re-homed onto a survivor; `restage`
                 // marks tasks whose inputs must be (re)staged to a new home.
@@ -527,7 +464,6 @@ fn run_sim(
                         if state[p] == DONE && !alive[data_node[p]] {
                             state[p] = BLOCKED;
                             gen[p] = gen[p].wrapping_add(1);
-                            completed -= 1;
                             reexecuted += 1;
                             if !alive[home[p]] {
                                 home[p] = survivors[p % survivors.len()];
@@ -537,23 +473,18 @@ fn run_sim(
                         }
                     }
                 }
-                // Rebuild in-degrees over the unfinished subgraph: tasks
+                // A fresh frontier over the unfinished subgraph: tasks
                 // already queued or running proceed off their local copies,
                 // so only BLOCKED tasks wait on the recovery re-executions.
-                for t in 0..n {
-                    if state[t] != DONE {
-                        deps[t] =
-                            preds[t].iter().filter(|&&p| state[p as usize] != DONE).count() as u32;
-                    }
-                }
+                let done: Vec<bool> = state.iter().map(|&st| st == DONE).collect();
+                let ready;
+                (frontier, ready) = Frontier::new(graph, policy, false, Some(&done));
                 // Restage surviving inputs onto the new homes (counted as
-                // recovery traffic) and re-release tasks with no unfinished
-                // predecessors. One transfer per (producer, destination).
+                // recovery traffic), then re-release the re-homed tasks with
+                // no unfinished predecessor. One transfer per (producer,
+                // destination).
                 let mut sent: BTreeMap<(u32, usize), f64> = BTreeMap::new();
-                for t in 0..n {
-                    if !restage[t] {
-                        continue;
-                    }
+                for t in (0..n).filter(|&t| restage[t]) {
                     let dst = home[t];
                     let mut at = now;
                     for &p in &preds[t] {
@@ -592,16 +523,21 @@ fn run_sim(
                         at = at.max(arrive);
                     }
                     avail[t] = at;
-                    if deps[t] == 0 {
-                        state[t] = READY;
-                        push(&mut events, at, EventKind::Ready { tid: t as u32, gen: gen[t] });
-                    }
+                }
+                for t in ready.into_iter().filter(|&t| restage[t as usize]) {
+                    state[t as usize] = READY;
+                    push(
+                        &mut events,
+                        avail[t as usize],
+                        EventKind::Ready { tid: t, gen: gen[t as usize] },
+                    );
                 }
             }
         }
     }
-    if completed != n {
-        return Err(SimError::Deadlock { completed, total: n });
+    let remaining = frontier.remaining.into_inner();
+    if remaining != 0 {
+        return Err(SimError::Deadlock { completed: n - remaining, total: n });
     }
 
     // Realized critical path over the *final* incarnation of every task:
@@ -653,7 +589,6 @@ fn run_sim(
         bytes,
         messages_by_kind,
         node_busy: busy,
-        node_gpu_busy: gpu_busy,
         critical_path,
         timeline,
         overhead,
@@ -767,9 +702,10 @@ mod tests {
         let p_shared = Platform { nodes: 1, cores_per_node: 2, ..Platform::edel() };
         let r2 = simulate(&g, &Layout::cyclic_rows(2), &p2);
         let rs = simulate(&g, &Layout::Single, &p_shared);
-        // With a free network the 2×1 distributed run can only differ from
-        // the 1×2 shared-memory run through placement constraints; it can
-        // never be faster than... actually placement restricts choices, so:
+        // With a free network the 2×1 distributed run differs from the 1×2
+        // shared-memory run only by placement: each task must run on the
+        // node owning its tile. That restriction must never let the
+        // distributed run finish before the shared-memory one.
         assert!(r2.makespan >= rs.makespan - 1e-12);
     }
 
@@ -843,54 +779,6 @@ mod tests {
         let r = simulate(&g, &Layout::cyclic_rows(3), &p);
         assert_eq!(r.messages_by_kind.iter().sum::<usize>(), r.messages);
         assert!(r.messages > 0);
-    }
-
-    #[test]
-    fn accelerators_speed_up_update_heavy_dags() {
-        let g = TaskGraph::build(16, 8, 40, &flat_elims(16, 8));
-        let base = Platform { nodes: 1, cores_per_node: 4, ..Platform::edel() };
-        let accel = Platform {
-            accelerators: Some(crate::platform::Accelerators { per_node: 2, update_speedup: 8.0 }),
-            ..base
-        };
-        let r0 = simulate(&g, &Layout::Single, &base);
-        let r1 = simulate(&g, &Layout::Single, &accel);
-        assert!(
-            r1.makespan < 0.6 * r0.makespan,
-            "GPUs should cut the update-dominated makespan: {} vs {}",
-            r1.makespan,
-            r0.makespan
-        );
-        assert_eq!(r1.messages, 0);
-    }
-
-    #[test]
-    fn accelerators_do_not_help_factor_only_dags() {
-        // A single-column DAG is all factor kernels — GPUs sit idle.
-        let g = TaskGraph::build(12, 1, 40, &flat_elims(12, 1));
-        let base = Platform { nodes: 1, cores_per_node: 2, ..Platform::edel() };
-        let accel = Platform {
-            accelerators: Some(crate::platform::Accelerators { per_node: 4, update_speedup: 10.0 }),
-            ..base
-        };
-        let r0 = simulate(&g, &Layout::Single, &base);
-        let r1 = simulate(&g, &Layout::Single, &accel);
-        assert!((r0.makespan - r1.makespan).abs() < 1e-12, "no updates, no gain");
-    }
-
-    #[test]
-    fn zero_gpus_matches_baseline_exactly() {
-        let g = TaskGraph::build(10, 4, 40, &binary_elims(10, 4));
-        let base = Platform { nodes: 2, cores_per_node: 3, ..Platform::edel() };
-        let accel0 = Platform {
-            accelerators: Some(crate::platform::Accelerators { per_node: 0, update_speedup: 10.0 }),
-            ..base
-        };
-        let lay = Layout::cyclic_rows(2);
-        let r0 = simulate(&g, &lay, &base);
-        let r1 = simulate(&g, &lay, &accel0);
-        assert_eq!(r0.makespan, r1.makespan);
-        assert_eq!(r0.messages, r1.messages);
     }
 
     #[test]

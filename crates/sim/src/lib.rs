@@ -32,5 +32,5 @@ pub use des::{
     SchedPolicy, SimReport,
 };
 pub use fault::{FaultOverhead, LinkDegrade, NodeCrash, SimError, SimFaultPlan};
-pub use platform::{Accelerators, KernelRates, LinkModel, Platform};
+pub use platform::{KernelRates, LinkModel, Platform};
 pub use timeline::{SimInstant, SimInstantKind, SimSpan, SimTimeline, SimTransfer};

@@ -162,18 +162,6 @@ impl LinkModel {
     }
 }
 
-/// Accelerator (GPU) model for the paper's §VI future-work scenario:
-/// each node carries `per_node` devices that execute *update* kernels
-/// (the BLAS-3-rich TSMQR/TTMQR/UNMQR) `update_speedup`× faster than a
-/// core; factor kernels stay on the cores, as in real GPU tile-QR ports.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Accelerators {
-    /// Devices per node.
-    pub per_node: usize,
-    /// Update-kernel speedup versus one CPU core.
-    pub update_speedup: f64,
-}
-
 /// A cluster of identical multi-core nodes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Platform {
@@ -188,8 +176,6 @@ pub struct Platform {
     pub rates: KernelRates,
     /// Interconnect.
     pub link: LinkModel,
-    /// Optional per-node accelerators (None for the paper's edel nodes).
-    pub accelerators: Option<Accelerators>,
 }
 
 impl Platform {
@@ -202,13 +188,7 @@ impl Platform {
             peak_gflops_per_core: 9.08,
             rates: KernelRates::edel(),
             link: LinkModel::infiniband_20g(),
-            accelerators: None,
         }
-    }
-
-    /// An edel-like cluster with accelerators attached to every node.
-    pub fn edel_with_accelerators(per_node: usize, update_speedup: f64) -> Self {
-        Platform { accelerators: Some(Accelerators { per_node, update_speedup }), ..Self::edel() }
     }
 
     /// A single shared-memory node (for intra-node studies).

@@ -12,12 +12,11 @@
 //!
 //! | tid                | lane                                   |
 //! |--------------------|----------------------------------------|
-//! | `0..C`             | CPU cores                              |
-//! | `C..C+G`           | GPUs (update kernels only)             |
-//! | `C+G`              | NIC tx (outgoing tile transfers)       |
-//! | `C+G+1`            | NIC rx (incoming tile transfers)       |
+//! | `0..C`             | cores                                  |
+//! | `C`                | NIC tx (outgoing tile transfers)       |
+//! | `C+1`              | NIC rx (incoming tile transfers)       |
 //!
-//! where `C`/`G` are the platform's cores and GPUs per node. Node crashes
+//! where `C` is the platform's cores per node. Node crashes
 //! appear as instants on the crashed node's first lane; link degradations
 //! (which are global) on node 0's NIC tx lane.
 
@@ -26,7 +25,7 @@ use std::collections::BTreeMap;
 use hqr_runtime::trace::{kind_cname, ChromeTraceBuilder};
 use hqr_runtime::TaskGraph;
 
-/// One executed task occurrence on a simulated core or GPU. A task
+/// One executed task occurrence on a simulated core. A task
 /// re-executed by crash recovery contributes one span per completed
 /// incarnation.
 #[derive(Clone, Copy, Debug)]
@@ -35,10 +34,8 @@ pub struct SimSpan {
     pub task: u32,
     /// Node it ran on.
     pub node: u16,
-    /// Core index (or GPU index when `gpu`) within the node.
+    /// Core index within the node.
     pub lane: u16,
-    /// True when the span occupied a GPU slot.
-    pub gpu: bool,
     /// Start time (s).
     pub start: f64,
     /// End time (s).
@@ -95,8 +92,6 @@ pub struct SimTimeline {
     pub nodes: usize,
     /// Cores per node.
     pub cores_per_node: usize,
-    /// GPUs per node.
-    pub gpus_per_node: usize,
 }
 
 impl SimTimeline {
@@ -104,9 +99,8 @@ impl SimTimeline {
     /// lane conventions). Loadable at <https://ui.perfetto.dev>.
     pub fn to_chrome_trace(&self, graph: &TaskGraph) -> String {
         let tasks = graph.tasks();
-        let (c, g) = (self.cores_per_node, self.gpus_per_node);
-        let nic_tx = (c + g) as u32;
-        let nic_rx = (c + g + 1) as u32;
+        let c = self.cores_per_node;
+        let (nic_tx, nic_rx) = (c as u32, c as u32 + 1);
         let mut b = ChromeTraceBuilder::new();
         for node in 0..self.nodes {
             let pid = node as u32;
@@ -114,18 +108,14 @@ impl SimTimeline {
             for core in 0..c {
                 b.thread_name(pid, core as u32, &format!("core {core}"), core as i64);
             }
-            for gpu in 0..g {
-                b.thread_name(pid, (c + gpu) as u32, &format!("gpu {gpu}"), (c + gpu) as i64);
-            }
-            b.thread_name(pid, nic_tx, "nic tx", (c + g) as i64);
-            b.thread_name(pid, nic_rx, "nic rx", (c + g + 1) as i64);
+            b.thread_name(pid, nic_tx, "nic tx", nic_tx as i64);
+            b.thread_name(pid, nic_rx, "nic rx", nic_rx as i64);
         }
         for s in &self.spans {
             let t = &tasks[s.task as usize];
-            let tid = if s.gpu { (c + s.lane as usize) as u32 } else { s.lane as u32 };
             b.span(
                 s.node as u32,
-                tid,
+                s.lane as u32,
                 &t.label(),
                 t.kind.name(),
                 Some(kind_cname(t.kind)),
@@ -151,7 +141,7 @@ impl SimTimeline {
         b.finish()
     }
 
-    /// Busy seconds per (node, gpu?) summed from the recorded spans.
+    /// Busy core-seconds summed from the recorded spans.
     pub fn busy_seconds(&self) -> f64 {
         self.spans.iter().map(|s| s.end - s.start).sum()
     }
@@ -165,8 +155,6 @@ pub(crate) struct Recorder {
     /// Free core lanes per node (stack; lane reuse is arbitrary but
     /// deterministic).
     free_cores: Vec<Vec<u16>>,
-    /// Free GPU lanes per node.
-    free_gpus: Vec<Vec<u16>>,
     /// Lane the task's current incarnation occupies.
     lane_of: Vec<u16>,
     /// Dispatch time of the task's current incarnation.
@@ -177,7 +165,7 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    pub(crate) fn new(n: usize, nodes: usize, cores: usize, gpus: usize) -> Recorder {
+    pub(crate) fn new(n: usize, nodes: usize, cores: usize) -> Recorder {
         Recorder {
             timeline: SimTimeline {
                 spans: Vec::new(),
@@ -185,36 +173,31 @@ impl Recorder {
                 instants: Vec::new(),
                 nodes,
                 cores_per_node: cores,
-                gpus_per_node: gpus,
             },
             free_cores: (0..nodes).map(|_| (0..cores as u16).rev().collect()).collect(),
-            free_gpus: (0..nodes).map(|_| (0..gpus as u16).rev().collect()).collect(),
             lane_of: vec![0; n],
             start_of: vec![0.0; n],
             arrival: BTreeMap::new(),
         }
     }
 
-    /// A task just occupied a core/GPU slot on `node`.
-    pub(crate) fn dispatch(&mut self, tid: u32, node: usize, gpu: bool, now: f64) {
-        let pool = if gpu { &mut self.free_gpus[node] } else { &mut self.free_cores[node] };
-        self.lane_of[tid as usize] = pool.pop().unwrap_or(0);
+    /// A task just occupied a core on `node`.
+    pub(crate) fn dispatch(&mut self, tid: u32, node: usize, now: f64) {
+        self.lane_of[tid as usize] = self.free_cores[node].pop().unwrap_or(0);
         self.start_of[tid as usize] = now;
     }
 
     /// A task's (non-stale) completion: emit the span, free the lane.
-    pub(crate) fn complete(&mut self, tid: u32, node: usize, gpu: bool, now: f64) {
+    pub(crate) fn complete(&mut self, tid: u32, node: usize, now: f64) {
         let lane = self.lane_of[tid as usize];
         self.timeline.spans.push(SimSpan {
             task: tid,
             node: node as u16,
             lane,
-            gpu,
             start: self.start_of[tid as usize],
             end: now,
         });
-        let pool = if gpu { &mut self.free_gpus[node] } else { &mut self.free_cores[node] };
-        pool.push(lane);
+        self.free_cores[node].push(lane);
     }
 
     /// An inter-node transfer of `producer`'s output tile.

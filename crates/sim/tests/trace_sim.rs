@@ -1,12 +1,8 @@
-//! Timeline recording, realized-critical-path bounds, and the GPU
-//! utilization regression (busy seconds were previously pooled into one
-//! counter, letting utilization exceed 1.0 on accelerated platforms).
+//! Timeline recording and realized-critical-path bounds.
 
 use hqr_runtime::validate_chrome_trace;
 use hqr_runtime::{ElimOp, TaskGraph};
-use hqr_sim::{
-    simulate, simulate_traced, Accelerators, Platform, SchedPolicy, SimFaultPlan, SimInstantKind,
-};
+use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy, SimFaultPlan, SimInstantKind};
 use hqr_tile::Layout;
 
 fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
@@ -19,38 +15,11 @@ fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
     v
 }
 
-/// Regression: on an accelerated platform, GPU seconds used to land in
-/// `node_busy` while the utilization denominator counted CPU cores only,
-/// so an update-heavy DAG reported utilization > 1.
-#[test]
-fn gpu_platform_utilization_stays_below_one() {
-    let g = TaskGraph::build(16, 8, 40, &flat_elims(16, 8));
-    let p = Platform {
-        nodes: 1,
-        cores_per_node: 4,
-        accelerators: Some(Accelerators { per_node: 2, update_speedup: 8.0 }),
-        ..Platform::edel()
-    };
-    let r = simulate(&g, &Layout::Single, &p);
-    let util = r.utilization(&p);
-    assert!(util > 0.0 && util <= 1.0 + 1e-12, "utilization {util} must be a fraction of slots");
-    // The split accounting is exhaustive: core + GPU busy covers exactly
-    // the executed kernel seconds.
-    let gpu_total: f64 = r.node_gpu_busy.iter().sum();
-    let core_total: f64 = r.node_busy.iter().sum();
-    assert!(gpu_total > 0.0, "an update-heavy DAG must use the GPUs");
-    assert!(core_total > 0.0, "factor kernels are CPU-only");
-    // No single pool can exceed its own capacity either.
-    assert!(core_total <= r.makespan * 4.0 + 1e-9);
-    assert!(gpu_total <= r.makespan * 2.0 + 1e-9);
-}
-
 #[test]
 fn cpu_only_platform_keeps_old_busy_semantics() {
     let g = TaskGraph::build(6, 4, 40, &flat_elims(6, 4));
     let p = Platform { nodes: 2, cores_per_node: 2, ..Platform::edel() };
     let r = simulate(&g, &Layout::cyclic_rows(2), &p);
-    assert!(r.node_gpu_busy.iter().all(|&x| x == 0.0));
     let total: f64 = g.tasks().iter().map(|t| p.kernel_seconds(t.kind, 40)).sum();
     assert!((r.node_busy.iter().sum::<f64>() - total).abs() < 1e-9);
 }
@@ -94,17 +63,14 @@ fn traced_run_matches_untraced_and_extracts_bounded_cp() {
     assert_eq!(tl.transfers.len(), traced.messages, "one transfer span per message");
     // Per-(node,lane) spans never overlap.
     let mut spans = tl.spans.clone();
-    spans.sort_by(|a, b| {
-        (a.node, a.gpu, a.lane).cmp(&(b.node, b.gpu, b.lane)).then(a.start.total_cmp(&b.start))
-    });
+    spans.sort_by(|a, b| (a.node, a.lane).cmp(&(b.node, b.lane)).then(a.start.total_cmp(&b.start)));
     for w in spans.windows(2) {
-        if (w[0].node, w[0].gpu, w[0].lane) == (w[1].node, w[1].gpu, w[1].lane) {
+        if (w[0].node, w[0].lane) == (w[1].node, w[1].lane) {
             assert!(w[1].start >= w[0].end - 1e-12, "lane overlap: {:?} then {:?}", w[0], w[1]);
         }
     }
-    // Busy seconds agree with the report's split accounting.
-    let busy: f64 = traced.node_busy.iter().sum::<f64>() + traced.node_gpu_busy.iter().sum::<f64>();
-    assert!((tl.busy_seconds() - busy).abs() < 1e-9);
+    // Busy seconds agree with the report's accounting.
+    assert!((tl.busy_seconds() - traced.node_busy.iter().sum::<f64>()).abs() < 1e-9);
 
     let json = tl.to_chrome_trace(&g);
     let events = validate_chrome_trace(&json).expect("schema-valid Chrome trace");
@@ -134,27 +100,8 @@ fn traced_crash_run_records_instants_and_keeps_cp_bounds() {
     let cp = r.critical_path.as_ref().unwrap();
     assert!(cp.length <= r.makespan + 1e-12);
     assert!(cp.length > 0.0);
-    // GPUs absent: all spans are core spans with valid lane indices.
-    assert!(tl.spans.iter().all(|s| !s.gpu && (s.lane as usize) < p.cores_per_node));
+    // Every span sits on a valid core lane.
+    assert!(tl.spans.iter().all(|s| (s.lane as usize) < p.cores_per_node));
     let json = tl.to_chrome_trace(&g);
     validate_chrome_trace(&json).expect("faulty-run trace still schema-valid");
-}
-
-#[test]
-fn gpu_spans_land_on_gpu_lanes() {
-    let g = TaskGraph::build(8, 4, 40, &flat_elims(8, 4));
-    let p = Platform {
-        nodes: 1,
-        cores_per_node: 2,
-        accelerators: Some(Accelerators { per_node: 1, update_speedup: 8.0 }),
-        ..Platform::edel()
-    };
-    let r = simulate_traced(&g, &Layout::Single, &p, SchedPolicy::PanelFirst, &SimFaultPlan::new())
-        .unwrap();
-    let tl = r.timeline.as_ref().unwrap();
-    assert!(tl.spans.iter().any(|s| s.gpu), "GPU lane used");
-    assert!(tl.spans.iter().filter(|s| s.gpu).all(|s| s.lane == 0), "one GPU -> lane 0");
-    let gpu_busy: f64 = tl.spans.iter().filter(|s| s.gpu).map(|s| s.end - s.start).sum();
-    assert!((gpu_busy - r.node_gpu_busy[0]).abs() < 1e-9);
-    validate_chrome_trace(&tl.to_chrome_trace(&g)).unwrap();
 }
