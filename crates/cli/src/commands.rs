@@ -37,7 +37,7 @@ USAGE:
   hqr fault    [--rows R --cols C --tile B --grid PxQ --threads T --seed S
                 --fail K --retries N --policy POLICY --crash-node X
                 --crash-frac F --degrade-bw F --degrade-lat F --nodes N
-                --cores C --sdc-rate F --sdc-seed S --integrity off|spot|full
+                --cores C --sdc-rate F --integrity off|spot|full
                 --rates edel|measured]
       inject a seeded fault schedule: panic K random kernel tasks in a real
       parallel factorization (verifying bitwise recovery), then crash a
@@ -49,8 +49,8 @@ USAGE:
                 --rows R --cols C --tile B --grid PxQ --a A --low TREE
                 --high TREE --domino
                 exec: --threads T --seed S --fail K --retries N
-                      --policy POLICY --sdc-rate F --sdc-seed S
-                      --integrity off|spot|full --resident-budget-kb KB
+                      --policy POLICY --sdc-rate F --integrity off|spot|full
+                      --resident-budget-kb KB
                 sim:  --nodes N --cores C --policy POLICY --crash-node X
                       --crash-frac F --degrade-bw F --degrade-lat F
                       --rates edel|measured]
@@ -120,7 +120,7 @@ USAGE:
                 --tile B --ib IB --seed S --grid PxQ --a A --low TREE
                 --high TREE --domino --worker-grid PxQ
                 --rpc-timeout-ms MS --retries N --stall-timeout-ms MS
-                --net-seed S --drop-frac F --delay-frac F --delay-ms MS
+                --drop-frac F --delay-frac F --delay-ms MS
                 --verify --trace FILE]
       distributed factorization across a worker fleet (external
       addresses, or --spawn N in-process workers): tiles live in 2D
@@ -132,10 +132,10 @@ USAGE:
       each worker every few ms is the liveness check (a poll that fails
       through the retries condemns the worker), and a worker lost
       mid-run is recovered by lineage re-execution onto survivors;
-      --drop-frac/--delay-frac inject seeded chaos, --verify checks the
-      result is bitwise-identical to a serial run, --trace writes the
-      coordinator's account of the run (transfers by link, retries,
-      recoveries) for CI artifacts
+      --drop-frac/--delay-frac inject RPC chaos seeded by --seed,
+      --verify checks the result is bitwise-identical to a serial run,
+      --trace writes the coordinator's account of the run (transfers by
+      link, retries, recoveries) for CI artifacts
   hqr calibrate [--sizes B1,B2,... --reps N --out FILE]
       measure real loopback TCP transfers across payload sizes, fit
       LogGP (latency, bandwidth) by least squares, print a
@@ -309,8 +309,7 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
         println!();
         println!("== execution: seeded bit-flip (SDC) injection ==");
         println!(
-            "fault plan   : sdc seed {}, {} tasks struck by a single bit flip",
-            engine.sdc_seed,
+            "fault plan   : seed {seed}, {} tasks struck by a single bit flip",
             plan.planned_corruptions()
         );
         println!("integrity    : {integrity}");

@@ -11,9 +11,10 @@ use crate::args::{Args, CliError};
 use crate::problem::{bitwise_vs_serial, Defaults, Problem, Shape};
 use hqr_net::{
     factorize, measure_loopback, shutdown_workers, spawn_local, DistConfig, DistReport,
-    NetFaultPlan, WorkerOptions,
+    WorkerOptions,
 };
 use hqr_runtime::task::SlotFamily;
+use hqr_runtime::FaultPlan;
 use hqr_sim::{LinkModel, Platform};
 use hqr_tile::ProcessGrid;
 use std::collections::HashSet;
@@ -78,15 +79,9 @@ pub fn dist(args: &Args) -> Result<i32, CliError> {
     cfg.rpc_timeout = args.millis_or("rpc-timeout-ms", 5_000)?;
     cfg.stall_timeout = args.millis_or("stall-timeout-ms", 60_000)?;
     cfg.retry.max_attempts = args.usize_or("retries", 3)? as u32;
-    let chaos = NetFaultPlan {
-        seed: args.usize_or("net-seed", 0)? as u64,
-        drop_frac: args.f64_or("drop-frac", 0.0)?,
-        delay_frac: args.f64_or("delay-frac", 0.0)?,
-        delay: args.millis_or("delay-ms", 2)?,
-    };
-    if chaos.drop_frac > 0.0 || chaos.delay_frac > 0.0 {
-        cfg.fault = chaos;
-    }
+    cfg.fault = FaultPlan::new(p.shape.seed)
+        .drop_rpcs(args.f64_or("drop-frac", 0.0)?)
+        .delay_rpcs(args.f64_or("delay-frac", 0.0)?, args.millis_or("delay-ms", 2)?);
     let (verify, trace) = (args.flag("verify"), args.get("trace"));
     args.reject_unknown()?;
 

@@ -16,7 +16,7 @@ use hqr::prelude::*;
 use hqr_runtime::{
     execute_serial_ib, ExecOptions, FaultPlan, IntegrityMode, SchedPolicy, TFactors, TaskGraph,
 };
-use hqr_sim::{KernelRates, LinkModel, Platform, SimFaultPlan};
+use hqr_sim::{KernelRates, LinkModel, Platform};
 
 /// A flag whose value is one of a few names (`names` lists them for the
 /// error); `default` applies when the flag is absent.
@@ -199,7 +199,6 @@ pub struct Engine {
     pub retries: u32,
     pub integrity: IntegrityMode,
     pub resident_budget: Option<u64>,
-    pub sdc_seed: u64,
     /// Single-bit strikes `--sdc-rate` asks for over this graph; 0 = none.
     pub strikes: usize,
     fail: usize,
@@ -208,8 +207,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Read and validate `--policy --retries --fail --sdc-rate --sdc-seed
-    /// --integrity --resident-budget-kb` for a run of `p`; `policy` and
+    /// Read and validate `--policy --retries --fail --sdc-rate --integrity
+    /// --resident-budget-kb` for a run of `p`; `policy` and
     /// `fail` are the subcommand's defaults for their flags.
     pub fn from_args(
         args: &Args,
@@ -230,7 +229,6 @@ impl Engine {
             retries: args.positive_or("retries", 1)? as u32,
             integrity: integrity_of(args, guards)?,
             resident_budget: resident_budget_of(args)?,
-            sdc_seed: args.usize_or("sdc-seed", seed as usize)? as u64,
             strikes: if rate > 0.0 { ((rate * tasks as f64).round() as usize).max(1) } else { 0 },
             fail: args.usize_or("fail", fail)?,
             seed,
@@ -238,15 +236,15 @@ impl Engine {
         })
     }
 
-    /// The seeded schedule: `--fail` random tasks panic on their first
-    /// attempt and/or the `--sdc-rate` strikes flip one bit each.
+    /// The schedule seeded by `--seed`: `--fail` random tasks panic on their
+    /// first attempt and/or the `--sdc-rate` strikes flip one bit each.
     pub fn plan(&self, panics: bool, sdc: bool) -> FaultPlan {
         let mut plan = FaultPlan::new(self.seed);
         if panics {
             plan = plan.fail_random_tasks(self.tasks, self.fail, 1);
         }
         if sdc && self.strikes > 0 {
-            plan = plan.corrupt_random_tasks_seeded(self.sdc_seed, self.tasks, self.strikes);
+            plan = plan.corrupt_random_tasks(self.tasks, self.strikes);
         }
         plan
     }
@@ -345,12 +343,12 @@ impl SimFaults {
     /// The plan against a fault-free makespan of `baseline` seconds. With no
     /// `--crash-node`, `or_random = Some((nodes, seed))` crashes a seeded
     /// random node instead and `None` crashes nothing.
-    pub fn plan(&self, baseline: f64, or_random: Option<(usize, u64)>) -> SimFaultPlan {
+    pub fn plan(&self, baseline: f64, or_random: Option<(usize, u64)>) -> FaultPlan {
         let at = self.crash_frac * baseline;
         let mut plan = match (self.crash_node, or_random) {
-            (Some(node), _) => SimFaultPlan::new().crash_node(node, at),
-            (None, Some((nodes, seed))) => SimFaultPlan::new().crash_random_node(nodes, seed, at),
-            (None, None) => SimFaultPlan::new(),
+            (Some(node), _) => FaultPlan::default().crash_node(node, at),
+            (None, Some((nodes, seed))) => FaultPlan::new(seed).crash_random_node(nodes, at),
+            (None, None) => FaultPlan::default(),
         };
         if let Some((bw, lat)) = self.degrade {
             plan = plan.degrade_link(0.0, bw, lat);

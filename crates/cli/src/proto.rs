@@ -11,7 +11,7 @@
 //! pipeline multiple request/response exchanges; either side closing the
 //! stream between frames is a clean end of conversation.
 
-use hqr_runtime::{JobSpec, JobState, QosClass};
+use hqr_runtime::{FaultPlan, JobSpec, JobState, QosClass};
 use hqr_tile::io::{
     bytes_of_u64s, read_frame_into, u64s_of_bytes, BinFormatError, FrameError, SectionList,
     SectionReader,
@@ -86,49 +86,33 @@ fn narrow(word: u64, what: &str) -> Result<u32, ProtoError> {
     u32::try_from(word).map_err(|_| ProtoError(format!("{what} {word} overflows u32")))
 }
 
-/// Deterministic fault-injection policy carried alongside a submission:
-/// seed plus `(task, attempts)` pairs that panic that task for its first
-/// N attempts. Only engine-recoverable injections are expressible on the
-/// wire — worker poisoning and completion loss stay test-only, matching
-/// the pool's own submission-time rejection of unrecoverable plans.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WirePlan {
-    /// Seed for the plan (reserved for future randomized modes).
-    pub seed: u64,
-    /// `(task id, failing attempts)` pairs.
-    pub fail: Vec<(u32, u32)>,
+/// The fault plan a `Submit` carries, under the name the protocol has
+/// always given it.
+pub type WirePlan = FaultPlan;
+
+/// A plan's section words, `[seed, n, (task, attempts)*]`.
+fn plan_words(plan: &FaultPlan) -> Vec<u64> {
+    let fail: Vec<(u32, u32)> = plan.failing_tasks().collect();
+    let mut w = vec![plan.seed(), fail.len() as u64];
+    for (task, attempts) in fail {
+        w.push(task as u64);
+        w.push(attempts as u64);
+    }
+    w
 }
 
-impl WirePlan {
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.fail.is_empty()
+fn plan_of_words(words: &[u64]) -> Result<FaultPlan, ProtoError> {
+    let [seed, n, pairs @ ..] = words else {
+        return bad("plan section too short");
+    };
+    // The count is checked against the words really present, so a
+    // hostile count neither overflows nor sizes an allocation.
+    if !pairs.len().is_multiple_of(2) || (pairs.len() / 2) as u64 != *n {
+        return bad("plan section length mismatch");
     }
-
-    fn words(&self) -> Vec<u64> {
-        let mut w = vec![self.seed, self.fail.len() as u64];
-        for &(task, attempts) in &self.fail {
-            w.push(task as u64);
-            w.push(attempts as u64);
-        }
-        w
-    }
-
-    fn of_words(words: &[u64]) -> Result<WirePlan, ProtoError> {
-        let [seed, n, pairs @ ..] = words else {
-            return bad("plan section too short");
-        };
-        // The count is checked against the words really present, so a
-        // hostile count neither overflows nor sizes an allocation.
-        if !pairs.len().is_multiple_of(2) || (pairs.len() / 2) as u64 != *n {
-            return bad("plan section length mismatch");
-        }
-        let fail = pairs
-            .chunks_exact(2)
-            .map(|p| Ok((narrow(p[0], "plan task")?, narrow(p[1], "plan attempts")?)))
-            .collect::<Result<_, ProtoError>>()?;
-        Ok(WirePlan { seed: *seed, fail })
-    }
+    pairs.chunks_exact(2).try_fold(FaultPlan::new(*seed), |plan, p| {
+        Ok(plan.fail_task(narrow(p[0], "plan task")?, narrow(p[1], "plan attempts")?))
+    })
 }
 
 /// A client request.
@@ -136,9 +120,10 @@ impl WirePlan {
 pub enum Request {
     /// Liveness check.
     Ping,
-    /// Submit a job: the encoded [`JobSpec`] plus an optional injection
-    /// plan (specs do not serialize plans themselves).
-    Submit { spec: Box<JobSpec>, plan: WirePlan },
+    /// Submit a job: the encoded [`JobSpec`] plus an injection plan. Specs
+    /// do not serialize plans; the frame carries the plan's seed and its
+    /// per-task failures, and no other kind.
+    Submit { spec: Box<JobSpec>, plan: FaultPlan },
     /// List all jobs the daemon knows about.
     Jobs,
     /// Cancel one job by id.
@@ -176,8 +161,8 @@ impl Request {
         }
         if let Request::Submit { spec, plan } = self {
             w.section(TAG_SPEC, spec.to_bytes());
-            if !plan.is_empty() {
-                w.section(TAG_PLAN, bytes_of_u64s(&plan.words()));
+            if plan.planned_failures() > 0 {
+                w.section(TAG_PLAN, bytes_of_u64s(&plan_words(plan)));
             }
         }
         w.into_bytes()
@@ -194,8 +179,8 @@ impl Request {
                 let spec = JobSpec::from_bytes(raw)
                     .map_err(|e| ProtoError(format!("bad job spec: {e}")))?;
                 let plan = match r.section(TAG_PLAN) {
-                    None => WirePlan::default(),
-                    Some(raw) => WirePlan::of_words(&u64s_of_bytes(TAG_PLAN, raw)?)?,
+                    None => FaultPlan::default(),
+                    Some(raw) => plan_of_words(&u64s_of_bytes(TAG_PLAN, raw)?)?,
                 };
                 Ok(Request::Submit { spec: Box::new(spec), plan })
             }
@@ -522,7 +507,7 @@ mod tests {
         spec.qos = QosClass::Interactive;
         spec.deadline = Some(Duration::from_millis(250));
         spec.tag = "tenant-a".into();
-        let plan = WirePlan { seed: 9, fail: vec![(0, 2), (3, 1)] };
+        let plan = FaultPlan::new(9).fail_task(0, 2).fail_task(3, 1);
         let req = Request::Submit { spec: Box::new(spec), plan: plan.clone() };
         let bytes = req.to_bytes();
         match Request::from_bytes(bytes).expect("decode") {
@@ -597,7 +582,7 @@ mod tests {
         };
         let spec =
             JobSpec::fresh(vec![ElimOp::new(0, 1, 0, true)], TiledMatrix::random(2, 1, 4, 7));
-        let plan = WirePlan { seed: 9, fail: vec![(0, 2), (3, 1)] };
+        let plan = FaultPlan::new(9).fail_task(0, 2).fail_task(3, 1);
         let mut bytes = Vec::new();
         for req in [
             Request::Ping,
@@ -686,7 +671,7 @@ mod tests {
     fn hostile_plan_words_are_typed_errors() {
         let elims = vec![ElimOp::new(0, 1, 0, true)];
         let spec = JobSpec::fresh(elims, TiledMatrix::random(2, 1, 4, 7));
-        let plan = WirePlan { seed: 9, fail: vec![(0, 2)] };
+        let plan = FaultPlan::new(9).fail_task(0, 2);
         let bytes = Request::Submit { spec: Box::new(spec), plan }.to_bytes();
         for (words, why) in [
             (&[9, 1 << 63][..], "length mismatch"),

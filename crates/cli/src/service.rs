@@ -26,7 +26,7 @@ use crate::problem::{
     choice, integrity_of, policy_of, resident_budget_of, threads_of, Defaults, Shape,
 };
 use crate::proto::{
-    read_frame, write_frame, write_response, ProtoError, Request, Response, WireJob, WirePlan,
+    read_frame, write_frame, write_response, ProtoError, Request, Response, WireJob,
 };
 use hqr_runtime::{
     result_from_bytes, DrainReport, DurabilityConfig, FaultPlan, JobPool, JobSpec, JobState,
@@ -218,14 +218,7 @@ fn respond(req: Request, svc: &Service) -> Response {
             Response::Pong { live_jobs: live }
         }
         Request::Submit { spec, plan } => {
-            let mut spec = *spec;
-            if !plan.is_empty() {
-                let built = plan
-                    .fail
-                    .iter()
-                    .fold(FaultPlan::new(plan.seed), |p, &(task, n)| p.fail_task(task, n));
-                spec.plan = Some(built);
-            }
+            let spec = JobSpec { plan: (!plan.is_empty()).then_some(plan), ..*spec };
             match svc.pool.submit_dedup(spec) {
                 Ok((id, deduped)) => Response::Submitted { id: id.0, deduped },
                 Err(e) => {
@@ -353,7 +346,7 @@ pub fn ping(args: &Args) -> Result<i32, CliError> {
 
 /// Build a [`JobSpec`] from submit arguments (shared by `hqr submit` and
 /// the service tests).
-pub fn spec_of_args(args: &Args) -> Result<(JobSpec, WirePlan), CliError> {
+pub fn spec_of_args(args: &Args) -> Result<(JobSpec, FaultPlan), CliError> {
     let d = Defaults { rows: 256, cols: 128, tile: 16, ..Defaults::EXEC };
     let shape = Shape::from_args(args, d)?;
     let Shape { b, ib, mt, nt, seed, .. } = shape;
@@ -370,7 +363,7 @@ pub fn spec_of_args(args: &Args) -> Result<(JobSpec, WirePlan), CliError> {
     // original job id instead of enqueueing a duplicate.
     spec.dedup_key = args.get("dedup-key").map(String::from);
     // Optional deterministic injection, `--inject-fail TASK:ATTEMPTS`.
-    let mut plan = WirePlan { seed, fail: Vec::new() };
+    let mut plan = FaultPlan::new(seed);
     if let Some(inj) = args.get("inject-fail") {
         let (task, n) = inj
             .split_once(':')
@@ -378,7 +371,7 @@ pub fn spec_of_args(args: &Args) -> Result<(JobSpec, WirePlan), CliError> {
             .ok_or_else(|| {
                 CliError::usage(format!("--inject-fail expects TASK:ATTEMPTS, got `{inj}`"))
             })?;
-        plan.fail.push((task, n));
+        plan = plan.fail_task(task, n);
     }
     Ok((spec, plan))
 }

@@ -60,9 +60,10 @@ fn serve_in(dir: &Path, extra: &[&str]) -> Daemon {
 
 const TINY: [&str; 6] = ["--rows", "48", "--cols", "24", "--tile", "8"];
 
-/// The nine flags that priced `hqr-sim`'s unmeasured cost models and the
-/// two that sized its simulated GPUs, spelled in halves so that a grep for
-/// a retired name finds nothing in `crates/`.
+/// The nine flags that priced `hqr-sim`'s unmeasured cost models, the two
+/// that sized its simulated GPUs and the two extra fault seeds (a plan has
+/// one seed, `--seed`), spelled in halves so that a grep for a retired name
+/// finds nothing in `crates/`.
 fn retired_flags() -> Vec<String> {
     let halves = [
         ("io-", "bw"),
@@ -76,6 +77,8 @@ fn retired_flags() -> Vec<String> {
         ("disk-latency-", "us"),
         ("gp", "us"),
         ("gpu-", "speedup"),
+        ("sdc-", "seed"),
+        ("net-", "seed"),
     ];
     halves.iter().map(|(a, b)| format!("--{a}{b}")).collect()
 }
@@ -265,9 +268,16 @@ fn meaningless_values_and_retired_flags_are_usage_errors() {
     let unknown: Vec<String> = retired.iter().map(|f| format!("unknown flag `{f}`")).collect();
     let mut table: Vec<(Vec<&str>, &str)> = Vec::new();
     for (i, flag) in retired.iter().enumerate() {
-        let simulate = flag.starts_with("--disk") || flag.starts_with("--gp");
-        let cmd = if simulate { "simulate" } else { "fault" };
-        table.push((vec![cmd, flag, "1"], &unknown[i]));
+        let cmds: &[&[&str]] = if flag.starts_with("--disk") || flag.starts_with("--gp") {
+            &[&["simulate"]]
+        } else if flag.ends_with("-seed") {
+            &[&["fault"], &["trace"], &["dist", "--spawn", "1"]]
+        } else {
+            &[&["fault"]]
+        };
+        for cmd in cmds {
+            table.push(([cmd, &[flag.as_str(), "1"][..]].concat(), &unknown[i]));
+        }
     }
     std::fs::write(
         dir.join("nan.mtx"),

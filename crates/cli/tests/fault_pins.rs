@@ -7,11 +7,9 @@
 //! helpers below may change with the plan API; the constants and the
 //! assertions stay as they are.
 
-use hqr_cli::proto::{Request, WirePlan};
-use hqr_net::{FaultAction, NetFaultPlan};
+use hqr_cli::proto::Request;
 use hqr_runtime::fault::SdcPattern;
-use hqr_runtime::{ElimOp, FaultPlan, JobSpec};
-use hqr_sim::SimFaultPlan;
+use hqr_runtime::{ElimOp, FaultAction, FaultPlan, JobSpec};
 use hqr_tile::io::{checksum64, fnv1a64};
 use hqr_tile::TiledMatrix;
 use std::time::Duration;
@@ -32,12 +30,11 @@ fn corrupt_picks(seed: u64) -> Vec<(u32, u32, u32, u32)> {
 }
 
 fn crashed_node(seed: u64) -> usize {
-    SimFaultPlan::new().crash_random_node(60, seed, 0.5).crashes()[0].node
+    FaultPlan::new(seed).crash_random_node(60, 0.5).crashes()[0].node
 }
 
 fn rpc_verdicts(seed: u64) -> Vec<u8> {
-    let plan =
-        NetFaultPlan { seed, drop_frac: 0.2, delay_frac: 0.1, delay: Duration::from_millis(2) };
+    let plan = FaultPlan::new(seed).drop_rpcs(0.2).delay_rpcs(0.1, Duration::from_millis(2));
     let verdict = |w, s| match plan.action(w, s) {
         FaultAction::Deliver => 0,
         FaultAction::Drop => 1,
@@ -48,7 +45,7 @@ fn rpc_verdicts(seed: u64) -> Vec<u8> {
 
 fn submit_with_two_failures() -> Request {
     let spec = JobSpec::fresh(vec![ElimOp::new(0, 1, 0, true)], TiledMatrix::random(2, 1, 4, 7));
-    let plan = WirePlan { seed: 9, fail: vec![(0, 2), (3, 1)] };
+    let plan = FaultPlan::new(9).fail_task(0, 2).fail_task(3, 1);
     Request::Submit { spec: Box::new(spec), plan }
 }
 

@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use hqr_cli::proto::{read_frame, write_frame, Request, Response, WirePlan};
-use hqr_runtime::{execute_serial_ib, result_from_bytes, JobInput, TaskGraph};
+use hqr_cli::proto::{read_frame, write_frame, Request, Response};
+use hqr_runtime::{execute_serial_ib, result_from_bytes, FaultPlan, JobInput, TaskGraph};
 
 fn hqr() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hqr"))
@@ -454,8 +454,7 @@ fn non_finite_spec_over_the_socket_is_a_typed_rejection() {
     a.tile_mut(1, 2)[3] = f64::NAN;
 
     let mut stream = std::os::unix::net::UnixStream::connect(&d.socket).expect("connect");
-    let request =
-        Request::Submit { spec: Box::new(spec), plan: WirePlan { seed: 0, fail: vec![] } };
+    let request = Request::Submit { spec: Box::new(spec), plan: FaultPlan::default() };
     write_frame(&mut stream, &request.to_bytes()).expect("send");
     let answer = read_frame(&mut stream).expect("receive").expect("the daemon answers");
     match Response::from_bytes(answer).expect("a well-formed response") {

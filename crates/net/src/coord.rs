@@ -30,13 +30,13 @@
 //! deterministic, so the result is bitwise-identical to a fault-free run.
 
 use crate::error::NetError;
-use crate::fault::{FaultAction, NetFaultPlan};
 use crate::frame::{dial, read_frame_into, write_list};
 use crate::msg::{decode_borrowed, decode_tile, put_frame, recv_msg, send_msg, Msg};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Slot;
 use hqr_runtime::{
-    last_writers, rebuild_closure, recompute_slots, RetryPolicy, TFactors, Task, TaskGraph,
+    last_writers, rebuild_closure, recompute_slots, FaultAction, FaultKind, FaultPlan, RetryPolicy,
+    TFactors, Task, TaskGraph,
 };
 use hqr_tile::{Layout, ProcessGrid, TiledMatrix};
 use std::collections::HashSet;
@@ -57,8 +57,12 @@ pub struct DistConfig {
     pub retry: RetryPolicy,
     /// Progress stall longer than this aborts the run.
     pub stall_timeout: Duration,
-    /// Seeded drop/delay injection on coordinator-side RPC sends.
-    pub fault: NetFaultPlan,
+    /// Seeded RPC drops and delays at the coordinator's send site, the one
+    /// fault kind the coordinator injects. A drop is an instant timeout (the
+    /// frame never leaves and the retry ladder engages), so tests do not sit
+    /// out real deadlines; a delay is a real sleep. Killed workers are
+    /// driven from the worker side ([`crate::WorkerOptions`]).
+    pub fault: FaultPlan,
     /// Run identifier (workers reset state on a new id).
     pub run_id: u64,
 }
@@ -81,7 +85,7 @@ impl DistConfig {
                 max_attempts: 3,
             },
             stall_timeout: Duration::from_secs(60),
-            fault: NetFaultPlan::none(),
+            fault: FaultPlan::default(),
             run_id: 1,
         }
     }
@@ -567,8 +571,9 @@ pub fn factorize(
 ) -> Result<(TiledMatrix, TFactors, DistReport), NetError> {
     let (n_workers, n_tasks) = (addrs.len(), graph.tasks().len());
     if cfg.grid.nodes() != n_workers {
-        return Err(NetError::Recovery(format!("{:?} does not fit {n_workers} workers", cfg.grid)));
+        return Err(NetError::Config(format!("{:?} does not fit {n_workers} workers", cfg.grid)));
     }
+    cfg.fault.check_kinds("the coordinator", &[FaultKind::Rpc]).map_err(NetError::Config)?;
     let start = Instant::now();
     let link = |&addr| Link {
         conn: Mutex::new(Conn { addr, timeout: cfg.rpc_timeout, stream: None, seq: 0 }),

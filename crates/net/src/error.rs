@@ -48,6 +48,9 @@ pub enum NetError {
     },
     /// Worker-loss recovery itself failed (no survivors, lineage error).
     Recovery(String),
+    /// The run was misconfigured (a grid that does not fit the fleet, a
+    /// fault kind the coordinator cannot inject); nothing was sent.
+    Config(String),
 }
 
 impl fmt::Display for NetError {
@@ -67,6 +70,7 @@ impl fmt::Display for NetError {
                 write!(f, "worker {worker} condemned: {reason}")
             }
             NetError::Recovery(e) => write!(f, "recovery failed: {e}"),
+            NetError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }

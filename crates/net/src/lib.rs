@@ -24,14 +24,13 @@
 //!   ([`hqr_runtime::lineage`]): lost slot versions are re-executed
 //!   locally from the pristine input and re-placed on survivors, and the
 //!   finished factorization is bitwise-identical to a fault-free run;
-//! * seeded drop/delay injection ([`NetFaultPlan`]) plus deterministic
+//! * seeded drop/delay injection ([`hqr_runtime::FaultPlan`]) plus deterministic
 //!   worker kill-points ([`WorkerOptions`]) make all of the above
 //!   chaos-testable reproducibly.
 
 pub mod calib;
 pub mod coord;
 pub mod error;
-pub mod fault;
 pub mod frame;
 pub mod msg;
 mod pool;
@@ -40,7 +39,6 @@ pub mod worker;
 pub use calib::{measure_loopback, CalibSample, Calibration};
 pub use coord::{factorize, shutdown_workers, DistConfig, DistReport, RecoveryEvent};
 pub use error::NetError;
-pub use fault::{FaultAction, NetFaultPlan};
 pub use frame::{read_frame, write_frame};
 pub use hqr_tile::io::MAX_FRAME;
 pub use msg::{recv_msg, send_msg, Msg, NET_MAGIC, NET_VERSION};

@@ -4,10 +4,12 @@
 
 use hqr::baselines;
 use hqr_net::{
-    factorize, shutdown_workers, spawn_local, DistConfig, DistReport, NetFaultPlan, WorkerOptions,
+    factorize, shutdown_workers, spawn_local, DistConfig, DistReport, NetError, WorkerOptions,
 };
 use hqr_runtime::task::SlotFamily;
-use hqr_runtime::{execute_serial, ElimOp, Slot, TFactors, Task, TaskGraph};
+use hqr_runtime::{
+    execute_serial, ElimOp, FaultPlan, SdcFault, SdcPattern, Slot, TFactors, Task, TaskGraph,
+};
 use hqr_tile::TiledMatrix;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -206,18 +208,42 @@ fn property_kill_points_times_trees_times_fleets() {
     }
 }
 
+/// The coordinator injects RPC drops and delays only: the engine's task
+/// kinds and the simulator's crash and degrade kinds are typed config
+/// errors, returned before any worker is dialed.
+#[test]
+fn coordinator_refuses_faults_it_cannot_inject() {
+    let graph = TaskGraph::build(2, 2, 4, &random_elims(2, 2, 5));
+    let input = TiledMatrix::random(2, 2, 4, 6);
+    let sdc = SdcFault { slot: 0, element: 0, pattern: SdcPattern::Scale };
+    let rows = [
+        ("fail", FaultPlan::new(1).fail_task(0, 1)),
+        ("poison", FaultPlan::new(1).poison_worker(0)),
+        ("lost completion", FaultPlan::new(1).lose_completion(0)),
+        ("corrupt", FaultPlan::new(1).corrupt_task(0, sdc)),
+        ("crash", FaultPlan::new(1).crash_node(0, 0.0)),
+        ("degrade", FaultPlan::new(1).degrade_link(0.0, 0.5, 2.0)),
+    ];
+    // Nothing listens here; the refusal comes first.
+    let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+    for (what, plan) in rows {
+        let cfg = DistConfig { fault: plan.drop_rpcs(0.1), ..test_config(1) };
+        match factorize(&[addr], &graph, &input, 4, &cfg) {
+            Err(NetError::Config(message)) => {
+                assert!(message.starts_with("the coordinator cannot inject"), "{what}: {message}")
+            }
+            other => panic!("{what}: expected a config error, got {:?}", other.err()),
+        }
+    }
+}
+
 #[test]
 fn chaos_drops_and_delays_still_bitwise_correct() {
     let (mt, nt, b) = (5, 4, 4);
     let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 21));
     let input = TiledMatrix::random(mt, nt, b, 22);
     let mut cfg = test_config(3);
-    cfg.fault = NetFaultPlan {
-        seed: 99,
-        drop_frac: 0.08,
-        delay_frac: 0.15,
-        delay: Duration::from_millis(2),
-    };
+    cfg.fault = FaultPlan::new(99).drop_rpcs(0.08).delay_rpcs(0.15, Duration::from_millis(2));
     // Give the retry ladder headroom so random drops rarely condemn —
     // and when they do, recovery must still land the exact result.
     cfg.retry.max_attempts = 5;

@@ -45,7 +45,8 @@ use crossbeam_utils::Backoff;
 use crate::elim::ElimOp;
 use crate::error::{ExecError, StallCause, StallReport};
 use crate::fault::{
-    ExecOptions, FaultPlan, FaultStats, QuietPanics, INJECTED_FAULT_PREFIX, POISON_STRIKES,
+    ExecOptions, FaultKind, FaultPlan, FaultStats, QuietPanics, INJECTED_FAULT_PREFIX,
+    POISON_STRIKES,
 };
 use crate::graph::TaskGraph;
 use crate::integrity::{GuardStore, IntegrityMode};
@@ -1155,10 +1156,14 @@ fn drive(
 ) -> Result<(FaultStats, Option<ExecTrace>), ExecError> {
     let nthreads = opts.nthreads.max(1);
     let plan = opts.plan.as_ref();
-    if plan.is_some_and(|p| p.loses_any_completion()) && opts.watchdog.is_none() {
-        return Err(ExecError::Config {
-            message: "a fault plan that loses completions requires a watchdog".to_string(),
-        });
+    // A lost completion stalls the run, and only a watchdog ends a stall.
+    use FaultKind::*;
+    let (engine, kinds): (_, &[FaultKind]) = match opts.watchdog {
+        Some(_) => ("the engine", &[FailTask, PoisonWorker, CorruptTask, LoseCompletion]),
+        None => ("the engine without a watchdog", &[FailTask, PoisonWorker, CorruptTask]),
+    };
+    if let Some(p) = plan {
+        p.check_kinds(engine, kinds).map_err(|message| ExecError::Config { message })?;
     }
     let recovery = opts.recovery_enabled();
     let alive = AtomicUsize::new(nthreads);

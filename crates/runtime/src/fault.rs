@@ -1,17 +1,24 @@
-//! Deterministic fault injection and recovery policy for the executors.
+//! Deterministic fault injection and recovery policy.
 //!
-//! A [`FaultPlan`] is a seeded, fully deterministic schedule of injected
-//! failures: fail a given task's first K attempts, poison a worker thread
-//! (every task it touches fails until it "crashes"), or drop a task's
-//! completion notification (to exercise the stall watchdog). Injected
-//! failures are real `panic!`s raised inside the kernel-execution
-//! `catch_unwind` scope, so they exercise exactly the recovery path a real
-//! kernel panic would take: write-set rollback plus bounded retry.
+//! A [`FaultPlan`] is the one seeded, fully deterministic fault schedule
+//! of every backend. It holds execution faults — fail a given task's first
+//! K attempts, poison a worker thread (every task it touches fails until it
+//! "crashes"), drop a task's completion notification (to exercise the stall
+//! watchdog), strike a task's output with silent data corruption —
+//! simulated platform faults (node crashes, link degradation), and RPC
+//! drops and delays on a distributed coordinator's sends. Each backend
+//! injects the kinds it can and refuses the rest through
+//! [`FaultPlan::check_kinds`]. Injected execution failures are real
+//! `panic!`s raised inside the kernel-execution `catch_unwind` scope, so
+//! they exercise exactly the recovery path a real kernel panic would take:
+//! write-set rollback plus bounded retry.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Once;
 use std::time::Duration;
+
+use hqr_tile::io::{bytes_of_u64s, fnv1a64};
 
 use crate::integrity::IntegrityMode;
 use crate::sched::SchedPolicy;
@@ -26,10 +33,11 @@ pub const INJECTED_FAULT_PREFIX: &str = "injected fault";
 /// progress.
 pub(crate) const POISON_STRIKES: u32 = 3;
 
-/// SplitMix64: the seeded stream behind [`FaultPlan`]'s random picks and
-/// `hqr-sim`'s fault schedules, so a seed means the same schedule in both.
-/// `hqr-net`'s `NetFaultPlan` and the retry jitter do not draw from it:
-/// they hash their keys with `hqr_tile::io::fnv1a64`.
+/// SplitMix64: the seeded stream behind [`FaultPlan`]'s random picks. Each
+/// pick kind salts the plan seed differently, so the streams stay
+/// independent. The RPC verdicts of [`FaultPlan::action`] and the retry
+/// jitter do not draw from it: they hash their keys with
+/// `hqr_tile::io::fnv1a64`.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -69,16 +77,74 @@ pub struct SdcFault {
     pub pattern: SdcPattern,
 }
 
-/// A deterministic, seeded schedule of injected execution faults.
+/// One simulated node crash: at simulated time `at`, node `node`
+/// disappears — its in-flight and queued tasks abort, and every
+/// intermediate tile it holds is lost.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct NodeCrash {
+    /// Node index (into the simulated platform's `nodes`).
+    pub node: usize,
+    /// Simulated time of the crash, seconds.
+    pub at: f64,
+}
+
+/// One simulated link-degradation event: at time `at` the interconnect's
+/// bandwidth is multiplied by `bandwidth_factor` (< 1 degrades) and its
+/// latency by `latency_factor` (> 1 degrades). Models cable faults,
+/// congestion or a failed rail — LogGP parameters worsen but traffic still
+/// flows.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LinkDegrade {
+    /// Simulated time the degradation takes effect, seconds.
+    pub at: f64,
+    /// Multiplier applied to link bandwidth (0 < f ≤ 1 degrades).
+    pub bandwidth_factor: f64,
+    /// Multiplier applied to link latency (≥ 1 degrades).
+    pub latency_factor: f64,
+}
+
+/// What a plan decrees for one RPC send ([`FaultPlan::action`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultAction {
+    /// Deliver normally.
+    Deliver,
+    /// The frame is lost; the caller sees a timeout.
+    Drop,
+    /// Deliver after the configured delay.
+    Delay(Duration),
+}
+
+/// A kind of fault a [`FaultPlan`] can schedule. A backend names the kinds
+/// it injects to [`FaultPlan::check_kinds`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultKind {
+    /// [`FaultPlan::fail_task`]: a task's first attempts panic.
+    FailTask,
+    /// [`FaultPlan::poison_worker`]: one engine thread fails every attempt.
+    PoisonWorker,
+    /// [`FaultPlan::lose_completion`]: a finished task releases nothing.
+    LoseCompletion,
+    /// [`FaultPlan::corrupt_task`]: a silent-data-corruption strike.
+    CorruptTask,
+    /// [`FaultPlan::crash_node`]: a simulated node dies.
+    CrashNode,
+    /// [`FaultPlan::degrade_link`]: the simulated interconnect slows.
+    DegradeLink,
+    /// [`FaultPlan::drop_rpcs`], [`FaultPlan::delay_rpcs`]: lost or late RPCs.
+    Rpc,
+}
+
+/// A deterministic, seeded schedule of injected faults, for every backend.
 ///
-/// Plans are value types built with a fluent API:
+/// Plans are value types built with a fluent API. Every random pick draws
+/// from the one plan seed:
 ///
 /// ```
 /// use hqr_runtime::FaultPlan;
 /// let plan = FaultPlan::new(42).fail_task(3, 1).fail_random_tasks(100, 3, 1);
 /// assert!(plan.planned_failures() >= 4);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     /// task id -> number of initial attempts that must fail.
@@ -91,6 +157,16 @@ pub struct FaultPlan {
     /// task id -> silent-data-corruption strike against its first
     /// completed attempt's output.
     corrupt: BTreeMap<u32, SdcFault>,
+    /// Simulated node crashes, in insertion order.
+    crashes: Vec<NodeCrash>,
+    /// Simulated link degradations, in insertion order.
+    degrades: Vec<LinkDegrade>,
+    /// Fraction of RPCs dropped, in `[0, 1]`.
+    drop_frac: f64,
+    /// Fraction of RPCs delayed, in `[0, 1]` (evaluated after drops).
+    delay_frac: f64,
+    /// How long a delayed RPC waits.
+    delay: Duration,
 }
 
 impl FaultPlan {
@@ -114,18 +190,20 @@ impl FaultPlan {
 
     /// Pick `count` distinct tasks out of `n_tasks` (deterministically from
     /// the seed) and fail each one's first `attempts` attempts.
-    pub fn fail_random_tasks(mut self, n_tasks: usize, count: usize, attempts: u32) -> Self {
-        let mut state = self.seed ^ 0xfa17_fa17_fa17_fa17;
-        let want = count.min(n_tasks);
+    pub fn fail_random_tasks(self, n_tasks: usize, count: usize, attempts: u32) -> Self {
+        let (picked, _) = self.pick(0xfa17_fa17_fa17_fa17, n_tasks, count);
+        picked.into_iter().fold(self, |plan, tid| plan.fail_task(tid, attempts))
+    }
+
+    /// `count` distinct indices below `n`, drawn from the plan seed's
+    /// stream under `salt`, and that stream's state for further draws.
+    fn pick(&self, salt: u64, n: usize, count: usize) -> (BTreeSet<u32>, u64) {
+        let mut state = self.seed ^ salt;
         let mut picked = BTreeSet::new();
-        while picked.len() < want {
-            let tid = (splitmix64(&mut state) % n_tasks.max(1) as u64) as u32;
-            picked.insert(tid);
+        while picked.len() < count.min(n) {
+            picked.insert((splitmix64(&mut state) % n.max(1) as u64) as u32);
         }
-        for tid in picked {
-            self = self.fail_task(tid, attempts);
-        }
-        self
+        (picked, state)
     }
 
     /// Poison worker thread `worker`: every task attempt it makes fails
@@ -158,22 +236,8 @@ impl FaultPlan {
     /// (deterministically from the plan seed) and schedule a seeded
     /// single-bit-flip corruption against each: random write-set buffer,
     /// random element, random bit.
-    pub fn corrupt_random_tasks(self, n_tasks: usize, count: usize) -> Self {
-        let seed = self.seed;
-        self.corrupt_random_tasks_seeded(seed, n_tasks, count)
-    }
-
-    /// [`FaultPlan::corrupt_random_tasks`] drawing from an explicit seed
-    /// (the CLI's `--sdc-seed`), so corruption picks decouple from the
-    /// panic-injection picks of [`FaultPlan::fail_random_tasks`].
-    pub fn corrupt_random_tasks_seeded(mut self, seed: u64, n_tasks: usize, count: usize) -> Self {
-        let mut state = seed ^ 0x5dc0_5dc0_5dc0_5dc0;
-        let want = count.min(n_tasks);
-        let mut picked = BTreeSet::new();
-        while picked.len() < want {
-            let tid = (splitmix64(&mut state) % n_tasks.max(1) as u64) as u32;
-            picked.insert(tid);
-        }
+    pub fn corrupt_random_tasks(mut self, n_tasks: usize, count: usize) -> Self {
+        let (picked, mut state) = self.pick(0x5dc0_5dc0_5dc0_5dc0, n_tasks, count);
         for tid in picked {
             let fault = SdcFault {
                 slot: splitmix64(&mut state) as u32,
@@ -182,6 +246,40 @@ impl FaultPlan {
             };
             self.corrupt.insert(tid, fault);
         }
+        self
+    }
+
+    /// Crash simulated node `node` at time `at`.
+    pub fn crash_node(mut self, node: usize, at: f64) -> Self {
+        self.crashes.push(NodeCrash { node, at });
+        self
+    }
+
+    /// Crash a node picked (deterministically from the plan seed) among
+    /// `nodes` at time `at`.
+    pub fn crash_random_node(self, nodes: usize, at: f64) -> Self {
+        let mut s = self.seed ^ 0x0DE0_0DE0_0DE0_0DE0;
+        let node = (splitmix64(&mut s) % nodes.max(1) as u64) as usize;
+        self.crash_node(node, at)
+    }
+
+    /// Degrade the simulated interconnect at time `at`.
+    pub fn degrade_link(mut self, at: f64, bandwidth_factor: f64, latency_factor: f64) -> Self {
+        self.degrades.push(LinkDegrade { at, bandwidth_factor, latency_factor });
+        self
+    }
+
+    /// Drop a `frac` share of RPCs (picked by [`FaultPlan::action`]).
+    pub fn drop_rpcs(mut self, frac: f64) -> Self {
+        self.drop_frac = frac;
+        self
+    }
+
+    /// Delay a `frac` share of RPCs by `delay` each (picked by
+    /// [`FaultPlan::action`] among those not dropped).
+    pub fn delay_rpcs(mut self, frac: f64, delay: Duration) -> Self {
+        self.delay_frac = frac;
+        self.delay = delay;
         self
     }
 
@@ -205,12 +303,61 @@ impl FaultPlan {
         self.corrupt.len()
     }
 
+    /// Scheduled node crashes, in insertion order.
+    pub fn crashes(&self) -> &[NodeCrash] {
+        &self.crashes
+    }
+
+    /// Scheduled link degradations, in insertion order.
+    pub fn degrades(&self) -> &[LinkDegrade] {
+        &self.degrades
+    }
+
+    /// The verdict for RPC `seq` to `worker`: a pure function of
+    /// `(seed, worker, seq)`, which FNV-1a hashes into a uniform fraction.
+    pub fn action(&self, worker: usize, seq: u64) -> FaultAction {
+        if self.drop_frac <= 0.0 && self.delay_frac <= 0.0 {
+            return FaultAction::Deliver;
+        }
+        let h = fnv1a64(&bytes_of_u64s(&[self.seed, worker as u64, seq]));
+        // 53 high bits -> uniform in [0, 1).
+        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+        if u < self.drop_frac {
+            FaultAction::Drop
+        } else if u < self.drop_frac + self.delay_frac {
+            FaultAction::Delay(self.delay)
+        } else {
+            FaultAction::Deliver
+        }
+    }
+
+    /// Each kind, with whether the plan schedules any of it.
+    fn kinds(&self) -> [(FaultKind, bool); 7] {
+        [
+            (FaultKind::FailTask, !self.fail_first.is_empty()),
+            (FaultKind::PoisonWorker, !self.poisoned.is_empty()),
+            (FaultKind::LoseCompletion, !self.lost.is_empty()),
+            (FaultKind::CorruptTask, !self.corrupt.is_empty()),
+            (FaultKind::CrashNode, !self.crashes.is_empty()),
+            (FaultKind::DegradeLink, !self.degrades.is_empty()),
+            (FaultKind::Rpc, self.drop_frac > 0.0 || self.delay_frac > 0.0),
+        ]
+    }
+
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.fail_first.is_empty()
-            && self.poisoned.is_empty()
-            && self.lost.is_empty()
-            && self.corrupt.is_empty()
+        self.kinds().iter().all(|&(_, on)| !on)
+    }
+
+    /// The one check a backend makes of the plan it is handed: `Err` names
+    /// the first kind the plan schedules that `backend` cannot inject
+    /// (`supported` lists the ones it can), and the backend returns it as
+    /// its own typed configuration error.
+    pub fn check_kinds(&self, backend: &str, supported: &[FaultKind]) -> Result<(), String> {
+        match self.kinds().into_iter().find(|&(k, on)| on && !supported.contains(&k)) {
+            Some((kind, _)) => Err(format!("{backend} cannot inject {kind:?} faults")),
+            None => Ok(()),
+        }
     }
 
     pub(crate) fn should_fail_attempt(&self, task: u32, attempt: u32) -> bool {
@@ -227,18 +374,6 @@ impl FaultPlan {
 
     pub(crate) fn loses_completion(&self, task: u32) -> bool {
         self.lost.contains(&task)
-    }
-
-    pub(crate) fn loses_any_completion(&self) -> bool {
-        !self.lost.is_empty()
-    }
-
-    /// True when the plan poisons at least one worker thread. Poisoning is
-    /// a per-engine-run concept (worker indices belong to one engine's
-    /// thread pool), so the multi-job [`crate::pool::JobPool`] rejects such
-    /// plans at submission.
-    pub(crate) fn poisons_any_worker(&self) -> bool {
-        !self.poisoned.is_empty()
     }
 }
 
@@ -425,8 +560,8 @@ mod tests {
         assert!(a.corrupted_tasks().all(|(t, f)| {
             (t as usize) < 40 && matches!(f.pattern, SdcPattern::BitFlip(bit) if bit < 64)
         }));
-        let c = FaultPlan::new(7).corrupt_random_tasks_seeded(8, 40, 6);
-        assert_ne!(a, c, "explicit seed decouples the picks");
+        let c = FaultPlan::new(8).corrupt_random_tasks(40, 6);
+        assert_ne!(a, c, "different seed, different strikes");
         assert!(!a.is_empty());
         assert_eq!(
             a.sdc_for(a.corrupted_tasks().next().unwrap().0),
@@ -442,6 +577,52 @@ mod tests {
         assert_eq!(p.sdc_for(8), None);
         assert_eq!(p.planned_corruptions(), 1);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn seeded_crash_is_deterministic_and_in_range() {
+        let a = FaultPlan::new(42).crash_random_node(7, 1.0);
+        let b = FaultPlan::new(42).crash_random_node(7, 1.0);
+        assert_eq!(a, b);
+        assert!(a.crashes()[0].node < 7);
+    }
+
+    #[test]
+    fn rpc_verdicts_are_deterministic() {
+        let p = FaultPlan::new(42).drop_rpcs(0.3).delay_rpcs(0.2, Duration::from_millis(5));
+        for w in 0..4 {
+            for seq in 0..64 {
+                assert_eq!(p.action(w, seq), p.action(w, seq));
+            }
+        }
+    }
+
+    #[test]
+    fn rpc_fractions_roughly_respected() {
+        let p = FaultPlan::new(7).drop_rpcs(0.25);
+        let drops = (0..4000).filter(|&s| p.action(0, s) == FaultAction::Drop).count();
+        assert!((800..1200).contains(&drops), "25% of 4000 ≈ 1000, got {drops}");
+    }
+
+    #[test]
+    fn a_plan_without_rpc_faults_delivers_every_rpc() {
+        let p = FaultPlan::new(3).fail_task(0, 1).crash_node(1, 0.5);
+        assert!((0..256).all(|s| p.action(3, s) == FaultAction::Deliver));
+    }
+
+    #[test]
+    fn check_kinds_names_the_first_unsupported_kind() {
+        let plan = FaultPlan::new(1).fail_task(0, 1).crash_node(0, 1.0).drop_rpcs(0.1);
+        assert_eq!(
+            plan.check_kinds("x", &[FaultKind::FailTask, FaultKind::CrashNode, FaultKind::Rpc]),
+            Ok(())
+        );
+        assert_eq!(
+            plan.check_kinds("the simulator", &[FaultKind::CrashNode]),
+            Err("the simulator cannot inject FailTask faults".into())
+        );
+        assert_eq!(FaultPlan::new(9).check_kinds("x", &[]), Ok(()), "an empty plan fits anywhere");
+        assert!(FaultPlan::new(9).delay_rpcs(0.0, Duration::from_millis(1)).is_empty());
     }
 
     #[test]

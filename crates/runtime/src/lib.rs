@@ -63,7 +63,10 @@ pub use exec::{
     execute_serial, execute_serial_ib, try_apply_q, try_execute_parallel, try_execute_traced,
     try_execute_with, ExecInstant, ExecTrace, InstantKind, TFactors, TaskRecord, WorkerCounters,
 };
-pub use fault::{ExecOptions, FaultPlan, FaultStats, SdcFault, SdcPattern, SDC_SCALE_FACTOR};
+pub use fault::{
+    ExecOptions, FaultAction, FaultKind, FaultPlan, FaultStats, LinkDegrade, NodeCrash, SdcFault,
+    SdcPattern, SDC_SCALE_FACTOR,
+};
 pub use graph::TaskGraph;
 pub use integrity::IntegrityMode;
 pub use journal::{

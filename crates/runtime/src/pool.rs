@@ -39,11 +39,13 @@
 //! of the single-job engine: the best-ranked released successor stays
 //! local, the rest are published to the shared heap.
 //!
-//! Fault plans are supported per job (failure and SDC strikes), with two
-//! engine-only features rejected at submission: poisoned workers (worker
-//! indices belong to one engine run) and lost completions (the pool's
-//! progress accounting would wedge). Plans are also not serialized into
-//! the journal or the wire — injection is in-process test machinery.
+//! Fault plans are supported per job (failure and SDC strikes); every other
+//! kind is rejected at submission: poisoned workers (worker indices belong
+//! to one engine run), lost completions (the pool's progress accounting
+//! would wedge), and the simulator's and coordinator's kinds. The daemon's
+//! `Submit` frame carries a plan's per-task failures only, and the journal
+//! carries no plan, so a job recovered after a restart runs without
+//! injection.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -66,7 +68,7 @@ use crate::error::ExecError;
 use crate::exec::{
     preview_order, relock, worker_loop, Attempt, DagRun, RunPolicy, TFactors, WorkerCounters,
 };
-use crate::fault::{FaultPlan, FaultStats};
+use crate::fault::{FaultKind, FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
 use crate::integrity::IntegrityMode;
 use crate::journal::{io_err, result_from_bytes, Journal, JournalError, JournalEvent, ResultStore};
@@ -211,9 +213,11 @@ pub struct JobSpec {
     /// Wall-clock budget per attempt; exceeding it halts the attempt and
     /// routes the job into the retry/quarantine path.
     pub deadline: Option<Duration>,
-    /// Deterministic fault injection for this job only. Poisoned workers
-    /// and lost completions are engine-only and rejected at submission;
-    /// plans are never serialized (wire or journal).
+    /// Deterministic fault injection for this job only: task failures and
+    /// SDC strikes; any other kind is rejected at submission. The spec's
+    /// encoding leaves it out. The daemon's `Submit` frame carries its
+    /// per-task failures beside the spec, and the journal carries none, so
+    /// a job recovered after a restart runs without injection.
     pub plan: Option<FaultPlan>,
     /// Free-form label shown by `hqr jobs`.
     pub tag: String,
@@ -448,7 +452,7 @@ impl fmt::Display for JobState {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubmitError {
     /// The spec itself is unusable (bad elimination list, bad `ib`,
-    /// engine-only fault-plan features, checkpoint mismatch, ...).
+    /// a fault kind the pool cannot inject, checkpoint mismatch, ...).
     Invalid {
         /// What was wrong.
         message: String,
@@ -946,13 +950,11 @@ fn reject_non_finite(a: &TiledMatrix, what: &str) -> Result<(), SubmitError> {
 /// through the pool: the one place a spec is taken apart. `journaled` pools
 /// get the spec's encoding along, for the `Accepted` record.
 fn prepare(spec: JobSpec, cfg: &PoolConfig, journaled: bool) -> Result<(Job, Held), SubmitError> {
+    // Worker indices belong to one engine run, and a lost completion would
+    // wedge the pool's progress accounting: the pool injects task kinds only.
     if let Some(p) = &spec.plan {
-        if p.poisons_any_worker() {
-            return Err(invalid("fault plans with poisoned workers are engine-only"));
-        }
-        if p.loses_any_completion() {
-            return Err(invalid("fault plans that lose completions are engine-only"));
-        }
+        p.check_kinds("the pool", &[FaultKind::FailTask, FaultKind::CorruptTask])
+            .map_err(invalid)?;
     }
     let (elims, a) = match &spec.input {
         JobInput::Fresh { elims, a } => (elims, a),

@@ -173,6 +173,37 @@ fn losing_completions_without_watchdog_is_rejected() {
     assert!(matches!(try_execute_with(&g, &mut a, &opts), Err(ExecError::Config { .. })));
 }
 
+/// The engine injects task failures, poisoned workers, lost completions
+/// and SDC strikes. It refuses the simulator's and the coordinator's kinds
+/// with a typed error before any kernel runs, leaving the matrix as it was.
+#[test]
+fn engine_refuses_faults_it_cannot_inject() {
+    let g = TaskGraph::build(2, 2, 2, &flat_elims(2, 2));
+    let a0 = TiledMatrix::random(2, 2, 2, 73);
+    let rows = [
+        ("crash", FaultPlan::new(1).crash_node(0, 0.0)),
+        ("degrade", FaultPlan::new(1).degrade_link(0.0, 0.5, 2.0)),
+        ("drop", FaultPlan::new(1).drop_rpcs(0.5)),
+        ("delay", FaultPlan::new(1).delay_rpcs(0.5, Duration::from_millis(1))),
+    ];
+    for (what, plan) in rows {
+        let opts = ExecOptions {
+            nthreads: 2,
+            plan: Some(plan.fail_task(0, 1)),
+            watchdog: Some(Duration::from_secs(5)),
+            ..Default::default()
+        };
+        let mut a = a0.clone();
+        match try_execute_with(&g, &mut a, &opts) {
+            Err(ExecError::Config { message }) => {
+                assert!(message.starts_with("the engine cannot inject"), "{what}: {message}")
+            }
+            other => panic!("{what}: expected a config error, got {other:?}"),
+        }
+        assert_eq!(a.to_dense().data(), a0.to_dense().data(), "{what}: no kernel ran");
+    }
+}
+
 #[test]
 fn watchdog_stays_quiet_on_healthy_runs() {
     let (mt, nt, b) = (5, 3, 3);

@@ -542,16 +542,38 @@ fn spec_wire_roundtrip_preserves_policy_and_payload() {
     }
 }
 
+/// The pool injects task failures and SDC strikes. Poisoned workers (their
+/// indices belong to one engine run), lost completions (they would wedge
+/// the progress accounting) and the simulator's and the coordinator's
+/// kinds are refused at submission.
+#[test]
+fn pool_refuses_faults_it_cannot_inject() {
+    let pool = JobPool::new(PoolConfig { nthreads: 1, ..Default::default() });
+    let rows = [
+        ("poison", FaultPlan::new(1).poison_worker(0)),
+        ("lost completion", FaultPlan::new(1).lose_completion(0)),
+        ("crash", FaultPlan::new(1).crash_node(0, 0.0)),
+        ("degrade", FaultPlan::new(1).degrade_link(0.0, 0.5, 2.0)),
+        ("drop", FaultPlan::new(1).drop_rpcs(0.5)),
+        ("delay", FaultPlan::new(1).delay_rpcs(0.5, Duration::from_millis(1))),
+    ];
+    for (what, plan) in rows {
+        let mut s = JobSpec::fresh(flat_elims(2, 2), TiledMatrix::random(2, 2, 4, 1));
+        s.plan = Some(plan.fail_task(0, 1));
+        match pool.submit(s) {
+            Err(SubmitError::Invalid { message }) => {
+                assert!(message.starts_with("the pool cannot inject"), "{what}: {message}")
+            }
+            other => panic!("{what}: expected Invalid, got {other:?}"),
+        }
+    }
+    assert!(pool.jobs().is_empty(), "nothing was admitted");
+    pool.shutdown();
+}
+
 #[test]
 fn invalid_specs_are_rejected_with_typed_errors() {
     let pool = JobPool::new(PoolConfig { nthreads: 1, ..Default::default() });
-    // Engine-only fault-plan features.
-    let mut s = JobSpec::fresh(flat_elims(2, 2), TiledMatrix::random(2, 2, 4, 1));
-    s.plan = Some(FaultPlan::new(1).poison_worker(0));
-    assert!(matches!(pool.submit(s), Err(SubmitError::Invalid { .. })));
-    let mut s = JobSpec::fresh(flat_elims(2, 2), TiledMatrix::random(2, 2, 4, 1));
-    s.plan = Some(FaultPlan::new(1).lose_completion(0));
-    assert!(matches!(pool.submit(s), Err(SubmitError::Invalid { .. })));
     // Bad inner block size.
     let mut s = JobSpec::fresh(flat_elims(2, 2), TiledMatrix::random(2, 2, 4, 1));
     s.ib = Some(5);

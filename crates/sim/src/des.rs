@@ -5,10 +5,10 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use hqr_runtime::exec::Frontier;
 use hqr_runtime::trace::{realized_critical_path, RealizedPath};
-use hqr_runtime::TaskGraph;
+use hqr_runtime::{FaultPlan, TaskGraph};
 use hqr_tile::Layout;
 
-use crate::fault::{FaultOverhead, SimError, SimFaultPlan};
+use crate::fault::{validate, FaultOverhead, SimError};
 use crate::platform::Platform;
 use crate::timeline::{Recorder, SimInstantKind, SimTimeline};
 
@@ -136,13 +136,14 @@ pub fn simulate_with_policy(
     platform: &Platform,
     policy: SchedPolicy,
 ) -> SimReport {
-    match run_sim(graph, layout, platform, policy, &SimFaultPlan::new(), false) {
+    match run_sim(graph, layout, platform, policy, &FaultPlan::default(), false) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Simulate under a seeded [`SimFaultPlan`]: node crashes abort the node's
+/// Simulate under a [`FaultPlan`] of node crashes and link degradations
+/// (any other kind is a [`SimError::Config`]): node crashes abort the node's
 /// queued and in-flight tasks and lose every intermediate tile it produced;
 /// lineage-based recovery re-executes exactly the lost-but-still-needed
 /// producers on the surviving nodes (restaging surviving inputs over the
@@ -156,13 +157,13 @@ pub fn simulate_with_policy(
 /// parallel file system); only *intermediate* results are lost with a node.
 ///
 /// ```
-/// use hqr_runtime::{ElimOp, TaskGraph};
-/// use hqr_sim::{simulate_with_faults, Platform, SchedPolicy, SimFaultPlan};
+/// use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
+/// use hqr_sim::{simulate_with_faults, Platform, SchedPolicy};
 /// use hqr_tile::Layout;
 /// let elims: Vec<ElimOp> = (1..6).map(|i| ElimOp::new(0, i, 0, true)).collect();
 /// let graph = TaskGraph::build(6, 1, 120, &elims);
 /// let p = Platform { nodes: 3, cores_per_node: 2, ..Platform::edel() };
-/// let plan = SimFaultPlan::new().crash_node(1, 1e-4);
+/// let plan = FaultPlan::default().crash_node(1, 1e-4);
 /// let r = simulate_with_faults(&graph, &Layout::cyclic_rows(3), &p, SchedPolicy::PanelFirst, &plan)
 ///     .unwrap();
 /// let o = r.overhead.unwrap();
@@ -174,7 +175,7 @@ pub fn simulate_with_faults(
     layout: &Layout,
     platform: &Platform,
     policy: SchedPolicy,
-    plan: &SimFaultPlan,
+    plan: &FaultPlan,
 ) -> Result<SimReport, SimError> {
     simulate_impl(graph, layout, platform, policy, plan, false)
 }
@@ -189,7 +190,7 @@ pub fn simulate_traced(
     layout: &Layout,
     platform: &Platform,
     policy: SchedPolicy,
-    plan: &SimFaultPlan,
+    plan: &FaultPlan,
 ) -> Result<SimReport, SimError> {
     simulate_impl(graph, layout, platform, policy, plan, true)
 }
@@ -199,15 +200,15 @@ fn simulate_impl(
     layout: &Layout,
     platform: &Platform,
     policy: SchedPolicy,
-    plan: &SimFaultPlan,
+    plan: &FaultPlan,
     trace: bool,
 ) -> Result<SimReport, SimError> {
-    plan.validate(platform.nodes)?;
+    validate(plan, platform.nodes)?;
     let mut report = run_sim(graph, layout, platform, policy, plan, trace)?;
     let baseline = if plan.is_empty() {
         report.makespan
     } else {
-        run_sim(graph, layout, platform, policy, &SimFaultPlan::new(), false)?.makespan
+        run_sim(graph, layout, platform, policy, &FaultPlan::default(), false)?.makespan
     };
     let overhead = report.overhead.get_or_insert_with(FaultOverhead::default);
     overhead.baseline_makespan = baseline;
@@ -231,7 +232,7 @@ fn run_sim(
     layout: &Layout,
     platform: &Platform,
     policy: SchedPolicy,
-    plan: &SimFaultPlan,
+    plan: &FaultPlan,
     trace: bool,
 ) -> Result<SimReport, SimError> {
     let tasks = graph.tasks();

@@ -1,4 +1,5 @@
-//! Simulated platform faults: node crashes and link degradation.
+//! Simulated platform faults: node crashes and link degradation, scheduled
+//! by a [`FaultPlan`] and checked against the platform by `validate`.
 //!
 //! The fault model mirrors what checkpoint-free fault tolerance on top of a
 //! data-flow runtime gives you (lineage recovery, as in DAGuE-descendant
@@ -8,117 +9,47 @@
 //! exactly the lost producers whose outputs are still needed, on the
 //! surviving nodes.
 
-use hqr_runtime::fault::splitmix64;
+use hqr_runtime::{FaultKind, FaultPlan};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// One node crash: at simulated time `at`, node `node` disappears — its
-/// in-flight and queued tasks abort, and every intermediate tile it holds
-/// is lost.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NodeCrash {
-    /// Node index (into the platform's `nodes`).
-    pub node: usize,
-    /// Simulated time of the crash, seconds.
-    pub at: f64,
-}
-
-/// One link-degradation event: at time `at` the interconnect's bandwidth is
-/// multiplied by `bandwidth_factor` (< 1 degrades) and its latency by
-/// `latency_factor` (> 1 degrades). Models cable faults, congestion or a
-/// failed rail — LogGP parameters worsen but traffic still flows.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkDegrade {
-    /// Simulated time the degradation takes effect, seconds.
-    pub at: f64,
-    /// Multiplier applied to link bandwidth (0 < f ≤ 1 degrades).
-    pub bandwidth_factor: f64,
-    /// Multiplier applied to link latency (≥ 1 degrades).
-    pub latency_factor: f64,
-}
-
-/// A deterministic schedule of platform faults for one simulated run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SimFaultPlan {
-    crashes: Vec<NodeCrash>,
-    degrades: Vec<LinkDegrade>,
-}
-
-impl SimFaultPlan {
-    /// An empty plan (no faults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Crash `node` at time `at`.
-    pub fn crash_node(mut self, node: usize, at: f64) -> Self {
-        self.crashes.push(NodeCrash { node, at });
-        self
-    }
-
-    /// Crash a deterministic seed-chosen node (among `nodes`) at time `at`.
-    pub fn crash_random_node(self, nodes: usize, seed: u64, at: f64) -> Self {
-        let mut s = seed ^ 0x0DE0_0DE0_0DE0_0DE0;
-        let node = (splitmix64(&mut s) % nodes.max(1) as u64) as usize;
-        self.crash_node(node, at)
-    }
-
-    /// Degrade the interconnect at time `at`.
-    pub fn degrade_link(mut self, at: f64, bandwidth_factor: f64, latency_factor: f64) -> Self {
-        self.degrades.push(LinkDegrade { at, bandwidth_factor, latency_factor });
-        self
-    }
-
-    /// Scheduled crashes, in insertion order.
-    pub fn crashes(&self) -> &[NodeCrash] {
-        &self.crashes
-    }
-
-    /// Scheduled link degradations, in insertion order.
-    pub fn degrades(&self) -> &[LinkDegrade] {
-        &self.degrades
-    }
-
-    /// True when the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.degrades.is_empty()
-    }
-
-    /// Validate the plan against a platform of `nodes` nodes: every event
-    /// must be well-formed and at least one node must survive all crashes.
-    pub fn validate(&self, nodes: usize) -> Result<(), SimError> {
-        let mut crashed = BTreeSet::new();
-        for c in &self.crashes {
-            if c.node >= nodes {
-                return Err(SimError::Config {
-                    message: format!("crash targets node {} but platform has {nodes}", c.node),
-                });
-            }
-            if !c.at.is_finite() || c.at < 0.0 {
-                return Err(SimError::Config {
-                    message: format!("crash time {} must be finite and non-negative", c.at),
-                });
-            }
-            crashed.insert(c.node);
+/// The simulator's check of a plan against a platform of `nodes` nodes: it
+/// injects node crashes and link degradation only, every event must be
+/// well-formed, and at least one node must survive all crashes.
+pub(crate) fn validate(plan: &FaultPlan, nodes: usize) -> Result<(), SimError> {
+    plan.check_kinds("the simulator", &[FaultKind::CrashNode, FaultKind::DegradeLink])
+        .map_err(|message| SimError::Config { message })?;
+    let mut crashed = BTreeSet::new();
+    for c in plan.crashes() {
+        if c.node >= nodes {
+            return Err(SimError::Config {
+                message: format!("crash targets node {} but platform has {nodes}", c.node),
+            });
         }
-        if crashed.len() >= nodes && nodes > 0 {
-            return Err(SimError::AllNodesCrashed { nodes });
+        if !c.at.is_finite() || c.at < 0.0 {
+            return Err(SimError::Config {
+                message: format!("crash time {} must be finite and non-negative", c.at),
+            });
         }
-        for d in &self.degrades {
-            if !d.at.is_finite() || d.at < 0.0 {
-                return Err(SimError::Config {
-                    message: format!("degradation time {} must be finite and non-negative", d.at),
-                });
-            }
-            let ok = |f: f64| f.is_finite() && f > 0.0;
-            if !ok(d.bandwidth_factor) || !ok(d.latency_factor) {
-                return Err(SimError::Config {
-                    message: "link degradation factors must be positive".into(),
-                });
-            }
-        }
-        Ok(())
+        crashed.insert(c.node);
     }
+    if crashed.len() >= nodes && nodes > 0 {
+        return Err(SimError::AllNodesCrashed { nodes });
+    }
+    for d in plan.degrades() {
+        if !d.at.is_finite() || d.at < 0.0 {
+            return Err(SimError::Config {
+                message: format!("degradation time {} must be finite and non-negative", d.at),
+            });
+        }
+        let ok = |f: f64| f.is_finite() && f > 0.0;
+        if !ok(d.bandwidth_factor) || !ok(d.latency_factor) {
+            return Err(SimError::Config {
+                message: "link degradation factors must be positive".into(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Recovery cost of a faulty run, attached to the
@@ -188,36 +119,19 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_plans() {
-        assert!(SimFaultPlan::new().validate(4).is_ok());
+        let plan = FaultPlan::default;
+        assert!(validate(&plan(), 4).is_ok());
+        assert!(matches!(validate(&plan().crash_node(4, 1.0), 4), Err(SimError::Config { .. })));
+        assert!(matches!(validate(&plan().crash_node(0, -1.0), 4), Err(SimError::Config { .. })));
         assert!(matches!(
-            SimFaultPlan::new().crash_node(4, 1.0).validate(4),
-            Err(SimError::Config { .. })
-        ));
-        assert!(matches!(
-            SimFaultPlan::new().crash_node(0, -1.0).validate(4),
-            Err(SimError::Config { .. })
-        ));
-        assert!(matches!(
-            SimFaultPlan::new().crash_node(0, 0.1).crash_node(1, 0.2).validate(2),
+            validate(&plan().crash_node(0, 0.1).crash_node(1, 0.2), 2),
             Err(SimError::AllNodesCrashed { nodes: 2 })
         ));
         assert!(matches!(
-            SimFaultPlan::new().degrade_link(0.0, 0.0, 1.0).validate(2),
+            validate(&plan().degrade_link(0.0, 0.0, 1.0), 2),
             Err(SimError::Config { .. })
         ));
-        assert!(SimFaultPlan::new()
-            .crash_node(1, 0.5)
-            .degrade_link(0.1, 0.5, 2.0)
-            .validate(3)
-            .is_ok());
-    }
-
-    #[test]
-    fn seeded_crash_is_deterministic_and_in_range() {
-        let a = SimFaultPlan::new().crash_random_node(7, 42, 1.0);
-        let b = SimFaultPlan::new().crash_random_node(7, 42, 1.0);
-        assert_eq!(a, b);
-        assert!(a.crashes()[0].node < 7);
+        assert!(validate(&plan().crash_node(1, 0.5).degrade_link(0.1, 0.5, 2.0), 3).is_ok());
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub use des::{
     priority_ranks, simulate, simulate_traced, simulate_with_faults, simulate_with_policy,
     SchedPolicy, SimReport,
 };
-pub use fault::{FaultOverhead, LinkDegrade, NodeCrash, SimError, SimFaultPlan};
+pub use fault::{FaultOverhead, SimError};
 pub use platform::{KernelRates, LinkModel, Platform};
 pub use timeline::{SimInstant, SimInstantKind, SimSpan, SimTimeline, SimTransfer};

@@ -2,9 +2,10 @@
 //! must recover via lineage re-execution (never deadlock), link faults must
 //! only slow things down, and every faulty run must stay deterministic.
 
-use hqr_runtime::{ElimOp, TaskGraph};
-use hqr_sim::{simulate, simulate_with_faults, Platform, SchedPolicy, SimError, SimFaultPlan};
+use hqr_runtime::{ElimOp, FaultPlan, SdcFault, SdcPattern, TaskGraph};
+use hqr_sim::{simulate, simulate_with_faults, Platform, SchedPolicy, SimError};
 use hqr_tile::Layout;
+use std::time::Duration;
 
 fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
     let mut v = Vec::new();
@@ -48,7 +49,7 @@ fn node_crash_mid_run_recovers_with_overhead() {
     let baseline = simulate(&g, &lay, &p);
     // Crash a node ~30% into the fault-free makespan: plenty completed,
     // plenty left to poison downstream.
-    let plan = SimFaultPlan::new().crash_node(1, 0.3 * baseline.makespan);
+    let plan = FaultPlan::default().crash_node(1, 0.3 * baseline.makespan);
     let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan)
         .expect("recovery must complete");
     let o = r.overhead.as_ref().expect("faulty run reports overhead");
@@ -69,7 +70,7 @@ fn crash_after_completion_costs_nothing() {
     let p = test_platform(2);
     let lay = Layout::cyclic_rows(2);
     let baseline = simulate(&g, &lay, &p);
-    let plan = SimFaultPlan::new().crash_node(0, 10.0 * baseline.makespan);
+    let plan = FaultPlan::default().crash_node(0, 10.0 * baseline.makespan);
     let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
     let o = r.overhead.unwrap();
     assert_eq!(r.makespan, baseline.makespan);
@@ -84,7 +85,7 @@ fn crash_at_time_zero_runs_everything_on_survivors() {
     let g = TaskGraph::build(mt, nt, b, &flat_elims(mt, nt));
     let p = test_platform(3);
     let lay = Layout::cyclic_rows(3);
-    let plan = SimFaultPlan::new().crash_node(2, 0.0);
+    let plan = FaultPlan::default().crash_node(2, 0.0);
     let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
     let o = r.overhead.unwrap();
     // Nothing had completed, so nothing re-executes — work just re-homes.
@@ -100,7 +101,7 @@ fn link_degradation_inflates_makespan_without_losing_work() {
     let lay = Layout::cyclic_rows(4);
     let baseline = simulate(&g, &lay, &p);
     // Collapse bandwidth to 2% and 10x the latency from the start.
-    let plan = SimFaultPlan::new().degrade_link(0.0, 0.02, 10.0);
+    let plan = FaultPlan::default().degrade_link(0.0, 0.02, 10.0);
     let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
     let o = r.overhead.unwrap();
     assert!(r.makespan > baseline.makespan, "{} vs {}", r.makespan, baseline.makespan);
@@ -117,7 +118,7 @@ fn empty_plan_matches_fault_free_run() {
     let lay = Layout::cyclic_rows(2);
     let r0 = simulate(&g, &lay, &p);
     let r1 =
-        simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &SimFaultPlan::new()).unwrap();
+        simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default()).unwrap();
     assert_eq!(r0.makespan, r1.makespan);
     assert_eq!(r0.messages, r1.messages);
     assert!(r1.overhead.is_some(), "fallible API always reports overhead");
@@ -131,7 +132,7 @@ fn faulty_runs_are_deterministic() {
     let p = test_platform(3);
     let lay = Layout::cyclic_rows(3);
     let base = simulate(&g, &lay, &p).makespan;
-    let plan = SimFaultPlan::new().crash_node(0, 0.4 * base).degrade_link(0.1 * base, 0.5, 2.0);
+    let plan = FaultPlan::default().crash_node(0, 0.4 * base).degrade_link(0.1 * base, 0.5, 2.0);
     let r1 = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
     let r2 = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
     assert_eq!(r1.makespan, r2.makespan);
@@ -147,7 +148,7 @@ fn double_crash_still_recovers_onto_last_survivor() {
     let p = test_platform(3);
     let lay = Layout::cyclic_rows(3);
     let base = simulate(&g, &lay, &p).makespan;
-    let plan = SimFaultPlan::new().crash_node(0, 0.2 * base).crash_node(1, 0.5 * base);
+    let plan = FaultPlan::default().crash_node(0, 0.2 * base).crash_node(1, 0.5 * base);
     let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
     let o = r.overhead.unwrap();
     assert_eq!(o.nodes_lost, 2);
@@ -158,10 +159,37 @@ fn double_crash_still_recovers_onto_last_survivor() {
 fn crashing_every_node_is_rejected() {
     let g = TaskGraph::build(4, 2, 40, &flat_elims(4, 2));
     let p = test_platform(2);
-    let plan = SimFaultPlan::new().crash_node(0, 0.1).crash_node(1, 0.2);
+    let plan = FaultPlan::default().crash_node(0, 0.1).crash_node(1, 0.2);
     match simulate_with_faults(&g, &Layout::cyclic_rows(2), &p, SchedPolicy::PanelFirst, &plan) {
         Err(SimError::AllNodesCrashed { nodes: 2 }) => {}
         other => panic!("expected AllNodesCrashed, got {other:?}"),
+    }
+}
+
+/// The simulator injects node crashes and link degradation; the engine's
+/// task kinds and the coordinator's RPC kinds are typed config errors.
+#[test]
+fn simulator_refuses_faults_it_cannot_inject() {
+    let g = TaskGraph::build(4, 2, 40, &flat_elims(4, 2));
+    let p = test_platform(2);
+    let sdc = SdcFault { slot: 0, element: 0, pattern: SdcPattern::Scale };
+    let rows = [
+        ("fail", FaultPlan::new(1).fail_task(0, 1)),
+        ("poison", FaultPlan::new(1).poison_worker(0)),
+        ("lost completion", FaultPlan::new(1).lose_completion(0)),
+        ("corrupt", FaultPlan::new(1).corrupt_task(0, sdc)),
+        ("drop", FaultPlan::new(1).drop_rpcs(0.5)),
+        ("delay", FaultPlan::new(1).delay_rpcs(0.5, Duration::from_millis(1))),
+    ];
+    for (what, plan) in rows {
+        let plan = plan.crash_node(1, 1e-4);
+        match simulate_with_faults(&g, &Layout::cyclic_rows(2), &p, SchedPolicy::PanelFirst, &plan)
+        {
+            Err(SimError::Config { message }) => {
+                assert!(message.starts_with("the simulator cannot inject"), "{what}: {message}")
+            }
+            other => panic!("{what}: expected a config error, got {other:?}"),
+        }
     }
 }
 
@@ -174,7 +202,7 @@ fn invalid_layout_is_a_typed_error_in_the_fallible_api() {
         &Layout::cyclic_rows(4),
         &p,
         SchedPolicy::PanelFirst,
-        &SimFaultPlan::new(),
+        &FaultPlan::default(),
     ) {
         Err(SimError::Config { message }) => assert!(message.contains("layout addresses")),
         other => panic!("expected Config error, got {other:?}"),

@@ -8,8 +8,8 @@
 
 use std::collections::BTreeSet;
 
-use hqr_runtime::{ElimOp, TaskGraph};
-use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy, SimFaultPlan};
+use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
+use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy};
 use hqr_tile::Layout;
 
 fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
@@ -93,7 +93,7 @@ fn lineage_recovery_reexecutes_exactly_the_needed_lost_producers() {
 
     let crashed = 1u16;
     let crash_at = 0.47 * baseline;
-    let plan = SimFaultPlan::new().crash_node(crashed as usize, crash_at);
+    let plan = FaultPlan::default().crash_node(crashed as usize, crash_at);
     let report =
         simulate_traced(&graph, &layout, &platform, SchedPolicy::PanelFirst, &plan).unwrap();
     let overhead = report.overhead.clone().expect("faulty run carries overhead");
@@ -142,7 +142,7 @@ fn fault_overhead_components_account_for_the_makespan_delta() {
     let platform = Platform { nodes: 4, cores_per_node: 1, ..Platform::edel() };
     let layout = Layout::cyclic_rows(platform.nodes);
     let baseline = simulate(&graph, &layout, &platform).makespan;
-    let plan = SimFaultPlan::new().crash_node(2, 0.53 * baseline);
+    let plan = FaultPlan::default().crash_node(2, 0.53 * baseline);
     let report =
         simulate_traced(&graph, &layout, &platform, SchedPolicy::PanelFirst, &plan).unwrap();
     let overhead = report.overhead.clone().unwrap();
@@ -193,7 +193,7 @@ fn crash_free_fault_plan_has_zero_overhead_components() {
     let platform = Platform { nodes: 3, cores_per_node: 2, ..Platform::edel() };
     let layout = Layout::cyclic_rows(platform.nodes);
     // A degrade-only plan loses no data: nothing may be re-executed.
-    let plan = SimFaultPlan::new().degrade_link(0.1, 0.5, 2.0);
+    let plan = FaultPlan::default().degrade_link(0.1, 0.5, 2.0);
     let report =
         simulate_traced(&graph, &layout, &platform, SchedPolicy::PanelFirst, &plan).unwrap();
     let overhead = report.overhead.clone().unwrap();

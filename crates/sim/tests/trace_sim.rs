@@ -1,8 +1,8 @@
 //! Timeline recording and realized-critical-path bounds.
 
 use hqr_runtime::validate_chrome_trace;
-use hqr_runtime::{ElimOp, TaskGraph};
-use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy, SimFaultPlan, SimInstantKind};
+use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
+use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy, SimInstantKind};
 use hqr_tile::Layout;
 
 fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
@@ -30,7 +30,7 @@ fn traced_run_matches_untraced_and_extracts_bounded_cp() {
     let p = Platform { nodes: 2, cores_per_node: 3, ..Platform::edel() };
     let lay = Layout::cyclic_rows(2);
     let plain = simulate(&g, &lay, &p);
-    let traced = simulate_traced(&g, &lay, &p, SchedPolicy::PanelFirst, &SimFaultPlan::new())
+    let traced = simulate_traced(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default())
         .expect("traced run");
     // Recording is an observer: identical schedule.
     assert_eq!(plain.makespan, traced.makespan);
@@ -82,7 +82,7 @@ fn traced_crash_run_records_instants_and_keeps_cp_bounds() {
     let mt = 12;
     let g = TaskGraph::build(mt, 1, 40, &flat_elims(mt, 1));
     let p = Platform { nodes: 3, cores_per_node: 2, ..Platform::edel() };
-    let plan = SimFaultPlan::new().crash_node(1, 1e-4).degrade_link(2e-4, 0.5, 2.0);
+    let plan = FaultPlan::default().crash_node(1, 1e-4).degrade_link(2e-4, 0.5, 2.0);
     let r = simulate_traced(&g, &Layout::cyclic_rows(3), &p, SchedPolicy::PanelFirst, &plan)
         .expect("faulty traced run");
     let tl = r.timeline.as_ref().unwrap();

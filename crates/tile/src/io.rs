@@ -241,9 +241,10 @@ impl std::error::Error for BinFormatError {}
 const FNV1A64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit hash: the workspace's small-key hash (the graph
-/// fingerprint, retry jitter, `NetFaultPlan` draws) and the digest of the
-/// golden-bit tests. Byte-serial — one dependent multiply per byte — so it
-/// hashes no bulk data; tiles and containers use [`checksum64`].
+/// fingerprint, retry jitter, the RPC verdicts of `FaultPlan::action`) and
+/// the digest of the golden-bit tests. Byte-serial — one dependent multiply
+/// per byte — so it hashes no bulk data; tiles and containers use
+/// [`checksum64`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV1A64_INIT;
     for &b in bytes {

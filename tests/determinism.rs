@@ -335,9 +335,7 @@ mod golden {
                 );
             }
             let n = TaskGraph::apply_q(MT, NT, ntc, B, &elims, trans).unwrap().tasks().len();
-            let plan = FaultPlan::new(SEED)
-                .fail_random_tasks(n, 4, 1)
-                .corrupt_random_tasks_seeded(SEED, n, 2);
+            let plan = FaultPlan::new(SEED).fail_random_tasks(n, 4, 1).corrupt_random_tasks(n, 2);
             let faulty = ExecOptions {
                 nthreads: 2,
                 max_retries: 2,

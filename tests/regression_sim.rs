@@ -5,8 +5,8 @@
 //! EXPERIMENTS.md narrative together.
 
 use hqr::baselines;
-use hqr_runtime::{ElimOp, TaskGraph};
-use hqr_sim::{simulate, simulate_with_faults, Platform, SchedPolicy, SimFaultPlan, SimReport};
+use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
+use hqr_sim::{simulate, simulate_with_faults, Platform, SchedPolicy, SimReport};
 use hqr_tile::{Layout, ProcessGrid};
 
 fn run(setup: &baselines::AlgorithmSetup) -> SimReport {
@@ -96,11 +96,11 @@ fn pin_crash_recovery_runs() {
     // Event times are fractions of each DAG's fault-free makespan.
     let plans = |t: f64| {
         [
-            ("mid-run crash", SimFaultPlan::new().crash_node(1, 0.3 * t)),
-            ("double crash", SimFaultPlan::new().crash_node(1, 0.2 * t).crash_node(2, 0.5 * t)),
+            ("mid-run crash", FaultPlan::default().crash_node(1, 0.3 * t)),
+            ("double crash", FaultPlan::default().crash_node(1, 0.2 * t).crash_node(2, 0.5 * t)),
             (
                 "crash + degrade",
-                SimFaultPlan::new().degrade_link(0.1 * t, 0.25, 4.0).crash_node(0, 0.4 * t),
+                FaultPlan::default().degrade_link(0.1 * t, 0.25, 4.0).crash_node(0, 0.4 * t),
             ),
         ]
     };
