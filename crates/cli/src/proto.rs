@@ -92,12 +92,8 @@ pub type WirePlan = FaultPlan;
 
 /// A plan's section words, `[seed, n, (task, attempts)*]`.
 fn plan_words(plan: &FaultPlan) -> Vec<u64> {
-    let fail: Vec<(u32, u32)> = plan.failing_tasks().collect();
-    let mut w = vec![plan.seed(), fail.len() as u64];
-    for (task, attempts) in fail {
-        w.push(task as u64);
-        w.push(attempts as u64);
-    }
+    let mut w = vec![plan.seed(), plan.failing_tasks().count() as u64];
+    w.extend(plan.failing_tasks().flat_map(|(task, attempts)| [task as u64, attempts as u64]));
     w
 }
 

@@ -24,9 +24,9 @@
 //!   ([`hqr_runtime::lineage`]): lost slot versions are re-executed
 //!   locally from the pristine input and re-placed on survivors, and the
 //!   finished factorization is bitwise-identical to a fault-free run;
-//! * seeded drop/delay injection ([`hqr_runtime::FaultPlan`]) plus deterministic
-//!   worker kill-points ([`WorkerOptions`]) make all of the above
-//!   chaos-testable reproducibly.
+//! * seeded drop/delay injection ([`hqr_runtime::FaultPlan`]) plus
+//!   deterministic worker kill-points ([`WorkerOptions`]) make all of the
+//!   above chaos-testable reproducibly.
 
 pub mod calib;
 pub mod coord;
