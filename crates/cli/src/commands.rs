@@ -11,11 +11,11 @@ use hqr::baselines;
 use hqr::prelude::*;
 use hqr_runtime::trace::{chrome_trace_from_exec, realized_critical_path, RealizedPath};
 use hqr_runtime::{
-    analysis, try_execute_traced, try_execute_with, ExecOptions, IntegrityMode, SchedPolicy,
-    TaskGraph,
+    analysis, try_execute_traced, try_execute_with, ExecOptions, FaultPlan, IntegrityMode,
+    SchedPolicy, TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
-use hqr_sim::{simulate_traced, simulate_with_faults, simulate_with_policy};
+use hqr_sim::{simulate_traced, simulate_with_faults};
 use std::time::Instant;
 
 /// Top-level usage text.
@@ -245,7 +245,8 @@ pub fn simulate(args: &Args) -> Result<i32, CliError> {
     let t0 = Instant::now();
     let p = shape.build(setup)?;
     let graph = &p.graph;
-    let rep = simulate_with_policy(graph, &p.setup.layout, platform, policy);
+    let rep = simulate_with_faults(graph, &p.setup.layout, platform, policy, &FaultPlan::default())
+        .map_err(CliError::usage)?;
     println!("tasks     : {} ({} edges)", graph.tasks().len(), graph.edge_count());
     println!(
         "makespan  : {:.3} s (simulated; wall {:.2} s)",
@@ -349,7 +350,8 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
 
     println!();
     println!("== simulation: node crash with lineage recovery ==");
-    let baseline = simulate_with_policy(graph, layout, &platform, policy);
+    let baseline = simulate_with_faults(graph, layout, &platform, policy, &FaultPlan::default())
+        .map_err(CliError::usage)?;
     let plan = faults.plan(baseline.makespan, Some((platform.nodes, seed)));
     let crash = &plan.crashes()[0];
     println!("platform     : {}", describe(&platform));
@@ -495,7 +497,11 @@ fn trace_sim(args: &Args) -> Result<i32, CliError> {
     // The crash instant is a fraction of the fault-free makespan, so run
     // the baseline once to find it.
     let baseline = match faults.crash_node {
-        Some(_) => simulate_with_policy(graph, layout, platform, policy).makespan,
+        Some(_) => {
+            simulate_with_faults(graph, layout, platform, policy, &FaultPlan::default())
+                .map_err(CliError::usage)?
+                .makespan
+        }
         None => 0.0,
     };
     let plan = faults.plan(baseline, None);
@@ -671,6 +677,13 @@ mod tests {
         assert_eq!(hqr(&["simulate", "--nodes", "0"]), 2);
         assert_eq!(hqr(&["fault", "--tile", "0"]), 2);
         assert_eq!(hqr(&["fault", "--rows", "8", "--cols", "16"]), 2);
+        // A platform with fewer nodes than the grid has ranks.
+        let sim = ["simulate", "--rows", "4480", "--cols", "1120", "--grid", "4x2", "--nodes", "2"];
+        assert_eq!(hqr(&sim), 2);
+        assert_eq!(hqr(&["fault", "--grid", "4x1", "--nodes", "2"]), 2);
+        let trace =
+            ["trace", "--backend", "sim", "--grid", "4x1", "--nodes", "2", "--crash-node", "1"];
+        assert_eq!(hqr(&trace), 2);
     }
 
     #[test]

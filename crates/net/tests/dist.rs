@@ -1,6 +1,9 @@
-//! End-to-end distributed factorization tests: fault-free parity,
-//! worker-loss recovery, chaos (drop/delay) runs, and the progress poll's
-//! false-positive safety — all against real TCP workers on loopback.
+//! End-to-end distributed factorization tests: one interleaving of worker
+//! loss, recovery out of recycled buffers, message counts, typed refusals
+//! and the progress poll's false-positive safety — all against real TCP
+//! workers on loopback. (Bitwise parity over generated trees, fleets, kill
+//! points and RPC drops and delays is checked by the root package's
+//! `tests/oracle.rs`.)
 
 use hqr::baselines;
 use hqr_net::{
@@ -73,66 +76,6 @@ fn assert_bitwise_parity(
     assert!(ref_f.bitwise_eq(got_f), "{context}: T factors diverged");
 }
 
-#[test]
-fn fault_free_four_workers_bitwise_parity() {
-    let (mt, nt, b) = (6, 4, 8);
-    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 11));
-    let input = TiledMatrix::random(mt, nt, b, 42);
-    let cfg = test_config(4);
-    let (a, f, report) = dist_run(&[WorkerOptions::default(); 4], &graph, &input, &cfg);
-    assert_bitwise_parity(&graph, &input, &a, &f, "fault-free 4 workers");
-    assert!(report.recoveries.is_empty(), "no one should die: {:?}", report.recoveries);
-    assert_eq!(report.tasks_by_worker.iter().sum::<u64>() as usize, report.tasks_total);
-    // Owner-computes over a 2x2 grid must spread work around.
-    assert!(
-        report.tasks_by_worker.iter().filter(|&&c| c > 0).count() >= 2,
-        "work never spread: {:?}",
-        report.tasks_by_worker
-    );
-}
-
-#[test]
-fn single_worker_fleet_works() {
-    let (mt, nt, b) = (4, 3, 4);
-    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 5));
-    let input = TiledMatrix::random(mt, nt, b, 6);
-    let cfg = test_config(1);
-    let (a, f, _) = dist_run(&[WorkerOptions::default()], &graph, &input, &cfg);
-    assert_bitwise_parity(&graph, &input, &a, &f, "single worker");
-}
-
-#[test]
-fn worker_killed_mid_run_recovers_bitwise() {
-    let (mt, nt, b) = (6, 4, 6);
-    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 3));
-    let input = TiledMatrix::random(mt, nt, b, 7);
-    let cfg = test_config(3);
-    // Kill worker 1 after it completes 2 tasks (sever-all, the in-process
-    // SIGKILL stand-in).
-    let mut opts = [WorkerOptions::default(); 3];
-    opts[1] = WorkerOptions { die_after_tasks: Some(2), die_hard: false, slow_task_ms: 0 };
-    let (a, f, report) = dist_run(&opts, &graph, &input, &cfg);
-    assert_bitwise_parity(&graph, &input, &a, &f, "kill worker 1 after 2 tasks");
-    assert!(
-        report.recoveries.iter().any(|r| r.worker == 1),
-        "worker 1 should have been condemned: {:?}",
-        report.recoveries
-    );
-}
-
-#[test]
-fn worker_killed_before_first_task_recovers() {
-    let (mt, nt, b) = (5, 3, 4);
-    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 9));
-    let input = TiledMatrix::random(mt, nt, b, 10);
-    let cfg = test_config(2);
-    let mut opts = [WorkerOptions::default(); 2];
-    opts[0] = WorkerOptions { die_after_tasks: Some(0), die_hard: false, slow_task_ms: 0 };
-    let (a, f, report) = dist_run(&opts, &graph, &input, &cfg);
-    assert_bitwise_parity(&graph, &input, &a, &f, "kill worker 0 at task 0");
-    assert!(!report.recoveries.is_empty());
-}
-
 /// A push replaces the receiver's copy of a slot in place, so a producer
 /// that dies between its push and its report must still count as having
 /// run, or recovery runs its task again on that task's own output. The
@@ -169,45 +112,6 @@ fn producer_killed_between_its_push_and_its_report_recovers_bitwise() {
     assert!(report.recoveries.iter().any(|r| r.worker == 1), "{:?}", report.recoveries);
 }
 
-/// The acceptance-criteria property: over random trees × kill-points ×
-/// worker counts, killing one worker mid-run always completes with a
-/// bitwise-identical result. Deterministic seeds, exhaustive-ish sweep
-/// kept small enough for CI.
-#[test]
-fn property_kill_points_times_trees_times_fleets() {
-    let mut case = 0u64;
-    for &(mt, nt, b) in &[(4usize, 3usize, 4usize), (6, 4, 3)] {
-        for &workers in &[2usize, 4] {
-            for &kill_point in &[1u64, 3, 7] {
-                case += 1;
-                let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, case));
-                let input = TiledMatrix::random(mt, nt, b, case ^ 0xDEAD);
-                let victim = (case as usize) % workers;
-                let mut opts = vec![WorkerOptions::default(); workers];
-                opts[victim] = WorkerOptions {
-                    die_after_tasks: Some(kill_point),
-                    die_hard: false,
-                    slow_task_ms: 0,
-                };
-                let cfg = test_config(workers);
-                let (a, f, report) = dist_run(&opts, &graph, &input, &cfg);
-                let label = format!(
-                    "case {case}: {mt}x{nt} b={b} workers={workers} victim={victim} kp={kill_point}"
-                );
-                assert_bitwise_parity(&graph, &input, &a, &f, &label);
-                // The victim only dies if it was ever asked to run that
-                // many tasks; when it was, recovery must have fired.
-                if report.tasks_by_worker[victim] == 0 && graph.tasks().len() as u64 > kill_point {
-                    assert!(
-                        report.recoveries.iter().any(|r| r.worker == victim),
-                        "{label}: victim ran nothing yet no recovery: {report:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The coordinator injects RPC drops and delays only: the engine's task
 /// kinds and the simulator's crash and degrade kinds are typed config
 /// errors, returned before any worker is dialed.
@@ -235,21 +139,6 @@ fn coordinator_refuses_faults_it_cannot_inject() {
             other => panic!("{what}: expected a config error, got {:?}", other.err()),
         }
     }
-}
-
-#[test]
-fn chaos_drops_and_delays_still_bitwise_correct() {
-    let (mt, nt, b) = (5, 4, 4);
-    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 21));
-    let input = TiledMatrix::random(mt, nt, b, 22);
-    let mut cfg = test_config(3);
-    cfg.fault = FaultPlan::new(99).drop_rpcs(0.08).delay_rpcs(0.15, Duration::from_millis(2));
-    // Give the retry ladder headroom so random drops rarely condemn —
-    // and when they do, recovery must still land the exact result.
-    cfg.retry.max_attempts = 5;
-    let (a, f, report) = dist_run(&[WorkerOptions::default(); 3], &graph, &input, &cfg);
-    assert_bitwise_parity(&graph, &input, &a, &f, "chaos drops+delays");
-    assert!(report.rpc_retries > 0, "drop injection never engaged the retry ladder");
 }
 
 /// Liveness is the `Completed` poll, answered on the connection's own

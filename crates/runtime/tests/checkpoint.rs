@@ -9,42 +9,12 @@ mod support;
 use std::path::PathBuf;
 
 use hqr_runtime::{
-    execute_serial_ib, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, ElimOp,
-    JobPool, JobSpec, JobState, PoolConfig, SubmitError, TaskGraph,
+    execute_serial_ib, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, JobPool,
+    JobSpec, JobState, PoolConfig, SubmitError, TaskGraph,
 };
 use hqr_tile::io::sibling_tmp_path;
 use hqr_tile::TiledMatrix;
-use support::suspended_checkpoint;
-
-/// Flat-tree elimination list: row k kills every row below it.
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            out.push(ElimOp::new(k as u32, i as u32, k as u32, true));
-        }
-    }
-    out
-}
-
-/// Binary-tree elimination list (TT kernels only).
-fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        let mut alive: Vec<u32> = (k as u32..mt as u32).collect();
-        while alive.len() > 1 {
-            let mut next = Vec::new();
-            for pair in alive.chunks(2) {
-                if let [a, b] = pair {
-                    out.push(ElimOp::new(k as u32, *b, *a, false));
-                }
-                next.push(pair[0]);
-            }
-            alive = next;
-        }
-    }
-    out
-}
+use support::{binary_elims, flat_elims, suspended_checkpoint};
 
 fn tmp(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("hqr_ckpt_{name}_{}", std::process::id()));

@@ -9,6 +9,8 @@
 //! any point-in-time copy is a valid crash image, up to a torn tail the
 //! replay tolerates), and a second pool recovers from the copy.
 
+mod support;
+
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -19,17 +21,7 @@ use hqr_runtime::{
     CKPT_DIR, JOURNAL_FILE, RESULTS_DIR,
 };
 use hqr_tile::TiledMatrix;
-
-/// Flat-tree elimination list: row k kills every row below it.
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            out.push(ElimOp::new(k as u32, i as u32, k as u32, true));
-        }
-    }
-    out
-}
+use support::flat_elims;
 
 /// The solo reference: factor `a0` serially with the same elimination list.
 fn solo(elims: &[ElimOp], a0: &TiledMatrix) -> (TiledMatrix, TFactors) {

@@ -1,8 +1,10 @@
-//! Multi-job pool integration tests: concurrent jobs racing on one shared
-//! worker pool must be bitwise-identical to their solo runs under every
-//! scheduling policy; per-job robustness policy (fault injection, retry,
-//! deadlines, QoS shedding, drain/resume) must affect only the job it
-//! belongs to.
+//! Multi-job pool integration tests: per-job robustness policy (fault
+//! injection, retry, deadlines, QoS shedding, drain/resume) must affect
+//! only the job it belongs to. (That jobs racing on one pool under every
+//! policy are bitwise-identical to their solo runs is checked by the root
+//! package's `tests/oracle.rs`.)
+
+mod support;
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -13,36 +15,7 @@ use hqr_runtime::{
     SdcPattern, SubmitError, TFactors, TaskGraph, JOURNAL_FILE,
 };
 use hqr_tile::TiledMatrix;
-
-/// Flat-tree elimination list: row k kills every row below it.
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            out.push(ElimOp::new(k as u32, i as u32, k as u32, true));
-        }
-    }
-    out
-}
-
-/// Binary-tree elimination list (TT kernels only).
-fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        let mut alive: Vec<u32> = (k as u32..mt as u32).collect();
-        while alive.len() > 1 {
-            let mut next = Vec::new();
-            for pair in alive.chunks(2) {
-                if let [a, b] = pair {
-                    out.push(ElimOp::new(k as u32, *b, *a, false));
-                }
-                next.push(pair[0]);
-            }
-            alive = next;
-        }
-    }
-    out
-}
+use support::{binary_elims, flat_elims};
 
 /// The solo reference: factor `a0` serially with the same elimination list
 /// and inner block size the pool job uses.
@@ -109,32 +82,6 @@ fn spinner(seed: u64, attempts: u32) -> (Vec<ElimOp>, TiledMatrix, JobSpec) {
     spec.plan = Some(FaultPlan::new(seed).fail_task(0, attempts));
     spec.max_retries = attempts + 1;
     (elims, a, spec)
-}
-
-#[test]
-fn racing_jobs_bitwise_identical_under_every_policy() {
-    for policy in SchedPolicy::ALL {
-        let pool = JobPool::new(PoolConfig { nthreads: 4, ..Default::default() });
-        let cases = [
-            (flat_elims(5, 4), TiledMatrix::random(5, 4, 8, 11)),
-            (binary_elims(6, 4), TiledMatrix::random(6, 4, 8, 22)),
-        ];
-        let ids: Vec<_> = cases
-            .iter()
-            .map(|(elims, a)| {
-                let mut spec = JobSpec::fresh(elims.clone(), a.clone());
-                spec.policy = policy;
-                pool.submit(spec).expect("submit")
-            })
-            .collect();
-        for (id, (elims, a0)) in ids.into_iter().zip(&cases) {
-            let out = pool.wait(id).expect("known job");
-            assert_eq!(out.state, JobState::Completed, "{policy}: {:?}", out.error);
-            let r = out.result.expect("first waiter gets the payload");
-            assert_bitwise(&format!("policy {policy}"), &r.a, &r.factors, elims, a0, a0.b());
-        }
-        pool.shutdown();
-    }
 }
 
 #[test]

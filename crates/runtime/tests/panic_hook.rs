@@ -6,23 +6,16 @@
 //! Kept as its own integration-test binary so the process-wide panic hook
 //! installed here cannot interact with any other test.
 
+mod support;
+
 use std::panic::catch_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use hqr_runtime::{ElimOp, ExecError, ExecOptions, FaultPlan, TaskGraph};
+use hqr_runtime::{ExecError, ExecOptions, FaultPlan, TaskGraph};
+use support::flat_elims;
 
 static HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut v = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            v.push(ElimOp::new(k as u32, i as u32, k as u32, true));
-        }
-    }
-    v
-}
 
 #[test]
 fn non_engine_panic_still_reaches_hook_during_recovery_run() {

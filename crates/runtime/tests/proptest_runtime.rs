@@ -1,19 +1,18 @@
 //! Property-based tests of the task-DAG runtime over *randomly generated*
 //! valid elimination lists — not just the structured trees the library
-//! ships, but arbitrary members of the combinatorial space of §III.
-
-mod support;
+//! ships, but arbitrary members of the combinatorial space of §III. (Their
+//! bitwise parity across backends, fault plans and suspend → resume is
+//! checked by the root package's `tests/oracle.rs`.)
 
 use hqr_runtime::{
     chrome_trace_from_exec, execute_serial, realized_critical_path, try_execute_traced,
     try_execute_with, validate_chrome_trace, ElimOp, ExecOptions, FaultPlan, IntegrityMode,
-    JobPool, JobSpec, JobState, PoolConfig, TaskGraph,
+    TaskGraph,
 };
 use hqr_tile::TiledMatrix;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use support::suspended_checkpoint;
 
 /// Generate a random valid elimination list: per panel, repeatedly pick a
 /// random alive non-top row as the victim and any alive row above it as
@@ -57,101 +56,6 @@ proptest! {
             let total: u64 = g.tasks().iter().map(|t| t.kind.weight()).sum();
             prop_assert_eq!(total, expect);
         }
-    }
-
-    /// For any random tree, parallel execution is bitwise equal to serial.
-    #[test]
-    fn parallel_equals_serial_on_random_trees(
-        mt in 2usize..9, nt in 1usize..5, b in 1usize..5,
-        seed in any::<u64>(), threads in 2usize..5,
-    ) {
-        let elims = random_elims(mt, nt, seed);
-        let g = TaskGraph::build(mt, nt, b, &elims);
-        let mut a1 = TiledMatrix::random(mt, nt, b, seed ^ 0xABCD);
-        let mut a2 = a1.clone();
-        let _ = execute_serial(&g, &mut a1);
-        try_execute_with(&g, &mut a2, &ExecOptions::with_threads(threads)).unwrap();
-        let (d1, d2) = (a1.to_dense(), a2.to_dense());
-        prop_assert_eq!(d1.data(), d2.data());
-    }
-
-    /// For any seeded fault plan whose per-task failure counts stay within
-    /// the retry budget, the recovered factorization is bitwise-identical
-    /// to the fault-free one — on random trees, random faulted task sets
-    /// and random thread counts, through both the plain and the traced
-    /// recovery paths.
-    #[test]
-    fn any_recoverable_fault_plan_is_bitwise_transparent(
-        mt in 2usize..8, nt in 1usize..5,
-        seed in any::<u64>(), faults in 1usize..5,
-        per_task in 1u32..3, threads in 2usize..5,
-    ) {
-        let b = 3usize;
-        let elims = random_elims(mt, nt, seed);
-        let g = TaskGraph::build(mt, nt, b, &elims);
-        let n = g.tasks().len();
-        let a0 = TiledMatrix::random(mt, nt, b, seed ^ 0x5EED);
-        let (mut a1, mut a2, mut a3) = (a0.clone(), a0.clone(), a0);
-        let f1 = execute_serial(&g, &mut a1);
-        let plan = FaultPlan::new(seed).fail_random_tasks(n, faults, per_task);
-        let planned = plan.failing_tasks().count();
-        let opts = ExecOptions {
-            nthreads: threads,
-            max_retries: per_task,
-            plan: Some(plan),
-            ..Default::default()
-        };
-        let (f2, stats) = try_execute_with(&g, &mut a2, &opts).expect("faults within budget");
-        let (d1, d2) = (a1.to_dense(), a2.to_dense());
-        prop_assert_eq!(d1.data(), d2.data());
-        prop_assert!(f2.bitwise_eq(&f1), "recovered factors differ from fault-free factors");
-        prop_assert_eq!(stats.tasks_recovered as usize, planned);
-        prop_assert!(stats.panics_caught as usize >= planned);
-        // Tracing must not change recovery semantics: same plan, traced
-        // path, same bits.
-        let (f3, _, tr) = try_execute_traced(&g, &mut a3, &opts).expect("faults within budget");
-        prop_assert!(f3.bitwise_eq(&f1), "traced recovery changed the factors");
-        let d3 = a3.to_dense();
-        prop_assert_eq!(d1.data(), d3.data());
-        prop_assert!(tr.records.len() == n);
-    }
-
-    /// Suspend-and-resume transparency on random trees: a durable pool
-    /// suspends a job stalled on a random task once everything that does
-    /// not depend on it has completed, and the checkpoint it wrote, resumed
-    /// on another pool, gives factors and a tile store bitwise-identical to
-    /// an uninterrupted serial run.
-    #[test]
-    fn checkpoint_resume_bitwise_on_random_trees(
-        mt in 2usize..8, nt in 2usize..5,
-        seed in any::<u64>(), threads in 1usize..4,
-    ) {
-        let b = 3usize;
-        let elims = random_elims(mt, nt, seed);
-        let g = TaskGraph::build(mt, nt, b, &elims);
-        let a0 = TiledMatrix::random(mt, nt, b, seed ^ 0xC0DE);
-        let mut a1 = a0.clone();
-        let f1 = execute_serial(&g, &mut a1);
-
-        let n = g.tasks().len();
-        let stall = 1 + (seed % (n as u64 - 1)) as u32; // never the first task
-        let dir = std::env::temp_dir()
-            .join(format!("hqr_prop_ckpt_{}_{seed:016x}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ckpt = suspended_checkpoint(&dir, &elims, &a0, b, stall);
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert!(ckpt.completed_tasks() >= stall as usize && ckpt.completed_tasks() < n);
-        let pool = JobPool::new(PoolConfig { nthreads: threads, ..PoolConfig::default() });
-        let out = pool.wait(pool.submit(JobSpec::resume(ckpt)).expect("submit")).expect("wait");
-        pool.shutdown();
-        prop_assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
-        let r = out.result.expect("result");
-        prop_assert!(r.factors.bitwise_eq(&f1), "resume diverged from the serial run");
-        let (d1, d2) = (a1.to_dense(), r.a.to_dense());
-        prop_assert!(
-            d1.data().iter().zip(d2.data()).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "resumed tile store diverged"
-        );
     }
 
     /// Trace invariants on random trees, thread counts and fault plans:

@@ -1,46 +1,15 @@
-//! Out-of-core execution tests: a run whose resident tier holds only a
-//! fraction of the tile footprint must produce factors bitwise-identical
-//! to a fully-resident run, across elimination trees, scheduling policies
-//! and worker counts — and the two-tier store must stay safe under pin
-//! pressure and refaults. (A paged job's checkpoint is the pool's: see
-//! the paged suspend → resume rows of `tests/determinism.rs`.)
+//! Out-of-core execution tests: the two-tier store must stay safe under
+//! pin pressure and refaults. (That a paged run, and a paged job's
+//! suspend → resume, is bitwise-identical to a resident one is checked on
+//! every case of the root package's `tests/oracle.rs`.)
+
+mod support;
 
 use std::path::PathBuf;
 
-use hqr_runtime::{
-    try_execute_traced, try_execute_with, ElimOp, ExecOptions, InstantKind, SchedPolicy, TaskGraph,
-};
+use hqr_runtime::{try_execute_traced, try_execute_with, ExecOptions, InstantKind, TaskGraph};
 use hqr_tile::TiledMatrix;
-
-/// Flat-tree elimination list: row k kills every row below it.
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            out.push(ElimOp::new(k as u32, i as u32, k as u32, true));
-        }
-    }
-    out
-}
-
-/// Binary-tree elimination list (TT kernels only).
-fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        let mut alive: Vec<u32> = (k as u32..mt as u32).collect();
-        while alive.len() > 1 {
-            let mut next = Vec::new();
-            for pair in alive.chunks(2) {
-                if let [a, b] = pair {
-                    out.push(ElimOp::new(k as u32, *b, *a, false));
-                }
-                next.push(pair[0]);
-            }
-            alive = next;
-        }
-    }
-    out
-}
+use support::{binary_elims, flat_elims};
 
 fn matrix_bytes(mt: usize, nt: usize, b: usize) -> u64 {
     (mt * nt * b * b * std::mem::size_of::<f64>()) as u64
@@ -48,63 +17,6 @@ fn matrix_bytes(mt: usize, nt: usize, b: usize) -> u64 {
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hqr_spill_{name}_{}", std::process::id()))
-}
-
-/// The tentpole acceptance gate: every (tree, policy, thread-count)
-/// combination factors bitwise-identically whether the tile store is
-/// fully resident or paged against a 25%-of-footprint resident tier.
-#[test]
-fn paged_runs_bitwise_match_resident_across_trees_policies_threads() {
-    let cases: [(&str, Vec<ElimOp>, usize, usize); 2] =
-        [("flat", flat_elims(6, 4), 6, 4), ("binary", binary_elims(6, 4), 6, 4)];
-    let b = 8;
-    for (tree, elims, mt, nt) in &cases {
-        let graph = TaskGraph::build(*mt, *nt, b, elims);
-        let a0 = TiledMatrix::random(*mt, *nt, b, 4242);
-        let budget = matrix_bytes(*mt, *nt, b) / 4;
-        for policy in SchedPolicy::ALL {
-            for nthreads in [1usize, 2, 4] {
-                let label = format!("{tree}/{policy}/{nthreads}t");
-                let mut a_ref = a0.clone();
-                let resident = ExecOptions { nthreads, policy, ..Default::default() };
-                let (f_ref, _) = try_execute_with(&graph, &mut a_ref, &resident)
-                    .unwrap_or_else(|e| panic!("{label}: resident run failed: {e}"));
-
-                let mut a_paged = a0.clone();
-                let paged = ExecOptions {
-                    nthreads,
-                    policy,
-                    resident_budget: Some(budget),
-                    ..Default::default()
-                };
-                let (f_paged, _, trace) = try_execute_traced(&graph, &mut a_paged, &paged)
-                    .unwrap_or_else(|e| panic!("{label}: paged run failed: {e}"));
-
-                assert!(
-                    f_paged.bitwise_eq(&f_ref),
-                    "{label}: paged factors differ from resident run"
-                );
-                let d_ref = a_ref.to_dense();
-                let d_paged = a_paged.to_dense();
-                assert!(
-                    d_ref
-                        .data()
-                        .iter()
-                        .zip(d_paged.data().iter())
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{label}: paged tile store differs from resident run"
-                );
-                let spill = trace
-                    .spill
-                    .unwrap_or_else(|| panic!("{label}: paged run must report a spill summary"));
-                assert_eq!(spill.budget, budget, "{label}: budget echoed in summary");
-                assert!(
-                    spill.evictions > 0,
-                    "{label}: a 25% resident tier must evict (summary: {spill:?})"
-                );
-            }
-        }
-    }
 }
 
 /// A resident tier smaller than one task's pinned read/write set must

@@ -1,5 +1,7 @@
-//! What the checkpoint tests share: a mid-run checkpoint, taken by the
-//! pool the way every checkpoint is.
+//! What the runtime's integration tests share: the flat and binary
+//! elimination lists, and a mid-run checkpoint taken by the pool the way
+//! every checkpoint is. Each test binary uses some of it.
+#![allow(dead_code)]
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -9,6 +11,37 @@ use hqr_runtime::{
     PoolConfig, TaskGraph, CKPT_DIR,
 };
 use hqr_tile::TiledMatrix;
+
+/// Flat-tree elimination list (TS kernels): row k kills every row below it.
+pub fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
+    let mut out = Vec::new();
+    for k in 0..mt.min(nt) {
+        for i in (k + 1)..mt {
+            out.push(ElimOp::new(k as u32, i as u32, k as u32, true));
+        }
+    }
+    out
+}
+
+/// Binary-tree elimination list (TT kernels): survivors pair up, level by
+/// level, the lower row of each pair killed by the upper.
+pub fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
+    let mut out = Vec::new();
+    for k in 0..mt.min(nt) {
+        let mut alive: Vec<u32> = (k as u32..mt as u32).collect();
+        while alive.len() > 1 {
+            let mut next = Vec::new();
+            for pair in alive.chunks(2) {
+                if let [a, b] = pair {
+                    out.push(ElimOp::new(k as u32, *b, *a, false));
+                }
+                next.push(pair[0]);
+            }
+            alive = next;
+        }
+    }
+    out
+}
 
 /// The tasks that can complete while `stall` cannot: all but `stall` and
 /// its descendants (program order is topological, so one forward pass).

@@ -34,28 +34,6 @@ fn serial_factorization_is_bitwise_reproducible() {
 }
 
 #[test]
-fn parallel_factorization_is_bitwise_reproducible() {
-    // Thread interleaving may reorder independent tasks, but every
-    // per-tile kernel sequence is fixed by the DAG, so outputs must not
-    // drift across runs.
-    let (r1, v1) = factor_once(Execution::Parallel(4), 2025);
-    let (r2, v2) = factor_once(Execution::Parallel(4), 2025);
-    assert!(bits_equal(&r1, &r2), "R drifted between identical parallel runs");
-    assert!(bits_equal(&v1, &v2), "V storage drifted between identical parallel runs");
-}
-
-#[test]
-fn parallel_matches_serial_bitwise() {
-    // Solo parity: the multi-job service asserts a job running alongside
-    // others produces the same bits as running alone; that only holds if
-    // parallel == serial at the kernel level to begin with.
-    let (rs, vs) = factor_once(Execution::Serial, 2026);
-    let (rp, vp) = factor_once(Execution::Parallel(3), 2026);
-    assert!(bits_equal(&rs, &rp), "parallel R differs from serial R");
-    assert!(bits_equal(&vs, &vp), "parallel V differs from serial V");
-}
-
-#[test]
 fn least_squares_solve_is_bitwise_reproducible() {
     let solve = || {
         let (mt, nt, b) = (6usize, 2usize, 8usize);
@@ -74,23 +52,19 @@ fn least_squares_solve_is_bitwise_reproducible() {
 // Absolute bits: golden digests across every execution backend.
 // ---------------------------------------------------------------------
 //
-// Every other parity suite in the repository is *relative* — a backend
-// against `execute_serial` built from the same commit — so a change to
-// the kernel dispatcher all backends share would pass them all. These
-// digests pin the absolute bit patterns of A/Vg/Tg/Tk for one fixed
-// problem, per dispatch arm and per side of the `ib = b` / `ib < b`
-// choice.
+// The differential oracle (`tests/oracle.rs`) is *relative* — every
+// backend against `execute_serial_ib` built from the same commit — so a
+// change to the kernel dispatcher all backends share would pass it. These
+// digests pin the absolute bit patterns of the serial run's A/Vg/Tg/Tk and
+// of `QrFactorization::apply_q` for one fixed problem, per dispatch arm
+// and per side of the `ib = b` / `ib < b` choice. The oracle runs the same
+// problem through every backend as a pinned case, so each backend stays
+// anchored to these bits through the serial run.
 
 mod golden {
     use hqr::prelude::*;
     use hqr_kernels::{simd_arm, t_len, KernelKind, SimdArm, Trans};
-    use hqr_net::{factorize, shutdown_workers, spawn_local, DistConfig, WorkerOptions};
-    use hqr_runtime::{
-        execute_serial_ib, read_checkpoint, try_apply_q, try_execute_with, DurabilityConfig,
-        ElimOp, ExecOptions, FaultPlan, IntegrityMode, JobPool, JobResult, JobSpec, JobState,
-        PoolConfig, SchedPolicy, TFactors, TaskGraph, CKPT_DIR,
-    };
-    use std::time::{Duration, Instant};
+    use hqr_runtime::{execute_serial_ib, ElimOp, TFactors, TaskGraph};
 
     const MT: usize = 6;
     const NT: usize = 4;
@@ -180,173 +154,29 @@ mod golden {
         h
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("hqr_golden_{name}_{}", std::process::id()))
-    }
-
-    /// The one checkpoint path. A durable pool (paged under
-    /// `resident_budget`) runs a job stalled on the first task of panel 2
-    /// and suspends it once every task that does not depend on that one
-    /// has completed; the `ckpt/job-N.ckpt` the suspension wrote is then
-    /// submitted as a resume spec, without the fault plan. A paged job is
-    /// unpaged before its checkpoint is captured, so the file is whole.
-    fn suspend_then_resume(
-        graph: &TaskGraph,
-        input: &TiledMatrix,
-        ib: usize,
-        resident_budget: Option<u64>,
-    ) -> JobResult {
-        let stall = graph.tasks().iter().position(|t| t.k == 2).unwrap();
-        let mut blocked = vec![false; graph.tasks().len()];
-        blocked[stall] = true;
-        for t in stall..blocked.len() {
-            if blocked[t] {
-                graph.successors(t).iter().for_each(|&s| blocked[s as usize] = true);
-            }
-        }
-        let settled = blocked.iter().filter(|&&b| !b).count();
-        let dir = tmp(&format!("suspend_ib{ib}_{}", resident_budget.is_some()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let durability = Some(DurabilityConfig::at(&dir));
-        let pool = JobPool::new(PoolConfig {
-            nthreads: 2,
-            durability,
-            resident_budget,
-            ..Default::default()
-        });
-        let mut spec = JobSpec { ib: Some(ib), ..JobSpec::fresh(elims(), input.clone()) };
-        spec.plan = Some(FaultPlan::new(SEED).fail_task(stall as u32, 1_000_000));
-        spec.max_retries = 1_000_001;
-        let id = pool.submit(spec).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let wait_for = |done: &dyn Fn(&hqr_runtime::JobView) -> bool| loop {
-            let view = pool.status(id).unwrap();
-            if done(&view) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "stalled job stuck at {view:?}");
-            std::thread::sleep(Duration::from_millis(2));
-        };
-        wait_for(&|v| v.state == JobState::Running && v.tasks_done == settled);
-        assert!(pool.suspend(id));
-        wait_for(&|v| v.state == JobState::Suspended);
-        let ckpt = read_checkpoint(&dir.join(CKPT_DIR).join(format!("job-{}.ckpt", id.0))).unwrap();
-        assert_eq!(ckpt.completed_tasks(), settled);
-        let out = pool.wait(pool.submit(JobSpec::resume(ckpt)).unwrap()).unwrap();
-        pool.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
-        out.result.unwrap()
-    }
-
-    fn check_all_backends(ib: usize) {
-        let want = expected(simd_arm(), ib);
-        let elims = elims();
-        let graph = TaskGraph::build(MT, NT, B, &elims);
+    fn check_serial(ib: usize) {
+        let graph = TaskGraph::build(MT, NT, B, &elims());
         for kind in [KernelKind::Tsqrt, KernelKind::Ttqrt] {
             assert!(graph.tasks().iter().any(|t| t.kind == kind), "tree must mix TS and TT");
         }
-        let input = TiledMatrix::random(MT, NT, B, SEED);
-
-        let mut a = input.clone();
+        let mut a = TiledMatrix::random(MT, NT, B, SEED);
         let f = execute_serial_ib(&graph, &mut a, ib);
-        assert_eq!(digest(&a, &f), want, "serial, ib = {ib}: {:#018x}", digest(&a, &f));
-
-        let engine = ExecOptions { nthreads: 2, ib: Some(ib), ..Default::default() };
-        let mut a = input.clone();
-        let (f, _) = try_execute_with(&graph, &mut a, &engine).unwrap();
-        assert_eq!(digest(&a, &f), want, "2-thread engine, ib = {ib}");
-
-        let paged = ExecOptions {
-            resident_budget: Some(4 * (B * B * 8) as u64),
-            spill_dir: Some(std::env::temp_dir()),
-            ..engine.clone()
-        };
-        let mut a = input.clone();
-        let (f, _) = try_execute_with(&graph, &mut a, &paged).unwrap();
-        assert_eq!(digest(&a, &f), want, "paged engine, ib = {ib}");
-
-        let pool = JobPool::new(PoolConfig { nthreads: 2, ..Default::default() });
-        let spec = JobSpec { ib: Some(ib), ..JobSpec::fresh(elims.clone(), input.clone()) };
-        let out = pool.wait(pool.submit(spec).unwrap()).unwrap();
-        pool.shutdown();
-        assert_eq!(out.state, JobState::Completed, "{:?}", out.error);
-        let res = out.result.unwrap();
-        assert_eq!(digest(&res.a, &res.factors), want, "JobPool, ib = {ib}");
-
-        for budget in [None, paged.resident_budget] {
-            let res = suspend_then_resume(&graph, &input, ib, budget);
-            let paging = if budget.is_some() { "paged " } else { "" };
-            let row = format!("{paging}pool suspend -> resume, ib = {ib}");
-            assert_eq!(digest(&res.a, &res.factors), want, "{row}");
-        }
-
-        let workers: Vec<_> =
-            (0..2).map(|_| spawn_local(WorkerOptions::default()).expect("spawn worker")).collect();
-        let addrs: Vec<_> = workers.iter().map(|w| w.addr).collect();
-        let result = factorize(&addrs, &graph, &input, ib, &DistConfig::for_workers(2));
-        shutdown_workers(&addrs);
-        for w in workers {
-            let _ = w.join();
-        }
-        let (a, f, _) = result.expect("distributed factorization");
-        assert_eq!(digest(&a, &f), want, "2-worker fleet, ib = {ib}");
+        let got = digest(&a, &f);
+        assert_eq!(got, expected(simd_arm(), ib), "serial, ib = {ib}: {got:#018x}");
     }
 
-    /// Qᵀ·C and Q·C through `QrFactorization::apply_q`, through the engine
-    /// at 1, 2 and 4 threads (one scheduling policy each), and under a
-    /// seeded fault plan with retries (panics and corruptions, full
-    /// integrity checking).
+    /// Qᵀ·C and Q·C through `QrFactorization::apply_q`.
     fn check_apply_q(ib: usize) {
         let list = HqrConfig::new(2, 1).with_a(2).with_domino(true).elimination_list(MT, NT);
-        let (elims, ntc) = (elims(), 3);
         let mut a = TiledMatrix::random(MT, NT, B, SEED);
-        let f = execute_serial_ib(&TaskGraph::build(MT, NT, B, &elims), &mut a, ib);
-        let fac = qr_factorize_ib(
-            &mut TiledMatrix::random(MT, NT, B, SEED),
-            &list,
-            Execution::Serial,
-            ib,
-        );
-        let c0 = TiledMatrix::random(MT, ntc, B, SEED + 1);
+        let fac = qr_factorize_ib(&mut a, &list, Execution::Serial, ib);
+        let c0 = TiledMatrix::random(MT, 3, B, SEED + 1);
         for trans in [Trans::Trans, Trans::NoTrans] {
-            let want = expected_apply(simd_arm(), ib, trans);
             let mut c = c0.clone();
             fac.apply_q(&mut c, trans);
-            assert_eq!(
-                digest_tiles(&c),
-                want,
-                "apply_q, ib = {ib}, {trans:?}: {:#018x}",
-                digest_tiles(&c)
-            );
-            let runs = [
-                (1, SchedPolicy::Fifo),
-                (2, SchedPolicy::PanelFirst),
-                (4, SchedPolicy::CriticalPath),
-            ];
-            for (nthreads, policy) in runs {
-                let mut c = c0.clone();
-                let opts = ExecOptions { nthreads, policy, ..Default::default() };
-                try_apply_q(&a, &f, &elims, &mut c, trans, &opts).unwrap();
-                assert_eq!(
-                    digest_tiles(&c),
-                    want,
-                    "{nthreads} threads, {policy}, ib = {ib}, {trans:?}"
-                );
-            }
-            let n = TaskGraph::apply_q(MT, NT, ntc, B, &elims, trans).unwrap().tasks().len();
-            let plan = FaultPlan::new(SEED).fail_random_tasks(n, 4, 1).corrupt_random_tasks(n, 2);
-            let faulty = ExecOptions {
-                nthreads: 2,
-                max_retries: 2,
-                plan: Some(plan),
-                integrity: IntegrityMode::Full,
-                ..Default::default()
-            };
-            let mut c = c0.clone();
-            let stats = try_apply_q(&a, &f, &elims, &mut c, trans, &faulty).unwrap();
-            assert!(stats.panics_caught >= 4 && stats.sdc_recomputed >= 1, "{stats:?}");
-            assert_eq!(digest_tiles(&c), want, "fault plan, ib = {ib}, {trans:?}");
+            let got = digest_tiles(&c);
+            let want = expected_apply(simd_arm(), ib, trans);
+            assert_eq!(got, want, "apply_q, ib = {ib}, {trans:?}: {got:#018x}");
         }
     }
 
@@ -365,12 +195,12 @@ mod golden {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn golden_digests_plain_kernels() {
-        check_all_backends(B);
+        check_serial(B);
     }
 
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn golden_digests_inner_blocked_kernels() {
-        check_all_backends(4);
+        check_serial(4);
     }
 }

@@ -138,6 +138,33 @@ fn greedy_coarse_optimality() {
     }
 }
 
+/// The critical path of the flat (TS) tree's weighted DAG on `p × q` tiles.
+fn flat_cp(p: usize, q: usize) -> u64 {
+    let (p, q) = (p as u64, q as u64);
+    match q {
+        1 => 6 * p - 2,
+        _ if p == q => 30 * q - 34,
+        _ => 12 * p + 18 * q - 32,
+    }
+}
+
+/// The flat tree's critical path follows its closed form on every shape
+/// up to 24 × 24 tiles, and greedy's is never longer than flat's, binary's
+/// or Fibonacci's on the same weighted DAGs.
+#[test]
+fn flat_critical_path_closed_form_and_greedy_shortest() {
+    let shapes: Vec<_> = (1..=24).flat_map(|p| (1..=p).map(move |q| (p, q))).collect();
+    let [rows, _] = cp(&shapes, &[]);
+    for (&(p, q), trees) in shapes.iter().zip(rows.chunks(4)) {
+        let (flat, greedy) = (&trees[0], &trees[2]);
+        let len = flat.stats.critical_path_weight;
+        assert_eq!((flat.name, len), ("flat (TS)", flat_cp(p, q)), "{p} x {q} tiles");
+        let shortest = trees.iter().map(|t| t.stats.critical_path_weight).min();
+        let len = Some(greedy.stats.critical_path_weight);
+        assert_eq!((greedy.name, len), ("greedy (TT)", shortest), "{p} x {q} tiles: {trees:?}");
+    }
+}
+
 /// §V-B: "in the 286,720 × 4,480 case, the low level tree performs on a
 /// 68×16 matrix, and in that case the critical path length of flat tree is
 /// approximately 2.6x the one of greedy". The real weighted DAGs of that
@@ -147,7 +174,7 @@ fn low_level_critical_path_ratio() {
     let (mt, nt) = (68usize, 16usize);
     let [rows, _] = cp(&[(mt, nt)], &[]);
     let (flat, greedy) = (&rows[0], &rows[2]);
-    assert_eq!((flat.name, flat.stats.critical_path_weight), ("flat (TS)", 1072));
+    assert_eq!((flat.name, flat.stats.critical_path_weight), ("flat (TS)", flat_cp(mt, nt)));
     assert_eq!((greedy.name, greedy.stats.critical_path_weight), ("greedy (TT)", 380));
     // The analytic coarse model is the paper's 2.6.
     let model_ratio = model::low_level_cp_ratio(mt, nt);
