@@ -350,7 +350,8 @@ fn run(case: &Case) -> DistReport {
         };
         for policy in SchedPolicy::ALL {
             let backend = &format!("apply-Q {trans:?} under {policy}");
-            same_c(backend, &apply(backend, &ExecOptions { policy, ..engine.clone() }).0);
+            let clean = ExecOptions { policy, plan: None, ..engine.clone() };
+            same_c(backend, &apply(backend, &clean).0);
         }
         let tasks =
             TaskGraph::apply_q(case.mt, case.nt, 2, case.b, &elims, trans).unwrap().tasks().len();
