@@ -39,12 +39,18 @@
 //! * **Prefetch window.** A background thread walks the same order from
 //!   the first unstarted task, a distance ahead that the budget sets (a
 //!   window's worth of slots is at most a quarter of the resident tier),
-//!   loading the slots those tasks will pin. It makes room only by
-//!   evicting a slot needed *later* than the task it loads for, so it can
-//!   never push out something needed sooner, and a prefetched slot — now
-//!   in the victim set under its imminent next use — is the last thing a
-//!   later eviction picks. Strictly best-effort: a worker whose slot is
-//!   not resident reads it itself and never waits for the prefetcher.
+//!   loading the slots those tasks will pin. It only makes the evictions
+//!   MIN would make when that task pins: it evicts a slot needed *later*
+//!   than the task it loads for, and no sooner than any slot of a running
+//!   task is needed again (those go first once they unpin); it makes none
+//!   while a worker's pin pass is under way (that pass's misses come
+//!   first) or once its task has started. A prefetched slot — now in the
+//!   victim set under its imminent next use — is the last thing a later
+//!   eviction picks. Strictly best-effort: a worker whose slot is not
+//!   resident reads it itself, waiting only for a prefetch read of that
+//!   same slot already in flight. So on one worker the run's traffic is
+//!   MIN's over the order it really ran in, however the two threads
+//!   interleave.
 //! * **Lazy-zero factor slots.** `Vg`/`Tg`/`Tk` buffers are all-zero until
 //!   the task that first touches them writes them. The store learns which
 //!   exist from the graph's writes; they start non-resident with no disk
@@ -69,21 +75,24 @@
 //! Each slot has its own mutex, held across that slot's disk I/O; one more
 //! mutex guards the victim set and the resident-byte count. The order is
 //! always *slot, then set*: the set lock is only ever taken last and never
-//! held while a slot lock is acquired. No thread acquires a slot lock
+//! held while a slot lock is acquired. No worker acquires a slot lock
 //! while holding another — a pin that must make room releases its own slot
-//! first (its pin count already protects it) — so the classic two-lock
-//! deadlock is structurally impossible. An evictor *claims* its victim by
+//! first (its pin count already protects it). The prefetcher alone holds
+//! two: the slot it loads, across the evictions that make room for it and
+//! the read, and one victim at a time. The slot it loads is not resident,
+//! so never a victim, and nothing else holds a slot lock while waiting for
+//! another, so no cycle of waits can form. An evictor *claims* its victim by
 //! removing it from the set before locking it, so two evictors never
 //! chase the same slot; the claim is re-validated under the slot's lock.
 //! The resident budget is *soft*: pinned bytes may exceed it (correctness
 //! first), and evictions bring residency back under budget as pins
 //! release. The prefetcher alone never exceeds it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -179,6 +188,10 @@ struct Residency {
     /// Unpinned resident slots as `(next use, slot)`; the last entry is the
     /// eviction victim.
     victims: BTreeSet<(u32, u32)>,
+    /// Where each slot of a running task (pinned or being pinned, up to
+    /// its unpin) is next needed after that task, with multiplicity: a
+    /// prefetch evicts nothing needed sooner than the last of these.
+    running: BTreeMap<u32, u32>,
     /// Bytes resident or reserved for a load in flight.
     resident: u64,
     /// Evicted buffers awaiting reuse: full tiles, then T factors.
@@ -216,6 +229,8 @@ pub(crate) struct PagedCore {
     task_slots: Vec<u32>,
     /// Per position: that task's pin pass has begun.
     started: Vec<AtomicBool>,
+    /// Pin passes under way; the prefetcher evicts nothing meanwhile.
+    pinning: AtomicU32,
     residency: Mutex<Residency>,
     evictions: AtomicU64,
     writebacks: AtomicU64,
@@ -328,6 +343,12 @@ impl PagedCore {
         NEVER
     }
 
+    /// Where slot `idx` is needed next after position `at`, or [`NEVER`].
+    fn use_after(&self, idx: usize, at: u32) -> u32 {
+        let list = &self.uses[self.use_off[idx] as usize..self.use_off[idx + 1] as usize];
+        list.get(list.partition_point(|&u| u <= at)).copied().unwrap_or(NEVER)
+    }
+
     /// Enter a resident, unpinned slot into the victim set under its next
     /// use. Caller holds the slot's lock.
     fn make_evictable(&self, idx: usize, s: &mut Slot) {
@@ -347,20 +368,31 @@ impl PagedCore {
 
     /// Reserve `bytes` of residency, evicting unpinned resident slots —
     /// furthest next use first — while the reservation does not fit the
-    /// budget. With `needed_at`, only slots whose next use is later than
-    /// that task may go, and the request is refused (`None`) rather than
-    /// exceed the budget (the prefetcher); without it the reservation
-    /// always succeeds, over budget if every resident slot is pinned (a
-    /// worker's demand fault). Returns the number of slots evicted. Holds no
-    /// slot lock on entry and at most one at a time.
+    /// budget. With `needed_at` (the prefetcher), only slots whose next use
+    /// is later than that task and than every running task's slots may go,
+    /// and the request is refused (`None`) rather than exceed the budget,
+    /// while a pin pass is under way or once that task has started. Without
+    /// it the reservation always succeeds, over budget if every resident
+    /// slot is pinned (a worker's demand fault). Returns the number of slots
+    /// evicted. A worker holds no slot lock on entry, the prefetcher only
+    /// the non-resident slot it loads; this takes one more at a time.
     fn reserve_room(&self, bytes: u64, needed_at: Option<u32>) -> Result<Option<u64>, String> {
         let mut evicted = 0u64;
         loop {
             let claim = {
                 let mut r = lock(&self.residency);
+                if needed_at.is_some_and(|t| {
+                    self.pinning.load(Ordering::Acquire) > 0
+                        || self.started[t as usize].load(Ordering::Acquire)
+                }) {
+                    return Ok(None);
+                }
                 let fits = r.resident.saturating_add(bytes) <= self.budget;
+                let running = r.running.last_key_value().map_or(0, |(&k, _)| k);
                 let victim = match (fits, r.victims.last().copied()) {
-                    (false, Some(v)) if needed_at.is_none_or(|t| v.0 > t) => Some(v),
+                    (false, Some(v)) if needed_at.is_none_or(|t| v.0 > t && v.0 >= running) => {
+                        Some(v)
+                    }
                     _ => None,
                 };
                 match victim {
@@ -511,21 +543,27 @@ impl PagedCore {
     /// dirty bits) — one slot lock at a time, so concurrent pinners cannot
     /// deadlock. On error the pins taken so far are released.
     pub(crate) fn pin_task(&self, tid: u32) -> Result<PinEvents, String> {
+        self.pinning.fetch_add(1, Ordering::AcqRel);
+        self.track_running(tid, true);
         if let Some(started) = self.started.get(self.position[tid as usize] as usize) {
             started.store(true, Ordering::Release);
         }
         let mut ev = PinEvents::default();
         let slots = self.slots_of(tid);
+        let mut pinned = Ok(());
         for (n, &entry) in slots.iter().enumerate() {
             let idx = (entry & !WRITES) as usize;
             if let Err(e) = self.pin(idx, entry & WRITES != 0, &mut ev) {
                 for &held in &slots[..n] {
                     self.unpin((held & !WRITES) as usize);
                 }
-                return Err(e);
+                self.track_running(tid, false);
+                pinned = Err(e);
+                break;
             }
         }
-        Ok(ev)
+        self.pinning.fetch_sub(1, Ordering::AcqRel);
+        pinned.map(|()| ev)
     }
 
     /// Release the pins [`PagedCore::pin_task`] took for `tid`.
@@ -533,14 +571,39 @@ impl PagedCore {
         for &entry in self.slots_of(tid) {
             self.unpin((entry & !WRITES) as usize);
         }
+        self.track_running(tid, false);
+    }
+
+    /// Enter (`on`) or remove where task `tid`'s slots are next needed
+    /// after it in [`Residency::running`]. A task outside this run's order
+    /// has no position, and its slots are keyed by next use already.
+    fn track_running(&self, tid: u32, on: bool) {
+        let at = self.position[tid as usize];
+        if at == NEVER {
+            return;
+        }
+        let mut r = lock(&self.residency);
+        for &entry in self.slots_of(tid) {
+            let after = self.use_after((entry & !WRITES) as usize, at);
+            let count = r.running.entry(after).or_insert(0);
+            if on {
+                *count += 1;
+            } else {
+                *count -= 1;
+                if *count == 0 {
+                    r.running.remove(&after);
+                }
+            }
+        }
     }
 
     /// Load one slot ahead of the pin of the task at position `at`, if that
     /// takes no room from anything needed sooner. Returns `false` when room
-    /// was refused.
+    /// was refused. Holds the slot's lock throughout, so a worker pinning it
+    /// meanwhile takes this load instead of evicting for a second one.
     fn prefetch_slot(&self, idx: usize, at: u32) -> bool {
-        let wanted = |s: &Slot| s.exists && s.on_disk && s.buf.is_none() && s.pins == 0;
-        if !wanted(&lock(&self.slots[idx])) {
+        let mut s = lock(&self.slots[idx]);
+        if !(s.exists && s.on_disk && s.buf.is_none() && s.pins == 0) {
             return true;
         }
         // Best-effort: an I/O error here is left for the pin to hit.
@@ -550,8 +613,7 @@ impl PagedCore {
             Err(_) => return true,
         }
         let mut buf = self.take_buffer(idx);
-        let mut s = lock(&self.slots[idx]);
-        if wanted(&s) && self.read_record(idx, &mut buf).is_ok() {
+        if self.read_record(idx, &mut buf).is_ok() {
             s.buf = Some(buf);
             s.dirty = false;
             s.prefetched = true;
@@ -757,6 +819,7 @@ impl PagedStore {
             path,
             slots,
             started: order.iter().map(|_| AtomicBool::new(false)).collect(),
+            pinning: AtomicU32::new(0),
             order,
             position,
             use_off,
@@ -765,6 +828,7 @@ impl PagedStore {
             task_slots,
             residency: Mutex::new(Residency {
                 victims: BTreeSet::new(),
+                running: BTreeMap::new(),
                 resident: 0,
                 free: [Vec::new(), Vec::new()],
             }),

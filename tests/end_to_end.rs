@@ -95,6 +95,30 @@ fn wide_matrices_more_columns_than_rows() {
 }
 
 #[test]
+fn parallel_and_serial_agree_bitwise_end_to_end() {
+    let cfg = HqrConfig::new(3, 1).with_a(2).with_low(TreeKind::Greedy).with_domino(true);
+    let elims = cfg.elimination_list(15, 6);
+    let mut a1 = TiledMatrix::random(15, 6, 4, 24);
+    let mut a2 = a1.clone();
+    let f1 = qr_factorize(&mut a1, &elims, Execution::Serial);
+    let f2 = qr_factorize(&mut a2, &elims, Execution::Parallel(4));
+    assert_eq!(f1.factored().to_dense().data(), f2.factored().to_dense().data());
+    assert_eq!(f1.r_dense().data(), f2.r_dense().data());
+}
+
+#[test]
+fn deterministic_across_runs() {
+    let cfg = HqrConfig::new(2, 2).with_a(3);
+    let elims = cfg.elimination_list(10, 4);
+    let run = || {
+        let mut a = TiledMatrix::random(10, 4, 5, 25);
+        let f = qr_factorize(&mut a, &elims, Execution::Parallel(3));
+        f.r_dense().data().to_vec()
+    };
+    assert_eq!(run(), run(), "parallel factorization must be deterministic");
+}
+
+#[test]
 fn r_matches_dense_reference_for_hqr() {
     let cfg = HqrConfig::new(3, 1).with_a(2).with_domino(true);
     let elims = cfg.elimination_list(12, 4);
