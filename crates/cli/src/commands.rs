@@ -11,8 +11,8 @@ use hqr::baselines;
 use hqr::prelude::*;
 use hqr_runtime::trace::{chrome_trace_from_exec, realized_critical_path, RealizedPath};
 use hqr_runtime::{
-    analysis, try_execute_traced, try_execute_with, ExecOptions, FaultPlan, IntegrityMode,
-    SchedPolicy, TaskGraph,
+    analysis, try_execute_traced, try_execute_with, ExecOptions, ExecTrace, FaultPlan,
+    IntegrityMode, SchedPolicy, TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
 use hqr_sim::{simulate_traced, simulate_with_faults};
@@ -473,15 +473,29 @@ fn trace_exec(args: &Args) -> Result<i32, CliError> {
             engine.integrity, stats.sdc_injected, stats.sdc_detected, stats.sdc_recomputed
         );
     }
-    // Realized CP over the wall-clock records; the executor is shared
-    // memory, so there is no communication term.
-    let mut span: Vec<Option<(f64, f64)>> = vec![None; n];
-    for r in &tr.records {
-        span[r.task as usize] = Some((r.start, r.end));
-    }
-    let cp = realized_critical_path(graph, |t| span[t as usize], |_, _| 0.0);
-    print_critical_path(&cp, graph, 10);
+    print_critical_path(&exec_critical_path(graph, &tr), graph, 10);
     Ok(0)
+}
+
+/// The realized critical path of an executor trace. The executor is shared
+/// memory, so a chain task waits only on its own pin pass (paged runs):
+/// each step's span is its kernel time and its pin wait is its waiting.
+fn exec_critical_path(graph: &TaskGraph, tr: &ExecTrace) -> RealizedPath {
+    let n = graph.tasks().len();
+    let mut span: Vec<Option<(f64, f64)>> = vec![None; n];
+    let mut pin = vec![0.0; n];
+    for r in &tr.records {
+        span[r.task as usize] = Some((r.kernel_start, r.end));
+        pin[r.task as usize] = r.kernel_start - r.start;
+    }
+    let mut cp = realized_critical_path(graph, |t| span[t as usize], |_, s| pin[s as usize]);
+    // The entry task has no incoming edge to carry its pin wait.
+    if let Some(entry) = cp.steps.first_mut() {
+        entry.comm = pin[entry.task as usize];
+        cp.comm_seconds += entry.comm;
+        cp.length += entry.comm;
+    }
+    cp
 }
 
 /// The `sim` backend of [`trace`]: a traced discrete-event replay.
@@ -513,7 +527,7 @@ fn trace_sim(args: &Args) -> Result<i32, CliError> {
     );
     let rep = simulate_traced(graph, layout, platform, policy, &plan).map_err(CliError::usage)?;
     let tl = rep.timeline.as_ref().expect("traced run records a timeline");
-    write_trace(out, "hqr-sim.trace.json", &tl.to_chrome_trace(graph))?;
+    write_trace(out, "hqr-sim.trace.json", &chrome_trace_from_exec(tl, graph.tasks()))?;
     println!("makespan     : {:.4} s (simulated)", rep.makespan);
     println!("messages     : {} ({:.3} MB)", rep.messages, rep.bytes / 1e6);
     println!("utilization  : {:.1}%", 100.0 * rep.utilization(platform));
@@ -576,6 +590,31 @@ mod tests {
     /// Run one subcommand in-process, through the same door as the binary.
     fn hqr(argv: &[&str]) -> i32 {
         crate::run(&argv.iter().map(|x| x.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn paged_critical_path_counts_pin_waits_as_waiting() {
+        use hqr_runtime::{try_execute_traced, ElimOp, ExecOptions, TaskGraph};
+        let (mt, nt, b) = (8, 4, 8);
+        let elims: Vec<ElimOp> = (0..nt as u32)
+            .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, true)))
+            .collect();
+        let graph = TaskGraph::build(mt, nt, b, &elims);
+        let mut a = hqr_tile::TiledMatrix::random(mt, nt, b, 3);
+        let tile = (b * b * std::mem::size_of::<f64>()) as u64;
+        let opts =
+            ExecOptions { nthreads: 1, resident_budget: Some(2 * tile), ..Default::default() };
+        let (_, _, tr) = try_execute_traced(&graph, &mut a, &opts).unwrap();
+        let cp = super::exec_critical_path(&graph, &tr);
+        let record = |t: u32| tr.records.iter().rev().find(|r| r.task == t).unwrap();
+        let kernel: f64 =
+            cp.steps.iter().map(|s| record(s.task).end - record(s.task).kernel_start).sum();
+        let pin: f64 =
+            cp.steps.iter().map(|s| record(s.task).kernel_start - record(s.task).start).sum();
+        assert!(pin > 0.0, "a two-tile budget makes some chain task wait on a pin");
+        assert!((cp.task_seconds - kernel).abs() <= 1e-12, "{} vs {kernel}", cp.task_seconds);
+        assert!((cp.comm_seconds - pin).abs() <= 1e-12, "{} vs {pin}", cp.comm_seconds);
+        assert!((cp.length - kernel - pin).abs() <= 1e-9);
     }
 
     #[test]

@@ -155,13 +155,14 @@ fn dot_is_valid_graphviz_prefix() {
 
 #[test]
 fn trace_both_backends_emit_loadable_chrome_traces() {
+    let mut names = Vec::new();
     for (backend, extra) in [
         ("exec", &["--rows", "48", "--cols", "24", "--tile", "8", "--threads", "2"][..]),
-        ("sim", &["--rows", "2240", "--cols", "1120", "--tile", "280"][..]),
+        ("sim", &["--rows", "2240", "--cols", "1120", "--tile", "280", "--cores", "2"][..]),
     ] {
         let out_path = std::env::temp_dir().join(format!("hqr_bin_{backend}.trace.json"));
         let out = hqr()
-            .args(["trace", "--backend", backend, "--grid", "2x1", "--out"])
+            .args(["trace", "--backend", backend, "--grid", "2x1", "--policy", "fifo", "--out"])
             .arg(&out_path)
             .args(extra)
             .output()
@@ -174,8 +175,38 @@ fn trace_both_backends_emit_loadable_chrome_traces() {
         let events = hqr_runtime::validate_chrome_trace(&json)
             .unwrap_or_else(|e| panic!("{backend}: invalid trace: {e}"));
         assert!(events > 0, "{backend}: empty trace");
+        names.push(lane_names(&json));
         let _ = std::fs::remove_file(&out_path);
     }
+    // One renderer: a process per node, a `core c` lane per core, so the
+    // executor's one node lines up lane for lane with the simulator's
+    // first; only the simulator's nodes, which exchange tiles, get NICs.
+    let (exec, sim) = (&names[0], &names[1]);
+    let node0 = |v: &Vec<(u32, u32, String)>| -> Vec<(u32, u32, String)> {
+        v.iter().filter(|(pid, tid, _)| *pid == 0 && *tid < 2).cloned().collect()
+    };
+    let expected = [(0, 0, "node 0 (fifo policy)"), (0, 0, "core 0"), (0, 1, "core 1")];
+    assert_eq!(node0(exec), expected.map(|(p, t, n)| (p, t, n.to_string())), "{exec:?}");
+    assert_eq!(node0(exec), node0(sim), "{sim:?}");
+    assert_eq!(exec.len(), 3, "{exec:?}");
+    assert!(sim.contains(&(1, 1, "core 1".to_string())), "{sim:?}");
+    assert!(sim.contains(&(1, 3, "nic rx".to_string())), "{sim:?}");
+}
+
+/// `(pid, tid, name)` of every process and lane a Chrome trace names, in
+/// file order (the renderer writes one event per line).
+fn lane_names(json: &str) -> Vec<(u32, u32, String)> {
+    let field = |line: &str, key: &str| -> String {
+        let rest = &line[line.find(key).unwrap() + key.len()..];
+        rest[..rest.find(['"', ',', '}']).unwrap()].to_string()
+    };
+    json.lines()
+        .filter(|l| l.contains(r#""name":"process_name""#) || l.contains(r#""name":"thread_name""#))
+        .map(|l| {
+            let (pid, tid) = (field(l, r#""pid":"#), field(l, r#""tid":"#));
+            (pid.parse().unwrap(), tid.parse().unwrap(), field(l, r#""args":{"name":""#))
+        })
+        .collect()
 }
 
 #[test]

@@ -213,13 +213,14 @@ pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> T
     f
 }
 
-/// One executed task in an execution trace: which worker ran it and when
-/// (seconds since the executor started).
+/// One executed task in an execution trace: which lane ran it and when
+/// (seconds since the run started).
 #[derive(Clone, Copy, Debug)]
 pub struct TaskRecord {
     /// Index into [`TaskGraph::tasks`].
     pub task: u32,
-    /// Worker thread that executed it.
+    /// Lane that executed it: a worker thread, or a simulated core
+    /// (see [`ExecTrace::nodes`] for the numbering).
     pub worker: u16,
     /// Start time (s): the worker picked the task up.
     pub start: f64,
@@ -282,26 +283,57 @@ pub enum InstantKind {
     /// Paged runs only: a task's pin pass evicted (spilled) at least one
     /// resident tile to make room.
     TileSpilled,
+    /// Simulated runs only: a node crashed (drawn on its first lane).
+    NodeCrash,
+    /// Simulated runs only: the interconnect degraded (drawn on lane 0).
+    LinkDegrade,
 }
 
-/// A point event on a worker's timeline (fault/retry markers).
+/// A point event on a lane's timeline (fault/retry/spill markers).
 #[derive(Clone, Copy, Debug)]
 pub struct ExecInstant {
     /// What happened.
     pub kind: InstantKind,
-    /// Task involved.
-    pub task: u32,
-    /// Worker it happened on.
+    /// Task involved; `None` for events that concern no task (a node
+    /// crash, a link degradation).
+    pub task: Option<u32>,
+    /// Lane it happened on.
     pub worker: u16,
-    /// Seconds since the executor started.
+    /// Seconds since the run started.
     pub time: f64,
 }
 
-/// Timeline of a traced parallel execution.
+/// One inter-node message of a simulated run: the output tile of
+/// `producer` moving from node `src` to node `dst`.
+#[derive(Clone, Copy, Debug)]
+pub struct TransferRecord {
+    /// Task whose output tile moved.
+    pub producer: u32,
+    /// Sending node.
+    pub src: u16,
+    /// Receiving node.
+    pub dst: u16,
+    /// Time the message left the sender's NIC (s).
+    pub depart: f64,
+    /// Time the payload was available at the receiver (s).
+    pub arrive: f64,
+    /// True for crash-recovery restaging traffic.
+    pub recovery: bool,
+}
+
+/// Timeline of a traced run, real or simulated: the one schedule record
+/// every backend fills and [`crate::trace::chrome_trace_from_exec`]
+/// renders.
 #[derive(Clone, Debug)]
 pub struct ExecTrace {
-    /// Number of worker threads.
+    /// Number of lanes: worker threads, or simulated cores over all nodes.
     pub nthreads: usize,
+    /// Number of nodes the lanes are spread over (1 for an in-process
+    /// run). Lanes are numbered node-major:
+    /// `lane = node * (nthreads / nodes) + core`.
+    pub nodes: usize,
+    /// Inter-node messages in send order; empty for an in-process run.
+    pub transfers: Vec<TransferRecord>,
     /// Scheduling policy the run used for its shared ready queue.
     pub policy: SchedPolicy,
     /// Per-task records, sorted by start time.
@@ -1221,7 +1253,8 @@ fn drive(
                 let now = || epoch.elapsed().as_secs_f64();
                 let mut instant = |kind: InstantKind, task: u32| {
                     if trace {
-                        instants.push(ExecInstant { kind, task, worker: me as u16, time: now() });
+                        let (worker, time) = (me as u16, now());
+                        instants.push(ExecInstant { kind, task: Some(task), worker, time });
                     }
                 };
                 let fail = |e: ExecError| {
@@ -1338,7 +1371,8 @@ fn drive(
         }
         records.sort_by(|a, b| a.start.total_cmp(&b.start));
         instants.sort_by(|a, b| a.time.total_cmp(&b.time));
-        ExecTrace { nthreads, policy: opts.policy, records, instants, counters, wall, spill }
+        let (nodes, transfers, policy) = (1, Vec::new(), opts.policy);
+        ExecTrace { nthreads, nodes, transfers, policy, records, instants, counters, wall, spill }
     });
     Ok((stats, exec_trace))
 }

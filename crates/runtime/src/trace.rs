@@ -13,9 +13,10 @@
 //! the measured counterpart of the analytic critical-path bounds of
 //! Bouwmeester et al. (arXiv:1104.4475).
 //!
-//! Open the emitted `.trace.json` at <https://ui.perfetto.dev> (or
-//! `chrome://tracing`): one process per node, one lane per worker / core /
-//! NIC, spans colored by kernel kind.
+//! Both fill one record, [`ExecTrace`], and [`chrome_trace_from_exec`] is
+//! the one renderer. Open the emitted `.trace.json` at
+//! <https://ui.perfetto.dev> (or `chrome://tracing`): one process per node,
+//! one lane per core and NIC, spans colored by kernel kind.
 
 use crate::exec::ExecTrace;
 use crate::graph::TaskGraph;
@@ -25,7 +26,7 @@ use hqr_kernels::KernelKind;
 /// Chrome's reserved color name (`cname`) for a kernel kind, so the two
 /// kernel families are visually separable in a timeline: factor kernels in
 /// the saturated colors, updates in the muted ones.
-pub fn kind_cname(kind: KernelKind) -> &'static str {
+fn kind_cname(kind: KernelKind) -> &'static str {
     match kind {
         KernelKind::Geqrt => "good",     // green
         KernelKind::Unmqr => "olive",    // muted green
@@ -200,81 +201,87 @@ fn render_number(v: f64) -> String {
     }
 }
 
-/// Serialize a real-executor [`ExecTrace`] to Chrome Trace Format: one
-/// process ("executor"), one lane per worker thread, task spans colored by
-/// kernel kind (on paged runs each preceded by a `spill`-category "pin"
-/// slice for the time the task waited on the storage tier), instant events
-/// for caught panics / retries / poison requeues, and per-worker scheduler
-/// counters sampled at start and end.
+/// Serialize an [`ExecTrace`], real or simulated, to Chrome Trace Format.
+///
+/// One process per node (`node n (<policy> policy)`), one `core c` lane per
+/// core of the node, and — only when the trace has transfers — a `nic tx`
+/// and a `nic rx` lane per node carrying each message on both ends
+/// (category `comm`, or `comm-recovery` for restaging traffic). Task spans
+/// are colored by kernel kind; on paged runs each is preceded by a
+/// `spill`-category "pin" slice for the time the task waited on the
+/// storage tier. Fault, SDC, spill, crash and degrade instants sit on their
+/// lane, and lanes with scheduler counters get counter tracks sampled at
+/// start and end. Real and simulated traces of the same lane count
+/// therefore line up lane for lane.
 pub fn chrome_trace_from_exec(trace: &ExecTrace, tasks: &[Task]) -> String {
+    use crate::exec::InstantKind as K;
+    let nodes = trace.nodes.max(1);
+    let cores = (trace.nthreads / nodes).max(1);
+    let lane = |w: u16| ((w as usize / cores) as u32, (w as usize % cores) as u32);
+    let (nic_tx, nic_rx) = (cores as u32, cores as u32 + 1);
     let mut b = ChromeTraceBuilder::new();
-    let pid = 0u32;
-    b.process_name(pid, &format!("executor (work-stealing, {} policy)", trace.policy));
-    for w in 0..trace.nthreads {
-        b.thread_name(pid, w as u32, &format!("worker {w}"), w as i64);
+    for node in 0..nodes as u32 {
+        b.process_name(node, &format!("node {node} ({} policy)", trace.policy));
+        for c in 0..cores as u32 {
+            b.thread_name(node, c, &format!("core {c}"), c as i64);
+        }
+        if !trace.transfers.is_empty() {
+            b.thread_name(node, nic_tx, "nic tx", nic_tx as i64);
+            b.thread_name(node, nic_rx, "nic rx", nic_rx as i64);
+        }
     }
     for r in &trace.records {
         let t = &tasks[r.task as usize];
+        let (pid, tid) = lane(r.worker);
         let args = [("task", r.task.to_string()), ("kernel", t.kind.name().to_string())];
         if r.kernel_start > r.start {
             // Paged runs: the wait on the storage tier (pin pass) is its
             // own slice, so the kernel slice shows compute only.
             let label = format!("pin {}", t.label());
-            b.span(pid, r.worker as u32, &label, "spill", None, r.start, r.kernel_start, &args);
+            b.span(pid, tid, &label, "spill", None, r.start, r.kernel_start, &args);
         }
-        b.span(
-            pid,
-            r.worker as u32,
-            &t.label(),
-            t.kind.name(),
-            Some(kind_cname(t.kind)),
-            r.kernel_start,
-            r.end,
-            &args,
-        );
+        let cname = Some(kind_cname(t.kind));
+        b.span(pid, tid, &t.label(), t.kind.name(), cname, r.kernel_start, r.end, &args);
+    }
+    for x in &trace.transfers {
+        let name = format!("{} -> node {}", tasks[x.producer as usize].label(), x.dst);
+        let cat = if x.recovery { "comm-recovery" } else { "comm" };
+        let args = [("producer", x.producer.to_string()), ("dst", format!("node {}", x.dst))];
+        b.span(x.src as u32, nic_tx, &name, cat, None, x.depart, x.arrive, &args);
+        b.span(x.dst as u32, nic_rx, &name, cat, None, x.depart, x.arrive, &args);
     }
     for i in &trace.instants {
         let (name, category) = match i.kind {
-            crate::exec::InstantKind::PanicCaught => ("panic caught", "fault"),
-            crate::exec::InstantKind::Retry => ("retry after rollback", "fault"),
-            crate::exec::InstantKind::Requeue => ("requeued (poisoned worker)", "fault"),
-            crate::exec::InstantKind::SdcDetected => ("sdc detected", "sdc"),
-            crate::exec::InstantKind::SdcRecomputed => ("sdc recomputed", "sdc"),
-            crate::exec::InstantKind::TileFaulted => ("tile faulted", "spill"),
-            crate::exec::InstantKind::TileSpilled => ("tile spilled", "spill"),
+            K::PanicCaught => ("panic caught", "fault"),
+            K::Retry => ("retry after rollback", "fault"),
+            K::Requeue => ("requeued (poisoned worker)", "fault"),
+            K::SdcDetected => ("sdc detected", "sdc"),
+            K::SdcRecomputed => ("sdc recomputed", "sdc"),
+            K::TileFaulted => ("tile faulted", "spill"),
+            K::TileSpilled => ("tile spilled", "spill"),
+            K::NodeCrash => ("node crash", "fault"),
+            K::LinkDegrade => ("link degrade", "fault"),
         };
-        b.instant(pid, i.worker as u32, name, category, i.time, &[("task", i.task.to_string())]);
+        let (pid, tid) = lane(i.worker);
+        let args: Vec<_> = i.task.map(|t| ("task", t.to_string())).into_iter().collect();
+        b.instant(pid, tid, name, category, i.time, &args);
     }
-    let paged = trace.spill.is_some();
     for (w, c) in trace.counters.iter().enumerate() {
-        let series: [(&str, f64); 3] = [
-            ("steals", c.steals as f64),
-            ("injector pops", c.injector_pops as f64),
-            ("retries", c.retries as f64),
-        ];
-        b.counter(
-            pid,
-            &format!("worker {w} scheduler"),
-            0.0,
-            &[("steals", 0.0), ("injector pops", 0.0), ("retries", 0.0)],
-        );
-        b.counter(pid, &format!("worker {w} scheduler"), trace.wall, &series);
-        if paged {
-            // Spill traffic gets its own per-worker counter track so the
+        let (pid, core) = lane(w as u16);
+        // Each track is sampled at zero and at the end of the run.
+        let mut track = |name: &str, series: [(&str, f64); 3]| {
+            let name = format!("core {core} {name}");
+            b.counter(pid, &name, 0.0, &series.map(|(k, _)| (k, 0.0)));
+            b.counter(pid, &name, trace.wall, &series);
+        };
+        let (steals, pops, retries) = (c.steals as f64, c.injector_pops as f64, c.retries as f64);
+        track("scheduler", [("steals", steals), ("injector pops", pops), ("retries", retries)]);
+        if trace.spill.is_some() {
+            // Spill traffic gets its own per-core counter track so the
             // paged store's demand faults / prefetch hits / evictions are
             // visible next to the scheduler series.
-            let spill_series: [(&str, f64); 3] = [
-                ("tile faults", c.tile_faults as f64),
-                ("prefetch hits", c.prefetch_hits as f64),
-                ("tile spills", c.tile_spills as f64),
-            ];
-            b.counter(
-                pid,
-                &format!("worker {w} spill"),
-                0.0,
-                &[("tile faults", 0.0), ("prefetch hits", 0.0), ("tile spills", 0.0)],
-            );
-            b.counter(pid, &format!("worker {w} spill"), trace.wall, &spill_series);
+            let (f, h, s) = (c.tile_faults as f64, c.prefetch_hits as f64, c.tile_spills as f64);
+            track("spill", [("tile faults", f), ("prefetch hits", h), ("tile spills", s)]);
         }
     }
     b.finish()

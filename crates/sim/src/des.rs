@@ -5,12 +5,13 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use hqr_runtime::exec::Frontier;
 use hqr_runtime::trace::{realized_critical_path, RealizedPath};
-use hqr_runtime::{FaultPlan, TaskGraph};
+use hqr_runtime::{
+    ExecInstant, ExecTrace, FaultPlan, InstantKind, TaskGraph, TaskRecord, TransferRecord,
+};
 use hqr_tile::Layout;
 
 use crate::fault::{validate, FaultOverhead, SimError};
 use crate::platform::Platform;
-use crate::timeline::{Recorder, SimInstantKind, SimTimeline};
 
 /// Result of a simulated execution.
 #[derive(Clone, Debug)]
@@ -37,8 +38,10 @@ pub struct SimReport {
     /// spans actually scheduled — when the run was traced
     /// ([`simulate_traced`]); `None` otherwise.
     pub critical_path: Option<RealizedPath>,
-    /// Full recorded timeline when the run was traced; `None` otherwise.
-    pub timeline: Option<SimTimeline>,
+    /// Full recorded timeline when the run was traced, in the executor's
+    /// own record (records sorted by start, `wall` the makespan, no
+    /// scheduler counters); `None` otherwise.
+    pub timeline: Option<ExecTrace>,
     /// Recovery cost when the run was driven by a fault plan (see
     /// [`simulate_with_faults`]); `None` for fault-free runs.
     pub overhead: Option<FaultOverhead>,
@@ -181,10 +184,11 @@ pub fn simulate_with_faults(
 }
 
 /// [`simulate_with_faults`] with timeline recording enabled: the returned
-/// report additionally carries the full [`SimTimeline`] (task spans per
-/// core lane, transfer spans per NIC lane, crash/degrade instants —
-/// export with [`SimTimeline::to_chrome_trace`]) and the realized critical
-/// path extracted from it.
+/// report additionally carries the full timeline as an [`ExecTrace`] (task
+/// records per core lane, inter-node transfers, crash/degrade instants —
+/// render it with [`hqr_runtime::chrome_trace_from_exec`]) and the
+/// realized critical path extracted from it. A platform with more core
+/// lanes than a `u16` can index is a [`SimError::Config`].
 pub fn simulate_traced(
     graph: &TaskGraph,
     layout: &Layout,
@@ -284,7 +288,8 @@ fn run_sim(
     let mut nic_out: Vec<f64> = vec![0.0; nodes];
     let mut nic_in: Vec<f64> = vec![0.0; nodes];
     let mut busy: Vec<f64> = vec![0.0; nodes];
-    let mut rec: Option<Recorder> = trace.then(|| Recorder::new(n, nodes, platform.cores_per_node));
+    let cores = platform.cores_per_node;
+    let mut rec = if trace { Some(Recorder::new(n, nodes, cores, policy)?) } else { None };
 
     let mut events: BinaryHeap<Event> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -395,7 +400,7 @@ fn run_sim(
                     };
                     if t_avail > now {
                         if let Some(rec) = rec.as_mut() {
-                            rec.edge_arrival(tid, s as u32, t_avail);
+                            rec.arrival.insert((tid, s as u32), t_avail);
                         }
                     }
                     avail[s] = avail[s].max(t_avail);
@@ -420,7 +425,7 @@ fn run_sim(
                 link.bandwidth *= d.bandwidth_factor;
                 link.latency *= d.latency_factor;
                 if let Some(rec) = rec.as_mut() {
-                    rec.instant(SimInstantKind::LinkDegrade, 0, now);
+                    rec.instant(InstantKind::LinkDegrade, 0, now);
                 }
             }
             EventKind::NodeCrash(ci) => {
@@ -431,7 +436,7 @@ fn run_sim(
                 alive[x] = false;
                 nodes_lost += 1;
                 if let Some(rec) = rec.as_mut() {
-                    rec.instant(SimInstantKind::NodeCrash, x, now);
+                    rec.instant(InstantKind::NodeCrash, x, now);
                 }
                 let survivors: Vec<usize> = (0..nodes).filter(|&m| alive[m]).collect();
                 debug_assert!(!survivors.is_empty(), "plan validation keeps a survivor");
@@ -519,7 +524,7 @@ fn run_sim(
                             }
                         };
                         if let Some(rec) = rec.as_mut() {
-                            rec.edge_arrival(p as u32, t as u32, arrive);
+                            rec.arrival.insert((p as u32, t as u32), arrive);
                         }
                         at = at.max(arrive);
                     }
@@ -542,15 +547,19 @@ fn run_sim(
     }
 
     // Realized critical path over the *final* incarnation of every task:
-    // later spans overwrite earlier ones (crash re-executions), and the
+    // later records overwrite earlier ones (crash re-executions), and the
     // comm weight of an edge is its recorded arrival delay past the
     // producer's completion.
     let (timeline, critical_path) = match rec {
         Some(rec) => {
-            let Recorder { timeline, arrival, .. } = rec;
+            let Recorder { trace: mut timeline, arrival, .. } = rec;
+            // Incarnations of one task never overlap, so a stable sort by
+            // start keeps each task's records in completion order.
+            timeline.records.sort_by(|a, b| a.start.total_cmp(&b.start));
+            timeline.wall = makespan;
             let mut final_span: Vec<Option<(f64, f64)>> = vec![None; n];
-            for s in &timeline.spans {
-                final_span[s.task as usize] = Some((s.start, s.end));
+            for r in &timeline.records {
+                final_span[r.task as usize] = Some((r.start, r.end));
             }
             let cp = realized_critical_path(
                 graph,
@@ -594,6 +603,101 @@ fn run_sim(
         timeline,
         overhead,
     })
+}
+
+/// Engine-side scribe of [`simulate_traced`]: lane bookkeeping plus the
+/// accumulating trace, in the real executor's own record, so
+/// [`hqr_runtime::chrome_trace_from_exec`] renders a simulated schedule
+/// and a measured one alike. Lanes are numbered node-major:
+/// `lane = node * cores_per_node + core`. Only exists when tracing was
+/// requested, so the fault-free fast path pays one `Option` check per
+/// event.
+struct Recorder {
+    trace: ExecTrace,
+    /// Cores per node.
+    cores: usize,
+    /// Free lanes per node (stack; lane reuse is arbitrary but
+    /// deterministic).
+    free_lanes: Vec<Vec<u16>>,
+    /// Lane the task's current incarnation occupies.
+    lane_of: Vec<u16>,
+    /// Dispatch time of the task's current incarnation.
+    start_of: Vec<f64>,
+    /// Absolute data-arrival time per realized cross-node edge
+    /// `(producer, consumer)`; local edges carry no entry (zero delay).
+    arrival: BTreeMap<(u32, u32), f64>,
+}
+
+impl Recorder {
+    /// A recorder for `n` tasks on `nodes` nodes of `cores` cores each;
+    /// a platform with more lanes than a `u16` lane index can name is a
+    /// configuration error.
+    fn new(n: usize, nodes: usize, cores: usize, policy: SchedPolicy) -> Result<Self, SimError> {
+        // Node indices must fit a `u16` too, even on a zero-core platform.
+        let lanes = nodes * cores.max(1);
+        if lanes > u16::MAX as usize + 1 {
+            return Err(SimError::Config {
+                message: format!("a traced run names at most 65536 core lanes, not {lanes}"),
+            });
+        }
+        let lane = |node: usize, core: usize| (node * cores + core) as u16;
+        Ok(Recorder {
+            trace: ExecTrace {
+                nthreads: nodes * cores,
+                nodes,
+                transfers: Vec::new(),
+                policy,
+                records: Vec::new(),
+                instants: Vec::new(),
+                counters: Vec::new(),
+                wall: 0.0,
+                spill: None,
+            },
+            cores,
+            free_lanes: (0..nodes)
+                .map(|x| (0..cores).rev().map(|c| lane(x, c)).collect())
+                .collect(),
+            lane_of: vec![0; n],
+            start_of: vec![0.0; n],
+            arrival: BTreeMap::new(),
+        })
+    }
+
+    /// A task just occupied a core on `node`.
+    fn dispatch(&mut self, tid: u32, node: usize, now: f64) {
+        let first = (node * self.cores) as u16;
+        self.lane_of[tid as usize] = self.free_lanes[node].pop().unwrap_or(first);
+        self.start_of[tid as usize] = now;
+    }
+
+    /// A task's (non-stale) completion: emit the record, free the lane.
+    fn complete(&mut self, tid: u32, node: usize, now: f64) {
+        let (worker, start) = (self.lane_of[tid as usize], self.start_of[tid as usize]);
+        let record = TaskRecord { task: tid, worker, start, kernel_start: start, end: now };
+        self.trace.records.push(record);
+        self.free_lanes[node].push(worker);
+    }
+
+    /// An inter-node transfer of `producer`'s output tile.
+    fn transfer(
+        &mut self,
+        producer: u32,
+        src: usize,
+        dst: usize,
+        depart: f64,
+        arrive: f64,
+        recovery: bool,
+    ) {
+        let (src, dst) = (src as u16, dst as u16);
+        let record = TransferRecord { producer, src, dst, depart, arrive, recovery };
+        self.trace.transfers.push(record);
+    }
+
+    /// A crash/degrade instant, drawn on `node`'s first lane.
+    fn instant(&mut self, kind: InstantKind, node: usize, time: f64) {
+        let worker = (node * self.cores) as u16;
+        self.trace.instants.push(ExecInstant { kind, task: None, worker, time });
+    }
 }
 
 #[cfg(test)]

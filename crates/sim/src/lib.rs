@@ -13,7 +13,11 @@
 //!   9.08 GFlop/s theoretical peak per core);
 //! * a latency/bandwidth link model with per-NIC send/receive
 //!   serialization, which is what makes flat trees latency-bound and
-//!   hierarchical trees "communication-avoiding".
+//!   hierarchical trees "communication-avoiding";
+//! * opt-in schedule recording ([`simulate_traced`]) into the real
+//!   executor's own record, [`hqr_runtime::ExecTrace`] — node-major core
+//!   lanes, inter-node transfers, crash and degrade instants — so both
+//!   backends render through [`hqr_runtime::chrome_trace_from_exec`].
 //!
 //! The absolute GFlop/s numbers are a model, but the *shape* of the results
 //! (which tree wins for which matrix shape, the effect of `a` and of the
@@ -25,7 +29,6 @@ pub mod des;
 pub mod fault;
 pub mod platform;
 pub mod scalapack;
-pub mod timeline;
 
 pub use des::{
     priority_ranks, simulate, simulate_traced, simulate_with_faults, simulate_with_policy,
@@ -33,4 +36,3 @@ pub use des::{
 };
 pub use fault::{FaultOverhead, SimError};
 pub use platform::{KernelRates, LinkModel, Platform};
-pub use timeline::{SimInstant, SimInstantKind, SimSpan, SimTimeline, SimTransfer};

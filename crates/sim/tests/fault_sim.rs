@@ -2,37 +2,13 @@
 //! must recover via lineage re-execution (never deadlock), link faults must
 //! only slow things down, and every faulty run must stay deterministic.
 
-use hqr_runtime::{ElimOp, FaultPlan, SdcFault, SdcPattern, TaskGraph};
+mod support;
+
+use hqr_runtime::{FaultPlan, SdcFault, SdcPattern, TaskGraph};
 use hqr_sim::{simulate, simulate_with_faults, Platform, SchedPolicy, SimError};
 use hqr_tile::Layout;
 use std::time::Duration;
-
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut v = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            v.push(ElimOp::new(k as u32, i as u32, k as u32, true));
-        }
-    }
-    v
-}
-
-fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut v = Vec::new();
-    for k in 0..mt.min(nt) {
-        let rows: Vec<u32> = (k as u32..mt as u32).collect();
-        let mut stride = 1;
-        while stride < rows.len() {
-            let mut idx = 0;
-            while idx + stride < rows.len() {
-                v.push(ElimOp::new(k as u32, rows[idx + stride], rows[idx], false));
-                idx += 2 * stride;
-            }
-            stride *= 2;
-        }
-    }
-    v
-}
+use support::{binary_elims, flat_elims};
 
 fn test_platform(nodes: usize) -> Platform {
     Platform { nodes, cores_per_node: 2, ..Platform::edel() }

@@ -2,36 +2,22 @@
 //!
 //! After a node crash the DES re-executes *exactly* the lost producers
 //! whose outputs are still needed — the lineage closure.  These tests
-//! recompute that closure independently from the recorded timeline and
+//! recompute that closure independently from the recorded trace (a
+//! record's node is its lane over the cores per node) and
 //! check it against the engine's `FaultOverhead` accounting, then verify
 //! the work- and makespan-conservation identities.
 
+mod support;
+
 use std::collections::BTreeSet;
 
-use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
+use hqr_runtime::{FaultPlan, TaskGraph, TaskRecord};
 use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy};
 use hqr_tile::Layout;
-
-fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut out = Vec::new();
-    for k in 0..mt.min(nt) {
-        let mut alive: Vec<u32> = (k as u32..mt as u32).collect();
-        while alive.len() > 1 {
-            let mut next = Vec::new();
-            for pair in alive.chunks(2) {
-                if let [a, b] = pair {
-                    out.push(ElimOp::new(k as u32, *b, *a, false));
-                }
-                next.push(pair[0]);
-            }
-            alive = next;
-        }
-    }
-    out
-}
+use support::binary_elims;
 
 /// The lineage closure, recomputed from first principles over the
-/// recorded timeline.  Delivery in the DES is eager, so unfinished tasks
+/// recorded trace.  Delivery in the DES is eager, so unfinished tasks
 /// on surviving nodes already hold local copies of their inputs; only
 /// tasks *re-homed off the crashed node* start with nothing.  Those form
 /// the frontier, and every *finished* predecessor whose output lived on
@@ -40,14 +26,15 @@ fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
 fn expected_reexecution_set(
     graph: &TaskGraph,
     layout: &Layout,
-    spans: &[hqr_sim::SimSpan],
-    crashed: u16,
+    records: &[TaskRecord],
+    cores: usize,
+    crashed: usize,
     crash_at: f64,
 ) -> BTreeSet<u32> {
     let n = graph.tasks().len();
-    // First recorded span per task (its original, pre-crash execution).
-    let mut first: Vec<Option<&hqr_sim::SimSpan>> = vec![None; n];
-    for s in spans {
+    // First record per task (its original, pre-crash execution).
+    let mut first: Vec<Option<&TaskRecord>> = vec![None; n];
+    for s in records {
         let slot = &mut first[s.task as usize];
         if slot.is_none_or(|f| s.start < f.start) {
             *slot = Some(s);
@@ -68,12 +55,12 @@ fn expected_reexecution_set(
     };
     let mut reexec: BTreeSet<u32> = BTreeSet::new();
     let mut stack: Vec<u32> = (0..n as u32)
-        .filter(|&t| !done_at_crash(t as usize) && home(t as usize) == crashed as usize)
+        .filter(|&t| !done_at_crash(t as usize) && home(t as usize) == crashed)
         .collect();
     while let Some(t) = stack.pop() {
         for &p in &preds[t as usize] {
             if done_at_crash(p as usize)
-                && first[p as usize].unwrap().node == crashed
+                && first[p as usize].unwrap().worker as usize / cores == crashed
                 && reexec.insert(p)
             {
                 stack.push(p); // p re-runs, so its own inputs are needed again
@@ -91,24 +78,26 @@ fn lineage_recovery_reexecutes_exactly_the_needed_lost_producers() {
     let layout = Layout::cyclic_rows(platform.nodes);
     let baseline = simulate(&graph, &layout, &platform).makespan;
 
-    let crashed = 1u16;
+    let crashed = 1;
     let crash_at = 0.47 * baseline;
-    let plan = FaultPlan::default().crash_node(crashed as usize, crash_at);
+    let plan = FaultPlan::default().crash_node(crashed, crash_at);
     let report =
         simulate_traced(&graph, &layout, &platform, SchedPolicy::PanelFirst, &plan).unwrap();
     let overhead = report.overhead.clone().expect("faulty run carries overhead");
     let timeline = report.timeline.as_ref().expect("traced run carries timeline");
 
-    // Observed re-executions: tasks with more than one recorded span
-    // (spans are only recorded for completions that were not invalidated).
+    // Observed re-executions: tasks with more than one record (records
+    // are only kept for completions that were not invalidated).
     let mut span_count = vec![0usize; graph.tasks().len()];
-    for s in &timeline.spans {
+    for s in &timeline.records {
         span_count[s.task as usize] += 1;
     }
     let observed: BTreeSet<u32> =
         span_count.iter().enumerate().filter(|&(_, &c)| c > 1).map(|(t, _)| t as u32).collect();
 
-    let expected = expected_reexecution_set(&graph, &layout, &timeline.spans, crashed, crash_at);
+    let cores = platform.cores_per_node;
+    let expected =
+        expected_reexecution_set(&graph, &layout, &timeline.records, cores, crashed, crash_at);
     assert!(!expected.is_empty(), "a mid-run crash must lose some finished work");
     assert_eq!(
         observed, expected,
@@ -120,17 +109,20 @@ fn lineage_recovery_reexecutes_exactly_the_needed_lost_producers() {
         "FaultOverhead.reexecuted_tasks must count the lineage closure"
     );
     assert_eq!(overhead.nodes_lost, 1);
+    // Restaging traffic is drawn on both NIC lanes in its own category.
+    let json = hqr_runtime::chrome_trace_from_exec(timeline, graph.tasks());
+    assert!(overhead.resent_messages > 0);
+    assert_eq!(json.matches("\"comm-recovery\"").count(), 2 * overhead.resent_messages);
 
     // Every re-executed task's original run was on the crashed node and
     // finished before the crash.
     for &t in &expected {
-        let mut runs: Vec<&hqr_sim::SimSpan> =
-            timeline.spans.iter().filter(|s| s.task == t).collect();
+        let mut runs: Vec<&TaskRecord> = timeline.records.iter().filter(|s| s.task == t).collect();
         runs.sort_by(|a, b| a.start.total_cmp(&b.start));
-        assert_eq!(runs[0].node, crashed);
+        assert_eq!(runs[0].worker as usize / cores, crashed);
         assert!(runs[0].end <= crash_at + 1e-12);
         // The re-run lands on a survivor, after the crash.
-        assert_ne!(runs[1].node, crashed);
+        assert_ne!(runs[1].worker as usize / cores, crashed);
         assert!(runs[1].start >= crash_at - 1e-12);
     }
 }
@@ -160,16 +152,16 @@ fn fault_overhead_components_account_for_the_makespan_delta() {
 
     // Work conservation: total recorded busy time equals one run of every
     // task plus one extra run per re-executed task — nothing else is
-    // (re)computed.  Spans are only recorded for completions that stuck,
+    // (re)computed.  Records are only kept for completions that stuck,
     // so aborted attempts do not enter the sum.
     let dur = |t: u32| {
         let task = &graph.tasks()[t as usize];
         platform.kernel_seconds(task.kind, b)
     };
-    let recorded: f64 = timeline.spans.iter().map(|s| s.end - s.start).sum();
+    let recorded: f64 = timeline.records.iter().map(|s| s.end - s.start).sum();
     let one_run_each: f64 = (0..graph.tasks().len() as u32).map(dur).sum();
     let mut span_count = vec![0usize; graph.tasks().len()];
-    for s in &timeline.spans {
+    for s in &timeline.records {
         span_count[s.task as usize] += 1;
     }
     let reexec_extra: f64 = span_count
@@ -202,7 +194,7 @@ fn crash_free_fault_plan_has_zero_overhead_components() {
     assert_eq!(overhead.nodes_lost, 0);
     let timeline = report.timeline.as_ref().unwrap();
     let mut seen = vec![0usize; graph.tasks().len()];
-    for s in &timeline.spans {
+    for s in &timeline.records {
         seen[s.task as usize] += 1;
     }
     assert!(seen.iter().all(|&c| c == 1), "every task runs exactly once");

@@ -4,38 +4,14 @@
 //! recomputed independently here, so the parity test has teeth even though
 //! the two backends share the key computation.
 
+mod support;
+
 use hqr_runtime::sched::priorities;
 use hqr_runtime::{ElimOp, SchedPolicy, TaskGraph};
 use hqr_sim::priority_ranks;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut v = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            v.push(ElimOp::new(k as u32, i as u32, k as u32, true));
-        }
-    }
-    v
-}
-
-fn binary_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut v = Vec::new();
-    for k in 0..mt.min(nt) {
-        let rows: Vec<u32> = (k as u32..mt as u32).collect();
-        let mut stride = 1;
-        while stride < rows.len() {
-            let mut idx = 0;
-            while idx + stride < rows.len() {
-                v.push(ElimOp::new(k as u32, rows[idx + stride], rows[idx], false));
-                idx += 2 * stride;
-            }
-            stride *= 2;
-        }
-    }
-    v
-}
+use support::{binary_elims, flat_elims};
 
 fn random_elims(mt: usize, nt: usize, seed: u64) -> Vec<ElimOp> {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);

@@ -1,18 +1,24 @@
-//! Timeline recording and realized-critical-path bounds.
+//! Timeline recording and realized-critical-path bounds. A traced run
+//! records the executor's own `ExecTrace`, rendered by the one Chrome
+//! renderer.
 
-use hqr_runtime::validate_chrome_trace;
-use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
-use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy, SimInstantKind};
+mod support;
+
+use hqr_runtime::{chrome_trace_from_exec, validate_chrome_trace};
+use hqr_runtime::{ExecTrace, FaultPlan, InstantKind, TaskGraph};
+use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy, SimError};
 use hqr_tile::Layout;
+use support::flat_elims;
 
-fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
-    let mut v = Vec::new();
-    for k in 0..mt.min(nt) {
-        for i in (k + 1)..mt {
-            v.push(ElimOp::new(k as u32, i as u32, k as u32, true));
+/// Records on one lane never overlap.
+fn assert_lanes_disjoint(tl: &ExecTrace) {
+    let mut records = tl.records.clone();
+    records.sort_by(|a, b| a.worker.cmp(&b.worker).then(a.start.total_cmp(&b.start)));
+    for w in records.windows(2) {
+        if w[0].worker == w[1].worker {
+            assert!(w[1].start >= w[0].end - 1e-12, "lane overlap: {:?} then {:?}", w[0], w[1]);
         }
     }
-    v
 }
 
 #[test]
@@ -59,22 +65,29 @@ fn traced_run_matches_untraced_and_extracts_bounded_cp() {
     }
 
     let tl = traced.timeline.as_ref().expect("traced run records a timeline");
-    assert_eq!(tl.spans.len(), g.tasks().len(), "fault-free: one span per task");
-    assert_eq!(tl.transfers.len(), traced.messages, "one transfer span per message");
-    // Per-(node,lane) spans never overlap.
-    let mut spans = tl.spans.clone();
-    spans.sort_by(|a, b| (a.node, a.lane).cmp(&(b.node, b.lane)).then(a.start.total_cmp(&b.start)));
-    for w in spans.windows(2) {
-        if (w[0].node, w[0].lane) == (w[1].node, w[1].lane) {
-            assert!(w[1].start >= w[0].end - 1e-12, "lane overlap: {:?} then {:?}", w[0], w[1]);
-        }
+    // The simulator's fill of the shared record.
+    assert_eq!((tl.nodes, tl.nthreads), (2, 6));
+    assert_eq!(tl.wall, traced.makespan);
+    assert_eq!(tl.policy, SchedPolicy::PanelFirst);
+    assert!(tl.counters.is_empty() && tl.spill.is_none());
+    assert!(tl.records.windows(2).all(|w| w[0].start <= w[1].start), "sorted by start");
+    assert!(tl.records.iter().all(|r| r.kernel_start == r.start));
+    assert_eq!(tl.records.len(), g.tasks().len(), "fault-free: one record per task");
+    assert_eq!(tl.transfers.len(), traced.messages, "one transfer per message");
+    assert_lanes_disjoint(tl);
+    // Lanes are node-major: a task's lane is on the node that owns it.
+    for r in &tl.records {
+        let (i, j) = g.tasks()[r.task as usize].affinity_tile();
+        assert_eq!(r.worker as usize / p.cores_per_node, lay.owner(i, j));
     }
-    // Busy seconds agree with the report's accounting.
-    assert!((tl.busy_seconds() - traced.node_busy.iter().sum::<f64>()).abs() < 1e-9);
+    // Utilization agrees with the report's accounting.
+    let (ours, report) = (tl.utilization(), traced.utilization(&p));
+    assert!((ours - report).abs() <= 1e-12 * report, "{ours} vs {report}");
 
-    let json = tl.to_chrome_trace(&g);
+    let json = chrome_trace_from_exec(tl, g.tasks());
     let events = validate_chrome_trace(&json).expect("schema-valid Chrome trace");
-    assert!(events >= tl.spans.len() + tl.transfers.len());
+    assert!(events >= tl.records.len() + 2 * tl.transfers.len());
+    assert!(json.contains("\"core 2\"") && json.contains("\"nic rx\""));
 }
 
 #[test]
@@ -86,22 +99,48 @@ fn traced_crash_run_records_instants_and_keeps_cp_bounds() {
     let r = simulate_traced(&g, &Layout::cyclic_rows(3), &p, SchedPolicy::PanelFirst, &plan)
         .expect("faulty traced run");
     let tl = r.timeline.as_ref().unwrap();
+    let cores = p.cores_per_node;
     assert!(
-        tl.instants.iter().any(|i| i.kind == SimInstantKind::NodeCrash && i.node == 1),
-        "crash instant recorded"
+        tl.instants.iter().any(|i| i.kind == InstantKind::NodeCrash
+            && i.worker as usize / cores == 1
+            && i.task.is_none()),
+        "crash instant recorded on node 1's lanes"
     );
-    assert!(tl.instants.iter().any(|i| i.kind == SimInstantKind::LinkDegrade));
-    assert!(tl.spans.len() >= g.tasks().len(), "re-executions add spans, never remove them");
-    // Every resent (restaging) message shows up as a recovery transfer
-    // span, and only those.
+    assert!(tl.instants.iter().any(|i| i.kind == InstantKind::LinkDegrade));
+    assert!(tl.records.len() >= g.tasks().len(), "re-executions add records, never remove them");
+    let mut seen = vec![false; g.tasks().len()];
+    for rec in &tl.records {
+        seen[rec.task as usize] = true;
+    }
+    assert!(seen.iter().all(|&s| s), "at least one record per task after a crash");
+    // Every resent (restaging) message shows up as a recovery transfer,
+    // and only those.
     let resent = r.overhead.as_ref().unwrap().resent_messages;
     assert_eq!(tl.transfers.iter().filter(|t| t.recovery).count(), resent);
-    assert_eq!(tl.transfers.len(), r.messages, "one transfer span per message, resends included");
+    assert_eq!(tl.transfers.len(), r.messages, "one transfer per message, resends included");
     let cp = r.critical_path.as_ref().unwrap();
     assert!(cp.length <= r.makespan + 1e-12);
     assert!(cp.length > 0.0);
-    // Every span sits on a valid core lane.
-    assert!(tl.spans.iter().all(|s| (s.lane as usize) < p.cores_per_node));
-    let json = tl.to_chrome_trace(&g);
+    // Every record sits on a valid core lane, and lanes never overlap.
+    assert!(tl.records.iter().all(|rec| (rec.worker as usize) < p.nodes * cores));
+    assert_lanes_disjoint(tl);
+    let json = chrome_trace_from_exec(tl, g.tasks());
     validate_chrome_trace(&json).expect("faulty-run trace still schema-valid");
+    assert!(json.contains("\"node crash\"") && json.contains("\"link degrade\""));
+    assert_eq!(json.contains("\"comm-recovery\""), resent > 0);
+}
+
+#[test]
+fn more_lanes_than_a_u16_names_is_a_config_error_when_traced() {
+    let g = TaskGraph::build(2, 1, 40, &flat_elims(2, 1));
+    let p = Platform { nodes: 257, cores_per_node: 256, ..Platform::edel() };
+    let lay = Layout::cyclic_rows(2);
+    let r = simulate_traced(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default());
+    assert!(matches!(r, Err(SimError::Config { .. })), "{r:?}");
+    // Untraced, the platform is fine: only lane numbering needs the bound.
+    assert!(simulate(&g, &lay, &p).makespan > 0.0);
+    // 65536 lanes is the largest platform a trace can name.
+    let p = Platform { nodes: 256, ..p };
+    let r = simulate_traced(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default());
+    assert_eq!(r.unwrap().timeline.unwrap().nthreads, 65536);
 }
