@@ -11,11 +11,11 @@ use hqr::baselines;
 use hqr::prelude::*;
 use hqr_runtime::trace::{chrome_trace_from_exec, realized_critical_path, RealizedPath};
 use hqr_runtime::{
-    analysis, try_execute_traced, try_execute_with, ExecOptions, ExecTrace, FaultPlan,
-    IntegrityMode, SchedPolicy, TaskGraph,
+    analysis, try_execute_traced, try_execute_with, ExecOptions, ExecTrace, IntegrityMode,
+    SchedPolicy, TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
-use hqr_sim::{simulate_traced, simulate_with_faults};
+use hqr_sim::{simulate_with, SimOptions};
 use std::time::Instant;
 
 /// Top-level usage text.
@@ -245,8 +245,8 @@ pub fn simulate(args: &Args) -> Result<i32, CliError> {
     let t0 = Instant::now();
     let p = shape.build(setup)?;
     let graph = &p.graph;
-    let rep = simulate_with_faults(graph, &p.setup.layout, platform, policy, &FaultPlan::default())
-        .map_err(CliError::usage)?;
+    let opts = SimOptions { policy, ..Default::default() };
+    let rep = simulate_with(graph, &p.setup.layout, platform, &opts).map_err(CliError::usage)?;
     println!("tasks     : {} ({} edges)", graph.tasks().len(), graph.edge_count());
     println!(
         "makespan  : {:.3} s (simulated; wall {:.2} s)",
@@ -350,8 +350,8 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
 
     println!();
     println!("== simulation: node crash with lineage recovery ==");
-    let baseline = simulate_with_faults(graph, layout, &platform, policy, &FaultPlan::default())
-        .map_err(CliError::usage)?;
+    let opts = SimOptions { policy, ..Default::default() };
+    let baseline = simulate_with(graph, layout, &platform, &opts).map_err(CliError::usage)?;
     let plan = faults.plan(baseline.makespan, Some((platform.nodes, seed)));
     let crash = &plan.crashes()[0];
     println!("platform     : {}", describe(&platform));
@@ -361,8 +361,8 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
         crash.at,
         100.0 * faults.crash_frac
     );
-    let rep =
-        simulate_with_faults(graph, layout, &platform, policy, &plan).map_err(CliError::usage)?;
+    let opts = SimOptions { plan, ..opts };
+    let rep = simulate_with(graph, layout, &platform, &opts).map_err(CliError::usage)?;
     let o = rep.overhead.expect("faulty run reports overhead");
     println!(
         "makespan     : {:.4} s (fault-free {:.4} s, {:+.1}%)",
@@ -512,9 +512,8 @@ fn trace_sim(args: &Args) -> Result<i32, CliError> {
     // the baseline once to find it.
     let baseline = match faults.crash_node {
         Some(_) => {
-            simulate_with_faults(graph, layout, platform, policy, &FaultPlan::default())
-                .map_err(CliError::usage)?
-                .makespan
+            let opts = SimOptions { policy, ..Default::default() };
+            simulate_with(graph, layout, platform, &opts).map_err(CliError::usage)?.makespan
         }
         None => 0.0,
     };
@@ -525,7 +524,8 @@ fn trace_sim(args: &Args) -> Result<i32, CliError> {
         graph.tasks().len(),
         graph.edge_count()
     );
-    let rep = simulate_traced(graph, layout, platform, policy, &plan).map_err(CliError::usage)?;
+    let opts = SimOptions { policy, plan, trace: true };
+    let rep = simulate_with(graph, layout, platform, &opts).map_err(CliError::usage)?;
     let tl = rep.timeline.as_ref().expect("traced run records a timeline");
     write_trace(out, "hqr-sim.trace.json", &chrome_trace_from_exec(tl, graph.tasks()))?;
     println!("makespan     : {:.4} s (simulated)", rep.makespan);

@@ -193,6 +193,20 @@ fn trace_both_backends_emit_loadable_chrome_traces() {
     assert!(sim.contains(&(1, 3, "nic rx".to_string())), "{sim:?}");
 }
 
+/// A simulated run prints a `recovery` line only when a fault was injected.
+#[test]
+fn simulated_trace_reports_a_recovery_only_under_a_fault() {
+    let dir = scratch("sim_recovery");
+    let base = ["trace", "--backend", "sim", "--rows", "1120", "--cols", "560", "--tile", "280"];
+    let (code, out, err) = run_in(&dir, &base);
+    assert_eq!(code, 0, "{err}");
+    assert!(!out.contains("recovery"), "{out}");
+    let (code, out, err) = run_in(&dir, &[&base[..], &["--crash-node", "1"]].concat());
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("recovery     : "), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `(pid, tid, name)` of every process and lane a Chrome trace names, in
 /// file order (the renderer writes one event per line).
 fn lane_names(json: &str) -> Vec<(u32, u32, String)> {

@@ -16,7 +16,7 @@ use hqr_runtime::{
     analysis, execute_serial, try_execute_traced, try_execute_with, ExecOptions, TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
-use hqr_sim::{simulate, simulate_with_policy, KernelRates, Platform, SchedPolicy, SimReport};
+use hqr_sim::{simulate, simulate_with, KernelRates, Platform, SchedPolicy, SimOptions, SimReport};
 use hqr_tile::{DenseMatrix, Layout, ProcessGrid, TiledMatrix};
 use std::time::Instant;
 
@@ -86,7 +86,9 @@ impl Setting {
 
     /// Replay `graph`, the DAG of `setup` at this tile size.
     fn run(&self, graph: &TaskGraph, setup: &AlgorithmSetup, label: String) -> FigurePoint {
-        let rep = simulate_with_policy(graph, &setup.layout, &self.platform, self.policy);
+        let opts = SimOptions { policy: self.policy, ..Default::default() };
+        let rep = simulate_with(graph, &setup.layout, &self.platform, &opts)
+            .unwrap_or_else(|e| panic!("{e}"));
         let (m, n) = (setup.elims.mt() * self.b, setup.elims.nt() * self.b);
         let (messages, nodes) = (Some(rep.messages), self.platform.nodes);
         FigurePoint { m, n, label, gflops: rep.gflops, efficiency: rep.efficiency, messages, nodes }
@@ -586,7 +588,10 @@ pub fn policies(reps: usize) -> Result<(usize, Vec<PolicyRow>), String> {
     let reference = serial.to_dense();
     let mut rows = Vec::new();
     for policy in SchedPolicy::ALL {
-        let sim = simulate_with_policy(&graph, &setup.layout, &Platform::edel(), policy).makespan;
+        let opts = SimOptions { policy, ..Default::default() };
+        let sim = simulate_with(&graph, &setup.layout, &Platform::edel(), &opts)
+            .map_err(|e| e.to_string())?
+            .makespan;
         let mut row = PolicyRow { policy, wall: f64::INFINITY, utilization: 0.0, steals: 0, sim };
         let opts = ExecOptions { nthreads: threads, policy, ..Default::default() };
         for _ in 0..reps {

@@ -21,9 +21,9 @@
 //!   the worker answers on that connection's own thread while a kernel
 //!   runs, so a slow worker is not a dead one and a failed poll condemns;
 //! * a confirmed-dead worker triggers lineage-based recovery
-//!   ([`hqr_runtime::lineage`]): lost slot versions are re-executed
-//!   locally from the pristine input and re-placed on survivors, and the
-//!   finished factorization is bitwise-identical to a fault-free run;
+//!   ([`hqr_runtime::lineage`]): lost slot versions are rebuilt on the
+//!   coordinator's engine from the pristine input and re-placed on
+//!   survivors, and the result is bitwise-identical to a fault-free run;
 //! * seeded drop/delay injection ([`hqr_runtime::FaultPlan`]) plus
 //!   deterministic worker kill-points ([`WorkerOptions`]) make all of the
 //!   above chaos-testable reproducibly.

@@ -188,7 +188,7 @@ pub(crate) fn push_frame<'a>(
 /// release the shard lock before it writes keeps one such buffer.
 pub(crate) fn encode_into(buf: &mut Vec<u8>, frame: &SectionList<'_>) {
     buf.clear();
-    frame.write_to(buf, false).expect("writing into a Vec cannot fail");
+    frame.write_to(buf).expect("writing into a Vec cannot fail");
 }
 
 /// A data-plane message: its tiles are their bytes in the frame buffer.

@@ -99,11 +99,10 @@ struct EpochRun {
 }
 
 impl EpochRun {
-    /// Complete `t` and queue the released tasks that run here and have not
-    /// run (a re-pushed input releases a task done before the epoch again).
+    /// Complete `t` and queue the released tasks that run here.
     fn complete(&self, graph: &TaskGraph, t: u32) {
         let queue = |s: u32| {
-            if self.mine[s as usize] && !self.dag.frontier.is_done(s) {
+            if self.mine[s as usize] {
                 self.ready.push(s, &self.dag.frontier.ranks);
             }
         };

@@ -421,7 +421,7 @@ pub fn try_execute_with(
     a: &mut TiledMatrix,
     opts: &ExecOptions,
 ) -> Result<(TFactors, FaultStats), ExecError> {
-    let (f, stats, _) = run_engine(graph, a, opts, false)?;
+    let (f, stats, _) = run_engine(graph, a, opts, None, false)?;
     Ok((f, stats))
 }
 
@@ -434,7 +434,7 @@ pub fn try_execute_traced(
     a: &mut TiledMatrix,
     opts: &ExecOptions,
 ) -> Result<(TFactors, FaultStats, ExecTrace), ExecError> {
-    let (f, stats, trace) = run_engine(graph, a, opts, true)?;
+    let (f, stats, trace) = run_engine(graph, a, opts, None, true)?;
     Ok((f, stats, trace.expect("tracing requested")))
 }
 
@@ -687,10 +687,7 @@ impl Frontier {
     /// remaining task's in-degree discounts its completed predecessors,
     /// from state no worker can see yet: once the first task is queued,
     /// workers release successors themselves, so a later scan of the live
-    /// counters could queue a task twice. When `completed` is not closed
-    /// under predecessors, completing a task can release a successor that
-    /// is already done: the caller's `keep` and `publish` must skip those
-    /// (see [`Frontier::complete`]).
+    /// counters could queue a task twice.
     pub fn new(
         graph: &TaskGraph,
         policy: SchedPolicy,
@@ -729,10 +726,11 @@ impl Frontier {
     }
 
     /// Mark `tid` completed and release its successors: every one whose
-    /// last predecessor this was becomes ready. With `publish_rest` the
-    /// best-ranked one goes to `keep` (the caller's own deque) and the
-    /// others to `publish` (the shared queue); without it all go to `keep`,
-    /// in successor order.
+    /// last predecessor this was becomes ready, unless it is already done
+    /// (a `completed` mask need not be closed under predecessors). With
+    /// `publish_rest` the best-ranked one goes to `keep` (the caller's own
+    /// deque) and the others to `publish` (the shared queue); without it
+    /// all go to `keep`, in successor order.
     pub fn complete(
         &self,
         graph: &TaskGraph,
@@ -743,7 +741,7 @@ impl Frontier {
         self.done[tid as usize].store(true, Ordering::Release);
         let mut best: Option<u32> = None;
         for &s in graph.successors(tid as usize) {
-            if self.indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+            if self.indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 && !self.is_done(s) {
                 if !self.publish_rest {
                     keep(s);
                     continue;
@@ -1054,13 +1052,15 @@ pub(crate) fn preview_order(
     order
 }
 
-/// The executor engine behind [`try_execute_with`] / [`try_execute_traced`]:
-/// allocate the factors, open the tile store (resident or paged), hand it
-/// to [`drive`], and dissolve it again on every exit path.
-fn run_engine(
+/// The executor engine behind [`try_execute_with`] / [`try_execute_traced`]
+/// and lineage recovery: allocate the factors, open the tile store
+/// (resident or paged), hand it to [`drive`] to run the tasks not marked in
+/// `completed`, and dissolve it again on every exit path.
+pub(crate) fn run_engine(
     graph: &TaskGraph,
     a: &mut TiledMatrix,
     opts: &ExecOptions,
+    completed: Option<&[bool]>,
     trace: bool,
 ) -> Result<(TFactors, FaultStats, Option<ExecTrace>), ExecError> {
     let b = graph.b();
@@ -1086,11 +1086,11 @@ fn run_engine(
     let epoch = Instant::now();
     let policy = RunPolicy::of(opts);
     let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
-    let order = || preview_order(graph, &policy, None);
-    let run_plan = RunPlan { graph, completed: None, order: &order };
+    let order = || preview_order(graph, &policy, completed);
+    let run_plan = RunPlan { graph, completed, order: &order };
     let store = TileStore::open(a, &mut f, &run_plan, budget, spill_dir)
         .map_err(|message| ExecError::SpillIo { message })?;
-    let (mut run, frontier) = DagRun::new(graph, store, &policy, None);
+    let (mut run, frontier) = DagRun::new(graph, store, &policy, completed);
     let result = drive(graph, &run, frontier, opts, trace, epoch);
     // Dissolve the paged cache before anything touches `a`/`f` again —
     // on success *and* on error paths, so the matrix is never left hollow.

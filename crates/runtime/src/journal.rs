@@ -59,7 +59,8 @@ use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
 use hqr_tile::io::{
-    atomic_write, bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionList, SectionReader,
+    atomic_write, bytes_of_u64s, read_frame_into, u64s_of_bytes, BinFormatError, FrameError,
+    SectionList, SectionReader, MAX_FRAME,
 };
 
 use crate::checkpoint::{checkpoint_from_bytes, Checkpoint, CheckpointError};
@@ -94,6 +95,15 @@ pub enum JournalError {
         /// What invariant failed.
         message: String,
     },
+    /// A record longer than [`MAX_FRAME`]: refused on append, and an error
+    /// on read (a torn append leaves a prefix of what was written, so no
+    /// torn tail declares such a length).
+    TooLarge {
+        /// The journal file.
+        path: String,
+        /// The record's length.
+        declared: u64,
+    },
 }
 
 impl fmt::Display for JournalError {
@@ -103,6 +113,9 @@ impl fmt::Display for JournalError {
             JournalError::Format(e) => write!(f, "journal format error: {e}"),
             JournalError::Inconsistent { message } => {
                 write!(f, "inconsistent journal record: {message}")
+            }
+            JournalError::TooLarge { path, declared } => {
+                write!(f, "{path}: record of {declared} bytes exceeds the {MAX_FRAME}-byte cap")
             }
         }
     }
@@ -118,6 +131,14 @@ impl From<BinFormatError> for JournalError {
 
 pub(crate) fn io_err(path: &Path, e: std::io::Error) -> JournalError {
     JournalError::Io { path: path.display().to_string(), message: e.to_string() }
+}
+
+fn frame_err(path: &Path, e: FrameError) -> JournalError {
+    let path = path.display().to_string();
+    match e {
+        FrameError::TooLarge { declared } => JournalError::TooLarge { path, declared },
+        e => JournalError::Io { path, message: e.to_string() },
+    }
 }
 
 fn inconsistent(message: impl Into<String>) -> JournalError {
@@ -399,7 +420,7 @@ impl Journal {
             return Ok(());
         }
         for ev in events {
-            ev.sections().write_to(&mut self.file, true).map_err(|e| io_err(&self.path, e))?;
+            ev.sections().write_frame(&mut self.file).map_err(|e| frame_err(&self.path, e))?;
         }
         self.file.sync_data().map_err(|e| io_err(&self.path, e))
     }
@@ -416,31 +437,30 @@ impl Journal {
     /// complete record with the wrong magic or another format version (a
     /// journal written by a different release — reading it as empty would
     /// let the caller compact every accepted job away), a record that
-    /// decodes to nonsense, or damage anywhere but the end of the file.
+    /// decodes to nonsense, a length past [`MAX_FRAME`], or damage anywhere
+    /// but the end of the file.
     pub fn read(path: &Path) -> Result<Vec<JournalEvent>, JournalError> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(io_err(path, e)),
         };
-        let mut events = Vec::new();
-        let mut off = 0usize;
-        while bytes.len() - off >= 8 {
-            let len = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            let Ok(len) = usize::try_from(len) else { break };
-            let start = off + 8;
-            if len > bytes.len() - start {
-                break; // torn tail: record longer than what survived
+        let (mut rest, mut record, mut events) = (&bytes[..], Vec::new(), Vec::new());
+        loop {
+            match read_frame_into(&mut rest, &mut record) {
+                Ok(true) => {}
+                // The end of the file, or a torn tail: a record longer than
+                // what survived, or a cut length word.
+                Ok(false) | Err(FrameError::Truncated) => break,
+                Err(e) => return Err(frame_err(path, e)),
             }
-            let last = start + len == bytes.len();
-            match JournalEvent::from_bytes(&bytes[start..start + len]) {
+            match JournalEvent::from_bytes(&record[..]) {
                 Ok(ev) => events.push(ev),
                 Err(JournalError::Format(
                     BinFormatError::Truncated { .. } | BinFormatError::ChecksumMismatch { .. },
-                )) if last => break, // torn tail record: discard it and stop
+                )) if rest.is_empty() => break, // torn tail record: discard it and stop
                 Err(e) => return Err(e),
             }
-            off = start + len;
         }
         Ok(events)
     }
@@ -452,7 +472,7 @@ impl Journal {
     pub fn compact(&mut self, events: &[JournalEvent]) -> Result<(), JournalError> {
         let mut bytes = Vec::new();
         for ev in events {
-            ev.sections().write_to(&mut bytes, true).expect("writing into a Vec cannot fail");
+            ev.sections().write_frame(&mut bytes).map_err(|e| frame_err(&self.path, e))?;
         }
         atomic_write(&self.path, &bytes)?;
         self.file = std::fs::OpenOptions::new()
@@ -808,6 +828,21 @@ mod tests {
         assert!(matches!(
             Journal::read(&path),
             Err(JournalError::Format(BinFormatError::BadMagic { .. }))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_length_past_the_frame_cap_is_an_error_not_a_tail() {
+        let mut bytes = framed(&JournalEvent::Cancelled { id: 3 }.to_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("hqr_journal_cap{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cap.wal");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            Journal::read(&path),
+            Err(JournalError::TooLarge { declared: u64::MAX, .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

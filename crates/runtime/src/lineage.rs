@@ -5,21 +5,20 @@
 //! slot version can be regenerated by re-executing the task that produced
 //! it — provided that task's inputs are regenerated first, recursively,
 //! bottoming out at the pristine input matrix. This module computes that
-//! recursive set (the *rebuild closure*) and re-executes it serially on a
+//! recursive set (the *rebuild closure*) and runs it on the engine over a
 //! fresh copy of the input, producing bytes that are bitwise identical to
 //! the lost ones (the same guarantee the checkpoint/restart path makes).
 //!
 //! The closure is ancestor-closed: every predecessor of a task in the set
-//! is in the set, so executing the set in ascending task order (program
-//! order is topological) presents every task with exactly the operand
-//! values it saw in the original run.
+//! is in the set, so any order the DAG allows among its tasks presents
+//! every task with exactly the operand values it saw in the original run.
 
-use crate::exec::TFactors;
+use crate::exec::run_engine;
+use crate::fault::ExecOptions;
 use crate::graph::TaskGraph;
-use crate::store::TileStore;
 use crate::task::SlotFamily;
 use hqr_tile::TiledMatrix;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A tile-sized buffer coordinate: `(family, tile row, tile column)`.
 pub type Slot = (SlotFamily, usize, usize);
@@ -73,12 +72,13 @@ pub fn rebuild_closure(graph: &TaskGraph, completed: &[bool], lost: &[Slot]) -> 
     (0..n as u32).filter(|&t| in_set[t as usize]).collect()
 }
 
-/// Re-execute `closure` (ascending, ancestor-closed — the output of
-/// [`rebuild_closure`]) serially on a fresh copy of `input`, and return the
-/// regenerated bytes of each `wanted` slot. `A`-family slots the closure
-/// never writes fall through to their pristine input tile; a wanted factor
-/// slot with no writer in the closure is an error (the caller asked for a
-/// version that never existed).
+/// Re-execute `closure` (an ancestor-closed set, such as
+/// [`rebuild_closure`]'s) on the engine over a fresh copy of `input`, with
+/// every task outside it marked done, and return the regenerated bytes of
+/// each `wanted` slot. `A`-family slots the closure never writes fall
+/// through to their pristine input tile; a wanted factor slot with no
+/// writer in the closure is an error (the caller asked for a version that
+/// never existed), as is a task id outside the graph.
 pub fn recompute_slots(
     graph: &TaskGraph,
     input: &TiledMatrix,
@@ -86,53 +86,37 @@ pub fn recompute_slots(
     closure: &[u32],
     wanted: &[Slot],
 ) -> Result<HashMap<Slot, Box<[f64]>>, String> {
-    if input.mt() != graph.mt() || input.nt() != graph.nt() || input.b() != graph.b() {
-        return Err(format!(
-            "input shape {}x{} tiles of {} does not match graph {}x{} of {}",
-            input.mt(),
-            input.nt(),
-            input.b(),
-            graph.mt(),
-            graph.nt(),
-            graph.b()
-        ));
+    let tasks = graph.tasks();
+    let mut done = vec![true; tasks.len()];
+    let mut written = HashSet::new();
+    for &tid in closure {
+        let out_of_range = || format!("rebuild closure task {tid} is out of range");
+        let t = tasks.get(tid as usize).ok_or_else(out_of_range)?;
+        done[tid as usize] = false;
+        written.extend(t.writes());
     }
-    if ib == 0 || ib > graph.b() {
-        return Err(format!("inner block size {ib} must be in 1..={}", graph.b()));
+    let unwritten = |s: &&Slot| s.0 != SlotFamily::A && !written.contains(*s);
+    if let Some(&(fam, i, j)) = wanted.iter().find(unwritten) {
+        return Err(format!("wanted {}({i},{j}) has no writer in the closure", fam.name()));
     }
+    let nthreads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let opts = ExecOptions { ib: Some(ib), nthreads, ..Default::default() };
     let mut a = input.clone();
-    let mut f = TFactors::allocate_for(graph, ib);
-    {
-        let store = TileStore::new(&mut a, &mut f);
-        let mut prev: i64 = -1;
-        for &tid in closure {
-            if (tid as usize) >= graph.tasks().len() || (tid as i64) <= prev {
-                return Err(format!("rebuild closure is not ascending/in-range at task {tid}"));
-            }
-            prev = tid as i64;
-            // SAFETY: single-threaded, ascending (topological) order over an
-            // ancestor-closed set — the exclusive-writer discipline holds.
-            unsafe { store.run_task(&graph.tasks()[tid as usize], graph.trans()) };
-        }
-    }
-    let mut out = HashMap::with_capacity(wanted.len());
-    for &(fam, i, j) in wanted {
-        let bytes = match fam {
-            SlotFamily::A => a.tile(i, j),
-            _ => f.slot(fam, i, j).ok_or_else(|| {
-                format!("wanted {}({i},{j}) has no writer in the closure", fam.name())
-            })?,
-        };
-        out.insert((fam, i, j), bytes.into());
-    }
-    Ok(out)
+    let (f, _, _) =
+        run_engine(graph, &mut a, &opts, Some(&done), false).map_err(|e| e.to_string())?;
+    let bytes = |&(fam, i, j): &Slot| match fam {
+        SlotFamily::A => a.tile(i, j),
+        _ => f.slot(fam, i, j).expect("the graph allocates every slot a task writes"),
+    };
+    Ok(wanted.iter().map(|s| (*s, bytes(s).into())).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
-    use crate::exec::execute_serial;
+    use crate::exec::{execute_serial, TFactors};
+    use crate::store::TileStore;
 
     fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
         let mut v = Vec::new();
@@ -211,10 +195,10 @@ mod tests {
         let wrong = TiledMatrix::random(3, 2, 4, 1);
         assert!(recompute_slots(&g, &wrong, 4, &[], &[]).is_err());
         let input = TiledMatrix::random(2, 2, 4, 1);
-        let unsorted = vec![1u32, 0];
-        assert!(recompute_slots(&g, &input, 4, &unsorted, &[]).is_err());
         let oob = vec![10_000u32];
         assert!(recompute_slots(&g, &input, 4, &oob, &[]).is_err());
+        // The graph allocates Vg(0,0), but an empty closure never wrote it.
+        assert!(recompute_slots(&g, &input, 4, &[], &[(SlotFamily::Vg, 0, 0)]).is_err());
     }
 
     #[test]

@@ -2,7 +2,12 @@
 //! (`hqr_runtime::sched`) over randomly generated elimination lists: the
 //! critical-path priority must be monotone along every DAG edge. (That the
 //! executor stays bitwise-faithful to the serial run under every policy is
-//! checked by the root package's `tests/oracle.rs`.)
+//! checked by the root package's `tests/oracle.rs`.) The critical-path
+//! ranks are also checked against an upward rank recomputed independently
+//! here. The simulator ranks through the engine's `Frontier`, so these are
+//! its ranks too.
+
+mod support;
 
 use hqr_runtime::analysis::paths_to_exit;
 use hqr_runtime::sched::{panel_first_key, priorities};
@@ -10,6 +15,7 @@ use hqr_runtime::{ElimOp, SchedPolicy, TaskGraph};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use support::{binary_elims, flat_elims};
 
 /// Generate a random valid elimination list: per panel, repeatedly pick a
 /// random alive non-top row as the victim and any alive row above it as
@@ -28,6 +34,40 @@ fn random_elims(mt: usize, nt: usize, seed: u64) -> Vec<ElimOp> {
         alive.shuffle(&mut rng);
     }
     out
+}
+
+/// Independent upward-rank reference: a from-scratch reverse sweep using
+/// only the public graph API, not `hqr_runtime::analysis`.
+fn reference_upward_rank(g: &TaskGraph) -> Vec<u64> {
+    let n = g.tasks().len();
+    let mut rank = vec![0u64; n];
+    for t in (0..n).rev() {
+        let best = g.successors(t).iter().map(|&s| rank[s as usize]).max().unwrap_or(0);
+        rank[t] = best + g.tasks()[t].kind.weight();
+    }
+    rank
+}
+
+#[test]
+fn critical_path_ranks_match_an_independent_reference() {
+    let mut graphs = vec![
+        TaskGraph::build(16, 4, 3, &flat_elims(16, 4)),
+        TaskGraph::build(12, 3, 3, &binary_elims(12, 3)),
+    ];
+    for seed in [7u64, 1234, 0xDEADBEEF] {
+        graphs.push(TaskGraph::build(9, 4, 3, &random_elims(9, 4, seed)));
+    }
+    for g in graphs {
+        let keys = priorities(&g, SchedPolicy::CriticalPath);
+        let reference = reference_upward_rank(&g);
+        for (t, &k) in keys.iter().enumerate() {
+            assert_eq!(
+                u64::MAX - k,
+                reference[t],
+                "task {t}: shared key disagrees with the reference upward rank"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -36,14 +36,14 @@ pub struct SimReport {
     pub node_busy: Vec<f64>,
     /// Realized critical path — the longest weighted chain of task + comm
     /// spans actually scheduled — when the run was traced
-    /// ([`simulate_traced`]); `None` otherwise.
+    /// ([`SimOptions::trace`]); `None` otherwise.
     pub critical_path: Option<RealizedPath>,
     /// Full recorded timeline when the run was traced, in the executor's
     /// own record (records sorted by start, `wall` the makespan, no
     /// scheduler counters); `None` otherwise.
     pub timeline: Option<ExecTrace>,
-    /// Recovery cost when the run was driven by a fault plan (see
-    /// [`simulate_with_faults`]); `None` for fault-free runs.
+    /// Recovery cost when the run was driven by a non-empty fault plan (see
+    /// [`simulate_with`]); `None` for fault-free runs.
     pub overhead: Option<FaultOverhead>,
 }
 
@@ -103,16 +103,29 @@ impl Ord for Event {
 /// static priority keys, so policy comparisons transfer between them.
 pub use hqr_runtime::sched::SchedPolicy;
 
-/// The exact priority keys the simulator's per-node ready queues use under
-/// `policy` (lower sorts first) — exposed so the runtime-vs-sim parity
-/// test can assert both backends rank every task identically.
-pub fn priority_ranks(graph: &TaskGraph, policy: SchedPolicy) -> Vec<u64> {
-    hqr_runtime::sched::priorities(graph, policy)
+/// What a [`simulate_with`] run does besides replaying the DAG.
+#[derive(Clone, Debug)]
+pub struct SimOptions {
+    /// How each node ranks its ready tasks. Default: panel-first.
+    pub policy: SchedPolicy,
+    /// Node crashes and link degradations to inject (any other kind is a
+    /// [`SimError::Config`]). Default: none.
+    pub plan: FaultPlan,
+    /// Record the schedule and its realized critical path. Default: off.
+    pub trace: bool,
+}
+
+impl Default for SimOptions {
+    fn default() -> Self {
+        SimOptions { policy: SchedPolicy::PanelFirst, plan: FaultPlan::default(), trace: false }
+    }
 }
 
 /// Simulate the DAG on `platform` with tiles distributed by `layout`
 /// (owner-computes: each task runs on the node owning its output tile),
 /// using the default panel-first scheduling policy.
+///
+/// Panics on invalid input; [`simulate_with`] is the fallible form.
 ///
 /// ```
 /// use hqr_runtime::{ElimOp, TaskGraph};
@@ -127,97 +140,57 @@ pub fn priority_ranks(graph: &TaskGraph, policy: SchedPolicy) -> Vec<u64> {
 /// assert_eq!(report.messages, 0, "single node never communicates");
 /// ```
 pub fn simulate(graph: &TaskGraph, layout: &Layout, platform: &Platform) -> SimReport {
-    simulate_with_policy(graph, layout, platform, SchedPolicy::PanelFirst)
+    simulate_with(graph, layout, platform, &SimOptions::default()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`simulate`] with an explicit scheduling policy.
+/// Simulate under `opts`: its scheduling policy, its fault plan and,
+/// when `opts.trace` is set, with the schedule recorded.
 ///
-/// Panics on invalid input; [`simulate_with_faults`] is the fallible form.
-pub fn simulate_with_policy(
-    graph: &TaskGraph,
-    layout: &Layout,
-    platform: &Platform,
-    policy: SchedPolicy,
-) -> SimReport {
-    match run_sim(graph, layout, platform, policy, &FaultPlan::default(), false) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Simulate under a [`FaultPlan`] of node crashes and link degradations
-/// (any other kind is a [`SimError::Config`]): node crashes abort the node's
-/// queued and in-flight tasks and lose every intermediate tile it produced;
-/// lineage-based recovery re-executes exactly the lost-but-still-needed
-/// producers on the surviving nodes (restaging surviving inputs over the
-/// interconnect), and link degradations worsen the LogGP parameters from
-/// their trigger time onward.
-///
-/// The returned report carries a [`FaultOverhead`] comparing against the
-/// fault-free baseline of the same configuration (run internally).
-///
-/// The original input tiles are assumed durably re-loadable (e.g. from the
+/// Node crashes abort the node's queued and in-flight tasks and lose every
+/// intermediate tile it produced; lineage-based recovery re-executes
+/// exactly the lost-but-still-needed producers on the surviving nodes
+/// (restaging surviving inputs over the interconnect), and link
+/// degradations worsen the LogGP parameters from their trigger time
+/// onward. A non-empty plan's report carries a [`FaultOverhead`] against
+/// the fault-free baseline of the same configuration (run internally). The
+/// original input tiles are assumed durably re-loadable (e.g. from the
 /// parallel file system); only *intermediate* results are lost with a node.
+///
+/// A traced report carries the full timeline as an [`ExecTrace`] (task
+/// records per core lane, inter-node transfers, crash/degrade instants —
+/// render it with [`hqr_runtime::chrome_trace_from_exec`]) and the realized
+/// critical path extracted from it. A platform with more core lanes than a
+/// `u16` can index is a [`SimError::Config`].
 ///
 /// ```
 /// use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
-/// use hqr_sim::{simulate_with_faults, Platform, SchedPolicy};
+/// use hqr_sim::{simulate_with, Platform, SimOptions};
 /// use hqr_tile::Layout;
 /// let elims: Vec<ElimOp> = (1..6).map(|i| ElimOp::new(0, i, 0, true)).collect();
 /// let graph = TaskGraph::build(6, 1, 120, &elims);
 /// let p = Platform { nodes: 3, cores_per_node: 2, ..Platform::edel() };
-/// let plan = FaultPlan::default().crash_node(1, 1e-4);
-/// let r = simulate_with_faults(&graph, &Layout::cyclic_rows(3), &p, SchedPolicy::PanelFirst, &plan)
-///     .unwrap();
+/// let opts = SimOptions { plan: FaultPlan::default().crash_node(1, 1e-4), ..Default::default() };
+/// let r = simulate_with(&graph, &Layout::cyclic_rows(3), &p, &opts).unwrap();
 /// let o = r.overhead.unwrap();
 /// assert_eq!(o.nodes_lost, 1);
 /// assert!(o.baseline_makespan > 0.0 && r.makespan > 0.0);
 /// ```
-pub fn simulate_with_faults(
+pub fn simulate_with(
     graph: &TaskGraph,
     layout: &Layout,
     platform: &Platform,
-    policy: SchedPolicy,
-    plan: &FaultPlan,
+    opts: &SimOptions,
 ) -> Result<SimReport, SimError> {
-    simulate_impl(graph, layout, platform, policy, plan, false)
-}
-
-/// [`simulate_with_faults`] with timeline recording enabled: the returned
-/// report additionally carries the full timeline as an [`ExecTrace`] (task
-/// records per core lane, inter-node transfers, crash/degrade instants —
-/// render it with [`hqr_runtime::chrome_trace_from_exec`]) and the
-/// realized critical path extracted from it. A platform with more core
-/// lanes than a `u16` can index is a [`SimError::Config`].
-pub fn simulate_traced(
-    graph: &TaskGraph,
-    layout: &Layout,
-    platform: &Platform,
-    policy: SchedPolicy,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    simulate_impl(graph, layout, platform, policy, plan, true)
-}
-
-fn simulate_impl(
-    graph: &TaskGraph,
-    layout: &Layout,
-    platform: &Platform,
-    policy: SchedPolicy,
-    plan: &FaultPlan,
-    trace: bool,
-) -> Result<SimReport, SimError> {
+    let SimOptions { policy, ref plan, trace } = *opts;
     validate(plan, platform.nodes)?;
     let mut report = run_sim(graph, layout, platform, policy, plan, trace)?;
-    let baseline = if plan.is_empty() {
-        report.makespan
-    } else {
-        run_sim(graph, layout, platform, policy, &FaultPlan::default(), false)?.makespan
-    };
-    let overhead = report.overhead.get_or_insert_with(FaultOverhead::default);
-    overhead.baseline_makespan = baseline;
-    overhead.makespan_inflation =
-        if baseline > 0.0 { report.makespan / baseline - 1.0 } else { 0.0 };
+    if let Some(overhead) = &mut report.overhead {
+        let fault_free = run_sim(graph, layout, platform, policy, &FaultPlan::default(), false)?;
+        let baseline = fault_free.makespan;
+        overhead.baseline_makespan = baseline;
+        overhead.makespan_inflation =
+            if baseline > 0.0 { report.makespan / baseline - 1.0 } else { 0.0 };
+    }
     Ok(report)
 }
 
@@ -579,7 +552,7 @@ fn run_sim(
     let overhead = if plan.is_empty() {
         None
     } else {
-        // Baseline fields are filled in by `simulate_with_faults`.
+        // Baseline fields are filled in by `simulate_with`.
         Some(FaultOverhead {
             baseline_makespan: 0.0,
             makespan_inflation: 0.0,
@@ -605,7 +578,7 @@ fn run_sim(
     })
 }
 
-/// Engine-side scribe of [`simulate_traced`]: lane bookkeeping plus the
+/// Engine-side scribe of a traced [`simulate_with`]: lane bookkeeping plus the
 /// accumulating trace, in the real executor's own record, so
 /// [`hqr_runtime::chrome_trace_from_exec`] renders a simulated schedule
 /// and a measured one alike. Lanes are numbered node-major:
@@ -860,7 +833,8 @@ mod tests {
         let lay = Layout::cyclic_rows(2);
         let total: f64 = g.tasks().iter().map(|t| p.kernel_seconds(t.kind, 40)).sum();
         for policy in [SchedPolicy::PanelFirst, SchedPolicy::Fifo, SchedPolicy::CriticalPath] {
-            let r = simulate_with_policy(&g, &lay, &p, policy);
+            let r =
+                simulate_with(&g, &lay, &p, &SimOptions { policy, ..Default::default() }).unwrap();
             assert!(r.makespan >= total / 8.0 - 1e-12, "{policy:?} beats the work bound");
             assert!(r.makespan <= total + 1.0, "{policy:?} slower than fully serial");
         }
@@ -872,8 +846,11 @@ mod tests {
         // must not lose to FIFO.
         let g = TaskGraph::build(24, 2, 40, &flat_elims(24, 2));
         let p = Platform { nodes: 1, cores_per_node: 4, ..Platform::edel() };
-        let cp = simulate_with_policy(&g, &Layout::Single, &p, SchedPolicy::CriticalPath);
-        let ff = simulate_with_policy(&g, &Layout::Single, &p, SchedPolicy::Fifo);
+        let run = |policy| {
+            let opts = SimOptions { policy, ..Default::default() };
+            simulate_with(&g, &Layout::Single, &p, &opts).unwrap()
+        };
+        let (cp, ff) = (run(SchedPolicy::CriticalPath), run(SchedPolicy::Fifo));
         assert!(cp.makespan <= ff.makespan + 1e-9, "cp {} vs fifo {}", cp.makespan, ff.makespan);
     }
 

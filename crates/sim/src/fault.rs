@@ -54,7 +54,7 @@ pub(crate) fn validate(plan: &FaultPlan, nodes: usize) -> Result<(), SimError> {
 
 /// Recovery cost of a faulty run, attached to the
 /// [`SimReport`](crate::SimReport) by
-/// [`simulate_with_faults`](crate::simulate_with_faults).
+/// [`simulate_with`](crate::simulate_with) under a non-empty plan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultOverhead {
     /// Makespan of the identical fault-free run.

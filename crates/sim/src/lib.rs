@@ -14,10 +14,17 @@
 //! * a latency/bandwidth link model with per-NIC send/receive
 //!   serialization, which is what makes flat trees latency-bound and
 //!   hierarchical trees "communication-avoiding";
-//! * opt-in schedule recording ([`simulate_traced`]) into the real
-//!   executor's own record, [`hqr_runtime::ExecTrace`] — node-major core
-//!   lanes, inter-node transfers, crash and degrade instants — so both
-//!   backends render through [`hqr_runtime::chrome_trace_from_exec`].
+//! * node crashes with lineage recovery, and link degradations, from a
+//!   [`hqr_runtime::FaultPlan`];
+//! * opt-in schedule recording into the real executor's own record,
+//!   [`hqr_runtime::ExecTrace`] — node-major core lanes, inter-node
+//!   transfers, crash and degrade instants — so both backends render
+//!   through [`hqr_runtime::chrome_trace_from_exec`].
+//!
+//! There are two entry points. [`simulate`] replays a DAG fault-free under
+//! the panel-first policy and panics on invalid input. [`simulate_with`]
+//! takes [`SimOptions`] (policy, fault plan, tracing) and returns
+//! [`SimError`] instead.
 //!
 //! The absolute GFlop/s numbers are a model, but the *shape* of the results
 //! (which tree wins for which matrix shape, the effect of `a` and of the
@@ -30,9 +37,6 @@ pub mod fault;
 pub mod platform;
 pub mod scalapack;
 
-pub use des::{
-    priority_ranks, simulate, simulate_traced, simulate_with_faults, simulate_with_policy,
-    SchedPolicy, SimReport,
-};
+pub use des::{simulate, simulate_with, SchedPolicy, SimOptions, SimReport};
 pub use fault::{FaultOverhead, SimError};
 pub use platform::{KernelRates, LinkModel, Platform};

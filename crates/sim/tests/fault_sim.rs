@@ -5,10 +5,20 @@
 mod support;
 
 use hqr_runtime::{FaultPlan, SdcFault, SdcPattern, TaskGraph};
-use hqr_sim::{simulate, simulate_with_faults, Platform, SchedPolicy, SimError};
+use hqr_sim::{simulate, simulate_with, Platform, SimError, SimOptions, SimReport};
 use hqr_tile::Layout;
 use std::time::Duration;
 use support::{binary_elims, flat_elims};
+
+/// A panel-first run under `plan`.
+fn faulty(
+    g: &TaskGraph,
+    lay: &Layout,
+    p: &Platform,
+    plan: &FaultPlan,
+) -> Result<SimReport, SimError> {
+    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), ..Default::default() })
+}
 
 fn test_platform(nodes: usize) -> Platform {
     Platform { nodes, cores_per_node: 2, ..Platform::edel() }
@@ -26,8 +36,7 @@ fn node_crash_mid_run_recovers_with_overhead() {
     // Crash a node ~30% into the fault-free makespan: plenty completed,
     // plenty left to poison downstream.
     let plan = FaultPlan::default().crash_node(1, 0.3 * baseline.makespan);
-    let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan)
-        .expect("recovery must complete");
+    let r = faulty(&g, &lay, &p, &plan).expect("recovery must complete");
     let o = r.overhead.as_ref().expect("faulty run reports overhead");
     assert_eq!(o.baseline_makespan, baseline.makespan);
     assert_eq!(o.nodes_lost, 1);
@@ -47,7 +56,7 @@ fn crash_after_completion_costs_nothing() {
     let lay = Layout::cyclic_rows(2);
     let baseline = simulate(&g, &lay, &p);
     let plan = FaultPlan::default().crash_node(0, 10.0 * baseline.makespan);
-    let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
+    let r = faulty(&g, &lay, &p, &plan).unwrap();
     let o = r.overhead.unwrap();
     assert_eq!(r.makespan, baseline.makespan);
     assert_eq!(o.reexecuted_tasks, 0);
@@ -62,7 +71,7 @@ fn crash_at_time_zero_runs_everything_on_survivors() {
     let p = test_platform(3);
     let lay = Layout::cyclic_rows(3);
     let plan = FaultPlan::default().crash_node(2, 0.0);
-    let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
+    let r = faulty(&g, &lay, &p, &plan).unwrap();
     let o = r.overhead.unwrap();
     // Nothing had completed, so nothing re-executes — work just re-homes.
     assert_eq!(o.reexecuted_tasks, 0);
@@ -78,7 +87,7 @@ fn link_degradation_inflates_makespan_without_losing_work() {
     let baseline = simulate(&g, &lay, &p);
     // Collapse bandwidth to 2% and 10x the latency from the start.
     let plan = FaultPlan::default().degrade_link(0.0, 0.02, 10.0);
-    let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
+    let r = faulty(&g, &lay, &p, &plan).unwrap();
     let o = r.overhead.unwrap();
     assert!(r.makespan > baseline.makespan, "{} vs {}", r.makespan, baseline.makespan);
     assert!(o.makespan_inflation > 0.0);
@@ -93,12 +102,10 @@ fn empty_plan_matches_fault_free_run() {
     let p = test_platform(2);
     let lay = Layout::cyclic_rows(2);
     let r0 = simulate(&g, &lay, &p);
-    let r1 =
-        simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default()).unwrap();
+    let r1 = faulty(&g, &lay, &p, &FaultPlan::default()).unwrap();
     assert_eq!(r0.makespan, r1.makespan);
     assert_eq!(r0.messages, r1.messages);
-    assert!(r1.overhead.is_some(), "fallible API always reports overhead");
-    assert_eq!(r1.overhead.unwrap().makespan_inflation, 0.0);
+    assert!(r1.overhead.is_none(), "a fault-free run reports no recovery");
 }
 
 #[test]
@@ -109,8 +116,8 @@ fn faulty_runs_are_deterministic() {
     let lay = Layout::cyclic_rows(3);
     let base = simulate(&g, &lay, &p).makespan;
     let plan = FaultPlan::default().crash_node(0, 0.4 * base).degrade_link(0.1 * base, 0.5, 2.0);
-    let r1 = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
-    let r2 = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
+    let r1 = faulty(&g, &lay, &p, &plan).unwrap();
+    let r2 = faulty(&g, &lay, &p, &plan).unwrap();
     assert_eq!(r1.makespan, r2.makespan);
     assert_eq!(r1.messages, r2.messages);
     assert_eq!(r1.bytes, r2.bytes);
@@ -125,7 +132,7 @@ fn double_crash_still_recovers_onto_last_survivor() {
     let lay = Layout::cyclic_rows(3);
     let base = simulate(&g, &lay, &p).makespan;
     let plan = FaultPlan::default().crash_node(0, 0.2 * base).crash_node(1, 0.5 * base);
-    let r = simulate_with_faults(&g, &lay, &p, SchedPolicy::PanelFirst, &plan).unwrap();
+    let r = faulty(&g, &lay, &p, &plan).unwrap();
     let o = r.overhead.unwrap();
     assert_eq!(o.nodes_lost, 2);
     assert!(r.makespan >= base);
@@ -136,7 +143,7 @@ fn crashing_every_node_is_rejected() {
     let g = TaskGraph::build(4, 2, 40, &flat_elims(4, 2));
     let p = test_platform(2);
     let plan = FaultPlan::default().crash_node(0, 0.1).crash_node(1, 0.2);
-    match simulate_with_faults(&g, &Layout::cyclic_rows(2), &p, SchedPolicy::PanelFirst, &plan) {
+    match faulty(&g, &Layout::cyclic_rows(2), &p, &plan) {
         Err(SimError::AllNodesCrashed { nodes: 2 }) => {}
         other => panic!("expected AllNodesCrashed, got {other:?}"),
     }
@@ -159,8 +166,7 @@ fn simulator_refuses_faults_it_cannot_inject() {
     ];
     for (what, plan) in rows {
         let plan = plan.crash_node(1, 1e-4);
-        match simulate_with_faults(&g, &Layout::cyclic_rows(2), &p, SchedPolicy::PanelFirst, &plan)
-        {
+        match faulty(&g, &Layout::cyclic_rows(2), &p, &plan) {
             Err(SimError::Config { message }) => {
                 assert!(message.starts_with("the simulator cannot inject"), "{what}: {message}")
             }
@@ -173,13 +179,7 @@ fn simulator_refuses_faults_it_cannot_inject() {
 fn invalid_layout_is_a_typed_error_in_the_fallible_api() {
     let g = TaskGraph::build(4, 2, 40, &flat_elims(4, 2));
     let p = test_platform(2);
-    match simulate_with_faults(
-        &g,
-        &Layout::cyclic_rows(4),
-        &p,
-        SchedPolicy::PanelFirst,
-        &FaultPlan::default(),
-    ) {
+    match faulty(&g, &Layout::cyclic_rows(4), &p, &FaultPlan::default()) {
         Err(SimError::Config { message }) => assert!(message.contains("layout addresses")),
         other => panic!("expected Config error, got {other:?}"),
     }

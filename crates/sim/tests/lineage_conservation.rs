@@ -12,9 +12,19 @@ mod support;
 use std::collections::BTreeSet;
 
 use hqr_runtime::{FaultPlan, TaskGraph, TaskRecord};
-use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy};
+use hqr_sim::{simulate, simulate_with, Platform, SimError, SimOptions, SimReport};
 use hqr_tile::Layout;
 use support::binary_elims;
+
+/// A traced panel-first run under `plan`.
+fn traced(
+    g: &TaskGraph,
+    lay: &Layout,
+    p: &Platform,
+    plan: &FaultPlan,
+) -> Result<SimReport, SimError> {
+    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), trace: true, ..Default::default() })
+}
 
 /// The lineage closure, recomputed from first principles over the
 /// recorded trace.  Delivery in the DES is eager, so unfinished tasks
@@ -81,8 +91,7 @@ fn lineage_recovery_reexecutes_exactly_the_needed_lost_producers() {
     let crashed = 1;
     let crash_at = 0.47 * baseline;
     let plan = FaultPlan::default().crash_node(crashed, crash_at);
-    let report =
-        simulate_traced(&graph, &layout, &platform, SchedPolicy::PanelFirst, &plan).unwrap();
+    let report = traced(&graph, &layout, &platform, &plan).unwrap();
     let overhead = report.overhead.clone().expect("faulty run carries overhead");
     let timeline = report.timeline.as_ref().expect("traced run carries timeline");
 
@@ -135,8 +144,7 @@ fn fault_overhead_components_account_for_the_makespan_delta() {
     let layout = Layout::cyclic_rows(platform.nodes);
     let baseline = simulate(&graph, &layout, &platform).makespan;
     let plan = FaultPlan::default().crash_node(2, 0.53 * baseline);
-    let report =
-        simulate_traced(&graph, &layout, &platform, SchedPolicy::PanelFirst, &plan).unwrap();
+    let report = traced(&graph, &layout, &platform, &plan).unwrap();
     let overhead = report.overhead.clone().unwrap();
     let timeline = report.timeline.as_ref().unwrap();
 
@@ -186,8 +194,7 @@ fn crash_free_fault_plan_has_zero_overhead_components() {
     let layout = Layout::cyclic_rows(platform.nodes);
     // A degrade-only plan loses no data: nothing may be re-executed.
     let plan = FaultPlan::default().degrade_link(0.1, 0.5, 2.0);
-    let report =
-        simulate_traced(&graph, &layout, &platform, SchedPolicy::PanelFirst, &plan).unwrap();
+    let report = traced(&graph, &layout, &platform, &plan).unwrap();
     let overhead = report.overhead.clone().unwrap();
     assert_eq!(overhead.reexecuted_tasks, 0);
     assert_eq!(overhead.aborted_tasks, 0);

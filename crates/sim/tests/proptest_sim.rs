@@ -2,10 +2,15 @@
 //! scheduling bounds must hold for arbitrary DAGs, layouts and platforms.
 
 use hqr_runtime::{ElimOp, TaskGraph};
-use hqr_sim::{simulate_with_policy, Platform, SchedPolicy};
+use hqr_sim::{simulate_with, Platform, SchedPolicy, SimOptions, SimReport};
 use hqr_tile::{Layout, ProcessGrid};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+/// A fault-free run under `policy`.
+fn run(g: &TaskGraph, lay: &Layout, p: &Platform, policy: SchedPolicy) -> SimReport {
+    simulate_with(g, lay, p, &SimOptions { policy, ..Default::default() }).unwrap()
+}
 
 fn random_elims(mt: usize, nt: usize, seed: u64) -> Vec<ElimOp> {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
@@ -39,7 +44,7 @@ proptest! {
         let platform = Platform { nodes: p * q, cores_per_node: cores, ..Platform::edel() };
         let layout = Layout::Cyclic2D(ProcessGrid::new(p, q));
         let policy = [SchedPolicy::PanelFirst, SchedPolicy::Fifo, SchedPolicy::CriticalPath][policy_sel];
-        let r = simulate_with_policy(&g, &layout, &platform, policy);
+        let r = run(&g, &layout, &platform, policy);
         let total: f64 = g.tasks().iter().map(|t| platform.kernel_seconds(t.kind, b)).sum();
         let total_cores = (p * q * cores) as f64;
         prop_assert!(r.makespan >= total / total_cores - 1e-9, "work bound violated");
@@ -64,8 +69,8 @@ proptest! {
             link: hqr_sim::LinkModel { latency: 0.0, bandwidth: f64::INFINITY, overhead: 0.0 },
             ..base
         };
-        let r_slow = simulate_with_policy(&g, &layout, &base, SchedPolicy::PanelFirst);
-        let r_fast = simulate_with_policy(&g, &layout, &free, SchedPolicy::PanelFirst);
+        let r_slow = run(&g, &layout, &base, SchedPolicy::PanelFirst);
+        let r_fast = run(&g, &layout, &free, SchedPolicy::PanelFirst);
         prop_assert!(r_fast.makespan <= r_slow.makespan + 1e-12);
         prop_assert_eq!(r_fast.messages, r_slow.messages, "same DAG, same message structure");
     }
@@ -76,7 +81,7 @@ proptest! {
         let elims = random_elims(mt, nt, seed);
         let g = TaskGraph::build(mt, nt, 16, &elims);
         let platform = Platform { nodes: 1, cores_per_node: 4, ..Platform::edel() };
-        let r = simulate_with_policy(&g, &Layout::Single, &platform, SchedPolicy::PanelFirst);
+        let r = run(&g, &Layout::Single, &platform, SchedPolicy::PanelFirst);
         prop_assert_eq!(r.messages, 0);
         prop_assert_eq!(r.bytes, 0.0);
     }

@@ -6,9 +6,19 @@ mod support;
 
 use hqr_runtime::{chrome_trace_from_exec, validate_chrome_trace};
 use hqr_runtime::{ExecTrace, FaultPlan, InstantKind, TaskGraph};
-use hqr_sim::{simulate, simulate_traced, Platform, SchedPolicy, SimError};
+use hqr_sim::{simulate, simulate_with, Platform, SchedPolicy, SimError, SimOptions, SimReport};
 use hqr_tile::Layout;
 use support::flat_elims;
+
+/// A traced panel-first run under `plan`.
+fn traced(
+    g: &TaskGraph,
+    lay: &Layout,
+    p: &Platform,
+    plan: &FaultPlan,
+) -> Result<SimReport, SimError> {
+    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), trace: true, ..Default::default() })
+}
 
 /// Records on one lane never overlap.
 fn assert_lanes_disjoint(tl: &ExecTrace) {
@@ -36,8 +46,7 @@ fn traced_run_matches_untraced_and_extracts_bounded_cp() {
     let p = Platform { nodes: 2, cores_per_node: 3, ..Platform::edel() };
     let lay = Layout::cyclic_rows(2);
     let plain = simulate(&g, &lay, &p);
-    let traced = simulate_traced(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default())
-        .expect("traced run");
+    let traced = traced(&g, &lay, &p, &FaultPlan::default()).expect("traced run");
     // Recording is an observer: identical schedule.
     assert_eq!(plain.makespan, traced.makespan);
     assert_eq!(plain.messages, traced.messages);
@@ -96,8 +105,7 @@ fn traced_crash_run_records_instants_and_keeps_cp_bounds() {
     let g = TaskGraph::build(mt, 1, 40, &flat_elims(mt, 1));
     let p = Platform { nodes: 3, cores_per_node: 2, ..Platform::edel() };
     let plan = FaultPlan::default().crash_node(1, 1e-4).degrade_link(2e-4, 0.5, 2.0);
-    let r = simulate_traced(&g, &Layout::cyclic_rows(3), &p, SchedPolicy::PanelFirst, &plan)
-        .expect("faulty traced run");
+    let r = traced(&g, &Layout::cyclic_rows(3), &p, &plan).expect("faulty traced run");
     let tl = r.timeline.as_ref().unwrap();
     let cores = p.cores_per_node;
     assert!(
@@ -135,12 +143,12 @@ fn more_lanes_than_a_u16_names_is_a_config_error_when_traced() {
     let g = TaskGraph::build(2, 1, 40, &flat_elims(2, 1));
     let p = Platform { nodes: 257, cores_per_node: 256, ..Platform::edel() };
     let lay = Layout::cyclic_rows(2);
-    let r = simulate_traced(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default());
+    let r = traced(&g, &lay, &p, &FaultPlan::default());
     assert!(matches!(r, Err(SimError::Config { .. })), "{r:?}");
     // Untraced, the platform is fine: only lane numbering needs the bound.
     assert!(simulate(&g, &lay, &p).makespan > 0.0);
     // 65536 lanes is the largest platform a trace can name.
     let p = Platform { nodes: 256, ..p };
-    let r = simulate_traced(&g, &lay, &p, SchedPolicy::PanelFirst, &FaultPlan::default());
+    let r = traced(&g, &lay, &p, &FaultPlan::default());
     assert_eq!(r.unwrap().timeline.unwrap().nthreads, 65536);
 }

@@ -430,37 +430,40 @@ impl<'a> SectionList<'a> {
         self.len + 8
     }
 
-    /// Write the finished container to `w`, behind its `u64` little-endian
-    /// length when `framed` (the journal's and the protocol's framing).
-    pub fn write_to(&self, w: &mut impl Write, framed: bool) -> std::io::Result<()> {
-        let mut sum = Checksum64::new();
-        self.parts.iter().for_each(|p| sum.update(p));
-        let len = (self.encoded_len() as u64).to_le_bytes();
-        let prefix: &[u8] = if framed { &len } else { &[] };
-        let trailer = sum.finish().to_le_bytes();
-        let pieces = std::iter::once(prefix).chain(self.parts.iter().map(|p| &**p));
-        write_all_vectored(w, pieces.chain([&trailer[..]]))
+    /// Write the finished container to `w`.
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        self.write_with_prefix(w, &[])
     }
 
     /// Send the container as one frame (see [`write_frame`]): refused whole
     /// past [`MAX_FRAME`], its parts handed to `w` uncopied, then flushed.
     pub fn write_frame(&self, w: &mut impl Write) -> Result<(), FrameError> {
-        check_frame_len(self.encoded_len() as u64)?;
-        self.write_to(w, true)?;
+        let len = self.encoded_len() as u64;
+        check_frame_len(len)?;
+        self.write_with_prefix(w, &len.to_le_bytes())?;
         Ok(w.flush()?)
+    }
+
+    /// The container behind `prefix`, as one vectored write.
+    fn write_with_prefix(&self, w: &mut impl Write, prefix: &[u8]) -> std::io::Result<()> {
+        let mut sum = Checksum64::new();
+        self.parts.iter().for_each(|p| sum.update(p));
+        let trailer = sum.finish().to_le_bytes();
+        let pieces = std::iter::once(prefix).chain(self.parts.iter().map(|p| &**p));
+        write_all_vectored(w, pieces.chain([&trailer[..]]))
     }
 
     /// The finished container as bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        self.write_to(&mut out, false).expect("writing into a Vec cannot fail");
+        self.write_to(&mut out).expect("writing into a Vec cannot fail");
         out
     }
 
     /// Write the container to `path` with [`atomic_write`]'s discipline,
     /// streamed from the parts.
     pub fn write_atomic(&self, path: &Path) -> Result<(), BinFormatError> {
-        atomic_write_with(path, |f| self.write_to(f, false))
+        atomic_write_with(path, |f| self.write_to(f))
     }
 }
 

@@ -6,7 +6,7 @@
 
 use hqr::baselines;
 use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
-use hqr_sim::{simulate, simulate_with_faults, Platform, SchedPolicy, SimReport};
+use hqr_sim::{simulate, simulate_with, Platform, SimOptions, SimReport};
 use hqr_tile::{Layout, ProcessGrid};
 
 fn run(setup: &baselines::AlgorithmSetup) -> SimReport {
@@ -128,7 +128,8 @@ fn pin_crash_recovery_runs() {
         let g = TaskGraph::build(mt as usize, nt as usize, 40, ops);
         let t = simulate(&g, &layout, &p).makespan;
         for ((what, plan), pin) in plans(t).iter().zip(pins) {
-            let r = simulate_with_faults(&g, &layout, &p, SchedPolicy::PanelFirst, plan).unwrap();
+            let opts = SimOptions { plan: plan.clone(), ..Default::default() };
+            let r = simulate_with(&g, &layout, &p, &opts).unwrap();
             let o = r.overhead.unwrap();
             let got: CrashPin = (
                 r.makespan.to_bits(),
