@@ -358,6 +358,15 @@ impl JournalEvent {
     }
 }
 
+/// The length of the `Accepted` record of a job with this encoded spec and
+/// dedup key (a section's header does not depend on its payload's length).
+pub(crate) fn accepted_len(dedup: Option<&str>, spec: &[u8]) -> u64 {
+    let (dedup, payload) = (dedup.map(|_| String::new()), dedup.map_or(0, str::len) + spec.len());
+    let ev =
+        JournalEvent::Accepted { id: 0, attempts: 0, tasks_total: 0, dedup, spec: Some(vec![]) };
+    (ev.sections().encoded_len() + payload) as u64
+}
+
 /// Append-only handle on the write-ahead journal file.
 pub struct Journal {
     path: PathBuf,
@@ -415,14 +424,22 @@ impl Journal {
     /// returns: a crash one instant later replays them, and one before it
     /// leaves a prefix of them, the last possibly torn — what
     /// [`Journal::read`] tolerates. Appending nothing syncs nothing.
+    ///
+    /// A record past [`MAX_FRAME`] is refused unwritten, after the rest of
+    /// the batch is written and synced.
     pub fn append(&mut self, events: &[JournalEvent]) -> Result<(), JournalError> {
         if events.is_empty() {
             return Ok(());
         }
+        let mut refused = Ok(());
         for ev in events {
-            ev.sections().write_frame(&mut self.file).map_err(|e| frame_err(&self.path, e))?;
+            match ev.sections().write_frame(&mut self.file) {
+                Err(e @ FrameError::TooLarge { .. }) => refused = refused.and(Err(e)),
+                written => written.map_err(|e| frame_err(&self.path, e))?,
+            }
         }
-        self.file.sync_data().map_err(|e| io_err(&self.path, e))
+        self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
+        refused.map_err(|e| frame_err(&self.path, e))
     }
 
     /// Read every intact record from the journal at `path`, oldest first.
@@ -844,6 +861,31 @@ mod tests {
             Journal::read(&path),
             Err(JournalError::TooLarge { declared: u64::MAX, .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record past the cap is refused before any of its bytes reach the
+    /// file, and the records around it in the batch are still written and
+    /// synced. The oversized spec is never touched, so never paged in.
+    #[test]
+    fn an_oversized_record_is_refused_without_losing_the_rest_of_its_batch() {
+        let dir = std::env::temp_dir().join(format!("hqr_journal_big{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.wal");
+        let _ = std::fs::remove_file(&path);
+        let big = JournalEvent::Accepted {
+            id: 2,
+            attempts: 0,
+            tasks_total: 1,
+            dedup: None,
+            spec: Some(vec![0; MAX_FRAME as usize]),
+        };
+        let (before, after) =
+            (JournalEvent::Cancelled { id: 1 }, JournalEvent::Cancelled { id: 3 });
+        let mut j = Journal::open(&path).unwrap();
+        let err = j.append(&[before.clone(), big, after.clone()]).unwrap_err();
+        assert!(matches!(err, JournalError::TooLarge { declared, .. } if declared > MAX_FRAME));
+        assert_eq!(Journal::read(&path).unwrap(), vec![before, after]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -71,7 +71,9 @@ use crate::exec::{
 use crate::fault::{FaultKind, FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
 use crate::integrity::IntegrityMode;
-use crate::journal::{io_err, result_from_bytes, Journal, JournalError, JournalEvent, ResultStore};
+use crate::journal::{
+    accepted_len, io_err, result_from_bytes, Journal, JournalError, JournalEvent, ResultStore,
+};
 pub use crate::pool_step::SuspendKind;
 use crate::pool_step::{
     over_budget, snapshot, step, Conclusion, Effect, Event, Job, Observed, PoolState, Verdict,
@@ -80,6 +82,7 @@ use crate::sched::SchedPolicy;
 use crate::store::{working_set_bytes, RunPlan, TileStore};
 use hqr_tile::io::{
     bytes_of_u64s, tiled_parts, u64s_of_bytes, BinFormatError, SectionList, SectionReader,
+    MAX_FRAME,
 };
 use hqr_tile::TiledMatrix;
 
@@ -948,7 +951,8 @@ fn reject_non_finite(a: &TiledMatrix, what: &str) -> Result<(), SubmitError> {
 
 /// Validate a spec, price it, and turn it into the [`Job`] that travels
 /// through the pool: the one place a spec is taken apart. `journaled` pools
-/// get the spec's encoding along, for the `Accepted` record.
+/// get the spec's encoding along, for the `Accepted` record, and refuse a
+/// job whose record would pass [`MAX_FRAME`].
 fn prepare(spec: JobSpec, cfg: &PoolConfig, journaled: bool) -> Result<(Job, Held), SubmitError> {
     // Worker indices belong to one engine run, and a lost completion would
     // wedge the pool's progress accounting: the pool injects task kinds only.
@@ -976,6 +980,10 @@ fn prepare(spec: JobSpec, cfg: &PoolConfig, journaled: bool) -> Result<(Job, Hel
     let need = working_set_bytes(&graph, ib)
         + if spec.job_retries > 0 { (a.rows() * a.cols() * 8) as u64 } else { 0 };
     let bytes = journaled.then(|| spec.to_bytes());
+    let record = bytes.as_deref().map_or(0, |b| accepted_len(spec.dedup_key.as_deref(), b));
+    if record > MAX_FRAME {
+        return Err(invalid(format!("its {record}-byte journal record passes the frame cap")));
+    }
     let tasks_total = graph.tasks().len();
     let JobSpec { input, qos, policy, integrity, max_retries, job_retries, deadline, plan, .. } =
         spec;
@@ -1825,6 +1833,31 @@ mod tests {
         spec.dedup_key = None;
         let decoded = JobSpec::from_bytes(spec.to_bytes()).expect("roundtrip");
         assert_eq!(decoded.dedup_key, None);
+    }
+
+    /// A journaled pool refuses a job whose `Accepted` record would pass
+    /// the frame cap, rather than accept it and fail to journal it; a pool
+    /// without a journal takes it. The dedup key travels twice in that
+    /// record, in the spec and beside it, so half the cap is enough; its
+    /// zero pages are touched only where the spec encoding copies them.
+    #[test]
+    fn a_job_whose_journal_record_would_pass_the_frame_cap_is_refused() {
+        let spec = || {
+            let mut spec = JobSpec::fresh(flat_elims(2, 1), TiledMatrix::random(2, 1, 4, 9));
+            spec.dedup_key = Some(String::from_utf8(vec![0; MAX_FRAME as usize / 2]).unwrap());
+            spec
+        };
+        let Err(SubmitError::Invalid { message }) = prepare(spec(), &PoolConfig::default(), true)
+        else {
+            panic!("a journaled pool must refuse the job")
+        };
+        assert!(message.contains("journal record"), "{message}");
+        assert!(prepare(spec(), &PoolConfig::default(), false).is_ok());
+        // The length checked is the length written.
+        let small = JobSpec::fresh(flat_elims(2, 1), TiledMatrix::random(2, 1, 4, 9)).to_bytes();
+        let (dedup, spec) = (Some("k".to_string()), Some(small.clone()));
+        let ev = JournalEvent::Accepted { id: 1, attempts: 0, tasks_total: 3, dedup, spec };
+        assert_eq!(accepted_len(Some("k"), &small), ev.to_bytes().len() as u64);
     }
 
     /// Benchmark finding 2: a completed job's record kept the whole

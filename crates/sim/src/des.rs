@@ -311,6 +311,29 @@ fn run_sim(
         }};
     }
 
+    // Send `producer`'s output tile from `src` to `dst` at `now`, eagerly,
+    // with NIC serialization at both ends (the software overhead occupies
+    // both NICs); the arrival time.
+    macro_rules! send {
+        ($producer:expr, $src:expr, $dst:expr, $now:expr, $recovery:expr) => {{
+            let (producer, src, dst) = ($producer, $src, $dst);
+            let occupancy = link.overhead + tile_bytes / link.bandwidth;
+            let depart = $now.max(nic_out[src]);
+            nic_out[src] = depart + occupancy;
+            let arrive = (depart + link.latency).max(nic_in[dst]) + occupancy;
+            nic_in[dst] = arrive;
+            messages += 1;
+            messages_by_kind[hqr_runtime::analysis::kind_index(tasks[producer as usize].kind)] += 1;
+            bytes += tile_bytes;
+            if let Some(rec) = rec.as_mut() {
+                let (src, dst, recovery) = (src as u16, dst as u16, $recovery);
+                let record = TransferRecord { producer, src, dst, depart, arrive, recovery };
+                rec.trace.transfers.push(record);
+            }
+            arrive
+        }};
+    }
+
     while let Some(ev) = events.pop() {
         let now = ev.time;
         match ev.kind {
@@ -354,20 +377,7 @@ fn run_sim(
                     } else if let Some(&(_, arr)) = dests.iter().find(|&&(d, _)| d == dst) {
                         arr
                     } else {
-                        // Eager send with NIC serialization at both ends;
-                        // the software overhead occupies both NICs.
-                        let occupancy = link.overhead + tile_bytes / link.bandwidth;
-                        let depart = now.max(nic_out[src]);
-                        nic_out[src] = depart + occupancy;
-                        let arrive = (depart + link.latency).max(nic_in[dst]) + occupancy;
-                        nic_in[dst] = arrive;
-                        messages += 1;
-                        messages_by_kind
-                            [hqr_runtime::analysis::kind_index(tasks[tid as usize].kind)] += 1;
-                        bytes += tile_bytes;
-                        if let Some(rec) = rec.as_mut() {
-                            rec.transfer(tid, src, dst, depart, arrive, false);
-                        }
+                        let arrive = send!(tid, src, dst, now, false);
                         dests.push((dst, arrive));
                         arrive
                     };
@@ -478,20 +488,9 @@ fn run_sim(
                         let arrive = match sent.get(&(p as u32, dst)) {
                             Some(&a) => a,
                             None => {
-                                let occupancy = link.overhead + tile_bytes / link.bandwidth;
-                                let depart = now.max(nic_out[h]);
-                                nic_out[h] = depart + occupancy;
-                                let arrive = (depart + link.latency).max(nic_in[dst]) + occupancy;
-                                nic_in[dst] = arrive;
-                                messages += 1;
                                 resent_messages += 1;
-                                messages_by_kind
-                                    [hqr_runtime::analysis::kind_index(tasks[p].kind)] += 1;
-                                bytes += tile_bytes;
                                 resent_bytes += tile_bytes;
-                                if let Some(rec) = rec.as_mut() {
-                                    rec.transfer(p as u32, h, dst, depart, arrive, true);
-                                }
+                                let arrive = send!(p as u32, h, dst, now, true);
                                 sent.insert((p as u32, dst), arrive);
                                 arrive
                             }
@@ -649,21 +648,6 @@ impl Recorder {
         let record = TaskRecord { task: tid, worker, start, kernel_start: start, end: now };
         self.trace.records.push(record);
         self.free_lanes[node].push(worker);
-    }
-
-    /// An inter-node transfer of `producer`'s output tile.
-    fn transfer(
-        &mut self,
-        producer: u32,
-        src: usize,
-        dst: usize,
-        depart: f64,
-        arrive: f64,
-        recovery: bool,
-    ) {
-        let (src, dst) = (src as u16, dst as u16);
-        let record = TransferRecord { producer, src, dst, depart, arrive, recovery };
-        self.trace.transfers.push(record);
     }
 
     /// A crash/degrade instant, drawn on `node`'s first lane.

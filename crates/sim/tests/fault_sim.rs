@@ -5,20 +5,10 @@
 mod support;
 
 use hqr_runtime::{FaultPlan, SdcFault, SdcPattern, TaskGraph};
-use hqr_sim::{simulate, simulate_with, Platform, SimError, SimOptions, SimReport};
+use hqr_sim::{simulate, Platform, SimError};
 use hqr_tile::Layout;
 use std::time::Duration;
-use support::{binary_elims, flat_elims};
-
-/// A panel-first run under `plan`.
-fn faulty(
-    g: &TaskGraph,
-    lay: &Layout,
-    p: &Platform,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), ..Default::default() })
-}
+use support::{binary_elims, faulty, flat_elims};
 
 fn test_platform(nodes: usize) -> Platform {
     Platform { nodes, cores_per_node: 2, ..Platform::edel() }

@@ -12,19 +12,9 @@ mod support;
 use std::collections::BTreeSet;
 
 use hqr_runtime::{FaultPlan, TaskGraph, TaskRecord};
-use hqr_sim::{simulate, simulate_with, Platform, SimError, SimOptions, SimReport};
+use hqr_sim::{simulate, Platform};
 use hqr_tile::Layout;
-use support::binary_elims;
-
-/// A traced panel-first run under `plan`.
-fn traced(
-    g: &TaskGraph,
-    lay: &Layout,
-    p: &Platform,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), trace: true, ..Default::default() })
-}
+use support::{binary_elims, traced};
 
 /// The lineage closure, recomputed from first principles over the
 /// recorded trace.  Delivery in the DES is eager, so unfinished tasks

@@ -1,8 +1,31 @@
 //! What the simulator's integration tests share: the flat and binary
-//! elimination lists. Each test binary uses some of it.
+//! elimination lists, and panel-first runs under a fault plan. Each test
+//! binary uses some of it.
 #![allow(dead_code)]
 
-use hqr_runtime::ElimOp;
+use hqr_runtime::{ElimOp, FaultPlan, TaskGraph};
+use hqr_sim::{simulate_with, Platform, SimError, SimOptions, SimReport};
+use hqr_tile::Layout;
+
+/// A panel-first run under `plan`.
+pub fn faulty(
+    g: &TaskGraph,
+    lay: &Layout,
+    p: &Platform,
+    plan: &FaultPlan,
+) -> Result<SimReport, SimError> {
+    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), ..Default::default() })
+}
+
+/// A traced panel-first run under `plan`.
+pub fn traced(
+    g: &TaskGraph,
+    lay: &Layout,
+    p: &Platform,
+    plan: &FaultPlan,
+) -> Result<SimReport, SimError> {
+    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), trace: true, ..Default::default() })
+}
 
 /// Flat-tree elimination list (TS kernels): row k kills every row below it.
 pub fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {

@@ -6,19 +6,9 @@ mod support;
 
 use hqr_runtime::{chrome_trace_from_exec, validate_chrome_trace};
 use hqr_runtime::{ExecTrace, FaultPlan, InstantKind, TaskGraph};
-use hqr_sim::{simulate, simulate_with, Platform, SchedPolicy, SimError, SimOptions, SimReport};
+use hqr_sim::{simulate, Platform, SchedPolicy, SimError};
 use hqr_tile::Layout;
-use support::flat_elims;
-
-/// A traced panel-first run under `plan`.
-fn traced(
-    g: &TaskGraph,
-    lay: &Layout,
-    p: &Platform,
-    plan: &FaultPlan,
-) -> Result<SimReport, SimError> {
-    simulate_with(g, lay, p, &SimOptions { plan: plan.clone(), trace: true, ..Default::default() })
-}
+use support::{flat_elims, traced};
 
 /// Records on one lane never overlap.
 fn assert_lanes_disjoint(tl: &ExecTrace) {
