@@ -251,19 +251,20 @@ fn trees(quick: bool) -> Result<(), CliError> {
             mt * b,
             nt * b
         );
-        let columns = "a | low | domino | GF/s | rank | sim GF/s | sim rank | CP weight | \
-                       total/CP | coarse elims in flight/node";
+        let columns = "a | low | domino | GF/s | factor MiB | rank | sim GF/s | sim rank | \
+                       CP weight | total/CP | coarse elims in flight/node";
         let lines: Vec<usize> = (0..rows.len()).collect();
         study(&heading, columns, &lines, |&i| {
             let r = rows[i];
             let (a, low, _, domino) = r.tuning;
             let (total, cp) = (r.stats.total_weight, r.stats.critical_path_weight);
             format!(
-                "{a}{} | {} | {} | {:.1} | {} | {:.1} | {} | {cp} | {:.1} | {:.2}",
+                "{a}{} | {} | {} | {:.1} | {:.2} | {} | {:.1} | {} | {cp} | {:.1} | {:.2}",
                 if r.adaptive { " *" } else { "" },
                 low.name(),
                 if domino { "on" } else { "off" },
                 r.measured,
+                r.factor_mib,
                 measured[i],
                 r.predicted,
                 predicted[i],

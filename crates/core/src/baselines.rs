@@ -77,12 +77,13 @@ pub fn hqr_with_layout(mt: usize, nt: usize, cfg: HqrConfig, layout: Layout) -> 
 /// skinny matrices so we set both level trees to FIBONACCI ... we set
 /// a = 4 ... we activate the domino optimization").
 pub fn hqr_tall_skinny(mt: usize, nt: usize, grid: ProcessGrid) -> AlgorithmSetup {
-    hqr(mt, nt, grid, tall_skinny_config(mt, grid))
+    hqr(mt, nt, grid, tall_config(grid, 4.min(mt.max(1))))
 }
 
-fn tall_skinny_config(mt: usize, grid: ProcessGrid) -> HqrConfig {
+/// [`hqr_tall_skinny`]'s trees with TS domains of `a` local rows.
+fn tall_config(grid: ProcessGrid, a: usize) -> HqrConfig {
     HqrConfig::new(grid.p, grid.q)
-        .with_a(4.min(mt.max(1)))
+        .with_a(a)
         .with_low(TreeKind::Fibonacci)
         .with_high(TreeKind::Fibonacci)
         .with_domino(true)
@@ -106,7 +107,7 @@ fn square_config(grid: ProcessGrid, a: usize) -> HqrConfig {
 
 /// Coarse-grain eliminations in flight per node of the grid (§III-A's
 /// unit-time model: eliminations over the schedule's makespan, over p·q)
-/// that [`hqr_adaptive`]'s square branch needs before it takes one TS
+/// that [`hqr_adaptive`]'s square family needs before it takes one TS
 /// domain per cluster. It sits between the benchmark's square shapes
 /// (0.87–2.07, where the flat chains measured faster on real kernels; 1.00
 /// for 240 × 240 tiles on 1 × 60, where the simulator puts them 2.15×
@@ -115,31 +116,46 @@ fn square_config(grid: ProcessGrid, a: usize) -> HqrConfig {
 /// (0.41–0.43): EXPERIMENTS.md, "Figs 6–7 on real kernels".
 const SPARE_PARALLELISM: f64 = 0.5;
 
-/// The shape-adaptive choice the benchmark and the Figure 9 sweep use.
+/// The tall family's [`SPARE_PARALLELISM`]. A tall list's elimination
+/// carries at most nt − 1 updates, so it needs more coarse eliminations in
+/// flight to keep the cores fed. It sits between the benchmark's tall
+/// shapes (3.78 for 256 × 4 tiles on 2 × 1, 2.68 for the `--quick` 32 × 4,
+/// where one domain measured faster) and the paper-scale tall lists (fig9's
+/// 240 × {4…32} on 15 × 4 at 0.45–0.74, ablations' 1024 × 16 at 2.07 on
+/// 60 × 1, 1.92 on 15 × 4 and 0.92 on 4 × 15).
+const TALL_SPARE_PARALLELISM: f64 = 2.5;
+
+/// The shape-adaptive choice the benchmark and the Figure 9 sweep use: one
+/// rule over two tree families.
 ///
-/// * Tall and skinny (`mt ≥ 4·nt`): [`hqr_tall_skinny`] — a = 4, both
-///   trees FIBONACCI, domino on (§V-C).
-/// * Otherwise one TS domain per cluster (a = ⌈mt/p⌉: a flat TS chain in
-///   each cluster, then the flat high tree) while that list keeps
-///   `SPARE_PARALLELISM` (0.5) coarse eliminations in flight per node, and
-///   [`hqr_square`]'s a = 4 where it does not. TT kernels buy parallelism
-///   with slower kernels (§II); where the DAG has parallelism to spare,
-///   the TS chain's faster updates win (EXPERIMENTS.md, "Figs 6–7 on real
-///   kernels").
+/// * Tall and skinny (`mt ≥ 4·nt`): [`hqr_tall_skinny`]'s trees, both
+///   FIBONACCI with the domino (§V-C).
+/// * Otherwise [`hqr_square`]'s: FIBONACCI low, flat high, no domino.
+///
+/// Each family takes one TS domain per cluster (a = ⌈mt/p⌉: a flat TS
+/// chain in each cluster, then the family's high tree) while that list
+/// keeps the family's spare coarse eliminations in flight per node
+/// (`SPARE_PARALLELISM`, 0.5, square; `TALL_SPARE_PARALLELISM`, 2.5, tall),
+/// and a = 4 where it does not. TT kernels buy parallelism with slower
+/// kernels (§II); where the DAG has parallelism to spare, the TS chain's
+/// faster kernels and fewer GEQRT heads win (EXPERIMENTS.md, "Figs 6–7 on
+/// real kernels").
 pub fn hqr_adaptive(mt: usize, nt: usize, grid: ProcessGrid) -> AlgorithmSetup {
     hqr(mt, nt, grid, adaptive_config(mt, nt, grid))
 }
 
 /// The configuration [`hqr_adaptive`] runs.
 pub fn adaptive_config(mt: usize, nt: usize, grid: ProcessGrid) -> HqrConfig {
-    if mt >= 4 * nt {
-        return tall_skinny_config(mt, grid);
-    }
-    let one_domain = square_config(grid, mt.div_ceil(grid.p).max(1));
-    if coarse_parallelism(&one_domain.elimination_list(mt, nt), grid) >= SPARE_PARALLELISM {
+    let (family, spare): (fn(ProcessGrid, usize) -> HqrConfig, f64) = if mt >= 4 * nt {
+        (tall_config, TALL_SPARE_PARALLELISM)
+    } else {
+        (square_config, SPARE_PARALLELISM)
+    };
+    let one_domain = family(grid, mt.div_ceil(grid.p).max(1));
+    if coarse_parallelism(&one_domain.elimination_list(mt, nt), grid) >= spare {
         one_domain
     } else {
-        square_config(grid, 4.min(mt.max(1)))
+        family(grid, 4.min(mt.max(1)))
     }
 }
 
@@ -214,12 +230,11 @@ mod tests {
 
     /// `hqr_adaptive`'s decision on the benchmark's five workload shapes
     /// (`square`, `tall_skinny`, `paged`, `dist`, `serve`, in tiles), and the
-    /// paper-scale settings that keep the paper's lists: the tall branch is
-    /// [`hqr_tall_skinny`] and the square branch [`hqr_square`] wherever the
-    /// one-domain list lacks spare parallelism. `fig9` sweeps N on 240 tile
-    /// rows and `ablations` sweeps the 60-node grids on 1024 × 16 and
-    /// 240 × 240, all at b = 280; `scaling` calls [`hqr_tall_skinny`]
-    /// directly.
+    /// paper-scale settings that keep the paper's lists: each family is
+    /// [`hqr_tall_skinny`] or [`hqr_square`] wherever its one-domain list
+    /// lacks spare parallelism. `fig9` sweeps N on 240 tile rows and
+    /// `ablations` sweeps the 60-node grids on 1024 × 16 and 240 × 240, all
+    /// at b = 280; `scaling` calls [`hqr_tall_skinny`] directly.
     #[test]
     fn adaptive_decision_table() {
         let name = |mt, nt, (p, q)| hqr_adaptive(mt, nt, ProcessGrid::new(p, q)).name;
@@ -227,10 +242,14 @@ mod tests {
             format!("HQR p={p} q={q} a={a} low={low} high={high} domino={domino}")
         };
         assert_eq!(name(24, 24, (2, 1)), hqr(2, 1, 12, "fibonacci", "flat", "off"));
-        assert_eq!(name(256, 4, (2, 1)), hqr(2, 1, 4, "fibonacci", "fibonacci", "on"));
+        assert_eq!(name(256, 4, (2, 1)), hqr(2, 1, 128, "fibonacci", "fibonacci", "on"));
         assert_eq!(name(20, 20, (2, 1)), hqr(2, 1, 10, "fibonacci", "flat", "off"));
         assert_eq!(name(16, 16, (1, 2)), hqr(1, 2, 16, "fibonacci", "flat", "off"));
         assert_eq!(name(8, 4, (2, 1)), hqr(2, 1, 4, "fibonacci", "flat", "off"));
+        // The tall boundary on the benchmark's grid: `trees --quick`'s 32 × 4
+        // (2.68) takes one domain, 16 × 4 (1.93) keeps a = 4.
+        assert_eq!(name(32, 4, (2, 1)), hqr(2, 1, 16, "fibonacci", "fibonacci", "on"));
+        assert_eq!(name(16, 4, (2, 1)), hqr(2, 1, 4, "fibonacci", "fibonacci", "on"));
 
         let paper_list = |mt: usize, nt: usize, grid: ProcessGrid| {
             if mt >= 4 * nt {
@@ -243,7 +262,8 @@ mod tests {
             let grid = ProcessGrid::new(p, q);
             hqr_adaptive(mt, nt, grid).elims.to_ops() == paper_list(mt, nt, grid).elims.to_ops()
         };
-        assert!(unchanged(256, 4, (2, 1)) && unchanged(8, 4, (2, 1)));
+        assert!(unchanged(8, 4, (2, 1)) && unchanged(16, 4, (2, 1)));
+        assert!(!unchanged(256, 4, (2, 1)) && !unchanged(32, 4, (2, 1)));
         for n in [4, 8, 16, 32, 60, 120, 240] {
             assert!(unchanged(240, n, (15, 4)), "fig9 240 x {n}");
         }
@@ -251,10 +271,30 @@ mod tests {
         for grid in grids.into_iter().chain([(4, 15), (2, 30)]) {
             assert!(unchanged(1024, 16, grid) && unchanged(240, 240, grid), "{grid:?}");
         }
-        // The one row that moves: 240 × 240 on a 1 × 60 grid is a single
-        // row cluster, where the simulator puts one flat TS chain 2.15×
-        // ahead of a = 4 (EXPERIMENTS.md, "Figs 6–7 on real kernels").
+        // The one paper-scale row that moves: 240 × 240 on a 1 × 60 grid is
+        // a single row cluster, where the simulator puts one flat TS chain
+        // 2.15× ahead of a = 4 (EXPERIMENTS.md, "Figs 6–7 on real kernels").
         assert!(unchanged(1024, 16, (1, 60)) && !unchanged(240, 240, (1, 60)));
+    }
+
+    /// The lists of the benchmark's `square`, `paged`, `dist` and `serve`
+    /// shapes, pinned by `(ops, fnv1a64 of k | victim | killer | ts)`: a
+    /// change to the tall family must leave them byte for byte.
+    #[test]
+    fn adaptive_square_workload_lists_are_pinned() {
+        let digest = |mt, nt, (p, q)| {
+            let ops = hqr_adaptive(mt, nt, ProcessGrid::new(p, q)).elims.to_ops();
+            let mut bytes = Vec::new();
+            for e in &ops {
+                [e.k, e.victim, e.killer].iter().for_each(|w| bytes.extend(w.to_le_bytes()));
+                bytes.push(e.ts as u8);
+            }
+            (ops.len(), hqr_tile::io::fnv1a64(&bytes))
+        };
+        assert_eq!(digest(24, 24, (2, 1)), (276, 6253992385580874339), "square");
+        assert_eq!(digest(20, 20, (2, 1)), (190, 1869138354302255043), "paged");
+        assert_eq!(digest(16, 16, (1, 2)), (120, 10213063602246716973), "dist");
+        assert_eq!(digest(8, 4, (2, 1)), (22, 8196814371300406965), "serve");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::model;
 use crate::schedule::Schedule;
 use crate::trees::TreeKind;
 use hqr_kernels::{run_kernel, KernelKind, Trans};
+use hqr_runtime::task::{SlotFamily, Task};
 use hqr_runtime::{
     analysis, execute_serial, try_execute_traced, try_execute_with, ExecOptions, TaskGraph,
 };
@@ -369,7 +370,17 @@ pub struct TreeRow {
     pub predicted: f64,
     /// [`baselines::coarse_parallelism`] of the list.
     pub coarse_parallelism: f64,
+    /// MiB of factor buffers a resident run of the list holds
+    /// (`TFactors::allocate_for`): a V copy and a T per GEQRT, a T per kill.
+    pub factor_mib: f64,
     pub stats: analysis::DagStats,
+}
+
+/// [`TreeRow::factor_mib`] of `graph` at inner block size `ib`.
+fn factor_mib(graph: &TaskGraph, ib: usize) -> f64 {
+    let slots = graph.tasks().iter().flat_map(Task::writes).filter(|s| s.0 != SlotFamily::A);
+    let doubles: usize = slots.map(|(fam, ..)| fam.slot_len(graph.b(), ib)).sum();
+    (doubles * std::mem::size_of::<f64>()) as f64 / (1u64 << 20) as f64
 }
 
 /// Untimed calls per kernel before [`kernel_rates`] times any.
@@ -477,6 +488,7 @@ pub fn trees(quick: bool) -> Result<([f64; 6], Vec<TreeRow>), String> {
                         measured: 0.0,
                         predicted: predicted / 1e9,
                         coarse_parallelism: baselines::coarse_parallelism(&setup.elims, grid),
+                        factor_mib: factor_mib(&graph, ib),
                         stats: analysis::dag_stats(&graph),
                     });
                     graphs.push(graph);
@@ -501,9 +513,9 @@ pub fn trees(quick: bool) -> Result<([f64; 6], Vec<TreeRow>), String> {
     Ok((rates, rows))
 }
 
-/// One square shape on the simulated cluster, for [`hqr_adaptive`]'s
-/// parallelism guard: [`hqr_square`]'s a = 4 list beside one TS domain per
-/// cluster.
+/// One shape on the simulated cluster, for [`hqr_adaptive`]'s parallelism
+/// guard: its family's a = 4 list ([`hqr_square`] or [`hqr_tall_skinny`])
+/// beside one TS domain per cluster under the same trees.
 #[derive(Clone, Debug)]
 pub struct ScaleRow {
     pub mt: usize,
@@ -518,10 +530,10 @@ pub struct ScaleRow {
 }
 
 /// The [`trees`] study's check at the paper's scale: on the edel platform
-/// at b = 280, Figure 9's two squarest shapes on the 15 × 4 grid and the
-/// 240 × 240 tiles of `ablations` on its other 60-node grids; with `quick`,
-/// the 3 × 2 grid of six edel nodes at b = 40 that `tests/paper_claims.rs`
-/// uses. Also returns the setting's tile size.
+/// at b = 280, Figure 9's two tallest and two squarest shapes on the
+/// 15 × 4 grid and the 240 × 240 tiles of `ablations` on its other 60-node
+/// grids; with `quick`, the 3 × 2 grid of six edel nodes at b = 40 that
+/// `tests/paper_claims.rs` uses. Also returns the setting's tile size.
 pub fn trees_at_scale(quick: bool) -> (usize, Vec<ScaleRow>) {
     let paper = Setting::paper();
     let (s, shapes) = if quick {
@@ -531,16 +543,19 @@ pub fn trees_at_scale(quick: bool) -> (usize, Vec<ScaleRow>) {
     } else {
         let grids =
             [(30, 2), (20, 3), (12, 5), (10, 6), (6, 10), (5, 12), (4, 15), (2, 30), (1, 60)];
-        let mut shapes = vec![(240, 120, paper.grid), (240, 240, paper.grid)];
+        let g = paper.grid;
+        let mut shapes = vec![(240, 4, g), (240, 8, g), (240, 120, g), (240, 240, g)];
         shapes.extend(grids.map(|(p, q)| (240, 240, ProcessGrid::new(p, q))));
         (paper, shapes)
     };
     let rows = shapes.into_iter().map(|(mt, nt, grid)| {
         let s = Setting { grid, ..s };
-        let one_domain =
-            s.hqr(mt, nt, (mt.div_ceil(grid.p), TreeKind::Fibonacci, TreeKind::Flat, false));
-        let gflops =
-            [&hqr_square(mt, nt, grid), &one_domain].map(|setup| s.point(setup, "").gflops);
+        let (a4, high, domino) = match mt >= 4 * nt {
+            true => (hqr_tall_skinny(mt, nt, grid), TreeKind::Fibonacci, true),
+            false => (hqr_square(mt, nt, grid), TreeKind::Flat, false),
+        };
+        let one_domain = s.hqr(mt, nt, (mt.div_ceil(grid.p), TreeKind::Fibonacci, high, domino));
+        let gflops = [&a4, &one_domain].map(|setup| s.point(setup, "").gflops);
         ScaleRow {
             mt,
             nt,

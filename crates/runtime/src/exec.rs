@@ -106,11 +106,16 @@ impl TFactors {
     /// Allocate, zero-filled, exactly the buffers the graph's tasks will
     /// write when they run with inner block size `ib`.
     pub fn allocate_for(graph: &TaskGraph, ib: usize) -> Self {
+        Self::allocate_slots(graph, ib, factor_slots(graph))
+    }
+
+    /// Allocate, zero-filled, the factor buffers among `slots` (each once).
+    fn allocate_slots(graph: &TaskGraph, ib: usize, slots: impl Iterator<Item = Slot>) -> Self {
         let (mt, b) = (graph.mt(), graph.b());
         let mut f = Self::empty(mt, graph.nt(), b, ib);
-        for (fam, i, k) in factor_slots(graph) {
-            let buf = vec![0.0; fam.slot_len(b, ib)].into_boxed_slice();
-            f.family_mut(fam).expect("a factor family")[i + k * mt] = Some(buf);
+        for (fam, i, k) in slots.filter(|s| s.0 != SlotFamily::A) {
+            let family = f.family_mut(fam).expect("a factor family");
+            family[i + k * mt].get_or_insert_with(|| vec![0.0; fam.slot_len(b, ib)].into());
         }
         f
     }
@@ -377,12 +382,13 @@ impl ExecTrace {
         self.per_worker_busy().iter().sum::<f64>() / (self.wall * self.nthreads as f64)
     }
 
-    /// Busy seconds per kernel kind, indexed by
+    /// Kernel seconds per kernel kind (`kernel_start..end`: a paged run's
+    /// pin waits are busy time, not kernel time), indexed by
     /// [`crate::analysis::kind_index`].
     pub fn kernel_seconds(&self, tasks: &[Task]) -> [f64; 6] {
         let mut out = [0.0; 6];
         for r in &self.records {
-            out[crate::analysis::kind_index(tasks[r.task as usize].kind)] += r.end - r.start;
+            out[crate::analysis::kind_index(tasks[r.task as usize].kind)] += r.end - r.kernel_start;
         }
         out
     }
@@ -1078,10 +1084,17 @@ pub(crate) fn run_engine(
         });
     }
     // A paged store creates each factor slot as zeros at its first pin, so
-    // buffers allocated here would only be dropped.
-    let mut f = match pages(graph, ib, opts.resident_budget) {
-        true => TFactors::empty(graph.mt(), graph.nt(), b, ib),
-        false => TFactors::allocate_for(graph, ib),
+    // buffers allocated here would only be dropped. A resumed run allocates
+    // only the slots its unfinished tasks touch: a recovery closure of a
+    // few tasks does not pay for a whole factorization's factors.
+    let mut f = match (pages(graph, ib, opts.resident_budget), completed) {
+        (true, _) => TFactors::empty(graph.mt(), graph.nt(), b, ib),
+        (false, None) => TFactors::allocate_for(graph, ib),
+        (false, Some(done)) => {
+            let unfinished = graph.tasks().iter().enumerate().filter(|&(t, _)| !done[t]);
+            let touched = unfinished.flat_map(|(_, t)| t.writes().into_iter().chain(t.reads()));
+            TFactors::allocate_slots(graph, ib, touched)
+        }
     };
     let epoch = Instant::now();
     let policy = RunPolicy::of(opts);

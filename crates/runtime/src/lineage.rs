@@ -106,7 +106,7 @@ pub fn recompute_slots(
         run_engine(graph, &mut a, &opts, Some(&done), false).map_err(|e| e.to_string())?;
     let bytes = |&(fam, i, j): &Slot| match fam {
         SlotFamily::A => a.tile(i, j),
-        _ => f.slot(fam, i, j).expect("the graph allocates every slot a task writes"),
+        _ => f.slot(fam, i, j).expect("the run allocates every slot a closure task writes"),
     };
     Ok(wanted.iter().map(|s| (*s, bytes(s).into())).collect())
 }
@@ -199,6 +199,27 @@ mod tests {
         assert!(recompute_slots(&g, &input, 4, &oob, &[]).is_err());
         // The graph allocates Vg(0,0), but an empty closure never wrote it.
         assert!(recompute_slots(&g, &input, 4, &[], &[(SlotFamily::Vg, 0, 0)]).is_err());
+    }
+
+    #[test]
+    fn a_closure_allocates_only_the_factor_slots_it_touches() {
+        let (mt, nt, b) = (16, 16, 4);
+        let g = TaskGraph::build(mt, nt, b, &flat_elims(mt, nt));
+        let geqrt = g.tasks().iter().position(|t| t.kind == hqr_kernels::KernelKind::Geqrt);
+        let geqrt = geqrt.expect("a GEQRT");
+        let mut done = vec![true; g.tasks().len()];
+        done[geqrt] = false;
+        let mut a = TiledMatrix::random(mt, nt, b, 3);
+        let opts = ExecOptions { ib: Some(b), ..Default::default() };
+        let (f, _, _) = run_engine(&g, &mut a, &opts, Some(&done), false).unwrap();
+        let (i, k) = (g.tasks()[geqrt].i as usize, g.tasks()[geqrt].k as usize);
+        let families = [SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk];
+        let held: Vec<Slot> = families
+            .into_iter()
+            .flat_map(|fam| (0..nt).flat_map(move |k| (0..mt).map(move |i| (fam, i, k))))
+            .filter(|&(fam, i, k)| f.slot(fam, i, k).is_some())
+            .collect();
+        assert_eq!(held, [(SlotFamily::Vg, i, k), (SlotFamily::Tg, i, k)]);
     }
 
     #[test]

@@ -293,7 +293,7 @@ impl TileStore {
     #[inline]
     fn slice(&self, s: Slot) -> &mut [f64] {
         let ptr = self.slot_ptr(s);
-        debug_assert!(!ptr.is_null(), "kernel touched an unallocated buffer");
+        assert!(!ptr.is_null(), "kernel touched an unallocated buffer");
         // SAFETY: a slot's buffer holds `slot_len` doubles (`check_shapes`
         // asserted it of the factors; tiles and paged slots are allocated
         // that long) and is alive for the store's lifetime; exclusivity is
@@ -337,7 +337,7 @@ impl TileStore {
     /// the slot, which DAG ordering of the calling task provides.
     pub(crate) unsafe fn slot_data(&self, s: Slot) -> &[f64] {
         let ptr = self.slot_ptr(s);
-        debug_assert!(!ptr.is_null(), "kernel read an unallocated buffer");
+        assert!(!ptr.is_null(), "kernel read an unallocated buffer");
         // SAFETY: as in `slice`, minus exclusivity: a shared view, because a
         // read-only slot's pointer may come from a shared borrow.
         std::slice::from_raw_parts(ptr, s.0.slot_len(self.b, self.ib))

@@ -43,6 +43,26 @@ fn one_tile_budget_is_safe_under_multi_tile_pins() {
     assert!(spill.writebacks > 0, "dirty evictions must write back: {spill:?}");
 }
 
+/// On a paged run a task's busy span is its pin wait (`start..kernel_start`)
+/// then its kernel (`kernel_start..end`): the kernel seconds per kind and
+/// the pin waits add up to the workers' busy time, and neither holds the
+/// other.
+#[test]
+fn paged_kernel_seconds_leave_out_pin_waits() {
+    let (mt, nt, b) = (6, 4, 8);
+    let graph = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
+    let mut a = TiledMatrix::random(mt, nt, b, 17);
+    let budget = 2 * (b * b * std::mem::size_of::<f64>()) as u64;
+    let opts = ExecOptions { nthreads: 2, resident_budget: Some(budget), ..Default::default() };
+    let (_, _, trace) = try_execute_traced(&graph, &mut a, &opts).expect("paged run");
+    assert!(trace.spill.is_some(), "the run paged");
+    let kernel: f64 = trace.kernel_seconds(graph.tasks()).iter().sum();
+    let pin: f64 = trace.records.iter().map(|r| r.kernel_start - r.start).sum();
+    let busy: f64 = trace.per_worker_busy().iter().sum();
+    assert!(pin > 0.0, "a paged run waits on its pins");
+    assert!((kernel + pin - busy).abs() <= 1e-9 * busy.max(1.0), "{kernel} + {pin} != {busy}");
+}
+
 /// Refault-after-spill: with a tiny budget, tiles written back to disk
 /// are re-read later in the same run. Every re-read passes the per-record
 /// checksum (a corrupt record fails the run), demand faults show up both

@@ -884,12 +884,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
     Ok(w.flush()?)
 }
 
+/// The least a frame read grows its buffer by past the bytes delivered.
+const FRAME_STEP: usize = 1 << 20;
+
 /// Read one frame into `buf`, which the caller keeps across frames: once it
 /// has grown to the largest frame seen, a read allocates and zero-fills
 /// nothing. `Ok(false)` is a clean end of stream at a frame boundary (the
 /// peer hung up between frames); a stream that ends inside a frame is
 /// [`FrameError::Truncated`]. The length is checked against [`MAX_FRAME`]
-/// before `buf` grows.
+/// before `buf` grows, and `buf` grows only as the bytes arrive: a length
+/// the stream does not back (a torn journal tail, a hostile peer) costs at
+/// most [`FRAME_STEP`] or twice what was delivered, not the declared size.
 pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, FrameError> {
     let mut len = [0u8; 8];
     match fill(r, &mut len)? {
@@ -899,11 +904,19 @@ pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, Fra
     }
     let len = u64::from_le_bytes(len);
     check_frame_len(len)?;
-    // Only growth is zero-filled; the read overwrites all of it.
-    buf.resize(len as usize, 0);
-    if fill(r, buf)? < buf.len() {
-        return Err(FrameError::Truncated);
+    let len = len as usize;
+    let mut filled = 0;
+    while filled < len {
+        // The capacity the buffer already has at once, then doubling.
+        let target = len.min(buf.capacity().max(filled + filled.max(FRAME_STEP)));
+        // Only growth is zero-filled; the read overwrites all of it.
+        buf.resize(target, 0);
+        if fill(r, &mut buf[filled..])? < target - filled {
+            return Err(FrameError::Truncated);
+        }
+        filled = target;
     }
+    buf.truncate(len);
     Ok(true)
 }
 
@@ -1430,6 +1443,24 @@ mod tests {
         let err = write_frame(&mut sink, &big).unwrap_err();
         assert!(matches!(err, FrameError::TooLarge { declared } if declared == MAX_FRAME + 1));
         assert!(sink.out.is_empty(), "nothing may reach the stream");
+    }
+
+    #[test]
+    fn a_frame_length_the_stream_does_not_back_allocates_only_what_arrives() {
+        let mut wire = (MAX_FRAME - 1).to_le_bytes().to_vec();
+        wire.extend_from_slice(b"ten bytes!");
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut wire.as_slice(), &mut buf).unwrap_err();
+        assert!(matches!(err, FrameError::Truncated), "{err}");
+        assert!(buf.capacity() <= 2 * FRAME_STEP, "grew to {} bytes", buf.capacity());
+        // A frame past one step still arrives whole, into a reused buffer.
+        let payload: Vec<u8> = (0..3 * FRAME_STEP + 5).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        write_frame(&mut wire, b"short").unwrap();
+        let (frames, end) = read_all(&wire);
+        assert!(end.is_ok());
+        assert_eq!(frames, [&payload[..], b"short"]);
     }
 
     /// A writer that takes one byte a call, and with `interrupt` fails

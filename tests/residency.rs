@@ -151,10 +151,11 @@ fn one_worker_paged_run_moves_what_min_needs_and_less_than_lru() {
 }
 
 /// The factor buffers of the benchmark's `tall_skinny` problem (32768 x
-/// 512 in tiles of b = 128, ib = 32, the adaptive tall-skinny tree on a
-/// 2 x 1 grid): 268 GEQRTs each leave a `b x b` V copy and a T, and 1 014
-/// kills a T, every T being `ib x b`: 73.56 MiB of factor buffers, where
-/// T factors zero-padded to `b x b` made them 193.75 MiB.
+/// 512 in tiles of b = 128, ib = 32, the adaptive tall list on a 2 x 1
+/// grid: one TS domain per cluster, a = 128): 22 GEQRTs each leave a
+/// `b x b` V copy and a T, and 1 014 kills a T, every T being `ib x b`:
+/// 35.13 MiB of factor buffers. The a = 4 list ran 268 GEQRTs (73.56 MiB),
+/// and T factors zero-padded to `b x b` made that 193.75 MiB.
 #[test]
 fn tall_skinny_factor_buffers_hold_packed_t_factors() {
     let (mt, nt, b, ib) = (256, 4, 128, 32);
@@ -167,6 +168,6 @@ fn tall_skinny_factor_buffers_hold_packed_t_factors() {
         slots.filter_map(|(i, k)| family(&f, i, k)).map(<[f64]>::len).sum()
     };
     let (vg, tg, tk) = (doubles(TFactors::vg), doubles(TFactors::tg), doubles(TFactors::tk));
-    assert_eq!((vg, tg, tk), (268 * b * b, 268 * ib * b, 1014 * ib * b));
-    assert_eq!(vg + tg + tk, 268 * b * b + 1282 * ib * b);
+    assert_eq!((vg, tg, tk), (22 * b * b, 22 * ib * b, 1014 * ib * b));
+    assert_eq!((vg + tg + tk) * 8, 36_831_232, "35.13 MiB");
 }
