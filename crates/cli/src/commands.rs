@@ -367,8 +367,8 @@ pub fn fault(args: &Args) -> Result<i32, CliError> {
     println!(
         "makespan     : {:.4} s (fault-free {:.4} s, {:+.1}%)",
         rep.makespan,
-        o.baseline_makespan,
-        100.0 * o.makespan_inflation
+        baseline.makespan,
+        100.0 * inflation(rep.makespan, baseline.makespan)
     );
     println!(
         "recovery     : {} tasks re-executed, {} aborted, {} nodes lost",
@@ -498,6 +498,15 @@ fn exec_critical_path(graph: &TaskGraph, tr: &ExecTrace) -> RealizedPath {
     cp
 }
 
+/// A faulty run's makespan over the fault-free `baseline`, less one.
+fn inflation(makespan: f64, baseline: f64) -> f64 {
+    if baseline > 0.0 {
+        makespan / baseline - 1.0
+    } else {
+        0.0
+    }
+}
+
 /// The `sim` backend of [`trace`]: a traced discrete-event replay.
 fn trace_sim(args: &Args) -> Result<i32, CliError> {
     let p = Problem::from_args(args, Defaults::SIM)?;
@@ -508,14 +517,14 @@ fn trace_sim(args: &Args) -> Result<i32, CliError> {
     args.reject_unknown()?;
     let Shape { b, mt, nt, .. } = p.shape;
     let (graph, layout) = (&p.graph, &p.setup.layout);
-    // The crash instant is a fraction of the fault-free makespan, so run
-    // the baseline once to find it.
-    let baseline = match faults.crash_node {
-        Some(_) => {
-            let opts = SimOptions { policy, ..Default::default() };
-            simulate_with(graph, layout, platform, &opts).map_err(CliError::usage)?.makespan
-        }
-        None => 0.0,
+    // A crash instant is a fraction of the fault-free makespan, and a
+    // faulty run's inflation is over it, so a run with any fault runs the
+    // baseline once.
+    let baseline = if faults.plan(0.0, None).is_empty() {
+        0.0
+    } else {
+        let opts = SimOptions { policy, ..Default::default() };
+        simulate_with(graph, layout, platform, &opts).map_err(CliError::usage)?.makespan
     };
     let plan = faults.plan(baseline, None);
     println!("backend      : cluster simulator ({})", describe(platform));
@@ -536,7 +545,7 @@ fn trace_sim(args: &Args) -> Result<i32, CliError> {
             "recovery     : {} tasks re-executed, {} messages re-sent ({:+.1}% makespan)",
             o.reexecuted_tasks,
             o.resent_messages,
-            100.0 * o.makespan_inflation
+            100.0 * inflation(rep.makespan, baseline)
         );
     }
     let cp = rep.critical_path.as_ref().expect("traced run extracts a CP");

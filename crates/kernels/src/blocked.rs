@@ -4,9 +4,9 @@
 //! `ib` (PLASMA's inner block size, typically 32–64 for b ≈ 200–300): each
 //! panel is factored, its compact T factor built, and the panel's block
 //! reflector applied to the remaining columns with level-3 BLAS. This
-//! bounds the T factors to `ib × b` and improves cache behaviour;
-//! mathematically the factorization is identical (same V, same R up to
-//! rounding), only the grouping of reflector applications changes.
+//! bounds a T factor to `b/ib` triangles of `ib × ib` and improves cache
+//! behaviour; mathematically the factorization is identical (same V, same
+//! R up to rounding), only the grouping of reflector applications changes.
 //!
 //! This file holds the entry points of the six kernels, and only those:
 //! the "plain" entry points ([`crate::geqrt`], [`crate::unmqr`], …) are the
@@ -28,11 +28,12 @@
 //! `(b, ib)` and results are bitwise deterministic run-to-run on a fixed
 //! dispatch arm.
 //!
-//! Layout convention: the `t` buffer is `ib × b`, column-major with
-//! leading dimension `ib` ([`crate::t_len`] doubles); the T factor of the
-//! panel starting at column `s` (width `w = min(ib, b−s)`) is the `w × w`
-//! upper triangle at rows `0..w`, columns `s..s+w`. Nothing else is
-//! stored, so at `ib < b` no row of the buffer is padding.
+//! Layout convention: the `t` buffer holds one packed upper triangle per
+//! panel, in panel order ([`crate::t_len`] doubles). The T factor of the
+//! panel starting at column `s` (width `w = min(ib, b−s)`) begins at
+//! `t_len(s, ib)`, and its entry `T[i, j]` (`i ≤ j < w`) sits at
+//! `j(j+1)/2 + i` past that. Only the triangles are stored: no double of
+//! the buffer is a structural zero.
 
 use crate::micro::{simd_arm, SimdArm};
 use crate::panel::{tile_mqr, tile_qrt};

@@ -94,7 +94,6 @@ pub(crate) fn tile_qrt(
     }
     check_t(b, ib, t);
     check_ib(b, ib);
-    t[..t_len(b, ib)].fill(0.0);
     SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
         for (s, e) in panels(b, ib) {
@@ -106,13 +105,14 @@ pub(crate) fn tile_qrt(
                 (Some(_), true) => (0, e),
             };
             let nw = w * (b - e).max(w);
-            let [vp, vpt, wa, wb, tc] = carve(&mut buf, [rows * w, rows * w, nw, nw, w * w]);
+            let [vp, vpt, wa, wb, tc, tw] =
+                carve(&mut buf, [rows * w, rows * w, nw, nw, w * w, w * w]);
             vp.fill(0.0);
             vpt.fill(0.0);
+            tw.fill(0.0);
             let mut p = Panel {
                 arm,
                 b,
-                ib,
                 s,
                 w,
                 r0,
@@ -120,7 +120,7 @@ pub(crate) fn tile_qrt(
                 tri,
                 top: &mut *top,
                 bottom: bottom.as_deref_mut(),
-                t: &mut *t,
+                t: &mut *tw,
                 vp,
                 vpt,
                 wa,
@@ -129,18 +129,24 @@ pub(crate) fn tile_qrt(
             };
             p.factor(s, e);
             p.apply(s, e, e, b);
+            // The panel's T leaves as its packed upper triangle.
+            let mut at = 0;
+            let packed = &mut t[t_len(s, ib)..t_len(e, ib)];
+            for (j, col) in tw.chunks_exact(w).enumerate() {
+                packed[at..=at + j].copy_from_slice(&col[..=j]);
+                at += j + 1;
+            }
         }
     });
 }
 
-/// One `ib` panel in flight: the tiles, the panel's T triangle, and the
-/// pack-clean copies `vp` (`rows × w`) / `vpt` (`w × rows`) of the
-/// reflectors generated so far, which every gemm of the panel reads.
+/// One `ib` panel in flight: the tiles, the panel's T (a zeroed `w × w`
+/// block whose upper triangle the panel fills), and the pack-clean copies
+/// `vp` (`rows × w`) / `vpt` (`w × rows`) of the reflectors generated so
+/// far, which every gemm of the panel reads.
 struct Panel<'a> {
     arm: SimdArm,
     b: usize,
-    /// Leading dimension of `t`.
-    ib: usize,
     s: usize,
     w: usize,
     r0: usize,
@@ -185,8 +191,8 @@ impl Panel<'_> {
     /// Offset in `t` of `T[i, j]` of the panel triangle, `i` and `j` tile
     /// columns (a closure, so callers can hold field borrows across it).
     fn t_index(&self) -> impl Fn(usize, usize) -> usize {
-        let (s, ib) = (self.s, self.ib);
-        move |i, j| (i - s) + j * ib
+        let (s, w) = (self.s, self.w);
+        move |i, j| (i - s) + (j - s) * w
     }
 
     /// Factor columns `c0..c1`, leaving R and V in the tiles, T in `t`.
@@ -317,8 +323,7 @@ impl Panel<'_> {
             vt: &self.vpt[pvt..],
             ldvt: self.w,
             mask_vt,
-            t: &self.t[tix(c0, c0)..],
-            ldt: self.ib,
+            t: TriT::Square(&self.t[tix(c0, c0)..], self.w),
         };
         // The e_j rows of a stacked V̂ meet rows c0..c1 of A1.
         let (top, c) = match self.bottom.as_deref_mut() {
@@ -331,7 +336,7 @@ impl Panel<'_> {
 
     /// `T[c0..mid, mid..c1] = −T1·(V1ᵀV2)·T2`.
     fn merge_t(&mut self, c0: usize, mid: usize, c1: usize) {
-        let (arm, ib, tix) = (self.arm, self.ib, self.t_index());
+        let (arm, ldt, tix) = (self.arm, self.w, self.t_index());
         let (n1, n2) = (mid - c0, c1 - mid);
         // Rows on which both halves can be nonzero.
         let (lo, hi) = (self.span(mid, c1).0, self.span(c0, mid).1);
@@ -340,9 +345,9 @@ impl Panel<'_> {
         let (vt, v) = (&self.vpt[pvt..], &self.vp[pv..]);
         gemm_core(arm, n1, n2, hi - lo, 1.0, vt, self.w, MaskA::Full, v, self.rows, 0.0, wa, n1);
         let (t1, t2) = (&self.t[tix(c0, c0)..], &self.t[tix(mid, mid)..]);
-        gemm_core(arm, n1, n2, n1, 1.0, t1, ib, MaskA::Upper, wa, n1, 0.0, wb, n1);
+        gemm_core(arm, n1, n2, n1, 1.0, t1, ldt, MaskA::Upper, wa, n1, 0.0, wb, n1);
         // T2's strict lower triangle in `t` is zero, so a full product is exact.
-        gemm_core(arm, n1, n2, n2, -1.0, wb, n1, MaskA::Full, t2, ib, 0.0, wa, n1);
+        gemm_core(arm, n1, n2, n2, -1.0, wb, n1, MaskA::Full, t2, ldt, 0.0, wa, n1);
         for (j, col) in wa.chunks_exact(n1).enumerate() {
             let at = tix(c0, mid + j);
             self.t[at..at + n1].copy_from_slice(col);
@@ -350,10 +355,31 @@ impl Panel<'_> {
     }
 }
 
+/// The upper triangle of a block's T as [`block_apply`] reads it.
+#[derive(Clone, Copy)]
+enum TriT<'a> {
+    /// A square block at a leading dimension: a panel's T in flight.
+    Square(&'a [f64], usize),
+    /// Packed column by column, as a factored tile's T is stored
+    /// ([`t_len`]): `T[i, j]` at `j(j+1)/2 + i`.
+    Packed(&'a [f64]),
+}
+
+impl<'a> TriT<'a> {
+    /// `T[0..=j, j]`, the upper part of column `j`.
+    #[inline]
+    fn col(self, j: usize) -> &'a [f64] {
+        match self {
+            TriT::Square(t, ld) => &t[j * ld..=j * ld + j],
+            TriT::Packed(t) => &t[j * (j + 1) / 2..][..=j],
+        }
+    }
+}
+
 /// A compact-WY block of `nv` reflectors as gemm operands: `V`
 /// (`rows × nv`) and `Vᵀ` (`nv × rows`) at their leading dimensions, each
-/// pack-clean wherever its mask reaches, and the block's T (upper triangle
-/// read, leading dimension `ldt`).
+/// pack-clean wherever its mask reaches, and the upper triangle of the
+/// block's T.
 struct Wy<'a> {
     rows: usize,
     nv: usize,
@@ -363,8 +389,7 @@ struct Wy<'a> {
     vt: &'a [f64],
     ldvt: usize,
     mask_vt: MaskA,
-    t: &'a [f64],
-    ldt: usize,
+    t: TriT<'a>,
 }
 
 /// `C := op(I − V·T·Vᵀ)·C`, the one block-reflector apply of all six
@@ -394,12 +419,21 @@ fn block_apply(
         }
         None => gemm_core(arm, nv, nc, rows, 1.0, vt, ldvt, wy.mask_vt, c, ldc, 0.0, wa, nv),
     }
-    // W := op(T)·W, out of place: Tᵀ is lower, T upper, and the other
-    // triangle (whatever `t` holds there) is zeroed.
-    let (t, ldt) = (wy.t, wy.ldt);
+    // W := op(T)·W, out of place: `tc` takes Tᵀ (lower) or T (upper) from
+    // the triangle, and zeros in the other triangle.
+    let t = wy.t;
     let mask_t = match trans {
         Trans::Trans => {
-            transpose(arm, nv, nv, t, ldt, tc, nv);
+            match t {
+                TriT::Square(t, ldt) => transpose(arm, nv, nv, t, ldt, tc, nv),
+                TriT::Packed(_) => {
+                    for i in 0..nv {
+                        for (j, &x) in t.col(i).iter().enumerate() {
+                            tc[i + j * nv] = x;
+                        }
+                    }
+                }
+            }
             for (j, col) in tc.chunks_exact_mut(nv).enumerate() {
                 col[..j].fill(0.0);
             }
@@ -407,7 +441,7 @@ fn block_apply(
         }
         Trans::NoTrans => {
             for (j, col) in tc.chunks_exact_mut(nv).enumerate() {
-                col[..=j].copy_from_slice(&t[j * ldt..=j * ldt + j]);
+                col[..=j].copy_from_slice(t.col(j));
                 col[j + 1..].fill(0.0);
             }
             MaskA::Upper
@@ -503,8 +537,7 @@ pub(crate) fn tile_mqr(
                 vt: vpt,
                 ldvt: w,
                 mask_vt,
-                t: &t[s * ib..],
-                ldt: ib,
+                t: TriT::Packed(&t[t_len(s, ib)..]),
             };
             let (top, c) = match top.as_deref_mut() {
                 Some(a1) => (Some(&mut a1[s..]), &mut c[..]),

@@ -23,13 +23,18 @@ fn reflector(alpha: f64, x: &mut [f64]) -> (f64, f64) {
     (beta, (beta - alpha) / beta)
 }
 
+/// Offset of `T[i, j]` (`i ≤ j`) in a packed upper triangle.
+fn tix(i: usize, j: usize) -> usize {
+    i + j * (j + 1) / 2
+}
+
 /// `T[0..j, j] = −τ·T[0..j, 0..j]·z` in place, `z` stored in `T[0..j, j]`.
-fn t_column(b: usize, t: &mut [f64], j: usize, tau: f64) {
+fn t_column(t: &mut [f64], j: usize, tau: f64) {
     for i in 0..j {
-        let y: f64 = (i..j).map(|r| t[r * b + i] * t[j * b + r]).sum();
-        t[j * b + i] = -tau * y;
+        let y: f64 = (i..j).map(|r| t[tix(i, r)] * t[tix(r, j)]).sum();
+        t[tix(i, j)] = -tau * y;
     }
-    t[j * b + j] = tau;
+    t[tix(j, j)] = tau;
 }
 
 /// Level-2 GEQRT: one reflector at a time, applied at once to every later
@@ -52,9 +57,9 @@ pub fn geqrt_level2(b: usize, a: &mut [f64], t: &mut [f64]) {
         }
         for i in 0..j {
             let dot: f64 = ((j + 1)..b).map(|r| a[i * b + r] * a[cj + r]).sum();
-            t[cj + i] = a[i * b + j] + dot;
+            t[tix(i, j)] = a[i * b + j] + dot;
         }
-        t_column(b, t, j, tau);
+        t_column(t, j, tau);
     }
 }
 
@@ -78,9 +83,9 @@ pub fn stacked_qrt_level2(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64
             }
         }
         for i in 0..j {
-            t[cj + i] = (0..support(i).min(blen)).map(|r| a2[i * b + r] * a2[cj + r]).sum();
+            t[tix(i, j)] = (0..support(i).min(blen)).map(|r| a2[i * b + r] * a2[cj + r]).sum();
         }
-        t_column(b, t, j, tau);
+        t_column(t, j, tau);
     }
 }
 

@@ -19,6 +19,8 @@ use hqr_kernels::{
 };
 use hqr_tile::DenseMatrix;
 
+mod support;
+
 const SIZES: [usize; 4] = [8, 13, 64, 128];
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -198,7 +200,7 @@ fn every_panel_t_is_consistent_with_its_v() {
             for ib in ibs(b) {
                 for kernel in KERNELS {
                     let (mut a1, mut a2) = inputs(kernel, b, 29 + b as u64, 0.0);
-                    let t = factor(kernel, arm, b, ib, &mut a1, &mut a2);
+                    let t = support::expand_t(b, ib, &factor(kernel, arm, b, ib, &mut a1, &mut a2));
                     for s in (0..b).step_by(ib) {
                         let w = ib.min(b - s);
                         let cols: Vec<Vec<f64>> =

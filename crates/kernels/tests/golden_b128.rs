@@ -3,10 +3,14 @@
 //! applying both `Trans` (the factorization) and `NoTrans` (the Q rebuild).
 //! The update kernels are handed their V with whatever the tile holds
 //! outside the reflectors (R above UNMQR's unit diagonal, finite garbage
-//! below TTMQR's triangle) and a T whose dead strict lower triangles are
-//! NaN, so a kernel that reads a byte the math does not need changes a
-//! digest. The constants were recorded before the update kernels became
-//! the panel routine's block apply; they must not move.
+//! below TTMQR's triangle), so a kernel that reads a byte the math does
+//! not need changes a digest; a T is exactly `t_len(b, ib)` doubles, its
+//! packed triangles, with no dead entry left to poison. T enters the
+//! digest expanded to the `ib × b` layout it had when the constants were
+//! recorded, before the update kernels became the panel routine's block
+//! apply and before T was packed; they must not move.
+
+mod support;
 
 use hqr_kernels::blocked::{
     geqrt_ib_arm, tsmqr_ib_arm, tsqrt_ib_arm, ttmqr_ib_arm, ttqrt_ib_arm, unmqr_ib_arm,
@@ -49,19 +53,6 @@ fn upper(a: &[f64]) -> Vec<f64> {
     u
 }
 
-/// `t` with NaN in the strict lower triangle of every panel's `w × w` T.
-fn poison_t(ib: usize, t: &[f64]) -> Vec<f64> {
-    let mut p = t[..t_len(B, ib)].to_vec();
-    for s in (0..B).step_by(ib) {
-        for j in s..(s + ib).min(B) {
-            for i in j - s + 1..ib {
-                p[i + j * ib] = f64::NAN;
-            }
-        }
-    }
-    p
-}
-
 /// The three factor kernels, then each update kernel on fresh tiles with
 /// the factor's V and T. Returns every output buffer.
 fn outputs(arm: SimdArm, ib: usize, trans: Trans) -> Vec<Vec<f64>> {
@@ -69,12 +60,12 @@ fn outputs(arm: SimdArm, ib: usize, trans: Trans) -> Vec<Vec<f64>> {
     let (mut a, mut tg) = (tile(1), t());
     geqrt_ib_arm(arm, B, ib, &mut a, &mut tg);
     let mut c = tile(2);
-    unmqr_ib_arm(arm, B, ib, &a, &poison_t(ib, &tg), &mut c, trans);
+    unmqr_ib_arm(arm, B, ib, &a, &tg, &mut c, trans);
 
     let (mut r1, mut a2, mut ts) = (upper(&a), tile(3), t());
     tsqrt_ib_arm(arm, B, ib, &mut r1, &mut a2, &mut ts);
     let (mut c1, mut c2) = (tile(4), tile(5));
-    tsmqr_ib_arm(arm, B, ib, &a2, &poison_t(ib, &ts), &mut c1, &mut c2, trans);
+    tsmqr_ib_arm(arm, B, ib, &a2, &ts, &mut c1, &mut c2, trans);
 
     let (mut r3, mut r4, mut tt) = (upper(&r1), upper(&tile(6)), t());
     ttqrt_ib_arm(arm, B, ib, &mut r3, &mut r4, &mut tt);
@@ -86,7 +77,11 @@ fn outputs(arm: SimdArm, ib: usize, trans: Trans) -> Vec<Vec<f64>> {
         v4[j * B + j + 1..(j + 1) * B].copy_from_slice(&junk[j * B + j + 1..(j + 1) * B]);
     }
     let (mut d1, mut d2) = (tile(7), tile(8));
-    ttmqr_ib_arm(arm, B, ib, &v4, &poison_t(ib, &tt), &mut d1, &mut d2, trans);
+    ttmqr_ib_arm(arm, B, ib, &v4, &tt, &mut d1, &mut d2, trans);
+    for t in [&tg, &ts, &tt] {
+        assert_eq!(t.len(), t_len(B, ib), "a T is its packed triangles and nothing else");
+    }
+    let [tg, ts, tt] = [tg, ts, tt].map(|t| support::expand_t(B, ib, &t));
     let out = vec![a, tg, c, r1, a2, ts, c1, c2, r3, r4, tt, d1, d2];
     assert!(
         out.iter().flatten().all(|x| x.is_finite()),

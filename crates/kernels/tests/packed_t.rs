@@ -1,10 +1,13 @@
-//! The T factor is stored packed: `t_len(b, ib) = ib · b` doubles with
-//! leading dimension `ib`. Before, it was a `b × b` tile whose rows
-//! `ib..b` only ever held zeros. Packing must drop exactly those rows: run
-//! all six kernels with a T of exactly `t_len(b, ib)` doubles, zero-pad
-//! each T back to `b × b`, and the digest of every output must be the one
-//! the padded layout produced (pinned below per dispatch arm), so not one
-//! bit of a factor or of an updated tile moved.
+//! The T factor is stored packed: `t_len(b, ib)` doubles, the upper
+//! triangle of each `ib` panel's T column by column. Before, it was a
+//! `b × b` tile whose rows `ib..b` and whose strict lower triangles only
+//! ever held zeros. Packing must drop exactly those zeros: run all six
+//! kernels with a T of exactly `t_len(b, ib)` doubles, expand each T back
+//! to `b × b`, and the digest of every output must be the one the padded
+//! layout produced (pinned below per dispatch arm), so not one bit of a
+//! factor or of an updated tile moved.
+
+mod support;
 
 use hqr_kernels::blocked::{
     geqrt_ib_arm, tsmqr_ib_arm, tsqrt_ib_arm, ttmqr_ib_arm, ttqrt_ib_arm, unmqr_ib_arm,
@@ -49,10 +52,12 @@ fn upper(a: &[f64]) -> Vec<f64> {
 }
 
 /// `t`'s first `t_len(b, ib)` doubles as the `b × b` tile the padded
-/// layout stored: column `j` holds them at rows `0..ib`, zeros below.
+/// layout stored: column `j` holds its panel's triangle at rows `0..ib`,
+/// zeros below.
 fn padded(ib: usize, t: &[f64]) -> Vec<f64> {
     let mut tile = vec![0.0; B * B];
-    for (col, src) in tile.chunks_exact_mut(B).zip(t[..t_len(B, ib)].chunks_exact(ib)) {
+    let old = support::expand_t(B, ib, &t[..t_len(B, ib)]);
+    for (col, src) in tile.chunks_exact_mut(B).zip(old.chunks_exact(ib)) {
         col[..ib].copy_from_slice(src);
     }
     tile

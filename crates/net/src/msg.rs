@@ -38,8 +38,9 @@ use std::time::Duration;
 /// Container magic for every net message.
 pub const NET_MAGIC: [u8; 8] = *b"HQRNETV0";
 /// Protocol version; bumped on any incompatible change (4: a T factor
-/// travels as its `t_len(b, ib)` doubles, not as a zero-padded `b*b` tile).
-pub const NET_VERSION: u32 = 4;
+/// travels as its `t_len(b, ib)` doubles, not as a zero-padded `b*b` tile;
+/// 5: those doubles are its panels' packed upper triangles).
+pub const NET_VERSION: u32 = 5;
 
 const TAG_HEAD: u32 = 1;
 const TAG_LIST_A: u32 = 2;

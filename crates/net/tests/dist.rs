@@ -261,10 +261,13 @@ fn peer_transfers_are_the_cross_worker_edges_and_the_coordinator_relays_nothing(
         let (a, f, report) = dist_run(&vec![WorkerOptions::default(); p * q], &graph, &input, &cfg);
         assert_bitwise_parity(&graph, &input, &a, &f, &format!("{p}x{q} fleet"));
         assert!(report.recoveries.is_empty(), "{p}x{q}: {:?}", report.recoveries);
-        let (scatter, gather) = ((mt * nt) as u64, written_slots(&graph).len() as u64);
-        let tile = (b * b) as u64;
+        let (scatter, gather) = ((mt * nt) as u64, written_slots(&graph));
+        // `dist_run` factors at ib = b: a tile or V copy is b² doubles, a T
+        // its packed triangle.
+        let gathered: u64 = gather.iter().map(|&(fam, ..)| fam.slot_len(b, b) as u64).sum();
+        let gather = gather.len() as u64;
         assert_eq!(report.peer_transfers, cross_worker_messages(&graph, grid), "{p}x{q}");
-        assert_eq!(report.coordinator_floats, (scatter + gather) * tile, "{p}x{q}");
+        assert_eq!(report.coordinator_floats, scatter * (b * b) as u64 + gathered, "{p}x{q}");
         assert_eq!(report.transfers, scatter + gather + report.peer_transfers, "{p}x{q}");
         assert!(report.floats_moved > report.coordinator_floats, "{p}x{q}: pushes carry data");
     }

@@ -49,8 +49,10 @@ use crate::task::SlotFamily;
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HQRCKPT\0";
 /// Checkpoint container version (2: `checksum64` trailer; 3: T factors of
-/// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`).
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`; 4: each T
+/// factor is its panels' packed upper triangles). A stored result is a
+/// checkpoint container, so it carries this version too.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 const SEC_HEADER: u32 = 1;
 const SEC_ELIMS: u32 = 2;
@@ -532,5 +534,57 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(checkpoint_from_bytes(bytes).expect("the valid file decodes").elims.len(), 1);
+    }
+
+    /// A finished job written by a version-3 binary, which stored each T
+    /// factor as `ib` rows by `b` columns (each panel's triangle over
+    /// zeros), is refused by its version, as a checkpoint and as a stored
+    /// result alike, and never decoded against packed lengths.
+    #[test]
+    fn a_checkpoint_or_result_from_before_packed_t_is_a_version_error() {
+        let (b, ib) = (4, 2);
+        let elims = vec![ElimOp::new(0, 1, 0, true)];
+        let graph = TaskGraph::build(2, 1, b, &elims);
+        let mut a = TiledMatrix::random(2, 1, b, 5);
+        let factors = crate::exec::execute_serial_ib(&graph, &mut a, ib);
+        let done = vec![true; graph.tasks().len()];
+        let ckpt = Checkpoint { job: 9, ..Checkpoint::capture(&graph, elims, done, a, factors) };
+        let unpacked = |t: &[f64]| -> Box<[f64]> {
+            let (mut old, mut tri) = (Vec::new(), t.iter());
+            for j in 0..b {
+                old.extend(tri.by_ref().take(j % ib + 1));
+                old.resize(old.len() + ib - (j % ib + 1), 0.0);
+            }
+            old.into()
+        };
+        let bytes = checkpoint_to_bytes(&ckpt);
+        let r = SectionReader::from_bytes(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+        let mut w = SectionList::new(CHECKPOINT_MAGIC, 3);
+        for tag in r.tags() {
+            let payload = match tag {
+                SEC_TG | SEC_TK => {
+                    let family = if tag == SEC_TG { &ckpt.factors.tg } else { &ckpt.factors.tk };
+                    let old: Vec<_> = family.iter().map(|t| t.as_deref().map(unpacked)).collect();
+                    family_parts(&old).flat_map(Cow::into_owned).collect()
+                }
+                _ => r.section(tag).unwrap().to_vec(),
+            };
+            w.section(tag, payload);
+        }
+        let old = w.into_bytes();
+        let refused = |e: &BinFormatError| {
+            matches!(
+                e,
+                BinFormatError::UnsupportedVersion { expected: CHECKPOINT_VERSION, found: 3 }
+            )
+        };
+        match checkpoint_from_bytes(old.clone()) {
+            Err(CheckpointError::Format(e)) if refused(&e) => {}
+            other => panic!("a version-3 checkpoint: {other:?}"),
+        }
+        match crate::journal::result_from_bytes(old) {
+            Err(crate::journal::JournalError::Format(e)) if refused(&e) => {}
+            other => panic!("a version-3 stored result: {:?}", other.map(|r| r.id)),
+        }
     }
 }

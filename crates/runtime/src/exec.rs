@@ -1520,7 +1520,7 @@ mod tests {
         let f = TFactors::allocate_for(&g, 1);
         // GEQRT only on diagonal rows (flat tree = TS everywhere).
         assert!(f.tg(0, 0).is_some());
-        // A V copy is a tile; a T is `ib x b`.
+        // A V copy is a tile; a T is `t_len(b, ib)`, two 1 x 1 triangles.
         assert_eq!((f.vg(0, 0).unwrap().len(), f.tg(0, 0).unwrap().len()), (4, 2));
         assert_eq!(f.tk(1, 0).unwrap().len(), 2);
         assert!(f.tg(1, 1).is_some());

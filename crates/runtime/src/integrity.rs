@@ -193,7 +193,8 @@ mod tests {
     use hqr_tile::TiledMatrix;
 
     /// A one-tile GEQRT run at `ib < b` with its write set guarded: the
-    /// `b × b` tile A(0,0), its `b × b` V copy and its `ib × b` T factor.
+    /// `b × b` tile A(0,0), its `b × b` V copy and its T factor of
+    /// `t_len(b, ib)` doubles.
     fn with_guarded_geqrt(seed: u64, check: impl FnOnce(&TileStore, &Task, &GuardStore)) {
         let (b, ib) = (8, 4);
         let graph = TaskGraph::build(1, 1, b, &[]);
@@ -207,7 +208,7 @@ mod tests {
             assert!(guards.verify_outputs(&store, t).is_none(), "unguarded slots are skipped");
             store.run_task(t, graph.trans());
             guards.refresh_task(&store, t);
-            assert_eq!(store.slot_data((SlotFamily::Tg, 0, 0)).len(), ib * b);
+            assert_eq!(store.slot_data((SlotFamily::Tg, 0, 0)).len(), hqr_kernels::t_len(b, ib));
         }
         check(&store, t, &guards);
     }

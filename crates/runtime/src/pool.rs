@@ -1777,9 +1777,10 @@ mod tests {
     }
 
     /// Checkpoint files and resume specs carry these bytes, so they are
-    /// pinned too: 2x1 tiles of 4 with ib = 2 (T factors of `ib * b`
-    /// doubles), one task done, every factor buffer filled with its own
-    /// pattern so that no kernel's bits enter the digest.
+    /// pinned too: 2x1 tiles of 4 with ib = 2 (T factors of two packed
+    /// 2 × 2 triangles, `t_len(4, 2)` = 6 doubles), one task done, every
+    /// factor buffer filled with its own pattern so that no kernel's bits
+    /// enter the digest.
     #[test]
     fn checkpoint_encoding_is_pinned() {
         let (mt, nt, b, ib) = (2, 1, 4, 2);
@@ -1797,7 +1798,7 @@ mod tests {
             ..Checkpoint::capture(&graph, flat_elims(mt, nt), done, a, factors)
         };
         let bytes = checkpoint_to_bytes(&ckpt);
-        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (776, 12360854095494485543));
+        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (744, 17640165252755247002));
     }
 
     #[test]

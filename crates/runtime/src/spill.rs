@@ -106,8 +106,9 @@ use crate::task::{SlotFamily, SLOT_FAMILIES};
 
 /// Magic bytes opening every spill record.
 pub const SPILL_MAGIC: [u8; 8] = *b"HQRSPILL";
-/// Spill record version (2: `checksum64` trailer).
-pub const SPILL_VERSION: u32 = 2;
+/// Spill record version (2: `checksum64` trailer; 3: a T factor record
+/// holds its packed triangles, `t_len(b, ib)` doubles).
+pub const SPILL_VERSION: u32 = 3;
 
 const S_TILE: u32 = 1;
 

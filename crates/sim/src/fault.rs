@@ -57,10 +57,6 @@ pub(crate) fn validate(plan: &FaultPlan, nodes: usize) -> Result<(), SimError> {
 /// [`simulate_with`](crate::simulate_with) under a non-empty plan.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultOverhead {
-    /// Makespan of the identical fault-free run.
-    pub baseline_makespan: f64,
-    /// `makespan / baseline_makespan - 1` (0 when faults cost nothing).
-    pub makespan_inflation: f64,
     /// Previously *completed* tasks whose outputs were lost and had to be
     /// re-executed on survivors (the lineage closure).
     pub reexecuted_tasks: usize,

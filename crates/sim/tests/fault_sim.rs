@@ -28,10 +28,8 @@ fn node_crash_mid_run_recovers_with_overhead() {
     let plan = FaultPlan::default().crash_node(1, 0.3 * baseline.makespan);
     let r = faulty(&g, &lay, &p, &plan).expect("recovery must complete");
     let o = r.overhead.as_ref().expect("faulty run reports overhead");
-    assert_eq!(o.baseline_makespan, baseline.makespan);
     assert_eq!(o.nodes_lost, 1);
     assert!(r.makespan >= baseline.makespan, "{} < {}", r.makespan, baseline.makespan);
-    assert!(o.makespan_inflation >= 0.0);
     assert!(o.reexecuted_tasks > 0, "lineage closure must re-run lost producers: {o:?}");
     assert!(o.resent_messages <= r.messages);
     assert!(o.resent_bytes <= r.bytes);
@@ -80,7 +78,6 @@ fn link_degradation_inflates_makespan_without_losing_work() {
     let r = faulty(&g, &lay, &p, &plan).unwrap();
     let o = r.overhead.unwrap();
     assert!(r.makespan > baseline.makespan, "{} vs {}", r.makespan, baseline.makespan);
-    assert!(o.makespan_inflation > 0.0);
     assert_eq!(o.reexecuted_tasks, 0);
     assert_eq!(r.messages, baseline.messages, "degradation drops no traffic");
 }

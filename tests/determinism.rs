@@ -144,18 +144,19 @@ mod golden {
 
     /// FNV-1a over the bit patterns of every A tile (column-major tile
     /// order), then every allocated Vg, Tg and Tk buffer in the same order.
-    /// A T factor is stored `ib x b`; it is hashed as the zero-padded
-    /// `b x b` tile it used to be stored as, so the constants predate the
-    /// packed layout.
+    /// A T factor is stored as its panels' packed upper triangles; it is
+    /// hashed as the zero-padded `b x b` tile it used to be stored as, so
+    /// the constants predate both packed layouts.
     fn digest(a: &TiledMatrix, f: &TFactors) -> u64 {
         let mut h = digest_tiles(a);
         let mut eat = |buf: &[f64]| h = fnv1a(h, buf);
         let ib = f.ib();
         let padded = |t: &[f64]| -> Vec<f64> {
             assert_eq!(t.len(), t_len(B, ib), "a T factor is t_len(b, ib) long");
-            let mut tile = vec![0.0; B * B];
-            for (col, src) in tile.chunks_exact_mut(B).zip(t.chunks_exact(ib)) {
-                col[..ib].copy_from_slice(src);
+            // Column j of the panel starting at s holds j - s + 1 entries.
+            let (mut tile, mut tri) = (vec![0.0; B * B], t.iter());
+            for (j, col) in tile.chunks_exact_mut(B).enumerate() {
+                col.iter_mut().zip(tri.by_ref().take(j % ib + 1)).for_each(|(x, y)| *x = *y);
             }
             tile
         };

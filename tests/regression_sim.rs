@@ -82,7 +82,8 @@ fn binary_ops(mt: u32, nt: u32) -> Vec<ElimOp> {
 }
 
 /// One faulty run's pinned numbers: makespan bits, messages, bytes bits,
-/// messages by kind, and the whole `FaultOverhead` (float fields as bits).
+/// messages by kind, the fault-free makespan and the run's inflation over
+/// it (bits), and the whole `FaultOverhead` (float fields as bits).
 type CrashPin = (u64, usize, u64, [usize; 6], u64, u64, usize, usize, usize, u64, usize);
 
 /// Node crashes and link faults on a flat and a binary DAG: lineage
@@ -136,8 +137,8 @@ fn pin_crash_recovery_runs() {
                 r.messages,
                 r.bytes.to_bits(),
                 r.messages_by_kind,
-                o.baseline_makespan.to_bits(),
-                o.makespan_inflation.to_bits(),
+                t.to_bits(),
+                (r.makespan / t - 1.0).to_bits(),
                 o.reexecuted_tasks,
                 o.aborted_tasks,
                 o.resent_messages,
