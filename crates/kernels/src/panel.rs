@@ -41,6 +41,7 @@
 use crate::larfg::larfg;
 use crate::micro::{axpy_cols, dot_cols, gemm_core, gemm_seeded, transpose, MaskA, SimdArm};
 use crate::{check_t, check_tile, t_len, Trans};
+use hqr_tile::heap::{LINE, LINE_FROM};
 use std::cell::RefCell;
 
 /// Widest column block factored with level-2 code: one row block of the
@@ -61,17 +62,25 @@ fn panels(b: usize, ib: usize) -> impl DoubleEndedIterator<Item = (usize, usize)
     (0..b.div_ceil(ib)).map(move |p| (p * ib, (p * ib + ib).min(b)))
 }
 
-/// `SCRATCH` split into slices of the given lengths, grown if short.
+/// Doubles in a cache line.
+const LINE_F64: usize = LINE / std::mem::size_of::<f64>();
+
+/// `SCRATCH` split into slices of the given lengths, grown if short. Each
+/// slice starts on a whole line of the buffer, and the buffer is at least
+/// [`LINE_FROM`] bytes, which the global allocator starts on a cache line;
+/// so every slice starts on one, whatever `(b, ib)` sizes it.
 fn carve<const N: usize>(buf: &mut Vec<f64>, lens: [usize; N]) -> [&mut [f64]; N] {
-    let need = lens.iter().sum();
+    let need = lens.iter().map(|n| n.next_multiple_of(LINE_F64)).sum::<usize>();
+    let need = need.max(LINE_FROM / std::mem::size_of::<f64>());
     if buf.len() < need {
         buf.resize(need, 0.0);
     }
     let mut rest = &mut buf[..];
     lens.map(|n| {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(n.next_multiple_of(LINE_F64));
         rest = tail;
-        head
+        debug_assert_eq!(head.as_ptr() as usize % LINE, 0, "a scratch piece off a cache line");
+        &mut head[..n]
     })
 }
 

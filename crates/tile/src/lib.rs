@@ -10,9 +10,12 @@
 //!   verification (gathering a tiled matrix, computing ‖A−QR‖, ‖QᵀQ−I‖);
 //! * [`ProcessGrid`] and [`Layout`] — the p×q process grids and the data
 //!   distributions of the paper (2D block-cyclic, 1D block, 1D cyclic,
-//!   CYCLIC(a) row block-cyclic).
+//!   CYCLIC(a) row block-cyclic);
+//! * [`heap`] — the global allocator, which starts every block of 1 KiB or
+//!   more (tiles, factor buffers, frames, kernel scratch) on a cache line.
 
 pub mod dense;
+pub mod heap;
 pub mod io;
 pub mod layout;
 pub mod matrix;

@@ -6,6 +6,7 @@
 //! data locality for the sequential kernels").
 
 use crate::dense::DenseMatrix;
+use crate::heap::keep_freed_tile_pages;
 use rand::{Rng, SeedableRng};
 
 /// A tiled `mt × nt` matrix of square `b × b` tiles.
@@ -19,35 +20,6 @@ pub struct TiledMatrix {
     b: usize,
     tiles: Vec<Box<[f64]>>,
 }
-
-/// Keep freed tile pages in the process for the next matrix.
-///
-/// A `b = 128` tile is 128 KiB, glibc's initial mmap threshold. glibc then
-/// moves its thresholds with the allocation history: the same program
-/// either reuses a dropped matrix's pages or returns them to the system and
-/// takes one page fault per 4 KiB re-creating the next, depending on which
-/// small allocations happen to sit above the tiles. Regenerating a 3072²
-/// input read 0.025 s warm and 0.05 s cold on a 2-core KVM host. Fixing the
-/// mmap threshold at glibc's own ceiling (32 MiB) keeps tiles on the heap,
-/// and a 256 MiB trim threshold keeps up to that much freed memory mapped.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-fn keep_freed_tile_pages() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    // `mallopt` parameters from glibc's <malloc.h>.
-    const M_TRIM_THRESHOLD: i32 = -1;
-    const M_MMAP_THRESHOLD: i32 = -3;
-    extern "C" {
-        fn mallopt(param: i32, value: i32) -> i32;
-    }
-    // SAFETY: `mallopt` only sets allocator parameters, under its own lock.
-    ONCE.call_once(|| unsafe {
-        mallopt(M_MMAP_THRESHOLD, 32 << 20);
-        mallopt(M_TRIM_THRESHOLD, 256 << 20);
-    });
-}
-
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-fn keep_freed_tile_pages() {}
 
 impl TiledMatrix {
     /// All-zero tiled matrix.
