@@ -342,6 +342,34 @@ fn meaningless_values_and_retired_flags_are_usage_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A MatrixMarket size line is the file's claim: one that overflows the
+/// byte count, or that the allocator refuses, is a typed error (exit 2),
+/// not a panic or an abort. The coordinate file's 2⁶³ bytes fit a usize
+/// but exceed `isize::MAX`, so every allocator refuses them.
+#[test]
+fn hostile_matrix_market_sizes_are_usage_errors() {
+    let dir = scratch("hostile-mtx");
+    let files = [
+        (
+            "wrap.mtx",
+            "%%MatrixMarket matrix array real general\n4294967296 4294967296\n",
+            "declared size 4294967296 x 4294967296 overflows",
+        ),
+        (
+            "huge.mtx",
+            "%%MatrixMarket matrix coordinate real general\n1152921504606846976 1 0\n",
+            "cannot allocate the declared 1152921504606846976 x 1 matrix (9223372036854775808 bytes)",
+        ),
+    ];
+    for (name, body, message) in files {
+        std::fs::write(dir.join(name), body).unwrap();
+        let (code, out, err) = run_in(&dir, &["factor", "--input", name]);
+        assert_eq!(code, 2, "{name}\nstdout: {out}\nstderr: {err}");
+        assert!(err.contains(message), "{name}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn experiments_prints_studies_and_names_them_when_asked_for_another() {
     let dir = scratch("experiments");

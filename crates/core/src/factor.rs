@@ -1,10 +1,18 @@
-//! The factorization driver: run an elimination list through the task-DAG
-//! runtime, keep the Householder factors, rebuild Q, and run the paper's
-//! numerical checks (§V-A: "we compute the Q factor ... by applying the
+//! The factorization: run an elimination list through the task-DAG runtime,
+//! keep the Householder factors, and run the paper's numerical checks on
+//! the same engine (§V-A: "we compute the Q factor ... by applying the
 //! reverse trees to the identity, and check (a) that Q has orthonormal
 //! columns and (b) that A is equal to Q∗R").
+//!
+//! The tile engine works on whole b × b tiles, as the paper's experiments
+//! do (M = m·b exactly). [`QrFactorization::from_dense`] takes any M × N
+//! matrix and pads it with zero rows and columns up to the next tile
+//! boundary — an exact reduction: appending zero rows leaves R and the
+//! leading M rows of Q unchanged (the extra Householder components are
+//! zero), and appending zero columns appends zero columns to R.
 
 use crate::elim::ElimList;
+use crate::hier::HqrConfig;
 use hqr_kernels::Trans;
 use hqr_runtime::{
     execute_serial_ib, try_apply_q, try_execute_with, ElimOp, ExecOptions, TFactors, TaskGraph,
@@ -22,20 +30,26 @@ pub enum Execution {
 
 /// A completed QR factorization: the factored tiles (R in the upper
 /// triangle, Householder V/V2 blocks elsewhere), the T factors (laid out
-/// for the inner block size the kernels ran with), and the elimination
-/// list that produced them — everything needed to apply Q.
+/// for the inner block size the kernels ran with), the elimination list
+/// that produced them — everything needed to apply Q — and the execution
+/// every later application of Q runs with. `rows`/`cols` are the matrix's
+/// own dimensions, before any padding to whole tiles.
 pub struct QrFactorization {
     a: TiledMatrix,
     factors: TFactors,
     ops: Vec<ElimOp>,
+    exec: Execution,
+    m: usize,
+    n: usize,
 }
 
 /// Outcome of the paper's two checks.
 #[derive(Clone, Copy, Debug)]
 pub struct QrCheck {
-    /// ‖QᵀQ − I‖_F.
+    /// ‖Qᵀ·Q_thin − [I; 0]‖_F, where Q_thin = Q·[I; 0] has one column per
+    /// column of the (padded) matrix.
     pub orthogonality: f64,
-    /// ‖A − Q·R‖_F / ‖A‖_F.
+    /// ‖A − Q·[R; 0]‖_F / ‖A‖_F (an A with ‖A‖_F < 1 divides by 1).
     pub residual: f64,
     /// Matrix dimension used for the tolerance scaling.
     pub m: usize,
@@ -50,9 +64,9 @@ impl QrCheck {
     }
 }
 
-/// Factor `a` in place according to `elims` and return the factorization
-/// object (which keeps its own copy of the factored tiles).
-pub fn qr_factorize(a: &mut TiledMatrix, elims: &ElimList, exec: Execution) -> QrFactorization {
+/// Factor `a` according to `elims`; the factorization owns the factored
+/// tiles.
+pub fn qr_factorize(a: TiledMatrix, elims: &ElimList, exec: Execution) -> QrFactorization {
     let b = a.b();
     qr_factorize_ib(a, elims, exec, b)
 }
@@ -62,7 +76,7 @@ pub fn qr_factorize(a: &mut TiledMatrix, elims: &ElimList, exec: Execution) -> Q
 /// kernels). Its T factors carry `ib`, so Q applications use the matching
 /// blocked reflector grouping.
 pub fn qr_factorize_ib(
-    a: &mut TiledMatrix,
+    mut a: TiledMatrix,
     elims: &ElimList,
     exec: Execution,
     ib: usize,
@@ -72,78 +86,110 @@ pub fn qr_factorize_ib(
     let ops = elims.to_ops();
     let graph = TaskGraph::build(a.mt(), a.nt(), a.b(), &ops);
     let factors = match exec {
-        Execution::Serial => execute_serial_ib(&graph, a, ib),
+        Execution::Serial => execute_serial_ib(&graph, &mut a, ib),
         Execution::Parallel(nthreads) => {
             let opts = ExecOptions { nthreads, ib: Some(ib), ..Default::default() };
-            try_execute_with(&graph, a, &opts).unwrap_or_else(|e| panic!("{e}")).0
+            try_execute_with(&graph, &mut a, &opts).unwrap_or_else(|e| panic!("{e}")).0
         }
     };
-    QrFactorization { a: a.clone(), factors, ops }
+    let (m, n) = (a.rows(), a.cols());
+    QrFactorization { a, factors, ops, exec, m, n }
 }
 
 impl QrFactorization {
-    /// The factored tiles (R in the global upper triangle, V blocks below).
+    /// Factor `a` (M × N, M ≥ N) with tile size `b` and inner block size
+    /// `ib` under `config`. Dimensions need not divide `b`: the matrix is
+    /// zero-padded straight into tiles, and [`Self::r`], [`Self::q_thin`]
+    /// and the least-squares solvers answer for the M × N matrix.
+    pub fn from_dense(
+        a: &DenseMatrix,
+        b: usize,
+        ib: usize,
+        config: HqrConfig,
+        exec: Execution,
+    ) -> Self {
+        let (m, n) = (a.rows(), a.cols());
+        assert!(m >= n, "a dense factorization expects M >= N (least-squares orientation)");
+        assert!(b > 0, "tile size must be positive");
+        let tiles = TiledMatrix::from_dense(a, b);
+        let elims = config.elimination_list(tiles.mt(), tiles.nt());
+        QrFactorization { m, n, ..qr_factorize_ib(tiles, &elims, exec, ib) }
+    }
+
+    /// Rows of the factored matrix, before padding.
+    pub fn rows(&self) -> usize {
+        self.m
+    }
+
+    /// Columns of the factored matrix, before padding.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// The factored tiles (R in the global upper triangle, V blocks below),
+    /// padding included.
     pub fn factored(&self) -> &TiledMatrix {
         &self.a
     }
 
-    /// The R factor as a dense (M × N) upper-triangular matrix.
-    pub fn r_dense(&self) -> DenseMatrix {
-        self.a.to_dense().upper_triangle()
+    /// R: the min(M, N) × N upper trapezoid.
+    pub fn r(&self) -> DenseMatrix {
+        self.a.leading(self.m.min(self.n), self.n).upper_triangle()
     }
 
     /// Apply op(Q) to a tiled matrix `c` with the same tile-row count:
     /// `Trans` computes Qᵀ·C (forward elimination order, as during the
     /// factorization), `NoTrans` computes Q·C ("applying the reverse
-    /// trees", §V-A). Runs [`hqr_runtime::try_apply_q`] on one thread.
+    /// trees", §V-A). Runs [`hqr_runtime::try_apply_q`] with the
+    /// factorization's own execution; every thread count gives the same
+    /// bits.
     ///
     /// # Panics
     /// Panics with the engine's refusal if `c`'s tile rows or tile size
     /// differ from the factored matrix's.
     pub fn apply_q(&self, c: &mut TiledMatrix, trans: Trans) {
-        let opts = ExecOptions::with_threads(1);
+        let threads = match self.exec {
+            Execution::Serial => 1,
+            Execution::Parallel(t) => t,
+        };
+        let opts = ExecOptions::with_threads(threads);
         if let Err(e) = try_apply_q(&self.a, &self.factors, &self.ops, c, trans, &opts) {
             panic!("{e}");
         }
     }
 
-    /// Build Q explicitly (M × M) by applying the reverse trees to the
-    /// identity.
-    pub fn q_dense(&self) -> DenseMatrix {
-        let mt = self.a.mt();
-        let b = self.a.b();
-        let mut q = TiledMatrix::identity(mt, mt, b);
-        self.apply_q(&mut q, Trans::NoTrans);
-        q.to_dense()
-    }
-
-    /// Run the paper's two checks against the original matrix.
+    /// Run the paper's two checks against the original M × N matrix. Both
+    /// run on the engine in one tiled buffer as wide as the factored matrix
+    /// and are summed tile by tile (over the padding too, where A is zero):
+    /// Q·[R; 0] against A, then Qᵀ·(Q·[I; 0]) against [I; 0], so the
+    /// reverse and the forward trees both run. No M × M matrix is formed.
     pub fn check(&self, original: &DenseMatrix) -> QrCheck {
-        let q = self.q_dense();
-        let orthogonality = q.orthogonality_error();
-        // Q·R via the tiled apply (cheaper and stronger than dense matmul:
-        // exercises the reverse-tree application).
-        let r = self.r_dense();
-        let mut r_tiled = TiledMatrix::from_dense(&r, self.a.b());
-        self.apply_q(&mut r_tiled, Trans::NoTrans);
-        let qr = r_tiled.to_dense();
-        let norm_a = original.frob_norm().max(1.0);
-        let residual = original.sub(&qr).frob_norm() / norm_a;
-        QrCheck { orthogonality, residual, m: self.a.rows() }
+        let (m, n) = (original.rows(), original.cols());
+        assert_eq!((m, n), (self.m, self.n), "the check needs the factored matrix");
+        let (mt, nt, b) = (self.a.mt(), self.a.nt(), self.a.b());
+        let mut c = TiledMatrix::zeros(mt, nt, b);
+        c.fill_with(|i, j| if i <= j { self.a.get(i, j) } else { 0.0 });
+        self.apply_q(&mut c, Trans::NoTrans);
+        let residual = c.distance(|i, j| if i < m && j < n { original.get(i, j) } else { 0.0 });
+        c.fill_with(|i, j| if i == j { 1.0 } else { 0.0 });
+        self.apply_q(&mut c, Trans::NoTrans);
+        self.apply_q(&mut c, Trans::Trans);
+        let orthogonality = c.distance(|i, j| if i == j { 1.0 } else { 0.0 });
+        QrCheck { orthogonality, residual: residual / original.frob_norm().max(1.0), m: mt * b }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hier::HqrConfig;
     use crate::schedule::Schedule;
     use crate::trees::TreeKind;
+    use hqr_runtime::task::SlotFamily;
 
     fn check_config(mt: usize, nt: usize, b: usize, elims: &ElimList, exec: Execution, seed: u64) {
-        let mut a = TiledMatrix::random(mt, nt, b, seed);
+        let a = TiledMatrix::random(mt, nt, b, seed);
         let a0 = a.to_dense();
-        let f = qr_factorize(&mut a, elims, exec);
+        let f = qr_factorize(a, elims, exec);
         let chk = f.check(&a0);
         assert!(
             chk.is_satisfactory(),
@@ -227,13 +273,13 @@ mod tests {
         // Applying Qᵀ (forward trees) to the original must reproduce R.
         let (mt, nt, b) = (6, 3, 4);
         let l = Schedule::greedy(mt, nt).to_elim_list(false);
-        let mut a = TiledMatrix::random(mt, nt, b, 11);
-        let a0 = a.to_dense();
-        let f = qr_factorize(&mut a, &l, Execution::Serial);
-        let mut c = TiledMatrix::from_dense(&a0, b);
+        let a = TiledMatrix::random(mt, nt, b, 11);
+        let mut c = a.clone();
+        let f = qr_factorize(a, &l, Execution::Serial);
         f.apply_q(&mut c, Trans::Trans);
         let qta = c.to_dense();
-        let diff = qta.sub(&f.r_dense()).frob_norm();
+        let r = f.r();
+        let diff = c.distance(|i, j| if i <= j { r.get(i, j) } else { 0.0 });
         assert!(diff < 1e-11, "QᵀA != R: {diff}");
         assert!(qta.max_abs_below_diagonal() < 1e-12);
     }
@@ -242,9 +288,9 @@ mod tests {
     fn r_diagonal_blocks_upper_triangular() {
         let (mt, nt, b) = (5, 5, 4);
         let l = Schedule::binary(mt, nt).to_elim_list(false);
-        let mut a = TiledMatrix::random(mt, nt, b, 12);
-        let f = qr_factorize(&mut a, &l, Execution::Serial);
-        let r = f.r_dense();
+        let f = qr_factorize(TiledMatrix::random(mt, nt, b, 12), &l, Execution::Serial);
+        let r = f.r();
+        assert_eq!((r.rows(), r.cols()), (20, 20));
         assert_eq!(r.max_abs_below_diagonal(), 0.0);
     }
 
@@ -253,8 +299,7 @@ mod tests {
         let (mt, nt, b) = (6, 2, 3);
         let cfg = HqrConfig::new(2, 1).with_a(3).with_domino(true);
         let l = cfg.elimination_list(mt, nt);
-        let mut a = TiledMatrix::random(mt, nt, b, 13);
-        let f = qr_factorize(&mut a, &l, Execution::Serial);
+        let f = qr_factorize(TiledMatrix::random(mt, nt, b, 13), &l, Execution::Serial);
         let c0 = TiledMatrix::random(mt, 2, b, 14);
         let mut c = c0.clone();
         f.apply_q(&mut c, Trans::Trans);
@@ -268,8 +313,7 @@ mod tests {
         let (mt, nt, b) = (9usize, 4usize, 4usize);
         let cfg = HqrConfig::new(3, 1).with_a(2).with_domino(true);
         let elims = cfg.elimination_list(mt, nt);
-        let mut a = TiledMatrix::random(mt, nt, b, 104);
-        let f = qr_factorize(&mut a, &elims, Execution::Serial);
+        let f = qr_factorize(TiledMatrix::random(mt, nt, b, 104), &elims, Execution::Serial);
         let c0 = TiledMatrix::random(mt, 2, b, 105);
         for trans in [Trans::Trans, Trans::NoTrans] {
             let mut cs = c0.clone();
@@ -285,8 +329,8 @@ mod tests {
     fn parallel_apply_q_with_inner_blocking() {
         let (mt, nt, b) = (6usize, 3usize, 6usize);
         let elims = Schedule::greedy(mt, nt).to_elim_list(false);
-        let mut a = TiledMatrix::random(mt, nt, b, 106);
-        let f = qr_factorize_ib(&mut a, &elims, Execution::Serial, 3);
+        let a = TiledMatrix::random(mt, nt, b, 106);
+        let f = qr_factorize_ib(a, &elims, Execution::Serial, 3);
         let c0 = TiledMatrix::random(mt, 1, b, 107);
         let mut cs = c0.clone();
         let mut cp = c0.clone();
@@ -303,9 +347,9 @@ mod tests {
         let cfg = HqrConfig::new(2, 1).with_a(2).with_domino(true);
         let elims = cfg.elimination_list(mt, nt);
         for ib in [2usize, 4, 8] {
-            let mut a = TiledMatrix::random(mt, nt, b, 101);
+            let a = TiledMatrix::random(mt, nt, b, 101);
             let a0 = a.to_dense();
-            let f = qr_factorize_ib(&mut a, &elims, Execution::Serial, ib);
+            let f = qr_factorize_ib(a, &elims, Execution::Serial, ib);
             let chk = f.check(&a0);
             assert!(
                 chk.is_satisfactory(),
@@ -321,8 +365,8 @@ mod tests {
         let (mt, nt, b) = (6usize, 3usize, 8usize);
         let elims = Schedule::greedy(mt, nt).to_elim_list(false);
         let r_of = |ib: usize| {
-            let mut a = TiledMatrix::random(mt, nt, b, 102);
-            qr_factorize_ib(&mut a, &elims, Execution::Serial, ib).r_dense()
+            let a = TiledMatrix::random(mt, nt, b, 102);
+            qr_factorize_ib(a, &elims, Execution::Serial, ib).r()
         };
         let r8 = r_of(8);
         let r2 = r_of(2);
@@ -335,18 +379,129 @@ mod tests {
         let (mt, nt, b) = (9usize, 3usize, 6usize);
         let cfg = HqrConfig::new(3, 1).with_a(3).with_domino(true);
         let elims = cfg.elimination_list(mt, nt);
-        let mut a1 = TiledMatrix::random(mt, nt, b, 103);
-        let mut a2 = a1.clone();
-        let f1 = qr_factorize_ib(&mut a1, &elims, Execution::Serial, 3);
-        let f2 = qr_factorize_ib(&mut a2, &elims, Execution::Parallel(4), 3);
-        assert_eq!(f1.r_dense().data(), f2.r_dense().data());
+        let a1 = TiledMatrix::random(mt, nt, b, 103);
+        let f2 = qr_factorize_ib(a1.clone(), &elims, Execution::Parallel(4), 3);
+        let f1 = qr_factorize_ib(a1, &elims, Execution::Serial, 3);
+        assert_eq!(f1.r().data(), f2.r().data());
     }
 
     #[test]
     #[should_panic(expected = "different mt")]
     fn shape_mismatch_rejected() {
         let l = Schedule::flat(4, 2).to_elim_list(true);
-        let mut a = TiledMatrix::random(5, 2, 3, 15);
-        let _ = qr_factorize(&mut a, &l, Execution::Serial);
+        let _ = qr_factorize(TiledMatrix::random(5, 2, 3, 15), &l, Execution::Serial);
+    }
+
+    /// One flipped sign in a V2 block or in a packed T factor makes Q
+    /// another matrix, and no longer an orthogonal one: both norms cross
+    /// the tolerance by orders of magnitude.
+    #[test]
+    fn check_catches_one_corrupted_v_or_t_element() {
+        let (mt, nt, b) = (6usize, 3usize, 4usize);
+        let elims = Schedule::flat(mt, nt).to_elim_list(true);
+        let a = TiledMatrix::random(mt, nt, b, 16);
+        let a0 = a.to_dense();
+        let clean = qr_factorize(a.clone(), &elims, Execution::Serial);
+        assert!(clean.check(&a0).is_satisfactory());
+        let tol = 100.0 * f64::EPSILON * (mt * b) as f64;
+        let flip = |x: &mut f64| {
+            assert_ne!(*x, 0.0, "the flipped element must hold a value");
+            *x = -*x;
+        };
+        // TSQRT(1, 3) leaves V2 in the whole of tile (3, 1), below the diagonal.
+        let mut v_hit = qr_factorize(a.clone(), &elims, Execution::Serial);
+        flip(&mut v_hit.a.tile_mut(3, 1)[b + 2]);
+        // Its T factor, packed: element 1 is T(0, 1).
+        let mut t_hit = qr_factorize(a, &elims, Execution::Serial);
+        flip(&mut t_hit.factors.slot_mut(SlotFamily::Tk, 3, 1).expect("a TS kill")[1]);
+        for (what, f) in [("V", v_hit), ("T", t_hit)] {
+            let chk = f.check(&a0);
+            assert!(!chk.is_satisfactory(), "{what}: {chk:?}");
+            assert!(chk.residual > 1e6 * tol, "{what}: residual {:e}", chk.residual);
+            assert!(chk.orthogonality > 1e6 * tol, "{what}: orthogonality {:e}", chk.orthogonality);
+        }
+    }
+
+    // The dense constructor: any M × N (M ≥ N), zero-padded into tiles.
+
+    fn cfg() -> HqrConfig {
+        HqrConfig::new(2, 1).with_a(2).with_low(TreeKind::Greedy).with_domino(true)
+    }
+
+    fn check_dense_qr(m: usize, n: usize, b: usize, seed: u64) {
+        let a = DenseMatrix::random(m, n, seed);
+        let qr = QrFactorization::from_dense(&a, b, b, cfg(), Execution::Serial);
+        assert_eq!((qr.rows(), qr.cols()), (m, n));
+        let q = qr.q_thin();
+        let r = qr.r();
+        assert_eq!((q.rows(), q.cols(), r.rows(), r.cols()), (m, n, n, n));
+        assert!(q.orthogonality_error() < 1e-12 * (m as f64), "Q not orthonormal");
+        let err = a.sub(&q.matmul(&r)).frob_norm() / a.frob_norm().max(1.0);
+        assert!(err < 1e-12, "{m}x{n} b={b}: reconstruction error {err}");
+        assert_eq!(r.max_abs_below_diagonal(), 0.0);
+        let chk = qr.check(&a);
+        assert!(chk.is_satisfactory(), "{m}x{n} b={b}: {chk:?}");
+    }
+
+    #[test]
+    fn dense_exact_tile_multiples() {
+        check_dense_qr(24, 12, 4, 1);
+    }
+
+    #[test]
+    fn dense_ragged_rows() {
+        check_dense_qr(26, 12, 4, 2);
+        check_dense_qr(25, 12, 4, 3);
+    }
+
+    #[test]
+    fn dense_ragged_cols() {
+        check_dense_qr(24, 10, 4, 4);
+        check_dense_qr(24, 9, 4, 5);
+    }
+
+    #[test]
+    fn dense_ragged_both() {
+        check_dense_qr(27, 11, 4, 6);
+        check_dense_qr(13, 5, 4, 7);
+    }
+
+    #[test]
+    fn dense_tiny_matrices() {
+        check_dense_qr(1, 1, 4, 8);
+        check_dense_qr(3, 2, 4, 9);
+        check_dense_qr(5, 5, 4, 10);
+    }
+
+    #[test]
+    fn dense_tile_bigger_than_matrix() {
+        check_dense_qr(3, 2, 8, 11);
+    }
+
+    #[test]
+    fn dense_least_squares_on_ragged() {
+        let (m, n, b) = (29usize, 7usize, 4usize);
+        let a = DenseMatrix::random(m, n, 12);
+        let x_true = DenseMatrix::random(n, 2, 13);
+        let rhs = a.matmul(&x_true);
+        let qr = QrFactorization::from_dense(&a, b, b, cfg(), Execution::Serial);
+        let x = qr.solve_least_squares(&rhs);
+        assert!(x.sub(&x_true).frob_norm() < 1e-9, "err {}", x.sub(&x_true).frob_norm());
+    }
+
+    #[test]
+    fn dense_inner_blocked_parallel() {
+        let a = DenseMatrix::random(21, 9, 15);
+        let qr = QrFactorization::from_dense(&a, 4, 2, cfg(), Execution::Parallel(3));
+        let recon = qr.q_thin().matmul(&qr.r());
+        assert!(a.sub(&recon).frob_norm() < 1e-12 * a.frob_norm());
+        assert!(qr.check(&a).is_satisfactory());
+    }
+
+    #[test]
+    #[should_panic(expected = "M >= N")]
+    fn dense_wide_rejected() {
+        let a = DenseMatrix::random(4, 9, 16);
+        let _ = QrFactorization::from_dense(&a, 4, 4, cfg(), Execution::Serial);
     }
 }

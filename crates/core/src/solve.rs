@@ -9,13 +9,13 @@ use hqr_kernels::{KernelError, Trans};
 use hqr_tile::{DenseMatrix, TiledMatrix};
 
 impl QrFactorization {
-    /// Explicit thin Q (M × N, orthonormal columns): apply the reverse
-    /// trees to the first N columns of the identity (LAPACK `dorgqr`).
-    pub fn q_thin_dense(&self) -> DenseMatrix {
-        let a = self.factored();
-        let mut q = TiledMatrix::identity(a.mt(), a.nt(), a.b());
+    /// Explicit thin Q (M × min(M, N), orthonormal columns): apply the
+    /// reverse trees to the first columns of the identity (LAPACK `dorgqr`).
+    pub fn q_thin(&self) -> DenseMatrix {
+        let (a, k) = (self.factored(), self.rows().min(self.cols()));
+        let mut q = TiledMatrix::identity(a.mt(), k.div_ceil(a.b()), a.b());
         self.apply_q(&mut q, Trans::NoTrans);
-        q.to_dense()
+        q.leading(self.rows(), k)
     }
 
     /// Solve the least-squares problem min‖A·x − b‖₂ for each column of
@@ -33,61 +33,20 @@ impl QrFactorization {
     /// Fallible variant of [`Self::solve_least_squares`]: returns
     /// [`KernelError::SingularR`] when back-substitution meets a zero
     /// diagonal, instead of panicking — so services can fail one request
-    /// rather than the process.
+    /// rather than the process. Only the leading N × N block of R takes
+    /// part: the columns a dense matrix was padded with are zero.
     pub fn try_solve_least_squares(&self, rhs: &DenseMatrix) -> Result<DenseMatrix, KernelError> {
-        let a = self.factored();
-        let (m, n, b) = (a.rows(), a.cols(), a.b());
+        let (m, n, nrhs) = (self.rows(), self.cols(), rhs.cols());
         assert!(m >= n, "least squares requires M >= N");
         assert_eq!(rhs.rows(), m, "rhs must have M rows");
-        let nrhs = rhs.cols();
-        // Pad the right-hand sides into whole tiles.
-        let nt_rhs = nrhs.div_ceil(b).max(1);
-        let mut c = TiledMatrix::zeros(m / b, nt_rhs, b);
-        for j in 0..nrhs {
-            for i in 0..m {
-                c.tile_mut(i / b, j / b)[i % b + (j % b) * b] = rhs.get(i, j);
-            }
-        }
         // Qᵀ·b through the stored reflectors (forward trees).
+        let mut c = TiledMatrix::from_dense(rhs, self.factored().b());
         self.apply_q(&mut c, Trans::Trans);
-        back_substitute(&self.r_dense(), &c.to_dense(), n, nrhs)
+        let r = self.r();
+        let mut x = c.leading(n, nrhs).data().to_vec();
+        try_trsm_upper(n, nrhs, r.data(), &mut x)?;
+        Ok(DenseMatrix::from_col_major(n, nrhs, &x))
     }
-
-    /// Residual norm ‖A·x − b‖₂ per right-hand side, given the original
-    /// dense A (diagnostic companion to [`Self::solve_least_squares`]).
-    pub fn residual_norms(a0: &DenseMatrix, x: &DenseMatrix, rhs: &DenseMatrix) -> Vec<f64> {
-        let ax = a0.matmul(x);
-        (0..rhs.cols())
-            .map(|j| {
-                (0..rhs.rows()).map(|i| (ax.get(i, j) - rhs.get(i, j)).powi(2)).sum::<f64>().sqrt()
-            })
-            .collect()
-    }
-}
-
-/// x = R₁⁻¹·(Qᵀb)₁: back-substitute the leading `n × nrhs` block of `qtb`
-/// with the leading `n × n` upper triangle of `r`. The padded rows and
-/// columns of a tile factorization take no part.
-pub(crate) fn back_substitute(
-    r: &DenseMatrix,
-    qtb: &DenseMatrix,
-    n: usize,
-    nrhs: usize,
-) -> Result<DenseMatrix, KernelError> {
-    let mut r_sq = vec![0.0; n * n];
-    for j in 0..n {
-        for i in 0..=j {
-            r_sq[i + j * n] = r.get(i, j);
-        }
-    }
-    let mut x = vec![0.0; n * nrhs];
-    for j in 0..nrhs {
-        for i in 0..n {
-            x[i + j * n] = qtb.get(i, j);
-        }
-    }
-    try_trsm_upper(n, nrhs, &r_sq, &mut x)?;
-    Ok(DenseMatrix::from_col_major(n, nrhs, &x))
 }
 
 #[cfg(test)]
@@ -99,16 +58,15 @@ mod tests {
 
     fn factorize(mt: usize, nt: usize, b: usize, seed: u64) -> (DenseMatrix, QrFactorization) {
         let elims = HqrConfig::new(2, 1).with_a(2).with_domino(true).elimination_list(mt, nt);
-        let mut a = TiledMatrix::random(mt, nt, b, seed);
+        let a = TiledMatrix::random(mt, nt, b, seed);
         let a0 = a.to_dense();
-        let f = qr_factorize(&mut a, &elims, Execution::Serial);
-        (a0, f)
+        (a0, qr_factorize(a, &elims, Execution::Serial))
     }
 
     #[test]
     fn thin_q_has_orthonormal_columns() {
         let (_, f) = factorize(6, 2, 4, 31);
-        let q = f.q_thin_dense();
+        let q = f.q_thin();
         assert_eq!(q.rows(), 24);
         assert_eq!(q.cols(), 8);
         assert!(q.orthogonality_error() < 1e-13);
@@ -117,16 +75,9 @@ mod tests {
     #[test]
     fn thin_q_times_r_reconstructs_a() {
         let (a0, f) = factorize(5, 2, 4, 32);
-        let q = f.q_thin_dense();
-        let r = f.r_dense();
-        // thin Q (M×N) times the N×N leading block of R.
-        let mut r_sq = DenseMatrix::zeros(8, 8);
-        for j in 0..8 {
-            for i in 0..=j {
-                r_sq.set(i, j, r.get(i, j));
-            }
-        }
-        let qr = q.matmul(&r_sq);
+        let q = f.q_thin();
+        // thin Q (M×N) times the N×N R.
+        let qr = q.matmul(&f.r());
         assert!(a0.sub(&qr).frob_norm() < 1e-12 * a0.frob_norm());
     }
 
@@ -161,21 +112,20 @@ mod tests {
         let (a0, f) = factorize(6, 1, 4, 37);
         let b = DenseMatrix::random(24, 1, 38);
         let x = f.solve_least_squares(&b);
-        let norms = QrFactorization::residual_norms(&a0, &x, &b);
+        let residual = |x: &DenseMatrix| a0.matmul(x).sub(&b).frob_norm();
         // Any perturbed x must do no better.
         let mut xp = x.clone();
         xp.set(0, 0, xp.get(0, 0) + 0.1);
-        let worse = QrFactorization::residual_norms(&a0, &xp, &b);
-        assert!(norms[0] <= worse[0] + 1e-12);
+        assert!(residual(&x) <= residual(&xp) + 1e-12);
     }
 
     #[test]
     fn works_with_any_tree() {
         let (mt, nt, b) = (6usize, 2usize, 4usize);
         let elims = Schedule::greedy(mt, nt).to_elim_list(false);
-        let mut a = TiledMatrix::random(mt, nt, b, 39);
+        let a = TiledMatrix::random(mt, nt, b, 39);
         let a0 = a.to_dense();
-        let f = qr_factorize(&mut a, &elims, Execution::Serial);
+        let f = qr_factorize(a, &elims, Execution::Serial);
         let x_true = DenseMatrix::random(nt * b, 1, 40);
         let bvec = a0.matmul(&x_true);
         let x = f.solve_least_squares(&bvec);
@@ -193,7 +143,7 @@ mod tests {
                 *x = 0.0;
             }
         }
-        let f = qr_factorize(&mut a, &elims, Execution::Serial);
+        let f = qr_factorize(a, &elims, Execution::Serial);
         let b = DenseMatrix::random(24, 1, 44);
         let err = f.try_solve_least_squares(&b).unwrap_err();
         assert_eq!(err, hqr_kernels::KernelError::SingularR { index: 0 });
@@ -203,8 +153,8 @@ mod tests {
     #[should_panic(expected = "M >= N")]
     fn wide_systems_rejected() {
         let elims = Schedule::flat(2, 3).to_elim_list(true);
-        let mut a = TiledMatrix::random(2, 3, 4, 41);
-        let f = qr_factorize(&mut a, &elims, Execution::Serial);
+        let a = TiledMatrix::random(2, 3, 4, 41);
+        let f = qr_factorize(a, &elims, Execution::Serial);
         let b = DenseMatrix::random(8, 1, 42);
         let _ = f.solve_least_squares(&b);
     }

@@ -13,7 +13,7 @@
 //! `ib = b` call of the functions here (one panel spanning the tile), so
 //! no caller ever chooses between a blocked and an unblocked routine.
 //!
-//! Everything behind them is level 3 and lives in [`crate::panel`]. The
+//! Everything behind them is level 3 and lives in the `panel` module. The
 //! three factor kernels are one recursive compact-WY routine that halves a
 //! panel down to blocks of eight columns, so reflector application inside
 //! the panel and the T build ride the gemm core ([`crate::micro`]), and

@@ -2,9 +2,9 @@
 //!
 //! Every level-3 operation in this crate — the update kernels
 //! (UNMQR/TSMQR/TTMQR), the recursive panel routine of the factor kernels
-//! ([`crate::panel`]: block-applies, T merges, trailing updates), and
+//! (`panel`: block-applies, T merges, trailing updates), and
 //! [`crate::blas::gemm`] — funnels into
-//! [`gemm_core`]: `C := α·A·B + β·C` on column-major buffers with
+//! `gemm_core`: `C := α·A·B + β·C` on column-major buffers with
 //! explicit leading dimensions, where `A` may carry a triangular
 //! structure mask so triangle-shaped operands (TT kernels, T factors,
 //! unit-lower V blocks) keep their flop savings.
@@ -41,9 +41,9 @@
 //! cross-arm tests are tolerance-based while same-arm tests are exact.
 //!
 //! The same two arms implement the fused level-2 steps that end the panel
-//! recursion ([`dot_cols`], [`axpy_cols`]); those stay 256-bit, which
+//! recursion (`dot_cols`, `axpy_cols`); those stay 256-bit, which
 //! measured faster than 512-bit leaves in the factor kernels. The
-//! reflector packs' [`transpose`] runs at the gemm's width.
+//! reflector packs' `transpose` runs at the gemm's width.
 
 use std::sync::OnceLock;
 

@@ -528,10 +528,10 @@ pub(crate) fn acquire<T>(
 /// The worker loop every executor runs — the single-DAG engine (which
 /// also applies Q, [`try_apply_q`]), the multi-job
 /// [`crate::pool::JobPool`] and an `hqr-net` worker's compute thread (one
-/// worker, no peers): [`acquire`] a task and hand it to `run` until `run`
+/// worker, no peers): `acquire` a task and hand it to `run` until `run`
 /// breaks, `halted()` turns true, or no task can be found and `drained()`
 /// says none will come. An idle worker climbs the spin/yield backoff
-/// ladder, then parks in bounded naps of [`IDLE_PARK`] instead of burning
+/// ladder, then parks in bounded naps of `IDLE_PARK` instead of burning
 /// its core through a long serial tail; new work is picked up within one
 /// nap, or at once if whoever released it unparks the thread.
 pub fn worker_loop<T>(

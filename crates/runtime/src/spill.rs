@@ -8,7 +8,7 @@
 //! turns the flat pointer table of [`crate::store::TileStore`] into a
 //! cache: every buffer of the matrix and the factor families — a `b × b`
 //! tile, or a T factor of [`hqr_kernels::t_len`]`(b, ib)` doubles —
-//! becomes a [`Slot`] that is either *resident* (heap `Box<[f64]>`) or
+//! becomes a `Slot` that is either *resident* (heap `Box<[f64]>`) or
 //! *spilled* (a fixed-offset record in the per-run spill file). The
 //! executor pins a task's read/write slots before the attempt ladder runs
 //! and unpins them after, so eviction can never pull a buffer out from

@@ -196,7 +196,7 @@ impl TileStore {
     /// The store the run `plan` describes should use: paged — buffers move
     /// into a two-tier cache whose resident tier is bounded by
     /// `resident_budget` bytes, the rest spilled to a checksummed file under
-    /// `spill_dir` (OS temp dir when `None`) — when [`pages`] says so, else
+    /// `spill_dir` (OS temp dir when `None`) — when `pages` says so, else
     /// the flat resident store (zero per-access overhead, bitwise-identical
     /// results either way; `plan.order` is not looked at).
     ///

@@ -45,6 +45,12 @@ impl DenseMatrix {
         Self { rows, cols, data: data.to_vec() }
     }
 
+    /// Take a column-major buffer of exactly `rows * cols` values.
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
+        Self { rows, cols, data }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -88,8 +88,18 @@ pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix,
     if rows == 0 || cols == 0 {
         return Err("empty matrix".into());
     }
-    let mut m = DenseMatrix::zeros(rows, cols);
+    // The declared size is the file's word, not a fact: it must fit in
+    // memory's address arithmetic before anything is sized by it.
+    let len = rows.checked_mul(cols).filter(|n| n.checked_mul(8).is_some());
+    let len = len.ok_or_else(|| format!("declared size {rows} x {cols} overflows"))?;
+    let mut values = Vec::new();
     if coordinate {
+        // Entries may come in any order, so the dense buffer comes first;
+        // a size the allocator refuses is an error, not an abort.
+        values.try_reserve_exact(len).map_err(|_| {
+            format!("cannot allocate the declared {rows} x {cols} matrix ({} bytes)", len * 8)
+        })?;
+        values.resize(len, 0.0);
         let nnz = dims[2];
         let mut seen = 0usize;
         for line in lines {
@@ -108,14 +118,15 @@ pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix,
             if i == 0 || j == 0 || i > rows || j > cols {
                 return Err(format!("entry ({i},{j}) out of bounds"));
             }
-            m.set(i - 1, j - 1, v);
+            values[(i - 1) + (j - 1) * rows] = v;
             seen += 1;
         }
         if seen != nnz {
             return Err(format!("expected {nnz} entries, found {seen}"));
         }
     } else {
-        let mut values = Vec::with_capacity(rows * cols);
+        // Values arrive in column-major order: the buffer grows with the
+        // file, never ahead of it.
         for line in lines {
             let (line, no) = line.map_err(|e| e.to_string())?;
             for tok in line.split_whitespace() {
@@ -125,12 +136,11 @@ pub fn parse_matrix_market<R: Read>(reader: BufReader<R>) -> Result<DenseMatrix,
                 values.push(entry(tok, no)?);
             }
         }
-        if values.len() != rows * cols {
-            return Err(format!("expected {} values, found {}", rows * cols, values.len()));
+        if values.len() != len {
+            return Err(format!("expected {len} values, found {}", values.len()));
         }
-        m = DenseMatrix::from_col_major(rows, cols, &values);
     }
-    Ok(m)
+    Ok(DenseMatrix::from_vec(rows, cols, values))
 }
 
 /// Write a dense matrix in `array real general` format.
@@ -894,7 +904,7 @@ const FRAME_STEP: usize = 1 << 20;
 /// [`FrameError::Truncated`]. The length is checked against [`MAX_FRAME`]
 /// before `buf` grows, and `buf` grows only as the bytes arrive: a length
 /// the stream does not back (a torn journal tail, a hostile peer) costs at
-/// most [`FRAME_STEP`] or twice what was delivered, not the declared size.
+/// most 1 MiB or twice what was delivered, not the declared size.
 pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, FrameError> {
     let mut len = [0u8; 8];
     match fill(r, &mut len)? {
@@ -1020,6 +1030,22 @@ mod tests {
             .unwrap_err();
         assert_eq!(e, "line 4: `-inf` is not a finite number");
         assert!(parse("%%MatrixMarket matrix array real general\n1 1\n1e999\n").is_err());
+    }
+
+    #[test]
+    fn refuses_declared_sizes_it_cannot_hold() {
+        let head = "%%MatrixMarket matrix array real general\n";
+        let e = parse(&format!("{head}4294967296 4294967296\n1.0\n")).unwrap_err();
+        assert_eq!(e, "declared size 4294967296 x 4294967296 overflows");
+        // rows·cols fits a usize, its bytes do not.
+        let e = parse(&format!("{head}2305843009213693952 1\n")).unwrap_err();
+        assert_eq!(e, "declared size 2305843009213693952 x 1 overflows");
+        // 2⁶⁰ doubles: more bytes than an allocation may hold.
+        let e = parse("%%MatrixMarket matrix coordinate real general\n1099511627776 1048576 0\n");
+        assert!(e.unwrap_err().starts_with("cannot allocate the declared 1099511627776 x 1048576"));
+        // The array branch sizes nothing by the declaration.
+        let e = parse(&format!("{head}1000000000 1000\n1.0\n")).unwrap_err();
+        assert_eq!(e, "expected 1000000000000 values, found 1");
     }
 
     const MAGIC: [u8; 8] = *b"HQRTEST\0";

@@ -64,42 +64,68 @@ impl TiledMatrix {
         m
     }
 
-    /// Scatter a dense matrix into tiles. The dense dimensions must be exact
-    /// multiples of `b` (the paper's experiments always use M = m·b, N = n·b).
+    /// Scatter a dense matrix into tiles. Dimensions that are not multiples
+    /// of `b` are zero-padded up to the next tile boundary, so the tiled
+    /// matrix has `rows.div_ceil(b)` × `cols.div_ceil(b)` tiles, and at least
+    /// one in each direction.
     pub fn from_dense(dense: &DenseMatrix, b: usize) -> Self {
         assert!(b > 0, "tile size must be positive");
-        assert_eq!(dense.rows() % b, 0, "rows must be a multiple of the tile size");
-        assert_eq!(dense.cols() % b, 0, "cols must be a multiple of the tile size");
-        let (mt, nt) = (dense.rows() / b, dense.cols() / b);
-        let mut m = Self::zeros(mt, nt, b);
-        for tj in 0..nt {
-            for ti in 0..mt {
-                let tile = m.tile_mut(ti, tj);
-                for j in 0..b {
-                    for i in 0..b {
-                        tile[i + j * b] = dense.get(ti * b + i, tj * b + j);
-                    }
-                }
+        let (m, n) = (dense.rows(), dense.cols());
+        let mut t = Self::zeros(m.div_ceil(b).max(1), n.div_ceil(b).max(1), b);
+        for j in 0..n {
+            for (ti, col) in dense.data()[j * m..][..m].chunks(b).enumerate() {
+                t.tile_mut(ti, j / b)[(j % b) * b..][..col.len()].copy_from_slice(col);
             }
         }
-        m
+        t
+    }
+
+    /// Gather the leading `rows × cols` block into a dense matrix (the
+    /// inverse of [`TiledMatrix::from_dense`]'s padding).
+    pub fn leading(&self, rows: usize, cols: usize) -> DenseMatrix {
+        assert!(rows <= self.rows() && cols <= self.cols(), "{rows} x {cols} exceeds the matrix");
+        let b = self.b;
+        let mut data = Vec::with_capacity(rows * cols);
+        for j in 0..cols {
+            for ti in 0..rows.div_ceil(b) {
+                let len = (rows - ti * b).min(b);
+                data.extend_from_slice(&self.tile(ti, j / b)[(j % b) * b..][..len]);
+            }
+        }
+        DenseMatrix::from_vec(rows, cols, data)
     }
 
     /// Gather the tiles back into a dense matrix (used for verification).
     pub fn to_dense(&self) -> DenseMatrix {
-        let b = self.b;
-        let mut d = DenseMatrix::zeros(self.mt * b, self.nt * b);
-        for tj in 0..self.nt {
-            for ti in 0..self.mt {
-                let tile = self.tile(ti, tj);
-                for j in 0..b {
-                    for i in 0..b {
-                        d.set(ti * b + i, tj * b + j, tile[i + j * b]);
-                    }
-                }
+        self.leading(self.rows(), self.cols())
+    }
+
+    /// Element `(i, j)` of the matrix.
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        self.tile(i / self.b, j / self.b)[i % self.b + (j % self.b) * self.b]
+    }
+
+    /// Overwrite every element `(i, j)` with `f(i, j)`.
+    pub fn fill_with(&mut self, f: impl Fn(usize, usize) -> f64) {
+        let (mt, nt, b) = (self.mt, self.nt, self.b);
+        for (tj, ti) in (0..nt).flat_map(|tj| (0..mt).map(move |ti| (tj, ti))) {
+            for (k, x) in self.tile_mut(ti, tj).iter_mut().enumerate() {
+                *x = f(ti * b + k % b, tj * b + k / b);
             }
         }
-        d
+    }
+
+    /// ‖self − E‖_F, where `e(i, j)` is E's element `(i, j)`, summed tile by
+    /// tile.
+    pub fn distance(&self, e: impl Fn(usize, usize) -> f64) -> f64 {
+        let b = self.b;
+        let mut sum = 0.0;
+        for (tj, ti) in (0..self.nt).flat_map(|tj| (0..self.mt).map(move |ti| (tj, ti))) {
+            for (k, x) in self.tile(ti, tj).iter().enumerate() {
+                sum += (x - e(ti * b + k % b, tj * b + k / b)).powi(2);
+            }
+        }
+        sum.sqrt()
     }
 
     /// Number of tile rows.
@@ -283,9 +309,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of the tile size")]
-    fn from_dense_rejects_ragged() {
-        let d = DenseMatrix::zeros(10, 8);
-        let _ = TiledMatrix::from_dense(&d, 4);
+    fn from_dense_pads_ragged_to_whole_tiles() {
+        let d = DenseMatrix::random(10, 7, 6);
+        let t = TiledMatrix::from_dense(&d, 4);
+        assert_eq!((t.mt(), t.nt()), (3, 2));
+        assert_eq!(t.leading(10, 7).data(), d.data());
+        let pad = t.distance(|i, j| if i < 10 && j < 7 { t.get(i, j) } else { 0.0 });
+        assert_eq!(pad, 0.0, "the padding is zero");
+        assert_eq!(t.distance(|i, j| if i < 10 && j < 7 { d.get(i, j) } else { 0.0 }), 0.0);
+    }
+
+    #[test]
+    fn fill_with_and_distance_address_global_elements() {
+        let mut t = TiledMatrix::zeros(3, 2, 4);
+        t.fill_with(|i, j| (i * 100 + j) as f64);
+        assert_eq!(t.get(9, 6), 906.0);
+        assert_eq!(t.distance(|i, j| (i * 100 + j) as f64), 0.0);
+        assert_eq!(
+            t.distance(|i, j| if (i, j) == (5, 2) { 500.0 } else { (i * 100 + j) as f64 }),
+            2.0
+        );
     }
 }

@@ -13,14 +13,13 @@ fn main() {
     // Sample y = sin(3x) + noise at m points; fit a polynomial of degree
     // n−1 in the monomial basis via min‖V·c − y‖₂ where V is Vandermonde.
     let b = 16usize;
-    let (mt, nt) = (32usize, 1usize); // 512 samples, 16 coefficients
-    let (m, n) = (mt * b, nt * b);
+    let (m, n) = (512usize, 16usize);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
     let xs: Vec<f64> = (0..m).map(|i| -1.0 + 2.0 * i as f64 / (m - 1) as f64).collect();
     let ys: Vec<f64> =
         xs.iter().map(|&x| (3.0 * x).sin() + 0.01 * (rng.gen::<f64>() - 0.5)).collect();
 
-    // Vandermonde matrix in tiled form.
+    // Vandermonde matrix.
     let mut vand = DenseMatrix::zeros(m, n);
     for (i, &x) in xs.iter().enumerate() {
         let mut p = 1.0;
@@ -29,7 +28,6 @@ fn main() {
             p *= x;
         }
     }
-    let mut a = TiledMatrix::from_dense(&vand, b);
 
     // Factor with HQR (virtual 4-cluster grid, domino on) and solve.
     let cfg = HqrConfig::new(4, 1)
@@ -37,14 +35,13 @@ fn main() {
         .with_low(TreeKind::Greedy)
         .with_high(TreeKind::Fibonacci)
         .with_domino(true);
-    let elims = cfg.elimination_list(mt, nt);
-    let fac = qr_factorize(&mut a, &elims, Execution::Parallel(4));
+    let fac = QrFactorization::from_dense(&vand, b, b, cfg, Execution::Parallel(4));
 
     let rhs = DenseMatrix::from_col_major(m, 1, &ys);
     let coeff = fac.solve_least_squares(&rhs);
 
     // Report the fit quality.
-    let resid = QrFactorization::residual_norms(&vand, &coeff, &rhs)[0];
+    let resid = vand.matmul(&coeff).sub(&rhs).frob_norm();
     let rms = resid / (m as f64).sqrt();
     println!("samples            : {m}");
     println!("polynomial degree  : {}", n - 1);

@@ -35,10 +35,10 @@ fn main() {
     println!("real factorization on the task-DAG runtime (4 threads):");
     for (name, s) in &schedules {
         let elims = s.to_elim_list(*name == "flat");
-        let mut a = TiledMatrix::random(mt, nt, b, 99);
+        let a = TiledMatrix::random(mt, nt, b, 99);
         let a0 = a.to_dense();
         let t0 = Instant::now();
-        let fac = qr_factorize(&mut a, &elims, Execution::Parallel(4));
+        let fac = qr_factorize(a, &elims, Execution::Parallel(4));
         let dt = t0.elapsed();
         let check = fac.check(&a0);
         println!(
@@ -60,9 +60,9 @@ fn main() {
             .with_high(TreeKind::Fibonacci)
             .with_domino(domino);
         let elims = cfg.elimination_list(mt, nt);
-        let mut a = TiledMatrix::random(mt, nt, b, 99);
+        let a = TiledMatrix::random(mt, nt, b, 99);
         let a0 = a.to_dense();
-        let fac = qr_factorize(&mut a, &elims, Execution::Parallel(4));
+        let fac = qr_factorize(a, &elims, Execution::Parallel(4));
         let check = fac.check(&a0);
         let [ts, low, coupling, high, _] = elims.level_counts();
         println!(

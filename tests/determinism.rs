@@ -18,9 +18,9 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 fn factor_once(exec: Execution, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let (mt, nt, b) = (8usize, 3usize, 8usize);
     let elims = HqrConfig::new(2, 1).with_a(2).with_domino(true).elimination_list(mt, nt);
-    let mut a = TiledMatrix::random(mt, nt, b, seed);
-    let fac = qr_factorize(&mut a, &elims, exec);
-    let r = fac.r_dense().data().to_vec();
+    let a = TiledMatrix::random(mt, nt, b, seed);
+    let fac = qr_factorize(a, &elims, exec);
+    let r = fac.r().data().to_vec();
     let v = fac.factored().to_dense().data().to_vec();
     (r, v)
 }
@@ -60,8 +60,8 @@ fn least_squares_solve_is_bitwise_reproducible() {
     let solve = || {
         let (mt, nt, b) = (6usize, 2usize, 8usize);
         let elims = HqrConfig::new(2, 1).with_a(2).with_domino(true).elimination_list(mt, nt);
-        let mut a = TiledMatrix::random(mt, nt, b, 77);
-        let fac = qr_factorize(&mut a, &elims, Execution::Serial);
+        let a = TiledMatrix::random(mt, nt, b, 77);
+        let fac = qr_factorize(a, &elims, Execution::Serial);
         let rhs = DenseMatrix::random(mt * b, 2, 78);
         fac.solve_least_squares(&rhs).data().to_vec()
     };
@@ -191,8 +191,8 @@ mod golden {
     /// Qᵀ·C and Q·C through `QrFactorization::apply_q`.
     fn check_apply_q(ib: usize) {
         let list = HqrConfig::new(2, 1).with_a(2).with_domino(true).elimination_list(MT, NT);
-        let mut a = TiledMatrix::random(MT, NT, B, SEED);
-        let fac = qr_factorize_ib(&mut a, &list, Execution::Serial, ib);
+        let a = TiledMatrix::random(MT, NT, B, SEED);
+        let fac = qr_factorize_ib(a, &list, Execution::Serial, ib);
         let c0 = TiledMatrix::random(MT, 3, B, SEED + 1);
         for trans in [Trans::Trans, Trans::NoTrans] {
             let mut c = c0.clone();

@@ -6,9 +6,9 @@ use hqr::prelude::*;
 
 fn run_and_check(cfg: HqrConfig, mt: usize, nt: usize, b: usize, exec: Execution, seed: u64) {
     let elims = cfg.elimination_list(mt, nt);
-    let mut a = TiledMatrix::random(mt, nt, b, seed);
+    let a = TiledMatrix::random(mt, nt, b, seed);
     let a0 = a.to_dense();
-    let fac = qr_factorize(&mut a, &elims, exec);
+    let fac = qr_factorize(a, &elims, exec);
     let check = fac.check(&a0);
     assert!(
         check.is_satisfactory(),
@@ -63,9 +63,9 @@ fn square_matrices_all_algorithms() {
         Schedule::greedy(n, n).to_elim_list(false),
         Schedule::fibonacci(n, n).to_elim_list(false),
     ] {
-        let mut a = TiledMatrix::random(n, n, 4, 21);
+        let a = TiledMatrix::random(n, n, 4, 21);
         let a0 = a.to_dense();
-        let fac = qr_factorize(&mut a, &elims, Execution::Parallel(3));
+        let fac = qr_factorize(a, &elims, Execution::Parallel(3));
         assert!(fac.check(&a0).is_satisfactory());
     }
 }
@@ -80,9 +80,9 @@ fn baselines_factor_correctly() {
         hqr::baselines::hqr_tall_skinny(mt, nt, grid),
         hqr::baselines::hqr_square(mt, nt, grid),
     ] {
-        let mut a = TiledMatrix::random(mt, nt, b, 22);
+        let a = TiledMatrix::random(mt, nt, b, 22);
         let a0 = a.to_dense();
-        let fac = qr_factorize(&mut a, &setup.elims, Execution::Parallel(2));
+        let fac = qr_factorize(a, &setup.elims, Execution::Parallel(2));
         assert!(fac.check(&a0).is_satisfactory(), "{} fails numerically", setup.name);
     }
 }
@@ -98,12 +98,12 @@ fn wide_matrices_more_columns_than_rows() {
 fn parallel_and_serial_agree_bitwise_end_to_end() {
     let cfg = HqrConfig::new(3, 1).with_a(2).with_low(TreeKind::Greedy).with_domino(true);
     let elims = cfg.elimination_list(15, 6);
-    let mut a1 = TiledMatrix::random(15, 6, 4, 24);
-    let mut a2 = a1.clone();
-    let f1 = qr_factorize(&mut a1, &elims, Execution::Serial);
-    let f2 = qr_factorize(&mut a2, &elims, Execution::Parallel(4));
+    let a1 = TiledMatrix::random(15, 6, 4, 24);
+    let a2 = a1.clone();
+    let f1 = qr_factorize(a1, &elims, Execution::Serial);
+    let f2 = qr_factorize(a2, &elims, Execution::Parallel(4));
     assert_eq!(f1.factored().to_dense().data(), f2.factored().to_dense().data());
-    assert_eq!(f1.r_dense().data(), f2.r_dense().data());
+    assert_eq!(f1.r().data(), f2.r().data());
 }
 
 #[test]
@@ -111,9 +111,9 @@ fn deterministic_across_runs() {
     let cfg = HqrConfig::new(2, 2).with_a(3);
     let elims = cfg.elimination_list(10, 4);
     let run = || {
-        let mut a = TiledMatrix::random(10, 4, 5, 25);
-        let f = qr_factorize(&mut a, &elims, Execution::Parallel(3));
-        f.r_dense().data().to_vec()
+        let a = TiledMatrix::random(10, 4, 5, 25);
+        let f = qr_factorize(a, &elims, Execution::Parallel(3));
+        f.r().data().to_vec()
     };
     assert_eq!(run(), run(), "parallel factorization must be deterministic");
 }
@@ -122,10 +122,10 @@ fn deterministic_across_runs() {
 fn r_matches_dense_reference_for_hqr() {
     let cfg = HqrConfig::new(3, 1).with_a(2).with_domino(true);
     let elims = cfg.elimination_list(12, 4);
-    let mut a = TiledMatrix::random(12, 4, 4, 26);
+    let a = TiledMatrix::random(12, 4, 4, 26);
     let a0 = a.to_dense();
-    let fac = qr_factorize(&mut a, &elims, Execution::Serial);
-    let r = fac.r_dense();
+    let fac = qr_factorize(a, &elims, Execution::Serial);
+    let r = fac.r();
     let (_, r_ref) = hqr_kernels::reference::dense_householder_qr(&a0);
     for d in 0..16 {
         let sign = if r.get(d, d) * r_ref.get(d, d) >= 0.0 { 1.0 } else { -1.0 };

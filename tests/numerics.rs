@@ -8,8 +8,8 @@ use hqr::prelude::*;
 fn factor_and_check(a0: &DenseMatrix, mt: usize, nt: usize, b: usize, label: &str) {
     let cfg = HqrConfig::new(2, 1).with_a(2).with_low(TreeKind::Greedy).with_domino(true);
     let elims = cfg.elimination_list(mt, nt);
-    let mut a = TiledMatrix::from_dense(a0, b);
-    let fac = qr_factorize(&mut a, &elims, Execution::Parallel(3));
+    let a = TiledMatrix::from_dense(a0, b);
+    let fac = qr_factorize(a, &elims, Execution::Parallel(3));
     let check = fac.check(a0);
     assert!(
         check.is_satisfactory(),
@@ -120,8 +120,8 @@ fn residual_scales_with_matrix_norm() {
                 scaled.set(i, j, scale * base.get(i, j));
             }
         }
-        let mut a = TiledMatrix::from_dense(&scaled, b);
-        let fac = qr_factorize(&mut a, &elims, Execution::Serial);
+        let a = TiledMatrix::from_dense(&scaled, b);
+        let fac = qr_factorize(a, &elims, Execution::Serial);
         fac.check(&scaled).residual
     };
     let (r1, r2) = (rel(1.0), rel(1e6));

@@ -286,10 +286,10 @@ fn run(case: &Case) -> DistReport {
     }
     let fac = match case.list {
         List::Hqr(cfg) => {
-            let mut a = input.clone();
             let list = cfg.elimination_list(case.mt, case.nt);
-            let fac = qr_factorize_ib(&mut a, &list, Execution::Parallel(case.threads), case.ib);
-            if let Some(tile) = tile_diff(&a, &want.0) {
+            let fac =
+                qr_factorize_ib(input.clone(), &list, Execution::Parallel(case.threads), case.ib);
+            if let Some(tile) = tile_diff(fac.factored(), &want.0) {
                 fail(case, "qr_factorize_ib", format!("A {tile} differs from execute_serial_ib"));
             }
             Some(fac)

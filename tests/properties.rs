@@ -140,9 +140,9 @@ proptest! {
         let b = 4usize;
         let cfg = HqrConfig::new(p, 1).with_a(a).with_low(low).with_domino(domino);
         let elims = cfg.elimination_list(mt, nt);
-        let mut m = TiledMatrix::random(mt, nt, b, seed);
+        let m = TiledMatrix::random(mt, nt, b, seed);
         let a0 = m.to_dense();
-        let fac = qr_factorize(&mut m, &elims, Execution::Serial);
+        let fac = qr_factorize(m, &elims, Execution::Serial);
         let check = fac.check(&a0);
         prop_assert!(check.is_satisfactory(),
             "ortho={:e} resid={:e}", check.orthogonality, check.residual);
@@ -160,7 +160,7 @@ proptest! {
         let n = (n_frac % m).max(1);
         let a = DenseMatrix::random(m, n, seed);
         let cfg = HqrConfig::new(2, 1).with_a(2);
-        let qr = DenseQr::compute(&a, b, cfg, Execution::Serial);
+        let qr = QrFactorization::from_dense(&a, b, b, cfg, Execution::Serial);
         let q = qr.q_thin();
         prop_assert!(q.orthogonality_error() < 1e-11 * m as f64);
         let recon = q.matmul(&qr.r());
@@ -173,9 +173,9 @@ proptest! {
     fn r_is_tree_independent(seed in any::<u64>()) {
         let (mt, nt, b) = (6usize, 3usize, 4usize);
         let r_of = |elims: &ElimList| {
-            let mut m = TiledMatrix::random(mt, nt, b, seed);
-            let f = qr_factorize(&mut m, elims, Execution::Serial);
-            f.r_dense()
+            let m = TiledMatrix::random(mt, nt, b, seed);
+            let f = qr_factorize(m, elims, Execution::Serial);
+            f.r()
         };
         let r1 = r_of(&Schedule::flat(mt, nt).to_elim_list(true));
         let r2 = r_of(&Schedule::greedy(mt, nt).to_elim_list(false));
