@@ -408,7 +408,8 @@ pub fn kernel_rates(b: usize, ib: usize, calls: usize) -> [f64; 6] {
         run_kernel(kind, b, ib, Trans::Trans, reads, &mut writes);
     };
     // The factored operands the update kernels apply.
-    let mut geqrt = [tile(1), vec![0.0; b * b], t()];
+    let v = || vec![0.0; hqr_kernels::v_len(b)];
+    let mut geqrt = [tile(1), v(), t()];
     run(Geqrt, &[], &mut geqrt);
     let r = upper(geqrt[0].clone());
     let kill = |kind, a2| {
@@ -422,7 +423,7 @@ pub fn kernel_rates(b: usize, ib: usize, calls: usize) -> [f64; 6] {
     // Each kernel with its read operands and the writes it starts from.
     type Case<'a> = (KernelKind, Vec<&'a [f64]>, Vec<Vec<f64>>);
     let cases: [Case; 6] = [
-        (Geqrt, vec![], vec![c1.clone(), vec![0.0; b * b], t()]),
+        (Geqrt, vec![], vec![c1.clone(), v(), t()]),
         (Unmqr, vec![&geqrt[1], &geqrt[2]], vec![c1.clone()]),
         (Tsqrt, vec![], vec![r.clone(), c2.clone(), t()]),
         (Tsmqr, vec![&v_ts, &t_ts], vec![c1.clone(), c2.clone()]),

@@ -36,7 +36,7 @@
 //! the buffer is a structural zero.
 
 use crate::micro::{simd_arm, SimdArm};
-use crate::panel::{tile_mqr, tile_qrt};
+use crate::panel::{tile_mqr, tile_qrt, Refl};
 use crate::Trans;
 
 /// Inner-blocked GEQRT (PLASMA `CORE_dgeqrt` with inner blocking).
@@ -66,7 +66,7 @@ pub fn unmqr_ib_arm(
     c: &mut [f64],
     trans: Trans,
 ) {
-    tile_mqr(arm, b, ib, v, t, None, c, false, trans);
+    tile_mqr(arm, b, ib, Refl::Tile(v), t, None, c, false, trans);
 }
 
 /// Inner-blocked TSQRT.
@@ -128,7 +128,7 @@ pub fn tsmqr_ib_arm(
     a2: &mut [f64],
     trans: Trans,
 ) {
-    tile_mqr(arm, b, ib, v2, t, Some(a1), a2, false, trans);
+    tile_mqr(arm, b, ib, Refl::Tile(v2), t, Some(a1), a2, false, trans);
 }
 
 /// Inner-blocked TTMQR.
@@ -156,5 +156,5 @@ pub fn ttmqr_ib_arm(
     a2: &mut [f64],
     trans: Trans,
 ) {
-    tile_mqr(arm, b, ib, v2, t, Some(a1), a2, true, trans);
+    tile_mqr(arm, b, ib, Refl::Tile(v2), t, Some(a1), a2, true, trans);
 }

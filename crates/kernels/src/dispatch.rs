@@ -8,31 +8,36 @@
 //! between a plain and an inner-blocked routine (`ib = b` *is* the plain
 //! kernel, see [`crate::blocked`]).
 
-use crate::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib};
-use crate::{KernelKind, Trans};
+use crate::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib};
+use crate::micro::simd_arm;
+use crate::panel::{tile_mqr, Refl};
+use crate::{check_v, v_col, KernelKind, Trans};
 
 /// Run tile kernel `kind` on `b × b` tiles with inner block size `ib`; the
-/// T operand (`Tg`, `Tk`) holds [`crate::t_len`]`(b, ib)` doubles.
+/// T operand (`Tg`, `Tk`) holds [`crate::t_len`]`(b, ib)` doubles and the
+/// V copy (`Vg`) [`crate::v_len`]`(b)`.
 ///
 /// Operand order is the slot order of the runtime's `Task::reads()` and
 /// `Task::writes()`:
 ///
 /// | kind | `reads` | `writes` |
 /// |---|---|---|
-/// | `Geqrt` | — | A (→ R\V), Vg (copy of the factored tile), Tg |
+/// | `Geqrt` | — | A (→ R\V), Vg (copy of V), Tg |
 /// | `Unmqr` | Vg, Tg | C |
 /// | `Tsqrt` / `Ttqrt` | — | A(piv) (R), A(victim) (→ V2), Tk |
 /// | `Tsmqr` / `Ttmqr` | V2, Tk | C(piv), C(victim) |
 ///
-/// GEQRT copies the factored tile out to `Vg` so UNMQRs can read V while
-/// kill kernels rewrite the tile's R part (the logical V/R tile split of
-/// the DAG). `trans` selects op(Q) for the update kernels (`Trans` during
-/// a factorization) and is ignored by the factor kernels.
+/// GEQRT copies V's strict lower triangle out to `Vg`, column by column,
+/// so UNMQRs can read V while kill kernels rewrite the tile's R part (the
+/// logical V/R tile split of the DAG); UNMQR here reads that copy, where
+/// the public [`crate::unmqr`] reads a whole factored tile. `trans`
+/// selects op(Q) for the update kernels (`Trans` during a factorization)
+/// and is ignored by the factor kernels.
 ///
 /// # Panics
 /// When the operand counts do not match `kind`, or a tile is not `b * b`
-/// long, or a T is shorter than `t_len(b, ib)`, or `ib` is outside `1..=b`
-/// — caller bugs, not input errors.
+/// long, or a V copy not `v_len(b)`, or a T is shorter than `t_len(b, ib)`,
+/// or `ib` is outside `1..=b` — caller bugs, not input errors.
 pub fn run_kernel(
     kind: KernelKind,
     b: usize,
@@ -43,10 +48,15 @@ pub fn run_kernel(
 ) {
     match (kind, reads, writes) {
         (KernelKind::Geqrt, [], [a, vg, tg]) => {
+            check_v(b, vg);
             geqrt_ib(b, ib, a, tg);
-            vg.copy_from_slice(a);
+            for (c, col) in a.chunks_exact(b).enumerate() {
+                vg[v_col(b, c)].copy_from_slice(&col[c + 1..]);
+            }
         }
-        (KernelKind::Unmqr, [v, t], [c]) => unmqr_ib(b, ib, v, t, c, trans),
+        (KernelKind::Unmqr, [v, t], [c]) => {
+            tile_mqr(simd_arm(), b, ib, Refl::Lower(v), t, None, c, false, trans)
+        }
         (KernelKind::Tsqrt, [], [a1, a2, t]) => tsqrt_ib(b, ib, a1, a2, t),
         (KernelKind::Ttqrt, [], [a1, a2, t]) => ttqrt_ib(b, ib, a1, a2, t),
         (KernelKind::Tsmqr, [v2, t], [a1, a2]) => tsmqr_ib(b, ib, v2, t, a1, a2, trans),
@@ -60,23 +70,64 @@ pub fn run_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{geqrt, t_len, tsmqr, tsqrt};
+    use crate::blocked::unmqr_ib;
+    use crate::{geqrt, t_len, tsmqr, tsqrt, v_len};
     use hqr_tile::DenseMatrix;
 
     fn tile(b: usize, seed: u64) -> Vec<f64> {
         DenseMatrix::random(b, b, seed).data().to_vec()
     }
 
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn geqrt_copies_the_factored_tile_to_vg() {
+    fn geqrt_copies_the_strict_lower_triangle_to_vg() {
         let b = 8;
-        let (mut a, mut vg) = (tile(b, 1), vec![0.0; b * b]);
+        let (mut a, mut vg) = (tile(b, 1), vec![0.0; v_len(b)]);
         let (mut tg, mut pa, mut pt) = (vec![0.0; t_len(b, b)], a.clone(), vec![0.0; t_len(b, b)]);
         run_kernel(KernelKind::Geqrt, b, b, Trans::Trans, &[], &mut [&mut a, &mut vg, &mut tg]);
         geqrt(b, &mut pa, &mut pt);
         assert_eq!(a, pa);
-        assert_eq!(vg, pa);
         assert_eq!(tg, pt);
+        let lower: Vec<f64> =
+            pa.chunks_exact(b).enumerate().flat_map(|(j, col)| col[j + 1..].to_vec()).collect();
+        assert_eq!(vg, lower);
+    }
+
+    /// UNMQR on a V copy gives the bits of the public UNMQR on the whole
+    /// factored tile, for every `ib`, both ways, at a ragged `b` and at
+    /// `b = 1` (an empty copy).
+    #[test]
+    fn unmqr_on_the_v_copy_matches_unmqr_on_the_tile() {
+        for (b, ibs) in [(9, &[1, 2, 4, 9][..]), (1, &[1][..])] {
+            for &ib in ibs {
+                let (mut a, mut vg, mut tg) =
+                    (tile(b, 6), vec![0.0; v_len(b)], vec![0.0; t_len(b, ib)]);
+                run_kernel(
+                    KernelKind::Geqrt,
+                    b,
+                    ib,
+                    Trans::Trans,
+                    &[],
+                    &mut [&mut a, &mut vg, &mut tg],
+                );
+                for trans in [Trans::Trans, Trans::NoTrans] {
+                    let (mut c, mut want) = (tile(b, 7), tile(b, 7));
+                    run_kernel(KernelKind::Unmqr, b, ib, trans, &[&vg, &tg], &mut [&mut c]);
+                    unmqr_ib(b, ib, &a, &tg, &mut want, trans);
+                    assert_eq!(bits(&c), bits(&want), "b = {b}, ib = {ib}, {trans:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a V copy must be v_len(4) = 6 elements, got 16")]
+    fn a_tile_sized_v_copy_panics() {
+        let (mut a, mut vg, mut tg) = (tile(4, 8), vec![0.0; 16], vec![0.0; t_len(4, 4)]);
+        run_kernel(KernelKind::Geqrt, 4, 4, Trans::Trans, &[], &mut [&mut a, &mut vg, &mut tg]);
     }
 
     #[test]

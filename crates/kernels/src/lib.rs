@@ -21,7 +21,9 @@
 //! All tiles are square `b × b`, column-major slices of length `b²`. A T
 //! factor is smaller: [`t_len`]`(b, ib)` doubles, the upper triangle of
 //! each `ib` panel's T packed column by column (`b(b+1)/2` for the plain
-//! kernels' one panel; see [`crate::blocked`] for the layout).
+//! kernels' one panel; see [`crate::blocked`] for the layout). So is the
+//! copy of GEQRT's reflectors that [`run_kernel`] keeps for UNMQR:
+//! [`v_len`]`(b)` doubles, V's strict lower triangle column by column.
 //! TT kernels exploit the triangular structure of the second tile and so
 //! perform roughly a third of the floating-point work of their TS
 //! counterparts per call, but "the sequential performance of the TS kernels
@@ -91,9 +93,35 @@ pub fn t_len(b: usize, ib: usize) -> usize {
     b.checked_div(ib).map_or(0, |full| full * tri(ib) + tri(b % ib))
 }
 
+/// Doubles in GEQRT's copy of its reflectors at tile size `b`: V's strict
+/// lower triangle, packed column by column, so `b(b−1)/2` (8 128 at
+/// `b = 128`). The unit diagonal is implicit and the tile's upper
+/// triangle (R) is not copied: no kernel reads it there. Every buffer that
+/// holds a V copy — in a store, a spill record, a checkpoint, a stored
+/// result or a wire frame — is sized by this function and by no other.
+#[inline]
+pub fn v_len(b: usize) -> usize {
+    b * b.saturating_sub(1) / 2
+}
+
+/// Where column `c`'s `b − 1 − c` entries (tile rows `c + 1..b`) sit in a
+/// [`v_len`]`(b)` copy.
+#[inline]
+pub(crate) fn v_col(b: usize, c: usize) -> std::ops::Range<usize> {
+    let at = c * (2 * b - c - 1) / 2;
+    at..at + (b - 1 - c)
+}
+
 #[inline]
 pub(crate) fn check_tile(b: usize, t: &[f64]) {
     assert_eq!(t.len(), b * b, "tile must be b*b = {} elements, got {}", b * b, t.len());
+}
+
+/// A V copy must hold exactly [`v_len`] doubles.
+#[inline]
+pub(crate) fn check_v(b: usize, v: &[f64]) {
+    let n = v_len(b);
+    assert_eq!(v.len(), n, "a V copy must be v_len({b}) = {n} elements, got {}", v.len());
 }
 
 /// A T operand must hold at least [`t_len`] doubles; the kernels read and

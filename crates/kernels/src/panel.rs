@@ -30,9 +30,10 @@
 //!
 //! That apply, [`block_apply`], is also the whole of the update kernels
 //! ([`tile_mqr`]): UNMQR, TSMQR and TTMQR are one block apply per `ib`
-//! panel with the reflectors read from a factored tile instead of from
-//! the panel in flight. TSMQR's `V` is read where it lies; UNMQR's and
-//! TTMQR's are copied once, cleaned of what the tile holds beside them.
+//! panel with the reflectors read from a factored tile (or, for UNMQR,
+//! from GEQRT's packed V copy) instead of from the panel in flight.
+//! TSMQR's `V` is read where it lies; UNMQR's and TTMQR's are copied once,
+//! cleaned of what lies beside them.
 //!
 //! Split points depend on `(b, ib)` only, both arms accumulate in a fixed
 //! order, and nothing but [`larfg`]'s rescaling guard looks at the data, so
@@ -40,7 +41,7 @@
 
 use crate::larfg::larfg;
 use crate::micro::{axpy_cols, dot_cols, gemm_core, gemm_seeded, transpose, MaskA, SimdArm};
-use crate::{check_t, check_tile, t_len, Trans};
+use crate::{check_t, check_tile, check_v, t_len, v_col, Trans};
 use hqr_tile::heap::{LINE, LINE_FROM};
 use std::cell::RefCell;
 
@@ -116,8 +117,12 @@ pub(crate) fn tile_qrt(
             let nw = w * (b - e).max(w);
             let [vp, vpt, wa, wb, tc, tw] =
                 carve(&mut buf, [rows * w, rows * w, nw, nw, w * w, w * w]);
-            vp.fill(0.0);
-            vpt.fill(0.0);
+            // A TSQRT panel packs all `b` rows of every reflector its gemms
+            // read; GEQRT's and TTQRT's masks also reach zeros it never packs.
+            if bottom.is_none() || tri {
+                vp.fill(0.0);
+                vpt.fill(0.0);
+            }
             tw.fill(0.0);
             let mut p = Panel {
                 arm,
@@ -468,30 +473,66 @@ fn block_apply(
     }
 }
 
-/// The update kernels: `C := op(Q)·C` for the Q of a factored tile `v`
-/// with T factor `t`, one [`block_apply`] per `ib` panel (forward for
-/// `Trans`, backward for `NoTrans`). `top` absent: UNMQR, with `v` unit
-/// lower below R and `c` the tile. `top` present: `[top; c]` is the
-/// stacked pair and `v` the bottom of `V̂ = [I; V]`, square (TSMQR) or
-/// upper triangular above garbage (`tri`, TTMQR).
+/// The reflectors an update kernel reads, as its caller holds them.
+#[derive(Clone, Copy)]
+pub(crate) enum Refl<'a> {
+    /// A `b × b` factored tile: V unit lower below R (UNMQR), or the
+    /// bottom of a stacked `V̂ = [I; V]` (TSMQR, TTMQR).
+    Tile(&'a [f64]),
+    /// GEQRT's V copy (UNMQR only): V's strict lower triangle packed
+    /// column by column, [`crate::v_len`] doubles.
+    Lower(&'a [f64]),
+}
+
+impl<'a> Refl<'a> {
+    /// Tile rows `c + 1..b` of reflector `c`: the stored part of a GEQRT
+    /// reflector.
+    fn below_diagonal(self, b: usize, c: usize) -> &'a [f64] {
+        match self {
+            Refl::Tile(v) => &v[c + 1 + c * b..(c + 1) * b],
+            Refl::Lower(v) => &v[v_col(b, c)],
+        }
+    }
+
+    /// The factored tile a stacked kernel reads.
+    fn tile(self) -> &'a [f64] {
+        match self {
+            Refl::Tile(v) => v,
+            Refl::Lower(_) => unreachable!("a V copy is GEQRT's, applied by UNMQR alone"),
+        }
+    }
+}
+
+/// The update kernels: `C := op(Q)·C` for the Q of factored reflectors
+/// `v` with T factor `t`, one [`block_apply`] per `ib` panel (forward for
+/// `Trans`, backward for `NoTrans`). `top` absent: UNMQR, with `v` a
+/// GEQRT's tile or V copy and `c` the tile. `top` present: `[top; c]` is
+/// the stacked pair and `v` the tile holding the bottom of `V̂ = [I; V]`,
+/// square (TSMQR) or upper triangular above garbage (`tri`, TTMQR).
 ///
 /// TSMQR reads each panel's `V` where it lies and transposes it once into
 /// `Vᵀ`. UNMQR and TTMQR first copy the panel's columns into `vp`, cleaned
-/// of what the tile holds beside `V` there (R and the unit diagonal, the
-/// garbage below the triangle), and transpose that copy.
+/// of what lies beside `V` (UNMQR's zeros above the unit diagonal, the
+/// garbage below TTMQR's triangle), and transpose that copy.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tile_mqr(
     arm: SimdArm,
     b: usize,
     ib: usize,
-    v: &[f64],
+    v: Refl,
     t: &[f64],
     mut top: Option<&mut [f64]>,
     c: &mut [f64],
     tri: bool,
     trans: Trans,
 ) {
-    check_tile(b, v);
+    match v {
+        Refl::Tile(v) => check_tile(b, v),
+        Refl::Lower(v) => {
+            assert!(top.is_none(), "a V copy is applied by UNMQR alone");
+            check_v(b, v);
+        }
+    }
     check_t(b, ib, t);
     check_tile(b, c);
     if let Some(a1) = &top {
@@ -506,28 +547,30 @@ pub(crate) fn tile_mqr(
             if trans == Trans::Trans { order.next() } else { order.next_back() }
         {
             let w = e - s;
-            // V is rows `lo..lo + rows` of the panel's columns.
-            let (lo, rows) = match (stacked, tri) {
-                (false, _) => (s, b - s),
-                (true, false) => (0, b),
-                (true, true) => (0, e),
+            // V spans `rows` rows of the panel's columns: from tile row `s`
+            // for UNMQR, from row 0 for a stacked pair's bottom tile.
+            let rows = match (stacked, tri) {
+                (false, _) => b - s,
+                (true, false) => b,
+                (true, true) => e,
             };
             let copy = !stacked || tri;
             let [vp, vpt, wa, wb, tc] =
                 carve(&mut buf, [if copy { w * rows } else { 0 }, w * rows, w * b, w * b, w * w]);
             let (vs, ldv) = if copy {
                 for (j, col) in vp.chunks_exact_mut(rows).enumerate() {
-                    col.copy_from_slice(&v[lo + (s + j) * b..][..rows]);
-                    if !stacked {
+                    if stacked {
+                        col.copy_from_slice(&v.tile()[(s + j) * b..][..rows]);
+                        col[s + j + 1..].fill(0.0);
+                    } else {
                         col[..j].fill(0.0);
                         col[j] = 1.0;
-                    } else {
-                        col[s + j + 1..].fill(0.0);
+                        col[j + 1..].copy_from_slice(v.below_diagonal(b, s + j));
                     }
                 }
                 (&vp[..], rows)
             } else {
-                (&v[lo + s * b..], b)
+                (&v.tile()[s * b..], b)
             };
             transpose(arm, rows, w, vs, ldv, vpt, w);
             // A full-width triangular V is a square triangular operand the

@@ -39,8 +39,9 @@ use std::time::Duration;
 pub const NET_MAGIC: [u8; 8] = *b"HQRNETV0";
 /// Protocol version; bumped on any incompatible change (4: a T factor
 /// travels as its `t_len(b, ib)` doubles, not as a zero-padded `b*b` tile;
-/// 5: those doubles are its panels' packed upper triangles).
-pub const NET_VERSION: u32 = 5;
+/// 5: those doubles are its panels' packed upper triangles; 6: a V copy
+/// travels as V's strict lower triangle, `v_len(b)` doubles).
+pub const NET_VERSION: u32 = 6;
 
 const TAG_HEAD: u32 = 1;
 const TAG_LIST_A: u32 = 2;
@@ -79,11 +80,11 @@ pub enum Msg<T = Vec<f64>> {
     Hello { run_id: u64, dims: [u64; 7], addrs: Vec<SocketAddr>, tasks: Vec<Task> },
     /// The positive answer to `Hello`, `Start`, `Ping` and `Shutdown`.
     Ok,
-    /// Install one slot's buffer at the receiver: `b*b` doubles for a tile
-    /// or a V copy, `t_len(b, ib)` for a T factor. Unacknowledged: the
-    /// scatter and a recovery's placements stream these to a worker (the
-    /// acknowledged `Ping` that closes the stream is the barrier), the
-    /// gather streams them back.
+    /// Install one slot's buffer at the receiver: `b*b` doubles for a
+    /// tile, `v_len(b)` for a V copy, `t_len(b, ib)` for a T factor.
+    /// Unacknowledged: the scatter and a recovery's placements stream these
+    /// to a worker (the acknowledged `Ping` that closes the stream is the
+    /// barrier), the gather streams them back.
     Put { slot: Slot, data: T },
     /// Begin (or, after a worker loss, resume) executing owned tasks:
     /// `owners` maps grid rank → worker index, `completed` lists the tasks
@@ -434,6 +435,27 @@ mod tests {
                 assert!(Msg::decode(clean[..cut].to_vec()).is_err(), "cut {cut} accepted");
             }
         }
+    }
+
+    /// A version-5 peer sent a V copy as the whole `b × b` factored tile.
+    /// Its frame is refused by its version, before any slot length is
+    /// looked at.
+    #[test]
+    fn a_full_tile_v_copy_from_a_version_5_peer_is_a_version_error() {
+        let tile: Vec<f64> = (0..16).map(|e| e as f64 * 0.5).collect();
+        let put = Msg::Put { slot: (SlotFamily::Vg, 1, 0), data: tile }.encode();
+        let r = SectionReader::from_bytes(put, NET_MAGIC, NET_VERSION).unwrap();
+        let mut w = SectionList::new(NET_MAGIC, 5);
+        for tag in r.tags() {
+            w.section(tag, r.section(tag).unwrap().to_vec());
+        }
+        assert!(matches!(
+            Msg::decode(w.into_bytes()),
+            Err(NetError::Frame(hqr_tile::BinFormatError::UnsupportedVersion {
+                expected: NET_VERSION,
+                found: 5
+            }))
+        ));
     }
 
     #[test]

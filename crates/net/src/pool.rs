@@ -1,7 +1,7 @@
 //! A worker's recycled tile buffers.
 //!
-//! Every slot a worker holds is a `Box<[f64]>`: a `b*b` tile, or a T factor
-//! of `t_len(b, ib)` doubles. A received tile is decoded in place into its
+//! Every slot a worker holds is a `Box<[f64]>`: a `b*b` tile, a V copy of
+//! `v_len(b)` doubles, or a T factor of `t_len(b, ib)` doubles. A received tile is decoded in place into its
 //! slot's buffer, so a slot takes a buffer once, on first arrival (or as a
 //! zero-filled factor output), and keeps it for the run. Without a pool
 //! each of those is fresh memory the kernel has to fault in page by page;

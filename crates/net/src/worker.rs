@@ -571,7 +571,8 @@ fn answer(
                 let run = Run::plan(run_id, dims, addrs, tasks);
                 let run = Arc::new(run.map_err(|e| format!("hello rejected: {e}"))?);
                 // What the pool holds of an earlier run's sizes is never taken.
-                let lens = [SlotFamily::A, SlotFamily::Tg].map(|fam| run.slot_len((fam, 0, 0)));
+                let lens = [SlotFamily::A, SlotFamily::Vg, SlotFamily::Tg]
+                    .map(|fam| run.slot_len((fam, 0, 0)));
                 // New run: the previous one's plan and compute thread go, and
                 // its shard's buffers go back to the pool. (Halted outside
                 // the lock: a dying compute thread takes it.)

@@ -176,6 +176,21 @@ fn report_accounts_for_transfers_and_elapsed() {
     assert!(report.elapsed > Duration::ZERO);
 }
 
+/// At b = 1 a V copy holds no double: its slot is still pushed, gathered
+/// and counted, with an empty payload, and the run matches the serial one.
+#[test]
+fn one_by_one_tiles_cross_the_wire_with_empty_v_copies() {
+    let (mt, nt, b) = (5, 3, 1);
+    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 43));
+    let input = TiledMatrix::random(mt, nt, b, 44);
+    let (a, f, report) = dist_run(&[WorkerOptions::default(); 2], &graph, &input, &test_config(2));
+    assert_bitwise_parity(&graph, &input, &a, &f, "b = 1");
+    assert_eq!(f.vg(0, 0).map(<[f64]>::len), Some(0));
+    let gathered: u64 =
+        written_slots(&graph).iter().map(|&(fam, ..)| fam.slot_len(b, b) as u64).sum();
+    assert_eq!(report.coordinator_floats, (mt * nt) as u64 + gathered);
+}
+
 /// Grid rank (= worker, on a fault-free run) that executes `t`.
 fn owner(t: &Task, grid: hqr_tile::ProcessGrid) -> usize {
     let (i, j) = t.affinity_tile();
@@ -262,8 +277,8 @@ fn peer_transfers_are_the_cross_worker_edges_and_the_coordinator_relays_nothing(
         assert_bitwise_parity(&graph, &input, &a, &f, &format!("{p}x{q} fleet"));
         assert!(report.recoveries.is_empty(), "{p}x{q}: {:?}", report.recoveries);
         let (scatter, gather) = ((mt * nt) as u64, written_slots(&graph));
-        // `dist_run` factors at ib = b: a tile or V copy is b² doubles, a T
-        // its packed triangle.
+        // `dist_run` factors at ib = b: a tile is b² doubles, a V copy its
+        // strict lower triangle, a T its packed upper triangle.
         let gathered: u64 = gather.iter().map(|&(fam, ..)| fam.slot_len(b, b) as u64).sum();
         let gather = gather.len() as u64;
         assert_eq!(report.peer_transfers, cross_worker_messages(&graph, grid), "{p}x{q}");

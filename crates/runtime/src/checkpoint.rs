@@ -21,8 +21,8 @@
 //! * the completed-task bitmap,
 //! * the tile store, and
 //! * the three `TFactors` buffer families (presence bitmap + packed
-//!   payloads: `b × b` V copies, `hqr_kernels::t_len(b, ib)`-double T
-//!   factors).
+//!   payloads: `hqr_kernels::v_len(b)`-double V copies,
+//!   `hqr_kernels::t_len(b, ib)`-double T factors).
 //!
 //! The [`graph_fingerprint`] binds a checkpoint to the exact plan that
 //! produced it: resuming against a different elimination list, tile
@@ -50,9 +50,11 @@ use crate::task::SlotFamily;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HQRCKPT\0";
 /// Checkpoint container version (2: `checksum64` trailer; 3: T factors of
 /// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`; 4: each T
-/// factor is its panels' packed upper triangles). A stored result is a
-/// checkpoint container, so it carries this version too.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// factor is its panels' packed upper triangles; 5: each V copy is V's
+/// strict lower triangle, `v_len(b)` doubles, not a `b × b` tile). A
+/// stored result is a checkpoint container, so it carries this version
+/// too.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 const SEC_HEADER: u32 = 1;
 const SEC_ELIMS: u32 = 2;
@@ -357,7 +359,7 @@ fn family_from_bytes(
     let count = present.iter().filter(|&&p| p).count();
     // Checked: `len` comes from the file, and a wrapped product could match
     // the payload length by accident.
-    let per_buffer = len.checked_mul(8).filter(|&x| x > 0);
+    let per_buffer = len.checked_mul(8);
     let expect = per_buffer.and_then(|x| x.checked_mul(count));
     let (Some(per_buffer), Some(expect)) = (per_buffer, expect) else {
         return Err(CheckpointError::Format(BinFormatError::BadSection {
@@ -374,7 +376,8 @@ fn family_from_bytes(
             ),
         }));
     }
-    let mut buffers = payload_bytes.chunks_exact(per_buffer);
+    // Not `chunks_exact`: a V copy at b = 1 is zero doubles long.
+    let mut buffers = (0..count).map(|n| &payload_bytes[n * per_buffer..][..per_buffer]);
     let mut family: Vec<Option<Box<[f64]>>> = Vec::with_capacity(slots);
     for &p in &present {
         family.push(match p {
@@ -586,5 +589,73 @@ pub(crate) mod tests {
             Err(crate::journal::JournalError::Format(e)) if refused(&e) => {}
             other => panic!("a version-3 stored result: {:?}", other.map(|r| r.id)),
         }
+    }
+
+    /// A finished job written by a version-4 binary, which stored each V
+    /// copy as the whole `b × b` factored tile, is refused by its version,
+    /// as a checkpoint and as a stored result alike, and never decoded
+    /// against `v_len(b)`-long copies.
+    #[test]
+    fn a_checkpoint_or_result_from_before_packed_v_is_a_version_error() {
+        let (b, ib) = (4, 2);
+        let elims = vec![ElimOp::new(0, 1, 0, true)];
+        let graph = TaskGraph::build(2, 1, b, &elims);
+        let mut a = TiledMatrix::random(2, 1, b, 6);
+        let factors = crate::exec::execute_serial_ib(&graph, &mut a, ib);
+        let done = vec![true; graph.tasks().len()];
+        let ckpt = Checkpoint { job: 10, ..Checkpoint::capture(&graph, elims, done, a, factors) };
+        // The old copy: V below the diagonal, the tile's R on and above it.
+        let tile = |v: &[f64]| -> Box<[f64]> {
+            let (mut old, mut lower) = (ckpt.a.tile(0, 0).to_vec(), v.iter());
+            for (j, col) in old.chunks_exact_mut(b).enumerate() {
+                col[j + 1..].iter_mut().zip(lower.by_ref()).for_each(|(x, y)| *x = *y);
+            }
+            old.into()
+        };
+        let bytes = checkpoint_to_bytes(&ckpt);
+        let r = SectionReader::from_bytes(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+        let mut w = SectionList::new(CHECKPOINT_MAGIC, 4);
+        for tag in r.tags() {
+            let payload = match tag {
+                SEC_VG => {
+                    let old: Vec<_> =
+                        ckpt.factors.vg.iter().map(|v| v.as_deref().map(tile)).collect();
+                    family_parts(&old).flat_map(Cow::into_owned).collect()
+                }
+                _ => r.section(tag).unwrap().to_vec(),
+            };
+            w.section(tag, payload);
+        }
+        let old = w.into_bytes();
+        let refused = |e: &BinFormatError| {
+            matches!(
+                e,
+                BinFormatError::UnsupportedVersion { expected: CHECKPOINT_VERSION, found: 4 }
+            )
+        };
+        match checkpoint_from_bytes(old.clone()) {
+            Err(CheckpointError::Format(e)) if refused(&e) => {}
+            other => panic!("a version-4 checkpoint: {other:?}"),
+        }
+        match crate::journal::result_from_bytes(old) {
+            Err(crate::journal::JournalError::Format(e)) if refused(&e) => {}
+            other => panic!("a version-4 stored result: {:?}", other.map(|r| r.id)),
+        }
+    }
+
+    /// A 1 x 1-tile factorization's V copies hold no double: they survive
+    /// a checkpoint round trip as empty buffers.
+    #[test]
+    fn zero_length_v_copies_round_trip() {
+        let elims = vec![ElimOp::new(0, 1, 0, false)];
+        let graph = TaskGraph::build(2, 1, 1, &elims);
+        let mut a = TiledMatrix::random(2, 1, 1, 7);
+        let factors = crate::exec::execute_serial_ib(&graph, &mut a, 1);
+        assert_eq!(factors.vg(0, 0).map(<[f64]>::len), Some(0));
+        let done = vec![true; graph.tasks().len()];
+        let ckpt = Checkpoint::capture(&graph, elims, done, a, factors);
+        let back = checkpoint_from_bytes(checkpoint_to_bytes(&ckpt)).expect("decodes");
+        assert!(back.factors.bitwise_eq(&ckpt.factors));
+        assert_eq!(back.factors.vg(1, 0).map(<[f64]>::len), Some(0));
     }
 }

@@ -61,8 +61,9 @@ use hqr_tile::TiledMatrix;
 /// and T factors of every GEQRT, and the T factors of every kill kernel.
 /// Together with the factored matrix (V/V2 blocks in place, R in the upper
 /// triangle) and the elimination list, they fully determine Q. A V copy is
-/// a `b × b` tile; a T factor is `hqr_kernels::t_len(b, ib)` doubles, so
-/// the buffers belong to one inner block size.
+/// `hqr_kernels::v_len(b)` doubles, V's strict lower triangle; a T factor
+/// is `hqr_kernels::t_len(b, ib)` doubles, so the buffers belong to one
+/// inner block size.
 #[derive(Clone)]
 pub struct TFactors {
     pub(crate) b: usize,
@@ -151,8 +152,9 @@ impl TFactors {
         family[i + k * self.mt].as_deref()
     }
 
-    /// V factor (full tile copy; V in the strict lower triangle) of the
-    /// GEQRT applied to row `i` in panel `k`.
+    /// V factor of the GEQRT applied to row `i` in panel `k`: its strict
+    /// lower triangle, packed column by column (`hqr_kernels::v_len(b)`
+    /// doubles; column `c`'s rows `c + 1..b` follow column `c − 1`'s).
     pub fn vg(&self, i: usize, k: usize) -> Option<&[f64]> {
         self.slot(SlotFamily::Vg, i, k)
     }
@@ -1138,6 +1140,12 @@ fn checked_ib(opts: &ExecOptions, b: usize) -> Result<usize, ExecError> {
 /// `factors` are read where they are. `elims` is the elimination list
 /// that produced them, and `ib` is `factors.ib()`.
 ///
+/// For `NoTrans` the updates that would meet only +0 tiles do not run:
+/// those of panel `k` on a C column whose tiles from row `k` down all hold
+/// +0 (panel `k`'s reflectors touch rows `≥ k`, and Q·C runs later panels
+/// first, so such an update would read +0 and leave +0). This changes no
+/// bit; a fault plan indexes the tasks that remain.
+///
 /// Refused with [`ExecError::Config`] before any kernel runs: a C whose
 /// tile rows or tile size differ from `factored`, factors of another
 /// shape, an `opts.ib` other than `factors.ib()`, an elimination list that
@@ -1175,10 +1183,32 @@ pub fn try_apply_q(
         let slot = fam.name();
         return refuse(format!("the list reads {slot}({i},{k}), which the factors do not hold"));
     }
+    let graph = match trans {
+        Trans::NoTrans => graph.without_zero_updates(&last_nonzero_rows(c)),
+        Trans::Trans => graph,
+    };
+    run_apply(&graph, factored, factors, c, opts)
+}
+
+/// Per column tile of `c`, the last tile row holding a bit pattern other
+/// than +0 (`None` for a column of +0 only).
+fn last_nonzero_rows(c: &TiledMatrix) -> Vec<Option<usize>> {
+    let nonzero = |i: usize, j: usize| c.tile(i, j).iter().any(|x| x.to_bits() != 0);
+    (0..c.nt()).map(|j| (0..c.mt()).rev().find(|&i| nonzero(i, j))).collect()
+}
+
+/// Run an apply-Q `graph` that [`try_apply_q`] has checked.
+fn run_apply(
+    graph: &TaskGraph,
+    factored: &TiledMatrix,
+    factors: &TFactors,
+    c: &mut TiledMatrix,
+    opts: &ExecOptions,
+) -> Result<FaultStats, ExecError> {
     let epoch = Instant::now();
     let store = TileStore::for_apply(factored, factors, c);
-    let (run, frontier) = DagRun::new(&graph, store, &RunPolicy::of(opts), None);
-    drive(&graph, &run, frontier, opts, false, epoch).map(|(stats, _)| stats)
+    let (run, frontier) = DagRun::new(graph, store, &RunPolicy::of(opts), None);
+    drive(graph, &run, frontier, opts, false, epoch).map(|(stats, _)| stats)
 }
 
 /// The worker-and-watchdog half of the engine: run `run` (whose store is
@@ -1447,6 +1477,51 @@ mod tests {
         }
     }
 
+    /// Q·[R; 0] and Q·[I; 0], the check's two `NoTrans` applies, give the
+    /// bits of the whole DAG without the updates that find only +0 tiles:
+    /// on column `jc`, those of panels after `jc`. A −0 in a column's last
+    /// row is not +0, and keeps every update of that column.
+    #[test]
+    fn dropped_zero_updates_change_no_bit() {
+        let (mt, nt, b) = (6usize, 4usize, 3usize);
+        // A flat tree of TS and TT kills: UNMQR, TSMQR and TTMQR all run.
+        let ops: Vec<ElimOp> = (0..nt as u32)
+            .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
+            .collect();
+        let mut a = TiledMatrix::random(mt, nt, b, 79);
+        let f = execute_serial(&TaskGraph::build(mt, nt, b, &ops), &mut a);
+        let opts = ExecOptions::with_threads(2);
+        let full = TaskGraph::apply_q(mt, nt, nt, b, &ops, Trans::NoTrans).unwrap();
+        let (mut r0, mut i0) = (TiledMatrix::zeros(mt, nt, b), TiledMatrix::zeros(mt, nt, b));
+        r0.fill_with(|i, j| if i <= j { a.get(i, j) } else { 0.0 });
+        i0.fill_with(|i, j| if i == j { 1.0 } else { 0.0 });
+        let mut signed = i0.clone();
+        signed.tile_mut(mt - 1, 0)[0] = -0.0;
+        let on_column = |j: usize| full.tasks().iter().filter(|t| t.j as usize == nt + j).count();
+        let below = |j: usize| {
+            full.tasks().iter().filter(|t| t.j as usize == nt + j && t.k as usize > j).count()
+        };
+        let dropped: usize = (0..nt).map(below).sum();
+        assert!(dropped > 0 && on_column(0) > 0);
+        let bits =
+            |m: &TiledMatrix| m.to_dense().data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let lost_to_sign = below(0);
+        for (c0, kept) in [
+            (&r0, full.tasks().len() - dropped),
+            (&i0, full.tasks().len() - dropped),
+            (&signed, full.tasks().len() - dropped + lost_to_sign),
+        ] {
+            assert_eq!(
+                full.clone().without_zero_updates(&last_nonzero_rows(c0)).tasks().len(),
+                kept
+            );
+            let (mut pruned, mut whole) = (c0.clone(), c0.clone());
+            try_apply_q(&a, &f, &ops, &mut pruned, Trans::NoTrans, &opts).unwrap();
+            run_apply(&full, &a, &f, &mut whole, &opts).unwrap();
+            assert_eq!(bits(&pruned), bits(&whole));
+        }
+    }
+
     #[test]
     fn try_apply_q_refuses_before_any_kernel_runs() {
         let (mt, nt, b) = (6usize, 2usize, 4usize);
@@ -1514,14 +1589,40 @@ mod tests {
         assert!((r.get(0, 0).abs() - col0).abs() < 1e-12);
     }
 
+    /// A V copy is the factored tile's strict lower triangle, bit for bit,
+    /// after the whole run as well as after its GEQRT: later kills rewrite
+    /// only the tile's R, and updates never write a factored tile.
+    #[test]
+    fn v_copies_are_the_factored_tiles_strict_lower_triangles() {
+        let (mt, nt, b, ib) = (6usize, 4usize, 6usize, 4usize);
+        let ops: Vec<ElimOp> = (0..nt as u32)
+            .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
+            .collect();
+        let mut a = TiledMatrix::random(mt, nt, b, 80);
+        let f = execute_serial_ib(&TaskGraph::build(mt, nt, b, &ops), &mut a, ib);
+        let mut copies = 0;
+        for k in 0..nt {
+            for i in 0..mt {
+                let Some(vg) = f.vg(i, k) else { continue };
+                let tile = a.tile(i, k).chunks_exact(b).enumerate();
+                let lower: Vec<u64> =
+                    tile.flat_map(|(j, col)| col[j + 1..].iter().map(|x| x.to_bits())).collect();
+                assert_eq!(vg.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), lower, "({i},{k})");
+                copies += 1;
+            }
+        }
+        assert!(copies > nt, "TT kills leave GEQRTs below the diagonal");
+    }
+
     #[test]
     fn tfactors_allocation_is_sparse() {
         let g = TaskGraph::build(3, 2, 2, &flat_elims(3, 2));
         let f = TFactors::allocate_for(&g, 1);
         // GEQRT only on diagonal rows (flat tree = TS everywhere).
         assert!(f.tg(0, 0).is_some());
-        // A V copy is a tile; a T is `t_len(b, ib)`, two 1 x 1 triangles.
-        assert_eq!((f.vg(0, 0).unwrap().len(), f.tg(0, 0).unwrap().len()), (4, 2));
+        // A V copy is `v_len(b)`, one double below the 2 x 2 diagonal; a T
+        // is `t_len(b, ib)`, two 1 x 1 triangles.
+        assert_eq!((f.vg(0, 0).unwrap().len(), f.tg(0, 0).unwrap().len()), (1, 2));
         assert_eq!(f.tk(1, 0).unwrap().len(), 2);
         assert!(f.tg(1, 1).is_some());
         assert!(f.tg(2, 0).is_none(), "TS victims have no GEQRT T");

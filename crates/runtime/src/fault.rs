@@ -68,10 +68,13 @@ pub enum SdcPattern {
 /// so a plan can be built without knowing the tile size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdcFault {
-    /// Picks which write-set buffer is struck (mod the task's write count).
+    /// Picks which write-set buffer is struck (mod the count of the task's
+    /// written buffers that hold an element: all of them but a V copy at
+    /// `b = 1`).
     pub slot: u32,
     /// Picks which element within the slot's buffer is struck (mod its
-    /// length: `b²` for a tile, `t_len(b, ib)` for a T factor).
+    /// length: `b²` for a tile, `v_len(b)` for a V copy, `t_len(b, ib)`
+    /// for a T factor).
     pub element: u32,
     /// The corruption applied to that element.
     pub pattern: SdcPattern,

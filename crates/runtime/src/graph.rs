@@ -92,6 +92,22 @@ impl TaskGraph {
         Ok(Self::from_ordered(mt, ncols, b, trans, tasks))
     }
 
+    /// This `NoTrans` apply-Q DAG without the updates that would find only
+    /// +0 tiles: `last[jc]` is the last tile row of C's column `jc` that
+    /// holds a bit pattern other than +0 (`None`: no row does). Panel `k`'s
+    /// reflectors touch tile rows `≥ k` only, and Q·C runs every later
+    /// panel before panel `k`, so while `k > last[jc]` each update of
+    /// column `jc` reads and writes tiles that are still +0 and, with
+    /// finite factors, leaves them +0. Dropping those changes no bit: it
+    /// is the work LAPACK's `dorgqr` skips when it forms Q.
+    pub(crate) fn without_zero_updates(self, last: &[Option<usize>]) -> Self {
+        debug_assert_eq!(self.trans, Trans::NoTrans, "Qᵀ·C spreads C's rows upward");
+        let nt = self.nt - last.len();
+        let mut tasks = self.tasks;
+        tasks.retain(|t| last[t.j as usize - nt].is_some_and(|l| t.k as usize <= l));
+        Self::from_ordered(self.mt, self.nt, self.b, self.trans, tasks)
+    }
+
     /// Rebuild a DAG from its task list — what a peer that was sent
     /// [`TaskGraph::tasks`] over the wire holds. The list comes from outside
     /// the program, so every index is checked against the shape and every
@@ -664,6 +680,28 @@ mod tests {
                 assert_eq!(single.tile(i, 0), whole.tile(i, col), "column {col}, row {i}");
             }
         }
+    }
+
+    /// At the check's shape of 64 x 16 tiles (one TS domain, so panel
+    /// `k` has `mt − k` factor tasks), applying Q to [R; 0] or [I; 0] —
+    /// column `jc` nonzero down to tile row `jc` — keeps 8 024 of the
+    /// 14 464 updates: `Σ_jc Σ_{k ≤ jc} (mt − k)`.
+    #[test]
+    fn zero_updates_are_dropped_by_panel_and_column() {
+        let (mt, nt) = (64usize, 16usize);
+        let g = TaskGraph::apply_q(mt, nt, nt, 1, &flat_elims(mt, nt), Trans::NoTrans).unwrap();
+        assert_eq!(g.tasks().len(), 14_464);
+        let last: Vec<_> = (0..nt).map(Some).collect();
+        let kept = g.without_zero_updates(&last);
+        assert_eq!(kept.tasks().len(), 8_024);
+        assert!(kept.tasks().iter().all(|t| t.k <= t.j - nt as u16));
+        for t in 0..kept.tasks().len() {
+            assert!(kept.successors(t).iter().all(|&s| s as usize > t), "edges stay forward");
+        }
+        // An all-+0 column keeps nothing; one nonzero in the last row keeps all.
+        let g = TaskGraph::apply_q(mt, nt, 2, 1, &flat_elims(mt, nt), Trans::NoTrans).unwrap();
+        let full = g.tasks().len();
+        assert_eq!(g.without_zero_updates(&[None, Some(mt - 1)]).tasks().len(), full / 2);
     }
 
     #[test]

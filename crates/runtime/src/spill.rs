@@ -7,7 +7,8 @@
 //! execution its contiguous, fine-grained transfer unit). This module
 //! turns the flat pointer table of [`crate::store::TileStore`] into a
 //! cache: every buffer of the matrix and the factor families — a `b × b`
-//! tile, or a T factor of [`hqr_kernels::t_len`]`(b, ib)` doubles —
+//! tile, a V copy of [`hqr_kernels::v_len`]`(b)` doubles, or a T factor of
+//! [`hqr_kernels::t_len`]`(b, ib)` doubles —
 //! becomes a `Slot` that is either *resident* (heap `Box<[f64]>`) or
 //! *spilled* (a fixed-offset record in the per-run spill file). The
 //! executor pins a task's read/write slots before the attempt ladder runs
@@ -60,9 +61,9 @@
 //! ## On-disk format
 //!
 //! The spill file holds one region per slot family, each an array of
-//! fixed-length records, one per slot of the family (a tile's record or
-//! a T factor's). Each record is a complete sectioned container from
-//! [`hqr_tile::io`] (magic `HQRSPILL`, one payload section, `checksum64`
+//! fixed-length records, one per slot of the family (a tile's, a V
+//! copy's or a T factor's). Each record is a complete sectioned container
+//! from [`hqr_tile::io`] (magic `HQRSPILL`, one payload section, `checksum64`
 //! trailer), so every fault-in re-verifies the checksum: the container
 //! trailer doubles as the at-rest silent-data-corruption guard. A mismatch
 //! surfaces as a typed error ([`crate::ExecError::SpillIo`]), never as
@@ -107,8 +108,9 @@ use crate::task::{SlotFamily, SLOT_FAMILIES};
 /// Magic bytes opening every spill record.
 pub const SPILL_MAGIC: [u8; 8] = *b"HQRSPILL";
 /// Spill record version (2: `checksum64` trailer; 3: a T factor record
-/// holds its packed triangles, `t_len(b, ib)` doubles).
-pub const SPILL_VERSION: u32 = 3;
+/// holds its packed triangles, `t_len(b, ib)` doubles; 4: a V copy's
+/// record holds V's strict lower triangle, `v_len(b)` doubles).
+pub const SPILL_VERSION: u32 = 4;
 
 const S_TILE: u32 = 1;
 
@@ -195,8 +197,9 @@ struct Residency {
     running: BTreeMap<u32, u32>,
     /// Bytes resident or reserved for a load in flight.
     resident: u64,
-    /// Evicted buffers awaiting reuse: full tiles, then T factors.
-    free: [Vec<Box<[f64]>>; 2],
+    /// Evicted buffers awaiting reuse, one shelf per slot length
+    /// ([`PagedCore::shelf`]).
+    free: [Vec<Box<[f64]>>; 3],
 }
 
 /// Shared state of the paged store: slot table, next-use table, spill
@@ -279,9 +282,12 @@ impl PagedCore {
         self.region[idx / self.slots_per_family] + local * f64_record_len(self.slot_len(idx)) as u64
     }
 
-    /// The free-buffer shelf of buffers `len` doubles long.
+    /// The free-buffer shelf of buffers `len` doubles long: tiles, V
+    /// copies, then T factors. Where two of those lengths coincide, their
+    /// buffers share the first shelf of that length.
     fn shelf(&self, len: usize) -> usize {
-        usize::from(len != SlotFamily::A.slot_len(self.b, self.ib))
+        let fams = [SlotFamily::A, SlotFamily::Vg];
+        fams.iter().position(|f| f.slot_len(self.b, self.ib) == len).unwrap_or(fams.len())
     }
 
     /// The slots task `tid` pins, write set first.
@@ -831,7 +837,7 @@ impl PagedStore {
                 victims: BTreeSet::new(),
                 running: BTreeMap::new(),
                 resident: 0,
-                free: [Vec::new(), Vec::new()],
+                free: Default::default(),
             }),
             evictions: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
@@ -1111,6 +1117,28 @@ mod tests {
         // Unpage restores what it can and reports the bad slot.
         let err = store.unpage(&mut a, &mut f).unwrap_err();
         assert!(err.contains("A(1,1)"), "error must name the slot: {err}");
+    }
+
+    /// A version-3 binary spilled a V copy as the whole `b × b` factored
+    /// tile. Such a record is refused by its version on fault-in, never
+    /// read as `v_len(b)` doubles.
+    #[test]
+    fn a_full_tile_v_copy_record_is_a_version_error() {
+        let (g, mut a, mut f) = fixture(2, 2, 3);
+        let mut store = build(&mut a, &mut f, &g, None, (3 * 3 * 8) as u64);
+        store.stop_prefetcher();
+        let core = Arc::clone(&store.core);
+        let idx = core.slot_index(SlotFamily::Vg, 0, 0);
+        let tile: Vec<f64> = (0..9).map(|e| e as f64 * 0.5).collect();
+        let at = core.record_offset(idx);
+        write_f64_record(SPILL_MAGIC, 3, S_TILE, &tile, |off, bytes| {
+            core.file.write_all_at(bytes, at + off as u64)
+        })
+        .unwrap();
+        let mut dst = vec![0.0; core.slot_len(idx)];
+        let err = core.read_record(idx, &mut dst).unwrap_err();
+        assert!(err.contains("unsupported format version 3"), "{err}");
+        let _ = store.unpage(&mut a, &mut f);
     }
 
     #[test]

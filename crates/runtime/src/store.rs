@@ -345,12 +345,14 @@ impl TileStore {
 
     /// Apply a planned silent-data-corruption strike to one element of
     /// `t`'s write set: the raw `slot`/`element` picks are reduced modulo
-    /// the write-set size and the slot's length here, where both are known.
+    /// the number of written buffers that hold an element (a V copy at
+    /// `b = 1` holds none) and the slot's length here, where both are known.
     ///
     /// # Safety
     /// Same contract as [`TileStore::run_task`] for `t`'s write set.
     pub(crate) unsafe fn apply_sdc(&self, t: &Task, f: &SdcFault) {
-        let writes = t.writes();
+        let mut writes = t.writes();
+        writes.retain(|s| s.0.slot_len(self.b, self.ib) > 0);
         let s = writes[f.slot as usize % writes.len()];
         let buf = self.slice(s);
         let x = &mut buf[f.element as usize % buf.len()];

@@ -1,6 +1,6 @@
 //! Kernel tasks and their data-access footprints.
 
-use hqr_kernels::{t_len, KernelKind};
+use hqr_kernels::{t_len, v_len, KernelKind};
 
 /// A single kernel invocation in the factorization DAG.
 ///
@@ -28,10 +28,10 @@ pub struct Task {
 pub enum SlotFamily {
     /// The matrix tile itself.
     A = 0,
-    /// The copy of GEQRT's V factor (strict lower triangle), copied out so
-    /// UNMQRs can read it while kill kernels rewrite the tile's R part —
-    /// the same logical-tile split DAGuE expresses through its data-flow
-    /// descriptions.
+    /// The copy of GEQRT's V factor (its strict lower triangle, packed
+    /// column by column), copied out so UNMQRs can read it while kill
+    /// kernels rewrite the tile's R part — the same logical-tile split
+    /// DAGuE expresses through its data-flow descriptions.
     Vg = 1,
     /// GEQRT's T factor.
     Tg = 2,
@@ -54,11 +54,12 @@ impl SlotFamily {
     }
 
     /// Doubles in one slot of this family at tile size `b` and inner
-    /// block size `ib`: a full tile for `A` and `Vg`, [`t_len`] for the
-    /// T families.
+    /// block size `ib`: a full tile for `A`, [`v_len`] for `Vg`, [`t_len`]
+    /// for the T families.
     pub fn slot_len(self, b: usize, ib: usize) -> usize {
         match self {
-            SlotFamily::A | SlotFamily::Vg => b * b,
+            SlotFamily::A => b * b,
+            SlotFamily::Vg => v_len(b),
             SlotFamily::Tg | SlotFamily::Tk => t_len(b, ib),
         }
     }

@@ -43,6 +43,28 @@ fn one_tile_budget_is_safe_under_multi_tile_pins() {
     assert!(spill.writebacks > 0, "dirty evictions must write back: {spill:?}");
 }
 
+/// At b = 1 every V copy is zero doubles long: a paged run evicts,
+/// writes back and faults in empty records beside the one-double tiles,
+/// and still matches the resident run bit for bit.
+#[test]
+fn one_by_one_tiles_page_with_empty_v_copies() {
+    let (mt, nt, b) = (6, 4, 1);
+    let graph = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
+    let a0 = TiledMatrix::random(mt, nt, b, 98);
+    let mut a_ref = a0.clone();
+    let (f_ref, _) = try_execute_with(&graph, &mut a_ref, &ExecOptions::with_threads(2)).unwrap();
+    let mut a = a0.clone();
+    let opts = ExecOptions { nthreads: 2, resident_budget: Some(8), ..Default::default() };
+    let (f, _, trace) = try_execute_traced(&graph, &mut a, &opts).expect("b = 1 paged run");
+    assert!(f.bitwise_eq(&f_ref), "b = 1 paged factors differ");
+    assert_eq!(f.vg(0, 0).map(<[f64]>::len), Some(0));
+    let bits =
+        |m: &TiledMatrix| m.to_dense().data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a), bits(&a_ref), "b = 1 paged tiles differ");
+    let spill = trace.spill.expect("paged run reports spill summary");
+    assert!(spill.evictions > 0 && spill.writebacks > 0, "{spill:?}");
+}
+
 /// On a paged run a task's busy span is its pin wait (`start..kernel_start`)
 /// then its kernel (`kernel_start..end`): the kernel seconds per kind and
 /// the pin waits add up to the workers' busy time, and neither holds the

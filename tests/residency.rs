@@ -9,6 +9,7 @@
 //! `cap`, factor buffers materialised as zeros on first touch (no read).
 
 use hqr::prelude::*;
+use hqr_kernels::v_len;
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::{try_execute_traced, ExecOptions, SchedPolicy, TFactors, TaskGraph};
 
@@ -152,10 +153,11 @@ fn one_worker_paged_run_moves_what_min_needs_and_less_than_lru() {
 
 /// The factor buffers of the benchmark's `tall_skinny` problem (32768 x
 /// 512 in tiles of b = 128, ib = 32, the adaptive tall list on a 2 x 1
-/// grid: one TS domain per cluster, a = 128): 22 GEQRTs each leave a
-/// `b x b` V copy and a T, and 1 014 kills a T, every T being the packed
-/// upper triangles of its four 32 x 32 panels: 19.44 MiB of factor
-/// buffers. T factors of `ib x b` made that 35.13 MiB, the a = 4 list
+/// grid: one TS domain per cluster, a = 128): 22 GEQRTs each leave a V
+/// copy (V's strict lower triangle, `v_len(b)` = 8 128 doubles) and a T,
+/// and 1 014 kills a T, every T being the packed upper triangles of its
+/// four 32 x 32 panels: 18.06 MiB of factor buffers. V copies of `b x b`
+/// made that 19.44 MiB, T factors of `ib x b` 35.13 MiB, the a = 4 list
 /// 73.56 MiB, and T factors zero-padded to `b x b` 193.75 MiB.
 #[test]
 fn tall_skinny_factor_buffers_hold_packed_t_factors() {
@@ -170,6 +172,6 @@ fn tall_skinny_factor_buffers_hold_packed_t_factors() {
     };
     let (vg, tg, tk) = (doubles(TFactors::vg), doubles(TFactors::tg), doubles(TFactors::tk));
     let t = (b / ib) * (ib * (ib + 1) / 2);
-    assert_eq!((vg, tg, tk), (22 * b * b, 22 * t, 1014 * t));
-    assert_eq!((vg + tg + tk) * 8, 20_387_840, "19.44 MiB");
+    assert_eq!((vg, tg, tk), (22 * v_len(b), 22 * t, 1014 * t));
+    assert_eq!((vg + tg + tk) * 8, 18_934_784, "18.06 MiB");
 }
