@@ -14,7 +14,7 @@ use crate::trees::TreeKind;
 use hqr_kernels::{run_kernel, KernelKind, Trans};
 use hqr_runtime::task::{SlotFamily, Task};
 use hqr_runtime::{
-    analysis, execute_serial, try_execute_traced, try_execute_with, ExecOptions, TaskGraph,
+    analysis, execute_serial, try_execute_traced, try_execute_with, ExecOptions, Slot, TaskGraph,
 };
 use hqr_sim::scalapack::ScalapackModel;
 use hqr_sim::{simulate, simulate_with, KernelRates, Platform, SchedPolicy, SimOptions, SimReport};
@@ -370,15 +370,17 @@ pub struct TreeRow {
     pub predicted: f64,
     /// [`baselines::coarse_parallelism`] of the list.
     pub coarse_parallelism: f64,
-    /// MiB of factor buffers a resident run of the list holds
-    /// (`TFactors::allocate_for`): a V copy and a T per GEQRT, a T per kill.
+    /// MiB of factor buffers a factorization by the list keeps
+    /// (`TFactors::allocate_for`): a T per GEQRT and per kill. GEQRT's V
+    /// copies are the run's scratch, and V stays in the factored tiles.
     pub factor_mib: f64,
     pub stats: analysis::DagStats,
 }
 
 /// [`TreeRow::factor_mib`] of `graph` at inner block size `ib`.
 fn factor_mib(graph: &TaskGraph, ib: usize) -> f64 {
-    let slots = graph.tasks().iter().flat_map(Task::writes).filter(|s| s.0 != SlotFamily::A);
+    let t_slot = |s: &Slot| matches!(s.0, SlotFamily::Tg | SlotFamily::Tk);
+    let slots = graph.tasks().iter().flat_map(Task::writes).filter(t_slot);
     let doubles: usize = slots.map(|(fam, ..)| fam.slot_len(graph.b(), ib)).sum();
     (doubles * std::mem::size_of::<f64>()) as f64 / (1u64 << 20) as f64
 }

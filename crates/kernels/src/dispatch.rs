@@ -11,11 +11,13 @@
 use crate::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib};
 use crate::micro::simd_arm;
 use crate::panel::{tile_mqr, Refl};
-use crate::{check_v, v_col, KernelKind, Trans};
+use crate::{check_v, pack_v, KernelKind, Trans};
 
 /// Run tile kernel `kind` on `b × b` tiles with inner block size `ib`; the
 /// T operand (`Tg`, `Tk`) holds [`crate::t_len`]`(b, ib)` doubles and the
-/// V copy (`Vg`) [`crate::v_len`]`(b)`.
+/// V copy (`Vg`) [`crate::v_len`]`(b)`. UNMQR's V operand may instead be
+/// the whole `b × b` factored tile, as the public [`crate::unmqr`] takes
+/// it: the two lengths differ at every `b ≥ 1`.
 ///
 /// Operand order is the slot order of the runtime's `Task::reads()` and
 /// `Task::writes()`:
@@ -27,16 +29,18 @@ use crate::{check_v, v_col, KernelKind, Trans};
 /// | `Tsqrt` / `Ttqrt` | — | A(piv) (R), A(victim) (→ V2), Tk |
 /// | `Tsmqr` / `Ttmqr` | V2, Tk | C(piv), C(victim) |
 ///
-/// GEQRT copies V's strict lower triangle out to `Vg`, column by column,
-/// so UNMQRs can read V while kill kernels rewrite the tile's R part (the
-/// logical V/R tile split of the DAG); UNMQR here reads that copy, where
-/// the public [`crate::unmqr`] reads a whole factored tile. `trans`
+/// GEQRT copies V's strict lower triangle out to `Vg`, column by column
+/// ([`crate::pack_v`]), so UNMQRs can read V while kill kernels rewrite the
+/// tile's R part (the logical V/R tile split of the DAG); UNMQR here reads
+/// that copy during a factorization, and the factored tile itself when Q
+/// is applied afterwards (both give the same bits). `trans`
 /// selects op(Q) for the update kernels (`Trans` during a factorization)
 /// and is ignored by the factor kernels.
 ///
 /// # Panics
 /// When the operand counts do not match `kind`, or a tile is not `b * b`
-/// long, or a V copy not `v_len(b)`, or a T is shorter than `t_len(b, ib)`,
+/// long, or a V copy not `v_len(b)` (UNMQR: nor `b * b`), or a T is
+/// shorter than `t_len(b, ib)`,
 /// or `ib` is outside `1..=b` — caller bugs, not input errors.
 pub fn run_kernel(
     kind: KernelKind,
@@ -50,12 +54,11 @@ pub fn run_kernel(
         (KernelKind::Geqrt, [], [a, vg, tg]) => {
             check_v(b, vg);
             geqrt_ib(b, ib, a, tg);
-            for (c, col) in a.chunks_exact(b).enumerate() {
-                vg[v_col(b, c)].copy_from_slice(&col[c + 1..]);
-            }
+            pack_v(b, a, vg);
         }
         (KernelKind::Unmqr, [v, t], [c]) => {
-            tile_mqr(simd_arm(), b, ib, Refl::Lower(v), t, None, c, false, trans)
+            let v = if v.len() == b * b { Refl::Tile(v) } else { Refl::Lower(v) };
+            tile_mqr(simd_arm(), b, ib, v, t, None, c, false, trans)
         }
         (KernelKind::Tsqrt, [], [a1, a2, t]) => tsqrt_ib(b, ib, a1, a2, t),
         (KernelKind::Ttqrt, [], [a1, a2, t]) => ttqrt_ib(b, ib, a1, a2, t),
@@ -96,9 +99,9 @@ mod tests {
         assert_eq!(vg, lower);
     }
 
-    /// UNMQR on a V copy gives the bits of the public UNMQR on the whole
-    /// factored tile, for every `ib`, both ways, at a ragged `b` and at
-    /// `b = 1` (an empty copy).
+    /// UNMQR on a V copy, and on the whole factored tile, give the bits of
+    /// the public UNMQR on that tile, for every `ib`, both ways, at a
+    /// ragged `b` and at `b = 1` (an empty copy).
     #[test]
     fn unmqr_on_the_v_copy_matches_unmqr_on_the_tile() {
         for (b, ibs) in [(9, &[1, 2, 4, 9][..]), (1, &[1][..])] {
@@ -114,10 +117,12 @@ mod tests {
                     &mut [&mut a, &mut vg, &mut tg],
                 );
                 for trans in [Trans::Trans, Trans::NoTrans] {
-                    let (mut c, mut want) = (tile(b, 7), tile(b, 7));
+                    let (mut c, mut on_tile, mut want) = (tile(b, 7), tile(b, 7), tile(b, 7));
                     run_kernel(KernelKind::Unmqr, b, ib, trans, &[&vg, &tg], &mut [&mut c]);
+                    run_kernel(KernelKind::Unmqr, b, ib, trans, &[&a, &tg], &mut [&mut on_tile]);
                     unmqr_ib(b, ib, &a, &tg, &mut want, trans);
                     assert_eq!(bits(&c), bits(&want), "b = {b}, ib = {ib}, {trans:?}");
+                    assert_eq!(bits(&on_tile), bits(&want), "tile, b = {b}, ib = {ib}, {trans:?}");
                 }
             }
         }

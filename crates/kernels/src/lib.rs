@@ -22,8 +22,9 @@
 //! factor is smaller: [`t_len`]`(b, ib)` doubles, the upper triangle of
 //! each `ib` panel's T packed column by column (`b(b+1)/2` for the plain
 //! kernels' one panel; see [`crate::blocked`] for the layout). So is the
-//! copy of GEQRT's reflectors that [`run_kernel`] keeps for UNMQR:
-//! [`v_len`]`(b)` doubles, V's strict lower triangle column by column.
+//! copy of GEQRT's reflectors that [`run_kernel`] makes for UNMQR:
+//! [`v_len`]`(b)` doubles, V's strict lower triangle column by column
+//! ([`pack_v`]).
 //! TT kernels exploit the triangular structure of the second tile and so
 //! perform roughly a third of the floating-point work of their TS
 //! counterparts per call, but "the sequential performance of the TS kernels
@@ -110,6 +111,22 @@ pub fn v_len(b: usize) -> usize {
 pub(crate) fn v_col(b: usize, c: usize) -> std::ops::Range<usize> {
     let at = c * (2 * b - c - 1) / 2;
     at..at + (b - 1 - c)
+}
+
+/// Copy V out of a factored `b × b` tile into `v`, a [`v_len`]`(b)` copy:
+/// the tile's strict lower triangle, column by column. [`run_kernel`]'s
+/// GEQRT arm makes its copy with this, and a copy released during a run is
+/// rebuilt with it from the factored tile, whose strict lower triangle no
+/// later kernel rewrites.
+///
+/// # Panics
+/// When `tile` is not `b * b` long or `v` not `v_len(b)`.
+pub fn pack_v(b: usize, tile: &[f64], v: &mut [f64]) {
+    check_tile(b, tile);
+    check_v(b, v);
+    for (c, col) in tile.chunks_exact(b).enumerate() {
+        v[v_col(b, c)].copy_from_slice(&col[c + 1..]);
+    }
 }
 
 #[inline]

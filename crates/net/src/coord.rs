@@ -35,8 +35,8 @@ use crate::msg::{decode_borrowed, decode_tile, put_frame, recv_msg, send_msg, Ms
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::Slot;
 use hqr_runtime::{
-    last_writers, rebuild_closure, recompute_slots, FaultAction, FaultKind, FaultPlan, RetryPolicy,
-    TFactors, Task, TaskGraph,
+    last_writers, live_v_copies, rebuild_closure, recompute_slots, FaultAction, FaultKind,
+    FaultPlan, RetryPolicy, TFactors, Task, TaskGraph,
 };
 use hqr_tile::{Layout, ProcessGrid, TiledMatrix};
 use std::collections::HashSet;
@@ -468,8 +468,10 @@ impl CoordState<'_> {
             }
         }
         // The holders rule: a task's writes make its worker the holder; a
-        // completed reader is a holder too. Lost: a slot version whose
-        // writer's worker is dead and whose new owner never read it, and a
+        // completed reader is a holder too, except of a V copy, which a
+        // reader drops after its last read. Lost: a slot version whose
+        // writer's worker is dead and whose new owner does not hold it — a
+        // V copy only while a task not completed still reads it — and a
         // never-written tile of a rank that has left its first worker. (A
         // second recovery places both again: correct, and simpler than
         // remembering where the first one put them.)
@@ -477,10 +479,17 @@ impl CoordState<'_> {
         let readers: HashSet<(Slot, usize)> =
             done.flat_map(|t| tasks[t].reads().into_iter().map(move |s| (s, ran[t]))).collect();
         let writers = last_writers(graph, &self.completed);
+        let live = live_v_copies(graph, &self.completed).into_iter().map(|t| &tasks[t as usize]);
+        let live: HashSet<Slot> =
+            live.map(|t| (SlotFamily::Vg, t.i as usize, t.k as usize)).collect();
         let mut lost: Vec<(usize, Slot)> = Vec::new();
         for (&slot, &t) in &writers {
             let target = self.owner(&tasks[t as usize]);
-            if !shared.alive(self.ran[t as usize]) && !readers.contains(&(slot, target)) {
+            let held = match slot.0 {
+                SlotFamily::Vg => !live.contains(&slot),
+                _ => readers.contains(&(slot, target)),
+            };
+            if !shared.alive(self.ran[t as usize]) && !held {
                 lost.push((target, slot));
             }
         }
@@ -512,7 +521,8 @@ impl CoordState<'_> {
     /// straight into `out`, all workers at once: each stream's frames are
     /// read into one buffer and every tile is decoded from it into its place
     /// in the result. Anything that does not arrive is rebuilt locally from
-    /// lineage, as in recovery.
+    /// lineage, as in recovery. No V copy is gathered: the result keeps V in
+    /// its factored tiles.
     fn gather(
         &mut self,
         out: Mutex<(TiledMatrix, TFactors, HashSet<Slot>)>,
@@ -545,8 +555,9 @@ impl CoordState<'_> {
         for (pushes, push_floats) in streamed.into_iter().flatten() {
             self.count_frames(pushes, push_floats, false);
         }
-        let all = last_writers(graph, &self.completed);
-        let unreachable: Vec<Slot> = all.into_keys().filter(|s| !seen.contains(s)).collect();
+        let all = last_writers(graph, &self.completed).into_keys();
+        let wanted = all.filter(|s| s.0 != SlotFamily::Vg);
+        let unreachable: Vec<Slot> = wanted.filter(|s| !seen.contains(s)).collect();
         if !unreachable.is_empty() {
             let closure = rebuild_closure(graph, &self.completed, &unreachable);
             let rebuilt = recompute_slots(graph, self.input, self.ib, &closure, &unreachable);

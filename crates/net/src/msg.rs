@@ -40,8 +40,9 @@ pub const NET_MAGIC: [u8; 8] = *b"HQRNETV0";
 /// Protocol version; bumped on any incompatible change (4: a T factor
 /// travels as its `t_len(b, ib)` doubles, not as a zero-padded `b*b` tile;
 /// 5: those doubles are its panels' packed upper triangles; 6: a V copy
-/// travels as V's strict lower triangle, `v_len(b)` doubles).
-pub const NET_VERSION: u32 = 6;
+/// travels as V's strict lower triangle, `v_len(b)` doubles; 7: a gather
+/// carries no V copy, and a coordinator expects none).
+pub const NET_VERSION: u32 = 7;
 
 const TAG_HEAD: u32 = 1;
 const TAG_LIST_A: u32 = 2;

@@ -3,7 +3,9 @@
 //! Every slot a worker holds is a `Box<[f64]>`: a `b*b` tile, a V copy of
 //! `v_len(b)` doubles, or a T factor of `t_len(b, ib)` doubles. A received tile is decoded in place into its
 //! slot's buffer, so a slot takes a buffer once, on first arrival (or as a
-//! zero-filled factor output), and keeps it for the run. Without a pool
+//! zero-filled factor output), and keeps it for the run — except a V copy,
+//! whose buffer comes back here when its last pending reader has
+//! completed. Without a pool
 //! each of those is fresh memory the kernel has to fault in page by page;
 //! with it, the previous run's shard is handed to the next run's slots of
 //! the same length. The pool lives in the worker's state, not in a run, so

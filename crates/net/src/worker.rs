@@ -13,7 +13,11 @@
 //! read without being written is never written again, so every
 //! cross-worker edge carries data and no "I have read it" notice exists.
 //! The version a pushed task consumed is gone from this shard, so a halted
-//! worker reports the pushes it accepted (see `Msg::Progress`).
+//! worker reports the pushes it accepted (see `Msg::Progress`). A V copy
+//! leaves the shard when its last pending reader has completed (after the
+//! pushes of the task that completed it are encoded), and a `Start` rebuilds
+//! the ones this worker's done GEQRTs still owe the epoch from their
+//! factored tiles.
 //!
 //! Every connection has its own thread: pushes are drained and progress
 //! polls answered while a kernel runs (the shard lock is never held across
@@ -34,10 +38,10 @@ use crate::msg::{
     decode_borrowed, decode_tile, encode_into, push_frame, put_frame, recv_msg, send_msg, Msg,
 };
 use crate::pool::TilePool;
-use hqr_runtime::exec::{worker_loop, Attempt, DagRun, GlobalQueue, RunPolicy, Worker};
+use hqr_runtime::exec::{worker_loop, Attempt, DagRun, GlobalQueue, RunPolicy, SpentV, Worker};
 use hqr_runtime::store::{Shard, TileStore};
 use hqr_runtime::task::SlotFamily;
-use hqr_runtime::{last_writers, FaultStats, Slot, Task, TaskGraph};
+use hqr_runtime::{last_writers, live_v_copies, FaultStats, Slot, Task, TaskGraph};
 use hqr_tile::{Layout, ProcessGrid};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -99,14 +103,23 @@ struct EpochRun {
 }
 
 impl EpochRun {
-    /// Complete `t` and queue the released tasks that run here.
-    fn complete(&self, graph: &TaskGraph, t: u32) {
+    /// Complete `t` and queue the released tasks that run here; returns
+    /// the V copy `t` spent, for [`EpochRun::release`].
+    fn complete(&self, graph: &TaskGraph, t: u32) -> Option<SpentV> {
         let queue = |s: u32| {
             if self.mine[s as usize] {
                 self.ready.push(s, &self.dag.frontier.ranks);
             }
         };
-        self.dag.complete(graph, t, queue, queue);
+        self.dag.complete(graph, t, queue, queue)
+    }
+
+    /// Take a spent V copy out of `shard` and give its buffer to `pool`.
+    fn release(&self, pool: &TilePool, shard: &Shard, spent: Option<SpentV>) {
+        if let Some(buf) = spent.and_then(|v| self.dag.release(v)) {
+            let held = shard.lock().expect("shard lock").len() + 1;
+            pool.give([buf], held);
+        }
     }
 }
 
@@ -217,6 +230,7 @@ impl Run {
         let waiting = |s: &u32| mine[*s as usize] && !done[*s as usize];
         let settled = (0..n).map(|t| mine[t] && done[t] || !mine[t] && !succ(t).any(waiting));
         let settled: Vec<bool> = settled.collect();
+        self.rebuild_v_copies(&state.pool, &mine, &done);
         let store = TileStore::over_shard(Arc::clone(&self.shard), self.graph.b(), self.ib);
         let policy = RunPolicy { publish_rest: true, ..RunPolicy::default() };
         let (dag, frontier) = DagRun::new(&self.graph, store, &policy, Some(&settled));
@@ -282,13 +296,35 @@ impl Run {
                     s.failed = ended.err();
                     return ControlFlow::Break(());
                 };
-                run.complete(graph, t);
+                let spent = run.complete(graph, t);
                 s.log.push(u64::from(t));
                 drop(s);
                 push(t);
+                run.release(&state.pool, &self.shard, spent);
                 ControlFlow::Continue(())
             },
         );
+    }
+
+    /// Put back the V copy of every done GEQRT owned here that a task not
+    /// `done` reads and the shard no longer holds: its pushes re-send it.
+    /// The copy is packed from the factored tile, which the GEQRT left here
+    /// (a GEQRT that ran on a lost worker has its copy placed by the
+    /// coordinator instead).
+    fn rebuild_v_copies(&self, pool: &TilePool, mine: &[bool], done: &[bool]) {
+        let (tasks, b) = (self.graph.tasks(), self.graph.b());
+        let mut shard = self.shard.lock().expect("shard lock");
+        for t in live_v_copies(&self.graph, done).into_iter().filter(|&t| mine[t as usize]) {
+            let task = &tasks[t as usize];
+            let v = (SlotFamily::Vg, task.i as usize, task.k as usize);
+            if shard.contains_key(&v) {
+                continue;
+            }
+            let Some(tile) = shard.get(&(SlotFamily::A, v.1, v.2)) else { continue };
+            let mut buf = pool.take(self.slot_len(v));
+            hqr_kernels::pack_v(b, tile, &mut buf);
+            shard.insert(v, buf);
+        }
     }
 
     /// Check that every operand of task `t` is in the shard, [`Run::slot_len`]
@@ -388,7 +424,8 @@ impl Run {
             return;
         };
         self.write(pool, slots);
-        run.complete(&self.graph, t);
+        let spent = run.complete(&self.graph, t);
+        run.release(pool, &self.shard, spent);
         s.accepted.push(task_id);
         if let Some(compute) = &s.compute {
             compute.thread().unpark();
@@ -420,9 +457,10 @@ impl Run {
         }
     }
 
-    /// `Gather`: stream every slot whose last writer this worker owns,
-    /// in slot order, then the push counters. Each frame is encoded under
-    /// the shard lock into one reused buffer and written after its release.
+    /// `Gather`: stream every slot but the V copies whose last writer this
+    /// worker owns, in slot order, then the push counters. Each frame is
+    /// encoded under the shard lock into one reused buffer and written
+    /// after its release.
     fn gather(&self, stream: &mut TcpStream) -> Result<(), NetError> {
         // The compute thread may still be counting its last push.
         self.halt();
@@ -434,7 +472,7 @@ impl Run {
             last_writers(&self.graph, &vec![true; tasks.len()]).into_iter().collect();
         last.sort_unstable();
         let mut frame = Vec::new();
-        for (slot, w) in last {
+        for (slot, w) in last.into_iter().filter(|(slot, _)| slot.0 != SlotFamily::Vg) {
             if run.as_ref().is_some_and(|run| run.mine[w as usize]) {
                 let shard = self.shard.lock().expect("shard lock");
                 let held =

@@ -176,8 +176,9 @@ fn report_accounts_for_transfers_and_elapsed() {
     assert!(report.elapsed > Duration::ZERO);
 }
 
-/// At b = 1 a V copy holds no double: its slot is still pushed, gathered
-/// and counted, with an empty payload, and the run matches the serial one.
+/// At b = 1 a V copy holds no double: its slot is still pushed, with an
+/// empty payload, and the run matches the serial one. The gather carries
+/// every written slot but the V copies.
 #[test]
 fn one_by_one_tiles_cross_the_wire_with_empty_v_copies() {
     let (mt, nt, b) = (5, 3, 1);
@@ -185,9 +186,9 @@ fn one_by_one_tiles_cross_the_wire_with_empty_v_copies() {
     let input = TiledMatrix::random(mt, nt, b, 44);
     let (a, f, report) = dist_run(&[WorkerOptions::default(); 2], &graph, &input, &test_config(2));
     assert_bitwise_parity(&graph, &input, &a, &f, "b = 1");
-    assert_eq!(f.vg(0, 0).map(<[f64]>::len), Some(0));
-    let gathered: u64 =
-        written_slots(&graph).iter().map(|&(fam, ..)| fam.slot_len(b, b) as u64).sum();
+    assert_eq!(f.tg(0, 0).map(<[f64]>::len), Some(1));
+    let gathered = written_slots(&graph).into_iter().filter(|s| s.0 != SlotFamily::Vg);
+    let gathered: u64 = gathered.map(|(fam, ..)| fam.slot_len(b, b) as u64).sum();
     assert_eq!(report.coordinator_floats, (mt * nt) as u64 + gathered);
 }
 
@@ -262,7 +263,7 @@ fn every_edge_carries_data_and_no_read_slot_is_rewritten() {
 /// The paper's message counts as an executable check: on a fault-free run
 /// the workers push exactly one frame per (producer task, consuming worker)
 /// pair of the graph under the layout, and the coordinator moves the
-/// scatter and the gather and not one double more.
+/// scatter and the gather (no V copy) and not one double more.
 #[test]
 fn peer_transfers_are_the_cross_worker_edges_and_the_coordinator_relays_nothing() {
     let (mt, nt, b) = (8, 4, 4);
@@ -276,9 +277,13 @@ fn peer_transfers_are_the_cross_worker_edges_and_the_coordinator_relays_nothing(
         let (a, f, report) = dist_run(&vec![WorkerOptions::default(); p * q], &graph, &input, &cfg);
         assert_bitwise_parity(&graph, &input, &a, &f, &format!("{p}x{q} fleet"));
         assert!(report.recoveries.is_empty(), "{p}x{q}: {:?}", report.recoveries);
-        let (scatter, gather) = ((mt * nt) as u64, written_slots(&graph));
-        // `dist_run` factors at ib = b: a tile is b² doubles, a V copy its
-        // strict lower triangle, a T its packed upper triangle.
+        // The gather brings back every written slot but the V copies, which
+        // stay run scratch (V is in the factored tiles).
+        let gather: Vec<Slot> =
+            written_slots(&graph).into_iter().filter(|s| s.0 != SlotFamily::Vg).collect();
+        let scatter = (mt * nt) as u64;
+        // `dist_run` factors at ib = b: a tile is b² doubles, a T its packed
+        // upper triangle.
         let gathered: u64 = gather.iter().map(|&(fam, ..)| fam.slot_len(b, b) as u64).sum();
         let gather = gather.len() as u64;
         assert_eq!(report.peer_transfers, cross_worker_messages(&graph, grid), "{p}x{q}");

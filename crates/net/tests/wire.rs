@@ -234,11 +234,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// What `execute_serial_ib` leaves in `slot`.
+/// What `execute_serial_ib` leaves in `slot`, which a gather streams back.
 fn serial_slot<'a>(a: &'a TiledMatrix, f: &'a TFactors, (fam, i, j): Slot) -> &'a [f64] {
     match fam {
         SlotFamily::A => a.tile(i, j),
-        SlotFamily::Vg => f.vg(i, j).expect("vg"),
+        SlotFamily::Vg => panic!("a gather carries no V copy: Vg({i},{j})"),
         SlotFamily::Tg => f.tg(i, j).expect("tg"),
         SlotFamily::Tk => f.tk(i, j).expect("tk"),
     }
@@ -333,7 +333,7 @@ fn hostile_hello_is_rejected_and_the_worker_stays_usable() {
         let f = execute_serial_ib(&graph, &mut a, ib as usize);
         let (slots, end) = gather(&mut conn, run_id);
         assert_eq!(end, Msg::End { pushes: 0, push_floats: 0 });
-        assert_eq!(slots.len(), 3, "A, Vg and Tg of the one GEQRT");
+        assert_eq!(slots.len(), 2, "A and Tg of the one GEQRT, no V copy");
         for (slot, got) in slots {
             assert_eq!(bits(&got), bits(serial_slot(&a, &f, slot)), "ib={ib}: {slot:?}");
         }
@@ -409,7 +409,6 @@ fn stale_and_hostile_pushes_change_nothing() {
     let want = [
         (SlotFamily::A, 0, 0),
         (SlotFamily::A, 1, 0),
-        (SlotFamily::Vg, 1, 0),
         (SlotFamily::Tg, 1, 0),
         (SlotFamily::Tk, 1, 0),
     ];
@@ -561,7 +560,7 @@ fn a_start_of_an_older_epoch_is_refused() {
     let f = execute_serial_ib(&graph, &mut a, ib);
     let (slots, end) = gather(&mut conn, run_id);
     assert_eq!(end, Msg::End { pushes: 0, push_floats: 0 });
-    assert_eq!(slots.len(), 4 + 3 * 2 + 1, "A, the Vg and Tg of three GEQRTs, the Tk");
+    assert_eq!(slots.len(), 4 + 3 + 1, "A, the Tg of three GEQRTs, the Tk");
     for (slot, data) in slots {
         assert_eq!(bits(&data), bits(serial_slot(&a, &f, slot)), "{slot:?} diverged");
     }

@@ -19,10 +19,13 @@
 //!   fingerprint, job id),
 //! * the elimination list (so a resume can rebuild the identical graph),
 //! * the completed-task bitmap,
-//! * the tile store, and
-//! * the three `TFactors` buffer families (presence bitmap + packed
-//!   payloads: `hqr_kernels::v_len(b)`-double V copies,
-//!   `hqr_kernels::t_len(b, ib)`-double T factors).
+//! * the tile store (R above the diagonal, V and V2 below it and in
+//!   place), and
+//! * the two `TFactors` buffer families (presence bitmap + packed
+//!   payloads: `hqr_kernels::t_len(b, ib)`-double T factors).
+//!
+//! No V copy is stored: a resumed run rebuilds the ones its pending
+//! readers need from the factored tiles.
 //!
 //! The [`graph_fingerprint`] binds a checkpoint to the exact plan that
 //! produced it: resuming against a different elimination list, tile
@@ -51,16 +54,16 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HQRCKPT\0";
 /// Checkpoint container version (2: `checksum64` trailer; 3: T factors of
 /// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`; 4: each T
 /// factor is its panels' packed upper triangles; 5: each V copy is V's
-/// strict lower triangle, `v_len(b)` doubles, not a `b × b` tile). A
-/// stored result is a checkpoint container, so it carries this version
-/// too.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// strict lower triangle, `v_len(b)` doubles, not a `b × b` tile; 6: no V
+/// copies, V lives in the factored tiles). A stored result is a
+/// checkpoint container, so it carries this version too.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 const SEC_HEADER: u32 = 1;
 const SEC_ELIMS: u32 = 2;
 const SEC_DONE: u32 = 3;
 const SEC_TILES: u32 = 4;
-const SEC_VG: u32 = 5;
+// Tag 5 held the V copies up to version 5.
 const SEC_TG: u32 = 6;
 const SEC_TK: u32 = 7;
 
@@ -173,7 +176,7 @@ pub struct Checkpoint {
     pub completed: Vec<bool>,
     /// The tile store at the quiescent point.
     pub a: TiledMatrix,
-    /// Householder reflectors and T factors accumulated so far.
+    /// T factors accumulated so far.
     pub factors: TFactors,
 }
 
@@ -209,8 +212,8 @@ impl Checkpoint {
     }
 
     /// Check this checkpoint is a valid mid-run state of `graph` executed
-    /// with inner block size `ib`: the plan's fingerprint, factor buffers
-    /// in exactly the slots the graph allocates, and a completed set closed
+    /// with inner block size `ib`: the plan's fingerprint, T buffers in
+    /// exactly the slots the graph allocates, and a completed set closed
     /// under dependencies.
     pub fn validate_against(&self, graph: &TaskGraph, ib: usize) -> Result<(), CheckpointError> {
         let expected = graph_fingerprint(graph, ib);
@@ -222,15 +225,14 @@ impl Checkpoint {
         }
         // A slot mismatch pairs the bitmap with foreign buffers: a missing
         // one is a kernel writing through nothing.
-        let families = [SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk];
+        let families = [SlotFamily::Tg, SlotFamily::Tk];
         let mut allocated = families.map(|_| vec![false; graph.mt() * graph.nt()]);
         for (fam, i, k) in factor_slots(graph) {
-            allocated[families.iter().position(|&f| f == fam).expect("a factor family")]
+            allocated[families.iter().position(|&f| f == fam).expect("a T family")]
                 [i + k * graph.mt()] = true;
         }
         let f = &self.factors;
-        let present =
-            [&f.vg, &f.tg, &f.tk].map(|v| v.iter().map(Option::is_some).collect::<Vec<_>>());
+        let present = [&f.tg, &f.tk].map(|v| v.iter().map(Option::is_some).collect::<Vec<_>>());
         if present != allocated {
             return Err(inconsistent("factor buffers do not match the graph's allocation pattern"));
         }
@@ -376,7 +378,6 @@ fn family_from_bytes(
             ),
         }));
     }
-    // Not `chunks_exact`: a V copy at b = 1 is zero doubles long.
     let mut buffers = (0..count).map(|n| &payload_bytes[n * per_buffer..][..per_buffer]);
     let mut family: Vec<Option<Box<[f64]>>> = Vec::with_capacity(slots);
     for &p in &present {
@@ -414,7 +415,7 @@ pub(crate) fn checkpoint_sections(ckpt: &Checkpoint) -> SectionList<'_> {
         .section(SEC_DONE, bytes_of_u64s(&bitmap_to_words(&ckpt.completed)))
         .section_of(SEC_TILES, tiled_parts(&ckpt.a));
     let f = &ckpt.factors;
-    for (tag, family) in [(SEC_VG, &f.vg), (SEC_TG, &f.tg), (SEC_TK, &f.tk)] {
+    for (tag, family) in [(SEC_TG, &f.tg), (SEC_TK, &f.tk)] {
         w.section_of(tag, family_parts(family));
     }
     w
@@ -486,8 +487,7 @@ fn decode_checkpoint(r: SectionReader) -> Result<Checkpoint, CheckpointError> {
 
     let slots = mt * nt;
     let mut factors = TFactors::empty(mt, nt, b, ib);
-    for (tag, fam) in [(SEC_VG, SlotFamily::Vg), (SEC_TG, SlotFamily::Tg), (SEC_TK, SlotFamily::Tk)]
-    {
+    for (tag, fam) in [(SEC_TG, SlotFamily::Tg), (SEC_TK, SlotFamily::Tk)] {
         let family = family_from_bytes(tag, r.require(tag)?, slots, fam.slot_len(b, ib))?;
         *factors.family_mut(fam).expect("a factor family") = family;
     }
@@ -591,71 +591,61 @@ pub(crate) mod tests {
         }
     }
 
-    /// A finished job written by a version-4 binary, which stored each V
-    /// copy as the whole `b × b` factored tile, is refused by its version,
-    /// as a checkpoint and as a stored result alike, and never decoded
-    /// against `v_len(b)`-long copies.
+    /// A checkpoint or stored result written by a version-5 binary carries
+    /// a V section (tag 5: each GEQRT's copy, V's strict lower triangle,
+    /// `v_len(b)` doubles). It is refused by its version, as a checkpoint
+    /// and as a stored result alike, and never decoded as a state whose V
+    /// copies a resume ignores.
     #[test]
-    fn a_checkpoint_or_result_from_before_packed_v_is_a_version_error() {
+    fn a_checkpoint_or_result_with_v_copies_is_a_version_error() {
         let (b, ib) = (4, 2);
-        let elims = vec![ElimOp::new(0, 1, 0, true)];
+        // A TT kill: both rows are factored by a GEQRT.
+        let elims = vec![ElimOp::new(0, 1, 0, false)];
         let graph = TaskGraph::build(2, 1, b, &elims);
         let mut a = TiledMatrix::random(2, 1, b, 6);
         let factors = crate::exec::execute_serial_ib(&graph, &mut a, ib);
         let done = vec![true; graph.tasks().len()];
         let ckpt = Checkpoint { job: 10, ..Checkpoint::capture(&graph, elims, done, a, factors) };
-        // The old copy: V below the diagonal, the tile's R on and above it.
-        let tile = |v: &[f64]| -> Box<[f64]> {
-            let (mut old, mut lower) = (ckpt.a.tile(0, 0).to_vec(), v.iter());
-            for (j, col) in old.chunks_exact_mut(b).enumerate() {
-                col[j + 1..].iter_mut().zip(lower.by_ref()).for_each(|(x, y)| *x = *y);
-            }
-            old.into()
-        };
+        let lower = |i: usize| Some(crate::store::packed_v(&ckpt.a, i, 0));
+        let v_copies = [lower(0), lower(1)];
+        assert_eq!(v_copies[0].as_deref().map(<[f64]>::len), Some(hqr_kernels::v_len(b)));
         let bytes = checkpoint_to_bytes(&ckpt);
         let r = SectionReader::from_bytes(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        let mut w = SectionList::new(CHECKPOINT_MAGIC, 4);
-        for tag in r.tags() {
-            let payload = match tag {
-                SEC_VG => {
-                    let old: Vec<_> =
-                        ckpt.factors.vg.iter().map(|v| v.as_deref().map(tile)).collect();
-                    family_parts(&old).flat_map(Cow::into_owned).collect()
-                }
-                _ => r.section(tag).unwrap().to_vec(),
-            };
-            w.section(tag, payload);
+        let mut w = SectionList::new(CHECKPOINT_MAGIC, 5);
+        for tag in r.tags().into_iter().filter(|&tag| tag != 5) {
+            if tag == SEC_TG {
+                w.section_of(5, family_parts(&v_copies));
+            }
+            w.section(tag, r.section(tag).unwrap().to_vec());
         }
         let old = w.into_bytes();
         let refused = |e: &BinFormatError| {
-            matches!(
-                e,
-                BinFormatError::UnsupportedVersion { expected: CHECKPOINT_VERSION, found: 4 }
-            )
+            matches!(e, BinFormatError::UnsupportedVersion { expected: 6, found: 5 })
         };
         match checkpoint_from_bytes(old.clone()) {
             Err(CheckpointError::Format(e)) if refused(&e) => {}
-            other => panic!("a version-4 checkpoint: {other:?}"),
+            other => panic!("a version-5 checkpoint: {:?}", other.map(|c| c.job)),
         }
         match crate::journal::result_from_bytes(old) {
             Err(crate::journal::JournalError::Format(e)) if refused(&e) => {}
-            other => panic!("a version-4 stored result: {:?}", other.map(|r| r.id)),
+            other => panic!("a version-5 stored result: {:?}", other.map(|r| r.id)),
         }
     }
 
-    /// A 1 x 1-tile factorization's V copies hold no double: they survive
-    /// a checkpoint round trip as empty buffers.
+    /// A factorization of 1 x 1 tiles survives a checkpoint round trip:
+    /// its T factors are one double each, and it has no V to store.
     #[test]
-    fn zero_length_v_copies_round_trip() {
+    fn a_one_by_one_tile_checkpoint_round_trips() {
         let elims = vec![ElimOp::new(0, 1, 0, false)];
         let graph = TaskGraph::build(2, 1, 1, &elims);
         let mut a = TiledMatrix::random(2, 1, 1, 7);
         let factors = crate::exec::execute_serial_ib(&graph, &mut a, 1);
-        assert_eq!(factors.vg(0, 0).map(<[f64]>::len), Some(0));
+        assert_eq!(factors.tg(1, 0).map(<[f64]>::len), Some(1));
         let done = vec![true; graph.tasks().len()];
         let ckpt = Checkpoint::capture(&graph, elims, done, a, factors);
         let back = checkpoint_from_bytes(checkpoint_to_bytes(&ckpt)).expect("decodes");
         assert!(back.factors.bitwise_eq(&ckpt.factors));
-        assert_eq!(back.factors.vg(1, 0).map(<[f64]>::len), Some(0));
+        assert_eq!(back.a.to_dense().data(), ckpt.a.to_dense().data());
+        back.validate_against(&graph, 1).expect("a valid state of its plan");
     }
 }

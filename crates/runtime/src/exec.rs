@@ -25,7 +25,7 @@
 //! take global → rotated victim scan → backoff → bounded park), the
 //! dependency state and its release rule ([`Frontier`]), and the per-DAG
 //! run state ([`DagRun`]: store, guards, fault plan, a [`Frontier`], and
-//! the attempt/complete steps), fed by a shared [`GlobalQueue`]. All are
+//! the attempt/complete/release steps), fed by a shared [`GlobalQueue`]. All are
 //! public: `hqr-net` workers run them too, and the simulator's event
 //! engine releases tasks through the same [`Frontier`].
 
@@ -54,23 +54,25 @@ use crate::lineage::Slot;
 use crate::sched::{self, SchedPolicy};
 use crate::store::{pages, RunPlan, TileStore};
 use crate::task::{SlotFamily, Task};
-use hqr_kernels::Trans;
+use hqr_kernels::{KernelKind, Trans};
 use hqr_tile::TiledMatrix;
 
-/// The Householder factor buffers produced by a factorization: the V copies
-/// and T factors of every GEQRT, and the T factors of every kill kernel.
-/// Together with the factored matrix (V/V2 blocks in place, R in the upper
-/// triangle) and the elimination list, they fully determine Q. A V copy is
-/// `hqr_kernels::v_len(b)` doubles, V's strict lower triangle; a T factor
-/// is `hqr_kernels::t_len(b, ib)` doubles, so the buffers belong to one
-/// inner block size.
+/// The T factors produced by a factorization: one per GEQRT and one per
+/// kill kernel. Together with the factored matrix (R in the upper
+/// triangle, V and V2 blocks below and in place) and the elimination list,
+/// they fully determine Q — the representation LAPACK and PLASMA keep. A T
+/// factor is `hqr_kernels::t_len(b, ib)` doubles, so the buffers belong to
+/// one inner block size.
+///
+/// GEQRT's V copies (`Vg`) are not here: they are scratch of the run that
+/// made them (see [`TileStore::release`]), and the factored tile A(i,k)
+/// keeps V in its strict lower triangle.
 #[derive(Clone)]
 pub struct TFactors {
     pub(crate) b: usize,
     pub(crate) ib: usize,
     pub(crate) mt: usize,
     pub(crate) nt: usize,
-    pub(crate) vg: Vec<Option<Box<[f64]>>>,
     pub(crate) tg: Vec<Option<Box<[f64]>>>,
     pub(crate) tk: Vec<Option<Box<[f64]>>>,
 }
@@ -84,24 +86,81 @@ impl std::fmt::Debug for TFactors {
             .field("ib", &self.ib)
             .field("mt", &self.mt)
             .field("nt", &self.nt)
-            .field("vg_buffers", &count(&self.vg))
             .field("tg_buffers", &count(&self.tg))
             .field("tk_buffers", &count(&self.tk))
             .finish()
     }
 }
 
-/// Every factor slot `graph`'s tasks write, as `(family, i, k)`: the
-/// buffers a run of it needs besides the matrix tiles.
+/// Every T slot `graph`'s tasks write, as `(family, i, k)`: the buffers a
+/// factorization keeps besides the matrix tiles.
 pub(crate) fn factor_slots(graph: &TaskGraph) -> impl Iterator<Item = Slot> + '_ {
-    graph.tasks().iter().flat_map(Task::writes).filter(|s| s.0 != SlotFamily::A)
+    graph.tasks().iter().flat_map(Task::writes).filter(|s| is_t(s.0))
+}
+
+/// The families a [`TFactors`] holds.
+fn is_t(fam: SlotFamily) -> bool {
+    matches!(fam, SlotFamily::Tg | SlotFamily::Tk)
+}
+
+/// How many tasks that are not done read each V copy, indexed `i + k·mt`
+/// by GEQRT(i,k)'s coordinates: a copy is needed from its GEQRT until the
+/// last of them completes. Counted from the graph; a resumed run leaves
+/// out the readers `completed` marks.
+pub(crate) struct VReaders {
+    pending: Vec<AtomicU32>,
+    mt: usize,
+}
+
+impl VReaders {
+    pub(crate) fn new(graph: &TaskGraph, completed: Option<&[bool]>) -> Self {
+        let mt = graph.mt();
+        let mut pending = vec![0u32; mt * graph.nt()];
+        for (t, task) in graph.tasks().iter().enumerate() {
+            if task.kind == KernelKind::Unmqr && !completed.is_some_and(|c| c[t]) {
+                pending[task.i as usize + task.k as usize * mt] += 1;
+            }
+        }
+        VReaders { pending: pending.into_iter().map(AtomicU32::new).collect(), mt }
+    }
+
+    /// The pending readers of the V copy `t` makes or reads.
+    fn pending(&self, t: &Task) -> &AtomicU32 {
+        &self.pending[t.i as usize + t.k as usize * self.mt]
+    }
+
+    /// Count `t`'s completion: the V copy it was the last pending reader
+    /// of, or — for a GEQRT — its own copy when nothing will read it.
+    pub(crate) fn spend(&self, t: &Task) -> Option<Slot> {
+        let pending = self.pending(t);
+        let last = match t.kind {
+            // Every reader depends on the GEQRT, so none has counted down.
+            KernelKind::Geqrt => pending.load(Ordering::Acquire) == 0,
+            KernelKind::Unmqr => pending.fetch_sub(1, Ordering::AcqRel) == 1,
+            _ => false,
+        };
+        last.then_some((SlotFamily::Vg, t.i as usize, t.k as usize))
+    }
+}
+
+/// The GEQRTs done in `completed` whose V copy a task not done still
+/// reads, as task indices: the copies a run resumed there needs, which
+/// are rebuilt from the factored tiles.
+pub fn live_v_copies(graph: &TaskGraph, completed: &[bool]) -> Vec<u32> {
+    let readers = VReaders::new(graph, Some(completed));
+    let geqrts = graph.tasks().iter().enumerate().filter(|(t, task)| {
+        completed[*t]
+            && task.kind == KernelKind::Geqrt
+            && readers.pending(task).load(Ordering::Acquire) > 0
+    });
+    geqrts.map(|(t, _)| t as u32).collect()
 }
 
 impl TFactors {
     /// No buffer at all: the families a paged store or a decoder fills.
     pub(crate) fn empty(mt: usize, nt: usize, b: usize, ib: usize) -> Self {
         let none = || (0..mt * nt).map(|_| None).collect();
-        TFactors { b, ib, mt, nt, vg: none(), tg: none(), tk: none() }
+        TFactors { b, ib, mt, nt, tg: none(), tk: none() }
     }
 
     /// Allocate, zero-filled, exactly the buffers the graph's tasks will
@@ -110,11 +169,11 @@ impl TFactors {
         Self::allocate_slots(graph, ib, factor_slots(graph))
     }
 
-    /// Allocate, zero-filled, the factor buffers among `slots` (each once).
+    /// Allocate, zero-filled, the T buffers among `slots` (each once).
     fn allocate_slots(graph: &TaskGraph, ib: usize, slots: impl Iterator<Item = Slot>) -> Self {
         let (mt, b) = (graph.mt(), graph.b());
         let mut f = Self::empty(mt, graph.nt(), b, ib);
-        for (fam, i, k) in slots.filter(|s| s.0 != SlotFamily::A) {
+        for (fam, i, k) in slots.filter(|s| is_t(s.0)) {
             let family = f.family_mut(fam).expect("a factor family");
             family[i + k * mt].get_or_insert_with(|| vec![0.0; fam.slot_len(b, ib)].into());
         }
@@ -128,10 +187,9 @@ impl TFactors {
 
     pub(crate) fn family_mut(&mut self, fam: SlotFamily) -> Option<&mut Vec<Option<Box<[f64]>>>> {
         match fam {
-            SlotFamily::Vg => Some(&mut self.vg),
             SlotFamily::Tg => Some(&mut self.tg),
             SlotFamily::Tk => Some(&mut self.tk),
-            SlotFamily::A => None,
+            SlotFamily::A | SlotFamily::Vg => None,
         }
     }
 
@@ -140,23 +198,16 @@ impl TFactors {
         self.b
     }
 
-    /// The buffer of factor slot `(fam, i, k)`: `None` when the graph never
-    /// writes that slot, and for the `A` family (its tiles are the matrix's).
+    /// The buffer of T slot `(fam, i, k)`: `None` when the graph never
+    /// writes that slot, and for the `A` family (its tiles are the matrix's)
+    /// and the `Vg` family (V lives in the factored tile).
     pub fn slot(&self, fam: SlotFamily, i: usize, k: usize) -> Option<&[f64]> {
         let family = match fam {
-            SlotFamily::Vg => &self.vg,
             SlotFamily::Tg => &self.tg,
             SlotFamily::Tk => &self.tk,
-            SlotFamily::A => return None,
+            SlotFamily::A | SlotFamily::Vg => return None,
         };
         family[i + k * self.mt].as_deref()
-    }
-
-    /// V factor of the GEQRT applied to row `i` in panel `k`: its strict
-    /// lower triangle, packed column by column (`hqr_kernels::v_len(b)`
-    /// doubles; column `c`'s rows `c + 1..b` follow column `c − 1`'s).
-    pub fn vg(&self, i: usize, k: usize) -> Option<&[f64]> {
-        self.slot(SlotFamily::Vg, i, k)
     }
 
     /// T factor of the GEQRT applied to row `i` in panel `k`.
@@ -169,15 +220,15 @@ impl TFactors {
         self.slot(SlotFamily::Tk, i, k)
     }
 
-    /// Mutable view of an allocated factor buffer, for callers (the
-    /// distributed gather step) that fill a [`TFactors`] from bytes
-    /// computed elsewhere. `None` when the graph never writes that slot.
+    /// Mutable view of an allocated T buffer, for callers (the distributed
+    /// gather step) that fill a [`TFactors`] from bytes computed elsewhere.
+    /// `None` when the graph never writes that slot.
     pub fn slot_mut(&mut self, fam: SlotFamily, i: usize, k: usize) -> Option<&mut [f64]> {
         let idx = i + k * self.mt;
         self.family_mut(fam)?.get_mut(idx).and_then(|o| o.as_deref_mut())
     }
 
-    /// Bit-exact equality of every allocated factor buffer (comparing
+    /// Bit-exact equality of every allocated T buffer (comparing
     /// `f64::to_bits`, so `-0.0 != 0.0` and NaNs compare by payload) — the
     /// check behind the "resume is bitwise-identical" guarantee.
     pub fn bitwise_eq(&self, other: &TFactors) -> bool {
@@ -196,7 +247,6 @@ impl TFactors {
             && self.ib == other.ib
             && self.mt == other.mt
             && self.nt == other.nt
-            && family_eq(&self.vg, &other.vg)
             && family_eq(&self.tg, &other.tg)
             && family_eq(&self.tk, &other.tk)
     }
@@ -213,9 +263,14 @@ pub fn execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> TFactors {
 pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> TFactors {
     let mut f = TFactors::allocate_for(graph, ib);
     let store = TileStore::new(a, &mut f);
+    let readers = VReaders::new(graph, None);
     for t in graph.tasks() {
         // SAFETY: single-threaded, topological order.
         unsafe { store.run_task(t, graph.trans()) };
+        if let Some(v) = readers.spend(t) {
+            // SAFETY: `t` was the copy's last task; the ones left are later.
+            unsafe { store.release(v) };
+        }
     }
     f
 }
@@ -809,7 +864,9 @@ impl Frontier {
 /// write-set snapshot, `catch_unwind` around the kernel with planned
 /// fault/SDC injection, output-guard verification, rollback + bounded
 /// retry, every failure mapped to its [`ExecError`]) and
-/// [`DagRun::complete`] (the frontier's release rule).
+/// [`DagRun::complete`] (the frontier's release rule, and the count of each
+/// V copy's pending readers, whose end [`DagRun::release`] turns into a
+/// free buffer).
 ///
 /// The graph is passed to each call rather than stored: the engine borrows
 /// it from its caller, the pool owns it next to this struct.
@@ -828,10 +885,19 @@ pub struct DagRun {
     full_integrity: bool,
     /// Dependency state, priority keys and the release rule.
     pub frontier: Frontier,
+    /// Pending readers of each V copy.
+    v_readers: VReaders,
     /// Raised to stop the run; re-checked between retry attempts so a long
     /// retry ladder yields promptly instead of burning its whole budget.
     pub halt: AtomicBool,
 }
+
+/// A V copy whose last pending reader has completed, as
+/// [`DagRun::complete`] returns it: no task of the run touches it again,
+/// so [`DagRun::release`] may take its buffer.
+#[must_use = "a spent V copy stays held until it is released"]
+#[derive(Debug, PartialEq, Eq)]
+pub struct SpentV(Slot);
 
 impl DagRun {
     /// Set up the run of the tasks not marked in `completed`, and return it
@@ -852,6 +918,7 @@ impl DagRun {
             recovery: p.max_retries > 0 || p.plan.is_some(),
             full_integrity: p.integrity == IntegrityMode::Full,
             frontier,
+            v_readers: VReaders::new(graph, completed),
             halt: AtomicBool::new(false),
         };
         (run, ready)
@@ -929,32 +996,34 @@ impl DagRun {
                 return Ok(Attempt::Aborted);
             }
             let inject = poisoned || plan.is_some_and(|p| p.should_fail_attempt(tid, attempt));
+            // Everything that touches the task's buffers runs inside the
+            // perimeter, so a panic in any of it is a failed attempt.
             let run = catch_unwind(AssertUnwindSafe(|| {
                 if inject {
                     panic!("{INJECTED_FAULT_PREFIX}: task {tid} attempt {attempt} on worker {me}");
                 }
                 // SAFETY: DAG order, as above.
                 unsafe { store.run_task(t, graph.trans()) };
+                // Kernel-postcondition hook: refresh the write-set guards
+                // from the fresh output while it is "hot". The window
+                // between this hook and the commit-time check below is
+                // where an SDC strike lands.
+                if let Some(g) = &self.guards {
+                    // SAFETY: DAG order, as above.
+                    unsafe { g.refresh_task(store, t) };
+                }
+                // The strike happens regardless of the integrity mode —
+                // only the *verification* is optional.
+                let strike = plan.and_then(|p| p.sdc_for(tid)).filter(|_| attempt == 0);
+                if let Some(fault) = &strike {
+                    // SAFETY: DAG order, as above.
+                    unsafe { store.apply_sdc(t, fault) };
+                }
+                strike.is_some()
             }));
             match run {
-                Ok(()) => {
-                    // Kernel-postcondition hook: refresh the write-set guards
-                    // from the fresh output while it is "hot". The window
-                    // between this hook and the commit-time check below is
-                    // where an SDC strike lands.
-                    if let Some(g) = &self.guards {
-                        // SAFETY: DAG order, as above.
-                        unsafe { g.refresh_task(store, t) };
-                    }
-                    if attempt == 0 {
-                        if let Some(fault) = plan.and_then(|p| p.sdc_for(tid)) {
-                            // The strike happens regardless of the integrity
-                            // mode — only the *verification* is optional.
-                            // SAFETY: DAG order, as above.
-                            unsafe { store.apply_sdc(t, &fault) };
-                            wstats.sdc_injected += 1;
-                        }
-                    }
+                Ok(struck) => {
+                    wstats.sdc_injected += u32::from(struck);
                     // SAFETY: DAG order, as above.
                     let found =
                         self.guards.as_ref().and_then(|g| unsafe { g.verify_outputs(store, t) });
@@ -1014,23 +1083,39 @@ impl DagRun {
         }
     }
 
-    /// Complete `tid`, which just ran [`Attempt::Done`], through
-    /// [`Frontier::complete`], unless the fault plan drops the completion.
+    /// Complete `tid`, which just ran [`Attempt::Done`] (or, on an
+    /// `hqr-net` worker, ran elsewhere), through [`Frontier::complete`],
+    /// unless the fault plan drops the completion; and count it against the
+    /// V copy it reads or, a GEQRT, writes. Returns that copy when no task
+    /// will touch it again — `tid` was its last pending reader, or a GEQRT
+    /// nothing reads — for the caller to [`DagRun::release`] once nothing
+    /// outside the run needs it either: at once in process, after the
+    /// task's pushes are encoded on an `hqr-net` worker.
     pub fn complete(
         &self,
         graph: &TaskGraph,
         tid: u32,
         keep: impl FnMut(u32),
         publish: impl FnMut(u32),
-    ) {
+    ) -> Option<SpentV> {
         if self.plan.as_ref().is_some_and(|p| p.loses_completion(tid)) {
             // Dropped completion: the task ran, but its successors are never
             // released and `remaining` stays high; the (mandatory) watchdog
             // reports the stall.
             self.frontier.done[tid as usize].store(true, Ordering::Release);
-            return;
+            return None;
         }
         self.frontier.complete(graph, tid, keep, publish);
+        self.v_readers.spend(&graph.tasks()[tid as usize]).map(SpentV)
+    }
+
+    /// Hand a spent V copy's buffer back: to the run's free list, where
+    /// the next GEQRT takes it, or — on a worker's shard, which keeps no
+    /// list — to the caller, as the buffer itself.
+    pub fn release(&self, spent: SpentV) -> Option<Box<[f64]>> {
+        // SAFETY: a `SpentV` is only made by `complete`, once every task
+        // that touches the copy has completed.
+        unsafe { self.store.release(spent.0) }
     }
 }
 
@@ -1136,7 +1221,8 @@ fn checked_ib(opts: &ExecOptions, b: usize) -> Result<usize, ExecError> {
 /// for `Trans::Trans`, Q·C for `NoTrans` (§V-A's "reverse trees"). The
 /// DAG is [`TaskGraph::apply_q`]'s, so the run has the engine's threads,
 /// policy, retry, fault plan, integrity guards and watchdog from `opts`;
-/// only C's tiles are written, and `factored` (the V blocks in place) and
+/// only C's tiles are written, and `factored` (V and the V2 blocks in
+/// place: an UNMQR reads GEQRT(i,k)'s V from the tile A(i,k) itself) and
 /// `factors` are read where they are. `elims` is the elimination list
 /// that produced them, and `ib` is `factors.ib()`.
 ///
@@ -1177,8 +1263,10 @@ pub fn try_apply_q(
     }
     let graph = TaskGraph::apply_q(mt, nt, c.nt(), b, elims, trans)
         .map_err(|e| ExecError::Config { message: e.to_string() })?;
+    // V is read where it lives, in the factored tiles; a GEQRT's T says
+    // whether it ran.
     let mut reads = graph.tasks().iter().flat_map(Task::reads);
-    let absent = |&(fam, i, k): &Slot| fam != SlotFamily::A && factors.slot(fam, i, k).is_none();
+    let absent = |&(fam, i, k): &Slot| is_t(fam) && factors.slot(fam, i, k).is_none();
     if let Some((fam, i, k)) = reads.find(absent) {
         let slot = fam.name();
         return refuse(format!("the list reads {slot}({i},{k}), which the factors do not hold"));
@@ -1342,12 +1430,15 @@ fn drive(
                                         end,
                                     });
                                 }
-                                run.complete(
+                                let spent = run.complete(
                                     graph,
                                     tid,
                                     |s| worker.push(s),
                                     |s| global.push(s, &run.frontier.ranks),
                                 );
+                                if let Some(v) = spent {
+                                    run.release(v);
+                                }
                             }
                             Ok(Attempt::Requeue) => {
                                 strikes += 1;
@@ -1424,6 +1515,7 @@ fn drive(
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
+    use crate::store::working_set_bytes;
     use hqr_tile::DenseMatrix;
 
     fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
@@ -1589,29 +1681,93 @@ mod tests {
         assert!((r.get(0, 0).abs() - col0).abs() < 1e-12);
     }
 
-    /// A V copy is the factored tile's strict lower triangle, bit for bit,
-    /// after the whole run as well as after its GEQRT: later kills rewrite
-    /// only the tile's R, and updates never write a factored tile.
+    /// The invariant a V copy's release rests on: a factored tile's
+    /// strict lower triangle (V) holds, bit for bit, from the end of its
+    /// GEQRT to the end of the run — later kills rewrite only the tile's R,
+    /// and updates never write a factored tile — and GEQRT's copy is that
+    /// triangle. So a released copy can be rebuilt from the tile, and Q
+    /// applied from it.
     #[test]
-    fn v_copies_are_the_factored_tiles_strict_lower_triangles() {
+    fn a_factored_tiles_strict_lower_triangle_outlives_its_geqrt() {
         let (mt, nt, b, ib) = (6usize, 4usize, 6usize, 4usize);
         let ops: Vec<ElimOp> = (0..nt as u32)
             .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
             .collect();
+        let g = TaskGraph::build(mt, nt, b, &ops);
         let mut a = TiledMatrix::random(mt, nt, b, 80);
-        let f = execute_serial_ib(&TaskGraph::build(mt, nt, b, &ops), &mut a, ib);
-        let mut copies = 0;
-        for k in 0..nt {
-            for i in 0..mt {
-                let Some(vg) = f.vg(i, k) else { continue };
-                let tile = a.tile(i, k).chunks_exact(b).enumerate();
-                let lower: Vec<u64> =
-                    tile.flat_map(|(j, col)| col[j + 1..].iter().map(|x| x.to_bits())).collect();
-                assert_eq!(vg.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), lower, "({i},{k})");
-                copies += 1;
+        let mut f = TFactors::allocate_for(&g, ib);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut after_geqrt = Vec::new();
+        let store = TileStore::new(&mut a, &mut f);
+        for t in g.tasks().iter() {
+            // SAFETY: single-threaded, topological order.
+            unsafe { store.run_task(t, g.trans()) };
+            if t.kind == KernelKind::Geqrt {
+                let (i, k) = (t.i as usize, t.k as usize);
+                // SAFETY: as above; nothing runs meanwhile.
+                let (tile, v) = unsafe {
+                    (
+                        store.slot_data((SlotFamily::A, i, k)),
+                        store.slot_data((SlotFamily::Vg, i, k)),
+                    )
+                };
+                let mut lower = vec![0.0; hqr_kernels::v_len(b)];
+                hqr_kernels::pack_v(b, tile, &mut lower);
+                assert_eq!(bits(v), bits(&lower), "GEQRT({i},{k})'s copy");
+                after_geqrt.push(((i, k), lower));
             }
         }
-        assert!(copies > nt, "TT kills leave GEQRTs below the diagonal");
+        drop(store);
+        for ((i, k), lower) in &after_geqrt {
+            assert_eq!(bits(&crate::store::packed_v(&a, *i, *k)), bits(lower), "({i},{k})");
+        }
+        assert!(after_geqrt.len() > nt, "TT kills leave GEQRTs below the diagonal");
+    }
+
+    /// A run of `g` on `opts`' backing from the start: the V copies its
+    /// store holds at the end, and the most held at once (flat backing).
+    fn v_copies_of_a_run(g: &TaskGraph, a: &mut TiledMatrix, opts: &ExecOptions) -> (usize, usize) {
+        let ib = checked_ib(opts, g.b()).unwrap();
+        let mut f = TFactors::allocate_for(g, ib);
+        let policy = RunPolicy::of(opts);
+        let order = || preview_order(g, &policy, None);
+        let plan = RunPlan { graph: g, completed: None, order: &order };
+        let store = TileStore::open(a, &mut f, &plan, opts.resident_budget, None).unwrap();
+        let (mut run, frontier) = DagRun::new(g, store, &policy, None);
+        drive(g, &run, frontier, opts, false, Instant::now()).unwrap();
+        let held = run.store.v_copies_held();
+        run.store.unpage(a, &mut f).unwrap();
+        held
+    }
+
+    /// Every V copy is released by the end of a run, on every backing, and
+    /// a one-worker run holds one copy at a time: each GEQRT's readers
+    /// run before the next GEQRT. The results are the serial run's bits.
+    #[test]
+    fn a_run_ends_holding_no_v_copy() {
+        let (mt, nt, b) = (6usize, 4usize, 4usize);
+        let g = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
+        let input = TiledMatrix::random(mt, nt, b, 81);
+        let mut want = input.clone();
+        let f = execute_serial_ib(&g, &mut want, 2);
+        let one = ExecOptions { ib: Some(2), ..ExecOptions::with_threads(1) };
+        let budget = Some(working_set_bytes(&g, 2) / 3);
+        for (opts, peak) in [
+            (one.clone(), Some(1)),
+            (ExecOptions { nthreads: 2, ..one.clone() }, None),
+            (ExecOptions { resident_budget: budget, ..one.clone() }, None),
+        ] {
+            let mut a = input.clone();
+            let (held, most) = v_copies_of_a_run(&g, &mut a, &opts);
+            assert_eq!(held, 0, "{} threads, budget {:?}", opts.nthreads, opts.resident_budget);
+            if let Some(peak) = peak {
+                assert_eq!(most, peak);
+            }
+            assert_eq!(a.to_dense().data(), want.to_dense().data());
+        }
+        let mut a = input.clone();
+        let (got, _) = try_execute_with(&g, &mut a, &ExecOptions { nthreads: 2, ..one }).unwrap();
+        assert!(got.bitwise_eq(&f));
     }
 
     #[test]
@@ -1620,9 +1776,10 @@ mod tests {
         let f = TFactors::allocate_for(&g, 1);
         // GEQRT only on diagonal rows (flat tree = TS everywhere).
         assert!(f.tg(0, 0).is_some());
-        // A V copy is `v_len(b)`, one double below the 2 x 2 diagonal; a T
-        // is `t_len(b, ib)`, two 1 x 1 triangles.
-        assert_eq!((f.vg(0, 0).unwrap().len(), f.tg(0, 0).unwrap().len()), (1, 2));
+        // A T is `t_len(b, ib)`, two 1 x 1 triangles; V copies are run
+        // scratch, never a factorization's.
+        assert_eq!(f.tg(0, 0).unwrap().len(), 2);
+        assert!(f.slot(SlotFamily::Vg, 0, 0).is_none());
         assert_eq!(f.tk(1, 0).unwrap().len(), 2);
         assert!(f.tg(1, 1).is_some());
         assert!(f.tg(2, 0).is_none(), "TS victims have no GEQRT T");

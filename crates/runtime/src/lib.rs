@@ -60,9 +60,9 @@ pub use checkpoint::{
 pub use elim::ElimOp;
 pub use error::{ExecError, GraphError, StallCause, StallReport};
 pub use exec::{
-    execute_serial, execute_serial_ib, try_apply_q, try_execute_parallel, try_execute_traced,
-    try_execute_with, ExecInstant, ExecTrace, InstantKind, TFactors, TaskRecord, TransferRecord,
-    WorkerCounters,
+    execute_serial, execute_serial_ib, live_v_copies, try_apply_q, try_execute_parallel,
+    try_execute_traced, try_execute_with, ExecInstant, ExecTrace, InstantKind, TFactors,
+    TaskRecord, TransferRecord, WorkerCounters,
 };
 pub use fault::{
     ExecOptions, FaultAction, FaultKind, FaultPlan, FaultStats, LinkDegrade, NodeCrash, SdcFault,

@@ -16,6 +16,7 @@
 use crate::exec::run_engine;
 use crate::fault::ExecOptions;
 use crate::graph::TaskGraph;
+use crate::store::packed_v;
 use crate::task::SlotFamily;
 use hqr_tile::TiledMatrix;
 use std::collections::{HashMap, HashSet};
@@ -76,7 +77,8 @@ pub fn rebuild_closure(graph: &TaskGraph, completed: &[bool], lost: &[Slot]) -> 
 /// [`rebuild_closure`]'s) on the engine over a fresh copy of `input`, with
 /// every task outside it marked done, and return the regenerated bytes of
 /// each `wanted` slot. `A`-family slots the closure never writes fall
-/// through to their pristine input tile; a wanted factor slot with no
+/// through to their pristine input tile; a wanted V copy is packed from
+/// its factored tile, as its GEQRT made it; a wanted factor slot with no
 /// writer in the closure is an error (the caller asked for a version that
 /// never existed), as is a task id outside the graph.
 pub fn recompute_slots(
@@ -105,10 +107,11 @@ pub fn recompute_slots(
     let (f, _, _) =
         run_engine(graph, &mut a, &opts, Some(&done), false).map_err(|e| e.to_string())?;
     let bytes = |&(fam, i, j): &Slot| match fam {
-        SlotFamily::A => a.tile(i, j),
-        _ => f.slot(fam, i, j).expect("the run allocates every slot a closure task writes"),
+        SlotFamily::A => a.tile(i, j).into(),
+        SlotFamily::Vg => packed_v(&a, i, j),
+        _ => f.slot(fam, i, j).expect("the run allocates every slot a closure task writes").into(),
     };
-    Ok(wanted.iter().map(|s| (*s, bytes(s).into())).collect())
+    Ok(wanted.iter().map(|s| (*s, bytes(s))).collect())
 }
 
 #[cfg(test)]
@@ -185,7 +188,7 @@ mod tests {
         let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got[&(SlotFamily::A, 0, 0)]), bits(full.tile(0, 0)));
         assert_eq!(bits(&got[&(SlotFamily::A, 3, 2)]), bits(full.tile(3, 2)));
-        assert_eq!(bits(&got[&(SlotFamily::Vg, 0, 0)]), bits(f.vg(0, 0).unwrap()));
+        assert_eq!(bits(&got[&(SlotFamily::Vg, 0, 0)]), bits(&packed_v(&full, 0, 0)));
         assert_eq!(bits(&got[&(SlotFamily::Tk, 2, 1)]), bits(f.tk(2, 1).unwrap()));
     }
 
@@ -213,13 +216,13 @@ mod tests {
         let opts = ExecOptions { ib: Some(b), ..Default::default() };
         let (f, _, _) = run_engine(&g, &mut a, &opts, Some(&done), false).unwrap();
         let (i, k) = (g.tasks()[geqrt].i as usize, g.tasks()[geqrt].k as usize);
-        let families = [SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk];
+        let families = [SlotFamily::Tg, SlotFamily::Tk];
         let held: Vec<Slot> = families
             .into_iter()
             .flat_map(|fam| (0..nt).flat_map(move |k| (0..mt).map(move |i| (fam, i, k))))
             .filter(|&(fam, i, k)| f.slot(fam, i, k).is_some())
             .collect();
-        assert_eq!(held, [(SlotFamily::Vg, i, k), (SlotFamily::Tg, i, k)]);
+        assert_eq!(held, [(SlotFamily::Tg, i, k)]);
     }
 
     #[test]
@@ -248,13 +251,13 @@ mod tests {
         let (&slot, _) = writers.iter().next().expect("prefix wrote something");
         let closure = rebuild_closure(&g, &completed, &[slot]);
         let got = recompute_slots(&g, &input, b, &closure, &[slot]).unwrap();
-        let truth: &[f64] = match slot.0 {
-            SlotFamily::A => a.tile(slot.1, slot.2),
-            SlotFamily::Vg => f.vg(slot.1, slot.2).unwrap(),
-            SlotFamily::Tg => f.tg(slot.1, slot.2).unwrap(),
-            SlotFamily::Tk => f.tk(slot.1, slot.2).unwrap(),
+        let truth: Box<[f64]> = match slot.0 {
+            SlotFamily::A => a.tile(slot.1, slot.2).into(),
+            SlotFamily::Vg => packed_v(&a, slot.1, slot.2),
+            SlotFamily::Tg => f.tg(slot.1, slot.2).unwrap().into(),
+            SlotFamily::Tk => f.tk(slot.1, slot.2).unwrap().into(),
         };
         let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got[&slot]), bits(truth));
+        assert_eq!(bits(&got[&slot]), bits(&truth));
     }
 }

@@ -1495,12 +1495,15 @@ fn run_job_task(
         // The best-ranked released successor stays local (data reuse), the
         // rest go on the shared QoS-major heap.
         Ok(Attempt::Done { .. }) => {
-            job.run.complete(
+            let spent = job.run.complete(
                 graph,
                 tid,
                 |s| local.push((job.rid, s)),
                 |s| shared.push_ready(job, s),
             );
+            if let Some(v) = spent {
+                job.run.release(v);
+            }
         }
         // The job was halted between attempts (cancel/deadline/drain);
         // whoever halted it recorded the verdict. The task is not done.
@@ -1688,7 +1691,7 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
         let store = TileStore::open(&mut a, &mut factors, &plan, budget, spill_dir.as_deref())
             .unwrap_or_else(|e| {
                 eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
-                TileStore::new(&mut a, &mut factors)
+                TileStore::resident(&mut a, &mut factors, &plan)
             });
         DagRun::new(graph, store, &policy, Some(&completed))
     };
@@ -1778,10 +1781,9 @@ mod tests {
 
     /// Checkpoint files and resume specs carry these bytes, so they are
     /// pinned too: 2x1 tiles of 4 with ib = 2 (T factors of two packed
-    /// 2 × 2 triangles, `t_len(4, 2)` = 6 doubles; the V copy V's strict
-    /// lower triangle, `v_len(4)` = 6 doubles), one task done, every
-    /// factor buffer filled with its own pattern so that no kernel's bits
-    /// enter the digest.
+    /// 2 × 2 triangles, `t_len(4, 2)` = 6 doubles; no V copy, since
+    /// version 6), one task done, every T buffer filled with its own
+    /// pattern so that no kernel's bits enter the digest.
     #[test]
     fn checkpoint_encoding_is_pinned() {
         let (mt, nt, b, ib) = (2, 1, 4, 2);
@@ -1799,7 +1801,7 @@ mod tests {
             ..Checkpoint::capture(&graph, flat_elims(mt, nt), done, a, factors)
         };
         let bytes = checkpoint_to_bytes(&ckpt);
-        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (664, 7544821264301940044));
+        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (596, 3083117789477712351));
     }
 
     #[test]

@@ -57,6 +57,10 @@
 //!   exist from the graph's writes; they start non-resident with no disk
 //!   record and are materialised as zeros by that first pin — neither
 //!   allocated by the caller, written out at build time nor read back.
+//! * **Released V copies.** When a V copy's last reader has completed,
+//!   the store drops the slot: its buffer goes to the free shelf, its
+//!   record (if any) is forgotten, and nothing is written back. Unpaging
+//!   returns no V copy: a factorization keeps V in the factored tiles.
 //!
 //! ## On-disk format
 //!
@@ -102,7 +106,7 @@ use hqr_tile::TiledMatrix;
 
 use crate::exec::TFactors;
 use crate::graph::TaskGraph;
-use crate::store::RunPlan;
+use crate::store::{packed_v, resumed_v_copies, RunPlan};
 use crate::task::{SlotFamily, SLOT_FAMILIES};
 
 /// Magic bytes opening every spill record.
@@ -332,6 +336,11 @@ impl PagedCore {
             BinFormatError::Io { message, .. } => {
                 format!("spill read for {} ({path}): {message}", self.label(idx))
             }
+            BinFormatError::UnsupportedVersion { expected, found } => format!(
+                "spill record for {} ({path}) has format version {found}; this build reads \
+                 version {expected}",
+                self.label(idx)
+            ),
             e => format!("spill record for {} is corrupt: {e}", self.label(idx)),
         })
     }
@@ -535,6 +544,32 @@ impl PagedCore {
         }
         s.dirty |= will_write;
         Ok(())
+    }
+
+    /// Drop slot `idx` for good — a V copy no task of the run touches
+    /// again: its buffer goes to the free shelf, a record of it is
+    /// forgotten, and nothing is written back. An evictor that claimed it
+    /// meanwhile finds its claim stale.
+    pub(crate) fn release(&self, idx: usize) {
+        let mut s = lock(&self.slots[idx]);
+        debug_assert_eq!(s.pins, 0, "released a pinned slot {}", self.label(idx));
+        self.make_unevictable(idx, &mut s);
+        (s.on_disk, s.dirty, s.prefetched) = (false, false, false);
+        if let Some(buf) = s.buf.take() {
+            let mut r = lock(&self.residency);
+            r.resident -= self.slot_bytes(idx);
+            let shelf = &mut r.free[self.shelf(buf.len())];
+            if shelf.len() < FREE_BUFFERS {
+                shelf.push(buf);
+            }
+        }
+    }
+
+    /// V copies resident now.
+    #[cfg(test)]
+    pub(crate) fn resident_v_copies(&self) -> usize {
+        let v = self.slot_index(SlotFamily::Vg, 0, 0);
+        self.slots[v..v + self.slots_per_family].iter().filter(|s| lock(s).buf.is_some()).count()
     }
 
     fn unpin(&self, idx: usize) {
@@ -742,12 +777,13 @@ fn use_table(graph: &TaskGraph, order: &[u32], nslots: usize) -> UseTable {
 }
 
 impl PagedStore {
-    /// Build the paged store over a matrix and its factor buffers for the
-    /// run `plan` describes: take ownership of every matrix tile and of the
-    /// factor buffers completed tasks wrote, drop any other factor buffer
-    /// `f` holds (the slots the graph writes come back as zeros on first
-    /// pin, so `f` need hold none of them), then evict — furthest next use
-    /// first — down to `budget` bytes so the run starts inside its
+    /// Build the paged store over a matrix and its T factors for the run
+    /// `plan` describes: take ownership of every matrix tile and of the T
+    /// buffers completed tasks wrote, drop any other T buffer `f` holds
+    /// (the slots the graph writes come back as zeros on first pin, so `f`
+    /// need hold none of them), rebuild the V copies a resumed run's
+    /// pending readers need from the factored tiles, then evict — furthest
+    /// next use first — down to `budget` bytes so the run starts inside its
     /// residency target. The matrix and factors are hollow until
     /// [`PagedStore::unpage`] returns their buffers.
     pub(crate) fn build(
@@ -795,6 +831,11 @@ impl PagedStore {
                 written[idx] |= done;
             }
         }
+        // Taken before the tiles they come from.
+        let mut vg: Vec<Option<Box<[f64]>>> = (0..spf).map(|_| None).collect();
+        for (i, k) in resumed_v_copies(plan) {
+            vg[i + k * mt] = Some(packed_v(a, i, k));
+        }
         let mut slots = Vec::with_capacity(nslots);
         // Family A first, in slot-index order (i fastest — idx = i + j*mt).
         for j in 0..nt {
@@ -803,7 +844,13 @@ impl PagedStore {
                 slots.push(Mutex::new(Slot { buf, dirty: true, exists: true, ..Slot::default() }));
             }
         }
-        for fam in [&mut f.vg, &mut f.tg, &mut f.tk] {
+        for buf in vg {
+            let exists = exists[slots.len()];
+            debug_assert!(buf.is_none() || exists, "a V copy the graph never writes");
+            let dirty = buf.is_some();
+            slots.push(Mutex::new(Slot { buf, dirty, exists, ..Slot::default() }));
+        }
+        for fam in [&mut f.tg, &mut f.tk] {
             for slot in fam.iter_mut() {
                 let idx = slots.len();
                 // A factor slot no completed task has touched is still all
@@ -867,7 +914,8 @@ impl PagedStore {
     }
 
     /// Fault every slot back in and return the buffers to the matrix and
-    /// factor families, then stop the prefetch thread. Called exactly once
+    /// T families, then stop the prefetch thread; V copies still held (a
+    /// halted run's) are dropped. Called exactly once
     /// when execution (or the owning job) finishes — on success *and* on
     /// error paths, so callers never observe a hollow matrix. Slots whose
     /// spill records fail their checksum are restored as zero buffers and
@@ -899,9 +947,7 @@ impl PagedStore {
                 a.put_tile_buf(i, j, recover(idx, core));
             }
         }
-        for (fam, family) in
-            [(SlotFamily::Vg, &mut f.vg), (SlotFamily::Tg, &mut f.tg), (SlotFamily::Tk, &mut f.tk)]
-        {
+        for (fam, family) in [(SlotFamily::Tg, &mut f.tg), (SlotFamily::Tk, &mut f.tk)] {
             for j in 0..nt {
                 for i in 0..mt {
                     let idx = core.slot_index(fam, i, j);
@@ -1137,7 +1183,8 @@ mod tests {
         .unwrap();
         let mut dst = vec![0.0; core.slot_len(idx)];
         let err = core.read_record(idx, &mut dst).unwrap_err();
-        assert!(err.contains("unsupported format version 3"), "{err}");
+        assert!(err.contains("format version 3; this build reads version 4"), "{err}");
+        assert!(!err.contains("corrupt"), "a version error is not corruption: {err}");
         let _ = store.unpage(&mut a, &mut f);
     }
 
@@ -1153,7 +1200,8 @@ mod tests {
         core.file.write_all_at(&1u32.to_le_bytes(), core.record_offset(idx) + 8).unwrap();
         let mut dst = vec![0.0; 9];
         let err = core.read_record(idx, &mut dst).unwrap_err();
-        assert!(err.contains("unsupported format version 1"), "{err}");
+        assert!(err.contains("format version 1; this build reads version 4"), "{err}");
+        assert!(!err.contains("corrupt"), "a version error is not corruption: {err}");
         let _ = store.unpage(&mut a, &mut f);
     }
 }

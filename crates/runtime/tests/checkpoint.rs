@@ -8,9 +8,10 @@ mod support;
 
 use std::path::PathBuf;
 
+use hqr_kernels::KernelKind;
 use hqr_runtime::{
     execute_serial_ib, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, JobPool,
-    JobSpec, JobState, PoolConfig, SubmitError, TaskGraph,
+    JobSpec, JobState, PoolConfig, SubmitError, Task, TaskGraph,
 };
 use hqr_tile::io::sibling_tmp_path;
 use hqr_tile::TiledMatrix;
@@ -53,6 +54,45 @@ fn suspended_checkpoint_resumes_bitwise_on_another_pool() {
     assert!(r.factors.bitwise_eq(&f_ref), "resumed factors differ from an uninterrupted run");
     assert_eq!(r.a.to_dense().data(), a_ref.to_dense().data(), "resumed tiles differ");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job suspended while a V copy is live — GEQRT(0,0) done, an UNMQR
+/// that reads its V pending — resumes on another pool bitwise equal to
+/// `execute_serial_ib`, resident and paged, at b = 8 and at b = 1 (where
+/// a V copy holds no double). The checkpoint holds no V copy: the resumed
+/// run rebuilds it from the factored tile A(0,0).
+#[test]
+fn a_job_suspended_with_a_live_v_copy_resumes_bitwise() {
+    let (mt, nt) = (6, 4);
+    let elims = binary_elims(mt, nt);
+    for (b, ib) in [(8, 4), (1, 1)] {
+        let graph = TaskGraph::build(mt, nt, b, &elims);
+        let a0 = TiledMatrix::random(mt, nt, b, 78);
+        let mut a_ref = a0.clone();
+        let f_ref = execute_serial_ib(&graph, &mut a_ref, ib);
+        let tasks = graph.tasks();
+        let at = |kind: KernelKind| move |t: &Task| t.kind == kind && (t.i, t.k) == (0, 0);
+        let geqrt = tasks.iter().position(at(KernelKind::Geqrt)).unwrap();
+        let stall = tasks.iter().rposition(at(KernelKind::Unmqr)).unwrap();
+        let dir = tmp(&format!("live_v_{b}"));
+        let ckpt = suspended_checkpoint(&dir, &elims, &a0, ib, stall as u32);
+        assert!(ckpt.completed[geqrt] && !ckpt.completed[stall], "V(0,0) is live at b = {b}");
+        // A quarter of the matrix: the resumed job pages.
+        let quarter = (mt * nt * b * b * 8 / 4) as u64;
+        for resident_budget in [None, Some(quarter)] {
+            let pool =
+                JobPool::new(PoolConfig { nthreads: 2, resident_budget, ..Default::default() });
+            let id = pool.submit(JobSpec::resume(ckpt.clone())).expect("submit resume");
+            let out = pool.wait(id).unwrap();
+            pool.shutdown();
+            let label = format!("b = {b}, budget {resident_budget:?}");
+            assert_eq!(out.state, JobState::Completed, "{label}: {:?}", out.error);
+            let r = out.result.unwrap();
+            assert!(r.factors.bitwise_eq(&f_ref), "{label}: resumed factors differ");
+            assert_eq!(r.a.to_dense().data(), a_ref.to_dense().data(), "{label}: tiles differ");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -187,12 +187,14 @@ fn crash_image_mid_run_drives_every_accepted_job_terminal() {
         let pool = durable_pool(&dir, Duration::from_secs(3600));
         // Job 1 completes before the crash; job 2 is mid-factorization
         // (stalled on an injected fault) when the crash lands; job 3 is
-        // still queued behind it.
+        // submitted behind it. Job 3 stalls the same way, so whether the
+        // pool has started it or not at the crash, it cannot have finished.
         done_id = pool.submit(JobSpec::fresh(elims.clone(), a0.clone())).expect("submit done");
         assert_eq!(pool.wait(done_id).expect("wait").state, JobState::Completed);
         stuck_id = pool.submit(stalling_spec(elims.clone(), b0.clone(), 2)).expect("submit stuck");
         wait_for_state(&pool, stuck_id, JobState::Running);
-        queued_id = pool.submit(JobSpec::fresh(elims.clone(), b0.clone())).expect("submit queued");
+        let queued = stalling_spec(elims.clone(), b0.clone(), 2);
+        queued_id = pool.submit(queued).expect("submit queued");
 
         // SIGKILL: copy the state directory out from under the live pool,
         // then abandon it (Drop halts workers without draining — nothing

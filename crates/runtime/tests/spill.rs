@@ -44,8 +44,9 @@ fn one_tile_budget_is_safe_under_multi_tile_pins() {
 }
 
 /// At b = 1 every V copy is zero doubles long: a paged run evicts,
-/// writes back and faults in empty records beside the one-double tiles,
-/// and still matches the resident run bit for bit.
+/// writes back and faults in one-double tiles and T factors, makes and
+/// releases empty V copies, and still matches the resident run bit for
+/// bit.
 #[test]
 fn one_by_one_tiles_page_with_empty_v_copies() {
     let (mt, nt, b) = (6, 4, 1);
@@ -57,7 +58,7 @@ fn one_by_one_tiles_page_with_empty_v_copies() {
     let opts = ExecOptions { nthreads: 2, resident_budget: Some(8), ..Default::default() };
     let (f, _, trace) = try_execute_traced(&graph, &mut a, &opts).expect("b = 1 paged run");
     assert!(f.bitwise_eq(&f_ref), "b = 1 paged factors differ");
-    assert_eq!(f.vg(0, 0).map(<[f64]>::len), Some(0));
+    assert_eq!(f.tg(0, 0).map(<[f64]>::len), Some(1));
     let bits =
         |m: &TiledMatrix| m.to_dense().data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&a), bits(&a_ref), "b = 1 paged tiles differ");

@@ -4,11 +4,15 @@
 //! `LINE_FROM` bytes or more out of a plain block at a line boundary, so a
 //! kernel's 512-bit loads on a tile never straddle one line more than they
 //! must. This checks the buffers the kernels actually receive: the tiles of
-//! a fresh, random and cloned matrix, the V and T buffers a run leaves, and
-//! the buffers a paged run faults back in and hands back through `unpage`.
-//! The kernels' thread-local scratch is checked where it is carved
-//! (`panel::carve`'s `debug_assert!`), which these runs exercise in debug
-//! builds.
+//! a fresh, random and cloned matrix, the T buffers a run leaves, and the
+//! buffers a paged run faults back in and hands back through `unpage`.
+//! GEQRT's V copies are scratch a run releases, so they are checked where a
+//! flat store places them in its block (`VCopies::take`'s `assert!`): a
+//! resident run at b = 200, where a copy is not a whole number of lines,
+//! fails if one lands off a line. A paged run's or a worker's copy is a
+//! block of its own. The kernels' thread-local scratch is checked where it
+//! is carved (`panel::carve`'s `debug_assert!`), which these runs exercise
+//! in debug builds.
 
 use hqr::prelude::*;
 use hqr_runtime::task::SlotFamily;
@@ -33,10 +37,9 @@ fn check_tiles(what: &str, a: &TiledMatrix) {
 
 /// Every factor buffer of at least `LINE_FROM` bytes starts on a line.
 /// The only smaller ones are at (16, 4): the T factors, 40 doubles each,
-/// and the V copies, 120 each, which the allocator leaves to the system's
-/// 16-byte alignment.
+/// which the allocator leaves to the system's 16-byte alignment.
 fn check_factors(what: &str, f: &TFactors, mt: usize, nt: usize) {
-    for fam in [SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk] {
+    for fam in [SlotFamily::Tg, SlotFamily::Tk] {
         for k in 0..nt {
             for i in 0..mt {
                 let Some(buf) = f.slot(fam, i, k) else { continue };

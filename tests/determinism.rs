@@ -77,7 +77,7 @@ fn least_squares_solve_is_bitwise_reproducible() {
 // The differential oracle (`tests/oracle.rs`) is *relative* — every
 // backend against `execute_serial_ib` built from the same commit — so a
 // change to the kernel dispatcher all backends share would pass it. These
-// digests pin the absolute bit patterns of the serial run's A/Vg/Tg/Tk and
+// digests pin the absolute bit patterns of the serial run's A/V/Tg/Tk and
 // of `QrFactorization::apply_q` for one fixed problem, per dispatch arm
 // and per side of the `ib = b` / `ib < b` choice. The oracle runs the same
 // problem through every backend as a pinned case, so each backend stays
@@ -85,7 +85,7 @@ fn least_squares_solve_is_bitwise_reproducible() {
 
 mod golden {
     use hqr::prelude::*;
-    use hqr_kernels::{simd_arm, t_len, v_len, KernelKind, SimdArm, Trans};
+    use hqr_kernels::{pack_v, simd_arm, t_len, v_len, KernelKind, SimdArm, Trans};
     use hqr_runtime::{execute_serial_ib, ElimOp, TFactors, TaskGraph};
 
     const MT: usize = 6;
@@ -94,7 +94,7 @@ mod golden {
     const SEED: u64 = 20120521;
 
     /// Digest of the serial run, indexed by `(arm, ib)`. Pinned when the
-    /// digest began to hash a Vg as V's strict lower triangle, on the tree
+    /// digest began to hash V as its strict lower triangle, on the tree
     /// that still stored each V copy as a whole tile; A, Tg and Tk hash as
     /// before.
     fn expected(arm: SimdArm, ib: usize) -> u64 {
@@ -145,16 +145,30 @@ mod golden {
     }
 
     /// FNV-1a over the bit patterns of every A tile (column-major tile
-    /// order), then every allocated Vg, Tg and Tk buffer in the same order.
-    /// A Vg holds, and is hashed as, V's strict lower triangle column by
-    /// column: the only part of GEQRT's tile any kernel reads back (the
-    /// constants were pinned hashing that triangle out of the whole-tile
-    /// copies, and the packed copies reproduce them). A T factor is
-    /// stored as its panels' packed upper triangles; it is hashed as the
-    /// zero-padded `b x b` tile it used to be stored as.
-    fn digest(a: &TiledMatrix, f: &TFactors) -> u64 {
+    /// order), then, for each GEQRT `(i, k)` of `graph` in the same order,
+    /// the strict lower triangle of the factored tile A(i,k) column by
+    /// column (V, the only part of GEQRT's tile a kernel reads back), then
+    /// every allocated Tg and Tk buffer in that order. The constants were
+    /// pinned hashing the same triangle out of GEQRT's V copies, which a
+    /// factorization no longer keeps. A T factor is stored as its panels'
+    /// packed upper triangles; it is hashed as the zero-padded `b x b` tile
+    /// it used to be stored as.
+    fn digest(graph: &TaskGraph, a: &TiledMatrix, f: &TFactors) -> u64 {
         let mut h = digest_tiles(a);
         let mut eat = |buf: &[f64]| h = fnv1a(h, buf);
+        let geqrt = |i: usize, k: usize| {
+            graph
+                .tasks()
+                .iter()
+                .any(|t| t.kind == KernelKind::Geqrt && (t.i, t.k) == (i as u16, k as u16))
+        };
+        for k in 0..NT {
+            for i in (0..MT).filter(|&i| geqrt(i, k)) {
+                let mut v = vec![0.0; v_len(B)];
+                pack_v(B, a.tile(i, k), &mut v);
+                eat(&v);
+            }
+        }
         let ib = f.ib();
         let padded = |t: &[f64]| -> Vec<f64> {
             assert_eq!(t.len(), t_len(B, ib), "a T factor is t_len(b, ib) long");
@@ -166,18 +180,11 @@ mod golden {
             tile
         };
         type Family = fn(&TFactors, usize, usize) -> Option<&[f64]>;
-        for (family, is_t) in
-            [(TFactors::vg as Family, false), (TFactors::tg, true), (TFactors::tk, true)]
-        {
+        for family in [TFactors::tg as Family, TFactors::tk] {
             for k in 0..NT {
                 for i in 0..MT {
-                    match family(f, i, k) {
-                        Some(t) if is_t => eat(&padded(t)),
-                        Some(v) => {
-                            assert_eq!(v.len(), v_len(B), "a V copy is v_len(b) long");
-                            eat(v)
-                        }
-                        None => {}
+                    if let Some(t) = family(f, i, k) {
+                        eat(&padded(t));
                     }
                 }
             }
@@ -192,7 +199,7 @@ mod golden {
         }
         let mut a = TiledMatrix::random(MT, NT, B, SEED);
         let f = execute_serial_ib(&graph, &mut a, ib);
-        let got = digest(&a, &f);
+        let got = digest(&graph, &a, &f);
         assert_eq!(got, expected(simd_arm(), ib), "serial, ib = {ib}: {got:#018x}");
     }
 

@@ -3,7 +3,7 @@
 //! An elimination list fixes every kernel call, so every execution order
 //! its DAG allows gives the same bits (§IV-C). One seeded generator draws a
 //! [`Case`], and [`run`] puts it through every backend that accepts its
-//! fault schedule. The factored tiles and every Vg, Tg and Tk buffer must be
+//! fault schedule. The factored tiles and every Tg and Tk buffer must be
 //! bit-equal to `execute_serial_ib`, and Qᵀ·C and Q·C bit-equal to a
 //! one-thread FIFO `try_apply_q`. A failure names the backend and prints the
 //! case. DESIGN.md, "Bitwise contract", lists what each row checks beyond
@@ -196,7 +196,7 @@ fn diff(a: &TiledMatrix, f: &TFactors, want: &(TiledMatrix, TFactors)) -> Option
     if let Some(tile) = tile_diff(a, want_a) {
         return Some(format!("A {tile} differs from execute_serial_ib"));
     }
-    for fam in [SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk] {
+    for fam in [SlotFamily::Tg, SlotFamily::Tk] {
         for k in 0..a.nt() {
             for i in 0..a.mt() {
                 if f.slot(fam, i, k).map(bits) != want_f.slot(fam, i, k).map(bits) {

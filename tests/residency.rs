@@ -153,11 +153,12 @@ fn one_worker_paged_run_moves_what_min_needs_and_less_than_lru() {
 
 /// The factor buffers of the benchmark's `tall_skinny` problem (32768 x
 /// 512 in tiles of b = 128, ib = 32, the adaptive tall list on a 2 x 1
-/// grid: one TS domain per cluster, a = 128): 22 GEQRTs each leave a V
-/// copy (V's strict lower triangle, `v_len(b)` = 8 128 doubles) and a T,
-/// and 1 014 kills a T, every T being the packed upper triangles of its
-/// four 32 x 32 panels: 18.06 MiB of factor buffers. V copies of `b x b`
-/// made that 19.44 MiB, T factors of `ib x b` 35.13 MiB, the a = 4 list
+/// grid: one TS domain per cluster, a = 128): 22 GEQRTs and 1 014 kills
+/// each leave a T, the packed upper triangles of its four 32 x 32 panels:
+/// 16.69 MiB of factor buffers. GEQRT's V copies (V's strict lower
+/// triangle, `v_len(b)` = 8 128 doubles each) are the run's scratch, not
+/// the factorization's; kept, they made 18.06 MiB, and as `b x b` tiles
+/// 19.44 MiB. T factors of `ib x b` made 35.13 MiB, the a = 4 list
 /// 73.56 MiB, and T factors zero-padded to `b x b` 193.75 MiB.
 #[test]
 fn tall_skinny_factor_buffers_hold_packed_t_factors() {
@@ -170,8 +171,11 @@ fn tall_skinny_factor_buffers_hold_packed_t_factors() {
         let slots = (0..nt).flat_map(|k| (0..mt).map(move |i| (i, k)));
         slots.filter_map(|(i, k)| family(&f, i, k)).map(<[f64]>::len).sum()
     };
-    let (vg, tg, tk) = (doubles(TFactors::vg), doubles(TFactors::tg), doubles(TFactors::tk));
+    let (tg, tk) = (doubles(TFactors::tg), doubles(TFactors::tk));
     let t = (b / ib) * (ib * (ib + 1) / 2);
-    assert_eq!((vg, tg, tk), (22 * v_len(b), 22 * t, 1014 * t));
-    assert_eq!((vg + tg + tk) * 8, 18_934_784, "18.06 MiB");
+    assert_eq!((tg, tk), (22 * t, 1014 * t));
+    let mut slots = (0..nt).flat_map(|k| (0..mt).map(move |i| (i, k)));
+    assert!(slots.all(|(i, k)| f.slot(SlotFamily::Vg, i, k).is_none()));
+    assert_eq!((tg + tk) * 8, 17_504_256, "16.69 MiB");
+    assert_eq!(18_934_784 - 17_504_256, 22 * v_len(b) * 8, "the V copies a result kept");
 }
