@@ -36,8 +36,42 @@
 //! the buffer is a structural zero.
 
 use crate::micro::{simd_arm, SimdArm};
-use crate::panel::{tile_mqr, tile_qrt, Refl};
-use crate::Trans;
+use crate::panel::{tile_mqr, tile_qrt, tile_t_from_tau, Refl};
+use crate::{KernelKind, Trans};
+
+/// Rebuild the T factor that factor kernel `kind` (GEQRT, TSQRT or TTQRT)
+/// made with inner block size `ib`, from the reflectors it left in the
+/// factored tile `v` and their τ ([`crate::tau_from_t`]): on the same
+/// dispatch arm, bit for bit the kernel's T. `v` is GEQRT's tile, whose
+/// strict lower triangle is V; TSQRT's victim, all of which is V2; or
+/// TTQRT's victim, whose upper triangle is V2 (what lies below it is not
+/// read). Only T's upper triangles are written, `t_len(b, ib)` doubles.
+///
+/// # Panics
+/// When `kind` is an update kernel, `v` is not `b * b` long, `tau` not
+/// `tau_len(b)`, `t` shorter than `t_len(b, ib)`, or `ib` outside `1..=b`.
+pub fn t_from_tau(kind: KernelKind, b: usize, ib: usize, v: &[f64], tau: &[f64], t: &mut [f64]) {
+    t_from_tau_arm(simd_arm(), kind, b, ib, v, tau, t);
+}
+
+/// [`t_from_tau`] on an explicit dispatch arm (parity tests and benches).
+pub fn t_from_tau_arm(
+    arm: SimdArm,
+    kind: KernelKind,
+    b: usize,
+    ib: usize,
+    v: &[f64],
+    tau: &[f64],
+    t: &mut [f64],
+) {
+    let (stacked, tri) = match kind {
+        KernelKind::Geqrt => (false, false),
+        KernelKind::Tsqrt => (true, false),
+        KernelKind::Ttqrt => (true, true),
+        _ => panic!("{kind:?} makes no T factor"),
+    };
+    tile_t_from_tau(arm, b, ib, v, tau, stacked, tri, t);
+}
 
 /// Inner-blocked GEQRT (PLASMA `CORE_dgeqrt` with inner blocking).
 pub fn geqrt_ib(b: usize, ib: usize, a: &mut [f64], t: &mut [f64]) {
