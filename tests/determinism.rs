@@ -85,7 +85,10 @@ fn least_squares_solve_is_bitwise_reproducible() {
 
 mod golden {
     use hqr::prelude::*;
-    use hqr_kernels::{pack_v, simd_arm, t_len, v_len, KernelKind, SimdArm, Trans};
+    use hqr_kernels::{
+        pack_v, simd_arm, t_from_tau, t_len, tau_from_t, tau_len, v_len, KernelKind, SimdArm, Trans,
+    };
+    use hqr_runtime::task::SlotFamily;
     use hqr_runtime::{execute_serial_ib, ElimOp, TFactors, TaskGraph};
 
     const MT: usize = 6;
@@ -148,22 +151,21 @@ mod golden {
     /// order), then, for each GEQRT `(i, k)` of `graph` in the same order,
     /// the strict lower triangle of the factored tile A(i,k) column by
     /// column (V, the only part of GEQRT's tile a kernel reads back), then
-    /// every allocated Tg and Tk buffer in that order. The constants were
+    /// every Tg and then every Tk factor in that order. The constants were
     /// pinned hashing the same triangle out of GEQRT's V copies, which a
-    /// factorization no longer keeps. A T factor is stored as its panels'
-    /// packed upper triangles; it is hashed as the zero-padded `b x b` tile
-    /// it used to be stored as.
+    /// factorization no longer keeps, and hashing each stored T. A T is
+    /// hashed as `t_from_tau` rebuilds it from τ and the factored tile
+    /// A(i,k), which is how Q is applied; and as the zero-padded `b x b`
+    /// tile a T used to be stored as.
     fn digest(graph: &TaskGraph, a: &TiledMatrix, f: &TFactors) -> u64 {
         let mut h = digest_tiles(a);
         let mut eat = |buf: &[f64]| h = fnv1a(h, buf);
-        let geqrt = |i: usize, k: usize| {
-            graph
-                .tasks()
-                .iter()
-                .any(|t| t.kind == KernelKind::Geqrt && (t.i, t.k) == (i as u16, k as u16))
+        let writer = |fam: SlotFamily, i: usize, k: usize| {
+            let slot = (fam, i, k);
+            graph.tasks().iter().find(|t| t.writes().contains(&slot)).map(|t| t.kind)
         };
         for k in 0..NT {
-            for i in (0..MT).filter(|&i| geqrt(i, k)) {
+            for i in (0..MT).filter(|&i| writer(SlotFamily::Vg, i, k).is_some()) {
                 let mut v = vec![0.0; v_len(B)];
                 pack_v(B, a.tile(i, k), &mut v);
                 eat(&v);
@@ -179,12 +181,16 @@ mod golden {
             }
             tile
         };
-        type Family = fn(&TFactors, usize, usize) -> Option<&[f64]>;
-        for family in [TFactors::tg as Family, TFactors::tk] {
+        for fam in [SlotFamily::Tg, SlotFamily::Tk] {
             for k in 0..NT {
                 for i in 0..MT {
-                    if let Some(t) = family(f, i, k) {
-                        eat(&padded(t));
+                    if let Some(stored) = f.slot(fam, i, k) {
+                        let mut tau = vec![0.0; tau_len(B)];
+                        tau_from_t(B, ib, stored, &mut tau);
+                        let kind = writer(fam, i, k).expect("a factor slot has a writer");
+                        let mut t = vec![f64::NAN; t_len(B, ib)];
+                        t_from_tau(kind, B, ib, a.tile(i, k), &tau, &mut t);
+                        eat(&padded(&t));
                     }
                 }
             }
