@@ -392,11 +392,15 @@ mod tests {
         let _ = qr_factorize(TiledMatrix::random(5, 2, 3, 15), &l, Execution::Serial);
     }
 
-    /// One flipped sign in a V2 block or in a packed T factor makes Q
-    /// another matrix, and no longer an orthogonal one: both norms cross
-    /// the tolerance by orders of magnitude.
+    /// One flipped sign in a V2 block or in a τ makes Q another matrix:
+    /// the residual crosses the tolerance by orders of magnitude. A flipped
+    /// τ also makes Q no longer orthogonal (`I + τvvᵀ` is no reflector). A
+    /// flipped element of V leaves ‖v‖ and so each reflector `I − τvvᵀ`
+    /// orthogonal, and T is rebuilt from V and τ where Q is applied, so
+    /// the orthogonality norm stays at rounding there: only the residual
+    /// sees that corruption.
     #[test]
-    fn check_catches_one_corrupted_v_or_t_element() {
+    fn check_catches_one_corrupted_v_or_tau_element() {
         let (mt, nt, b) = (6usize, 3usize, 4usize);
         let elims = Schedule::flat(mt, nt).to_elim_list(true);
         let a = TiledMatrix::random(mt, nt, b, 16);
@@ -411,14 +415,16 @@ mod tests {
         // TSQRT(1, 3) leaves V2 in the whole of tile (3, 1), below the diagonal.
         let mut v_hit = qr_factorize(a.clone(), &elims, Execution::Serial);
         flip(&mut v_hit.a.tile_mut(3, 1)[b + 2]);
-        // Its T factor, packed: element 1 is T(0, 1).
+        // Its τ: element 1 is the second reflector's.
         let mut t_hit = qr_factorize(a, &elims, Execution::Serial);
         flip(&mut t_hit.factors.slot_mut(SlotFamily::Tk, 3, 1).expect("a TS kill")[1]);
-        for (what, f) in [("V", v_hit), ("T", t_hit)] {
+        for (what, f, orthogonal) in [("V", v_hit, true), ("τ", t_hit, false)] {
             let chk = f.check(&a0);
             assert!(!chk.is_satisfactory(), "{what}: {chk:?}");
             assert!(chk.residual > 1e6 * tol, "{what}: residual {:e}", chk.residual);
-            assert!(chk.orthogonality > 1e6 * tol, "{what}: orthogonality {:e}", chk.orthogonality);
+            let orth = chk.orthogonality;
+            assert_eq!(orth < tol, orthogonal, "{what}: orthogonality {orth:e}");
+            assert!(orthogonal || orth > 1e6 * tol, "{what}: orthogonality {orth:e}");
         }
     }
 

@@ -522,7 +522,8 @@ impl CoordState<'_> {
     /// read into one buffer and every tile is decoded from it into its place
     /// in the result. Anything that does not arrive is rebuilt locally from
     /// lineage, as in recovery. No V copy is gathered: the result keeps V in
-    /// its factored tiles.
+    /// its factored tiles; and a T slot arrives as its τ, which is all the
+    /// result keeps of it.
     fn gather(
         &mut self,
         out: Mutex<(TiledMatrix, TFactors, HashSet<Slot>)>,
@@ -549,7 +550,12 @@ impl CoordState<'_> {
             })
         });
         let (mut result, mut factors, seen) = out.into_inner().expect("gather lock");
-        let floats = self.floats(seen.iter().copied());
+        let tau_len = hqr_kernels::tau_len(graph.b());
+        let gathered = |&(fam, ..): &Slot| match fam {
+            SlotFamily::A => fam.slot_len(graph.b(), self.ib) as u64,
+            _ => tau_len as u64,
+        };
+        let floats = seen.iter().map(gathered).sum();
         self.count_frames(seen.len() as u64, floats, true);
         // A broken stream reports no pushes; what it lacks is rebuilt here.
         for (pushes, push_floats) in streamed.into_iter().flatten() {
@@ -562,7 +568,12 @@ impl CoordState<'_> {
             let closure = rebuild_closure(graph, &self.completed, &unreachable);
             let rebuilt = recompute_slots(graph, self.input, self.ib, &closure, &unreachable);
             for (slot, data) in rebuilt.map_err(NetError::Recovery)? {
-                home(&mut result, &mut factors, slot, data.len())?.copy_from_slice(&data);
+                if slot.0 == SlotFamily::A {
+                    home(&mut result, &mut factors, slot, data.len())?.copy_from_slice(&data);
+                } else {
+                    let tau = home(&mut result, &mut factors, slot, tau_len)?;
+                    hqr_kernels::tau_from_t(graph.b(), self.ib, &data, tau);
+                }
             }
         }
         Ok((result, factors))
@@ -570,7 +581,7 @@ impl CoordState<'_> {
 }
 
 /// Factorize `input` on the workers at `addrs`. Returns the factorized
-/// matrix (R in the upper part, V below), the gathered T factors, and a
+/// matrix (R in the upper part, V below), the gathered τ factors, and a
 /// run report — bitwise-identical to `execute_serial` on the same graph,
 /// worker deaths included.
 pub fn factorize(

@@ -41,8 +41,10 @@ pub const NET_MAGIC: [u8; 8] = *b"HQRNETV0";
 /// travels as its `t_len(b, ib)` doubles, not as a zero-padded `b*b` tile;
 /// 5: those doubles are its panels' packed upper triangles; 6: a V copy
 /// travels as V's strict lower triangle, `v_len(b)` doubles; 7: a gather
-/// carries no V copy, and a coordinator expects none).
-pub const NET_VERSION: u32 = 7;
+/// carries no V copy, and a coordinator expects none; 8: a gathered T slot
+/// carries τ, `tau_len(b)` doubles — pushes and puts still carry the whole
+/// T, which peers' updates read).
+pub const NET_VERSION: u32 = 8;
 
 const TAG_HEAD: u32 = 1;
 const TAG_LIST_A: u32 = 2;

@@ -458,9 +458,9 @@ impl Run {
     }
 
     /// `Gather`: stream every slot but the V copies whose last writer this
-    /// worker owns, in slot order, then the push counters. Each frame is
-    /// encoded under the shard lock into one reused buffer and written
-    /// after its release.
+    /// worker owns, in slot order, then the push counters; a T slot goes as
+    /// its τ, which is all a result keeps. Each frame is encoded under the
+    /// shard lock into one reused buffer and written after its release.
     fn gather(&self, stream: &mut TcpStream) -> Result<(), NetError> {
         // The compute thread may still be counting its last push.
         self.halt();
@@ -471,12 +471,20 @@ impl Run {
         let mut last: Vec<(Slot, u32)> =
             last_writers(&self.graph, &vec![true; tasks.len()]).into_iter().collect();
         last.sort_unstable();
-        let mut frame = Vec::new();
+        let (mut frame, mut tau) = (Vec::new(), vec![0.0; hqr_kernels::tau_len(self.graph.b())]);
         for (slot, w) in last.into_iter().filter(|(slot, _)| slot.0 != SlotFamily::Vg) {
             if run.as_ref().is_some_and(|run| run.mine[w as usize]) {
                 let shard = self.shard.lock().expect("shard lock");
-                let held =
-                    shard.get(&slot).map(|buf| encode_into(&mut frame, &put_frame(slot, buf)));
+                let held = shard.get(&slot).map(|buf| {
+                    let data = match slot.0 {
+                        SlotFamily::A => &buf[..],
+                        _ => {
+                            hqr_kernels::tau_from_t(self.graph.b(), self.ib, buf, &mut tau);
+                            &tau[..]
+                        }
+                    };
+                    encode_into(&mut frame, &put_frame(slot, data))
+                });
                 drop(shard);
                 // A slot that is not here is the coordinator's to rebuild.
                 if held.is_some() {

@@ -188,8 +188,16 @@ fn one_by_one_tiles_cross_the_wire_with_empty_v_copies() {
     assert_bitwise_parity(&graph, &input, &a, &f, "b = 1");
     assert_eq!(f.tg(0, 0).map(<[f64]>::len), Some(1));
     let gathered = written_slots(&graph).into_iter().filter(|s| s.0 != SlotFamily::Vg);
-    let gathered: u64 = gathered.map(|(fam, ..)| fam.slot_len(b, b) as u64).sum();
+    let gathered: u64 = gathered.map(|s| gathered_len(s, b)).sum();
     assert_eq!(report.coordinator_floats, (mt * nt) as u64 + gathered);
+}
+
+/// Doubles a gather carries for `slot`: a tile, or a T slot's τ.
+fn gathered_len((fam, ..): Slot, b: usize) -> u64 {
+    match fam {
+        SlotFamily::A => fam.slot_len(b, b) as u64,
+        _ => hqr_kernels::tau_len(b) as u64,
+    }
 }
 
 /// Grid rank (= worker, on a fault-free run) that executes `t`.
@@ -282,9 +290,8 @@ fn peer_transfers_are_the_cross_worker_edges_and_the_coordinator_relays_nothing(
         let gather: Vec<Slot> =
             written_slots(&graph).into_iter().filter(|s| s.0 != SlotFamily::Vg).collect();
         let scatter = (mt * nt) as u64;
-        // `dist_run` factors at ib = b: a tile is b² doubles, a T its packed
-        // upper triangle.
-        let gathered: u64 = gather.iter().map(|&(fam, ..)| fam.slot_len(b, b) as u64).sum();
+        // A tile is gathered as its b² doubles, a T slot as its τ.
+        let gathered: u64 = gather.iter().map(|&s| gathered_len(s, b)).sum();
         let gather = gather.len() as u64;
         assert_eq!(report.peer_transfers, cross_worker_messages(&graph, grid), "{p}x{q}");
         assert_eq!(report.coordinator_floats, scatter * (b * b) as u64 + gathered, "{p}x{q}");

@@ -455,7 +455,8 @@ fn a_wrong_sized_put_is_dropped_on_arrival() {
     worker.join().expect("worker thread");
 }
 
-/// A T factor travels as its `t_len(b, ib)` doubles. A push or put whose
+/// A T factor travels in a push or put as its `t_len(b, ib)` doubles (a
+/// gather sends its τ instead). A push or put whose
 /// T payload has any other length — the zero-padded `b * b` tile of the
 /// previous protocol version among them — is dropped whole on arrival: the
 /// kernel that reads the T sees only the one of the right length, and the
@@ -525,8 +526,9 @@ fn factor_payloads_that_are_not_t_len_long_are_dropped() {
     a.tile_mut(0, 0).copy_from_slice(input.tile(0, 0));
     let f_one = execute_serial_ib(&graph, &mut a, ib);
     let (slots, _) = gather(&mut conn, 2);
+    // The gather carries what a result keeps of the T: its τ.
     let (_, got) = slots.iter().find(|(slot, _)| *slot == tg).expect("Tg(0,0) gathered");
-    assert_eq!(got.len(), t_len(b, ib));
+    assert_eq!(got.len(), hqr_kernels::tau_len(b));
     assert_eq!(bits(got), bits(f_one.tg(0, 0).unwrap()));
     shutdown(worker.addr).expect("orderly shutdown");
     worker.join().expect("worker thread");

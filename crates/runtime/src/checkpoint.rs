@@ -22,10 +22,10 @@
 //! * the tile store (R above the diagonal, V and V2 below it and in
 //!   place), and
 //! * the two `TFactors` buffer families (presence bitmap + packed
-//!   payloads: `hqr_kernels::t_len(b, ib)`-double T factors).
+//!   payloads: each factor kernel's τ, `hqr_kernels::tau_len(b)` doubles).
 //!
-//! No V copy is stored: a resumed run rebuilds the ones its pending
-//! readers need from the factored tiles.
+//! No V copy and no T factor is stored: a resumed run rebuilds the ones
+//! its pending readers need from the factored tiles (and τ).
 //!
 //! The [`graph_fingerprint`] binds a checkpoint to the exact plan that
 //! produced it: resuming against a different elimination list, tile
@@ -37,6 +37,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
 
+use hqr_kernels::tau_len;
 use hqr_tile::io::{
     bytes_of_u64s, f64s_from_le, f64s_le, fnv1a64, tiled_from_bytes, tiled_parts, u64s_of_bytes,
     BinFormatError, SectionList, SectionReader,
@@ -55,9 +56,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HQRCKPT\0";
 /// `t_len(b, ib)` doubles, no longer zero-padded to `b × b`; 4: each T
 /// factor is its panels' packed upper triangles; 5: each V copy is V's
 /// strict lower triangle, `v_len(b)` doubles, not a `b × b` tile; 6: no V
-/// copies, V lives in the factored tiles). A stored result is a
-/// checkpoint container, so it carries this version too.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// copies, V lives in the factored tiles; 7: each factor slot keeps τ,
+/// `tau_len(b)` doubles, not its T). A stored result is a checkpoint
+/// container, so it carries this version too.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 const SEC_HEADER: u32 = 1;
 const SEC_ELIMS: u32 = 2;
@@ -488,7 +490,7 @@ fn decode_checkpoint(r: SectionReader) -> Result<Checkpoint, CheckpointError> {
     let slots = mt * nt;
     let mut factors = TFactors::empty(mt, nt, b, ib);
     for (tag, fam) in [(SEC_TG, SlotFamily::Tg), (SEC_TK, SlotFamily::Tk)] {
-        let family = family_from_bytes(tag, r.require(tag)?, slots, fam.slot_len(b, ib))?;
+        let family = family_from_bytes(tag, r.require(tag)?, slots, tau_len(b))?;
         *factors.family_mut(fam).expect("a factor family") = family;
     }
 
@@ -591,13 +593,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// A checkpoint or stored result written by a version-5 binary carries
-    /// a V section (tag 5: each GEQRT's copy, V's strict lower triangle,
-    /// `v_len(b)` doubles). It is refused by its version, as a checkpoint
-    /// and as a stored result alike, and never decoded as a state whose V
-    /// copies a resume ignores.
+    /// A checkpoint or stored result written by a version-6 binary carries
+    /// each factor slot's whole T (`t_len(b, ib)` doubles) where version 7
+    /// keeps τ. It is refused by its version, as a checkpoint and as a
+    /// stored result alike, and never decoded as a state whose T sections
+    /// fail on their lengths, or worse, are read as τ.
     #[test]
-    fn a_checkpoint_or_result_with_v_copies_is_a_version_error() {
+    fn a_checkpoint_or_result_with_t_factors_is_a_version_error() {
+        use hqr_kernels::{t_from_tau, t_len, KernelKind};
         let (b, ib) = (4, 2);
         // A TT kill: both rows are factored by a GEQRT.
         let elims = vec![ElimOp::new(0, 1, 0, false)];
@@ -606,34 +609,41 @@ pub(crate) mod tests {
         let factors = crate::exec::execute_serial_ib(&graph, &mut a, ib);
         let done = vec![true; graph.tasks().len()];
         let ckpt = Checkpoint { job: 10, ..Checkpoint::capture(&graph, elims, done, a, factors) };
-        let lower = |i: usize| Some(crate::store::packed_v(&ckpt.a, i, 0));
-        let v_copies = [lower(0), lower(1)];
-        assert_eq!(v_copies[0].as_deref().map(<[f64]>::len), Some(hqr_kernels::v_len(b)));
+        let t = |fam: SlotFamily, i: usize, kind: KernelKind| {
+            let mut t = vec![0.0; t_len(b, ib)];
+            let tau = ckpt.factors.slot(fam, i, 0).expect("a factor slot");
+            t_from_tau(kind, b, ib, ckpt.a.tile(i, 0), tau, &mut t);
+            Some(t.into_boxed_slice())
+        };
+        let tg = [t(SlotFamily::Tg, 0, KernelKind::Geqrt), t(SlotFamily::Tg, 1, KernelKind::Geqrt)];
+        let tk = [None, t(SlotFamily::Tk, 1, KernelKind::Ttqrt)];
+        assert_ne!(t_len(b, ib), tau_len(b), "a T section is longer than a τ one");
         let bytes = checkpoint_to_bytes(&ckpt);
         let r = SectionReader::from_bytes(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        let mut w = SectionList::new(CHECKPOINT_MAGIC, 5);
-        for tag in r.tags().into_iter().filter(|&tag| tag != 5) {
-            if tag == SEC_TG {
-                w.section_of(5, family_parts(&v_copies));
-            }
-            w.section(tag, r.section(tag).unwrap().to_vec());
+        let mut w = SectionList::new(CHECKPOINT_MAGIC, 6);
+        for tag in r.tags() {
+            match tag {
+                SEC_TG => w.section_of(tag, family_parts(&tg)),
+                SEC_TK => w.section_of(tag, family_parts(&tk)),
+                _ => w.section(tag, r.section(tag).unwrap().to_vec()),
+            };
         }
         let old = w.into_bytes();
         let refused = |e: &BinFormatError| {
-            matches!(e, BinFormatError::UnsupportedVersion { expected: 6, found: 5 })
+            matches!(e, BinFormatError::UnsupportedVersion { expected: 7, found: 6 })
         };
         match checkpoint_from_bytes(old.clone()) {
             Err(CheckpointError::Format(e)) if refused(&e) => {}
-            other => panic!("a version-5 checkpoint: {:?}", other.map(|c| c.job)),
+            other => panic!("a version-6 checkpoint: {:?}", other.map(|c| c.job)),
         }
         match crate::journal::result_from_bytes(old) {
             Err(crate::journal::JournalError::Format(e)) if refused(&e) => {}
-            other => panic!("a version-5 stored result: {:?}", other.map(|r| r.id)),
+            other => panic!("a version-6 stored result: {:?}", other.map(|r| r.id)),
         }
     }
 
     /// A factorization of 1 x 1 tiles survives a checkpoint round trip:
-    /// its T factors are one double each, and it has no V to store.
+    /// its τ are one double each, and it has no V to store.
     #[test]
     fn a_one_by_one_tile_checkpoint_round_trips() {
         let elims = vec![ElimOp::new(0, 1, 0, false)];

@@ -30,7 +30,7 @@
 //! engine releases tasks through the same [`Frontier`].
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -52,21 +52,26 @@ use crate::graph::TaskGraph;
 use crate::integrity::{GuardStore, IntegrityMode};
 use crate::lineage::Slot;
 use crate::sched::{self, SchedPolicy};
-use crate::store::{pages, RunPlan, TileStore};
+use crate::store::{RunPlan, TileStore};
 use crate::task::{SlotFamily, Task};
 use hqr_kernels::{KernelKind, Trans};
 use hqr_tile::TiledMatrix;
 
-/// The T factors produced by a factorization: one per GEQRT and one per
-/// kill kernel. Together with the factored matrix (R in the upper
-/// triangle, V and V2 blocks below and in place) and the elimination list,
-/// they fully determine Q — the representation LAPACK and PLASMA keep. A T
-/// factor is `hqr_kernels::t_len(b, ib)` doubles, so the buffers belong to
-/// one inner block size.
+/// What a factorization keeps besides the factored matrix: for each GEQRT
+/// and each kill kernel, the τ of its reflectors — the diagonal of its T
+/// factor, `hqr_kernels::tau_len(b)` doubles. With the factored matrix (R
+/// in the upper triangle, V and V2 blocks below and in place) and the
+/// elimination list, τ fully determines Q — the representation LAPACK's
+/// `dgeqrf` keeps.
 ///
-/// GEQRT's V copies (`Vg`) are not here: they are scratch of the run that
-/// made them (see [`TileStore::release`]), and the factored tile A(i,k)
-/// keeps V in its strict lower triangle.
+/// T itself is run storage ([`TSet`]): a run computes the full T of every
+/// factor kernel and its updates read it, and the run keeps τ when it
+/// ends. Where Q is applied again ([`try_apply_q`], a resumed job), T is
+/// rebuilt bit for bit from V and τ (`hqr_kernels::t_from_tau`) with the
+/// inner block size `ib` recorded here. GEQRT's V copies (`Vg`) are not
+/// here either: they are scratch of the run that made them (see
+/// [`TileStore::release`]), and the factored tile A(i,k) keeps V in its
+/// strict lower triangle.
 #[derive(Clone)]
 pub struct TFactors {
     pub(crate) b: usize,
@@ -78,7 +83,7 @@ pub struct TFactors {
 }
 
 impl std::fmt::Debug for TFactors {
-    /// Summarized (the buffers hold O(mt·nt·b²) floats).
+    /// Summarized (the buffers hold O(mt·nt·b) floats).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let count = |v: &[Option<Box<[f64]>>]| v.iter().filter(|o| o.is_some()).count();
         f.debug_struct("TFactors")
@@ -92,8 +97,8 @@ impl std::fmt::Debug for TFactors {
     }
 }
 
-/// Every T slot `graph`'s tasks write, as `(family, i, k)`: the buffers a
-/// factorization keeps besides the matrix tiles.
+/// Every T slot `graph`'s tasks write, as `(family, i, k)`: the slots a
+/// factorization keeps τ for besides the matrix tiles.
 pub(crate) fn factor_slots(graph: &TaskGraph) -> impl Iterator<Item = Slot> + '_ {
     graph.tasks().iter().flat_map(Task::writes).filter(|s| is_t(s.0))
 }
@@ -101,6 +106,21 @@ pub(crate) fn factor_slots(graph: &TaskGraph) -> impl Iterator<Item = Slot> + '_
 /// The families a [`TFactors`] holds.
 fn is_t(fam: SlotFamily) -> bool {
     matches!(fam, SlotFamily::Tg | SlotFamily::Tk)
+}
+
+/// One buffer per T slot of a `mt × nt` tile matrix, indexed `i + k·mt`.
+type Family = Vec<Option<Box<[f64]>>>;
+
+/// The `Tg` and `Tk` families with a zeroed `len`-double buffer for each
+/// T slot among `slots` (each once).
+fn t_families(graph: &TaskGraph, len: usize, slots: impl Iterator<Item = Slot>) -> [Family; 2] {
+    let mt = graph.mt();
+    let mut families = [(); 2].map(|()| (0..mt * graph.nt()).map(|_| None).collect::<Family>());
+    for (fam, i, k) in slots.filter(|s| is_t(s.0)) {
+        let family = &mut families[usize::from(fam == SlotFamily::Tk)];
+        family[i + k * mt].get_or_insert_with(|| vec![0.0; len].into());
+    }
+    families
 }
 
 /// How many tasks that are not done read each V copy, indexed `i + k·mt`
@@ -124,15 +144,10 @@ impl VReaders {
         VReaders { pending: pending.into_iter().map(AtomicU32::new).collect(), mt }
     }
 
-    /// The pending readers of the V copy `t` makes or reads.
-    fn pending(&self, t: &Task) -> &AtomicU32 {
-        &self.pending[t.i as usize + t.k as usize * self.mt]
-    }
-
     /// Count `t`'s completion: the V copy it was the last pending reader
     /// of, or — for a GEQRT — its own copy when nothing will read it.
     pub(crate) fn spend(&self, t: &Task) -> Option<Slot> {
-        let pending = self.pending(t);
+        let pending = &self.pending[t.i as usize + t.k as usize * self.mt];
         let last = match t.kind {
             // Every reader depends on the GEQRT, so none has counted down.
             KernelKind::Geqrt => pending.load(Ordering::Acquire) == 0,
@@ -143,44 +158,50 @@ impl VReaders {
     }
 }
 
+/// The tasks done in `completed` that write a slot of `family` which a
+/// task not done still reads, as task indices: what a run resumed there
+/// needs of that family from before it.
+fn live_writers(graph: &TaskGraph, completed: &[bool], family: fn(SlotFamily) -> bool) -> Vec<u32> {
+    let tasks = graph.tasks().iter().enumerate();
+    let pending = tasks.clone().filter(|&(t, _)| !completed[t]);
+    let read: HashSet<Slot> =
+        pending.flat_map(|(_, t)| t.reads()).filter(|s| family(s.0)).collect();
+    let live =
+        tasks.filter(|(t, task)| completed[*t] && task.writes().iter().any(|s| read.contains(s)));
+    live.map(|(t, _)| t as u32).collect()
+}
+
 /// The GEQRTs done in `completed` whose V copy a task not done still
 /// reads, as task indices: the copies a run resumed there needs, which
 /// are rebuilt from the factored tiles.
 pub fn live_v_copies(graph: &TaskGraph, completed: &[bool]) -> Vec<u32> {
-    let readers = VReaders::new(graph, Some(completed));
-    let geqrts = graph.tasks().iter().enumerate().filter(|(t, task)| {
-        completed[*t]
-            && task.kind == KernelKind::Geqrt
-            && readers.pending(task).load(Ordering::Acquire) > 0
-    });
-    geqrts.map(|(t, _)| t as u32).collect()
+    live_writers(graph, completed, |fam| fam == SlotFamily::Vg)
+}
+
+/// The factor tasks done in `completed` whose T a task not done still
+/// reads, as task indices: the T factors a run resumed there rebuilds from
+/// the factored tiles and τ.
+pub(crate) fn live_t_factors(graph: &TaskGraph, completed: &[bool]) -> Vec<u32> {
+    live_writers(graph, completed, is_t)
 }
 
 impl TFactors {
-    /// No buffer at all: the families a paged store or a decoder fills.
+    /// No buffer at all: the families a decoder fills.
     pub(crate) fn empty(mt: usize, nt: usize, b: usize, ib: usize) -> Self {
         let none = || (0..mt * nt).map(|_| None).collect();
         TFactors { b, ib, mt, nt, tg: none(), tk: none() }
     }
 
-    /// Allocate, zero-filled, exactly the buffers the graph's tasks will
-    /// write when they run with inner block size `ib`.
+    /// Allocate, zero-filled, a τ for every factor slot the graph's tasks
+    /// write, for a run with inner block size `ib`.
     pub fn allocate_for(graph: &TaskGraph, ib: usize) -> Self {
-        Self::allocate_slots(graph, ib, factor_slots(graph))
+        let (b, mt, nt) = (graph.b(), graph.mt(), graph.nt());
+        let [tg, tk] = t_families(graph, hqr_kernels::tau_len(b), factor_slots(graph));
+        TFactors { b, ib, mt, nt, tg, tk }
     }
 
-    /// Allocate, zero-filled, the T buffers among `slots` (each once).
-    fn allocate_slots(graph: &TaskGraph, ib: usize, slots: impl Iterator<Item = Slot>) -> Self {
-        let (mt, b) = (graph.mt(), graph.b());
-        let mut f = Self::empty(mt, graph.nt(), b, ib);
-        for (fam, i, k) in slots.filter(|s| is_t(s.0)) {
-            let family = f.family_mut(fam).expect("a factor family");
-            family[i + k * mt].get_or_insert_with(|| vec![0.0; fam.slot_len(b, ib)].into());
-        }
-        f
-    }
-
-    /// Inner block size the T factors are laid out for.
+    /// Inner block size of the run that made the factors, which every T
+    /// rebuilt from them uses.
     pub fn ib(&self) -> usize {
         self.ib
     }
@@ -193,13 +214,21 @@ impl TFactors {
         }
     }
 
+    /// Put the τ of T factor `t` of slot `idx` of `fam` in place.
+    pub(crate) fn put_tau_of(&mut self, fam: SlotFamily, idx: usize, t: &[f64]) {
+        let (b, ib) = (self.b, self.ib);
+        let family = self.family_mut(fam).expect("a factor family");
+        let tau = family[idx].get_or_insert_with(|| vec![0.0; hqr_kernels::tau_len(b)].into());
+        hqr_kernels::tau_from_t(b, ib, t, tau);
+    }
+
     /// Tile size.
     pub fn b(&self) -> usize {
         self.b
     }
 
-    /// The buffer of T slot `(fam, i, k)`: `None` when the graph never
-    /// writes that slot, and for the `A` family (its tiles are the matrix's)
+    /// The τ of T slot `(fam, i, k)`: `None` when the graph never writes
+    /// that slot, and for the `A` family (its tiles are the matrix's)
     /// and the `Vg` family (V lives in the factored tile).
     pub fn slot(&self, fam: SlotFamily, i: usize, k: usize) -> Option<&[f64]> {
         let family = match fam {
@@ -210,27 +239,29 @@ impl TFactors {
         family[i + k * self.mt].as_deref()
     }
 
-    /// T factor of the GEQRT applied to row `i` in panel `k`.
+    /// τ of the GEQRT applied to row `i` in panel `k`.
     pub fn tg(&self, i: usize, k: usize) -> Option<&[f64]> {
         self.slot(SlotFamily::Tg, i, k)
     }
 
-    /// T factor of the kill (TSQRT/TTQRT) whose victim was row `i`, panel `k`.
+    /// τ of the kill (TSQRT/TTQRT) whose victim was row `i`, panel `k`.
     pub fn tk(&self, i: usize, k: usize) -> Option<&[f64]> {
         self.slot(SlotFamily::Tk, i, k)
     }
 
-    /// Mutable view of an allocated T buffer, for callers (the distributed
-    /// gather step) that fill a [`TFactors`] from bytes computed elsewhere.
+    /// Mutable view of an allocated τ, for callers (the distributed gather
+    /// step) that fill a [`TFactors`] from bytes computed elsewhere.
     /// `None` when the graph never writes that slot.
     pub fn slot_mut(&mut self, fam: SlotFamily, i: usize, k: usize) -> Option<&mut [f64]> {
         let idx = i + k * self.mt;
         self.family_mut(fam)?.get_mut(idx).and_then(|o| o.as_deref_mut())
     }
 
-    /// Bit-exact equality of every allocated T buffer (comparing
-    /// `f64::to_bits`, so `-0.0 != 0.0` and NaNs compare by payload) — the
-    /// check behind the "resume is bitwise-identical" guarantee.
+    /// Bit-exact equality of every τ (comparing `f64::to_bits`, so
+    /// `-0.0 != 0.0` and NaNs compare by payload) — the check behind the
+    /// "resume is bitwise-identical" guarantee. On a fixed dispatch arm, T
+    /// is a function of V and τ, so equal factored tiles and equal τ mean
+    /// equal T factors.
     pub fn bitwise_eq(&self, other: &TFactors) -> bool {
         fn family_eq(a: &[Option<Box<[f64]>>], b: &[Option<Box<[f64]>>]) -> bool {
             a.len() == b.len()
@@ -252,6 +283,84 @@ impl TFactors {
     }
 }
 
+/// The T set of one run: the full T factor, `hqr_kernels::t_len(b, ib)`
+/// doubles, of each factor slot the run touches, indexed as a
+/// [`TFactors`]' families. Run storage: a tile store owns it, the run's
+/// kernels write and read it, and the run keeps only τ when it ends
+/// ([`TileStore::unpage`]).
+pub(crate) struct TSet {
+    pub(crate) tg: Family,
+    pub(crate) tk: Family,
+}
+
+impl TSet {
+    /// A zeroed T for each T slot among `slots`.
+    pub(crate) fn allocate(
+        graph: &TaskGraph,
+        ib: usize,
+        slots: impl Iterator<Item = Slot>,
+    ) -> Self {
+        let [tg, tk] = t_families(graph, hqr_kernels::t_len(graph.b(), ib), slots);
+        TSet { tg, tk }
+    }
+
+    /// The T set a run of `graph` from `completed` starts with: a zeroed
+    /// T for every factor slot a task not done touches (none for a paged
+    /// store, which creates each at its first pin), and the T of every
+    /// done factor task a task not done reads ([`live_t_factors`]),
+    /// rebuilt from its factored tile in `a` and its τ in `f`.
+    pub(crate) fn for_run(
+        graph: &TaskGraph,
+        a: &TiledMatrix,
+        f: &TFactors,
+        completed: Option<&[bool]>,
+        paged: bool,
+    ) -> Self {
+        let pending =
+            graph.tasks().iter().enumerate().filter(|&(t, _)| !completed.is_some_and(|c| c[t]));
+        let touched = pending.flat_map(|(_, t)| t.writes().into_iter().chain(t.reads()));
+        let mut set = TSet::allocate(graph, f.ib, touched.filter(|_| !paged));
+        let live = completed.map_or_else(Vec::new, |done| live_t_factors(graph, done));
+        let tasks = live.into_iter().map(|t| &graph.tasks()[t as usize]);
+        set.rebuild(
+            a,
+            f,
+            tasks.flat_map(|t| t.writes().into_iter().filter(|s| is_t(s.0)).map(|s| (s, t.kind))),
+        );
+        set
+    }
+
+    /// Rebuild the T of each `(slot, factor kernel)` of `made` from the
+    /// factored tile A(i,k) of `a`, where the kernel left V, and the
+    /// slot's τ in `f` (`hqr_kernels::t_from_tau`).
+    pub(crate) fn rebuild(
+        &mut self,
+        a: &TiledMatrix,
+        f: &TFactors,
+        made: impl Iterator<Item = (Slot, KernelKind)>,
+    ) {
+        let (b, ib, mt) = (f.b, f.ib, f.mt);
+        for ((fam, i, k), kind) in made {
+            let tau = f.slot(fam, i, k).expect("a factorization keeps τ for every factor slot");
+            let family = if fam == SlotFamily::Tg { &mut self.tg } else { &mut self.tk };
+            let len = hqr_kernels::t_len(b, ib);
+            let t = family[i + k * mt].get_or_insert_with(|| vec![0.0; len].into());
+            hqr_kernels::t_from_tau(kind, b, ib, a.tile(i, k), tau, t);
+        }
+    }
+
+    /// Write the τ of every T the set holds into `f`.
+    pub(crate) fn taus_into(&self, f: &mut TFactors) {
+        for (fam, family) in [(SlotFamily::Tg, &self.tg), (SlotFamily::Tk, &self.tk)] {
+            for (idx, t) in family.iter().enumerate() {
+                if let Some(t) = t {
+                    f.put_tau_of(fam, idx, t);
+                }
+            }
+        }
+    }
+}
+
 /// Execute the DAG on the calling thread, in program order (which
 /// [`TaskGraph::build`] guarantees is topological).
 pub fn execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> TFactors {
@@ -262,7 +371,7 @@ pub fn execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> TFactors {
 /// `ib == b` selects the unblocked kernels.
 pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> TFactors {
     let mut f = TFactors::allocate_for(graph, ib);
-    let store = TileStore::new(a, &mut f);
+    let mut store = TileStore::new(a, ib, TSet::allocate(graph, ib, factor_slots(graph)));
     let readers = VReaders::new(graph, None);
     for t in graph.tasks() {
         // SAFETY: single-threaded, topological order.
@@ -272,6 +381,7 @@ pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> T
             unsafe { store.release(v) };
         }
     }
+    store.unpage(a, &mut f).expect("a resident store reads no spill file");
     f
 }
 
@@ -1170,25 +1280,16 @@ pub(crate) fn run_engine(
             ),
         });
     }
-    // A paged store creates each factor slot as zeros at its first pin, so
-    // buffers allocated here would only be dropped. A resumed run allocates
-    // only the slots its unfinished tasks touch: a recovery closure of a
-    // few tasks does not pay for a whole factorization's factors.
-    let mut f = match (pages(graph, ib, opts.resident_budget), completed) {
-        (true, _) => TFactors::empty(graph.mt(), graph.nt(), b, ib),
-        (false, None) => TFactors::allocate_for(graph, ib),
-        (false, Some(done)) => {
-            let unfinished = graph.tasks().iter().enumerate().filter(|&(t, _)| !done[t]);
-            let touched = unfinished.flat_map(|(_, t)| t.writes().into_iter().chain(t.reads()));
-            TFactors::allocate_slots(graph, ib, touched)
-        }
-    };
+    // The store allocates the run's T set (see `TSet::for_run`); the run
+    // keeps τ. A resumed run here is a lineage closure, closed under
+    // ancestors, so it reads no T from before it.
+    let mut f = TFactors::allocate_for(graph, ib);
     let epoch = Instant::now();
     let policy = RunPolicy::of(opts);
     let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
     let order = || preview_order(graph, &policy, completed);
     let run_plan = RunPlan { graph, completed, order: &order };
-    let store = TileStore::open(a, &mut f, &run_plan, budget, spill_dir)
+    let store = TileStore::open(a, &f, &run_plan, budget, spill_dir)
         .map_err(|message| ExecError::SpillIo { message })?;
     let (mut run, frontier) = DagRun::new(graph, store, &policy, completed);
     let result = drive(graph, &run, frontier, opts, trace, epoch);
@@ -1263,7 +1364,7 @@ pub fn try_apply_q(
     }
     let graph = TaskGraph::apply_q(mt, nt, c.nt(), b, elims, trans)
         .map_err(|e| ExecError::Config { message: e.to_string() })?;
-    // V is read where it lives, in the factored tiles; a GEQRT's T says
+    // V is read where it lives, in the factored tiles; a GEQRT's τ says
     // whether it ran.
     let mut reads = graph.tasks().iter().flat_map(Task::reads);
     let absent = |&(fam, i, k): &Slot| is_t(fam) && factors.slot(fam, i, k).is_none();
@@ -1276,6 +1377,28 @@ pub fn try_apply_q(
         Trans::Trans => graph,
     };
     run_apply(&graph, factored, factors, c, opts)
+}
+
+/// The T set an apply-Q `graph` reads, rebuilt from the factored tiles and
+/// τ: each T slot once, for the factor kernel whose updates read it.
+fn apply_t_set(graph: &TaskGraph, factored: &TiledMatrix, factors: &TFactors) -> TSet {
+    let made_by = |kind| match kind {
+        KernelKind::Unmqr => KernelKind::Geqrt,
+        KernelKind::Tsmqr => KernelKind::Tsqrt,
+        _ => KernelKind::Ttqrt,
+    };
+    let mut slots: Vec<(Slot, KernelKind)> = graph
+        .tasks()
+        .iter()
+        .flat_map(|t| {
+            t.reads().into_iter().filter(|s| is_t(s.0)).map(move |s| (s, made_by(t.kind)))
+        })
+        .collect();
+    slots.sort_unstable_by_key(|&(s, _)| s);
+    slots.dedup_by_key(|&mut (s, _)| s);
+    let mut set = TSet::allocate(graph, factors.ib, std::iter::empty());
+    set.rebuild(factored, factors, slots.into_iter());
+    set
 }
 
 /// Per column tile of `c`, the last tile row holding a bit pattern other
@@ -1294,7 +1417,8 @@ fn run_apply(
     opts: &ExecOptions,
 ) -> Result<FaultStats, ExecError> {
     let epoch = Instant::now();
-    let store = TileStore::for_apply(factored, factors, c);
+    let store =
+        TileStore::for_apply(factored, factors.ib, apply_t_set(graph, factored, factors), c);
     let (run, frontier) = DagRun::new(graph, store, &RunPolicy::of(opts), None);
     drive(graph, &run, frontier, opts, false, epoch).map(|(stats, _)| stats)
 }
@@ -1695,10 +1819,9 @@ mod tests {
             .collect();
         let g = TaskGraph::build(mt, nt, b, &ops);
         let mut a = TiledMatrix::random(mt, nt, b, 80);
-        let mut f = TFactors::allocate_for(&g, ib);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut after_geqrt = Vec::new();
-        let store = TileStore::new(&mut a, &mut f);
+        let store = TileStore::new(&mut a, ib, TSet::allocate(&g, ib, factor_slots(&g)));
         for t in g.tasks().iter() {
             // SAFETY: single-threaded, topological order.
             unsafe { store.run_task(t, g.trans()) };
@@ -1732,7 +1855,7 @@ mod tests {
         let policy = RunPolicy::of(opts);
         let order = || preview_order(g, &policy, None);
         let plan = RunPlan { graph: g, completed: None, order: &order };
-        let store = TileStore::open(a, &mut f, &plan, opts.resident_budget, None).unwrap();
+        let store = TileStore::open(a, &f, &plan, opts.resident_budget, None).unwrap();
         let (mut run, frontier) = DagRun::new(g, store, &policy, None);
         drive(g, &run, frontier, opts, false, Instant::now()).unwrap();
         let held = run.store.v_copies_held();

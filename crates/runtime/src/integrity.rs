@@ -187,7 +187,7 @@ impl GuardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::TFactors;
+    use crate::exec::{factor_slots, TSet};
     use crate::fault::{SdcFault, SdcPattern};
     use crate::graph::TaskGraph;
     use hqr_tile::TiledMatrix;
@@ -199,8 +199,7 @@ mod tests {
         let (b, ib) = (8, 4);
         let graph = TaskGraph::build(1, 1, b, &[]);
         let mut a = TiledMatrix::random(1, 1, b, seed);
-        let mut f = TFactors::allocate_for(&graph, ib);
-        let store = TileStore::new(&mut a, &mut f);
+        let store = TileStore::new(&mut a, ib, TSet::allocate(&graph, ib, factor_slots(&graph)));
         let t = &graph.tasks()[0];
         let guards = GuardStore::new(1, 1);
         // SAFETY: one thread runs the one task.

@@ -19,7 +19,7 @@ use crate::graph::TaskGraph;
 use crate::store::packed_v;
 use crate::task::SlotFamily;
 use hqr_tile::TiledMatrix;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A tile-sized buffer coordinate: `(family, tile row, tile column)`.
 pub type Slot = (SlotFamily, usize, usize);
@@ -78,9 +78,11 @@ pub fn rebuild_closure(graph: &TaskGraph, completed: &[bool], lost: &[Slot]) -> 
 /// every task outside it marked done, and return the regenerated bytes of
 /// each `wanted` slot. `A`-family slots the closure never writes fall
 /// through to their pristine input tile; a wanted V copy is packed from
-/// its factored tile, as its GEQRT made it; a wanted factor slot with no
-/// writer in the closure is an error (the caller asked for a version that
-/// never existed), as is a task id outside the graph.
+/// its factored tile, as its GEQRT made it; a wanted T is the run's, which
+/// keeps τ, rebuilt from τ and the factored tile
+/// (`hqr_kernels::t_from_tau`) as a resumed run rebuilds it; a wanted
+/// factor slot with no writer in the closure is an error (the caller asked
+/// for a version that never existed), as is a task id outside the graph.
 pub fn recompute_slots(
     graph: &TaskGraph,
     input: &TiledMatrix,
@@ -90,14 +92,14 @@ pub fn recompute_slots(
 ) -> Result<HashMap<Slot, Box<[f64]>>, String> {
     let tasks = graph.tasks();
     let mut done = vec![true; tasks.len()];
-    let mut written = HashSet::new();
+    let mut written = HashMap::new();
     for &tid in closure {
         let out_of_range = || format!("rebuild closure task {tid} is out of range");
         let t = tasks.get(tid as usize).ok_or_else(out_of_range)?;
         done[tid as usize] = false;
-        written.extend(t.writes());
+        written.extend(t.writes().into_iter().map(|s| (s, t.kind)));
     }
-    let unwritten = |s: &&Slot| s.0 != SlotFamily::A && !written.contains(*s);
+    let unwritten = |s: &&Slot| s.0 != SlotFamily::A && !written.contains_key(*s);
     if let Some(&(fam, i, j)) = wanted.iter().find(unwritten) {
         return Err(format!("wanted {}({i},{j}) has no writer in the closure", fam.name()));
     }
@@ -106,10 +108,24 @@ pub fn recompute_slots(
     let mut a = input.clone();
     let (f, _, _) =
         run_engine(graph, &mut a, &opts, Some(&done), false).map_err(|e| e.to_string())?;
-    let bytes = |&(fam, i, j): &Slot| match fam {
-        SlotFamily::A => a.tile(i, j).into(),
-        SlotFamily::Vg => packed_v(&a, i, j),
-        _ => f.slot(fam, i, j).expect("the run allocates every slot a closure task writes").into(),
+    let bytes = |&(fam, i, j): &Slot| -> Box<[f64]> {
+        let tau = || f.slot(fam, i, j).expect("the run keeps τ for every factor slot");
+        match fam {
+            SlotFamily::A => a.tile(i, j).into(),
+            SlotFamily::Vg => packed_v(&a, i, j),
+            _ => {
+                let mut t = vec![0.0; fam.slot_len(graph.b(), ib)];
+                hqr_kernels::t_from_tau(
+                    written[&(fam, i, j)],
+                    graph.b(),
+                    ib,
+                    a.tile(i, j),
+                    tau(),
+                    &mut t,
+                );
+                t.into()
+            }
+        }
     };
     Ok(wanted.iter().map(|s| (*s, bytes(s))).collect())
 }
@@ -118,8 +134,22 @@ pub fn recompute_slots(
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
-    use crate::exec::{execute_serial, TFactors};
+    use crate::exec::{factor_slots, TFactors, TSet};
     use crate::store::TileStore;
+
+    /// Run the first `cut` tasks of `g` on `a` at `ib = b` and return the
+    /// T of `slot` as the run holds it (`None` for a tile or a V copy).
+    fn run_prefix(g: &TaskGraph, a: &mut TiledMatrix, cut: usize, slot: Slot) -> Option<Vec<f64>> {
+        let store = TileStore::new(a, g.b(), TSet::allocate(g, g.b(), factor_slots(g)));
+        for t in &g.tasks()[..cut] {
+            // SAFETY: single-threaded, topological order.
+            unsafe { store.run_task(t, g.trans()) };
+        }
+        // SAFETY: no task runs.
+        let t = matches!(slot.0, SlotFamily::Tg | SlotFamily::Tk)
+            .then(|| unsafe { store.slot_data(slot) }.to_vec());
+        t
+    }
 
     fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
         let mut v = Vec::new();
@@ -174,8 +204,8 @@ mod tests {
         let input = TiledMatrix::random(mt, nt, b, 11);
         // Reference: full serial run.
         let mut full = input.clone();
-        let f = execute_serial(&g, &mut full);
         let n = g.tasks().len();
+        let tk = run_prefix(&g, &mut full, n, (SlotFamily::Tk, 2, 1)).unwrap();
         let completed = vec![true; n];
         let wanted: Vec<Slot> = vec![
             (SlotFamily::A, 0, 0),
@@ -189,7 +219,7 @@ mod tests {
         assert_eq!(bits(&got[&(SlotFamily::A, 0, 0)]), bits(full.tile(0, 0)));
         assert_eq!(bits(&got[&(SlotFamily::A, 3, 2)]), bits(full.tile(3, 2)));
         assert_eq!(bits(&got[&(SlotFamily::Vg, 0, 0)]), bits(&packed_v(&full, 0, 0)));
-        assert_eq!(bits(&got[&(SlotFamily::Tk, 2, 1)]), bits(f.tk(2, 1).unwrap()));
+        assert_eq!(bits(&got[&(SlotFamily::Tk, 2, 1)]), bits(&tk));
     }
 
     #[test]
@@ -212,15 +242,15 @@ mod tests {
         let geqrt = geqrt.expect("a GEQRT");
         let mut done = vec![true; g.tasks().len()];
         done[geqrt] = false;
-        let mut a = TiledMatrix::random(mt, nt, b, 3);
-        let opts = ExecOptions { ib: Some(b), ..Default::default() };
-        let (f, _, _) = run_engine(&g, &mut a, &opts, Some(&done), false).unwrap();
+        let a = TiledMatrix::random(mt, nt, b, 3);
+        let t = TSet::for_run(&g, &a, &TFactors::allocate_for(&g, b), Some(&done), false);
         let (i, k) = (g.tasks()[geqrt].i as usize, g.tasks()[geqrt].k as usize);
-        let families = [SlotFamily::Tg, SlotFamily::Tk];
-        let held: Vec<Slot> = families
+        let held: Vec<Slot> = [(SlotFamily::Tg, &t.tg), (SlotFamily::Tk, &t.tk)]
             .into_iter()
-            .flat_map(|fam| (0..nt).flat_map(move |k| (0..mt).map(move |i| (fam, i, k))))
-            .filter(|&(fam, i, k)| f.slot(fam, i, k).is_some())
+            .flat_map(|(fam, family)| {
+                let held = family.iter().enumerate().filter(|(_, buf)| buf.is_some());
+                held.map(move |(at, _)| (fam, at % mt, at / mt))
+            })
             .collect();
         assert_eq!(held, [(SlotFamily::Tg, i, k)]);
     }
@@ -238,26 +268,20 @@ mod tests {
         for c in completed.iter_mut().take(cut) {
             *c = true;
         }
-        // Run the same prefix for ground truth.
-        let mut a = input.clone();
-        let mut f = TFactors::allocate_for(&g, b);
-        {
-            let store = TileStore::new(&mut a, &mut f);
-            for t in 0..cut {
-                unsafe { store.run_task(&g.tasks()[t], g.trans()) };
-            }
-        }
         let writers = last_writers(&g, &completed);
-        let (&slot, _) = writers.iter().next().expect("prefix wrote something");
-        let closure = rebuild_closure(&g, &completed, &[slot]);
-        let got = recompute_slots(&g, &input, b, &closure, &[slot]).unwrap();
-        let truth: Box<[f64]> = match slot.0 {
-            SlotFamily::A => a.tile(slot.1, slot.2).into(),
-            SlotFamily::Vg => packed_v(&a, slot.1, slot.2),
-            SlotFamily::Tg => f.tg(slot.1, slot.2).unwrap().into(),
-            SlotFamily::Tk => f.tk(slot.1, slot.2).unwrap().into(),
-        };
         let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got[&slot]), bits(&truth));
+        for &slot in writers.keys() {
+            // Run the same prefix for ground truth.
+            let mut a = input.clone();
+            let t = run_prefix(&g, &mut a, cut, slot);
+            let closure = rebuild_closure(&g, &completed, &[slot]);
+            let got = recompute_slots(&g, &input, b, &closure, &[slot]).unwrap();
+            let truth: Box<[f64]> = match slot.0 {
+                SlotFamily::A => a.tile(slot.1, slot.2).into(),
+                SlotFamily::Vg => packed_v(&a, slot.1, slot.2),
+                SlotFamily::Tg | SlotFamily::Tk => t.unwrap().into(),
+            };
+            assert_eq!(bits(&got[&slot]), bits(&truth), "{slot:?}");
+        }
     }
 }

@@ -706,9 +706,10 @@ enum Held {
 }
 
 /// One admitted job: the pool's unit of ownership. The run state's
-/// [`TileStore`] holds raw pointers into the heap buffers owned by `a` and
-/// `factors` below — tiles are independently boxed slices, so moving this
-/// struct (or the `Arc` around it) never invalidates the store.
+/// [`TileStore`] holds raw pointers into the heap buffers owned by `a`
+/// below and by the store's own T set — tiles are independently boxed
+/// slices, so moving this struct (or the `Arc` around it) never
+/// invalidates the store.
 struct ActiveJob {
     /// Activation id — unique per *attempt*, so stale queue entries from a
     /// previous incarnation of a retried job can never reach a new one.
@@ -735,6 +736,8 @@ struct ActiveJob {
     started: Instant,
     /// Backing storage for `run.store` (kept alive for the job's lifetime).
     a: TiledMatrix,
+    /// The τ of the job's factor tasks: a resumed job's from its
+    /// checkpoint; `run.store.unpage` adds this activation's.
     factors: TFactors,
 }
 
@@ -1658,7 +1661,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) -> Vec<u64> {
 fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work: Box<Work>) {
     let seed = if retain { work.seed.clone() } else { work.seed.take() };
     let n = work.graph.tasks().len();
-    let (elims, mut a, mut factors, completed) = match seed.expect("a waiting job holds its seed") {
+    let (elims, mut a, factors, completed) = match seed.expect("a waiting job holds its seed") {
         JobInput::Fresh { elims, a } => {
             (elims, a, TFactors::allocate_for(&work.graph, work.ib), vec![false; n])
         }
@@ -1688,10 +1691,10 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
         let order = || preview_order(graph, &policy, Some(&completed));
         let plan = RunPlan { graph, completed: Some(&completed), order: &order };
         let budget = shared.cfg.resident_budget;
-        let store = TileStore::open(&mut a, &mut factors, &plan, budget, spill_dir.as_deref())
+        let store = TileStore::open(&mut a, &factors, &plan, budget, spill_dir.as_deref())
             .unwrap_or_else(|e| {
                 eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
-                TileStore::resident(&mut a, &mut factors, &plan)
+                TileStore::resident(&mut a, &factors, &plan)
             });
         DagRun::new(graph, store, &policy, Some(&completed))
     };
@@ -1780,10 +1783,10 @@ mod tests {
     }
 
     /// Checkpoint files and resume specs carry these bytes, so they are
-    /// pinned too: 2x1 tiles of 4 with ib = 2 (T factors of two packed
-    /// 2 × 2 triangles, `t_len(4, 2)` = 6 doubles; no V copy, since
-    /// version 6), one task done, every T buffer filled with its own
-    /// pattern so that no kernel's bits enter the digest.
+    /// pinned too: 2x1 tiles of 4 with ib = 2 (a τ of `tau_len(4)` = 4
+    /// doubles per factor slot, no T since version 7, no V copy since
+    /// version 6), one task done, every τ filled with its own pattern so
+    /// that no kernel's bits enter the digest.
     #[test]
     fn checkpoint_encoding_is_pinned() {
         let (mt, nt, b, ib) = (2, 1, 4, 2);
@@ -1801,7 +1804,7 @@ mod tests {
             ..Checkpoint::capture(&graph, flat_elims(mt, nt), done, a, factors)
         };
         let bytes = checkpoint_to_bytes(&ckpt);
-        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (596, 3083117789477712351));
+        assert_eq!((bytes.len(), hqr_tile::io::fnv1a64(&bytes)), (564, 12770014327603372158));
     }
 
     #[test]

@@ -101,10 +101,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use hqr_kernels::t_len;
 use hqr_tile::io::{f64_record_len, read_f64_record, write_f64_record, BinFormatError};
 use hqr_tile::TiledMatrix;
 
-use crate::exec::TFactors;
+use crate::exec::{TFactors, TSet};
 use crate::graph::TaskGraph;
 use crate::store::{packed_v, resumed_v_copies, RunPlan};
 use crate::task::{SlotFamily, SLOT_FAMILIES};
@@ -788,14 +789,15 @@ impl PagedStore {
     /// [`PagedStore::unpage`] returns their buffers.
     pub(crate) fn build(
         a: &mut TiledMatrix,
-        f: &mut TFactors,
+        t: TSet,
+        ib: usize,
         plan: &RunPlan<'_>,
         budget: u64,
         dir: Option<&Path>,
     ) -> Result<PagedStore, String> {
         let RunPlan { graph, completed, .. } = *plan;
         let order = (plan.order)();
-        let (mt, nt, b, ib) = (a.mt(), a.nt(), a.b(), f.ib);
+        let (mt, nt, b) = (a.mt(), a.nt(), a.b());
         let spf = mt * nt;
         let nslots = SLOT_FAMILIES * spf;
         let tile_bytes = (SlotFamily::A.slot_len(b, ib) * 8) as u64;
@@ -850,12 +852,12 @@ impl PagedStore {
             let dirty = buf.is_some();
             slots.push(Mutex::new(Slot { buf, dirty, exists, ..Slot::default() }));
         }
-        for fam in [&mut f.tg, &mut f.tk] {
-            for slot in fam.iter_mut() {
+        for fam in [t.tg, t.tk] {
+            for slot in fam {
                 let idx = slots.len();
                 // A factor slot no completed task has touched is still all
                 // zeros, and needs neither memory nor a record.
-                let buf = slot.take().filter(|_| written[idx]);
+                let buf = slot.filter(|_| written[idx]);
                 debug_assert!(buf.is_none() || exists[idx], "a buffer the graph never writes");
                 let dirty = buf.is_some();
                 slots.push(Mutex::new(Slot { buf, dirty, exists: exists[idx], ..Slot::default() }));
@@ -913,47 +915,55 @@ impl PagedStore {
         Ok(PagedStore { core, prefetcher: Some(prefetcher) })
     }
 
-    /// Fault every slot back in and return the buffers to the matrix and
-    /// T families, then stop the prefetch thread; V copies still held (a
-    /// halted run's) are dropped. Called exactly once
-    /// when execution (or the owning job) finishes — on success *and* on
-    /// error paths, so callers never observe a hollow matrix. Slots whose
-    /// spill records fail their checksum are restored as zero buffers and
-    /// reported in the returned error.
+    /// Fault every tile back in and return it to the matrix, put the τ
+    /// of every T slot this run holds (resident or on disk) in `f`, then
+    /// stop the prefetch thread; the T factors and the V copies still held
+    /// (a halted run's) are dropped. A spilled T is read once, into one
+    /// scratch buffer: it never gets a buffer of its own again. A T slot
+    /// the run never made keeps the τ `f` has. Called exactly once when
+    /// execution (or the owning job) finishes — on success *and* on error
+    /// paths, so callers never observe a hollow matrix. Tiles whose spill
+    /// records fail their checksum are restored as zero buffers, T slots
+    /// as zero τ, and reported in the returned error.
     pub(crate) fn unpage(&mut self, a: &mut TiledMatrix, f: &mut TFactors) -> Result<(), String> {
         self.stop_prefetcher();
         let core = &self.core;
         let (mt, spf) = (core.mt, core.slots_per_family);
         let nt = spf / mt;
         let mut first_err: Option<String> = None;
-        let mut recover = |idx: usize, core: &PagedCore| -> Box<[f64]> {
-            let mut s = lock(&core.slots[idx]);
-            debug_assert!(s.exists, "unpaging an absent slot");
-            s.buf.take().unwrap_or_else(|| {
-                let mut buf = vec![0.0; core.slot_len(idx)].into_boxed_slice();
-                // No record: a factor buffer nothing wrote — zeros.
-                if s.on_disk {
-                    if let Err(e) = core.read_record(idx, &mut buf) {
-                        first_err.get_or_insert(e);
-                        buf.fill(0.0);
-                    }
-                }
-                buf
-            })
+        let mut read = |idx: usize, buf: &mut [f64]| {
+            if let Err(e) = core.read_record(idx, buf) {
+                first_err.get_or_insert(e);
+                buf.fill(0.0);
+            }
         };
         for j in 0..nt {
             for i in 0..mt {
                 let idx = core.slot_index(SlotFamily::A, i, j);
-                a.put_tile_buf(i, j, recover(idx, core));
+                let mut s = lock(&core.slots[idx]);
+                let tile = s.buf.take().unwrap_or_else(|| {
+                    let mut buf = vec![0.0; core.slot_len(idx)].into_boxed_slice();
+                    // No record: a tile nothing wrote — zeros.
+                    if s.on_disk {
+                        read(idx, &mut buf);
+                    }
+                    buf
+                });
+                a.put_tile_buf(i, j, tile);
             }
         }
-        for (fam, family) in [(SlotFamily::Tg, &mut f.tg), (SlotFamily::Tk, &mut f.tk)] {
-            for j in 0..nt {
-                for i in 0..mt {
-                    let idx = core.slot_index(fam, i, j);
-                    if lock(&core.slots[idx]).exists {
-                        family[i + j * mt] = Some(recover(idx, core));
+        let mut scratch = vec![0.0; t_len(core.b, core.ib)];
+        for fam in [SlotFamily::Tg, SlotFamily::Tk] {
+            for at in 0..spf {
+                let idx = core.slot_index(fam, at % mt, at / mt);
+                let mut s = lock(&core.slots[idx]);
+                match s.buf.take() {
+                    Some(t) => f.put_tau_of(fam, at, &t),
+                    None if s.on_disk => {
+                        read(idx, &mut scratch);
+                        f.put_tau_of(fam, at, &scratch);
                     }
+                    None => {}
                 }
             }
         }
@@ -1001,7 +1011,7 @@ mod tests {
     /// here: any order is a valid plan).
     fn build(
         a: &mut TiledMatrix,
-        f: &mut TFactors,
+        f: &TFactors,
         g: &TaskGraph,
         completed: Option<&[bool]>,
         budget: u64,
@@ -1010,8 +1020,9 @@ mod tests {
             let left = |&t: &u32| !completed.is_some_and(|c| c[t as usize]);
             (0..g.tasks().len() as u32).filter(left).collect()
         };
-        PagedStore::build(a, f, &RunPlan { graph: g, completed, order: &order }, budget, None)
-            .unwrap()
+        let plan = RunPlan { graph: g, completed, order: &order };
+        let t = TSet::for_run(g, a, f, completed, true);
+        PagedStore::build(a, t, f.ib(), &plan, budget, None).unwrap()
     }
 
     fn resident(core: &PagedCore, idx: usize) -> bool {
@@ -1035,7 +1046,7 @@ mod tests {
         let before = a.to_dense();
         let tile_bytes = (4 * 4 * 8) as u64;
         // Budget of two tiles: almost everything spills at build time.
-        let mut store = build(&mut a, &mut f, &g, None, 2 * tile_bytes);
+        let mut store = build(&mut a, &f, &g, None, 2 * tile_bytes);
         assert!(lock(&store.core.residency).resident <= 2 * tile_bytes);
         store.unpage(&mut a, &mut f).unwrap();
         assert_eq!(a.to_dense().data(), before.data(), "spill roundtrip must be bitwise");
@@ -1047,7 +1058,7 @@ mod tests {
     fn build_keeps_the_tiles_needed_first_and_no_factor_buffer() {
         let (g, mut a, mut f) = fixture(3, 2, 4);
         let tile_bytes = (4 * 4 * 8) as u64;
-        let mut store = build(&mut a, &mut f, &g, None, 2 * tile_bytes);
+        let mut store = build(&mut a, &f, &g, None, 2 * tile_bytes);
         let core = Arc::clone(&store.core);
         // Program order opens with GEQRT(0,0) then UNMQR(0,0;1): A(0,0) and
         // A(0,1) are the two tiles needed first.
@@ -1072,7 +1083,7 @@ mod tests {
     fn pin_faults_in_and_blocks_eviction() {
         let (g, mut a, mut f) = fixture(3, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
-        let mut store = build(&mut a, &mut f, &g, None, 2 * tile_bytes);
+        let mut store = build(&mut a, &f, &g, None, 2 * tile_bytes);
         store.stop_prefetcher();
         let core = Arc::clone(&store.core);
         // The last task, TSMQR(2,1;1)... pins A(2,1), spilled at build time.
@@ -1096,7 +1107,7 @@ mod tests {
         let (g, mut a, mut f) = fixture(4, 3, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
         // Room for every matrix tile, so the test chooses what is spilled.
-        let mut store = build(&mut a, &mut f, &g, None, 12 * tile_bytes);
+        let mut store = build(&mut a, &f, &g, None, 12 * tile_bytes);
         store.stop_prefetcher();
         let core = Arc::clone(&store.core);
         // Spill the tile needed first of all, A(0,0) (task 0 touches it)...
@@ -1125,18 +1136,21 @@ mod tests {
         let tile_bytes = (3 * 3 * 8) as u64;
         // Panel 0 done: every task with k == 0.
         let completed: Vec<bool> = g.tasks().iter().map(|t| t.k == 0).collect();
-        let mut store = build(&mut a, &mut f, &g, Some(&completed), 64 * tile_bytes);
+        let mut store = build(&mut a, &f, &g, Some(&completed), 64 * tile_bytes);
         let core = Arc::clone(&store.core);
         for key in lock(&core.residency).victims.iter().map(|v| v.0).filter(|&k| k != NEVER) {
             let task = core.order[key as usize] as usize;
             assert!(!completed[task], "next use of a slot points at completed task {task}");
         }
-        // A(0,0) is only touched by panel 0: never needed again. Factor
-        // buffers panel 0 wrote are kept; panel 1's are still lazy zeros.
+        // A(0,0) is only touched by panel 0: never needed again. No task
+        // left reads a T panel 0 wrote, so none is rebuilt (their τ stays
+        // in `f`); panel 1's are still lazy zeros.
         let idx = core.slot_index(SlotFamily::A, 0, 0);
         assert_eq!(lock(&core.slots[idx]).key, Some(NEVER));
-        assert!(resident(&core, core.slot_index(SlotFamily::Tg, 0, 0)));
-        assert!(!resident(&core, core.slot_index(SlotFamily::Tg, 1, 1)));
+        for (i, k) in [(0, 0), (1, 1)] {
+            let tg = core.slot_index(SlotFamily::Tg, i, k);
+            assert!(!resident(&core, tg) && !lock(&core.slots[tg]).on_disk);
+        }
         store.unpage(&mut a, &mut f).unwrap();
     }
 
@@ -1144,7 +1158,7 @@ mod tests {
     fn corrupt_record_is_a_typed_fault() {
         let (g, mut a, mut f) = fixture(2, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
-        let mut store = build(&mut a, &mut f, &g, None, tile_bytes);
+        let mut store = build(&mut a, &f, &g, None, tile_bytes);
         store.stop_prefetcher();
         let core = Arc::clone(&store.core);
         // Ensure the victim slot is on disk and evicted.
@@ -1171,7 +1185,7 @@ mod tests {
     #[test]
     fn a_full_tile_v_copy_record_is_a_version_error() {
         let (g, mut a, mut f) = fixture(2, 2, 3);
-        let mut store = build(&mut a, &mut f, &g, None, (3 * 3 * 8) as u64);
+        let mut store = build(&mut a, &f, &g, None, (3 * 3 * 8) as u64);
         store.stop_prefetcher();
         let core = Arc::clone(&store.core);
         let idx = core.slot_index(SlotFamily::Vg, 0, 0);
@@ -1192,7 +1206,7 @@ mod tests {
     fn old_version_record_is_unsupported_not_corrupt() {
         let (g, mut a, mut f) = fixture(2, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
-        let mut store = build(&mut a, &mut f, &g, None, tile_bytes);
+        let mut store = build(&mut a, &f, &g, None, tile_bytes);
         store.stop_prefetcher();
         let core = Arc::clone(&store.core);
         let idx = core.slot_index(SlotFamily::A, 1, 1);

@@ -10,8 +10,9 @@
 //! The store has three backings:
 //!
 //! * **Resident** (the default): a flat pointer table over the matrix
-//!   tiles and T factors, which stay allocated for the whole run — zero
-//!   per-access overhead — and a table of the V copies the store owns.
+//!   tiles and the run's T factors, which stay allocated for the whole
+//!   run — zero per-access overhead — and a table of the V copies the
+//!   store owns.
 //! * **Paged**: buffers live in a two-tier cache ([`crate::spill`]): a
 //!   resident working set bounded by a byte budget, evicted by furthest
 //!   next use over the task graph's program order and refilled by a
@@ -38,13 +39,18 @@
 //! the copies its pending readers need ([`crate::exec::live_v_copies`]),
 //! rebuilt from the factored tiles ([`hqr_kernels::pack_v`]), whose strict
 //! lower triangles no later kernel rewrites.
+//!
+//! The T factors are run storage too: the store owns the run's T set
+//! ([`TSet`]), and [`TileStore::unpage`] keeps each T's τ and drops the T.
+//! A resumed run starts with the T its pending readers need, rebuilt from
+//! the factored tiles and τ ([`TSet::for_run`]).
 
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::exec::{live_v_copies, relock, TFactors};
+use crate::exec::{live_v_copies, relock, TFactors, TSet};
 use crate::fault::{SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 use crate::graph::TaskGraph;
 use crate::lineage::Slot;
@@ -66,6 +72,9 @@ pub struct TileStore {
     a: Vec<*mut f64>,
     tg: Vec<*mut f64>,
     tk: Vec<*mut f64>,
+    /// The T set `tg` and `tk` point into (flat and apply backings), until
+    /// [`TileStore::unpage`] keeps its τ.
+    t: Option<TSet>,
     /// The flat backing's V copies; `None` for the other backings and for
     /// an apply store, whose `Vg` slots are the factored tiles.
     v: Option<Mutex<VCopies>>,
@@ -215,12 +224,6 @@ fn ptrs(v: &mut [Option<Box<[f64]>>]) -> Vec<*mut f64> {
     v.iter_mut().map(|o| o.as_mut().map_or(std::ptr::null_mut(), |b| b.as_mut_ptr())).collect()
 }
 
-/// [`ptrs`] of buffers the run only reads: derived from a shared borrow,
-/// so nothing may ever be written through them.
-fn read_only_ptrs(v: &[Option<Box<[f64]>>]) -> Vec<*mut f64> {
-    v.iter().map(|o| o.as_ref().map_or(std::ptr::null_mut(), |b| b.as_ptr().cast_mut())).collect()
-}
-
 /// Bytes a run of `graph` with inner block size `ib` may keep resident
 /// when nothing pages: the matrix tiles plus the factor buffers its tasks
 /// write, V copies counted as if all were held at once (guards are
@@ -239,33 +242,36 @@ pub(crate) fn pages(graph: &TaskGraph, ib: usize, resident_budget: Option<u64>) 
 }
 
 impl TileStore {
-    /// Build a store over a matrix and its (pre-allocated) T factors, for
-    /// a run from the start; the kernels run with the inner block size the
-    /// factors are laid out for (`ib == b`: the unblocked kernels).
-    pub fn new(a: &mut TiledMatrix, f: &mut TFactors) -> Self {
-        Self::check_shapes(a, f);
-        let (b, mt, v_len) = (a.b(), a.mt(), SlotFamily::Vg.slot_len(a.b(), f.ib));
+    /// Build a store over a matrix and the T set `t` of a run from the
+    /// start, whose kernels run with inner block size `ib` (`ib == b`: the
+    /// unblocked kernels).
+    pub(crate) fn new(a: &mut TiledMatrix, ib: usize, mut t: TSet) -> Self {
+        Self::check_shapes(a, ib, &t);
+        let (b, mt, v_len) = (a.b(), a.mt(), SlotFamily::Vg.slot_len(a.b(), ib));
         // Every GEQRT writes a T, so there are as many copies at most.
-        let geqrts = f.tg.iter().flatten().count();
+        let geqrts = t.tg.iter().flatten().count();
         TileStore {
             b,
-            ib: f.ib,
+            ib,
             mt,
             v_len,
             a: a.tile_ptrs(),
-            tg: ptrs(&mut f.tg),
-            tk: ptrs(&mut f.tk),
+            tg: ptrs(&mut t.tg),
+            tk: ptrs(&mut t.tk),
+            t: Some(t),
             v: Some(Mutex::new(VCopies::new(mt * a.nt(), geqrts, v_len))),
             paged: None,
             shard: None,
         }
     }
 
-    /// [`TileStore::new`] for the run `plan` describes: a resumed run
-    /// starts with the V copies its pending readers need, rebuilt from the
-    /// factored tiles.
-    pub(crate) fn resident(a: &mut TiledMatrix, f: &mut TFactors, plan: &RunPlan<'_>) -> Self {
-        let store = Self::new(a, f);
+    /// [`TileStore::new`] for the run `plan` describes, from a matrix and
+    /// the τ `f` of the tasks `plan` marks done: a resumed run starts with
+    /// the V copies and the T factors its pending readers need, rebuilt
+    /// from the factored tiles (and τ).
+    pub(crate) fn resident(a: &mut TiledMatrix, f: &TFactors, plan: &RunPlan<'_>) -> Self {
+        let t = TSet::for_run(plan.graph, a, f, plan.completed, false);
+        let store = Self::new(a, f.ib, t);
         if let Some(v) = &store.v {
             let mut v = relock(v);
             for (i, k) in resumed_v_copies(plan) {
@@ -286,32 +292,38 @@ impl TileStore {
     pub fn over_shard(shard: Arc<Shard>, b: usize, ib: usize) -> Self {
         let none = Vec::new;
         let (a, tg, tk, v_len) = (none(), none(), none(), SlotFamily::Vg.slot_len(b, ib));
-        TileStore { b, ib, mt: 0, v_len, a, tg, tk, v: None, paged: None, shard: Some(shard) }
+        let shard = Some(shard);
+        TileStore { b, ib, mt: 0, v_len, a, tg, tk, t: None, v: None, paged: None, shard }
     }
 
-    /// A store over `[factored | c]` for a [`TaskGraph::apply_q`] graph:
-    /// A-table columns `< nt` are the factored tiles and the T tables are
-    /// `f`'s, which that graph's tasks only read — so both are borrowed,
-    /// not copied — and columns `≥ nt` are `c`'s tiles. A `(Vg, i, k)` slot
-    /// is the factored tile A(i,k) itself, `b²` long, which UNMQR reads as
-    /// the public `unmqr` does. Only a graph whose tasks write nothing but
-    /// `A` slots in columns `≥ nt` may run on it: every other pointer comes
-    /// from a shared borrow.
-    pub(crate) fn for_apply(factored: &TiledMatrix, f: &TFactors, c: &mut TiledMatrix) -> Self {
-        Self::check_shapes(factored, f);
+    /// A store over `[factored | c]` for a [`TaskGraph::apply_q`] graph,
+    /// with the T set `t` (inner block size `ib`) rebuilt for it: A-table
+    /// columns `< nt` are the factored tiles, which that graph's tasks only
+    /// read — so they are borrowed, not copied — and columns `≥ nt` are
+    /// `c`'s tiles. A `(Vg, i, k)` slot is the factored tile A(i,k) itself,
+    /// `b²` long, which UNMQR reads as the public `unmqr` does. Only a
+    /// graph whose tasks write nothing but `A` slots in columns `≥ nt` may
+    /// run on it: the factored tiles' pointers come from a shared borrow.
+    pub(crate) fn for_apply(
+        factored: &TiledMatrix,
+        ib: usize,
+        mut t: TSet,
+        c: &mut TiledMatrix,
+    ) -> Self {
         assert_eq!((c.mt(), c.b()), (factored.mt(), factored.b()), "C/factored shape mismatch");
-        let mt = factored.mt();
+        let (b, mt) = (factored.b(), factored.mt());
         let tile_ptr = |k: usize| factored.tile(k % mt, k / mt).as_ptr().cast_mut();
         let mut a: Vec<*mut f64> = (0..mt * factored.nt()).map(tile_ptr).collect();
         a.extend(c.tile_ptrs());
         TileStore {
-            b: f.b,
-            ib: f.ib,
+            b,
+            ib,
             mt,
-            v_len: SlotFamily::A.slot_len(f.b, f.ib),
+            v_len: SlotFamily::A.slot_len(b, ib),
             a,
-            tg: read_only_ptrs(&f.tg),
-            tk: read_only_ptrs(&f.tk),
+            tg: ptrs(&mut t.tg),
+            tk: ptrs(&mut t.tk),
+            t: Some(t),
             v: None,
             paged: None,
             shard: None,
@@ -326,13 +338,13 @@ impl TileStore {
     /// results either way; `plan.order` is not looked at). Either starts a
     /// resumed run with the V copies its pending readers need.
     ///
-    /// A paged store needs no factor buffer the graph has not written yet
-    /// (`f` may hold none at all) and leaves the matrix and factors hollow
-    /// until [`TileStore::unpage`] returns every buffer — callers must
-    /// unpage on every exit path.
-    pub fn open(
+    /// A paged store rebuilds only the T factors a resumed run's pending
+    /// readers need and creates the others at their first pin; it leaves
+    /// the matrix hollow until [`TileStore::unpage`] returns every buffer
+    /// — callers must unpage on every exit path.
+    pub(crate) fn open(
         a: &mut TiledMatrix,
-        f: &mut TFactors,
+        f: &TFactors,
         plan: &RunPlan<'_>,
         resident_budget: Option<u64>,
         spill_dir: Option<&Path>,
@@ -341,10 +353,11 @@ impl TileStore {
         let Some(budget) = resident_budget.filter(|_| pages(graph, f.ib, resident_budget)) else {
             return Ok(Self::resident(a, f, plan));
         };
-        Self::check_shapes(a, f);
-        assert_eq!((a.mt(), a.nt()), (graph.mt(), graph.nt()), "matrix/graph shape mismatch");
         let (b, ib, mt) = (a.b(), f.ib, a.mt());
-        let paged = PagedStore::build(a, f, plan, budget, spill_dir)?;
+        let t = TSet::for_run(graph, a, f, plan.completed, true);
+        Self::check_shapes(a, ib, &t);
+        assert_eq!((a.mt(), a.nt()), (graph.mt(), graph.nt()), "matrix/graph shape mismatch");
+        let paged = PagedStore::build(a, t, ib, plan, budget, spill_dir)?;
         Ok(TileStore {
             b,
             ib,
@@ -353,22 +366,28 @@ impl TileStore {
             a: Vec::new(),
             tg: Vec::new(),
             tk: Vec::new(),
+            t: None,
             v: None,
             paged: Some(paged),
             shard: None,
         })
     }
 
-    /// The conditions the raw views rely on: the matrix and factors agree
-    /// on the shape, and every T buffer holds its slot's length.
-    fn check_shapes(a: &TiledMatrix, f: &TFactors) {
-        assert_eq!(a.mt(), f.mt, "matrix/factor shape mismatch");
-        assert_eq!(a.nt(), f.nt, "matrix/factor shape mismatch");
-        assert_eq!(a.b(), f.b, "tile size mismatch");
-        assert!(f.ib > 0 && f.ib <= a.b(), "inner block size must be in 1..=b");
-        for (fam, family) in [(SlotFamily::Tg, &f.tg), (SlotFamily::Tk, &f.tk)] {
-            let len = fam.slot_len(f.b, f.ib);
-            assert!(family.iter().flatten().all(|buf| buf.len() == len), "{fam:?} buffer length");
+    /// The conditions the raw views rely on: the T set has a place for
+    /// each tile of the matrix, every T holds `t_len(b, ib)` doubles, and
+    /// `ib` is in `1..=b`; and one the kernels' speed relies on: a T of
+    /// [`LINE_FROM`] bytes or more starts on a cache line.
+    fn check_shapes(a: &TiledMatrix, ib: usize, t: &TSet) {
+        assert!(ib > 0 && ib <= a.b(), "inner block size must be in 1..=b");
+        let len = SlotFamily::Tg.slot_len(a.b(), ib);
+        let small = len * std::mem::size_of::<f64>() < LINE_FROM;
+        for (fam, family) in [(SlotFamily::Tg, &t.tg), (SlotFamily::Tk, &t.tk)] {
+            assert_eq!(family.len(), a.mt() * a.nt(), "matrix/factor shape mismatch");
+            for buf in family.iter().flatten() {
+                assert_eq!(buf.len(), len, "{fam:?} buffer length");
+                let at = buf.as_ptr();
+                assert!(small || (at as usize).is_multiple_of(LINE), "{fam:?} at {at:p}");
+            }
         }
     }
 
@@ -393,13 +412,18 @@ impl TileStore {
         }))
     }
 
-    /// Fault every slot back in and return ownership of all buffers to
-    /// the matrix and factors, dissolving the cache. Must be called (on
-    /// success *and* error paths) before `a`/`f` are used again; no-op in
-    /// resident mode. On a checksum/I/O failure the affected buffers are
-    /// zero-filled so `a`/`f` stay structurally whole, and the first
-    /// error is returned.
+    /// End the run's storage: keep in `f` the τ of every T factor the
+    /// store holds and drop the T set, and — paged — fault every tile back
+    /// into the matrix, dissolving the cache. Must be called (on success
+    /// *and* error paths) before `a` is used again; the store runs no task
+    /// after it. On a checksum/I/O failure the affected buffers are
+    /// zero-filled so `a`/`f` stay structurally whole, and the first error
+    /// is returned.
     pub fn unpage(&mut self, a: &mut TiledMatrix, f: &mut TFactors) -> Result<(), String> {
+        (self.tg, self.tk) = (Vec::new(), Vec::new());
+        if let Some(t) = self.t.take() {
+            t.taus_into(f);
+        }
         match self.paged.take() {
             Some(mut paged) => paged.unpage(a, f),
             None => Ok(()),
@@ -611,6 +635,7 @@ pub(crate) fn packed_v(a: &TiledMatrix, i: usize, k: usize) -> Box<[f64]> {
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
+    use crate::exec::factor_slots;
     use crate::graph::TaskGraph;
 
     /// A flat store's V copies start on a cache line, though at b = 200 a
@@ -628,8 +653,7 @@ mod tests {
         let geqrts: Vec<Slot> = written.filter(|s| s.0 == SlotFamily::Vg).collect();
         assert_eq!(geqrts.len(), 5);
         let mut a = TiledMatrix::zeros(mt, nt, b);
-        let mut f = TFactors::allocate_for(&g, ib);
-        let store = TileStore::new(&mut a, &mut f);
+        let store = TileStore::new(&mut a, ib, TSet::allocate(&g, ib, factor_slots(&g)));
         let starts: Vec<usize> = geqrts.iter().map(|&s| store.slice(s).as_ptr() as usize).collect();
         for (s, start) in geqrts.iter().zip(&starts) {
             assert!(start.is_multiple_of(LINE), "{s:?} at {start:#x}");
@@ -648,8 +672,7 @@ mod tests {
         let g = TaskGraph::build(mt, nt, b, &elims);
         let mut a = TiledMatrix::random(mt, nt, b, 5);
         let before = a.to_dense();
-        let mut f = TFactors::allocate_for(&g, b);
-        let store = TileStore::new(&mut a, &mut f);
+        let store = TileStore::new(&mut a, b, TSet::allocate(&g, b, factor_slots(&g)));
         for t in g.tasks() {
             // SAFETY: single-threaded, topological order.
             unsafe {
@@ -702,12 +725,17 @@ mod tests {
         let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let map = shard.lock().unwrap();
         for (&(fam, i, j), buf) in map.iter() {
-            let want = match fam {
-                SlotFamily::A => a.tile(i, j).into(),
-                SlotFamily::Vg => packed_v(&a, i, j),
-                _ => f.slot(fam, i, j).unwrap().into(),
+            let (got, want): (Box<[f64]>, Box<[f64]>) = match fam {
+                SlotFamily::A => (buf.clone(), a.tile(i, j).into()),
+                SlotFamily::Vg => (buf.clone(), packed_v(&a, i, j)),
+                // A shard holds the whole T; the serial run keeps its τ.
+                _ => {
+                    let mut tau = vec![0.0; hqr_kernels::tau_len(b)].into_boxed_slice();
+                    hqr_kernels::tau_from_t(b, ib, buf, &mut tau);
+                    (tau, f.slot(fam, i, j).unwrap().into())
+                }
             };
-            assert_eq!(bits(buf), bits(&want), "{fam:?}({i},{j})");
+            assert_eq!(bits(&got), bits(&want), "{fam:?}({i},{j})");
         }
         drop(map);
         let geqrt = &g.tasks()[0];

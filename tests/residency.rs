@@ -9,7 +9,7 @@
 //! `cap`, factor buffers materialised as zeros on first touch (no read).
 
 use hqr::prelude::*;
-use hqr_kernels::v_len;
+use hqr_kernels::{t_len, tau_len, v_len};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::{try_execute_traced, ExecOptions, SchedPolicy, TFactors, TaskGraph};
 
@@ -154,11 +154,12 @@ fn one_worker_paged_run_moves_what_min_needs_and_less_than_lru() {
 /// The factor buffers of the benchmark's `tall_skinny` problem (32768 x
 /// 512 in tiles of b = 128, ib = 32, the adaptive tall list on a 2 x 1
 /// grid: one TS domain per cluster, a = 128): 22 GEQRTs and 1 014 kills
-/// each leave a T, the packed upper triangles of its four 32 x 32 panels:
-/// 16.69 MiB of factor buffers. GEQRT's V copies (V's strict lower
-/// triangle, `v_len(b)` = 8 128 doubles each) are the run's scratch, not
-/// the factorization's; kept, they made 18.06 MiB, and as `b x b` tiles
-/// 19.44 MiB. T factors of `ib x b` made 35.13 MiB, the a = 4 list
+/// each make a T, the packed upper triangles of its four 32 x 32 panels:
+/// a run's T set of 16.69 MiB. The factorization keeps each T's τ, its
+/// diagonal (`tau_len(b)` = 128 doubles): 1.01 MiB. Kept, the T factors
+/// made 16.69 MiB and GEQRT's V copies (V's strict lower triangle,
+/// `v_len(b)` = 8 128 doubles each) 1.37 MiB more, as `b x b` tiles
+/// 2.75 MiB more. T factors of `ib x b` made 35.13 MiB, the a = 4 list
 /// 73.56 MiB, and T factors zero-padded to `b x b` 193.75 MiB.
 #[test]
 fn tall_skinny_factor_buffers_hold_packed_t_factors() {
@@ -172,10 +173,12 @@ fn tall_skinny_factor_buffers_hold_packed_t_factors() {
         slots.filter_map(|(i, k)| family(&f, i, k)).map(<[f64]>::len).sum()
     };
     let (tg, tk) = (doubles(TFactors::tg), doubles(TFactors::tk));
-    let t = (b / ib) * (ib * (ib + 1) / 2);
-    assert_eq!((tg, tk), (22 * t, 1014 * t));
+    assert_eq!((tg, tk), (22 * tau_len(b), 1014 * tau_len(b)));
     let mut slots = (0..nt).flat_map(|k| (0..mt).map(move |i| (i, k)));
     assert!(slots.all(|(i, k)| f.slot(SlotFamily::Vg, i, k).is_none()));
-    assert_eq!((tg + tk) * 8, 17_504_256, "16.69 MiB");
+    assert_eq!((tg + tk) * 8, 1_060_864, "1.01 MiB of τ");
+    let t = (b / ib) * (ib * (ib + 1) / 2);
+    assert_eq!(t, t_len(b, ib));
+    assert_eq!((22 + 1014) * t * 8, 17_504_256, "16.69 MiB: a run's T set");
     assert_eq!(18_934_784 - 17_504_256, 22 * v_len(b) * 8, "the V copies a result kept");
 }
