@@ -1466,11 +1466,13 @@ fn drive(
     std::thread::scope(|scope| {
         let (alive, error, global, stealers) = (&alive, &error, &global, &stealers);
         let (remaining, halt) = (&run.frontier.remaining, &run.halt);
+        let mut watchdog = None;
         if let Some(window) = opts.watchdog {
-            scope.spawn(move || {
+            watchdog = Some(scope.spawn(move || {
                 // Short poll slices, and shutdown checked *before* each
-                // sleep: a worker error (`halt`) or completion must not pay
-                // another full poll interval of join latency. The stall
+                // nap: a worker error (`halt`) or completion must not pay
+                // another full poll interval of join latency, so a worker
+                // leaving its loop also unparks this thread. The stall
                 // window itself is still measured against `last_change`, so
                 // polling more often than window/8 only sharpens detection.
                 let poll = (window / 8).clamp(Duration::from_millis(1), Duration::from_millis(5));
@@ -1491,11 +1493,12 @@ fn drive(
                         halt.store(true, Ordering::Release);
                         break;
                     }
-                    std::thread::sleep(poll);
+                    std::thread::park_timeout(poll);
                 }
-            });
+            }));
         }
         for ((me, worker), log) in workers.into_iter().enumerate().zip(logs.iter_mut()) {
+            let watchdog = watchdog.as_ref().map(|w| w.thread().clone());
             scope.spawn(move || {
                 // Expected (caught) panics shouldn't spam stderr through
                 // the panic hook while recovery is handling them — but
@@ -1594,6 +1597,11 @@ fn drive(
                             rem,
                         )));
                     }
+                }
+                // The run is done or halted: the watchdog need not finish
+                // its nap before the scope joins it.
+                if let Some(w) = watchdog {
+                    w.unpark();
                 }
             });
         }
@@ -1891,6 +1899,28 @@ mod tests {
         let mut a = input.clone();
         let (got, _) = try_execute_with(&g, &mut a, &ExecOptions { nthreads: 2, ..one }).unwrap();
         assert!(got.bitwise_eq(&f));
+    }
+
+    /// A run ends when its last task does. The watchdog polls for stalls
+    /// in naps of up to 5 ms (at a 60 s window), and the run's scope joins
+    /// it: a worker leaving its loop wakes it, so the end does not wait
+    /// for the nap.
+    #[test]
+    fn the_watchdog_does_not_delay_the_end_of_a_run() {
+        let (mt, nt, b) = (6, 3, 48);
+        let g = TaskGraph::build(mt, nt, b, &flat_elims(mt, nt));
+        let opts =
+            ExecOptions { watchdog: Some(Duration::from_secs(60)), ..ExecOptions::with_threads(2) };
+        let mut gaps: Vec<f64> = (0..15)
+            .map(|seed| {
+                let mut a = TiledMatrix::random(mt, nt, b, seed);
+                let (_, _, t) = try_execute_traced(&g, &mut a, &opts).unwrap();
+                t.wall - t.records.iter().map(|r| r.end).fold(0.0, f64::max)
+            })
+            .collect();
+        gaps.sort_by(f64::total_cmp);
+        let median = gaps[gaps.len() / 2];
+        assert!(median < 1e-3, "last kernel to the run's end: median {median:e} s of {gaps:?}");
     }
 
     #[test]
