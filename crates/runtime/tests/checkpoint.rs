@@ -95,6 +95,50 @@ fn a_job_suspended_with_a_live_v_copy_resumes_bitwise() {
     }
 }
 
+/// A job suspended with a done kill whose last update is pending — the
+/// kill's T still read — resumes on another pool bitwise equal to
+/// `execute_serial_ib`, resident and paged, at b = 8 and at b = 1. The
+/// checkpoint keeps the kill's τ only: the resumed run rebuilds its T from
+/// τ and the victim tile, which holds V2.
+#[test]
+fn a_job_suspended_with_a_live_kill_t_resumes_bitwise() {
+    let (mt, nt) = (6, 4);
+    let elims = binary_elims(mt, nt);
+    let kill = |t: &Task| matches!(t.kind, KernelKind::Tsqrt | KernelKind::Ttqrt);
+    let update = |t: &Task| matches!(t.kind, KernelKind::Tsmqr | KernelKind::Ttmqr);
+    for (b, ib) in [(8, 4), (1, 1)] {
+        let graph = TaskGraph::build(mt, nt, b, &elims);
+        let a0 = TiledMatrix::random(mt, nt, b, 79);
+        let mut a_ref = a0.clone();
+        let f_ref = execute_serial_ib(&graph, &mut a_ref, ib);
+        let tasks = graph.tasks();
+        let k = tasks.iter().position(|t| kill(t) && t.k == 0).unwrap();
+        let (i, piv) = (tasks[k].i, tasks[k].piv);
+        let reads_it = |t: &Task| update(t) && (t.i, t.piv, t.k) == (i, piv, 0);
+        let stall = tasks.iter().rposition(reads_it).unwrap();
+        let dir = tmp(&format!("live_t_{b}"));
+        let ckpt = suspended_checkpoint(&dir, &elims, &a0, ib, stall as u32);
+        assert!(ckpt.completed[k] && !ckpt.completed[stall], "Tk({i},0) is live at b = {b}");
+        let tau = ckpt.factors.tk(i as usize, 0).map(<[f64]>::len);
+        assert_eq!(tau, Some(hqr_kernels::tau_len(b)), "the checkpoint keeps τ");
+        // A quarter of the matrix: the resumed job pages.
+        let quarter = (mt * nt * b * b * 8 / 4) as u64;
+        for resident_budget in [None, Some(quarter)] {
+            let pool =
+                JobPool::new(PoolConfig { nthreads: 2, resident_budget, ..Default::default() });
+            let id = pool.submit(JobSpec::resume(ckpt.clone())).expect("submit resume");
+            let out = pool.wait(id).unwrap();
+            pool.shutdown();
+            let label = format!("b = {b}, budget {resident_budget:?}");
+            assert_eq!(out.state, JobState::Completed, "{label}: {:?}", out.error);
+            let r = out.result.unwrap();
+            assert!(r.factors.bitwise_eq(&f_ref), "{label}: resumed factors differ");
+            assert_eq!(r.a.to_dense().data(), a_ref.to_dense().data(), "{label}: tiles differ");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn checkpoint_is_rejected_for_a_different_plan() {
     let (mt, nt, b) = (5, 3, 4);
