@@ -30,6 +30,7 @@ pub fn worker(args: &Args) -> Result<i32, CliError> {
         die_after_tasks: args.parsed("die-after-tasks", "an integer")?,
         die_hard: args.flag("die-hard"),
         slow_task_ms: args.usize_or("slow-ms", 0)? as u64,
+        ..WorkerOptions::default()
     };
     args.reject_unknown()?;
     let listener =

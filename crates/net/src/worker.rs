@@ -41,7 +41,7 @@ use crate::pool::TilePool;
 use hqr_runtime::exec::{worker_loop, Attempt, DagRun, GlobalQueue, RunPolicy, SpentV, Worker};
 use hqr_runtime::store::{Shard, TileStore};
 use hqr_runtime::task::SlotFamily;
-use hqr_runtime::{last_writers, live_v_copies, FaultStats, Slot, Task, TaskGraph};
+use hqr_runtime::{last_writers, live_v_copies, FaultPlan, FaultStats, Slot, Task, TaskGraph};
 use hqr_tile::{Layout, ProcessGrid};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -63,6 +63,10 @@ pub struct WorkerOptions {
     pub die_hard: bool,
     /// Sleep this long inside every task (slow-but-alive simulation).
     pub slow_task_ms: u64,
+    /// Panic inside the kernel attempt of this task (by id) when it runs
+    /// here: a kernel bug, caught by the attempt and reported as this
+    /// worker's failure at the coordinator's next progress poll.
+    pub panic_on_task: Option<u64>,
 }
 
 /// How long a push may wait: on a peer's socket, or for this worker's own
@@ -232,7 +236,9 @@ impl Run {
         let settled: Vec<bool> = settled.collect();
         self.rebuild_v_copies(&state.pool, &mine, &done);
         let store = TileStore::over_shard(Arc::clone(&self.shard), self.graph.b(), self.ib);
-        let policy = RunPolicy { publish_rest: true, ..RunPolicy::default() };
+        let panic_on = state.opts.panic_on_task.and_then(|t| u32::try_from(t).ok());
+        let plan = panic_on.map(|t| FaultPlan::new(0).fail_task(t, 1));
+        let policy = RunPolicy { publish_rest: true, plan: plan.as_ref(), ..RunPolicy::default() };
         let (dag, frontier) = DagRun::new(&self.graph, store, &policy, Some(&settled));
         let ready = GlobalQueue::new(policy.publish_rest);
         for t in frontier.into_iter().filter(|&t| mine[t as usize]) {

@@ -104,12 +104,45 @@ fn producer_killed_between_its_push_and_its_report_recovers_bitwise() {
     let mut cfg = test_config(2);
     cfg.grid = grid;
     let opts = [
-        WorkerOptions { die_after_tasks: None, die_hard: false, slow_task_ms: 150 },
-        WorkerOptions { die_after_tasks: Some(kill_point), die_hard: false, slow_task_ms: 0 },
+        WorkerOptions {
+            die_after_tasks: None,
+            die_hard: false,
+            slow_task_ms: 150,
+            ..Default::default()
+        },
+        WorkerOptions {
+            die_after_tasks: Some(kill_point),
+            die_hard: false,
+            slow_task_ms: 0,
+            ..Default::default()
+        },
     ];
     let (a, f, report) = dist_run(&opts, &graph, &input, &cfg);
     assert_bitwise_parity(&graph, &input, &a, &f, "producer killed after its push");
     assert!(report.recoveries.iter().any(|r| r.worker == 1), "{:?}", report.recoveries);
+}
+
+/// A kernel panic on a worker: the chaos hook panics inside the attempt
+/// of a task the worker owns. The attempt catches it and fails the
+/// worker's run, the coordinator's next progress poll reads the failure
+/// and condemns the worker, and the survivor finishes the run bitwise
+/// equal to `execute_serial`.
+#[test]
+fn a_kernel_panic_on_a_worker_is_recovered_bitwise() {
+    let (mt, nt, b) = (6, 3, 4);
+    let graph = TaskGraph::build(mt, nt, b, &random_elims(mt, nt, 46));
+    let input = TiledMatrix::random(mt, nt, b, 47);
+    let cfg = test_config(2);
+    let on_1 = |t: &&Task| owner(t, cfg.grid) == 1 && t.k == 1;
+    let t = graph.tasks().iter().position(|t| on_1(&t)).expect("a task of worker 1") as u64;
+    let opts =
+        [WorkerOptions::default(), WorkerOptions { panic_on_task: Some(t), ..Default::default() }];
+    let (a, f, report) = dist_run(&opts, &graph, &input, &cfg);
+    assert_bitwise_parity(&graph, &input, &a, &f, "a kernel panic on worker 1");
+    assert_eq!(report.recoveries.len(), 1, "{:?}", report.recoveries);
+    let lost = &report.recoveries[0];
+    assert_eq!(lost.worker, 1);
+    assert!(lost.reason.contains(&format!("task {t}")), "{}", lost.reason);
 }
 
 /// The coordinator injects RPC drops and delays only: the engine's task
@@ -153,7 +186,12 @@ fn progress_polls_do_not_condemn_slow_but_alive_workers() {
     // If a running kernel blocked the poll, its worker would be condemned.
     cfg.rpc_timeout = Duration::from_millis(100);
     cfg.retry.max_attempts = 1;
-    let slow = WorkerOptions { die_after_tasks: None, die_hard: false, slow_task_ms: 300 };
+    let slow = WorkerOptions {
+        die_after_tasks: None,
+        die_hard: false,
+        slow_task_ms: 300,
+        ..Default::default()
+    };
     let (a, f, report) = dist_run(&[slow; 2], &graph, &input, &cfg);
     assert_bitwise_parity(&graph, &input, &a, &f, "slow workers");
     assert!(
@@ -340,8 +378,12 @@ fn a_kill_point_in_a_second_run_recovers_bitwise_from_pooled_buffers() {
     let on_victim = |g: &TaskGraph| g.tasks().iter().filter(|t| owner(t, grid) == 1).count() as u64;
     let kill_point = on_victim(&small);
     assert!(on_victim(&large) > kill_point + 1, "the second run must reach the kill point");
-    let victim =
-        WorkerOptions { die_after_tasks: Some(kill_point), die_hard: false, slow_task_ms: 0 };
+    let victim = WorkerOptions {
+        die_after_tasks: Some(kill_point),
+        die_hard: false,
+        slow_task_ms: 0,
+        ..Default::default()
+    };
     let workers = [spawn_local(WorkerOptions::default()).unwrap(), spawn_local(victim).unwrap()];
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.addr).collect();
     let mut reports = Vec::new();

@@ -463,7 +463,7 @@ fn fleet(case: &Case, graph: &TaskGraph, a: &TiledMatrix) -> (DistReport, TiledM
     let backend = &format!("{}-worker fleet", case.fleet);
     let die_after = |w| case.kill.filter(|&(victim, _)| victim == w).map(|(_, k)| k);
     let workers: Vec<_> = (0..case.fleet)
-        .map(|w| WorkerOptions { die_after_tasks: die_after(w), die_hard: false, slow_task_ms: 0 })
+        .map(|w| WorkerOptions { die_after_tasks: die_after(w), ..Default::default() })
         .map(|opts| spawn_local(opts).unwrap_or_else(|e| fail(case, backend, e)))
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.addr).collect();
