@@ -552,7 +552,7 @@ impl CoordState<'_> {
         let (mut result, mut factors, seen) = out.into_inner().expect("gather lock");
         let tau_len = hqr_kernels::tau_len(graph.b());
         let gathered = |&(fam, ..): &Slot| match fam {
-            SlotFamily::A => fam.slot_len(graph.b(), self.ib) as u64,
+            SlotFamily::A => SlotFamily::A.slot_len(graph.b(), self.ib) as u64,
             _ => tau_len as u64,
         };
         let floats = seen.iter().map(gathered).sum();
