@@ -370,9 +370,9 @@ pub struct TreeRow {
     pub predicted: f64,
     /// [`baselines::coarse_parallelism`] of the list.
     pub coarse_parallelism: f64,
-    /// MiB of factor buffers a factorization by the list keeps
-    /// (`TFactors::allocate_for`): a T per GEQRT and per kill. GEQRT's V
-    /// copies are the run's scratch, and V stays in the factored tiles.
+    /// MiB of T factors a run of the list holds, one per GEQRT and per
+    /// kill (a factorization keeps only their τ). GEQRT's V copies are the
+    /// run's scratch too, and V stays in the factored tiles.
     pub factor_mib: f64,
     pub stats: analysis::DagStats,
 }

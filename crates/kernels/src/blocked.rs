@@ -36,20 +36,13 @@
 //! the buffer is a structural zero.
 
 use crate::micro::{simd_arm, SimdArm};
-use crate::panel::{tile_mqr, tile_qrt, tile_t_from_tau, Refl};
+use crate::panel::{tile_mqr, tile_qrt, Refl};
 use crate::{KernelKind, Trans};
 
-/// Rebuild the T factor that factor kernel `kind` (GEQRT, TSQRT or TTQRT)
-/// made with inner block size `ib`, from the reflectors it left in the
-/// factored tile `v` and their τ ([`crate::tau_from_t`]): on the same
-/// dispatch arm, bit for bit the kernel's T. `v` is GEQRT's tile, whose
-/// strict lower triangle is V; TSQRT's victim, all of which is V2; or
-/// TTQRT's victim, whose upper triangle is V2 (what lies below it is not
-/// read). Only T's upper triangles are written, `t_len(b, ib)` doubles.
-///
-/// # Panics
-/// When `kind` is an update kernel, `v` is not `b * b` long, `tau` not
-/// `tau_len(b)`, `t` shorter than `t_len(b, ib)`, or `ib` outside `1..=b`.
+/// Rebuild the T factor kernel `kind` made at inner block size `ib` from
+/// the factored tile `v` it left V in — GEQRT's strict lower triangle,
+/// TSQRT's whole victim, TTQRT's victim's upper triangle — and τ
+/// ([`crate::tau_from_t`]): on the same arm, the kernel's T bit for bit.
 pub fn t_from_tau(kind: KernelKind, b: usize, ib: usize, v: &[f64], tau: &[f64], t: &mut [f64]) {
     t_from_tau_arm(simd_arm(), kind, b, ib, v, tau, t);
 }
@@ -64,13 +57,9 @@ pub fn t_from_tau_arm(
     tau: &[f64],
     t: &mut [f64],
 ) {
-    let (stacked, tri) = match kind {
-        KernelKind::Geqrt => (false, false),
-        KernelKind::Tsqrt => (true, false),
-        KernelKind::Ttqrt => (true, true),
-        _ => panic!("{kind:?} makes no T factor"),
-    };
-    tile_t_from_tau(arm, b, ib, v, tau, stacked, tri, t);
+    assert!(kind.is_factor(), "{kind:?} makes no T factor");
+    let bottom = (kind != KernelKind::Geqrt).then_some(&mut [][..]);
+    tile_qrt(arm, b, ib, &mut [], bottom, kind == KernelKind::Ttqrt, Some((v, tau)), t);
 }
 
 /// Inner-blocked GEQRT (PLASMA `CORE_dgeqrt` with inner blocking).
@@ -80,7 +69,7 @@ pub fn geqrt_ib(b: usize, ib: usize, a: &mut [f64], t: &mut [f64]) {
 
 /// [`geqrt_ib`] on an explicit dispatch arm (parity tests and benches).
 pub fn geqrt_ib_arm(arm: SimdArm, b: usize, ib: usize, a: &mut [f64], t: &mut [f64]) {
-    tile_qrt(arm, b, ib, a, None, false, t);
+    tile_qrt(arm, b, ib, a, None, false, None, t);
 }
 
 /// Apply op(Q) of a [`geqrt_ib`] factorization to tile `c`
@@ -105,7 +94,7 @@ pub fn unmqr_ib_arm(
 
 /// Inner-blocked TSQRT.
 pub fn tsqrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    tile_qrt(simd_arm(), b, ib, a1, Some(a2), false, t);
+    tile_qrt(simd_arm(), b, ib, a1, Some(a2), false, None, t);
 }
 
 /// [`tsqrt_ib`] on an explicit dispatch arm (parity tests and benches).
@@ -117,12 +106,12 @@ pub fn tsqrt_ib_arm(
     a2: &mut [f64],
     t: &mut [f64],
 ) {
-    tile_qrt(arm, b, ib, a1, Some(a2), false, t);
+    tile_qrt(arm, b, ib, a1, Some(a2), false, None, t);
 }
 
 /// Inner-blocked TTQRT.
 pub fn ttqrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    tile_qrt(simd_arm(), b, ib, a1, Some(a2), true, t);
+    tile_qrt(simd_arm(), b, ib, a1, Some(a2), true, None, t);
 }
 
 /// [`ttqrt_ib`] on an explicit dispatch arm (parity tests and benches).
@@ -134,7 +123,7 @@ pub fn ttqrt_ib_arm(
     a2: &mut [f64],
     t: &mut [f64],
 ) {
-    tile_qrt(arm, b, ib, a1, Some(a2), true, t);
+    tile_qrt(arm, b, ib, a1, Some(a2), true, None, t);
 }
 
 /// Inner-blocked TSMQR.

@@ -12,7 +12,7 @@ use crate::panel::tile_qrt;
 /// implicit); `t` holds the upper-triangular block-reflector factor T, with
 /// the τ values on its diagonal, such that Q = I − V·T·Vᵀ and A = Q·R.
 pub fn geqrt(b: usize, a: &mut [f64], t: &mut [f64]) {
-    tile_qrt(simd_arm(), b, b, a, None, false, t);
+    tile_qrt(simd_arm(), b, b, a, None, false, None, t);
 }
 
 /// TSQRT (PLASMA `CORE_dtsqrt`): QR of `[A1; A2]` where `A1` is the upper
@@ -24,7 +24,7 @@ pub fn geqrt(b: usize, a: &mut [f64], t: &mut [f64]) {
 /// Q = I − V̂·T·V̂ᵀ with V̂ = [I; V2]. The strict lower triangle of `A1`
 /// (which stores unrelated V data from GEQRT) is left untouched.
 pub fn tsqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    tile_qrt(simd_arm(), b, b, a1, Some(a2), false, t);
+    tile_qrt(simd_arm(), b, b, a1, Some(a2), false, None, t);
 }
 
 /// TTQRT (PLASMA `CORE_dttqrt`): QR of `[A1; A2]` where **both** tiles are
@@ -33,7 +33,7 @@ pub fn tsqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
 /// `A2`'s strict lower triangle is preserved; V2 is upper triangular, which
 /// is what makes this kernel cost weight 2 instead of TSQRT's 6.
 pub fn ttqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    tile_qrt(simd_arm(), b, b, a1, Some(a2), true, t);
+    tile_qrt(simd_arm(), b, b, a1, Some(a2), true, None, t);
 }
 
 #[cfg(test)]

@@ -24,10 +24,8 @@
 //! kernels' one panel; see [`crate::blocked`] for the layout). So is the
 //! copy of GEQRT's reflectors that [`run_kernel`] makes for UNMQR:
 //! [`v_len`]`(b)` doubles, V's strict lower triangle column by column
-//! ([`pack_v`]). A finished factorization keeps only each T's diagonal,
-//! τ ([`tau_len`]`(b)` doubles, [`tau_from_t`]), and [`t_from_tau`]
-//! rebuilds the T bit for bit from τ and the factored tile where Q is
-//! applied again.
+//! ([`pack_v`]). A finished factorization keeps each T's τ
+//! ([`tau_len`], [`tau_from_t`]), and [`t_from_tau`] rebuilds T from it.
 //! TT kernels exploit the triangular structure of the second tile and so
 //! perform roughly a third of the floating-point work of their TS
 //! counterparts per call, but "the sequential performance of the TS kernels
@@ -98,12 +96,8 @@ pub fn t_len(b: usize, ib: usize) -> usize {
     b.checked_div(ib).map_or(0, |full| full * tri(ib) + tri(b % ib))
 }
 
-/// Doubles in the τ of one factor kernel at tile size `b`: one scalar per
-/// reflector, the diagonal of its T, so `b` whatever `ib`. A factorization
-/// keeps τ for each factor slot and a run rebuilds T from it
-/// ([`t_from_tau`]): every buffer that holds a τ — in a result, a
-/// checkpoint or a gathered wire frame — is sized by this function and by
-/// no other.
+/// Doubles in one factor kernel's τ, its T's diagonal: what a result, a
+/// checkpoint or a gather keeps of T ([`t_from_tau`] rebuilds it).
 #[inline]
 pub fn tau_len(b: usize) -> usize {
     b
@@ -111,14 +105,11 @@ pub fn tau_len(b: usize) -> usize {
 
 /// Copy the τ of T factor `t` (inner block size `ib`), its diagonal, into
 /// `tau`, a [`tau_len`]`(b)` buffer.
-///
-/// # Panics
-/// When `t` is shorter than `t_len(b, ib)` or `tau` not `tau_len(b)` long.
 pub fn tau_from_t(b: usize, ib: usize, t: &[f64], tau: &mut [f64]) {
     check_t(b, ib, t);
-    check_tau(b, tau);
+    assert_eq!(tau.len(), tau_len(b), "a τ must be tau_len({b}) elements");
     for (j, x) in tau.iter_mut().enumerate() {
-        // Column j is column j % ib of the panel starting at j − j % ib.
+        // Column j % ib of the panel starting at column j − j % ib.
         let c = j % ib;
         *x = t[t_len(j - c, ib) + c * (c + 3) / 2];
     }
@@ -169,13 +160,6 @@ pub(crate) fn check_tile(b: usize, t: &[f64]) {
 pub(crate) fn check_v(b: usize, v: &[f64]) {
     let n = v_len(b);
     assert_eq!(v.len(), n, "a V copy must be v_len({b}) = {n} elements, got {}", v.len());
-}
-
-/// A τ must hold exactly [`tau_len`] doubles.
-#[inline]
-pub(crate) fn check_tau(b: usize, tau: &[f64]) {
-    let n = tau_len(b);
-    assert_eq!(tau.len(), n, "a τ must be tau_len({b}) = {n} elements, got {}", tau.len());
 }
 
 /// A T operand must hold at least [`t_len`] doubles; the kernels read and

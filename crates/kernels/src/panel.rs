@@ -41,7 +41,7 @@
 
 use crate::larfg::larfg;
 use crate::micro::{axpy_cols, dot_cols, gemm_core, gemm_seeded, transpose, MaskA, SimdArm};
-use crate::{check_t, check_tau, check_tile, check_v, t_len, v_col, Trans};
+use crate::{check_t, check_tile, check_v, t_len, tau_len, v_col, Trans};
 use hqr_tile::heap::{LINE, LINE_FROM};
 use std::cell::RefCell;
 
@@ -89,6 +89,10 @@ fn carve<const N: usize>(buf: &mut Vec<f64>, lens: [usize; N]) -> [&mut [f64]; N
 /// full (`tri` unset: TSQRT) or triangular (`tri` set: TTQRT) tile, with
 /// inner block size `ib`. V, R and T are laid out as
 /// [`crate::blocked`] documents.
+///
+/// With `rebuild = Some((v, τ))` (empty tiles) it replays only the T steps
+/// on V from the tile `v` the kernel left it in: bit for bit its T.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn tile_qrt(
     arm: SimdArm,
     b: usize,
@@ -96,24 +100,37 @@ pub(crate) fn tile_qrt(
     top: &mut [f64],
     mut bottom: Option<&mut [f64]>,
     tri: bool,
+    rebuild: Option<(&[f64], &[f64])>,
     t: &mut [f64],
 ) {
-    check_tile(b, top);
-    if let Some(a2) = &bottom {
-        check_tile(b, a2);
+    if let Some((v, tau)) = rebuild {
+        check_tile(b, v);
+        assert_eq!(tau.len(), tau_len(b), "a τ must be tau_len({b}) elements");
+    } else {
+        [Some(&*top), bottom.as_deref()].into_iter().flatten().for_each(|x| check_tile(b, x));
     }
     check_t(b, ib, t);
     check_ib(b, ib);
     SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
-        let stacked = bottom.is_some();
         for (s, e) in panels(b, ib) {
             let w = e - s;
-            let (r0, rows) = panel_rows(b, s, e, stacked, tri);
+            // Packed V is indexed by tile row − r0 and has `rows` rows.
+            let (r0, rows) = match (&bottom, tri) {
+                (None, _) => (s, b - s),
+                (Some(_), false) => (0, b),
+                (Some(_), true) => (0, e),
+            };
             let nw = w * (b - e).max(w);
             let [vp, vpt, wa, wb, tc, tw] =
                 carve(&mut buf, [rows * w, rows * w, nw, nw, w * w, w * w]);
-            clean(stacked, tri, vp, vpt, tw);
+            // A TSQRT panel packs all `b` rows of every reflector its gemms
+            // read; GEQRT's and TTQRT's masks also reach zeros it never packs.
+            if bottom.is_none() || tri {
+                vp.fill(0.0);
+                vpt.fill(0.0);
+            }
+            tw.fill(0.0);
             let mut p = Panel {
                 arm,
                 b,
@@ -121,7 +138,6 @@ pub(crate) fn tile_qrt(
                 w,
                 r0,
                 rows,
-                stacked,
                 tri,
                 top: &mut *top,
                 bottom: bottom.as_deref_mut(),
@@ -132,106 +148,19 @@ pub(crate) fn tile_qrt(
                 wb,
                 tc,
             };
-            p.factor(s, e);
-            p.apply(s, e, e, b);
-            store_t(ib, s, w, tw, t);
+            p.factor(s, e, rebuild);
+            if rebuild.is_none() {
+                p.apply(s, e, e, b);
+            }
+            // The panel's T leaves as its packed upper triangle.
+            let mut at = 0;
+            let packed = &mut t[t_len(s, ib)..t_len(e, ib)];
+            for (j, col) in tw.chunks_exact(w).enumerate() {
+                packed[at..=at + j].copy_from_slice(&col[..=j]);
+                at += j + 1;
+            }
         }
     });
-}
-
-/// T of a factor kernel's reflectors from V, where the kernel left it in
-/// the tile `v`, and τ, T's diagonal: the T-building steps of [`tile_qrt`]
-/// alone — each leaf's Gram matrix and scalar loop, and every merge — on
-/// the same packed V through the same gemm calls, so on a fixed arm the T
-/// is the kernel's, bit for bit. `stacked` and `tri` name the kernel as
-/// `bottom` and `tri` do for [`tile_qrt`]. A panel's V is packed at once
-/// instead of block by block as the kernel makes it: packing only copies,
-/// and every entry a gemm reads holds the same value either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tile_t_from_tau(
-    arm: SimdArm,
-    b: usize,
-    ib: usize,
-    v: &[f64],
-    tau: &[f64],
-    stacked: bool,
-    tri: bool,
-    t: &mut [f64],
-) {
-    check_tile(b, v);
-    check_tau(b, tau);
-    check_t(b, ib, t);
-    check_ib(b, ib);
-    SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        for (s, e) in panels(b, ib) {
-            let w = e - s;
-            let (r0, rows) = panel_rows(b, s, e, stacked, tri);
-            let [vp, vpt, wa, wb, tw] = carve(&mut buf, [rows * w, rows * w, w * w, w * w, w * w]);
-            clean(stacked, tri, vp, vpt, tw);
-            // No tile is written: the panel's V comes from `v` through
-            // `pack_tile`, and only the T steps run.
-            let mut p = Panel {
-                arm,
-                b,
-                s,
-                w,
-                r0,
-                rows,
-                stacked,
-                tri,
-                top: &mut [],
-                bottom: None,
-                t: &mut *tw,
-                vp,
-                vpt,
-                wa,
-                wb,
-                tc: &mut [],
-            };
-            p.pack_tile(v);
-            p.rebuild(s, e, tau);
-            store_t(ib, s, w, tw, t);
-        }
-    });
-}
-
-/// Where packed V starts and how many rows it has for the panel `s..e`:
-/// it is indexed by tile row − `r0`.
-fn panel_rows(b: usize, s: usize, e: usize, stacked: bool, tri: bool) -> (usize, usize) {
-    match (stacked, tri) {
-        (false, _) => (s, b - s),
-        (true, false) => (0, b),
-        (true, true) => (0, e),
-    }
-}
-
-/// Zero what a panel's gemms read before anything is packed: its T, and
-/// for GEQRT and TTQRT the packed V, whose masks reach zeros the panel
-/// never packs (a TSQRT panel packs all `b` rows of every reflector).
-fn clean(stacked: bool, tri: bool, vp: &mut [f64], vpt: &mut [f64], tw: &mut [f64]) {
-    if !stacked || tri {
-        vp.fill(0.0);
-        vpt.fill(0.0);
-    }
-    tw.fill(0.0);
-}
-
-/// The `w × w` T of the panel at column `s` leaves as its packed upper
-/// triangle, at its place in `t`.
-fn store_t(ib: usize, s: usize, w: usize, tw: &[f64], t: &mut [f64]) {
-    let mut at = 0;
-    let packed = &mut t[t_len(s, ib)..t_len(s + w, ib)];
-    for (j, col) in tw.chunks_exact(w).enumerate() {
-        packed[at..=at + j].copy_from_slice(&col[..=j]);
-        at += j + 1;
-    }
-}
-
-/// Where the recursion splits columns `c0..c1`: the left half, rounded
-/// down to whole microkernel row blocks.
-fn split(c0: usize, c1: usize) -> usize {
-    c0 + ((c1 - c0) / 2 / BASE * BASE).max(BASE)
 }
 
 /// One `ib` panel in flight: the tiles, the panel's T (a zeroed `w × w`
@@ -245,8 +174,6 @@ struct Panel<'a> {
     w: usize,
     r0: usize,
     rows: usize,
-    /// V̂ = [I; V] over a second tile (TSQRT, TTQRT), not in the tile itself.
-    stacked: bool,
     tri: bool,
     top: &'a mut [f64],
     bottom: Option<&'a mut [f64]>,
@@ -262,19 +189,19 @@ impl Panel<'_> {
     /// Rows of the tail tile (the tile itself for GEQRT, `A2` otherwise)
     /// holding the stored part of `v_j`.
     fn vtail(&self, j: usize) -> (usize, usize) {
-        match (self.stacked, self.tri) {
-            (false, _) => (j + 1, self.b),
-            (true, false) => (0, self.b),
-            (true, true) => (0, j + 1),
+        match (&self.bottom, self.tri) {
+            (None, _) => (j + 1, self.b),
+            (Some(_), false) => (0, self.b),
+            (Some(_), true) => (0, j + 1),
         }
     }
 
     /// Rows of the tail tile on which reflectors `c0..c1` can be nonzero.
     fn span(&self, c0: usize, c1: usize) -> (usize, usize) {
-        match (self.stacked, self.tri) {
-            (false, _) => (c0, self.b),
-            (true, false) => (0, self.b),
-            (true, true) => (0, c1),
+        match (&self.bottom, self.tri) {
+            (None, _) => (c0, self.b),
+            (Some(_), false) => (0, self.b),
+            (Some(_), true) => (0, c1),
         }
     }
 
@@ -291,16 +218,23 @@ impl Panel<'_> {
         move |i, j| (i - s) + (j - s) * w
     }
 
-    /// Factor columns `c0..c1`, leaving R and V in the tiles, T in `t`.
-    fn factor(&mut self, c0: usize, c1: usize) {
-        let n = c1 - c0;
-        if n <= BASE {
-            return self.factor_base(c0, c1);
+    /// Factor columns `c0..c1`, leaving R and V in the tiles, T in `t`;
+    /// given the tile `v` the kernel left V in and τ, make only their T.
+    fn factor(&mut self, c0: usize, c1: usize, rebuild: Option<(&[f64], &[f64])>) {
+        if c1 - c0 <= BASE {
+            let Some((v, tau)) = rebuild else { return self.factor_base(c0, c1) };
+            let tix = self.t_index();
+            (c0..c1).for_each(|j| self.t[tix(j, j)] = tau[j]);
+            self.pack(c0, c1, Some(v));
+            return self.t_base(c0, c1);
         }
-        let mid = split(c0, c1);
-        self.factor(c0, mid);
-        self.apply(c0, mid, mid, c1);
-        self.factor(mid, c1);
+        // Left width: half, rounded down to whole microkernel row blocks.
+        let mid = c0 + ((c1 - c0) / 2 / BASE * BASE).max(BASE);
+        self.factor(c0, mid, rebuild);
+        if rebuild.is_none() {
+            self.apply(c0, mid, mid, c1);
+        }
+        self.factor(mid, c1, rebuild);
         self.merge_t(c0, mid, c1);
     }
 
@@ -339,19 +273,19 @@ impl Panel<'_> {
             self.top[j + j * b] = beta;
             self.t[tix(j, j)] = tau;
         }
-        self.pack(c0, c1);
+        self.pack(c0, c1, None);
         self.t_base(c0, c1);
     }
 
-    /// T of the block `c0..c1` of at most [`BASE`] packed reflectors, whose
-    /// τ is on T's diagonal, from its Gram matrix G = VᵀV:
+    /// T of the block `c0..c1` of packed reflectors, τ on its diagonal,
+    /// from its Gram matrix G = VᵀV:
     /// T[c0..j, j] = −τ_j · T[c0..j, c0..j] · G[c0..j, j].
     fn t_base(&mut self, c0: usize, c1: usize) {
         let (arm, tix) = (self.arm, self.t_index());
         let n = c1 - c0;
         let (lo, hi) = self.span(c0, c1);
         let (pv, pvt) = self.packed(lo, c0);
-        let mask = if self.stacked { MaskA::Full } else { MaskA::Upper };
+        let mask = if self.bottom.is_some() { MaskA::Full } else { MaskA::Upper };
         let g = &mut self.wa[..n * n];
         gemm_core(
             arm,
@@ -380,55 +314,18 @@ impl Panel<'_> {
         }
     }
 
-    /// The T of columns `c0..c1` from their packed V and τ: the T steps of
-    /// [`Panel::factor`] alone.
-    fn rebuild(&mut self, c0: usize, c1: usize, tau: &[f64]) {
-        if c1 - c0 <= BASE {
-            let tix = self.t_index();
-            for (j, &x) in (c0..c1).zip(&tau[c0..c1]) {
-                self.t[tix(j, j)] = x;
-            }
-            return self.t_base(c0, c1);
-        }
-        let mid = split(c0, c1);
-        self.rebuild(c0, mid, tau);
-        self.rebuild(mid, c1, tau);
-        self.merge_t(c0, mid, c1);
-    }
-
-    /// Copy all the panel's reflectors from `v`, the tile the kernel left
-    /// them in, into `vp`, then into `vpt` with one transpose: what
-    /// [`Panel::pack`] does block by block as the kernel makes them.
-    fn pack_tile(&mut self, v: &[f64]) {
-        let (b, s, e) = (self.b, self.s, self.s + self.w);
-        for j in s..e {
-            let (lo, hi) = self.vtail(j);
-            let (pv, _) = self.packed(lo, j);
-            if !self.stacked {
-                self.vp[self.packed(j, j).0] = 1.0;
-            }
-            self.vp[pv..pv + hi - lo].copy_from_slice(&v[lo + j * b..hi + j * b]);
-        }
-        let (lo, hi) = self.span(s, e);
-        let (pv, pvt) = self.packed(lo, s);
-        let (vp, vpt) = (&self.vp[pv..], &mut self.vpt[pvt..]);
-        transpose(self.arm, hi - lo, self.w, vp, self.rows, vpt, self.w);
-    }
-
-    /// Copy reflectors `c0..c1` from the tiles into `vp`, then into `vpt`
-    /// with one transpose of the block.
-    fn pack(&mut self, c0: usize, c1: usize) {
+    /// Copy reflectors `c0..c1` into `vp`, then into `vpt` with one
+    /// transpose of the block: from the tiles, or from `v`, the tile the
+    /// kernel left them in.
+    fn pack(&mut self, c0: usize, c1: usize, v: Option<&[f64]>) {
         let b = self.b;
         for j in c0..c1 {
             let (lo, hi) = self.vtail(j);
             let (pv, _) = self.packed(lo, j);
-            let tail = match &self.bottom {
-                Some(a2) => &a2[..],
-                None => {
-                    self.vp[self.packed(j, j).0] = 1.0;
-                    &self.top[..]
-                }
-            };
+            if self.bottom.is_none() {
+                self.vp[self.packed(j, j).0] = 1.0;
+            }
+            let tail = v.unwrap_or(self.bottom.as_deref().unwrap_or(&*self.top));
             self.vp[pv..pv + hi - lo].copy_from_slice(&tail[lo + j * b..hi + j * b]);
         }
         let (lo, hi) = self.span(c0, c1);

@@ -551,11 +551,8 @@ impl CoordState<'_> {
         });
         let (mut result, mut factors, seen) = out.into_inner().expect("gather lock");
         let tau_len = hqr_kernels::tau_len(graph.b());
-        let gathered = |&(fam, ..): &Slot| match fam {
-            SlotFamily::A => SlotFamily::A.slot_len(graph.b(), self.ib) as u64,
-            _ => tau_len as u64,
-        };
-        let floats = seen.iter().map(gathered).sum();
+        let (tiles, taus): (Vec<Slot>, Vec<Slot>) = seen.iter().partition(|s| s.0 == SlotFamily::A);
+        let floats = self.floats(tiles.into_iter()) + (taus.len() * tau_len) as u64;
         self.count_frames(seen.len() as u64, floats, true);
         // A broken stream reports no pushes; what it lacks is rebuilt here.
         for (pushes, push_floats) in streamed.into_iter().flatten() {
@@ -568,11 +565,11 @@ impl CoordState<'_> {
             let closure = rebuild_closure(graph, &self.completed, &unreachable);
             let rebuilt = recompute_slots(graph, self.input, self.ib, &closure, &unreachable);
             for (slot, data) in rebuilt.map_err(NetError::Recovery)? {
-                if slot.0 == SlotFamily::A {
-                    home(&mut result, &mut factors, slot, data.len())?.copy_from_slice(&data);
-                } else {
-                    let tau = home(&mut result, &mut factors, slot, tau_len)?;
-                    hqr_kernels::tau_from_t(graph.b(), self.ib, &data, tau);
+                let len = if slot.0 == SlotFamily::A { data.len() } else { tau_len };
+                let dst = home(&mut result, &mut factors, slot, len)?;
+                match slot.0 {
+                    SlotFamily::A => dst.copy_from_slice(&data),
+                    _ => hqr_kernels::tau_from_t(graph.b(), self.ib, &data, dst),
                 }
             }
         }

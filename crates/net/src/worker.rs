@@ -64,8 +64,7 @@ pub struct WorkerOptions {
     /// Sleep this long inside every task (slow-but-alive simulation).
     pub slow_task_ms: u64,
     /// Panic inside the kernel attempt of this task (by id) when it runs
-    /// here: a kernel bug, caught by the attempt and reported as this
-    /// worker's failure at the coordinator's next progress poll.
+    /// here: a kernel bug, which the coordinator's next poll reports.
     pub panic_on_task: Option<u64>,
 }
 
@@ -482,14 +481,11 @@ impl Run {
             if run.as_ref().is_some_and(|run| run.mine[w as usize]) {
                 let shard = self.shard.lock().expect("shard lock");
                 let held = shard.get(&slot).map(|buf| {
-                    let data = match slot.0 {
-                        SlotFamily::A => &buf[..],
-                        _ => {
-                            hqr_kernels::tau_from_t(self.graph.b(), self.ib, buf, &mut tau);
-                            &tau[..]
-                        }
-                    };
-                    encode_into(&mut frame, &put_frame(slot, data))
+                    if slot.0 == SlotFamily::A {
+                        return encode_into(&mut frame, &put_frame(slot, buf));
+                    }
+                    hqr_kernels::tau_from_t(self.graph.b(), self.ib, buf, &mut tau);
+                    encode_into(&mut frame, &put_frame(slot, &tau))
                 });
                 drop(shard);
                 // A slot that is not here is the coordinator's to rebuild.

@@ -30,7 +30,7 @@
 //! engine releases tasks through the same [`Frontier`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -54,24 +54,13 @@ use crate::lineage::Slot;
 use crate::sched::{self, SchedPolicy};
 use crate::store::{RunPlan, TileStore};
 use crate::task::{SlotFamily, Task};
-use hqr_kernels::{KernelKind, Trans};
+use hqr_kernels::{KernelClass, KernelKind, Trans};
 use hqr_tile::TiledMatrix;
 
-/// What a factorization keeps besides the factored matrix: for each GEQRT
-/// and each kill kernel, the τ of its reflectors — the diagonal of its T
-/// factor, `hqr_kernels::tau_len(b)` doubles. With the factored matrix (R
-/// in the upper triangle, V and V2 blocks below and in place) and the
-/// elimination list, τ fully determines Q — the representation LAPACK's
-/// `dgeqrf` keeps.
-///
-/// T itself is run storage ([`TSet`]): a run computes the full T of every
-/// factor kernel and its updates read it, and the run keeps τ when it
-/// ends. Where Q is applied again ([`try_apply_q`], a resumed job), T is
-/// rebuilt bit for bit from V and τ (`hqr_kernels::t_from_tau`) with the
-/// inner block size `ib` recorded here. GEQRT's V copies (`Vg`) are not
-/// here either: they are scratch of the run that made them (see
-/// [`TileStore::release`]), and the factored tile A(i,k) keeps V in its
-/// strict lower triangle.
+/// The τ of each GEQRT and kill kernel of a factorization, `tau_len(b)`
+/// doubles: with the factored matrix (R above, V below) and the elimination
+/// list, all of Q, as LAPACK's `dgeqrf` keeps it. T and the V copies are
+/// run storage; `hqr_kernels::t_from_tau` rebuilds T from V and τ at `ib`.
 #[derive(Clone)]
 pub struct TFactors {
     pub(crate) b: usize,
@@ -111,8 +100,8 @@ fn is_t(fam: SlotFamily) -> bool {
 /// One buffer per T slot of a `mt × nt` tile matrix, indexed `i + k·mt`.
 type Family = Vec<Option<Box<[f64]>>>;
 
-/// The `Tg` and `Tk` families with a zeroed `len`-double buffer for each
-/// T slot among `slots` (each once).
+/// `Tg` and `Tk` with a zeroed `len`-double buffer for each T slot among
+/// `slots`.
 fn t_families(graph: &TaskGraph, len: usize, slots: impl Iterator<Item = Slot>) -> [Family; 2] {
     let mt = graph.mt();
     let mut families = [(); 2].map(|()| (0..mt * graph.nt()).map(|_| None).collect::<Family>());
@@ -159,8 +148,7 @@ impl VReaders {
 }
 
 /// The tasks done in `completed` that write a slot of `family` which a
-/// task not done still reads, as task indices: what a run resumed there
-/// needs of that family from before it.
+/// task not done still reads: what a run resumed there needs from before.
 fn live_writers(graph: &TaskGraph, completed: &[bool], family: fn(SlotFamily) -> bool) -> Vec<u32> {
     let tasks = graph.tasks().iter().enumerate();
     let pending = tasks.clone().filter(|&(t, _)| !completed[t]);
@@ -178,13 +166,6 @@ pub fn live_v_copies(graph: &TaskGraph, completed: &[bool]) -> Vec<u32> {
     live_writers(graph, completed, |fam| fam == SlotFamily::Vg)
 }
 
-/// The factor tasks done in `completed` whose T a task not done still
-/// reads, as task indices: the T factors a run resumed there rebuilds from
-/// the factored tiles and τ.
-pub(crate) fn live_t_factors(graph: &TaskGraph, completed: &[bool]) -> Vec<u32> {
-    live_writers(graph, completed, is_t)
-}
-
 impl TFactors {
     /// No buffer at all: the families a decoder fills.
     pub(crate) fn empty(mt: usize, nt: usize, b: usize, ib: usize) -> Self {
@@ -192,16 +173,14 @@ impl TFactors {
         TFactors { b, ib, mt, nt, tg: none(), tk: none() }
     }
 
-    /// Allocate, zero-filled, a τ for every factor slot the graph's tasks
-    /// write, for a run with inner block size `ib`.
+    /// A zeroed τ for every factor slot the graph writes, at `ib`.
     pub fn allocate_for(graph: &TaskGraph, ib: usize) -> Self {
         let (b, mt, nt) = (graph.b(), graph.mt(), graph.nt());
         let [tg, tk] = t_families(graph, hqr_kernels::tau_len(b), factor_slots(graph));
         TFactors { b, ib, mt, nt, tg, tk }
     }
 
-    /// Inner block size of the run that made the factors, which every T
-    /// rebuilt from them uses.
+    /// Inner block size of the run, which every rebuilt T uses.
     pub fn ib(&self) -> usize {
         self.ib
     }
@@ -214,7 +193,7 @@ impl TFactors {
         }
     }
 
-    /// Put the τ of T factor `t` of slot `idx` of `fam` in place.
+    /// Keep the τ of T factor `t` of slot `idx` of `fam`.
     pub(crate) fn put_tau_of(&mut self, fam: SlotFamily, idx: usize, t: &[f64]) {
         let (b, ib) = (self.b, self.ib);
         let family = self.family_mut(fam).expect("a factor family");
@@ -259,9 +238,8 @@ impl TFactors {
 
     /// Bit-exact equality of every τ (comparing `f64::to_bits`, so
     /// `-0.0 != 0.0` and NaNs compare by payload) — the check behind the
-    /// "resume is bitwise-identical" guarantee. On a fixed dispatch arm, T
-    /// is a function of V and τ, so equal factored tiles and equal τ mean
-    /// equal T factors.
+    /// "resume is bitwise-identical" guarantee. T is a function of V and τ
+    /// on a fixed arm, so equal tiles and τ mean equal T.
     pub fn bitwise_eq(&self, other: &TFactors) -> bool {
         fn family_eq(a: &[Option<Box<[f64]>>], b: &[Option<Box<[f64]>>]) -> bool {
             a.len() == b.len()
@@ -283,11 +261,8 @@ impl TFactors {
     }
 }
 
-/// The T set of one run: the full T factor, `hqr_kernels::t_len(b, ib)`
-/// doubles, of each factor slot the run touches, indexed as a
-/// [`TFactors`]' families. Run storage: a tile store owns it, the run's
-/// kernels write and read it, and the run keeps only τ when it ends
-/// ([`TileStore::unpage`]).
+/// A run's T factors, `t_len(b, ib)` doubles per slot, indexed as
+/// [`TFactors`]; the run keeps only their τ ([`TileStore::unpage`]).
 pub(crate) struct TSet {
     pub(crate) tg: Family,
     pub(crate) tk: Family,
@@ -295,68 +270,43 @@ pub(crate) struct TSet {
 
 impl TSet {
     /// A zeroed T for each T slot among `slots`.
-    pub(crate) fn allocate(
-        graph: &TaskGraph,
-        ib: usize,
-        slots: impl Iterator<Item = Slot>,
-    ) -> Self {
+    pub(crate) fn zeroed(graph: &TaskGraph, ib: usize, slots: impl Iterator<Item = Slot>) -> Self {
         let [tg, tk] = t_families(graph, hqr_kernels::t_len(graph.b(), ib), slots);
         TSet { tg, tk }
     }
 
-    /// The T set a run of `graph` from `completed` starts with: a zeroed
-    /// T for every factor slot a task not done touches (none for a paged
-    /// store, which creates each at its first pin), and the T of every
-    /// done factor task a task not done reads ([`live_t_factors`]),
-    /// rebuilt from its factored tile in `a` and its τ in `f`.
-    pub(crate) fn for_run(
-        graph: &TaskGraph,
-        a: &TiledMatrix,
-        f: &TFactors,
-        completed: Option<&[bool]>,
-        paged: bool,
-    ) -> Self {
+    /// The T set the run `plan` starts with: a zeroed T for each factor
+    /// slot a task not done touches (none when paged: a pin makes it), and
+    /// each T a task not done reads, rebuilt from `a` and `f`.
+    pub(crate) fn for_run(plan: &RunPlan<'_>, a: &TiledMatrix, f: &TFactors, paged: bool) -> Self {
+        let RunPlan { graph, completed, .. } = *plan;
         let pending =
             graph.tasks().iter().enumerate().filter(|&(t, _)| !completed.is_some_and(|c| c[t]));
         let touched = pending.flat_map(|(_, t)| t.writes().into_iter().chain(t.reads()));
-        let mut set = TSet::allocate(graph, f.ib, touched.filter(|_| !paged));
-        let live = completed.map_or_else(Vec::new, |done| live_t_factors(graph, done));
-        let tasks = live.into_iter().map(|t| &graph.tasks()[t as usize]);
-        set.rebuild(
-            a,
-            f,
-            tasks.flat_map(|t| t.writes().into_iter().filter(|s| is_t(s.0)).map(|s| (s, t.kind))),
-        );
+        let mut set = TSet::zeroed(graph, f.ib, touched.filter(|_| !paged));
+        let live = completed.map_or_else(Vec::new, |done| live_writers(graph, done, is_t));
+        set.rebuild(a, f, &live.into_iter().map(|t| graph.tasks()[t as usize]).collect::<Vec<_>>());
         set
     }
 
-    /// Rebuild the T of each `(slot, factor kernel)` of `made` from the
-    /// factored tile A(i,k) of `a`, where the kernel left V, and the
-    /// slot's τ in `f` (`hqr_kernels::t_from_tau`).
-    pub(crate) fn rebuild(
-        &mut self,
-        a: &TiledMatrix,
-        f: &TFactors,
-        made: impl Iterator<Item = (Slot, KernelKind)>,
-    ) {
-        let (b, ib, mt) = (f.b, f.ib, f.mt);
-        for ((fam, i, k), kind) in made {
+    /// Rebuild each T a task of `tasks` writes or reads, for the factor
+    /// kernel that made it, from its factored tile A(i,k) and its τ in `f`.
+    pub(crate) fn rebuild(&mut self, a: &TiledMatrix, f: &TFactors, tasks: &[Task]) {
+        let (b, ib, len) = (f.b, f.ib, hqr_kernels::t_len(f.b, f.ib));
+        let touched =
+            tasks.iter().flat_map(|t| t.writes().into_iter().chain(t.reads()).map(move |s| (s, t)));
+        let made: BTreeMap<Slot, KernelClass> =
+            touched.filter(|(s, _)| is_t(s.0)).map(|(s, t)| (s, t.kind.class())).collect();
+        for ((fam, i, k), class) in made {
+            let kind = match (fam, class) {
+                (SlotFamily::Tg, _) => KernelKind::Geqrt,
+                (_, KernelClass::Tt) => KernelKind::Ttqrt,
+                (_, KernelClass::Ts) => KernelKind::Tsqrt,
+            };
             let tau = f.slot(fam, i, k).expect("a factorization keeps τ for every factor slot");
             let family = if fam == SlotFamily::Tg { &mut self.tg } else { &mut self.tk };
-            let len = hqr_kernels::t_len(b, ib);
-            let t = family[i + k * mt].get_or_insert_with(|| vec![0.0; len].into());
+            let t = family[i + k * f.mt].get_or_insert_with(|| vec![0.0; len].into());
             hqr_kernels::t_from_tau(kind, b, ib, a.tile(i, k), tau, t);
-        }
-    }
-
-    /// Write the τ of every T the set holds into `f`.
-    pub(crate) fn taus_into(&self, f: &mut TFactors) {
-        for (fam, family) in [(SlotFamily::Tg, &self.tg), (SlotFamily::Tk, &self.tk)] {
-            for (idx, t) in family.iter().enumerate() {
-                if let Some(t) = t {
-                    f.put_tau_of(fam, idx, t);
-                }
-            }
         }
     }
 }
@@ -371,7 +321,7 @@ pub fn execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> TFactors {
 /// `ib == b` selects the unblocked kernels.
 pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> TFactors {
     let mut f = TFactors::allocate_for(graph, ib);
-    let mut store = TileStore::new(a, ib, TSet::allocate(graph, ib, factor_slots(graph)));
+    let mut store = TileStore::new(a, ib, TSet::zeroed(graph, ib, factor_slots(graph)));
     let readers = VReaders::new(graph, None);
     for t in graph.tasks() {
         // SAFETY: single-threaded, topological order.
@@ -1280,9 +1230,7 @@ pub(crate) fn run_engine(
             ),
         });
     }
-    // The store allocates the run's T set (see `TSet::for_run`); the run
-    // keeps τ. A resumed run here is a lineage closure, closed under
-    // ancestors, so it reads no T from before it.
+    // The store makes the T set; a lineage closure here reads no older T.
     let mut f = TFactors::allocate_for(graph, ib);
     let epoch = Instant::now();
     let policy = RunPolicy::of(opts);
@@ -1379,28 +1327,6 @@ pub fn try_apply_q(
     run_apply(&graph, factored, factors, c, opts)
 }
 
-/// The T set an apply-Q `graph` reads, rebuilt from the factored tiles and
-/// τ: each T slot once, for the factor kernel whose updates read it.
-fn apply_t_set(graph: &TaskGraph, factored: &TiledMatrix, factors: &TFactors) -> TSet {
-    let made_by = |kind| match kind {
-        KernelKind::Unmqr => KernelKind::Geqrt,
-        KernelKind::Tsmqr => KernelKind::Tsqrt,
-        _ => KernelKind::Ttqrt,
-    };
-    let mut slots: Vec<(Slot, KernelKind)> = graph
-        .tasks()
-        .iter()
-        .flat_map(|t| {
-            t.reads().into_iter().filter(|s| is_t(s.0)).map(move |s| (s, made_by(t.kind)))
-        })
-        .collect();
-    slots.sort_unstable_by_key(|&(s, _)| s);
-    slots.dedup_by_key(|&mut (s, _)| s);
-    let mut set = TSet::allocate(graph, factors.ib, std::iter::empty());
-    set.rebuild(factored, factors, slots.into_iter());
-    set
-}
-
 /// Per column tile of `c`, the last tile row holding a bit pattern other
 /// than +0 (`None` for a column of +0 only).
 fn last_nonzero_rows(c: &TiledMatrix) -> Vec<Option<usize>> {
@@ -1417,8 +1343,10 @@ fn run_apply(
     opts: &ExecOptions,
 ) -> Result<FaultStats, ExecError> {
     let epoch = Instant::now();
-    let store =
-        TileStore::for_apply(factored, factors.ib, apply_t_set(graph, factored, factors), c);
+    // The T factors the graph reads, rebuilt from the factored tiles and τ.
+    let mut t = TSet::zeroed(graph, factors.ib, std::iter::empty());
+    t.rebuild(factored, factors, graph.tasks());
+    let store = TileStore::for_apply(factored, factors.ib, t, c);
     let (run, frontier) = DagRun::new(graph, store, &RunPolicy::of(opts), None);
     drive(graph, &run, frontier, opts, false, epoch).map(|(stats, _)| stats)
 }
@@ -1598,11 +1526,8 @@ fn drive(
                         )));
                     }
                 }
-                // The run is done or halted: the watchdog need not finish
-                // its nap before the scope joins it.
-                if let Some(w) = watchdog {
-                    w.unpark();
-                }
+                // Done or halted: the scope joins the watchdog without its nap.
+                watchdog.iter().for_each(std::thread::Thread::unpark);
             });
         }
     });
@@ -1829,7 +1754,7 @@ mod tests {
         let mut a = TiledMatrix::random(mt, nt, b, 80);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut after_geqrt = Vec::new();
-        let store = TileStore::new(&mut a, ib, TSet::allocate(&g, ib, factor_slots(&g)));
+        let store = TileStore::new(&mut a, ib, TSet::zeroed(&g, ib, factor_slots(&g)));
         for t in g.tasks().iter() {
             // SAFETY: single-threaded, topological order.
             unsafe { store.run_task(t, g.trans()) };

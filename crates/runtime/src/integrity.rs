@@ -199,7 +199,7 @@ mod tests {
         let (b, ib) = (8, 4);
         let graph = TaskGraph::build(1, 1, b, &[]);
         let mut a = TiledMatrix::random(1, 1, b, seed);
-        let store = TileStore::new(&mut a, ib, TSet::allocate(&graph, ib, factor_slots(&graph)));
+        let store = TileStore::new(&mut a, ib, TSet::zeroed(&graph, ib, factor_slots(&graph)));
         let t = &graph.tasks()[0];
         let guards = GuardStore::new(1, 1);
         // SAFETY: one thread runs the one task.

@@ -78,11 +78,10 @@ pub fn rebuild_closure(graph: &TaskGraph, completed: &[bool], lost: &[Slot]) -> 
 /// every task outside it marked done, and return the regenerated bytes of
 /// each `wanted` slot. `A`-family slots the closure never writes fall
 /// through to their pristine input tile; a wanted V copy is packed from
-/// its factored tile, as its GEQRT made it; a wanted T is the run's, which
-/// keeps τ, rebuilt from τ and the factored tile
-/// (`hqr_kernels::t_from_tau`) as a resumed run rebuilds it; a wanted
-/// factor slot with no writer in the closure is an error (the caller asked
-/// for a version that never existed), as is a task id outside the graph.
+/// its factored tile, as its GEQRT made it; a wanted T is rebuilt from the
+/// run's τ and the factored tile; a wanted factor slot with no writer in
+/// the closure is an error (the caller asked for a version that never
+/// existed), as is a task id outside the graph.
 pub fn recompute_slots(
     graph: &TaskGraph,
     input: &TiledMatrix,
@@ -109,20 +108,13 @@ pub fn recompute_slots(
     let (f, _, _) =
         run_engine(graph, &mut a, &opts, Some(&done), false).map_err(|e| e.to_string())?;
     let bytes = |&(fam, i, j): &Slot| -> Box<[f64]> {
-        let tau = || f.slot(fam, i, j).expect("the run keeps τ for every factor slot");
         match fam {
             SlotFamily::A => a.tile(i, j).into(),
             SlotFamily::Vg => packed_v(&a, i, j),
             _ => {
-                let mut t = vec![0.0; fam.slot_len(graph.b(), ib)];
-                hqr_kernels::t_from_tau(
-                    written[&(fam, i, j)],
-                    graph.b(),
-                    ib,
-                    a.tile(i, j),
-                    tau(),
-                    &mut t,
-                );
+                let tau = f.slot(fam, i, j).expect("the run keeps τ for every factor slot");
+                let (mut t, kind) = (vec![0.0; fam.slot_len(graph.b(), ib)], written[&(fam, i, j)]);
+                hqr_kernels::t_from_tau(kind, graph.b(), ib, a.tile(i, j), tau, &mut t);
                 t.into()
             }
         }
@@ -135,12 +127,12 @@ mod tests {
     use super::*;
     use crate::elim::ElimOp;
     use crate::exec::{factor_slots, TFactors, TSet};
-    use crate::store::TileStore;
+    use crate::store::{RunPlan, TileStore};
 
     /// Run the first `cut` tasks of `g` on `a` at `ib = b` and return the
     /// T of `slot` as the run holds it (`None` for a tile or a V copy).
     fn run_prefix(g: &TaskGraph, a: &mut TiledMatrix, cut: usize, slot: Slot) -> Option<Vec<f64>> {
-        let store = TileStore::new(a, g.b(), TSet::allocate(g, g.b(), factor_slots(g)));
+        let store = TileStore::new(a, g.b(), TSet::zeroed(g, g.b(), factor_slots(g)));
         for t in &g.tasks()[..cut] {
             // SAFETY: single-threaded, topological order.
             unsafe { store.run_task(t, g.trans()) };
@@ -243,7 +235,9 @@ mod tests {
         let mut done = vec![true; g.tasks().len()];
         done[geqrt] = false;
         let a = TiledMatrix::random(mt, nt, b, 3);
-        let t = TSet::for_run(&g, &a, &TFactors::allocate_for(&g, b), Some(&done), false);
+        let order = Vec::new;
+        let plan = RunPlan { graph: &g, completed: Some(&done), order: &order };
+        let t = TSet::for_run(&plan, &a, &TFactors::allocate_for(&g, b), false);
         let (i, k) = (g.tasks()[geqrt].i as usize, g.tasks()[geqrt].k as usize);
         let held: Vec<Slot> = [(SlotFamily::Tg, &t.tg), (SlotFamily::Tk, &t.tk)]
             .into_iter()

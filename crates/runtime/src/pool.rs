@@ -706,10 +706,9 @@ enum Held {
 }
 
 /// One admitted job: the pool's unit of ownership. The run state's
-/// [`TileStore`] holds raw pointers into the heap buffers owned by `a`
-/// below and by the store's own T set — tiles are independently boxed
-/// slices, so moving this struct (or the `Arc` around it) never
-/// invalidates the store.
+/// [`TileStore`] holds raw pointers into `a`'s heap buffers below — tiles
+/// are independently boxed slices, so moving this struct (or the `Arc`
+/// around it) never invalidates the store.
 struct ActiveJob {
     /// Activation id — unique per *attempt*, so stale queue entries from a
     /// previous incarnation of a retried job can never reach a new one.

@@ -101,7 +101,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hqr_kernels::t_len;
 use hqr_tile::io::{f64_record_len, read_f64_record, write_f64_record, BinFormatError};
 use hqr_tile::TiledMatrix;
 
@@ -795,7 +794,7 @@ impl PagedStore {
         budget: u64,
         dir: Option<&Path>,
     ) -> Result<PagedStore, String> {
-        let RunPlan { graph, completed, .. } = *plan;
+        let RunPlan { graph, .. } = *plan;
         let order = (plan.order)();
         let (mt, nt, b) = (a.mt(), a.nt(), a.b());
         let spf = mt * nt;
@@ -822,16 +821,10 @@ impl PagedStore {
         for (at, &tid) in order.iter().enumerate() {
             position[tid as usize] = at as u32;
         }
-        // Slots some task writes exist; those a completed task touched hold
-        // its output.
-        let (mut exists, mut written) = (vec![false; nslots], vec![false; nslots]);
-        for t in 0..graph.tasks().len() {
-            let done = completed.is_some_and(|c| c[t]);
-            for &entry in &task_slots[task_off[t] as usize..task_off[t + 1] as usize] {
-                let idx = (entry & !WRITES) as usize;
-                exists[idx] |= entry & WRITES != 0;
-                written[idx] |= done;
-            }
+        // Slots some task writes exist.
+        let mut exists = vec![false; nslots];
+        for entry in task_slots.iter().filter(|&&e| e & WRITES != 0) {
+            exists[(entry & !WRITES) as usize] = true;
         }
         // Taken before the tiles they come from.
         let mut vg: Vec<Option<Box<[f64]>>> = (0..spf).map(|_| None).collect();
@@ -846,22 +839,13 @@ impl PagedStore {
                 slots.push(Mutex::new(Slot { buf, dirty: true, exists: true, ..Slot::default() }));
             }
         }
-        for buf in vg {
+        // Then the V copies and the T a resumed run needs (`TSet::for_run`
+        // rebuilds only those); every other slot starts empty.
+        for buf in vg.into_iter().chain(t.tg).chain(t.tk) {
             let exists = exists[slots.len()];
-            debug_assert!(buf.is_none() || exists, "a V copy the graph never writes");
+            debug_assert!(buf.is_none() || exists, "a buffer the graph never writes");
             let dirty = buf.is_some();
             slots.push(Mutex::new(Slot { buf, dirty, exists, ..Slot::default() }));
-        }
-        for fam in [t.tg, t.tk] {
-            for slot in fam {
-                let idx = slots.len();
-                // A factor slot no completed task has touched is still all
-                // zeros, and needs neither memory nor a record.
-                let buf = slot.filter(|_| written[idx]);
-                debug_assert!(buf.is_none() || exists[idx], "a buffer the graph never writes");
-                let dirty = buf.is_some();
-                slots.push(Mutex::new(Slot { buf, dirty, exists: exists[idx], ..Slot::default() }));
-            }
         }
         let core = Arc::new(PagedCore {
             b,
@@ -915,55 +899,46 @@ impl PagedStore {
         Ok(PagedStore { core, prefetcher: Some(prefetcher) })
     }
 
-    /// Fault every tile back in and return it to the matrix, put the τ
-    /// of every T slot this run holds (resident or on disk) in `f`, then
-    /// stop the prefetch thread; the T factors and the V copies still held
-    /// (a halted run's) are dropped. A spilled T is read once, into one
-    /// scratch buffer: it never gets a buffer of its own again. A T slot
-    /// the run never made keeps the τ `f` has. Called exactly once when
-    /// execution (or the owning job) finishes — on success *and* on error
-    /// paths, so callers never observe a hollow matrix. Tiles whose spill
-    /// records fail their checksum are restored as zero buffers, T slots
-    /// as zero τ, and reported in the returned error.
+    /// Fault every slot back in, return the tiles to the matrix and each
+    /// T's τ to `f` (the T is read once and dropped), then stop the prefetch
+    /// thread; V copies still held (a halted run's) are dropped. Called
+    /// exactly once when execution (or the owning job) finishes — on success
+    /// *and* on error paths, so callers never observe a hollow matrix. Slots
+    /// whose spill records fail their checksum are restored as zeros and
+    /// reported in the returned error.
     pub(crate) fn unpage(&mut self, a: &mut TiledMatrix, f: &mut TFactors) -> Result<(), String> {
         self.stop_prefetcher();
         let core = &self.core;
         let (mt, spf) = (core.mt, core.slots_per_family);
         let nt = spf / mt;
         let mut first_err: Option<String> = None;
-        let mut read = |idx: usize, buf: &mut [f64]| {
-            if let Err(e) = core.read_record(idx, buf) {
-                first_err.get_or_insert(e);
-                buf.fill(0.0);
-            }
+        let mut recover = |idx: usize, core: &PagedCore| -> Box<[f64]> {
+            let mut s = lock(&core.slots[idx]);
+            debug_assert!(s.exists, "unpaging an absent slot");
+            s.buf.take().unwrap_or_else(|| {
+                let mut buf = vec![0.0; core.slot_len(idx)].into_boxed_slice();
+                // No record: a factor buffer nothing wrote — zeros.
+                if s.on_disk {
+                    if let Err(e) = core.read_record(idx, &mut buf) {
+                        first_err.get_or_insert(e);
+                        buf.fill(0.0);
+                    }
+                }
+                buf
+            })
         };
         for j in 0..nt {
             for i in 0..mt {
                 let idx = core.slot_index(SlotFamily::A, i, j);
-                let mut s = lock(&core.slots[idx]);
-                let tile = s.buf.take().unwrap_or_else(|| {
-                    let mut buf = vec![0.0; core.slot_len(idx)].into_boxed_slice();
-                    // No record: a tile nothing wrote — zeros.
-                    if s.on_disk {
-                        read(idx, &mut buf);
-                    }
-                    buf
-                });
-                a.put_tile_buf(i, j, tile);
+                a.put_tile_buf(i, j, recover(idx, core));
             }
         }
-        let mut scratch = vec![0.0; t_len(core.b, core.ib)];
         for fam in [SlotFamily::Tg, SlotFamily::Tk] {
             for at in 0..spf {
                 let idx = core.slot_index(fam, at % mt, at / mt);
-                let mut s = lock(&core.slots[idx]);
-                match s.buf.take() {
-                    Some(t) => f.put_tau_of(fam, at, &t),
-                    None if s.on_disk => {
-                        read(idx, &mut scratch);
-                        f.put_tau_of(fam, at, &scratch);
-                    }
-                    None => {}
+                let held = lock(&core.slots[idx]).buf.is_some() || lock(&core.slots[idx]).on_disk;
+                if held {
+                    f.put_tau_of(fam, at, &recover(idx, core));
                 }
             }
         }
@@ -1021,7 +996,7 @@ mod tests {
             (0..g.tasks().len() as u32).filter(left).collect()
         };
         let plan = RunPlan { graph: g, completed, order: &order };
-        let t = TSet::for_run(g, a, f, completed, true);
+        let t = TSet::for_run(&plan, a, f, true);
         PagedStore::build(a, t, f.ib(), &plan, budget, None).unwrap()
     }
 

@@ -17,7 +17,7 @@
 //!   resident working set bounded by a byte budget, evicted by furthest
 //!   next use over the task graph's program order and refilled by a
 //!   prefetcher walking the same order, and a spill file for the rest.
-//!   That is why [`TileStore::open`] takes the graph: residency is decided
+//!   That is why `TileStore::open` takes the graph: residency is decided
 //!   from the schedule, not from past accesses. The executor pins every
 //!   slot a task touches ([`TileStore::pin_task`]) before running it —
 //!   faulting misses in from disk — and releases the pins when the
@@ -39,11 +39,8 @@
 //! the copies its pending readers need ([`crate::exec::live_v_copies`]),
 //! rebuilt from the factored tiles ([`hqr_kernels::pack_v`]), whose strict
 //! lower triangles no later kernel rewrites.
-//!
-//! The T factors are run storage too: the store owns the run's T set
-//! ([`TSet`]), and [`TileStore::unpage`] keeps each T's τ and drops the T.
-//! A resumed run starts with the T its pending readers need, rebuilt from
-//! the factored tiles and τ ([`TSet::for_run`]).
+//! The store owns the run's T set too (`TSet`); [`TileStore::unpage`]
+//! keeps each T's τ and drops the T.
 
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
@@ -72,8 +69,7 @@ pub struct TileStore {
     a: Vec<*mut f64>,
     tg: Vec<*mut f64>,
     tk: Vec<*mut f64>,
-    /// The T set `tg` and `tk` point into (flat and apply backings), until
-    /// [`TileStore::unpage`] keeps its τ.
+    /// The T set `tg` and `tk` point into, until [`TileStore::unpage`].
     t: Option<TSet>,
     /// The flat backing's V copies; `None` for the other backings and for
     /// an apply store, whose `Vg` slots are the factored tiles.
@@ -265,12 +261,11 @@ impl TileStore {
         }
     }
 
-    /// [`TileStore::new`] for the run `plan` describes, from a matrix and
-    /// the τ `f` of the tasks `plan` marks done: a resumed run starts with
-    /// the V copies and the T factors its pending readers need, rebuilt
-    /// from the factored tiles (and τ).
+    /// [`TileStore::new`] for the run `plan` describes: a resumed run
+    /// starts with the V copies and T its pending readers need, rebuilt
+    /// from the factored tiles (and the τ in `f`).
     pub(crate) fn resident(a: &mut TiledMatrix, f: &TFactors, plan: &RunPlan<'_>) -> Self {
-        let t = TSet::for_run(plan.graph, a, f, plan.completed, false);
+        let t = TSet::for_run(plan, a, f, false);
         let store = Self::new(a, f.ib, t);
         if let Some(v) = &store.v {
             let mut v = relock(v);
@@ -296,24 +291,19 @@ impl TileStore {
         TileStore { b, ib, mt: 0, v_len, a, tg, tk, t: None, v: None, paged: None, shard }
     }
 
-    /// A store over `[factored | c]` for a [`TaskGraph::apply_q`] graph,
-    /// with the T set `t` (inner block size `ib`) rebuilt for it: A-table
-    /// columns `< nt` are the factored tiles, which that graph's tasks only
-    /// read — so they are borrowed, not copied — and columns `≥ nt` are
-    /// `c`'s tiles. A `(Vg, i, k)` slot is the factored tile A(i,k) itself,
-    /// `b²` long, which UNMQR reads as the public `unmqr` does. Only a
-    /// graph whose tasks write nothing but `A` slots in columns `≥ nt` may
-    /// run on it: the factored tiles' pointers come from a shared borrow.
-    pub(crate) fn for_apply(
-        factored: &TiledMatrix,
-        ib: usize,
-        mut t: TSet,
-        c: &mut TiledMatrix,
-    ) -> Self {
-        assert_eq!((c.mt(), c.b()), (factored.mt(), factored.b()), "C/factored shape mismatch");
-        let (b, mt) = (factored.b(), factored.mt());
-        let tile_ptr = |k: usize| factored.tile(k % mt, k / mt).as_ptr().cast_mut();
-        let mut a: Vec<*mut f64> = (0..mt * factored.nt()).map(tile_ptr).collect();
+    /// A store over `[f | c]` for a [`TaskGraph::apply_q`] graph, with the
+    /// T set `t` (inner block size `ib`) rebuilt for it: A-table columns
+    /// `< nt` are the factored tiles `f`, which that graph's tasks only read
+    /// — so they are borrowed, not copied — and columns `≥ nt` are `c`'s
+    /// tiles. A `(Vg, i, k)` slot is the factored tile A(i,k) itself, `b²`
+    /// long, which UNMQR reads as the public `unmqr` does. Only a graph
+    /// whose tasks write nothing but `A` slots in columns `≥ nt` may run on
+    /// it: the factored tiles' pointers come from a shared borrow.
+    pub(crate) fn for_apply(f: &TiledMatrix, ib: usize, mut t: TSet, c: &mut TiledMatrix) -> Self {
+        assert_eq!((c.mt(), c.b()), (f.mt(), f.b()), "C/factored shape mismatch");
+        let (b, mt) = (f.b(), f.mt());
+        let tile_ptr = |k: usize| f.tile(k % mt, k / mt).as_ptr().cast_mut();
+        let mut a: Vec<*mut f64> = (0..mt * f.nt()).map(tile_ptr).collect();
         a.extend(c.tile_ptrs());
         TileStore {
             b,
@@ -354,7 +344,7 @@ impl TileStore {
             return Ok(Self::resident(a, f, plan));
         };
         let (b, ib, mt) = (a.b(), f.ib, a.mt());
-        let t = TSet::for_run(graph, a, f, plan.completed, true);
+        let t = TSet::for_run(plan, a, f, true);
         Self::check_shapes(a, ib, &t);
         assert_eq!((a.mt(), a.nt()), (graph.mt(), graph.nt()), "matrix/graph shape mismatch");
         let paged = PagedStore::build(a, t, ib, plan, budget, spill_dir)?;
@@ -374,20 +364,13 @@ impl TileStore {
     }
 
     /// The conditions the raw views rely on: the T set has a place for
-    /// each tile of the matrix, every T holds `t_len(b, ib)` doubles, and
-    /// `ib` is in `1..=b`; and one the kernels' speed relies on: a T of
-    /// [`LINE_FROM`] bytes or more starts on a cache line.
+    /// each tile, every T holds `t_len(b, ib)` doubles, `ib` is in `1..=b`.
     fn check_shapes(a: &TiledMatrix, ib: usize, t: &TSet) {
         assert!(ib > 0 && ib <= a.b(), "inner block size must be in 1..=b");
         let len = SlotFamily::Tg.slot_len(a.b(), ib);
-        let small = len * std::mem::size_of::<f64>() < LINE_FROM;
         for (fam, family) in [(SlotFamily::Tg, &t.tg), (SlotFamily::Tk, &t.tk)] {
             assert_eq!(family.len(), a.mt() * a.nt(), "matrix/factor shape mismatch");
-            for buf in family.iter().flatten() {
-                assert_eq!(buf.len(), len, "{fam:?} buffer length");
-                let at = buf.as_ptr();
-                assert!(small || (at as usize).is_multiple_of(LINE), "{fam:?} at {at:p}");
-            }
+            assert!(family.iter().flatten().all(|buf| buf.len() == len), "{fam:?} buffer length");
         }
     }
 
@@ -422,7 +405,10 @@ impl TileStore {
     pub fn unpage(&mut self, a: &mut TiledMatrix, f: &mut TFactors) -> Result<(), String> {
         (self.tg, self.tk) = (Vec::new(), Vec::new());
         if let Some(t) = self.t.take() {
-            t.taus_into(f);
+            for (fam, family) in [(SlotFamily::Tg, t.tg), (SlotFamily::Tk, t.tk)] {
+                let held = family.iter().enumerate().filter_map(|(at, t)| Some((at, t.as_ref()?)));
+                held.for_each(|(at, t)| f.put_tau_of(fam, at, t));
+            }
         }
         match self.paged.take() {
             Some(mut paged) => paged.unpage(a, f),
@@ -653,7 +639,7 @@ mod tests {
         let geqrts: Vec<Slot> = written.filter(|s| s.0 == SlotFamily::Vg).collect();
         assert_eq!(geqrts.len(), 5);
         let mut a = TiledMatrix::zeros(mt, nt, b);
-        let store = TileStore::new(&mut a, ib, TSet::allocate(&g, ib, factor_slots(&g)));
+        let store = TileStore::new(&mut a, ib, TSet::zeroed(&g, ib, factor_slots(&g)));
         let starts: Vec<usize> = geqrts.iter().map(|&s| store.slice(s).as_ptr() as usize).collect();
         for (s, start) in geqrts.iter().zip(&starts) {
             assert!(start.is_multiple_of(LINE), "{s:?} at {start:#x}");
@@ -665,6 +651,30 @@ mod tests {
         assert_eq!(store.v_copies_held(), (5, 5));
     }
 
+    /// A run's T factors, which the store drops at `unpage`, start on a
+    /// cache line wherever they are 1 KiB or more (`tests/alignment.rs`
+    /// checks the τ a run leaves): at the benchmark's (128, 32), at
+    /// (200, 48) and, below 1 KiB and left alone, at (16, 4).
+    #[test]
+    fn t_factors_start_on_a_cache_line() {
+        for (b, ib) in [(128, 32), (200, 48), (16, 4)] {
+            let g = TaskGraph::build(
+                3,
+                2,
+                b,
+                &[ElimOp::new(0, 1, 0, true), ElimOp::new(0, 2, 0, false)],
+            );
+            let mut a = TiledMatrix::zeros(3, 2, b);
+            let store = TileStore::new(&mut a, ib, TSet::zeroed(&g, ib, factor_slots(&g)));
+            let t = store.t.as_ref().expect("a flat store owns its T set");
+            for buf in t.tg.iter().chain(&t.tk).flatten() {
+                let small = std::mem::size_of_val(&**buf) < LINE_FROM;
+                assert!(small == (b == 16), "({b}, {ib})");
+                assert!(small || (buf.as_ptr() as usize).is_multiple_of(LINE), "({b}, {ib})");
+            }
+        }
+    }
+
     #[test]
     fn snapshot_rollback_restores_write_set() {
         let (mt, nt, b) = (2, 2, 3);
@@ -672,7 +682,7 @@ mod tests {
         let g = TaskGraph::build(mt, nt, b, &elims);
         let mut a = TiledMatrix::random(mt, nt, b, 5);
         let before = a.to_dense();
-        let store = TileStore::new(&mut a, b, TSet::allocate(&g, b, factor_slots(&g)));
+        let store = TileStore::new(&mut a, b, TSet::zeroed(&g, b, factor_slots(&g)));
         for t in g.tasks() {
             // SAFETY: single-threaded, topological order.
             unsafe {

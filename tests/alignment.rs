@@ -7,8 +7,8 @@
 //! a fresh, random and cloned matrix, and the buffers a paged run faults
 //! back in and hands back through `unpage`; and the τ buffers a run
 //! leaves. A run's T factors are run storage, which the store drops at
-//! `unpage`, so they are checked where the store takes them
-//! (`TileStore::check_shapes`'s `assert!`).
+//! `unpage`, so they are checked in the store
+//! (`store::tests::t_factors_start_on_a_cache_line`).
 //! GEQRT's V copies are scratch a run releases, so they are checked where a
 //! flat store places them in its block (`VCopies::take`'s `assert!`): a
 //! resident run at b = 200, where a copy is not a whole number of lines,
