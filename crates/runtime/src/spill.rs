@@ -912,7 +912,7 @@ impl PagedStore {
         let (mt, spf) = (core.mt, core.slots_per_family);
         let nt = spf / mt;
         let mut first_err: Option<String> = None;
-        let mut recover = |idx: usize, core: &PagedCore| -> Box<[f64]> {
+        let mut recover = |idx: usize| -> Box<[f64]> {
             let mut s = lock(&core.slots[idx]);
             debug_assert!(s.exists, "unpaging an absent slot");
             s.buf.take().unwrap_or_else(|| {
@@ -930,7 +930,7 @@ impl PagedStore {
         for j in 0..nt {
             for i in 0..mt {
                 let idx = core.slot_index(SlotFamily::A, i, j);
-                a.put_tile_buf(i, j, recover(idx, core));
+                a.put_tile_buf(i, j, recover(idx));
             }
         }
         for fam in [SlotFamily::Tg, SlotFamily::Tk] {
@@ -938,7 +938,7 @@ impl PagedStore {
                 let idx = core.slot_index(fam, at % mt, at / mt);
                 let held = lock(&core.slots[idx]).buf.is_some() || lock(&core.slots[idx]).on_disk;
                 if held {
-                    f.put_tau_of(fam, at, &recover(idx, core));
+                    f.put_tau_of(fam, at, &recover(idx));
                 }
             }
         }
