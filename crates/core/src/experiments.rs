@@ -370,9 +370,10 @@ pub struct TreeRow {
     pub predicted: f64,
     /// [`baselines::coarse_parallelism`] of the list.
     pub coarse_parallelism: f64,
-    /// MiB of T factors a run of the list holds, one per GEQRT and per
-    /// kill (a factorization keeps only their τ). GEQRT's V copies are the
-    /// run's scratch too, and V stays in the factored tiles.
+    /// MiB of T factors the list's factor tasks make, one per GEQRT and
+    /// per kill. A run holds only those its schedule keeps live at once (T
+    /// is run scratch, as GEQRT's V copies are), and a factorization keeps
+    /// only their τ; V stays in the factored tiles.
     pub factor_mib: f64,
     pub stats: analysis::DagStats,
 }

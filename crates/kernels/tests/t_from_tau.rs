@@ -8,7 +8,8 @@
 //! levels, ragged last panels and `ib = b`. One case per shape plants a
 //! zero column (its reflector is the identity, τ = 0) before a subnormal
 //! one (the reflector generator's rescaling guard). Both T buffers start
-//! as NaN, so an entry the rebuild leaves unwritten fails as well.
+//! as NaN, so an entry the rebuild leaves unwritten fails as well; and a
+//! kernel's T that starts as NaN ends as one that starts as zeros.
 
 use hqr_kernels::blocked::{geqrt_ib_arm, t_from_tau_arm, tsqrt_ib_arm, ttqrt_ib_arm};
 use hqr_kernels::micro::simd_detected;
@@ -126,6 +127,40 @@ fn t_from_tau_rebuilds_every_factor_kernels_t_bit_for_bit() {
                         assert_eq!(tau[0], 0.0, "{kind:?} b={b}: the zero column's τ");
                         assert!(b == 1 || tau[1] != 0.0, "{kind:?} b={b}: the subnormal column");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Every factor kernel writes every element of its T and reads none: a T
+/// that starts as NaN ends, bit for bit, as one that starts as zeros, and
+/// so do the tiles. So a store that hands a factor task a T buffer another
+/// task left behind need not zero it first.
+#[test]
+fn every_factor_kernel_writes_all_of_its_t() {
+    for arm in arms() {
+        for (b, ib) in SHAPES {
+            for seed in SEEDS {
+                for kind in [KernelKind::Geqrt, KernelKind::Tsqrt, KernelKind::Ttqrt] {
+                    let run = |fill: f64| {
+                        let (mut a1, mut a2) = (tile(b, seed), tile(b, seed + 100));
+                        let mut t = vec![fill; t_len(b, ib)];
+                        match kind {
+                            KernelKind::Geqrt => geqrt_ib_arm(arm, b, ib, &mut a1, &mut t),
+                            KernelKind::Tsqrt => {
+                                a1 = upper(b, &a1, 0.0);
+                                tsqrt_ib_arm(arm, b, ib, &mut a1, &mut a2, &mut t);
+                            }
+                            _ => {
+                                (a1, a2) = (upper(b, &a1, 0.0), upper(b, &a2, 0.0));
+                                ttqrt_ib_arm(arm, b, ib, &mut a1, &mut a2, &mut t);
+                            }
+                        }
+                        [t, a1, a2].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                    };
+                    let what = format!("{kind:?} {arm:?} b={b} ib={ib} seed={seed}");
+                    assert_eq!(run(f64::NAN), run(0.0), "{what}");
                 }
             }
         }

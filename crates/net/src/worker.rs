@@ -38,7 +38,7 @@ use crate::msg::{
     decode_borrowed, decode_tile, encode_into, push_frame, put_frame, recv_msg, send_msg, Msg,
 };
 use crate::pool::TilePool;
-use hqr_runtime::exec::{worker_loop, Attempt, DagRun, GlobalQueue, RunPolicy, SpentV, Worker};
+use hqr_runtime::exec::{worker_loop, Attempt, DagRun, GlobalQueue, RunPolicy, Spent, Worker};
 use hqr_runtime::store::{Shard, TileStore};
 use hqr_runtime::task::SlotFamily;
 use hqr_runtime::{last_writers, live_v_copies, FaultPlan, FaultStats, Slot, Task, TaskGraph};
@@ -107,8 +107,8 @@ struct EpochRun {
 
 impl EpochRun {
     /// Complete `t` and queue the released tasks that run here; returns
-    /// the V copy `t` spent, for [`EpochRun::release`].
-    fn complete(&self, graph: &TaskGraph, t: u32) -> Option<SpentV> {
+    /// the scratch `t` spent, for [`EpochRun::release`].
+    fn complete(&self, graph: &TaskGraph, t: u32) -> Option<Spent> {
         let queue = |s: u32| {
             if self.mine[s as usize] {
                 self.ready.push(s, &self.dag.frontier.ranks);
@@ -117,8 +117,9 @@ impl EpochRun {
         self.dag.complete(graph, t, queue, queue)
     }
 
-    /// Take a spent V copy out of `shard` and give its buffer to `pool`.
-    fn release(&self, pool: &TilePool, shard: &Shard, spent: Option<SpentV>) {
+    /// Take a spent V copy out of `shard` and give its buffer to `pool`; a
+    /// spent T stays in the shard until the gather.
+    fn release(&self, pool: &TilePool, shard: &Shard, spent: Option<Spent>) {
         if let Some(buf) = spent.and_then(|v| self.dag.release(v)) {
             let held = shard.lock().expect("shard lock").len() + 1;
             pool.give([buf], held);

@@ -100,50 +100,59 @@ fn is_t(fam: SlotFamily) -> bool {
 /// One buffer per T slot of a `mt × nt` tile matrix, indexed `i + k·mt`.
 type Family = Vec<Option<Box<[f64]>>>;
 
-/// `Tg` and `Tk` with a zeroed `len`-double buffer for each T slot among
-/// `slots`.
-fn t_families(graph: &TaskGraph, len: usize, slots: impl Iterator<Item = Slot>) -> [Family; 2] {
-    let mt = graph.mt();
-    let mut families = [(); 2].map(|()| (0..mt * graph.nt()).map(|_| None).collect::<Family>());
-    for (fam, i, k) in slots.filter(|s| is_t(s.0)) {
-        let family = &mut families[usize::from(fam == SlotFamily::Tk)];
-        family[i + k * mt].get_or_insert_with(|| vec![0.0; len].into());
-    }
-    families
-}
-
-/// How many tasks that are not done read each V copy, indexed `i + k·mt`
-/// by GEQRT(i,k)'s coordinates: a copy is needed from its GEQRT until the
-/// last of them completes. Counted from the graph; a resumed run leaves
-/// out the readers `completed` marks.
-pub(crate) struct VReaders {
+/// How many tasks that are not done read each scratch slot — GEQRT's V
+/// copy and T (UNMQR reads both), a kill's T (its updates read it) —
+/// indexed `i + k·mt` within the `Vg`, `Tg` and `Tk` families in turn: a
+/// slot is needed from its writer until the last of them completes.
+/// Counted from the graph; a resumed run leaves out the readers
+/// `completed` marks.
+pub(crate) struct Readers {
     pending: Vec<AtomicU32>,
     mt: usize,
+    tiles: usize,
 }
 
-impl VReaders {
+impl Readers {
     pub(crate) fn new(graph: &TaskGraph, completed: Option<&[bool]>) -> Self {
-        let mt = graph.mt();
-        let mut pending = vec![0u32; mt * graph.nt()];
+        let (mt, tiles) = (graph.mt(), graph.mt() * graph.nt());
+        let pending = (0..3 * tiles).map(|_| AtomicU32::new(0)).collect();
+        let mut readers = Readers { pending, mt, tiles };
         for (t, task) in graph.tasks().iter().enumerate() {
-            if task.kind == KernelKind::Unmqr && !completed.is_some_and(|c| c[t]) {
-                pending[task.i as usize + task.k as usize * mt] += 1;
+            if !completed.is_some_and(|c| c[t]) {
+                for s in task.reads() {
+                    if let Some(at) = readers.at(s) {
+                        *readers.pending[at].get_mut() += 1;
+                    }
+                }
             }
         }
-        VReaders { pending: pending.into_iter().map(AtomicU32::new).collect(), mt }
+        readers
     }
 
-    /// Count `t`'s completion: the V copy it was the last pending reader
-    /// of, or — for a GEQRT — its own copy when nothing will read it.
-    pub(crate) fn spend(&self, t: &Task) -> Option<Slot> {
-        let pending = &self.pending[t.i as usize + t.k as usize * self.mt];
-        let last = match t.kind {
-            // Every reader depends on the GEQRT, so none has counted down.
-            KernelKind::Geqrt => pending.load(Ordering::Acquire) == 0,
-            KernelKind::Unmqr => pending.fetch_sub(1, Ordering::AcqRel) == 1,
-            _ => false,
-        };
-        last.then_some((SlotFamily::Vg, t.i as usize, t.k as usize))
+    /// Where scratch slot `s` is counted; `None` for a tile.
+    fn at(&self, (fam, i, k): Slot) -> Option<usize> {
+        let family = (fam as usize).checked_sub(1)?;
+        Some(family * self.tiles + i + k * self.mt)
+    }
+
+    /// Count `t`'s completion: the scratch slots it was the last pending
+    /// reader of, and those it wrote that nothing will read.
+    pub(crate) fn spend(&self, t: &Task) -> Spent {
+        let (mut spent, mut n) = (Spent::default(), 0);
+        let writes = t.writes().into_iter().map(|s| (s, false));
+        for (s, read) in writes.chain(t.reads().into_iter().map(|s| (s, true))) {
+            let Some(at) = self.at(s) else { continue };
+            // Every reader depends on the writer, so none has counted down.
+            let ended = match read {
+                true => self.pending[at].fetch_sub(1, Ordering::AcqRel) == 1,
+                false => self.pending[at].load(Ordering::Acquire) == 0,
+            };
+            if ended {
+                spent.0[n] = Some(s);
+                n += 1;
+            }
+        }
+        spent
     }
 }
 
@@ -175,9 +184,13 @@ impl TFactors {
 
     /// A zeroed τ for every factor slot the graph writes, at `ib`.
     pub fn allocate_for(graph: &TaskGraph, ib: usize) -> Self {
-        let (b, mt, nt) = (graph.b(), graph.mt(), graph.nt());
-        let [tg, tk] = t_families(graph, hqr_kernels::tau_len(b), factor_slots(graph));
-        TFactors { b, ib, mt, nt, tg, tk }
+        let (b, mt) = (graph.b(), graph.mt());
+        let mut f = TFactors::empty(mt, graph.nt(), b, ib);
+        for (fam, i, k) in factor_slots(graph) {
+            let family = f.family_mut(fam).expect("a factor family");
+            family[i + k * mt].get_or_insert_with(|| vec![0.0; hqr_kernels::tau_len(b)].into());
+        }
+        f
     }
 
     /// Inner block size of the run, which every rebuilt T uses.
@@ -191,14 +204,6 @@ impl TFactors {
             SlotFamily::Tk => Some(&mut self.tk),
             SlotFamily::A | SlotFamily::Vg => None,
         }
-    }
-
-    /// Keep the τ of T factor `t` of slot `idx` of `fam`.
-    pub(crate) fn put_tau_of(&mut self, fam: SlotFamily, idx: usize, t: &[f64]) {
-        let (b, ib) = (self.b, self.ib);
-        let family = self.family_mut(fam).expect("a factor family");
-        let tau = family[idx].get_or_insert_with(|| vec![0.0; hqr_kernels::tau_len(b)].into());
-        hqr_kernels::tau_from_t(b, ib, t, tau);
     }
 
     /// Tile size.
@@ -261,38 +266,32 @@ impl TFactors {
     }
 }
 
-/// A run's T factors, `t_len(b, ib)` doubles per slot, indexed as
-/// [`TFactors`]; the run keeps only their τ ([`TileStore::unpage`]).
+/// T factors rebuilt outside the run that made them, `t_len(b, ib)`
+/// doubles per slot, indexed as [`TFactors`]: those an application of Q
+/// reads, and those a resumed run starts with. A run's own T are scratch
+/// ([`TileStore`]).
 pub(crate) struct TSet {
     pub(crate) tg: Family,
     pub(crate) tk: Family,
 }
 
 impl TSet {
-    /// A zeroed T for each T slot among `slots`.
-    pub(crate) fn zeroed(graph: &TaskGraph, ib: usize, slots: impl Iterator<Item = Slot>) -> Self {
-        let [tg, tk] = t_families(graph, hqr_kernels::t_len(graph.b(), ib), slots);
-        TSet { tg, tk }
-    }
-
-    /// The T set the run `plan` starts with: a zeroed T for each factor
-    /// slot a task not done touches (none when paged: a pin makes it), and
-    /// each T a task not done reads, rebuilt from `a` and `f`.
-    pub(crate) fn for_run(plan: &RunPlan<'_>, a: &TiledMatrix, f: &TFactors, paged: bool) -> Self {
+    /// The T a run resumed at `plan.completed` starts with: each one a
+    /// task not done reads and a done task wrote, rebuilt from `a` and `f`.
+    pub(crate) fn for_run(plan: &RunPlan<'_>, a: &TiledMatrix, f: &TFactors) -> Self {
         let RunPlan { graph, completed, .. } = *plan;
-        let pending =
-            graph.tasks().iter().enumerate().filter(|&(t, _)| !completed.is_some_and(|c| c[t]));
-        let touched = pending.flat_map(|(_, t)| t.writes().into_iter().chain(t.reads()));
-        let mut set = TSet::zeroed(graph, f.ib, touched.filter(|_| !paged));
         let live = completed.map_or_else(Vec::new, |done| live_writers(graph, done, is_t));
-        set.rebuild(a, f, &live.into_iter().map(|t| graph.tasks()[t as usize]).collect::<Vec<_>>());
-        set
+        let tasks: Vec<Task> = live.into_iter().map(|t| graph.tasks()[t as usize]).collect();
+        TSet::rebuilt(a, f, &tasks)
     }
 
-    /// Rebuild each T a task of `tasks` writes or reads, for the factor
-    /// kernel that made it, from its factored tile A(i,k) and its τ in `f`.
-    pub(crate) fn rebuild(&mut self, a: &TiledMatrix, f: &TFactors, tasks: &[Task]) {
+    /// The T of each slot a task of `tasks` writes or reads, rebuilt for
+    /// the factor kernel that made it from its factored tile A(i,k) and its
+    /// τ in `f`.
+    pub(crate) fn rebuilt(a: &TiledMatrix, f: &TFactors, tasks: &[Task]) -> Self {
         let (b, ib, len) = (f.b, f.ib, hqr_kernels::t_len(f.b, f.ib));
+        let none = || (0..f.mt * f.nt).map(|_| None).collect();
+        let mut set = TSet { tg: none(), tk: none() };
         let touched =
             tasks.iter().flat_map(|t| t.writes().into_iter().chain(t.reads()).map(move |s| (s, t)));
         let made: BTreeMap<Slot, KernelClass> =
@@ -304,10 +303,11 @@ impl TSet {
                 (_, KernelClass::Ts) => KernelKind::Tsqrt,
             };
             let tau = f.slot(fam, i, k).expect("a factorization keeps τ for every factor slot");
-            let family = if fam == SlotFamily::Tg { &mut self.tg } else { &mut self.tk };
-            let t = family[i + k * f.mt].get_or_insert_with(|| vec![0.0; len].into());
+            let family = if fam == SlotFamily::Tg { &mut set.tg } else { &mut set.tk };
+            let t = family[i + k * f.mt].insert(vec![0.0; len].into());
             hqr_kernels::t_from_tau(kind, b, ib, a.tile(i, k), tau, t);
         }
+        set
     }
 }
 
@@ -321,18 +321,24 @@ pub fn execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> TFactors {
 /// `ib == b` selects the unblocked kernels.
 pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> TFactors {
     let mut f = TFactors::allocate_for(graph, ib);
-    let mut store = TileStore::new(a, ib, TSet::zeroed(graph, ib, factor_slots(graph)));
-    let readers = VReaders::new(graph, None);
+    serial_run(graph, a, &mut f).unpage(a).expect("a resident store reads no spill file");
+    f
+}
+
+/// [`execute_serial_ib`]'s run into `f`, whose store it leaves open.
+fn serial_run(graph: &TaskGraph, a: &mut TiledMatrix, f: &mut TFactors) -> TileStore {
+    let store = TileStore::new(a, f);
+    let readers = Readers::new(graph, None);
     for t in graph.tasks() {
-        // SAFETY: single-threaded, topological order.
-        unsafe { store.run_task(t, graph.trans()) };
-        if let Some(v) = readers.spend(t) {
-            // SAFETY: `t` was the copy's last task; the ones left are later.
-            unsafe { store.release(v) };
+        // SAFETY: single-threaded, topological order; `t` was the last
+        // task of each slot it spends, and the ones left are later.
+        unsafe {
+            store.run_task(t, graph.trans());
+            store.keep_tau(t);
+            readers.spend(t).slots().for_each(|s| drop(store.release(s)));
         }
     }
-    store.unpage(a, &mut f).expect("a resident store reads no spill file");
-    f
+    store
 }
 
 /// One executed task in an execution trace: which lane ran it and when
@@ -925,8 +931,8 @@ impl Frontier {
 /// fault/SDC injection, output-guard verification, rollback + bounded
 /// retry, every failure mapped to its [`ExecError`]) and
 /// [`DagRun::complete`] (the frontier's release rule, and the count of each
-/// V copy's pending readers, whose end [`DagRun::release`] turns into a
-/// free buffer).
+/// scratch slot's pending readers, whose end [`DagRun::release`] turns into
+/// a free buffer).
 ///
 /// The graph is passed to each call rather than stored: the engine borrows
 /// it from its caller, the pool owns it next to this struct.
@@ -945,19 +951,25 @@ pub struct DagRun {
     full_integrity: bool,
     /// Dependency state, priority keys and the release rule.
     pub frontier: Frontier,
-    /// Pending readers of each V copy.
-    v_readers: VReaders,
+    /// Pending readers of each scratch slot.
+    readers: Readers,
     /// Raised to stop the run; re-checked between retry attempts so a long
     /// retry ladder yields promptly instead of burning its whole budget.
     pub halt: AtomicBool,
 }
 
-/// A V copy whose last pending reader has completed, as
-/// [`DagRun::complete`] returns it: no task of the run touches it again,
-/// so [`DagRun::release`] may take its buffer.
-#[must_use = "a spent V copy stays held until it is released"]
-#[derive(Debug, PartialEq, Eq)]
-pub struct SpentV(Slot);
+/// The scratch slots (V copies and T factors, at most two) a completion
+/// spent, as [`DagRun::complete`] returns them: no task of the run touches
+/// them again, so [`DagRun::release`] may take their buffers.
+#[must_use = "a spent scratch slot stays held until it is released"]
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Spent([Option<Slot>; 2]);
+
+impl Spent {
+    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.0.iter().flatten().copied()
+    }
+}
 
 impl DagRun {
     /// Set up the run of the tasks not marked in `completed`, and return it
@@ -978,7 +990,7 @@ impl DagRun {
             recovery: p.max_retries > 0 || p.plan.is_some(),
             full_integrity: p.integrity == IntegrityMode::Full,
             frontier,
-            v_readers: VReaders::new(graph, completed),
+            readers: Readers::new(graph, completed),
             halt: AtomicBool::new(false),
         };
         (run, ready)
@@ -1090,6 +1102,8 @@ impl DagRun {
                     let Some(m) = found else {
                         wstats.tasks_recovered += u32::from(attempt > 0);
                         wstats.sdc_recomputed += u32::from(recomputed_sdc);
+                        // SAFETY: DAG order, as above; the pins still hold.
+                        unsafe { store.keep_tau(t) };
                         return Ok(Attempt::Done { pinned_at });
                     };
                     wstats.sdc_detected += 1;
@@ -1146,18 +1160,18 @@ impl DagRun {
     /// Complete `tid`, which just ran [`Attempt::Done`] (or, on an
     /// `hqr-net` worker, ran elsewhere), through [`Frontier::complete`],
     /// unless the fault plan drops the completion; and count it against the
-    /// V copy it reads or, a GEQRT, writes. Returns that copy when no task
-    /// will touch it again — `tid` was its last pending reader, or a GEQRT
-    /// nothing reads — for the caller to [`DagRun::release`] once nothing
-    /// outside the run needs it either: at once in process, after the
-    /// task's pushes are encoded on an `hqr-net` worker.
+    /// scratch slots it reads or writes. Returns those no task will touch
+    /// again — `tid` was their last pending reader, or wrote what nothing
+    /// reads — for the caller to [`DagRun::release`] once nothing outside
+    /// the run needs them either: at once in process, after the task's
+    /// pushes are encoded on an `hqr-net` worker.
     pub fn complete(
         &self,
         graph: &TaskGraph,
         tid: u32,
         keep: impl FnMut(u32),
         publish: impl FnMut(u32),
-    ) -> Option<SpentV> {
+    ) -> Option<Spent> {
         if self.plan.as_ref().is_some_and(|p| p.loses_completion(tid)) {
             // Dropped completion: the task ran, but its successors are never
             // released and `remaining` stays high; the (mandatory) watchdog
@@ -1166,16 +1180,16 @@ impl DagRun {
             return None;
         }
         self.frontier.complete(graph, tid, keep, publish);
-        self.v_readers.spend(&graph.tasks()[tid as usize]).map(SpentV)
+        Some(self.readers.spend(&graph.tasks()[tid as usize])).filter(|s| s.0[0].is_some())
     }
 
-    /// Hand a spent V copy's buffer back: to the run's free list, where
-    /// the next GEQRT takes it, or — on a worker's shard, which keeps no
-    /// list — to the caller, as the buffer itself.
-    pub fn release(&self, spent: SpentV) -> Option<Box<[f64]>> {
-        // SAFETY: a `SpentV` is only made by `complete`, once every task
-        // that touches the copy has completed.
-        unsafe { self.store.release(spent.0) }
+    /// Hand spent scratch back: to the run's free lists, where the next
+    /// writer of its size takes it, or — on a worker's shard, which keeps
+    /// no list — a V copy's buffer to the caller.
+    pub fn release(&self, spent: Spent) -> Option<Box<[f64]>> {
+        // SAFETY: a `Spent` is only made by `complete`, once every task
+        // that touches its slots has completed.
+        spent.slots().fold(None, |buf, s| buf.or(unsafe { self.store.release(s) }))
     }
 }
 
@@ -1230,20 +1244,21 @@ pub(crate) fn run_engine(
             ),
         });
     }
-    // The store makes the T set; a lineage closure here reads no older T.
+    // The store takes a place for each T its writer makes; a lineage
+    // closure here reads no older T.
     let mut f = TFactors::allocate_for(graph, ib);
     let epoch = Instant::now();
     let policy = RunPolicy::of(opts);
     let (budget, spill_dir) = (opts.resident_budget, opts.spill_dir.as_deref());
     let order = || preview_order(graph, &policy, completed);
     let run_plan = RunPlan { graph, completed, order: &order };
-    let store = TileStore::open(a, &f, &run_plan, budget, spill_dir)
+    let store = TileStore::open(a, &mut f, &run_plan, budget, spill_dir)
         .map_err(|message| ExecError::SpillIo { message })?;
     let (mut run, frontier) = DagRun::new(graph, store, &policy, completed);
     let result = drive(graph, &run, frontier, opts, trace, epoch);
     // Dissolve the paged cache before anything touches `a`/`f` again —
     // on success *and* on error paths, so the matrix is never left hollow.
-    let unpage_err = run.store.unpage(a, &mut f).err();
+    let unpage_err = run.store.unpage(a).err();
     let (stats, mut exec_trace) = result?;
     if let Some(message) = unpage_err {
         return Err(ExecError::SpillIo { message });
@@ -1344,8 +1359,7 @@ fn run_apply(
 ) -> Result<FaultStats, ExecError> {
     let epoch = Instant::now();
     // The T factors the graph reads, rebuilt from the factored tiles and τ.
-    let mut t = TSet::zeroed(graph, factors.ib, std::iter::empty());
-    t.rebuild(factored, factors, graph.tasks());
+    let t = TSet::rebuilt(factored, factors, graph.tasks());
     let store = TileStore::for_apply(factored, factors.ib, t, c);
     let (run, frontier) = DagRun::new(graph, store, &RunPolicy::of(opts), None);
     drive(graph, &run, frontier, opts, false, epoch).map(|(stats, _)| stats)
@@ -1574,6 +1588,7 @@ mod tests {
     use crate::elim::ElimOp;
     use crate::store::working_set_bytes;
     use hqr_tile::DenseMatrix;
+    use std::collections::HashMap;
 
     fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
         let mut v = Vec::new();
@@ -1754,7 +1769,8 @@ mod tests {
         let mut a = TiledMatrix::random(mt, nt, b, 80);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut after_geqrt = Vec::new();
-        let store = TileStore::new(&mut a, ib, TSet::zeroed(&g, ib, factor_slots(&g)));
+        let mut f = TFactors::allocate_for(&g, ib);
+        let store = TileStore::new(&mut a, &mut f);
         for t in g.tasks().iter() {
             // SAFETY: single-threaded, topological order.
             unsafe { store.run_task(t, g.trans()) };
@@ -1780,27 +1796,50 @@ mod tests {
         assert!(after_geqrt.len() > nt, "TT kills leave GEQRTs below the diagonal");
     }
 
-    /// A run of `g` on `opts`' backing from the start: the V copies its
-    /// store holds at the end, and the most held at once (flat backing).
-    fn v_copies_of_a_run(g: &TaskGraph, a: &mut TiledMatrix, opts: &ExecOptions) -> (usize, usize) {
+    /// A traced run of `g` on `opts`' backing from the start: its factors,
+    /// its trace, and the scratch its store holds at the end
+    /// ([`TileStore::scratch_held`]).
+    fn scratch_of_a_run(
+        g: &TaskGraph,
+        a: &mut TiledMatrix,
+        opts: &ExecOptions,
+    ) -> (TFactors, ExecTrace, [(usize, usize); 2]) {
         let ib = checked_ib(opts, g.b()).unwrap();
         let mut f = TFactors::allocate_for(g, ib);
         let policy = RunPolicy::of(opts);
         let order = || preview_order(g, &policy, None);
         let plan = RunPlan { graph: g, completed: None, order: &order };
-        let store = TileStore::open(a, &f, &plan, opts.resident_budget, None).unwrap();
+        let store = TileStore::open(a, &mut f, &plan, opts.resident_budget, None).unwrap();
         let (mut run, frontier) = DagRun::new(g, store, &policy, None);
-        drive(g, &run, frontier, opts, false, Instant::now()).unwrap();
-        let held = run.store.v_copies_held();
-        run.store.unpage(a, &mut f).unwrap();
-        held
+        let (_, trace) = drive(g, &run, frontier, opts, true, Instant::now()).unwrap();
+        let held = run.store.scratch_held();
+        run.store.unpage(a).unwrap();
+        (f, trace.unwrap(), held)
     }
 
-    /// Every V copy is released by the end of a run, on every backing, and
-    /// a one-worker run holds one copy at a time: each GEQRT's readers
-    /// run before the next GEQRT. The results are the serial run's bits.
+    /// The most T factors live at once when `g`'s tasks run in `order`:
+    /// each T from its writer's start to its last reader's end.
+    fn most_t_live(g: &TaskGraph, order: impl Iterator<Item = u32>) -> usize {
+        let mut spans: HashMap<Slot, (usize, usize)> = HashMap::new();
+        let mut n = 0;
+        for (at, tid) in order.enumerate() {
+            let t = &g.tasks()[tid as usize];
+            for s in t.writes().into_iter().chain(t.reads()).filter(|s| is_t(s.0)) {
+                spans.entry(s).or_insert((at, at)).1 = at;
+            }
+            n = at + 1;
+        }
+        let live = |at: usize| spans.values().filter(|&&(w, r)| w <= at && at <= r).count();
+        (0..n).map(live).max().unwrap_or(0)
+    }
+
+    /// Every V copy and every T is released by the end of a run, flat at
+    /// one and two threads and paged. A one-worker flat run holds one copy
+    /// at a time (each GEQRT's readers run before the next GEQRT), and
+    /// touches as many T places as it holds T at once on the order it ran
+    /// in. The results are the serial run's bits.
     #[test]
-    fn a_run_ends_holding_no_v_copy() {
+    fn a_run_ends_holding_no_scratch() {
         let (mt, nt, b) = (6usize, 4usize, 4usize);
         let g = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
         let input = TiledMatrix::random(mt, nt, b, 81);
@@ -1808,22 +1847,50 @@ mod tests {
         let f = execute_serial_ib(&g, &mut want, 2);
         let one = ExecOptions { ib: Some(2), ..ExecOptions::with_threads(1) };
         let budget = Some(working_set_bytes(&g, 2) / 3);
-        for (opts, peak) in [
-            (one.clone(), Some(1)),
-            (ExecOptions { nthreads: 2, ..one.clone() }, None),
-            (ExecOptions { resident_budget: budget, ..one.clone() }, None),
+        for opts in [
+            one.clone(),
+            ExecOptions { nthreads: 2, ..one.clone() },
+            ExecOptions { resident_budget: budget, ..one.clone() },
         ] {
+            let label = format!("{} threads, budget {:?}", opts.nthreads, opts.resident_budget);
             let mut a = input.clone();
-            let (held, most) = v_copies_of_a_run(&g, &mut a, &opts);
-            assert_eq!(held, 0, "{} threads, budget {:?}", opts.nthreads, opts.resident_budget);
-            if let Some(peak) = peak {
-                assert_eq!(most, peak);
+            let (got, trace, [(v, v_places), (t, t_places)]) = scratch_of_a_run(&g, &mut a, &opts);
+            assert_eq!((v, t), (0, 0), "{label}");
+            if opts.nthreads == 1 && budget != opts.resident_budget {
+                let order = trace.records.iter().map(|r| r.task);
+                assert_eq!((v_places, t_places), (1, most_t_live(&g, order)), "{label}");
+                assert!(t_places > 1, "a TT tree holds several T at once");
             }
-            assert_eq!(a.to_dense().data(), want.to_dense().data());
+            assert_eq!(a.to_dense().data(), want.to_dense().data(), "{label}");
+            assert!(got.bitwise_eq(&f), "{label}");
         }
-        let mut a = input.clone();
-        let (got, _) = try_execute_with(&g, &mut a, &ExecOptions { nthreads: 2, ..one }).unwrap();
-        assert!(got.bitwise_eq(&f));
+    }
+
+    /// On `hqr_adaptive`'s lists, a one-worker flat run touches as many T
+    /// places as it holds T at once on the order it ran in, and
+    /// `execute_serial_ib` one: in program order a factor task's updates
+    /// follow it before the next factor task runs.
+    #[test]
+    fn t_places_are_the_most_t_held_at_once() {
+        let b = 8;
+        for (mt, nt) in [(8, 8), (16, 4), (64, 4)] {
+            let grid = hqr_tile::ProcessGrid::new(2, 1);
+            let ops = hqr::baselines::hqr_adaptive(mt, nt, grid).elims.to_ops();
+            let ops: Vec<ElimOp> =
+                ops.iter().map(|o| ElimOp::new(o.k, o.victim, o.killer, o.ts)).collect();
+            let g = TaskGraph::build(mt, nt, b, &ops);
+            let input = TiledMatrix::random(mt, nt, b, 82);
+            let mut a = input.clone();
+            let (_, trace, [_, (_, places)]) =
+                scratch_of_a_run(&g, &mut a, &ExecOptions::with_threads(1));
+            let realized = most_t_live(&g, trace.records.iter().map(|r| r.task));
+            assert_eq!(places, realized, "{mt}x{nt} tiles, one worker");
+            let mut f = TFactors::allocate_for(&g, b);
+            let mut a = input.clone();
+            let [_, (_, serial)] = serial_run(&g, &mut a, &mut f).scratch_held();
+            let program = most_t_live(&g, 0..g.tasks().len() as u32);
+            assert_eq!((serial, program), (1, 1), "{mt}x{nt} tiles, program order");
+        }
     }
 
     /// A run ends when its last task does. The watchdog polls for stalls

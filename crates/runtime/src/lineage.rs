@@ -126,13 +126,14 @@ pub fn recompute_slots(
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
-    use crate::exec::{factor_slots, TFactors, TSet};
+    use crate::exec::{TFactors, TSet};
     use crate::store::{RunPlan, TileStore};
 
     /// Run the first `cut` tasks of `g` on `a` at `ib = b` and return the
     /// T of `slot` as the run holds it (`None` for a tile or a V copy).
     fn run_prefix(g: &TaskGraph, a: &mut TiledMatrix, cut: usize, slot: Slot) -> Option<Vec<f64>> {
-        let store = TileStore::new(a, g.b(), TSet::zeroed(g, g.b(), factor_slots(g)));
+        let mut f = TFactors::allocate_for(g, g.b());
+        let store = TileStore::new(a, &mut f);
         for t in &g.tasks()[..cut] {
             // SAFETY: single-threaded, topological order.
             unsafe { store.run_task(t, g.trans()) };
@@ -226,27 +227,26 @@ mod tests {
         assert!(recompute_slots(&g, &input, 4, &[], &[(SlotFamily::Vg, 0, 0)]).is_err());
     }
 
+    /// A closure of one GEQRT rebuilds no T (it reads none a done task
+    /// wrote) and takes one V place and one T place, of a 16 x 16 matrix's.
     #[test]
-    fn a_closure_allocates_only_the_factor_slots_it_touches() {
+    fn a_closure_takes_only_the_scratch_it_writes() {
         let (mt, nt, b) = (16, 16, 4);
         let g = TaskGraph::build(mt, nt, b, &flat_elims(mt, nt));
         let geqrt = g.tasks().iter().position(|t| t.kind == hqr_kernels::KernelKind::Geqrt);
         let geqrt = geqrt.expect("a GEQRT");
         let mut done = vec![true; g.tasks().len()];
         done[geqrt] = false;
-        let a = TiledMatrix::random(mt, nt, b, 3);
+        let mut a = TiledMatrix::random(mt, nt, b, 3);
+        let mut f = TFactors::allocate_for(&g, b);
         let order = Vec::new;
         let plan = RunPlan { graph: &g, completed: Some(&done), order: &order };
-        let t = TSet::for_run(&plan, &a, &TFactors::allocate_for(&g, b), false);
-        let (i, k) = (g.tasks()[geqrt].i as usize, g.tasks()[geqrt].k as usize);
-        let held: Vec<Slot> = [(SlotFamily::Tg, &t.tg), (SlotFamily::Tk, &t.tk)]
-            .into_iter()
-            .flat_map(|(fam, family)| {
-                let held = family.iter().enumerate().filter(|(_, buf)| buf.is_some());
-                held.map(move |(at, _)| (fam, at % mt, at / mt))
-            })
-            .collect();
-        assert_eq!(held, [(SlotFamily::Tg, i, k)]);
+        let t = TSet::for_run(&plan, &a, &f);
+        assert!(t.tg.iter().chain(&t.tk).all(Option::is_none));
+        let store = TileStore::resident(&mut a, &mut f, &plan);
+        // SAFETY: single-threaded; the GEQRT's predecessors are done.
+        unsafe { store.run_task(&g.tasks()[geqrt], g.trans()) };
+        assert_eq!(store.scratch_held(), [(1, 1), (1, 1)]);
     }
 
     #[test]

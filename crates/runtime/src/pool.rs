@@ -706,9 +706,9 @@ enum Held {
 }
 
 /// One admitted job: the pool's unit of ownership. The run state's
-/// [`TileStore`] holds raw pointers into `a`'s heap buffers below — tiles
-/// are independently boxed slices, so moving this struct (or the `Arc`
-/// around it) never invalidates the store.
+/// [`TileStore`] holds raw pointers into the heap buffers of `a` and
+/// `factors` below — tiles and τ are independently boxed slices, so moving
+/// this struct (or the `Arc` around it) never invalidates the store.
 struct ActiveJob {
     /// Activation id — unique per *attempt*, so stale queue entries from a
     /// previous incarnation of a retried job can never reach a new one.
@@ -736,7 +736,7 @@ struct ActiveJob {
     /// Backing storage for `run.store` (kept alive for the job's lifetime).
     a: TiledMatrix,
     /// The τ of the job's factor tasks: a resumed job's from its
-    /// checkpoint; `run.store.unpage` adds this activation's.
+    /// checkpoint; each of this activation's adds its own when it is done.
     factors: TFactors,
 }
 
@@ -1596,8 +1596,8 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) -> Vec<u64> {
     // fails, a clean or suspending verdict must not survive — the state
     // it would persist is zero-filled where the read failed.
     let unpage_err = {
-        let ActiveJob { run, a, factors, .. } = &mut job;
-        run.store.unpage(a, factors).err()
+        let ActiveJob { run, a, .. } = &mut job;
+        run.store.unpage(a).err()
     };
     let verdict = match (relock(&job.verdict).take(), unpage_err) {
         (None | Some(Verdict::Suspend(_)), Some(message)) => {
@@ -1660,7 +1660,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) -> Vec<u64> {
 fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work: Box<Work>) {
     let seed = if retain { work.seed.clone() } else { work.seed.take() };
     let n = work.graph.tasks().len();
-    let (elims, mut a, factors, completed) = match seed.expect("a waiting job holds its seed") {
+    let (elims, mut a, mut factors, completed) = match seed.expect("a waiting job holds its seed") {
         JobInput::Fresh { elims, a } => {
             (elims, a, TFactors::allocate_for(&work.graph, work.ib), vec![false; n])
         }
@@ -1690,10 +1690,10 @@ fn activate_job(shared: &Shared, id: u64, qos: QosClass, retain: bool, mut work:
         let order = || preview_order(graph, &policy, Some(&completed));
         let plan = RunPlan { graph, completed: Some(&completed), order: &order };
         let budget = shared.cfg.resident_budget;
-        let store = TileStore::open(&mut a, &factors, &plan, budget, spill_dir.as_deref())
+        let store = TileStore::open(&mut a, &mut factors, &plan, budget, spill_dir.as_deref())
             .unwrap_or_else(|e| {
                 eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
-                TileStore::resident(&mut a, &factors, &plan)
+                TileStore::resident(&mut a, &mut factors, &plan)
             });
         DagRun::new(graph, store, &policy, Some(&completed))
     };

@@ -57,10 +57,12 @@
 //!   exist from the graph's writes; they start non-resident with no disk
 //!   record and are materialised as zeros by that first pin — neither
 //!   allocated by the caller, written out at build time nor read back.
-//! * **Released V copies.** When a V copy's last reader has completed,
-//!   the store drops the slot: its buffer goes to the free shelf, its
-//!   record (if any) is forgotten, and nothing is written back. Unpaging
-//!   returns no V copy: a factorization keeps V in the factored tiles.
+//! * **Released scratch.** When the last reader of a V copy or a T has
+//!   completed (or its writer, when nothing reads it), the store drops the
+//!   slot: its buffer goes to the free shelf, its record (if any) is
+//!   forgotten, and nothing is written back. Unpaging returns tiles only:
+//!   a factorization keeps V in the factored tiles, and each factor task's
+//!   τ was kept when the task was done.
 //!
 //! ## On-disk format
 //!
@@ -104,7 +106,7 @@ use std::time::Duration;
 use hqr_tile::io::{f64_record_len, read_f64_record, write_f64_record, BinFormatError};
 use hqr_tile::TiledMatrix;
 
-use crate::exec::{TFactors, TSet};
+use crate::exec::TSet;
 use crate::graph::TaskGraph;
 use crate::store::{packed_v, resumed_v_copies, RunPlan};
 use crate::task::{SlotFamily, SLOT_FAMILIES};
@@ -546,8 +548,8 @@ impl PagedCore {
         Ok(())
     }
 
-    /// Drop slot `idx` for good — a V copy no task of the run touches
-    /// again: its buffer goes to the free shelf, a record of it is
+    /// Drop slot `idx` for good — a V copy or a T no task of the run
+    /// touches again: its buffer goes to the free shelf, a record of it is
     /// forgotten, and nothing is written back. An evictor that claimed it
     /// meanwhile finds its claim stale.
     pub(crate) fn release(&self, idx: usize) {
@@ -565,11 +567,12 @@ impl PagedCore {
         }
     }
 
-    /// V copies resident now.
+    /// Slots of family `fam` resident now.
     #[cfg(test)]
-    pub(crate) fn resident_v_copies(&self) -> usize {
-        let v = self.slot_index(SlotFamily::Vg, 0, 0);
-        self.slots[v..v + self.slots_per_family].iter().filter(|s| lock(s).buf.is_some()).count()
+    pub(crate) fn resident_slots(&self, fam: SlotFamily) -> usize {
+        let first = self.slot_index(fam, 0, 0);
+        let family = &self.slots[first..first + self.slots_per_family];
+        family.iter().filter(|s| lock(s).buf.is_some()).count()
     }
 
     fn unpin(&self, idx: usize) {
@@ -777,15 +780,14 @@ fn use_table(graph: &TaskGraph, order: &[u32], nslots: usize) -> UseTable {
 }
 
 impl PagedStore {
-    /// Build the paged store over a matrix and its T factors for the run
-    /// `plan` describes: take ownership of every matrix tile and of the T
-    /// buffers completed tasks wrote, drop any other T buffer `f` holds
-    /// (the slots the graph writes come back as zeros on first pin, so `f`
-    /// need hold none of them), rebuild the V copies a resumed run's
-    /// pending readers need from the factored tiles, then evict — furthest
+    /// Build the paged store over a matrix for the run `plan` describes:
+    /// take ownership of every matrix tile and of `t`, the T a resumed
+    /// run's pending readers need (every other T slot the graph writes
+    /// comes into being as zeros at its first pin), rebuild the V copies
+    /// those readers need from the factored tiles, then evict — furthest
     /// next use first — down to `budget` bytes so the run starts inside its
-    /// residency target. The matrix and factors are hollow until
-    /// [`PagedStore::unpage`] returns their buffers.
+    /// residency target. The matrix is hollow until [`PagedStore::unpage`]
+    /// returns its tiles.
     pub(crate) fn build(
         a: &mut TiledMatrix,
         t: TSet,
@@ -899,47 +901,28 @@ impl PagedStore {
         Ok(PagedStore { core, prefetcher: Some(prefetcher) })
     }
 
-    /// Fault every slot back in, return the tiles to the matrix and each
-    /// T's τ to `f` (the T is read once and dropped), then stop the prefetch
-    /// thread; V copies still held (a halted run's) are dropped. Called
-    /// exactly once when execution (or the owning job) finishes — on success
-    /// *and* on error paths, so callers never observe a hollow matrix. Slots
-    /// whose spill records fail their checksum are restored as zeros and
-    /// reported in the returned error.
-    pub(crate) fn unpage(&mut self, a: &mut TiledMatrix, f: &mut TFactors) -> Result<(), String> {
+    /// Fault every tile back in and return it to the matrix, then stop the
+    /// prefetch thread; scratch still held (a halted run's) is dropped.
+    /// Called exactly once when execution (or the owning job) finishes — on
+    /// success *and* on error paths, so callers never observe a hollow
+    /// matrix. Tiles whose spill records fail their checksum are restored
+    /// as zeros and reported in the returned error.
+    pub(crate) fn unpage(&mut self, a: &mut TiledMatrix) -> Result<(), String> {
         self.stop_prefetcher();
         let core = &self.core;
-        let (mt, spf) = (core.mt, core.slots_per_family);
-        let nt = spf / mt;
         let mut first_err: Option<String> = None;
-        let mut recover = |idx: usize| -> Box<[f64]> {
-            let mut s = lock(&core.slots[idx]);
-            debug_assert!(s.exists, "unpaging an absent slot");
-            s.buf.take().unwrap_or_else(|| {
-                let mut buf = vec![0.0; core.slot_len(idx)].into_boxed_slice();
-                // No record: a factor buffer nothing wrote — zeros.
-                if s.on_disk {
+        for j in 0..core.slots_per_family / core.mt {
+            for i in 0..core.mt {
+                let idx = core.slot_index(SlotFamily::A, i, j);
+                let buf = lock(&core.slots[idx]).buf.take().unwrap_or_else(|| {
+                    let mut buf = vec![0.0; core.slot_len(idx)].into_boxed_slice();
                     if let Err(e) = core.read_record(idx, &mut buf) {
                         first_err.get_or_insert(e);
                         buf.fill(0.0);
                     }
-                }
-                buf
-            })
-        };
-        for j in 0..nt {
-            for i in 0..mt {
-                let idx = core.slot_index(SlotFamily::A, i, j);
-                a.put_tile_buf(i, j, recover(idx));
-            }
-        }
-        for fam in [SlotFamily::Tg, SlotFamily::Tk] {
-            for at in 0..spf {
-                let idx = core.slot_index(fam, at % mt, at / mt);
-                let held = lock(&core.slots[idx]).buf.is_some() || lock(&core.slots[idx]).on_disk;
-                if held {
-                    f.put_tau_of(fam, at, &recover(idx));
-                }
+                    buf
+                });
+                a.put_tile_buf(i, j, buf);
             }
         }
         match first_err {
@@ -967,6 +950,7 @@ impl Drop for PagedStore {
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
+    use crate::exec::TFactors;
 
     fn fixture(mt: usize, nt: usize, b: usize) -> (TaskGraph, TiledMatrix, TFactors) {
         let mut elims = Vec::new();
@@ -996,7 +980,7 @@ mod tests {
             (0..g.tasks().len() as u32).filter(left).collect()
         };
         let plan = RunPlan { graph: g, completed, order: &order };
-        let t = TSet::for_run(&plan, a, f, true);
+        let t = TSet::for_run(&plan, a, f);
         PagedStore::build(a, t, f.ib(), &plan, budget, None).unwrap()
     }
 
@@ -1017,13 +1001,13 @@ mod tests {
 
     #[test]
     fn build_unpage_roundtrips_bitwise() {
-        let (g, mut a, mut f) = fixture(3, 2, 4);
+        let (g, mut a, f) = fixture(3, 2, 4);
         let before = a.to_dense();
         let tile_bytes = (4 * 4 * 8) as u64;
         // Budget of two tiles: almost everything spills at build time.
         let mut store = build(&mut a, &f, &g, None, 2 * tile_bytes);
         assert!(lock(&store.core.residency).resident <= 2 * tile_bytes);
-        store.unpage(&mut a, &mut f).unwrap();
+        store.unpage(&mut a).unwrap();
         assert_eq!(a.to_dense().data(), before.data(), "spill roundtrip must be bitwise");
         let s = store.core.summary();
         assert!(s.evictions > 0 && s.writebacks > 0, "build under budget must evict");
@@ -1031,7 +1015,7 @@ mod tests {
 
     #[test]
     fn build_keeps_the_tiles_needed_first_and_no_factor_buffer() {
-        let (g, mut a, mut f) = fixture(3, 2, 4);
+        let (g, mut a, f) = fixture(3, 2, 4);
         let tile_bytes = (4 * 4 * 8) as u64;
         let mut store = build(&mut a, &f, &g, None, 2 * tile_bytes);
         let core = Arc::clone(&store.core);
@@ -1051,12 +1035,12 @@ mod tests {
         assert!(resident(&core, vg));
         core.unpin_task(0);
         assert_eq!(core.summary().demand_faults, 0);
-        store.unpage(&mut a, &mut f).unwrap();
+        store.unpage(&mut a).unwrap();
     }
 
     #[test]
     fn pin_faults_in_and_blocks_eviction() {
-        let (g, mut a, mut f) = fixture(3, 2, 3);
+        let (g, mut a, f) = fixture(3, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
         let mut store = build(&mut a, &f, &g, None, 2 * tile_bytes);
         store.stop_prefetcher();
@@ -1074,12 +1058,12 @@ mod tests {
         core.unpin_task(last);
         evict_all(&core);
         assert!(!resident(&core, idx), "unpinned slot must evict");
-        store.unpage(&mut a, &mut f).unwrap();
+        store.unpage(&mut a).unwrap();
     }
 
     #[test]
     fn eviction_takes_the_furthest_next_use_and_spares_a_prefetched_slot() {
-        let (g, mut a, mut f) = fixture(4, 3, 3);
+        let (g, mut a, f) = fixture(4, 3, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
         // Room for every matrix tile, so the test chooses what is spilled.
         let mut store = build(&mut a, &f, &g, None, 12 * tile_bytes);
@@ -1102,12 +1086,12 @@ mod tests {
         }
         // The prefetcher never displaces a slot needed as soon or sooner.
         assert_eq!(core.reserve_room(tile_bytes, Some(0)).unwrap(), None);
-        store.unpage(&mut a, &mut f).unwrap();
+        store.unpage(&mut a).unwrap();
     }
 
     #[test]
     fn resumed_run_starts_its_cursors_past_completed_tasks() {
-        let (g, mut a, mut f) = fixture(3, 2, 3);
+        let (g, mut a, f) = fixture(3, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
         // Panel 0 done: every task with k == 0.
         let completed: Vec<bool> = g.tasks().iter().map(|t| t.k == 0).collect();
@@ -1126,12 +1110,12 @@ mod tests {
             let tg = core.slot_index(SlotFamily::Tg, i, k);
             assert!(!resident(&core, tg) && !lock(&core.slots[tg]).on_disk);
         }
-        store.unpage(&mut a, &mut f).unwrap();
+        store.unpage(&mut a).unwrap();
     }
 
     #[test]
     fn corrupt_record_is_a_typed_fault() {
-        let (g, mut a, mut f) = fixture(2, 2, 3);
+        let (g, mut a, f) = fixture(2, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
         let mut store = build(&mut a, &f, &g, None, tile_bytes);
         store.stop_prefetcher();
@@ -1150,7 +1134,7 @@ mod tests {
         let err = core.pin_task(last).unwrap_err();
         assert!(err.contains("corrupt"), "error must name the corruption: {err}");
         // Unpage restores what it can and reports the bad slot.
-        let err = store.unpage(&mut a, &mut f).unwrap_err();
+        let err = store.unpage(&mut a).unwrap_err();
         assert!(err.contains("A(1,1)"), "error must name the slot: {err}");
     }
 
@@ -1159,7 +1143,7 @@ mod tests {
     /// read as `v_len(b)` doubles.
     #[test]
     fn a_full_tile_v_copy_record_is_a_version_error() {
-        let (g, mut a, mut f) = fixture(2, 2, 3);
+        let (g, mut a, f) = fixture(2, 2, 3);
         let mut store = build(&mut a, &f, &g, None, (3 * 3 * 8) as u64);
         store.stop_prefetcher();
         let core = Arc::clone(&store.core);
@@ -1174,12 +1158,12 @@ mod tests {
         let err = core.read_record(idx, &mut dst).unwrap_err();
         assert!(err.contains("format version 3; this build reads version 4"), "{err}");
         assert!(!err.contains("corrupt"), "a version error is not corruption: {err}");
-        let _ = store.unpage(&mut a, &mut f);
+        let _ = store.unpage(&mut a);
     }
 
     #[test]
     fn old_version_record_is_unsupported_not_corrupt() {
-        let (g, mut a, mut f) = fixture(2, 2, 3);
+        let (g, mut a, f) = fixture(2, 2, 3);
         let tile_bytes = (3 * 3 * 8) as u64;
         let mut store = build(&mut a, &f, &g, None, tile_bytes);
         store.stop_prefetcher();
@@ -1191,6 +1175,6 @@ mod tests {
         let err = core.read_record(idx, &mut dst).unwrap_err();
         assert!(err.contains("format version 1; this build reads version 4"), "{err}");
         assert!(!err.contains("corrupt"), "a version error is not corruption: {err}");
-        let _ = store.unpage(&mut a, &mut f);
+        let _ = store.unpage(&mut a);
     }
 }

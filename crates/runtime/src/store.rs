@@ -10,9 +10,7 @@
 //! The store has three backings:
 //!
 //! * **Resident** (the default): a flat pointer table over the matrix
-//!   tiles and the run's T factors, which stay allocated for the whole
-//!   run — zero per-access overhead — and a table of the V copies the
-//!   store owns.
+//!   tiles — zero per-access overhead — and the run scratch below.
 //! * **Paged**: buffers live in a two-tier cache ([`crate::spill`]): a
 //!   resident working set bounded by a byte budget, evicted by furthest
 //!   next use over the task graph's program order and refilled by a
@@ -27,24 +25,28 @@
 //!   address is stable while its slot is present. It allocates nothing:
 //!   the worker puts every buffer a task touches in the map first.
 //!
-//! GEQRT's V copies (`Vg`) are scratch of the run. A copy exists from its
-//! GEQRT's first access to [`TileStore::release`], which the run calls when
-//! the copy's last pending reader has completed: the flat backing then
-//! puts its buffer on a free list that lives as long as the store, and the
-//! next GEQRT takes it from there (the buffers are places, whole cache
-//! lines apart, in one block the opening thread allocates, so they
-//! live in its heap, not in the workers' per-thread malloc arenas); the
-//! paged backing drops the slot and never writes it back; the shard hands
-//! the buffer to its worker. A run resumed from a checkpoint starts with
-//! the copies its pending readers need ([`crate::exec::live_v_copies`]),
-//! rebuilt from the factored tiles ([`hqr_kernels::pack_v`]), whose strict
-//! lower triangles no later kernel rewrites.
-//! The store owns the run's T set too (`TSet`); [`TileStore::unpage`]
-//! keeps each T's τ and drops the T.
+//! GEQRT's V copies (`Vg`) and every factor kernel's T (`Tg`, `Tk`) are
+//! scratch of the run. A scratch slot exists from its writer's first
+//! access to [`TileStore::release`], which the run calls when the slot's
+//! last pending reader has completed (or its writer, when nothing reads
+//! it): the flat backing then puts its place on a free list that lives as
+//! long as the store, and the next writer of that size takes it from there
+//! (the places lie whole cache lines apart in one block per size class,
+//! `v_len` and `t_len`, which the opening thread allocates, so they live in
+//! its heap, not in the workers' per-thread malloc arenas); the paged
+//! backing drops the slot and never writes it back; the shard hands a V
+//! copy's buffer to its worker and keeps every T until the gather. A
+//! factor task's τ goes into the run's [`TFactors`] when its attempt is
+//! done (`TileStore::keep_tau`), so a released T's τ outlives it. A run
+//! resumed from a checkpoint starts with the copies and T its pending
+//! readers need ([`crate::exec::live_v_copies`], `TSet::for_run`), rebuilt
+//! from the factored tiles ([`hqr_kernels::pack_v`], whose strict lower
+//! triangles no later kernel rewrites) and τ.
 
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
 use std::path::Path;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::exec::{live_v_copies, relock, TFactors, TSet};
@@ -67,13 +69,20 @@ pub struct TileStore {
     /// factored tile itself ([`TileStore::for_apply`]).
     v_len: usize,
     a: Vec<*mut f64>,
-    tg: Vec<*mut f64>,
-    tk: Vec<*mut f64>,
-    /// The T set `tg` and `tk` point into, until [`TileStore::unpage`].
+    /// Where each `Vg`, `Tg` and `Tk` slot's buffer is while it is held,
+    /// null otherwise (flat and apply stores). Read without a lock: a
+    /// writer stores a place with `Release` before its readers, which the
+    /// DAG orders after it, load it with `Acquire`.
+    scratch: [Vec<AtomicPtr<f64>>; 3],
+    /// The flat backing's places for V copies and for T factors; `None`
+    /// for the other backings and for an apply store, whose `Vg` slots are
+    /// the factored tiles and whose T are `t`'s.
+    places: Option<[Mutex<Places>; 2]>,
+    /// An apply store's rebuilt T set, which `scratch` points into.
     t: Option<TSet>,
-    /// The flat backing's V copies; `None` for the other backings and for
-    /// an apply store, whose `Vg` slots are the factored tiles.
-    v: Option<Mutex<VCopies>>,
+    /// Where each `Tg` and `Tk` slot's τ goes (flat and paged backings):
+    /// the run's [`TFactors`], which outlives the store's run as `a` does.
+    tau: [Vec<*mut f64>; 2],
     /// Two-tier backing cache; `None` in resident mode (the pointer
     /// tables above are empty when this is `Some`).
     paged: Option<PagedStore>,
@@ -85,81 +94,64 @@ pub struct TileStore {
 /// An `hqr-net` worker's shard: every slot version it currently holds.
 pub type Shard = Mutex<HashMap<Slot, Box<[f64]>>>;
 
-/// The V copies of a flat store. Their buffers are the places of one
-/// block with room for a copy per GEQRT, allocated (not written) by the
-/// thread that opens the store, so the copies live in that thread's heap
-/// whichever worker makes them, and a page of the block is touched only
-/// when a copy first lands there. Places are a whole number of cache lines
-/// apart, so every copy starts on a line as the block does. A GEQRT's
-/// first access takes the place its last released copy left free (last
-/// in, first out), and a place never used only when none is free, so a
-/// run touches as many places as it holds copies at once.
-struct VCopies {
-    /// A place is zeroed before its first use, so no copy is read
-    /// uninitialised.
+/// One size class of a flat store's scratch. Its buffers are the places of
+/// one block with room for a buffer per slot of the class the graph
+/// writes, allocated (not written) by the thread that opens the store, so
+/// the buffers live in that thread's heap whichever worker writes them,
+/// and a page of the block is touched only when a buffer first lands
+/// there. Places are a whole number of cache lines apart, so every buffer
+/// starts on a line as the block does. A writer's first access takes the
+/// place last given back (last in, first out), and a place never used
+/// only when none is free, so a run touches as many places as it holds
+/// buffers of the class at once.
+struct Places {
     block: Vec<MaybeUninit<f64>>,
-    /// Doubles between places: `v_len(b)` rounded up to whole lines.
+    /// Doubles between places: the class's length rounded up to whole lines.
     stride: usize,
-    /// The place of each GEQRT slot's copy, while it is held.
-    live: Vec<Option<usize>>,
-    /// Released places, and the first place never used.
-    free: Vec<usize>,
-    unused: usize,
+    /// Places given back, and the number of places ever used.
+    free: Vec<*mut f64>,
+    used: usize,
 }
 
-impl VCopies {
-    fn new(slots: usize, places: usize, len: usize) -> Self {
+impl Places {
+    fn new(places: usize, len: usize) -> Self {
         let stride = len.next_multiple_of(LINE / std::mem::size_of::<f64>());
         // Not zeroed up front, which raised peak RSS (DESIGN.md, "V copies
         // are run scratch"): `take` zeroes a place on its first use.
         let block = Box::<[f64]>::new_uninit_slice(places * stride).into_vec();
-        VCopies { block, stride, live: vec![None; slots], free: Vec::new(), unused: 0 }
+        Places { block, stride, free: Vec::new(), used: 0 }
     }
 
-    /// Take a place for slot `idx`'s copy: a released one, else one never
-    /// used, zeroed. A copy of [`LINE_FROM`] bytes or more starts on a line.
-    fn take(&mut self, idx: usize) -> *mut f64 {
-        debug_assert!(self.live[idx].is_none(), "a V copy held twice");
-        let (place, fresh) = match self.free.pop() {
-            Some(place) => (place, false),
-            None => (self.unused, true),
-        };
-        assert!((place + 1) * self.stride <= self.block.len(), "more V copies than GEQRTs");
-        self.unused += usize::from(fresh);
-        self.live[idx] = Some(place);
-        let at = self.at(place);
-        if fresh {
-            // SAFETY: the place lies in the block, and nobody holds it.
-            unsafe { at.write_bytes(0, self.stride) };
+    /// A place given back, else one never used, zeroed. Every factor kernel
+    /// writes all of its T and GEQRT all of its V copy, so a place given
+    /// back is not zeroed again. A place of [`LINE_FROM`] bytes or more
+    /// starts on a line.
+    fn take(&mut self) -> *mut f64 {
+        if let Some(at) = self.free.pop() {
+            return at;
         }
+        assert!((self.used + 1) * self.stride <= self.block.len(), "more scratch than writers");
+        // SAFETY: the place lies in the block, and nobody holds it;
+        // `Vec::as_mut_ptr` makes no reference to the block, so the
+        // pointers other tasks hold stay valid.
+        let at: *mut f64 = unsafe { self.block.as_mut_ptr().add(self.used * self.stride).cast() };
+        // SAFETY: as above.
+        unsafe { at.write_bytes(0, self.stride) };
+        self.used += 1;
         let small = self.stride * std::mem::size_of::<f64>() < LINE_FROM;
-        assert!(small || (at as usize).is_multiple_of(LINE), "V copy at {at:p} is off a line");
+        assert!(small || (at as usize).is_multiple_of(LINE), "scratch at {at:p} is off a line");
         at
     }
+}
 
-    /// The start of `place`, which lies inside the block.
-    fn at(&mut self, place: usize) -> *mut f64 {
-        // SAFETY: every place passed here was checked by `take` to end
-        // inside the block; `Vec::as_mut_ptr` makes no reference to the
-        // block, so the pointers other tasks hold stay valid.
-        unsafe { self.block.as_mut_ptr().add(place * self.stride).cast() }
-    }
+/// The index of a scratch family in [`TileStore::scratch`].
+fn scratch_family(fam: SlotFamily) -> usize {
+    fam as usize - 1
+}
 
-    /// Slot `idx`'s buffer; a write's first access takes a place for it.
-    /// Null for a read of a copy nobody wrote.
-    fn ptr(&mut self, idx: usize, write: bool) -> *mut f64 {
-        match self.live[idx] {
-            Some(place) => self.at(place),
-            None if write => self.take(idx),
-            None => std::ptr::null_mut(),
-        }
-    }
-
-    fn release(&mut self, idx: usize) {
-        if let Some(place) = self.live[idx].take() {
-            self.free.push(place);
-        }
-    }
+/// The size class of a scratch family: V copies, then T factors.
+fn size_class(fam: SlotFamily) -> usize {
+    usize::from(fam != SlotFamily::Vg)
 }
 
 /// What a paged store knows of the run it serves: residency is decided from
@@ -198,7 +190,11 @@ impl Drop for TaskPins {
 
 // SAFETY: the store is only used by the executors, which enforce the DAG's
 // exclusive-writer discipline; distinct tasks running concurrently never
-// obtain overlapping mutable views.
+// obtain overlapping mutable views. Every raw pointer it holds (tiles,
+// places, an apply store's T, τ) points into a buffer the caller or the
+// store keeps alive until `unpage`; a place's address is published with
+// `Release` when it is taken and read with `Acquire`, and the free lists
+// sit behind their class's mutex.
 unsafe impl Send for TileStore {}
 unsafe impl Sync for TileStore {}
 
@@ -222,8 +218,8 @@ fn ptrs(v: &mut [Option<Box<[f64]>>]) -> Vec<*mut f64> {
 
 /// Bytes a run of `graph` with inner block size `ib` may keep resident
 /// when nothing pages: the matrix tiles plus the factor buffers its tasks
-/// write, V copies counted as if all were held at once (guards are
-/// negligible next to either).
+/// write, the V copies and the T factors counted as if all were held at
+/// once (guards are negligible next to either).
 pub(crate) fn working_set_bytes(graph: &TaskGraph, ib: usize) -> u64 {
     let (b, tiles) = (graph.b(), graph.mt() * graph.nt());
     let written = graph.tasks().iter().flat_map(Task::writes).filter(|s| s.0 != SlotFamily::A);
@@ -238,43 +234,61 @@ pub(crate) fn pages(graph: &TaskGraph, ib: usize, resident_budget: Option<u64>) 
 }
 
 impl TileStore {
-    /// Build a store over a matrix and the T set `t` of a run from the
-    /// start, whose kernels run with inner block size `ib` (`ib == b`: the
-    /// unblocked kernels).
-    pub(crate) fn new(a: &mut TiledMatrix, ib: usize, mut t: TSet) -> Self {
-        Self::check_shapes(a, ib, &t);
-        let (b, mt, v_len) = (a.b(), a.mt(), SlotFamily::Vg.slot_len(a.b(), ib));
-        // Every GEQRT writes a T, so there are as many copies at most.
-        let geqrts = t.tg.iter().flatten().count();
+    /// A store for tiles of side `b` in `mt` tile rows and T factors of
+    /// inner block size `ib` that holds no buffer yet: each backing fills
+    /// in its own.
+    fn bare(b: usize, ib: usize, mt: usize) -> Self {
         TileStore {
             b,
             ib,
             mt,
-            v_len,
-            a: a.tile_ptrs(),
-            tg: ptrs(&mut t.tg),
-            tk: ptrs(&mut t.tk),
-            t: Some(t),
-            v: Some(Mutex::new(VCopies::new(mt * a.nt(), geqrts, v_len))),
+            v_len: SlotFamily::Vg.slot_len(b, ib),
+            a: Vec::new(),
+            scratch: Default::default(),
+            places: None,
+            t: None,
+            tau: Default::default(),
             paged: None,
             shard: None,
+        }
+    }
+
+    /// Build a flat store over a matrix for a run from the start, whose
+    /// kernels run with `f`'s inner block size (`ib == b`: the unblocked
+    /// kernels) and keep each factor task's τ in `f`, which must hold one
+    /// for every T slot the run writes and stay put until
+    /// [`TileStore::unpage`].
+    pub(crate) fn new(a: &mut TiledMatrix, f: &mut TFactors) -> Self {
+        Self::check_shapes(a, f);
+        let (b, mt, tiles) = (a.b(), a.mt(), a.mt() * a.nt());
+        // Every GEQRT writes a Tg, every factor task one T.
+        let geqrts = f.tg.iter().flatten().count();
+        let t_slots = geqrts + f.tk.iter().flatten().count();
+        let len = |fam: SlotFamily| fam.slot_len(b, f.ib);
+        let places =
+            [Places::new(geqrts, len(SlotFamily::Vg)), Places::new(t_slots, len(SlotFamily::Tg))];
+        TileStore {
+            a: a.tile_ptrs(),
+            scratch: [(); 3].map(|()| (0..tiles).map(|_| AtomicPtr::default()).collect()),
+            places: Some(places.map(Mutex::new)),
+            tau: [ptrs(&mut f.tg), ptrs(&mut f.tk)],
+            ..Self::bare(b, f.ib, mt)
         }
     }
 
     /// [`TileStore::new`] for the run `plan` describes: a resumed run
     /// starts with the V copies and T its pending readers need, rebuilt
     /// from the factored tiles (and the τ in `f`).
-    pub(crate) fn resident(a: &mut TiledMatrix, f: &TFactors, plan: &RunPlan<'_>) -> Self {
-        let t = TSet::for_run(plan, a, f, false);
-        let store = Self::new(a, f.ib, t);
-        if let Some(v) = &store.v {
-            let mut v = relock(v);
-            for (i, k) in resumed_v_copies(plan) {
-                let at = v.take(i + k * store.mt);
-                // SAFETY: a place just taken is `v_len` doubles no one else
-                // holds, and the tile is not one of them.
-                let copy = unsafe { std::slice::from_raw_parts_mut(at, store.v_len) };
-                hqr_kernels::pack_v(store.b, a.tile(i, k), copy);
+    pub(crate) fn resident(a: &mut TiledMatrix, f: &mut TFactors, plan: &RunPlan<'_>) -> Self {
+        let live = TSet::for_run(plan, a, f);
+        let store = Self::new(a, f);
+        // A write access takes each slot's place.
+        for (i, k) in resumed_v_copies(plan) {
+            hqr_kernels::pack_v(store.b, a.tile(i, k), store.slice((SlotFamily::Vg, i, k)));
+        }
+        for (fam, family) in [(SlotFamily::Tg, live.tg), (SlotFamily::Tk, live.tk)] {
+            for (at, t) in family.into_iter().enumerate().filter_map(|(at, t)| Some((at, t?))) {
+                store.slice((fam, at % store.mt, at / store.mt)).copy_from_slice(&t);
             }
         }
         store
@@ -285,10 +299,7 @@ impl TileStore {
     /// map, [`SlotFamily::slot_len`] long, before the task runs, and stay
     /// there until it ends.
     pub fn over_shard(shard: Arc<Shard>, b: usize, ib: usize) -> Self {
-        let none = Vec::new;
-        let (a, tg, tk, v_len) = (none(), none(), none(), SlotFamily::Vg.slot_len(b, ib));
-        let shard = Some(shard);
-        TileStore { b, ib, mt: 0, v_len, a, tg, tk, t: None, v: None, paged: None, shard }
+        TileStore { shard: Some(shard), ..Self::bare(b, ib, 0) }
     }
 
     /// A store over `[f | c]` for a [`TaskGraph::apply_q`] graph, with the
@@ -305,18 +316,13 @@ impl TileStore {
         let tile_ptr = |k: usize| f.tile(k % mt, k / mt).as_ptr().cast_mut();
         let mut a: Vec<*mut f64> = (0..mt * f.nt()).map(tile_ptr).collect();
         a.extend(c.tile_ptrs());
+        let held = |family: &mut Vec<_>| ptrs(family).into_iter().map(AtomicPtr::new).collect();
         TileStore {
-            b,
-            ib,
-            mt,
             v_len: SlotFamily::A.slot_len(b, ib),
             a,
-            tg: ptrs(&mut t.tg),
-            tk: ptrs(&mut t.tk),
+            scratch: [Vec::new(), held(&mut t.tg), held(&mut t.tk)],
             t: Some(t),
-            v: None,
-            paged: None,
-            shard: None,
+            ..Self::bare(b, ib, mt)
         }
     }
 
@@ -326,15 +332,15 @@ impl TileStore {
     /// `spill_dir` (OS temp dir when `None`) — when `pages` says so, else
     /// the flat resident store (zero per-access overhead, bitwise-identical
     /// results either way; `plan.order` is not looked at). Either starts a
-    /// resumed run with the V copies its pending readers need.
+    /// resumed run with the V copies and T its pending readers need, and
+    /// keeps each factor task's τ in `f` as [`TileStore::new`] does.
     ///
-    /// A paged store rebuilds only the T factors a resumed run's pending
-    /// readers need and creates the others at their first pin; it leaves
-    /// the matrix hollow until [`TileStore::unpage`] returns every buffer
-    /// — callers must unpage on every exit path.
+    /// A paged store creates every other scratch slot at its first pin; it
+    /// leaves the matrix hollow until [`TileStore::unpage`] returns every
+    /// tile — callers must unpage on every exit path.
     pub(crate) fn open(
         a: &mut TiledMatrix,
-        f: &TFactors,
+        f: &mut TFactors,
         plan: &RunPlan<'_>,
         resident_budget: Option<u64>,
         spill_dir: Option<&Path>,
@@ -343,35 +349,21 @@ impl TileStore {
         let Some(budget) = resident_budget.filter(|_| pages(graph, f.ib, resident_budget)) else {
             return Ok(Self::resident(a, f, plan));
         };
-        let (b, ib, mt) = (a.b(), f.ib, a.mt());
-        let t = TSet::for_run(plan, a, f, true);
-        Self::check_shapes(a, ib, &t);
+        Self::check_shapes(a, f);
         assert_eq!((a.mt(), a.nt()), (graph.mt(), graph.nt()), "matrix/graph shape mismatch");
-        let paged = PagedStore::build(a, t, ib, plan, budget, spill_dir)?;
-        Ok(TileStore {
-            b,
-            ib,
-            mt,
-            v_len: SlotFamily::Vg.slot_len(b, ib),
-            a: Vec::new(),
-            tg: Vec::new(),
-            tk: Vec::new(),
-            t: None,
-            v: None,
-            paged: Some(paged),
-            shard: None,
-        })
+        let (b, ib, mt, live) = (a.b(), f.ib, a.mt(), TSet::for_run(plan, a, f));
+        let paged = PagedStore::build(a, live, ib, plan, budget, spill_dir)?;
+        let tau = [ptrs(&mut f.tg), ptrs(&mut f.tk)];
+        Ok(TileStore { tau, paged: Some(paged), ..Self::bare(b, ib, mt) })
     }
 
-    /// The conditions the raw views rely on: the T set has a place for
-    /// each tile, every T holds `t_len(b, ib)` doubles, `ib` is in `1..=b`.
-    fn check_shapes(a: &TiledMatrix, ib: usize, t: &TSet) {
-        assert!(ib > 0 && ib <= a.b(), "inner block size must be in 1..=b");
-        let len = SlotFamily::Tg.slot_len(a.b(), ib);
-        for (fam, family) in [(SlotFamily::Tg, &t.tg), (SlotFamily::Tk, &t.tk)] {
-            assert_eq!(family.len(), a.mt() * a.nt(), "matrix/factor shape mismatch");
-            assert!(family.iter().flatten().all(|buf| buf.len() == len), "{fam:?} buffer length");
-        }
+    /// The conditions the raw views rely on: `f` is laid out for `a`'s
+    /// tiles, every τ holds `tau_len(b)` doubles, and `ib` is in `1..=b`.
+    fn check_shapes(a: &TiledMatrix, f: &TFactors) {
+        assert!(f.ib > 0 && f.ib <= a.b(), "inner block size must be in 1..=b");
+        assert_eq!((f.mt, f.nt, f.b), (a.mt(), a.nt(), a.b()), "matrix/factor shape mismatch");
+        let tau_len = hqr_kernels::tau_len(a.b());
+        assert!(f.tg.iter().chain(&f.tk).flatten().all(|t| t.len() == tau_len), "τ length");
     }
 
     /// Pin every slot task `tid` of the store's graph touches, faulting
@@ -395,23 +387,16 @@ impl TileStore {
         }))
     }
 
-    /// End the run's storage: keep in `f` the τ of every T factor the
-    /// store holds and drop the T set, and — paged — fault every tile back
-    /// into the matrix, dissolving the cache. Must be called (on success
-    /// *and* error paths) before `a` is used again; the store runs no task
-    /// after it. On a checksum/I/O failure the affected buffers are
-    /// zero-filled so `a`/`f` stay structurally whole, and the first error
-    /// is returned.
-    pub fn unpage(&mut self, a: &mut TiledMatrix, f: &mut TFactors) -> Result<(), String> {
-        (self.tg, self.tk) = (Vec::new(), Vec::new());
-        if let Some(t) = self.t.take() {
-            for (fam, family) in [(SlotFamily::Tg, t.tg), (SlotFamily::Tk, t.tk)] {
-                let held = family.iter().enumerate().filter_map(|(at, t)| Some((at, t.as_ref()?)));
-                held.for_each(|(at, t)| f.put_tau_of(fam, at, t));
-            }
-        }
+    /// End the run's storage: drop its scratch and — paged — fault every
+    /// tile back into the matrix, dissolving the cache. Must be called (on
+    /// success *and* error paths) before `a` or the run's [`TFactors`] is
+    /// used again; the store runs no task after it. On a checksum/I/O
+    /// failure the affected tiles are zero-filled so `a` stays structurally
+    /// whole, and the first error is returned.
+    pub fn unpage(&mut self, a: &mut TiledMatrix) -> Result<(), String> {
+        (self.scratch, self.places, self.t, self.tau) = Default::default();
         match self.paged.take() {
-            Some(mut paged) => paged.unpage(a, f),
+            Some(mut paged) => paged.unpage(a),
             None => Ok(()),
         }
     }
@@ -421,42 +406,69 @@ impl TileStore {
         self.paged.as_ref().map(|p| p.core.summary())
     }
 
-    /// Give back V copy `slot`'s buffer (see the module docs): to the
-    /// flat backing's free list, or dropped with its paged slot, never
-    /// written back. A shard, which keeps no free list, removes the slot
-    /// and returns its buffer. An apply store's `Vg` slots are the
-    /// factored tiles, which stay.
+    /// Give back scratch `slot`'s buffer (see the module docs): its place
+    /// to the flat backing's free list, or dropped with its paged slot,
+    /// never written back. A shard, which keeps no free list, removes a V
+    /// copy's slot and returns its buffer, and keeps a T until the gather.
+    /// An apply store's slots stay: its `Vg` are the factored tiles.
     ///
     /// # Safety
     /// No task that touches `slot` may be running or run later in this
     /// run: a task still holding the buffer's address would write into a
-    /// buffer another GEQRT may take.
+    /// buffer another writer may take.
     pub unsafe fn release(&self, slot: Slot) -> Option<Box<[f64]>> {
         let (fam, i, k) = slot;
-        debug_assert_eq!(fam, SlotFamily::Vg, "only V copies are released");
+        debug_assert_ne!(fam, SlotFamily::A, "only scratch is released");
         if let Some(paged) = &self.paged {
             paged.core.release(paged.core.slot_index(fam, i, k));
         } else if let Some(shard) = &self.shard {
-            return relock(shard).remove(&slot);
-        } else if let Some(v) = &self.v {
-            relock(v).release(i + k * self.mt);
+            return (fam == SlotFamily::Vg).then(|| relock(shard).remove(&slot)).flatten();
+        } else if let Some(places) = &self.places {
+            let held = &self.scratch[scratch_family(fam)][i + k * self.mt];
+            let at = held.swap(std::ptr::null_mut(), Ordering::AcqRel);
+            if !at.is_null() {
+                relock(&places[size_class(fam)]).free.push(at);
+            }
         }
         None
     }
 
-    /// V copies a flat or paged store holds now, and (flat backing only)
-    /// the most it held at once.
-    #[cfg(test)]
-    pub(crate) fn v_copies_held(&self) -> (usize, usize) {
-        if let Some(paged) = &self.paged {
-            return (paged.core.resident_v_copies(), 0);
+    /// Keep in the run's [`TFactors`] the τ of each T factor task `t` has
+    /// just written (flat and paged backings; a shard's gather and an apply
+    /// store keep none).
+    ///
+    /// # Safety
+    /// Same contract as [`TileStore::run_task`], and `t`'s attempt is done.
+    pub(crate) unsafe fn keep_tau(&self, t: &Task) {
+        for s @ (fam, i, k) in t.writes() {
+            let family = match fam {
+                SlotFamily::Tg => &self.tau[0],
+                SlotFamily::Tk => &self.tau[1],
+                SlotFamily::A | SlotFamily::Vg => continue,
+            };
+            if let Some(&tau) = family.get(i + k * self.mt).filter(|tau| !tau.is_null()) {
+                let tau = std::slice::from_raw_parts_mut(tau, hqr_kernels::tau_len(self.b));
+                hqr_kernels::tau_from_t(self.b, self.ib, self.slot_data(s), tau);
+            }
         }
-        // Places are taken last in, first out, so the places a run has
-        // used are the most copies it held at once.
-        self.v.as_ref().map_or((0, 0), |v| {
-            let v = relock(v);
-            (v.live.iter().flatten().count(), v.unused)
-        })
+    }
+
+    /// Per size class (V copies, T factors) of a flat or paged store: the
+    /// buffers it holds now, and (flat backing only) the places it has
+    /// used, which are the most it held at once.
+    #[cfg(test)]
+    pub(crate) fn scratch_held(&self) -> [(usize, usize); 2] {
+        if let Some(paged) = &self.paged {
+            let [v, tg, tk] = [SlotFamily::Vg, SlotFamily::Tg, SlotFamily::Tk]
+                .map(|fam| paged.core.resident_slots(fam));
+            return [(v, 0), (tg + tk, 0)];
+        }
+        let held = |fam: SlotFamily| {
+            let family = &self.scratch[scratch_family(fam)];
+            family.iter().filter(|p| !p.load(Ordering::Acquire).is_null()).count()
+        };
+        let used = |class: usize| self.places.as_ref().map_or(0, |p| relock(&p[class]).used);
+        [(held(SlotFamily::Vg), used(0)), (held(SlotFamily::Tg) + held(SlotFamily::Tk), used(1))]
     }
 
     /// Doubles in a slot of family `fam` in this store.
@@ -476,16 +488,16 @@ impl TileStore {
     fn slice(&self, s: Slot) -> &mut [f64] {
         let ptr = self.slot_ptr(s, true);
         assert!(!ptr.is_null(), "kernel touched an unallocated buffer");
-        // SAFETY: a slot's buffer holds `len` doubles (`check_shapes`
-        // asserted it of the factors; tiles, V copies and paged slots are
-        // allocated that long) and is alive until the run releases it, after
-        // its last task; exclusivity is guaranteed by the caller (DAG
-        // discipline).
+        // SAFETY: a slot's buffer holds `len` doubles (tiles, places,
+        // an apply store's T and paged slots are allocated that long) and
+        // is alive until the run releases it, after its last task;
+        // exclusivity is guaranteed by the caller (DAG discipline).
         unsafe { std::slice::from_raw_parts_mut(ptr, self.len(s.0)) }
     }
 
     /// The address of slot `s`'s buffer; `write` is the access of a task
-    /// that writes it, whose first one creates a flat store's V copy.
+    /// that writes it, whose first one takes a flat store's place for a
+    /// scratch slot.
     #[inline]
     fn slot_ptr(&self, (fam, i, j): Slot, write: bool) -> *mut f64 {
         if let Some(paged) = &self.paged {
@@ -502,11 +514,17 @@ impl TileStore {
             return ptr;
         }
         let idx = i + j * self.mt;
-        match (fam, &self.v) {
-            (SlotFamily::A, _) | (SlotFamily::Vg, None) => self.a[idx],
-            (SlotFamily::Vg, Some(v)) => relock(v).ptr(idx, write),
-            (SlotFamily::Tg, _) => self.tg[idx],
-            (SlotFamily::Tk, _) => self.tk[idx],
+        if fam == SlotFamily::A || (fam == SlotFamily::Vg && self.places.is_none()) {
+            return self.a[idx];
+        }
+        let held = &self.scratch[scratch_family(fam)][idx];
+        match (held.load(Ordering::Acquire), &self.places) {
+            (at, Some(places)) if at.is_null() && write => {
+                let at = relock(&places[size_class(fam)]).take();
+                held.store(at, Ordering::Release);
+                at
+            }
+            (at, _) => at,
         }
     }
 
@@ -627,7 +645,8 @@ mod tests {
     /// A flat store's V copies start on a cache line, though at b = 200 a
     /// copy's `v_len(b)` doubles are not a whole number of lines: the
     /// places sit whole lines apart. Every GEQRT's copy is held at once, so
-    /// every place is checked, and a released place is taken again.
+    /// every place is checked, and a released place is taken again (and
+    /// not zeroed again: GEQRT writes all of its copy).
     #[test]
     fn flat_v_copies_start_on_a_cache_line() {
         let (mt, nt, b, ib) = (3, 2, 200, 48);
@@ -639,22 +658,28 @@ mod tests {
         let geqrts: Vec<Slot> = written.filter(|s| s.0 == SlotFamily::Vg).collect();
         assert_eq!(geqrts.len(), 5);
         let mut a = TiledMatrix::zeros(mt, nt, b);
-        let store = TileStore::new(&mut a, ib, TSet::zeroed(&g, ib, factor_slots(&g)));
+        let mut f = TFactors::allocate_for(&g, ib);
+        let store = TileStore::new(&mut a, &mut f);
         let starts: Vec<usize> = geqrts.iter().map(|&s| store.slice(s).as_ptr() as usize).collect();
         for (s, start) in geqrts.iter().zip(&starts) {
             assert!(start.is_multiple_of(LINE), "{s:?} at {start:#x}");
             assert_eq!(store.slice(*s).len(), hqr_kernels::v_len(b));
         }
+        let v0 = store.slice(geqrts[0]).to_vec();
         // SAFETY: no task runs on this store.
         unsafe { store.release(geqrts[0]) };
-        assert_eq!(store.slice(geqrts[0]).as_ptr() as usize, starts[0], "the place is reused");
-        assert_eq!(store.v_copies_held(), (5, 5));
+        assert_eq!(store.scratch_held()[0], (4, 5));
+        let again = store.slice(geqrts[0]);
+        assert_eq!(again.as_ptr() as usize, starts[0], "the place is reused");
+        assert_eq!(again.as_ptr(), store.slice(geqrts[0]).as_ptr(), "and held");
+        assert_eq!(again.to_vec(), v0, "as it was left");
+        assert_eq!(store.scratch_held()[0], (5, 5));
     }
 
-    /// A run's T factors, which the store drops at `unpage`, start on a
-    /// cache line wherever they are 1 KiB or more (`tests/alignment.rs`
-    /// checks the τ a run leaves): at the benchmark's (128, 32), at
-    /// (200, 48) and, below 1 KiB and left alone, at (16, 4).
+    /// A run's T factors start on a cache line wherever they are 1 KiB or
+    /// more (`tests/alignment.rs` checks the τ a run leaves): at the
+    /// benchmark's (128, 32), at (200, 48) and, below 1 KiB and left alone,
+    /// at (16, 4). A T given back is the next one taken.
     #[test]
     fn t_factors_start_on_a_cache_line() {
         for (b, ib) in [(128, 32), (200, 48), (16, 4)] {
@@ -665,13 +690,22 @@ mod tests {
                 &[ElimOp::new(0, 1, 0, true), ElimOp::new(0, 2, 0, false)],
             );
             let mut a = TiledMatrix::zeros(3, 2, b);
-            let store = TileStore::new(&mut a, ib, TSet::zeroed(&g, ib, factor_slots(&g)));
-            let t = store.t.as_ref().expect("a flat store owns its T set");
-            for buf in t.tg.iter().chain(&t.tk).flatten() {
-                let small = std::mem::size_of_val(&**buf) < LINE_FROM;
+            let mut f = TFactors::allocate_for(&g, ib);
+            let store = TileStore::new(&mut a, &mut f);
+            let slots: Vec<Slot> = factor_slots(&g).collect();
+            for &s in &slots {
+                let t = store.slice(s);
+                let small = std::mem::size_of_val(t) < LINE_FROM;
                 assert!(small == (b == 16), "({b}, {ib})");
-                assert!(small || (buf.as_ptr() as usize).is_multiple_of(LINE), "({b}, {ib})");
+                assert!(small || (t.as_ptr() as usize).is_multiple_of(LINE), "({b}, {ib})");
             }
+            assert_eq!(store.scratch_held()[1], (slots.len(), slots.len()));
+            let ends = [slots[0], slots[slots.len() - 1]];
+            let at = ends.map(|s| store.slice(s).as_ptr());
+            // SAFETY: no task runs on this store.
+            let _ = ends.map(|s| unsafe { store.release(s) });
+            // Last in, first out: the first slot takes the last one's place.
+            assert_eq!(ends.map(|s| store.slice(s).as_ptr()), [at[1], at[0]], "({b}, {ib})");
         }
     }
 
@@ -682,7 +716,8 @@ mod tests {
         let g = TaskGraph::build(mt, nt, b, &elims);
         let mut a = TiledMatrix::random(mt, nt, b, 5);
         let before = a.to_dense();
-        let store = TileStore::new(&mut a, b, TSet::zeroed(&g, b, factor_slots(&g)));
+        let mut f = TFactors::allocate_for(&g, b);
+        let store = TileStore::new(&mut a, &mut f);
         for t in g.tasks() {
             // SAFETY: single-threaded, topological order.
             unsafe {

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use hqr_kernels::KernelKind;
 use hqr_runtime::{
     execute_serial_ib, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, JobPool,
-    JobSpec, JobState, PoolConfig, SubmitError, Task, TaskGraph,
+    JobSpec, JobState, PoolConfig, SubmitError, TFactors, Task, TaskGraph,
 };
 use hqr_tile::io::sibling_tmp_path;
 use hqr_tile::TiledMatrix;
@@ -56,6 +56,24 @@ fn suspended_checkpoint_resumes_bitwise_on_another_pool() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Resume `ckpt` on another pool, resident and paged (a quarter of the
+/// matrix resident), and require the bits of `execute_serial_ib`'s `a_ref`
+/// and `f_ref`.
+fn resumes_bitwise(ckpt: &Checkpoint, a_ref: &TiledMatrix, f_ref: &TFactors) {
+    let quarter = (ckpt.mt * ckpt.nt * ckpt.b * ckpt.b * 8 / 4) as u64;
+    for resident_budget in [None, Some(quarter)] {
+        let pool = JobPool::new(PoolConfig { nthreads: 2, resident_budget, ..Default::default() });
+        let id = pool.submit(JobSpec::resume(ckpt.clone())).expect("submit resume");
+        let out = pool.wait(id).unwrap();
+        pool.shutdown();
+        let label = format!("b = {}, budget {resident_budget:?}", ckpt.b);
+        assert_eq!(out.state, JobState::Completed, "{label}: {:?}", out.error);
+        let r = out.result.unwrap();
+        assert!(r.factors.bitwise_eq(f_ref), "{label}: resumed factors differ");
+        assert_eq!(r.a.to_dense().data(), a_ref.to_dense().data(), "{label}: tiles differ");
+    }
+}
+
 /// A job suspended while a V copy is live — GEQRT(0,0) done, an UNMQR
 /// that reads its V pending — resumes on another pool bitwise equal to
 /// `execute_serial_ib`, resident and paged, at b = 8 and at b = 1 (where
@@ -77,20 +95,7 @@ fn a_job_suspended_with_a_live_v_copy_resumes_bitwise() {
         let dir = tmp(&format!("live_v_{b}"));
         let ckpt = suspended_checkpoint(&dir, &elims, &a0, ib, stall as u32);
         assert!(ckpt.completed[geqrt] && !ckpt.completed[stall], "V(0,0) is live at b = {b}");
-        // A quarter of the matrix: the resumed job pages.
-        let quarter = (mt * nt * b * b * 8 / 4) as u64;
-        for resident_budget in [None, Some(quarter)] {
-            let pool =
-                JobPool::new(PoolConfig { nthreads: 2, resident_budget, ..Default::default() });
-            let id = pool.submit(JobSpec::resume(ckpt.clone())).expect("submit resume");
-            let out = pool.wait(id).unwrap();
-            pool.shutdown();
-            let label = format!("b = {b}, budget {resident_budget:?}");
-            assert_eq!(out.state, JobState::Completed, "{label}: {:?}", out.error);
-            let r = out.result.unwrap();
-            assert!(r.factors.bitwise_eq(&f_ref), "{label}: resumed factors differ");
-            assert_eq!(r.a.to_dense().data(), a_ref.to_dense().data(), "{label}: tiles differ");
-        }
+        resumes_bitwise(&ckpt, &a_ref, &f_ref);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -121,20 +126,53 @@ fn a_job_suspended_with_a_live_kill_t_resumes_bitwise() {
         assert!(ckpt.completed[k] && !ckpt.completed[stall], "Tk({i},0) is live at b = {b}");
         let tau = ckpt.factors.tk(i as usize, 0).map(<[f64]>::len);
         assert_eq!(tau, Some(hqr_kernels::tau_len(b)), "the checkpoint keeps τ");
-        // A quarter of the matrix: the resumed job pages.
-        let quarter = (mt * nt * b * b * 8 / 4) as u64;
-        for resident_budget in [None, Some(quarter)] {
-            let pool =
-                JobPool::new(PoolConfig { nthreads: 2, resident_budget, ..Default::default() });
-            let id = pool.submit(JobSpec::resume(ckpt.clone())).expect("submit resume");
-            let out = pool.wait(id).unwrap();
-            pool.shutdown();
-            let label = format!("b = {b}, budget {resident_budget:?}");
-            assert_eq!(out.state, JobState::Completed, "{label}: {:?}", out.error);
-            let r = out.result.unwrap();
-            assert!(r.factors.bitwise_eq(&f_ref), "{label}: resumed factors differ");
-            assert_eq!(r.a.to_dense().data(), a_ref.to_dense().data(), "{label}: tiles differ");
+        resumes_bitwise(&ckpt, &a_ref, &f_ref);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A job suspended after a kill's last update completed — its T given
+/// back to the store, so its τ lives only in the capture — while another
+/// kill's T is still read resumes on another pool bitwise equal to
+/// `execute_serial_ib`, resident and paged, at b = 8 and at b = 1.
+#[test]
+fn a_job_suspended_after_a_t_release_resumes_bitwise() {
+    let (mt, nt) = (6, 4);
+    let elims = binary_elims(mt, nt);
+    let kill = |t: &Task| matches!(t.kind, KernelKind::Tsqrt | KernelKind::Ttqrt);
+    // The updates that read kill `k`'s T.
+    let reads = |k: Task| {
+        move |t: &&Task| {
+            matches!(t.kind, KernelKind::Tsmqr | KernelKind::Ttmqr)
+                && (t.i, t.piv, t.k) == (k.i, k.piv, k.k)
         }
+    };
+    for (b, ib) in [(8, 4), (1, 1)] {
+        let graph = TaskGraph::build(mt, nt, b, &elims);
+        let a0 = TiledMatrix::random(mt, nt, b, 80);
+        let mut a_ref = a0.clone();
+        let f_ref = execute_serial_ib(&graph, &mut a_ref, ib);
+        let tasks = graph.tasks();
+        let id = |t: &Task| tasks.iter().position(|u| u == t).unwrap();
+        let live = *tasks.iter().find(|t| kill(t) && t.k == 1).unwrap();
+        let stall = id(tasks.iter().rfind(reads(live)).unwrap());
+        let dir = tmp(&format!("released_t_{b}"));
+        let ckpt = suspended_checkpoint(&dir, &elims, &a0, ib, stall as u32);
+        assert!(ckpt.completed[id(&live)] && !ckpt.completed[stall], "a T is live at b = {b}");
+        let done = |t: &Task| ckpt.completed[id(t)];
+        let released: Vec<&Task> = tasks
+            .iter()
+            .filter(|k| kill(k) && done(k) && tasks.iter().filter(reads(**k)).all(done))
+            .collect();
+        assert!(!released.is_empty(), "a T is released at b = {b}");
+        for k in released {
+            let (i, j) = (k.i as usize, k.k as usize);
+            let bits = |tau: Option<&[f64]>| {
+                tau.map(|t| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(ckpt.factors.tk(i, j)), bits(f_ref.tk(i, j)), "τ of Tk({i},{j})");
+        }
+        resumes_bitwise(&ckpt, &a_ref, &f_ref);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

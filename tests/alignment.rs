@@ -6,14 +6,13 @@
 //! must. This checks the buffers the kernels actually receive: the tiles of
 //! a fresh, random and cloned matrix, and the buffers a paged run faults
 //! back in and hands back through `unpage`; and the τ buffers a run
-//! leaves. A run's T factors are run storage, which the store drops at
-//! `unpage`, so they are checked in the store
-//! (`store::tests::t_factors_start_on_a_cache_line`).
-//! GEQRT's V copies are scratch a run releases, so they are checked where a
-//! flat store places them in its block (`VCopies::take`'s `assert!`): a
-//! resident run at b = 200, where a copy is not a whole number of lines,
-//! fails if one lands off a line. A paged run's or a worker's copy is a
-//! block of its own. The kernels' thread-local scratch is checked where it
+//! leaves. A run's T factors and GEQRT's V copies are scratch a run
+//! releases, so they are checked where a flat store places them in its
+//! blocks (`Places::take`'s `assert!`, and
+//! `store::tests::t_factors_start_on_a_cache_line`): a resident run at
+//! b = 200, where a copy is not a whole number of lines, fails if one
+//! lands off a line. A paged run's or a worker's copy is a block of its
+//! own. The kernels' thread-local scratch is checked where it
 //! is carved (`panel::carve`'s `debug_assert!`), which these runs exercise
 //! in debug builds.
 

@@ -154,13 +154,16 @@ fn one_worker_paged_run_moves_what_min_needs_and_less_than_lru() {
 /// The factor buffers of the benchmark's `tall_skinny` problem (32768 x
 /// 512 in tiles of b = 128, ib = 32, the adaptive tall list on a 2 x 1
 /// grid: one TS domain per cluster, a = 128): 22 GEQRTs and 1 014 kills
-/// each make a T, the packed upper triangles of its four 32 x 32 panels:
-/// a run's T set of 16.69 MiB. The factorization keeps each T's τ, its
-/// diagonal (`tau_len(b)` = 128 doubles): 1.01 MiB. Kept, the T factors
-/// made 16.69 MiB and GEQRT's V copies (V's strict lower triangle,
-/// `v_len(b)` = 8 128 doubles each) 1.37 MiB more, as `b x b` tiles
-/// 2.75 MiB more. T factors of `ib x b` made 35.13 MiB, the a = 4 list
-/// 73.56 MiB, and T factors zero-padded to `b x b` 193.75 MiB.
+/// each make a T, the packed upper triangles of its four 32 x 32 panels.
+/// The T slots total 16.69 MiB, which is no longer what a run holds: a T
+/// is run scratch from its factor task to its last reader, and a run
+/// touches as many T places as it holds T at once (257 at two threads,
+/// 4.14 MiB). The factorization keeps each T's τ, its diagonal
+/// (`tau_len(b)` = 128 doubles): 1.01 MiB. Kept, the T factors made
+/// 16.69 MiB and GEQRT's V copies (V's strict lower triangle, `v_len(b)` =
+/// 8 128 doubles each) 1.37 MiB more, as `b x b` tiles 2.75 MiB more. T
+/// factors of `ib x b` made 35.13 MiB, the a = 4 list 73.56 MiB, and T
+/// factors zero-padded to `b x b` 193.75 MiB.
 #[test]
 fn tall_skinny_factor_buffers_hold_packed_t_factors() {
     let (mt, nt, b, ib) = (256, 4, 128, 32);
@@ -179,6 +182,6 @@ fn tall_skinny_factor_buffers_hold_packed_t_factors() {
     assert_eq!((tg + tk) * 8, 1_060_864, "1.01 MiB of τ");
     let t = (b / ib) * (ib * (ib + 1) / 2);
     assert_eq!(t, t_len(b, ib));
-    assert_eq!((22 + 1014) * t * 8, 17_504_256, "16.69 MiB: a run's T set");
+    assert_eq!((22 + 1014) * t * 8, 17_504_256, "16.69 MiB: the T slots' total");
     assert_eq!(18_934_784 - 17_504_256, 22 * v_len(b) * 8, "the V copies a result kept");
 }
