@@ -23,9 +23,10 @@
 //! a run with no progress for `stall_timeout` is abandoned. Condemnation
 //! triggers recovery: the survivors halt at a task boundary and report what
 //! they ran; the dead worker's ranks are remapped onto survivors; every slot
-//! version that should now live on a worker which does not hold it is
+//! version the dead worker wrote (a V copy only while it is still read) is
 //! rebuilt *locally* by lineage re-execution (`hqr_runtime::lineage`) from
-//! the pristine input and placed there; and the survivors restart as a new
+//! the pristine input and placed on its writer's new owner, which re-pushes
+//! it to the survivors that need it; and the survivors restart as a new
 //! epoch from the new owner table and the completed set. Kernels are
 //! deterministic, so the result is bitwise-identical to a fault-free run.
 
@@ -447,8 +448,8 @@ impl CoordState<'_> {
     }
 
     /// After the survivors halted: close the completed set, then rebuild and
-    /// place every slot version whose new owner does not hold it; `Err` names
-    /// a survivor that could not take one.
+    /// place every slot version the dead worker wrote; `Err` names a
+    /// survivor that could not take one.
     fn replace_lost(&mut self, accepted: &[usize]) -> Result<(), (usize, String)> {
         let (graph, shared, tasks) = (self.graph, self.shared, self.graph.tasks());
         let dead = self.report.recoveries.last().expect("recovering").worker;
@@ -467,30 +468,22 @@ impl CoordState<'_> {
                 self.credit(t, dead);
             }
         }
-        // The holders rule: a task's writes make its worker the holder; a
-        // completed reader is a holder too, except of a V copy, which a
-        // reader drops after its last read. Lost: a slot version whose
-        // writer's worker is dead and whose new owner does not hold it — a
-        // V copy only while a task not completed still reads it — and a
-        // never-written tile of a rank that has left its first worker. (A
+        // Only a writer keeps its version: a worker drops a version it was
+        // pushed once no task of its own touches it. Lost, then, and placed
+        // on the new owner of its writer: every slot version whose writer's
+        // worker is dead — but a V copy no task not completed reads — and
+        // a never-written tile of a rank that has left its first worker. (A
         // second recovery places both again: correct, and simpler than
         // remembering where the first one put them.)
-        let (done, ran) = ((0..tasks.len()).filter(|&t| self.completed[t]), &self.ran);
-        let readers: HashSet<(Slot, usize)> =
-            done.flat_map(|t| tasks[t].reads().into_iter().map(move |s| (s, ran[t]))).collect();
         let writers = last_writers(graph, &self.completed);
         let live = live_v_copies(graph, &self.completed).into_iter().map(|t| &tasks[t as usize]);
         let live: HashSet<Slot> =
             live.map(|t| (SlotFamily::Vg, t.i as usize, t.k as usize)).collect();
         let mut lost: Vec<(usize, Slot)> = Vec::new();
         for (&slot, &t) in &writers {
-            let target = self.owner(&tasks[t as usize]);
-            let held = match slot.0 {
-                SlotFamily::Vg => !live.contains(&slot),
-                _ => readers.contains(&(slot, target)),
-            };
-            if !shared.alive(self.ran[t as usize]) && !held {
-                lost.push((target, slot));
+            let spent = slot.0 == SlotFamily::Vg && !live.contains(&slot);
+            if !shared.alive(self.ran[t as usize]) && !spent {
+                lost.push((self.owner(&tasks[t as usize]), slot));
             }
         }
         for (i, j) in (0..graph.nt()).flat_map(|j| (0..graph.mt()).map(move |i| (i, j))) {

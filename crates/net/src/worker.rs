@@ -13,11 +13,16 @@
 //! read without being written is never written again, so every
 //! cross-worker edge carries data and no "I have read it" notice exists.
 //! The version a pushed task consumed is gone from this shard, so a halted
-//! worker reports the pushes it accepted (see `Msg::Progress`). A V copy
-//! leaves the shard when its last pending reader has completed (after the
-//! pushes of the task that completed it are encoded), and a `Start` rebuilds
-//! the ones this worker's done GEQRTs still owe the epoch from their
-//! factored tiles.
+//! worker reports the pushes it accepted (see `Msg::Progress`). The run
+//! counts the tasks touching each slot, and a slot leaves the shard, its
+//! buffer back in the pool, once no task of the epoch left touches it
+//! (after the pushes of the task that spent it are encoded) if it is a V
+//! copy or a version a peer pushed: this worker's unfinished tasks were
+//! its only use here. What this worker wrote stays, for the gather and
+//! for `Start`'s re-pushes. A `Start` rebuilds the V copies this worker's
+//! done GEQRTs still owe the epoch from their factored tiles; a dropped
+//! version a peer wrote comes back with that peer's re-push, or, if the
+//! peer is dead, the coordinator places it.
 //!
 //! Every connection has its own thread: pushes are drained and progress
 //! polls answered while a kernel runs (the shard lock is never held across
@@ -44,7 +49,7 @@ use hqr_runtime::task::SlotFamily;
 use hqr_runtime::{last_writers, live_v_copies, FaultPlan, FaultStats, Slot, Task, TaskGraph};
 use hqr_tile::{Layout, ProcessGrid};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
@@ -84,6 +89,13 @@ struct Sched {
     log: Vec<u64>,
     /// Tasks whose push was accepted this epoch — what a halt reports.
     accepted: Vec<u64>,
+    /// Held slots whose version a peer pushed, dropped once spent; a
+    /// task's write here or the coordinator's `Put` makes one this
+    /// worker's.
+    received: HashSet<Slot>,
+    /// Every slot recycled, with its epoch.
+    #[cfg(test)]
+    dropped: Vec<(u64, Slot)>,
     /// Set by a halt once the compute thread stopped, cleared by `Start`.
     halt: bool,
     failed: Option<String>,
@@ -107,7 +119,7 @@ struct EpochRun {
 
 impl EpochRun {
     /// Complete `t` and queue the released tasks that run here; returns
-    /// the scratch `t` spent, for [`EpochRun::release`].
+    /// the slots `t` spent, for [`Run::recycle`].
     fn complete(&self, graph: &TaskGraph, t: u32) -> Option<Spent> {
         let queue = |s: u32| {
             if self.mine[s as usize] {
@@ -115,15 +127,6 @@ impl EpochRun {
             }
         };
         self.dag.complete(graph, t, queue, queue)
-    }
-
-    /// Take a spent V copy out of `shard` and give its buffer to `pool`; a
-    /// spent T stays in the shard until the gather.
-    fn release(&self, pool: &TilePool, shard: &Shard, spent: Option<Spent>) {
-        if let Some(buf) = spent.and_then(|v| self.dag.release(v)) {
-            let held = shard.lock().expect("shard lock").len() + 1;
-            pool.give([buf], held);
-        }
     }
 }
 
@@ -302,11 +305,14 @@ impl Run {
                     s.failed = ended.err();
                     return ControlFlow::Break(());
                 };
+                for w in graph.tasks()[t as usize].writes() {
+                    s.received.remove(&w);
+                }
                 let spent = run.complete(graph, t);
                 s.log.push(u64::from(t));
                 drop(s);
                 push(t);
-                run.release(&state.pool, &self.shard, spent);
+                self.recycle(&state.pool, &mut self.sched(), spent);
                 ControlFlow::Continue(())
             },
         );
@@ -429,9 +435,10 @@ impl Run {
         let Some(run) = run.filter(|r| !r.dag.frontier.is_done(t) && !r.mine[t as usize]) else {
             return;
         };
+        s.received.extend(slots.iter().map(|&(slot, _)| slot));
         self.write(pool, slots);
         let spent = run.complete(&self.graph, t);
-        run.release(pool, &self.shard, spent);
+        self.recycle(pool, &mut s, spent);
         s.accepted.push(task_id);
         if let Some(compute) = &s.compute {
             compute.thread().unpark();
@@ -442,9 +449,24 @@ impl Run {
     /// connection the coordinator gave up on must not undo what a task wrote
     /// since) and only if it is [`Run::slot_len`] long.
     fn place(&self, pool: &TilePool, slot: Slot, raw: &[u8]) {
-        let s = self.sched();
+        let mut s = self.sched();
         if raw.len() == self.slot_len(slot) * 8 && (s.epoch == 0 || s.halt) {
             self.write(pool, [(slot, raw)]);
+            s.received.remove(&slot);
+        }
+    }
+
+    /// Take the slots in `spent` that this worker need not keep out of the
+    /// shard — a V copy, or a version a peer pushed — and give their
+    /// buffers to `pool`.
+    fn recycle(&self, pool: &TilePool, s: &mut Sched, spent: Option<Spent>) {
+        let mut shard = self.shard.lock().expect("shard lock");
+        for slot in spent.iter().flat_map(Spent::slots) {
+            if s.received.remove(&slot) || slot.0 == SlotFamily::Vg {
+                #[cfg(test)]
+                s.dropped.push((s.epoch, slot));
+                pool.give(shard.remove(&slot));
+            }
         }
     }
 
@@ -467,7 +489,7 @@ impl Run {
     /// worker owns, in slot order, then the push counters; a T slot goes as
     /// its τ, which is all a result keeps. Each frame is encoded under the
     /// shard lock into one reused buffer and written after its release.
-    fn gather(&self, stream: &mut TcpStream) -> Result<(), NetError> {
+    fn gather(&self, pool: &TilePool, stream: &mut TcpStream) -> Result<(), NetError> {
         // The compute thread may still be counting its last push.
         self.halt();
         let s = self.sched();
@@ -477,24 +499,25 @@ impl Run {
         let mut last: Vec<(Slot, u32)> =
             last_writers(&self.graph, &vec![true; tasks.len()]).into_iter().collect();
         last.sort_unstable();
-        let (mut frame, mut tau) = (Vec::new(), vec![0.0; hqr_kernels::tau_len(self.graph.b())]);
-        for (slot, w) in last.into_iter().filter(|(slot, _)| slot.0 != SlotFamily::Vg) {
-            if run.as_ref().is_some_and(|run| run.mine[w as usize]) {
-                let shard = self.shard.lock().expect("shard lock");
-                let held = shard.get(&slot).map(|buf| {
-                    if slot.0 == SlotFamily::A {
-                        return encode_into(&mut frame, &put_frame(slot, buf));
-                    }
-                    hqr_kernels::tau_from_t(self.graph.b(), self.ib, buf, &mut tau);
-                    encode_into(&mut frame, &put_frame(slot, &tau))
-                });
-                drop(shard);
-                // A slot that is not here is the coordinator's to rebuild.
-                if held.is_some() {
-                    write_frame(stream, &frame)?;
+        let (mut frame, mut tau) = (Vec::new(), pool.take(hqr_kernels::tau_len(self.graph.b())));
+        let mine = |&(slot, w): &(Slot, u32)| {
+            slot.0 != SlotFamily::Vg && run.as_ref().is_some_and(|run| run.mine[w as usize])
+        };
+        let sent = last.into_iter().filter(mine).try_for_each(|(slot, _)| {
+            let shard = self.shard.lock().expect("shard lock");
+            let held = shard.get(&slot).map(|buf| {
+                if slot.0 == SlotFamily::A {
+                    return encode_into(&mut frame, &put_frame(slot, buf));
                 }
-            }
-        }
+                hqr_kernels::tau_from_t(self.graph.b(), self.ib, buf, &mut tau);
+                encode_into(&mut frame, &put_frame(slot, &tau))
+            });
+            drop(shard);
+            // A slot that is not here is the coordinator's to rebuild.
+            held.map_or(Ok(()), |()| write_frame(stream, &frame))
+        });
+        pool.give([tau]);
+        sent?;
         send_msg(stream, &end)
     }
 }
@@ -620,8 +643,9 @@ fn answer(
                 let run = Run::plan(run_id, dims, addrs, tasks);
                 let run = Arc::new(run.map_err(|e| format!("hello rejected: {e}"))?);
                 // What the pool holds of an earlier run's sizes is never taken.
-                let lens = [SlotFamily::A, SlotFamily::Vg, SlotFamily::Tg]
+                let [a, v, t] = [SlotFamily::A, SlotFamily::Vg, SlotFamily::Tg]
                     .map(|fam| run.slot_len((fam, 0, 0)));
+                let lens = [a, v, t, hqr_kernels::tau_len(run.graph.b())];
                 // New run: the previous one's plan and compute thread go, and
                 // its shard's buffers go back to the pool. (Halted outside
                 // the lock: a dying compute thread takes it.)
@@ -629,8 +653,7 @@ fn answer(
                 if let Some(old) = old {
                     old.halt();
                     let shard = std::mem::take(&mut *old.shard.lock().expect("shard lock"));
-                    let held = shard.len();
-                    state.pool.give(shard.into_values(), held);
+                    state.pool.give(shard.into_values());
                 }
                 state.pool.keep(&lens);
             }
@@ -665,7 +688,7 @@ fn answer(
             Msg::Progress { ids, accepted: if halt { s.accepted.clone() } else { Vec::new() } }
         }
         Msg::Gather { run_id } => {
-            state.run(run_id)?.gather(stream).map_err(|e| e.to_string())?;
+            state.run(run_id)?.gather(&state.pool, stream).map_err(|e| e.to_string())?;
             return Ok(None);
         }
         Msg::Ping | Msg::Shutdown => Msg::Ok,
@@ -710,17 +733,50 @@ pub fn shutdown(addr: SocketAddr) -> Result<(), NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coord::{factorize, shutdown_workers, DistConfig};
+    use crate::coord::{factorize, shutdown_workers, DistConfig, DistReport};
     use hqr_runtime::{execute_serial_ib, ElimOp};
     use hqr_tile::TiledMatrix;
 
     /// A worker serving on a background thread, as `spawn_local` starts
     /// one, with its state in reach.
-    fn serve_one() -> (Arc<WorkerState>, JoinHandle<io::Result<()>>) {
+    fn serve_one(opts: WorkerOptions) -> (Arc<WorkerState>, JoinHandle<io::Result<()>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let state = Arc::new(WorkerState::new(&listener, WorkerOptions::default()).unwrap());
+        let state = Arc::new(WorkerState::new(&listener, opts).unwrap());
         let serving = Arc::clone(&state);
         (state, thread::spawn(move || serve_state(listener, &serving)))
+    }
+
+    /// A flat tree: every panel's rows killed by its diagonal row, by TS
+    /// kernels on even rows and TT kernels on odd ones.
+    fn flat(mt: usize, nt: usize) -> Vec<ElimOp> {
+        (0..nt.min(mt) as u32)
+            .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
+            .collect()
+    }
+
+    /// Factorize a random input of `graph`'s shape on the fleet at `addrs`
+    /// (a 1 × n grid) as run `run_id`, and check the result bitwise
+    /// against `execute_serial_ib`.
+    fn run_bitwise(addrs: &[SocketAddr], graph: &TaskGraph, ib: usize, run_id: u64) -> DistReport {
+        let input = TiledMatrix::random(graph.mt(), graph.nt(), graph.b(), 100 + run_id);
+        let cfg = DistConfig { run_id, ..DistConfig::for_workers(addrs.len()) };
+        let (a, f, report) = factorize(addrs, graph, &input, ib, &cfg).expect("factorize");
+        let mut reference = input.clone();
+        let truth = execute_serial_ib(graph, &mut reference, ib);
+        let bits = |m: &TiledMatrix| m.to_dense().data().iter().map(|x| x.to_bits()).collect();
+        let (got, want): (Vec<u64>, Vec<u64>) = (bits(&a), bits(&reference));
+        assert_eq!(got, want, "run {run_id}: matrix diverged");
+        assert!(truth.bitwise_eq(&f), "run {run_id}: T factors diverged");
+        report
+    }
+
+    /// What a worker's current run holds: its shard's slots, and the slots
+    /// it recycled, with their epochs.
+    fn held(state: &WorkerState) -> (Vec<Slot>, Vec<(u64, Slot)>) {
+        let run = state.current().expect("a run");
+        let shard: Vec<Slot> = run.shard.lock().unwrap().keys().copied().collect();
+        let dropped = run.sched().dropped.clone();
+        (shard, dropped)
     }
 
     /// One worker runs every task, lowest ready id first, which on one
@@ -729,12 +785,9 @@ mod tests {
     /// older ready one).
     #[test]
     fn a_one_worker_fleet_runs_the_tasks_in_program_order() {
-        let (state, serving) = serve_one();
+        let (state, serving) = serve_one(WorkerOptions::default());
         let (mt, nt, b) = (6, 4, 8);
-        let elims: Vec<ElimOp> = (0..nt as u32)
-            .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
-            .collect();
-        let graph = TaskGraph::build(mt, nt, b, &elims);
+        let graph = TaskGraph::build(mt, nt, b, &flat(mt, nt));
         let input = TiledMatrix::random(mt, nt, b, 9);
         factorize(&[state.addr], &graph, &input, 4, &DistConfig::for_workers(1))
             .expect("factorize");
@@ -749,7 +802,7 @@ mod tests {
     /// creates none of the task's factor outputs.
     #[test]
     fn a_missing_input_tile_is_a_typed_error_and_creates_nothing() {
-        let (state, serving) = serve_one();
+        let (state, serving) = serve_one(WorkerOptions::default());
         let mut conn = TcpStream::connect(state.addr).unwrap();
         let mut rpc = |msg: Msg| {
             send_msg(&mut conn, &msg).unwrap();
@@ -783,40 +836,170 @@ mod tests {
 
     /// One fleet serves five runs of different shapes, tile sizes and
     /// inputs out of recycled buffers. Every run is bitwise the serial
-    /// reference, and no worker's pool ever holds more buffers than the
-    /// largest shard that worker held (a shard only grows during a run, so
-    /// its size after the run is its largest).
+    /// reference, and after each, per buffer length, no worker's pool and
+    /// shard together hold more buffers than the worker had in use at once.
     #[test]
     fn pooled_buffers_leak_nothing_across_runs() {
-        let fleet: Vec<_> = (0..2).map(|_| serve_one()).collect();
+        let fleet: Vec<_> = (0..2).map(|_| serve_one(WorkerOptions::default())).collect();
         let addrs: Vec<SocketAddr> = fleet.iter().map(|(s, _)| s.addr).collect();
-        let mut largest = [0usize; 2];
         let shapes = [(6, 4, 8, 4), (4, 4, 8, 8), (8, 3, 4, 2), (5, 2, 8, 3), (6, 4, 8, 4)];
         for (run, &(mt, nt, b, ib)) in shapes.iter().enumerate() {
-            let elims: Vec<ElimOp> = (0..nt as u32)
-                .flat_map(|k| (k + 1..mt as u32).map(move |i| ElimOp::new(k, i, k, i % 2 == 0)))
-                .collect();
-            let graph = TaskGraph::build(mt, nt, b, &elims);
-            let input = TiledMatrix::random(mt, nt, b, 100 + run as u64);
-            let cfg = DistConfig { run_id: run as u64 + 1, ..DistConfig::for_workers(2) };
-            let (a, f, _) = factorize(&addrs, &graph, &input, ib, &cfg).expect("factorize");
-            let mut reference = input.clone();
-            let truth = execute_serial_ib(&graph, &mut reference, ib);
-            let bits = |m: &TiledMatrix| m.to_dense().data().iter().map(|x| x.to_bits()).collect();
-            let (got, want): (Vec<u64>, Vec<u64>) = (bits(&a), bits(&reference));
-            assert_eq!(got, want, "run {run}: matrix diverged");
-            assert!(truth.bitwise_eq(&f), "run {run}: T factors diverged");
+            let graph = TaskGraph::build(mt, nt, b, &flat(mt, nt));
+            run_bitwise(&addrs, &graph, ib, run as u64 + 1);
+            let lens = [SlotFamily::A, SlotFamily::Vg, SlotFamily::Tg].map(|f| f.slot_len(b, ib));
             for (w, (state, _)) in fleet.iter().enumerate() {
-                let shard = state.current().expect("a run").shard.lock().unwrap().len();
-                largest[w] = largest[w].max(shard);
+                let current = state.current().expect("a run");
+                let shard = current.shard.lock().unwrap();
+                for n in lens.into_iter().chain([hqr_kernels::tau_len(b)]) {
+                    let (shelf, most) = state.pool.count(n);
+                    let in_shard = shard.values().filter(|buf| buf.len() == n).count();
+                    assert!(most > 0, "run {run}, worker {w}: no buffer of {n} doubles was used");
+                    assert!(
+                        shelf + in_shard <= most,
+                        "run {run}, worker {w}: {shelf} + {in_shard} buffers of {n} > {most}"
+                    );
+                }
             }
         }
         shutdown_workers(&addrs);
-        for (w, (state, serving)) in fleet.into_iter().enumerate() {
+        for (state, serving) in fleet {
             serving.join().unwrap().unwrap();
-            let peak = state.pool.peak();
-            assert!(peak > 0, "worker {w} never recycled a buffer");
-            assert!(peak <= largest[w], "worker {w}: pool held {peak} > shard {}", largest[w]);
+            let tiles = state.pool.count(SlotFamily::A.slot_len(8, 4)).0;
+            assert!(tiles > 0, "no dropped tile came back to the pool");
+        }
+    }
+
+    /// Five identical runs on a two-worker fleet: every buffer the later
+    /// runs use was made in the first. Worker 1 is slow, so worker 0's
+    /// pushes have all arrived before it consumes the first, and each run
+    /// holds as many received slots at once as any.
+    #[test]
+    fn identical_runs_make_no_buffer_after_the_first() {
+        let slow = WorkerOptions { slow_task_ms: 60, ..Default::default() };
+        let fleet = [serve_one(WorkerOptions::default()), serve_one(slow)];
+        let addrs: Vec<SocketAddr> = fleet.iter().map(|(s, _)| s.addr).collect();
+        let graph = TaskGraph::build(4, 2, 8, &flat(4, 2));
+        let mut made = Vec::new();
+        for run in 1..=5 {
+            run_bitwise(&addrs, &graph, 4, run);
+            made.push(fleet.each_ref().map(|(state, _)| state.pool.made()));
+        }
+        assert!(made[0].iter().all(|&n| n > 0), "{made:?}");
+        assert!(made.iter().all(|m| *m == made[0]), "buffers made after each run: {made:?}");
+        shutdown_workers(&addrs);
+        for (_, serving) in fleet {
+            serving.join().unwrap().unwrap();
+        }
+    }
+
+    /// After a fault-free run of the adaptive hierarchical tree on a 1 × 2
+    /// fleet, a worker's shard holds only its own columns' slots: every
+    /// tile, V copy and T a peer pushed was dropped once its last task here
+    /// completed, and so was every V copy of its own.
+    #[test]
+    fn a_shard_at_the_gather_holds_no_slot_a_peer_pushed() {
+        let fleet: Vec<_> = (0..2).map(|_| serve_one(WorkerOptions::default())).collect();
+        let addrs: Vec<SocketAddr> = fleet.iter().map(|(s, _)| s.addr).collect();
+        let (mt, nt) = (8, 4);
+        let setup = hqr::baselines::hqr_adaptive(mt, nt, ProcessGrid::new(1, 2));
+        let graph = TaskGraph::build(mt, nt, 4, &setup.elims.to_ops());
+        let report = run_bitwise(&addrs, &graph, 2, 1);
+        assert!(report.peer_transfers > 0 && report.recoveries.is_empty(), "{report:?}");
+        for (w, (state, _)) in fleet.iter().enumerate() {
+            let (shard, dropped) = held(state);
+            assert!(
+                dropped.iter().any(|(_, s)| s.0 == SlotFamily::A),
+                "worker {w} dropped no tile"
+            );
+            let foreign: Vec<_> =
+                shard.iter().filter(|&&(fam, _, j)| j % 2 != w || fam == SlotFamily::Vg).collect();
+            assert!(foreign.is_empty(), "worker {w} holds {foreign:?} at the gather");
+        }
+        shutdown_workers(&addrs);
+        fleet.into_iter().for_each(|(_, serving)| serving.join().unwrap().unwrap());
+    }
+
+    /// The 3 × 6-tile flat tree, and the position of `TSMQR(1, 2; j)`,
+    /// which reads `A(2,1)` and `Tk(2,1)` as `TSQRT(1, 2; 1)` left them.
+    fn panel_one() -> (TaskGraph, impl Fn(u16) -> usize) {
+        let graph = TaskGraph::build(3, 6, 4, &flat(3, 6));
+        let tasks = graph.tasks().to_vec();
+        let at = move |j| tasks.iter().position(|t| *t == Task::update(1, 2, 1, j, true));
+        (graph, move |j| at(j).expect("a TSMQR of panel 1"))
+    }
+
+    /// Run `graph` on a 1 × n fleet whose worker `victim`, at 150 ms a
+    /// task, dies before the task at `dies_at` (program order is its order:
+    /// the others never keep it waiting); returns the survivors' states.
+    fn kill_before(
+        graph: &TaskGraph,
+        n: usize,
+        victim: usize,
+        dies_at: usize,
+    ) -> Vec<Arc<WorkerState>> {
+        let grid = ProcessGrid::new(1, n);
+        let on_victim = |t: &Task| {
+            let (i, j) = t.affinity_tile();
+            Layout::Cyclic2D(grid).owner(i, j) == victim
+        };
+        let before = graph.tasks()[..dies_at].iter().filter(|t| on_victim(t)).count() as u64;
+        let doomed = WorkerOptions {
+            die_after_tasks: Some(before),
+            slow_task_ms: 150,
+            ..Default::default()
+        };
+        let fleet: Vec<_> = (0..n)
+            .map(|w| serve_one(if w == victim { doomed } else { WorkerOptions::default() }))
+            .collect();
+        let addrs: Vec<SocketAddr> = fleet.iter().map(|(s, _)| s.addr).collect();
+        let report = run_bitwise(&addrs, graph, 4, 1);
+        assert_eq!(report.recoveries.len(), 1, "{:?}", report.recoveries);
+        assert_eq!(report.recoveries[0].worker, victim);
+        shutdown_workers(&addrs);
+        let states = fleet.into_iter().map(|(state, serving)| {
+            serving.join().unwrap().unwrap();
+            state
+        });
+        states.enumerate().filter(|&(w, _)| w != victim).map(|(_, state)| state).collect()
+    }
+
+    /// A survivor drops a copy it was pushed, then the copy's writer dies:
+    /// the coordinator must place it. On a 1 × 2 fleet, worker 1's
+    /// `TSQRT(1, 2; 1)` pushes `A(2,1)` and `Tk(2,1)` to worker 0, whose
+    /// TSMQRs of columns 2 and 4 are their last readers there; worker 1
+    /// runs the TSMQR of column 3 and dies before that of column 5, which
+    /// recovery remaps onto worker 0.
+    #[test]
+    fn a_dropped_copy_whose_writer_dies_is_placed() {
+        let (graph, at) = panel_one();
+        let survivor = &kill_before(&graph, 2, 1, at(5))[0];
+        let (shard, dropped) = held(survivor);
+        for slot in [(SlotFamily::A, 2, 1), (SlotFamily::Tk, 2, 1)] {
+            assert!(
+                dropped.contains(&(1, slot)),
+                "{slot:?} not dropped before the kill: {dropped:?}"
+            );
+            assert!(shard.contains(&slot), "{slot:?} was not placed");
+        }
+    }
+
+    /// A survivor drops a copy it was pushed, a task that reads it is
+    /// remapped onto the survivor, and the copy's living writer pushes it
+    /// again. On a 1 × 3 fleet, worker 1's `TSQRT(1, 2; 1)` has readers on
+    /// all three workers; worker 2 dies before its TSMQR of column 5, which
+    /// lands on worker 0 after worker 0 dropped its copy.
+    #[test]
+    fn a_dropped_copy_comes_back_with_its_writers_push() {
+        let (graph, at) = panel_one();
+        let survivor = &kill_before(&graph, 3, 2, at(5))[0];
+        let (_, dropped) = held(survivor);
+        for slot in [(SlotFamily::A, 2, 1), (SlotFamily::Tk, 2, 1)] {
+            let epochs: Vec<u64> = dropped.iter().filter(|d| d.1 == slot).map(|d| d.0).collect();
+            assert_eq!(
+                epochs,
+                [1, 2],
+                "{slot:?}: dropped before the kill, pushed and dropped again"
+            );
         }
     }
 }

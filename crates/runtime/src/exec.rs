@@ -101,25 +101,30 @@ fn is_t(fam: SlotFamily) -> bool {
 type Family = Vec<Option<Box<[f64]>>>;
 
 /// How many tasks that are not done read each scratch slot — GEQRT's V
-/// copy and T (UNMQR reads both), a kill's T (its updates read it) —
-/// indexed `i + k·mt` within the `Vg`, `Tg` and `Tk` families in turn: a
-/// slot is needed from its writer until the last of them completes.
-/// Counted from the graph; a resumed run leaves out the readers
-/// `completed` marks.
+/// copy and T (UNMQR reads both), a kill's T (its updates read it) — and,
+/// on a run over an `hqr-net` shard, how many read or write each tile,
+/// indexed `i + k·mt` within the `A` (shard only), `Vg`, `Tg` and `Tk`
+/// families in turn: a slot is needed from its writer until the last of
+/// them completes. Counted from the graph; a resumed run (or a worker's
+/// epoch) leaves out the tasks `completed` marks.
 pub(crate) struct Readers {
     pending: Vec<AtomicU32>,
     mt: usize,
     tiles: usize,
+    /// The first family counted: `A` over a shard, `Vg` otherwise.
+    first: usize,
 }
 
 impl Readers {
-    pub(crate) fn new(graph: &TaskGraph, completed: Option<&[bool]>) -> Self {
-        let (mt, tiles) = (graph.mt(), graph.mt() * graph.nt());
-        let pending = (0..3 * tiles).map(|_| AtomicU32::new(0)).collect();
-        let mut readers = Readers { pending, mt, tiles };
+    pub(crate) fn new(graph: &TaskGraph, completed: Option<&[bool]>, shard: bool) -> Self {
+        let (mt, tiles, first) = (graph.mt(), graph.mt() * graph.nt(), usize::from(!shard));
+        let pending = (0..(4 - first) * tiles).map(|_| AtomicU32::new(0)).collect();
+        let mut readers = Readers { pending, mt, tiles, first };
         for (t, task) in graph.tasks().iter().enumerate() {
             if !completed.is_some_and(|c| c[t]) {
-                for s in task.reads() {
+                let written = if shard { task.writes() } else { Vec::new() };
+                let tiles = written.into_iter().filter(|s| s.0 == SlotFamily::A);
+                for s in task.reads().into_iter().chain(tiles) {
                     if let Some(at) = readers.at(s) {
                         *readers.pending[at].get_mut() += 1;
                     }
@@ -129,21 +134,24 @@ impl Readers {
         readers
     }
 
-    /// Where scratch slot `s` is counted; `None` for a tile.
+    /// Where slot `s` is counted; `None` for a tile of a run not over a
+    /// shard.
     fn at(&self, (fam, i, k): Slot) -> Option<usize> {
-        let family = (fam as usize).checked_sub(1)?;
+        let family = (fam as usize).checked_sub(self.first)?;
         Some(family * self.tiles + i + k * self.mt)
     }
 
-    /// Count `t`'s completion: the scratch slots it was the last pending
-    /// reader of, and those it wrote that nothing will read.
+    /// Count `t`'s completion: the slots it was the last pending reader
+    /// (or, of a counted tile, toucher) of, and the scratch it wrote that
+    /// nothing will read.
     pub(crate) fn spend(&self, t: &Task) -> Spent {
         let (mut spent, mut n) = (Spent::default(), 0);
         let writes = t.writes().into_iter().map(|s| (s, false));
         for (s, read) in writes.chain(t.reads().into_iter().map(|s| (s, true))) {
             let Some(at) = self.at(s) else { continue };
-            // Every reader depends on the writer, so none has counted down.
-            let ended = match read {
+            // Every reader depends on the writer, so none has counted down;
+            // a tile's writers are counted as its readers are.
+            let ended = match read || s.0 == SlotFamily::A {
                 true => self.pending[at].fetch_sub(1, Ordering::AcqRel) == 1,
                 false => self.pending[at].load(Ordering::Acquire) == 0,
             };
@@ -328,14 +336,14 @@ pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> T
 /// [`execute_serial_ib`]'s run into `f`, whose store it leaves open.
 fn serial_run(graph: &TaskGraph, a: &mut TiledMatrix, f: &mut TFactors) -> TileStore {
     let store = TileStore::new(a, f);
-    let readers = Readers::new(graph, None);
+    let readers = Readers::new(graph, None, false);
     for t in graph.tasks() {
         // SAFETY: single-threaded, topological order; `t` was the last
         // task of each slot it spends, and the ones left are later.
         unsafe {
             store.run_task(t, graph.trans());
             store.keep_tau(t);
-            readers.spend(t).slots().for_each(|s| drop(store.release(s)));
+            readers.spend(t).slots().for_each(|s| store.release(s));
         }
     }
     store
@@ -958,15 +966,17 @@ pub struct DagRun {
     pub halt: AtomicBool,
 }
 
-/// The scratch slots (V copies and T factors, at most two) a completion
-/// spent, as [`DagRun::complete`] returns them: no task of the run touches
-/// them again, so [`DagRun::release`] may take their buffers.
+/// The slots a completion spent, as [`DagRun::complete`] returns them: V
+/// copies and T factors, and over a shard tiles too (at most four). No
+/// task of the run touches them again, so [`DagRun::release`] may take
+/// their buffers, or a worker its shard's.
 #[must_use = "a spent scratch slot stays held until it is released"]
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct Spent([Option<Slot>; 2]);
+pub struct Spent([Option<Slot>; 4]);
 
 impl Spent {
-    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+    /// The spent slots.
+    pub fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
         self.0.iter().flatten().copied()
     }
 }
@@ -982,6 +992,7 @@ impl DagRun {
         completed: Option<&[bool]>,
     ) -> (DagRun, Vec<u32>) {
         let (frontier, ready) = Frontier::new(graph, p.policy, p.publish_rest, completed);
+        let readers = Readers::new(graph, completed, store.is_shard());
         let run = DagRun {
             store,
             guards: p.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt())),
@@ -990,7 +1001,7 @@ impl DagRun {
             recovery: p.max_retries > 0 || p.plan.is_some(),
             full_integrity: p.integrity == IntegrityMode::Full,
             frontier,
-            readers: Readers::new(graph, completed),
+            readers,
             halt: AtomicBool::new(false),
         };
         (run, ready)
@@ -1160,11 +1171,12 @@ impl DagRun {
     /// Complete `tid`, which just ran [`Attempt::Done`] (or, on an
     /// `hqr-net` worker, ran elsewhere), through [`Frontier::complete`],
     /// unless the fault plan drops the completion; and count it against the
-    /// scratch slots it reads or writes. Returns those no task will touch
-    /// again — `tid` was their last pending reader, or wrote what nothing
-    /// reads — for the caller to [`DagRun::release`] once nothing outside
-    /// the run needs them either: at once in process, after the task's
-    /// pushes are encoded on an `hqr-net` worker.
+    /// scratch slots it reads or writes (over a shard, the tiles too).
+    /// Returns those no task will touch again — `tid` was their last
+    /// pending reader, or wrote what nothing reads — for the caller to
+    /// [`DagRun::release`] once nothing outside the run needs them either:
+    /// at once in process; on an `hqr-net` worker after the task's pushes
+    /// are encoded, and only a V copy or a version a peer pushed.
     pub fn complete(
         &self,
         graph: &TaskGraph,
@@ -1183,13 +1195,13 @@ impl DagRun {
         Some(self.readers.spend(&graph.tasks()[tid as usize])).filter(|s| s.0[0].is_some())
     }
 
-    /// Hand spent scratch back: to the run's free lists, where the next
-    /// writer of its size takes it, or — on a worker's shard, which keeps
-    /// no list — a V copy's buffer to the caller.
-    pub fn release(&self, spent: Spent) -> Option<Box<[f64]>> {
+    /// Hand spent scratch back to the run's free lists, where the next
+    /// writer of its size takes it. (A worker takes what it drops out of
+    /// its shard itself.)
+    pub fn release(&self, spent: Spent) {
         // SAFETY: a `Spent` is only made by `complete`, once every task
         // that touches its slots has completed.
-        spent.slots().fold(None, |buf, s| buf.or(unsafe { self.store.release(s) }))
+        spent.slots().for_each(|s| unsafe { self.store.release(s) });
     }
 }
 

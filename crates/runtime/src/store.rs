@@ -22,8 +22,9 @@
 //!   attempt ends, so kernels still see plain stable `&mut [f64]` views
 //!   and the factorization stays bitwise identical to the resident run.
 //! * **Shard**: an `hqr-net` worker's slot map ([`Shard`]); a buffer's
-//!   address is stable while its slot is present. It allocates nothing:
-//!   the worker puts every buffer a task touches in the map first.
+//!   address is stable while its slot is present. It allocates and frees
+//!   nothing: the worker puts every buffer a task touches in the map
+//!   first, and takes out the spent slots it drops.
 //!
 //! GEQRT's V copies (`Vg`) and every factor kernel's T (`Tg`, `Tk`) are
 //! scratch of the run. A scratch slot exists from its writer's first
@@ -34,8 +35,10 @@
 //! (the places lie whole cache lines apart in one block per size class,
 //! `v_len` and `t_len`, which the opening thread allocates, so they live in
 //! its heap, not in the workers' per-thread malloc arenas); the paged
-//! backing drops the slot and never writes it back; the shard hands a V
-//! copy's buffer to its worker and keeps every T until the gather. A
+//! backing drops the slot and never writes it back; a shard's run counts
+//! the tasks touching each tile too, and its worker drops a spent V copy
+//! or a spent version a peer pushed (a tile or a T) and keeps what it
+//! wrote itself until the gather. A
 //! factor task's τ goes into the run's [`TFactors`] when its attempt is
 //! done (`TileStore::keep_tau`), so a released T's τ outlives it. A run
 //! resumed from a checkpoint starts with the copies and T its pending
@@ -408,21 +411,17 @@ impl TileStore {
 
     /// Give back scratch `slot`'s buffer (see the module docs): its place
     /// to the flat backing's free list, or dropped with its paged slot,
-    /// never written back. A shard, which keeps no free list, removes a V
-    /// copy's slot and returns its buffer, and keeps a T until the gather.
-    /// An apply store's slots stay: its `Vg` are the factored tiles.
+    /// never written back. A shard's slots are its worker's to drop, and
+    /// an apply store's stay: its `Vg` are the factored tiles.
     ///
     /// # Safety
     /// No task that touches `slot` may be running or run later in this
     /// run: a task still holding the buffer's address would write into a
     /// buffer another writer may take.
-    pub unsafe fn release(&self, slot: Slot) -> Option<Box<[f64]>> {
-        let (fam, i, k) = slot;
+    pub unsafe fn release(&self, (fam, i, k): Slot) {
         debug_assert_ne!(fam, SlotFamily::A, "only scratch is released");
         if let Some(paged) = &self.paged {
             paged.core.release(paged.core.slot_index(fam, i, k));
-        } else if let Some(shard) = &self.shard {
-            return (fam == SlotFamily::Vg).then(|| relock(shard).remove(&slot)).flatten();
         } else if let Some(places) = &self.places {
             let held = &self.scratch[scratch_family(fam)][i + k * self.mt];
             let at = held.swap(std::ptr::null_mut(), Ordering::AcqRel);
@@ -430,7 +429,11 @@ impl TileStore {
                 relock(&places[size_class(fam)]).free.push(at);
             }
         }
-        None
+    }
+
+    /// Whether this store is over a worker's shard.
+    pub(crate) fn is_shard(&self) -> bool {
+        self.shard.is_some()
     }
 
     /// Keep in the run's [`TFactors`] the τ of each T factor task `t` has
@@ -702,8 +705,10 @@ mod tests {
             assert_eq!(store.scratch_held()[1], (slots.len(), slots.len()));
             let ends = [slots[0], slots[slots.len() - 1]];
             let at = ends.map(|s| store.slice(s).as_ptr());
-            // SAFETY: no task runs on this store.
-            let _ = ends.map(|s| unsafe { store.release(s) });
+            for s in ends {
+                // SAFETY: no task runs on this store.
+                unsafe { store.release(s) };
+            }
             // Last in, first out: the first slot takes the last one's place.
             assert_eq!(ends.map(|s| store.slice(s).as_ptr()), [at[1], at[0]], "({b}, {ib})");
         }
